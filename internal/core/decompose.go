@@ -53,8 +53,12 @@ package core
 // backend is not mc.DeltaInvariant — its verdict tracks raw rule tables,
 // not just the class structure — so it forces a single joint component.
 //
-// A single-component diff degrades to exactly today's behavior: the
-// session falls back to the joint engine, byte-identical plans included.
+// A single-component diff runs the joint engine — joint unit numbering, so
+// the learned state it harvests stays valid for the plan cache — over the
+// component's classes only: every other class has an empty delta for every
+// unit, so the joint search over all classes would skip it at every check
+// anyway, and the parallel search would deep-copy it per worker for
+// nothing. Plans are byte-identical to the all-class joint search.
 
 import (
 	"errors"
@@ -229,12 +233,13 @@ func (e *engine) components() ([]component, error) {
 	return comps, nil
 }
 
-// decompose decides whether this synthesis runs partitioned and returns
-// the components if so; (nil, nil) selects the joint engine. The joint
-// path is taken when decomposition is disabled, when the diff is trivially
-// small, when any checker must see every table change (the header-space
-// backend — not mc.DeltaInvariant — forces a single joint component), and
-// when the interference graph is connected anyway.
+// decompose partitions the diff into independent subproblems. Several
+// components run as separate sub-searches (runDecomposed); a single one
+// names the classes the diff can affect, and the joint engine runs over
+// those alone (classSubset). (nil, nil) selects the joint engine over
+// every class: decomposition is disabled, the diff is trivially small, or
+// some checker must see every table change (the header-space backend is
+// not mc.DeltaInvariant).
 func (s *Session) decompose(e *engine) ([]component, error) {
 	if s.opts.NoDecomposition || len(e.units) < 2 {
 		return nil, nil
@@ -244,14 +249,20 @@ func (s *Session) decompose(e *engine) ([]component, error) {
 			return nil, nil
 		}
 	}
-	comps, err := e.components()
-	if err != nil {
-		return nil, err
+	return e.components()
+}
+
+// classSubset returns the session's warm structures for the given spec
+// indexes, in that order — the view an engine searches when the other
+// classes are outside its units' footprint.
+func (s *Session) classSubset(classes []int) ([]*kripke.K, []mc.Checker, []bool) {
+	ks := make([]*kripke.K, len(classes))
+	checkers := make([]mc.Checker, len(classes))
+	canSkip := make([]bool, len(classes))
+	for i, ci := range classes {
+		ks[i], checkers[i], canSkip[i] = s.ks[ci], s.checkers[ci], s.canSkip[ci]
 	}
-	if len(comps) <= 1 {
-		return nil, nil
-	}
-	return comps, nil
+	return ks, checkers, canSkip
 }
 
 // compResult is one component sub-search's outcome.
@@ -400,14 +411,8 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 		}()
 	}
 	specs := make([]config.ClassSpec, 0, len(c.classes))
-	ks := make([]*kripke.K, 0, len(c.classes))
-	checkers := make([]mc.Checker, 0, len(c.classes))
-	canSkip := make([]bool, 0, len(c.classes))
 	for _, ci := range c.classes {
 		specs = append(specs, s.specs[ci])
-		ks = append(ks, s.ks[ci])
-		checkers = append(checkers, s.checkers[ci])
-		canSkip = append(canSkip, s.canSkip[ci])
 	}
 	// The sub-engine inherits its units below and never derives anything
 	// from Final (computeUnits and wait removal run only on the joint
@@ -445,7 +450,7 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 	opts.Parallelism = inner
 	ec := newEngineShellWith(scC, opts, units, nil)
 	ec.bindContext(e.ctx)
-	ec.ks, ec.checkers, ec.canSkip = ks, checkers, canSkip
+	ec.ks, ec.checkers, ec.canSkip = s.classSubset(c.classes)
 	ec.snapshotCheckerStats()
 	steps, err := ec.run()
 	ec.collectCheckerStats()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"netupdate/internal/config"
@@ -36,6 +37,27 @@ func engineFor(t *testing.T, sc *config.Scenario, opts Options) (*Session, *engi
 	}
 	e.ks, e.checkers, e.canSkip = s.ks, s.checkers, s.canSkip
 	return s, e
+}
+
+// singleComponentTarget returns the target that moves only the idx-th
+// interference component of sc's diff to its final tables — a diff the
+// partition cannot split, whose footprint leaves every other component's
+// classes out — together with that component.
+func singleComponentTarget(t *testing.T, sc *config.Scenario, idx int) (*config.Config, component) {
+	t.Helper()
+	_, e := engineFor(t, sc, Options{})
+	comps, err := e.components()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx >= len(comps) {
+		t.Fatalf("scenario has %d components, want more than %d", len(comps), idx)
+	}
+	target := sc.Init.Clone()
+	for _, sw := range comps[idx].switches {
+		target.SetTable(sw, sc.Final.Table(sw).Clone())
+	}
+	return target, comps[idx]
 }
 
 // TestComponentsPartition: on a 3-region workload with no cross traffic
@@ -366,6 +388,117 @@ func TestDecomposedFailureResync(t *testing.T) {
 						attempt, i, sw)
 				}
 			}
+		}
+	}
+}
+
+// TestSingleComponentFootprintSearch: a multi-class diff that forms one
+// interference component runs the joint engine over the component's
+// classes only. At every worker count the plan must equal the one the
+// joint engine finds over every class (NoDecomposition); a mid-plan crash
+// must repair to the plan a cold synthesis from the crash state finds; and
+// an intent with no ordering must be proved by search once and answered
+// by the memo — which needs the harvested joint unit numbering — after.
+func TestSingleComponentFootprintSearch(t *testing.T) {
+	sc := multiRegionScenario(t, 3, 2, 0, 11)
+	target, comp := singleComponentTarget(t, sc, 0)
+	if len(comp.units) < minParallelUnits || len(comp.classes) < 2 {
+		t.Fatalf("component has %d units over %d classes, want a parallel multi-class search", len(comp.units), len(comp.classes))
+	}
+	one := &config.Scenario{Name: "one-region", Topo: sc.Topo, Init: sc.Init, Final: target, Specs: sc.Specs}
+	want, err := Synthesize(one, Options{Parallelism: 1, NoDecomposition: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyPlan(t, one, want)
+	committed := make([]int, len(want.Updates())/2)
+	for i := range committed {
+		committed[i] = i
+	}
+	crash := crashState(sc.Init, want, committed)
+	fromCrash := &config.Scenario{Name: "from-crash", Topo: sc.Topo, Init: crash, Final: target, Specs: sc.Specs}
+	wantRepair, err := Synthesize(fromCrash, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyPlan(t, fromCrash, wantRepair)
+	for _, workers := range []int{1, 2, 4, 8} {
+		sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sess.Synthesize(target)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if plan.Stats.Components != 1 {
+			t.Fatalf("workers=%d: Components = %d, want 1", workers, plan.Stats.Components)
+		}
+		if plan.String() != want.String() {
+			t.Fatalf("workers=%d: plan diverged from the all-class joint search:\n got %s\nwant %s", workers, plan, want)
+		}
+		repair, err := sess.Repair(committed, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: repair: %v", workers, err)
+		}
+		if repair.String() != wantRepair.String() {
+			t.Fatalf("workers=%d: repair plan diverged from cold synthesis at the crash state:\n got %s\nwant %s", workers, repair, wantRepair)
+		}
+	}
+
+	// Rejected intent: the gadget region alone is a single component with
+	// no switch-granularity ordering.
+	topo := topology.SmallWorld(160, 6, 0.3, 7)
+	inf, err := config.MultiRegion(topo, config.MultiRegionOptions{
+		Regions: 2, InfeasibleRegions: 1, Property: config.Reachability, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, e := engineFor(t, inf, Options{})
+	comps, err := e.components()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Find the gadget's component with the all-class joint search.
+	var gadget, feasible *config.Config
+	for i := range comps {
+		tgt, _ := singleComponentTarget(t, inf, i)
+		_, err := Synthesize(&config.Scenario{Name: "probe", Topo: inf.Topo, Init: inf.Init, Final: tgt, Specs: inf.Specs},
+			Options{Parallelism: 1, NoDecomposition: true})
+		switch {
+		case errors.Is(err, ErrNoOrdering):
+			gadget = tgt
+		case err != nil:
+			t.Fatal(err)
+		default:
+			feasible = tgt
+		}
+	}
+	if gadget == nil || feasible == nil {
+		t.Fatal("want one unorderable and one orderable component in the infeasible workload")
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		sess, err := NewSession(inf.Topo, inf.Init, inf.Specs, Options{Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.EnableCache()
+		if _, err := sess.Synthesize(gadget); !errors.Is(err, ErrNoOrdering) {
+			t.Fatalf("workers=%d: err = %v, want ErrNoOrdering", workers, err)
+		}
+		if st := sess.LastStats(); st.CacheHit || st.Components != 1 {
+			t.Fatalf("workers=%d: first rejection: %+v, want a searched single-component run", workers, st)
+		}
+		if _, err := sess.Synthesize(gadget); !errors.Is(err, ErrNoOrdering) {
+			t.Fatalf("workers=%d: repeat err = %v, want ErrNoOrdering", workers, err)
+		}
+		if st := sess.LastStats(); !st.CacheHit || st.Backtracks != 0 || st.CexLearned != 0 {
+			t.Fatalf("workers=%d: repeat rejection missed the memo: %+v", workers, st)
+		}
+		// The session still serves: a feasible region right after.
+		if _, err := sess.Synthesize(feasible); err != nil {
+			t.Fatalf("workers=%d: feasible region after rejected intent: %v", workers, err)
 		}
 	}
 }

@@ -49,19 +49,6 @@ func (k CheckerKind) String() string {
 	return fmt.Sprintf("checker(%d)", int(k))
 }
 
-func (k CheckerKind) factory() mc.Factory {
-	switch k {
-	case CheckerBatch:
-		return mc.NewBatch
-	case CheckerNuSMV:
-		return buchi.New
-	case CheckerNetPlumber:
-		return hsa.New
-	default:
-		return mc.NewIncremental
-	}
-}
-
 // warmFactory is the session construction path: the labeling backends
 // draw their closure and intern table from the session's mc.Warmth cache
 // (shared across classes, runs, and the final-verification checkers);
@@ -197,7 +184,7 @@ var (
 type Stats struct {
 	Units          int  // update units (switches or rules)
 	Checks         int  // model-checker calls
-	ClassSkips     int  // checker calls skipped because the unit's delta was empty for the class
+	ClassSkips     int  // checker calls skipped because the unit's delta was empty for the class (classes outside a connected diff's footprint are not visited, so not counted)
 	StatesLabeled  int  // checker work units
 	Relabels       int  // incremental label recomputations that changed a label
 	LabelsInterned int  // distinct label sets interned by the labeling checkers

@@ -111,16 +111,9 @@ func (e *engine) cloneForWorker() (*engine, error) {
 	for sw, tbl := range e.curTables {
 		w.curTables[sw] = tbl
 	}
-	factory := e.opts.Checker.factory()
 	for ci, k := range e.ks {
 		k2 := k.Clone()
-		var chk mc.Checker
-		var err error
-		if cl, ok := e.checkers[ci].(mc.Cloneable); ok {
-			chk, err = cl.CloneFor(k2)
-		} else {
-			chk, err = factory(k2, e.sc.Specs[ci].Formula)
-		}
+		chk, err := cloneChecker(e.checkers[ci], k2)
 		if err != nil {
 			return nil, err
 		}

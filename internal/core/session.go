@@ -57,10 +57,11 @@ type Session struct {
 	checkers []mc.Checker
 	canSkip  []bool // checker i implements mc.DeltaInvariant
 
-	// Final-verification structures, built lazily on the first Synthesize
-	// and rebound to each new target afterwards; fcur is the configuration
-	// they are currently bound to, so each rebind only examines the diff
-	// against it instead of sweeping every switch per class.
+	// Final-verification structures, seeded on the first Synthesize as
+	// clones of ks/checkers and rebound to each new target from then on;
+	// fcur is the configuration they are currently bound to, so each
+	// rebind only examines the diff against it instead of sweeping every
+	// switch per class.
 	fks     []*kripke.K
 	fchecks []mc.Checker
 	fcur    *config.Config
@@ -412,13 +413,13 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		}
 		searched = true
 		// Partition the diff into independent subproblems where possible
-		// (see decompose.go); a connected (or forced-joint) diff runs the
-		// ordinary joint search, which keeps single-component plans
-		// byte-identical to the undecomposed engine.
+		// (see decompose.go); a connected diff runs the ordinary joint
+		// search over the classes its units can affect, a forced-joint one
+		// over every class.
 		dcSpan := tr.Begin("decompose", root)
 		comps, derr := s.decompose(e)
 		tr.End(dcSpan)
-		decomposed = derr == nil && comps != nil
+		decomposed = derr == nil && len(comps) > 1
 		searchStart := time.Now()
 		searchSpan := tr.Begin("search", root)
 		s.traceSearch = searchSpan
@@ -429,6 +430,12 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			steps, runErr = s.runDecomposed(e, comps, final)
 		default:
 			e.stats.Components = 1
+			if len(comps) == 1 {
+				// Wait removal and the DAG build below read the scenario's
+				// specs, never the engine's structures, so the narrowed view
+				// can stay attached for the rest of the run.
+				e.ks, e.checkers, e.canSkip = s.classSubset(comps[0].classes)
+			}
 			e.snapshotCheckerStats()
 			steps, runErr = e.run()
 			if s.repairing && runErr != nil && errors.Is(runErr, ErrNoOrdering) {
@@ -592,37 +599,31 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 }
 
 // verifyFinal checks the target configuration against every class
-// specification through the selected backend, rebinding (or lazily
-// building) the session's dedicated verification structures. On failure
-// the structures are left in a consistent state — either fully absent
-// (lazy build aborted) or bound to a loop-free configuration with their
-// checkers in sync — so the session serves the next target normally.
+// specification through the selected backend, rebinding the session's
+// dedicated verification structures to it. On a session's first run those
+// structures are seeded as clones of the search structures — which sit at
+// the current configuration, already built, cycle-checked and labeled —
+// so the first verification costs a rebind over the diff like every later
+// one, whether the session was cold-built or restored from a snapshot
+// (whose image carries the search structures only). On failure the
+// structures are left in a consistent state — absent (seeding aborted) or
+// bound to a loop-free configuration with their checkers in sync — so the
+// session serves the next target normally.
 func (s *Session) verifyFinal(e *engine, final *config.Config) error {
 	if s.fks == nil {
-		// Build into locals: a failure part-way drops the partial set and
-		// the next Synthesize rebuilds from scratch.
-		factory := s.opts.Checker.warmFactory()
-		fks := make([]*kripke.K, 0, len(s.specs))
-		fchecks := make([]mc.Checker, 0, len(s.specs))
-		for _, cs := range s.specs {
-			kf, err := s.arena.Build(final, cs.Class)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrFinalViolation, err)
-			}
-			chk, err := factory(kf, cs.Formula, s.warm)
+		// Seed into locals: a failure part-way drops the partial set and
+		// the next Synthesize seeds again.
+		fks := make([]*kripke.K, len(s.ks))
+		fchecks := make([]mc.Checker, len(s.ks))
+		for i, k := range s.ks {
+			fks[i] = k.Clone()
+			chk, err := cloneChecker(s.checkers[i], fks[i])
 			if err != nil {
 				return err
 			}
-			e.stats.Checks++
-			if !chk.Check().OK {
-				return fmt.Errorf("%w: class %v", ErrFinalViolation, cs.Class)
-			}
-			fks = append(fks, kf)
-			fchecks = append(fchecks, chk)
+			fchecks[i] = chk
 		}
-		s.fks, s.fchecks = fks, fchecks
-		s.fcur = final
-		return nil
+		s.fks, s.fchecks, s.fcur = fks, fchecks, s.cur
 	}
 	// Phase 1: rebind every verification structure to the new target.
 	// The candidate switches — the diff against the configuration the
@@ -767,14 +768,25 @@ func (s *Session) needsRebind(i int, changed, touched []int) bool {
 }
 
 // rebindChecker refreshes a checker after its structure was rebound in
-// place. All four shipped backends implement mc.Rebindable; the panic is
-// a loud guard against a future backend that forgets to.
+// place. All four shipped backends implement mc.Rebindable and
+// mc.Cloneable; the panics here and in cloneChecker are a loud guard
+// against a future backend that forgets to.
 func rebindChecker(c mc.Checker) {
 	r, ok := c.(mc.Rebindable)
 	if !ok {
 		panic(fmt.Sprintf("core: checker %s is not rebindable", c.Name()))
 	}
 	r.Rebind()
+}
+
+// cloneChecker duplicates a checker, with everything it has derived so
+// far, over k2, a clone of its structure.
+func cloneChecker(c mc.Checker, k2 *kripke.K) (mc.Checker, error) {
+	cl, ok := c.(mc.Cloneable)
+	if !ok {
+		panic(fmt.Sprintf("core: checker %s is not cloneable", c.Name()))
+	}
+	return cl.CloneFor(k2)
 }
 
 // reclaimScratch takes the (possibly grown) per-run buffers back from the

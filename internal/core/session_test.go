@@ -188,63 +188,188 @@ func TestSessionInitialViolation(t *testing.T) {
 	}
 }
 
-// TestSessionClassSkips: with more than one class, most units touch only
-// one class's forwarding, so the empty-delta fast path must fire and be
-// counted.
+// TestSessionClassSkips: a diff confined to one region of a multi-region
+// workload forms a single interference component, and the classes of the
+// other regions — outside every unit's footprint — must not be visited by
+// the search at all, nor cloned for its parallel workers. Visits are
+// counted from the exported statistics (checker calls plus class skips,
+// less final verification's one check per class): a session that holds
+// the bystander classes must count exactly what a session holding only
+// the footprint's classes counts. Cloning is caught by a tripwire.
 func TestSessionClassSkips(t *testing.T) {
-	stream, targets := rollingTargets(t, 53, 2, 3, 1)
-	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	sc := multiRegionScenario(t, 3, 2, 0, 11)
+	target, comp := singleComponentTarget(t, sc, 0)
+	if len(comp.classes) < 2 || len(comp.classes) == len(sc.Specs) {
+		t.Fatalf("want a multi-class footprint with bystanders, got %d of %d classes", len(comp.classes), len(sc.Specs))
 	}
-	skips := 0
-	for _, tgt := range targets {
-		plan, err := sess.Synthesize(tgt)
+	var footprint []config.ClassSpec
+	inside := map[int]bool{}
+	for _, ci := range comp.classes {
+		footprint = append(footprint, sc.Specs[ci])
+		inside[ci] = true
+	}
+	visits := func(specs []config.ClassSpec) (int, *Plan) {
+		sess, err := NewSession(sc.Topo, sc.Init, specs, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		skips += plan.Stats.ClassSkips
+		plan, err := sess.Synthesize(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Stats.Components != 1 {
+			t.Fatalf("Components = %d, want a single-component run", plan.Stats.Components)
+		}
+		return plan.Stats.Checks - len(specs) + plan.Stats.ClassSkips, plan
 	}
-	if skips == 0 {
-		t.Fatal("no class skips recorded on a two-class stream; fast path dead")
+	withBystanders, full := visits(sc.Specs)
+	alone, sub := visits(footprint)
+	if full.String() != sub.String() {
+		t.Fatalf("bystander classes changed the plan:\n got %s\nwant %s", full, sub)
+	}
+	if withBystanders != alone {
+		t.Fatalf("search visited classes outside the footprint: %d class visits, %d without the bystanders", withBystanders, alone)
+	}
+
+	// Parallel search: any clone of a bystander class trips the wire.
+	sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(comp.units) < minParallelUnits {
+		t.Fatalf("component has %d units, too few to engage the parallel engine", len(comp.units))
+	}
+	armed := false
+	for ci := range sess.checkers {
+		if !inside[ci] {
+			sess.checkers[ci] = tripwireChecker{Checker: sess.checkers[ci], t: t, armed: &armed}
+		}
+	}
+	// Seed the verification structures first: they are clones of every
+	// class by design, and only the search is under test.
+	if _, err := sess.Synthesize(sc.Init); err != nil {
+		t.Fatal(err)
+	}
+	armed = true
+	par, err := sess.Synthesize(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.String() != full.String() {
+		t.Fatalf("parallel plan diverged:\n got %s\nwant %s", par, full)
 	}
 }
 
-// TestSessionLazyFinalBuildAbortsCleanly: the very first Synthesize
-// failing final verification on a *later* class must drop the partially
-// built verification structures entirely — the next Synthesize rebuilds
-// them and serves normally (regression: partial s.fks caused an index
-// panic on the rebind path).
-func TestSessionLazyFinalBuildAbortsCleanly(t *testing.T) {
-	stream, targets := rollingTargets(t, 67, 2, 2, 1)
-	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), Options{})
+// tripwireChecker reports, once armed, any use of a class that should be
+// outside the search's footprint.
+type tripwireChecker struct {
+	mc.Checker
+	t     *testing.T
+	armed *bool
+}
+
+func (c tripwireChecker) trip(what string) {
+	if *c.armed {
+		c.t.Errorf("class outside the footprint was %s", what)
+	}
+}
+
+func (c tripwireChecker) CloneFor(k2 *kripke.K) (mc.Checker, error) {
+	c.trip("cloned")
+	return c.Checker.(mc.Cloneable).CloneFor(k2)
+}
+
+func (c tripwireChecker) Update(d *kripke.Delta) (mc.Verdict, mc.Token) {
+	c.trip("checked")
+	return c.Checker.Update(d)
+}
+
+func (c tripwireChecker) Rebind() { c.Checker.(mc.Rebindable).Rebind() }
+
+// lazyFinalSessions returns a cold-built session and one restored from a
+// twin's snapshot, neither of which has synthesized yet, so the next
+// Synthesize on each seeds its verification structures.
+func lazyFinalSessions(t *testing.T, stream *config.RollingStream, opts Options) map[string]*Session {
+	t.Helper()
+	cold, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Class 0 keeps a valid route; class 1 (the later one) is dropped, so
-	// the lazy final-verify build appends class 0 and then fails.
-	bad := stream.Init().Clone()
-	config.RemoveClassRules(bad, stream.Specs()[1].Class)
-	if _, err := sess.Synthesize(bad); !errors.Is(err, ErrFinalViolation) {
-		t.Fatalf("err = %v, want ErrFinalViolation", err)
+	twin, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cur := stream.Init()
-	for n, tgt := range targets {
-		warm, err := sess.Synthesize(tgt)
-		if err != nil {
-			t.Fatalf("step %d after aborted lazy build: %v", n, err)
-		}
-		cold, err := Synthesize(&config.Scenario{
-			Name: "cold", Topo: stream.Topo(), Init: cur, Final: tgt, Specs: stream.Specs(),
-		}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.String() != cold.String() {
-			t.Fatalf("step %d: plans diverged:\nwarm %s\ncold %s", n, warm.String(), cold.String())
-		}
-		cur = tgt
+	img, err := twin.Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
+	restored, err := RestoreSession(stream.Topo(), stream.Specs(), opts, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Session{"cold": cold, "restored": restored}
+}
+
+// TestSessionLazyFinalBuildAbortsCleanly: the very first Synthesize of a
+// session — cold-built or restored, on any backend — seeds the
+// verification structures, and a first target that fails verification
+// (a later class violating its spec, or a class forwarded in a cycle)
+// must report ErrFinalViolation and leave the session serving normally:
+// every following plan equals a one-shot synthesis. (Regression: partial
+// s.fks caused an index panic on the rebind path.)
+func TestSessionLazyFinalBuildAbortsCleanly(t *testing.T) {
+	stream, targets := rollingTargets(t, 67, 2, 2, 1)
+	// Class 0 keeps a valid route; class 1 (the later one) is dropped.
+	violating := stream.Init().Clone()
+	config.RemoveClassRules(violating, stream.Specs()[1].Class)
+	cyclic := loopingConfig(t, stream.Topo(), stream.Init(), stream.Specs()[0].Class)
+	for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
+		for badName, bad := range map[string]*config.Config{"violating": violating, "cyclic": cyclic} {
+			for how, sess := range lazyFinalSessions(t, stream, Options{Checker: kind}) {
+				name := kind.String() + "/" + badName + "/" + how
+				if _, err := sess.Synthesize(bad); !errors.Is(err, ErrFinalViolation) {
+					t.Fatalf("%s: err = %v, want ErrFinalViolation", name, err)
+				}
+				cur := stream.Init()
+				for n, tgt := range targets {
+					warm, err := sess.Synthesize(tgt)
+					if err != nil {
+						t.Fatalf("%s: step %d after aborted first verification: %v", name, n, err)
+					}
+					cold, err := Synthesize(&config.Scenario{
+						Name: "cold", Topo: stream.Topo(), Init: cur, Final: tgt, Specs: stream.Specs(),
+					}, Options{Checker: kind})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if warm.String() != cold.String() {
+						t.Fatalf("%s: step %d: plans diverged:\nwarm %s\ncold %s", name, n, warm.String(), cold.String())
+					}
+					cur = tgt
+				}
+			}
+		}
+	}
+}
+
+// loopingConfig is base with class cl forwarded in a two-switch cycle.
+func loopingConfig(t *testing.T, topo *topology.Topology, base *config.Config, cl config.Class) *config.Config {
+	t.Helper()
+	a := 0
+	link, ok := topo.LinkAt(a, topo.Ports(a)[0])
+	if !ok {
+		t.Fatal("switch 0 has no link")
+	}
+	b := link.Peer
+	pab, _ := topo.PortToward(a, b)
+	pba, _ := topo.PortToward(b, a)
+	bad := base.Clone()
+	config.RemoveClassRules(bad, cl)
+	bad.AddRule(a, network.Rule{Priority: 10, Match: cl.Pattern(),
+		Actions: []network.Action{network.Forward(pab)}})
+	bad.AddRule(b, network.Rule{Priority: 10, Match: cl.Pattern(),
+		Actions: []network.Action{network.Forward(pba)}})
+	return bad
 }
 
 // TestSessionSurvivesLoopingTarget: a target that forwards a class in a
@@ -263,23 +388,8 @@ func TestSessionSurvivesLoopingTarget(t *testing.T) {
 	if _, err := sess.Synthesize(targets[0]); err != nil {
 		t.Fatal(err)
 	}
-	// Loop class 0 between two adjacent switches.
 	topo := stream.Topo()
-	cl := stream.Specs()[0].Class
-	a := 0
-	link, ok := topo.LinkAt(a, topo.Ports(a)[0])
-	if !ok {
-		t.Fatal("switch 0 has no link")
-	}
-	b := link.Peer
-	pab, _ := topo.PortToward(a, b)
-	pba, _ := topo.PortToward(b, a)
-	bad := targets[0].Clone()
-	config.RemoveClassRules(bad, cl)
-	bad.AddRule(a, network.Rule{Priority: 10, Match: cl.Pattern(),
-		Actions: []network.Action{network.Forward(pab)}})
-	bad.AddRule(b, network.Rule{Priority: 10, Match: cl.Pattern(),
-		Actions: []network.Action{network.Forward(pba)}})
+	bad := loopingConfig(t, topo, targets[0], stream.Specs()[0].Class)
 	for attempt := 0; attempt < 2; attempt++ {
 		if _, err := sess.Synthesize(bad); !errors.Is(err, ErrFinalViolation) {
 			t.Fatalf("attempt %d: err = %v, want ErrFinalViolation", attempt, err)

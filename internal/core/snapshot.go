@@ -12,9 +12,15 @@ package core
 // snapshot was taken from a structure that was built and checked against
 // the same configuration, and the image is checksummed), and the
 // label-based checkers are reconstructed from their recorded per-state
-// labels (no relabelAll, the dominant cost). The learned
-// wrong-pattern/SAT/dead-set stores ride along as the plan cache's JSON
-// snapshot.
+// labels (no relabelAll, the dominant cost).
+//
+// The plan cache (with its learned wrong-pattern/SAT/dead-set stores) is
+// not session state: it belongs to whoever attached it — the pool shares
+// one store between tenants and keeps it across evictions — so
+// Session.Snapshot leaves the cache section empty, and an image a pool
+// holds for an evicted tenant costs nothing that grows with the tenant's
+// history. An image that leaves the process (tenant migration, restart
+// persistence) gets the owner's cache embedded by EmbedCache.
 //
 // Format (all integers varint-encoded unless noted):
 //
@@ -31,7 +37,7 @@ package core
 //	         atomic subformula, so the sparse form is a handful of
 //	         entries); then #successors total and the per-state
 //	         successor lists
-//	cache:   flag, then the PlanCacheSnapshot JSON blob
+//	cache:   flag; when flagged (EmbedCache), the PlanCacheSnapshot JSON blob
 //	sha256 checksum of everything above (raw 32 bytes)
 //
 // Label ids are private to the exporting table, so the decoder re-interns
@@ -178,10 +184,11 @@ func (r *snapReader) str() string {
 // --- encode ---
 
 // Snapshot serializes the session's warm state — current configuration,
-// interned label tables, per-class transition relations and labelings,
-// and the attached plan cache — into a self-validating binary image that
-// RestoreSession rebuilds byte-identically (same plans, same stats modulo
-// timings). The session must be quiescent (no Synthesize in flight).
+// interned label tables, per-class transition relations and labelings —
+// into a self-validating binary image that RestoreSession rebuilds
+// byte-identically (same plans, same stats modulo timings). The attached
+// plan cache is not included (see EmbedCache). The session must be
+// quiescent (no Synthesize in flight).
 func (s *Session) Snapshot() ([]byte, error) {
 	w := &snapWriter{buf: make([]byte, 0, 4096)}
 	w.raw([]byte(snapMagic))
@@ -259,29 +266,37 @@ func (s *Session) Snapshot() ([]byte, error) {
 		}
 	}
 
-	// Plan cache (carries the learned wrong-pattern/SAT/dead-set stores).
-	// A restored session that never touched its cache still holds the
-	// undecoded blob — pass it through verbatim, which both skips a
-	// marshal and keeps restore→snapshot byte-identical for free.
-	if s.cacheBlob != nil {
-		w.buf = append(w.buf, 1)
-		w.count(len(s.cacheBlob))
-		w.raw(s.cacheBlob)
-	} else if s.cache != nil {
-		blob, err := json.Marshal(s.cache.Snapshot())
-		if err != nil {
-			return nil, err
-		}
-		w.buf = append(w.buf, 1)
-		w.count(len(blob))
-		w.raw(blob)
-	} else {
-		w.buf = append(w.buf, 0)
-	}
+	w.buf = append(w.buf, 0) // empty cache section
+	return w.seal(), nil
+}
 
+// seal appends the checksum of everything written so far.
+func (w *snapWriter) seal() []byte {
 	sum := sha256.Sum256(w.buf)
 	w.raw(sum[:])
-	return w.buf, nil
+	return w.buf
+}
+
+// EmbedCache returns a copy of img — an image from Session.Snapshot —
+// whose cache section carries c's entries, for images that must bring
+// their learned state along because they leave the process that holds the
+// cache. RestoreSession hands the section to the restored session
+// undecoded (Session.Cache decodes it on first access).
+func EmbedCache(img []byte, c *PlanCache) ([]byte, error) {
+	n := len(img) - sha256.Size
+	if n < 1 || img[n-1] != 0 {
+		return nil, fmt.Errorf("%w: no empty cache section to fill", ErrBadSnapshot)
+	}
+	blob, err := json.Marshal(c.Snapshot())
+	if err != nil {
+		return nil, err
+	}
+	w := &snapWriter{buf: make([]byte, 0, len(img)+len(blob)+binary.MaxVarintLen64)}
+	w.raw(img[:n-1])
+	w.buf = append(w.buf, 1)
+	w.count(len(blob))
+	w.raw(blob)
+	return w.seal(), nil
 }
 
 func encodeRule(w *snapWriter, r network.Rule) {
@@ -631,9 +646,11 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 			return nil, r.err
 		}
 		// The JSON decode is deferred to the first cache access
-		// (Session.materializeCache): restore's critical path only copies
-		// the checksummed blob, and a session resumed just to serve a few
-		// requests may never pay for the decode at all.
+		// (Session.materializeCache), which is whoever merges the section
+		// into the store it attaches (the pool's InstallSnapshot) or
+		// Session.EnableCache; restore's critical path only copies the
+		// checksummed blob. Images a pool holds for its own evicted tenants
+		// have no section and never get here.
 		if !opts.NoPlanCache {
 			s.cacheBlob = append([]byte(nil), blob...)
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -229,4 +230,47 @@ func TestSharedArenaConcurrentSoak(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
+}
+
+// TestRestoredFirstSynthesizeMatchesCold: the first Synthesize after
+// RestoreSession seeds its verification structures exactly as a
+// cold-built session's first Synthesize does — clones of the search
+// structures, rebound over the diff — so on every backend it must return
+// the cold session's plan and the cold session's statistics (timings
+// and memo warmth aside): no phase does work on a restored session that
+// it would not do on a cold one.
+func TestRestoredFirstSynthesizeMatchesCold(t *testing.T) {
+	stream, targets := rollingTargets(t, 47, 2, 3, 1)
+	for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
+		sessions := lazyFinalSessions(t, stream, Options{Checker: kind, Parallelism: 1})
+		cold, restored := sessions["cold"], sessions["restored"]
+		for n, tgt := range targets {
+			want, err := cold.Synthesize(tgt)
+			if err != nil {
+				t.Fatalf("%s step %d: cold: %v", kind, n, err)
+			}
+			got, err := restored.Synthesize(tgt)
+			if err != nil {
+				t.Fatalf("%s step %d: restored: %v", kind, n, err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("%s step %d: restored plan diverged:\n got %s\nwant %s", kind, n, got, want)
+			}
+			if g, w := untimed(got.Stats), untimed(want.Stats); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s step %d: restored stats diverged:\n got %+v\nwant %+v", kind, n, g, w)
+			}
+		}
+	}
+}
+
+// untimed clears the wall-clock fields of a run's statistics, and folds
+// the closure-extension memo's hits into its misses: the memo is
+// per-checker scratch the image does not carry, so a restored checker
+// starts with it empty — the lookups must still total the same.
+func untimed(st Stats) Stats {
+	st.ExtendMisses, st.ExtendHits = st.ExtendMisses+st.ExtendHits, 0
+	st.Elapsed, st.RebindElapsed, st.SearchElapsed = 0, 0, 0
+	st.WaitRemovalElapsed, st.VerifyElapsed, st.CacheVerifyElapsed = 0, 0, 0
+	st.ComponentElapsed = nil
+	return st
 }

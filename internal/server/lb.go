@@ -185,6 +185,13 @@ func (lb *LB) handleProxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lb.proxied.Inc()
+	// The daemon's synthesize endpoint answers before it has drained the
+	// request body. Without full duplex, HTTP/1.x closes the inbound body
+	// at the first response write, the outbound transport's next read of it
+	// fails, and the transport drops the backend connection under the
+	// response still being copied. (HTTP/2 is duplex natively and reports
+	// ErrNotSupported, ignored.)
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	proxy.ServeHTTP(w, r)
 }
 

@@ -26,6 +26,9 @@ type poolMetrics struct {
 	synthMiss   *obs.Histogram
 	synthRepair *obs.Histogram
 	snapRestore *obs.Histogram
+	// sessionEvict times what an eviction costs the request that triggered
+	// it: capturing the snapshot, under the pool mutex.
+	sessionEvict *obs.Histogram
 
 	tenantRequests *obs.CounterVec
 }
@@ -120,6 +123,7 @@ func (p *Pool) initMetrics() {
 	m.synthMiss = reg.Histogram("netupdate_synthesis_miss_seconds", "Synthesis latency of full-search runs (including failures).")
 	m.synthRepair = reg.Histogram("netupdate_synthesis_repair_seconds", "Synthesis latency of repair runs.")
 	m.snapRestore = reg.Histogram("netupdate_snapshot_restore_seconds", "Time to restore an evicted session from its snapshot.")
+	m.sessionEvict = reg.Histogram("netupdate_session_evict_seconds", "Time to capture an evicted session's snapshot.")
 	m.tenantRequests = reg.CounterVec("netupdate_tenant_requests_total", "Requests received per tenant.", "tenant")
 }
 

@@ -128,7 +128,8 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"netupdate_learn_stores",
 		"netupdate_queue_wait_seconds", "netupdate_synthesis_hit_seconds",
 		"netupdate_synthesis_miss_seconds", "netupdate_synthesis_repair_seconds",
-		"netupdate_snapshot_restore_seconds", "netupdate_tenant_requests_total",
+		"netupdate_snapshot_restore_seconds", "netupdate_session_evict_seconds",
+		"netupdate_tenant_requests_total",
 	} {
 		if first.typ[fam] == "" {
 			t.Errorf("family %s not exposed", fam)

@@ -78,7 +78,9 @@ func (o PoolOptions) queueDepth() int {
 // serializes synthesis — core.Session is single-flight — and also
 // protects cur, which only advances while the gate is held. Eviction
 // takes a tenant's gate non-blockingly, so a session is never torn down
-// under a running synthesis.
+// under a running synthesis; every holder hands the gate back through
+// Pool.release, which re-runs eviction for whatever the held gate made it
+// skip.
 type tenant struct {
 	id   string
 	spec *TenantSpec
@@ -104,7 +106,10 @@ type tenant struct {
 	// snap is the session snapshot captured at eviction (nil when the
 	// capture failed or after a restore consumed it); guarded by the pool
 	// mutex like sess. It makes eviction cheap to undo: the next request
-	// restores the warm state instead of rebuilding and re-warming it.
+	// restores the warm state instead of rebuilding and re-warming it. It
+	// holds the session's own state only — the plan cache stays in p.learn,
+	// which outlives the session — so it is embedded (portable) before it
+	// leaves the process.
 	snap []byte
 
 	snapRestores atomic.Int64 // rebuilds served by snapshot restore
@@ -314,7 +319,7 @@ func (p *Pool) Synthesize(ctx context.Context, id string, delta *config.StreamDe
 	case <-ctx.Done():
 		return nil, p.expireErr(ctx, t)
 	}
-	defer func() { <-t.gate }()
+	defer p.release(t)
 	select {
 	case p.slots <- struct{}{}:
 	case <-ctx.Done():
@@ -429,7 +434,7 @@ func (p *Pool) Ack(ctx context.Context, id string, ack *StepAck) (*core.Plan, er
 	case <-ctx.Done():
 		return nil, p.expireErr(ctx, t)
 	}
-	defer func() { <-t.gate }()
+	defer p.release(t)
 	select {
 	case p.slots <- struct{}{}:
 	case <-ctx.Done():
@@ -540,8 +545,12 @@ func isCanceled(err error) bool { return errors.Is(err, core.ErrCanceled) }
 // shared arena, recorded transition relations, and interned labels skip
 // state enumeration, table application, and relabeling — and falls back
 // to a cold build from the stored spec when the snapshot is missing,
-// rejected, or out of step with the tenant's configuration. A build
-// beyond the budget evicts the least-recently-used idle session.
+// rejected, or out of step with the tenant's configuration. Either way
+// the session is pointed back at the tenant's shared plan cache, which
+// stayed in p.learn while the session was gone: nothing is decoded or
+// merged here, so a restore costs the same however much the tenant has
+// learned. A build beyond the budget evicts the least-recently-used idle
+// session.
 func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 	p.mu.Lock()
 	if t.sess != nil {
@@ -575,7 +584,7 @@ func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 			return nil, err
 		}
 	}
-	p.attachLearning(t, sess, restored)
+	p.attachLearning(t, sess)
 	if t.builds.Add(1) > 1 {
 		p.m.rebuilds.Inc()
 	}
@@ -594,31 +603,42 @@ func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 }
 
 // attachLearning points a rebuilt session at the tenant's shared plan
-// cache. A restored session carries the cache image embedded in its
-// snapshot; its entries are merged into the shared store first (existing
-// entries win — they are at least as fresh), which matters when the
-// snapshot crossed processes via tenant migration.
-func (p *Pool) attachLearning(t *tenant, sess *core.Session, restored bool) {
+// cache.
+func (p *Pool) attachLearning(t *tenant, sess *core.Session) {
+	if t.learnID != "" {
+		sess.SetCache(p.learn.get(t.learnID))
+	}
+}
+
+// portable turns a pool-held session image into one that can leave the
+// process by embedding the tenant's shared plan cache, so the receiving
+// pool (InstallSnapshot) learns what this one knew.
+func (p *Pool) portable(t *tenant, img []byte) ([]byte, error) {
 	if t.learnID == "" {
-		return
+		return img, nil
 	}
-	shared := p.learn.get(t.learnID)
-	if restored {
-		if c := sess.Cache(); c != nil {
-			_ = shared.Restore(c.Snapshot())
-		}
-	}
-	sess.SetCache(shared)
+	return core.EmbedCache(img, p.learn.get(t.learnID))
+}
+
+// release hands back a tenant's gate and re-enforces the session budget:
+// evictLocked skips gate-held tenants, so whatever it skipped while this
+// gate was held is evicted now — the budget holds whenever no request is
+// in flight.
+func (p *Pool) release(t *tenant) {
+	<-t.gate
+	p.mu.Lock()
+	p.evictLocked()
+	p.mu.Unlock()
 }
 
 // evictLocked enforces the warm-session budget: walk the LRU from the
 // cold end, dropping sessions whose tenants are idle (their gate can be
 // taken without blocking) until the budget holds. Busy tenants are
-// skipped — a session is never torn down mid-synthesis — so the budget is
-// soft under extreme concurrency and re-enforced as gates free up. Each
-// evicted session leaves a compact snapshot behind so the next request
-// restores warm state instead of paying a cold rebuild; a failed capture
-// leaves no snapshot and the tenant rebuilds cold.
+// skipped — a session is never torn down mid-synthesis — and caught up
+// with when their gate is released (release). Each evicted session leaves
+// a compact snapshot behind so the next request restores warm state
+// instead of paying a cold rebuild; a failed capture leaves no snapshot
+// and the tenant rebuilds cold.
 func (p *Pool) evictLocked() {
 	budget := p.opts.maxSessions()
 	for e := p.lru.Back(); e != nil && p.lru.Len() > budget; {
@@ -626,11 +646,13 @@ func (p *Pool) evictLocked() {
 		t := e.Value.(*tenant)
 		select {
 		case t.gate <- struct{}{}:
+			start := time.Now()
 			t.snap, _ = t.sess.Snapshot()
 			t.sess = nil
 			t.elem = nil
 			p.lru.Remove(e)
 			p.m.evictions.Inc()
+			p.m.sessionEvict.Observe(time.Since(start))
 			<-t.gate
 		default:
 			// In flight (or its caller holds the gate): skip.

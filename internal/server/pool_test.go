@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -355,10 +356,72 @@ func TestPoolSoak(t *testing.T) {
 	if st.Plans == 0 {
 		t.Fatalf("soak served nothing: %+v", st)
 	}
-	if st.WarmSessions > 2 {
-		t.Fatalf("budget violated at rest: %+v", st)
+	if err := p.CheckAtRest(); err != nil {
+		t.Fatalf("at rest after the soak: %v (%+v)", err, st)
 	}
 	if err := p.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkPoolEvictRestore is the churn path's fast reproducer: two
+// tenants of one shape (so they share an arena and a plan cache) against
+// a budget of one session, visited alternately, so every request restores
+// one session from its eviction image, runs a search (each tenant walks
+// its own Gray-code sequence of diamond flips, which revisits no
+// configuration for 2^13 steps on this 13-diamond tenant), and evicts the
+// other. What a request costs here beyond the search is the pool's
+// whole-session work.
+func BenchmarkPoolEvictRestore(b *testing.B) {
+	loads, err := bench.MakeTenantLoads(1, 400, 0, server.OptionsSpec{}, 29)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := loads[0].Pairs
+	p := server.NewPool(server.PoolOptions{MaxSessions: 1})
+	ctx := context.Background()
+	var ids [2]string
+	for i := range ids {
+		spec := *loads[0].Spec
+		spec.Name = fmt.Sprintf("churn-%d", i)
+		info, err := p.Register(&spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = info.ID
+	}
+	onB := [2][]bool{make([]bool, len(pairs)), make([]bool, len(pairs))}
+	var verify time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		ti, step := n%2, n/2+1
+		// Reflected Gray code: step k flips the pair at k's lowest set bit;
+		// the second tenant counts pairs from the other end.
+		pi := bits.TrailingZeros(uint(step)) % len(pairs)
+		if ti == 1 {
+			pi = len(pairs) - 1 - pi
+		}
+		onB[ti][pi] = !onB[ti][pi]
+		path := pairs[pi].A
+		if onB[ti][pi] {
+			path = pairs[pi].B
+		}
+		delta := &config.StreamDelta{Reroute: []config.Reroute{{Class: pairs[pi].Class, Path: path}}}
+		plan, err := p.Synthesize(ctx, ids[ti], delta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		verify += plan.Stats.VerifyElapsed
+	}
+	b.StopTimer()
+	st := p.Stats()
+	if st.ColdRebuilds != 0 || st.SnapshotRestores < int64(b.N)-1 {
+		b.Fatalf("churn not served by restore: %+v", st)
+	}
+	// The two whole-session costs a restored session can hide: target
+	// verification on its first run, and the size of the image held for
+	// the tenant that is out.
+	b.ReportMetric(float64(verify.Nanoseconds())/float64(b.N), "verify-ns/op")
+	b.ReportMetric(float64(st.SnapshotBytesHeld), "held-image-B")
 }

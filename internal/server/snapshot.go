@@ -10,10 +10,11 @@ import (
 
 // SnapshotTenant serializes one tenant's warm state to the portable
 // session-snapshot format (see internal/core/snapshot.go): Kripke
-// transition relations, interned labels, learned caches, and the current
-// configuration. The snapshot is taken under the tenant's gate, so it is
-// a consistent point between syntheses; an evicted tenant is warmed
-// first (by restore when its eviction snapshot is held, cold otherwise).
+// transition relations, interned labels, the current configuration, and
+// the tenant's shared plan cache. The snapshot is taken under the
+// tenant's gate, so it is a consistent point between syntheses; an
+// evicted tenant is warmed first (by restore when its eviction snapshot
+// is held, cold otherwise).
 // This is the export half of tenant migration: the bytes returned here
 // restore byte-identically on any replica registered with the same spec.
 func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
@@ -29,13 +30,16 @@ func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
 	case <-ctx.Done():
 		return nil, p.expireErr(ctx, t)
 	}
-	defer func() { <-t.gate }()
+	defer p.release(t)
 
 	sess, err := p.ensureWarm(t)
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %s: session rebuild: %w", t.id, err)
 	}
 	img, err := sess.Snapshot()
+	if err == nil {
+		img, err = p.portable(t, img)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %s: snapshot: %w", t.id, err)
 	}
@@ -48,8 +52,10 @@ func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
 // snapshot must have been taken from a session with the same topology,
 // classes, and engine options (the embedded context fingerprint is
 // checked); the tenant's current configuration is realigned to the
-// snapshot's. Rejected images (core.ErrBadSnapshot and friends) leave
-// the tenant untouched.
+// snapshot's, and the plan cache the image carries is merged into the
+// tenant's shared store (existing entries win — they are at least as
+// fresh). Rejected images (core.ErrBadSnapshot and friends) leave the
+// tenant untouched.
 func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error {
 	t, err := p.admit(id)
 	if err != nil {
@@ -63,14 +69,17 @@ func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error
 	case <-ctx.Done():
 		return p.expireErr(ctx, t)
 	}
-	defer func() { <-t.gate }()
+	defer p.release(t)
 
 	res := p.arenas.get(t.arenaFP, t.base.Topo)
 	sess, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, img, res)
 	if err != nil {
 		return fmt.Errorf("server: tenant %s: install snapshot: %w", t.id, err)
 	}
-	p.attachLearning(t, sess, true)
+	if c := sess.Cache(); c != nil && t.learnID != "" {
+		_ = p.learn.get(t.learnID).Restore(c.Snapshot()) // c's entries were validated when it was decoded
+	}
+	p.attachLearning(t, sess)
 	t.builds.Add(1)
 	t.snapRestores.Add(1)
 	p.m.snapshotRestores.Add(1)
@@ -113,42 +122,39 @@ func (p *Pool) TenantSpecOf(id string) (*TenantSpec, error) {
 	return t.spec, nil
 }
 
-// SnapshotAll captures a snapshot per tenant, best effort: warm idle
-// tenants are serialized live, evicted tenants contribute their stored
-// eviction snapshot, and tenants busy mid-synthesis (or failing to
+// SnapshotAll captures a portable snapshot per tenant, best effort: warm
+// idle tenants are serialized live, evicted tenants contribute their
+// stored eviction snapshot, and tenants busy mid-synthesis (or failing to
 // serialize) are skipped. The daemon uses this on drain to persist warm
 // state under -snapshot-dir.
 func (p *Pool) SnapshotAll() map[string][]byte {
 	p.mu.Lock()
-	type item struct {
-		t    *tenant
-		snap []byte
-	}
-	items := make([]item, 0, len(p.tenants))
+	tenants := make([]*tenant, 0, len(p.tenants))
 	for _, t := range p.tenants {
-		items = append(items, item{t: t, snap: t.snap})
+		tenants = append(tenants, t)
 	}
 	p.mu.Unlock()
 
 	out := map[string][]byte{}
-	for _, it := range items {
-		if it.snap != nil {
-			out[it.t.id] = it.snap
+	for _, t := range tenants {
+		select {
+		case t.gate <- struct{}{}:
+		default:
 			continue
 		}
-		select {
-		case it.t.gate <- struct{}{}:
-			p.mu.Lock()
-			sess := it.t.sess
-			p.mu.Unlock()
-			if sess != nil {
-				if img, err := sess.Snapshot(); err == nil {
-					out[it.t.id] = img
-				}
-			}
-			<-it.t.gate
-		default:
+		p.mu.Lock()
+		sess, img := t.sess, t.snap
+		p.mu.Unlock()
+		var err error
+		if sess != nil {
+			img, err = sess.Snapshot()
 		}
+		if err == nil && img != nil {
+			if img, err = p.portable(t, img); err == nil {
+				out[t.id] = img
+			}
+		}
+		p.release(t)
 	}
 	return out
 }

@@ -99,6 +99,9 @@ func TestEvictionSnapshotRestoreByteIdentity(t *testing.T) {
 	if ps.SnapshotRestores != 1 || ps.ColdRebuilds != 0 || ps.Evictions == 0 {
 		t.Fatalf("pool stats = %+v", ps)
 	}
+	if n := evicting.m.sessionEvict.Count(); n != ps.Evictions {
+		t.Fatalf("evict histogram observed %d of %d evictions", n, ps.Evictions)
+	}
 }
 
 // TestSharedArenaRegistry: tenants with the same topology share one
@@ -208,8 +211,15 @@ func TestSnapshotHTTPMigration(t *testing.T) {
 			t.Fatal("migrated tenant diverged from its source")
 		}
 	}
-	if st, _ := dst.TenantStats(info.ID); st.SnapshotRestores == 0 {
+	st, _ := dst.TenantStats(info.ID)
+	if st.SnapshotRestores == 0 {
 		t.Fatalf("install not counted as a snapshot restore: %+v", st)
+	}
+	// The image brought the source's plan cache along: the receiver's
+	// first flip back to the branch the source had already planned is a
+	// hit, as is the return it learned itself.
+	if st.CacheHits != 2 || st.CacheMisses != 1 {
+		t.Fatalf("migrated tenant: %d hits, %d misses, want 2 and 1", st.CacheHits, st.CacheMisses)
 	}
 }
 
@@ -250,6 +260,65 @@ func TestSnapshotAllAndInstall(t *testing.T) {
 	newCur, _ := fresh.ConfigOf(a.ID)
 	if diff := config.Diff(oldCur, newCur); len(diff) != 0 {
 		t.Fatalf("restart lost alpha's position: diff %v", diff)
+	}
+}
+
+// TestSnapshotAllEvictedCarriesCache: the image the pool holds for an
+// evicted tenant is the session's own state and nothing else — the plan
+// cache stays in the pool's store — yet the image SnapshotAll exports for
+// that tenant embeds the cache, so a fresh pool it is installed into
+// serves the tenant's first repeated delta as a plan-cache hit.
+func TestSnapshotAllEvictedCarriesCache(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 1, MaxSessions: 1})
+	ctx := context.Background()
+	a, err := p.Register(testSpec("alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// There and back: the store now knows both directions of the flip.
+	for _, d := range diamondDeltas()[:2] {
+		if _, err := p.Synthesize(ctx, a.ID, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Register(testSpec("beta")); err != nil { // evicts alpha
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	ta := p.tenants[a.ID]
+	held := ta.snap
+	p.mu.Unlock()
+	if held == nil {
+		t.Fatal("eviction left no image")
+	}
+	sess, err := core.RestoreSession(ta.base.Topo, ta.base.Specs, ta.opts, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Cache() != nil {
+		t.Fatal("the pool-held eviction image carries a plan cache")
+	}
+
+	img := p.SnapshotAll()[a.ID]
+	if len(img) <= len(held) {
+		t.Fatalf("exported image is %d bytes, held image %d: no cache embedded", len(img), len(held))
+	}
+	fresh := NewPool(PoolOptions{Workers: 1})
+	if _, err := fresh.Register(testSpec("alpha")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.InstallSnapshot(ctx, a.ID, img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Synthesize(ctx, a.ID, diamondDeltas()[2]); err != nil {
+		t.Fatal(err)
+	}
+	st, err := fresh.TenantStats(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHits != 1 || st.CacheMisses != 0 {
+		t.Fatalf("first repeated delta on the fresh pool: %d hits, %d misses, want a hit", st.CacheHits, st.CacheMisses)
 	}
 }
 
