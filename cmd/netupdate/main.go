@@ -86,121 +86,78 @@ import (
 	"netupdate/internal/sim"
 )
 
+// flags is the parsed command line: the engine options (declared by
+// core.Options itself) plus what this command does with the plan.
+type flags struct {
+	opts                                       core.Options
+	file, faults, learnFile, connect, traceOut string
+	stream, showDAG, verify, repair, quiet     bool
+}
+
 func main() {
-	var (
-		file      = flag.String("f", "", "scenario JSON file (required unless -stream)")
-		stream    = flag.Bool("stream", false, "serve a JSONL scenario stream from stdin, emitting JSON plan lines")
-		checker   = flag.String("checker", "incremental", "backend: incremental|batch|nusmv|netplumber")
-		rules     = flag.Bool("rules", false, "use rule granularity")
-		twoSimple = flag.Bool("2simple", false, "allow two updates per switch (merge then finalize)")
-		noWaits   = flag.Bool("no-wait-removal", false, "keep all waits")
-		noDecomp  = flag.Bool("no-decompose", false, "always run one joint search instead of partitioning independent update regions")
-		timeout   = flag.Duration("timeout", 10*time.Minute, "search timeout (per synthesis in -stream mode)")
-		parallel  = flag.Int("parallel", 0, "search workers: 0 = one per CPU, 1 = sequential")
-		firstPlan = flag.Bool("first-plan", false, "return the first plan any worker finds (faster, nondeterministic)")
-		minCompl  = flag.Bool("min-completion", false, "tie-break among valid plans by completion time under the dependency-DAG latency model (sequential enumeration)")
-		showDAG   = flag.Bool("dag", false, "print the plan's dependency DAG (per-step predecessors, drain edges)")
-		verify    = flag.Bool("verify", false, "only verify the endpoint configurations")
-		faults    = flag.String("faults", "", "execute the plan under injected faults, e.g. crash=3@1,ackloss=0.2,seed=42")
-		doRepair  = flag.Bool("repair", false, "after a stalled -faults execution, resynthesize from the partially-committed state and finish the update")
-		noCache   = flag.Bool("no-plan-cache", false, "disable the verification-first plan cache (every request pays the full search)")
-		learnFile = flag.String("learn-file", "", "with -stream: load the plan cache and learned state from this JSON file at startup and save it back on exit")
-		connect   = flag.String("connect", "", "with -stream: serve via remote netupdated replica(s), comma-separated base URLs; several shard client-side by tenant fingerprint")
-		traceOut  = flag.String("trace-out", "", "record a synthesis trace and write it to this file: Chrome trace-event JSON (load via chrome://tracing), or span JSONL when the path ends in .jsonl")
-		quiet     = flag.Bool("q", false, "suppress statistics")
-	)
+	f := flags{opts: core.Options{Timeout: 10 * time.Minute}}
+	f.opts.RegisterFlags(flag.CommandLine)
+	flag.StringVar(&f.file, "f", "", "scenario JSON file (required unless -stream)")
+	flag.BoolVar(&f.stream, "stream", false, "serve a JSONL scenario stream from stdin, emitting JSON plan lines")
+	flag.BoolVar(&f.showDAG, "dag", false, "print the plan's dependency DAG (per-step predecessors, drain edges)")
+	flag.BoolVar(&f.verify, "verify", false, "only verify the endpoint configurations")
+	flag.StringVar(&f.faults, "faults", "", "execute the plan under injected faults, e.g. crash=3@1,ackloss=0.2,seed=42")
+	flag.BoolVar(&f.repair, "repair", false, "after a stalled -faults execution, resynthesize from the partially-committed state and finish the update")
+	flag.StringVar(&f.learnFile, "learn-file", "", "with -stream: load the plan cache and learned state from this JSON file at startup and save it back on exit")
+	flag.StringVar(&f.connect, "connect", "", "with -stream: serve via remote netupdated replica(s), comma-separated base URLs; several shard client-side by tenant fingerprint")
+	flag.StringVar(&f.traceOut, "trace-out", "", "record a synthesis trace and write it to this file: Chrome trace-event JSON (load via chrome://tracing), or span JSONL when the path ends in .jsonl")
+	flag.BoolVar(&f.quiet, "q", false, "suppress statistics")
 	flag.Parse()
-	opts := core.Options{
-		RuleGranularity:        *rules,
-		TwoSimple:              *twoSimple,
-		NoWaitRemoval:          *noWaits,
-		NoDecomposition:        *noDecomp,
-		Timeout:                *timeout,
-		Parallelism:            *parallel,
-		FirstPlanWins:          *firstPlan,
-		MinimizeCompletionTime: *minCompl,
-		NoPlanCache:            *noCache,
-		Trace:                  *traceOut != "",
-	}
-	switch *checker {
-	case "incremental":
-		opts.Checker = core.CheckerIncremental
-	case "batch":
-		opts.Checker = core.CheckerBatch
-	case "nusmv":
-		opts.Checker = core.CheckerNuSMV
-	case "netplumber":
-		opts.Checker = core.CheckerNetPlumber
-	default:
-		fmt.Fprintf(os.Stderr, "netupdate: unknown checker %q\n", *checker)
+	f.opts.Trace = f.traceOut != ""
+
+	usage := func(msg string) {
+		fmt.Fprintln(os.Stderr, "netupdate: "+msg)
 		os.Exit(2)
 	}
-	if *doRepair && *faults == "" {
-		fmt.Fprintln(os.Stderr, "netupdate: -repair recovers a stalled -faults execution; it requires -faults")
-		os.Exit(2)
-	}
-	if *faults != "" && *verify {
-		fmt.Fprintln(os.Stderr, "netupdate: -faults executes the synthesized plan; it cannot be combined with -verify")
-		os.Exit(2)
-	}
-	if *stream {
-		if *file != "" || *verify || *faults != "" {
-			fmt.Fprintln(os.Stderr, "netupdate: -stream reads from stdin and synthesizes every delta; it cannot be combined with -f, -verify, or -faults")
-			os.Exit(2)
-		}
-		if *traceOut != "" {
-			fmt.Fprintln(os.Stderr, "netupdate: -trace-out records one-shot syntheses; in -stream mode request traces ride on the result lines (daemon ?trace=1)")
-			os.Exit(2)
-		}
-		if *connect != "" {
-			if *learnFile != "" {
-				fmt.Fprintln(os.Stderr, "netupdate: with -connect the replica owns the learned state; -learn-file cannot be combined with it")
-				os.Exit(2)
-			}
-			if err := runStreamRemote(*connect, opts, *quiet); err != nil {
-				fmt.Fprintf(os.Stderr, "netupdate: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := runStream(opts, *quiet, *learnFile); err != nil {
-			fmt.Fprintf(os.Stderr, "netupdate: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *connect != "" {
-		fmt.Fprintln(os.Stderr, "netupdate: -connect streams to a remote replica; it requires -stream")
-		os.Exit(2)
-	}
-	if *learnFile != "" {
-		fmt.Fprintln(os.Stderr, "netupdate: -learn-file persists the stream session's plan cache; it requires -stream")
-		os.Exit(2)
-	}
-	if *file == "" {
+	serve := run
+	switch {
+	case f.repair && f.faults == "":
+		usage("-repair recovers a stalled -faults execution; it requires -faults")
+	case f.faults != "" && f.verify:
+		usage("-faults executes the synthesized plan; it cannot be combined with -verify")
+	case f.stream && (f.file != "" || f.verify || f.faults != ""):
+		usage("-stream reads from stdin and synthesizes every delta; it cannot be combined with -f, -verify, or -faults")
+	case f.stream && f.traceOut != "":
+		usage("-trace-out records one-shot syntheses; in -stream mode request traces ride on the result lines (daemon ?trace=1)")
+	case f.stream && f.connect != "" && f.learnFile != "":
+		usage("with -connect the replica owns the learned state; -learn-file cannot be combined with it")
+	case f.stream && f.connect != "":
+		serve = runStreamRemote
+	case f.stream:
+		serve = runStream
+	case f.connect != "":
+		usage("-connect streams to a remote replica; it requires -stream")
+	case f.learnFile != "":
+		usage("-learn-file persists the stream session's plan cache; it requires -stream")
+	case f.file == "":
 		fmt.Fprintln(os.Stderr, "netupdate: -f scenario.json is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*file, opts, *rules, *verify, *quiet, *showDAG, *faults, *doRepair, *traceOut); err != nil {
+	if err := serve(&f); err != nil {
 		fmt.Fprintf(os.Stderr, "netupdate: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(file string, opts core.Options, rules, verifyOnly, quiet, showDAG bool, faultSpec string, doRepair bool, traceOut string) error {
-	f, err := os.Open(file)
+func run(f *flags) error {
+	file, err := os.Open(f.file)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	sc, err := config.LoadScenario(f)
+	defer file.Close()
+	sc, err := config.LoadScenario(file)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("scenario %q: %d switches, %d classes, %d updating\n",
 		sc.Name, sc.Topo.NumSwitches(), len(sc.Specs), len(sc.UpdatingSwitches()))
-	if verifyOnly {
+	if f.verify {
 		fmt.Println("endpoint configurations verified (paths are loop-free and delivered)")
 		return nil
 	}
@@ -208,17 +165,17 @@ func run(file string, opts core.Options, rules, verifyOnly, quiet, showDAG bool,
 	// form of the engine; a plain synthesis produces the identical plan.
 	var sess *core.Session
 	var plan *core.Plan
-	if doRepair {
-		sess, err = core.NewSession(sc.Topo, sc.Init, sc.Specs, opts)
+	if f.repair {
+		sess, err = core.NewSession(sc.Topo, sc.Init, sc.Specs, f.opts)
 		if err == nil {
 			plan, err = sess.Synthesize(sc.Final)
 		}
 	} else {
-		plan, err = core.Synthesize(sc, opts)
+		plan, err = core.Synthesize(sc, f.opts)
 	}
 	if errors.Is(err, core.ErrNoOrdering) {
 		fmt.Println("result: IMPOSSIBLE — no correct update ordering exists at this granularity")
-		if !rules {
+		if !f.opts.RuleGranularity {
 			fmt.Println("hint: retry with -rules (rule granularity) or -2simple (two updates per switch)")
 		}
 		return nil
@@ -230,10 +187,10 @@ func run(file string, opts core.Options, rules, verifyOnly, quiet, showDAG bool,
 	for i, s := range plan.Steps {
 		fmt.Printf("  %2d. %s\n", i+1, s)
 	}
-	if showDAG && plan.DAG != nil {
+	if f.showDAG && plan.DAG != nil {
 		printDAG(plan)
 	}
-	if !quiet {
+	if !f.quiet {
 		st := plan.Stats
 		fmt.Printf("stats: %d units in %d component(s), %d checks (%d skipped), %d cex learned, %d pruned, waits %d -> %d, dag %dx%d, %.3fs\n",
 			st.Units, st.Components, st.Checks, st.ClassSkips, st.CexLearned, st.WrongPruned+st.VisitedPruned,
@@ -243,20 +200,16 @@ func run(file string, opts core.Options, rules, verifyOnly, quiet, showDAG bool,
 	if plan.Trace != nil {
 		traces = append(traces, plan.Trace)
 	}
-	if faultSpec != "" {
-		var tp *[]*obs.TraceData
-		if traceOut != "" {
-			tp = &traces
-		}
-		if err := executeFaults(sc, plan, sess, faultSpec, quiet, tp); err != nil {
+	if f.faults != "" {
+		if err := executeFaults(f, sc, plan, sess, &traces); err != nil {
 			return err
 		}
 	}
-	if traceOut != "" {
-		if err := writeTraceFile(traceOut, traces); err != nil {
+	if f.traceOut != "" {
+		if err := writeTraceFile(f.traceOut, traces); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d span(s) in %d track(s) written to %s\n", traceSpanCount(traces), len(traces), traceOut)
+		fmt.Printf("trace: %d span(s) in %d track(s) written to %s\n", traceSpanCount(traces), len(traces), f.traceOut)
 	}
 	return nil
 }
@@ -295,8 +248,8 @@ func writeTraceFile(path string, traces []*obs.TraceData) error {
 // ladder and executes the repair plan from there — fault-free, the
 // transient-failure recovery story (a permanently dead switch would
 // instead get a superseding target via Repair's newTarget).
-func executeFaults(sc *config.Scenario, plan *core.Plan, sess *core.Session, faultSpec string, quiet bool, traces *[]*obs.TraceData) error {
-	f, err := sim.ParseFaults(faultSpec)
+func executeFaults(f *flags, sc *config.Scenario, plan *core.Plan, sess *core.Session, traces *[]*obs.TraceData) error {
+	faults, err := sim.ParseFaults(f.faults)
 	if err != nil {
 		return err
 	}
@@ -304,17 +257,17 @@ func executeFaults(sc *config.Scenario, plan *core.Plan, sess *core.Session, fau
 	for i, cs := range sc.Specs {
 		classes[i] = cs.Class
 	}
-	p := sim.Params{Faults: f}
-	var execTr *obs.Trace
-	if traces != nil {
-		execTr = obs.NewTrace(0)
-		execTr.SetRequestID("execution")
-		p.Trace = execTr
+	// execute runs a plan on the DAG executor; under -trace-out the
+	// execution is recorded as a trace track of its own.
+	execute := func(track string, from *config.Config, plan *core.Plan, p sim.Params) *sim.Result {
+		if f.traceOut != "" {
+			p.Trace = obs.NewTrace(0)
+			p.Trace.SetRequestID(track)
+			defer func() { *traces = append(*traces, p.Trace.Snapshot()) }()
+		}
+		return sim.RunPlanDAG(sc.Topo, from, plan, classes, p)
 	}
-	res := sim.RunPlanDAG(sc.Topo, sc.Init, plan, classes, p)
-	if execTr != nil {
-		*traces = append(*traces, execTr.Snapshot())
-	}
+	res := execute("execution", sc.Init, plan, sim.Params{Faults: faults})
 	n := len(plan.Updates())
 	fmt.Printf("execution: %d/%d nodes committed, %d/%d probes delivered (%d lost), %d install retries, %d acks lost\n",
 		len(res.Committed), n, res.Delivered, res.Sent, res.Lost, res.InstallRetries, res.AcksLost)
@@ -332,29 +285,18 @@ func executeFaults(sc *config.Scenario, plan *core.Plan, sess *core.Session, fau
 	if err != nil {
 		return fmt.Errorf("repair: %w", err)
 	}
-	if traces != nil && rep.Trace != nil {
+	if rep.Trace != nil {
 		*traces = append(*traces, rep.Trace)
 	}
 	fmt.Println("repair: update sequence found from the partially-committed state")
 	for i, s := range rep.Steps {
 		fmt.Printf("  %2d. %s\n", i+1, s)
 	}
-	if st := rep.Stats; !quiet && (st.EscalatedComponents > 0 || st.TwoPhaseComponents > 0) {
+	if st := rep.Stats; !f.quiet && (st.EscalatedComponents > 0 || st.TwoPhaseComponents > 0) {
 		fmt.Printf("repair: fallback ladder engaged (%d component(s) escalated to 2-simple, %d scoped two-phase)\n",
 			st.EscalatedComponents, st.TwoPhaseComponents)
 	}
-	crash := plan.ConfigAfter(sc.Init, res.Committed)
-	p2 := sim.Params{}
-	var repTr *obs.Trace
-	if traces != nil {
-		repTr = obs.NewTrace(0)
-		repTr.SetRequestID("repair-execution")
-		p2.Trace = repTr
-	}
-	res2 := sim.RunPlanDAG(sc.Topo, crash, rep, classes, p2)
-	if repTr != nil {
-		*traces = append(*traces, repTr.Snapshot())
-	}
+	res2 := execute("repair-execution", plan.ConfigAfter(sc.Init, res.Committed), rep, sim.Params{})
 	fmt.Printf("repair executed: %d/%d probes delivered (%d lost), update complete at %v\n",
 		res2.Delivered, res2.Sent, res2.Lost, res2.CompleteAt)
 	return nil
@@ -398,21 +340,21 @@ func printDAG(plan *core.Plan) {
 // errors, after which the stream position is unreliable, are terminal.
 // SIGINT/SIGTERM stop input, finish the in-flight synthesis, and flush
 // its result line before exiting.
-func runStream(opts core.Options, quiet bool, learnFile string) error {
+func runStream(f *flags) error {
 	pool := server.NewPool(server.PoolOptions{
 		Workers:     1, // one tenant, single-flight: more would idle
 		MaxSessions: 1,
 		QueueDepth:  1,
 	})
-	if learnFile != "" {
-		if err := loadLearnFile(pool, learnFile); err != nil {
+	if f.learnFile != "" {
+		if err := pool.LoadLearningFile(f.learnFile); err != nil {
 			return err
 		}
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	out := bufio.NewWriter(os.Stdout)
-	err := server.ServeStdio(ctx, os.Stdin, out, os.Stderr, pool, opts, quiet)
+	err := server.ServeStdio(ctx, os.Stdin, out, os.Stderr, pool, f.opts, f.quiet)
 	if ferr := out.Flush(); err == nil {
 		err = ferr
 	}
@@ -421,34 +363,12 @@ func runStream(opts core.Options, quiet bool, learnFile string) error {
 	if cerr := pool.Close(closeCtx); err == nil {
 		err = cerr
 	}
-	if learnFile != "" {
-		if serr := saveLearnFile(pool, learnFile); err == nil {
+	if f.learnFile != "" {
+		if serr := pool.SaveLearningFile(f.learnFile); err == nil {
 			err = serr
 		}
 	}
 	return err
-}
-
-// loadLearnFile restores the pool's plan cache and learned state from a
-// previous run's snapshot; a missing file is a cold start, not an error.
-func loadLearnFile(pool *server.Pool, path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return pool.LoadLearning(f)
-}
-
-// saveLearnFile writes the pool's learning snapshot atomically, so an
-// interrupted save never truncates the previous state.
-func saveLearnFile(pool *server.Pool, path string) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		return pool.SaveLearning(w)
-	})
 }
 
 // runStreamRemote serves the stdin stream through remote netupdated
@@ -457,9 +377,9 @@ func saveLearnFile(pool *server.Pool, path string) error {
 // netupdatelb router over the same replica list would compute), and the
 // remaining stdin lines are streamed as one duplex synthesize exchange,
 // result lines copied to stdout as they arrive.
-func runStreamRemote(connect string, opts core.Options, quiet bool) error {
+func runStreamRemote(f *flags) error {
 	var replicas []string
-	for _, u := range strings.Split(connect, ",") {
+	for _, u := range strings.Split(f.connect, ",") {
 		if u = strings.TrimSpace(u); u != "" {
 			replicas = append(replicas, strings.TrimRight(u, "/"))
 		}
@@ -473,7 +393,7 @@ func runStreamRemote(connect string, opts core.Options, quiet bool) error {
 	if err := dec.Decode(&hdr); err != nil {
 		return fmt.Errorf("stream header: %w", err)
 	}
-	spec := &server.TenantSpec{StreamHeader: hdr, Options: server.OptionsSpecOf(opts)}
+	spec := &server.TenantSpec{StreamHeader: hdr, Options: server.OptionsSpec(f.opts)}
 	id, err := spec.Fingerprint()
 	if err != nil {
 		return err
@@ -497,7 +417,7 @@ func runStreamRemote(connect string, opts core.Options, quiet bool) error {
 	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("registering with %s: status %d: %s", owner, resp.StatusCode, msg)
 	}
-	if !quiet {
+	if !f.quiet {
 		fmt.Fprintf(os.Stderr, "netupdate: tenant %s on %s (%d replica(s))\n", id, owner, len(replicas))
 	}
 

@@ -52,7 +52,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -65,54 +64,55 @@ import (
 	"netupdate/internal/server"
 )
 
+// flags is the parsed command line.
+type flags struct {
+	pool                                    server.PoolOptions
+	drain                                   time.Duration
+	addr, learnFile, snapshotDir, pprofAddr string
+}
+
 func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "global synthesis worker budget: 0 = one per CPU")
-		maxSessions = flag.Int("max-sessions", server.DefaultMaxSessions, "warm sessions held at once (LRU eviction beyond; negative = unbounded)")
-		queue       = flag.Int("queue", server.DefaultQueueDepth, "per-tenant outstanding-request bound (queue-full load shedding beyond)")
-		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request deadline when the client sets none (0 = none)")
-		drain       = flag.Duration("drain", time.Minute, "shutdown grace for in-flight syntheses")
-		learnFile   = flag.String("learn-file", "", "load the shared plan caches and learned state from this JSON snapshot at startup and save them back after draining")
-		snapshotDir = flag.String("snapshot-dir", "", "persist per-tenant session snapshots here on drain and restore them when tenants re-register")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables profiling")
-	)
+	var f flags
+	flag.StringVar(&f.addr, "addr", ":8080", "listen address")
+	flag.IntVar(&f.pool.Workers, "workers", 0, "global synthesis worker budget: 0 = one per CPU")
+	flag.IntVar(&f.pool.MaxSessions, "max-sessions", server.DefaultMaxSessions, "warm sessions held at once (LRU eviction beyond; negative = unbounded)")
+	flag.IntVar(&f.pool.QueueDepth, "queue", server.DefaultQueueDepth, "per-tenant outstanding-request bound (queue-full load shedding beyond)")
+	flag.DurationVar(&f.pool.DefaultTimeout, "timeout", 30*time.Second, "default per-request deadline when the client sets none (0 = none)")
+	flag.DurationVar(&f.drain, "drain", time.Minute, "shutdown grace for in-flight syntheses")
+	flag.StringVar(&f.learnFile, "learn-file", "", "load the shared plan caches and learned state from this JSON snapshot at startup and save them back after draining")
+	flag.StringVar(&f.snapshotDir, "snapshot-dir", "", "persist per-tenant session snapshots here on drain and restore them when tenants re-register")
+	flag.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables profiling")
 	flag.Parse()
-	if err := run(*addr, *workers, *maxSessions, *queue, *timeout, *drain, *learnFile, *snapshotDir, *pprofAddr); err != nil {
+	if err := run(&f); err != nil {
 		fmt.Fprintf(os.Stderr, "netupdated: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, workers, maxSessions, queue int, timeout, drain time.Duration, learnFile, snapshotDir, pprofAddr string) error {
-	pool := server.NewPool(server.PoolOptions{
-		Workers:        workers,
-		MaxSessions:    maxSessions,
-		QueueDepth:     queue,
-		DefaultTimeout: timeout,
-	})
-	if learnFile != "" {
-		if err := loadLearnFile(pool, learnFile); err != nil {
+func run(f *flags) error {
+	pool := server.NewPool(f.pool)
+	if f.learnFile != "" {
+		if err := pool.LoadLearningFile(f.learnFile); err != nil {
 			return err
 		}
 	}
-	if snapshotDir != "" {
-		if err := os.MkdirAll(snapshotDir, 0o755); err != nil {
+	if f.snapshotDir != "" {
+		if err := os.MkdirAll(f.snapshotDir, 0o755); err != nil {
 			return err
 		}
 	}
 	handler := server.NewHandler(pool)
-	if snapshotDir != "" {
-		handler = restoreOnRegister(pool, handler, snapshotDir)
+	if f.snapshotDir != "" {
+		handler = restoreOnRegister(pool, handler, f.snapshotDir)
 	}
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := &http.Server{Addr: f.addr, Handler: handler}
 
 	// Profiling rides on its own opt-in listener so /debug/pprof never
 	// shares a port with the client-facing API.
-	if pprofAddr != "" {
+	if f.pprofAddr != "" {
 		go func() {
-			fmt.Fprintf(os.Stderr, "netupdated: pprof on %s\n", pprofAddr)
-			if err := http.ListenAndServe(pprofAddr, obs.PprofHandler()); err != nil {
+			fmt.Fprintf(os.Stderr, "netupdated: pprof on %s\n", f.pprofAddr)
+			if err := http.ListenAndServe(f.pprofAddr, obs.PprofHandler()); err != nil {
 				fmt.Fprintf(os.Stderr, "netupdated: pprof: %v\n", err)
 			}
 		}()
@@ -124,7 +124,7 @@ func run(addr string, workers, maxSessions, queue int, timeout, drain time.Durat
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "netupdated: serving on %s (workers=%d, max-sessions=%d, queue=%d)\n",
-			addr, pool.Stats().Workers, maxSessions, queue)
+			f.addr, int(pool.Metrics().Value("netupdate_pool_workers")), f.pool.MaxSessions, f.pool.QueueDepth)
 		errc <- srv.ListenAndServe()
 	}()
 
@@ -134,7 +134,7 @@ func run(addr string, workers, maxSessions, queue int, timeout, drain time.Durat
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(os.Stderr, "netupdated: signal received, draining")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), f.drain)
 	defer cancel()
 	// Shutdown stops the listener and waits for open requests; closing
 	// the pool afterwards catches stragglers Shutdown abandoned.
@@ -144,38 +144,16 @@ func run(addr string, workers, maxSessions, queue int, timeout, drain time.Durat
 	if err := pool.Close(shutdownCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "netupdated: %v\n", err)
 	}
-	if snapshotDir != "" {
-		saveSnapshots(pool, snapshotDir)
+	if f.snapshotDir != "" {
+		saveSnapshots(pool, f.snapshotDir)
 	}
-	if learnFile != "" {
-		if err := saveLearnFile(pool, learnFile); err != nil {
+	if f.learnFile != "" {
+		if err := pool.SaveLearningFile(f.learnFile); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintln(os.Stderr, "netupdated: drained, bye")
 	return nil
-}
-
-// loadLearnFile restores the pool's plan caches from a previous run's
-// snapshot; a missing file is a cold start, not an error.
-func loadLearnFile(pool *server.Pool, path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return pool.LoadLearning(f)
-}
-
-// saveLearnFile writes the learning snapshot atomically, so an
-// interrupted save never truncates the previous state.
-func saveLearnFile(pool *server.Pool, path string) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		return pool.SaveLearning(w)
-	})
 }
 
 // saveSnapshots persists every tenant's session snapshot (best effort:

@@ -207,11 +207,14 @@ func RunServerLoad(loads []*TenantLoad, warm bool, workers int) (*ServerRun, err
 	start := time.Now()
 	var served int
 	var err error
-	var cache server.PoolStats
+	run := &ServerRun{}
 	if warm {
 		p := server.NewPool(server.PoolOptions{Workers: workers, MaxSessions: len(loads) + 1})
 		served, err = RunLoad(context.Background(), p, loads)
-		cache = p.Stats()
+		m := p.Metrics()
+		run.CacheHits = int64(m.Value("netupdate_plan_cache_hits_total"))
+		run.CacheMisses = int64(m.Value("netupdate_plan_cache_misses_total"))
+		run.CacheVerifyFailures = int64(m.Value("netupdate_plan_cache_verify_failures_total"))
 		if cerr := p.Close(context.Background()); err == nil {
 			err = cerr
 		}
@@ -226,14 +229,10 @@ func RunServerLoad(loads []*TenantLoad, warm bool, workers int) (*ServerRun, err
 	if served == 0 {
 		return nil, fmt.Errorf("bench: server load served nothing")
 	}
-	return &ServerRun{
-		Served:              served,
-		SynPerSec:           float64(served) / elapsed.Seconds(),
-		AllocsPerSyn:        int64(m1.Mallocs-m0.Mallocs) / int64(served),
-		CacheHits:           cache.PlanCacheHits,
-		CacheMisses:         cache.PlanCacheMisses,
-		CacheVerifyFailures: cache.PlanCacheVerifyFailures,
-	}, nil
+	run.Served = served
+	run.SynPerSec = float64(served) / elapsed.Seconds()
+	run.AllocsPerSyn = int64(m1.Mallocs-m0.Mallocs) / int64(served)
+	return run, nil
 }
 
 // runColdLoad replays the load without the pool: per-tenant goroutines

@@ -237,7 +237,7 @@ func runShardedLoad(loads []*TenantLoad, n, workers int) (int, time.Duration, st
 
 	var placement []string
 	for _, p := range replicas {
-		placement = append(placement, fmt.Sprint(p.Stats().Tenants))
+		placement = append(placement, fmt.Sprint(p.Metrics().Value("netupdate_pool_tenants")))
 	}
 	return served, elapsed, strings.Join(placement, "+"), nil
 }

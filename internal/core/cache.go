@@ -276,10 +276,7 @@ func (w *hashWriter) writeString(s string) {
 
 // contextFingerprint digests everything fixed for a session that shapes
 // which plan the search returns: the topology, the per-class
-// specifications, and the plan-shape options. Parallelism, timeouts, and
-// the learning toggles are deliberately excluded — the deterministic
-// parallel engine returns the sequential plan and learning only prunes
-// provably-wrong configurations, so none of them change the result.
+// specifications, and the options tagged plan-shaping in Options.
 func contextFingerprint(topo *topology.Topology, specs []config.ClassSpec, opts Options) []byte {
 	w := &hashWriter{h: sha256.New()}
 	w.writeInt(topo.NumSwitches())
@@ -303,18 +300,7 @@ func contextFingerprint(topo *topology.Topology, specs []config.ClassSpec, opts 
 		w.writeInt(cs.Class.DstHost)
 		w.writeString(cs.Formula.String())
 	}
-	w.writeInt(int(opts.Checker))
-	flags := 0
-	for i, b := range []bool{
-		opts.RuleGranularity, opts.TwoSimple, opts.NoWaitRemoval,
-		opts.NoDecomposition, opts.NoHeuristicOrder, opts.FirstPlanWins,
-		opts.MinimizeCompletionTime,
-	} {
-		if b {
-			flags |= 1 << i
-		}
-	}
-	w.writeInt(flags)
+	opts.writeFingerprint(w)
 	return w.h.Sum(nil)
 }
 

@@ -7,7 +7,10 @@ package core
 
 import (
 	"errors"
+	"flag"
 	"fmt"
+	"reflect"
+	"strconv"
 	"time"
 
 	"netupdate/internal/buchi"
@@ -35,18 +38,38 @@ const (
 	CheckerNetPlumber
 )
 
+// checkerNames are the backends' names on the wire and the command line.
+var checkerNames = [...]string{"incremental", "batch", "nusmv", "netplumber"}
+
+// String names the backend for reports; the two stand-ins say so.
 func (k CheckerKind) String() string {
 	switch k {
-	case CheckerIncremental:
-		return "incremental"
-	case CheckerBatch:
-		return "batch"
-	case CheckerNuSMV:
-		return "nusmv-like"
-	case CheckerNetPlumber:
-		return "netplumber-like"
+	case CheckerIncremental, CheckerBatch:
+		return checkerNames[k]
+	case CheckerNuSMV, CheckerNetPlumber:
+		return checkerNames[k] + "-like"
 	}
 	return fmt.Sprintf("checker(%d)", int(k))
+}
+
+// MarshalText renders the backend's wire name.
+func (k CheckerKind) MarshalText() ([]byte, error) {
+	if k < 0 || int(k) >= len(checkerNames) {
+		return nil, fmt.Errorf("core: unknown checker %d", int(k))
+	}
+	return []byte(checkerNames[k]), nil
+}
+
+// UnmarshalText parses a wire name; the empty string is the default
+// backend.
+func (k *CheckerKind) UnmarshalText(text []byte) error {
+	for i, name := range checkerNames {
+		if string(text) == name || (i == 0 && len(text) == 0) {
+			*k = CheckerKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown checker %q", text)
 }
 
 // warmFactory is the session construction path: the labeling backends
@@ -75,23 +98,25 @@ func (k CheckerKind) warmFactory() mc.WarmFactory {
 // configuration — incremental checker, switch granularity, counterexample
 // learning, early termination, and wait removal all enabled — run on the
 // parallel engine with one worker per CPU.
+//
+// This struct is the one description of the option set; its tags say
+// what each consumer needs to know:
+//
+//   - json: the wire name in a tenant spec (server.TenantSpec), in field
+//     order. A zero value is the default and is omitted, so spelling a
+//     default and leaving it out encode — and fingerprint — identically.
+//   - flag, help: the netupdate command-line flag, where one exists.
+//   - plan: "speed" when the option cannot change which plan the search
+//     returns, otherwise its place in contextFingerprint — "kind" for an
+//     integer written as is, or its bit number in the flag word. That
+//     digest is stored in NUSS images and keys learn files: never
+//     renumber a bit; a new plan-shaping option takes the next one.
 type Options struct {
 	// Checker selects the model-checking backend.
-	Checker CheckerKind
-	// Parallelism is the number of search workers. Zero uses GOMAXPROCS;
-	// one forces the sequential engine. Searches with fewer than a
-	// handful of update units always run sequentially regardless. See
-	// parallel.go for the fan-out architecture.
-	Parallelism int
-	// FirstPlanWins lets the parallel search commit the first plan any
-	// worker finds instead of the plan the sequential search would have
-	// found (the lowest heuristic-order branch). Faster on searches with
-	// many valid orderings, but the chosen plan becomes
-	// schedule-dependent; leave unset where reproducibility matters.
-	FirstPlanWins bool
+	Checker CheckerKind `json:"checker,omitempty" flag:"checker" help:"backend: incremental|batch|nusmv|netplumber" plan:"kind"`
 	// RuleGranularity updates individual rules instead of whole switch
 	// tables (Section 3.1, Figure 8i).
-	RuleGranularity bool
+	RuleGranularity bool `json:"rules,omitempty" flag:"rules" help:"use rule granularity" plan:"0"`
 	// TwoSimple searches 2-simple sequences (the paper's k-simple
 	// generalization, Section 4.1, for k = 2): each switch may be updated
 	// twice — first to the merged union of both rule generations, then to
@@ -99,7 +124,9 @@ type Options struct {
 	// plain (1-simple) switch-granularity orderings, at the cost of
 	// transient table growth on the merged switches. Ignored when
 	// RuleGranularity is set.
-	TwoSimple bool
+	TwoSimple bool `json:"twoSimple,omitempty" flag:"2simple" help:"allow two updates per switch (merge then finalize)" plan:"1"`
+	// NoWaitRemoval disables the wait-removal post-pass (Section 4.2.C).
+	NoWaitRemoval bool `json:"noWaitRemoval,omitempty" flag:"no-wait-removal" help:"keep all waits" plan:"2"`
 	// NoDecomposition disables interference-partitioned search (see
 	// decompose.go): the diff is always solved as one joint ORDERUPDATE
 	// search, as in the paper. By default the engine splits the update
@@ -109,17 +136,28 @@ type Options struct {
 	// its own sub-search, and composes the sub-plans in deterministic
 	// order. Used by the ablation benchmarks and as the joint baseline of
 	// the decomposition comparison.
-	NoDecomposition bool
-	// NoWaitRemoval disables the wait-removal post-pass (Section 4.2.C).
-	NoWaitRemoval bool
-	// NoEarlyTermination disables SAT-based early termination (4.2.B).
-	NoEarlyTermination bool
+	NoDecomposition bool `json:"noDecompose,omitempty" flag:"no-decompose" help:"always run one joint search instead of partitioning independent update regions" plan:"3"`
+	// Parallelism is the number of search workers. Zero uses GOMAXPROCS;
+	// one forces the sequential engine. Searches with fewer than a
+	// handful of update units always run sequentially regardless. See
+	// parallel.go for the fan-out architecture. (Speed-only: the
+	// deterministic parallel engine returns the sequential plan.)
+	Parallelism int `json:"parallel,omitempty" flag:"parallel" help:"search workers: 0 = one per CPU, 1 = sequential" plan:"speed"`
+	// FirstPlanWins lets the parallel search commit the first plan any
+	// worker finds instead of the plan the sequential search would have
+	// found (the lowest heuristic-order branch). Faster on searches with
+	// many valid orderings, but the chosen plan becomes
+	// schedule-dependent; leave unset where reproducibility matters.
+	FirstPlanWins bool `json:"firstPlan,omitempty" flag:"first-plan" help:"return the first plan any worker finds (faster, nondeterministic)" plan:"5"`
 	// NoCexLearning disables wrong-configuration pruning (4.2.A); used by
-	// the ablation benchmarks.
-	NoCexLearning bool
+	// the ablation benchmarks. (Speed-only, like NoEarlyTermination:
+	// learning prunes only provably wrong configurations.)
+	NoCexLearning bool `json:"noCexLearning,omitempty" plan:"speed"`
+	// NoEarlyTermination disables SAT-based early termination (4.2.B).
+	NoEarlyTermination bool `json:"noEarlyTermination,omitempty" plan:"speed"`
 	// NoHeuristicOrder disables destination-first candidate ordering and
 	// explores units in index order; used by the ablation benchmarks.
-	NoHeuristicOrder bool
+	NoHeuristicOrder bool `json:"noHeuristicOrder,omitempty" plan:"4"`
 	// MinimizeCompletionTime makes completion time under the dependency-
 	// DAG latency model (see dag.go) a tie-breaker among valid plans: the
 	// search collects up to a handful of candidate orderings instead of
@@ -133,13 +171,12 @@ type Options struct {
 	// FirstPlanWins are ignored; expect up to a few times the search cost.
 	// Decomposed runs optimize each component independently, which
 	// composes to the global optimum (component DAGs are disjoint).
-	MinimizeCompletionTime bool
+	MinimizeCompletionTime bool `json:"minCompletion,omitempty" flag:"min-completion" help:"tie-break among valid plans by completion time under the dependency-DAG latency model (sequential enumeration)" plan:"6"`
 	// NoPlanCache disables the verification-first plan cache (cache.go):
 	// the session never attaches a cache, so every synthesis pays the full
 	// search even on a byte-identical repeat instance. Used as the
-	// ablation baseline of the cache comparison and exposed as
-	// -no-plan-cache on the CLIs.
-	NoPlanCache bool
+	// ablation baseline of the cache comparison.
+	NoPlanCache bool `json:"noPlanCache,omitempty" flag:"no-plan-cache" help:"disable the verification-first plan cache (every request pays the full search)" plan:"speed"`
 	// Trace attaches a span recorder (internal/obs) to the session: every
 	// synthesis records its pipeline phases — rebind, final verify, cache
 	// lookup/verify, decomposition, per-component search, wait removal,
@@ -147,9 +184,60 @@ type Options struct {
 	// Off (the default) costs nothing: the recorder is nil and every
 	// instrumentation point is a nil-check. Per-request tracing on a warm
 	// session (the daemon's trace=1) goes through Session.SetTrace instead.
-	Trace bool
-	// Timeout bounds the search; zero means no limit.
-	Timeout time.Duration
+	Trace bool `json:"trace,omitempty" plan:"speed"`
+	// Timeout bounds the search; zero means no limit. On the wire it is
+	// nanoseconds, a time.Duration verbatim; requests may tighten it
+	// further per call via their deadline.
+	Timeout time.Duration `json:"timeoutNs,omitempty" flag:"timeout" help:"search timeout (per synthesis in -stream mode)" plan:"speed"`
+}
+
+// RegisterFlags declares on fs the command-line flag of every option that
+// has one, bound to o's fields; o's values at the call are the defaults.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	v := reflect.ValueOf(o).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		tag := v.Type().Field(i).Tag
+		name, help := tag.Get("flag"), tag.Get("help")
+		if name == "" {
+			continue
+		}
+		switch p := v.Field(i).Addr().Interface().(type) {
+		case *bool:
+			fs.BoolVar(p, name, *p, help)
+		case *int:
+			fs.IntVar(p, name, *p, help)
+		case *time.Duration:
+			fs.DurationVar(p, name, *p, help)
+		case *CheckerKind:
+			fs.TextVar(p, name, *p, help)
+		}
+	}
+}
+
+// writeFingerprint digests the plan-shaping options — the "kind" fields
+// as integers, then one word of flag bits. Speed-only options are left
+// out on purpose: they cannot change which plan the search returns, so
+// state learned or snapshotted under one setting is valid under another.
+// A plan tag that does not parse is a programming error: guessing would
+// silently change a persisted fingerprint.
+func (o Options) writeFingerprint(w *hashWriter) {
+	v, flags := reflect.ValueOf(o), 0
+	for i := 0; i < v.NumField(); i++ {
+		switch plan := v.Type().Field(i).Tag.Get("plan"); plan {
+		case "speed":
+		case "kind":
+			w.writeInt(int(v.Field(i).Int()))
+		default:
+			bit, err := strconv.Atoi(plan)
+			if err != nil || bit < 0 {
+				panic(fmt.Sprintf("core: Options.%s: bad plan tag %q", v.Type().Field(i).Name, plan))
+			}
+			if v.Field(i).Bool() {
+				flags |= 1 << bit
+			}
+		}
+	}
+	w.writeInt(flags)
 }
 
 // Synthesis failure modes.
@@ -280,8 +368,3 @@ func (st *Stats) addSearch(o Stats) {
 		st.EarlyTerminate = true
 	}
 }
-
-var (
-	_ = ltl.True
-	_ = kripke.State{}
-)

@@ -7,8 +7,6 @@
 package mc
 
 import (
-	"fmt"
-
 	"netupdate/internal/kripke"
 	"netupdate/internal/ltl"
 )
@@ -135,5 +133,3 @@ func Describe(k *kripke.K, cex []int) string {
 	}
 	return s
 }
-
-var _ = fmt.Sprintf // keep fmt for Describe extensions

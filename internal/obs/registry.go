@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,6 +93,27 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			f.vec.write(w, f.name)
 		}
 	}
+}
+
+// Value reads one single-valued family (counter or gauge) by name — what
+// a scrape would show on its sample line. It is NaN for a name that is
+// not registered or names a histogram or a labelled family.
+func (r *Registry) Value(name string) float64 {
+	var fam family
+	r.mu.Lock()
+	for _, f := range r.fams {
+		if f.name == name {
+			fam = *f
+		}
+	}
+	r.mu.Unlock()
+	switch {
+	case fam.counter != nil:
+		return float64(fam.counter.Value())
+	case fam.fn != nil:
+		return fam.fn()
+	}
+	return math.NaN()
 }
 
 // Counter is a monotonically increasing integer metric.

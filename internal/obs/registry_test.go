@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,15 @@ func TestRegistryRendersCountersAndGauges(t *testing.T) {
 	// Registration order is preserved.
 	if strings.Index(out, "x_total") > strings.Index(out, "x_live") {
 		t.Fatalf("families out of registration order:\n%s", out)
+	}
+	// Value reads what the scrape shows; families without a single value
+	// and unknown names read NaN.
+	r.Histogram("x_seconds", "Latency.")
+	if a, b, c := r.Value("x_total"), r.Value("x_live"), r.Value("x_derived_total"); a != 4 || b != 2.5 || c != 7 {
+		t.Fatalf("Value = %g, %g, %g", a, b, c)
+	}
+	if h, none := r.Value("x_seconds"), r.Value("x_nope"); !math.IsNaN(h) || !math.IsNaN(none) {
+		t.Fatalf("Value = %g for a histogram, %g for an unknown name; want NaN", h, none)
 	}
 }
 

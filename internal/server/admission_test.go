@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -85,9 +87,8 @@ func TestQueueFullLoadShedding(t *testing.T) {
 			t.Fatalf("parked request %d failed: %v", i, out.err)
 		}
 	}
-	st := p.Stats()
-	if st.RejectedQueueFull != 1 || st.Plans != 2 {
-		t.Fatalf("stats = %+v", st)
+	if shed, plans := p.Metric("rejected_queue_full_total"), p.Metric("plans_total"); shed != 1 || plans != 2 {
+		t.Fatalf("shed = %g, plans = %g", shed, plans)
 	}
 }
 
@@ -137,37 +138,114 @@ func TestQueueWaitHonorsDeadline(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("parked request failed: %v", err)
 	}
-	if st := p.Stats(); st.DeadlineExpired != 1 {
-		t.Fatalf("stats = %+v", st)
+	if exp := p.Metric("deadline_expired_total"); exp != 1 {
+		t.Fatalf("deadline_expired_total = %g", exp)
 	}
 }
 
-// TestOptionsSpecRoundTrip: the CLI flag set survives the spec encoding.
-func TestOptionsSpecRoundTrip(t *testing.T) {
-	in := core.Options{
-		Checker:                core.CheckerNuSMV,
-		RuleGranularity:        true,
-		TwoSimple:              true,
-		NoWaitRemoval:          true,
-		NoDecomposition:        true,
-		Parallelism:            3,
-		FirstPlanWins:          true,
-		NoCexLearning:          true,
-		NoEarlyTermination:     true,
-		NoHeuristicOrder:       true,
-		MinimizeCompletionTime: true,
-		Trace:                  true,
-		Timeout:                500 * time.Microsecond, // sub-ms must survive
+// TestEveryOptionReachesTheSession is "adding an option is one edit": by
+// reflection, every core.Options field — whatever fields there are — must
+// carry a wire name and a plan-shaping/speed-only classification, appear
+// in the spec's JSON when set, and survive JSON -> Register into the
+// options the tenant's session is built with.
+func TestEveryOptionReachesTheSession(t *testing.T) {
+	var want core.Options
+	typ, val := reflect.TypeOf(want), reflect.ValueOf(&want).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == "" || name == "-" {
+			t.Errorf("core.Options.%s has no wire name (json tag)", f.Name)
+		}
+		if f.Tag.Get("plan") == "" {
+			t.Errorf("core.Options.%s is not classified plan-shaping or speed-only (plan tag)", f.Name)
+		}
+		switch v := val.Field(i); v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		default:
+			v.SetInt(3) // netplumber, 3 workers, a sub-millisecond timeout
+		}
 	}
-	out, err := OptionsSpecOf(in).Build()
+	spec := testSpec("every-option")
+	spec.Options = OptionsSpec(want)
+	wire := specJSON(t, spec)
+	var keys struct {
+		Options map[string]any `json:"options"`
+	}
+	if err := json.Unmarshal(wire, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys.Options) != typ.NumField() {
+		t.Fatalf("%d options set, %d on the wire: %s", typ.NumField(), len(keys.Options), wire)
+	}
+
+	var decoded TenantSpec
+	dec := json.NewDecoder(bytes.NewReader(wire))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(PoolOptions{Workers: 1})
+	info, err := p.Register(&decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
-		t.Fatalf("round trip lost options:\nin  %+v\nout %+v", in, out)
+	if got := p.tenants[info.ID].opts; got != want {
+		t.Fatalf("options lost between the wire and the session:\nwant %+v\ngot  %+v", want, got)
 	}
-	if _, err := (OptionsSpec{Checker: "nope"}).Build(); err == nil {
-		t.Fatal("unknown checker must be rejected")
+
+	if err := json.Unmarshal([]byte(`{"options":{"checker":"nope"}}`), new(TenantSpec)); err == nil {
+		t.Fatal("unknown checker name must be rejected at decode")
+	}
+	if _, err := (OptionsSpec{Checker: 99}).Build(); err == nil {
+		t.Fatal("unknown checker kind must be rejected")
+	}
+}
+
+// TestFingerprintCanonicalAndGolden: a spec that spells a default option
+// (what netupdate -stream -connect used to send) and one that leaves it
+// out (what every HTTP client sends) are the same tenant; and the ids of
+// specs as JSON clients spell them are the ones computed at commit
+// 9bc8855, so registered tenants and -learn-file stores keep their keys.
+func TestFingerprintCanonicalAndGolden(t *testing.T) {
+	const header = `{"name":"line","topology":{"switches":4,"links":[[0,1],[1,3],[0,2],[2,3]],"hosts":[{"id":100,"switch":0},{"id":101,"switch":3}]},"classes":[{"name":"c","src":100,"dst":101,"path":[0,1,3],"spec":"sw=0 -> F sw=3"}]`
+	const everyOption = `,"options":{"checker":"batch","rules":true,"twoSimple":true,"noWaitRemoval":true,"noDecompose":true,"parallel":3,"firstPlan":true,"noCexLearning":true,"noEarlyTermination":true,"noHeuristicOrder":true,"minCompletion":true,"noPlanCache":true,"trace":true,"timeoutNs":1500}}`
+	p := NewPool(PoolOptions{Workers: 1})
+	ts := httptest.NewServer(NewHandler(p))
+	defer ts.Close()
+	for _, c := range []struct {
+		spec, id, learnID string
+		created           bool
+	}{
+		{header + `}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", true},
+		{header + `,"options":{}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
+		{header + `,"options":{"checker":"incremental"}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
+		{header + `,"options":{"checker":"","parallel":0,"rules":false}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
+		{header + everyOption, "tabf654e21d30fe2c", "tbc072068702a54ae", true},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(c.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info TenantInfo
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.ID != c.id || info.Created != c.created {
+			t.Errorf("%s:\nregistered as %s (created %v), want %s (created %v)", c.spec, info.ID, info.Created, c.id, c.created)
+		}
+		var spec TenantSpec
+		if err := json.Unmarshal([]byte(c.spec), &spec); err != nil {
+			t.Fatal(err)
+		}
+		if learnID, err := spec.LearnFingerprint(); err != nil || learnID != c.learnID {
+			t.Errorf("%s:\nlearn fingerprint %s (%v), want %s", c.spec, learnID, err, c.learnID)
+		}
+	}
+	if n := p.Metric("pool_tenants"); n != 2 {
+		t.Fatalf("%g tenants registered, want 2", n)
 	}
 }
 
@@ -186,7 +264,7 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatalf("equal specs fingerprint differently: %s vs %s", a, b)
 	}
 	other := testSpec("fp")
-	other.Options.Parallel = 2
+	other.Options.Parallelism = 2
 	c, err := other.Fingerprint()
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"netupdate/internal/core"
 	"netupdate/internal/kripke"
@@ -19,67 +17,17 @@ import (
 // network shapes, not tenants.
 const DefaultMaxArenaStores = 256
 
-// arenaRegistry owns the pool's shared session resources: every tenant
-// whose topology hashes to the same fingerprint is built over the same
-// immutable kripke.Arena (state ids, port/host maps, sinkhole states)
-// and the same mc.Warmth cache (LTL closures and interned label tables).
-// Both structures are copy-on-write from the session's point of view —
-// sessions layer their own mutable transition relations and label arrays
-// on top — so identically-shaped tenants deduplicate the class-independent
-// state space instead of rebuilding it per session. Safe for concurrent
-// use; Arena and Warmth are themselves concurrency-safe, so the registry
-// lock covers only the map and LRU.
-type arenaRegistry struct {
-	mu     sync.Mutex
-	max    int
-	stores map[string]*list.Element
-	lru    *list.List // of *arenaStore, front = most recently used
-}
-
-type arenaStore struct {
-	fp     string
-	arena  *kripke.Arena
-	warmth *mc.Warmth
-}
-
-func newArenaRegistry(max int) *arenaRegistry {
-	if max <= 0 {
-		max = DefaultMaxArenaStores
-	}
-	return &arenaRegistry{
-		max:    max,
-		stores: map[string]*list.Element{},
-		lru:    list.New(),
-	}
-}
-
-// get returns the shared resources for a topology fingerprint, building
-// the arena on first use and evicting the coldest entry past the bound.
-// Evicting an entry does not detach sessions already sharing its arena —
-// they keep working — it only stops new sessions from joining it.
-func (r *arenaRegistry) get(fp string, topo *topology.Topology) core.SessionResources {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if el, ok := r.stores[fp]; ok {
-		r.lru.MoveToFront(el)
-		st := el.Value.(*arenaStore)
-		return core.SessionResources{Arena: st.arena, Warmth: st.warmth}
-	}
-	st := &arenaStore{fp: fp, arena: kripke.NewArena(topo), warmth: mc.NewWarmth()}
-	r.stores[fp] = r.lru.PushFront(st)
-	for r.lru.Len() > r.max {
-		tail := r.lru.Back()
-		r.lru.Remove(tail)
-		delete(r.stores, tail.Value.(*arenaStore).fp)
-	}
-	return core.SessionResources{Arena: st.arena, Warmth: st.warmth}
-}
-
-// size reports the number of shared entries held.
-func (r *arenaRegistry) size() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lru.Len()
+// sessionResources returns the session resources every tenant with this
+// topology fingerprint shares: one immutable kripke.Arena (state ids,
+// port/host maps, sinkhole states) and one mc.Warmth cache (LTL closures
+// and interned label tables). Both are copy-on-write from the session's
+// point of view — sessions layer their own mutable transition relations
+// and label arrays on top — so identically-shaped tenants deduplicate the
+// class-independent state space instead of rebuilding it per session.
+func (p *Pool) sessionResources(fp string, topo *topology.Topology) core.SessionResources {
+	return p.arenas.get(fp, func() core.SessionResources {
+		return core.SessionResources{Arena: kripke.NewArena(topo), Warmth: mc.NewWarmth()}
+	})
 }
 
 // TopologyFingerprint keys the pool's shared arena registry: the hash of

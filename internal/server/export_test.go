@@ -2,40 +2,76 @@ package server
 
 import "fmt"
 
+// Metric reads one /metrics family by its name less the netupdate_ prefix
+// — the single reader the tests share with the scrape endpoint.
+func (p *Pool) Metric(name string) float64 { return p.m.reg.Value("netupdate_" + name) }
+
 // CheckAtRest verifies what must hold whenever no request is in flight:
 // the warm-session budget, no admitted request left behind, the LRU list
 // holding exactly the warm tenants, no warm tenant still holding an
-// eviction image, and SnapshotBytesHeld accounting for every held image.
+// eviction image, and the pool-wide /metrics families agreeing with the
+// tenants' own stats — none negative, each the sum of its tenants' rows.
 func (p *Pool) CheckAtRest() error {
-	st := p.Stats()
+	p.mu.Lock()
+	ids := make([]string, 0, len(p.tenants))
+	for id := range p.tenants {
+		ids = append(ids, id)
+	}
+	p.mu.Unlock()
+	var sum TenantStats
+	warm := 0
+	for _, id := range ids {
+		st, err := p.TenantStats(id)
+		if err != nil {
+			return err
+		}
+		if st.Pending != 0 {
+			return fmt.Errorf("tenant %s: %d requests still pending", id, st.Pending)
+		}
+		if st.Warm {
+			warm++
+			if st.SnapshotBytes != 0 {
+				return fmt.Errorf("tenant %s: warm, yet still holds a %d-byte eviction image", id, st.SnapshotBytes)
+			}
+		}
+		sum.Plans += st.Plans
+		sum.Acks += st.Acks
+		sum.Repairs += st.Repairs
+		sum.Rebuilds += st.Rebuilds
+		sum.SnapshotRestores += st.SnapshotRestores
+		sum.ColdRebuilds += st.ColdRebuilds
+		sum.SnapshotBytes += st.SnapshotBytes
+	}
+	for _, c := range []struct {
+		family string
+		want   int64
+	}{
+		{"pool_warm_sessions", int64(warm)},
+		{"plans_total", sum.Plans},
+		{"step_acks_total", sum.Acks},
+		{"repairs_total", sum.Repairs},
+		{"session_rebuilds_total", sum.Rebuilds},
+		{"snapshot_restores_total", sum.SnapshotRestores},
+		{"cold_rebuilds_total", sum.ColdRebuilds},
+		{"snapshot_bytes", int64(sum.SnapshotBytes)},
+	} {
+		if got := p.Metric(c.family); got < 0 || got != float64(c.want) {
+			return fmt.Errorf("netupdate_%s = %g, the tenants' stats sum to %d", c.family, got, c.want)
+		}
+	}
+
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	warm := 0
-	var held int64
 	for _, t := range p.tenants {
-		if n := t.pending.Load(); n != 0 {
-			return fmt.Errorf("tenant %s: %d requests still pending", t.id, n)
-		}
 		if (t.sess != nil) != (t.elem != nil) {
 			return fmt.Errorf("tenant %s: session %v but on the LRU %v", t.id, t.sess != nil, t.elem != nil)
 		}
-		if t.sess != nil {
-			warm++
-			if t.snap != nil {
-				return fmt.Errorf("tenant %s: warm, yet still holds a %d-byte eviction image", t.id, len(t.snap))
-			}
-		}
-		held += int64(len(t.snap))
 	}
 	if p.lru.Len() != warm {
 		return fmt.Errorf("LRU holds %d tenants, %d are warm", p.lru.Len(), warm)
 	}
-	if budget := p.opts.maxSessions(); warm > budget {
+	if budget := p.opts.MaxSessions; warm > budget {
 		return fmt.Errorf("%d warm sessions against a budget of %d", warm, budget)
-	}
-	if st.WarmSessions != warm || st.SnapshotBytesHeld != held {
-		return fmt.Errorf("stats report %d warm sessions and %d snapshot bytes, pool holds %d and %d",
-			st.WarmSessions, st.SnapshotBytesHeld, warm, held)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,29 +28,36 @@ import (
 // (the request context still bounds the whole exchange).
 func NewHandler(p *Pool) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
-		handleRegister(p, w, r)
-	})
-	mux.HandleFunc("POST /v1/tenants/{id}/synthesize", func(w http.ResponseWriter, r *http.Request) {
-		handleSynthesize(p, w, r)
-	})
-	mux.HandleFunc("GET /v1/tenants/{id}/stats", func(w http.ResponseWriter, r *http.Request) {
-		handleStats(p, w, r)
-	})
-	mux.HandleFunc("GET /v1/tenants/{id}/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		handleSnapshotGet(p, w, r)
-	})
-	mux.HandleFunc("PUT /v1/tenants/{id}/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		handleSnapshotPut(p, w, r)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		handleMetrics(p, w)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("POST /v1/tenants", p.handleRegister)
+	mux.HandleFunc("POST /v1/tenants/{id}/synthesize", p.handleSynthesize)
+	mux.HandleFunc("GET /v1/tenants/{id}/stats", p.handleStats)
+	mux.HandleFunc("GET /v1/tenants/{id}/snapshot", p.handleSnapshotGet)
+	mux.HandleFunc("PUT /v1/tenants/{id}/snapshot", p.handleSnapshotPut)
+	mux.HandleFunc("GET /metrics", metricsHandler(p.Metrics()))
+	mux.HandleFunc("GET /healthz", handleHealthz)
 	return mux
+}
+
+func handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
+}
+
+// metricsHandler renders a metric registry in the Prometheus text
+// exposition format (hand-rolled: the repo takes no dependencies). Every
+// family is registered at construction, so the endpoint is a straight
+// render.
+func metricsHandler(reg *obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w)
+	}
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // httpError is the uniform JSON error envelope for non-streaming
@@ -64,12 +70,10 @@ type httpError struct {
 }
 
 func writeError(w http.ResponseWriter, status int, err error, line int) {
-	w.Header().Set("Content-Type", "application/json")
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(httpError{Error: err.Error(), Retryable: Retryable(err), Line: line})
+	writeJSON(w, status, httpError{Error: err.Error(), Retryable: Retryable(err), Line: line})
 }
 
 // statusOf maps pool errors to HTTP statuses.
@@ -89,7 +93,7 @@ func statusOf(err error) int {
 	return http.StatusInternalServerError
 }
 
-func handleRegister(p *Pool, w http.ResponseWriter, r *http.Request) {
+func (p *Pool) handleRegister(w http.ResponseWriter, r *http.Request) {
 	lines := config.NewLineCountingReader(r.Body)
 	dec := json.NewDecoder(lines)
 	dec.DisallowUnknownFields()
@@ -104,17 +108,17 @@ func handleRegister(p *Pool, w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), err, 0)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if info.Created {
-		w.WriteHeader(http.StatusCreated)
+		status = http.StatusCreated
 	}
-	_ = json.NewEncoder(w).Encode(info)
+	writeJSON(w, status, info)
 }
 
-func handleSynthesize(p *Pool, w http.ResponseWriter, r *http.Request) {
+func (p *Pool) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !p.Lookup(id) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrUnknownTenant, id), 0)
+	if _, err := p.TenantSpecOf(id); err != nil {
+		writeError(w, statusOf(err), err, 0)
 		return
 	}
 	var perDelta time.Duration
@@ -137,76 +141,46 @@ func handleSynthesize(p *Pool, w http.ResponseWriter, r *http.Request) {
 		reqID = obs.NewRequestID()
 	}
 	w.Header().Set(obs.RequestIDHeader, reqID)
-	// ?trace=1 attaches a per-request span recorder to each synthesis in
-	// the stream; the exported span tree rides back on the Result line.
-	tracing := r.URL.Query().Get("trace") == "1"
 
 	// The endpoint interleaves request-body reads with response writes;
 	// HTTP/1.x closes the body on the first write unless full duplex is
 	// enabled (HTTP/2 is duplex natively and reports ErrNotSupported —
 	// ignored, like the handler-doesn't-support case).
-	_ = http.NewResponseController(w).EnableFullDuplex()
+	rc := http.NewResponseController(w)
+	_ = rc.EnableFullDuplex()
 	lines := config.NewLineCountingReader(r.Body)
 	dec := json.NewDecoder(lines)
 	dec.DisallowUnknownFields()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-
-	seq := 0
-	for {
-		var d streamRequest
-		if err := dec.Decode(&d); err != nil {
-			if err == io.EOF {
-				return
-			}
-			// The body position is unreliable after a syntax error:
-			// report the offending line and stop this request. The
-			// connection stays usable and already-emitted results stand.
-			seq++
-			_ = enc.Encode(Result{
-				Seq: seq, Tenant: id, Result: "error",
-				Error: fmt.Sprintf("tenant %s: request body: %v", id, err),
-				Line:  lines.DecodeErrorLine(err, dec),
-			})
-			return
-		}
-		seq++
-		line := lines.LineAt(dec.InputOffset() - 1)
-		lines.Prune(dec.InputOffset())
-		ctx := obs.WithRequestID(r.Context(), reqID)
-		if tracing {
-			ctx = obs.WithTracing(ctx)
-		}
-		cancel := func() {}
-		if perDelta > 0 {
-			ctx, cancel = context.WithTimeout(ctx, perDelta)
-		}
-		var res Result
-		if d.Ack != nil {
-			plan, err := p.Ack(ctx, id, d.Ack)
-			res = NewAckResult(seq, id, plan, err)
-		} else {
-			plan, err := p.Synthesize(ctx, id, &d.StreamDelta)
-			res = NewResult(seq, id, plan, err)
-			if err != nil && errors.Is(err, config.ErrBadDelta) {
-				res.Line = line
-			}
-		}
-		cancel()
-		if encErr := enc.Encode(res); encErr != nil {
-			return // client went away
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+	ctx := obs.WithRequestID(r.Context(), reqID)
+	// ?trace=1 attaches a per-request span recorder to each synthesis in
+	// the stream; the exported span tree rides back on the Result line.
+	if r.URL.Query().Get("trace") == "1" {
+		ctx = obs.WithTracing(ctx)
 	}
+	// A terminal decode error has been reported in band, and a failed write
+	// means the client went away: either way the connection stays usable
+	// and the results already emitted stand.
+	_, _ = serveLines(r.Context(), ctx, perDelta, p, id, lines, dec, flushWriter{w, rc})
+}
+
+// flushWriter flushes after every write, so each Result line — one write
+// of the encoder — reaches the client as it is produced.
+type flushWriter struct {
+	w  io.Writer
+	rc *http.ResponseController
+}
+
+func (f flushWriter) Write(b []byte) (int, error) {
+	n, err := f.w.Write(b)
+	_ = f.rc.Flush() // unsupported by the connection: lines arrive when the response ends
+	return n, err
 }
 
 // handleSnapshotGet exports a tenant's warm state as a portable binary
 // session snapshot (the tenant-migration wire format; see DESIGN.md
 // "Snapshots, shared arenas & sharding").
-func handleSnapshotGet(p *Pool, w http.ResponseWriter, r *http.Request) {
+func (p *Pool) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	img, err := p.SnapshotTenant(r.Context(), r.PathValue("id"))
 	if err != nil {
 		writeError(w, statusOf(err), err, 0)
@@ -220,7 +194,7 @@ func handleSnapshotGet(p *Pool, w http.ResponseWriter, r *http.Request) {
 // handleSnapshotPut installs a snapshot over a registered tenant —
 // rejected images (corrupt, version-skewed, or from a different spec)
 // leave the tenant untouched and report 409.
-func handleSnapshotPut(p *Pool, w http.ResponseWriter, r *http.Request) {
+func (p *Pool) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 	img, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge,
@@ -243,21 +217,11 @@ func handleSnapshotPut(p *Pool, w http.ResponseWriter, r *http.Request) {
 // any real session, but finite).
 const maxSnapshotBytes = 1 << 30
 
-func handleStats(p *Pool, w http.ResponseWriter, r *http.Request) {
+func (p *Pool) handleStats(w http.ResponseWriter, r *http.Request) {
 	st, err := p.TenantStats(r.PathValue("id"))
 	if err != nil {
 		writeError(w, statusOf(err), err, 0)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(st)
-}
-
-// handleMetrics renders the pool's metric registry in the Prometheus
-// text exposition format (hand-rolled: the repo takes no dependencies).
-// Every family is registered at pool construction (see initMetrics), so
-// the endpoint is a straight render.
-func handleMetrics(p *Pool, w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p.Metrics().WritePrometheus(w)
+	writeJSON(w, http.StatusOK, st)
 }

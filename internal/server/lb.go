@@ -115,11 +115,8 @@ func (lb *LB) Handler() http.Handler {
 	mux.HandleFunc("GET /lb/replicas", lb.handleReplicasGet)
 	mux.HandleFunc("POST /lb/replicas", lb.handleReplicaAdd)
 	mux.HandleFunc("DELETE /lb/replicas", lb.handleReplicaRemove)
-	mux.HandleFunc("GET /metrics", lb.handleMetrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("GET /metrics", metricsHandler(lb.reg))
+	mux.HandleFunc("GET /healthz", handleHealthz)
 	return mux
 }
 
@@ -207,8 +204,7 @@ func (lb *LB) handleReplicasGet(w http.ResponseWriter, _ *http.Request) {
 		view.Tenants[id] = owner
 	}
 	lb.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(view)
+	writeJSON(w, http.StatusOK, view)
 }
 
 func (lb *LB) handleReplicaAdd(w http.ResponseWriter, r *http.Request) {
@@ -226,9 +222,7 @@ func (lb *LB) handleReplicaAdd(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err, 0)
 		return
 	}
-	moved := lb.rebalance()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]int{"migrated": moved})
+	writeJSON(w, http.StatusOK, map[string]int{"migrated": lb.rebalance()})
 }
 
 // handleReplicaRemove drains a replica: its tenants are migrated to
@@ -253,9 +247,7 @@ func (lb *LB) handleReplicaRemove(w http.ResponseWriter, r *http.Request) {
 	}
 	lb.ring.Remove(replica)
 	lb.mu.Unlock()
-	moved := lb.rebalance()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]int{"migrated": moved})
+	writeJSON(w, http.StatusOK, map[string]int{"migrated": lb.rebalance()})
 }
 
 // rebalance realigns tenant placement with the current ring, migrating
@@ -306,39 +298,28 @@ func (lb *LB) migrate(id, src, dst string, spec []byte) error {
 		resp.Body.Close()
 	}
 
-	resp, err := lb.client.Post(dst+"/v1/tenants", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		return fmt.Errorf("server: lb: migrate %s to %s: %w", id, dst, err)
+	// send delivers one step of the move to the destination.
+	send := func(step, method, path, contentType string, body []byte) error {
+		req, err := http.NewRequest(method, dst+path, bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		req.Header.Set("Content-Type", contentType)
+		resp, err := lb.client.Do(req)
+		if err != nil {
+			return fmt.Errorf("server: lb: migrate %s: %s on %s: %w", id, step, dst, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			return fmt.Errorf("server: lb: migrate %s: %s on %s: status %d", id, step, dst, resp.StatusCode)
+		}
+		return nil
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("server: lb: migrate %s: register on %s: status %d", id, dst, resp.StatusCode)
+	if err := send("register", http.MethodPost, "/v1/tenants", "application/json", spec); err != nil || len(img) == 0 {
+		return err // without an image the migration is cold: spec only
 	}
-	if len(img) == 0 {
-		return nil // cold migration: spec only
-	}
-
-	req, err := http.NewRequest(http.MethodPut, dst+"/v1/tenants/"+id+"/snapshot", bytes.NewReader(img))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	putResp, err := lb.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("server: lb: migrate %s: install on %s: %w", id, dst, err)
-	}
-	io.Copy(io.Discard, putResp.Body)
-	putResp.Body.Close()
-	if putResp.StatusCode >= 300 {
-		return fmt.Errorf("server: lb: migrate %s: install on %s: status %d", id, dst, putResp.StatusCode)
-	}
-	return nil
-}
-
-func (lb *LB) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	lb.reg.WritePrometheus(w)
+	return send("install", http.MethodPut, "/v1/tenants/"+id+"/snapshot", "application/octet-stream", img)
 }
 
 // relay copies a proxied response verbatim.

@@ -127,7 +127,7 @@ func TestLBShardsAndMigrates(t *testing.T) {
 		}
 		ids[i] = info.ID
 	}
-	onA, onB := poolA.Stats().Tenants, poolB.Stats().Tenants
+	onA, onB := int(poolA.Metric("pool_tenants")), int(poolB.Metric("pool_tenants"))
 	if onA+onB != tenants || onA == 0 || onB == 0 {
 		t.Fatalf("placement %d/%d across replicas, want both non-empty summing to %d", onA, onB, tenants)
 	}
@@ -170,7 +170,7 @@ func TestLBShardsAndMigrates(t *testing.T) {
 			t.Fatalf("post-drain tenant %s: %+v", id, r)
 		}
 	}
-	if got := poolA.Stats().Tenants; got != tenants {
+	if got := int(poolA.Metric("pool_tenants")); got != tenants {
 		t.Fatalf("survivor holds %d tenants, want %d", got, tenants)
 	}
 	var restores int64
@@ -226,7 +226,7 @@ func TestLBAddReplicaRebalances(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if got := poolA.Stats().Tenants; got != tenants {
+	if got := int(poolA.Metric("pool_tenants")); got != tenants {
 		t.Fatalf("single replica holds %d, want %d", got, tenants)
 	}
 
@@ -245,7 +245,7 @@ func TestLBAddReplicaRebalances(t *testing.T) {
 	if added.Migrated == 0 {
 		t.Fatal("adding a replica moved no tenants")
 	}
-	if got := poolB.Stats().Tenants; got != added.Migrated {
+	if got := int(poolB.Metric("pool_tenants")); got != added.Migrated {
 		t.Fatalf("new replica holds %d tenants, want %d", got, added.Migrated)
 	}
 }

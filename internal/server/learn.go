@@ -1,12 +1,13 @@
 package server
 
 import (
-	"container/list"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"os"
 
+	"netupdate/internal/atomicio"
 	"netupdate/internal/core"
 )
 
@@ -17,71 +18,27 @@ import (
 // wholesale.
 const DefaultMaxLearnStores = 256
 
-// learnRegistry owns the pool's shared plan caches: every tenant whose
-// spec hashes to the same learning fingerprint is attached to the same
+// planCache returns the shared plan cache for a learning fingerprint:
+// every tenant whose spec hashes to it is attached to the same
 // core.PlanCache, so one tenant's synthesized plans and learned state
-// serve every tenant running the identical scenario shape. Safe for
-// concurrent use; the caches themselves are concurrency-safe, so the
-// registry lock covers only the map and LRU.
-type learnRegistry struct {
-	mu     sync.Mutex
-	max    int
-	stores map[string]*list.Element
-	lru    *list.List // of *learnStore, front = most recently used
+// serve every tenant running the identical scenario shape. A session
+// holding a store the registry has since evicted keeps a working private
+// cache until it is rebuilt.
+func (p *Pool) planCache(fp string) *core.PlanCache {
+	return p.learn.get(fp, func() *core.PlanCache { return core.NewPlanCache(0) })
 }
 
-type learnStore struct {
-	fp    string
-	cache *core.PlanCache
-}
-
-func newLearnRegistry(max int) *learnRegistry {
-	if max <= 0 {
-		max = DefaultMaxLearnStores
-	}
-	return &learnRegistry{
-		max:    max,
-		stores: map[string]*list.Element{},
-		lru:    list.New(),
-	}
-}
-
-// get returns the shared cache for a learning fingerprint, creating it on
-// first use and evicting the coldest store past the bound. Evicting a
-// store does not detach sessions already holding its cache — they keep a
-// working private cache until rebuilt — it only stops new attachments
-// from sharing it.
-func (r *learnRegistry) get(fp string) *core.PlanCache {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if el, ok := r.stores[fp]; ok {
-		r.lru.MoveToFront(el)
-		return el.Value.(*learnStore).cache
-	}
-	st := &learnStore{fp: fp, cache: core.NewPlanCache(0)}
-	r.stores[fp] = r.lru.PushFront(st)
-	for r.lru.Len() > r.max {
-		tail := r.lru.Back()
-		r.lru.Remove(tail)
-		delete(r.stores, tail.Value.(*learnStore).fp)
-	}
-	return st.cache
-}
-
-// totals aggregates every store's counters plus the store count.
-func (r *learnRegistry) totals() (core.PlanCacheStats, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var sum core.PlanCacheStats
-	for el := r.lru.Front(); el != nil; el = el.Next() {
-		st := el.Value.(*learnStore).cache.Stats()
+// learnTotals sums every store's counters.
+func (p *Pool) learnTotals() (sum core.PlanCacheStats) {
+	p.learn.each(func(_ string, c *core.PlanCache) {
+		st := c.Stats()
 		sum.Hits += st.Hits
 		sum.Misses += st.Misses
 		sum.VerifyFailures += st.VerifyFailures
 		sum.Evictions += st.Evictions
 		sum.Entries += st.Entries
-	}
-	return sum, r.lru.Len()
+	})
+	return sum
 }
 
 // LearnSnapshot is the JSON image of a pool's shared learning state (the
@@ -106,16 +63,10 @@ const learnSnapshotVersion = 1
 // recently used store first). Counters are not persisted; a restored pool
 // starts cold on stats but warm on plans.
 func (p *Pool) SaveLearning(w io.Writer) error {
-	p.learn.mu.Lock()
 	snap := LearnSnapshot{Version: learnSnapshotVersion}
-	for el := p.learn.lru.Front(); el != nil; el = el.Next() {
-		st := el.Value.(*learnStore)
-		snap.Stores = append(snap.Stores, LearnStoreSnapshot{
-			Fingerprint: st.fp,
-			Cache:       st.cache.Snapshot(),
-		})
-	}
-	p.learn.mu.Unlock()
+	p.learn.each(func(fp string, c *core.PlanCache) {
+		snap.Stores = append(snap.Stores, LearnStoreSnapshot{Fingerprint: fp, Cache: c.Snapshot()})
+	})
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(&snap); err != nil {
 		return fmt.Errorf("server: saving learning state: %w", err)
@@ -140,9 +91,29 @@ func (p *Pool) LoadLearning(r io.Reader) error {
 		if st.Fingerprint == "" || st.Cache == nil {
 			continue
 		}
-		if err := p.learn.get(st.Fingerprint).Restore(st.Cache); err != nil {
+		if err := p.planCache(st.Fingerprint).Restore(st.Cache); err != nil {
 			return fmt.Errorf("server: store %s: %w", st.Fingerprint, err)
 		}
 	}
 	return nil
+}
+
+// LoadLearningFile is LoadLearning from a -learn-file path; a missing
+// file is a cold start, not an error.
+func (p *Pool) LoadLearningFile(path string) error {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return p.LoadLearning(f)
+}
+
+// SaveLearningFile is SaveLearning to a -learn-file path, written
+// atomically so an interrupted save never truncates the previous state.
+func (p *Pool) SaveLearningFile(path string) error {
+	return atomicio.WriteFile(path, p.SaveLearning)
 }

@@ -22,9 +22,9 @@ func TestLearnFileRoundTrip(t *testing.T) {
 	if _, err := bench.RunLoad(context.Background(), p1, loads); err != nil {
 		t.Fatal(err)
 	}
-	warm := p1.Stats()
-	if warm.PlanCacheHits == 0 || warm.PlanCacheEntries == 0 {
-		t.Fatalf("warm pool never hit its own cache: %+v", warm)
+	warmEntries := p1.Metric("plan_cache_entries")
+	if hits := p1.Metric("plan_cache_hits_total"); hits == 0 || warmEntries == 0 {
+		t.Fatalf("warm pool never hit its own cache: %g hits, %g entries", hits, warmEntries)
 	}
 	var buf bytes.Buffer
 	if err := p1.SaveLearning(&buf); err != nil {
@@ -39,18 +39,17 @@ func TestLearnFileRoundTrip(t *testing.T) {
 	if err := p2.LoadLearning(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if st := p2.Stats(); st.PlanCacheEntries != warm.PlanCacheEntries {
-		t.Fatalf("restored %d entries, want %d", st.PlanCacheEntries, warm.PlanCacheEntries)
+	if got := p2.Metric("plan_cache_entries"); got != warmEntries {
+		t.Fatalf("restored %g entries, want %g", got, warmEntries)
 	}
 	if _, err := bench.RunLoad(context.Background(), p2, loads); err != nil {
 		t.Fatal(err)
 	}
-	st := p2.Stats()
-	if st.PlanCacheMisses != 0 {
-		t.Fatalf("restored pool missed %d times on identical traffic", st.PlanCacheMisses)
+	if misses := p2.Metric("plan_cache_misses_total"); misses != 0 {
+		t.Fatalf("restored pool missed %g times on identical traffic", misses)
 	}
-	if st.PlanCacheHits == 0 || st.PlanCacheVerifyFailures != 0 {
-		t.Fatalf("restored fast path dead: %+v", st)
+	if hits, bad := p2.Metric("plan_cache_hits_total"), p2.Metric("plan_cache_verify_failures_total"); hits == 0 || bad != 0 {
+		t.Fatalf("restored fast path dead: %g hits, %g verify failures", hits, bad)
 	}
 
 	// Corrupt and version-mismatched snapshots are rejected.
@@ -104,8 +103,8 @@ func TestCrossTenantLearning(t *testing.T) {
 	if second.CacheHits != int64(len(tl.Deltas)) {
 		t.Fatalf("second tenant hits = %d, want %d", second.CacheHits, len(tl.Deltas))
 	}
-	if st := p.Stats(); st.LearnStores != 1 {
-		t.Fatalf("learn stores = %d, want 1 (shared)", st.LearnStores)
+	if n := p.Metric("learn_stores"); n != 1 {
+		t.Fatalf("learn stores = %g, want 1 (shared)", n)
 	}
 
 	// An opted-out tenant never touches the shared store.

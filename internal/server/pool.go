@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,28 +48,21 @@ type PoolOptions struct {
 	DefaultTimeout time.Duration
 }
 
-func (o PoolOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
+// resolved replaces the zero and negative values with what they stand for.
+func (o PoolOptions) resolved() PoolOptions {
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (o PoolOptions) maxSessions() int {
 	switch {
-	case o.MaxSessions > 0:
-		return o.MaxSessions
+	case o.MaxSessions == 0:
+		o.MaxSessions = DefaultMaxSessions
 	case o.MaxSessions < 0:
-		return int(^uint(0) >> 1) // unbounded
+		o.MaxSessions = math.MaxInt
 	}
-	return DefaultMaxSessions
-}
-
-func (o PoolOptions) queueDepth() int {
-	if o.QueueDepth > 0 {
-		return o.QueueDepth
+	if o.QueueDepth <= 0 {
+		o.QueueDepth = DefaultQueueDepth
 	}
-	return DefaultQueueDepth
+	return o
 }
 
 // tenant is the pool's runtime state for one registered scenario.
@@ -78,9 +72,9 @@ func (o PoolOptions) queueDepth() int {
 // serializes synthesis — core.Session is single-flight — and also
 // protects cur, which only advances while the gate is held. Eviction
 // takes a tenant's gate non-blockingly, so a session is never torn down
-// under a running synthesis; every holder hands the gate back through
-// Pool.release, which re-runs eviction for whatever the held gate made it
-// skip.
+// under a running synthesis; requests hold the gate through an admission,
+// whose leave hands it back through Pool.release, which re-runs eviction
+// for whatever the held gate made it skip.
 type tenant struct {
 	id   string
 	spec *TenantSpec
@@ -98,8 +92,6 @@ type tenant struct {
 	// same topology share one kripke.Arena and one warmth cache.
 	arenaFP string
 
-	cacheHits, cacheMisses atomic.Int64
-
 	cur  *config.Config // current configuration; survives eviction
 	sess *core.Session  // nil when cold
 	elem *list.Element  // position in the pool LRU; nil when cold
@@ -112,15 +104,7 @@ type tenant struct {
 	// leaves the process.
 	snap []byte
 
-	snapRestores atomic.Int64 // rebuilds served by snapshot restore
-
-	runs, plans, failures atomic.Int64
-	acks, repairs         atomic.Int64
-	// builds counts session constructions; every one past the first is a
-	// rebuild after eviction.
-	builds  atomic.Int64
-	lastNS  atomic.Int64
-	totalNS atomic.Int64
+	tenantCounters
 }
 
 // Pool is the multi-tenant synthesis service: it owns one warm session
@@ -141,12 +125,12 @@ type Pool struct {
 	// learning fingerprint (see learn.go); tenants with the same scenario
 	// shape share one cache across the pool and across restarts
 	// (SaveLearning/LoadLearning).
-	learn *learnRegistry
+	learn *lruMap[*core.PlanCache]
 
 	// arenas holds the shared immutable state arenas and label-table
 	// caches, keyed by topology fingerprint (see arena.go); tenants with
 	// the same network shape share them copy-on-write.
-	arenas *arenaRegistry
+	arenas *lruMap[core.SessionResources]
 
 	m poolMetrics
 
@@ -158,13 +142,14 @@ type Pool struct {
 
 // NewPool builds an empty pool.
 func NewPool(opts PoolOptions) *Pool {
+	opts = opts.resolved()
 	p := &Pool{
 		opts:    opts,
-		slots:   make(chan struct{}, opts.workers()),
+		slots:   make(chan struct{}, opts.Workers),
 		tenants: map[string]*tenant{},
 		lru:     list.New(),
-		learn:   newLearnRegistry(0),
-		arenas:  newArenaRegistry(0),
+		learn:   newLRUMap[*core.PlanCache](DefaultMaxLearnStores),
+		arenas:  newLRUMap[core.SessionResources](DefaultMaxArenaStores),
 	}
 	p.initMetrics()
 	return p
@@ -190,16 +175,11 @@ func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
 	}
 
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
-	}
-	if t, ok := p.tenants[id]; ok {
-		info := p.infoLocked(t, false)
-		p.mu.Unlock()
-		return info, nil
-	}
+	info, err := p.registeredLocked(id)
 	p.mu.Unlock()
+	if info != nil || err != nil {
+		return info, err
+	}
 
 	// Pre-warm outside the pool lock: session construction verifies the
 	// initial configuration and can be expensive. The tenant is published
@@ -213,7 +193,7 @@ func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
 		return nil, err
 	}
 	sess, err := core.NewSessionWith(base.Topo, base.Init, base.Specs, opts,
-		p.arenas.get(arenaFP, base.Topo))
+		p.sessionResources(arenaFP, base.Topo))
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %s: %w", id, err)
 	}
@@ -226,38 +206,39 @@ func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
 		gate:    make(chan struct{}, 1),
 		cur:     base.Init,
 	}
+	t.requests = p.m.tenantRequests.With(id)
 	// Attach the shared plan cache: tenants whose specs differ only by
 	// name learn from — and replay-verify against — each other's runs.
 	if !opts.NoPlanCache {
-		learnID, lerr := spec.LearnFingerprint()
-		if lerr != nil {
-			return nil, lerr
+		if t.learnID, err = spec.LearnFingerprint(); err != nil {
+			return nil, err
 		}
-		t.learnID = learnID
-		sess.SetCache(p.learn.get(learnID))
 	}
-	t.builds.Add(1)
+	p.attachLearning(t, sess)
 
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
+	defer p.mu.Unlock()
+	if info, err := p.registeredLocked(id); info != nil || err != nil {
+		return info, err // lost the race; drop our duplicate session
 	}
-	if existing, ok := p.tenants[id]; ok {
-		info := p.infoLocked(existing, false)
-		p.mu.Unlock()
-		return info, nil // lost the race; drop our duplicate session
-	}
-	t.sess = sess
-	t.elem = p.lru.PushFront(t)
 	p.tenants[id] = t
-	p.evictLocked()
-	info := p.infoLocked(t, true)
-	p.mu.Unlock()
-	return info, nil
+	p.warmLocked(t, sess)
+	return t.info(true), nil
 }
 
-func (p *Pool) infoLocked(t *tenant, created bool) *TenantInfo {
+// registeredLocked answers a registration that needs no session built:
+// the pool is closed, or the id is registered already.
+func (p *Pool) registeredLocked(id string) (*TenantInfo, error) {
+	if p.closed {
+		return nil, ErrPoolClosed
+	}
+	if t, ok := p.tenants[id]; ok {
+		return t.info(false), nil
+	}
+	return nil, nil
+}
+
+func (t *tenant) info(created bool) *TenantInfo {
 	return &TenantInfo{
 		ID:       t.id,
 		Created:  created,
@@ -267,12 +248,25 @@ func (p *Pool) infoLocked(t *tenant, created bool) *TenantInfo {
 	}
 }
 
-// Lookup reports whether a tenant id is registered.
-func (p *Pool) Lookup(id string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.tenants[id]
-	return ok
+// tenantLocked finds a registered tenant.
+func (p *Pool) tenantLocked(id string) (*tenant, error) {
+	if t, ok := p.tenants[id]; ok {
+		return t, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrUnknownTenant, id)
+}
+
+// warmLocked makes sess the tenant's warm session — at the hot end of the
+// LRU, with no eviction image left to go stale beside it — and evicts
+// whatever that pushes over the budget.
+func (p *Pool) warmLocked(t *tenant, sess *core.Session) {
+	t.sess, t.snap = sess, nil
+	if t.elem != nil {
+		p.lru.MoveToFront(t.elem)
+	} else {
+		t.elem = p.lru.PushFront(t)
+	}
+	p.evictLocked()
 }
 
 // Synthesize serves one request: the tenant's current configuration is
@@ -286,47 +280,17 @@ func (p *Pool) Lookup(id string) bool {
 // deadline expiry) leave the tenant at its previous configuration.
 func (p *Pool) Synthesize(ctx context.Context, id string, delta *config.StreamDelta) (*core.Plan, error) {
 	p.m.requests.Inc()
-	t, err := p.admit(id)
+	a, err := p.admit(id)
 	if err != nil {
 		return nil, err
 	}
-	defer p.inflight.Done()
-	defer t.pending.Add(-1)
-	p.m.tenantRequests.With(t.id).Inc()
-
-	// Every admitted request carries a request id: the daemon propagates
-	// the client's (or the LB's) X-Netupdate-Request-Id into the context,
-	// and direct API callers get one minted here. The engine stamps it on
-	// the run's stats and trace.
-	if obs.RequestIDFrom(ctx) == "" {
-		ctx = obs.WithRequestID(ctx, obs.NewRequestID())
+	defer a.leave()
+	t := a.t
+	t.requests.Inc()
+	if ctx, err = a.wait(ctx, true); err != nil {
+		return nil, err
 	}
-
-	if p.opts.DefaultTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, p.opts.DefaultTimeout)
-			defer cancel()
-		}
-	}
-
-	// Tenant gate first (sessions are single-flight), then a worker slot
-	// — never the reverse, so a tenant's queued requests cannot hog the
-	// global budget while waiting on their own serialization.
-	enqueued := time.Now()
-	select {
-	case t.gate <- struct{}{}:
-	case <-ctx.Done():
-		return nil, p.expireErr(ctx, t)
-	}
-	defer p.release(t)
-	select {
-	case p.slots <- struct{}{}:
-	case <-ctx.Done():
-		return nil, p.expireErr(ctx, t)
-	}
-	defer func() { <-p.slots }()
-	p.m.queueWait.Observe(time.Since(enqueued))
+	p.m.queueWait.Observe(a.waited)
 
 	if hook := p.beforeSynthesize; hook != nil {
 		hook(t.id)
@@ -334,62 +298,37 @@ func (p *Pool) Synthesize(ctx context.Context, id string, delta *config.StreamDe
 
 	target, err := t.base.Apply(t.cur, delta)
 	if err != nil {
-		p.m.badRequests.Inc()
+		t.count(outBadDelta)
 		return nil, fmt.Errorf("server: tenant %s: %w", t.id, err)
 	}
-
 	sess, err := p.ensureWarm(t)
 	if err != nil {
-		p.m.failures.Inc()
-		t.failures.Add(1)
+		t.count(outFailed)
 		return nil, fmt.Errorf("server: tenant %s: session rebuild: %w", t.id, err)
 	}
 
-	// A ?trace=1 request gets a per-request span recorder attached for
-	// exactly this run (the gate is held, so no other request races the
-	// session) — unless the tenant's options already hold a persistent one.
-	if obs.TracingFrom(ctx) && sess.Trace() == nil {
-		sess.SetTrace(obs.NewTrace(0))
-		defer sess.SetTrace(nil)
-	}
-
+	defer traceRequest(ctx, sess)()
 	start := time.Now()
 	plan, serr := sess.SynthesizeContext(ctx, target)
 	elapsed := time.Since(start)
-	t.runs.Add(1)
-	t.lastNS.Store(elapsed.Nanoseconds())
-	t.totalNS.Add(elapsed.Nanoseconds())
-	hit := false
-	if sess.Cache() != nil && (serr == nil || isInfeasible(serr)) {
+	lat := p.m.synthMiss
+	if sess.Cache() != nil && (serr == nil || errors.Is(serr, core.ErrNoOrdering)) {
 		// Only completed runs vote: an expired request's LastStats may
 		// belong to an earlier run.
-		hit = sess.LastStats().CacheHit
-		if hit {
+		if sess.LastStats().CacheHit {
 			t.cacheHits.Add(1)
+			lat = p.m.synthHit
 		} else {
 			t.cacheMisses.Add(1)
 		}
 	}
-	if hit {
-		p.m.synthHit.Observe(elapsed)
-	} else {
-		p.m.synthMiss.Observe(elapsed)
+	t.ran(lat, elapsed)
+	t.count(outcomeOf(serr))
+	if serr != nil {
+		return nil, fmt.Errorf("server: tenant %s: %w", t.id, serr)
 	}
-	switch {
-	case serr == nil:
-		t.cur = target
-		t.plans.Add(1)
-		p.m.plans.Inc()
-		return plan, nil
-	case isInfeasible(serr):
-		p.m.infeasible.Inc()
-	case isExpiry(serr):
-		p.countExpiry(serr)
-	default:
-		p.m.failures.Inc()
-	}
-	t.failures.Add(1)
-	return nil, fmt.Errorf("server: tenant %s: %w", t.id, serr)
+	t.cur = target
+	return plan, nil
 }
 
 // Ack records one plan-step acknowledgement for a tenant. Commit acks
@@ -405,138 +344,149 @@ func (p *Pool) Synthesize(ctx context.Context, id string, delta *config.StreamDe
 // core.ErrNoPlan; clients fall back to requesting a fresh delta from the
 // crash state they know.
 func (p *Pool) Ack(ctx context.Context, id string, ack *StepAck) (*core.Plan, error) {
-	t, err := p.admit(id)
+	a, err := p.admit(id)
 	if err != nil {
 		return nil, err
 	}
-	defer p.inflight.Done()
-	defer t.pending.Add(-1)
-
+	defer a.leave()
+	t := a.t
 	if !ack.Failed {
-		t.acks.Add(1)
-		p.m.acks.Inc()
+		t.count(outAcked)
 		return nil, nil
 	}
-
-	if obs.RequestIDFrom(ctx) == "" {
-		ctx = obs.WithRequestID(ctx, obs.NewRequestID())
+	if ctx, err = a.wait(ctx, true); err != nil {
+		return nil, err
 	}
 
-	if p.opts.DefaultTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, p.opts.DefaultTimeout)
-			defer cancel()
-		}
-	}
-	select {
-	case t.gate <- struct{}{}:
-	case <-ctx.Done():
-		return nil, p.expireErr(ctx, t)
-	}
-	defer p.release(t)
-	select {
-	case p.slots <- struct{}{}:
-	case <-ctx.Done():
-		return nil, p.expireErr(ctx, t)
-	}
-	defer func() { <-p.slots }()
-
-	p.mu.Lock()
-	sess := t.sess
-	if sess != nil {
-		p.lru.MoveToFront(t.elem)
-	}
-	p.mu.Unlock()
+	sess, _ := p.warmSession(t)
 	if sess == nil {
-		p.m.repairFailures.Inc()
-		t.failures.Add(1)
+		t.count(outRepairFailed)
 		return nil, fmt.Errorf("server: tenant %s: session evicted, cannot repair: %w", t.id, core.ErrNoPlan)
 	}
 
-	if obs.TracingFrom(ctx) && sess.Trace() == nil {
-		sess.SetTrace(obs.NewTrace(0))
-		defer sess.SetTrace(nil)
-	}
-
+	defer traceRequest(ctx, sess)()
 	start := time.Now()
 	plan, rerr := sess.RepairContext(ctx, ack.Committed, nil)
-	elapsed := time.Since(start)
-	t.runs.Add(1)
-	t.lastNS.Store(elapsed.Nanoseconds())
-	t.totalNS.Add(elapsed.Nanoseconds())
-	p.m.synthRepair.Observe(elapsed)
+	t.ran(p.m.synthRepair, time.Since(start))
 	if rerr != nil {
-		p.m.repairFailures.Inc()
-		t.failures.Add(1)
+		t.count(outRepairFailed)
 		return nil, fmt.Errorf("server: tenant %s: repair: %w", t.id, rerr)
 	}
 	// The session rebound itself to the crash state and advanced to the
 	// plan's target; realign the tenant's view.
 	t.cur = sess.Current()
-	t.repairs.Add(1)
-	p.m.repairs.Inc()
+	t.count(outRepaired)
 	return plan, nil
 }
 
+// traceRequest attaches a span recorder to sess for exactly one run when
+// the request asked for one (?trace=1) and the tenant's options do not
+// already hold a persistent one, and returns the call that detaches it.
+// The caller holds the tenant's gate, so no other request races the
+// session.
+func traceRequest(ctx context.Context, sess *core.Session) (detach func()) {
+	if !obs.TracingFrom(ctx) || sess.Trace() != nil {
+		return func() {}
+	}
+	sess.SetTrace(obs.NewTrace(0))
+	return func() { sess.SetTrace(nil) }
+}
+
+// admission is one request's hold on its tenant, the only way into and out
+// of a tenant's queue: admit grants a place in it, wait adds the tenant's
+// gate (and a worker slot for engine work), and leave gives back whatever
+// is held — the gate through release, so eviction is re-run on every
+// return of a gate rather than by each caller remembering to.
+type admission struct {
+	p          *Pool
+	t          *tenant
+	cancel     context.CancelFunc // of the default deadline, when wait set one
+	gate, slot bool
+	waited     time.Duration // what wait spent blocked
+}
+
 // admit performs queue admission: tenant lookup, closed check, the
-// bounded pending counter, and in-flight accounting for drain. On
-// success the caller owns one pending slot and one inflight token.
-func (p *Pool) admit(id string) (*tenant, error) {
+// bounded pending counter, and in-flight accounting for drain.
+func (p *Pool) admit(id string) (admission, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, ErrPoolClosed
+		return admission{}, ErrPoolClosed
 	}
-	t, ok := p.tenants[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownTenant, id)
+	t, err := p.tenantLocked(id)
+	if err != nil {
+		return admission{}, err
 	}
-	depth := int32(p.opts.queueDepth())
-	for {
-		n := t.pending.Load()
-		if n >= depth {
-			p.m.rejectedQueue.Inc()
-			return nil, fmt.Errorf("%w (tenant %s, %d outstanding)", ErrQueueFull, t.id, n)
-		}
-		if t.pending.CompareAndSwap(n, n+1) {
-			break
-		}
+	// pending only grows here, under the pool mutex, so checking and then
+	// adding cannot overshoot the bound.
+	if n := t.pending.Load(); n >= int32(p.opts.QueueDepth) {
+		t.count(outShed)
+		return admission{}, fmt.Errorf("%w (tenant %s, %d outstanding)", ErrQueueFull, t.id, n)
 	}
+	t.pending.Add(1)
 	p.inflight.Add(1)
-	return t, nil
+	return admission{p: p, t: t}, nil
 }
 
-// expireErr maps a context that fired while the request was queued.
-func (p *Pool) expireErr(ctx context.Context, t *tenant) error {
-	err := ctxQueueErr(ctx)
-	p.countExpiry(err)
-	t.failures.Add(1)
-	return fmt.Errorf("server: tenant %s: request expired while queued: %w", t.id, err)
-}
-
-func (p *Pool) countExpiry(err error) {
-	if isCanceled(err) {
-		p.m.canceled.Inc()
-	} else {
-		p.m.expired.Inc()
+// wait blocks, under ctx, for the tenant's gate — sessions are
+// single-flight — and, for engine work, then for a worker slot: never the
+// reverse, so a tenant's queued requests cannot hog the global budget
+// while waiting on their own serialization. Engine work also gets what
+// every run carries: a request id (the daemon propagates the client's or
+// the LB's X-Netupdate-Request-Id; direct API callers get one minted
+// here) and, when ctx has no deadline, PoolOptions.DefaultTimeout. The
+// returned context is the one to run under.
+func (a *admission) wait(ctx context.Context, engine bool) (context.Context, error) {
+	if engine {
+		if obs.RequestIDFrom(ctx) == "" {
+			ctx = obs.WithRequestID(ctx, obs.NewRequestID())
+		}
+		if _, has := ctx.Deadline(); !has && a.p.opts.DefaultTimeout > 0 {
+			ctx, a.cancel = context.WithTimeout(ctx, a.p.opts.DefaultTimeout)
+		}
 	}
+	enqueued := time.Now()
+	select {
+	case a.t.gate <- struct{}{}:
+		a.gate = true
+	case <-ctx.Done():
+		return ctx, a.expired(ctx)
+	}
+	if engine {
+		select {
+		case a.p.slots <- struct{}{}:
+			a.slot = true
+		case <-ctx.Done():
+			return ctx, a.expired(ctx)
+		}
+	}
+	a.waited = time.Since(enqueued)
+	return ctx, nil
 }
 
-func ctxQueueErr(ctx context.Context) error {
+// expired accounts for a context that fired while the request was queued.
+func (a *admission) expired(ctx context.Context) error {
+	err := core.ErrCanceled
 	if ctx.Err() == context.DeadlineExceeded {
-		return core.ErrTimeout
+		err = core.ErrTimeout
 	}
-	return core.ErrCanceled
+	a.t.count(outcomeOf(err))
+	return fmt.Errorf("server: tenant %s: request expired while queued: %w", a.t.id, err)
 }
 
-func isInfeasible(err error) bool { return errors.Is(err, core.ErrNoOrdering) }
-
-func isExpiry(err error) bool {
-	return errors.Is(err, core.ErrTimeout) || errors.Is(err, core.ErrCanceled)
+func (a *admission) leave() {
+	if a.slot {
+		<-a.p.slots
+	}
+	if a.gate {
+		a.p.release(a.t)
+	}
+	if a.cancel != nil {
+		a.cancel()
+	}
+	a.t.pending.Add(-1)
+	a.p.inflight.Done()
 }
-
-func isCanceled(err error) bool { return errors.Is(err, core.ErrCanceled) }
 
 // ensureWarm returns the tenant's session, rebuilding it when cold, and
 // refreshes the tenant's LRU position. Must be called with the tenant
@@ -552,29 +502,22 @@ func isCanceled(err error) bool { return errors.Is(err, core.ErrCanceled) }
 // learned. A build beyond the budget evicts the least-recently-used idle
 // session.
 func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
-	p.mu.Lock()
-	if t.sess != nil {
-		p.lru.MoveToFront(t.elem)
-		sess := t.sess
-		p.mu.Unlock()
+	sess, snap := p.warmSession(t)
+	if sess != nil {
 		return sess, nil
 	}
-	snap := t.snap
-	p.mu.Unlock()
 
 	// Build outside the pool lock: construction rebuilds every per-class
 	// structure and may take longer than other tenants can wait. The gate
 	// keeps this single-flight per tenant (t.cur cannot move under us).
-	res := p.arenas.get(t.arenaFP, t.base.Topo)
-	var sess *core.Session
-	restored := false
+	res := p.sessionResources(t.arenaFP, t.base.Topo)
 	if len(snap) > 0 {
 		restoreStart := time.Now()
-		if s2, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, snap, res); err == nil {
-			if diff := config.Diff(s2.Current(), t.cur); len(diff) == 0 {
-				sess, restored = s2, true
-				p.m.snapRestore.Observe(time.Since(restoreStart))
-			}
+		s2, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, snap, res)
+		if err == nil && len(config.Diff(s2.Current(), t.cur)) == 0 {
+			sess = s2
+			p.m.snapRestore.Observe(time.Since(restoreStart))
+			t.restores.Add(1)
 		}
 	}
 	if sess == nil {
@@ -583,30 +526,30 @@ func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 		if err != nil {
 			return nil, err
 		}
+		t.coldRebuilds.Add(1)
 	}
 	p.attachLearning(t, sess)
-	if t.builds.Add(1) > 1 {
-		p.m.rebuilds.Inc()
-	}
-	if restored {
-		t.snapRestores.Add(1)
-		p.m.snapshotRestores.Inc()
-	}
-
 	p.mu.Lock()
-	t.snap = nil // consumed (or superseded by the fresh session)
-	t.sess = sess
-	t.elem = p.lru.PushFront(t)
-	p.evictLocked()
+	p.warmLocked(t, sess)
 	p.mu.Unlock()
 	return sess, nil
 }
 
-// attachLearning points a rebuilt session at the tenant's shared plan
-// cache.
+// warmSession returns the tenant's session, refreshing its LRU position,
+// or — the tenant being cold — nil and the eviction image it left behind.
+func (p *Pool) warmSession(t *tenant) (*core.Session, []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if t.sess != nil {
+		p.lru.MoveToFront(t.elem)
+	}
+	return t.sess, t.snap
+}
+
+// attachLearning points a session at the tenant's shared plan cache.
 func (p *Pool) attachLearning(t *tenant, sess *core.Session) {
 	if t.learnID != "" {
-		sess.SetCache(p.learn.get(t.learnID))
+		sess.SetCache(p.planCache(t.learnID))
 	}
 }
 
@@ -617,7 +560,7 @@ func (p *Pool) portable(t *tenant, img []byte) ([]byte, error) {
 	if t.learnID == "" {
 		return img, nil
 	}
-	return core.EmbedCache(img, p.learn.get(t.learnID))
+	return core.EmbedCache(img, p.planCache(t.learnID))
 }
 
 // release hands back a tenant's gate and re-enforces the session budget:
@@ -640,7 +583,7 @@ func (p *Pool) release(t *tenant) {
 // instead of paying a cold rebuild; a failed capture leaves no snapshot
 // and the tenant rebuilds cold.
 func (p *Pool) evictLocked() {
-	budget := p.opts.maxSessions()
+	budget := p.opts.MaxSessions
 	for e := p.lru.Back(); e != nil && p.lru.Len() > budget; {
 		prev := e.Prev()
 		t := e.Value.(*tenant)
@@ -665,132 +608,34 @@ func (p *Pool) evictLocked() {
 func (p *Pool) TenantStats(id string) (*TenantStats, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t, ok := p.tenants[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownTenant, id)
+	t, err := p.tenantLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	st := &TenantStats{
-		ID:       t.id,
-		Name:     t.base.Name,
-		Classes:  len(t.base.Specs),
-		Switches: t.base.Topo.NumSwitches(),
-		Warm:     t.sess != nil,
-		Pending:  int(t.pending.Load()),
-		Runs:     t.runs.Load(),
-		Plans:    t.plans.Load(),
-		Failures: t.failures.Load(),
-		Acks:     t.acks.Load(),
-		Repairs:  t.repairs.Load(),
+		ID:               t.id,
+		Name:             t.base.Name,
+		Classes:          len(t.base.Specs),
+		Switches:         t.base.Topo.NumSwitches(),
+		Warm:             t.sess != nil,
+		Pending:          int(t.pending.Load()),
+		Runs:             t.runs.Load(),
+		Plans:            t.outcomes[outPlan].Load(),
+		Failures:         t.failures(),
+		Acks:             t.outcomes[outAcked].Load(),
+		Repairs:          t.outcomes[outRepaired].Load(),
+		Rebuilds:         t.rebuilds(),
+		SnapshotRestores: t.restores.Load(),
+		ColdRebuilds:     t.coldRebuilds.Load(),
+		SnapshotBytes:    len(t.snap),
+		LastSynthMS:      float64(t.lastNS.Load()) / 1e6,
+		CacheHits:        t.cacheHits.Load(),
+		CacheMisses:      t.cacheMisses.Load(),
 	}
-	if b := t.builds.Load(); b > 1 {
-		st.Rebuilds = b - 1
-	}
-	st.SnapshotRestores = t.snapRestores.Load()
-	st.ColdRebuilds = st.Rebuilds - st.SnapshotRestores
-	st.SnapshotBytes = len(t.snap)
-	st.CacheHits = t.cacheHits.Load()
-	st.CacheMisses = t.cacheMisses.Load()
-	st.LastSynthMS = float64(t.lastNS.Load()) / 1e6
 	if st.Runs > 0 {
 		st.MeanSynthMS = float64(t.totalNS.Load()) / 1e6 / float64(st.Runs)
 	}
 	return st, nil
-}
-
-// PoolStats is the pool-wide serving summary behind GET /metrics.
-type PoolStats struct {
-	Tenants      int   `json:"tenants"`
-	WarmSessions int   `json:"warmSessions"`
-	Workers      int   `json:"workers"`
-	Requests     int64 `json:"requests"`
-	Plans        int64 `json:"plans"`
-	Infeasible   int64 `json:"infeasible"`
-	Failures     int64 `json:"failures"`
-	BadRequests  int64 `json:"badRequests"`
-	// RejectedQueueFull counts load-shed admissions (ErrQueueFull).
-	RejectedQueueFull int64 `json:"rejectedQueueFull"`
-	// DeadlineExpired counts requests whose deadline fired (queued or
-	// mid-search); Canceled counts outright context cancellations.
-	DeadlineExpired int64 `json:"deadlineExpired"`
-	Canceled        int64 `json:"canceled"`
-	Evictions       int64 `json:"evictions"`
-	SessionRebuilds int64 `json:"sessionRebuilds"`
-	// SnapshotRestores counts rebuilds served from an eviction-time
-	// snapshot; ColdRebuilds are the rest (missing, rejected, or stale
-	// snapshots). SnapshotBytesHeld is the total size of snapshots
-	// currently held for evicted tenants; SharedArenas counts the
-	// distinct topology shapes whose state arenas tenants share.
-	SnapshotRestores  int64 `json:"snapshotRestores"`
-	ColdRebuilds      int64 `json:"coldRebuilds"`
-	SnapshotBytesHeld int64 `json:"snapshotBytesHeld"`
-	SharedArenas      int   `json:"sharedArenas"`
-	// StepAcks counts recorded plan-step commit acks; Repairs counts
-	// failure reports answered with a repair plan, RepairFailures those
-	// that could not be repaired (evicted session, invalid committed set,
-	// infeasible even through the fallback ladder).
-	StepAcks       int64 `json:"stepAcks"`
-	Repairs        int64 `json:"repairs"`
-	RepairFailures int64 `json:"repairFailures"`
-	// Latency totals for deriving rates and means externally.
-	QueueWaitMSTotal float64 `json:"queueWaitMsTotal"`
-	SynthMSTotal     float64 `json:"synthMsTotal"`
-	SynthMSMax       float64 `json:"synthMsMax"`
-	// Shared plan-cache totals, aggregated across the pool's learning
-	// stores (learn.go). PlanCacheHits counts requests served from the
-	// verification-first fast path; PlanCacheVerifyFailures counts stale
-	// or corrupted entries caught by replay (each fell back to the full
-	// search); PlanCacheEvictions counts capacity evictions.
-	PlanCacheHits           int64 `json:"planCacheHits"`
-	PlanCacheMisses         int64 `json:"planCacheMisses"`
-	PlanCacheVerifyFailures int64 `json:"planCacheVerifyFailures"`
-	PlanCacheEvictions      int64 `json:"planCacheEvictions"`
-	PlanCacheEntries        int   `json:"planCacheEntries"`
-	LearnStores             int   `json:"learnStores"`
-}
-
-// Stats snapshots the pool counters.
-func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	tenants := len(p.tenants)
-	warm := p.lru.Len()
-	var snapBytes int64
-	for _, t := range p.tenants {
-		snapBytes += int64(len(t.snap))
-	}
-	p.mu.Unlock()
-	cache, stores := p.learn.totals()
-	synthNS := p.m.synthHit.SumNanos() + p.m.synthMiss.SumNanos() + p.m.synthRepair.SumNanos()
-	return PoolStats{
-		PlanCacheHits:           cache.Hits,
-		PlanCacheMisses:         cache.Misses,
-		PlanCacheVerifyFailures: cache.VerifyFailures,
-		PlanCacheEvictions:      cache.Evictions,
-		PlanCacheEntries:        cache.Entries,
-		LearnStores:             stores,
-		Tenants:                 tenants,
-		WarmSessions:            warm,
-		Workers:                 p.opts.workers(),
-		Requests:                p.m.requests.Value(),
-		Plans:                   p.m.plans.Value(),
-		Infeasible:              p.m.infeasible.Value(),
-		Failures:                p.m.failures.Value(),
-		BadRequests:             p.m.badRequests.Value(),
-		RejectedQueueFull:       p.m.rejectedQueue.Value(),
-		DeadlineExpired:         p.m.expired.Value(),
-		Canceled:                p.m.canceled.Value(),
-		Evictions:               p.m.evictions.Value(),
-		SessionRebuilds:         p.m.rebuilds.Value(),
-		SnapshotRestores:        p.m.snapshotRestores.Value(),
-		ColdRebuilds:            p.m.rebuilds.Value() - p.m.snapshotRestores.Value(),
-		SnapshotBytesHeld:       snapBytes,
-		SharedArenas:            p.arenas.size(),
-		StepAcks:                p.m.acks.Value(),
-		Repairs:                 p.m.repairs.Value(),
-		RepairFailures:          p.m.repairFailures.Value(),
-		QueueWaitMSTotal:        float64(p.m.queueWait.SumNanos()) / 1e6,
-		SynthMSTotal:            float64(synthNS) / 1e6,
-		SynthMSMax:              float64(maxSynthNanos(&p.m)) / 1e6,
-	}
 }
 
 // Close drains the pool: new requests (and registrations) are refused

@@ -94,8 +94,8 @@ func poolPlans(t *testing.T, p *server.Pool, loads []*bench.TenantLoad) [][]stri
 // Synthesizer, across all four checker backends. Run with -race in CI,
 // this doubles as the cross-tenant concurrency soundness check.
 func TestPoolMultiTenantConformance(t *testing.T) {
-	for _, checker := range []string{"incremental", "batch", "nusmv", "netplumber"} {
-		t.Run(checker, func(t *testing.T) {
+	for _, checker := range []core.CheckerKind{core.CheckerIncremental, core.CheckerBatch, core.CheckerNuSMV, core.CheckerNetPlumber} {
+		t.Run(checker.String(), func(t *testing.T) {
 			loads, err := bench.MakeTenantLoads(8, 40, 3, server.OptionsSpec{Checker: checker}, 7)
 			if err != nil {
 				t.Fatal(err)
@@ -114,9 +114,8 @@ func TestPoolMultiTenantConformance(t *testing.T) {
 					}
 				}
 			}
-			st := p.Stats()
-			if st.Tenants != 8 || st.Plans != int64(8*3) {
-				t.Fatalf("stats = %+v", st)
+			if n, plans := p.Metric("pool_tenants"), p.Metric("plans_total"); n != 8 || plans != 8*3 {
+				t.Fatalf("tenants = %g, plans = %g", n, plans)
 			}
 		})
 	}
@@ -161,12 +160,11 @@ func TestPoolEvictionRebuild(t *testing.T) {
 			}
 		}
 	}
-	st := p.Stats()
-	if st.WarmSessions > 2 {
-		t.Fatalf("warm sessions = %d, budget 2", st.WarmSessions)
+	if warm := p.Metric("pool_warm_sessions"); warm > 2 {
+		t.Fatalf("warm sessions = %g, budget 2", warm)
 	}
-	if st.Evictions == 0 || st.SessionRebuilds == 0 {
-		t.Fatalf("expected evictions and rebuilds, got %+v", st)
+	if ev, rb := p.Metric("evictions_total"), p.Metric("session_rebuilds_total"); ev == 0 || rb == 0 {
+		t.Fatalf("expected evictions and rebuilds, got %g and %g", ev, rb)
 	}
 	// Tenant stats reflect the cold/warm split.
 	cold := 0
@@ -212,9 +210,8 @@ func TestPoolDeadlineExceeded(t *testing.T) {
 	if plan, err := p.Synthesize(context.Background(), info.ID, &loads[0].Deltas[0]); err != nil || plan == nil {
 		t.Fatalf("tenant dead after expired request: %v", err)
 	}
-	st := p.Stats()
-	if st.DeadlineExpired != 1 || st.Plans != 1 {
-		t.Fatalf("stats = %+v", st)
+	if exp, plans := p.Metric("deadline_expired_total"), p.Metric("plans_total"); exp != 1 || plans != 1 {
+		t.Fatalf("expired = %g, plans = %g", exp, plans)
 	}
 }
 
@@ -267,7 +264,7 @@ func TestPoolRegisterIdempotent(t *testing.T) {
 		t.Fatalf("a = %+v, b = %+v", a, b)
 	}
 	other := *loads[0].Spec
-	other.Options = server.OptionsSpec{Checker: "batch"}
+	other.Options = server.OptionsSpec{Checker: core.CheckerBatch}
 	c, err := p.Register(&other)
 	if err != nil {
 		t.Fatal(err)
@@ -352,12 +349,11 @@ func TestPoolSoak(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	st := p.Stats()
-	if st.Plans == 0 {
-		t.Fatalf("soak served nothing: %+v", st)
+	if p.Metric("plans_total") == 0 {
+		t.Fatal("soak served nothing")
 	}
 	if err := p.CheckAtRest(); err != nil {
-		t.Fatalf("at rest after the soak: %v (%+v)", err, st)
+		t.Fatalf("at rest after the soak: %v", err)
 	}
 	if err := p.Close(context.Background()); err != nil {
 		t.Fatal(err)
@@ -415,13 +411,12 @@ func BenchmarkPoolEvictRestore(b *testing.B) {
 		verify += plan.Stats.VerifyElapsed
 	}
 	b.StopTimer()
-	st := p.Stats()
-	if st.ColdRebuilds != 0 || st.SnapshotRestores < int64(b.N)-1 {
-		b.Fatalf("churn not served by restore: %+v", st)
+	if cold, rest := p.Metric("cold_rebuilds_total"), p.Metric("snapshot_restores_total"); cold != 0 || rest < float64(b.N)-1 {
+		b.Fatalf("churn not served by restore: %g cold rebuilds, %g restores", cold, rest)
 	}
 	// The two whole-session costs a restored session can hide: target
 	// verification on its first run, and the size of the image held for
 	// the tenant that is out.
 	b.ReportMetric(float64(verify.Nanoseconds())/float64(b.N), "verify-ns/op")
-	b.ReportMetric(float64(st.SnapshotBytesHeld), "held-image-B")
+	b.ReportMetric(p.Metric("snapshot_bytes"), "held-image-B")
 }

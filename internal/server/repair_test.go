@@ -19,7 +19,7 @@ import (
 // from the reported committed state and returns the repair plan; invalid
 // reports are rejected with the session intact.
 func TestPoolAckRepair(t *testing.T) {
-	loads, err := bench.MakeTenantLoads(1, 40, 2, server.OptionsSpec{Parallel: 1}, 17)
+	loads, err := bench.MakeTenantLoads(1, 40, 2, server.OptionsSpec{Parallelism: 1}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +80,8 @@ func TestPoolAckRepair(t *testing.T) {
 		t.Fatalf("tenant dead after repair: %v", err)
 	}
 
-	st := p.Stats()
-	if st.StepAcks != 1 || st.Repairs != 2 || st.RepairFailures != 2 {
-		t.Fatalf("pool stats = %+v", st)
+	if a, r, f := p.Metric("step_acks_total"), p.Metric("repairs_total"), p.Metric("repair_failures_total"); a != 1 || r != 2 || f != 2 {
+		t.Fatalf("pool counts %g acks, %g repairs, %g repair failures", a, r, f)
 	}
 	ts, err := p.TenantStats(info.ID)
 	if err != nil {
@@ -97,7 +96,7 @@ func TestPoolAckRepair(t *testing.T) {
 // session cannot be repaired (the warm crash-tracking state is gone) and
 // says so with core.ErrNoPlan; the client falls back to a fresh delta.
 func TestPoolAckEvictedSession(t *testing.T) {
-	loads, err := bench.MakeTenantLoads(2, 40, 1, server.OptionsSpec{Parallel: 1}, 29)
+	loads, err := bench.MakeTenantLoads(2, 40, 1, server.OptionsSpec{Parallelism: 1}, 29)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +121,8 @@ func TestPoolAckEvictedSession(t *testing.T) {
 	if !errors.Is(aerr, core.ErrNoPlan) || !strings.Contains(aerr.Error(), "evicted") {
 		t.Fatalf("evicted failure ack: err = %v, want evicted + core.ErrNoPlan", aerr)
 	}
-	if st := p.Stats(); st.RepairFailures != 1 {
-		t.Fatalf("stats = %+v", st)
+	if f := p.Metric("repair_failures_total"); f != 1 {
+		t.Fatalf("repair failures = %g", f)
 	}
 }
 

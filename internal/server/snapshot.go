@@ -18,19 +18,15 @@ import (
 // This is the export half of tenant migration: the bytes returned here
 // restore byte-identically on any replica registered with the same spec.
 func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
-	t, err := p.admit(id)
+	a, err := p.admit(id)
 	if err != nil {
 		return nil, err
 	}
-	defer p.inflight.Done()
-	defer t.pending.Add(-1)
-
-	select {
-	case t.gate <- struct{}{}:
-	case <-ctx.Done():
-		return nil, p.expireErr(ctx, t)
+	defer a.leave()
+	if _, err := a.wait(ctx, false); err != nil {
+		return nil, err
 	}
-	defer p.release(t)
+	t := a.t
 
 	sess, err := p.ensureWarm(t)
 	if err != nil {
@@ -57,56 +53,32 @@ func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
 // fresh). Rejected images (core.ErrBadSnapshot and friends) leave the
 // tenant untouched.
 func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error {
-	t, err := p.admit(id)
+	a, err := p.admit(id)
 	if err != nil {
 		return err
 	}
-	defer p.inflight.Done()
-	defer t.pending.Add(-1)
-
-	select {
-	case t.gate <- struct{}{}:
-	case <-ctx.Done():
-		return p.expireErr(ctx, t)
+	defer a.leave()
+	if _, err := a.wait(ctx, false); err != nil {
+		return err
 	}
-	defer p.release(t)
+	t := a.t
 
-	res := p.arenas.get(t.arenaFP, t.base.Topo)
-	sess, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, img, res)
+	sess, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, img,
+		p.sessionResources(t.arenaFP, t.base.Topo))
 	if err != nil {
 		return fmt.Errorf("server: tenant %s: install snapshot: %w", t.id, err)
 	}
 	if c := sess.Cache(); c != nil && t.learnID != "" {
-		_ = p.learn.get(t.learnID).Restore(c.Snapshot()) // c's entries were validated when it was decoded
+		_ = p.planCache(t.learnID).Restore(c.Snapshot()) // c's entries were validated when it was decoded
 	}
 	p.attachLearning(t, sess)
-	t.builds.Add(1)
-	t.snapRestores.Add(1)
-	p.m.snapshotRestores.Add(1)
+	t.restores.Add(1)
 
 	p.mu.Lock()
 	t.cur = sess.Current()
-	t.snap = nil
-	if t.elem != nil {
-		p.lru.MoveToFront(t.elem)
-	} else {
-		t.elem = p.lru.PushFront(t)
-	}
-	t.sess = sess
-	p.evictLocked()
+	p.warmLocked(t, sess)
 	p.mu.Unlock()
 	return nil
-}
-
-// TenantIDs lists the registered tenant ids.
-func (p *Pool) TenantIDs() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ids := make([]string, 0, len(p.tenants))
-	for id := range p.tenants {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // TenantSpecOf returns the registration document a tenant was created
@@ -115,9 +87,9 @@ func (p *Pool) TenantIDs() []string {
 func (p *Pool) TenantSpecOf(id string) (*TenantSpec, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t, ok := p.tenants[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownTenant, id)
+	t, err := p.tenantLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	return t.spec, nil
 }
@@ -165,9 +137,9 @@ func (p *Pool) SnapshotAll() map[string][]byte {
 func (p *Pool) ConfigOf(id string) (*config.Config, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t, ok := p.tenants[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownTenant, id)
+	t, err := p.tenantLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	return t.cur, nil
 }

@@ -95,12 +95,12 @@ func TestEvictionSnapshotRestoreByteIdentity(t *testing.T) {
 	if st.SnapshotRestores != 1 || st.ColdRebuilds != 0 {
 		t.Fatalf("resume not served by restore: %+v", st)
 	}
-	ps := evicting.Stats()
-	if ps.SnapshotRestores != 1 || ps.ColdRebuilds != 0 || ps.Evictions == 0 {
-		t.Fatalf("pool stats = %+v", ps)
+	rest, cold, ev := evicting.Metric("snapshot_restores_total"), evicting.Metric("cold_rebuilds_total"), evicting.Metric("evictions_total")
+	if rest != 1 || cold != 0 || ev == 0 {
+		t.Fatalf("pool counts %g restores, %g cold rebuilds, %g evictions", rest, cold, ev)
 	}
-	if n := evicting.m.sessionEvict.Count(); n != ps.Evictions {
-		t.Fatalf("evict histogram observed %d of %d evictions", n, ps.Evictions)
+	if n := evicting.m.sessionEvict.Count(); float64(n) != ev {
+		t.Fatalf("evict histogram observed %d of %g evictions", n, ev)
 	}
 }
 
@@ -114,16 +114,16 @@ func TestSharedArenaRegistry(t *testing.T) {
 	if _, err := p.Register(testSpec("beta")); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stats().SharedArenas; got != 1 {
-		t.Fatalf("same-topology tenants use %d arenas, want 1", got)
+	if got := p.Metric("shared_arenas"); got != 1 {
+		t.Fatalf("same-topology tenants use %g arenas, want 1", got)
 	}
 	other := testSpec("gamma")
 	other.Topology.Links = append(other.Topology.Links, [2]int{1, 2})
 	if _, err := p.Register(other); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stats().SharedArenas; got != 2 {
-		t.Fatalf("distinct topologies use %d arenas, want 2", got)
+	if got := p.Metric("shared_arenas"); got != 2 {
+		t.Fatalf("distinct topologies use %g arenas, want 2", got)
 	}
 }
 
@@ -382,4 +382,67 @@ func specJSON(t *testing.T, spec *TenantSpec) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestMigrationInstallKeepsCountersConsistent: installing a migrated
+// snapshot is a session rebuild served by a restore. It used to bump the
+// restore count but not the pool's rebuild count, so the counter
+// netupdate_cold_rebuilds_total (rebuilds - restores) read -1 on /metrics
+// while the tenant's own stats said 0. No family may go negative, and the
+// pool totals are the sums of the tenants' rows.
+func TestMigrationInstallKeepsCountersConsistent(t *testing.T) {
+	src := NewPool(PoolOptions{Workers: 1})
+	dst := NewPool(PoolOptions{Workers: 1})
+	dstTS := httptest.NewServer(NewHandler(dst))
+	defer dstTS.Close()
+
+	spec := testSpec("migrant")
+	info, err := src.Register(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Synthesize(context.Background(), info.ID, flipDelta()); err != nil {
+		t.Fatal(err)
+	}
+	img, err := src.SnapshotTenant(context.Background(), info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Register(testSpec("bystander")); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.InstallSnapshot(context.Background(), info.ID, img); err != nil {
+		t.Fatal(err)
+	}
+
+	scrape := scrapeMetrics(t, dstTS.URL)
+	for series, v := range scrape.samples {
+		if v < 0 {
+			t.Errorf("%s = %g: negative", series, v)
+		}
+	}
+	for family, want := range map[string]float64{
+		"netupdate_session_rebuilds_total":  1,
+		"netupdate_snapshot_restores_total": 1,
+		"netupdate_cold_rebuilds_total":     0,
+	} {
+		if got := scrape.samples[family]; got != want {
+			t.Errorf("%s = %g, want %g", family, got, want)
+		}
+	}
+	st, err := dst.TenantStats(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rebuilds != 1 || st.SnapshotRestores != 1 || st.ColdRebuilds != 0 {
+		t.Errorf("tenant stats = %+v", st)
+	}
+	for _, p := range []*Pool{src, dst} {
+		if err := p.CheckAtRest(); err != nil {
+			t.Error(err)
+		}
+	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -26,15 +25,26 @@ import (
 // position is unreliable — are terminal, and they too are reported as a
 // positioned Result line first.
 func ServeStdio(ctx context.Context, in io.Reader, out io.Writer, errw io.Writer, p *Pool, opts core.Options, quiet bool) error {
-	lines := config.NewLineCountingReader(in)
+	// A signal must interrupt the wait for the next line, not just the
+	// synthesis between lines, so the input is read through a pipe whose
+	// write side closes when ctx is done. The copying goroutine exits on
+	// its next read (or stays blocked on a silent stdin until the process
+	// exits, holding nothing).
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	go func() {
+		_, err := io.Copy(pw, in)
+		pw.CloseWithError(err)
+	}()
+	defer context.AfterFunc(ctx, func() { pw.Close() })()
+	lines := config.NewLineCountingReader(pr)
 	dec := json.NewDecoder(lines)
 	dec.DisallowUnknownFields()
 	var h config.StreamHeader
 	if err := dec.Decode(&h); err != nil {
 		return fmt.Errorf("server: stream header (line %d): %w", lines.DecodeErrorLine(err, dec), err)
 	}
-	spec := &TenantSpec{StreamHeader: h, Options: OptionsSpecOf(opts)}
-	info, err := p.Register(spec)
+	info, err := p.Register(&TenantSpec{StreamHeader: h, Options: OptionsSpec(opts)})
 	if err != nil {
 		return err
 	}
@@ -42,94 +52,15 @@ func ServeStdio(ctx context.Context, in io.Reader, out io.Writer, errw io.Writer
 		fmt.Fprintf(errw, "stream %q: tenant %s, %d switches, %d classes\n",
 			info.Name, info.ID, info.Switches, info.Classes)
 	}
-
-	// Decode on a separate goroutine so a signal interrupts the wait for
-	// the next line, not just the synthesis between lines. The reader owns
-	// dec/lines; after cancellation its last pending item is dropped and
-	// the goroutine exits on the next read (or stays blocked on a silent
-	// stdin until the process exits, holding nothing).
-	type item struct {
-		req   streamRequest
-		line  int
-		err   error
-		errLn int
+	// The in-flight synthesis deliberately ignores ctx: a signal stops
+	// intake, the current request finishes and its plan line is flushed
+	// (the engine's own Options.Timeout still bounds it).
+	served, err := serveLines(ctx, context.Background(), 0, p, info.ID, lines, dec, out)
+	if !quiet {
+		if ctx.Err() != nil {
+			fmt.Fprintln(errw, "signal: stopped accepting input, draining")
+		}
+		fmt.Fprintf(errw, "stream done: %d syntheses served\n", served)
 	}
-	items := make(chan item)
-	go func() {
-		defer close(items)
-		for {
-			var it item
-			if err := dec.Decode(&it.req); err != nil {
-				if err != io.EOF {
-					it.err = err
-					it.errLn = lines.DecodeErrorLine(err, dec)
-					select {
-					case items <- it:
-					case <-ctx.Done():
-					}
-				}
-				return
-			}
-			it.line = lines.LineAt(dec.InputOffset() - 1)
-			lines.Prune(dec.InputOffset())
-			select {
-			case items <- it:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	enc := json.NewEncoder(out)
-	seq := 0
-	defer func() {
-		if !quiet {
-			fmt.Fprintf(errw, "stream done: %d syntheses served\n", seq)
-		}
-	}()
-	for {
-		var it item
-		var ok bool
-		select {
-		case it, ok = <-items:
-			if !ok {
-				return nil // EOF
-			}
-		case <-ctx.Done():
-			if !quiet {
-				fmt.Fprintln(errw, "signal: stopped accepting input, draining")
-			}
-			return nil
-		}
-		seq++
-		if it.err != nil {
-			res := Result{
-				Seq: seq, Tenant: info.ID, Result: "error",
-				Error: fmt.Sprintf("tenant %s: stream: %v", info.ID, it.err),
-				Line:  it.errLn,
-			}
-			if encErr := enc.Encode(res); encErr != nil {
-				return encErr
-			}
-			return fmt.Errorf("server: tenant %s: stream delta %d (line %d): %w",
-				info.ID, seq, it.errLn, it.err)
-		}
-		// The in-flight synthesis deliberately ignores ctx: a signal
-		// stops intake, the current request finishes and its plan line is
-		// flushed (the engine's own Options.Timeout still bounds it).
-		var res Result
-		if it.req.Ack != nil {
-			plan, aerr := p.Ack(context.Background(), info.ID, it.req.Ack)
-			res = NewAckResult(seq, info.ID, plan, aerr)
-		} else {
-			plan, serr := p.Synthesize(context.Background(), info.ID, &it.req.StreamDelta)
-			res = NewResult(seq, info.ID, plan, serr)
-			if serr != nil && errors.Is(serr, config.ErrBadDelta) {
-				res.Line = it.line
-			}
-		}
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	}
+	return err
 }

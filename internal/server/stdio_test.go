@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -145,5 +147,75 @@ func TestServeStdioDecodeErrorTerminal(t *testing.T) {
 	}
 	if last.Result != "error" || last.Line != 5 {
 		t.Fatalf("decode error must be positioned on line 5: %+v", last)
+	}
+}
+
+// TestStdioAndHTTPAnswerAlike: both surfaces run the one line-serving
+// loop, so the same request lines — deltas, a bad delta, a commit ack, a
+// failure ack, a syntax error — must draw the same Result lines from
+// each, modulo timings and request ids.
+func TestStdioAndHTTPAnswerAlike(t *testing.T) {
+	header := strings.ReplaceAll(lineSpec, "\n", "")
+	requests := strings.Join([]string{
+		`{"reroute":[{"class":"c","path":[0,2,3]}]}`,
+		`{"reroute":[{"class":"ghost","path":[0,2,3]}]}`,
+		`{"ack":{"step":0}}`,
+		`{"ack":{"failed":true,"committed":[]}}`,
+		`{"reroute":[{"class":"c","path":[0,1,3]}]}`,
+		`{"reroute": broken`,
+	}, "\n") + "\n"
+
+	var out, errw lockedBuffer
+	p := server.NewPool(server.PoolOptions{Workers: 1})
+	err := server.ServeStdio(context.Background(), strings.NewReader(header+"\n"+requests), &out, &errw, p, core.Options{}, true)
+	if err == nil {
+		t.Fatal("the syntax error must end the stdio stream with an error")
+	}
+
+	ts, _ := startDaemon(t, server.PoolOptions{Workers: 1})
+	info := register(t, ts, header)
+	// The blank first line stands in for the header, so positions agree.
+	resp, err := http.Post(ts.URL+"/v1/tenants/"+info.ID+"/synthesize", "application/x-ndjson", strings.NewReader("\n"+requests))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// normalize decodes result lines and blanks what legitimately differs.
+	normalize := func(lines []string) []server.Result {
+		var results []server.Result
+		for _, l := range lines {
+			var r server.Result
+			if err := json.Unmarshal([]byte(l), &r); err != nil {
+				t.Fatalf("%q: %v", l, err)
+			}
+			if st := r.Stats; st != nil {
+				st.ElapsedMS, st.RebindMS, st.SearchMS, st.WaitRemovalMS, st.VerifyMS, st.CacheVerifyMS = 0, 0, 0, 0, 0, 0
+				st.RequestID = ""
+			}
+			results = append(results, r)
+		}
+		return results
+	}
+	viaStdio := normalize(out.lines())
+	viaHTTP := normalize(strings.Split(strings.TrimSpace(string(body)), "\n"))
+	var kinds []string
+	for _, r := range viaStdio {
+		kinds = append(kinds, r.Result)
+	}
+	if want := "plan error acked repair plan error"; strings.Join(kinds, " ") != want {
+		t.Fatalf("stdio answered %q, want %q", kinds, want)
+	}
+	if !reflect.DeepEqual(viaStdio, viaHTTP) {
+		a, _ := json.MarshalIndent(viaStdio, "", " ")
+		b, _ := json.MarshalIndent(viaHTTP, "", " ")
+		t.Fatalf("the surfaces answered differently\nstdio: %s\nhttp: %s", a, b)
+	}
+	if last := viaHTTP[len(viaHTTP)-1]; last.Line != 7 || viaHTTP[1].Line != 3 {
+		t.Fatalf("bad delta on line %d (want 3), syntax error on line %d (want 7)", viaHTTP[1].Line, last.Line)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"netupdate/internal/config"
 	"netupdate/internal/core"
@@ -30,112 +29,20 @@ type TenantSpec struct {
 	Options OptionsSpec `json:"options,omitempty"`
 }
 
-// OptionsSpec is the JSON form of the engine options that shape a
-// tenant's session — a faithful encoding of every core.Options field
-// (Build ∘ OptionsSpecOf is the identity), so no flag the stream CLI
-// accepts is silently dropped on its way through the pool. The worker
-// budget and queue bounds are pool-level policy, not per-tenant.
-type OptionsSpec struct {
-	// Checker selects the backend: "incremental" (default), "batch",
-	// "nusmv", or "netplumber".
-	Checker string `json:"checker,omitempty"`
-	// Rules switches to rule-granularity updates.
-	Rules bool `json:"rules,omitempty"`
-	// TwoSimple allows two updates per switch (merge then finalize).
-	TwoSimple bool `json:"twoSimple,omitempty"`
-	// NoWaitRemoval keeps every wait barrier.
-	NoWaitRemoval bool `json:"noWaitRemoval,omitempty"`
-	// NoDecompose forces one joint search per request.
-	NoDecompose bool `json:"noDecompose,omitempty"`
-	// Parallel is the per-synthesis worker count (0 = one per CPU, 1 =
-	// sequential).
-	Parallel int `json:"parallel,omitempty"`
-	// FirstPlan commits the first plan any search worker finds (faster,
-	// nondeterministic) instead of the sequential-equivalent plan.
-	FirstPlan bool `json:"firstPlan,omitempty"`
-	// NoCexLearning, NoEarlyTermination, and NoHeuristicOrder are the
-	// engine's ablation switches.
-	NoCexLearning      bool `json:"noCexLearning,omitempty"`
-	NoEarlyTermination bool `json:"noEarlyTermination,omitempty"`
-	NoHeuristicOrder   bool `json:"noHeuristicOrder,omitempty"`
-	// MinCompletion makes completion time under the DAG latency model a
-	// tie-breaker among valid plans (core.Options.MinimizeCompletionTime).
-	MinCompletion bool `json:"minCompletion,omitempty"`
-	// NoPlanCache opts the tenant out of the pool's shared plan cache and
-	// persistent learning (core.Options.NoPlanCache): every request pays
-	// the full search.
-	NoPlanCache bool `json:"noPlanCache,omitempty"`
-	// Trace holds a span recorder on the tenant's session so every run
-	// exports its trace (core.Options.Trace). Per-request tracing via
-	// ?trace=1 needs no registration-time opt-in.
-	Trace bool `json:"trace,omitempty"`
-	// TimeoutNS bounds each synthesis inside the engine (nanoseconds, a
-	// time.Duration verbatim); requests may tighten it further per call
-	// via their deadline.
-	TimeoutNS int64 `json:"timeoutNs,omitempty"`
-}
+// OptionsSpec is a tenant's engine options on the wire: core.Options
+// itself, encoded by its own json tags, so the JSON form, the netupdate
+// flags, and the engine cannot drift apart. Defaults are never spelled
+// (core.Options' zero values are omitted), which keeps Fingerprint
+// canonical: {"options":{}} and {"options":{"checker":"incremental"}}
+// are one tenant. The worker budget and queue bounds are pool-level
+// policy, not per-tenant.
+type OptionsSpec core.Options
 
-// Build translates the spec into engine options.
+// Build returns the engine options, rejecting a checker kind that names
+// no backend.
 func (o OptionsSpec) Build() (core.Options, error) {
-	opts := core.Options{
-		RuleGranularity:        o.Rules,
-		TwoSimple:              o.TwoSimple,
-		NoWaitRemoval:          o.NoWaitRemoval,
-		NoDecomposition:        o.NoDecompose,
-		Parallelism:            o.Parallel,
-		FirstPlanWins:          o.FirstPlan,
-		NoCexLearning:          o.NoCexLearning,
-		NoEarlyTermination:     o.NoEarlyTermination,
-		NoHeuristicOrder:       o.NoHeuristicOrder,
-		MinimizeCompletionTime: o.MinCompletion,
-		NoPlanCache:            o.NoPlanCache,
-		Trace:                  o.Trace,
-		Timeout:                time.Duration(o.TimeoutNS),
-	}
-	switch o.Checker {
-	case "", "incremental":
-		opts.Checker = core.CheckerIncremental
-	case "batch":
-		opts.Checker = core.CheckerBatch
-	case "nusmv":
-		opts.Checker = core.CheckerNuSMV
-	case "netplumber":
-		opts.Checker = core.CheckerNetPlumber
-	default:
-		return core.Options{}, fmt.Errorf("server: unknown checker %q", o.Checker)
-	}
-	return opts, nil
-}
-
-// OptionsSpecOf is the exact inverse of Build; the stream CLI uses it to
-// register its flag set as a tenant spec.
-func OptionsSpecOf(opts core.Options) OptionsSpec {
-	o := OptionsSpec{
-		Rules:              opts.RuleGranularity,
-		TwoSimple:          opts.TwoSimple,
-		NoWaitRemoval:      opts.NoWaitRemoval,
-		NoDecompose:        opts.NoDecomposition,
-		Parallel:           opts.Parallelism,
-		FirstPlan:          opts.FirstPlanWins,
-		NoCexLearning:      opts.NoCexLearning,
-		NoEarlyTermination: opts.NoEarlyTermination,
-		NoHeuristicOrder:   opts.NoHeuristicOrder,
-		MinCompletion:      opts.MinimizeCompletionTime,
-		NoPlanCache:        opts.NoPlanCache,
-		Trace:              opts.Trace,
-		TimeoutNS:          int64(opts.Timeout),
-	}
-	switch opts.Checker {
-	case core.CheckerBatch:
-		o.Checker = "batch"
-	case core.CheckerNuSMV:
-		o.Checker = "nusmv"
-	case core.CheckerNetPlumber:
-		o.Checker = "netplumber"
-	default:
-		o.Checker = "incremental"
-	}
-	return o
+	_, err := o.Checker.MarshalText()
+	return core.Options(o), err
 }
 
 // Fingerprint derives the tenant id from the canonical JSON encoding of

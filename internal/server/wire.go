@@ -1,7 +1,11 @@
 package server
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"time"
 
 	"netupdate/internal/config"
@@ -34,6 +38,60 @@ type StepAck struct {
 type streamRequest struct {
 	config.StreamDelta
 	Ack *StepAck `json:"ack,omitempty"`
+}
+
+// serveLines is the request loop of both serving surfaces: one
+// streamRequest per input value of dec (which reads through lines), served
+// through the pool under reqCtx — narrowed to perLine when positive — and
+// answered with one Result line on out, numbered from one. Semantically
+// invalid deltas (config.ErrBadDelta) are reported with their input line
+// and skipped. A decode error leaves the stream position unreliable, so it
+// is terminal: reported as a positioned Result line, and returned. End of
+// input, or intake being done once the request in hand is answered, ends
+// the loop with a nil error. The count is of requests answered.
+func serveLines(intake, reqCtx context.Context, perLine time.Duration, p *Pool, id string,
+	lines *config.LineCountingReader, dec *json.Decoder, out io.Writer) (int, error) {
+	enc := json.NewEncoder(out)
+	seq := 0
+	for intake.Err() == nil {
+		var req streamRequest
+		if err := dec.Decode(&req); err != nil {
+			if err == io.EOF || intake.Err() != nil {
+				return seq, nil
+			}
+			seq++
+			line := lines.DecodeErrorLine(err, dec)
+			res := Result{Seq: seq, Tenant: id, Result: "error", Line: line,
+				Error: fmt.Sprintf("tenant %s: stream: %v", id, err)}
+			if encErr := enc.Encode(res); encErr != nil {
+				return seq, encErr
+			}
+			return seq, fmt.Errorf("server: tenant %s: stream delta %d (line %d): %w", id, seq, line, err)
+		}
+		seq++
+		line := lines.LineAt(dec.InputOffset() - 1)
+		lines.Prune(dec.InputOffset())
+		ctx, cancel := reqCtx, context.CancelFunc(func() {})
+		if perLine > 0 {
+			ctx, cancel = context.WithTimeout(reqCtx, perLine)
+		}
+		var res Result
+		if req.Ack != nil {
+			plan, err := p.Ack(ctx, id, req.Ack)
+			res = NewAckResult(seq, id, plan, err)
+		} else {
+			plan, err := p.Synthesize(ctx, id, &req.StreamDelta)
+			res = NewResult(seq, id, plan, err)
+			if errors.Is(err, config.ErrBadDelta) {
+				res.Line = line
+			}
+		}
+		cancel()
+		if err := enc.Encode(res); err != nil {
+			return seq, err
+		}
+	}
+	return seq, nil
 }
 
 // Result is one output line.
