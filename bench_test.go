@@ -65,11 +65,11 @@ var parVariants = []struct {
 func BenchmarkFig7(b *testing.B) {
 	b.ReportAllocs()
 	families := []bench.Family{bench.FamilyZoo, bench.FamilyFatTree, bench.FamilySmallWorld}
-	checkers := []core.CheckerKind{core.CheckerIncremental, core.CheckerBatch, core.CheckerNuSMV}
+	checkers := []bench.Backend{bench.Incremental, bench.Batch, bench.NuSMVLike}
 	for _, fam := range families {
 		for _, ck := range checkers {
 			for _, v := range parVariants {
-				b.Run(string(fam)+"/"+ck.String()+"/"+v.name, func(b *testing.B) {
+				b.Run(string(fam)+"/"+ck.Name+"/"+v.name, func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						sc, err := bench.DiamondWorkload(fam, 60, config.Reachability, 60)
@@ -77,10 +77,10 @@ func BenchmarkFig7(b *testing.B) {
 							b.Fatal(err)
 						}
 						opts := core.Options{
-							Checker: ck, Timeout: benchTimeout,
+							Timeout:     benchTimeout,
 							Parallelism: v.par, FirstPlanWins: v.racy,
 						}
-						if _, err := core.Synthesize(sc, opts); err != nil {
+						if _, err := ck.Synthesize(sc, opts); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -94,16 +94,16 @@ func BenchmarkFig7(b *testing.B) {
 // the NetPlumber substitute at rule granularity.
 func BenchmarkFig7RuleGranularity(b *testing.B) {
 	b.ReportAllocs()
-	for _, ck := range []core.CheckerKind{core.CheckerIncremental, core.CheckerNetPlumber} {
-		b.Run(ck.String(), func(b *testing.B) {
+	for _, ck := range []bench.Backend{bench.Incremental, bench.NetPlumberLike} {
+		b.Run(ck.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sc, err := bench.DiamondWorkload(bench.FamilySmallWorld, 50, config.Reachability, 50)
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, err = core.Synthesize(sc, core.Options{
-					Checker: ck, RuleGranularity: true, Timeout: benchTimeout,
+				_, err = ck.Synthesize(sc, core.Options{
+					RuleGranularity: true, Timeout: benchTimeout,
 				})
 				if err != nil {
 					b.Fatal(err)

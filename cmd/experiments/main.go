@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"netupdate/internal/bench"
-	"netupdate/internal/core"
 )
 
 type scale struct {
@@ -221,7 +220,7 @@ func run(fig string, sc scale) ([]*bench.Table, error) {
 		}
 	}
 	if all || fig == "7" {
-		checkers := []core.CheckerKind{core.CheckerIncremental, core.CheckerBatch, core.CheckerNuSMV}
+		checkers := []bench.Backend{bench.Incremental, bench.Batch, bench.NuSMVLike}
 		for _, fam := range []bench.Family{bench.FamilyZoo, bench.FamilyFatTree, bench.FamilySmallWorld} {
 			t, _, err := bench.Fig7(fam, sc.fig7Sizes, checkers, sc.timeout)
 			if err != nil {

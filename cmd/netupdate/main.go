@@ -2,7 +2,7 @@
 // JSON scenario file (see internal/config.ScenarioFile for the format):
 //
 //	netupdate -f scenario.json
-//	netupdate -f scenario.json -checker batch -rules -timeout 30s
+//	netupdate -f scenario.json -rules -timeout 30s
 //	netupdate -f scenario.json -parallel 8 -first-plan
 //	netupdate -f scenario.json -dag -min-completion
 //	netupdate -f scenario.json -verify
@@ -34,7 +34,7 @@
 // delta on stdout, keeping the synthesis session warm between targets:
 //
 //	netupdate -stream < stream.jsonl
-//	netupdate -stream -checker incremental -parallel 4 < stream.jsonl
+//	netupdate -stream -parallel 4 < stream.jsonl
 //	netupdate -stream -learn-file learned.json < stream.jsonl
 //
 // -learn-file persists the stream session's plan cache and learned

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"netupdate/internal/core"
 	"netupdate/internal/server"
 )
 
@@ -79,7 +78,7 @@ func TestFig2b(t *testing.T) {
 
 func TestFig7SmallScale(t *testing.T) {
 	tb, points, err := Fig7(FamilySmallWorld, []int{30, 60},
-		[]core.CheckerKind{core.CheckerIncremental, core.CheckerBatch, core.CheckerNuSMV},
+		[]Backend{Incremental, Batch, NuSMVLike},
 		30*time.Second)
 	if err != nil {
 		t.Fatal(err)

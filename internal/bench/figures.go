@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"netupdate/internal/buchi"
 	"netupdate/internal/config"
 	"netupdate/internal/core"
 	"netupdate/internal/hsa"
@@ -95,6 +96,34 @@ func Fig2b() (*Table, error) {
 	return t, nil
 }
 
+// Backend is one row of the paper's checker comparison (Section 6, Figure
+// 7): a name for the report and the constructor its sessions build their
+// per-class checkers with. The engine serves the incremental checker
+// only; the other rows exist to regenerate the figure and reach the
+// engine through core.SessionResources.Factory.
+type Backend struct {
+	Name string
+	// New is nil for the served checker: the session's own incremental
+	// checker over its shared warmth, exactly what every daemon runs.
+	New mc.Factory
+}
+
+// The four backends of Figure 7. The NuSMV and NetPlumber rows are
+// stand-ins (DESIGN.md "Checker contract").
+var (
+	Incremental    = Backend{Name: "incremental"}
+	Batch          = Backend{Name: "batch", New: mc.NewBatch}
+	NuSMVLike      = Backend{Name: "nusmv-like", New: buchi.New}
+	NetPlumberLike = Backend{Name: "netplumber-like", New: hsa.New}
+
+	Backends = []Backend{Incremental, Batch, NuSMVLike, NetPlumberLike}
+)
+
+// Synthesize runs the one-shot synthesis with b's checkers.
+func (b Backend) Synthesize(sc *config.Scenario, opts core.Options) (*core.Plan, error) {
+	return core.SynthesizeWith(sc, opts, core.SessionResources{Factory: b.New})
+}
+
 // SynthesisPoint is one measurement of a synthesis sweep.
 type SynthesisPoint struct {
 	Size     int
@@ -107,7 +136,7 @@ type SynthesisPoint struct {
 // Fig7 reproduces Figure 7(a-c): synthesis runtime with the Incremental,
 // Batch, and NuSMV-substitute backends on one topology family, for the
 // reachability property.
-func Fig7(f Family, sizes []int, checkers []core.CheckerKind, timeout time.Duration) (*Table, []SynthesisPoint, error) {
+func Fig7(f Family, sizes []int, checkers []Backend, timeout time.Duration) (*Table, []SynthesisPoint, error) {
 	return sweep(fmt.Sprintf("Figure 7 (%s): synthesis runtime by checker", f),
 		f, sizes, checkers, config.Reachability, timeout, false)
 }
@@ -116,11 +145,11 @@ func Fig7(f Family, sizes []int, checkers []core.CheckerKind, timeout time.Durat
 // substitute at rule granularity; the x axis is the rule count.
 func Fig7Rule(f Family, sizes []int, timeout time.Duration) (*Table, []SynthesisPoint, error) {
 	return sweep(fmt.Sprintf("Figure 7 d-f (%s): rule-granularity runtime", f),
-		f, sizes, []core.CheckerKind{core.CheckerIncremental, core.CheckerNetPlumber},
+		f, sizes, []Backend{Incremental, NetPlumberLike},
 		config.Reachability, timeout, true)
 }
 
-func sweep(title string, f Family, sizes []int, checkers []core.CheckerKind, prop config.Property, timeout time.Duration, ruleGranularity bool) (*Table, []SynthesisPoint, error) {
+func sweep(title string, f Family, sizes []int, checkers []Backend, prop config.Property, timeout time.Duration, ruleGranularity bool) (*Table, []SynthesisPoint, error) {
 	var points []SynthesisPoint
 	for _, n := range sizes {
 		background := 0
@@ -138,29 +167,29 @@ func sweep(title string, f Family, sizes []int, checkers []core.CheckerKind, pro
 			Seconds:  map[string]float64{},
 		}
 		for _, ck := range checkers {
-			secs, err := timeSynthesis(sc, opt(core.Options{
-				Checker: ck, Timeout: timeout, RuleGranularity: ruleGranularity,
+			secs, err := timeSynthesis(ck, sc, opt(core.Options{
+				Timeout: timeout, RuleGranularity: ruleGranularity,
 			}))
 			if err != nil {
-				pt.Seconds[ck.String()] = -1
+				pt.Seconds[ck.Name] = -1
 				continue
 			}
-			pt.Seconds[ck.String()] = secs
+			pt.Seconds[ck.Name] = secs
 		}
 		points = append(points, pt)
 	}
 	t := &Table{Title: title}
 	t.Header = []string{"switches", "rules", "updating"}
 	for _, ck := range checkers {
-		t.Header = append(t.Header, ck.String()+"(s)")
+		t.Header = append(t.Header, ck.Name+"(s)")
 	}
 	for _, pt := range points {
 		row := []interface{}{pt.Size, pt.Rules, pt.Updating}
 		for _, ck := range checkers {
-			if s := pt.Seconds[ck.String()]; s < 0 {
+			if s := pt.Seconds[ck.Name]; s < 0 {
 				row = append(row, "t/o")
 			} else {
-				row = append(row, pt.Seconds[ck.String()])
+				row = append(row, s)
 			}
 		}
 		t.Add(row...)
@@ -168,9 +197,9 @@ func sweep(title string, f Family, sizes []int, checkers []core.CheckerKind, pro
 	return t, points, nil
 }
 
-func timeSynthesis(sc *config.Scenario, opts core.Options) (float64, error) {
+func timeSynthesis(b Backend, sc *config.Scenario, opts core.Options) (float64, error) {
 	start := time.Now()
-	_, err := core.Synthesize(sc, opts)
+	_, err := b.Synthesize(sc, opts)
 	if err != nil && !errors.Is(err, core.ErrNoOrdering) {
 		return 0, err
 	}
@@ -301,18 +330,14 @@ func CheckerOnly(n int) (*Table, error) {
 		Title:  "Section 6: checker-only comparison on identical MC questions",
 		Header: []string{"backend", "checks", "total(s)"},
 	}
-	for _, mk := range []struct {
-		name    string
-		factory mc.Factory
-	}{
-		{"incremental", mc.NewIncremental},
-		{"netplumber-like", hsa.New},
-	} {
-		secs, checks, err := replayPlan(sc, plan, mk.factory)
+	// Checkers are built directly here, outside any session, so the
+	// incremental row needs its constructor spelled.
+	for _, b := range []Backend{{Name: Incremental.Name, New: mc.NewIncremental}, NetPlumberLike} {
+		secs, checks, err := replayPlan(sc, plan, b.New)
 		if err != nil {
 			return nil, err
 		}
-		t.Add(mk.name, checks, secs)
+		t.Add(b.Name, checks, secs)
 	}
 	return t, nil
 }
@@ -366,18 +391,19 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 		Header: []string{"configuration", "result", "time(s)", "checks", "cex", "pruned"},
 	}
 	cases := []struct {
-		name string
-		opts core.Options
+		name    string
+		opts    core.Options
+		backend Backend
 	}{
-		{"full", core.Options{Timeout: timeout}},
-		{"no-cex-learning", core.Options{NoCexLearning: true, Timeout: timeout}},
-		{"no-early-termination", core.Options{NoEarlyTermination: true, Timeout: timeout}},
-		{"no-heuristic-order", core.Options{NoHeuristicOrder: true, Timeout: timeout}},
-		{"batch-checker", core.Options{Checker: core.CheckerBatch, Timeout: timeout}},
+		{"full", core.Options{Timeout: timeout}, Incremental},
+		{"no-cex-learning", core.Options{NoCexLearning: true, Timeout: timeout}, Incremental},
+		{"no-early-termination", core.Options{NoEarlyTermination: true, Timeout: timeout}, Incremental},
+		{"no-heuristic-order", core.Options{NoHeuristicOrder: true, Timeout: timeout}, Incremental},
+		{"batch-checker", core.Options{Timeout: timeout}, Batch},
 	}
 	for _, c := range cases {
 		start := time.Now()
-		plan, err := core.Synthesize(sc, opt(c.opts))
+		plan, err := c.backend.Synthesize(sc, opt(c.opts))
 		el := time.Since(start).Seconds()
 		switch {
 		case err == nil:

@@ -72,17 +72,13 @@ func (c *Checker) Stats() mc.Stats { return c.stats }
 // model; Update and Revert keep nothing.
 func (c *Checker) StatelessMC() {}
 
-// Rebind implements mc.Rebindable. The structure is mutated in place by
+// Rebind implements mc.Checker. The structure is mutated in place by
 // kripke.K.Rebind and the automaton is configuration-independent, so the
 // next Check re-encodes against the rebound transitions with no work
 // here.
 func (c *Checker) Rebind() {}
 
-// DeltaInvariantMC implements mc.DeltaInvariant: the product search reads
-// only the class structure, so an empty delta cannot change the verdict.
-func (c *Checker) DeltaInvariantMC() {}
-
-// CloneFor implements mc.Cloneable: the automaton is immutable and shared;
+// CloneFor implements mc.Checker: the automaton is immutable and shared;
 // the consistency matrix is rebuilt on the next Check anyway (batch mode),
 // so the clone is just a fresh view over the cloned structure.
 func (c *Checker) CloneFor(k2 *kripke.K) (mc.Checker, error) {
@@ -195,11 +191,11 @@ func (c *Checker) search() mc.Verdict {
 				// Ensure the counterexample reaches a sink (walk forward
 				// deterministically if the lasso closed early).
 				cex = extendToSink(c.k, cex)
-				return mc.Verdict{OK: false, Cex: cex, HasCex: true}
+				return mc.Verdict{OK: false, Cex: cex}
 			}
 		}
 	}
-	return mc.Verdict{OK: true, HasCex: true}
+	return mc.Verdict{OK: true}
 }
 
 // extendToSink walks an arbitrary continuation from the last state of the
@@ -225,11 +221,3 @@ func extendToSink(k *kripke.K, trace []int) []int {
 	}
 	return trace
 }
-
-var (
-	_ mc.Checker        = (*Checker)(nil)
-	_ mc.Cloneable      = (*Checker)(nil)
-	_ mc.Stateless      = (*Checker)(nil)
-	_ mc.Rebindable     = (*Checker)(nil)
-	_ mc.DeltaInvariant = (*Checker)(nil)
-)

@@ -23,68 +23,63 @@ func flapWalk(t *testing.T, seed int64, cycles int) (*config.RollingStream, []*c
 	return stream, walk
 }
 
-// TestCacheHitByteIdentical: across all four checker backends, a session
-// with the plan cache attached must return plans byte-identical to an
+// TestCacheHitByteIdentical: a session with the plan cache attached must return plans byte-identical to an
 // uncached session on every step of a flapping walk, serve every repeat
 // instance from the fast path (CacheHit), and keep honest counters.
 func TestCacheHitByteIdentical(t *testing.T) {
-	for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
-		t.Run(kind.String(), func(t *testing.T) {
-			stream, walk := flapWalk(t, 23, 3)
-			opts := Options{Checker: kind, Parallelism: 1}
-			cached, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
-			if err != nil {
-				t.Fatal(err)
+	stream, walk := flapWalk(t, 23, 3)
+	opts := Options{Parallelism: 1}
+	cached, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := cached.EnableCache()
+	if cache == nil {
+		t.Fatal("EnableCache returned nil without NoPlanCache")
+	}
+	plain, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := 0
+	for n, tgt := range walk {
+		got, err := cached.Synthesize(tgt)
+		if err != nil {
+			t.Fatalf("step %d: cached: %v", n, err)
+		}
+		want, err := plain.Synthesize(tgt)
+		if err != nil {
+			t.Fatalf("step %d: plain: %v", n, err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("step %d: cached plan diverged:\ncached %s\nfresh  %s",
+				n, got.String(), want.String())
+		}
+		if n >= 2 && !got.Stats.CacheHit {
+			t.Fatalf("step %d: repeat instance missed the cache", n)
+		}
+		if got.Stats.CacheHit {
+			hits++
+			if got.Stats.CacheVerifyFailed {
+				t.Fatalf("step %d: clean hit marked verify-failed", n)
 			}
-			cache := cached.EnableCache()
-			if cache == nil {
-				t.Fatal("EnableCache returned nil without NoPlanCache")
-			}
-			plain, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hits := 0
-			for n, tgt := range walk {
-				got, err := cached.Synthesize(tgt)
-				if err != nil {
-					t.Fatalf("step %d: cached: %v", n, err)
-				}
-				want, err := plain.Synthesize(tgt)
-				if err != nil {
-					t.Fatalf("step %d: plain: %v", n, err)
-				}
-				if got.String() != want.String() {
-					t.Fatalf("step %d: cached plan diverged:\ncached %s\nfresh  %s",
-						n, got.String(), want.String())
-				}
-				if n >= 2 && !got.Stats.CacheHit {
-					t.Fatalf("step %d: repeat instance missed the cache", n)
-				}
-				if got.Stats.CacheHit {
-					hits++
-					if got.Stats.CacheVerifyFailed {
-						t.Fatalf("step %d: clean hit marked verify-failed", n)
-					}
-				}
-			}
-			st := cache.Stats()
-			if int(st.Hits) != hits {
-				t.Fatalf("cache hits = %d, session saw %d", st.Hits, hits)
-			}
-			if st.Hits < int64(len(walk)-2) {
-				t.Fatalf("hits = %d on a %d-step flap; fast path dead", st.Hits, len(walk))
-			}
-			if st.Misses != int64(len(walk))-st.Hits {
-				t.Fatalf("misses = %d, want %d", st.Misses, int64(len(walk))-st.Hits)
-			}
-			if st.VerifyFailures != 0 || st.Evictions != 0 {
-				t.Fatalf("unexpected failures/evictions: %+v", st)
-			}
-			if st.Entries != 2 {
-				t.Fatalf("entries = %d, want 2 (one per flap direction)", st.Entries)
-			}
-		})
+		}
+	}
+	st := cache.Stats()
+	if int(st.Hits) != hits {
+		t.Fatalf("cache hits = %d, session saw %d", st.Hits, hits)
+	}
+	if st.Hits < int64(len(walk)-2) {
+		t.Fatalf("hits = %d on a %d-step flap; fast path dead", st.Hits, len(walk))
+	}
+	if st.Misses != int64(len(walk))-st.Hits {
+		t.Fatalf("misses = %d, want %d", st.Misses, int64(len(walk))-st.Hits)
+	}
+	if st.VerifyFailures != 0 || st.Evictions != 0 {
+		t.Fatalf("unexpected failures/evictions: %+v", st)
+	}
+	if st.Entries != 2 {
+		t.Fatalf("entries = %d, want 2 (one per flap direction)", st.Entries)
 	}
 }
 
@@ -208,7 +203,10 @@ func TestCacheTruncatedEntryFallsBack(t *testing.T) {
 }
 
 // TestCacheInfeasibleMemo: an instance proven ErrNoOrdering is memoized —
-// the repeat fails fast, reports CacheHit, and runs no search.
+// the repeat fails fast, reports CacheHit, and runs no search. The memo
+// is keyed by granularity: sessions of the same scenario at 2-simple and
+// rule granularity attached to the same store search instead of answering
+// "impossible" from it.
 func TestCacheInfeasibleMemo(t *testing.T) {
 	topo := topology.SmallWorld(30, 4, 0.3, 7)
 	sc, err := config.Infeasible(topo, config.InfeasibleOptions{Gadgets: 1, Seed: 3})
@@ -240,6 +238,35 @@ func TestCacheInfeasibleMemo(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 1 hit, 1 entry", st)
+	}
+	for _, c := range []struct {
+		name     string
+		opts     Options
+		wantPlan bool
+	}{
+		{"2-simple", Options{TwoSimple: true, Parallelism: 1}, true},
+		// Whether rule granularity solves this instance is the search's
+		// business; answering from the switch-granularity memo is not.
+		{"rules", Options{RuleGranularity: true, Parallelism: 1}, false},
+	} {
+		other, err := NewSession(sc.Topo, sc.Init, sc.Specs, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.SetCache(cache)
+		plan, err := other.Synthesize(sc.Final)
+		if st := other.LastStats(); st.CacheHit {
+			t.Fatalf("%s: answered from the switch-granularity memo (err %v)", c.name, err)
+		}
+		if err != nil && (c.wantPlan || !errors.Is(err, ErrNoOrdering)) {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err == nil {
+			verifyPlan(t, sc, plan)
+		}
+	}
+	if st := cache.Stats(); st.Hits != 1 {
+		t.Fatalf("stats = %+v: another granularity hit the memo", st)
 	}
 }
 

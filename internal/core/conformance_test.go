@@ -13,7 +13,7 @@ import (
 type conformanceCase struct {
 	name string
 	sc   *config.Scenario
-	opts Options // base options; Checker/Parallelism varied by the tests
+	opts Options // base options; Parallelism varied by the tests
 }
 
 // conformanceCases covers every scenario family in internal/config: the
@@ -103,37 +103,6 @@ func TestSequentialParallelConformance(t *testing.T) {
 					c.name, workers, feasible, seqFeasible)
 			}
 			if feasible {
-				verifyPlan(t, c.sc, plan)
-			}
-		}
-	}
-}
-
-// TestBackendsParallelConformance: all four checker backends, each run
-// sequentially and with four workers, must agree on feasibility for every
-// scenario and produce valid plans. NetPlumber produces no
-// counterexamples, so the exhaustive infeasible searches are restricted
-// to the backends that can learn.
-func TestBackendsParallelConformance(t *testing.T) {
-	for _, c := range conformanceCases(t) {
-		for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
-			if kind == CheckerNetPlumber && !c.sc.Feasible {
-				continue // exhaustive proof of impossibility: too slow without cex learning
-			}
-			if (kind == CheckerBatch || kind == CheckerNuSMV) && len(c.sc.UpdatingSwitches()) > 16 {
-				continue // batch backends relabel everything per check; keep CI fast
-			}
-			name := c.name + "/" + kind.String()
-			opts := c.opts
-			opts.Checker = kind
-			opts.Parallelism = 1
-			seqFeasible, _ := synthesizeOutcome(t, name+"/seq", c.sc, opts)
-			opts.Parallelism = 4
-			parFeasible, plan := synthesizeOutcome(t, name+"/par", c.sc, opts)
-			if parFeasible != seqFeasible {
-				t.Fatalf("%s: parallel feasible=%v, sequential=%v", name, parFeasible, seqFeasible)
-			}
-			if parFeasible {
 				verifyPlan(t, c.sc, plan)
 			}
 		}

@@ -130,16 +130,14 @@ func TestWaitRemovalKeepsPaperBarrier(t *testing.T) {
 	}
 }
 
-func TestAllBackendsAgreeOnFig1(t *testing.T) {
-	for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
-		for _, mk := range []func() *config.Scenario{config.Fig1RedGreen, config.Fig1RedBlue, config.Fig1RedBlueWaypoint} {
-			sc := mk()
-			plan, err := Synthesize(sc, Options{Checker: kind})
-			if err != nil {
-				t.Fatalf("%v on %s: %v", kind, sc.Name, err)
-			}
-			verifyPlan(t, sc, plan)
+func TestFig1PlansVerify(t *testing.T) {
+	for _, mk := range []func() *config.Scenario{config.Fig1RedGreen, config.Fig1RedBlue, config.Fig1RedBlueWaypoint} {
+		sc := mk()
+		plan, err := Synthesize(sc, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
 		}
+		verifyPlan(t, sc, plan)
 	}
 }
 

@@ -290,51 +290,32 @@ func weakComponents(d *PlanDAG) int {
 // composed plan's DAG must be the disjoint union of the component
 // sub-DAGs — at least as many weakly-connected DAG components as
 // interference components — and the plan+DAG must be byte-identical
-// across 1 and 4 workers and across all four checker backends.
+// across 1 and 4 workers.
 func TestDAGDecompositionDisjointUnion(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	var decompRef *Plan // shared by the backends that decompose
-	for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
-		var kindRef *Plan // per-backend: 1 and 4 workers must agree
-		for _, workers := range []int{1, 4} {
-			plan, err := Synthesize(sc, Options{Checker: kind, Parallelism: workers})
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", kind, workers, err)
+	var ref *Plan
+	for _, workers := range []int{1, 4} {
+		plan, err := Synthesize(sc, Options{Parallelism: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		checkDAGShape(t, "multi-region", plan)
+		if plan.Stats.Components != 3 {
+			t.Fatalf("workers=%d: Components = %d, want 3", workers, plan.Stats.Components)
+		}
+		if wc := weakComponents(plan.DAG); wc < plan.Stats.Components {
+			t.Fatalf("workers=%d: DAG has %d weak components, interference partition has %d",
+				workers, wc, plan.Stats.Components)
+		}
+		if ref != nil {
+			if got, want := plan.String(), ref.String(); got != want {
+				t.Fatalf("workers=%d: plan diverged:\n got %s\nwant %s", workers, got, want)
 			}
-			checkDAGShape(t, kind.String(), plan)
-			// The header-space backend is not delta-invariant and forces a
-			// joint search (Components = 1); the labeling and automaton
-			// backends must find the 3-way interference partition, and its
-			// composed DAG must be a disjoint union: at least as many
-			// weakly-connected DAG components as interference components.
-			decomposes := kind != CheckerNetPlumber
-			if decomposes && plan.Stats.Components != 3 {
-				t.Fatalf("%v workers=%d: Components = %d, want 3", kind, workers, plan.Stats.Components)
-			}
-			if wc := weakComponents(plan.DAG); wc < plan.Stats.Components {
-				t.Fatalf("%v workers=%d: DAG has %d weak components, interference partition has %d",
-					kind, workers, wc, plan.Stats.Components)
-			}
-			refs := []*Plan{kindRef}
-			if decomposes {
-				refs = append(refs, decompRef)
-			}
-			for _, ref := range refs {
-				if ref == nil {
-					continue
-				}
-				if got, want := plan.String(), ref.String(); got != want {
-					t.Fatalf("%v workers=%d: plan diverged:\n got %s\nwant %s", kind, workers, got, want)
-				}
-				if !reflect.DeepEqual(plan.DAG, ref.DAG) {
-					t.Fatalf("%v workers=%d: DAG diverged:\n got %+v\nwant %+v", kind, workers, plan.DAG, ref.DAG)
-				}
-			}
-			kindRef = plan
-			if decomposes && decompRef == nil {
-				decompRef = plan
+			if !reflect.DeepEqual(plan.DAG, ref.DAG) {
+				t.Fatalf("workers=%d: DAG diverged:\n got %+v\nwant %+v", workers, plan.DAG, ref.DAG)
 			}
 		}
+		ref = plan
 	}
 }
 

@@ -49,9 +49,8 @@ package core
 // structure of every class outside A is bit-for-bit unchanged (A's units
 // have empty deltas for it — that is what the partition means), so a class
 // keeps the verdict its own component's search (or, for classes no unit
-// affects, the endpoint verification) established. The header-space
-// backend is not mc.DeltaInvariant — its verdict tracks raw rule tables,
-// not just the class structure — so it forces a single joint component.
+// affects, the endpoint verification) established — a checker's verdict
+// is a function of its class structure alone (the mc.Checker contract).
 //
 // A single-component diff runs the joint engine — joint unit numbering, so
 // the learned state it harvests stays valid for the plan cache — over the
@@ -237,17 +236,10 @@ func (e *engine) components() ([]component, error) {
 // components run as separate sub-searches (runDecomposed); a single one
 // names the classes the diff can affect, and the joint engine runs over
 // those alone (classSubset). (nil, nil) selects the joint engine over
-// every class: decomposition is disabled, the diff is trivially small, or
-// some checker must see every table change (the header-space backend is
-// not mc.DeltaInvariant).
+// every class: decomposition is disabled or the diff is trivially small.
 func (s *Session) decompose(e *engine) ([]component, error) {
 	if s.opts.NoDecomposition || len(e.units) < 2 {
 		return nil, nil
-	}
-	for _, di := range s.canSkip {
-		if !di {
-			return nil, nil
-		}
 	}
 	return e.components()
 }
@@ -255,14 +247,13 @@ func (s *Session) decompose(e *engine) ([]component, error) {
 // classSubset returns the session's warm structures for the given spec
 // indexes, in that order — the view an engine searches when the other
 // classes are outside its units' footprint.
-func (s *Session) classSubset(classes []int) ([]*kripke.K, []mc.Checker, []bool) {
+func (s *Session) classSubset(classes []int) ([]*kripke.K, []mc.Checker) {
 	ks := make([]*kripke.K, len(classes))
 	checkers := make([]mc.Checker, len(classes))
-	canSkip := make([]bool, len(classes))
 	for i, ci := range classes {
-		ks[i], checkers[i], canSkip[i] = s.ks[ci], s.checkers[ci], s.canSkip[ci]
+		ks[i], checkers[i] = s.ks[ci], s.checkers[ci]
 	}
-	return ks, checkers, canSkip
+	return ks, checkers
 }
 
 // compResult is one component sub-search's outcome.
@@ -450,7 +441,7 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 	opts.Parallelism = inner
 	ec := newEngineShellWith(scC, opts, units, nil)
 	ec.bindContext(e.ctx)
-	ec.ks, ec.checkers, ec.canSkip = s.classSubset(c.classes)
+	ec.ks, ec.checkers = s.classSubset(c.classes)
 	ec.snapshotCheckerStats()
 	steps, err := ec.run()
 	ec.collectCheckerStats()

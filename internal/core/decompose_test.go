@@ -35,7 +35,7 @@ func engineFor(t *testing.T, sc *config.Scenario, opts Options) (*Session, *engi
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ks, e.checkers, e.canSkip = s.ks, s.checkers, s.canSkip
+	e.ks, e.checkers = s.ks, s.checkers
 	return s, e
 }
 
@@ -166,8 +166,7 @@ func TestDecomposedSynthesis(t *testing.T) {
 // TestDecomposedConformanceSingleComponent: whenever the partition finds
 // a single component — connected diffs, every Figure 1 example, the
 // infeasible gadget — the decomposed engine must return byte-identical
-// plans to the joint engine, across all four backends at 1 and 4
-// workers. Multi-component scenarios must still agree on feasibility and
+// plans to the joint engine, at 1 and 4 workers. Multi-component scenarios must still agree on feasibility and
 // validity.
 func TestDecomposedConformanceSingleComponent(t *testing.T) {
 	cases := []conformanceCase{
@@ -194,33 +193,26 @@ func TestDecomposedConformanceSingleComponent(t *testing.T) {
 		conformanceCase{name: "infeasible-rules", sc: scInf, opts: Options{RuleGranularity: true}},
 	)
 	for _, c := range cases {
-		for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
-			if kind == CheckerNetPlumber && !c.sc.Feasible {
-				continue // no counterexamples: exhaustive impossibility proof is too slow
+		for _, workers := range []int{1, 4} {
+			jointOpts := c.opts
+			jointOpts.Parallelism = workers
+			jointOpts.NoDecomposition = true
+			jointFeasible, jointPlan := synthesizeOutcome(t, c.name+"/joint", c.sc, jointOpts)
+			decOpts := jointOpts
+			decOpts.NoDecomposition = false
+			feasible, plan := synthesizeOutcome(t, c.name+"/decomposed", c.sc, decOpts)
+			if feasible != jointFeasible {
+				t.Fatalf("%s workers=%d: decomposed feasible=%v, joint=%v",
+					c.name, workers, feasible, jointFeasible)
 			}
-			for _, workers := range []int{1, 4} {
-				name := c.name + "/" + kind.String()
-				jointOpts := c.opts
-				jointOpts.Checker = kind
-				jointOpts.Parallelism = workers
-				jointOpts.NoDecomposition = true
-				jointFeasible, jointPlan := synthesizeOutcome(t, name+"/joint", c.sc, jointOpts)
-				decOpts := jointOpts
-				decOpts.NoDecomposition = false
-				feasible, plan := synthesizeOutcome(t, name+"/decomposed", c.sc, decOpts)
-				if feasible != jointFeasible {
-					t.Fatalf("%s workers=%d: decomposed feasible=%v, joint=%v",
-						name, workers, feasible, jointFeasible)
-				}
-				if !feasible {
-					continue
-				}
-				verifyPlan(t, c.sc, plan)
-				if plan.Stats.Components <= 1 {
-					if got, want := plan.String(), jointPlan.String(); got != want {
-						t.Fatalf("%s workers=%d: single-component plan diverged:\n got %s\nwant %s",
-							name, workers, got, want)
-					}
+			if !feasible {
+				continue
+			}
+			verifyPlan(t, c.sc, plan)
+			if plan.Stats.Components <= 1 {
+				if got, want := plan.String(), jointPlan.String(); got != want {
+					t.Fatalf("%s workers=%d: single-component plan diverged:\n got %s\nwant %s",
+						c.name, workers, got, want)
 				}
 			}
 		}
@@ -302,23 +294,6 @@ func TestDecomposedInfeasibleRegion(t *testing.T) {
 	verifyPlan(t, sc, plan)
 	if plan.Stats.Components < 2 {
 		t.Fatalf("rule-granularity Components = %d, want >= 2", plan.Stats.Components)
-	}
-}
-
-// TestHeaderSpaceForcesJoint: the header-space backend tracks raw rule
-// tables, so the session must never partition its searches.
-func TestHeaderSpaceForcesJoint(t *testing.T) {
-	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	plan, err := Synthesize(sc, Options{Checker: CheckerNetPlumber, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyPlan(t, sc, plan)
-	if plan.Stats.Components != 1 {
-		t.Fatalf("Components = %d, want 1 (forced joint)", plan.Stats.Components)
-	}
-	if plan.Stats.FootprintProbes != 0 {
-		t.Fatalf("FootprintProbes = %d, want 0 (pre-pass skipped)", plan.Stats.FootprintProbes)
 	}
 }
 

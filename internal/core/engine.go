@@ -30,8 +30,14 @@ import (
 // let the per-class structures, label tables, and engine scratch stay
 // warm between syntheses.
 func Synthesize(sc *config.Scenario, opts Options) (*Plan, error) {
+	return SynthesizeWith(sc, opts, SessionResources{})
+}
+
+// SynthesizeWith is Synthesize over the given session resources (see
+// NewSessionWith).
+func SynthesizeWith(sc *config.Scenario, opts Options, res SessionResources) (*Plan, error) {
 	start := time.Now()
-	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, opts)
+	s, err := NewSessionWith(sc.Topo, sc.Init, sc.Specs, opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -84,9 +90,6 @@ type engine struct {
 
 	ks       []*kripke.K
 	checkers []mc.Checker
-	// canSkip[i] marks checker i as mc.DeltaInvariant: an empty per-class
-	// delta lets the engine skip its Update/verdict round-trip entirely.
-	canSkip []bool
 	// statsBase snapshots each persistent checker's cumulative counters
 	// at attach time: session checkers live across runs, so per-run stats
 	// are deltas against this baseline.
@@ -505,9 +508,9 @@ func (e *engine) markDead(b bitset) {
 // (if any) and leaves reverting to the caller via the returned frames.
 // Classes the unit does not touch — the update yields an empty delta
 // because the switch change is invisible to the class's forwarding — skip
-// the checker round-trip entirely when the backend's verdict depends only
-// on the class structure (mc.DeltaInvariant); most units in multi-class
-// scenarios touch one class, so this is the common case.
+// the checker round-trip entirely: the verdict depends only on the class
+// structure (the mc.Checker contract). Most units in multi-class scenarios
+// touch one class, so this is the common case.
 func (e *engine) applyAndCheck(sw int, tbl network.Table) (frames []frame, failed bool, cexSwitches []int, err error) {
 	for ci := range e.ks {
 		delta, uerr := e.ks[ci].UpdateSwitch(sw, tbl)
@@ -521,7 +524,7 @@ func (e *engine) applyAndCheck(sw int, tbl network.Table) (frames []frame, faile
 			}
 			return frames, false, nil, uerr
 		}
-		if len(delta.Changed()) == 0 && e.canSkip[ci] {
+		if len(delta.Changed()) == 0 {
 			e.stats.ClassSkips++
 			frames = append(frames, frame{class: ci, delta: delta, token: nil})
 			continue
@@ -531,7 +534,7 @@ func (e *engine) applyAndCheck(sw int, tbl network.Table) (frames []frame, faile
 		frames = append(frames, frame{class: ci, delta: delta, token: tok})
 		if !verdict.OK {
 			var sws []int
-			if verdict.HasCex && len(verdict.Cex) > 0 {
+			if len(verdict.Cex) > 0 {
 				e.cexBuf = e.ks[ci].AppendSwitches(e.cexBuf[:0], verdict.Cex)
 				sws = e.cexBuf
 			}

@@ -1,6 +1,6 @@
 // Package core implements the update-synthesis algorithm of Section 4:
 // ORDERUPDATE, a depth-first search over sequences of switch- or rule-
-// granularity updates, driven by a pluggable model checker, with
+// granularity updates, driven by the incremental model checker, with
 // counterexample learning (wrong-configuration pruning), SAT-based early
 // search termination, and the reachability-based wait-removal heuristic.
 package core
@@ -12,92 +12,12 @@ import (
 	"reflect"
 	"strconv"
 	"time"
-
-	"netupdate/internal/buchi"
-	"netupdate/internal/hsa"
-	"netupdate/internal/kripke"
-	"netupdate/internal/ltl"
-	"netupdate/internal/mc"
 )
-
-// CheckerKind selects the model-checking backend (Section 6 lists the
-// four backends of the prototype).
-type CheckerKind int
-
-// Backend kinds.
-const (
-	// CheckerIncremental is the paper's incremental labeling checker.
-	CheckerIncremental CheckerKind = iota
-	// CheckerBatch relabels the whole structure on every call.
-	CheckerBatch
-	// CheckerNuSMV is the automaton-theoretic batch checker (the NuSMV
-	// stand-in; see DESIGN.md).
-	CheckerNuSMV
-	// CheckerNetPlumber is the header-space incremental checker (the
-	// NetPlumber stand-in); it produces no counterexamples.
-	CheckerNetPlumber
-)
-
-// checkerNames are the backends' names on the wire and the command line.
-var checkerNames = [...]string{"incremental", "batch", "nusmv", "netplumber"}
-
-// String names the backend for reports; the two stand-ins say so.
-func (k CheckerKind) String() string {
-	switch k {
-	case CheckerIncremental, CheckerBatch:
-		return checkerNames[k]
-	case CheckerNuSMV, CheckerNetPlumber:
-		return checkerNames[k] + "-like"
-	}
-	return fmt.Sprintf("checker(%d)", int(k))
-}
-
-// MarshalText renders the backend's wire name.
-func (k CheckerKind) MarshalText() ([]byte, error) {
-	if k < 0 || int(k) >= len(checkerNames) {
-		return nil, fmt.Errorf("core: unknown checker %d", int(k))
-	}
-	return []byte(checkerNames[k]), nil
-}
-
-// UnmarshalText parses a wire name; the empty string is the default
-// backend.
-func (k *CheckerKind) UnmarshalText(text []byte) error {
-	for i, name := range checkerNames {
-		if string(text) == name || (i == 0 && len(text) == 0) {
-			*k = CheckerKind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("core: unknown checker %q", text)
-}
-
-// warmFactory is the session construction path: the labeling backends
-// draw their closure and intern table from the session's mc.Warmth cache
-// (shared across classes, runs, and the final-verification checkers);
-// the automaton and header-space backends have no structure-independent
-// caches and ignore it.
-func (k CheckerKind) warmFactory() mc.WarmFactory {
-	switch k {
-	case CheckerBatch:
-		return mc.NewBatchWarm
-	case CheckerNuSMV:
-		return func(kk *kripke.K, spec *ltl.Formula, _ *mc.Warmth) (mc.Checker, error) {
-			return buchi.New(kk, spec)
-		}
-	case CheckerNetPlumber:
-		return func(kk *kripke.K, spec *ltl.Formula, _ *mc.Warmth) (mc.Checker, error) {
-			return hsa.New(kk, spec)
-		}
-	default:
-		return mc.NewIncrementalWarm
-	}
-}
 
 // Options configures synthesis. The zero value is the paper's default
-// configuration — incremental checker, switch granularity, counterexample
-// learning, early termination, and wait removal all enabled — run on the
-// parallel engine with one worker per CPU.
+// configuration — switch granularity, with counterexample learning, early
+// termination, and wait removal all enabled — run on the parallel engine
+// with one worker per CPU.
 //
 // This struct is the one description of the option set; its tags say
 // what each consumer needs to know:
@@ -107,13 +27,10 @@ func (k CheckerKind) warmFactory() mc.WarmFactory {
 //     default and leaving it out encode — and fingerprint — identically.
 //   - flag, help: the netupdate command-line flag, where one exists.
 //   - plan: "speed" when the option cannot change which plan the search
-//     returns, otherwise its place in contextFingerprint — "kind" for an
-//     integer written as is, or its bit number in the flag word. That
-//     digest is stored in NUSS images and keys learn files: never
-//     renumber a bit; a new plan-shaping option takes the next one.
+//     returns, otherwise its bit number in contextFingerprint's flag
+//     word. That digest is stored in NUSS images and keys learn files:
+//     never renumber a bit; a new plan-shaping option takes the next one.
 type Options struct {
-	// Checker selects the model-checking backend.
-	Checker CheckerKind `json:"checker,omitempty" flag:"checker" help:"backend: incremental|batch|nusmv|netplumber" plan:"kind"`
 	// RuleGranularity updates individual rules instead of whole switch
 	// tables (Section 3.1, Figure 8i).
 	RuleGranularity bool `json:"rules,omitempty" flag:"rules" help:"use rule granularity" plan:"0"`
@@ -208,25 +125,25 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 			fs.IntVar(p, name, *p, help)
 		case *time.Duration:
 			fs.DurationVar(p, name, *p, help)
-		case *CheckerKind:
-			fs.TextVar(p, name, *p, help)
 		}
 	}
 }
 
-// writeFingerprint digests the plan-shaping options — the "kind" fields
-// as integers, then one word of flag bits. Speed-only options are left
-// out on purpose: they cannot change which plan the search returns, so
-// state learned or snapshotted under one setting is valid under another.
-// A plan tag that does not parse is a programming error: guessing would
-// silently change a persisted fingerprint.
+// writeFingerprint digests the plan-shaping options as one word of flag
+// bits, after a constant 0: persisted fingerprints carried a
+// checker-backend kind there, and 0 was the incremental checker, the only
+// one sessions now build — so every image and learn file written under it
+// keeps its key. Speed-only options are left out on purpose: they cannot
+// change which plan the search returns, so state learned or snapshotted
+// under one setting is valid under another. A plan tag that does not
+// parse is a programming error: guessing would silently change a
+// persisted fingerprint.
 func (o Options) writeFingerprint(w *hashWriter) {
+	w.writeInt(0)
 	v, flags := reflect.ValueOf(o), 0
 	for i := 0; i < v.NumField(); i++ {
 		switch plan := v.Type().Field(i).Tag.Get("plan"); plan {
 		case "speed":
-		case "kind":
-			w.writeInt(int(v.Field(i).Int()))
 		default:
 			bit, err := strconv.Atoi(plan)
 			if err != nil || bit < 0 {
@@ -312,8 +229,8 @@ type Stats struct {
 
 	// Decomposition counters (see decompose.go). Components is the number
 	// of independent subproblems the interference partition produced (1
-	// when the search ran joint — disabled, forced by the backend, or a
-	// genuinely connected diff). FootprintProbes counts the apply/revert
+	// when the search ran joint — disabled, or a genuinely connected
+	// diff). FootprintProbes counts the apply/revert
 	// probes of the footprint pre-pass. ComponentElapsed records each
 	// sub-search's wall time in composition order (components sorted by
 	// lowest unit index); empty for joint runs.

@@ -13,13 +13,14 @@ import (
 	"netupdate/internal/config"
 )
 
-// goldenBase is the four-switch diamond the golden digests below were
-// computed over.
+// goldenHeader is the four-switch diamond the golden digests below (and
+// the one-class snapshot seed of fuzz_test.go) were computed over.
+const goldenHeader = `{"name":"line","topology":{"switches":4,"links":[[0,1],[1,3],[0,2],[2,3]],"hosts":[{"id":100,"switch":0},{"id":101,"switch":3}]},"classes":[{"name":"c","src":100,"dst":101,"path":[0,1,3],"spec":"sw=0 -> F sw=3"}]}`
+
 func goldenBase(t *testing.T) *config.StreamBase {
 	t.Helper()
-	const header = `{"name":"line","topology":{"switches":4,"links":[[0,1],[1,3],[0,2],[2,3]],"hosts":[{"id":100,"switch":0},{"id":101,"switch":3}]},"classes":[{"name":"c","src":100,"dst":101,"path":[0,1,3],"spec":"sw=0 -> F sw=3"}]}`
 	var h config.StreamHeader
-	if err := json.Unmarshal([]byte(header), &h); err != nil {
+	if err := json.Unmarshal([]byte(goldenHeader), &h); err != nil {
 		t.Fatal(err)
 	}
 	base, err := h.Build()
@@ -31,16 +32,18 @@ func goldenBase(t *testing.T) *config.StreamBase {
 
 // allOptionsSet is an Options with every field away from its default.
 var allOptionsSet = Options{
-	Checker: CheckerBatch, RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
+	RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
 	Parallelism: 3, FirstPlanWins: true, NoCexLearning: true, NoEarlyTermination: true, NoHeuristicOrder: true,
 	MinimizeCompletionTime: true, NoPlanCache: true, Trace: true, Timeout: 1500 * time.Nanosecond,
 }
 
 // TestContextFingerprintGolden pins contextFingerprint to the digests the
-// hand-written version produced (computed at commit 9bc8855): the digest
-// is embedded in NUSS images and keys -learn-file stores, so images and
-// learn files written before the options were described by tags must
-// still load.
+// hand-written version produced (the default at commit 9bc8855; every
+// option set at 5a6acb0, the last commit with a checker knob, under its
+// default checker): the digest is embedded in NUSS images and keys
+// -learn-file stores, so images and learn files written before the
+// options were described by tags, and before the checker kind became the
+// constant 0, must still load.
 func TestContextFingerprintGolden(t *testing.T) {
 	base := goldenBase(t)
 	for _, c := range []struct {
@@ -49,7 +52,7 @@ func TestContextFingerprintGolden(t *testing.T) {
 		want string
 	}{
 		{"default", Options{}, "b6a764ea9d7a3b683cdebce7e1fab7ef0308dffebdd0d19150c17f5c47c7c7bb"},
-		{"every option set", allOptionsSet, "3ca94b6b2540db49731a3d7ad32c255c3607eff05cd1e34237c14275cf1ad4e9"},
+		{"every option set", allOptionsSet, "0a1c4293436f44df55ef28bf3eaa6be5472ca8bebffebac654bd556a091efe21"},
 	} {
 		if got := hex.EncodeToString(contextFingerprint(base.Topo, base.Specs, c.opts)); got != c.want {
 			t.Errorf("%s: contextFingerprint = %s, want %s", c.name, got, c.want)
@@ -62,7 +65,7 @@ func TestContextFingerprintGolden(t *testing.T) {
 // Options field is in the table, so a new option cannot go unclassified.
 func TestOptionClassification(t *testing.T) {
 	shapesPlan := map[string]bool{
-		"Checker": true, "RuleGranularity": true, "TwoSimple": true, "NoWaitRemoval": true,
+		"RuleGranularity": true, "TwoSimple": true, "NoWaitRemoval": true,
 		"NoDecomposition": true, "FirstPlanWins": true, "NoHeuristicOrder": true, "MinimizeCompletionTime": true,
 		"Parallelism": false, "NoCexLearning": false, "NoEarlyTermination": false,
 		"NoPlanCache": false, "Trace": false, "Timeout": false,
@@ -97,38 +100,25 @@ func TestOptionClassification(t *testing.T) {
 }
 
 // TestOptionsFlagsAndText: the flag set derived from the tags parses into
-// the options, keeps the caller's defaults, and the checker's text form
-// round-trips and rejects unknown names.
+// the options and keeps the caller's defaults; the removed -checker flag
+// is a usage error like any unknown flag.
 func TestOptionsFlagsAndText(t *testing.T) {
 	opts := Options{Timeout: 10 * time.Minute}
 	fs := flag.NewFlagSet("netupdate", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	opts.RegisterFlags(fs)
-	args := strings.Fields("-checker netplumber -rules -2simple -no-wait-removal -no-decompose -parallel 4 -first-plan -min-completion -no-plan-cache")
+	args := strings.Fields("-rules -2simple -no-wait-removal -no-decompose -parallel 4 -first-plan -min-completion -no-plan-cache")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	want := Options{
-		Checker: CheckerNetPlumber, RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
+		RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
 		Parallelism: 4, FirstPlanWins: true, MinimizeCompletionTime: true, NoPlanCache: true, Timeout: 10 * time.Minute,
 	}
 	if opts != want {
 		t.Fatalf("parsed %+v, want %+v", opts, want)
 	}
-	if err := fs.Parse([]string{"-checker", "nope"}); err == nil {
-		t.Fatal("unknown checker must be rejected")
-	}
-	for k := CheckerIncremental; k <= CheckerNetPlumber; k++ {
-		text, err := k.MarshalText()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back CheckerKind
-		if err := back.UnmarshalText(text); err != nil || back != k {
-			t.Fatalf("checker %v: text %q parsed back as %v (%v)", k, text, back, err)
-		}
-	}
-	if _, err := CheckerKind(99).MarshalText(); err == nil {
-		t.Fatal("checker 99 has no name")
+	if err := fs.Parse([]string{"-checker", "incremental"}); err == nil {
+		t.Fatal("-checker must be rejected")
 	}
 }

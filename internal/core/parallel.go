@@ -17,8 +17,9 @@ import (
 // search truncated at a small fan depth and emitting every surviving
 // depth-d prefix as a task; workers replay a task's prefix on their
 // private structures (cloned Kripke structures and checkers — see
-// kripke.K.Clone and mc.Cloneable — so the mutate-and-revert protocol
-// needs no locking on the hot path) and run the ordinary DFS below it.
+// kripke.K.Clone and mc.Checker.CloneFor — so the mutate-and-revert
+// protocol needs no locking on the hot path) and run the ordinary DFS
+// below it.
 // Learning state is shared through sharedState: wrong-configuration
 // patterns, SAT early-termination constraints, and the dead-configuration
 // set all flow across workers, so a counterexample found in one subtree
@@ -98,7 +99,6 @@ func (e *engine) cloneForWorker() (*engine, error) {
 		opts:        e.opts,
 		units:       e.units,
 		order:       e.order,
-		canSkip:     e.canSkip, // read-only, same checker types per class
 		curTables:   make(map[int]network.Table, len(e.curTables)),
 		visited:     newBitsetSet(),
 		shared:      e.shared,
@@ -113,7 +113,7 @@ func (e *engine) cloneForWorker() (*engine, error) {
 	}
 	for ci, k := range e.ks {
 		k2 := k.Clone()
-		chk, err := cloneChecker(e.checkers[ci], k2)
+		chk, err := e.checkers[ci].CloneFor(k2)
 		if err != nil {
 			return nil, err
 		}
@@ -375,10 +375,10 @@ func (w *engine) runTask(t task) (steps []Step, err error) {
 
 // replayUnit is applyAndCheck for a prefix the generator has already
 // verified: the Kripke structures are updated as usual, but checkers
-// that keep no incremental state (mc.Stateless — the batch and
-// NuSMV-like backends re-derive everything on their next call) skip the
-// redundant full re-check whose verdict is already known. Stateful
-// checkers still run so their bookkeeping tracks the structure.
+// that keep no incremental state (mc.Stateless — they re-derive
+// everything on their next call) skip the redundant full re-check whose
+// verdict is already known. Stateful checkers still run so their
+// bookkeeping tracks the structure.
 func (w *engine) replayUnit(sw int, tbl network.Table) (frames []frame, failed bool, err error) {
 	for ci := range w.ks {
 		delta, uerr := w.ks[ci].UpdateSwitch(sw, tbl)
@@ -390,7 +390,7 @@ func (w *engine) replayUnit(sw int, tbl network.Table) (frames []frame, failed b
 			}
 			return frames, false, uerr
 		}
-		if len(delta.Changed()) == 0 && w.canSkip[ci] {
+		if len(delta.Changed()) == 0 {
 			w.stats.ClassSkips++
 			frames = append(frames, frame{class: ci, delta: delta, token: nil})
 			continue

@@ -9,6 +9,7 @@ import (
 
 	"netupdate/internal/config"
 	"netupdate/internal/kripke"
+	"netupdate/internal/ltl"
 	"netupdate/internal/mc"
 	"netupdate/internal/network"
 	"netupdate/internal/obs"
@@ -26,7 +27,7 @@ import (
 //   - per-class Kripke structures are rebound in place over the existing
 //     state-space arena (kripke.K.Rebind) instead of rebuilt, touching
 //     only the switches whose tables changed;
-//   - checkers persist across syntheses through mc.Rebindable, so
+//   - checkers persist across syntheses through mc.Checker.Rebind, so
 //     interned label sets, closure-extension memos, sink-label caches and
 //     translated automata survive; the mc.Warmth cache additionally
 //     shares closures and label tables between all checkers of one
@@ -55,7 +56,6 @@ type Session struct {
 	warm     *mc.Warmth
 	ks       []*kripke.K
 	checkers []mc.Checker
-	canSkip  []bool // checker i implements mc.DeltaInvariant
 
 	// Final-verification structures, seeded on the first Synthesize as
 	// clones of ks/checkers and rebound to each new target from then on;
@@ -140,30 +140,42 @@ type engineScratch struct {
 // label tables). Both are immutable or internally synchronized, so the
 // pool deduplicates them across identically-shaped tenants. Nil fields
 // mean "build a private one".
+//
+// Factory, when set, builds the per-class checkers in place of the
+// incremental checker over Warmth. It is the seam the figure harness
+// (internal/bench) drives its comparison backends through; such a session
+// cannot be snapshotted, and RestoreSessionWith ignores the field (an
+// image holds the incremental checker's labeling).
 type SessionResources struct {
-	Arena  *kripke.Arena
-	Warmth *mc.Warmth
+	Arena   *kripke.Arena
+	Warmth  *mc.Warmth
+	Factory mc.Factory
 }
 
 // NewSession builds the warm per-class structures over the initial
 // configuration and verifies it against every specification (returning
-// ErrInitialViolation otherwise). The checker backend, granularity, and
-// search options are fixed for the session's lifetime.
+// ErrInitialViolation otherwise). The granularity and search options are
+// fixed for the session's lifetime.
 func NewSession(topo *topology.Topology, init *config.Config, specs []config.ClassSpec, opts Options) (*Session, error) {
 	return NewSessionWith(topo, init, specs, opts, SessionResources{})
 }
 
-// NewSessionWith is NewSession drawing the state arena and the warmth
-// cache from res where provided.
+// NewSessionWith is NewSession drawing the state arena, the warmth cache
+// and the checker constructor from res where provided.
 func NewSessionWith(topo *topology.Topology, init *config.Config, specs []config.ClassSpec, opts Options, res SessionResources) (*Session, error) {
 	s := newSessionShell(topo, init, specs, opts, res)
-	factory := opts.Checker.warmFactory()
+	factory := res.Factory
+	if factory == nil {
+		factory = func(k *kripke.K, spec *ltl.Formula) (mc.Checker, error) {
+			return mc.NewIncrementalWarm(k, spec, s.warm)
+		}
+	}
 	for _, cs := range specs {
 		k, err := s.arena.Build(init, cs.Class)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInitialViolation, err)
 		}
-		chk, err := factory(k, cs.Formula, s.warm)
+		chk, err := factory(k, cs.Formula)
 		if err != nil {
 			return nil, err
 		}
@@ -172,8 +184,6 @@ func NewSessionWith(topo *topology.Topology, init *config.Config, specs []config
 		}
 		s.ks = append(s.ks, k)
 		s.checkers = append(s.checkers, chk)
-		_, di := chk.(mc.DeltaInvariant)
-		s.canSkip = append(s.canSkip, di)
 	}
 	return s, nil
 }
@@ -346,7 +356,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	}
 	tr.End(vfSpan)
 	e.stats.VerifyElapsed = time.Since(vfStart)
-	e.ks, e.checkers, e.canSkip = s.ks, s.checkers, s.canSkip
+	e.ks, e.checkers = s.ks, s.checkers
 
 	// Verification-first fast path (cache.go): with a cache attached,
 	// fingerprint the instance and try a lookup. A cached plan is replayed
@@ -414,7 +424,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		searched = true
 		// Partition the diff into independent subproblems where possible
 		// (see decompose.go); a connected diff runs the ordinary joint
-		// search over the classes its units can affect, a forced-joint one
+		// search over the classes its units can affect, an undecomposed one
 		// over every class.
 		dcSpan := tr.Begin("decompose", root)
 		comps, derr := s.decompose(e)
@@ -434,7 +444,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 				// Wait removal and the DAG build below read the scenario's
 				// specs, never the engine's structures, so the narrowed view
 				// can stay attached for the rest of the run.
-				e.ks, e.checkers, e.canSkip = s.classSubset(comps[0].classes)
+				e.ks, e.checkers = s.classSubset(comps[0].classes)
 			}
 			e.snapshotCheckerStats()
 			steps, runErr = e.run()
@@ -569,7 +579,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, final, cands)
 	for i := range s.ks {
 		var rerr error
-		s.swBuf, rerr = s.rebindClass(i, s.ks[i], s.checkers[i], target, cands, s.diffBuf, s.swBuf)
+		s.swBuf, rerr = s.rebindClass(i, s.ks[i], s.checkers[i], target, s.diffBuf, s.swBuf)
 		if rerr != nil {
 			// target was verified loop-free for every class (the initial
 			// configuration at session construction, every successful
@@ -599,8 +609,8 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 }
 
 // verifyFinal checks the target configuration against every class
-// specification through the selected backend, rebinding the session's
-// dedicated verification structures to it. On a session's first run those
+// specification, rebinding the session's dedicated verification
+// structures to it. On a session's first run those
 // structures are seeded as clones of the search structures — which sit at
 // the current configuration, already built, cycle-checked and labeled —
 // so the first verification costs a rebind over the diff like every later
@@ -617,7 +627,7 @@ func (s *Session) verifyFinal(e *engine, final *config.Config) error {
 		fchecks := make([]mc.Checker, len(s.ks))
 		for i, k := range s.ks {
 			fks[i] = k.Clone()
-			chk, err := cloneChecker(s.checkers[i], fks[i])
+			chk, err := s.checkers[i].CloneFor(fks[i])
 			if err != nil {
 				return err
 			}
@@ -639,10 +649,10 @@ func (s *Session) verifyFinal(e *engine, final *config.Config) error {
 	s.diffBuf = ruleDiffs(s.diffBuf, s.fcur, final, cands)
 	for i := range s.specs {
 		var err error
-		s.swBuf, err = s.rebindClass(i, s.fks[i], s.fchecks[i], final, cands, s.diffBuf, s.swBuf)
+		s.swBuf, err = s.rebindClass(i, s.fks[i], s.fchecks[i], final, s.diffBuf, s.swBuf)
 		if err != nil {
 			for j := range s.specs {
-				rc, rt, rerr := s.fks[j].Rebind(s.cur)
+				rc, _, rerr := s.fks[j].Rebind(s.cur)
 				if rerr != nil {
 					return fmt.Errorf("core: session final-verify resync: %v", rerr)
 				}
@@ -650,8 +660,8 @@ func (s *Session) verifyFinal(e *engine, final *config.Config) error {
 				// after the restore, refresh any class whose structure
 				// moved in either direction (the failing class included —
 				// its forward rebind was partial).
-				if s.needsRebind(j, rc, rt) || j == i {
-					rebindChecker(s.fchecks[j])
+				if len(rc) > 0 || j == i {
+					s.fchecks[j].Rebind()
 				}
 			}
 			s.fcur = s.cur
@@ -720,22 +730,12 @@ func ruleDiffs(dst []swDiff, from, to *config.Config, cands []int) []swDiff {
 }
 
 // rebindClass resyncs one per-class structure (and its checker) to
-// target. Delta-invariant backends skip recomputation on every diff
-// switch whose changed rules cannot affect the class — the table is
-// adopted, the labels stay valid — and pay a real rebind only on the
-// rest. Table-tracking backends (header-space) rebind every candidate.
-// swBuf is the caller's scratch for the rebind list.
-func (s *Session) rebindClass(i int, k *kripke.K, chk mc.Checker, target *config.Config, cands []int, diffs []swDiff, swBuf []int) ([]int, error) {
-	if !s.canSkip[i] {
-		changed, touched, err := k.RebindSwitches(target, cands)
-		if err != nil {
-			return swBuf, err
-		}
-		if s.needsRebind(i, changed, touched) {
-			rebindChecker(chk)
-		}
-		return swBuf, nil
-	}
+// target, skipping recomputation on every diff switch whose changed rules
+// cannot affect the class — the table is adopted, the checker's verdict
+// stays valid (it depends on the class structure alone, see mc.Checker) —
+// and paying a real rebind only on the rest. swBuf is the caller's scratch
+// for the rebind list.
+func (s *Session) rebindClass(i int, k *kripke.K, chk mc.Checker, target *config.Config, diffs []swDiff, swBuf []int) ([]int, error) {
 	pkt := s.specs[i].Class.Packet()
 	rebindList := swBuf[:0]
 	for di := range diffs {
@@ -746,47 +746,14 @@ func (s *Session) rebindClass(i int, k *kripke.K, chk mc.Checker, target *config
 			k.AdoptTable(d.sw, target.Table(d.sw))
 		}
 	}
-	changed, touched, err := k.RebindSwitches(target, rebindList)
+	changed, _, err := k.RebindSwitches(target, rebindList)
 	if err != nil {
 		return rebindList, err
 	}
-	if s.needsRebind(i, changed, touched) {
-		rebindChecker(chk)
+	if len(changed) > 0 {
+		chk.Rebind()
 	}
 	return rebindList, nil
-}
-
-// needsRebind reports whether class i's checker must be refreshed after a
-// structure rebind: label-based backends (mc.DeltaInvariant) depend only
-// on the class's transition relation, while table-tracking backends (the
-// header-space checker) must see every raw table replacement.
-func (s *Session) needsRebind(i int, changed, touched []int) bool {
-	if len(changed) > 0 {
-		return true
-	}
-	return !s.canSkip[i] && len(touched) > 0
-}
-
-// rebindChecker refreshes a checker after its structure was rebound in
-// place. All four shipped backends implement mc.Rebindable and
-// mc.Cloneable; the panics here and in cloneChecker are a loud guard
-// against a future backend that forgets to.
-func rebindChecker(c mc.Checker) {
-	r, ok := c.(mc.Rebindable)
-	if !ok {
-		panic(fmt.Sprintf("core: checker %s is not rebindable", c.Name()))
-	}
-	r.Rebind()
-}
-
-// cloneChecker duplicates a checker, with everything it has derived so
-// far, over k2, a clone of its structure.
-func cloneChecker(c mc.Checker, k2 *kripke.K) (mc.Checker, error) {
-	cl, ok := c.(mc.Cloneable)
-	if !ok {
-		panic(fmt.Sprintf("core: checker %s is not cloneable", c.Name()))
-	}
-	return cl.CloneFor(k2)
 }
 
 // reclaimScratch takes the (possibly grown) per-run buffers back from the

@@ -43,44 +43,41 @@ func rollingTargets(t *testing.T, seed int64, pairs, steps, flips int) (*config.
 
 // TestSessionWarmColdConformance: the Nth plan from a long-lived session
 // must equal the plan a fresh one-shot Synthesize produces for the same
-// (previous, target) pair — across all four checker backends, sequential
-// and 4-worker deterministic parallel engines. Run with -race in CI, this
-// also exercises worker clones over rebound structures.
+// (previous, target) pair — on the sequential and the 4-worker
+// deterministic parallel engine. Run with -race in CI, this also
+// exercises worker clones over rebound structures.
 func TestSessionWarmColdConformance(t *testing.T) {
 	stream, targets := rollingTargets(t, 23, 2, 4, 1)
-	for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
-		for _, workers := range []int{1, 4} {
-			opts := Options{Checker: kind, Parallelism: workers}
-			name := kind.String()
-			sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
+	for _, workers := range []int{1, 4} {
+		opts := Options{Parallelism: workers}
+		sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		cur := stream.Init()
+		for n, tgt := range targets {
+			warm, err := sess.Synthesize(tgt)
 			if err != nil {
-				t.Fatalf("%s/%d: %v", name, workers, err)
+				t.Fatalf("%d workers, step %d: warm: %v", workers, n, err)
 			}
-			cur := stream.Init()
-			for n, tgt := range targets {
-				warm, err := sess.Synthesize(tgt)
-				if err != nil {
-					t.Fatalf("%s/%d step %d: warm: %v", name, workers, n, err)
-				}
-				cold, err := Synthesize(&config.Scenario{
-					Name: "cold", Topo: stream.Topo(), Init: cur, Final: tgt,
-					Specs: stream.Specs(),
-				}, opts)
-				if err != nil {
-					t.Fatalf("%s/%d step %d: cold: %v", name, workers, n, err)
-				}
-				if got, want := warm.String(), cold.String(); got != want {
-					t.Fatalf("%s/%d step %d: warm plan diverged:\nwarm %s\ncold %s",
-						name, workers, n, got, want)
-				}
-				if got, want := sess.Current(), tgt; got != want {
-					t.Fatalf("%s/%d step %d: session did not advance", name, workers, n)
-				}
-				cur = tgt
+			cold, err := Synthesize(&config.Scenario{
+				Name: "cold", Topo: stream.Topo(), Init: cur, Final: tgt,
+				Specs: stream.Specs(),
+			}, opts)
+			if err != nil {
+				t.Fatalf("%d workers, step %d: cold: %v", workers, n, err)
 			}
-			if sess.Runs() != len(targets) {
-				t.Fatalf("%s/%d: runs = %d, want %d", name, workers, sess.Runs(), len(targets))
+			if got, want := warm.String(), cold.String(); got != want {
+				t.Fatalf("%d workers, step %d: warm plan diverged:\nwarm %s\ncold %s",
+					workers, n, got, want)
 			}
+			if got, want := sess.Current(), tgt; got != want {
+				t.Fatalf("%d workers, step %d: session did not advance", workers, n)
+			}
+			cur = tgt
+		}
+		if sess.Runs() != len(targets) {
+			t.Fatalf("%d workers: runs = %d, want %d", workers, sess.Runs(), len(targets))
 		}
 	}
 }
@@ -276,15 +273,13 @@ func (c tripwireChecker) trip(what string) {
 
 func (c tripwireChecker) CloneFor(k2 *kripke.K) (mc.Checker, error) {
 	c.trip("cloned")
-	return c.Checker.(mc.Cloneable).CloneFor(k2)
+	return c.Checker.CloneFor(k2)
 }
 
 func (c tripwireChecker) Update(d *kripke.Delta) (mc.Verdict, mc.Token) {
 	c.trip("checked")
 	return c.Checker.Update(d)
 }
-
-func (c tripwireChecker) Rebind() { c.Checker.(mc.Rebindable).Rebind() }
 
 // lazyFinalSessions returns a cold-built session and one restored from a
 // twin's snapshot, neither of which has synthesized yet, so the next
@@ -311,7 +306,7 @@ func lazyFinalSessions(t *testing.T, stream *config.RollingStream, opts Options)
 }
 
 // TestSessionLazyFinalBuildAbortsCleanly: the very first Synthesize of a
-// session — cold-built or restored, on any backend — seeds the
+// session — cold-built or restored — seeds the
 // verification structures, and a first target that fails verification
 // (a later class violating its spec, or a class forwarded in a cycle)
 // must report ErrFinalViolation and leave the session serving normally:
@@ -323,30 +318,28 @@ func TestSessionLazyFinalBuildAbortsCleanly(t *testing.T) {
 	violating := stream.Init().Clone()
 	config.RemoveClassRules(violating, stream.Specs()[1].Class)
 	cyclic := loopingConfig(t, stream.Topo(), stream.Init(), stream.Specs()[0].Class)
-	for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
-		for badName, bad := range map[string]*config.Config{"violating": violating, "cyclic": cyclic} {
-			for how, sess := range lazyFinalSessions(t, stream, Options{Checker: kind}) {
-				name := kind.String() + "/" + badName + "/" + how
-				if _, err := sess.Synthesize(bad); !errors.Is(err, ErrFinalViolation) {
-					t.Fatalf("%s: err = %v, want ErrFinalViolation", name, err)
+	for badName, bad := range map[string]*config.Config{"violating": violating, "cyclic": cyclic} {
+		for how, sess := range lazyFinalSessions(t, stream, Options{}) {
+			name := badName + "/" + how
+			if _, err := sess.Synthesize(bad); !errors.Is(err, ErrFinalViolation) {
+				t.Fatalf("%s: err = %v, want ErrFinalViolation", name, err)
+			}
+			cur := stream.Init()
+			for n, tgt := range targets {
+				warm, err := sess.Synthesize(tgt)
+				if err != nil {
+					t.Fatalf("%s: step %d after aborted first verification: %v", name, n, err)
 				}
-				cur := stream.Init()
-				for n, tgt := range targets {
-					warm, err := sess.Synthesize(tgt)
-					if err != nil {
-						t.Fatalf("%s: step %d after aborted first verification: %v", name, n, err)
-					}
-					cold, err := Synthesize(&config.Scenario{
-						Name: "cold", Topo: stream.Topo(), Init: cur, Final: tgt, Specs: stream.Specs(),
-					}, Options{Checker: kind})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if warm.String() != cold.String() {
-						t.Fatalf("%s: step %d: plans diverged:\nwarm %s\ncold %s", name, n, warm.String(), cold.String())
-					}
-					cur = tgt
+				cold, err := Synthesize(&config.Scenario{
+					Name: "cold", Topo: stream.Topo(), Init: cur, Final: tgt, Specs: stream.Specs(),
+				}, Options{})
+				if err != nil {
+					t.Fatal(err)
 				}
+				if warm.String() != cold.String() {
+					t.Fatalf("%s: step %d: plans diverged:\nwarm %s\ncold %s", name, n, warm.String(), cold.String())
+				}
+				cur = tgt
 			}
 		}
 	}

@@ -11,8 +11,8 @@ package core
 // recorded successor lists (no table application, no cycle check — the
 // snapshot was taken from a structure that was built and checked against
 // the same configuration, and the image is checksummed), and the
-// label-based checkers are reconstructed from their recorded per-state
-// labels (no relabelAll, the dominant cost).
+// checkers are reconstructed from their recorded per-state labels (no
+// relabelAll, the dominant cost).
 //
 // The plan cache (with its learned wrong-pattern/SAT/dead-set stores) is
 // not session state: it belongs to whoever attached it — the pool shares
@@ -30,13 +30,13 @@ package core
 //	warmth:  #formulas, then per formula (sorted key order): key,
 //	         #labels, per label #valuations + raw [2]uint64 words
 //	classes: #classes, then per class (spec order): formula key,
-//	         #states, labels? flag; when flagged: run-length-encoded
-//	         label and sink-label arrays (ids index this formula's
-//	         warmth section; -1 = unset) and the per-state atom
-//	         valuations as default + exceptions (most states satisfy no
-//	         atomic subformula, so the sparse form is a handful of
-//	         entries); then #successors total and the per-state
-//	         successor lists
+//	         #states, labels flag (always 1; an image without a labeling
+//	         is refused); run-length-encoded label and sink-label arrays
+//	         (ids index this formula's warmth section; -1 = unset) and
+//	         the per-state atom valuations as default + exceptions (most
+//	         states satisfy no atomic subformula, so the sparse form is a
+//	         handful of entries); then #successors total and the
+//	         per-state successor lists
 //	cache:   flag; when flagged (EmbedCache), the PlanCacheSnapshot JSON blob
 //	sha256 checksum of everything above (raw 32 bytes)
 //
@@ -188,7 +188,9 @@ func (r *snapReader) str() string {
 // into a self-validating binary image that RestoreSession rebuilds
 // byte-identically (same plans, same stats modulo timings). The attached
 // plan cache is not included (see EmbedCache). The session must be
-// quiescent (no Synthesize in flight).
+// quiescent (no Synthesize in flight). A session built over a
+// caller-supplied checker (SessionResources.Factory) has no labeling to
+// record and cannot be snapshotted.
 func (s *Session) Snapshot() ([]byte, error) {
 	w := &snapWriter{buf: make([]byte, 0, 4096)}
 	w.raw([]byte(snapMagic))
@@ -243,15 +245,15 @@ func (s *Session) Snapshot() ([]byte, error) {
 		k := s.ks[i]
 		n := k.NumStates()
 		w.count(n)
-		if exp, ok := s.checkers[i].(mc.LabelExporter); ok {
-			w.buf = append(w.buf, 1)
-			label, sinkLab := exp.ExportLabels()
-			encodeIDsRLE(w, label)
-			encodeIDsRLE(w, sinkLab)
-			encodeAtoms(w, exp.ExportAtoms())
-		} else {
-			w.buf = append(w.buf, 0)
+		chk, ok := s.checkers[i].(*mc.Incremental)
+		if !ok {
+			return nil, fmt.Errorf("core: snapshot: class %d is checked by %s, not the incremental checker", i, s.checkers[i].Name())
 		}
+		w.buf = append(w.buf, 1)
+		label, sinkLab := chk.ExportLabels()
+		encodeIDsRLE(w, label)
+		encodeIDsRLE(w, sinkLab)
+		encodeAtoms(w, chk.ExportAtoms())
 		total := 0
 		for id := 0; id < n; id++ {
 			total += len(k.Succ(id))
@@ -494,6 +496,9 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	for i := 0; i < nSw && r.err == nil; i++ {
 		sw := r.num()
 		nRules := r.count()
+		if r.err == nil && (sw < 0 || sw >= topo.NumSwitches()) {
+			r.fail("table for switch %d of %d", sw, topo.NumSwitches())
+		}
 		if r.err != nil {
 			break
 		}
@@ -557,7 +562,6 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	if r.err == nil && nClasses != len(specs) {
 		return nil, fmt.Errorf("%w: %d classes, want %d", ErrBadSnapshot, nClasses, len(specs))
 	}
-	factory := opts.Checker.warmFactory()
 	for i := 0; i < nClasses && r.err == nil; i++ {
 		cs := specs[i]
 		key := r.str()
@@ -565,18 +569,13 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 			return nil, fmt.Errorf("%w: class %d formula %q, want %q", ErrBadSnapshot, i, key, cs.Formula)
 		}
 		nStates := r.count()
-		flag := r.take(1)
-		hasLabels := len(flag) == 1 && flag[0] == 1
-		var (
-			label, sinkLab []mc.LabelID
-			atoms          *mc.AtomsImage
-		)
-		if hasLabels {
-			remap := remaps[key]
-			label = decodeIDsRLE(r, nStates, remap)
-			sinkLab = decodeIDsRLE(r, nStates, remap)
-			atoms = decodeAtoms(r, nStates)
+		if flag := r.take(1); len(flag) == 1 && flag[0] != 1 {
+			r.fail("class %d carries no labeling", i)
 		}
+		remap := remaps[key]
+		label := decodeIDsRLE(r, nStates, remap)
+		sinkLab := decodeIDsRLE(r, nStates, remap)
+		atoms := decodeAtoms(r, nStates)
 		// Successor lists decode into one flat backing array (the total
 		// is recorded up front), capped subslices per state — thousands
 		// of per-state allocations collapse into one.
@@ -613,25 +612,12 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 		if err != nil {
 			return nil, fmt.Errorf("%w: class %d: %v", ErrBadSnapshot, i, err)
 		}
-		var chk mc.Checker
-		switch {
-		case hasLabels && opts.Checker == CheckerIncremental:
-			chk, err = mc.NewIncrementalRestored(k, cs.Formula, s.warm, atoms, label, sinkLab)
-		case hasLabels && opts.Checker == CheckerBatch:
-			chk, err = mc.NewBatchRestored(k, cs.Formula, s.warm, atoms, label, sinkLab)
-		default:
-			// Automaton/header-space backends keep no exportable labeling;
-			// they rebuild from the restored structure, which still skips
-			// the Kripke-side table application and cycle check.
-			chk, err = factory(k, cs.Formula, s.warm)
-		}
+		chk, err := mc.NewIncrementalRestored(k, cs.Formula, s.warm, atoms, label, sinkLab)
 		if err != nil {
 			return nil, fmt.Errorf("%w: class %d checker: %v", ErrBadSnapshot, i, err)
 		}
 		s.ks = append(s.ks, k)
 		s.checkers = append(s.checkers, chk)
-		_, di := chk.(mc.DeltaInvariant)
-		s.canSkip = append(s.canSkip, di)
 	}
 	if r.err != nil {
 		return nil, r.err

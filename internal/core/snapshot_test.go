@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -16,58 +17,51 @@ import (
 // TestSnapshotRoundTripByteIdentity: snapshot a warm mid-stream session,
 // restore it, and serve the remainder of the stream from both the
 // original (never-evicted) session and the restored one — every plan must
-// be byte-identical, across all four checker backends. For the
-// incremental backend the restored per-state labels must also decode to
-// the original's label sets.
+// be byte-identical, and the restored per-state labels must decode to the
+// original's label sets.
 func TestSnapshotRoundTripByteIdentity(t *testing.T) {
 	stream, targets := rollingTargets(t, 47, 2, 6, 1)
 	if len(targets) < 4 {
 		t.Fatalf("stream too short: %d targets", len(targets))
 	}
-	for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
-		opts := Options{Checker: kind, Parallelism: 1}
-		name := kind.String()
-		sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
+	opts := Options{Parallelism: 1}
+	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.EnableCache()
+	warmPrefix := 2
+	for n := 0; n < warmPrefix; n++ {
+		if _, err := sess.Synthesize(targets[n]); err != nil {
+			t.Fatalf("warm step %d: %v", n, err)
+		}
+	}
+	img, err := sess.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	restored, err := RestoreSession(stream.Topo(), stream.Specs(), opts, img)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if restored.Runs() != sess.Runs() {
+		t.Fatalf("restored runs = %d, want %d", restored.Runs(), sess.Runs())
+	}
+	if diff := config.Diff(restored.Current(), sess.Current()); len(diff) != 0 {
+		t.Fatalf("restored configuration differs on switches %v", diff)
+	}
+	compareSessionLabels(t, "restored", sess, restored)
+	for n := warmPrefix; n < len(targets); n++ {
+		orig, err := sess.Synthesize(targets[n])
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("step %d: original: %v", n, err)
 		}
-		sess.EnableCache()
-		warmPrefix := 2
-		for n := 0; n < warmPrefix; n++ {
-			if _, err := sess.Synthesize(targets[n]); err != nil {
-				t.Fatalf("%s warm step %d: %v", name, n, err)
-			}
-		}
-		img, err := sess.Snapshot()
+		rest, err := restored.Synthesize(targets[n])
 		if err != nil {
-			t.Fatalf("%s: snapshot: %v", name, err)
+			t.Fatalf("step %d: restored: %v", n, err)
 		}
-		restored, err := RestoreSession(stream.Topo(), stream.Specs(), opts, img)
-		if err != nil {
-			t.Fatalf("%s: restore: %v", name, err)
-		}
-		if restored.Runs() != sess.Runs() {
-			t.Fatalf("%s: restored runs = %d, want %d", name, restored.Runs(), sess.Runs())
-		}
-		if diff := config.Diff(restored.Current(), sess.Current()); len(diff) != 0 {
-			t.Fatalf("%s: restored configuration differs on switches %v", name, diff)
-		}
-		if kind == CheckerIncremental {
-			compareSessionLabels(t, name, sess, restored)
-		}
-		for n := warmPrefix; n < len(targets); n++ {
-			orig, err := sess.Synthesize(targets[n])
-			if err != nil {
-				t.Fatalf("%s step %d: original: %v", name, n, err)
-			}
-			rest, err := restored.Synthesize(targets[n])
-			if err != nil {
-				t.Fatalf("%s step %d: restored: %v", name, n, err)
-			}
-			if got, want := rest.String(), orig.String(); got != want {
-				t.Fatalf("%s step %d: restored plan diverged:\nrestored %s\noriginal %s",
-					name, n, got, want)
-			}
+		if got, want := rest.String(), orig.String(); got != want {
+			t.Fatalf("step %d: restored plan diverged:\nrestored %s\noriginal %s", n, got, want)
 		}
 	}
 }
@@ -147,9 +141,11 @@ func TestSnapshotRoundTripSharedResources(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejection: corrupted, truncated, version-skewed, and
-// context-mismatched images must be rejected with the matching sentinel
-// (the pool falls back to a cold rebuild on any of them).
+// TestSnapshotRejection: corrupted, truncated, version-skewed,
+// context-mismatched and label-less images must be rejected with the
+// matching sentinel (the pool falls back to a cold rebuild on any of
+// them), and a session over a caller-supplied checker refuses to write
+// one.
 func TestSnapshotRejection(t *testing.T) {
 	stream, targets := rollingTargets(t, 59, 2, 3, 1)
 	opts := Options{Parallelism: 1}
@@ -195,6 +191,34 @@ func TestSnapshotRejection(t *testing.T) {
 			t.Fatalf("mismatched options: err = %v, want ErrSnapshotMismatch", err)
 		}
 	})
+	t.Run("no-labeling", func(t *testing.T) {
+		// The last class record: formula key, #states, then the labels
+		// flag this clears — what a checker without a labeling wrote
+		// before the engine served the incremental checker only.
+		last := len(sess.specs) - 1
+		w := &snapWriter{}
+		w.str(sess.specs[last].Formula.String())
+		w.count(sess.ks[last].NumStates())
+		at := bytes.LastIndex(img, w.buf)
+		if at < 0 || img[at+len(w.buf)] != 1 {
+			t.Fatal("class record not found in the image")
+		}
+		bad := append([]byte(nil), img[:len(img)-sha256.Size]...)
+		bad[at+len(w.buf)] = 0
+		bad = (&snapWriter{buf: bad}).seal()
+		if _, err := RestoreSession(stream.Topo(), stream.Specs(), opts, bad); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("label-less class record: err = %v, want ErrBadSnapshot", err)
+		}
+	})
+	t.Run("foreign-checker", func(t *testing.T) {
+		foreign, err := NewSessionWith(stream.Topo(), stream.Init(), stream.Specs(), opts, SessionResources{Factory: mc.NewBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := foreign.Snapshot(); err == nil {
+			t.Fatal("a session over a caller-supplied checker wrote a snapshot")
+		}
+	})
 }
 
 // TestSharedArenaConcurrentSoak: many sessions sharing one arena and one
@@ -235,30 +259,27 @@ func TestSharedArenaConcurrentSoak(t *testing.T) {
 // TestRestoredFirstSynthesizeMatchesCold: the first Synthesize after
 // RestoreSession seeds its verification structures exactly as a
 // cold-built session's first Synthesize does — clones of the search
-// structures, rebound over the diff — so on every backend it must return
-// the cold session's plan and the cold session's statistics (timings
+// structures, rebound over the diff — so it must return the cold session's plan and the cold session's statistics (timings
 // and memo warmth aside): no phase does work on a restored session that
 // it would not do on a cold one.
 func TestRestoredFirstSynthesizeMatchesCold(t *testing.T) {
 	stream, targets := rollingTargets(t, 47, 2, 3, 1)
-	for _, kind := range []CheckerKind{CheckerIncremental, CheckerBatch, CheckerNuSMV, CheckerNetPlumber} {
-		sessions := lazyFinalSessions(t, stream, Options{Checker: kind, Parallelism: 1})
-		cold, restored := sessions["cold"], sessions["restored"]
-		for n, tgt := range targets {
-			want, err := cold.Synthesize(tgt)
-			if err != nil {
-				t.Fatalf("%s step %d: cold: %v", kind, n, err)
-			}
-			got, err := restored.Synthesize(tgt)
-			if err != nil {
-				t.Fatalf("%s step %d: restored: %v", kind, n, err)
-			}
-			if got.String() != want.String() {
-				t.Fatalf("%s step %d: restored plan diverged:\n got %s\nwant %s", kind, n, got, want)
-			}
-			if g, w := untimed(got.Stats), untimed(want.Stats); !reflect.DeepEqual(g, w) {
-				t.Fatalf("%s step %d: restored stats diverged:\n got %+v\nwant %+v", kind, n, g, w)
-			}
+	sessions := lazyFinalSessions(t, stream, Options{Parallelism: 1})
+	cold, restored := sessions["cold"], sessions["restored"]
+	for n, tgt := range targets {
+		want, err := cold.Synthesize(tgt)
+		if err != nil {
+			t.Fatalf("step %d: cold: %v", n, err)
+		}
+		got, err := restored.Synthesize(tgt)
+		if err != nil {
+			t.Fatalf("step %d: restored: %v", n, err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("step %d: restored plan diverged:\n got %s\nwant %s", n, got, want)
+		}
+		if g, w := untimed(got.Stats), untimed(want.Stats); !reflect.DeepEqual(g, w) {
+			t.Fatalf("step %d: restored stats diverged:\n got %+v\nwant %+v", n, g, w)
 		}
 	}
 }

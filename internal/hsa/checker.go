@@ -36,7 +36,7 @@ func plumberFor(k *kripke.K) *Plumber {
 	return NewPlumber(k.Topo, tables, FromPacket(k.Class.Packet()))
 }
 
-// Rebind implements mc.Rebindable by rebuilding the plumbing graph from
+// Rebind implements mc.Checker by rebuilding the plumbing graph from
 // the structure's current tables: the header-space engine's bookkeeping
 // is incremental over individual rule operations and cannot absorb an
 // arbitrary in-place rebind any cheaper than a rebuild (the same path
@@ -94,11 +94,16 @@ type hsaToken struct {
 }
 
 // Update implements mc.Checker: translate the switch update into rule
-// insertions/removals (NetPlumber's native operations) and re-check.
+// insertions/removals (NetPlumber's native operations) and re-check. The
+// diff base is the plumbing graph's own rules for the switch, not the
+// table the delta replaced: the engine does not report an update that changed no
+// transition of the class (see mc.Checker), so the graph may be one or
+// more tables behind the structure on this switch. Behind by such updates
+// it forwards the class identically — the class header space is a single
+// packet — and diffing against its own rules brings it level whenever the
+// switch is next reported; Revert then returns it to the rules it had.
 func (c *Checker) Update(delta *kripke.Delta) (mc.Verdict, mc.Token) {
-	oldT := delta.OldTable()
-	newT := c.k.Table(delta.Switch)
-	removed, added := diffRules(oldT, newT)
+	removed, added := diffRules(c.p.Rules(delta.Switch), c.k.Table(delta.Switch))
 	for _, r := range removed {
 		c.p.RemoveRule(delta.Switch, r)
 	}
@@ -122,7 +127,7 @@ func (c *Checker) Revert(t mc.Token) {
 // Stats implements mc.Checker.
 func (c *Checker) Stats() mc.Stats { return c.stats }
 
-// CloneFor implements mc.Cloneable via the cheap-rebuild path: the plumbing
+// CloneFor implements mc.Checker via the cheap-rebuild path: the plumbing
 // graph's internal bookkeeping (pipes, flow trees) is heavily aliased, so
 // instead of a deep copy the clone rebuilds a fresh Plumber from k2's
 // current tables — New reads whatever tables are installed, so this is
@@ -152,9 +157,3 @@ outer:
 	}
 	return
 }
-
-var (
-	_ mc.Checker    = (*Checker)(nil)
-	_ mc.Cloneable  = (*Checker)(nil)
-	_ mc.Rebindable = (*Checker)(nil)
-)

@@ -1,7 +1,9 @@
 package hsa
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -182,63 +184,136 @@ func TestCheckerMatchesIncremental(t *testing.T) {
 	}
 }
 
+// flowPaths renders every maximal flow path of the checker's plumbing
+// graph, sorted, for comparing two graphs' forwarding of the class.
+func flowPaths(c mc.Checker) []string {
+	var out []string
+	for _, t := range c.(*Checker).p.Terminals() {
+		out = append(out, fmt.Sprint(t.Switches, t.InPorts, t.Kind, t.Host))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestCheckerUpdateRevertMatchesIncremental drives the checker the way
+// the synthesis engine does and compares every verdict, and the verdict
+// after full unwind, against a fresh incremental checker — and its flow
+// paths against a plumbing graph built fresh from the structure. Two input
+// shapes: one class rule per switch with every update reported; and
+// tables that mix in foreign-class rules and class rules shadowed by a
+// higher priority, with updates that change no transition of the class
+// left unreported (the mc.Checker contract) — the plumbing graph then
+// lags the structure on such a switch and must catch up from its own
+// rules when the switch is next reported.
 func TestCheckerUpdateRevertMatchesIncremental(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for iter := 0; iter < 60; iter++ {
-		topo, _, cl, k := buildScene(r)
-		spec := randomSpec(r, topo.NumSwitches())
-		hchk, err := New(k, spec)
-		if err != nil {
-			t.Fatal(err)
+	for _, mixed := range []bool{false, true} {
+		r := rand.New(rand.NewSource(4))
+		steps, skipped := 10, 0
+		if mixed {
+			steps = 30
 		}
-		type frame struct {
-			delta *kripke.Delta
-			tok   mc.Token
-		}
-		var stack []frame
-		for step := 0; step < 10; step++ {
-			if len(stack) > 0 && r.Intn(3) == 0 {
-				fr := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				hchk.Revert(fr.tok)
-				k.Revert(fr.delta)
-				continue
-			}
-			sw := r.Intn(topo.NumSwitches())
-			var tbl network.Table
-			if r.Intn(3) > 0 {
-				ports := topo.Ports(sw)
-				tbl = network.Table{{
-					Priority: 10, Match: cl.Pattern(),
-					Actions: []network.Action{network.Forward(ports[r.Intn(len(ports))])},
-				}}
-			}
-			delta, err := k.UpdateSwitch(sw, tbl)
-			if err != nil {
-				k.Revert(delta)
-				continue
-			}
-			hv, tok := hchk.Update(delta)
-			stack = append(stack, frame{delta, tok})
-			fresh, err := mc.NewIncremental(k, spec)
+		for iter := 0; iter < 60; iter++ {
+			topo, _, cl, k := buildScene(r)
+			spec := randomSpec(r, topo.NumSwitches())
+			hchk, err := New(k, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fv := fresh.Check(); hv.OK != fv.OK {
-				t.Fatalf("iter %d step %d: hsa=%v incremental=%v spec=%v",
-					iter, step, hv.OK, fv.OK, spec)
+			type frame struct {
+				delta *kripke.Delta
+				tok   mc.Token // nil: the update was not reported
+			}
+			var stack []frame
+			pop := func() {
+				fr := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if fr.tok != nil {
+					hchk.Revert(fr.tok)
+				}
+				k.Revert(fr.delta)
+			}
+			for step := 0; step < steps; step++ {
+				if len(stack) > 0 && r.Intn(3) == 0 {
+					pop()
+					continue
+				}
+				sw := r.Intn(topo.NumSwitches())
+				if src, _ := topo.HostByID(cl.SrcHost); mixed && r.Intn(2) == 0 {
+					sw = src.Switch // every flow of the class passes here
+				}
+				ports := topo.Ports(sw)
+				fwd := func() []network.Action {
+					return []network.Action{network.Forward(ports[r.Intn(len(ports))])}
+				}
+				var tbl network.Table
+				if mixed {
+					// One edit of the installed table: the rule the
+					// class is forwarded by (priority 10) is replaced or
+					// dropped, a class rule it shadows (priority 5) or a
+					// foreign-class rule comes or goes.
+					tbl = k.Table(sw).Clone()
+					without := func(prio int, m network.Pattern) bool {
+						n := len(tbl)
+						tbl = slices.DeleteFunc(tbl, func(x network.Rule) bool { return x.Priority == prio && x.Match == m })
+						return len(tbl) < n
+					}
+					foreign := network.MatchFlow(500, 600)
+					switch r.Intn(4) {
+					case 0:
+						without(10, cl.Pattern())
+						tbl = append(tbl, network.Rule{Priority: 10, Match: cl.Pattern(), Actions: fwd()})
+					case 1:
+						without(10, cl.Pattern())
+					case 2:
+						if !without(5, cl.Pattern()) {
+							tbl = append(tbl, network.Rule{Priority: 5, Match: cl.Pattern(), Actions: fwd()})
+						}
+					default:
+						if !without(20, foreign) {
+							tbl = append(tbl, network.Rule{Priority: 20, Match: foreign, Actions: fwd()})
+						}
+					}
+				} else if r.Intn(3) > 0 {
+					tbl = network.Table{{Priority: 10, Match: cl.Pattern(), Actions: fwd()}}
+				}
+				delta, err := k.UpdateSwitch(sw, tbl)
+				if err != nil {
+					k.Revert(delta)
+					continue
+				}
+				if mixed && len(delta.Changed()) == 0 {
+					skipped++
+					stack = append(stack, frame{delta: delta})
+					continue
+				}
+				hv, tok := hchk.Update(delta)
+				stack = append(stack, frame{delta, tok})
+				fresh, err := mc.NewIncremental(k, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fv := fresh.Check(); hv.OK != fv.OK {
+					t.Fatalf("mixed=%v iter %d step %d: hsa=%v incremental=%v spec=%v",
+						mixed, iter, step, hv.OK, fv.OK, spec)
+				}
+				rebuilt, _ := New(k, spec)
+				if got, want := flowPaths(hchk), flowPaths(rebuilt); !slices.Equal(got, want) {
+					t.Fatalf("mixed=%v iter %d step %d: flow paths diverged from a fresh plumbing graph:\n got %v\nwant %v",
+						mixed, iter, step, got, want)
+				}
+			}
+			// Full unwind must restore the original verdict.
+			for len(stack) > 0 {
+				pop()
+			}
+			fresh, _ := mc.NewIncremental(k, spec)
+			rebuilt, _ := New(k, spec)
+			if hchk.Check().OK != fresh.Check().OK || !slices.Equal(flowPaths(hchk), flowPaths(rebuilt)) {
+				t.Fatalf("mixed=%v iter %d: revert broke the hsa checker", mixed, iter)
 			}
 		}
-		// Full unwind must restore the original verdict.
-		for len(stack) > 0 {
-			fr := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			hchk.Revert(fr.tok)
-			k.Revert(fr.delta)
-		}
-		fresh, _ := mc.NewIncremental(k, spec)
-		if hchk.Check().OK != fresh.Check().OK {
-			t.Fatalf("iter %d: revert broke the hsa checker", iter)
+		if mixed && skipped < 60 {
+			t.Fatalf("only %d unreported updates in 60 walks; the mixed shape no longer exercises them", skipped)
 		}
 	}
 }

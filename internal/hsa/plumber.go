@@ -214,6 +214,16 @@ func (p *Plumber) refreshSwitch(sw int) {
 	}
 }
 
+// Rules returns the rules currently installed on sw, highest priority
+// first.
+func (p *Plumber) Rules(sw int) network.Table {
+	tbl := make(network.Table, len(p.rules[sw]))
+	for i, n := range p.rules[sw] {
+		tbl[i] = n.rule
+	}
+	return tbl
+}
+
 // AddRule inserts a rule on sw and re-propagates affected flows.
 func (p *Plumber) AddRule(sw int, r network.Rule) {
 	p.insertRuleNode(sw, r)

@@ -234,10 +234,6 @@ type Delta struct {
 	newSucc  [][]int // successor lists after the update (nil on error paths)
 }
 
-// OldTable returns the table that was installed on the switch before the
-// update (used by rule-level backends to compute rule diffs).
-func (d *Delta) OldTable() network.Table { return d.oldTable }
-
 // Changed returns the ids of states whose transition function changed.
 // The slice is shared and must not be mutated.
 func (d *Delta) Changed() []int { return d.ids }
@@ -303,11 +299,11 @@ func intsEqual(a, b []int) bool {
 // index, and initial states are fixed by the topology and survive
 // untouched, which is what lets a long-lived session reuse one arena
 // across a whole stream of syntheses. changed lists the switches whose
-// transition function for this class actually changed, so label-based
-// checkers can skip relabeling entirely when the class is unaffected;
-// touched lists every switch whose table was replaced (a superset —
-// checkers tracking raw tables, like the header-space backend, must be
-// refreshed whenever it is non-empty). If cfg forwards the class in a
+// transition function for this class actually changed, so the session
+// skips refreshing the checker entirely when the class is unaffected (a
+// checker's verdict depends on the class structure alone, see
+// mc.Checker); touched lists every switch whose table was replaced, a
+// superset. If cfg forwards the class in a
 // cycle, the structure has still been fully rebound to cfg (tables stay
 // consistent for a later Rebind) and *ErrLoop is returned. Outstanding
 // Deltas, undo tokens, and clones taken before a Rebind must not be

@@ -7,8 +7,10 @@ import (
 
 // Batch is the monolithic variant of the labeling checker (Section 5.2's
 // "naive approach"): every call relabels the entire Kripke structure from
-// scratch, ignoring previous results. It exists as the paper's Batch
-// baseline for Figure 7.
+// scratch, ignoring previous results. It shares no incremental
+// bookkeeping with Incremental, which makes it the differential oracle the
+// tests compare against, and it is the Batch row of Figure 7
+// (internal/bench).
 type Batch struct {
 	*labeler
 }
@@ -43,7 +45,7 @@ func (c *Batch) Revert(t Token) {}
 // Stats implements Checker.
 func (c *Batch) Stats() Stats { return c.stats }
 
-// CloneFor implements Cloneable. The batch checker relabels from scratch
+// CloneFor implements Checker. The batch checker relabels from scratch
 // on every call, so the clone only needs the shared closure and atoms.
 func (c *Batch) CloneFor(k2 *kripke.K) (Checker, error) {
 	return &Batch{labeler: c.labeler.cloneFor(k2)}, nil
@@ -52,24 +54,10 @@ func (c *Batch) CloneFor(k2 *kripke.K) (Checker, error) {
 // StatelessMC implements Stateless: every call relabels from scratch.
 func (c *Batch) StatelessMC() {}
 
-// Rebind implements Rebindable. The batch checker re-derives everything
+// Rebind implements Checker. The batch checker re-derives everything
 // on its next Check, so nothing needs refreshing; the interned labels and
 // Extend memos it keeps remain valid (they depend only on the fixed state
 // arena) and make post-rebind relabels cheap.
 func (c *Batch) Rebind() {}
 
-// DeltaInvariantMC implements DeltaInvariant: the verdict is recomputed
-// from the class structure alone, so an empty delta cannot change it.
-func (c *Batch) DeltaInvariantMC() {}
-
 type batchToken struct{}
-
-var (
-	_ Checker        = (*Batch)(nil)
-	_ Cloneable      = (*Batch)(nil)
-	_ Stateless      = (*Batch)(nil)
-	_ Rebindable     = (*Batch)(nil)
-	_ DeltaInvariant = (*Batch)(nil)
-	_                = ltl.Valuation{}
-	_                = kripke.State{}
-)

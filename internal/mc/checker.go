@@ -1,9 +1,10 @@
-// Package mc implements the LTL model checkers of Section 5: state
+// Package mc implements the LTL model checker of Section 5: state
 // labeling with maximally-consistent sets of the extended closure
-// (following Wolper-Vardi-Sistla), an incremental checker that relabels
-// only the ancestors of updated states, and a batch variant that relabels
-// the whole structure on every call. Both operate on the complete,
-// DAG-like network Kripke structures built by package kripke.
+// (following Wolper-Vardi-Sistla), relabeling only the ancestors of
+// updated states (Incremental, the checker the engine serves), and a
+// batch variant that relabels the whole structure on every call and is
+// kept as the differential oracle. Both operate on the complete, DAG-like
+// network Kripke structures built by package kripke.
 package mc
 
 import (
@@ -15,21 +16,29 @@ import (
 type Verdict struct {
 	OK bool
 	// Cex is a violating trace prefix (state ids, from an initial state to
-	// a sink) when OK is false and the checker supports counterexamples.
+	// a sink) when OK is false; empty when the checker has none to offer.
 	Cex []int
-	// HasCex reports whether this checker produces counterexamples at all
-	// (NetPlumber-style checkers do not).
-	HasCex bool
 }
 
 // Token is an opaque undo token returned by Update and consumed by Revert.
 type Token interface{}
 
 // Checker verifies one traffic class's Kripke structure against one LTL
-// formula across a sequence of switch updates. Implementations:
-// Incremental (the paper's contribution), Batch, the automaton-theoretic
-// checker in package buchi (NuSMV stand-in), and the header-space checker
-// in package hsa (NetPlumber stand-in).
+// formula across a sequence of switch updates. It is the whole contract
+// between the synthesis engine and a checker: the engine asserts for no
+// further capability.
+//
+// The verdict is a function of the class structure alone — its states,
+// transitions and atoms — never of the raw rule tables behind it. The
+// engine relies on that: it does not call Update for a delta that
+// changed no transition (len(delta.Changed()) == 0), and it does not call
+// Rebind after a rebind that changed none, even though the tables of the
+// structure did change. An implementation that tracks tables must
+// resynchronise from the structure when it is next called.
+//
+// Incremental is the implementation every session uses; Batch is the
+// test oracle. The Figure 7 comparison backends live with the figure
+// harness (internal/bench).
 type Checker interface {
 	// Name identifies the checker in benchmark output.
 	Name() string
@@ -43,11 +52,24 @@ type Checker interface {
 	// must be reverted in LIFO order. The caller separately reverts the
 	// Kripke structure itself.
 	Revert(t Token)
+	// Rebind refreshes the checker after its structure was rebound in
+	// place to a different configuration (see kripke.K.Rebind),
+	// re-deriving whatever depends on the transition relation while
+	// keeping structure-independent caches — interned labels,
+	// closure-extension memos, translated automata — warm. Outstanding
+	// undo tokens and clones taken before a Rebind are invalidated.
+	Rebind()
+	// CloneFor returns an independent checker over k2, which must be a
+	// clone of the structure this checker was built on, taken at the same
+	// table state (see kripke.K.Clone). The clone carries over whatever
+	// the checker has derived so far, shares only immutable data with the
+	// original, and may be used concurrently with it.
+	CloneFor(k2 *kripke.K) (Checker, error)
 	// Stats returns cumulative work counters for benchmark reporting.
 	Stats() Stats
 }
 
-// Stats counts the work a checker has performed. The labeling backends
+// Stats counts the work a checker has performed. The labeling checkers
 // additionally report allocation and relabeling counters: LabelsInterned
 // is the number of distinct label sets this checker added to its intern
 // table (the only steady-state source of label allocations), and the
@@ -75,49 +97,6 @@ type Stateless interface {
 	// StatelessMC is a marker; implementations do nothing.
 	StatelessMC()
 }
-
-// Rebindable is implemented by every backend that can survive its Kripke
-// structure being rebound in place to a different configuration (see
-// kripke.K.Rebind): Rebind re-derives whatever internal bookkeeping
-// depends on the transition relation while keeping the warm,
-// structure-independent caches — interned labels, closure-extension
-// memos, translated automata — alive across syntheses. It is the entry
-// point long-lived sessions use instead of rebuilding checkers per run.
-// Outstanding undo tokens and clones taken before a Rebind are
-// invalidated and must not be used afterwards.
-type Rebindable interface {
-	// Rebind refreshes the checker after arbitrary in-place changes to
-	// the structure it was built on.
-	Rebind()
-}
-
-// DeltaInvariant marks checkers whose observable verdict is a function of
-// the class Kripke structure alone: an update whose delta is empty (no
-// transition of the class changed) cannot change their answer, so the
-// synthesis engine may skip the Update/verdict round-trip entirely and
-// count a class skip. The header-space backend tracks raw rule tables —
-// it must see every table replacement, empty delta or not — and therefore
-// does not implement this.
-type DeltaInvariant interface {
-	// DeltaInvariantMC is a marker; implementations do nothing.
-	DeltaInvariantMC()
-}
-
-// Cloneable is implemented by checkers that can duplicate themselves for a
-// clone of their Kripke structure (see kripke.K.Clone). The clone carries
-// over the current labeling/bookkeeping where the backend keeps any, so it
-// is cheaper than rebuilding via the Factory; backends for which cloning
-// is impractical rebuild internally instead. Clones share only immutable
-// data with the original and may be used concurrently with it.
-type Cloneable interface {
-	// CloneFor returns an independent checker over k2, which must be a
-	// clone of the structure this checker was built on, taken at the same
-	// table state.
-	CloneFor(k2 *kripke.K) (Checker, error)
-}
-
-// trueVerdict is the verdict for a passing check.
-func trueVerdict() Verdict { return Verdict{OK: true, HasCex: true} }
 
 // Describe renders a counterexample trace for error messages.
 func Describe(k *kripke.K, cex []int) string {

@@ -80,7 +80,7 @@ func newIncrementalPrelabeled(l *labeler, k *kripke.K) *Incremental {
 	return c
 }
 
-// Rebind implements Rebindable: relabel the (rebound) structure in full
+// Rebind implements Checker: relabel the (rebound) structure in full
 // and re-derive the violating-initial set. The warm state — the shared
 // intern table, the per-state atom valuations, the sink-label cache and
 // the Extend memos — depends only on the fixed state arena, not on the
@@ -100,10 +100,6 @@ func (c *Incremental) Rebind() {
 		}
 	}
 }
-
-// DeltaInvariantMC implements DeltaInvariant: labels are a function of
-// the class structure, so an empty delta cannot change the verdict.
-func (c *Incremental) DeltaInvariantMC() {}
 
 func (c *Incremental) initViolates(q0 int) bool {
 	for _, v := range c.tab.Label(c.label[q0]) {
@@ -157,7 +153,7 @@ func (c *Incremental) Name() string { return "incremental" }
 func (c *Incremental) Check() Verdict {
 	c.stats.Checks++
 	if c.badCount == 0 {
-		return trueVerdict()
+		return Verdict{OK: true}
 	}
 	// Deterministic counterexample choice: smallest violating initial
 	// state (maintained in minBad), first violating valuation in label
@@ -165,7 +161,7 @@ func (c *Incremental) Check() Verdict {
 	q0 := c.minBad
 	for _, v := range c.tab.Label(c.label[q0]) {
 		if !c.clo.Holds(v) {
-			return Verdict{OK: false, Cex: c.extractCex(q0, v), HasCex: true}
+			return Verdict{OK: false, Cex: c.extractCex(q0, v)}
 		}
 	}
 	// badInit said violating but the label disagrees: stale bookkeeping.
@@ -363,7 +359,7 @@ func (c *Incremental) Revert(t Token) {
 // Stats implements Checker.
 func (c *Incremental) Stats() Stats { return c.stats }
 
-// CloneFor implements Cloneable: the clone inherits the current labeling
+// CloneFor implements Checker: the clone inherits the current labeling
 // (an outer slice of IDs over the shared intern table) and the
 // violating-initial bookkeeping, skipping the full relabel a fresh
 // NewIncremental would perform. Epoch scratch, the Extend memo, and the
@@ -377,10 +373,3 @@ func (c *Incremental) CloneFor(k2 *kripke.K) (Checker, error) {
 		minBad:   c.minBad,
 	}, nil
 }
-
-var (
-	_ Checker        = (*Incremental)(nil)
-	_ Cloneable      = (*Incremental)(nil)
-	_ Rebindable     = (*Incremental)(nil)
-	_ DeltaInvariant = (*Incremental)(nil)
-)

@@ -277,21 +277,28 @@ func (l *labeler) verdict() Verdict {
 	for _, q0 := range l.k.Init() {
 		for _, v := range l.tab.Label(l.label[q0]) {
 			if !l.clo.Holds(v) {
-				return Verdict{OK: false, Cex: l.extractCex(q0, v), HasCex: true}
+				return Verdict{OK: false, Cex: l.extractCex(q0, v)}
 			}
 		}
 	}
-	return trueVerdict()
+	return Verdict{OK: true}
 }
 
 // extractCex reconstructs a violating trace witnessing valuation v at
 // state q0: repeatedly find a successor whose label contains a valuation
-// that extends to the current one (Section 5.2, "Counterexamples").
+// that extends to the current one (Section 5.2, "Counterexamples"). It
+// returns nil when no such trace exists, which labels computed here rule
+// out but a labeling adopted from a snapshot image does not: the image's
+// checksum shows it arrived intact, not that its labels and successor
+// lists agree. The verdict then carries no counterexample.
 func (l *labeler) extractCex(q0 int, v ltl.Valuation) []int {
 	l.ensureAtoms()
 	trace := []int{q0}
 	q, cur := q0, v
 	for !l.k.IsSink(q) {
+		if len(trace) > l.k.NumStates() {
+			return nil // successor lists with a cycle: no structure built here has one
+		}
 		found := false
 		for _, s := range l.k.Succ(q) {
 			for _, vs := range l.tab.Label(l.label[s]) {
@@ -307,9 +314,7 @@ func (l *labeler) extractCex(q0 int, v ltl.Valuation) []int {
 			}
 		}
 		if !found {
-			// Labels are correct by construction; reaching here indicates
-			// stale labels. Fail loudly in tests rather than mislead.
-			panic("mc: counterexample reconstruction failed — stale labeling")
+			return nil
 		}
 	}
 	return trace

@@ -545,7 +545,7 @@ func TestWarmthSharesLabels(t *testing.T) {
 	if w.Len() != 1 {
 		t.Fatalf("warmth entries = %d, want 1", w.Len())
 	}
-	if _, err := NewBatchWarm(k, ltl.Reachability(1, 2), w); err != nil {
+	if _, err := NewIncrementalWarm(k, ltl.Reachability(1, 2), w); err != nil {
 		t.Fatal(err)
 	}
 	if w.Len() != 2 {

@@ -56,22 +56,14 @@ func (w *Warmth) ForEach(fn func(formula string, tab *LabelTable)) {
 	}
 }
 
-// LabelExporter is implemented by the label-based checkers (incremental,
-// batch): it exposes the warm per-state labeling and the per-state
-// atomic-subformula valuations for snapshotting. The returned slices
-// alias checker state — callers must copy or encode them before the
-// checker runs again.
-type LabelExporter interface {
-	ExportLabels() (label, sinkLab []LabelID)
-	ExportAtoms() []ltl.Valuation
-}
-
-// ExportLabels implements LabelExporter for every checker embedding the
-// labeler.
+// ExportLabels exposes the warm per-state labeling (label, sinkLab) for
+// snapshotting. The returned slices alias checker state — callers must
+// copy or encode them before the checker runs again.
 func (l *labeler) ExportLabels() ([]LabelID, []LabelID) { return l.label, l.sinkLab }
 
-// ExportAtoms implements LabelExporter for every checker embedding the
-// labeler, materializing a still-compressed restored image first.
+// ExportAtoms exposes the per-state atomic-subformula valuations under
+// the same aliasing rule, materializing a still-compressed restored image
+// first.
 func (l *labeler) ExportAtoms() []ltl.Valuation {
 	l.ensureAtoms()
 	return l.atoms
@@ -107,11 +99,9 @@ func (a *AtomsImage) materialize() []ltl.Valuation {
 // instead of sweeping the structure: the atoms image, label, and sinkLab
 // are adopted, not copied (the decoder owns them and hands them over),
 // which is what makes restore-time checker construction O(validate)
-// rather than O(states x formula). allowUnset permits noLabel entries in
-// the label array (the batch checker relabels on every check and
-// tolerates gaps; the incremental checker reads labels eagerly and
-// cannot).
-func newLabelerRestored(k *kripke.K, spec *ltl.Formula, w *Warmth, atoms *AtomsImage, label, sinkLab []LabelID, allowUnset bool) (*labeler, error) {
+// rather than O(states x formula). Every state must be labeled: the
+// incremental checker reads labels eagerly.
+func newLabelerRestored(k *kripke.K, spec *ltl.Formula, w *Warmth, atoms *AtomsImage, label, sinkLab []LabelID) (*labeler, error) {
 	l, err := newLabelerShell(k, spec, w)
 	if err != nil {
 		return nil, err
@@ -125,7 +115,7 @@ func newLabelerRestored(k *kripke.K, spec *ltl.Formula, w *Warmth, atoms *AtomsI
 	}
 	max := LabelID(l.tab.Len())
 	for i := 0; i < n; i++ {
-		if label[i] >= max || label[i] < noLabel || (label[i] == noLabel && !allowUnset) {
+		if label[i] >= max || label[i] <= noLabel {
 			return nil, fmt.Errorf("mc: restore: state %d label %d out of range [0,%d)", i, label[i], max)
 		}
 		if sinkLab[i] >= max || sinkLab[i] < noLabel {
@@ -147,20 +137,9 @@ func newLabelerRestored(k *kripke.K, spec *ltl.Formula, w *Warmth, atoms *AtomsI
 // were remapped by the snapshot decoder if the table is shared — and
 // every state must be labeled. All three slices are adopted.
 func NewIncrementalRestored(k *kripke.K, spec *ltl.Formula, w *Warmth, atoms *AtomsImage, label, sinkLab []LabelID) (Checker, error) {
-	l, err := newLabelerRestored(k, spec, w, atoms, label, sinkLab, false)
+	l, err := newLabelerRestored(k, spec, w, atoms, label, sinkLab)
 	if err != nil {
 		return nil, err
 	}
 	return newIncrementalPrelabeled(l, k), nil
-}
-
-// NewBatchRestored is NewBatchWarm fed a snapshot labeling. The batch
-// checker relabels on every Check, so the restored labels only pre-seed
-// the sink-label cache and the intern table's working set.
-func NewBatchRestored(k *kripke.K, spec *ltl.Formula, w *Warmth, atoms *AtomsImage, label, sinkLab []LabelID) (Checker, error) {
-	l, err := newLabelerRestored(k, spec, w, atoms, label, sinkLab, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Batch{labeler: l}, nil
 }

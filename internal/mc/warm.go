@@ -59,11 +59,6 @@ func (w *Warmth) entry(spec *ltl.Formula) (*warmEntry, error) {
 	return e, nil
 }
 
-// WarmFactory constructs a checker that shares formula-keyed caches
-// through w (which may be nil). Backends without structure-independent
-// caches ignore w.
-type WarmFactory func(k *kripke.K, spec *ltl.Formula, w *Warmth) (Checker, error)
-
 // NewIncrementalWarm is NewIncremental drawing the closure and label
 // table from w.
 func NewIncrementalWarm(k *kripke.K, spec *ltl.Formula, w *Warmth) (Checker, error) {
@@ -72,13 +67,4 @@ func NewIncrementalWarm(k *kripke.K, spec *ltl.Formula, w *Warmth) (Checker, err
 		return nil, err
 	}
 	return newIncrementalFrom(l, k), nil
-}
-
-// NewBatchWarm is NewBatch drawing the closure and label table from w.
-func NewBatchWarm(k *kripke.K, spec *ltl.Formula, w *Warmth) (Checker, error) {
-	l, err := newLabelerWarm(k, spec, w)
-	if err != nil {
-		return nil, err
-	}
-	return &Batch{labeler: l}, nil
 }

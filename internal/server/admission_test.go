@@ -163,7 +163,7 @@ func TestEveryOptionReachesTheSession(t *testing.T) {
 		case reflect.Bool:
 			v.SetBool(true)
 		default:
-			v.SetInt(3) // netplumber, 3 workers, a sub-millisecond timeout
+			v.SetInt(3) // 3 workers, a sub-millisecond timeout
 		}
 	}
 	spec := testSpec("every-option")
@@ -193,23 +193,19 @@ func TestEveryOptionReachesTheSession(t *testing.T) {
 	if got := p.tenants[info.ID].opts; got != want {
 		t.Fatalf("options lost between the wire and the session:\nwant %+v\ngot  %+v", want, got)
 	}
-
-	if err := json.Unmarshal([]byte(`{"options":{"checker":"nope"}}`), new(TenantSpec)); err == nil {
-		t.Fatal("unknown checker name must be rejected at decode")
-	}
-	if _, err := (OptionsSpec{Checker: 99}).Build(); err == nil {
-		t.Fatal("unknown checker kind must be rejected")
-	}
 }
 
 // TestFingerprintCanonicalAndGolden: a spec that spells a default option
 // (what netupdate -stream -connect used to send) and one that leaves it
 // out (what every HTTP client sends) are the same tenant; and the ids of
 // specs as JSON clients spell them are the ones computed at commit
-// 9bc8855, so registered tenants and -learn-file stores keep their keys.
+// 9bc8855 (every-option: at 5a6acb0, without the checker key that commit
+// still had), so registered tenants and -learn-file stores keep their
+// keys. The removed "checker" key is a 400 like any unknown key, even
+// spelling the old default.
 func TestFingerprintCanonicalAndGolden(t *testing.T) {
 	const header = `{"name":"line","topology":{"switches":4,"links":[[0,1],[1,3],[0,2],[2,3]],"hosts":[{"id":100,"switch":0},{"id":101,"switch":3}]},"classes":[{"name":"c","src":100,"dst":101,"path":[0,1,3],"spec":"sw=0 -> F sw=3"}]`
-	const everyOption = `,"options":{"checker":"batch","rules":true,"twoSimple":true,"noWaitRemoval":true,"noDecompose":true,"parallel":3,"firstPlan":true,"noCexLearning":true,"noEarlyTermination":true,"noHeuristicOrder":true,"minCompletion":true,"noPlanCache":true,"trace":true,"timeoutNs":1500}}`
+	const everyOption = `,"options":{"rules":true,"twoSimple":true,"noWaitRemoval":true,"noDecompose":true,"parallel":3,"firstPlan":true,"noCexLearning":true,"noEarlyTermination":true,"noHeuristicOrder":true,"minCompletion":true,"noPlanCache":true,"trace":true,"timeoutNs":1500}}`
 	p := NewPool(PoolOptions{Workers: 1})
 	ts := httptest.NewServer(NewHandler(p))
 	defer ts.Close()
@@ -219,9 +215,8 @@ func TestFingerprintCanonicalAndGolden(t *testing.T) {
 	}{
 		{header + `}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", true},
 		{header + `,"options":{}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
-		{header + `,"options":{"checker":"incremental"}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
-		{header + `,"options":{"checker":"","parallel":0,"rules":false}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
-		{header + everyOption, "tabf654e21d30fe2c", "tbc072068702a54ae", true},
+		{header + `,"options":{"parallel":0,"rules":false}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
+		{header + everyOption, "tcc1ae69ee893664e", "tdcbd5c684e36dd64", true},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(c.spec))
 		if err != nil {
@@ -243,6 +238,14 @@ func TestFingerprintCanonicalAndGolden(t *testing.T) {
 		if learnID, err := spec.LearnFingerprint(); err != nil || learnID != c.learnID {
 			t.Errorf("%s:\nlearn fingerprint %s (%v), want %s", c.spec, learnID, err, c.learnID)
 		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(header+`,"options":{"checker":"incremental"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf(`"options":{"checker":"incremental"}: status %d, want 400`, resp.StatusCode)
 	}
 	if n := p.Metric("pool_tenants"); n != 2 {
 		t.Fatalf("%g tenants registered, want 2", n)

@@ -91,33 +91,29 @@ func poolPlans(t *testing.T, p *server.Pool, loads []*bench.TenantLoad) [][]stri
 
 // TestPoolMultiTenantConformance: >= 8 tenants served concurrently from
 // one pool must produce plans byte-identical to a dedicated per-tenant
-// Synthesizer, across all four checker backends. Run with -race in CI,
-// this doubles as the cross-tenant concurrency soundness check.
+// Synthesizer. Run with -race in CI, this doubles as the cross-tenant
+// concurrency soundness check.
 func TestPoolMultiTenantConformance(t *testing.T) {
-	for _, checker := range []core.CheckerKind{core.CheckerIncremental, core.CheckerBatch, core.CheckerNuSMV, core.CheckerNetPlumber} {
-		t.Run(checker.String(), func(t *testing.T) {
-			loads, err := bench.MakeTenantLoads(8, 40, 3, server.OptionsSpec{Checker: checker}, 7)
-			if err != nil {
-				t.Fatal(err)
+	loads, err := bench.MakeTenantLoads(8, 40, 3, server.OptionsSpec{}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := server.NewPool(server.PoolOptions{Workers: 4})
+	got := poolPlans(t, p, loads)
+	for i, tl := range loads {
+		want := expectedPlans(t, tl)
+		if len(got[i]) != len(want) {
+			t.Fatalf("tenant %d: %d plans, want %d", i, len(got[i]), len(want))
+		}
+		for j := range want {
+			if got[i][j] != want[j] {
+				t.Fatalf("tenant %d delta %d: plan diverged:\npool %s\nsolo %s",
+					i, j, got[i][j], want[j])
 			}
-			p := server.NewPool(server.PoolOptions{Workers: 4})
-			got := poolPlans(t, p, loads)
-			for i, tl := range loads {
-				want := expectedPlans(t, tl)
-				if len(got[i]) != len(want) {
-					t.Fatalf("tenant %d: %d plans, want %d", i, len(got[i]), len(want))
-				}
-				for j := range want {
-					if got[i][j] != want[j] {
-						t.Fatalf("tenant %d delta %d: plan diverged:\npool %s\nsolo %s",
-							i, j, got[i][j], want[j])
-					}
-				}
-			}
-			if n, plans := p.Metric("pool_tenants"), p.Metric("plans_total"); n != 8 || plans != 8*3 {
-				t.Fatalf("tenants = %g, plans = %g", n, plans)
-			}
-		})
+		}
+	}
+	if n, plans := p.Metric("pool_tenants"), p.Metric("plans_total"); n != 8 || plans != 8*3 {
+		t.Fatalf("tenants = %g, plans = %g", n, plans)
 	}
 }
 
@@ -264,7 +260,7 @@ func TestPoolRegisterIdempotent(t *testing.T) {
 		t.Fatalf("a = %+v, b = %+v", a, b)
 	}
 	other := *loads[0].Spec
-	other.Options = server.OptionsSpec{Checker: core.CheckerBatch}
+	other.Options = server.OptionsSpec{RuleGranularity: true}
 	c, err := p.Register(&other)
 	if err != nil {
 		t.Fatal(err)

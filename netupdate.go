@@ -17,9 +17,12 @@
 //   - internal/topology — FatTree / Small-World / WAN topologies
 //   - internal/config   — configurations and scenario generators
 //   - internal/kripke   — network Kripke structures (Section 3.3)
-//   - internal/mc       — incremental + batch labeling checkers (Section 5)
-//   - internal/buchi    — automaton-theoretic batch checker (NuSMV stand-in)
-//   - internal/hsa      — header-space checker (NetPlumber stand-in)
+//   - internal/mc       — the incremental labeling checker (Section 5)
+//     and its batch oracle
+//   - internal/buchi    — automaton-theoretic batch checker (NuSMV
+//     stand-in), driven only by the Figure 7 harness (internal/bench)
+//   - internal/hsa      — header-space checker (NetPlumber stand-in),
+//     likewise
 //   - internal/sat      — CDCL solver for early search termination
 //   - internal/core     — the ORDERUPDATE synthesis engine (Section 4)
 //   - internal/twophase — two-phase and naive update baselines
@@ -69,8 +72,6 @@ type (
 	Step = core.Step
 	// Stats reports synthesis work counters.
 	Stats = core.Stats
-	// CheckerKind selects the model-checking backend.
-	CheckerKind = core.CheckerKind
 	// Command is an operational controller command.
 	Command = network.Command
 	// Rule is a prioritized forwarding rule.
@@ -115,14 +116,6 @@ const (
 	PropReachability    = config.Reachability
 	PropWaypointing     = config.Waypointing
 	PropServiceChaining = config.ServiceChaining
-)
-
-// Model-checking backends.
-const (
-	CheckerIncremental = core.CheckerIncremental
-	CheckerBatch       = core.CheckerBatch
-	CheckerNuSMV       = core.CheckerNuSMV
-	CheckerNetPlumber  = core.CheckerNetPlumber
 )
 
 // Synthesis failure modes (see internal/core).
