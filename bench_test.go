@@ -139,6 +139,31 @@ func BenchmarkFig8gScalability(b *testing.B) {
 	}
 }
 
+// BenchmarkColdSynthesizeMulticlass is a cold synthesis with the shape of
+// the traffic the benchmark spine serves — many classes over a few
+// hundred switches (14 diamonds on a 400-switch small-world graph) —
+// where Figure 8(g) above has 120 switches and one diamond: per-class
+// structure builds, initial labeling, final verification, a decomposed
+// search, wait removal and the DAG build all carry weight here, and work
+// proportional to classes x switches x plan steps shows. CI gates
+// allocs/op (.github/alloc-budgets.txt); BenchmarkOrderingAnalysis in
+// internal/core isolates the passes after the search on the same plan.
+func BenchmarkColdSynthesizeMulticlass(b *testing.B) {
+	sc, err := config.Diamonds(topology.SmallWorld(400, 4, 0.3, 400), config.DiamondOptions{
+		Pairs: 14, Property: config.Reachability, Seed: 400 * 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Synthesize(sc, core.Options{Parallelism: 1, Timeout: benchTimeout}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFig8hInfeasible regenerates Figure 8(h): time to prove that no
 // switch-granularity ordering exists, under each engine variant (the
 // proof explores a whole subtree, the best case for fan-out).

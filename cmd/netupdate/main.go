@@ -8,6 +8,7 @@
 //	netupdate -f scenario.json -verify
 //	netupdate -f scenario.json -faults crash=3@1
 //	netupdate -f scenario.json -faults crash=3@1 -repair
+//	netupdate -f scenario.json -q -cpuprofile cpu.prof -memprofile mem.prof
 //
 // On success it prints the synthesized command sequence; with -verify it
 // only checks the initial and final configurations against the
@@ -74,6 +75,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -91,6 +94,7 @@ import (
 type flags struct {
 	opts                                       core.Options
 	file, faults, learnFile, connect, traceOut string
+	cpuProfile, memProfile                     string
 	stream, showDAG, verify, repair, quiet     bool
 }
 
@@ -107,6 +111,8 @@ func main() {
 	flag.StringVar(&f.connect, "connect", "", "with -stream: serve via remote netupdated replica(s), comma-separated base URLs; several shard client-side by tenant fingerprint")
 	flag.StringVar(&f.traceOut, "trace-out", "", "record a synthesis trace and write it to this file: Chrome trace-event JSON (load via chrome://tracing), or span JSONL when the path ends in .jsonl")
 	flag.BoolVar(&f.quiet, "q", false, "suppress statistics")
+	flag.StringVar(&f.cpuProfile, "cpuprofile", "", "diagnostic: write a CPU profile of the whole run to this file (go tool pprof)")
+	flag.StringVar(&f.memProfile, "memprofile", "", "diagnostic: write a heap profile, taken when the run ends, to this file")
 	flag.Parse()
 	f.opts.Trace = f.traceOut != ""
 
@@ -139,10 +145,49 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := serve(&f); err != nil {
+	if err := profiled(&f, serve); err != nil {
 		fmt.Fprintf(os.Stderr, "netupdate: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// profiled runs serve under the profiles -cpuprofile and -memprofile ask
+// for. They observe the real one-shot binary on a scenario file — the
+// process the benchmark's oneshot-large workload times — and change
+// nothing it computes.
+func profiled(f *flags, serve func(*flags) error) (err error) {
+	if f.cpuProfile != "" {
+		out, cerr := os.Create(f.cpuProfile)
+		if cerr != nil {
+			return cerr
+		}
+		if cerr := pprof.StartCPUProfile(out); cerr != nil {
+			out.Close()
+			return cerr
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, out.Close())
+		}()
+	}
+	err = serve(f)
+	if f.memProfile != "" {
+		err = errors.Join(err, writeHeapProfile(f.memProfile))
+	}
+	return err
+}
+
+func writeHeapProfile(path string) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the heap profile reports as of the last collection
+	if err := pprof.WriteHeapProfile(out); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 func run(f *flags) error {

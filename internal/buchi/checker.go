@@ -76,7 +76,7 @@ func (c *Checker) StatelessMC() {}
 // kripke.K.Rebind and the automaton is configuration-independent, so the
 // next Check re-encodes against the rebound transitions with no work
 // here.
-func (c *Checker) Rebind() {}
+func (c *Checker) Rebind(rewired []int) {}
 
 // CloneFor implements mc.Checker: the automaton is immutable and shared;
 // the consistency matrix is rebuilt on the next Check anyway (batch mode),

@@ -26,7 +26,7 @@ package core
 // random linearizations must reproduce the sequential per-state labels.
 //
 // The edge set also subsumes the wait barriers: a retained wait fences
-// pairs of updates that share an affected class (waitNeeded tests only
+// pairs of updates that share an affected class (barrierNeeded tests only
 // such pairs), and any such pair is already chained. Waits thus become
 // edges, not steps — but a wait carries drain semantics (in-flight
 // packets under the old rules must leave the network), so edges whose
@@ -71,7 +71,7 @@ func (d *PlanDAG) DrainEdges() int {
 // Depth, and the largest level has Width nodes.
 func (d *PlanDAG) Levels() [][]int {
 	level := make([]int, len(d.Preds))
-	depth := 0
+	var size []int // nodes per level
 	for j, ps := range d.Preds {
 		l := 0
 		for _, i := range ps {
@@ -80,11 +80,18 @@ func (d *PlanDAG) Levels() [][]int {
 			}
 		}
 		level[j] = l
-		if l+1 > depth {
-			depth = l + 1
+		if l == len(size) {
+			size = append(size, 0)
 		}
+		size[l]++
 	}
-	out := make([][]int, depth)
+	// The levels partition the nodes, so they share one backing array.
+	flat := make([]int, 0, len(d.Preds))
+	out := make([][]int, len(size))
+	for l, n := range size {
+		out[l] = flat[len(flat) : len(flat) : len(flat)+n]
+		flat = flat[:len(flat)+n]
+	}
 	for j, l := range level {
 		out[l] = append(out[l], j)
 	}
@@ -139,13 +146,15 @@ func (d *PlanDAG) completionEstimate() int64 {
 // cross a component boundary.
 func (e *engine) buildDAG(steps []Step) *PlanDAG {
 	d := e.newDepAnalysis()
+	defer d.release()
 	lastClass := make([]int, len(e.sc.Specs))
 	for i := range lastClass {
 		lastClass[i] = -1
 	}
-	lastSwitch := map[int]int{}
-	dag := &PlanDAG{}
-	var entries []int // advance() window index per node, -1 when unrecorded
+	n := len(steps) - countWaits(steps)
+	lastSwitch := make(map[int]int, n)
+	dag := &PlanDAG{Preds: make([][]int, 0, n), Drain: make([][]int, 0, n)}
+	entries := make([]int, 0, n) // advance() window index per node, -1 when unrecorded
 	j := 0
 	for _, st := range steps {
 		if st.Wait {

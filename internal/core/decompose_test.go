@@ -23,6 +23,16 @@ func multiRegionScenario(t testing.TB, regions, pairs, cross int, seed int64) *c
 	return sc
 }
 
+// newEngineShell builds an engine shell for sc's own diff, as
+// Session.synthesize does for a request's.
+func newEngineShell(sc *config.Scenario, opts Options, scr *engineScratch) (*engine, error) {
+	units, err := computeUnits(sc, config.Diff(sc.Init, sc.Final), opts.RuleGranularity, opts.TwoSimple)
+	if err != nil {
+		return nil, err
+	}
+	return newEngineShellWith(sc, opts, units, scr), nil
+}
+
 // engineFor builds a session-attached engine shell for white-box
 // partition tests.
 func engineFor(t *testing.T, sc *config.Scenario, opts Options) (*Session, *engine) {

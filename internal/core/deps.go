@@ -1,7 +1,8 @@
 package core
 
 import (
-	"netupdate/internal/config"
+	"math"
+
 	"netupdate/internal/network"
 )
 
@@ -18,9 +19,12 @@ import (
 //     reach this step's switch (the reachability hazard that forces a
 //     wait barrier — or, in DAG form, a drain edge)?
 //
-// waits.go previously interleaved this dependency discovery with the
-// wait-elision loop itself; hoisting it here lets the DAG builder reuse
-// the identical ordering facts instead of re-deriving weaker ones.
+// Every answer costs what the step touched, not the network or the plan:
+// the configuration is an overlay of the tables the steps set, a class's
+// behavior change is computed once per step and shared by both consumers,
+// and the liveness half of the window test reads per-class live sets that
+// are maintained across steps instead of re-derived by one search per
+// class per step (see live).
 //
 // oldEntry remembers a switch updated inside the current window, its
 // pre-update table, and which classes that update affected.
@@ -28,41 +32,229 @@ type oldEntry struct {
 	sw       int
 	tbl      network.Table
 	affected []bool // indexed like sc.Specs
+	// prev is the window index of the previous entry on the same switch
+	// (-1 if none): at rule granularity a switch enters the window once
+	// per rule, and a live-set search must follow every one of its tables.
+	prev int32
 }
 
 type depAnalysis struct {
 	e *engine
-	// cur is the configuration reached by the steps advanced so far.
-	cur *config.Config
+	s *depScratch
+	n int // switches
+	// gen stamps the overlay tables of this analysis, win the per-switch
+	// window heads since the last barrier.
+	gen, win int32
 	// pending is the window of updates since the last barrier whose old
 	// rules may still govern in-flight packets.
 	pending []oldEntry
+	// step counts the steps advanced: the position in the engine's memo
+	// of affected vectors (see affected).
+	step int
+}
+
+// depScratch is the analysis's pooled state, sized by switches and
+// classes and reused across a session's syntheses. Validity is by stamp —
+// an entry counts only while its stamp equals the current one of its
+// kind, all drawn from tick — so starting an analysis, clearing the
+// window and dropping a class's live set are O(1) and nothing is cleared
+// or reallocated in steady state.
+type depScratch struct {
+	tick int32 // last stamp issued; 0 is never issued
+
+	// Single-configuration search (reaches): visited stamps and the
+	// stack, the start list, and the class-output comparison buffers.
+	seen   []int32
+	queue  []int
+	starts []int
+	actsA  []network.Action
+	actsB  []network.Action
+
+	// Per switch: the table the analysed steps installed (valid while
+	// tblE == gen) and the newest window entry (valid while headE == win).
+	tbl   []network.Table
+	tblE  []int32
+	head  []int32
+	headE []int32
+
+	// Per class: the ingress switch (-1: unknown source host) and the
+	// stamp of the class's live set, 0 while it is not computed. mark is
+	// classes x switches: mark[c*n+sw] == liveE[c] puts sw in c's set.
+	ingress []int32
+	liveE   []int32
+	mark    []int32
+}
+
+func (s *depScratch) next() int32 {
+	s.tick++
+	return s.tick
+}
+
+// reset sizes the scratch for n switches and nc classes. Stamps only
+// grow, so entries left by earlier analyses (even under another layout)
+// can never read as current; the counter is rewound, with everything
+// cleared, long before an analysis could exhaust it.
+func (s *depScratch) reset(n, nc int) {
+	if s.tick > math.MaxInt32/2 {
+		clear(s.seen)
+		clear(s.tblE)
+		clear(s.headE)
+		clear(s.mark)
+		s.tick = 0
+	}
+	if len(s.seen) < n {
+		s.seen = make([]int32, n)
+		s.tbl = make([]network.Table, n)
+		s.tblE = make([]int32, n)
+		s.head = make([]int32, n)
+		s.headE = make([]int32, n)
+	}
+	if len(s.ingress) < nc {
+		s.ingress = make([]int32, nc)
+		s.liveE = make([]int32, nc)
+	}
+	if len(s.mark) < n*nc {
+		s.mark = make([]int32, n*nc)
+	}
 }
 
 // newDepAnalysis starts an analysis at the scenario's initial
-// configuration. The engine supplies the scenario, the specs, and the
-// pooled BFS scratch; the analysis allocates only its configuration clone
-// and the pending window.
+// configuration. It takes the engine's pooled scratch for its lifetime
+// (release hands it back), so a second analysis opened meanwhile gets a
+// private one rather than the first one's marks.
 func (e *engine) newDepAnalysis() *depAnalysis {
-	return &depAnalysis{e: e, cur: e.sc.Init.Clone()}
+	s := e.deps
+	e.deps = nil
+	if s == nil {
+		s = &depScratch{}
+	}
+	n, nc := e.sc.Topo.NumSwitches(), len(e.sc.Specs)
+	s.reset(n, nc)
+	d := &depAnalysis{e: e, s: s, n: n, gen: s.next(), win: s.next()}
+	for ci, cs := range e.sc.Specs {
+		s.liveE[ci] = 0
+		s.ingress[ci] = -1
+		if h, ok := e.sc.Topo.HostByID(cs.Class.SrcHost); ok {
+			s.ingress[ci] = int32(h.Switch)
+		}
+	}
+	return d
+}
+
+// release returns the pooled scratch to the engine, dropping the overlay's
+// references so a session's scratch does not keep a finished request's
+// tables alive; the analysis must not be used afterwards.
+func (d *depAnalysis) release() {
+	clear(d.s.tbl)
+	d.e.deps = d.s
+}
+
+// table returns sw's table in the configuration reached by the steps
+// advanced so far: the scenario's initial configuration under an overlay
+// of the tables those steps set.
+func (d *depAnalysis) table(sw int) network.Table {
+	if d.s.tblE[sw] == d.gen {
+		return d.s.tbl[sw]
+	}
+	return d.e.sc.Init.Table(sw)
+}
+
+// affectedMemo is one remembered answer of affected: the step's switch
+// and the identities of the tables it replaced and installed.
+type affectedMemo struct {
+	sw       int
+	old, new network.Table
+	row      []bool
+}
+
+// sameTable reports whether a and b are the same slice. Tables are never
+// edited in place, so identity implies equal contents.
+func sameTable(a, b network.Table) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // affected reports, per spec class, whether installing tbl on sw changes
-// the class's forwarding behavior at the current configuration.
+// the class's forwarding behavior at the current configuration. The
+// comparison is on the sets of forwarding outputs of matching rules; any
+// in-port-constrained rule makes the answer conservatively "changed".
+//
+// The answer is a function of the two tables, and every analysis of one
+// step sequence meets the same pair at the same position — wait removal
+// and then the DAG build walk the same updates from the same initial
+// configuration — so the engine remembers the vectors by position and a
+// later analysis reuses them when switch and both tables are identical.
+// The vectors are immutable once returned.
 func (d *depAnalysis) affected(sw int, tbl network.Table) []bool {
-	return d.e.affectedClasses(d.cur.Table(sw), tbl)
+	e, old := d.e, d.table(sw)
+	if d.step < len(e.affMemo) {
+		if m := &e.affMemo[d.step]; m.sw == sw && sameTable(m.old, old) && sameTable(m.new, tbl) {
+			return m.row
+		}
+		e.affMemo = e.affMemo[:d.step]
+	}
+	nc := len(e.sc.Specs)
+	if len(e.affRows) < nc {
+		e.affRows = make([]bool, 64*nc) // rows are carved in blocks, not allocated per step
+	}
+	row := e.affRows[:nc:nc]
+	e.affRows = e.affRows[nc:]
+	for ci, cs := range e.sc.Specs {
+		row[ci] = !d.sameClassBehavior(old, tbl, cs.Class.Packet())
+	}
+	if d.step == len(e.affMemo) {
+		e.affMemo = append(e.affMemo, affectedMemo{sw: sw, old: old, new: tbl, row: row})
+	}
+	return row
+}
+
+func (d *depAnalysis) sameClassBehavior(a, b network.Table, pkt network.Packet) bool {
+	s := d.s
+	oa, oka := classOutputs(s.actsA[:0], a, pkt)
+	ob, okb := classOutputs(s.actsB[:0], b, pkt)
+	s.actsA, s.actsB = oa[:0], ob[:0]
+	if !oka || !okb {
+		return false // in-port-sensitive rules: assume changed
+	}
+	if len(oa) != len(ob) {
+		return false
+	}
+	for _, x := range oa {
+		if !containsAction(ob, x) {
+			return false
+		}
+	}
+	return true
 }
 
 // barrierNeeded reports whether applying an update to sw (affecting the
 // given classes) without a barrier could let an in-flight packet —
 // forwarded under the old rules of some pending switch — observe both an
 // old and the new configuration at sw (the waitNeeded test of Section
-// 4.2.C over the whole pending window).
+// 4.2.C over the whole pending window). Classes unaffected by sw's change
+// are ignored, as are pending switches whose change did not affect the
+// class.
 func (d *depAnalysis) barrierNeeded(sw int, affected []bool) bool {
 	if len(d.pending) == 0 {
 		return false
 	}
-	return d.e.waitNeeded(d.cur, d.pending, sw, affected)
+	e, s := d.e, d.s
+	for ci, cs := range e.sc.Specs {
+		if !affected[ci] {
+			continue
+		}
+		pkt := cs.Class.Packet()
+		starts := s.starts[:0]
+		for pi := range d.pending {
+			if p := &d.pending[pi]; p.affected[ci] {
+				starts = e.appendClassSuccessors(starts, p.tbl, p.sw, pkt)
+			}
+		}
+		s.starts = starts[:0]
+		if len(starts) > 0 && d.reaches(pkt, starts, sw) {
+			return true
+		}
+	}
+	return false
 }
 
 // drainNeeded is the single-predecessor refinement of barrierNeeded: it
@@ -71,29 +263,54 @@ func (d *depAnalysis) barrierNeeded(sw int, affected []bool) bool {
 // DAG builder uses it to mark which dependency edges carry a drain
 // obligation rather than fencing the whole window.
 func (d *depAnalysis) drainNeeded(p *oldEntry, sw int, affected []bool) bool {
-	e := d.e
+	e, s := d.e, d.s
 	for ci, cs := range e.sc.Specs {
 		if !affected[ci] || !p.affected[ci] {
 			continue
 		}
 		pkt := cs.Class.Packet()
-		starts := e.appendClassSuccessors(e.startsBuf[:0], p.tbl, p.sw, pkt)
-		e.startsBuf = starts[:0]
-		if len(starts) == 0 {
-			continue
-		}
-		if e.reaches(d.cur, pkt, starts, sw) {
+		starts := e.appendClassSuccessors(s.starts[:0], p.tbl, p.sw, pkt)
+		s.starts = starts[:0]
+		if len(starts) > 0 && d.reaches(pkt, starts, sw) {
 			return true
 		}
 	}
 	return false
 }
 
+// reaches searches the class's switch-level forwarding graph under the
+// current configuration, from the given start switches, for target.
+func (d *depAnalysis) reaches(pkt network.Packet, starts []int, target int) bool {
+	s := d.s
+	stamp := s.next()
+	queue := append(s.queue[:0], starts...)
+	found := false
+	for len(queue) > 0 {
+		sw := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if sw == target {
+			found = true
+			break
+		}
+		if s.seen[sw] == stamp {
+			continue
+		}
+		s.seen[sw] = stamp
+		queue = d.e.appendClassSuccessors(queue, d.table(sw), sw, pkt)
+	}
+	s.queue = queue[:0]
+	return found
+}
+
 // barrier resets the pending window: a retained wait guarantees every
 // in-flight packet has drained, so earlier old rules need no further
-// fencing.
+// fencing — and no longer widen any class's live set.
 func (d *depAnalysis) barrier() {
 	d.pending = d.pending[:0]
+	d.win = d.s.next()
+	for ci := range d.e.sc.Specs {
+		d.s.liveE[ci] = 0
+	}
 }
 
 // advance records the step in the pending window — when it affects some
@@ -102,13 +319,117 @@ func (d *depAnalysis) barrier() {
 // the index of the recorded window entry, or -1 when the step needs no
 // fencing (indexes stay valid across later appends).
 func (d *depAnalysis) advance(sw int, tbl network.Table, affected []bool) int {
+	s, old := d.s, d.table(sw)
 	idx := -1
-	if anyTrue(affected) && d.e.liveSinceWait(d.cur, d.pending, sw) {
+	if anyTrue(affected) && d.live(sw) {
 		idx = len(d.pending)
-		d.pending = append(d.pending, oldEntry{
-			sw: sw, tbl: d.cur.Table(sw), affected: affected,
-		})
+		prev := int32(-1)
+		if s.headE[sw] == d.win {
+			prev = s.head[sw]
+		}
+		d.pending = append(d.pending, oldEntry{sw: sw, tbl: old, affected: affected, prev: prev})
+		s.head[sw], s.headE[sw] = int32(idx), d.win
 	}
-	d.cur.SetTable(sw, tbl)
+	s.tbl[sw], s.tblE[sw] = tbl, d.gen
+	d.step++
+	d.followStep(sw, old, tbl, idx >= 0)
 	return idx
+}
+
+// live reports whether packets of some class could have reached switch sw
+// at any point since the last retained wait: whether sw is in some
+// class's live set.
+//
+// A class's live set is the set of switches reachable from its ingress
+// over the window's union graph — the current configuration's edges for
+// the class plus the pre-update edges of every entry in the window, a
+// superset of every configuration the window contained. The set is
+// computed by one search when first asked for and then kept across steps:
+// followStep grows it when a step adds edges inside it, drops it when a
+// step removes some, and barrier drops every set with the window. A step
+// whose switch lies outside the set cannot change it — no path from the
+// ingress uses that switch's edges — so the set always equals what a
+// fresh search over the window would find, at the cost of a mark read per
+// class for the classes the step does not touch.
+func (d *depAnalysis) live(sw int) bool {
+	s := d.s
+	for ci := range d.e.sc.Specs {
+		if s.ingress[ci] < 0 {
+			continue
+		}
+		if s.liveE[ci] == 0 {
+			s.liveE[ci] = s.next()
+			s.starts = append(s.starts[:0], int(s.ingress[ci]))
+			d.growLive(ci, s.starts)
+		}
+		if s.mark[ci*d.n+sw] == s.liveE[ci] {
+			return true
+		}
+	}
+	return false
+}
+
+// growLive adds to class ci's live set everything reachable from the
+// given switches over the window's union graph, stopping at switches
+// already in the set.
+func (d *depAnalysis) growLive(ci int, from []int) {
+	e, s := d.e, d.s
+	pkt := e.sc.Specs[ci].Class.Packet()
+	mark, stamp := s.mark[ci*d.n:(ci+1)*d.n], s.liveE[ci]
+	queue := append(s.queue[:0], from...)
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if mark[v] == stamp {
+			continue
+		}
+		mark[v] = stamp
+		queue = e.appendClassSuccessors(queue, d.table(v), v, pkt)
+		if s.headE[v] == d.win {
+			for pi := s.head[v]; pi >= 0; pi = d.pending[pi].prev {
+				queue = e.appendClassSuccessors(queue, d.pending[pi].tbl, v, pkt)
+			}
+		}
+	}
+	s.queue = queue[:0]
+}
+
+// followStep keeps the computed live sets exact across a step that
+// replaced old by tbl on sw. Only sets containing sw can change. If the
+// step entered the window its old edges stay in the union graph, and
+// likewise if the new table keeps every old successor: the set can only
+// grow, from the new successors. Otherwise edges left the graph and the
+// set is dropped, to be searched again when next read.
+func (d *depAnalysis) followStep(sw int, old, tbl network.Table, recorded bool) {
+	e, s := d.e, d.s
+	for ci, cs := range e.sc.Specs {
+		if s.liveE[ci] == 0 || s.mark[ci*d.n+sw] != s.liveE[ci] {
+			continue
+		}
+		pkt := cs.Class.Packet()
+		added := e.appendClassSuccessors(s.starts[:0], tbl, sw, pkt)
+		s.starts = added[:0]
+		if !recorded {
+			lost := e.appendClassSuccessors(s.queue[:0], old, sw, pkt)
+			s.queue = lost[:0]
+			if !subsetOf(lost, added) {
+				s.liveE[ci] = 0
+				continue
+			}
+		}
+		d.growLive(ci, added)
+	}
+}
+
+func subsetOf(xs, ys []int) bool {
+outer:
+	for _, x := range xs {
+		for _, y := range ys {
+			if x == y {
+				continue outer
+			}
+		}
+		return false
+	}
+	return true
 }

@@ -141,15 +141,13 @@ type engine struct {
 	// check. Private per engine, so parallel workers never contend.
 	cexBuf []int
 
-	// Wait-removal scratch (see waits.go): epoch-stamped BFS marks, the
-	// BFS queue/start buffers, and the class-output comparison buffers.
+	// Ordering-analysis state (deps.go): the pooled scratch an analysis
+	// borrows (nil while one holds it, or before the first), and the
+	// affected vectors remembered by step position, carved from affRows.
 	// Private per engine, so parallel workers never contend.
-	bfsSeen   []int32
-	bfsEpoch  int32
-	bfsQueue  []int
-	startsBuf []int
-	actsA     []network.Action
-	actsB     []network.Action
+	deps    *depScratch
+	affMemo []affectedMemo
+	affRows []bool
 
 	// Plan-cache dead-configuration sink (cache.go): a sequential search
 	// with a cache attached records what markDead proves here, up to
@@ -162,22 +160,14 @@ type engine struct {
 	stats Stats
 }
 
-// newEngineShell builds an engine minus its per-class structures: units,
-// search order, deadline, and per-run scratch. The session attaches its
-// warm Kripke structures and checkers afterwards; scr (when non-nil)
-// supplies pooled scratch reset in place instead of reallocated.
-func newEngineShell(sc *config.Scenario, opts Options, scr *engineScratch) (*engine, error) {
-	units, err := computeUnits(sc, opts.RuleGranularity, opts.TwoSimple)
-	if err != nil {
-		return nil, err
-	}
-	return newEngineShellWith(sc, opts, units, scr), nil
-}
-
-// newEngineShellWith is newEngineShell for callers that already hold the
-// unit list — component sub-searches reuse the joint shell's units
-// (renumbered component-locally) rather than re-deriving the diff and
-// the destination ranks per component.
+// newEngineShellWith builds an engine minus its per-class structures
+// around the given unit list: search order, deadline, and per-run scratch.
+// The session attaches its warm Kripke structures and checkers afterwards;
+// scr (when non-nil) supplies pooled scratch reset in place instead of
+// reallocated. The session derives the units from the request's diff
+// once; component sub-searches reuse the joint shell's units (renumbered
+// component-locally) rather than re-deriving the diff and the destination
+// ranks per component.
 func newEngineShellWith(sc *config.Scenario, opts Options, units []unit, scr *engineScratch) *engine {
 	e := &engine{
 		sc:    sc,
@@ -190,9 +180,7 @@ func newEngineShellWith(sc *config.Scenario, opts Options, units []unit, scr *en
 		clear(scr.curTables)
 		e.visited = scr.visited
 		e.curTables = scr.curTables
-		e.bfsSeen, e.bfsEpoch = scr.bfsSeen, scr.bfsEpoch
-		e.bfsQueue, e.startsBuf = scr.bfsQueue, scr.startsBuf
-		e.actsA, e.actsB = scr.actsA, scr.actsB
+		e.deps = scr.deps
 	} else {
 		e.visited = newBitsetSet()
 		e.curTables = map[int]network.Table{}

@@ -132,9 +132,7 @@ func (s *Session) rebindTo(cfg *config.Config) error {
 	cands := config.Diff(s.cur, cfg)
 	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, cfg, cands)
 	for i := range s.ks {
-		var err error
-		s.swBuf, err = s.rebindClass(i, s.ks[i], s.checkers[i], cfg, s.diffBuf, s.swBuf)
-		if err != nil {
+		if err := s.rebindClass(i, s.ks[i], s.checkers[i], cfg, s.diffBuf); err != nil {
 			return fmt.Errorf("core: repair rebind: %v", err)
 		}
 	}

@@ -33,8 +33,8 @@ import (
 //     shares closures and label tables between all checkers of one
 //     formula (including the final-verification checkers);
 //   - engine scratch — the visited set, the current-table map, and the
-//     wait-removal BFS buffers — is pooled in the session and reset per
-//     run instead of reallocated.
+//     ordering-analysis marks and buffers — is pooled in the session and
+//     reset per run instead of reallocated.
 //
 // Synthesize(final) produces the plan from the session's current
 // configuration to final and, on success, advances the current
@@ -67,9 +67,11 @@ type Session struct {
 	fcur    *config.Config
 
 	// Rebind scratch shared by the resync and final-verify paths: the
-	// per-switch rule-diff list and the per-class rebind candidate list.
-	diffBuf []swDiff
-	swBuf   []int
+	// request's per-switch rule-diff list, and the per-class lists of
+	// switches to rebind and of states the rebind rewired.
+	diffBuf  []swDiff
+	swBuf    []int
+	stateBuf []int
 
 	scratch engineScratch
 	runs    int
@@ -126,12 +128,7 @@ type Session struct {
 type engineScratch struct {
 	visited   *bitsetSet
 	curTables map[int]network.Table
-	bfsSeen   []int32
-	bfsEpoch  int32
-	bfsQueue  []int
-	startsBuf []int
-	actsA     []network.Action
-	actsB     []network.Action
+	deps      *depScratch
 }
 
 // SessionResources are the read-only structures a session may share with
@@ -210,6 +207,7 @@ func newSessionShell(topo *topology.Topology, init *config.Config, specs []confi
 		scratch: engineScratch{
 			visited:   newBitsetSet(),
 			curTables: map[int]network.Table{},
+			deps:      &depScratch{},
 		},
 	}
 	if opts.Trace {
@@ -328,10 +326,18 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		Final: final,
 		Specs: s.specs,
 	}
-	e, err := newEngineShell(sc, s.opts, &s.scratch)
+	// The request's diff — the switches on which the target differs from
+	// the current configuration, and their rule changes — is computed once
+	// and serves the unit list, the final verification (whose structures
+	// sit at the current configuration in steady state) and the post-run
+	// resync.
+	diff := config.Diff(s.cur, final)
+	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, final, diff)
+	units, err := computeUnits(sc, diff, s.opts.RuleGranularity, s.opts.TwoSimple)
 	if err != nil {
 		return nil, err
 	}
+	e := newEngineShellWith(sc, s.opts, units, &s.scratch)
 	e.bindContext(ctx)
 	e.stats.RequestID = obs.RequestIDFrom(ctx)
 	tr := s.trace
@@ -537,7 +543,6 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		tr.End(csSpan)
 	}
 	s.lastStats = e.stats
-	s.reclaimScratch(e)
 
 	// Resync the warm structures to a known configuration: the new
 	// current one on success, the previous one otherwise. The rebind is
@@ -561,10 +566,10 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	if runErr == nil {
 		target = final
 	}
-	// Only the run's unit switches can deviate from target: the search
-	// and the footprint pre-pass mutate nothing else, and target differs
-	// from the previous configuration exactly on the diff the units
-	// cover. Restricting the rebind to those switches — and, per class,
+	// Only the diff's switches can deviate from target: the search and
+	// the footprint pre-pass mutate nothing else, and target differs from
+	// the previous configuration exactly on the diff the units cover.
+	// Restricting the rebind to those switches — and, per class,
 	// adopting every switch whose rule changes cannot affect it — keeps
 	// resync cost proportional to the diff, not the network times the
 	// class count. The rule diffs span the two endpoints (s.cur vs final,
@@ -575,12 +580,8 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	// gets a real rebind against its actual structure state.
 	rbStart := time.Now()
 	rbSpan := tr.Begin("rebind", root)
-	cands := e.unitSwitches()
-	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, final, cands)
 	for i := range s.ks {
-		var rerr error
-		s.swBuf, rerr = s.rebindClass(i, s.ks[i], s.checkers[i], target, s.diffBuf, s.swBuf)
-		if rerr != nil {
+		if rerr := s.rebindClass(i, s.ks[i], s.checkers[i], target, s.diffBuf); rerr != nil {
 			// target was verified loop-free for every class (the initial
 			// configuration at session construction, every successful
 			// final here), so this indicates structure corruption.
@@ -636,21 +637,25 @@ func (s *Session) verifyFinal(e *engine, final *config.Config) error {
 		s.fks, s.fchecks, s.fcur = fks, fchecks, s.cur
 	}
 	// Phase 1: rebind every verification structure to the new target.
-	// The candidate switches — the diff against the configuration the
-	// structures are currently bound to — and their rule changes are
-	// computed once and shared across classes, so rebinding costs O(diff)
-	// per class (with class-unaffected switches adopted outright), not
-	// O(switches). If the target forwards some class in a cycle, every
-	// structure is pulled back to the session's current configuration
-	// (verified loop-free for every class) before refreshing the
-	// checkers: relabeling a cyclic structure is undefined. This restore
-	// path is rare and uses the absolute full-sweep rebind.
-	cands := config.Diff(s.fcur, final)
-	s.diffBuf = ruleDiffs(s.diffBuf, s.fcur, final, cands)
+	// The rule changes against the configuration the structures are
+	// currently bound to are shared across classes, so rebinding costs
+	// O(diff) per class (with class-unaffected switches adopted outright),
+	// not O(switches). In steady state that configuration is the session's
+	// current one and the changes are the request's diff, already in
+	// diffBuf; after a target that verified but found no ordering, or a
+	// repair's rebind to the crash state, they are derived here. If the
+	// target forwards some class in a cycle, every structure is pulled
+	// back to the session's current configuration (verified loop-free for
+	// every class) before refreshing the checkers: relabeling a cyclic
+	// structure is undefined. This restore path is rare and uses the
+	// absolute full-sweep rebind and, since a structure may then have
+	// moved forward and back unseen by its checker, the full relabel.
+	diffs := s.diffBuf
+	if s.fcur != s.cur {
+		diffs = ruleDiffs(nil, s.fcur, final, config.Diff(s.fcur, final))
+	}
 	for i := range s.specs {
-		var err error
-		s.swBuf, err = s.rebindClass(i, s.fks[i], s.fchecks[i], final, s.diffBuf, s.swBuf)
-		if err != nil {
+		if err := s.rebindClass(i, s.fks[i], s.fchecks[i], final, diffs); err != nil {
 			for j := range s.specs {
 				rc, _, rerr := s.fks[j].Rebind(s.cur)
 				if rerr != nil {
@@ -661,7 +666,7 @@ func (s *Session) verifyFinal(e *engine, final *config.Config) error {
 				// moved in either direction (the failing class included —
 				// its forward rebind was partial).
 				if len(rc) > 0 || j == i {
-					s.fchecks[j].Rebind()
+					s.fchecks[j].Rebind(nil)
 				}
 			}
 			s.fcur = s.cur
@@ -733,11 +738,11 @@ func ruleDiffs(dst []swDiff, from, to *config.Config, cands []int) []swDiff {
 // target, skipping recomputation on every diff switch whose changed rules
 // cannot affect the class — the table is adopted, the checker's verdict
 // stays valid (it depends on the class structure alone, see mc.Checker) —
-// and paying a real rebind only on the rest. swBuf is the caller's scratch
-// for the rebind list.
-func (s *Session) rebindClass(i int, k *kripke.K, chk mc.Checker, target *config.Config, diffs []swDiff, swBuf []int) ([]int, error) {
+// and paying a real rebind only on the rest; the checker then relabels
+// from the arrival states of the switches whose transitions moved.
+func (s *Session) rebindClass(i int, k *kripke.K, chk mc.Checker, target *config.Config, diffs []swDiff) error {
 	pkt := s.specs[i].Class.Packet()
-	rebindList := swBuf[:0]
+	rebindList := s.swBuf[:0]
 	for di := range diffs {
 		d := &diffs[di]
 		if d.affects(pkt) {
@@ -746,21 +751,18 @@ func (s *Session) rebindClass(i int, k *kripke.K, chk mc.Checker, target *config
 			k.AdoptTable(d.sw, target.Table(d.sw))
 		}
 	}
+	s.swBuf = rebindList
 	changed, _, err := k.RebindSwitches(target, rebindList)
 	if err != nil {
-		return rebindList, err
+		return err
 	}
 	if len(changed) > 0 {
-		chk.Rebind()
+		rewired := s.stateBuf[:0]
+		for _, sw := range changed {
+			rewired = append(rewired, k.StatesOf(sw)...)
+		}
+		s.stateBuf = rewired
+		chk.Rebind(rewired)
 	}
-	return rebindList, nil
-}
-
-// reclaimScratch takes the (possibly grown) per-run buffers back from the
-// engine so the next synthesis reuses them.
-func (s *Session) reclaimScratch(e *engine) {
-	s.scratch.bfsSeen, s.scratch.bfsEpoch = e.bfsSeen, e.bfsEpoch
-	s.scratch.bfsQueue = e.bfsQueue
-	s.scratch.startsBuf = e.startsBuf
-	s.scratch.actsA, s.scratch.actsB = e.actsA, e.actsB
+	return nil
 }

@@ -47,16 +47,17 @@ func (u unit) String() string {
 // been redirected).
 const lateRank = 1_000_000
 
-// computeUnits derives the update units from the configuration diff and
-// assigns the destination-first search ranks (see engine.go). With
-// twoSimple set (Options.TwoSimple), every switch-granularity update is
-// split into a merge step (install the union of both generations) and a
-// finalize step (install the final table), realizing the paper's
-// "k-simple" generalization for k = 2: each switch may be touched twice,
-// which recovers the power of rule-granularity add-before-delete orders
-// while keeping whole-table commands.
-func computeUnits(sc *config.Scenario, ruleGranularity, twoSimple bool) ([]unit, error) {
-	diff := config.Diff(sc.Init, sc.Final)
+// computeUnits derives the update units from the configuration diff —
+// diff lists the switches whose tables differ between the scenario's
+// endpoints, ascending (config.Diff) — and assigns the destination-first
+// search ranks (see engine.go). With twoSimple set (Options.TwoSimple),
+// every switch-granularity update is split into a merge step (install the
+// union of both generations) and a finalize step (install the final
+// table), realizing the paper's "k-simple" generalization for k = 2: each
+// switch may be touched twice, which recovers the power of
+// rule-granularity add-before-delete orders while keeping whole-table
+// commands.
+func computeUnits(sc *config.Scenario, diff []int, ruleGranularity, twoSimple bool) ([]unit, error) {
 	rank := destinationRank(sc)
 	unitRank := func(sw int) int {
 		if r, ok := rank[sw]; ok {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"netupdate/internal/config"
-	"netupdate/internal/network"
-)
+import "netupdate/internal/network"
 
 // removeWaits implements the reachability-based wait-removal heuristic of
 // Section 4.2.C. The synthesized sequence is careful (a wait between
@@ -25,6 +22,7 @@ import (
 // with the plan-DAG builder; this pass is the wait-elision loop over it.
 func (e *engine) removeWaits(steps []Step) []Step {
 	d := e.newDepAnalysis()
+	defer d.release()
 	out := make([]Step, 0, len(steps))
 	for _, st := range steps {
 		if st.Wait {
@@ -39,66 +37,6 @@ func (e *engine) removeWaits(steps []Step) []Step {
 		out = append(out, st)
 	}
 	return out
-}
-
-// waitNeeded reports whether updating s without a barrier could let an
-// in-flight packet (forwarded under the old rules of some switch in
-// pending) observe both an old and the new configuration at s. Classes
-// unaffected by s's change are ignored, as are pending switches whose
-// change did not affect the class.
-func (e *engine) waitNeeded(cur *config.Config, pending []oldEntry, s int, affected []bool) bool {
-	for ci, cs := range e.sc.Specs {
-		if !affected[ci] {
-			continue
-		}
-		pkt := cs.Class.Packet()
-		starts := e.startsBuf[:0]
-		for _, p := range pending {
-			if !p.affected[ci] {
-				continue
-			}
-			starts = e.appendClassSuccessors(starts, p.tbl, p.sw, pkt)
-		}
-		e.startsBuf = starts[:0]
-		if len(starts) == 0 {
-			continue
-		}
-		if e.reaches(cur, pkt, starts, s) {
-			return true
-		}
-	}
-	return false
-}
-
-// affectedClasses reports, per spec class, whether replacing old with new
-// changes the class's forwarding behavior. The comparison is on the sets
-// of forwarding outputs of matching rules; any in-port-constrained rule
-// makes the answer conservatively "changed".
-func (e *engine) affectedClasses(old, new network.Table) []bool {
-	out := make([]bool, len(e.sc.Specs))
-	for ci, cs := range e.sc.Specs {
-		pkt := cs.Class.Packet()
-		out[ci] = !e.sameClassBehavior(old, new, pkt)
-	}
-	return out
-}
-
-func (e *engine) sameClassBehavior(a, b network.Table, pkt network.Packet) bool {
-	oa, oka := classOutputs(e.actsA[:0], a, pkt)
-	ob, okb := classOutputs(e.actsB[:0], b, pkt)
-	e.actsA, e.actsB = oa[:0], ob[:0]
-	if !oka || !okb {
-		return false // in-port-sensitive rules: assume changed
-	}
-	if len(oa) != len(ob) {
-		return false
-	}
-	for _, x := range oa {
-		if !containsAction(ob, x) {
-			return false
-		}
-	}
-	return true
 }
 
 func containsAction(as []network.Action, a network.Action) bool {
@@ -153,89 +91,6 @@ func anyTrue(bs []bool) bool {
 		}
 	}
 	return false
-}
-
-// bfsReset starts a fresh generation of the wait-removal BFS scratch
-// (epoch-stamped visited marks plus a reusable queue), so the per-step
-// reachability queries of removeWaits allocate nothing in steady state.
-func (e *engine) bfsReset() {
-	n := e.sc.Topo.NumSwitches()
-	if len(e.bfsSeen) < n {
-		e.bfsSeen = make([]int32, n)
-		e.bfsEpoch = 0
-	}
-	e.bfsEpoch++
-	if e.bfsEpoch == 1<<31-1 {
-		clear(e.bfsSeen)
-		e.bfsEpoch = 1
-	}
-}
-
-// liveSinceWait reports whether packets of some class could have reached
-// switch sw at any point since the last retained wait. The reachability
-// query runs from each class's ingress over the union of the current
-// configuration's edges and the pre-update edges of every switch updated
-// in the window — a superset of every configuration the window contained.
-func (e *engine) liveSinceWait(cur *config.Config, pending []oldEntry, sw int) bool {
-	for _, cs := range e.sc.Specs {
-		pkt := cs.Class.Packet()
-		src, ok := e.sc.Topo.HostByID(cs.Class.SrcHost)
-		if !ok {
-			continue
-		}
-		if src.Switch == sw {
-			return true // ingress switches always see fresh packets
-		}
-		e.bfsReset()
-		queue := append(e.bfsQueue[:0], src.Switch)
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			if v == sw {
-				e.bfsQueue = queue[:0]
-				return true
-			}
-			if e.bfsSeen[v] == e.bfsEpoch {
-				continue
-			}
-			e.bfsSeen[v] = e.bfsEpoch
-			queue = e.appendClassSuccessors(queue, cur.Table(v), v, pkt)
-			// Union in every pre-update table recorded for v: at rule
-			// granularity a switch can appear in pending more than once,
-			// and each window table may have forwarded packets.
-			for _, p := range pending {
-				if p.sw == v {
-					queue = e.appendClassSuccessors(queue, p.tbl, v, pkt)
-				}
-			}
-		}
-		e.bfsQueue = queue[:0]
-	}
-	return false
-}
-
-// reaches runs a reachability search over the class's switch-level
-// forwarding graph under configuration cur, from the given start
-// switches, looking for target.
-func (e *engine) reaches(cur *config.Config, pkt network.Packet, starts []int, target int) bool {
-	e.bfsReset()
-	queue := append(e.bfsQueue[:0], starts...)
-	found := false
-	for len(queue) > 0 {
-		sw := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if sw == target {
-			found = true
-			break
-		}
-		if e.bfsSeen[sw] == e.bfsEpoch {
-			continue
-		}
-		e.bfsSeen[sw] = e.bfsEpoch
-		queue = e.appendClassSuccessors(queue, cur.Table(sw), sw, pkt)
-	}
-	e.bfsQueue = queue[:0]
-	return found
 }
 
 // appendClassSuccessors over-approximates the switches a class packet can

@@ -41,7 +41,7 @@ func plumberFor(k *kripke.K) *Plumber {
 // is incremental over individual rule operations and cannot absorb an
 // arbitrary in-place rebind any cheaper than a rebuild (the same path
 // CloneFor takes).
-func (c *Checker) Rebind() { c.p = plumberFor(c.k) }
+func (c *Checker) Rebind(rewired []int) { c.p = plumberFor(c.k) }
 
 // Name implements mc.Checker.
 func (c *Checker) Name() string { return "netplumber-like" }

@@ -9,6 +9,8 @@ package kripke
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"netupdate/internal/config"
 	"netupdate/internal/ltl"
@@ -411,78 +413,108 @@ func (k *K) Reapply(d *Delta) {
 	}
 }
 
+// cycleScratch is findCycle's working memory: per-state colour stamps and
+// the explicit DFS stack. A state is gray while color == epoch and black
+// while color == epoch+1; each search advances epoch by two, so nothing
+// is cleared between searches and the cost of one is the states it
+// visits. The stack doubles as the parent chain — the gray states are
+// exactly the ones on it.
+type cycleScratch struct {
+	color []int32
+	epoch int32
+	stack []cycleFrame
+}
+
+// cycleFrame is a state and the index of its next successor to explore.
+type cycleFrame struct{ v, i int }
+
+// cyclePool lends a scratch to one findCycle call at a time, so
+// structures searched concurrently — clones held by parallel workers,
+// the classes of concurrently solved components, sessions sharing an
+// arena — never see each other's marks, and a process holds a few
+// scratches however many structures it serves.
+var cyclePool = sync.Pool{New: func() any { return new(cycleScratch) }}
+
+// begin readies the scratch for a search over n states.
+func (c *cycleScratch) begin(n int) {
+	if len(c.color) < n {
+		c.color = make([]int32, n)
+		c.epoch = 0
+	}
+	if c.epoch > math.MaxInt32-4 {
+		clear(c.color)
+		c.epoch = 0
+	}
+	c.epoch += 2
+}
+
 // findCycle looks for a cycle. With from == nil it scans the whole
-// structure; otherwise it only looks for cycles reachable from (and
-// hence, for fresh updates, passing through) the given states — in that
-// mode the work and memory are proportional to the part of the structure
-// actually reachable from the update, which keeps per-update costs
-// sublinear (the property the incremental checker depends on). It
-// returns the state ids on the cycle, or nil.
+// structure, skipping sinks (a state without successors is on no cycle);
+// otherwise it only looks for cycles reachable from (and hence, for fresh
+// updates, passing through) the given states — in that mode the work is
+// proportional to the part of the structure actually reachable from the
+// update, which keeps per-update costs sublinear (the property the
+// incremental checker depends on). It returns the state ids on the first
+// cycle a depth-first search in root and successor order closes — the
+// state the closing edge returns to, then the DFS path back to it, latest
+// first — or nil.
 func (k *K) findCycle(from []int) []int {
-	const (
-		gray  = 1
-		black = 2
-	)
-	var colorArr []uint8
-	var colorMap map[int]uint8
-	if from == nil {
-		colorArr = make([]uint8, len(k.states))
-	} else {
-		colorMap = make(map[int]uint8, 4*len(from))
-	}
-	colorOf := func(v int) uint8 {
-		if colorArr != nil {
-			return colorArr[v]
-		}
-		return colorMap[v]
-	}
-	setColor := func(v int, c uint8) {
-		if colorArr != nil {
-			colorArr[v] = c
-		} else {
-			colorMap[v] = c
-		}
-	}
-	parent := map[int]int{}
-	var cycle []int
-	var dfs func(v int) bool
-	dfs = func(v int) bool {
-		setColor(v, gray)
-		for _, u := range k.succ[v] {
-			switch colorOf(u) {
-			case 0:
-				parent[u] = v
-				if dfs(u) {
-					return true
-				}
-			case gray:
-				// Found a cycle u ... v -> u.
-				cycle = append(cycle, u)
-				for w := v; w != u; w = parent[w] {
-					cycle = append(cycle, w)
-				}
-				return true
+	c := cyclePool.Get().(*cycleScratch)
+	defer cyclePool.Put(c)
+	c.begin(len(k.states))
+	if from != nil {
+		for _, v := range from {
+			if cyc := k.cycleFrom(c, v); cyc != nil {
+				return cyc
 			}
 		}
-		setColor(v, black)
-		return false
+		return nil
 	}
-	roots := from
-	if roots == nil {
-		roots = make([]int, len(k.states))
-		for i := range roots {
-			roots[i] = i
+	for v := range k.states {
+		if len(k.succ[v]) == 0 {
+			continue
 		}
-	}
-	for _, v := range roots {
-		if colorOf(v) == 0 {
-			parent[v] = v
-			if dfs(v) {
-				return cycle
-			}
+		if cyc := k.cycleFrom(c, v); cyc != nil {
+			return cyc
 		}
 	}
 	return nil
+}
+
+// cycleFrom runs the depth-first search from root unless an earlier root
+// of the same findCycle call already reached it.
+func (k *K) cycleFrom(c *cycleScratch, root int) []int {
+	gray, black := c.epoch, c.epoch+1 // every older stamp is below gray
+	if c.color[root] >= gray {
+		return nil
+	}
+	c.color[root] = gray
+	var cycle []int
+	stack := append(c.stack[:0], cycleFrame{v: root})
+	for len(stack) > 0 && cycle == nil {
+		top := &stack[len(stack)-1]
+		succ := k.succ[top.v]
+		if top.i == len(succ) {
+			c.color[top.v] = black
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		u := succ[top.i]
+		top.i++
+		switch {
+		case c.color[u] == gray:
+			// The edge top.v -> u closes a cycle u ... top.v -> u.
+			cycle = []int{u}
+			for i := len(stack) - 1; stack[i].v != u; i-- {
+				cycle = append(cycle, stack[i].v)
+			}
+		case c.color[u] < gray: // not reached by this search yet
+			c.color[u] = gray
+			stack = append(stack, cycleFrame{v: u})
+		}
+	}
+	c.stack = stack[:0]
+	return cycle
 }
 
 // AppendSwitches appends to dst the distinct switches of the given state

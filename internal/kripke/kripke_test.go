@@ -3,6 +3,7 @@ package kripke
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netupdate/internal/config"
@@ -565,4 +566,145 @@ func mustPortToward(t *testing.T, topo *topology.Topology, from, to int) topolog
 		t.Fatalf("no port from sw%d toward sw%d", from, to)
 	}
 	return p
+}
+
+// refFindCycle is findCycle as it was before the explicit stack: a
+// recursive colouring DFS with a colour map (or array, in whole-structure
+// mode) and a parent map per call. Kept as the oracle for
+// TestFindCycleMatchesRecursiveReference.
+func refFindCycle(k *K, from []int) []int {
+	const (
+		gray  = 1
+		black = 2
+	)
+	color := map[int]uint8{}
+	parent := map[int]int{}
+	var cycle []int
+	var dfs func(v int) bool
+	dfs = func(v int) bool {
+		color[v] = gray
+		for _, u := range k.succ[v] {
+			switch color[u] {
+			case 0:
+				parent[u] = v
+				if dfs(u) {
+					return true
+				}
+			case gray:
+				// Found a cycle u ... v -> u.
+				cycle = append(cycle, u)
+				for w := v; w != u; w = parent[w] {
+					cycle = append(cycle, w)
+				}
+				return true
+			}
+		}
+		color[v] = black
+		return false
+	}
+	roots := from
+	if roots == nil {
+		roots = make([]int, len(k.states))
+		for i := range roots {
+			roots[i] = i
+		}
+	}
+	for _, v := range roots {
+		if color[v] == 0 {
+			parent[v] = v
+			if dfs(v) {
+				return cycle
+			}
+		}
+	}
+	return nil
+}
+
+// randomForwarding builds the class structure of a configuration in
+// which every switch forwards the class out of one or two random ports
+// (or drops it): a random functional graph with some branching, so
+// forwarding loops — self-contained, nested, reachable from a few states
+// only — are the rule. Arena.Build would reject it, so the structure is
+// filled the way Build fills one, without the final loop check.
+func randomForwarding(t *testing.T, topo *topology.Topology, cl config.Class, r *rand.Rand, loopy float64) *K {
+	t.Helper()
+	k := NewArena(topo).newK(cl)
+	n := len(k.states)
+	k.succ = make([][]int, n)
+	k.pred = make([][]int, n)
+	dst, _ := topo.HostByID(cl.DstHost)
+	for sw := 0; sw < topo.NumSwitches(); sw++ {
+		var acts []network.Action
+		links := topo.Neighbors(sw)
+		switch {
+		case sw == dst.Switch:
+			acts = append(acts, network.Forward(dst.Port))
+		case r.Float64() < loopy:
+			acts = append(acts, network.Forward(links[r.Intn(len(links))].LocalPort))
+			if r.Intn(3) == 0 {
+				acts = append(acts, network.Forward(links[r.Intn(len(links))].LocalPort))
+			}
+		default:
+			// Towards the destination: never closes a loop by itself.
+			if p := topo.ShortestPath(sw, dst.Switch); len(p) > 1 {
+				pt, _ := topo.PortToward(sw, p[1])
+				acts = append(acts, network.Forward(pt))
+			}
+		}
+		if len(acts) > 0 {
+			k.tables[sw] = network.Table{{Priority: 10, Match: cl.Pattern(), Actions: acts}}
+		}
+		if err := k.recomputeSwitch(sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return k
+}
+
+// TestFindCycleMatchesRecursiveReference: on random structures with
+// injected forwarding loops, the explicit-stack search returns the same
+// state ids in the same order as the recursive reference, scanning the
+// whole structure and from random root lists (the UpdateSwitch and
+// Rebind modes) — including lists with repeated and unreachable roots,
+// and searches that find nothing — and keeps doing so when one pooled
+// scratch serves structures of different sizes in turn.
+func TestFindCycleMatchesRecursiveReference(t *testing.T) {
+	cycles, clean := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		topo := topology.SmallWorld(12+int(seed%5)*9, 4, 0.3, seed)
+		topo.AddHost(100, 0)
+		topo.AddHost(101, topo.NumSwitches()-1)
+		cl := config.Class{SrcHost: 100, DstHost: 101}
+		k := randomForwarding(t, topo, cl, r, []float64{0, 0.05, 0.3, 1}[seed%4])
+		check := func(mode string, from []int) {
+			got, want := k.findCycle(from), refFindCycle(k, from)
+			if !intsEqual(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("seed %d %s: findCycle = %v, reference %v", seed, mode, got, want)
+			}
+			if got == nil {
+				clean++
+				return
+			}
+			cycles++
+			for i, v := range got {
+				// A cycle is reported against the direction of its edges.
+				if next := got[(i+len(got)-1)%len(got)]; !slices.Contains(k.succ[v], next) {
+					t.Fatalf("seed %d %s: reported cycle %v has no edge %d -> %d", seed, mode, got, v, next)
+				}
+			}
+		}
+		check("whole", nil)
+		for round := 0; round < 20; round++ {
+			from := make([]int, 1+r.Intn(6))
+			for i := range from {
+				from[i] = r.Intn(k.NumStates())
+			}
+			check("from", from)
+		}
+		check("from-empty", []int{})
+	}
+	if cycles < 100 || clean < 100 {
+		t.Fatalf("searches found %d cycles and %d clean structures; the scenarios cover one side only", cycles, clean)
+	}
 }

@@ -58,6 +58,6 @@ func (c *Batch) StatelessMC() {}
 // on its next Check, so nothing needs refreshing; the interned labels and
 // Extend memos it keeps remain valid (they depend only on the fixed state
 // arena) and make post-rebind relabels cheap.
-func (c *Batch) Rebind() {}
+func (c *Batch) Rebind(rewired []int) {}
 
 type batchToken struct{}

@@ -56,9 +56,13 @@ type Checker interface {
 	// place to a different configuration (see kripke.K.Rebind),
 	// re-deriving whatever depends on the transition relation while
 	// keeping structure-independent caches — interned labels,
-	// closure-extension memos, translated automata — warm. Outstanding
-	// undo tokens and clones taken before a Rebind are invalidated.
-	Rebind()
+	// closure-extension memos, translated automata — warm. rewired names
+	// the states whose outgoing transitions the rebind changed (a superset
+	// is fine), so the refresh can be confined to what depends on them;
+	// an empty list means the caller cannot name them and everything is
+	// re-derived. Outstanding undo tokens and clones taken before a Rebind
+	// are invalidated.
+	Rebind(rewired []int)
 	// CloneFor returns an independent checker over k2, which must be a
 	// clone of the structure this checker was built on, taken at the same
 	// table state (see kripke.K.Clone). The clone carries over whatever

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"math"
+	"sync"
 
 	"netupdate/internal/kripke"
 	"netupdate/internal/ltl"
@@ -18,10 +19,11 @@ import (
 // cheaply.
 //
 // The per-update scratch state (region membership, DFS visited marks,
-// dirty flags) lives in epoch-stamped int32 arrays sized to NumStates():
-// bumping the epoch invalidates all three sets in O(1), and undo tokens
-// come from a per-checker freelist, so steady-state Update/Revert cycles
-// perform zero heap allocations (see BenchmarkIncrementalSteadyState).
+// dirty flags) lives in epoch-stamped int32 arrays sized to NumStates()
+// and lent per call (regionScratch): bumping the epoch invalidates all
+// three sets in O(1), and undo tokens come from a per-checker freelist,
+// so steady-state Update/Revert cycles perform zero heap allocations (see
+// BenchmarkIncrementalSteadyState).
 type Incremental struct {
 	*labeler
 	isInit   []bool // immutable after construction; shared with clones
@@ -31,11 +33,6 @@ type Incremental struct {
 	// maintained incrementally so Check never rebuilds or sorts the
 	// violating set.
 	minBad int
-
-	epoch    int32
-	memberE  []int32 // stamp == epoch: state is in the ancestor region
-	visitedE []int32 // stamp == epoch: state visited by the region DFS
-	dirtyE   []int32 // stamp == epoch: state's label changed this update
 
 	members []int
 	stack   []int
@@ -80,14 +77,25 @@ func newIncrementalPrelabeled(l *labeler, k *kripke.K) *Incremental {
 	return c
 }
 
-// Rebind implements Checker: relabel the (rebound) structure in full
-// and re-derive the violating-initial set. The warm state — the shared
-// intern table, the per-state atom valuations, the sink-label cache and
-// the Extend memos — depends only on the fixed state arena, not on the
+// Rebind implements Checker: a rebind is an update without an undo. The
+// labels of the rewired states' ancestors are recomputed children-first,
+// stopping where a label comes out unchanged, and the violating-initial
+// set follows the initial states whose labels moved — the same region
+// walk as Update, so the cost is the ancestors of what the rebind moved
+// (Section 5.2), not the structure. With no states named the net change
+// is unknown and the whole structure is relabeled: the session's restore
+// after a cyclic target, where the structure was rebound forward and back
+// while this checker saw neither step. The warm state — the shared intern
+// table, the per-state atom valuations, the sink-label cache and the
+// Extend memos — depends only on the fixed state arena, not on the
 // transition relation, so it all survives; in steady state a rebind
 // allocates only for genuinely never-seen-before labels. Outstanding undo
 // tokens and clones are invalidated.
-func (c *Incremental) Rebind() {
+func (c *Incremental) Rebind(rewired []int) {
+	if len(rewired) > 0 {
+		c.relabelRegion(rewired, nil)
+		return
+	}
 	c.relabelAll()
 	c.badCount = 0
 	c.minBad = -1
@@ -199,33 +207,57 @@ func (c *Incremental) getToken() *incrToken {
 	return &incrToken{}
 }
 
-// bumpEpoch starts a fresh member/visited/dirty generation, materializing
-// the stamp arrays on first use — a checker that never processes an
-// update (a restored session serving plan-cache hits, a clone taken for a
-// single Check) never allocates them. On the (in practice unreachable)
-// wraparound the arrays are cleared so stale stamps can never collide
-// with a new epoch.
-func (c *Incremental) bumpEpoch() {
-	if c.memberE == nil {
-		n := c.k.NumStates()
-		c.memberE = make([]int32, n)
-		c.visitedE = make([]int32, n)
-		c.dirtyE = make([]int32, n)
+// regionScratch is relabelRegion's three per-state sets, as stamps: a
+// state is in a set while its stamp equals epoch, so a new walk
+// invalidates all three by advancing it. The arrays are as long as the
+// structure but a walk touches only its region, so they are lent per call
+// from regionPool rather than held by every checker — a session keeps
+// two checkers per class, a worker pool more, and nearly all of them are
+// idle at any moment — and checkers walked concurrently never share one.
+type regionScratch struct {
+	epoch   int32
+	member  []int32 // state is in the ancestor region
+	visited []int32 // state visited by the region DFS
+	dirty   []int32 // state's label changed this update
+}
+
+var regionPool = sync.Pool{New: func() any { return new(regionScratch) }}
+
+// begin starts a fresh member/visited/dirty generation over n states. On
+// the (in practice unreachable) wraparound the arrays are cleared so
+// stale stamps can never collide with a new epoch.
+func (r *regionScratch) begin(n int) {
+	if len(r.member) < n {
+		r.member = make([]int32, n)
+		r.visited = make([]int32, n)
+		r.dirty = make([]int32, n)
+		r.epoch = 0
 	}
-	c.epoch++
-	if c.epoch == math.MaxInt32 {
-		clear(c.memberE)
-		clear(c.visitedE)
-		clear(c.dirtyE)
-		c.epoch = 1
+	r.epoch++
+	if r.epoch == math.MaxInt32 {
+		clear(r.member)
+		clear(r.visited)
+		clear(r.dirty)
+		r.epoch = 1
 	}
 }
 
 // Update implements Checker: relabel the ancestors of the changed states.
 func (c *Incremental) Update(delta *kripke.Delta) (Verdict, Token) {
-	changed := delta.Changed()
 	tok := c.getToken()
-	c.bumpEpoch()
+	c.relabelRegion(delta.Changed(), tok)
+	return c.Check(), tok
+}
+
+// relabelRegion brings the labels and the violating-initial set up to
+// date after the outgoing transitions of the changed states moved (a
+// superset is fine: a state whose label comes out unchanged stops the
+// walk). Every overwritten label and violation flag is recorded in tok
+// for Revert; a nil tok records nothing.
+func (c *Incremental) relabelRegion(changed []int, tok *incrToken) {
+	r := regionPool.Get().(*regionScratch)
+	defer regionPool.Put(r)
+	r.begin(c.k.NumStates())
 
 	// Phase 1: collect the ancestors of the changed states (including
 	// them) — the only states whose labels may differ. Work is bounded by
@@ -233,8 +265,8 @@ func (c *Incremental) Update(delta *kripke.Delta) (Verdict, Token) {
 	members := c.members[:0]
 	stack := c.stack[:0]
 	for _, v := range changed {
-		if c.memberE[v] != c.epoch {
-			c.memberE[v] = c.epoch
+		if r.member[v] != r.epoch {
+			r.member[v] = r.epoch
 			members = append(members, v)
 			stack = append(stack, v)
 		}
@@ -243,8 +275,8 @@ func (c *Incremental) Update(delta *kripke.Delta) (Verdict, Token) {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, p := range c.k.Pred(v) {
-			if c.memberE[p] != c.epoch {
-				c.memberE[p] = c.epoch
+			if r.member[p] != r.epoch {
+				r.member[p] = r.epoch
 				members = append(members, p)
 				stack = append(stack, p)
 			}
@@ -259,10 +291,10 @@ func (c *Incremental) Update(delta *kripke.Delta) (Verdict, Token) {
 	order := c.orderBuf[:0]
 	frames := c.frames[:0]
 	visit := func(root int) {
-		if c.visitedE[root] == c.epoch {
+		if r.visited[root] == r.epoch {
 			return
 		}
-		c.visitedE[root] = c.epoch
+		r.visited[root] = r.epoch
 		frames = append(frames, pframe{root, 0})
 		for len(frames) > 0 {
 			fi := len(frames) - 1
@@ -272,9 +304,9 @@ func (c *Incremental) Update(delta *kripke.Delta) (Verdict, Token) {
 			for i < len(succ) {
 				u := succ[i]
 				i++
-				if c.memberE[u] == c.epoch && c.visitedE[u] != c.epoch {
+				if r.member[u] == r.epoch && r.visited[u] != r.epoch {
 					frames[fi].i = i
-					c.visitedE[u] = c.epoch
+					r.visited[u] = r.epoch
 					frames = append(frames, pframe{u, 0})
 					pushed = true
 					break
@@ -299,13 +331,13 @@ func (c *Incremental) Update(delta *kripke.Delta) (Verdict, Token) {
 	// Phase 3: recompute labels children-first, stopping propagation when
 	// a label is unchanged (the paper's early-stopping optimization).
 	for _, v := range changed {
-		c.dirtyE[v] = c.epoch
+		r.dirty[v] = r.epoch
 	}
 	for _, v := range order {
-		need := c.dirtyE[v] == c.epoch
+		need := r.dirty[v] == r.epoch
 		if !need {
 			for _, s := range c.k.Succ(v) {
-				if c.dirtyE[s] == c.epoch {
+				if r.dirty[s] == r.epoch {
 					need = true
 					break
 				}
@@ -316,17 +348,21 @@ func (c *Incremental) Update(delta *kripke.Delta) (Verdict, Token) {
 		}
 		nl := c.computeLabel(v)
 		if nl == c.label[v] {
-			c.dirtyE[v] = 0 // epoch starts at 1, so 0 is never current
+			r.dirty[v] = 0 // epoch starts at 1, so 0 is never current
 			continue
 		}
-		tok.old = append(tok.old, labelUndo{state: v, old: c.label[v]})
+		if tok != nil {
+			tok.old = append(tok.old, labelUndo{state: v, old: c.label[v]})
+		}
 		c.label[v] = nl
-		c.dirtyE[v] = c.epoch
+		r.dirty[v] = r.epoch
 		c.stats.Relabels++
 		if c.isInit[v] {
 			// Each state appears at most once in the postorder, so one
 			// undo entry per touched initial state suffices.
-			tok.badPrev = append(tok.badPrev, badUndo{state: v, wasBad: c.badInit[v]})
+			if tok != nil {
+				tok.badPrev = append(tok.badPrev, badUndo{state: v, wasBad: c.badInit[v]})
+			}
 			if c.initViolates(v) {
 				c.markBad(v)
 			} else {
@@ -334,7 +370,6 @@ func (c *Incremental) Update(delta *kripke.Delta) (Verdict, Token) {
 			}
 		}
 	}
-	return c.Check(), tok
 }
 
 // Revert implements Checker. The token is returned to the checker's
@@ -362,8 +397,8 @@ func (c *Incremental) Stats() Stats { return c.stats }
 // CloneFor implements Checker: the clone inherits the current labeling
 // (an outer slice of IDs over the shared intern table) and the
 // violating-initial bookkeeping, skipping the full relabel a fresh
-// NewIncremental would perform. Epoch scratch, the Extend memo, and the
-// token freelist are per-checker and start fresh.
+// NewIncremental would perform. The Extend memo and the token freelist
+// are per-checker and start fresh.
 func (c *Incremental) CloneFor(k2 *kripke.K) (Checker, error) {
 	return &Incremental{
 		labeler:  c.labeler.cloneFor(k2),

@@ -28,7 +28,16 @@ type labeler struct {
 	// sinkLab caches the interned label of state id when it is a sink.
 	// Sink labels depend only on atoms[id], which never changes, so the
 	// entry stays valid even as updates turn states into sinks and back.
-	sinkLab []LabelID
+	// Entries are filled from sinks, the valuation-keyed memo shared with
+	// every checker of the formula; lastSink fronts it with the valuation
+	// asked for last, since neighboring states mostly share one.
+	sinkLab  []LabelID
+	sinks    *sinkMemo
+	lastSink struct {
+		atoms ltl.Valuation
+		id    LabelID
+		ok    bool
+	}
 
 	// extCache memoizes Closure.Extend per state: atoms[id] is fixed for
 	// the checker's lifetime, so Extend(atoms[id], v) is a function of v
@@ -61,30 +70,20 @@ func newLabeler(k *kripke.K, spec *ltl.Formula) (*labeler, error) {
 	return newLabelerWarm(k, spec, nil)
 }
 
-// newLabelerShell builds a labeler with its closure and intern table
-// resolved — from the warmth cache when one is supplied (so labels
-// interned by any earlier checker for the same formula are immediately
-// available), private otherwise — but with no per-state arrays yet.
+// newLabelerShell builds a labeler with its closure, intern table and
+// sink memo resolved — from the warmth cache when one is supplied (so
+// labels interned by any earlier checker for the same formula are
+// immediately available), from a private one otherwise — but with no
+// per-state arrays yet.
 func newLabelerShell(k *kripke.K, spec *ltl.Formula, w *Warmth) (*labeler, error) {
-	var (
-		clo *ltl.Closure
-		tab *LabelTable
-	)
-	if w != nil {
-		e, err := w.entry(spec)
-		if err != nil {
-			return nil, err
-		}
-		clo, tab = e.clo, e.tab
-	} else {
-		var err error
-		clo, err = ltl.NewClosure(spec)
-		if err != nil {
-			return nil, err
-		}
-		tab = NewLabelTable()
+	if w == nil {
+		w = NewWarmth()
 	}
-	return &labeler{k: k, clo: clo, tab: tab}, nil
+	e, err := w.entry(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &labeler{k: k, clo: e.clo, tab: e.tab, sinks: e.sinks}, nil
 }
 
 // newLabelerWarm builds the labeler and sweeps the structure once to
@@ -134,6 +133,7 @@ func (l *labeler) cloneFor(k2 *kripke.K) *labeler {
 		clo:     l.clo,
 		atoms:   l.atoms,
 		tab:     l.tab,
+		sinks:   l.sinks,
 		label:   append([]LabelID(nil), l.label...),
 		sinkLab: append([]LabelID(nil), l.sinkLab...),
 	}
@@ -170,13 +170,7 @@ func (l *labeler) computeLabel(id int) LabelID {
 	l.stats.StatesLabeled++
 	if l.k.IsSink(id) {
 		if l.sinkLab[id] == noLabel {
-			buf := append(l.scratch[:0], l.clo.Sink(l.atoms[id]))
-			l.scratch = buf[:0]
-			sid, fresh := l.tab.Intern(buf)
-			if fresh {
-				l.stats.LabelsInterned++
-			}
-			l.sinkLab[id] = sid
+			l.sinkLab[id] = l.sinkLabel(l.atoms[id])
 		}
 		return l.sinkLab[id]
 	}
@@ -203,6 +197,29 @@ func (l *labeler) computeLabel(id int) LabelID {
 		l.stats.LabelsInterned++
 	}
 	return lid
+}
+
+// sinkLabel returns the interned label of a sink state whose atoms are a,
+// evaluating the closure only for a valuation no checker of the formula
+// has asked about before.
+func (l *labeler) sinkLabel(a ltl.Valuation) LabelID {
+	if l.lastSink.ok && l.lastSink.atoms == a {
+		return l.lastSink.id
+	}
+	m := l.sinks
+	m.mu.Lock()
+	id, ok := m.m[a]
+	if !ok {
+		var fresh bool
+		id, fresh = l.tab.Intern([]ltl.Valuation{l.clo.Sink(a)})
+		if fresh {
+			l.stats.LabelsInterned++
+		}
+		m.m[a] = id
+	}
+	m.mu.Unlock()
+	l.lastSink.atoms, l.lastSink.id, l.lastSink.ok = a, id, true
+	return id
 }
 
 // pframe is one frame of the explicit DFS stacks: a state and the index of

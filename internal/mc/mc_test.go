@@ -2,6 +2,7 @@ package mc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netupdate/internal/config"
@@ -463,7 +464,7 @@ func TestIncrementalRebindMatchesFresh(t *testing.T) {
 			if _, _, err := k.Rebind(cfg); err != nil {
 				t.Fatalf("iter %d step %d: rebind: %v", iter, step, err)
 			}
-			warm.Rebind()
+			warm.Rebind(nil)
 			k2, err := kripke.Build(topo, cfg, cl)
 			if err != nil {
 				t.Fatal(err)
@@ -592,4 +593,164 @@ func TestEmptyDeltaSkipsWork(t *testing.T) {
 	}
 	c.Revert(tok)
 	k.Revert(d)
+}
+
+// currentConfig reads back the tables installed in k.
+func currentConfig(k *kripke.K) *config.Config {
+	cfg := config.New()
+	for sw := 0; sw < k.Topo.NumSwitches(); sw++ {
+		cfg.SetTable(sw, k.Table(sw))
+	}
+	return cfg
+}
+
+// TestIncrementalMatchesFreshAndBatchOnRandomSequences is the checker's
+// differential test: one warm incremental checker is driven through random
+// sequences of everything the engine and the session do to it — updates
+// kept or reverted, updates that close a forwarding loop and are rolled
+// back before the checker sees them (a failed replay), undo stacks
+// abandoned at a rebind, rebinds that name the rewired states, and the
+// restore after a cyclic target (the structure rebound forward and back,
+// then refreshed with nothing named) — and after every operation its
+// per-state labels, verdict and counterexample must equal those of a
+// fresh incremental checker and of the batch checker, both built on a
+// fresh structure at the same tables.
+func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
+	r := rand.New(rand.NewSource(20150613))
+	var updates, loops, reverts, rebinds, noops, restores, failing int
+	for iter := 0; iter < 60; iter++ {
+		topo, good, cl, k := randomScene(r)
+		spec := randomFormula(r, topo.NumSwitches())
+		warmC, err := NewIncremental(k, spec)
+		if err != nil {
+			continue // oversized closure
+		}
+		warm := warmC.(*Incremental)
+		type applied struct {
+			delta *kripke.Delta
+			tok   Token
+		}
+		var stack []applied
+		compare := func(step int, op string) {
+			t.Helper()
+			k2, err := kripke.Build(topo, currentConfig(k), cl)
+			if err != nil {
+				t.Fatalf("iter %d step %d (%s): structure left cyclic: %v", iter, step, op, err)
+			}
+			freshC, err := NewIncremental(k2, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batchC, err := NewBatch(k2, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, batch := freshC.(*Incremental), batchC.(*Batch)
+			wv, fv, bv := warm.Check(), fresh.Check(), batch.Check()
+			if wv.OK != fv.OK || wv.OK != bv.OK {
+				t.Fatalf("iter %d step %d (%s): verdict warm=%v fresh=%v batch=%v", iter, step, op, wv.OK, fv.OK, bv.OK)
+			}
+			for id := 0; id < k.NumStates(); id++ {
+				if !valuationsEqual(warm.Labels(id), fresh.Labels(id)) || !valuationsEqual(warm.Labels(id), batch.Labels(id)) {
+					t.Fatalf("iter %d step %d (%s): labels diverge at state %d:\nwarm  %v\nfresh %v\nbatch %v",
+						iter, step, op, id, warm.Labels(id), fresh.Labels(id), batch.Labels(id))
+				}
+			}
+			if wv.OK {
+				return
+			}
+			failing++
+			if len(wv.Cex) == 0 || !slices.Equal(wv.Cex, fv.Cex) {
+				t.Fatalf("iter %d step %d (%s): counterexample warm=%v fresh=%v", iter, step, op, wv.Cex, fv.Cex)
+			}
+			// Batch scans the initial states in host order, the incremental
+			// checkers take the smallest violating one: the traces must
+			// agree whenever both start at the same state.
+			if bv.Cex[0] == wv.Cex[0] && !slices.Equal(wv.Cex, bv.Cex) {
+				t.Fatalf("iter %d step %d (%s): counterexample warm=%v batch=%v", iter, step, op, wv.Cex, bv.Cex)
+			}
+			validateCex(t, k2, spec, bv.Cex)
+		}
+		for step := 0; step < 30; step++ {
+			switch op := r.Intn(10); {
+			case op < 5:
+				sw := r.Intn(topo.NumSwitches())
+				ports := topo.Ports(sw)
+				var tbl network.Table
+				if r.Intn(5) > 0 {
+					tbl = network.Table{fwdRule(cl, ports[r.Intn(len(ports))])}
+				}
+				delta, err := k.UpdateSwitch(sw, tbl)
+				if err != nil {
+					k.Revert(delta) // a loop: rolled back before the checker hears of it
+					loops++
+					compare(step, "looping update")
+					continue
+				}
+				_, tok := warm.Update(delta)
+				stack = append(stack, applied{delta, tok})
+				updates++
+				compare(step, "update")
+			case op < 7:
+				if len(stack) == 0 {
+					continue
+				}
+				top := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				warm.Revert(top.tok)
+				k.Revert(top.delta)
+				reverts++
+				compare(step, "revert")
+			default:
+				// A rebind invalidates the outstanding undo tokens: the
+				// session drops them with the engine that held them.
+				stack = stack[:0]
+				cfg := config.New()
+				for sw := 0; sw < topo.NumSwitches(); sw++ {
+					if ports := topo.Ports(sw); r.Intn(4) > 0 {
+						cfg.AddRule(sw, fwdRule(cl, ports[r.Intn(len(ports))]))
+					}
+				}
+				all := make([]int, topo.NumSwitches())
+				for sw := range all {
+					all[sw] = sw
+				}
+				changed, _, err := k.RebindSwitches(cfg, all)
+				if err != nil {
+					// Cyclic target: pull the structure back to a loop-free
+					// configuration; the checker saw neither move.
+					if _, _, err := k.Rebind(good); err != nil {
+						t.Fatal(err)
+					}
+					warm.Rebind(nil)
+					restores++
+					compare(step, "restore after cyclic target")
+					continue
+				}
+				good = cfg
+				if len(changed) == 0 {
+					noops++
+					compare(step, "rebind without change")
+					continue
+				}
+				var rewired []int
+				for _, sw := range changed {
+					rewired = append(rewired, k.StatesOf(sw)...)
+				}
+				warm.Rebind(rewired)
+				rebinds++
+				compare(step, "rebind")
+			}
+		}
+	}
+	for name, n := range map[string]int{
+		"updates": updates, "looping updates": loops, "reverts": reverts,
+		"rebinds": rebinds, "cyclic-target restores": restores, "violating states": failing,
+	} {
+		if n < 20 {
+			t.Errorf("only %d %s exercised", n, name)
+		}
+	}
+	t.Logf("updates=%d loops=%d reverts=%d rebinds=%d (no-op %d) restores=%d violating=%d",
+		updates, loops, reverts, rebinds, noops, restores, failing)
 }

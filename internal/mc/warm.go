@@ -9,27 +9,41 @@ import (
 
 // Warmth is the structure-independent cache a long-lived synthesis
 // session shares across checkers and across syntheses: expanded LTL
-// closures and interned label tables, keyed by formula text. Label sets
-// are sets of closure valuations — they carry no reference to any
-// particular Kripke structure — so every checker verifying the same
-// formula can intern into one table, and a checker built over a fresh or
-// rebound structure starts with every label it will ever compute already
-// interned. A nil *Warmth is valid and means "no sharing": each checker
-// builds private state, the one-shot behavior.
+// closures, interned label tables and sink-label memos, keyed by formula
+// text. Label sets are sets of closure valuations — they carry no
+// reference to any particular Kripke structure — so every checker
+// verifying the same formula can intern into one table, and a checker
+// built over a fresh or rebound structure starts with every label it will
+// ever compute already interned. A nil *Warmth is valid and means "no
+// sharing": each checker builds private state, the one-shot behavior.
 //
 // Concurrency: the entry map is guarded by a mutex (construction-time
-// only); the cached closures are immutable and the label tables are
-// internally synchronized, so checkers on parallel search workers share
-// them freely.
+// only); the cached closures are immutable and the label tables and sink
+// memos are internally synchronized, so checkers on parallel search
+// workers share them freely.
 type Warmth struct {
 	mu      sync.Mutex
 	entries map[string]*warmEntry
 }
 
 type warmEntry struct {
-	clo *ltl.Closure
-	tab *LabelTable
+	clo   *ltl.Closure
+	tab   *LabelTable
+	sinks *sinkMemo
 }
+
+// sinkMemo maps an atom valuation to the interned label of a sink state
+// carrying it. A sink's label is {Closure.Sink(atoms)} — a function of
+// the valuation alone — and a class structure is mostly sinks that share
+// a handful of valuations, so the closure is evaluated once per distinct
+// valuation per formula rather than once per sink state per checker. The
+// ids index the label table the memo sits beside.
+type sinkMemo struct {
+	mu sync.Mutex
+	m  map[ltl.Valuation]LabelID
+}
+
+func newSinkMemo() *sinkMemo { return &sinkMemo{m: map[ltl.Valuation]LabelID{}} }
 
 // NewWarmth returns an empty cache.
 func NewWarmth() *Warmth { return &Warmth{entries: map[string]*warmEntry{}} }
@@ -54,7 +68,7 @@ func (w *Warmth) entry(spec *ltl.Formula) (*warmEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &warmEntry{clo: clo, tab: NewLabelTable()}
+	e := &warmEntry{clo: clo, tab: NewLabelTable(), sinks: newSinkMemo()}
 	w.entries[key] = e
 	return e, nil
 }

@@ -42,6 +42,9 @@ type Topology struct {
 	nextPort []Port
 	// hostAt[sw] lists indexes into hosts for the hosts on sw.
 	hostAt map[int][]int
+	// hostIdx maps a host id to its index in hosts; on a duplicate id the
+	// first host added keeps the entry.
+	hostIdx map[int]int
 
 	// Ports and HostsOn are on the Kripke-construction hot path (once per
 	// switch per traffic class); the derived slices are memoized here and
@@ -59,6 +62,7 @@ func New(name string, n int) *Topology {
 		adj:      make([][]Link, n),
 		nextPort: make([]Port, n),
 		hostAt:   map[int][]int{},
+		hostIdx:  map[int]int{},
 	}
 	for i := range t.nextPort {
 		t.nextPort[i] = 1
@@ -128,19 +132,22 @@ func (t *Topology) AddHost(id, sw int) Host {
 	t.nextPort[sw]++
 	h := Host{ID: id, Switch: sw, Port: p}
 	t.hostAt[sw] = append(t.hostAt[sw], len(t.hosts))
+	if _, dup := t.hostIdx[id]; !dup {
+		t.hostIdx[id] = len(t.hosts)
+	}
 	t.hosts = append(t.hosts, h)
 	t.invalidateCaches()
 	return h
 }
 
-// HostByID returns the host with the given id.
+// HostByID returns the host with the given id (the first one added, if
+// the id was used twice).
 func (t *Topology) HostByID(id int) (Host, bool) {
-	for _, h := range t.hosts {
-		if h.ID == id {
-			return h, true
-		}
+	i, ok := t.hostIdx[id]
+	if !ok {
+		return Host{}, false
 	}
-	return Host{}, false
+	return t.hosts[i], true
 }
 
 // HostsOn returns the hosts attached to switch sw. The returned slice is

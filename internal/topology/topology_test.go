@@ -57,6 +57,32 @@ func TestHosts(t *testing.T) {
 	}
 }
 
+// TestHostByIDLargeTopology: the id lookup is indexed, agrees with the
+// host list on a 1 500-host topology, keeps the first host of a
+// duplicated id, and reports a missing id.
+func TestHostByIDLargeTopology(t *testing.T) {
+	const n = 1500
+	topo := New("big", n)
+	for sw := 0; sw < n; sw++ {
+		topo.AddHost(10_000+7*sw, sw)
+	}
+	dup := topo.AddHost(10_000, n-1) // second host with switch 0's id
+	for _, h := range topo.Hosts()[:n] {
+		got, ok := topo.HostByID(h.ID)
+		if !ok || got != h {
+			t.Fatalf("HostByID(%d) = %+v, %v; want %+v", h.ID, got, ok, h)
+		}
+	}
+	if got, _ := topo.HostByID(10_000); got == dup || got.Switch != 0 {
+		t.Fatalf("HostByID on a duplicated id = %+v, want the first host (sw0)", got)
+	}
+	for _, id := range []int{-1, 0, 9_999, 10_001, 10_000 + 7*n} {
+		if h, ok := topo.HostByID(id); ok {
+			t.Fatalf("HostByID(%d) = %+v, want missing", id, h)
+		}
+	}
+}
+
 func TestShortestPath(t *testing.T) {
 	topo := New("line", 5)
 	for i := 0; i < 4; i++ {
