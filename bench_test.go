@@ -7,6 +7,8 @@ package netupdate
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -160,6 +162,85 @@ func BenchmarkColdSynthesizeMulticlass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Synthesize(sc, core.Options{Parallelism: 1, Timeout: benchTimeout}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionFootprint reads what one warm session holds, on the four
+// tenant shapes of the spine's serve-large-mixed workload: 8 regions x 2
+// diamonds, their link classes and one infeasible gadget region on
+// degree-6 small-world graphs of 400-800 switches. live-B/session is the
+// heap in use after two collections, less what was in use before the
+// session existed (topology and scenario): /built after NewSession — the
+// private arena and one structure and checker per class — /served after
+// the first Synthesize, which adds the verification copy of both and the
+// engine's pooled scratch. A session's classes each connect a few dozen
+// of the arena's thousands of states; an array per class as long as the
+// arena shows here as megabytes and nowhere in allocs/op, which is why CI
+// gates this reading (.github/alloc-budgets.txt).
+func BenchmarkSessionFootprint(b *testing.B) {
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	for _, n := range []int{400, 500, 650, 800} {
+		topo := topology.SmallWorld(n, 6, 0.3, int64(n))
+		var sc *config.Scenario
+		for regions := 8; sc == nil; regions-- {
+			if regions == 0 {
+				b.Fatalf("cannot place any region on small-world-%d", n)
+			}
+			sc, _ = config.MultiRegion(topo, config.MultiRegionOptions{
+				Regions: regions, PairsPerRegion: 2, InfeasibleRegions: 1,
+				Property: config.Reachability, Seed: int64(n),
+			})
+		}
+		// The first target moves every class but the gadget's, which no
+		// ordering moves together.
+		target := sc.Final.Clone()
+		for _, cs := range sc.Specs {
+			var reg int
+			var side string
+			if k, _ := fmt.Sscanf(cs.Class.Name, "r%dg%s", &reg, &side); k != 2 {
+				continue
+			}
+			config.RemoveClassRules(target, cs.Class)
+			for _, sw := range sc.Init.Switches() {
+				for _, rule := range sc.Init.Table(sw) {
+					if rule.Match == cs.Class.Pattern() {
+						target.AddRule(sw, rule)
+					}
+				}
+			}
+		}
+		for _, served := range []bool{false, true} {
+			name := fmt.Sprintf("n=%d/built", n)
+			if served {
+				name = fmt.Sprintf("n=%d/served", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				var total uint64
+				for i := 0; i < b.N; i++ {
+					before := live()
+					sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, core.Options{Parallelism: 1, Timeout: benchTimeout})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if served {
+						if _, err := sess.Synthesize(target); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if after := live(); after > before {
+						total += after - before
+					}
+					runtime.KeepAlive(sess)
+				}
+				b.ReportMetric(float64(total)/float64(b.N), "live-B/session")
+			})
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"os"
@@ -15,19 +16,26 @@ import (
 // are spelled out rather than generated so the committed seed images keep
 // matching their context fingerprint whatever the generators do.
 type fuzzContext struct {
-	image   string // testdata/fuzz-seeds/<image>, written by Session.Snapshot
+	name    string // testdata/fuzz-seeds/<name><version suffix>.nuss, written by Session.Snapshot
 	header  string
 	reroute string
 }
 
+// Each context has one committed image per format version, taken after
+// the session served the reroute: "" is version 1, as commit 5a6acb0
+// wrote it (the last commit with four checker backends); "-v2" is this
+// format's, as the commit that introduced it wrote it. Version-1 images
+// restore to their configuration, built cold; they must keep doing so.
+var fuzzSeedVersions = []string{"", "-v2"}
+
 var fuzzContexts = []fuzzContext{
 	{
-		image:   "one-class.nuss",
+		name:    "one-class",
 		header:  goldenHeader,
 		reroute: `{"reroute":[{"class":"c","path":[0,2,3]}]}`,
 	},
 	{
-		image:   "three-class.nuss",
+		name:    "three-class",
 		header:  `{"name":"hex","topology":{"switches":6,"links":[[0,1],[1,2],[2,5],[0,3],[3,4],[4,5],[1,4]],"hosts":[{"id":100,"switch":0},{"id":101,"switch":5},{"id":102,"switch":3},{"id":103,"switch":2}]},"classes":[{"name":"a","src":100,"dst":101,"path":[0,1,2,5],"spec":"sw=0 -> F sw=5"},{"name":"b","src":102,"dst":103,"path":[3,4,1,2],"spec":"sw=3 -> F sw=2"},{"name":"c","src":101,"dst":100,"path":[5,4,3,0],"spec":"sw=5 -> ((sw!=0) U ((sw=4) & F sw=0))"}]}`,
 		reroute: `{"reroute":[{"class":"a","path":[0,3,4,5]}]}`,
 	},
@@ -37,6 +45,7 @@ var fuzzContexts = []fuzzContext{
 // reroute target, and the committed image.
 type fuzzSeed struct {
 	name   string
+	v1     bool // written in NUSS version 1
 	base   *config.StreamBase
 	target *config.Config
 	img    []byte
@@ -45,28 +54,31 @@ type fuzzSeed struct {
 func loadFuzzSeeds(t testing.TB) []fuzzSeed {
 	t.Helper()
 	var seeds []fuzzSeed
-	for _, c := range fuzzContexts {
-		var h config.StreamHeader
-		if err := json.Unmarshal([]byte(c.header), &h); err != nil {
-			t.Fatal(err)
+	for _, version := range fuzzSeedVersions {
+		for _, c := range fuzzContexts {
+			var h config.StreamHeader
+			if err := json.Unmarshal([]byte(c.header), &h); err != nil {
+				t.Fatal(err)
+			}
+			base, err := h.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var d config.StreamDelta
+			if err := json.Unmarshal([]byte(c.reroute), &d); err != nil {
+				t.Fatal(err)
+			}
+			target, err := base.Apply(base.Init, &d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := c.name + version + ".nuss"
+			img, err := os.ReadFile(filepath.Join("testdata", "fuzz-seeds", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds = append(seeds, fuzzSeed{name, version == "", base, target, img})
 		}
-		base, err := h.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var d config.StreamDelta
-		if err := json.Unmarshal([]byte(c.reroute), &d); err != nil {
-			t.Fatal(err)
-		}
-		target, err := base.Apply(base.Init, &d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img, err := os.ReadFile(filepath.Join("testdata", "fuzz-seeds", c.image))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seeds = append(seeds, fuzzSeed{c.image, base, target, img})
 	}
 	return seeds
 }
@@ -74,12 +86,36 @@ func loadFuzzSeeds(t testing.TB) []fuzzSeed {
 // restoreAndServe is the property both the fuzzer and the byte sweep
 // check: body, resealed under a fresh checksum, either fails to restore
 // or yields a session that synthesizes and snapshots; any error is an
-// answer, a panic is not.
+// answer, a panic is not. Where the state the session should be in is
+// known, its next answer must be a cold session's at its configuration:
+// for the seed as committed, and for anything that restores from a
+// version-1 image, which is taken for its configuration alone. (Damage
+// to a version-2 class section that stays in range restores to a state
+// no configuration builds; the checksum is integrity, not authenticity.)
 func restoreAndServe(t *testing.T, seed fuzzSeed, body []byte) {
+	opts := Options{Parallelism: 1}
+	pristine := bytes.Equal(body, seed.img[:len(seed.img)-sha256.Size])
 	img := (&snapWriter{buf: append([]byte(nil), body...)}).seal()
-	s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{Parallelism: 1}, img)
+	s, err := RestoreSession(seed.base.Topo, seed.base.Specs, opts, img)
 	if err != nil {
+		if pristine {
+			t.Fatalf("%s: committed image no longer restores: %v", seed.name, err)
+		}
 		return
+	}
+	if pristine || s.RestoredCold() {
+		if pristine && len(config.Diff(s.Current(), seed.target)) != 0 {
+			t.Fatalf("%s: restored at another configuration than the image's", seed.name)
+		}
+		cold, err := NewSession(seed.base.Topo, s.Current(), seed.base.Specs, opts)
+		if err != nil {
+			t.Fatalf("%s: restored at a configuration no session builds at: %v", seed.name, err)
+		}
+		want, werr := cold.Synthesize(seed.base.Init)
+		got, gerr := s.Synthesize(seed.base.Init)
+		if (werr == nil) != (gerr == nil) || (werr == nil && got.String() != want.String()) {
+			t.Fatalf("%s: restored session answers\n%v (%v), a cold one\n%v (%v)", seed.name, got, gerr, want, werr)
+		}
 	}
 	_, _ = s.Synthesize(seed.target)
 	_, _ = s.Synthesize(seed.base.Init)
@@ -97,7 +133,8 @@ func restoreAndServe(t *testing.T, seed fuzzSeed, body []byte) {
 // counterexample reconstruction).
 func TestRestoreSessionByteSweep(t *testing.T) {
 	for _, seed := range loadFuzzSeeds(t) {
-		body := seed.img[:len(seed.img)-sha256.Size]
+		body := bytes.Clone(seed.img[:len(seed.img)-sha256.Size])
+		restoreAndServe(t, seed, body)
 		for pos := len(snapMagic) + 4 + sha256.Size; pos < len(body); pos++ {
 			orig := body[pos]
 			for _, v := range []byte{orig + 1, orig - 1, orig ^ 1, orig ^ 0x80, 0, 0x7f, 0xff} {
@@ -117,20 +154,12 @@ func TestRestoreSessionByteSweep(t *testing.T) {
 // recomputes the trailing checksum, so mutations are not all stopped at
 // the integrity check and reach the section decoders.
 //
-// The seeds are images the last commit with four checker backends wrote
-// (5a6acb0; one session of one class, one of three, each after one
-// synthesis) plus truncations of them: unmutated, they must restore and
-// serve, which pins the NUSS format across the contract change.
+// The seeds are the committed images (fuzzSeedVersions) plus truncations
+// of them: unmutated, they must restore and serve as a cold session
+// would, which pins both NUSS formats.
 func FuzzRestoreSession(f *testing.F) {
 	seeds := loadFuzzSeeds(f)
 	for i, seed := range seeds {
-		s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{Parallelism: 1}, seed.img)
-		if err != nil {
-			f.Fatalf("%s: committed image no longer restores: %v", seed.name, err)
-		}
-		if _, err := s.Synthesize(seed.base.Init); err != nil {
-			f.Fatalf("%s: restored session does not serve: %v", seed.name, err)
-		}
 		f.Add(i, seed.img)
 		for _, cut := range []int{len(seed.img) / 4, len(seed.img) / 2, len(seed.img) - sha256.Size - 1} {
 			f.Add(i, seed.img[:cut])
@@ -142,4 +171,28 @@ func FuzzRestoreSession(f *testing.F) {
 		}
 		restoreAndServe(t, seeds[which], data[:len(data)-sha256.Size])
 	})
+}
+
+// TestRestoreOlderImageKeepsItsConfiguration: a version-1 image is the
+// only record of where its tenant was, so restore takes that — the
+// configuration and the run counter — and builds the rest cold, saying so
+// (RestoredCold); an image in the current format restores warm. Either
+// way the session's next plan is a cold session's (restoreAndServe).
+func TestRestoreOlderImageKeepsItsConfiguration(t *testing.T) {
+	for _, seed := range loadFuzzSeeds(t) {
+		s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{Parallelism: 1}, seed.img)
+		if err != nil {
+			t.Fatalf("%s: %v", seed.name, err)
+		}
+		if s.RestoredCold() != seed.v1 {
+			t.Errorf("%s: RestoredCold() = %v", seed.name, s.RestoredCold())
+		}
+		if len(config.Diff(s.Current(), seed.target)) != 0 || len(config.Diff(s.Current(), seed.base.Init)) == 0 {
+			t.Errorf("%s: restored session is not at the image's configuration", seed.name)
+		}
+		if s.Runs() != 1 {
+			t.Errorf("%s: %d runs restored, the image was written after one", seed.name, s.Runs())
+		}
+		restoreAndServe(t, seed, seed.img[:len(seed.img)-sha256.Size])
+	}
 }

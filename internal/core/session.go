@@ -75,6 +75,9 @@ type Session struct {
 
 	scratch engineScratch
 	runs    int
+	// restoredCold marks a session RestoreSession built cold at the
+	// configuration of an image in an older format.
+	restoredCold bool
 	// ephemeral marks a single-use session (the one-shot Synthesize
 	// wrapper): the post-run resync that keeps warm structures consistent
 	// is pure waste on structures about to be discarded, so it is skipped.
@@ -167,8 +170,9 @@ func NewSessionWith(topo *topology.Topology, init *config.Config, specs []config
 			return mc.NewIncrementalWarm(k, spec, s.warm)
 		}
 	}
+	switches := init.Switches()
 	for _, cs := range specs {
-		k, err := s.arena.Build(init, cs.Class)
+		k, err := s.arena.BuildOn(init, switches, cs.Class)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInitialViolation, err)
 		}
@@ -286,6 +290,12 @@ func (s *Session) Current() *config.Config { return s.cur }
 
 // Runs returns the number of Synthesize calls served so far.
 func (s *Session) Runs() int { return s.runs }
+
+// RestoredCold reports whether RestoreSession took only the configuration
+// and run counter from its image — one in an older format, whose class
+// sections no decoder reads any more — and built the class structures
+// cold: the tenant is where the image says, at the price of a cold build.
+func (s *Session) RestoredCold() bool { return s.restoredCold }
 
 // LastStats returns the statistics of the most recent synthesis attempt,
 // successful or not. After a failed or aborted decomposed run,

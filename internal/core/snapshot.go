@@ -1,18 +1,15 @@
 package core
 
-// Session snapshot/restore (ROADMAP item 3). A warm session is expensive
-// to build — per-class Kripke structures (table application plus a global
-// cycle check per class), a full initial labeling per checker, and the
-// interned label tables — and all of it was being thrown away on pool
-// eviction and process restart. This file serializes the warm state to a
-// compact versioned binary image and rebuilds a session from it while
-// skipping every expensive step: the state arena is shared or rebuilt
-// from the topology, per-class transition relations are installed from
-// recorded successor lists (no table application, no cycle check — the
-// snapshot was taken from a structure that was built and checked against
-// the same configuration, and the image is checksummed), and the
-// checkers are reconstructed from their recorded per-state labels (no
-// relabelAll, the dominant cost).
+// Session snapshot/restore. A warm session is expensive to build —
+// per-class Kripke structures (table application plus a cycle check per
+// class), an initial labeling per checker, and the interned label tables
+// — and all of it was being thrown away on pool eviction and process
+// restart. This file serializes the warm state to a compact versioned
+// binary image and rebuilds a session from it without table application
+// or labeling: the state arena is shared or rebuilt from the topology,
+// per-class transition relations are installed from the recorded
+// successor lists of the states the class connects (cycle-checked, which
+// costs what is listed), and the checkers adopt the recorded labels.
 //
 // The plan cache (with its learned wrong-pattern/SAT/dead-set stores) is
 // not session state: it belongs to whoever attached it — the pool shares
@@ -22,7 +19,7 @@ package core
 // history. An image that leaves the process (tenant migration, restart
 // persistence) gets the owner's cache embedded by EmbedCache.
 //
-// Format (all integers varint-encoded unless noted):
+// Format, version 2 (all integers varint-encoded unless noted):
 //
 //	"NUSS" | u32le version | 32-byte context fingerprint
 //	runs counter
@@ -30,25 +27,39 @@ package core
 //	warmth:  #formulas, then per formula (sorted key order): key,
 //	         #labels, per label #valuations + raw [2]uint64 words
 //	classes: #classes, then per class (spec order): formula key,
-//	         #states, labels flag (always 1; an image without a labeling
-//	         is refused); run-length-encoded label and sink-label arrays
-//	         (ids index this formula's warmth section; -1 = unset) and
-//	         the per-state atom valuations as default + exceptions (most
-//	         states satisfy no atomic subformula, so the sparse form is a
-//	         handful of entries); then #successors total and the
-//	         per-state successor lists
+//	         #connected states, #successors total, then per connected
+//	         state in ascending id: id (as the difference from the one
+//	         before), label id (an index into this formula's warmth
+//	         section), #successors, successor ids
 //	cache:   flag; when flagged (EmbedCache), the PlanCacheSnapshot JSON blob
 //	sha256 checksum of everything above (raw 32 bytes)
 //
+// A class section lists the states that have a successor or a predecessor
+// when the image is written and nothing else: an isolated state — nearly
+// every state of the arena, in any one class — has no transitions to
+// record, and its atom valuation and label are functions of its switch
+// and port. So an image is sized by what the classes' rules connect, two
+// sessions that reached one configuration by different routes write the
+// same class sections, and Snapshot -> Restore -> Snapshot is
+// byte-identical.
+//
 // Label ids are private to the exporting table, so the decoder re-interns
 // every label into the (possibly shared, possibly pre-populated) target
-// table and remaps the per-state arrays — restoring into a fresh table
+// table and remaps the per-state ids — restoring into a fresh table
 // reproduces the original ids exactly, and restoring into a shared one
 // lands on whatever ids the table already assigned, which is invisible to
 // synthesis (only label contents carry meaning). The context fingerprint
 // binds the image to the topology, the class specifications, and the
 // plan-shape options; restore rejects any mismatch, any unknown version,
 // and any checksum failure, and callers fall back to a cold build.
+//
+// Version 1 differed in the class sections only (dense per-state label,
+// sink-label and atom arrays). An image is the one carrier of a tenant's
+// current configuration across processes, so a version-1 image is not
+// refused: its checksum, fingerprint, run counter and configuration are
+// read as above, the class structures are built cold at that
+// configuration, and its class and cache sections are skipped unread
+// (Session.RestoredCold reports it).
 
 import (
 	"crypto/sha256"
@@ -66,7 +77,7 @@ import (
 
 const (
 	snapMagic   = "NUSS"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // Snapshot decode failure modes. Callers distinguish them only to report;
@@ -215,6 +226,24 @@ func (s *Session) Snapshot() ([]byte, error) {
 		}
 	}
 
+	// The connected states of every class and their labels, resolved
+	// before the tables are dumped: the label of a sink never read so far
+	// is interned by asking for it.
+	var conn []int
+	var labels []mc.LabelID
+	ends := make([]int, len(s.specs))
+	for i := range s.specs {
+		chk, ok := s.checkers[i].(*mc.Incremental)
+		if !ok {
+			return nil, fmt.Errorf("core: snapshot: class %d is checked by %s, not the incremental checker", i, s.checkers[i].Name())
+		}
+		conn = s.ks[i].AppendConnected(conn)
+		for _, id := range conn[len(labels):] {
+			labels = append(labels, chk.LabelOf(id))
+		}
+		ends[i] = len(conn)
+	}
+
 	// Warmth: every formula's label table, dumped in id order so the
 	// snapshot-local label index equals the exporting table's LabelID.
 	type tabDump struct {
@@ -240,32 +269,29 @@ func (s *Session) Snapshot() ([]byte, error) {
 
 	// Per-class structures, in spec order.
 	w.count(len(s.specs))
+	from := 0
 	for i, cs := range s.specs {
 		w.str(cs.Formula.String())
 		k := s.ks[i]
-		n := k.NumStates()
-		w.count(n)
-		chk, ok := s.checkers[i].(*mc.Incremental)
-		if !ok {
-			return nil, fmt.Errorf("core: snapshot: class %d is checked by %s, not the incremental checker", i, s.checkers[i].Name())
-		}
-		w.buf = append(w.buf, 1)
-		label, sinkLab := chk.ExportLabels()
-		encodeIDsRLE(w, label)
-		encodeIDsRLE(w, sinkLab)
-		encodeAtoms(w, chk.ExportAtoms())
+		ids := conn[from:ends[i]]
+		w.count(len(ids))
 		total := 0
-		for id := 0; id < n; id++ {
+		for _, id := range ids {
 			total += len(k.Succ(id))
 		}
 		w.count(total)
-		for id := 0; id < n; id++ {
+		prev := 0
+		for j, id := range ids {
+			w.count(id - prev)
+			prev = id
+			w.count(int(labels[from+j]))
 			succ := k.Succ(id)
 			w.count(len(succ))
 			for _, t := range succ {
 				w.count(t)
 			}
 		}
+		from = ends[i]
 	}
 
 	w.buf = append(w.buf, 0) // empty cache section
@@ -332,125 +358,19 @@ func decodeRule(r *snapReader) network.Rule {
 	}
 	rule.Actions = make([]network.Action, nActs)
 	for i := range rule.Actions {
-		rule.Actions[i] = network.Action{
+		a := network.Action{
 			Kind:  network.ActionKind(r.varint()),
 			Port:  topology.Port(r.varint()),
 			Field: network.FieldID(r.varint()),
 			Value: int(r.varint()),
 		}
+		if a.Kind == network.ActSetField && a.Field >= network.NumFields {
+			// Applying the table would panic on it.
+			r.fail("rule sets header field %d of %d", a.Field, network.NumFields)
+		}
+		rule.Actions[i] = a
 	}
 	return rule
-}
-
-// encodeIDsRLE writes a per-state label-id array as runs of equal
-// values. Labelings are extremely repetitive — most states of a class
-// carry one of a handful of labels in long stretches — so the run form
-// shrinks the image and turns per-state decode work (a varint and a
-// remap lookup each) into per-run work.
-func encodeIDsRLE(w *snapWriter, a []mc.LabelID) {
-	runs := 0
-	for i := 0; i < len(a); {
-		j := i + 1
-		for j < len(a) && a[j] == a[i] {
-			j++
-		}
-		runs++
-		i = j
-	}
-	w.count(runs)
-	for i := 0; i < len(a); {
-		j := i + 1
-		for j < len(a) && a[j] == a[i] {
-			j++
-		}
-		w.uvarint(uint64(j - i))
-		w.varint(int64(a[i]))
-		i = j
-	}
-}
-
-// decodeIDsRLE rebuilds a dense per-state id array from its run
-// encoding, remapping each run's id once into the target table's id
-// space.
-func decodeIDsRLE(r *snapReader, n int, remap []mc.LabelID) []mc.LabelID {
-	out := make([]mc.LabelID, n)
-	runs := r.count()
-	at := 0
-	for k := 0; k < runs && r.err == nil; k++ {
-		ln := int(r.uvarint())
-		if ln <= 0 || at+ln > n {
-			r.fail("label run of %d at state %d overflows %d states", ln, at, n)
-			return nil
-		}
-		id := remapLabel(r, remap)
-		for e := at + ln; at < e; at++ {
-			out[at] = id
-		}
-	}
-	if r.err == nil && at != n {
-		r.fail("label runs cover %d of %d states", at, n)
-		return nil
-	}
-	return out
-}
-
-// encodeAtoms writes a per-state atom-valuation array as a default value
-// plus exceptions: formula atoms name specific switches and ports, so all
-// but a handful of states share one valuation and the sparse form both
-// keeps the image small and lets the decoder skip the per-state
-// AtomValuation sweep that otherwise dominates checker reconstruction.
-// The default is the most frequent valuation, ties broken by word value
-// so the encoding is deterministic.
-func encodeAtoms(w *snapWriter, atoms []ltl.Valuation) {
-	counts := make(map[ltl.Valuation]int, 8)
-	for _, v := range atoms {
-		counts[v]++
-	}
-	var def ltl.Valuation
-	bestN := 0
-	for v, c := range counts {
-		if c > bestN || (c == bestN && c > 0 && (v[0] < def[0] || (v[0] == def[0] && v[1] < def[1]))) {
-			def, bestN = v, c
-		}
-	}
-	w.uvarint(def[0])
-	w.uvarint(def[1])
-	w.count(len(atoms) - bestN)
-	prev := 0
-	for id, v := range atoms {
-		if v == def {
-			continue
-		}
-		w.uvarint(uint64(id - prev))
-		prev = id
-		w.uvarint(v[0])
-		w.uvarint(v[1])
-	}
-}
-
-// decodeAtoms reads the sparse per-state atom-valuation encoding into an
-// image the checker materializes lazily (mc.AtomsImage): the dense array
-// — by far the largest per-class allocation — is never built on the
-// restore critical path.
-func decodeAtoms(r *snapReader, n int) *mc.AtomsImage {
-	img := &mc.AtomsImage{
-		N:   n,
-		Def: ltl.Valuation{r.uvarint(), r.uvarint()},
-	}
-	nExc := r.count()
-	img.IDs = make([]int32, 0, nExc)
-	img.Vals = make([]ltl.Valuation, 0, nExc)
-	id := 0
-	for e := 0; e < nExc && r.err == nil; e++ {
-		id += int(r.uvarint())
-		if id < 0 || id >= n {
-			r.fail("atom exception state %d out of range [0,%d)", id, n)
-			return nil
-		}
-		img.IDs = append(img.IDs, int32(id))
-		img.Vals = append(img.Vals, ltl.Valuation{r.uvarint(), r.uvarint()})
-	}
-	return img
 }
 
 // --- decode ---
@@ -481,8 +401,9 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	if string(r.take(len(snapMagic))) != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if v := r.u32(); v != snapVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshotVersion, v, snapVersion)
+	version := r.u32()
+	if version != snapVersion && version != 1 {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshotVersion, version, snapVersion)
 	}
 	fp := contextFingerprint(topo, specs, opts)
 	if string(r.take(sha256.Size)) != string(fp) {
@@ -512,13 +433,25 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 		return nil, r.err
 	}
 
+	if version == 1 {
+		// The configuration is what only the image knows; everything after
+		// it in a version-1 image is rebuilt, not read.
+		res.Factory = nil
+		s, err := NewSessionWith(topo, cur, specs, opts, res)
+		if err != nil {
+			return nil, fmt.Errorf("%w: version-1 image: %v", ErrBadSnapshot, err)
+		}
+		s.ctxFP, s.runs, s.restoredCold = fp, runs, true
+		return s, nil
+	}
+
 	s := newSessionShell(topo, cur, specs, opts, res)
 	s.ctxFP = fp
 	s.runs = runs
 
 	// Warmth: re-intern every recorded label into the (possibly shared)
 	// target table for its formula, building the old-id -> new-id remap
-	// the per-class label arrays are rewritten through.
+	// the per-class labels are rewritten through.
 	specOf := make(map[string]*ltl.Formula, len(specs))
 	for _, cs := range specs {
 		specOf[cs.Formula.String()] = cs.Formula
@@ -562,44 +495,47 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	if r.err == nil && nClasses != len(specs) {
 		return nil, fmt.Errorf("%w: %d classes, want %d", ErrBadSnapshot, nClasses, len(specs))
 	}
+	nStates := s.arena.NumStates()
 	for i := 0; i < nClasses && r.err == nil; i++ {
 		cs := specs[i]
 		key := r.str()
 		if r.err == nil && key != cs.Formula.String() {
 			return nil, fmt.Errorf("%w: class %d formula %q, want %q", ErrBadSnapshot, i, key, cs.Formula)
 		}
-		nStates := r.count()
-		if flag := r.take(1); len(flag) == 1 && flag[0] != 1 {
-			r.fail("class %d carries no labeling", i)
-		}
 		remap := remaps[key]
-		label := decodeIDsRLE(r, nStates, remap)
-		sinkLab := decodeIDsRLE(r, nStates, remap)
-		atoms := decodeAtoms(r, nStates)
-		// Successor lists decode into one flat backing array (the total
-		// is recorded up front), capped subslices per state — thousands
-		// of per-state allocations collapse into one.
-		total := r.count()
+		// The listed states' successor lists decode into one flat backing
+		// array (the total is recorded up front), capped subslices per
+		// state.
+		n, total := r.count(), r.count()
 		if r.err != nil {
 			break
 		}
+		ids := make([]int, n)
+		labels := make([]mc.LabelID, n)
+		succ := make([][]int, n)
 		flatSucc := make([]int, total)
-		succ := make([][]int, nStates)
-		fill := 0
-		for id := 0; id < nStates && r.err == nil; id++ {
-			nSucc := r.count()
-			if nSucc == 0 {
-				continue
-			}
-			if fill+nSucc > total {
+		id, fill := 0, 0
+		for j := 0; j < n && r.err == nil; j++ {
+			step, lab, nSucc := r.uvarint(), r.uvarint(), r.count()
+			switch {
+			case r.err != nil:
+			case step > uint64(nStates):
+				r.fail("class %d lists a state past %d of %d", i, id, nStates)
+			case lab >= uint64(len(remap)):
+				r.fail("class %d label id %d out of range [0,%d)", i, lab, len(remap))
+			case fill+nSucc > total:
 				r.fail("class %d successor total %d exceeded at state %d", i, total, id)
+			}
+			if r.err != nil {
 				break
 			}
+			id += int(step)
+			ids[j], labels[j] = id, remap[lab]
 			lst := flatSucc[fill : fill+nSucc : fill+nSucc]
 			for si := range lst {
 				lst[si] = r.num()
 			}
-			succ[id] = lst
+			succ[j] = lst
 			fill += nSucc
 		}
 		if r.err == nil && fill != total {
@@ -608,11 +544,11 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 		if r.err != nil {
 			break
 		}
-		k, err := s.arena.Restore(cur, cs.Class, succ)
+		k, err := s.arena.Restore(cur, cs.Class, ids, succ)
 		if err != nil {
 			return nil, fmt.Errorf("%w: class %d: %v", ErrBadSnapshot, i, err)
 		}
-		chk, err := mc.NewIncrementalRestored(k, cs.Formula, s.warm, atoms, label, sinkLab)
+		chk, err := mc.NewIncrementalRestored(k, cs.Formula, s.warm, ids, labels)
 		if err != nil {
 			return nil, fmt.Errorf("%w: class %d checker: %v", ErrBadSnapshot, i, err)
 		}
@@ -648,18 +584,4 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(body)-r.off)
 	}
 	return s, nil
-}
-
-// remapLabel decodes one snapshot label id and maps it into the target
-// table's id space. -1 (unset) passes through.
-func remapLabel(r *snapReader, remap []mc.LabelID) mc.LabelID {
-	v := r.varint()
-	if v == int64(mc.NoLabel) {
-		return mc.NoLabel
-	}
-	if v < 0 || v >= int64(len(remap)) {
-		r.fail("label id %d out of range [0,%d)", v, len(remap))
-		return mc.NoLabel
-	}
-	return remap[v]
 }

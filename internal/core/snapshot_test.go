@@ -5,12 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"netupdate/internal/config"
 	"netupdate/internal/kripke"
+	"netupdate/internal/ltl"
 	"netupdate/internal/mc"
 )
 
@@ -141,11 +144,12 @@ func TestSnapshotRoundTripSharedResources(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejection: corrupted, truncated, version-skewed,
-// context-mismatched and label-less images must be rejected with the
-// matching sentinel (the pool falls back to a cold rebuild on any of
-// them), and a session over a caller-supplied checker refuses to write
-// one.
+// TestSnapshotRejection: corrupted, truncated, version-skewed and
+// context-mismatched images, and images whose class sections name a
+// label, state or successor out of range, list states out of order or
+// close a cycle, must be rejected with the matching sentinel (the pool
+// falls back to a cold rebuild on any of them), and a session over a
+// caller-supplied checker refuses to write one.
 func TestSnapshotRejection(t *testing.T) {
 	stream, targets := rollingTargets(t, 59, 2, 3, 1)
 	opts := Options{Parallelism: 1}
@@ -191,25 +195,34 @@ func TestSnapshotRejection(t *testing.T) {
 			t.Fatalf("mismatched options: err = %v, want ErrSnapshotMismatch", err)
 		}
 	})
-	t.Run("no-labeling", func(t *testing.T) {
-		// The last class record: formula key, #states, then the labels
-		// flag this clears — what a checker without a labeling wrote
-		// before the engine served the incremental checker only.
-		last := len(sess.specs) - 1
-		w := &snapWriter{}
-		w.str(sess.specs[last].Formula.String())
-		w.count(sess.ks[last].NumStates())
-		at := bytes.LastIndex(img, w.buf)
-		if at < 0 || img[at+len(w.buf)] != 1 {
-			t.Fatal("class record not found in the image")
-		}
-		bad := append([]byte(nil), img[:len(img)-sha256.Size]...)
-		bad[at+len(w.buf)] = 0
-		bad = (&snapWriter{buf: bad}).seal()
-		if _, err := RestoreSession(stream.Topo(), stream.Specs(), opts, bad); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("label-less class record: err = %v, want ErrBadSnapshot", err)
-		}
-	})
+	// Damage to a class section that survives the checksum (a resealed
+	// image, as PUT .../snapshot may receive): every field that could
+	// index past something is checked.
+	last := len(sess.specs) - 1
+	for name, damage := range map[string]func(c *imageClass){
+		"label-out-of-range": func(c *imageClass) { c.labels[0] = 1 << 20 },
+		"successor-out-of-range": func(c *imageClass) {
+			c.succ[c.forwarding()] = []int{sess.ks[last].NumStates()}
+		},
+		"state-out-of-range":  func(c *imageClass) { c.ids[len(c.ids)-1] = sess.ks[last].NumStates() },
+		"states-out-of-order": func(c *imageClass) { c.ids[0], c.ids[1] = c.ids[1], c.ids[0] },
+		"cyclic-successors": func(c *imageClass) {
+			from := c.forwarding()
+			for j, id := range c.ids {
+				if id == c.succ[from][0] {
+					c.succ[j] = []int{c.ids[from]}
+				}
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			parsed := parseImage(t, img)
+			damage(&parsed.classes[last])
+			if _, err := RestoreSession(stream.Topo(), stream.Specs(), opts, parsed.encode()); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("err = %v, want ErrBadSnapshot", err)
+			}
+		})
+	}
 	t.Run("foreign-checker", func(t *testing.T) {
 		foreign, err := NewSessionWith(stream.Topo(), stream.Init(), stream.Specs(), opts, SessionResources{Factory: mc.NewBatch})
 		if err != nil {
@@ -294,4 +307,209 @@ func untimed(st Stats) Stats {
 	st.WaitRemovalElapsed, st.VerifyElapsed, st.CacheVerifyElapsed = 0, 0, 0
 	st.ComponentElapsed = nil
 	return st
+}
+
+// parsedImage is a version-2 image taken apart by a decoder that shares
+// the varint primitives and the rule codec with RestoreSession and
+// nothing else: the tests use it to compare what two images say about a
+// class whatever ids their label tables happen to use, and to damage one
+// field of a class section and reseal.
+type parsedImage struct {
+	head    []byte // magic, version, context fingerprint
+	runs    int
+	config  []byte // the configuration section, verbatim
+	tables  []imageTable
+	classes []imageClass
+	tail    []byte // the cache section
+}
+
+type imageTable struct {
+	key    string
+	labels [][]ltl.Valuation
+}
+
+type imageClass struct {
+	key    string
+	ids    []int
+	labels []int // indexes into the formula's table
+	succ   [][]int
+}
+
+// forwarding returns the position of the first listed state that has a
+// successor.
+func (c *imageClass) forwarding() int {
+	for j := range c.ids {
+		if len(c.succ[j]) > 0 {
+			return j
+		}
+	}
+	panic("class section lists no state with a successor")
+}
+
+func parseImage(t *testing.T, img []byte) *parsedImage {
+	t.Helper()
+	body := img[:len(img)-sha256.Size]
+	r := &snapReader{buf: body}
+	p := &parsedImage{head: r.take(len(snapMagic) + 4 + sha256.Size)}
+	p.runs = r.num()
+	at := r.off
+	for n := r.count(); n > 0; n-- {
+		r.num()
+		for rules := r.count(); rules > 0; rules-- {
+			decodeRule(r)
+		}
+	}
+	p.config = body[at:r.off]
+	for n := r.count(); n > 0; n-- {
+		tab := imageTable{key: r.str()}
+		for labels := r.count(); labels > 0; labels-- {
+			var lab []ltl.Valuation
+			for vals := r.count(); vals > 0; vals-- {
+				lab = append(lab, ltl.Valuation{r.uvarint(), r.uvarint()})
+			}
+			tab.labels = append(tab.labels, lab)
+		}
+		p.tables = append(p.tables, tab)
+	}
+	for n := r.count(); n > 0; n-- {
+		c := imageClass{key: r.str()}
+		states := r.count()
+		r.count() // successor total: recomputed by encode
+		id := 0
+		for ; states > 0; states-- {
+			id += r.num()
+			c.ids = append(c.ids, id)
+			c.labels = append(c.labels, r.num())
+			var succ []int
+			for k := r.count(); k > 0; k-- {
+				succ = append(succ, r.num())
+			}
+			c.succ = append(c.succ, succ)
+		}
+		p.classes = append(p.classes, c)
+	}
+	p.tail = body[r.off:]
+	if r.err != nil {
+		t.Fatalf("parsing the image: %v", r.err)
+	}
+	if !bytes.Equal(p.encode(), img) {
+		t.Fatal("the test's decoder and encoder do not reproduce the image")
+	}
+	return p
+}
+
+func (p *parsedImage) encode() []byte {
+	w := &snapWriter{}
+	w.raw(p.head)
+	w.count(p.runs)
+	w.raw(p.config)
+	w.count(len(p.tables))
+	for _, tab := range p.tables {
+		w.str(tab.key)
+		w.count(len(tab.labels))
+		for _, lab := range tab.labels {
+			w.count(len(lab))
+			for _, v := range lab {
+				w.uvarint(v[0])
+				w.uvarint(v[1])
+			}
+		}
+	}
+	w.count(len(p.classes))
+	for _, c := range p.classes {
+		w.str(c.key)
+		w.count(len(c.ids))
+		total := 0
+		for _, succ := range c.succ {
+			total += len(succ)
+		}
+		w.count(total)
+		prev := 0
+		for j, id := range c.ids {
+			w.uvarint(uint64(id - prev)) // wraps for out-of-order ids, as damage should
+			prev = id
+			w.count(c.labels[j])
+			w.count(len(c.succ[j]))
+			for _, t := range c.succ[j] {
+				w.count(t)
+			}
+		}
+	}
+	w.raw(p.tail)
+	return w.seal()
+}
+
+// classContents is what an image says about one class, with label ids
+// resolved to their contents.
+func (p *parsedImage) classContents(t *testing.T, i int) string {
+	t.Helper()
+	c := p.classes[i]
+	var tab *imageTable
+	for j := range p.tables {
+		if p.tables[j].key == c.key {
+			tab = &p.tables[j]
+		}
+	}
+	if tab == nil {
+		t.Fatalf("class %d: no label table for %q", i, c.key)
+	}
+	var b strings.Builder
+	for j, id := range c.ids {
+		fmt.Fprintf(&b, "%d -> %v %v\n", id, c.succ[j], tab.labels[c.labels[j]])
+	}
+	return b.String()
+}
+
+// TestSnapshotImageIsCanonical: an image lists, per class, the states the
+// configuration connects and nothing about how the session got there. A
+// session that walked a stream to a configuration — its structures
+// holding entries for states since isolated again, sinks labeled on
+// demand, tables interned in search order — and a session built cold at
+// that configuration say the same about every class; and Snapshot ->
+// Restore -> Snapshot is byte-identical, from either.
+func TestSnapshotImageIsCanonical(t *testing.T) {
+	stream, targets := rollingTargets(t, 71, 3, 6, 2)
+	opts := Options{Parallelism: 1}
+	walked, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, tgt := range targets {
+		if _, err := walked.Synthesize(tgt); err != nil {
+			t.Fatalf("step %d: %v", n, err)
+		}
+	}
+	cold, err := NewSession(stream.Topo(), walked.Current(), stream.Specs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var images []*parsedImage
+	for name, sess := range map[string]*Session{"walked": walked, "cold": cold} {
+		img, err := sess.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreSession(stream.Topo(), stream.Specs(), opts, img)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again, err := restored.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, img) {
+			t.Fatalf("%s: Snapshot -> Restore -> Snapshot changed the image (%d -> %d bytes)", name, len(img), len(again))
+		}
+		images = append(images, parseImage(t, img))
+	}
+	isolatedAgain := 0
+	for i := range stream.Specs() {
+		if a, b := images[0].classContents(t, i), images[1].classContents(t, i); a != b {
+			t.Fatalf("class %d: the two histories wrote different sections:\n%s\nvs\n%s", i, a, b)
+		}
+		isolatedAgain += walked.ks[i].NumRows() - 1 - len(images[0].classes[i].ids)
+	}
+	if isolatedAgain == 0 {
+		t.Fatal("the walk left no state isolated again: the stream does not exercise omission")
+	}
 }

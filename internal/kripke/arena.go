@@ -2,6 +2,7 @@ package kripke
 
 import (
 	"fmt"
+	"slices"
 
 	"netupdate/internal/config"
 	"netupdate/internal/network"
@@ -20,6 +21,7 @@ type Arena struct {
 	states   []State
 	index    map[State]int
 	init     []int
+	isInit   []bool
 	statesOf map[int][]int
 }
 
@@ -58,8 +60,11 @@ func NewArena(topo *topology.Topology) *Arena {
 			addState(State{Kind: Egress, Sw: sw, Pt: h.Port})
 		}
 	}
+	a.isInit = make([]bool, len(a.states))
 	for _, h := range topo.Hosts() {
-		a.init = append(a.init, a.index[State{Kind: Arrival, Sw: h.Switch, Pt: h.Port}])
+		id := a.index[State{Kind: Arrival, Sw: h.Switch, Pt: h.Port}]
+		a.init = append(a.init, id)
+		a.isInit[id] = true
 	}
 	return a
 }
@@ -70,9 +75,8 @@ func (a *Arena) Topology() *topology.Topology { return a.topo }
 // NumStates returns the size of the shared state set.
 func (a *Arena) NumStates() int { return len(a.states) }
 
-// newK returns a class structure sharing the arena's immutable parts.
-// The transition arrays are left nil: Build sizes empty ones to fill by
-// table application, Restore adopts decoded ones wholesale.
+// newK returns a class structure sharing the arena's immutable parts, at
+// the empty configuration: every state isolated, sharing entry 0.
 func (a *Arena) newK(cl config.Class) *K {
 	return &K{
 		Class:    cl,
@@ -80,7 +84,11 @@ func (a *Arena) newK(cl config.Class) *K {
 		states:   a.states,
 		index:    a.index,
 		init:     a.init,
+		isInit:   a.isInit,
 		statesOf: a.statesOf,
+		row:      make([]int32, len(a.states)),
+		succ:     make([][]int, 1),
+		pred:     make([][]int, 1),
 		tables:   make([]network.Table, a.topo.NumSwitches()),
 	}
 }
@@ -89,11 +97,19 @@ func (a *Arena) newK(cl config.Class) *K {
 // shared state space. It returns *ErrLoop if the configuration forwards
 // the class in a cycle.
 func (a *Arena) Build(cfg *config.Config, cl config.Class) (*K, error) {
+	return a.BuildOn(cfg, cfg.Switches(), cl)
+}
+
+// BuildOn is Build for a caller that builds many classes under one
+// configuration and takes cfg.Switches() — ascending — once for all of
+// them. Tables are applied on those switches only: a switch with an empty
+// table forwards nothing, so its arrival states stay isolated.
+func (a *Arena) BuildOn(cfg *config.Config, switches []int, cl config.Class) (*K, error) {
 	k := a.newK(cl)
-	n := len(a.states)
-	k.succ = make([][]int, n)
-	k.pred = make([][]int, n)
-	for sw := 0; sw < a.topo.NumSwitches(); sw++ {
+	for _, sw := range switches {
+		if sw < 0 || sw >= len(k.tables) {
+			continue // a table for a switch the topology lacks forwards nothing
+		}
 		k.tables[sw] = cfg.Table(sw)
 		if err := k.recomputeSwitch(sw); err != nil {
 			return nil, err
@@ -105,31 +121,37 @@ func (a *Arena) Build(cfg *config.Config, cl config.Class) (*K, error) {
 	return k, nil
 }
 
-// Restore constructs the class structure of cl directly from recorded
-// successor lists, skipping table application and the global cycle
-// check: the lists were captured from a structure that was built (and
-// therefore cycle-checked) against the same configuration, and arrive
-// under a snapshot checksum, so only structural sanity is validated
-// here. succ must have one entry per arena state; it is adopted, not
-// copied. Predecessor lists are not derived — K.ensurePred materializes
-// them from the successor lists on first use (the incremental checker's
-// first Update), off the restore critical path.
-func (a *Arena) Restore(cfg *config.Config, cl config.Class, succ [][]int) (*K, error) {
+// Restore constructs the class structure of cl under cfg from the recorded
+// successor lists of its connected states, skipping table application:
+// ids names the states, ascending, and succ[i] lists the successors of
+// ids[i]; every state not named — and not named as a successor — is
+// isolated. The lists are adopted, not copied. They arrive from outside
+// the process under a checksum that shows they are intact, not that they
+// are right, so states out of range or out of order and successor lists
+// that close a cycle are refused; the cost is the states listed.
+func (a *Arena) Restore(cfg *config.Config, cl config.Class, ids []int, succ [][]int) (*K, error) {
 	n := len(a.states)
-	if len(succ) != n {
-		return nil, fmt.Errorf("kripke: restore: %d successor lists for %d states", len(succ), n)
-	}
 	k := a.newK(cl)
-	for sw := 0; sw < a.topo.NumSwitches(); sw++ {
-		k.tables[sw] = cfg.Table(sw)
+	for sw, tbl := range cfg.Tables() {
+		if sw >= 0 && sw < len(k.tables) {
+			k.tables[sw] = tbl
+		}
 	}
-	for id, next := range succ {
-		for _, t := range next {
+	k.succ = slices.Grow(k.succ, len(ids))
+	k.pred = slices.Grow(k.pred, len(ids))
+	for i, id := range ids {
+		if id < 0 || id >= n || (i > 0 && id <= ids[i-1]) {
+			return nil, fmt.Errorf("kripke: restore: state %d out of range or out of order", id)
+		}
+		for _, t := range succ[i] {
 			if t < 0 || t >= n {
 				return nil, fmt.Errorf("kripke: restore: successor %d of state %d out of range", t, id)
 			}
 		}
+		k.setSucc(id, succ[i])
 	}
-	k.succ = succ
+	if cyc := k.findCycle(nil); cyc != nil {
+		return nil, fmt.Errorf("kripke: restore: successor lists cycle through %v", k.statesFor(cyc))
+	}
 	return k, nil
 }

@@ -10,6 +10,7 @@ package kripke
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"netupdate/internal/config"
@@ -64,6 +65,14 @@ func (e *ErrLoop) Error() string {
 // K is the Kripke structure of one traffic class under a mutable
 // configuration. States never change; UpdateSwitch changes only the
 // outgoing transitions of the updated switch's arrival states.
+//
+// The state set is the whole arena, but a class's rules connect a few
+// dozen of its states: every other state is isolated — no successor, no
+// predecessor — and stores nothing. row maps a state to its entry in succ
+// and pred; every state that never had an edge shares entry 0, which
+// stays empty. An entry is added when a state first gains an edge and is
+// never moved or dropped afterwards, so deltas, clones and the checkers'
+// per-row labels (see Row) keep indexing the same entries.
 type K struct {
 	Class config.Class
 	Topo  *topology.Topology
@@ -71,12 +80,15 @@ type K struct {
 	states []State
 	index  map[State]int
 	init   []int
-	// succ[i] lists successors of state i. nil means sink (implicit
+	isInit []bool
+	// statesOf[sw] lists the arrival-state ids of switch sw.
+	statesOf map[int][]int
+
+	row []int32
+	// succ[row[i]] lists successors of state i. Empty means sink (implicit
 	// self-loop), matching the complete DAG-like structures of Section 5.
 	succ [][]int
 	pred [][]int
-	// statesOf[sw] lists the arrival-state ids of switch sw.
-	statesOf map[int][]int
 	// tables holds the current forwarding table of each switch, indexed
 	// by the dense switch id.
 	tables []network.Table
@@ -102,64 +114,30 @@ func Build(topo *topology.Topology, cfg *config.Config, cl config.Class) (*K, er
 // parts (states, indexes, initial states) with the original. Successor
 // lists are replaced wholesale by UpdateSwitch/Revert and never mutated in
 // place, so only the outer slice is copied; predecessor lists are edited
-// in place and are copied deeply. The clone can be updated and reverted
-// concurrently with the original, which is what gives each parallel
-// search worker a private structure with no locking on the hot path.
+// in place and are copied deeply. Entries keep their numbers. The clone
+// can be updated and reverted concurrently with the original, which is
+// what gives each parallel search worker a private structure with no
+// locking on the hot path.
 func (k *K) Clone() *K {
-	c := &K{
-		Class:    k.Class,
-		Topo:     k.Topo,
-		states:   k.states,
-		index:    k.index,
-		init:     k.init,
-		statesOf: k.statesOf,
-	}
-	c.succ = append([][]int(nil), k.succ...)
-	if k.pred != nil {
-		c.pred = make([][]int, len(k.pred))
-		for i, p := range k.pred {
-			c.pred[i] = append([]int(nil), p...)
-		}
-	}
-	c.tables = append([]network.Table(nil), k.tables...)
-	return c
-}
-
-// ensurePred materializes the predecessor lists from the successor lists
-// on first use. A restored structure (Arena.Restore) starts without them:
-// they are read only by the incremental checker's ancestor walk and by
-// setSucc's rewiring, so a session resumed just to serve cache hits (or
-// snapshotted again untouched) never pays for the derivation. Every pred
-// list is carved out of one flat backing array with a capped subslice, so
-// a later rewiring append reallocates that state's list instead of
-// clobbering its neighbor; filling in ascending state-id order reproduces
-// Build's insertion order exactly, so a lazily derived structure is
-// indistinguishable from a freshly built one.
-func (k *K) ensurePred() {
-	if k.pred != nil {
-		return
-	}
-	n := len(k.states)
-	deg := make([]int, n)
+	c := *k
+	c.row = slices.Clone(k.row)
+	c.succ = slices.Clone(k.succ)
+	// The copied lists share one backing array, each capped at its
+	// length so that an append moves it out instead of into its neighbor.
 	total := 0
-	for _, next := range k.succ {
-		for _, t := range next {
-			deg[t]++
-		}
-		total += len(next)
+	for _, p := range k.pred {
+		total += len(p)
 	}
-	k.pred = make([][]int, n)
 	flat := make([]int, 0, total)
-	off := 0
-	for t := 0; t < n; t++ {
-		k.pred[t] = flat[off : off : off+deg[t]]
-		off += deg[t]
+	c.pred = make([][]int, len(k.pred))
+	for r, p := range k.pred {
+		at := len(flat)
+		flat = append(flat, p...)
+		c.pred[r] = flat[at:len(flat):len(flat)]
 	}
-	for id, next := range k.succ {
-		for _, t := range next {
-			k.pred[t] = append(k.pred[t], id)
-		}
-	}
+	c.tables = slices.Clone(k.tables)
+	c.outBuf, c.oldBuf, c.rootBuf = nil, nil, nil
+	return &c
 }
 
 // recomputeSwitch rewires the outgoing transitions of sw's arrival states
@@ -199,14 +177,35 @@ func (k *K) recomputeSwitch(sw int) error {
 
 // setSucc replaces the successor list of state id, maintaining pred.
 func (k *K) setSucc(id int, next []int) {
-	k.ensurePred()
-	for _, t := range k.succ[id] {
-		k.pred[t] = removeOne(k.pred[t], id)
+	r := k.row[id]
+	for _, t := range k.succ[r] {
+		tr := k.row[t]
+		k.pred[tr] = removeOne(k.pred[tr], id)
 	}
-	k.succ[id] = next
+	if r == 0 {
+		if len(next) == 0 {
+			return
+		}
+		r = k.addRow(id)
+	}
+	k.succ[r] = next
 	for _, t := range next {
-		k.pred[t] = append(k.pred[t], id)
+		tr := k.row[t]
+		if tr == 0 {
+			tr = k.addRow(t)
+		}
+		k.pred[tr] = append(k.pred[tr], id)
 	}
+}
+
+// addRow gives state id, which is gaining its first edge, an entry of its
+// own.
+func (k *K) addRow(id int) int32 {
+	r := int32(len(k.succ))
+	k.succ = append(k.succ, nil)
+	k.pred = append(k.pred, nil)
+	k.row[id] = r
+	return r
 }
 
 func removeOne(xs []int, v int) []int {
@@ -254,7 +253,7 @@ func (k *K) UpdateSwitch(sw int, tbl network.Table) (*Delta, error) {
 	// changed states graduate into the delta below.
 	old := k.oldBuf[:0]
 	for _, id := range ids {
-		old = append(old, k.succ[id])
+		old = append(old, k.Succ(id))
 	}
 	k.oldBuf = old
 	k.tables[sw] = tbl
@@ -267,12 +266,13 @@ func (k *K) UpdateSwitch(sw int, tbl network.Table) (*Delta, error) {
 		return nil, err
 	}
 	for i, id := range ids {
-		if intsEqual(old[i], k.succ[id]) {
+		next := k.Succ(id)
+		if intsEqual(old[i], next) {
 			continue
 		}
 		d.ids = append(d.ids, id)
 		d.oldSucc = append(d.oldSucc, old[i])
-		d.newSucc = append(d.newSucc, k.succ[id])
+		d.newSucc = append(d.newSucc, next)
 	}
 	// A new cycle must pass through a rewired state; an empty delta cannot
 	// have introduced one.
@@ -340,7 +340,7 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 		ids := k.statesOf[sw]
 		old := k.oldBuf[:0]
 		for _, id := range ids {
-			old = append(old, k.succ[id])
+			old = append(old, k.Succ(id))
 		}
 		k.oldBuf = old
 		k.tables[sw] = tbl
@@ -348,7 +348,7 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 			return rerr
 		}
 		for i, id := range ids {
-			if !intsEqual(old[i], k.succ[id]) {
+			if !intsEqual(old[i], k.Succ(id)) {
 				changed = append(changed, sw)
 				roots = append(roots, ids...)
 				break
@@ -449,12 +449,12 @@ func (c *cycleScratch) begin(n int) {
 }
 
 // findCycle looks for a cycle. With from == nil it scans the whole
-// structure, skipping sinks (a state without successors is on no cycle);
-// otherwise it only looks for cycles reachable from (and hence, for fresh
-// updates, passing through) the given states — in that mode the work is
-// proportional to the part of the structure actually reachable from the
-// update, which keeps per-update costs sublinear (the property the
-// incremental checker depends on). It returns the state ids on the first
+// structure in ascending state order, skipping sinks (a state without
+// successors is on no cycle); otherwise it only looks for cycles
+// reachable from (and hence, for fresh updates, passing through) the
+// given states — in that mode the work is proportional to the part of the
+// structure actually reachable from the update, which keeps per-update
+// costs sublinear (the property the incremental checker depends on). It returns the state ids on the first
 // cycle a depth-first search in root and successor order closes — the
 // state the closing edge returns to, then the DFS path back to it, latest
 // first — or nil.
@@ -470,8 +470,8 @@ func (k *K) findCycle(from []int) []int {
 		}
 		return nil
 	}
-	for v := range k.states {
-		if len(k.succ[v]) == 0 {
+	for v, r := range k.row {
+		if len(k.succ[r]) == 0 {
 			continue
 		}
 		if cyc := k.cycleFrom(c, v); cyc != nil {
@@ -493,7 +493,7 @@ func (k *K) cycleFrom(c *cycleScratch, root int) []int {
 	stack := append(c.stack[:0], cycleFrame{v: root})
 	for len(stack) > 0 && cycle == nil {
 		top := &stack[len(stack)-1]
-		succ := k.succ[top.v]
+		succ := k.Succ(top.v)
 		if top.i == len(succ) {
 			c.color[top.v] = black
 			stack = stack[:len(stack)-1]
@@ -555,21 +555,41 @@ func (k *K) StateAt(id int) State { return k.states[id] }
 // Init returns the initial state ids.
 func (k *K) Init() []int { return k.init }
 
+// IsInit reports whether state id is an initial state.
+func (k *K) IsInit(id int) bool { return k.isInit[id] }
+
 // Succ returns the successors of state id; empty means sink (implicit
 // self-loop).
-func (k *K) Succ(id int) []int { return k.succ[id] }
+func (k *K) Succ(id int) []int { return k.succ[k.row[id]] }
 
-// Pred returns the predecessors of state id, deriving the lists from the
-// successor lists on first use after a restore (see ensurePred).
-func (k *K) Pred(id int) []int {
-	if k.pred == nil {
-		k.ensurePred()
-	}
-	return k.pred[id]
-}
+// Pred returns the predecessors of state id.
+func (k *K) Pred(id int) []int { return k.pred[k.row[id]] }
 
 // IsSink reports whether state id is a sink (self-loop only).
-func (k *K) IsSink(id int) bool { return len(k.succ[id]) == 0 }
+func (k *K) IsSink(id int) bool { return len(k.succ[k.row[id]]) == 0 }
+
+// Row returns the number of state id's entry in the structure's sparse
+// transition storage: 0 for a state that has never had an edge, otherwise
+// a number in [1, NumRows()) that stays the state's own for the life of
+// the structure and is the same in every clone. Checkers key per-state
+// data by it, so what they hold is proportional to the states the class's
+// rules connect, not to the arena.
+func (k *K) Row(id int) int { return int(k.row[id]) }
+
+// NumRows returns one more than the highest row number handed out.
+func (k *K) NumRows() int { return len(k.succ) }
+
+// AppendConnected appends to dst, in ascending order, the states that
+// currently have a successor or a predecessor. Every other state is
+// isolated: a sink that nothing reaches.
+func (k *K) AppendConnected(dst []int) []int {
+	for id, r := range k.row {
+		if len(k.succ[r]) > 0 || len(k.pred[r]) > 0 {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
 
 // StatesOf returns the arrival-state ids of switch sw.
 func (k *K) StatesOf(sw int) []int { return k.statesOf[sw] }
@@ -587,11 +607,17 @@ func (k *K) HoldsAt(id int, p ltl.Prop) bool {
 	case ltl.FieldPort:
 		return int(st.Pt) == p.Value
 	default:
-		if f, ok := network.FieldByName(p.Field); ok {
-			return k.Class.Packet().Field(f) == p.Value
-		}
-		return false
+		return k.ClassHolds(p)
 	}
+}
+
+// ClassHolds evaluates a header-field proposition, which tests the class
+// packet and so holds at every state of the structure or at none.
+func (k *K) ClassHolds(p ltl.Prop) bool {
+	if f, ok := network.FieldByName(p.Field); ok {
+		return k.Class.Packet().Field(f) == p.Value
+	}
+	return false
 }
 
 // Env returns an ltl.Env evaluating propositions at state id.
@@ -617,7 +643,7 @@ func (k *K) Traces(from int, maxTraces int) [][]int {
 			out = append(out, append([]int(nil), path...))
 			return
 		}
-		for _, u := range k.succ[v] {
+		for _, u := range k.Succ(v) {
 			walk(u)
 		}
 	}

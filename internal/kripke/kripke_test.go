@@ -583,7 +583,7 @@ func refFindCycle(k *K, from []int) []int {
 	var dfs func(v int) bool
 	dfs = func(v int) bool {
 		color[v] = gray
-		for _, u := range k.succ[v] {
+		for _, u := range k.Succ(v) {
 			switch color[u] {
 			case 0:
 				parent[u] = v
@@ -629,9 +629,6 @@ func refFindCycle(k *K, from []int) []int {
 func randomForwarding(t *testing.T, topo *topology.Topology, cl config.Class, r *rand.Rand, loopy float64) *K {
 	t.Helper()
 	k := NewArena(topo).newK(cl)
-	n := len(k.states)
-	k.succ = make([][]int, n)
-	k.pred = make([][]int, n)
 	dst, _ := topo.HostByID(cl.DstHost)
 	for sw := 0; sw < topo.NumSwitches(); sw++ {
 		var acts []network.Action
@@ -689,7 +686,7 @@ func TestFindCycleMatchesRecursiveReference(t *testing.T) {
 			cycles++
 			for i, v := range got {
 				// A cycle is reported against the direction of its edges.
-				if next := got[(i+len(got)-1)%len(got)]; !slices.Contains(k.succ[v], next) {
+				if next := got[(i+len(got)-1)%len(got)]; !slices.Contains(k.Succ(v), next) {
 					t.Fatalf("seed %d %s: reported cycle %v has no edge %d -> %d", seed, mode, got, v, next)
 				}
 			}

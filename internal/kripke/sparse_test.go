@@ -1,0 +1,335 @@
+package kripke
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"netupdate/internal/config"
+	"netupdate/internal/network"
+	"netupdate/internal/topology"
+)
+
+// sharedScene draws a small dense network carrying several classes, the
+// shape that makes a class structure's few connected states move around
+// the arena: every class runs between two of a few hosts along a shortest
+// path; some egress switches carry a rule the class's own rule shadows; a
+// few switches carry a low-priority catch-all and one an in-port rule —
+// rules of no class that forward every class — and one class has no rule
+// anywhere, its own ingress included. Configurations that forward some
+// class in a cycle are the caller's to handle: the catch-alls close loops
+// now and then, which the comparison wants.
+func sharedScene(r *rand.Rand, seed int64) (*topology.Topology, *config.Config, []config.Class) {
+	n := 14 + r.Intn(16)
+	topo := topology.SmallWorld(n, 4, 0.3, seed)
+	var hosts []topology.Host
+	for i := 0; i < 6; i++ {
+		hosts = append(hosts, topo.AddHost(1000+i, r.Intn(n)))
+	}
+	cfg := config.New()
+	var classes []config.Class
+	used := map[[2]int]bool{}
+	for len(classes) < 4+r.Intn(3) {
+		a, b := hosts[r.Intn(len(hosts))], hosts[r.Intn(len(hosts))]
+		if a.Switch == b.Switch || used[[2]int{a.ID, b.ID}] {
+			continue
+		}
+		used[[2]int{a.ID, b.ID}] = true
+		cl := config.Class{Name: fmt.Sprintf("c%d", len(classes)), SrcHost: a.ID, DstHost: b.ID}
+		if err := config.InstallPath(cfg, topo, cl, topo.ShortestPath(a.Switch, b.Switch), 10); err != nil {
+			panic(err)
+		}
+		classes = append(classes, cl)
+		if links := topo.Neighbors(b.Switch); len(classes)%2 == 0 {
+			cfg.AddRule(b.Switch, network.Rule{
+				Priority: 1, Match: cl.Pattern(),
+				Actions: []network.Action{network.Forward(links[r.Intn(len(links))].LocalPort)},
+			})
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cfg.AddRule(r.Intn(n), catchAll(r, topo, r.Intn(n), i == 0))
+	}
+	classes = append(classes, config.Class{Name: "ruleless", SrcHost: hosts[0].ID, DstHost: hosts[0].ID + 4242})
+	return topo, cfg, classes
+}
+
+// catchAll is a rule of no class: it forwards any packet out of a random
+// port of sw, below every class rule — or, with inPort, above them but
+// for packets arriving on one port only.
+func catchAll(r *rand.Rand, topo *topology.Topology, sw int, inPort bool) network.Rule {
+	ports := topo.Ports(sw)
+	rule := network.Rule{
+		Priority: 1, Match: network.AnyPacket(),
+		Actions: []network.Action{network.Forward(ports[r.Intn(len(ports))])},
+	}
+	if inPort {
+		rule.Priority, rule.Match.InPort = 20, ports[r.Intn(len(ports))]
+	}
+	return rule
+}
+
+// randomTable is a table some update might install on sw: nothing, the
+// switch's table in base with a class rule pointed elsewhere or dropped,
+// or with a catch-all or in-port rule added.
+func randomTable(r *rand.Rand, topo *topology.Topology, base *config.Config, classes []config.Class, sw int) network.Table {
+	tbl := base.Table(sw).Clone()
+	ports := topo.Ports(sw)
+	switch r.Intn(6) {
+	case 0:
+		return nil
+	case 1:
+		if len(tbl) > 0 {
+			i := r.Intn(len(tbl))
+			tbl = append(tbl[:i:i], tbl[i+1:]...)
+		}
+	case 2, 3:
+		cl := classes[r.Intn(len(classes))]
+		tbl = append(tbl, network.Rule{
+			Priority: 10 + r.Intn(3), Match: cl.Pattern(),
+			Actions: []network.Action{network.Forward(ports[r.Intn(len(ports))])},
+		})
+	default:
+		tbl = append(tbl, catchAll(r, topo, sw, r.Intn(3) == 0))
+	}
+	return tbl
+}
+
+// twin is one class structure in both representations, driven in step.
+type twin struct {
+	t      *testing.T
+	name   string
+	sparse *K
+	dense  *denseK
+}
+
+type twinDelta struct {
+	sparse *Delta
+	dense  *denseDelta
+}
+
+// sameLoop requires both errors to be nil or the same forwarding loop.
+func (w *twin) sameLoop(op string, serr, derr error) bool {
+	w.t.Helper()
+	var sl, dl *ErrLoop
+	if errors.As(serr, &sl) != errors.As(derr, &dl) || (serr == nil) != (derr == nil) {
+		w.t.Fatalf("%s %s: sparse err %v, dense err %v", w.name, op, serr, derr)
+	}
+	if sl != nil && (!slices.Equal(sl.IDs, dl.IDs) || !slices.Equal(sl.Cycle, dl.Cycle)) {
+		w.t.Fatalf("%s %s: sparse loop %v, dense loop %v", w.name, op, sl.IDs, dl.IDs)
+	}
+	return sl != nil
+}
+
+// compare checks everything a reader of the structure can see: Succ in
+// order, Pred as a multiset and IsSink at every state of the arena —
+// isolated ones included — Row's contract, and the loop search in both
+// modes. Pred is compared as a multiset because removeOne's swap makes
+// its order a function of the order in which rows were edited, which
+// Reapply and Clone preserve but nothing reads.
+func (w *twin) compare(op string, r *rand.Rand) {
+	w.t.Helper()
+	s, d := w.sparse, w.dense
+	connected := s.AppendConnected(nil)
+	ci := 0
+	for id := 0; id < s.NumStates(); id++ {
+		if !slices.Equal(s.Succ(id), d.Succ(id)) {
+			w.t.Fatalf("%s %s: Succ(%d) = %v, dense %v", w.name, op, id, s.Succ(id), d.Succ(id))
+		}
+		sp, dp := slices.Clone(s.Pred(id)), slices.Clone(d.Pred(id))
+		slices.Sort(sp)
+		slices.Sort(dp)
+		if !slices.Equal(sp, dp) {
+			w.t.Fatalf("%s %s: Pred(%d) = %v, dense %v", w.name, op, id, sp, dp)
+		}
+		if s.IsSink(id) != d.IsSink(id) {
+			w.t.Fatalf("%s %s: IsSink(%d) = %v, dense %v", w.name, op, id, s.IsSink(id), d.IsSink(id))
+		}
+		isolated := len(d.Succ(id)) == 0 && len(dp) == 0
+		if !isolated && s.Row(id) == 0 {
+			w.t.Fatalf("%s %s: state %d has an edge and no row", w.name, op, id)
+		}
+		if s.Row(id) < 0 || s.Row(id) >= s.NumRows() {
+			w.t.Fatalf("%s %s: Row(%d) = %d of %d", w.name, op, id, s.Row(id), s.NumRows())
+		}
+		if listed := ci < len(connected) && connected[ci] == id; listed != !isolated {
+			w.t.Fatalf("%s %s: AppendConnected lists state %d: %v, isolated: %v", w.name, op, id, listed, isolated)
+		} else if listed {
+			ci++
+		}
+	}
+	for sw := 0; sw < s.Topo.NumSwitches(); sw++ {
+		if !s.Table(sw).Equal(d.tables[sw]) {
+			w.t.Fatalf("%s %s: tables differ on sw%d", w.name, op, sw)
+		}
+	}
+	if got, want := s.findCycle(nil), d.findCycle(nil); !slices.Equal(got, want) {
+		w.t.Fatalf("%s %s: findCycle(nil) = %v, dense %v", w.name, op, got, want)
+	}
+	from := make([]int, 1+r.Intn(5))
+	for i := range from {
+		from[i] = r.Intn(s.NumStates())
+	}
+	if got, want := s.findCycle(from), d.findCycle(from); !slices.Equal(got, want) {
+		w.t.Fatalf("%s %s: findCycle(%v) = %v, dense %v", w.name, op, from, got, want)
+	}
+}
+
+func (w *twin) update(sw int, tbl network.Table) (twinDelta, bool) {
+	w.t.Helper()
+	sd, serr := w.sparse.UpdateSwitch(sw, tbl)
+	dd, derr := w.dense.UpdateSwitch(sw, tbl)
+	loop := w.sameLoop("update", serr, derr)
+	if !slices.Equal(sd.Changed(), dd.Changed()) {
+		w.t.Fatalf("%s update sw%d: changed %v, dense %v", w.name, sw, sd.Changed(), dd.Changed())
+	}
+	return twinDelta{sd, dd}, loop
+}
+
+func (w *twin) revert(d twinDelta)  { w.sparse.Revert(d.sparse); w.dense.Revert(d.dense) }
+func (w *twin) reapply(d twinDelta) { w.sparse.Reapply(d.sparse); w.dense.Reapply(d.dense) }
+
+// rebind runs Rebind (switches == nil) or RebindSwitches and reports
+// whether the target loops.
+func (w *twin) rebind(cfg *config.Config, switches []int) bool {
+	w.t.Helper()
+	var sc, st, dc, dt []int
+	var serr, derr error
+	if switches == nil {
+		sc, st, serr = w.sparse.Rebind(cfg)
+		dc, dt, derr = w.dense.Rebind(cfg)
+	} else {
+		sc, st, serr = w.sparse.RebindSwitches(cfg, switches)
+		dc, dt, derr = w.dense.RebindSwitches(cfg, switches)
+	}
+	if !slices.Equal(sc, dc) || !slices.Equal(st, dt) {
+		w.t.Fatalf("%s rebind: changed %v touched %v, dense %v %v", w.name, sc, st, dc, dt)
+	}
+	return w.sameLoop("rebind", serr, derr)
+}
+
+func (w *twin) clone(name string) *twin {
+	return &twin{t: w.t, name: w.name + "/" + name, sparse: w.sparse.Clone(), dense: w.dense.Clone()}
+}
+
+// TestSparseStorageMatchesDense drives every class structure of random
+// shared-switch scenarios, in the sparse representation and in the dense
+// one it replaced, through random sequences of what the engine and the
+// session do — updates kept, reverted, reapplied and abandoned, updates
+// that close a loop, rebinds of some switches and of all of them to
+// configurations that may loop, clones that go their own way — and after
+// every operation requires the same answer from every read of the
+// structure at every state of the arena, the same delta, the same error
+// and the same loop. A clone is compared against its dense twin again
+// after its original has moved on: it must not have followed.
+func TestSparseStorageMatchesDense(t *testing.T) {
+	var updates, loops, reverts, reapplies, rebinds, cyclicTargets, clones, ruleless int
+	for seed := int64(1); seed <= 25; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		topo, base, classes := sharedScene(r, seed)
+		arena := NewArena(topo)
+		for _, cl := range classes {
+			name := fmt.Sprintf("seed %d class %s", seed, cl.Name)
+			sk, serr := arena.Build(base, cl)
+			dk, derr := arena.buildDense(base, cl)
+			w := &twin{t: t, name: name, sparse: sk, dense: dk}
+			if w.sameLoop("build", serr, derr) {
+				continue // a catch-all closed a loop for this class
+			}
+			w.compare("build", r)
+			if cl.Name == "ruleless" {
+				ruleless++ // connected by catch-alls only, if at all
+			}
+			good := base // the last loop-free configuration the twin was rebound to
+			var stack []twinDelta
+			var stale []*twin // clones left behind, with the state they were left in
+			for step := 0; step < 40; step++ {
+				switch op := r.Intn(12); {
+				case op < 5:
+					sw := r.Intn(topo.NumSwitches())
+					d, loop := w.update(sw, randomTable(r, topo, base, classes, sw))
+					updates++
+					if loop {
+						w.compare("looping update", r)
+						w.revert(d)
+						loops++
+						w.compare("revert of a looping update", r)
+						continue
+					}
+					stack = append(stack, d)
+					w.compare("update", r)
+				case op < 7:
+					if len(stack) == 0 {
+						continue
+					}
+					d := stack[len(stack)-1]
+					w.revert(d)
+					reverts++
+					w.compare("revert", r)
+					if r.Intn(2) == 0 {
+						w.reapply(d)
+						reapplies++
+						w.compare("reapply", r)
+					} else {
+						stack = stack[:len(stack)-1]
+					}
+				case op < 10:
+					// A rebind abandons the outstanding deltas.
+					stack = stack[:0]
+					cfg := config.New()
+					var some []int
+					for sw := 0; sw < topo.NumSwitches(); sw++ {
+						tbl := w.sparse.Table(sw)
+						if r.Intn(4) == 0 {
+							tbl = randomTable(r, topo, base, classes, sw)
+							some = append(some, sw)
+						}
+						cfg.SetTable(sw, tbl)
+					}
+					if op == 9 {
+						some = nil // sweep every switch
+					} else if some == nil {
+						some = []int{}
+					}
+					rebinds++
+					if w.rebind(cfg, some) {
+						cyclicTargets++
+						w.compare("rebind to a cyclic target", r)
+						if w.rebind(good, nil) {
+							t.Fatalf("%s: the way back loops", name)
+						}
+						w.compare("rebind back", r)
+						continue
+					}
+					good = cfg
+					w.compare("rebind", r)
+				default:
+					c := w.clone(fmt.Sprintf("clone@%d", step))
+					clones++
+					c.compare("clone", r)
+					stale = append(stale, c)
+					if r.Intn(2) == 0 {
+						// The search goes on in the clone; the original stays.
+						w, stale[len(stale)-1] = c, w
+						stack = stack[:0]
+					}
+				}
+			}
+			for _, c := range stale {
+				c.compare("left behind", r)
+			}
+		}
+	}
+	for name, n := range map[string]int{
+		"updates": updates, "looping updates": loops, "reverts": reverts, "reapplies": reapplies,
+		"rebinds": rebinds, "cyclic rebind targets": cyclicTargets, "clones": clones, "rule-less classes": ruleless,
+	} {
+		if n < 20 {
+			t.Errorf("only %d %s exercised", n, name)
+		}
+	}
+	t.Logf("updates=%d loops=%d reverts=%d reapplies=%d rebinds=%d (cyclic %d) clones=%d ruleless=%d",
+		updates, loops, reverts, reapplies, rebinds, cyclicTargets, clones, ruleless)
+}

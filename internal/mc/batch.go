@@ -46,7 +46,7 @@ func (c *Batch) Revert(t Token) {}
 func (c *Batch) Stats() Stats { return c.stats }
 
 // CloneFor implements Checker. The batch checker relabels from scratch
-// on every call, so the clone only needs the shared closure and atoms.
+// on every call, so the clone only needs the shared closure and table.
 func (c *Batch) CloneFor(k2 *kripke.K) (Checker, error) {
 	return &Batch{labeler: c.labeler.cloneFor(k2)}, nil
 }
@@ -56,8 +56,8 @@ func (c *Batch) StatelessMC() {}
 
 // Rebind implements Checker. The batch checker re-derives everything
 // on its next Check, so nothing needs refreshing; the interned labels and
-// Extend memos it keeps remain valid (they depend only on the fixed state
-// arena) and make post-rebind relabels cheap.
+// the Extend memo it keeps remain valid (they depend only on the fixed
+// state arena) and make post-rebind relabels cheap.
 func (c *Batch) Rebind(rewired []int) {}
 
 type batchToken struct{}

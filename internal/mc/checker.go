@@ -77,8 +77,7 @@ type Checker interface {
 // additionally report allocation and relabeling counters: LabelsInterned
 // is the number of distinct label sets this checker added to its intern
 // table (the only steady-state source of label allocations), and the
-// Extend counters expose the hit rate of the per-state closure-extension
-// memo.
+// Extend counters expose the hit rate of the closure-extension memo.
 type Stats struct {
 	Checks         int // model-checking calls
 	StatesLabeled  int // state (re)labelings performed

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"netupdate/internal/kripke"
@@ -26,13 +27,11 @@ import (
 // BenchmarkIncrementalSteadyState).
 type Incremental struct {
 	*labeler
-	isInit   []bool // immutable after construction; shared with clones
-	badInit  []bool // initial states whose label refutes the spec
-	badCount int
-	// minBad is the smallest violating initial state (-1 if none),
-	// maintained incrementally so Check never rebuilds or sorts the
-	// violating set.
-	minBad int
+	// bad lists the initial states whose label refutes the spec,
+	// ascending, so Check reads the smallest off the front. A
+	// configuration the search keeps has none, so the list is empty or
+	// about to be.
+	bad []int
 
 	members []int
 	stack   []int
@@ -43,38 +42,36 @@ type Incremental struct {
 // NewIncremental builds the incremental checker and performs the initial
 // full labeling.
 func NewIncremental(k *kripke.K, spec *ltl.Formula) (Checker, error) {
-	l, err := newLabeler(k, spec)
-	if err != nil {
-		return nil, err
-	}
-	return newIncrementalFrom(l, k), nil
+	return NewIncrementalWarm(k, spec, nil)
 }
 
 // newIncrementalFrom finishes construction over a prepared labeler: the
 // initial full labeling and the violating-initial bookkeeping.
-func newIncrementalFrom(l *labeler, k *kripke.K) *Incremental {
+func newIncrementalFrom(l *labeler) *Incremental {
 	l.relabelAll()
-	return newIncrementalPrelabeled(l, k)
+	return newIncrementalPrelabeled(l)
 }
 
-// newIncrementalPrelabeled builds the checker over a labeler whose label
-// array is already correct for the structure (a fresh relabelAll, or a
+// newIncrementalPrelabeled builds the checker over a labeler whose labels
+// are already correct for the structure (a fresh relabelAll, or a
 // validated snapshot restore), deriving only the violating-initial set.
-func newIncrementalPrelabeled(l *labeler, k *kripke.K) *Incremental {
-	n := k.NumStates()
-	c := &Incremental{
-		labeler: l,
-		isInit:  make([]bool, n),
-		badInit: make([]bool, n),
-		minBad:  -1,
-	}
-	for _, q0 := range k.Init() {
-		c.isInit[q0] = true
+func newIncrementalPrelabeled(l *labeler) *Incremental {
+	c := &Incremental{labeler: l}
+	c.rescanInit()
+	return c
+}
+
+// rescanInit derives the violating-initial set from the labels of the
+// initial states — one per host, most of them isolated in any one class
+// and judged from their atom valuation alone.
+func (c *Incremental) rescanInit() {
+	c.bad = c.bad[:0]
+	for _, q0 := range c.k.Init() {
 		if c.initViolates(q0) {
-			c.markBad(q0)
+			c.bad = append(c.bad, q0)
 		}
 	}
-	return c
+	slices.Sort(c.bad)
 }
 
 // Rebind implements Checker: a rebind is an update without an undo. The
@@ -86,31 +83,22 @@ func newIncrementalPrelabeled(l *labeler, k *kripke.K) *Incremental {
 // is unknown and the whole structure is relabeled: the session's restore
 // after a cyclic target, where the structure was rebound forward and back
 // while this checker saw neither step. The warm state — the shared intern
-// table, the per-state atom valuations, the sink-label cache and the
-// Extend memos — depends only on the fixed state arena, not on the
-// transition relation, so it all survives; in steady state a rebind
-// allocates only for genuinely never-seen-before labels. Outstanding undo
-// tokens and clones are invalidated.
+// table, the atom masks, the sink-label memo and the Extend memo —
+// depends only on the fixed state arena, not on the transition relation,
+// so it all survives; in steady state a rebind allocates only for
+// genuinely never-seen-before labels. Outstanding undo tokens and clones
+// are invalidated.
 func (c *Incremental) Rebind(rewired []int) {
 	if len(rewired) > 0 {
 		c.relabelRegion(rewired, nil)
 		return
 	}
 	c.relabelAll()
-	c.badCount = 0
-	c.minBad = -1
-	for _, q0 := range c.k.Init() {
-		c.badInit[q0] = false
-	}
-	for _, q0 := range c.k.Init() {
-		if c.initViolates(q0) {
-			c.markBad(q0)
-		}
-	}
+	c.rescanInit()
 }
 
 func (c *Incremental) initViolates(q0 int) bool {
-	for _, v := range c.tab.Label(c.label[q0]) {
+	for _, v := range c.tab.Label(c.labelOf(q0)) {
 		if !c.clo.Holds(v) {
 			return true
 		}
@@ -118,38 +106,17 @@ func (c *Incremental) initViolates(q0 int) bool {
 	return false
 }
 
-// markBad records initial state q as violating, maintaining the minimum.
-func (c *Incremental) markBad(q int) {
-	if c.badInit[q] {
-		return
+// setBad records whether initial state q violates the spec and reports
+// whether it did before.
+func (c *Incremental) setBad(q int, bad bool) (was bool) {
+	i, was := slices.BinarySearch(c.bad, q)
+	switch {
+	case bad && !was:
+		c.bad = slices.Insert(c.bad, i, q)
+	case !bad && was:
+		c.bad = slices.Delete(c.bad, i, i+1)
 	}
-	c.badInit[q] = true
-	c.badCount++
-	if c.minBad < 0 || q < c.minBad {
-		c.minBad = q
-	}
-}
-
-// unmarkBad clears initial state q, re-deriving the minimum only when the
-// minimum itself was cleared (a scan over the fixed initial-state list).
-func (c *Incremental) unmarkBad(q int) {
-	if !c.badInit[q] {
-		return
-	}
-	c.badInit[q] = false
-	c.badCount--
-	if q != c.minBad {
-		return
-	}
-	c.minBad = -1
-	if c.badCount == 0 {
-		return
-	}
-	for _, q0 := range c.k.Init() {
-		if c.badInit[q0] && (c.minBad < 0 || q0 < c.minBad) {
-			c.minBad = q0
-		}
-	}
+	return was
 }
 
 // Name implements Checker.
@@ -160,19 +127,18 @@ func (c *Incremental) Name() string { return "incremental" }
 // counterexample extraction on failure.
 func (c *Incremental) Check() Verdict {
 	c.stats.Checks++
-	if c.badCount == 0 {
+	if len(c.bad) == 0 {
 		return Verdict{OK: true}
 	}
 	// Deterministic counterexample choice: smallest violating initial
-	// state (maintained in minBad), first violating valuation in label
-	// order.
-	q0 := c.minBad
-	for _, v := range c.tab.Label(c.label[q0]) {
+	// state, first violating valuation in label order.
+	q0 := c.bad[0]
+	for _, v := range c.tab.Label(c.labelOf(q0)) {
 		if !c.clo.Holds(v) {
 			return Verdict{OK: false, Cex: c.extractCex(q0, v)}
 		}
 	}
-	// badInit said violating but the label disagrees: stale bookkeeping.
+	// Listed as violating but the label disagrees: stale bookkeeping.
 	panic("mc: inconsistent violating-initial-state set")
 }
 
@@ -347,26 +313,22 @@ func (c *Incremental) relabelRegion(changed []int, tok *incrToken) {
 			continue
 		}
 		nl := c.computeLabel(v)
-		if nl == c.label[v] {
+		if nl == c.labelOf(v) {
 			r.dirty[v] = 0 // epoch starts at 1, so 0 is never current
 			continue
 		}
 		if tok != nil {
-			tok.old = append(tok.old, labelUndo{state: v, old: c.label[v]})
+			tok.old = append(tok.old, labelUndo{state: v, old: c.stored(v)})
 		}
-		c.label[v] = nl
+		c.store(v, nl)
 		r.dirty[v] = r.epoch
 		c.stats.Relabels++
-		if c.isInit[v] {
+		if c.k.IsInit(v) {
 			// Each state appears at most once in the postorder, so one
 			// undo entry per touched initial state suffices.
+			wasBad := c.setBad(v, c.initViolates(v))
 			if tok != nil {
-				tok.badPrev = append(tok.badPrev, badUndo{state: v, wasBad: c.badInit[v]})
-			}
-			if c.initViolates(v) {
-				c.markBad(v)
-			} else {
-				c.unmarkBad(v)
+				tok.badPrev = append(tok.badPrev, badUndo{state: v, wasBad: wasBad})
 			}
 		}
 	}
@@ -378,15 +340,11 @@ func (c *Incremental) Revert(t Token) {
 	tok := t.(*incrToken)
 	for i := len(tok.old) - 1; i >= 0; i-- {
 		u := tok.old[i]
-		c.label[u.state] = u.old
+		c.store(u.state, u.old)
 	}
 	for i := len(tok.badPrev) - 1; i >= 0; i-- {
 		u := tok.badPrev[i]
-		if u.wasBad {
-			c.markBad(u.state)
-		} else {
-			c.unmarkBad(u.state)
-		}
+		c.setBad(u.state, u.wasBad)
 	}
 	c.freeToks = append(c.freeToks, tok)
 }
@@ -395,16 +353,9 @@ func (c *Incremental) Revert(t Token) {
 func (c *Incremental) Stats() Stats { return c.stats }
 
 // CloneFor implements Checker: the clone inherits the current labeling
-// (an outer slice of IDs over the shared intern table) and the
-// violating-initial bookkeeping, skipping the full relabel a fresh
-// NewIncremental would perform. The Extend memo and the token freelist
-// are per-checker and start fresh.
+// (a slice of IDs over the shared intern table) and the violating-initial
+// set, skipping the full relabel a fresh NewIncremental would perform. The
+// Extend memo and the token freelist are per-checker and start fresh.
 func (c *Incremental) CloneFor(k2 *kripke.K) (Checker, error) {
-	return &Incremental{
-		labeler:  c.labeler.cloneFor(k2),
-		isInit:   c.isInit, // never mutated after construction
-		badInit:  append([]bool(nil), c.badInit...),
-		badCount: c.badCount,
-		minBad:   c.minBad,
-	}, nil
+	return &Incremental{labeler: c.labeler.cloneFor(k2), bad: slices.Clone(c.bad)}, nil
 }

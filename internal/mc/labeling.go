@@ -13,25 +13,29 @@ import (
 // interned in a LabelTable shared with every clone, so the per-state label
 // is a dense LabelID and equality comparison — the incremental algorithm's
 // stopping condition — is an integer compare.
+//
+// What a labeler holds is sized by the states the class's rules connect,
+// not by the arena. A state's atom valuation is computed from its switch
+// and port (atomsOf), and labels are stored per row of the structure's
+// sparse transition storage (kripke.K.Row): a state that never had an
+// edge has no entry, and its label — like that of any sink not labeled
+// yet — is the memoized sink label of its atom valuation (labelOf).
 type labeler struct {
-	k     *kripke.K
-	clo   *ltl.Closure
-	atoms []ltl.Valuation // per-state truth of atomic subformulas (fixed)
-	// atomsImg is the compressed atoms array of a restored checker;
-	// ensureAtoms expands it into atoms on first relabel, keeping the
-	// expansion off the restore critical path (and skipping it entirely
-	// for classes an update stream never touches).
-	atomsImg *AtomsImage
-	tab      *LabelTable // shared intern table (concurrency-safe)
-	label    []LabelID   // per-state interned label, noLabel if unset
+	k   *kripke.K
+	clo *ltl.Closure
+	// where is the formula's share of every atom valuation, base the
+	// class's: the header-field atoms the class packet satisfies.
+	where *atomMasks
+	base  ltl.Valuation
+	tab   *LabelTable // shared intern table (concurrency-safe)
+	// label[k.Row(id)] is state id's interned label, noLabel if unset;
+	// entry 0, shared by the states without a row, stays unset. The slice
+	// trails the structure's rows and grows when a label is stored.
+	label []LabelID
 
-	// sinkLab caches the interned label of state id when it is a sink.
-	// Sink labels depend only on atoms[id], which never changes, so the
-	// entry stays valid even as updates turn states into sinks and back.
-	// Entries are filled from sinks, the valuation-keyed memo shared with
-	// every checker of the formula; lastSink fronts it with the valuation
-	// asked for last, since neighboring states mostly share one.
-	sinkLab  []LabelID
+	// sinks is the valuation-keyed sink-label memo shared with every
+	// checker of the formula; lastSink fronts it with the valuation asked
+	// for last, since neighboring states mostly share one.
 	sinks    *sinkMemo
 	lastSink struct {
 		atoms ltl.Valuation
@@ -39,43 +43,42 @@ type labeler struct {
 		ok    bool
 	}
 
-	// extCache memoizes Closure.Extend per state: atoms[id] is fixed for
-	// the checker's lifetime, so Extend(atoms[id], v) is a function of v
-	// alone, and the incremental checker evaluates the same pairs
-	// thousands of times across the DFS. Maps are created lazily and are
-	// private to this checker (clones get fresh caches — see DESIGN.md).
-	extCache []map[ltl.Valuation]ltl.Valuation
+	// ext memoizes Closure.Extend: per atom valuation of the state, a map
+	// from the successor's valuation to the result. A class meets a
+	// handful of atom valuations — most of its states share one — and its
+	// labels a handful of valuations, while the incremental checker
+	// evaluates the same pairs thousands of times across the DFS; extLast
+	// fronts the outer map with the valuation asked about last. Created on
+	// first use and private to this checker (clones start empty — see
+	// DESIGN.md).
+	ext     map[ltl.Valuation]map[ltl.Valuation]ltl.Valuation
+	extLast struct {
+		atoms ltl.Valuation
+		memo  map[ltl.Valuation]ltl.Valuation
+	}
 
 	// scratch is the reusable buffer computeLabel merges successor labels
 	// into before interning; it makes the steady-state hot path
 	// allocation-free. Not safe for concurrent use — per-checker only.
 	scratch  []ltl.Valuation
+	idBuf    []LabelID
 	frames   []pframe
 	orderBuf []int
+	seenBuf  []bool // postorder's visited marks, by row
 
 	stats Stats
 }
-
-// stateEnv adapts kripke.K.HoldsAt to ltl.Env with a single mutable
-// receiver, so the per-state atom valuation sweep in newLabeler performs
-// one allocation instead of one closure per state.
-type stateEnv struct {
-	k  *kripke.K
-	id int
-}
-
-func (e *stateEnv) Holds(p ltl.Prop) bool { return e.k.HoldsAt(e.id, p) }
 
 func newLabeler(k *kripke.K, spec *ltl.Formula) (*labeler, error) {
 	return newLabelerWarm(k, spec, nil)
 }
 
-// newLabelerShell builds a labeler with its closure, intern table and
-// sink memo resolved — from the warmth cache when one is supplied (so
-// labels interned by any earlier checker for the same formula are
-// immediately available), from a private one otherwise — but with no
-// per-state arrays yet.
-func newLabelerShell(k *kripke.K, spec *ltl.Formula, w *Warmth) (*labeler, error) {
+// newLabelerWarm builds a labeler with its closure, intern table, atom
+// masks and sink memo resolved — from the warmth cache when one is
+// supplied (so labels interned by any earlier checker for the same
+// formula are immediately available), from a private one otherwise — and
+// no state labeled yet.
+func newLabelerWarm(k *kripke.K, spec *ltl.Formula, w *Warmth) (*labeler, error) {
 	if w == nil {
 		w = NewWarmth()
 	}
@@ -83,80 +86,150 @@ func newLabelerShell(k *kripke.K, spec *ltl.Formula, w *Warmth) (*labeler, error
 	if err != nil {
 		return nil, err
 	}
-	return &labeler{k: k, clo: e.clo, tab: e.tab, sinks: e.sinks}, nil
-}
-
-// newLabelerWarm builds the labeler and sweeps the structure once to
-// evaluate every state's atomic-subformula valuation.
-func newLabelerWarm(k *kripke.K, spec *ltl.Formula, w *Warmth) (*labeler, error) {
-	l, err := newLabelerShell(k, spec, w)
-	if err != nil {
-		return nil, err
-	}
-	n := k.NumStates()
-	l.atoms = make([]ltl.Valuation, n)
-	env := &stateEnv{k: k}
-	for id := 0; id < n; id++ {
-		env.id = id
-		l.atoms[id] = l.clo.AtomValuation(env)
-	}
-	l.label = make([]LabelID, n)
-	l.sinkLab = make([]LabelID, n)
-	for id := 0; id < n; id++ {
-		l.label[id] = noLabel
-		l.sinkLab[id] = noLabel
+	l := &labeler{k: k, clo: e.clo, where: e.where, tab: e.tab, sinks: e.sinks}
+	for _, id := range e.where.header {
+		if k.ClassHolds(e.clo.Sub(id).Prop) {
+			l.base = l.base.Set(id, true)
+		}
 	}
 	return l, nil
 }
 
-// ensureAtoms expands a restored checker's compressed atoms image into
-// the dense per-state array on first use. Checkers built cold or warm
-// fill atoms at construction and never take the branch.
-func (l *labeler) ensureAtoms() {
-	if l.atoms == nil && l.atomsImg != nil {
-		l.atoms = l.atomsImg.materialize()
+// atomMasks splits a formula's atomic subformulas by what they test. A
+// header-field atom tests the class packet, so it is constant over a
+// structure; sw=n and pt=n name one switch or one port number, so a
+// state's valuation is the class's constant part plus the masks of its
+// own switch and port — nothing is stored per state. Formulas name a
+// handful of switches and ports, so the masks are short lists.
+type atomMasks struct {
+	header []int // ids of the header-field atoms
+	sw, pt []atomMask
+}
+
+// atomMask is the set of atoms that hold wherever a state's switch (or
+// port) equals value.
+type atomMask struct {
+	value int
+	bits  ltl.Valuation
+}
+
+func newAtomMasks(clo *ltl.Closure) *atomMasks {
+	m := &atomMasks{}
+	add := func(list []atomMask, value, id int) []atomMask {
+		for i := range list {
+			if list[i].value == value {
+				list[i].bits = list[i].bits.Set(id, true)
+				return list
+			}
+		}
+		return append(list, atomMask{value, ltl.Valuation{}.Set(id, true)})
 	}
+	for _, id := range clo.Atoms() {
+		switch p := clo.Sub(id).Prop; p.Field {
+		case ltl.FieldSwitch:
+			m.sw = add(m.sw, p.Value, id)
+		case ltl.FieldPort:
+			m.pt = add(m.pt, p.Value, id)
+		default:
+			m.header = append(m.header, id)
+		}
+	}
+	return m
+}
+
+// atomsOf returns the truth of the atomic subformulas at state id (fixed
+// for the life of the structure; kripke.K.HoldsAt is the definition).
+func (l *labeler) atomsOf(id int) ltl.Valuation {
+	st := l.k.StateAt(id)
+	v := l.base
+	for i := range l.where.sw {
+		if m := &l.where.sw[i]; m.value == st.Sw {
+			v[0] |= m.bits[0]
+			v[1] |= m.bits[1]
+		}
+	}
+	for i := range l.where.pt {
+		if m := &l.where.pt[i]; m.value == int(st.Pt) {
+			v[0] |= m.bits[0]
+			v[1] |= m.bits[1]
+		}
+	}
+	return v
+}
+
+// labelOf returns the interned label of state id: the stored one, or for
+// a state that has none — a state without a row, or a sink that gained
+// its first predecessor since the last full labeling — the sink label of
+// its atom valuation. Every read of a label goes through here.
+func (l *labeler) labelOf(id int) LabelID {
+	if r := l.k.Row(id); r < len(l.label) && l.label[r] != noLabel {
+		return l.label[r]
+	}
+	return l.sinkLabel(l.atomsOf(id))
+}
+
+// stored returns what the label array holds for state id (noLabel when
+// that is nothing): the value an undo token puts back.
+func (l *labeler) stored(id int) LabelID {
+	if r := l.k.Row(id); r < len(l.label) {
+		return l.label[r]
+	}
+	return noLabel
+}
+
+// store records state id's label, growing the array to the structure's
+// rows. A state without a row is a sink whose label labelOf derives, so
+// there is nothing to record for it.
+func (l *labeler) store(id int, lab LabelID) {
+	r := l.k.Row(id)
+	if r == 0 {
+		return
+	}
+	if n := l.k.NumRows(); len(l.label) < n {
+		l.label = slices.Grow(l.label, n-len(l.label))
+		for len(l.label) < n {
+			l.label = append(l.label, noLabel)
+		}
+	}
+	l.label[r] = lab
 }
 
 // cloneFor copies the labeler onto a clone of its structure. The closure,
-// the atom valuations, and the intern table are shared (the table is
+// the atom masks, and the intern table are shared (the table is
 // concurrency-safe and label sets are structure-independent); the label
-// array is copied so the clone relabels independently. Clones exist to
-// search, which relabels, so a restored atoms image is materialized once
-// here and shared rather than expanded per clone. Scratch state — the
-// merge buffer, DFS frames, and the Extend memo — is private per checker
-// and starts fresh.
+// array is copied so the clone relabels independently — the clone's rows
+// carry the original's numbers. Scratch state — the merge buffer, DFS
+// frames, and the Extend memo — is private per checker and starts fresh.
 func (l *labeler) cloneFor(k2 *kripke.K) *labeler {
-	l.ensureAtoms()
 	return &labeler{
-		k:       k2,
-		clo:     l.clo,
-		atoms:   l.atoms,
-		tab:     l.tab,
-		sinks:   l.sinks,
-		label:   append([]LabelID(nil), l.label...),
-		sinkLab: append([]LabelID(nil), l.sinkLab...),
+		k:     k2,
+		clo:   l.clo,
+		where: l.where,
+		base:  l.base,
+		tab:   l.tab,
+		sinks: l.sinks,
+		label: slices.Clone(l.label),
 	}
 }
 
-// extend computes Extend(atoms[id], v) through the per-state memo. The
-// memo's outer array materializes on first use — checkers that never
-// relabel (a restored session that only serves cache hits) never pay for
-// it.
-func (l *labeler) extend(id int, v ltl.Valuation) ltl.Valuation {
-	if l.extCache == nil {
-		l.extCache = make([]map[ltl.Valuation]ltl.Valuation, len(l.atoms))
-	}
-	m := l.extCache[id]
-	if m == nil {
-		m = make(map[ltl.Valuation]ltl.Valuation, 8)
-		l.extCache[id] = m
+// extend computes Extend(atoms, v) through the memo.
+func (l *labeler) extend(atoms, v ltl.Valuation) ltl.Valuation {
+	m := l.extLast.memo
+	if m == nil || l.extLast.atoms != atoms {
+		if m = l.ext[atoms]; m == nil {
+			if l.ext == nil {
+				l.ext = map[ltl.Valuation]map[ltl.Valuation]ltl.Valuation{}
+			}
+			m = make(map[ltl.Valuation]ltl.Valuation, 8)
+			l.ext[atoms] = m
+		}
+		l.extLast.atoms, l.extLast.memo = atoms, m
 	}
 	if w, ok := m[v]; ok {
 		l.stats.ExtendHits++
 		return w
 	}
-	w := l.clo.Extend(l.atoms[id], v)
+	w := l.clo.Extend(atoms, v)
 	m[v] = w
 	l.stats.ExtendMisses++
 	return w
@@ -166,19 +239,25 @@ func (l *labeler) extend(id int, v ltl.Valuation) ltl.Valuation {
 // successors' labels, which must already be correct. In steady state
 // (warm caches, label already interned) it performs no heap allocation.
 func (l *labeler) computeLabel(id int) LabelID {
-	l.ensureAtoms()
 	l.stats.StatesLabeled++
-	if l.k.IsSink(id) {
-		if l.sinkLab[id] == noLabel {
-			l.sinkLab[id] = l.sinkLabel(l.atoms[id])
-		}
-		return l.sinkLab[id]
+	atoms := l.atomsOf(id)
+	succ := l.k.Succ(id)
+	if len(succ) == 0 {
+		return l.sinkLabel(atoms)
 	}
+	// Resolve the successors' labels before taking the table's view: a
+	// successor read as a sink may intern its label on the way, and the
+	// view only covers ids handed out before it was taken.
+	ids := l.idBuf[:0]
+	for _, s := range succ {
+		ids = append(ids, l.labelOf(s))
+	}
+	l.idBuf = ids
 	labels := l.tab.snapshot()
 	buf := l.scratch[:0]
-	for _, s := range l.k.Succ(id) {
-		for _, v := range labels[l.label[s]] {
-			buf = append(buf, l.extend(id, v))
+	for _, lid := range ids {
+		for _, v := range labels[lid] {
+			buf = append(buf, l.extend(atoms, v))
 		}
 	}
 	slices.SortFunc(buf, ltl.Valuation.Compare)
@@ -228,20 +307,23 @@ type pframe struct {
 	v, i int
 }
 
-// postorder returns all states in DFS postorder over successor edges, so
-// every state appears after all of its successors. The traversal uses an
-// explicit stack so deep WAN/fat-tree structures cannot overflow the
-// goroutine stack; the order and frame buffers are reused across calls.
+// postorder returns the states that have a successor, and everything they
+// reach, in DFS postorder over successor edges from roots in ascending
+// state order, so every state appears after all of its successors. The
+// isolated states — nearly all of the arena — are not visited: nothing
+// reads a label off them that labelOf does not derive. The traversal uses
+// an explicit stack so deep WAN/fat-tree structures cannot overflow the
+// goroutine stack; the order, frame and mark buffers are reused across
+// calls and sized by the rows, which is every state a walk can reach.
 func (l *labeler) postorder() []int {
-	n := l.k.NumStates()
-	visited := make([]bool, n)
+	visited := append(l.seenBuf[:0], make([]bool, l.k.NumRows())...)
 	order := l.orderBuf[:0]
 	frames := l.frames[:0]
-	for root := 0; root < n; root++ {
-		if visited[root] {
+	for root, n := 0, l.k.NumStates(); root < n; root++ {
+		if l.k.IsSink(root) || visited[l.k.Row(root)] {
 			continue
 		}
-		visited[root] = true
+		visited[l.k.Row(root)] = true
 		frames = append(frames, pframe{root, 0})
 		for len(frames) > 0 {
 			fi := len(frames) - 1
@@ -251,9 +333,9 @@ func (l *labeler) postorder() []int {
 			for i < len(succ) {
 				u := succ[i]
 				i++
-				if !visited[u] {
+				if r := l.k.Row(u); !visited[r] {
 					frames[fi].i = i
-					visited[u] = true
+					visited[r] = true
 					frames = append(frames, pframe{u, 0})
 					pushed = true
 					break
@@ -267,24 +349,27 @@ func (l *labeler) postorder() []int {
 		}
 	}
 	l.frames = frames[:0]
+	l.seenBuf = visited[:0]
 	l.orderBuf = order
 	return order
 }
 
-// relabelAll computes labels for every state from scratch.
+// relabelAll computes labels from scratch: every stored label is
+// forgotten first — a state the structure has since isolated must not
+// keep one — and every state postorder visits is labeled again.
 func (l *labeler) relabelAll() {
+	for i := range l.label {
+		l.label[i] = noLabel
+	}
 	for _, v := range l.postorder() {
-		l.label[v] = l.computeLabel(v)
+		l.store(v, l.computeLabel(v))
 	}
 }
 
 // Labels exposes the decoded label of a state for tests and metamorphic
 // comparisons. The result is shared and must not be mutated.
 func (l *labeler) Labels(id int) []ltl.Valuation {
-	if l.label[id] == noLabel {
-		return nil
-	}
-	return l.tab.Label(l.label[id])
+	return l.tab.Label(l.labelOf(id))
 }
 
 // verdict checks the initial states against the root formula and extracts
@@ -292,7 +377,7 @@ func (l *labeler) Labels(id int) []ltl.Valuation {
 func (l *labeler) verdict() Verdict {
 	l.stats.Checks++
 	for _, q0 := range l.k.Init() {
-		for _, v := range l.tab.Label(l.label[q0]) {
+		for _, v := range l.tab.Label(l.labelOf(q0)) {
 			if !l.clo.Holds(v) {
 				return Verdict{OK: false, Cex: l.extractCex(q0, v)}
 			}
@@ -307,19 +392,17 @@ func (l *labeler) verdict() Verdict {
 // returns nil when no such trace exists, which labels computed here rule
 // out but a labeling adopted from a snapshot image does not: the image's
 // checksum shows it arrived intact, not that its labels and successor
-// lists agree. The verdict then carries no counterexample.
+// lists agree. The verdict then carries no counterexample. (The walk
+// ends: no structure built or restored has a cycle.)
 func (l *labeler) extractCex(q0 int, v ltl.Valuation) []int {
-	l.ensureAtoms()
 	trace := []int{q0}
 	q, cur := q0, v
 	for !l.k.IsSink(q) {
-		if len(trace) > l.k.NumStates() {
-			return nil // successor lists with a cycle: no structure built here has one
-		}
+		atoms := l.atomsOf(q)
 		found := false
 		for _, s := range l.k.Succ(q) {
-			for _, vs := range l.tab.Label(l.label[s]) {
-				if l.extend(q, vs) == cur {
+			for _, vs := range l.tab.Label(l.labelOf(s)) {
+				if l.extend(atoms, vs) == cur {
 					trace = append(trace, s)
 					q, cur = s, vs
 					found = true

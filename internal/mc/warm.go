@@ -9,12 +9,12 @@ import (
 
 // Warmth is the structure-independent cache a long-lived synthesis
 // session shares across checkers and across syntheses: expanded LTL
-// closures, interned label tables and sink-label memos, keyed by formula
-// text. Label sets are sets of closure valuations — they carry no
-// reference to any particular Kripke structure — so every checker
-// verifying the same formula can intern into one table, and a checker
-// built over a fresh or rebound structure starts with every label it will
-// ever compute already interned. A nil *Warmth is valid and means "no
+// closures with their atom masks, interned label tables and sink-label
+// memos, keyed by formula text. Label sets are sets of closure valuations
+// — they carry no reference to any particular Kripke structure — so every
+// checker verifying the same formula can intern into one table, and a
+// checker built over a fresh or rebound structure starts with every label
+// it will ever compute already interned. A nil *Warmth is valid and means "no
 // sharing": each checker builds private state, the one-shot behavior.
 //
 // Concurrency: the entry map is guarded by a mutex (construction-time
@@ -28,6 +28,7 @@ type Warmth struct {
 
 type warmEntry struct {
 	clo   *ltl.Closure
+	where *atomMasks
 	tab   *LabelTable
 	sinks *sinkMemo
 }
@@ -68,7 +69,7 @@ func (w *Warmth) entry(spec *ltl.Formula) (*warmEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &warmEntry{clo: clo, tab: NewLabelTable(), sinks: newSinkMemo()}
+	e := &warmEntry{clo: clo, where: newAtomMasks(clo), tab: NewLabelTable(), sinks: newSinkMemo()}
 	w.entries[key] = e
 	return e, nil
 }
@@ -80,5 +81,5 @@ func NewIncrementalWarm(k *kripke.K, spec *ltl.Formula, w *Warmth) (Checker, err
 	if err != nil {
 		return nil, err
 	}
-	return newIncrementalFrom(l, k), nil
+	return newIncrementalFrom(l), nil
 }

@@ -75,7 +75,13 @@ type Solver struct {
 	qhead    int
 	activity []float64
 	varInc   float64
-	unsat    bool // top-level contradiction derived
+	// order is the branching heap: a binary max-heap of variables under
+	// (activity descending, variable ascending), holding every unassigned
+	// variable — and whichever assigned ones pickBranch has not discarded
+	// yet. heapPos[v] is v's index in it, -1 while absent.
+	order   []int32
+	heapPos []int32
+	unsat   bool // top-level contradiction derived
 
 	// Conflicts, Decisions and Propagations count solver work across all
 	// Solve calls.
@@ -100,6 +106,8 @@ func (s *Solver) NewVar() int {
 	s.phase = append(s.phase, -1)
 	s.seen = append(s.seen, false)
 	s.activity = append(s.activity, 0)
+	s.heapPos = append(s.heapPos, -1)
+	s.heapInsert(s.nVars - 1)
 	return s.nVars
 }
 
@@ -246,6 +254,9 @@ func (s *Solver) backtrackTo(lvl int) {
 		v := s.trail[i].vid()
 		s.assign[v] = 0
 		s.reason[v] = nil
+		if s.heapPos[v] < 0 {
+			s.heapInsert(v)
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
@@ -324,18 +335,92 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Rescaling can round distinct activities together, which moves
+		// variables among their new ties: re-establish the heap.
+		for i := len(s.order)/2 - 1; i >= 0; i-- {
+			s.siftDown(i)
+		}
+		return
+	}
+	if i := s.heapPos[v]; i >= 0 {
+		s.siftUp(int(i))
 	}
 }
 
-// pickBranch returns an unassigned variable with maximal activity, or -1.
+// before is the branching order: higher activity first, lower variable
+// among equals.
+func (s *Solver) before(a, b int32) bool {
+	if s.activity[a] != s.activity[b] {
+		return s.activity[a] > s.activity[b]
+	}
+	return a < b
+}
+
+func (s *Solver) heapInsert(v int) {
+	s.order = append(s.order, int32(v))
+	s.heapPos[v] = int32(len(s.order) - 1)
+	s.siftUp(len(s.order) - 1)
+}
+
+func (s *Solver) siftUp(i int) {
+	v := s.order[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(v, s.order[p]) {
+			break
+		}
+		s.order[i] = s.order[p]
+		s.heapPos[s.order[i]] = int32(i)
+		i = p
+	}
+	s.order[i] = v
+	s.heapPos[v] = int32(i)
+}
+
+func (s *Solver) siftDown(i int) {
+	v := s.order[i]
+	for {
+		c := 2*i + 1
+		if c >= len(s.order) {
+			break
+		}
+		if c+1 < len(s.order) && s.before(s.order[c+1], s.order[c]) {
+			c++
+		}
+		if !s.before(s.order[c], v) {
+			break
+		}
+		s.order[i] = s.order[c]
+		s.heapPos[s.order[i]] = int32(i)
+		i = c
+	}
+	s.order[i] = v
+	s.heapPos[v] = int32(i)
+}
+
+// pickBranch returns an unassigned variable with maximal activity — the
+// lowest-numbered one among equals — or -1, taking it off the heap along
+// with the assigned variables above it; backtrackTo puts a variable back
+// when it loses its assignment.
 func (s *Solver) pickBranch() int {
-	best, bestAct := -1, -1.0
-	for v := 0; v < s.nVars; v++ {
-		if s.assign[v] == 0 && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+	if len(s.trail) == s.nVars {
+		return -1 // a full assignment: nothing to discard the heap for
+	}
+	for len(s.order) > 0 {
+		v := s.order[0]
+		last := len(s.order) - 1
+		s.order[0] = s.order[last]
+		s.heapPos[s.order[0]] = 0
+		s.order = s.order[:last]
+		s.heapPos[v] = -1
+		if last > 0 {
+			s.siftDown(0)
+		}
+		if s.assign[v] == 0 {
+			return int(v)
 		}
 	}
-	return best
+	return -1
 }
 
 // Solve reports satisfiability under the given assumptions. Clauses may be

@@ -247,3 +247,170 @@ func TestLitHelpers(t *testing.T) {
 		t.Fatal("ilit decoding")
 	}
 }
+
+// scanPickBranch is pickBranch as it was before the branching heap: a
+// linear scan for the unassigned variable of maximal activity, the first
+// such variable winning ties. Kept as the oracle for
+// TestPickBranchMatchesLinearScan.
+func scanPickBranch(s *Solver) int {
+	best, bestAct := -1, -1.0
+	for v := 0; v < s.nVars; v++ {
+		if s.assign[v] == 0 && s.activity[v] > bestAct {
+			best, bestAct = v, s.activity[v]
+		}
+	}
+	return best
+}
+
+// solveScanChecked is Solve with every decision checked against the scan.
+// It follows Solve line for line; the twin solver in the test, which runs
+// the real Solve on the same clauses, must report the same answer after
+// the same numbers of conflicts and decisions, so the copy cannot drift.
+func solveScanChecked(t *testing.T, s *Solver, assumptions ...Lit) bool {
+	t.Helper()
+	if s.unsat {
+		return false
+	}
+	s.backtrackTo(0)
+	if s.propagate() != nil {
+		s.unsat = true
+		return false
+	}
+	for _, a := range assumptions {
+		s.ensure(a.Var())
+		il := toILit(a)
+		switch s.value(il) {
+		case 1:
+			continue
+		case -1:
+			s.backtrackTo(0)
+			return false
+		}
+		s.newDecisionLevel()
+		s.enqueue(il, nil)
+		if s.propagate() != nil {
+			s.backtrackTo(0)
+			return false
+		}
+	}
+	nAssume := s.decisionLevel()
+	for {
+		conflict := s.propagate()
+		if conflict != nil {
+			s.Conflicts++
+			if s.decisionLevel() <= nAssume {
+				s.backtrackTo(0)
+				if nAssume == 0 {
+					s.unsat = true
+				}
+				return false
+			}
+			learnt, bt := s.analyze(conflict)
+			if bt < nAssume {
+				bt = nAssume
+			}
+			s.backtrackTo(bt)
+			if len(learnt) == 1 {
+				s.backtrackTo(0)
+				if !s.enqueue(learnt[0], nil) || s.propagate() != nil {
+					s.unsat = true
+					return false
+				}
+				return solveScanChecked(t, s, assumptions...)
+			}
+			c := &clause{lits: learnt, learnt: true}
+			s.clauses = append(s.clauses, c)
+			s.watch(c)
+			if !s.enqueue(learnt[0], c) {
+				s.backtrackTo(0)
+				return false
+			}
+			s.varInc *= 1.05
+			continue
+		}
+		want := scanPickBranch(s)
+		v := s.pickBranch()
+		if v != want {
+			t.Fatalf("decision %d: heap picked variable %d, the scan picks %d", s.Decisions, v, want)
+		}
+		if v == -1 {
+			return true
+		}
+		s.Decisions++
+		s.newDecisionLevel()
+		s.enqueue(ilit(2*v)|ilit(b2i(s.phase[v] < 0)), nil)
+	}
+}
+
+// TestPickBranchMatchesLinearScan: on random CNFs near the satisfiability
+// threshold, solved repeatedly under random assumptions with clauses (and
+// with them new variables) added between solves, every decision of the
+// branching heap is the variable the linear scan picks — through
+// activity bumps, backjumps, the restart after a learnt unit, and
+// activity rescaling (the bump increment starts just under the rescale
+// threshold in half the instances, so rounding-induced ties occur).
+func TestPickBranchMatchesLinearScan(t *testing.T) {
+	r := rand.New(rand.NewSource(20150613))
+	var decisions, conflicts, rescaled int64
+	for iter := 0; iter < 300; iter++ {
+		nVars := 8 + r.Intn(40)
+		s, twin := New(), New()
+		if iter%2 == 1 {
+			s.varInc, twin.varInc = 1e99, 1e99
+		}
+		add := func(cl []Lit) bool {
+			a, b := s.AddClause(cl...), twin.AddClause(cl...)
+			if a != b {
+				t.Fatalf("iter %d: AddClause %v: %v vs twin %v", iter, cl, a, b)
+			}
+			return a
+		}
+		// Three-literal clauses only: randCNF's unit clauses would settle
+		// most variables before the first decision.
+		clause3 := func() []Lit {
+			cl := make([]Lit, 3)
+			for j := range cl {
+				cl[j] = Lit(1 + r.Intn(nVars))
+				if r.Intn(2) == 0 {
+					cl[j] = -cl[j]
+				}
+			}
+			return cl
+		}
+		alive := true
+		for i := 0; i < nVars*4 && alive; i++ {
+			alive = add(clause3())
+		}
+		for round := 0; round < 6 && alive; round++ {
+			var assume []Lit
+			for i := r.Intn(4); i > 0; i-- {
+				l := Lit(1 + r.Intn(nVars))
+				if r.Intn(2) == 0 {
+					l = -l
+				}
+				assume = append(assume, l)
+			}
+			before := s.varInc
+			got, want := solveScanChecked(t, s, assume...), twin.Solve(assume...)
+			if got != want || s.Decisions != twin.Decisions || s.Conflicts != twin.Conflicts {
+				t.Fatalf("iter %d round %d: checked solve %v after %d decisions, %d conflicts; Solve %v after %d, %d",
+					iter, round, got, s.Decisions, s.Conflicts, want, twin.Decisions, twin.Conflicts)
+			}
+			if s.varInc < before {
+				rescaled++
+			}
+			// Grow the formula, sometimes over a fresh variable.
+			for i := r.Intn(3); i > 0 && alive; i-- {
+				if r.Intn(3) == 0 {
+					nVars++
+				}
+				alive = add(clause3())
+			}
+		}
+		decisions += s.Decisions
+		conflicts += s.Conflicts
+	}
+	if decisions < 2000 || conflicts < 1000 || rescaled < 20 {
+		t.Fatalf("%d decisions, %d conflicts, %d rescaling solves: the instances are too easy to exercise the heap", decisions, conflicts, rescaled)
+	}
+}

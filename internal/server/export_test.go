@@ -14,8 +14,10 @@ func (p *Pool) Metric(name string) float64 { return p.m.reg.Value("netupdate_" +
 func (p *Pool) CheckAtRest() error {
 	p.mu.Lock()
 	ids := make([]string, 0, len(p.tenants))
-	for id := range p.tenants {
+	var rejects int64 // on no tenant's stats row: read off the counters
+	for id, t := range p.tenants {
 		ids = append(ids, id)
+		rejects += t.snapRejects.Load()
 	}
 	p.mu.Unlock()
 	var sum TenantStats
@@ -53,6 +55,7 @@ func (p *Pool) CheckAtRest() error {
 		{"session_rebuilds_total", sum.Rebuilds},
 		{"snapshot_restores_total", sum.SnapshotRestores},
 		{"cold_rebuilds_total", sum.ColdRebuilds},
+		{"snapshot_rejects_total", rejects},
 		{"snapshot_bytes", int64(sum.SnapshotBytes)},
 	} {
 		if got := p.Metric(c.family); got < 0 || got != float64(c.want) {

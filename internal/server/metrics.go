@@ -73,6 +73,10 @@ type tenantCounters struct {
 	// a snapshot, or by a cold build. Rebuilds are their sum, so no view
 	// of the split can go negative.
 	restores, coldRebuilds atomic.Int64
+	// snapRejects counts the session images that did not become the
+	// tenant's warm state: refused outright, or in an older format and
+	// kept for their configuration only (which is also a cold rebuild).
+	snapRejects            atomic.Int64
 	cacheHits, cacheMisses atomic.Int64
 	// runs counts engine calls (syntheses and repairs), with the last and
 	// total engine time.
@@ -168,6 +172,8 @@ func (p *Pool) initMetrics() {
 		sum(func(t *tenant) int64 { return t.restores.Load() }))
 	reg.FuncCounter("netupdate_cold_rebuilds_total", "Rebuilds that paid the full cold construction.",
 		sum(func(t *tenant) int64 { return t.coldRebuilds.Load() }))
+	reg.FuncCounter("netupdate_snapshot_rejects_total", "Session images refused, or kept for their configuration only and rebuilt cold.",
+		sum(func(t *tenant) int64 { return t.snapRejects.Load() }))
 	reg.Gauge("netupdate_snapshot_bytes", "Snapshot bytes held for evicted tenants.",
 		sum(func(t *tenant) int64 { return int64(len(t.snap)) }))
 	reg.Gauge("netupdate_shared_arenas", "Distinct topology shapes with a shared state arena.", func() float64 {

@@ -514,10 +514,15 @@ func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 	if len(snap) > 0 {
 		restoreStart := time.Now()
 		s2, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, snap, res)
-		if err == nil && len(config.Diff(s2.Current(), t.cur)) == 0 {
+		if err == nil && len(config.Diff(s2.Current(), t.cur)) != 0 {
+			err = errors.New("image is at another configuration than the tenant")
+		}
+		if err == nil {
 			sess = s2
 			p.m.snapRestore.Observe(time.Since(restoreStart))
 			t.restores.Add(1)
+		} else {
+			t.rejectSnapshot("eviction image dropped, rebuilding cold", err)
 		}
 	}
 	if sess == nil {

@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 
 	"netupdate/internal/config"
 	"netupdate/internal/core"
@@ -51,7 +53,10 @@ func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
 // snapshot's, and the plan cache the image carries is merged into the
 // tenant's shared store (existing entries win — they are at least as
 // fresh). Rejected images (core.ErrBadSnapshot and friends) leave the
-// tenant untouched.
+// tenant untouched. An image in an older format moves the tenant to the
+// image's configuration all the same — nothing else carries it between
+// processes — over a session built cold; both cases are counted in
+// netupdate_snapshot_rejects_total and reported on standard error.
 func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error {
 	a, err := p.admit(id)
 	if err != nil {
@@ -66,13 +71,20 @@ func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error
 	sess, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, img,
 		p.sessionResources(t.arenaFP, t.base.Topo))
 	if err != nil {
+		t.rejectSnapshot("image refused, tenant left as it was", err)
 		return fmt.Errorf("server: tenant %s: install snapshot: %w", t.id, err)
 	}
 	if c := sess.Cache(); c != nil && t.learnID != "" {
 		_ = p.planCache(t.learnID).Restore(c.Snapshot()) // c's entries were validated when it was decoded
 	}
 	p.attachLearning(t, sess)
-	t.restores.Add(1)
+	if sess.RestoredCold() {
+		t.rejectSnapshot("tenant moved to the image's configuration, session rebuilt cold",
+			errors.New("image in an older format"))
+		t.coldRebuilds.Add(1)
+	} else {
+		t.restores.Add(1)
+	}
 
 	p.mu.Lock()
 	t.cur = sess.Current()
@@ -142,4 +154,12 @@ func (p *Pool) ConfigOf(id string) (*config.Config, error) {
 		return nil, err
 	}
 	return t.cur, nil
+}
+
+// rejectSnapshot counts an image that did not become the tenant's warm
+// state and says why on standard error: the families alone cannot tell a
+// cold rebuild for want of an image from one after a refused image.
+func (t *tenant) rejectSnapshot(what string, err error) {
+	t.snapRejects.Add(1)
+	fmt.Fprintf(os.Stderr, "netupdate: tenant %s: snapshot: %s: %v\n", t.id, what, err)
 }

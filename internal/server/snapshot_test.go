@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"netupdate/internal/config"
@@ -442,6 +445,116 @@ func TestMigrationInstallKeepsCountersConsistent(t *testing.T) {
 	}
 	for _, p := range []*Pool{src, dst} {
 		if err := p.CheckAtRest(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestInstallSnapshotRejectsAreCounted: an image that does not become a
+// tenant's warm state leaves a trace. A version-1 image (the seed commit
+// 5a6acb0 wrote for this very tenant shape, one reroute in) still moves
+// the tenant to the image's configuration — nothing else carries it
+// across processes — over a session built cold: the install succeeds, no
+// restore is counted, a cold rebuild and a reject are. A corrupt image is
+// refused as before, leaves the tenant where it was, and is counted as a
+// reject only.
+func TestInstallSnapshotRejectsAreCounted(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "core", "testdata", "fuzz-seeds", "one-class.nuss"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(PoolOptions{Workers: 1})
+	ctx := context.Background()
+	info, err := p.Register(testSpec("line"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered, err := p.ConfigOf(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := func() [3]float64 {
+		return [3]float64{p.Metric("snapshot_restores_total"), p.Metric("cold_rebuilds_total"), p.Metric("snapshot_rejects_total")}
+	}
+	before := families()
+
+	if err := p.InstallSnapshot(ctx, info.ID, v1); err != nil {
+		t.Fatalf("version-1 image: %v", err)
+	}
+	if got, want := families(), [3]float64{before[0], before[1] + 1, before[2] + 1}; got != want {
+		t.Errorf("after a version-1 image: restores, cold rebuilds, rejects = %v, want %v", got, want)
+	}
+	moved, err := p.ConfigOf(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(config.Diff(moved, registered)) == 0 {
+		t.Fatal("the tenant is still at its registered configuration, not the image's")
+	}
+	// The image was taken after flipDelta: asking for it again is a no-op
+	// plan, and the way back is the plan a tenant that walked there gets.
+	walked := NewPool(PoolOptions{Workers: 1})
+	if _, err := walked.Register(testSpec("line")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := walked.Synthesize(ctx, info.ID, flipDelta()); err != nil {
+		t.Fatal(err)
+	}
+	back := &config.StreamDelta{Reroute: []config.Reroute{{Class: "c", Path: []int{0, 1, 3}}}}
+	want, err := walked.Synthesize(ctx, info.ID, back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Synthesize(ctx, info.ID, back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("plan back from the image's configuration:\n%s\nwant\n%s", got, want)
+	}
+
+	at, err := p.ConfigOf(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = families()
+	corrupt := append([]byte(nil), v1...)
+	corrupt[len(corrupt)/2] ^= 0x40
+	if err := p.InstallSnapshot(ctx, info.ID, corrupt); !errors.Is(err, core.ErrBadSnapshot) {
+		t.Fatalf("corrupt image: err = %v, want ErrBadSnapshot", err)
+	}
+	if got, want := families(), [3]float64{before[0], before[1], before[2] + 1}; got != want {
+		t.Errorf("after a corrupt image: restores, cold rebuilds, rejects = %v, want %v", got, want)
+	}
+	if after, _ := p.ConfigOf(info.ID); len(config.Diff(after, at)) != 0 {
+		t.Error("a refused image moved the tenant")
+	}
+
+	// The same for an eviction image that goes bad while the pool holds
+	// it: the next request rebuilds cold, as before, and says so.
+	small := NewPool(PoolOptions{Workers: 1, MaxSessions: 1})
+	a, err := small.Register(testSpec("alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := small.Register(testSpec("beta")); err != nil { // evicts alpha
+		t.Fatal(err)
+	}
+	small.mu.Lock()
+	held := small.tenants[a.ID].snap
+	small.mu.Unlock()
+	if held == nil {
+		t.Fatal("eviction left no image")
+	}
+	held[len(held)/2] ^= 0x40
+	if _, err := small.Synthesize(ctx, a.ID, flipDelta()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := [3]float64{small.Metric("snapshot_restores_total"), small.Metric("cold_rebuilds_total"), small.Metric("snapshot_rejects_total")}, [3]float64{0, 1, 1}; got != want {
+		t.Errorf("after a damaged eviction image: restores, cold rebuilds, rejects = %v, want %v", got, want)
+	}
+	for _, pool := range []*Pool{p, small} {
+		if err := pool.CheckAtRest(); err != nil {
 			t.Error(err)
 		}
 	}
