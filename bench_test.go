@@ -48,46 +48,26 @@ func BenchmarkFig2bRuleOverhead(b *testing.B) {
 	}
 }
 
-// parVariants are the engine configurations every synthesis benchmark is
-// run under: the sequential engine, the deterministic parallel engine,
-// and the first-plan-wins parallel engine (4 workers each).
-var parVariants = []struct {
-	name string
-	par  int
-	racy bool
-}{
-	{"seq", 1, false},
-	{"par4", 4, false},
-	{"par4-racy", 4, true},
-}
-
 // BenchmarkFig7 regenerates Figure 7(a-c): synthesis runtime per checker
-// backend on each topology family (reachability diamonds), under each
-// engine variant.
+// backend on each topology family (reachability diamonds).
 func BenchmarkFig7(b *testing.B) {
 	b.ReportAllocs()
 	families := []bench.Family{bench.FamilyZoo, bench.FamilyFatTree, bench.FamilySmallWorld}
 	checkers := []bench.Backend{bench.Incremental, bench.Batch, bench.NuSMVLike}
 	for _, fam := range families {
 		for _, ck := range checkers {
-			for _, v := range parVariants {
-				b.Run(string(fam)+"/"+ck.Name+"/"+v.name, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						sc, err := bench.DiamondWorkload(fam, 60, config.Reachability, 60)
-						if err != nil {
-							b.Fatal(err)
-						}
-						opts := core.Options{
-							Timeout:     benchTimeout,
-							Parallelism: v.par, FirstPlanWins: v.racy,
-						}
-						if _, err := ck.Synthesize(sc, opts); err != nil {
-							b.Fatal(err)
-						}
+			b.Run(string(fam)+"/"+ck.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sc, err := bench.DiamondWorkload(fam, 60, config.Reachability, 60)
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					if _, err := ck.Synthesize(sc, core.Options{Timeout: benchTimeout}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
@@ -116,28 +96,22 @@ func BenchmarkFig7RuleGranularity(b *testing.B) {
 }
 
 // BenchmarkFig8gScalability regenerates Figure 8(g): Small-World
-// scalability for the three property families, under each engine variant.
+// scalability for the three property families.
 func BenchmarkFig8gScalability(b *testing.B) {
 	b.ReportAllocs()
 	for _, prop := range []config.Property{config.Reachability, config.Waypointing, config.ServiceChaining} {
-		for _, v := range parVariants {
-			b.Run(prop.String()+"/"+v.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					sc, err := bench.DiamondWorkload(bench.FamilySmallWorld, 120, prop, 120*7)
-					if err != nil {
-						b.Fatal(err)
-					}
-					opts := core.Options{
-						Timeout:     benchTimeout,
-						Parallelism: v.par, FirstPlanWins: v.racy,
-					}
-					if _, err := core.Synthesize(sc, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(prop.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc, err := bench.DiamondWorkload(bench.FamilySmallWorld, 120, prop, 120*7)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if _, err := core.Synthesize(sc, core.Options{Timeout: benchTimeout}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -160,7 +134,7 @@ func BenchmarkColdSynthesizeMulticlass(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Synthesize(sc, core.Options{Parallelism: 1, Timeout: benchTimeout}); err != nil {
+		if _, err := core.Synthesize(sc, core.Options{Timeout: benchTimeout}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -173,8 +147,8 @@ func BenchmarkColdSynthesizeMulticlass(b *testing.B) {
 // heap in use after two collections, less what was in use before the
 // session existed (topology and scenario): /built after NewSession — the
 // private arena and one structure and checker per class — /served after
-// the first Synthesize, which adds the verification copy of both and the
-// engine's pooled scratch. A session's classes each connect a few dozen
+// the first Synthesize, which adds the last plan, the rows and labels the
+// target's states gained and the engine's pooled scratch. A session's classes each connect a few dozen
 // of the arena's thousands of states; an array per class as long as the
 // arena shows here as megabytes and nowhere in allocs/op, which is why CI
 // gates this reading (.github/alloc-budgets.txt).
@@ -225,7 +199,7 @@ func BenchmarkSessionFootprint(b *testing.B) {
 				var total uint64
 				for i := 0; i < b.N; i++ {
 					before := live()
-					sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, core.Options{Parallelism: 1, Timeout: benchTimeout})
+					sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, core.Options{Timeout: benchTimeout})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -246,28 +220,18 @@ func BenchmarkSessionFootprint(b *testing.B) {
 }
 
 // BenchmarkFig8hInfeasible regenerates Figure 8(h): time to prove that no
-// switch-granularity ordering exists, under each engine variant (the
-// proof explores a whole subtree, the best case for fan-out).
+// switch-granularity ordering exists.
 func BenchmarkFig8hInfeasible(b *testing.B) {
 	b.ReportAllocs()
-	for _, v := range parVariants {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sc, err := bench.InfeasibleWorkload(60, config.Reachability, 2, 60*3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opts := core.Options{
-					Timeout:     benchTimeout,
-					Parallelism: v.par, FirstPlanWins: v.racy,
-				}
-				_, err = core.Synthesize(sc, opts)
-				if !errors.Is(err, core.ErrNoOrdering) {
-					b.Fatalf("err = %v, want ErrNoOrdering", err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		sc, err := bench.InfeasibleWorkload(60, config.Reachability, 2, 60*3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = core.Synthesize(sc, core.Options{Timeout: benchTimeout})
+		if !errors.Is(err, core.ErrNoOrdering) {
+			b.Fatalf("err = %v, want ErrNoOrdering", err)
+		}
 	}
 }
 
@@ -342,7 +306,7 @@ func BenchmarkRollingStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{Parallelism: 1, Timeout: benchTimeout}
+	opts := core.Options{Timeout: benchTimeout}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		cur := w.Init
@@ -424,7 +388,7 @@ func BenchmarkFlappingStream(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			opts := core.Options{Parallelism: 1, Timeout: benchTimeout, NoPlanCache: !v.cached}
+			opts := core.Options{Timeout: benchTimeout, NoPlanCache: !v.cached}
 			sess, err := core.NewSession(w.Topo, w.Init, w.Specs, opts)
 			if err != nil {
 				b.Fatal(err)
@@ -480,7 +444,7 @@ func BenchmarkDecomposedStream(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			opts := core.Options{Parallelism: 1, Timeout: benchTimeout, NoDecomposition: v.joint}
+			opts := core.Options{Timeout: benchTimeout, NoDecomposition: v.joint}
 			sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, opts)
 			if err != nil {
 				b.Fatal(err)
@@ -676,7 +640,7 @@ func BenchmarkDAGExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := core.Synthesize(sc, core.Options{Parallelism: 1, Timeout: benchTimeout})
+	plan, err := core.Synthesize(sc, core.Options{Timeout: benchTimeout})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -710,7 +674,7 @@ func BenchmarkRepair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{Parallelism: 1, Timeout: benchTimeout}
+	opts := core.Options{Timeout: benchTimeout}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -751,7 +715,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{Parallelism: 1, Timeout: benchTimeout}
+	opts := core.Options{Timeout: benchTimeout}
 	res := core.SessionResources{Arena: kripke.NewArena(sc.Topo), Warmth: mc.NewWarmth()}
 	sess, err := core.NewSessionWith(sc.Topo, sc.Init, sc.Specs, opts, res)
 	if err != nil {

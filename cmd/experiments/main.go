@@ -7,8 +7,7 @@
 //	experiments -fig stream -json   # warm-session vs cold synthesis
 //
 // Available figures: 2a, 2b, 7, 7df, 8g, 8h, 8i, checker, ablation,
-// parallel, stream, decomp, server, dag, repair, cache, snapshot, obs,
-// all.
+// stream, decomp, server, dag, repair, cache, snapshot, obs, all.
 // "-fig server" compares warm multi-tenant pool serving against cold
 // per-request synthesis. "-fig cache" serves identical flapping traffic
 // with and without the verification-first plan cache, reporting the
@@ -26,11 +25,7 @@
 // synthesis) — the figure behind BENCH_10.json's ≤5% tracing bound.
 // The -scale flag selects problem sizes: "small" finishes
 // in seconds, "medium" in minutes, "full" approaches the paper's sizes
-// (up to 1500 switches for 8g) and can take much longer. -parallel sets
-// the worker count used by every figure run; the default (0) pins the
-// figures to the sequential engine so they reproduce the paper's numbers
-// regardless of host core count. "-fig parallel" prints a
-// sequential-vs-parallel speedup table at the -workers count.
+// (up to 1500 switches for 8g) and can take much longer.
 package main
 
 import (
@@ -50,8 +45,6 @@ type scale struct {
 	fig8iSizes     []int
 	checkerSize    int
 	ablationSize   int
-	parSizes       []int
-	parWorkers     int
 	streamSizes    []int
 	streamSteps    int
 	decompSizes    []int
@@ -82,7 +75,6 @@ var scales = map[string]scale{
 		fig8hSizes:  []int{40, 80},
 		fig8iSizes:  []int{40, 80},
 		checkerSize: 60, ablationSize: 60,
-		parSizes:       []int{60, 120},
 		streamSizes:    []int{40, 80},
 		streamSteps:    8,
 		decompSizes:    []int{240, 320},
@@ -111,7 +103,6 @@ var scales = map[string]scale{
 		fig8hSizes:  []int{100, 200, 400},
 		fig8iSizes:  []int{100, 200},
 		checkerSize: 200, ablationSize: 150,
-		parSizes:       []int{120, 240},
 		streamSizes:    []int{80, 160},
 		streamSteps:    12,
 		decompSizes:    []int{320, 400},
@@ -140,7 +131,6 @@ var scales = map[string]scale{
 		fig8hSizes:  []int{200, 400, 800},
 		fig8iSizes:  []int{200, 400, 800},
 		checkerSize: 400, ablationSize: 300,
-		parSizes:       []int{240, 480},
 		streamSizes:    []int{200, 400},
 		streamSteps:    16,
 		decompSizes:    []int{400, 560},
@@ -166,11 +156,9 @@ var scales = map[string]scale{
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 2a|2b|7|7df|8g|8h|8i|checker|ablation|parallel|stream|decomp|server|dag|repair|cache|snapshot|obs|all")
-		scaleFl  = flag.String("scale", "small", "problem scale: small|medium|full")
-		parallel = flag.Int("parallel", 0, "search workers for every figure run: 0 = sequential (paper-reproducible default)")
-		workers  = flag.Int("workers", 4, "worker count for the -fig parallel comparison")
-		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of formatted tables (for run-over-run diffing)")
+		fig     = flag.String("fig", "all", "figure to regenerate: 2a|2b|7|7df|8g|8h|8i|checker|ablation|stream|decomp|server|dag|repair|cache|snapshot|obs|all")
+		scaleFl = flag.String("scale", "small", "problem scale: small|medium|full")
+		jsonOut = flag.Bool("json", false, "emit machine-readable JSON instead of formatted tables (for run-over-run diffing)")
 	)
 	flag.Parse()
 	sc, ok := scales[*scaleFl]
@@ -178,8 +166,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q\n", *scaleFl)
 		os.Exit(2)
 	}
-	bench.Parallelism = *parallel
-	sc.parWorkers = *workers
 	tables, err := run(*fig, sc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -266,11 +252,6 @@ func run(fig string, sc scale) ([]*bench.Table, error) {
 	}
 	if all || fig == "ablation" {
 		if err := add(bench.Ablation(sc.ablationSize, sc.timeout)); err != nil {
-			return nil, err
-		}
-	}
-	if all || fig == "parallel" {
-		if err := add(bench.ParallelSpeedup(sc.parSizes, sc.parWorkers, sc.timeout)); err != nil {
 			return nil, err
 		}
 	}

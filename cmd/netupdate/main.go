@@ -3,7 +3,6 @@
 //
 //	netupdate -f scenario.json
 //	netupdate -f scenario.json -rules -timeout 30s
-//	netupdate -f scenario.json -parallel 8 -first-plan
 //	netupdate -f scenario.json -dag -min-completion
 //	netupdate -f scenario.json -verify
 //	netupdate -f scenario.json -faults crash=3@1
@@ -35,7 +34,6 @@
 // delta on stdout, keeping the synthesis session warm between targets:
 //
 //	netupdate -stream < stream.jsonl
-//	netupdate -stream -parallel 4 < stream.jsonl
 //	netupdate -stream -learn-file learned.json < stream.jsonl
 //
 // -learn-file persists the stream session's plan cache and learned

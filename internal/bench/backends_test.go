@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"netupdate"
@@ -12,9 +13,10 @@ import (
 
 // TestBackendsParallelConformance: every Backend row, driven through the
 // core.SessionResources.Factory seam exactly as the figures drive it,
-// sequentially and with four workers, must agree on feasibility for every
-// scenario — with its own other worker count and with every other row —
-// and produce valid plans. The scenarios are core's conformance set — the
+// with the components of a diff searched one at a time and four at once
+// (GOMAXPROCS sizes the scheduler), must agree on feasibility for every
+// scenario — with its own other run and with every other row — and
+// produce valid plans. The scenarios are core's conformance set — the
 // three Figure 1 examples, two generated diamond workloads, and the
 // infeasible double-diamond gadget at switch, rule and 2-simple
 // granularity — plus a three-region workload, which every row must solve
@@ -67,9 +69,9 @@ func TestBackendsParallelConformance(t *testing.T) {
 			name := c.name + "/" + b.Name
 			var feasible [2]bool
 			for i, workers := range []int{1, 4} {
-				opts := c.opts
-				opts.Parallelism = workers
-				plan, err := b.Synthesize(c.sc, opts)
+				prev := runtime.GOMAXPROCS(workers)
+				plan, err := b.Synthesize(c.sc, c.opts)
+				runtime.GOMAXPROCS(prev)
 				if err != nil && !errors.Is(err, core.ErrNoOrdering) {
 					t.Fatalf("%s/%d workers: %v", name, workers, err)
 				}
@@ -82,7 +84,7 @@ func TestBackendsParallelConformance(t *testing.T) {
 				}
 			}
 			if feasible[0] != feasible[1] {
-				t.Fatalf("%s: parallel feasible=%v, sequential=%v", name, feasible[1], feasible[0])
+				t.Fatalf("%s: concurrent feasible=%v, one at a time=%v", name, feasible[1], feasible[0])
 			}
 			rowFeasible[feasible[0]] = b.Name
 		}

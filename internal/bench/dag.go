@@ -72,7 +72,7 @@ func dagRow(t *Table, name string, topo *topology.Topology, regions int, timeout
 	if err != nil {
 		return fmt.Errorf("bench: cannot place any region on %s", name)
 	}
-	plan, err := core.Synthesize(sc, opt(core.Options{Timeout: timeout}))
+	plan, err := core.Synthesize(sc, core.Options{Timeout: timeout})
 	if err != nil {
 		return err
 	}

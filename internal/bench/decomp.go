@@ -58,11 +58,11 @@ func DecompCompare(sizes []int, regions int, timeout time.Duration) (*Table, err
 		if err != nil {
 			return nil, err
 		}
-		jointMS, jointAllocs, _, err := timeStream(sc, opt(core.Options{Timeout: timeout, NoDecomposition: true}), reps)
+		jointMS, jointAllocs, _, err := timeStream(sc, core.Options{Timeout: timeout, NoDecomposition: true}, reps)
 		if err != nil {
 			return nil, err
 		}
-		decompMS, decompAllocs, components, err := timeStream(sc, opt(core.Options{Timeout: timeout}), reps)
+		decompMS, decompAllocs, components, err := timeStream(sc, core.Options{Timeout: timeout}, reps)
 		if err != nil {
 			return nil, err
 		}

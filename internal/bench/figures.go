@@ -29,7 +29,7 @@ func Fig2a() (*Table, error) {
 		BucketWidth:   250 * time.Millisecond,
 		CommandStart:  time.Second,
 	}
-	plan, err := core.Synthesize(sc, opt(core.Options{}))
+	plan, err := core.Synthesize(sc, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func Fig2a() (*Table, error) {
 func Fig2b() (*Table, error) {
 	sc := config.Fig1RedGreen()
 	_, nodes := config.Fig1Topology()
-	plan, err := core.Synthesize(sc, opt(core.Options{}))
+	plan, err := core.Synthesize(sc, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -167,9 +167,9 @@ func sweep(title string, f Family, sizes []int, checkers []Backend, prop config.
 			Seconds:  map[string]float64{},
 		}
 		for _, ck := range checkers {
-			secs, err := timeSynthesis(ck, sc, opt(core.Options{
+			secs, err := timeSynthesis(ck, sc, core.Options{
 				Timeout: timeout, RuleGranularity: ruleGranularity,
-			}))
+			})
 			if err != nil {
 				pt.Seconds[ck.Name] = -1
 				continue
@@ -231,7 +231,7 @@ func Fig8g(sizes []int, timeout time.Duration) (*Table, *Table, error) {
 				row[1] = len(sc.UpdatingSwitches())
 			}
 			start := time.Now()
-			plan, err := core.Synthesize(sc, opt(core.Options{Timeout: timeout}))
+			plan, err := core.Synthesize(sc, core.Options{Timeout: timeout})
 			if err != nil {
 				row = append(row, "t/o")
 				continue
@@ -261,7 +261,7 @@ func Fig8h(sizes []int, timeout time.Duration) (*Table, error) {
 				return nil, err
 			}
 			start := time.Now()
-			_, serr := core.Synthesize(sc, opt(core.Options{Timeout: timeout}))
+			_, serr := core.Synthesize(sc, core.Options{Timeout: timeout})
 			switch {
 			case errors.Is(serr, core.ErrNoOrdering):
 				row = append(row, time.Since(start).Seconds())
@@ -299,7 +299,7 @@ func Fig8i(sizes []int, timeout time.Duration) (*Table, *Table, error) {
 				row[1] = rules
 			}
 			start := time.Now()
-			plan, serr := core.Synthesize(sc, opt(core.Options{RuleGranularity: true, Timeout: timeout}))
+			plan, serr := core.Synthesize(sc, core.Options{RuleGranularity: true, Timeout: timeout})
 			if serr != nil {
 				row = append(row, "t/o ("+serr.Error()+")")
 				continue
@@ -322,7 +322,7 @@ func CheckerOnly(n int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := core.Synthesize(sc, opt(core.Options{}))
+	plan, err := core.Synthesize(sc, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -403,7 +403,7 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 	}
 	for _, c := range cases {
 		start := time.Now()
-		plan, err := c.backend.Synthesize(sc, opt(c.opts))
+		plan, err := c.backend.Synthesize(sc, c.opts)
 		el := time.Since(start).Seconds()
 		switch {
 		case err == nil:
@@ -428,7 +428,7 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 		{"infeasible/no-early-termination", core.Options{NoEarlyTermination: true, Timeout: timeout}},
 	} {
 		start := time.Now()
-		_, err := core.Synthesize(scInf, opt(c.opts))
+		_, err := core.Synthesize(scInf, c.opts)
 		el := time.Since(start).Seconds()
 		switch {
 		case errors.Is(err, core.ErrNoOrdering):
@@ -444,7 +444,7 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 	// The 2-simple extension solves the same instance at switch
 	// granularity.
 	start := time.Now()
-	plan, err := core.Synthesize(scInf, opt(core.Options{TwoSimple: true, Timeout: timeout}))
+	plan, err := core.Synthesize(scInf, core.Options{TwoSimple: true, Timeout: timeout})
 	if err != nil {
 		return nil, fmt.Errorf("bench: 2-simple failed on infeasible instance: %w", err)
 	}

@@ -49,7 +49,7 @@ func ObsOverheadCompare(sizes []int, steps int, timeout time.Duration) (*Table, 
 			return nil, err
 		}
 		rounds := (obsMinSyntheses + len(w.Targets) - 1) / len(w.Targets)
-		off := opt(core.Options{Timeout: timeout})
+		off := core.Options{Timeout: timeout}
 		on := off
 		on.Trace = true
 

@@ -55,7 +55,7 @@ func repairRow(t *Table, name string, topo *topology.Topology, regions int, time
 	if err != nil {
 		return fmt.Errorf("bench: cannot place any region on %s", name)
 	}
-	opts := opt(core.Options{Timeout: timeout})
+	opts := core.Options{Timeout: timeout}
 
 	const iters = 3
 	var warmBest, coldBest time.Duration

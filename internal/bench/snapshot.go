@@ -107,7 +107,7 @@ func SnapshotRestoreCompare(sizes []int, regions int, timeout time.Duration) (*T
 		if err != nil {
 			return nil, err
 		}
-		run, err := MeasureSnapshotRestore(sc, opt(core.Options{Timeout: timeout}), 5)
+		run, err := MeasureSnapshotRestore(sc, core.Options{Timeout: timeout}, 5)
 		if err != nil {
 			return nil, fmt.Errorf("bench: snapshot n=%d: %w", n, err)
 		}

@@ -75,7 +75,7 @@ func RollingStreamCompare(sizes []int, steps int, timeout time.Duration) (*Table
 		if err != nil {
 			return nil, err
 		}
-		opts := opt(core.Options{Timeout: timeout})
+		opts := core.Options{Timeout: timeout}
 		warmMS, warmAllocs, err := runWarmStream(w, opts)
 		if err != nil {
 			return nil, err

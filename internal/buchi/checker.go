@@ -68,22 +68,11 @@ func (c *Checker) Revert(t mc.Token) {}
 // Stats implements mc.Checker.
 func (c *Checker) Stats() mc.Stats { return c.stats }
 
-// StatelessMC implements mc.Stateless: every Check re-encodes the whole
-// model; Update and Revert keep nothing.
-func (c *Checker) StatelessMC() {}
-
 // Rebind implements mc.Checker. The structure is mutated in place by
 // kripke.K.Rebind and the automaton is configuration-independent, so the
 // next Check re-encodes against the rebound transitions with no work
 // here.
 func (c *Checker) Rebind(rewired []int) {}
-
-// CloneFor implements mc.Checker: the automaton is immutable and shared;
-// the consistency matrix is rebuilt on the next Check anyway (batch mode),
-// so the clone is just a fresh view over the cloned structure.
-func (c *Checker) CloneFor(k2 *kripke.K) (mc.Checker, error) {
-	return &Checker{k: k2, aut: c.aut}, nil
-}
 
 // pstate is a product state (Kripke state, automaton state).
 type pstate struct {

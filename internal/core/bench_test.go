@@ -23,7 +23,7 @@ func BenchmarkOrderingAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Parallelism: 1, NoWaitRemoval: true}
+	opts := Options{NoWaitRemoval: true}
 	plan, err := Synthesize(sc, opts)
 	if err != nil {
 		b.Fatal(err)

@@ -102,9 +102,9 @@ type cacheEntry struct {
 
 func (e *cacheEntry) hasPlan() bool { return !e.infeasible }
 
-// learnedState is the persistent form of sharedState: the Section 4.2
-// pruning structures of one run, unit-indexed and therefore only
-// meaningful for the identical instance.
+// learnedState is the persistent form of the Section 4.2 pruning
+// structures of one run (engine.wrong, cons and the dead configurations),
+// unit-indexed and therefore only meaningful for the identical instance.
 type learnedState struct {
 	patterns []pattern
 	cons     []cexCons
@@ -373,38 +373,23 @@ func (s *Session) noteAdvance(final *config.Config) {
 
 // --- engine harvest & preload ---
 
-// armLearnRecording points the engine's dead-configuration sink at a
-// fresh slice so a sequential search records what markDead proves. The
-// parallel deterministic engine needs no sink — its proofs land in the
-// shared striped set — and first-plan-wins claims are not proofs, so
-// they are never recorded.
+// armLearnRecording arms the engine's dead-configuration sink so the
+// search records what markDead proves, in DFS order. Collect mode is the
+// exception: its leaves report "not found" to keep the enumeration going,
+// so what it marks dead is not a proof.
 func (e *engine) armLearnRecording() {
-	if e.workerCount() == 1 && !e.opts.MinimizeCompletionTime {
+	if !e.opts.MinimizeCompletionTime {
 		e.recordDeadCap = maxDeadHarvest
 	}
 }
 
 // harvestLearning snapshots the run's learned state in persistable form.
 func (e *engine) harvestLearning() learnedState {
-	var ls learnedState
-	sh := e.shared
-	sh.mu.Lock()
-	pats := sh.patterns()
-	if len(pats) > maxPatternHarvest {
-		pats = pats[:maxPatternHarvest]
+	return learnedState{
+		patterns: append([]pattern(nil), e.wrong[:min(len(e.wrong), maxPatternHarvest)]...),
+		cons:     append([]cexCons(nil), e.cons[:min(len(e.cons), maxConsHarvest)]...),
+		dead:     append([]bitset(nil), e.recordDead...),
 	}
-	ls.patterns = append([]pattern(nil), pats...)
-	cons := sh.cons
-	if len(cons) > maxConsHarvest {
-		cons = cons[:maxConsHarvest]
-	}
-	ls.cons = append([]cexCons(nil), cons...)
-	sh.mu.Unlock()
-	ls.dead = append(ls.dead, e.recordDead...)
-	if sh.dead != nil && !sh.claimOnEntry {
-		ls.dead = sh.dead.appendAll(ls.dead, maxDeadHarvest)
-	}
-	return ls
 }
 
 // preloadLearning seeds a fresh engine with an identical instance's
@@ -416,35 +401,29 @@ func (e *engine) harvestLearning() learnedState {
 // skipped: pruning from mismatched state would be unsound.
 func (e *engine) preloadLearning(ls *learnedState) (unsat bool) {
 	words := len(newBitset(len(e.units)))
-	sh := e.shared
-	sh.mu.Lock()
 	for _, p := range ls.patterns {
 		if len(p.relevant) != words || len(p.value) != words {
 			continue
 		}
-		sh.addPattern(p)
+		e.wrong = append(e.wrong, p)
 	}
 	for _, c := range ls.cons {
 		if !unitIDsValid(c.applied, len(e.units)) || !unitIDsValid(c.unapplied, len(e.units)) {
 			continue
 		}
-		sh.cons = append(sh.cons, c)
+		e.cons = append(e.cons, c)
 		if !e.opts.NoEarlyTermination && !unsat {
 			e.stats.SATCalls++
-			if !sh.et.addCexConstraint(c.applied, c.unapplied) {
+			if !e.et.addCexConstraint(c.applied, c.unapplied) {
 				unsat = true
 			}
 		}
 	}
-	sh.mu.Unlock()
 	for _, d := range ls.dead {
 		if len(d) != words {
 			continue
 		}
 		e.visited.add(d)
-		if sh.dead != nil {
-			sh.dead.add(d)
-		}
 	}
 	if unsat {
 		e.stats.EarlyTerminate = true
@@ -463,25 +442,25 @@ func unitIDsValid(ids []int, n int) bool {
 
 // --- replay-verify ---
 
-// replayCached re-verifies a cached plan against the session's warm
+// replayCached re-verifies a cached plan against the attached warm
 // structures: a structural pass first confirms the steps actually
-// transform the current configuration into final (every diff switch
-// covered, every touched switch ending at its final table), then every
-// update step is applied through applyAndCheck — the same model-checked
-// apply the search uses — so each intermediate configuration is checked
-// against every class specification. Any failure reverts everything and
-// reports false; the session falls back to the ordinary search. On
-// success the warm structures are left at the final configuration
-// (exactly like a sequential search) and a fresh clone of the steps is
-// returned.
-func (s *Session) replayCached(e *engine, ent *cacheEntry, final *config.Config) ([]Step, bool) {
+// transform the current configuration into final (every switch of diff,
+// the request's config.Diff, covered; every touched switch ending at its
+// final table), then every update step is applied through applyAndCheck —
+// the same model-checked apply the search uses — so each intermediate
+// configuration is checked against every class specification. Any
+// failure reverts everything and reports false; the session falls back to
+// the ordinary search. On success the warm structures are left at the
+// final configuration (exactly like a search) and the frames that undo
+// the replay are returned.
+func (e *engine) replayCached(ent *cacheEntry, final *config.Config, diff []int) ([]frame, bool) {
 	lastTbl := map[int]int{} // switch -> index of its last update step
 	for i := range ent.steps {
 		if !ent.steps[i].Wait {
 			lastTbl[ent.steps[i].Switch] = i
 		}
 	}
-	for _, sw := range config.Diff(s.cur, final) {
+	for _, sw := range diff {
 		i, ok := lastTbl[sw]
 		if !ok || !ent.steps[i].Table.Equal(final.Table(sw)) {
 			return nil, false
@@ -505,7 +484,7 @@ func (s *Session) replayCached(e *engine, ent *cacheEntry, final *config.Config)
 			return nil, false
 		}
 	}
-	return cloneSteps(ent.steps), true
+	return frames, true
 }
 
 // --- snapshot (persistence) ---

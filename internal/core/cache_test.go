@@ -28,7 +28,7 @@ func flapWalk(t *testing.T, seed int64, cycles int) (*config.RollingStream, []*c
 // instance from the fast path (CacheHit), and keep honest counters.
 func TestCacheHitByteIdentical(t *testing.T) {
 	stream, walk := flapWalk(t, 23, 3)
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 	cached, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestCachePoisonedReplayFallsBack(t *testing.T) {
 	cache := NewPlanCache(0)
 	synth := func() *Plan {
 		t.Helper()
-		sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: 1})
+		sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestCachePoisonedReplayFallsBack(t *testing.T) {
 func TestCacheTruncatedEntryFallsBack(t *testing.T) {
 	sc := config.Fig1RedGreen()
 	cache := NewPlanCache(0)
-	sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: 1})
+	sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCacheTruncatedEntryFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptEntries(cache, func(ent *cacheEntry) { ent.steps = ent.steps[:1] })
-	sess2, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: 1})
+	sess2, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCacheInfeasibleMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: 1})
+	sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +244,10 @@ func TestCacheInfeasibleMemo(t *testing.T) {
 		opts     Options
 		wantPlan bool
 	}{
-		{"2-simple", Options{TwoSimple: true, Parallelism: 1}, true},
+		{"2-simple", Options{TwoSimple: true}, true},
 		// Whether rule granularity solves this instance is the search's
 		// business; answering from the switch-granularity memo is not.
-		{"rules", Options{RuleGranularity: true, Parallelism: 1}, false},
+		{"rules", Options{RuleGranularity: true}, false},
 	} {
 		other, err := NewSession(sc.Topo, sc.Init, sc.Specs, c.opts)
 		if err != nil {
@@ -276,7 +276,7 @@ func TestCacheInfeasibleMemo(t *testing.T) {
 // persisted infeasibility memo still fails fast.
 func TestCacheSnapshotRoundTrip(t *testing.T) {
 	stream, walk := flapWalk(t, 29, 1)
-	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), Options{Parallelism: 1})
+	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isess, err := NewSession(isc.Topo, isc.Init, isc.Specs, Options{Parallelism: 1})
+	isess, err := NewSession(isc.Topo, isc.Init, isc.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored %d entries, want %d", restored.Len(), cache.Len())
 	}
 
-	cold, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), Options{Parallelism: 1})
+	cold, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 				n, p.String(), plans[n].String())
 		}
 	}
-	icold, err := NewSession(isc.Topo, isc.Init, isc.Specs, Options{Parallelism: 1})
+	icold, err := NewSession(isc.Topo, isc.Init, isc.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestPreloadLearningValidation(t *testing.T) {
 		Name: "preload", Topo: stream.Topo(), Init: stream.Init(),
 		Final: targets[0], Specs: stream.Specs(),
 	}
-	e, err := newEngineShell(sc, Options{Parallelism: 1}, nil)
+	e, err := newEngineShell(sc, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,10 +423,10 @@ func TestPreloadLearningValidation(t *testing.T) {
 	if unsat := e.preloadLearning(&ls); unsat {
 		t.Fatal("single constraint cannot be unsat")
 	}
-	if got := len(e.shared.patterns()); got != 1 {
+	if got := len(e.wrong); got != 1 {
 		t.Fatalf("patterns loaded = %d, want 1 (corrupt one skipped)", got)
 	}
-	if got := len(e.shared.cons); got != 1 {
+	if got := len(e.cons); got != 1 {
 		t.Fatalf("cons recorded = %d, want 1 (out-of-range one skipped)", got)
 	}
 	if !e.visited.has(good) {
@@ -442,7 +442,7 @@ func TestPreloadLearningValidation(t *testing.T) {
 func TestNoPlanCacheOption(t *testing.T) {
 	stream, walk := flapWalk(t, 23, 2)
 	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(),
-		Options{Parallelism: 1, NoPlanCache: true})
+		Options{NoPlanCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,6 @@ func labelsEqual(a, b [][]ltl.Valuation) bool {
 func TestDAGShapeConformance(t *testing.T) {
 	for _, c := range conformanceCases(t) {
 		opts := c.opts
-		opts.Parallelism = 1
 		feasible, plan := synthesizeOutcome(t, c.name, c.sc, opts)
 		if !feasible {
 			continue
@@ -161,7 +160,6 @@ func TestDAGAckScheduleTraceEquivalence(t *testing.T) {
 	warmth := mc.NewWarmth()
 	for _, c := range conformanceCases(t) {
 		opts := c.opts
-		opts.Parallelism = 1
 		feasible, plan := synthesizeOutcome(t, c.name, c.sc, opts)
 		if !feasible {
 			continue
@@ -290,12 +288,14 @@ func weakComponents(d *PlanDAG) int {
 // composed plan's DAG must be the disjoint union of the component
 // sub-DAGs — at least as many weakly-connected DAG components as
 // interference components — and the plan+DAG must be byte-identical
-// across 1 and 4 workers.
+// whether the components are searched one at a time or concurrently.
 func TestDAGDecompositionDisjointUnion(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
 	var ref *Plan
 	for _, workers := range []int{1, 4} {
-		plan, err := Synthesize(sc, Options{Parallelism: workers})
+		var plan *Plan
+		var err error
+		atProcs(workers, func() { plan, err = Synthesize(sc, Options{}) })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -325,9 +325,7 @@ func TestDAGDecompositionDisjointUnion(t *testing.T) {
 // report ErrNoOrdering.
 func TestMinimizeCompletionTime(t *testing.T) {
 	for _, c := range conformanceCases(t) {
-		defOpts := c.opts
-		defOpts.Parallelism = 1
-		defFeasible, defPlan := synthesizeOutcome(t, c.name+"/default", c.sc, defOpts)
+		defFeasible, defPlan := synthesizeOutcome(t, c.name+"/default", c.sc, c.opts)
 
 		opts := c.opts
 		opts.MinimizeCompletionTime = true

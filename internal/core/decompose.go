@@ -31,19 +31,19 @@ package core
 //  3. Sub-searches: each component becomes its own scenario — the session
 //     configuration with only the component's switches moved to their
 //     final tables, and only the component's class specifications — and
-//     runs a full ORDERUPDATE search on the existing sequential/parallel
-//     engines. Unit numbering, and with it the SAT early-termination
-//     instance, the wrong-pattern store, and the dead set, are
-//     component-local. Components partition the per-class structures, so
-//     concurrent sub-searches share the session's warm structures without
-//     cloning or locking.
+//     runs a full ORDERUPDATE search of its own. Unit numbering, and with
+//     it the SAT early-termination instance, the wrong-pattern store, and
+//     the dead set, are component-local. Components partition the
+//     per-class structures, so concurrent sub-searches share the
+//     session's warm structures without cloning or locking. This is the
+//     only concurrency inside a synthesis.
 //
 //  4. Composition: the careful sub-plans are concatenated in component
 //     order (components sorted by lowest unit index, fixed before any
 //     search starts), separated by waits, and the ordinary class-aware
 //     wait-removal pass runs over the composed sequence. Every sub-search
 //     is deterministic and composition order is schedule-independent, so
-//     decomposed plans are reproducible at any worker count.
+//     decomposed plans are reproducible on any number of CPUs.
 //
 // Soundness of composition: while component A's sub-plan executes, the
 // structure of every class outside A is bit-for-bit unchanged (A's units
@@ -56,8 +56,7 @@ package core
 // the learned state it harvests stays valid for the plan cache — over the
 // component's classes only: every other class has an empty delta for every
 // unit, so the joint search over all classes would skip it at every check
-// anyway, and the parallel search would deep-copy it per worker for
-// nothing. Plans are byte-identical to the all-class joint search.
+// anyway. Plans are byte-identical to the all-class joint search.
 
 import (
 	"errors"
@@ -265,8 +264,8 @@ type compResult struct {
 }
 
 // testSolveOrder, when non-nil, permutes the order components are handed
-// to the solver pool. Composition order never depends on it — that is
-// exactly what the metamorphic tests assert. Test-only.
+// to the solver goroutines. Composition order never depends on it — that
+// is exactly what the metamorphic tests assert. Test-only.
 var testSolveOrder func(n int) []int
 
 // testAfterComponent, when non-nil, runs after each component sub-search
@@ -274,27 +273,14 @@ var testSolveOrder func(n int) []int
 // test uses to cancel a run between components. Test-only.
 var testAfterComponent func(i int)
 
-// runDecomposed schedules the component sub-searches concurrently over
-// the session's worker budget and composes the careful sub-plans in
-// component order. With C components and P workers, min(C, P) components
-// run at once and each sub-search receives P/min(C, P) internal workers;
-// components partition the per-class structures, so the concurrent
+// runDecomposed runs the component sub-searches, up to GOMAXPROCS of them
+// at once, and composes the careful sub-plans in component order.
+// Components partition the per-class structures, so the concurrent
 // engines share the session's warm state without cloning. Failures are
 // reported deterministically: the lowest-indexed failing component wins,
 // no matter which goroutine finished first.
 func (s *Session) runDecomposed(e *engine, comps []component, final *config.Config) ([]Step, error) {
-	workers := s.opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	slots := len(comps)
-	if slots > workers {
-		slots = workers
-	}
-	inner := workers / slots
-	if inner < 1 {
-		inner = 1
-	}
+	slots := min(len(comps), runtime.GOMAXPROCS(0))
 
 	order := make([]int, len(comps))
 	for i := range order {
@@ -307,7 +293,7 @@ func (s *Session) runDecomposed(e *engine, comps []component, final *config.Conf
 	results := make([]compResult, len(comps))
 	if slots == 1 {
 		for _, i := range order {
-			results[i] = s.solveComponent(e, &comps[i], i, final, inner)
+			results[i] = s.solveComponent(e, &comps[i], i, final)
 			if testAfterComponent != nil {
 				testAfterComponent(i)
 			}
@@ -324,7 +310,7 @@ func (s *Session) runDecomposed(e *engine, comps []component, final *config.Conf
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					results[i] = s.solveComponent(e, &comps[i], i, final, inner)
+					results[i] = s.solveComponent(e, &comps[i], i, final)
 				}
 			}()
 		}
@@ -389,7 +375,7 @@ func (s *Session) runDecomposed(e *engine, comps []component, final *config.Conf
 // — and reuses the session's warm structures for its classes directly
 // (no other component touches them). Options.Timeout bounds each
 // component separately.
-func (s *Session) solveComponent(e *engine, c *component, idx int, final *config.Config, inner int) compResult {
+func (s *Session) solveComponent(e *engine, c *component, idx int, final *config.Config) compResult {
 	start := time.Now()
 	// Each component gets its own trace lane so concurrent sub-searches
 	// render as parallel rows; Begin reserves ring slots atomically, so
@@ -437,9 +423,7 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 		}
 		units[i] = u
 	}
-	opts := s.opts
-	opts.Parallelism = inner
-	ec := newEngineShellWith(scC, opts, units, nil)
+	ec := newEngineShellWith(scC, s.opts, units, nil)
 	ec.bindContext(e.ctx)
 	ec.ks, ec.checkers = s.classSubset(c.classes)
 	ec.snapshotCheckerStats()

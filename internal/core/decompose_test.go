@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"netupdate/internal/config"
@@ -129,13 +130,20 @@ func TestComponentsPartition(t *testing.T) {
 	}
 }
 
+// atProcs runs f with GOMAXPROCS — which sizes the component scheduler —
+// set to n: 1 searches the components one at a time, more concurrently.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // TestDecomposedSynthesis: the partitioned engine must produce valid
 // plans on multi-region workloads, report the component count, agree
-// with the joint engine on feasibility, and stay deterministic across
-// worker counts.
+// with the joint engine on feasibility, and stay deterministic however
+// many components run at once.
 func TestDecomposedSynthesis(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	joint, err := Synthesize(sc, Options{NoDecomposition: true, Parallelism: 1})
+	joint, err := Synthesize(sc, Options{NoDecomposition: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +153,8 @@ func TestDecomposedSynthesis(t *testing.T) {
 	}
 	var first *Plan
 	for _, workers := range []int{1, 4} {
-		plan, err := Synthesize(sc, Options{Parallelism: workers})
+		var plan *Plan
+		atProcs(workers, func() { plan, err = Synthesize(sc, Options{}) })
 		if err != nil {
 			t.Fatalf("decomposed workers=%d: %v", workers, err)
 		}
@@ -162,7 +171,7 @@ func TestDecomposedSynthesis(t *testing.T) {
 		if first == nil {
 			first = plan
 		} else if plan.String() != first.String() {
-			t.Fatalf("decomposed plan depends on worker count:\n 1: %s\n%d: %s",
+			t.Fatalf("decomposed plan depends on how many components run at once:\n 1: %s\n%d: %s",
 				first, workers, plan)
 		}
 	}
@@ -176,8 +185,8 @@ func TestDecomposedSynthesis(t *testing.T) {
 // TestDecomposedConformanceSingleComponent: whenever the partition finds
 // a single component — connected diffs, every Figure 1 example, the
 // infeasible gadget — the decomposed engine must return byte-identical
-// plans to the joint engine, at 1 and 4 workers. Multi-component scenarios must still agree on feasibility and
-// validity.
+// plans to the joint engine. Multi-component scenarios must still agree
+// on feasibility and validity.
 func TestDecomposedConformanceSingleComponent(t *testing.T) {
 	cases := []conformanceCase{
 		{name: "fig1-red-green", sc: config.Fig1RedGreen()},
@@ -203,27 +212,20 @@ func TestDecomposedConformanceSingleComponent(t *testing.T) {
 		conformanceCase{name: "infeasible-rules", sc: scInf, opts: Options{RuleGranularity: true}},
 	)
 	for _, c := range cases {
-		for _, workers := range []int{1, 4} {
-			jointOpts := c.opts
-			jointOpts.Parallelism = workers
-			jointOpts.NoDecomposition = true
-			jointFeasible, jointPlan := synthesizeOutcome(t, c.name+"/joint", c.sc, jointOpts)
-			decOpts := jointOpts
-			decOpts.NoDecomposition = false
-			feasible, plan := synthesizeOutcome(t, c.name+"/decomposed", c.sc, decOpts)
-			if feasible != jointFeasible {
-				t.Fatalf("%s workers=%d: decomposed feasible=%v, joint=%v",
-					c.name, workers, feasible, jointFeasible)
-			}
-			if !feasible {
-				continue
-			}
-			verifyPlan(t, c.sc, plan)
-			if plan.Stats.Components <= 1 {
-				if got, want := plan.String(), jointPlan.String(); got != want {
-					t.Fatalf("%s workers=%d: single-component plan diverged:\n got %s\nwant %s",
-						c.name, workers, got, want)
-				}
+		jointOpts := c.opts
+		jointOpts.NoDecomposition = true
+		jointFeasible, jointPlan := synthesizeOutcome(t, c.name+"/joint", c.sc, jointOpts)
+		feasible, plan := synthesizeOutcome(t, c.name+"/decomposed", c.sc, c.opts)
+		if feasible != jointFeasible {
+			t.Fatalf("%s: decomposed feasible=%v, joint=%v", c.name, feasible, jointFeasible)
+		}
+		if !feasible {
+			continue
+		}
+		verifyPlan(t, c.sc, plan)
+		if plan.Stats.Components <= 1 {
+			if got, want := plan.String(), jointPlan.String(); got != want {
+				t.Fatalf("%s: single-component plan diverged:\n got %s\nwant %s", c.name, got, want)
 			}
 		}
 	}
@@ -234,7 +236,7 @@ func TestDecomposedConformanceSingleComponent(t *testing.T) {
 // queue feeds — must never change the composed plan.
 func TestDecomposedSolveOrderMetamorphic(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	base, err := Synthesize(sc, Options{Parallelism: 1})
+	base, err := Synthesize(sc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +252,8 @@ func TestDecomposedSolveOrderMetamorphic(t *testing.T) {
 			}
 			return perm
 		}
-		plan, err := Synthesize(sc, Options{Parallelism: 1})
+		var plan *Plan
+		atProcs(1, func() { plan, err = Synthesize(sc, Options{}) })
 		if err != nil {
 			t.Fatalf("perm %v: %v", perm, err)
 		}
@@ -260,10 +263,11 @@ func TestDecomposedSolveOrderMetamorphic(t *testing.T) {
 		}
 	}
 	testSolveOrder = nil
-	// Concurrent component scheduling (workers > components use slots =
-	// components) must agree too; run a few times to shake schedules.
+	// Concurrent component scheduling (more CPUs than components: one
+	// goroutine each) must agree too; run a few times to shake schedules.
 	for i := 0; i < 3; i++ {
-		plan, err := Synthesize(sc, Options{Parallelism: 8})
+		var plan *Plan
+		atProcs(8, func() { plan, err = Synthesize(sc, Options{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,15 +293,15 @@ func TestDecomposedInfeasibleRegion(t *testing.T) {
 	if sc.Feasible {
 		t.Fatal("scenario with a gadget region must be marked infeasible")
 	}
-	if _, err := Synthesize(sc, Options{NoDecomposition: true, Parallelism: 1}); err != ErrNoOrdering {
+	if _, err := Synthesize(sc, Options{NoDecomposition: true}); err != ErrNoOrdering {
 		t.Fatalf("joint err = %v, want ErrNoOrdering", err)
 	}
-	if _, err := Synthesize(sc, Options{Parallelism: 1}); err != ErrNoOrdering {
+	if _, err := Synthesize(sc, Options{}); err != ErrNoOrdering {
 		t.Fatalf("decomposed err = %v, want ErrNoOrdering", err)
 	}
 	// At rule granularity the gadget is solvable; the decomposed engine
 	// must find a valid composed plan there too.
-	plan, err := Synthesize(sc, Options{RuleGranularity: true, Parallelism: 1})
+	plan, err := Synthesize(sc, Options{RuleGranularity: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +316,7 @@ func TestDecomposedInfeasibleRegion(t *testing.T) {
 // between runs.
 func TestDecomposedSessionStream(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: 2})
+	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +356,7 @@ func TestDecomposedFailureResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: 1})
+	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,19 +383,21 @@ func TestDecomposedFailureResync(t *testing.T) {
 
 // TestSingleComponentFootprintSearch: a multi-class diff that forms one
 // interference component runs the joint engine over the component's
-// classes only. At every worker count the plan must equal the one the
-// joint engine finds over every class (NoDecomposition); a mid-plan crash
-// must repair to the plan a cold synthesis from the crash state finds; and
-// an intent with no ordering must be proved by search once and answered
-// by the memo — which needs the harvested joint unit numbering — after.
+// classes only — the search attaches no other class, so it makes the
+// all-class joint search's checks without that search's skips of the
+// classes outside the footprint. The plan must equal the one the joint
+// engine finds over every class (NoDecomposition); a mid-plan crash must
+// repair to the plan a cold synthesis from the crash state finds; and an
+// intent with no ordering must be proved by search once and answered by
+// the memo — which needs the harvested joint unit numbering — after.
 func TestSingleComponentFootprintSearch(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 2, 0, 11)
 	target, comp := singleComponentTarget(t, sc, 0)
-	if len(comp.units) < minParallelUnits || len(comp.classes) < 2 {
-		t.Fatalf("component has %d units over %d classes, want a parallel multi-class search", len(comp.units), len(comp.classes))
+	if len(comp.classes) < 2 || len(comp.classes) == len(sc.Specs) {
+		t.Fatalf("component has %d of %d classes, want a multi-class search that leaves classes out", len(comp.classes), len(sc.Specs))
 	}
 	one := &config.Scenario{Name: "one-region", Topo: sc.Topo, Init: sc.Init, Final: target, Specs: sc.Specs}
-	want, err := Synthesize(one, Options{Parallelism: 1, NoDecomposition: true})
+	want, err := Synthesize(one, Options{NoDecomposition: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,33 +408,35 @@ func TestSingleComponentFootprintSearch(t *testing.T) {
 	}
 	crash := crashState(sc.Init, want, committed)
 	fromCrash := &config.Scenario{Name: "from-crash", Topo: sc.Topo, Init: crash, Final: target, Specs: sc.Specs}
-	wantRepair, err := Synthesize(fromCrash, Options{Parallelism: 1})
+	wantRepair, err := Synthesize(fromCrash, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	verifyPlan(t, fromCrash, wantRepair)
-	for _, workers := range []int{1, 2, 4, 8} {
-		sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := sess.Synthesize(target)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if plan.Stats.Components != 1 {
-			t.Fatalf("workers=%d: Components = %d, want 1", workers, plan.Stats.Components)
-		}
-		if plan.String() != want.String() {
-			t.Fatalf("workers=%d: plan diverged from the all-class joint search:\n got %s\nwant %s", workers, plan, want)
-		}
-		repair, err := sess.Repair(committed, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: repair: %v", workers, err)
-		}
-		if repair.String() != wantRepair.String() {
-			t.Fatalf("workers=%d: repair plan diverged from cold synthesis at the crash state:\n got %s\nwant %s", workers, repair, wantRepair)
-		}
+	sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sess.Synthesize(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Stats.Components != 1 {
+		t.Fatalf("Components = %d, want 1", plan.Stats.Components)
+	}
+	if plan.String() != want.String() {
+		t.Fatalf("plan diverged from the all-class joint search:\n got %s\nwant %s", plan, want)
+	}
+	if got, all := plan.Stats, want.Stats; got.Checks != all.Checks || got.ClassSkips >= all.ClassSkips {
+		t.Fatalf("footprint search: %d checks, %d class skips; all-class search: %d, %d — want equal checks and fewer skips",
+			got.Checks, got.ClassSkips, all.Checks, all.ClassSkips)
+	}
+	repair, err := sess.Repair(committed, nil)
+	if err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	if repair.String() != wantRepair.String() {
+		t.Fatalf("repair plan diverged from cold synthesis at the crash state:\n got %s\nwant %s", repair, wantRepair)
 	}
 
 	// Rejected intent: the gadget region alone is a single component with
@@ -450,7 +458,7 @@ func TestSingleComponentFootprintSearch(t *testing.T) {
 	for i := range comps {
 		tgt, _ := singleComponentTarget(t, inf, i)
 		_, err := Synthesize(&config.Scenario{Name: "probe", Topo: inf.Topo, Init: inf.Init, Final: tgt, Specs: inf.Specs},
-			Options{Parallelism: 1, NoDecomposition: true})
+			Options{NoDecomposition: true})
 		switch {
 		case errors.Is(err, ErrNoOrdering):
 			gadget = tgt
@@ -463,27 +471,25 @@ func TestSingleComponentFootprintSearch(t *testing.T) {
 	if gadget == nil || feasible == nil {
 		t.Fatal("want one unorderable and one orderable component in the infeasible workload")
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		sess, err := NewSession(inf.Topo, inf.Init, inf.Specs, Options{Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess.EnableCache()
-		if _, err := sess.Synthesize(gadget); !errors.Is(err, ErrNoOrdering) {
-			t.Fatalf("workers=%d: err = %v, want ErrNoOrdering", workers, err)
-		}
-		if st := sess.LastStats(); st.CacheHit || st.Components != 1 {
-			t.Fatalf("workers=%d: first rejection: %+v, want a searched single-component run", workers, st)
-		}
-		if _, err := sess.Synthesize(gadget); !errors.Is(err, ErrNoOrdering) {
-			t.Fatalf("workers=%d: repeat err = %v, want ErrNoOrdering", workers, err)
-		}
-		if st := sess.LastStats(); !st.CacheHit || st.Backtracks != 0 || st.CexLearned != 0 {
-			t.Fatalf("workers=%d: repeat rejection missed the memo: %+v", workers, st)
-		}
-		// The session still serves: a feasible region right after.
-		if _, err := sess.Synthesize(feasible); err != nil {
-			t.Fatalf("workers=%d: feasible region after rejected intent: %v", workers, err)
-		}
+	sess, err = NewSession(inf.Topo, inf.Init, inf.Specs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.EnableCache()
+	if _, err := sess.Synthesize(gadget); !errors.Is(err, ErrNoOrdering) {
+		t.Fatalf("err = %v, want ErrNoOrdering", err)
+	}
+	if st := sess.LastStats(); st.CacheHit || st.Components != 1 {
+		t.Fatalf("first rejection: %+v, want a searched single-component run", st)
+	}
+	if _, err := sess.Synthesize(gadget); !errors.Is(err, ErrNoOrdering) {
+		t.Fatalf("repeat err = %v, want ErrNoOrdering", err)
+	}
+	if st := sess.LastStats(); !st.CacheHit || st.Backtracks != 0 || st.CexLearned != 0 {
+		t.Fatalf("repeat rejection missed the memo: %+v", st)
+	}
+	// The session still serves: a feasible region right after.
+	if _, err := sess.Synthesize(feasible); err != nil {
+		t.Fatalf("feasible region after rejected intent: %v", err)
 	}
 }

@@ -21,7 +21,6 @@ import (
 func TestDepAnalysisReproducesWaitDecisions(t *testing.T) {
 	for _, c := range conformanceCases(t) {
 		opts := c.opts
-		opts.Parallelism = 1
 		feasible, plan := synthesizeOutcome(t, c.name, c.sc, opts)
 		if !feasible {
 			continue
@@ -67,7 +66,7 @@ func TestDepAnalysisReproducesWaitDecisions(t *testing.T) {
 // and drain marks imply their barrier-level counterpart.
 func TestDepAnalysisWindowBasics(t *testing.T) {
 	sc := config.Fig1RedGreen()
-	plan, err := Synthesize(sc, Options{Parallelism: 1})
+	plan, err := Synthesize(sc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"time"
 
 	"netupdate/internal/config"
@@ -17,11 +16,10 @@ import (
 // final configuration such that every intermediate configuration
 // satisfies every class specification, inserting waits between updates
 // (careful sequences, Definition 5) and then removing unnecessary waits.
-// With Options.Parallelism != 1 the search fans the top of the DFS out to
-// a worker pool (see parallel.go); the sequential path is used for small
-// unit counts where fan-out cannot pay for itself. It returns
-// ErrNoOrdering if no simple careful sequence exists at the requested
-// granularity.
+// The search is the paper's sequential DFS on the calling goroutine; a
+// diff that splits into independent components runs one such search per
+// component, concurrently (decompose.go). It returns ErrNoOrdering if no
+// simple careful sequence exists at the requested granularity.
 //
 // Synthesize is the one-shot entry point: it is a thin wrapper that opens
 // a Session for the scenario's endpoints and serves a single target.
@@ -56,12 +54,6 @@ func SynthesizeWith(sc *config.Scenario, opts Options, res SessionResources) (*P
 var (
 	// errNotFound signals exhaustion of a subtree.
 	errNotFound = errors.New("core: subtree exhausted")
-	// errDeferred signals that a subtree's outcome is pending on emitted
-	// tasks (parallel fan-out): it is not exhausted, merely handed off.
-	errDeferred = errors.New("core: subtree deferred to workers")
-	// errCancelled signals cooperative cancellation (another worker won,
-	// or the coordinator is shutting the search down).
-	errCancelled = errors.New("core: search cancelled")
 	// errEnoughPlans aborts the collect-mode DFS (MinimizeCompletionTime)
 	// once the candidate cap is reached.
 	errEnoughPlans = errors.New("core: enough plan candidates")
@@ -76,11 +68,6 @@ type frame struct {
 type pattern struct {
 	relevant, value bitset
 }
-
-// minParallelUnits is the unit count under which the search always runs
-// sequentially: with only a handful of units the whole tree is cheaper
-// than cloning per-worker structures.
-const minParallelUnits = 6
 
 type engine struct {
 	sc    *config.Scenario
@@ -97,63 +84,54 @@ type engine struct {
 
 	curTables map[int]network.Table
 
-	// visited is this engine's private visited set (the V of Figure 4 for
-	// its own DFS); shared carries the cross-worker learning state.
+	// visited is the V of Figure 4. The other pruning structures of
+	// Section 4.2: wrong holds the wrong-configuration patterns learned
+	// from counterexamples (4.2.A), et the early-termination SAT solver
+	// they feed (4.2.B), and cons every ordering constraint fed to (or
+	// replayed into) the solver, in persistable form — the plan cache
+	// harvests it so a repeat of the identical instance can replay the
+	// constraints instead of rediscovering them (cache.go).
 	visited *bitsetSet
-	shared  *sharedState
-
-	// Fan-out plumbing, used only by the generator engine: at depth
-	// fanDepth the DFS emits the current path as a task instead of
-	// recursing. Zero disables emission. deferredSeen records every
-	// configuration whose subtree outcome is pending in a worker
-	// (emitted directly or an ancestor of an emission), so that pruning
-	// a revisit of one is not mistaken for exhaustion — without it the
-	// generator could publish ancestors of pending subtrees to the
-	// shared dead set.
-	fanDepth     int
-	emit         func(prefix []int) error
-	path         []int
-	deferredSeen *bitsetSet
+	wrong   []pattern
+	et      *earlyTerm
+	cons    []cexCons
 
 	// Collect mode (Options.MinimizeCompletionTime, see runCollect): the
-	// sequential DFS records every complete unit order it reaches — up to
+	// DFS records every complete unit order it reaches — up to
 	// maxPlanCandidates — instead of returning the first, and the run
 	// picks the candidate whose DAG minimizes estimated completion time.
+	// path is the unit order applied so far, kept in this mode only.
 	collecting bool
 	collected  [][]int
-
-	stop *abort
+	path       []int
 
 	deadline    time.Time
 	hasDeadline bool
 
-	// ctx/ctxDone carry the caller's request context (see
-	// Session.SynthesizeContext): the DFS polls ctxDone next to the
-	// deadline check, so an expired or canceled request stops the search
-	// promptly instead of running to the engine's own timeout. Nil when
-	// the caller did not supply a context.
-	ctx     context.Context
-	ctxDone <-chan struct{}
+	// ctx is the caller's request context (see Session.SynthesizeContext):
+	// the DFS polls it next to the deadline check, so an expired or
+	// canceled request stops the search promptly instead of running to the
+	// engine's own timeout. Nil when the caller did not supply a context
+	// that can end.
+	ctx context.Context
 
 	// cexBuf is the pooled counterexample-switch buffer handed out by
 	// applyAndCheck. Each failed check overwrites it, so callers must
 	// consume the returned slice (learn does, immediately) before the next
-	// check. Private per engine, so parallel workers never contend.
+	// check.
 	cexBuf []int
 
 	// Ordering-analysis state (deps.go): the pooled scratch an analysis
 	// borrows (nil while one holds it, or before the first), and the
 	// affected vectors remembered by step position, carved from affRows.
-	// Private per engine, so parallel workers never contend.
 	deps    *depScratch
 	affMemo []affectedMemo
 	affRows []bool
 
-	// Plan-cache dead-configuration sink (cache.go): a sequential search
-	// with a cache attached records what markDead proves here, up to
+	// Plan-cache dead-configuration sink (cache.go): a search with a cache
+	// attached records what markDead proves here, in DFS order and up to
 	// recordDeadCap, so the learned dead set can persist per instance.
-	// Zero cap disables recording (the default, and always for parallel
-	// runs — their proofs land in shared.dead instead).
+	// Zero cap disables recording (the default).
 	recordDead    []bitset
 	recordDeadCap int
 
@@ -173,7 +151,7 @@ func newEngineShellWith(sc *config.Scenario, opts Options, units []unit, scr *en
 		sc:    sc,
 		opts:  opts,
 		units: units,
-		stop:  newAbort(),
+		et:    newEarlyTerm(),
 	}
 	if scr != nil {
 		scr.visited.reset()
@@ -185,8 +163,6 @@ func newEngineShellWith(sc *config.Scenario, opts Options, units []unit, scr *en
 		e.visited = newBitsetSet()
 		e.curTables = map[int]network.Table{}
 	}
-	workers := e.workerCount()
-	e.shared = newSharedState(workers > 1, opts.FirstPlanWins)
 	e.stats.Units = len(units)
 	if opts.NoHeuristicOrder {
 		e.order = make([]int, len(units))
@@ -214,7 +190,6 @@ func (e *engine) bindContext(ctx context.Context) {
 		return
 	}
 	e.ctx = ctx
-	e.ctxDone = ctx.Done()
 	if d, ok := ctx.Deadline(); ok && (!e.hasDeadline || d.Before(e.deadline)) {
 		e.deadline = d
 		e.hasDeadline = true
@@ -239,30 +214,11 @@ func (e *engine) snapshotCheckerStats() {
 	}
 }
 
-// workerCount resolves Options.Parallelism: 0 means GOMAXPROCS, and tiny
-// searches always run sequentially.
-func (e *engine) workerCount() int {
-	p := e.opts.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if len(e.units) < minParallelUnits {
-		return 1
-	}
-	return p
-}
-
 func (e *engine) run() ([]Step, error) {
 	empty := newBitset(len(e.units))
 	e.visited.add(empty)
 	if e.opts.MinimizeCompletionTime {
-		// Candidate enumeration must be deterministic, so collect mode
-		// always runs sequentially with a private (nil) dead set.
-		e.shared = newSharedState(false, false)
 		return e.runCollect(empty)
-	}
-	if workers := e.workerCount(); workers > 1 {
-		return e.runParallel(empty, workers)
 	}
 	steps, err := e.dfs(empty, 0)
 	if err != nil {
@@ -280,10 +236,10 @@ func (e *engine) run() ([]Step, error) {
 // and so differ most, and each candidate costs a full search descent.
 const maxPlanCandidates = 4
 
-// runCollect is the MinimizeCompletionTime search: a sequential DFS that
-// records up to maxPlanCandidates complete unit orders (every one fully
-// verified by applyAndCheck on the way down), scores each candidate's
-// dependency DAG by estimated completion time, and returns the minimum.
+// runCollect is the MinimizeCompletionTime search: a DFS that records up
+// to maxPlanCandidates complete unit orders (every one fully verified by
+// applyAndCheck on the way down), scores each candidate's dependency DAG
+// by estimated completion time, and returns the minimum.
 // Candidate 0 is the plan the default search would have returned, and
 // ties resolve to the earliest candidate, so an indifferent latency model
 // reproduces the default plan byte-for-byte. The DFS leaves the warm
@@ -347,8 +303,7 @@ func (e *engine) stepsForPath(path []int) []Step {
 
 // dfs explores update orders from the current configuration (encoded by
 // the applied bitmask). It returns the remaining steps on success,
-// errNotFound when the subtree is exhausted, errDeferred when parts of it
-// were emitted as worker tasks, or a terminal error.
+// errNotFound when the subtree is exhausted, or a terminal error.
 func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 	if depth == len(e.units) {
 		if e.collecting {
@@ -363,27 +318,12 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 		}
 		return nil, nil
 	}
-	if e.stop.isSet() {
-		return nil, errCancelled
-	}
 	if e.hasDeadline && time.Now().After(e.deadline) {
 		return nil, ErrTimeout
 	}
-	if e.ctxDone != nil {
-		select {
-		case <-e.ctxDone:
-			return nil, ctxErr(e.ctx)
-		default:
-		}
+	if e.ctx != nil && e.ctx.Err() != nil {
+		return nil, ctxErr(e.ctx)
 	}
-	if e.fanDepth > 0 && depth == e.fanDepth {
-		if err := e.emit(e.path); err != nil {
-			return nil, err
-		}
-		e.deferredSeen.add(applied)
-		return nil, errDeferred
-	}
-	deferred := false
 	for _, ui := range e.order {
 		if applied.get(ui) {
 			continue
@@ -399,23 +339,7 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 			// would cap the enumeration at one candidate.
 		} else if !e.visited.add(next) {
 			e.stats.VisitedPruned++
-			if e.deferredSeen != nil && e.deferredSeen.has(next) {
-				// The first visit handed (part of) this subtree to a
-				// worker; its outcome is pending, not exhausted.
-				deferred = true
-			}
 			continue
-		}
-		if sh := e.shared; sh.dead != nil {
-			if sh.claimOnEntry {
-				if !sh.dead.add(next) {
-					e.stats.VisitedPruned++
-					continue
-				}
-			} else if sh.dead.has(next) {
-				e.stats.VisitedPruned++
-				continue
-			}
 		}
 		if e.matchesWrong(next) {
 			e.stats.WrongPruned++
@@ -442,11 +366,11 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 			continue
 		}
 		e.curTables[u.sw] = newTbl
-		if e.fanDepth > 0 || e.collecting {
-			e.path = append(e.path, ui) // read by the generator's emit and collect leaves
+		if e.collecting {
+			e.path = append(e.path, ui) // read by the collect leaves
 		}
 		rest, err := e.dfs(next, depth+1)
-		if e.fanDepth > 0 || e.collecting {
+		if e.collecting {
 			e.path = e.path[:len(e.path)-1]
 		}
 		if err == nil {
@@ -462,29 +386,17 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 		e.curTables[u.sw] = oldTbl
 		e.revert(frames)
 		e.stats.Backtracks++
-		switch {
-		case errors.Is(err, errDeferred):
-			deferred = true
-		case errors.Is(err, errNotFound):
-			e.markDead(next)
-		default:
+		if !errors.Is(err, errNotFound) {
 			return nil, err
 		}
-	}
-	if deferred {
-		e.deferredSeen.add(applied)
-		return nil, errDeferred
+		e.markDead(next)
 	}
 	return nil, errNotFound
 }
 
-// markDead publishes a configuration proven wrong or exhausted to the
-// cross-worker dead set. In claim-on-entry (first-plan-wins) mode the
-// configuration was already inserted when it was claimed.
+// markDead records a configuration proven wrong or exhausted for the plan
+// cache (the visited set already keeps the search itself out of it).
 func (e *engine) markDead(b bitset) {
-	if sh := e.shared; sh.dead != nil && !sh.claimOnEntry {
-		sh.dead.add(b)
-	}
 	if e.recordDeadCap > 0 && len(e.recordDead) < e.recordDeadCap {
 		// Bitsets are copy-on-set, so retaining b is safe.
 		e.recordDead = append(e.recordDead, b)
@@ -533,8 +445,8 @@ func (e *engine) applyAndCheck(sw int, tbl network.Table) (frames []frame, faile
 }
 
 // revert undoes applied frames in reverse order. A nil token marks a
-// frame whose checker never saw the update (class skip or stateless
-// replay), so only the Kripke structure is rolled back.
+// frame whose checker never saw the update (a class skip), so only the
+// Kripke structure is rolled back.
 func (e *engine) revert(frames []frame) {
 	for i := len(frames) - 1; i >= 0; i-- {
 		f := frames[i]
@@ -570,8 +482,7 @@ func (e *engine) unitTable(u unit) network.Table {
 
 // learn records a wrong-configuration pattern from a counterexample
 // (Section 4.2.A) and feeds the ordering constraint to the SAT solver
-// (4.2.B); both live in the shared state, so every worker benefits. It
-// returns true when the solver proves no ordering can exist.
+// (4.2.B). It returns true when the solver proves no ordering can exist.
 func (e *engine) learn(cexSwitches []int, cfg bitset) bool {
 	e.stats.CexLearned++
 	relevant := newBitset(len(e.units))
@@ -596,20 +507,17 @@ func (e *engine) learn(cexSwitches []int, cfg bitset) bool {
 	if relevant.count() == 0 {
 		return false // counterexample mentions no updating switch: ignore
 	}
-	sh := e.shared
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.addPattern(pattern{relevant: relevant, value: value})
-	sh.cons = append(sh.cons, cexCons{applied: appliedUnits, unapplied: unappliedUnits})
+	e.wrong = append(e.wrong, pattern{relevant: relevant, value: value})
+	e.cons = append(e.cons, cexCons{applied: appliedUnits, unapplied: unappliedUnits})
 	if e.opts.NoEarlyTermination {
 		return false
 	}
 	e.stats.SATCalls++
-	return !sh.et.addCexConstraint(appliedUnits, unappliedUnits)
+	return !e.et.addCexConstraint(appliedUnits, unappliedUnits)
 }
 
 func (e *engine) matchesWrong(cfg bitset) bool {
-	for _, p := range e.shared.patterns() {
+	for _, p := range e.wrong {
 		if cfg.matchesPattern(p.relevant, p.value) {
 			return true
 		}

@@ -93,7 +93,7 @@ func loadFuzzSeeds(t testing.TB) []fuzzSeed {
 // to a version-2 class section that stays in range restores to a state
 // no configuration builds; the checksum is integrity, not authenticity.)
 func restoreAndServe(t *testing.T, seed fuzzSeed, body []byte) {
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 	pristine := bytes.Equal(body, seed.img[:len(seed.img)-sha256.Size])
 	img := (&snapWriter{buf: append([]byte(nil), body...)}).seal()
 	s, err := RestoreSession(seed.base.Topo, seed.base.Specs, opts, img)
@@ -180,7 +180,7 @@ func FuzzRestoreSession(f *testing.F) {
 // way the session's next plan is a cold session's (restoreAndServe).
 func TestRestoreOlderImageKeepsItsConfiguration(t *testing.T) {
 	for _, seed := range loadFuzzSeeds(t) {
-		s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{Parallelism: 1}, seed.img)
+		s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, seed.img)
 		if err != nil {
 			t.Fatalf("%s: %v", seed.name, err)
 		}

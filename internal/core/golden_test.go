@@ -85,7 +85,7 @@ func TestPlanIdentityGolden(t *testing.T) {
 			}
 			return got
 		}
-		opts := Options{Parallelism: 1}
+		opts := Options{}
 		joint := opts
 		joint.NoDecomposition = true
 		p, err := Synthesize(sc, joint)

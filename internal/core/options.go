@@ -16,8 +16,7 @@ import (
 
 // Options configures synthesis. The zero value is the paper's default
 // configuration — switch granularity, with counterexample learning, early
-// termination, and wait removal all enabled — run on the parallel engine
-// with one worker per CPU.
+// termination, and wait removal all enabled.
 //
 // This struct is the one description of the option set; its tags say
 // what each consumer needs to know:
@@ -29,7 +28,9 @@ import (
 //   - plan: "speed" when the option cannot change which plan the search
 //     returns, otherwise its bit number in contextFingerprint's flag
 //     word. That digest is stored in NUSS images and keys learn files:
-//     never renumber a bit; a new plan-shaping option takes the next one.
+//     never renumber a bit; a new plan-shaping option takes the next one
+//     never used (7). Bit 5 is retired: it was the first-plan-wins
+//     tie-break of the intra-component worker pool, deleted with it.
 type Options struct {
 	// RuleGranularity updates individual rules instead of whole switch
 	// tables (Section 3.1, Figure 8i).
@@ -54,18 +55,6 @@ type Options struct {
 	// order. Used by the ablation benchmarks and as the joint baseline of
 	// the decomposition comparison.
 	NoDecomposition bool `json:"noDecompose,omitempty" flag:"no-decompose" help:"always run one joint search instead of partitioning independent update regions" plan:"3"`
-	// Parallelism is the number of search workers. Zero uses GOMAXPROCS;
-	// one forces the sequential engine. Searches with fewer than a
-	// handful of update units always run sequentially regardless. See
-	// parallel.go for the fan-out architecture. (Speed-only: the
-	// deterministic parallel engine returns the sequential plan.)
-	Parallelism int `json:"parallel,omitempty" flag:"parallel" help:"search workers: 0 = one per CPU, 1 = sequential" plan:"speed"`
-	// FirstPlanWins lets the parallel search commit the first plan any
-	// worker finds instead of the plan the sequential search would have
-	// found (the lowest heuristic-order branch). Faster on searches with
-	// many valid orderings, but the chosen plan becomes
-	// schedule-dependent; leave unset where reproducibility matters.
-	FirstPlanWins bool `json:"firstPlan,omitempty" flag:"first-plan" help:"return the first plan any worker finds (faster, nondeterministic)" plan:"5"`
 	// NoCexLearning disables wrong-configuration pruning (4.2.A); used by
 	// the ablation benchmarks. (Speed-only, like NoEarlyTermination:
 	// learning prunes only provably wrong configurations.)
@@ -83,12 +72,10 @@ type Options struct {
 	// minimum — preferring shallower, wider DAGs with fewer drain edges.
 	// Ties resolve to the plan the default search would have found, so
 	// when every candidate scores equally the output is byte-identical to
-	// the default. The candidate searches run on the sequential engine
-	// (the enumeration must be deterministic), so Parallelism and
-	// FirstPlanWins are ignored; expect up to a few times the search cost.
-	// Decomposed runs optimize each component independently, which
-	// composes to the global optimum (component DAGs are disjoint).
-	MinimizeCompletionTime bool `json:"minCompletion,omitempty" flag:"min-completion" help:"tie-break among valid plans by completion time under the dependency-DAG latency model (sequential enumeration)" plan:"6"`
+	// the default. Expect up to a few times the search cost. Decomposed
+	// runs optimize each component independently, which composes to the
+	// global optimum (component DAGs are disjoint).
+	MinimizeCompletionTime bool `json:"minCompletion,omitempty" flag:"min-completion" help:"tie-break among valid plans by completion time under the dependency-DAG latency model" plan:"6"`
 	// NoPlanCache disables the verification-first plan cache (cache.go):
 	// the session never attaches a cache, so every synthesis pays the full
 	// search even on a byte-identical repeat instance. Used as the

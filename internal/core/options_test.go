@@ -33,17 +33,19 @@ func goldenBase(t *testing.T) *config.StreamBase {
 // allOptionsSet is an Options with every field away from its default.
 var allOptionsSet = Options{
 	RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
-	Parallelism: 3, FirstPlanWins: true, NoCexLearning: true, NoEarlyTermination: true, NoHeuristicOrder: true,
+	NoCexLearning: true, NoEarlyTermination: true, NoHeuristicOrder: true,
 	MinimizeCompletionTime: true, NoPlanCache: true, Trace: true, Timeout: 1500 * time.Nanosecond,
 }
 
-// TestContextFingerprintGolden pins contextFingerprint to the digests the
-// hand-written version produced (the default at commit 9bc8855; every
-// option set at 5a6acb0, the last commit with a checker knob, under its
-// default checker): the digest is embedded in NUSS images and keys
-// -learn-file stores, so images and learn files written before the
-// options were described by tags, and before the checker kind became the
-// constant 0, must still load.
+// TestContextFingerprintGolden pins contextFingerprint to the digests of
+// commit b2c7ecd, the last with the intra-component worker pool and its
+// two options (the default is unchanged since the hand-written version of
+// 9bc8855): the digest is embedded in NUSS images and keys -learn-file
+// stores, so everything written before the worker count (speed-only,
+// never in the digest) and the first-plan-wins tie-break (plan bit 5,
+// which no stored digest of a default tenant had set) were deleted must
+// still load. One row per plan
+// bit still in use, so a renumbered or reused bit fails by name.
 func TestContextFingerprintGolden(t *testing.T) {
 	base := goldenBase(t)
 	for _, c := range []struct {
@@ -52,7 +54,13 @@ func TestContextFingerprintGolden(t *testing.T) {
 		want string
 	}{
 		{"default", Options{}, "b6a764ea9d7a3b683cdebce7e1fab7ef0308dffebdd0d19150c17f5c47c7c7bb"},
-		{"every option set", allOptionsSet, "0a1c4293436f44df55ef28bf3eaa6be5472ca8bebffebac654bd556a091efe21"},
+		{"bit 0", Options{RuleGranularity: true}, "70f163ffa1143a871a8258c7611ef04b583dce39c2b05ae5875ea5a4b2deec44"},
+		{"bit 1", Options{TwoSimple: true}, "0a0bc668078bc20dd5ac89ced214de15ff643c931a0e48ad24a59ee2183a59d9"},
+		{"bit 2", Options{NoWaitRemoval: true}, "c6f399fb99727dff3f774713683ce976b767af65957be97bdf2ddb684269dfc0"},
+		{"bit 3", Options{NoDecomposition: true}, "7fd61c55e7eff402142f8722c66279658c9ccc565c6c04b41bf5aa87cdfb6c60"},
+		{"bit 4", Options{NoHeuristicOrder: true}, "6220a610d99cd148d4545558e8c77fb5ec312a5d00167ff67aa6afee7d1cf4a2"},
+		{"bit 6", Options{MinimizeCompletionTime: true}, "ae66f91aa939dd7b23b167d6a2b700c56baba5d983678d8236acbf8eb195a8e3"},
+		{"every option set", allOptionsSet, "eef98d0de1a372e53290394e80ab5799de14ddee3870bacd95dbc114a31a6355"},
 	} {
 		if got := hex.EncodeToString(contextFingerprint(base.Topo, base.Specs, c.opts)); got != c.want {
 			t.Errorf("%s: contextFingerprint = %s, want %s", c.name, got, c.want)
@@ -66,8 +74,8 @@ func TestContextFingerprintGolden(t *testing.T) {
 func TestOptionClassification(t *testing.T) {
 	shapesPlan := map[string]bool{
 		"RuleGranularity": true, "TwoSimple": true, "NoWaitRemoval": true,
-		"NoDecomposition": true, "FirstPlanWins": true, "NoHeuristicOrder": true, "MinimizeCompletionTime": true,
-		"Parallelism": false, "NoCexLearning": false, "NoEarlyTermination": false,
+		"NoDecomposition": true, "NoHeuristicOrder": true, "MinimizeCompletionTime": true,
+		"NoCexLearning": false, "NoEarlyTermination": false,
 		"NoPlanCache": false, "Trace": false, "Timeout": false,
 	}
 	base := goldenBase(t)
@@ -80,6 +88,9 @@ func TestOptionClassification(t *testing.T) {
 		if !ok {
 			t.Errorf("Options.%s: not in the plan-shaping/speed-only table", name)
 			continue
+		}
+		if typ.Field(i).Tag.Get("plan") == "5" {
+			t.Errorf("Options.%s takes plan bit 5, which was the first-plan-wins tie-break and is retired", name)
 		}
 		var opts Options
 		switch f := reflect.ValueOf(&opts).Elem().Field(i); f.Kind() {
@@ -100,25 +111,28 @@ func TestOptionClassification(t *testing.T) {
 }
 
 // TestOptionsFlagsAndText: the flag set derived from the tags parses into
-// the options and keeps the caller's defaults; the removed -checker flag
-// is a usage error like any unknown flag.
+// the options and keeps the caller's defaults; the removed -checker,
+// -parallel and -first-plan flags are usage errors like any unknown flag,
+// and the error names the flag.
 func TestOptionsFlagsAndText(t *testing.T) {
 	opts := Options{Timeout: 10 * time.Minute}
 	fs := flag.NewFlagSet("netupdate", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	opts.RegisterFlags(fs)
-	args := strings.Fields("-rules -2simple -no-wait-removal -no-decompose -parallel 4 -first-plan -min-completion -no-plan-cache")
+	args := strings.Fields("-rules -2simple -no-wait-removal -no-decompose -min-completion -no-plan-cache")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	want := Options{
 		RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
-		Parallelism: 4, FirstPlanWins: true, MinimizeCompletionTime: true, NoPlanCache: true, Timeout: 10 * time.Minute,
+		MinimizeCompletionTime: true, NoPlanCache: true, Timeout: 10 * time.Minute,
 	}
 	if opts != want {
 		t.Fatalf("parsed %+v, want %+v", opts, want)
 	}
-	if err := fs.Parse([]string{"-checker", "incremental"}); err == nil {
-		t.Fatal("-checker must be rejected")
+	for _, removed := range [][]string{{"-checker", "incremental"}, {"-parallel", "4"}, {"-first-plan"}} {
+		if err := fs.Parse(removed); err == nil || !strings.Contains(err.Error(), removed[0]) {
+			t.Fatalf("%v: err = %v, want a usage error naming the flag", removed, err)
+		}
 	}
 }

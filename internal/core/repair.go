@@ -113,13 +113,13 @@ func (s *Session) RepairContext(ctx context.Context, committed []int, newTarget 
 	plan, err := s.synthesize(ctx, "repair", target)
 	s.traceOuter = 0
 	s.repairing = false
+	tr.End(root)
 	if plan != nil {
 		plan.Stats.RepairCommitted = len(committed)
 		s.lastStats.RepairCommitted = len(committed)
 		if tr != nil {
 			// Re-snapshot under the closed repair root so the exported tree
 			// includes the crash rebind and the full nested synthesis.
-			tr.End(root)
 			plan.Trace = tr.Snapshot()
 		}
 	}
@@ -132,7 +132,7 @@ func (s *Session) rebindTo(cfg *config.Config) error {
 	cands := config.Diff(s.cur, cfg)
 	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, cfg, cands)
 	for i := range s.ks {
-		if err := s.rebindClass(i, s.ks[i], s.checkers[i], cfg, s.diffBuf); err != nil {
+		if err := s.rebindClass(i, cfg); err != nil {
 			return fmt.Errorf("core: repair rebind: %v", err)
 		}
 	}

@@ -23,7 +23,7 @@ func repairSession(t *testing.T, sc *config.Scenario, opts Options) *Session {
 
 func TestRepairValidation(t *testing.T) {
 	sc := config.Fig1RedBlue()
-	s := repairSession(t, sc, Options{Parallelism: 1})
+	s := repairSession(t, sc, Options{})
 	if _, err := s.Repair(nil, nil); !errors.Is(err, ErrNoPlan) {
 		t.Fatalf("repair before any plan: err = %v, want ErrNoPlan", err)
 	}
@@ -91,7 +91,7 @@ func TestFaultRepairMetamorphicPrefix(t *testing.T) {
 	}
 	cases = append(cases, sc)
 
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 	for _, sc := range cases {
 		base, err := Synthesize(sc, opts)
 		if err != nil {
@@ -164,10 +164,10 @@ func TestFaultRepairLadderEscalates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Control: an ordinary synthesis of the same delta is impossible.
-	if _, err := Synthesize(scInf, Options{Parallelism: 1}); !errors.Is(err, ErrNoOrdering) {
+	if _, err := Synthesize(scInf, Options{}); !errors.Is(err, ErrNoOrdering) {
 		t.Fatalf("control synthesis: err = %v, want ErrNoOrdering", err)
 	}
-	s := repairSession(t, scInf, Options{Parallelism: 1})
+	s := repairSession(t, scInf, Options{})
 	if _, err := s.Synthesize(scInf.Init); err != nil {
 		t.Fatalf("no-op synthesis: %v", err)
 	}
@@ -242,15 +242,15 @@ func TestFaultRepairLadderTwoPhase(t *testing.T) {
 	sc := swapScenario(t)
 	// Control: careful search is impossible at every granularity.
 	for _, opts := range []Options{
-		{Parallelism: 1},
-		{Parallelism: 1, RuleGranularity: true},
-		{Parallelism: 1, TwoSimple: true},
+		{},
+		{RuleGranularity: true},
+		{TwoSimple: true},
 	} {
 		if _, err := Synthesize(sc, opts); !errors.Is(err, ErrNoOrdering) {
 			t.Fatalf("control %+v: err = %v, want ErrNoOrdering", opts, err)
 		}
 	}
-	s := repairSession(t, sc, Options{Parallelism: 1})
+	s := repairSession(t, sc, Options{})
 	if _, err := s.Synthesize(sc.Init); err != nil {
 		t.Fatalf("no-op synthesis: %v", err)
 	}
@@ -312,7 +312,7 @@ func TestFaultRepairLadderTwoPhase(t *testing.T) {
 // Session.LastStats, and a completed run reports all of them.
 func TestFaultStatsCommittedComponents(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	s := repairSession(t, sc, Options{Parallelism: 1})
+	s := repairSession(t, sc, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	testAfterComponent = func(i int) {
@@ -321,7 +321,9 @@ func TestFaultStatsCommittedComponents(t *testing.T) {
 		}
 	}
 	defer func() { testAfterComponent = nil }()
-	if _, err := s.SynthesizeContext(ctx, sc.Final); err == nil {
+	var err error
+	atProcs(1, func() { _, err = s.SynthesizeContext(ctx, sc.Final) }) // the hook runs between components searched one at a time
+	if err == nil {
 		t.Fatal("canceled decomposed run reported success")
 	}
 	got := s.LastStats().CommittedComponents

@@ -31,17 +31,22 @@ import (
 //     interned label sets, closure-extension memos, sink-label caches and
 //     translated automata survive; the mc.Warmth cache additionally
 //     shares closures and label tables between all checkers of one
-//     formula (including the final-verification checkers);
+//     formula;
 //   - engine scratch — the visited set, the current-table map, and the
 //     ordering-analysis marks and buffers — is pooled in the session and
 //     reset per run instead of reallocated.
 //
+// There is one structure and one checker per class, and everything a
+// request does — verifying the target, replaying a cached plan, the
+// search, the resync — happens on them.
+//
 // Synthesize(final) produces the plan from the session's current
 // configuration to final and, on success, advances the current
 // configuration. A Session must not be used from more than one goroutine
-// at a time (each Synthesize still fans out to the parallel worker pool
-// internally per Options.Parallelism). Configurations handed to the
-// session are retained and must not be mutated by the caller afterwards.
+// at a time (a Synthesize runs on the caller's goroutine, and runs the
+// independent components of a diff concurrently, see decompose.go).
+// Configurations handed to the session are retained and must not be
+// mutated by the caller afterwards.
 type Session struct {
 	topo  *topology.Topology
 	specs []config.ClassSpec
@@ -49,29 +54,21 @@ type Session struct {
 	cur   *config.Config
 
 	// arena is the class-independent Kripke state space every per-class
-	// structure (including the final-verification set) is built over. It
-	// is immutable and may be shared with other sessions on the same
-	// topology (see SessionResources).
+	// structure is built over. It is immutable and may be shared with
+	// other sessions on the same topology (see SessionResources).
 	arena    *kripke.Arena
 	warm     *mc.Warmth
 	ks       []*kripke.K
 	checkers []mc.Checker
 
-	// Final-verification structures, seeded on the first Synthesize as
-	// clones of ks/checkers and rebound to each new target from then on;
-	// fcur is the configuration they are currently bound to, so each
-	// rebind only examines the diff against it instead of sweeping every
-	// switch per class.
-	fks     []*kripke.K
-	fchecks []mc.Checker
-	fcur    *config.Config
-
-	// Rebind scratch shared by the resync and final-verify paths: the
-	// request's per-switch rule-diff list, and the per-class lists of
-	// switches to rebind and of states the rebind rewired.
+	// Scratch shared by the final-verify and resync paths: the request's
+	// per-switch rule-diff list, the per-class lists of switches whose
+	// change the class can see and of states a rebind rewired, and the
+	// verification's undo frames.
 	diffBuf  []swDiff
 	swBuf    []int
 	stateBuf []int
+	frameBuf []frame
 
 	scratch engineScratch
 	runs    int
@@ -338,40 +335,33 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	}
 	// The request's diff — the switches on which the target differs from
 	// the current configuration, and their rule changes — is computed once
-	// and serves the unit list, the final verification (whose structures
-	// sit at the current configuration in steady state) and the post-run
-	// resync.
+	// and serves the unit list, the cached plan's coverage check, the
+	// final verification and the post-run resync.
 	diff := config.Diff(s.cur, final)
 	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, final, diff)
-	units, err := computeUnits(sc, diff, s.opts.RuleGranularity, s.opts.TwoSimple)
-	if err != nil {
-		return nil, err
-	}
-	e := newEngineShellWith(sc, s.opts, units, &s.scratch)
-	e.bindContext(ctx)
-	e.stats.RequestID = obs.RequestIDFrom(ctx)
+	reqID := obs.RequestIDFrom(ctx)
 	tr := s.trace
 	if tr != nil && !s.repairing {
 		// A repair run nests under RepairContext's root; an ordinary run
 		// starts a fresh trace.
 		tr.Reset()
-		tr.SetRequestID(e.stats.RequestID)
+		tr.SetRequestID(reqID)
 	}
 	root := tr.Begin("synthesize", s.traceOuter)
-	// Verify the target before searching: if it violates the spec, no
-	// sequence can be correct (Figure 4, line 2). The initial endpoint
-	// was verified when the session was opened, so a scenario whose
-	// endpoints are both bad reports ErrInitialViolation (from NewSession)
-	// rather than the pre-session ErrFinalViolation. The verification
-	// structures are warm too — rebound, not rebuilt.
-	vfStart := time.Now()
-	vfSpan := tr.Begin("final-verify", root)
-	if err := s.verifyFinal(e, final); err != nil {
-		tr.End(vfSpan)
+	// refuse ends a request the session will not search: the attempt is
+	// still the most recent one, and its trace is complete.
+	refuse := func(st Stats, err error) (*Plan, error) {
+		s.lastStats = st
+		tr.End(root)
 		return nil, err
 	}
-	tr.End(vfSpan)
-	e.stats.VerifyElapsed = time.Since(vfStart)
+	units, err := computeUnits(sc, diff, s.opts.RuleGranularity, s.opts.TwoSimple)
+	if err != nil {
+		return refuse(Stats{RequestID: reqID}, err)
+	}
+	e := newEngineShellWith(sc, s.opts, units, &s.scratch)
+	e.bindContext(ctx)
+	e.stats.RequestID = reqID
 	e.ks, e.checkers = s.ks, s.checkers
 
 	// Verification-first fast path (cache.go): with a cache attached,
@@ -402,11 +392,23 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		e.snapshotCheckerStats()
 		cvStart := time.Now()
 		cvSpan := tr.Begin("cache-verify", root)
-		replayed, ok := s.replayCached(e, ent, final)
+		frames, ok := e.replayCached(ent, final, diff)
 		tr.End(cvSpan)
 		e.stats.CacheVerifyElapsed = time.Since(cvStart)
 		if ok {
-			steps = replayed
+			// The replay left every class structure at the target, checked
+			// after its last change: verifying the target is reading the
+			// verdicts, which also covers the classes no step touched.
+			vfStart := time.Now()
+			vfSpan := tr.Begin("final-verify", root)
+			if ok = s.targetHolds(e); !ok {
+				e.revert(frames)
+			}
+			tr.End(vfSpan)
+			e.stats.VerifyElapsed = time.Since(vfStart)
+		}
+		if ok {
+			steps = cloneSteps(ent.steps)
 			dag = ent.dag.clone()
 			fromCache = true
 			e.stats.CacheHit = true
@@ -416,6 +418,21 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			e.stats.CacheVerifyFailed = true
 			s.cache.evictPoisoned(cacheKey)
 			ent = nil
+		}
+	}
+	if !fromCache {
+		// Verify the target before searching: if it violates the spec, no
+		// sequence can be correct (Figure 4, line 2). The initial endpoint
+		// was verified when the session was opened, so a scenario whose
+		// endpoints are both bad reports ErrInitialViolation (from
+		// NewSession) rather than ErrFinalViolation.
+		vfStart := time.Now()
+		vfSpan := tr.Begin("final-verify", root)
+		err := s.verifyFinal(e, final)
+		tr.End(vfSpan)
+		e.stats.VerifyElapsed = time.Since(vfStart)
+		if err != nil {
+			return refuse(e.stats, err)
 		}
 	}
 	switch {
@@ -556,12 +573,13 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 
 	// Resync the warm structures to a known configuration: the new
 	// current one on success, the previous one otherwise. The rebind is
-	// diff-aware, so when the engine already left the structures there
-	// (sequential search) it is a table-equality sweep and the checkers
-	// are not touched at all. A single-use session skips this — its
-	// structures are discarded with the session.
+	// diff-aware, so where the search already left the structures there it
+	// is a table-equality sweep and the checkers are not touched at all. A
+	// single-use session skips this — its structures are discarded with
+	// the session.
 	if s.ephemeral {
 		if runErr != nil {
+			tr.End(root)
 			return nil, runErr
 		}
 		s.noteAdvance(final)
@@ -591,7 +609,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	rbStart := time.Now()
 	rbSpan := tr.Begin("rebind", root)
 	for i := range s.ks {
-		if rerr := s.rebindClass(i, s.ks[i], s.checkers[i], target, s.diffBuf); rerr != nil {
+		if rerr := s.rebindClass(i, target); rerr != nil {
 			// target was verified loop-free for every class (the initial
 			// configuration at session construction, every successful
 			// final here), so this indicates structure corruption.
@@ -607,6 +625,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		plan.Stats.RebindElapsed = reb
 	}
 	if runErr != nil {
+		tr.End(root)
 		return nil, runErr
 	}
 	s.lastPlan, s.lastInit, s.lastFinal = plan, s.cur, final
@@ -620,80 +639,71 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 }
 
 // verifyFinal checks the target configuration against every class
-// specification, rebinding the session's dedicated verification
-// structures to it. On a session's first run those
-// structures are seeded as clones of the search structures — which sit at
-// the current configuration, already built, cycle-checked and labeled —
-// so the first verification costs a rebind over the diff like every later
-// one, whether the session was cold-built or restored from a snapshot
-// (whose image carries the search structures only). On failure the
-// structures are left in a consistent state — absent (seeding aborted) or
-// bound to a loop-free configuration with their checkers in sync — so the
-// session serves the next target normally.
+// specification on the search structures, which sit at the current
+// configuration: per class, the request's diff is applied as one step —
+// every switch whose change the class can see rewired, one loop check
+// over the result, the checker updated once over the states that moved —
+// the verdict read, and the step undone as a DFS backtrack undoes one:
+// the saved successor lists, tables and labels go back, nothing is
+// recomputed. A class no changed rule matches is left alone and its
+// standing verdict read. A target that forwards some class in a cycle is
+// the search's loop protocol: the structure is reverted and the checker
+// never sees it. Passing or not, every structure and label is back where
+// it was when verifyFinal returns.
 func (s *Session) verifyFinal(e *engine, final *config.Config) error {
-	if s.fks == nil {
-		// Seed into locals: a failure part-way drops the partial set and
-		// the next Synthesize seeds again.
-		fks := make([]*kripke.K, len(s.ks))
-		fchecks := make([]mc.Checker, len(s.ks))
-		for i, k := range s.ks {
-			fks[i] = k.Clone()
-			chk, err := s.checkers[i].CloneFor(fks[i])
-			if err != nil {
-				return err
-			}
-			fchecks[i] = chk
-		}
-		s.fks, s.fchecks, s.fcur = fks, fchecks, s.cur
-	}
-	// Phase 1: rebind every verification structure to the new target.
-	// The rule changes against the configuration the structures are
-	// currently bound to are shared across classes, so rebinding costs
-	// O(diff) per class (with class-unaffected switches adopted outright),
-	// not O(switches). In steady state that configuration is the session's
-	// current one and the changes are the request's diff, already in
-	// diffBuf; after a target that verified but found no ordering, or a
-	// repair's rebind to the crash state, they are derived here. If the
-	// target forwards some class in a cycle, every structure is pulled
-	// back to the session's current configuration (verified loop-free for
-	// every class) before refreshing the checkers: relabeling a cyclic
-	// structure is undefined. This restore path is rare and uses the
-	// absolute full-sweep rebind and, since a structure may then have
-	// moved forward and back unseen by its checker, the full relabel.
-	diffs := s.diffBuf
-	if s.fcur != s.cur {
-		diffs = ruleDiffs(nil, s.fcur, final, config.Diff(s.fcur, final))
-	}
-	for i := range s.specs {
-		if err := s.rebindClass(i, s.fks[i], s.fchecks[i], final, diffs); err != nil {
-			for j := range s.specs {
-				rc, _, rerr := s.fks[j].Rebind(s.cur)
-				if rerr != nil {
-					return fmt.Errorf("core: session final-verify resync: %v", rerr)
-				}
-				// rebindClass refreshes checkers up to the failing class;
-				// after the restore, refresh any class whose structure
-				// moved in either direction (the failing class included —
-				// its forward rebind was partial).
-				if len(rc) > 0 || j == i {
-					s.fchecks[j].Rebind(nil)
-				}
-			}
-			s.fcur = s.cur
-			return fmt.Errorf("%w: %v", ErrFinalViolation, err)
-		}
-	}
-	s.fcur = final
-	// Phase 2: check every class. A violating target leaves the
-	// structures bound to it — loop-free, checkers in sync — ready for
-	// the next rebind.
+	frames := s.frameBuf[:0]
+	defer func() {
+		e.revert(frames)
+		clear(frames)
+		s.frameBuf = frames[:0]
+	}()
 	for i, cs := range s.specs {
 		e.stats.Checks++
-		if !s.fchecks[i].Check().OK {
+		pkt := cs.Class.Packet()
+		sws := s.swBuf[:0]
+		for di := range s.diffBuf {
+			if d := &s.diffBuf[di]; d.affects(pkt) {
+				sws = append(sws, d.sw)
+			}
+		}
+		s.swBuf = sws
+		var verdict mc.Verdict
+		if len(sws) == 0 {
+			verdict = s.checkers[i].Check()
+		} else {
+			delta, err := s.ks[i].UpdateSwitches(final, sws)
+			if err != nil {
+				if delta != nil { // a loop: applied, and reported alongside
+					s.ks[i].Revert(delta)
+				}
+				return fmt.Errorf("%w: %v", ErrFinalViolation, err)
+			}
+			if len(delta.Changed()) == 0 {
+				frames = append(frames, frame{class: i, delta: delta})
+				verdict = s.checkers[i].Check()
+			} else {
+				var tok mc.Token
+				verdict, tok = s.checkers[i].Update(delta)
+				frames = append(frames, frame{class: i, delta: delta, token: tok})
+			}
+		}
+		if !verdict.OK {
 			return fmt.Errorf("%w: class %v", ErrFinalViolation, cs.Class)
 		}
 	}
 	return nil
+}
+
+// targetHolds reads every class's verdict off structures that already
+// sit at the target (a replayed cached plan left them there).
+func (s *Session) targetHolds(e *engine) bool {
+	for _, chk := range s.checkers {
+		e.stats.Checks++
+		if !chk.Check().OK {
+			return false
+		}
+	}
+	return true
 }
 
 // swDiff records the rules that change on one switch between the
@@ -744,17 +754,18 @@ func ruleDiffs(dst []swDiff, from, to *config.Config, cands []int) []swDiff {
 	return dst
 }
 
-// rebindClass resyncs one per-class structure (and its checker) to
-// target, skipping recomputation on every diff switch whose changed rules
+// rebindClass resyncs class i's structure (and its checker) to target,
+// which differs from what the structure holds on the switches of diffBuf
+// at most, skipping recomputation on every diff switch whose changed rules
 // cannot affect the class — the table is adopted, the checker's verdict
 // stays valid (it depends on the class structure alone, see mc.Checker) —
 // and paying a real rebind only on the rest; the checker then relabels
 // from the arrival states of the switches whose transitions moved.
-func (s *Session) rebindClass(i int, k *kripke.K, chk mc.Checker, target *config.Config, diffs []swDiff) error {
-	pkt := s.specs[i].Class.Packet()
+func (s *Session) rebindClass(i int, target *config.Config) error {
+	k, pkt := s.ks[i], s.specs[i].Class.Packet()
 	rebindList := s.swBuf[:0]
-	for di := range diffs {
-		d := &diffs[di]
+	for di := range s.diffBuf {
+		d := &s.diffBuf[di]
 		if d.affects(pkt) {
 			rebindList = append(rebindList, d.sw)
 		} else {
@@ -772,7 +783,7 @@ func (s *Session) rebindClass(i int, k *kripke.K, chk mc.Checker, target *config
 			rewired = append(rewired, k.StatesOf(sw)...)
 		}
 		s.stateBuf = rewired
-		chk.Rebind(rewired)
+		s.checkers[i].Rebind(rewired)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"netupdate/internal/ltl"
 	"netupdate/internal/mc"
 	"netupdate/internal/network"
+	"netupdate/internal/obs"
 	"netupdate/internal/topology"
 )
 
@@ -43,42 +46,36 @@ func rollingTargets(t *testing.T, seed int64, pairs, steps, flips int) (*config.
 
 // TestSessionWarmColdConformance: the Nth plan from a long-lived session
 // must equal the plan a fresh one-shot Synthesize produces for the same
-// (previous, target) pair — on the sequential and the 4-worker
-// deterministic parallel engine. Run with -race in CI, this also
-// exercises worker clones over rebound structures.
+// (previous, target) pair.
 func TestSessionWarmColdConformance(t *testing.T) {
 	stream, targets := rollingTargets(t, 23, 2, 4, 1)
-	for _, workers := range []int{1, 4} {
-		opts := Options{Parallelism: workers}
-		sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
+	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := stream.Init()
+	for n, tgt := range targets {
+		warm, err := sess.Synthesize(tgt)
 		if err != nil {
-			t.Fatalf("%d workers: %v", workers, err)
+			t.Fatalf("step %d: warm: %v", n, err)
 		}
-		cur := stream.Init()
-		for n, tgt := range targets {
-			warm, err := sess.Synthesize(tgt)
-			if err != nil {
-				t.Fatalf("%d workers, step %d: warm: %v", workers, n, err)
-			}
-			cold, err := Synthesize(&config.Scenario{
-				Name: "cold", Topo: stream.Topo(), Init: cur, Final: tgt,
-				Specs: stream.Specs(),
-			}, opts)
-			if err != nil {
-				t.Fatalf("%d workers, step %d: cold: %v", workers, n, err)
-			}
-			if got, want := warm.String(), cold.String(); got != want {
-				t.Fatalf("%d workers, step %d: warm plan diverged:\nwarm %s\ncold %s",
-					workers, n, got, want)
-			}
-			if got, want := sess.Current(), tgt; got != want {
-				t.Fatalf("%d workers, step %d: session did not advance", workers, n)
-			}
-			cur = tgt
+		cold, err := Synthesize(&config.Scenario{
+			Name: "cold", Topo: stream.Topo(), Init: cur, Final: tgt,
+			Specs: stream.Specs(),
+		}, Options{})
+		if err != nil {
+			t.Fatalf("step %d: cold: %v", n, err)
 		}
-		if sess.Runs() != len(targets) {
-			t.Fatalf("%d workers: runs = %d, want %d", workers, sess.Runs(), len(targets))
+		if got, want := warm.String(), cold.String(); got != want {
+			t.Fatalf("step %d: warm plan diverged:\nwarm %s\ncold %s", n, got, want)
 		}
+		if got, want := sess.Current(), tgt; got != want {
+			t.Fatalf("step %d: session did not advance", n)
+		}
+		cur = tgt
+	}
+	if sess.Runs() != len(targets) {
+		t.Fatalf("runs = %d, want %d", sess.Runs(), len(targets))
 	}
 }
 
@@ -188,11 +185,13 @@ func TestSessionInitialViolation(t *testing.T) {
 // TestSessionClassSkips: a diff confined to one region of a multi-region
 // workload forms a single interference component, and the classes of the
 // other regions — outside every unit's footprint — must not be visited by
-// the search at all, nor cloned for its parallel workers. Visits are
-// counted from the exported statistics (checker calls plus class skips,
-// less final verification's one check per class): a session that holds
-// the bystander classes must count exactly what a session holding only
-// the footprint's classes counts. Cloning is caught by a tripwire.
+// the search at all. Visits are counted from the exported statistics
+// (checker calls plus class skips, less final verification's one check
+// per class): a session that holds the bystander classes must count
+// exactly what a session holding only the footprint's classes counts.
+// Independently of the counters, a tripwire on every bystander's checker
+// catches any update handed to it: the verification reads a bystander's
+// standing verdict, and nothing else may touch it.
 func TestSessionClassSkips(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 2, 0, 11)
 	target, comp := singleComponentTarget(t, sc, 0)
@@ -206,7 +205,7 @@ func TestSessionClassSkips(t *testing.T) {
 		inside[ci] = true
 	}
 	visits := func(specs []config.ClassSpec) (int, *Plan) {
-		sess, err := NewSession(sc.Topo, sc.Init, specs, Options{Parallelism: 1})
+		sess, err := NewSession(sc.Topo, sc.Init, specs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,62 +227,38 @@ func TestSessionClassSkips(t *testing.T) {
 		t.Fatalf("search visited classes outside the footprint: %d class visits, %d without the bystanders", withBystanders, alone)
 	}
 
-	// Parallel search: any clone of a bystander class trips the wire.
-	sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: 4})
+	sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comp.units) < minParallelUnits {
-		t.Fatalf("component has %d units, too few to engage the parallel engine", len(comp.units))
-	}
-	armed := false
 	for ci := range sess.checkers {
 		if !inside[ci] {
-			sess.checkers[ci] = tripwireChecker{Checker: sess.checkers[ci], t: t, armed: &armed}
+			sess.checkers[ci] = tripwireChecker{Checker: sess.checkers[ci], t: t}
 		}
 	}
-	// Seed the verification structures first: they are clones of every
-	// class by design, and only the search is under test.
-	if _, err := sess.Synthesize(sc.Init); err != nil {
-		t.Fatal(err)
-	}
-	armed = true
-	par, err := sess.Synthesize(target)
+	wired, err := sess.Synthesize(target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.String() != full.String() {
-		t.Fatalf("parallel plan diverged:\n got %s\nwant %s", par, full)
+	if wired.String() != full.String() {
+		t.Fatalf("plan diverged under the tripwire:\n got %s\nwant %s", wired, full)
 	}
 }
 
-// tripwireChecker reports, once armed, any use of a class that should be
-// outside the search's footprint.
+// tripwireChecker reports any update handed to a class that should be
+// outside the diff's footprint.
 type tripwireChecker struct {
 	mc.Checker
-	t     *testing.T
-	armed *bool
-}
-
-func (c tripwireChecker) trip(what string) {
-	if *c.armed {
-		c.t.Errorf("class outside the footprint was %s", what)
-	}
-}
-
-func (c tripwireChecker) CloneFor(k2 *kripke.K) (mc.Checker, error) {
-	c.trip("cloned")
-	return c.Checker.CloneFor(k2)
+	t *testing.T
 }
 
 func (c tripwireChecker) Update(d *kripke.Delta) (mc.Verdict, mc.Token) {
-	c.trip("checked")
+	c.t.Errorf("class outside the footprint was handed an update")
 	return c.Checker.Update(d)
 }
 
 // lazyFinalSessions returns a cold-built session and one restored from a
-// twin's snapshot, neither of which has synthesized yet, so the next
-// Synthesize on each seeds its verification structures.
+// twin's snapshot, neither of which has synthesized yet.
 func lazyFinalSessions(t *testing.T, stream *config.RollingStream, opts Options) map[string]*Session {
 	t.Helper()
 	cold, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
@@ -305,13 +280,12 @@ func lazyFinalSessions(t *testing.T, stream *config.RollingStream, opts Options)
 	return map[string]*Session{"cold": cold, "restored": restored}
 }
 
-// TestSessionLazyFinalBuildAbortsCleanly: the very first Synthesize of a
-// session — cold-built or restored — seeds the
-// verification structures, and a first target that fails verification
-// (a later class violating its spec, or a class forwarded in a cycle)
-// must report ErrFinalViolation and leave the session serving normally:
-// every following plan equals a one-shot synthesis. (Regression: partial
-// s.fks caused an index panic on the rebind path.)
+// TestSessionLazyFinalBuildAbortsCleanly: on the very first Synthesize
+// of a session — cold-built or restored — a target that fails
+// verification (a later class violating its spec, when the earlier
+// class's step is already applied, or a class forwarded in a cycle) must
+// report ErrFinalViolation and leave the session serving normally: every
+// following plan equals a one-shot synthesis.
 func TestSessionLazyFinalBuildAbortsCleanly(t *testing.T) {
 	stream, targets := rollingTargets(t, 67, 2, 2, 1)
 	// Class 0 keeps a valid route; class 1 (the later one) is dropped.
@@ -401,6 +375,156 @@ func TestSessionSurvivesLoopingTarget(t *testing.T) {
 	}
 	if warm.String() != cold.String() {
 		t.Fatalf("plans diverged after looping target:\nwarm %s\ncold %s", warm.String(), cold.String())
+	}
+}
+
+// TestRefusedTargetLeavesNoTrace: a target that fails verification — a
+// later class violating its specification, or forwarded in a cycle, when
+// an earlier class's step is already applied and checked — is undone, not
+// resynced: every class structure and every label of the session that saw
+// it equals those of a twin that never did, at every state of the arena,
+// and both serve the same next target with the same plan and the same
+// work. The refusal is the session's most recent attempt: LastStats shows
+// it (units, checks, verification time, request id), and its trace is
+// complete — the root span is closed, not left for a snapshot to close.
+func TestRefusedTargetLeavesNoTrace(t *testing.T) {
+	stream, targets := rollingTargets(t, 67, 2, 3, 2)
+	specs := stream.Specs()
+	moves := func(from, to *config.Config, cl config.Class) bool {
+		for _, sw := range config.Diff(from, to) {
+			if removed, added := diffTables(from.Table(sw), to.Table(sw)); rulesAffect(removed, added, cl.Packet()) {
+				return true
+			}
+		}
+		return false
+	}
+	if !moves(targets[0], targets[1], specs[0].Class) {
+		t.Fatal("want a step that reroutes the first class, so that its verification step is applied before the second class refuses")
+	}
+	violating := targets[1].Clone()
+	config.RemoveClassRules(violating, specs[1].Class)
+	cyclic := loopingConfig(t, stream.Topo(), targets[1], specs[1].Class)
+	for name, bad := range map[string]*config.Config{"violating": violating, "cyclic": cyclic} {
+		var seen, clean *Session
+		for _, sp := range []**Session{&seen, &clean} {
+			sess, err := NewSession(stream.Topo(), stream.Init(), specs, Options{Trace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Synthesize(targets[0]); err != nil {
+				t.Fatal(err)
+			}
+			*sp = sess
+		}
+		ctx := obs.WithRequestID(context.Background(), "req-refused")
+		if _, err := seen.SynthesizeContext(ctx, bad); !errors.Is(err, ErrFinalViolation) {
+			t.Fatalf("%s: err = %v, want ErrFinalViolation", name, err)
+		}
+
+		st := seen.LastStats()
+		if st.RequestID != "req-refused" || st.Units == 0 || st.Checks == 0 || st.VerifyElapsed <= 0 {
+			t.Fatalf("%s: LastStats does not show the refused attempt: %+v", name, st)
+		}
+		if st.WaitsBefore != 0 || st.DAGDepth != 0 || st.SearchElapsed != 0 {
+			t.Fatalf("%s: LastStats still shows the previous request: %+v", name, st)
+		}
+		first := seen.Trace().Snapshot()
+		time.Sleep(2 * time.Millisecond) // an open span's export grows with the clock
+		second := seen.Trace().Snapshot()
+		ri := first.Root()
+		if ri < 0 || first.Spans[ri].Name != "synthesize" || first.RequestID != "req-refused" {
+			t.Fatalf("%s: refused request's trace: %+v", name, first)
+		}
+		if first.Spans[ri].DurUS != second.Spans[ri].DurUS {
+			t.Fatalf("%s: the refused request's root span was left open", name)
+		}
+		if spanNames(first)["final-verify"] != 1 {
+			t.Fatalf("%s: spans of the refused request: %v", name, spanNames(first))
+		}
+
+		for ci := range specs {
+			a, b := seen.ks[ci], clean.ks[ci]
+			for id := 0; id < a.NumStates(); id++ {
+				if !slices.Equal(a.Succ(id), b.Succ(id)) {
+					t.Fatalf("%s class %d state %d: Succ %v, never-refused session %v", name, ci, id, a.Succ(id), b.Succ(id))
+				}
+			}
+			for sw := 0; sw < stream.Topo().NumSwitches(); sw++ {
+				if !a.Table(sw).Equal(b.Table(sw)) {
+					t.Fatalf("%s class %d: sw%d holds a table of the refused target", name, ci, sw)
+				}
+			}
+		}
+		compareSessionLabels(t, name, seen, clean)
+
+		got, err := seen.Synthesize(targets[1])
+		if err != nil {
+			t.Fatalf("%s: after the refusal: %v", name, err)
+		}
+		want, err := clean.Synthesize(targets[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s: plan after the refusal diverged:\n got %s\nwant %s", name, got, want)
+		}
+		if g, w := countersOnly(got.Stats), countersOnly(want.Stats); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: work after the refusal diverged:\n got %+v\nwant %+v", name, g, w)
+		}
+	}
+}
+
+// TestStatsAreDeterministic: every search runs on one goroutine over
+// structures nothing else touches, so what a request costs in checks,
+// backtracks, labelings and solver calls is a function of the stream: two
+// sessions over the same stream — feasible and not, with cache hits and
+// memoized rejections, searched jointly and as concurrently scheduled
+// components — report equal statistics, wall-clock fields and request id
+// aside. (CI runs this package at 1, 2 and 4 CPUs, which is what sizes the
+// component scheduler.)
+func TestStatsAreDeterministic(t *testing.T) {
+	feasible := multiRegionScenario(t, 3, 2, 0, 11)
+	stuck, err := config.MultiRegion(topology.SmallWorld(160, 6, 0.3, 7), config.MultiRegionOptions{
+		Regions: 2, InfeasibleRegions: 1, Property: config.Reachability, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var backtracks, learned, hits, components int
+	for _, sc := range []*config.Scenario{feasible, stuck} {
+		for _, joint := range []bool{false, true} {
+			run := func() []Stats {
+				sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{NoDecomposition: joint})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess.EnableCache()
+				var out []Stats
+				for _, tgt := range []*config.Config{sc.Final, sc.Init, sc.Final, sc.Final} {
+					if _, err := sess.Synthesize(tgt); err != nil && !errors.Is(err, ErrNoOrdering) {
+						t.Fatal(err)
+					}
+					out = append(out, countersOnly(sess.LastStats()))
+				}
+				return out
+			}
+			a, b := run(), run()
+			for i := range a {
+				if !reflect.DeepEqual(a[i], b[i]) {
+					t.Fatalf("%s joint=%v request %d: two sessions over one stream disagree:\n%+v\n%+v", sc.Name, joint, i, a[i], b[i])
+				}
+				backtracks += a[i].Backtracks
+				learned += a[i].CexLearned
+				components = max(components, a[i].Components)
+				if a[i].CacheHit {
+					hits++
+				}
+			}
+		}
+	}
+	if backtracks == 0 || learned == 0 || hits == 0 || components < 2 {
+		t.Fatalf("stream exercised %d backtracks, %d learned counterexamples, %d cache hits, %d components at most",
+			backtracks, learned, hits, components)
 	}
 }
 

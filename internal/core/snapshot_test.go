@@ -27,7 +27,7 @@ func TestSnapshotRoundTripByteIdentity(t *testing.T) {
 	if len(targets) < 4 {
 		t.Fatalf("stream too short: %d targets", len(targets))
 	}
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func compareSessionLabels(t *testing.T, name string, a, b *Session) {
 // reproduce the original plans (label ids are remapped on re-intern).
 func TestSnapshotRoundTripSharedResources(t *testing.T) {
 	stream, targets := rollingTargets(t, 53, 2, 5, 1)
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 	res := SessionResources{Arena: kripke.NewArena(stream.Topo()), Warmth: mc.NewWarmth()}
 
 	// A sibling tenant warms the shared resources first, so the restored
@@ -152,7 +152,7 @@ func TestSnapshotRoundTripSharedResources(t *testing.T) {
 // caller-supplied checker refuses to write one.
 func TestSnapshotRejection(t *testing.T) {
 	stream, targets := rollingTargets(t, 59, 2, 3, 1)
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestSnapshotRejection(t *testing.T) {
 		}
 	})
 	t.Run("context-mismatch", func(t *testing.T) {
-		other := Options{Parallelism: 1, TwoSimple: true}
+		other := Options{TwoSimple: true}
 		if _, err := RestoreSession(stream.Topo(), stream.Specs(), other, img); !errors.Is(err, ErrSnapshotMismatch) {
 			t.Fatalf("mismatched options: err = %v, want ErrSnapshotMismatch", err)
 		}
@@ -240,7 +240,7 @@ func TestSnapshotRejection(t *testing.T) {
 // checks every session still produces the one-shot conformant plan.
 func TestSharedArenaConcurrentSoak(t *testing.T) {
 	stream, targets := rollingTargets(t, 61, 2, 4, 1)
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 	res := SessionResources{Arena: kripke.NewArena(stream.Topo()), Warmth: mc.NewWarmth()}
 	const sessions = 6
 	var wg sync.WaitGroup
@@ -269,15 +269,14 @@ func TestSharedArenaConcurrentSoak(t *testing.T) {
 	}
 }
 
-// TestRestoredFirstSynthesizeMatchesCold: the first Synthesize after
-// RestoreSession seeds its verification structures exactly as a
-// cold-built session's first Synthesize does — clones of the search
-// structures, rebound over the diff — so it must return the cold session's plan and the cold session's statistics (timings
-// and memo warmth aside): no phase does work on a restored session that
-// it would not do on a cold one.
+// TestRestoredFirstSynthesizeMatchesCold: a restored session serves —
+// from its first Synthesize on — exactly as the cold-built session it
+// was taken from does: it must return the cold session's plan and the
+// cold session's statistics (timings and memo warmth aside): no phase
+// does work on a restored session that it would not do on a cold one.
 func TestRestoredFirstSynthesizeMatchesCold(t *testing.T) {
 	stream, targets := rollingTargets(t, 47, 2, 3, 1)
-	sessions := lazyFinalSessions(t, stream, Options{Parallelism: 1})
+	sessions := lazyFinalSessions(t, stream, Options{})
 	cold, restored := sessions["cold"], sessions["restored"]
 	for n, tgt := range targets {
 		want, err := cold.Synthesize(tgt)
@@ -297,15 +296,23 @@ func TestRestoredFirstSynthesizeMatchesCold(t *testing.T) {
 	}
 }
 
-// untimed clears the wall-clock fields of a run's statistics, and folds
-// the closure-extension memo's hits into its misses: the memo is
-// per-checker scratch the image does not carry, so a restored checker
-// starts with it empty — the lookups must still total the same.
+// untimed is countersOnly with the closure-extension memo's hits folded
+// into its misses: the memo is per-checker scratch the image does not
+// carry, so a restored checker starts with it empty — the lookups must
+// still total the same.
 func untimed(st Stats) Stats {
+	st = countersOnly(st)
 	st.ExtendMisses, st.ExtendHits = st.ExtendMisses+st.ExtendHits, 0
+	return st
+}
+
+// countersOnly clears what of a run's statistics is not a function of its
+// input: the wall-clock fields and the caller's request id.
+func countersOnly(st Stats) Stats {
 	st.Elapsed, st.RebindElapsed, st.SearchElapsed = 0, 0, 0
 	st.WaitRemovalElapsed, st.VerifyElapsed, st.CacheVerifyElapsed = 0, 0, 0
 	st.ComponentElapsed = nil
+	st.RequestID = ""
 	return st
 }
 
@@ -469,7 +476,7 @@ func (p *parsedImage) classContents(t *testing.T, i int) string {
 // Restore -> Snapshot is byte-identical, from either.
 func TestSnapshotImageIsCanonical(t *testing.T) {
 	stream, targets := rollingTargets(t, 71, 3, 6, 2)
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 	walked, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func spanNames(d *obs.TraceData) map[string]int {
 // no trace and the session holds no recorder.
 func TestTraceDisabledRecordsNothing(t *testing.T) {
 	sc := config.Fig1RedBlue()
-	s := repairSession(t, sc, Options{Parallelism: 1})
+	s := repairSession(t, sc, Options{})
 	plan, err := s.Synthesize(sc.Final)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestTraceDisabledRecordsNothing(t *testing.T) {
 // loadable event array containing them.
 func TestTraceDecomposedMultiRegion(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Parallelism: 2, Trace: true})
+	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 // cache-verify spans instead of a search, and stamps CacheVerifyElapsed.
 func TestTraceCacheHitSpans(t *testing.T) {
 	sc := config.Fig1RedBlue()
-	s := repairSession(t, sc, Options{Parallelism: 1, Trace: true})
+	s := repairSession(t, sc, Options{Trace: true})
 	s.EnableCache()
 	if _, err := s.Synthesize(sc.Final); err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestTraceCacheHitSpans(t *testing.T) {
 // span with the crash rebind and the nested synthesis under it.
 func TestTraceRepairTree(t *testing.T) {
 	sc := config.Fig1RedBlue()
-	s := repairSession(t, sc, Options{Parallelism: 1, Trace: true})
+	s := repairSession(t, sc, Options{Trace: true})
 	plan, err := s.Synthesize(sc.Final)
 	if err != nil {
 		t.Fatal(err)

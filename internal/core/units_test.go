@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // TestBitsetMultiWord exercises set/get/key/matchesPattern across the
 // word boundary of a 3-word bitset.
@@ -116,47 +113,5 @@ func TestBitsetSet(t *testing.T) {
 	}
 	if s.has(base) {
 		t.Fatal("empty mask never inserted")
-	}
-}
-
-// TestSharedBitsetSetConcurrent hammers the striped set from many
-// goroutines: every configuration must be claimed exactly once, and
-// membership must be stable afterwards.
-func TestSharedBitsetSetConcurrent(t *testing.T) {
-	s := newSharedBitsetSet()
-	const goroutines = 8
-	const n = 500
-	base := newBitset(192)
-	masks := make([]bitset, n)
-	for i := range masks {
-		masks[i] = base.set(i % 192).set((i * 7) % 192)
-	}
-	wins := make([]int, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for _, m := range masks {
-				if s.add(m) {
-					wins[g]++
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	total := 0
-	for _, w := range wins {
-		total += w
-	}
-	distinct := newBitsetSet()
-	for _, m := range masks {
-		distinct.add(m)
-		if !s.has(m) {
-			t.Fatal("mask missing after concurrent inserts")
-		}
-	}
-	if total != distinct.len() {
-		t.Fatalf("claims = %d, want %d (each mask claimed exactly once)", total, distinct.len())
 	}
 }

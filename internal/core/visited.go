@@ -1,13 +1,11 @@
 package core
 
-import "sync"
-
 // The visited set V of Figure 4 used to be a map[string]bool keyed by a
 // stringified bitmask, which cost two allocations per DFS node (the byte
-// buffer and the string copy) on the hottest path of the search. Both the
-// sequential and the parallel engines now use open hash sets over the
-// bitmasks themselves: configurations hash by content and compare by word
-// equality, so membership tests allocate nothing.
+// buffer and the string copy) on the hottest path of the search. It is an
+// open hash set over the bitmasks themselves: configurations hash by
+// content and compare by word equality, so membership tests allocate
+// nothing.
 
 // hash returns a 64-bit FNV-1a hash of the bitmask words.
 func (b bitset) hash() uint64 {
@@ -76,79 +74,4 @@ func (s *bitsetSet) len() int {
 		n += len(bucket)
 	}
 	return n
-}
-
-// deadShards is the stripe count of the cross-worker set; a power of two
-// well above any realistic worker count keeps contention negligible.
-const deadShards = 64
-
-// sharedBitsetSet is the mutex-striped variant shared by every search
-// worker: a configuration learned dead (or, in first-plan-wins mode,
-// merely claimed) by one worker prunes the same configuration in all
-// others. Shards are selected by hash, so each operation locks 1/64th of
-// the structure.
-type sharedBitsetSet struct {
-	shards [deadShards]struct {
-		mu sync.Mutex
-		m  map[uint64][]bitset
-	}
-}
-
-func newSharedBitsetSet() *sharedBitsetSet {
-	s := &sharedBitsetSet{}
-	for i := range s.shards {
-		s.shards[i].m = map[uint64][]bitset{}
-	}
-	return s
-}
-
-// has reports membership.
-func (s *sharedBitsetSet) has(b bitset) bool {
-	h := b.hash()
-	sh := &s.shards[h%deadShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, e := range sh.m[h] {
-		if e.equal(b) {
-			return true
-		}
-	}
-	return false
-}
-
-// add inserts b, reporting whether it was newly added (false means some
-// worker got there first).
-func (s *sharedBitsetSet) add(b bitset) bool {
-	h := b.hash()
-	sh := &s.shards[h%deadShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, e := range sh.m[h] {
-		if e.equal(b) {
-			return false
-		}
-	}
-	sh.m[h] = append(sh.m[h], b)
-	return true
-}
-
-// appendAll appends up to max total elements of the set to dst (shard
-// order; no ordering guarantee). The plan cache uses it to harvest the
-// proven-dead configurations of a parallel deterministic search.
-func (s *sharedBitsetSet) appendAll(dst []bitset, max int) []bitset {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, bucket := range sh.m {
-			for _, b := range bucket {
-				if len(dst) >= max {
-					sh.mu.Unlock()
-					return dst
-				}
-				dst = append(dst, b)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return dst
 }

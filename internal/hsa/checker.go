@@ -39,8 +39,7 @@ func plumberFor(k *kripke.K) *Plumber {
 // Rebind implements mc.Checker by rebuilding the plumbing graph from
 // the structure's current tables: the header-space engine's bookkeeping
 // is incremental over individual rule operations and cannot absorb an
-// arbitrary in-place rebind any cheaper than a rebuild (the same path
-// CloneFor takes).
+// arbitrary in-place rebind any cheaper than a rebuild.
 func (c *Checker) Rebind(rewired []int) { c.p = plumberFor(c.k) }
 
 // Name implements mc.Checker.
@@ -86,55 +85,54 @@ func (c *Checker) pathSatisfies(t PathTerminal) bool {
 	return c.spec.EvalTrace(env)
 }
 
-// hsaToken records the rule operations applied by one Update, for Revert.
-type hsaToken struct {
+// ruleOps records the rule operations one Update applied on one switch;
+// an Update's token lists them per switch of its delta, for Revert.
+type ruleOps struct {
 	sw      int
 	added   []network.Rule
 	removed []network.Rule
 }
 
-// Update implements mc.Checker: translate the switch update into rule
-// insertions/removals (NetPlumber's native operations) and re-check. The
-// diff base is the plumbing graph's own rules for the switch, not the
-// table the delta replaced: the engine does not report an update that changed no
-// transition of the class (see mc.Checker), so the graph may be one or
-// more tables behind the structure on this switch. Behind by such updates
-// it forwards the class identically — the class header space is a single
-// packet — and diffing against its own rules brings it level whenever the
-// switch is next reported; Revert then returns it to the rules it had.
+// Update implements mc.Checker: translate the update of each of the
+// delta's switches into rule insertions/removals (NetPlumber's native
+// operations) and re-check. The diff base is the plumbing graph's own
+// rules for the switch, not the table the delta replaced: the engine does
+// not report an update that changed no transition of the class (see
+// mc.Checker), so the graph may be one or more tables behind the
+// structure on this switch. Behind by such updates it forwards the class
+// identically — the class header space is a single packet — and diffing
+// against its own rules brings it level whenever the switch is next
+// reported; Revert then returns it to the rules it had.
 func (c *Checker) Update(delta *kripke.Delta) (mc.Verdict, mc.Token) {
-	removed, added := diffRules(c.p.Rules(delta.Switch), c.k.Table(delta.Switch))
-	for _, r := range removed {
-		c.p.RemoveRule(delta.Switch, r)
+	tok := make([]ruleOps, delta.NumSwitches())
+	for i := range tok {
+		sw := delta.SwitchAt(i)
+		removed, added := diffRules(c.p.Rules(sw), c.k.Table(sw))
+		for _, r := range removed {
+			c.p.RemoveRule(sw, r)
+		}
+		for _, r := range added {
+			c.p.AddRule(sw, r)
+		}
+		tok[i] = ruleOps{sw: sw, added: added, removed: removed}
 	}
-	for _, r := range added {
-		c.p.AddRule(delta.Switch, r)
-	}
-	return c.Check(), &hsaToken{sw: delta.Switch, added: added, removed: removed}
+	return c.Check(), tok
 }
 
 // Revert implements mc.Checker by applying the inverse rule operations.
 func (c *Checker) Revert(t mc.Token) {
-	tok := t.(*hsaToken)
-	for _, r := range tok.added {
-		c.p.RemoveRule(tok.sw, r)
-	}
-	for _, r := range tok.removed {
-		c.p.AddRule(tok.sw, r)
+	for _, ops := range t.([]ruleOps) {
+		for _, r := range ops.added {
+			c.p.RemoveRule(ops.sw, r)
+		}
+		for _, r := range ops.removed {
+			c.p.AddRule(ops.sw, r)
+		}
 	}
 }
 
 // Stats implements mc.Checker.
 func (c *Checker) Stats() mc.Stats { return c.stats }
-
-// CloneFor implements mc.Checker via the cheap-rebuild path: the plumbing
-// graph's internal bookkeeping (pipes, flow trees) is heavily aliased, so
-// instead of a deep copy the clone rebuilds a fresh Plumber from k2's
-// current tables — New reads whatever tables are installed, so this is
-// valid at any point of the search, not just the initial configuration.
-func (c *Checker) CloneFor(k2 *kripke.K) (mc.Checker, error) {
-	return New(k2, c.spec)
-}
 
 // diffRules returns the rules present in a but not b, and in b but not a
 // (multiset semantics).

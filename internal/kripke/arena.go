@@ -14,8 +14,7 @@ import (
 // groups. All of it is fixed by the topology alone (Definition 9's state
 // set does not mention the configuration or the traffic class) and is
 // immutable after NewArena, so one arena can back every class of every
-// tenant that shares the topology — Clone already relied on exactly this
-// immutability to share the same four structures across search workers.
+// tenant that shares the topology.
 type Arena struct {
 	topo     *topology.Topology
 	states   []State

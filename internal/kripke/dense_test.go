@@ -1,8 +1,8 @@
 package kripke
 
 // The transition storage of K as it was before it went sparse (commit
-// 4c8eb4a), kept verbatim — only the type names changed — as the oracle
-// of TestSparseStorageMatchesDense: successor and predecessor lists
+// 4c8eb4a), kept verbatim — only the type names changed, and Clone went
+// when K's did — as the oracle of TestSparseStorageMatchesDense: successor and predecessor lists
 // indexed by state id over the whole arena, predecessors derived lazily,
 // tables applied on every switch at build. It shares the state arena,
 // removeOne, intsEqual and the pooled cycle-search scratch with K, none
@@ -43,33 +43,6 @@ type denseK struct {
 	oldBuf [][]int
 	// rootBuf is Rebind's reusable cycle-check root buffer.
 	rootBuf []int
-}
-
-// Clone returns an independent copy of the structure sharing all immutable
-// parts (states, indexes, initial states) with the original. Successor
-// lists are replaced wholesale by UpdateSwitch/Revert and never mutated in
-// place, so only the outer slice is copied; predecessor lists are edited
-// in place and are copied deeply. The clone can be updated and reverted
-// concurrently with the original, which is what gives each parallel
-// search worker a private structure with no locking on the hot path.
-func (k *denseK) Clone() *denseK {
-	c := &denseK{
-		Class:    k.Class,
-		Topo:     k.Topo,
-		states:   k.states,
-		index:    k.index,
-		init:     k.init,
-		statesOf: k.statesOf,
-	}
-	c.succ = append([][]int(nil), k.succ...)
-	if k.pred != nil {
-		c.pred = make([][]int, len(k.pred))
-		for i, p := range k.pred {
-			c.pred[i] = append([]int(nil), p...)
-		}
-	}
-	c.tables = append([]network.Table(nil), k.tables...)
-	return c
 }
 
 // ensurePred materializes the predecessor lists from the successor lists

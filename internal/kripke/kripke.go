@@ -71,8 +71,8 @@ func (e *ErrLoop) Error() string {
 // predecessor — and stores nothing. row maps a state to its entry in succ
 // and pred; every state that never had an edge shares entry 0, which
 // stays empty. An entry is added when a state first gains an edge and is
-// never moved or dropped afterwards, so deltas, clones and the checkers'
-// per-row labels (see Row) keep indexing the same entries.
+// never moved or dropped afterwards, so deltas and the checkers' per-row
+// labels (see Row) keep indexing the same entries.
 type K struct {
 	Class config.Class
 	Topo  *topology.Topology
@@ -93,7 +93,7 @@ type K struct {
 	// by the dense switch id.
 	tables []network.Table
 	// outBuf is recomputeSwitch's reusable table-application buffer;
-	// private per structure (clones start fresh).
+	// private per structure.
 	outBuf []network.PortPacket
 	// oldBuf is UpdateSwitch's reusable pre-update successor snapshot;
 	// only genuinely changed entries graduate into the returned Delta.
@@ -108,36 +108,6 @@ type K struct {
 // one topology should build the Arena once and share it.
 func Build(topo *topology.Topology, cfg *config.Config, cl config.Class) (*K, error) {
 	return NewArena(topo).Build(cfg, cl)
-}
-
-// Clone returns an independent copy of the structure sharing all immutable
-// parts (states, indexes, initial states) with the original. Successor
-// lists are replaced wholesale by UpdateSwitch/Revert and never mutated in
-// place, so only the outer slice is copied; predecessor lists are edited
-// in place and are copied deeply. Entries keep their numbers. The clone
-// can be updated and reverted concurrently with the original, which is
-// what gives each parallel search worker a private structure with no
-// locking on the hot path.
-func (k *K) Clone() *K {
-	c := *k
-	c.row = slices.Clone(k.row)
-	c.succ = slices.Clone(k.succ)
-	// The copied lists share one backing array, each capped at its
-	// length so that an append moves it out instead of into its neighbor.
-	total := 0
-	for _, p := range k.pred {
-		total += len(p)
-	}
-	flat := make([]int, 0, total)
-	c.pred = make([][]int, len(k.pred))
-	for r, p := range k.pred {
-		at := len(flat)
-		flat = append(flat, p...)
-		c.pred[r] = flat[at:len(flat):len(flat)]
-	}
-	c.tables = slices.Clone(k.tables)
-	c.outBuf, c.oldBuf, c.rootBuf = nil, nil, nil
-	return &c
 }
 
 // recomputeSwitch rewires the outgoing transitions of sw's arrival states
@@ -218,26 +188,37 @@ func removeOne(xs []int, v int) []int {
 	return xs
 }
 
-// Delta describes an applied update: the states whose outgoing transitions
-// changed, with enough information to revert and to re-apply. The state
-// ids and the old/new successor lists are parallel slices, so consumers
-// iterate the changed region without allocating and in a deterministic
-// order (the switch's arrival-state order). Only states whose successor
-// list genuinely changed are recorded: a table replacement that leaves the
+// Delta describes an applied update: the switches whose tables it
+// replaced and the states whose outgoing transitions changed, with enough
+// information to revert and to re-apply. The state ids and the old/new
+// successor lists are parallel slices, so consumers iterate the changed
+// region without allocating and in a deterministic order (per switch, the
+// switch's arrival-state order). Only states whose successor list
+// genuinely changed are recorded: a table replacement that leaves the
 // class's forwarding intact yields an empty delta, which checkers and the
 // synthesis engine use as a skip-this-class fast path.
 type Delta struct {
-	Switch   int
-	oldTable network.Table
-	newTable network.Table
-	ids      []int   // ids of states whose successors changed
-	oldSucc  [][]int // successor lists before the update
-	newSucc  [][]int // successor lists after the update (nil on error paths)
+	tables  []tableSwap
+	one     [1]tableSwap // backs tables for a one-switch update
+	ids     []int        // ids of states whose successors changed
+	oldSucc [][]int      // successor lists before the update
+	newSucc [][]int      // successor lists after the update
+}
+
+// tableSwap is one switch's table before and after an update.
+type tableSwap struct {
+	sw       int
+	old, new network.Table
 }
 
 // Changed returns the ids of states whose transition function changed.
 // The slice is shared and must not be mutated.
 func (d *Delta) Changed() []int { return d.ids }
+
+// NumSwitches returns the number of switches whose tables the update
+// replaced, and SwitchAt the i-th of them, in the order they were given.
+func (d *Delta) NumSwitches() int   { return len(d.tables) }
+func (d *Delta) SwitchAt(i int) int { return d.tables[i].sw }
 
 // UpdateSwitch installs tbl on sw, rewiring transitions. It returns the
 // delta for incremental re-checking and reverting. If the new structure
@@ -245,8 +226,37 @@ func (d *Delta) Changed() []int { return d.ids }
 // *ErrLoop is returned alongside the delta: callers treat the
 // configuration as wrong, learn from the cycle, and revert.
 func (k *K) UpdateSwitch(sw int, tbl network.Table) (*Delta, error) {
+	d := &Delta{}
+	d.tables = d.one[:0]
+	if err := k.install(d, sw, tbl); err != nil {
+		return nil, err
+	}
+	return d, k.loopThrough(d)
+}
+
+// UpdateSwitches installs cfg's tables on the listed (distinct) switches
+// as one step — UpdateSwitch is its one-switch case — and looks for a
+// loop once, in the structure all of them produce: a session checks a
+// whole target this way, where switch-by-switch updates would stop at a
+// loop that only the configurations in between have. Like UpdateSwitch it
+// returns the applied delta alongside an *ErrLoop.
+func (k *K) UpdateSwitches(cfg *config.Config, switches []int) (*Delta, error) {
+	d := &Delta{tables: make([]tableSwap, 0, len(switches))}
+	for _, sw := range switches {
+		if err := k.install(d, sw, cfg.Table(sw)); err != nil {
+			k.Revert(d)
+			return nil, err
+		}
+	}
+	return d, k.loopThrough(d)
+}
+
+// install replaces sw's table by tbl, rewires its arrival states and
+// appends the replacement and the states that changed to d. A rule that
+// modifies the class packet (a programming error, see recomputeSwitch)
+// leaves the switch as it was and d without it.
+func (k *K) install(d *Delta, sw int, tbl network.Table) error {
 	ids := k.statesOf[sw]
-	d := &Delta{Switch: sw, oldTable: k.tables[sw], newTable: tbl}
 	// Snapshot the pre-update successor lists into reusable scratch.
 	// Successor slices are replaced wholesale and never mutated in place,
 	// so holding the old headers is safe; only the headers of genuinely
@@ -256,32 +266,51 @@ func (k *K) UpdateSwitch(sw int, tbl network.Table) (*Delta, error) {
 		old = append(old, k.Succ(id))
 	}
 	k.oldBuf = old
+	oldTable := k.tables[sw]
 	k.tables[sw] = tbl
 	if err := k.recomputeSwitch(sw); err != nil {
-		// Restore and fail; modification errors are programming errors.
-		k.tables[sw] = d.oldTable
+		k.tables[sw] = oldTable
 		for i, id := range ids {
 			k.setSucc(id, old[i])
 		}
-		return nil, err
+		return err
 	}
+	d.tables = append(d.tables, tableSwap{sw: sw, old: oldTable, new: tbl})
+	// Count first, so the delta's lists grow once by what they will hold
+	// (a one-switch delta allocates each exactly) instead of by doubling.
+	changed := 0
 	for i, id := range ids {
-		next := k.Succ(id)
-		if intsEqual(old[i], next) {
-			continue
-		}
-		d.ids = append(d.ids, id)
-		d.oldSucc = append(d.oldSucc, old[i])
-		d.newSucc = append(d.newSucc, next)
-	}
-	// A new cycle must pass through a rewired state; an empty delta cannot
-	// have introduced one.
-	if len(d.ids) > 0 {
-		if cyc := k.findCycle(d.ids); cyc != nil {
-			return d, &ErrLoop{Class: k.Class, Cycle: k.statesFor(cyc), IDs: cyc}
+		if !intsEqual(old[i], k.Succ(id)) {
+			changed++
 		}
 	}
-	return d, nil
+	if changed == 0 {
+		return nil
+	}
+	d.ids = slices.Grow(d.ids, changed)
+	d.oldSucc = slices.Grow(d.oldSucc, changed)
+	d.newSucc = slices.Grow(d.newSucc, changed)
+	for i, id := range ids {
+		if next := k.Succ(id); !intsEqual(old[i], next) {
+			d.ids = append(d.ids, id)
+			d.oldSucc = append(d.oldSucc, old[i])
+			d.newSucc = append(d.newSucc, next)
+		}
+	}
+	return nil
+}
+
+// loopThrough reports a cycle the applied delta closed, as an *ErrLoop. A
+// new cycle must pass through a rewired state; an empty delta cannot have
+// introduced one.
+func (k *K) loopThrough(d *Delta) error {
+	if len(d.ids) == 0 {
+		return nil
+	}
+	if cyc := k.findCycle(d.ids); cyc != nil {
+		return &ErrLoop{Class: k.Class, Cycle: k.statesFor(cyc), IDs: cyc}
+	}
+	return nil
 }
 
 func intsEqual(a, b []int) bool {
@@ -308,8 +337,8 @@ func intsEqual(a, b []int) bool {
 // superset. If cfg forwards the class in a
 // cycle, the structure has still been fully rebound to cfg (tables stay
 // consistent for a later Rebind) and *ErrLoop is returned. Outstanding
-// Deltas, undo tokens, and clones taken before a Rebind must not be
-// replayed afterwards.
+// Deltas and undo tokens taken before a Rebind must not be replayed
+// afterwards.
 func (k *K) Rebind(cfg *config.Config) (changed, touched []int, err error) {
 	return k.rebind(cfg, nil, true)
 }
@@ -391,9 +420,12 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 // every class the change cannot affect.
 func (k *K) AdoptTable(sw int, tbl network.Table) { k.tables[sw] = tbl }
 
-// Revert undoes an update returned by UpdateSwitch.
+// Revert undoes an update returned by UpdateSwitch or UpdateSwitches: the
+// saved tables and successor lists go back, nothing is recomputed.
 func (k *K) Revert(d *Delta) {
-	k.tables[d.Switch] = d.oldTable
+	for _, t := range d.tables {
+		k.tables[t.sw] = t.old
+	}
 	for i, id := range d.ids {
 		k.setSucc(id, d.oldSucc[i])
 	}
@@ -402,12 +434,13 @@ func (k *K) Revert(d *Delta) {
 // Reapply re-installs a previously applied-and-reverted delta without
 // recomputing the forwarding semantics or allocating: the recorded
 // successor lists are swapped back in wholesale. The delta must have been
-// produced by UpdateSwitch on this structure (or a clone at the same
-// table state) and the structure must currently be at the delta's
+// produced by this structure, which must currently be at the delta's
 // pre-update state. Benchmarks use it to measure steady-state checker
 // cycles in isolation.
 func (k *K) Reapply(d *Delta) {
-	k.tables[d.Switch] = d.newTable
+	for _, t := range d.tables {
+		k.tables[t.sw] = t.new
+	}
 	for i, id := range d.ids {
 		k.setSucc(id, d.newSucc[i])
 	}
@@ -429,10 +462,9 @@ type cycleScratch struct {
 type cycleFrame struct{ v, i int }
 
 // cyclePool lends a scratch to one findCycle call at a time, so
-// structures searched concurrently — clones held by parallel workers,
-// the classes of concurrently solved components, sessions sharing an
-// arena — never see each other's marks, and a process holds a few
-// scratches however many structures it serves.
+// structures searched concurrently — the classes of concurrently solved
+// components, sessions sharing an arena — never see each other's marks,
+// and a process holds a few scratches however many structures it serves.
 var cyclePool = sync.Pool{New: func() any { return new(cycleScratch) }}
 
 // begin readies the scratch for a search over n states.
@@ -571,9 +603,8 @@ func (k *K) IsSink(id int) bool { return len(k.succ[k.row[id]]) == 0 }
 // Row returns the number of state id's entry in the structure's sparse
 // transition storage: 0 for a state that has never had an edge, otherwise
 // a number in [1, NumRows()) that stays the state's own for the life of
-// the structure and is the same in every clone. Checkers key per-state
-// data by it, so what they hold is proportional to the states the class's
-// rules connect, not to the arena.
+// the structure. Checkers key per-state data by it, so what they hold is
+// proportional to the states the class's rules connect, not to the arena.
 func (k *K) Row(id int) int { return int(k.row[id]) }
 
 // NumRows returns one more than the highest row number handed out.

@@ -489,6 +489,84 @@ func TestRebindDetectsLoop(t *testing.T) {
 	}
 }
 
+// TestUpdateSwitchesIsOneStep: a target is applied as one step, so a loop
+// that only the configurations between the endpoints have — here sw1
+// turned back toward sw0 before sw0 stops feeding it — is not reported,
+// a loop the target itself has is, and Revert puts back exactly the
+// tables and transitions the step replaced, in both cases.
+func TestUpdateSwitchesIsOneStep(t *testing.T) {
+	topo := topology.New("ring", 4)
+	for _, l := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
+		topo.AddLink(l[0], l[1])
+	}
+	topo.AddHost(100, 0)
+	topo.AddHost(101, 2)
+	cl := config.Class{SrcHost: 100, DstHost: 101}
+	good := config.New()
+	if err := config.InstallPath(good, topo, cl, []int{0, 1, 2}, 10); err != nil {
+		t.Fatal(err)
+	}
+	toward := func(cfg *config.Config, from, to int) {
+		cfg.SetTable(from, network.Table{{
+			Priority: 10, Match: cl.Pattern(),
+			Actions: []network.Action{network.Forward(mustPortToward(t, topo, from, to))},
+		}})
+	}
+	target := good.Clone() // 0 -> 3 -> 2, with sw1 left pointing back at sw0
+	toward(target, 1, 0)
+	toward(target, 0, 3)
+	toward(target, 3, 2)
+	cyclic := good.Clone() // 0 -> 1 -> 0
+	toward(cyclic, 1, 0)
+
+	k, err := Build(topo, good, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotSuccs(k)
+	if d, err := k.UpdateSwitch(1, target.Table(1)); err == nil {
+		t.Fatal("sw1 alone must loop: the scenario does not exercise a transient loop")
+	} else {
+		k.Revert(d)
+	}
+
+	d, err := k.UpdateSwitches(target, []int{1, 0, 3})
+	if err != nil {
+		t.Fatalf("loop-free target refused: %v", err)
+	}
+	if d.NumSwitches() != 3 || d.SwitchAt(0) != 1 || d.SwitchAt(2) != 3 {
+		t.Fatalf("delta lists %d switches, want 1, 0, 3", d.NumSwitches())
+	}
+	fresh, err := Build(topo, target, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !succsEqual(snapshotSuccs(k), snapshotSuccs(fresh)) {
+		t.Fatal("the step did not reach the target's transitions")
+	}
+	if len(d.Changed()) == 0 {
+		t.Fatal("no changed states reported")
+	}
+	k.Revert(d)
+
+	d, err = k.UpdateSwitches(cyclic, []int{1})
+	var loop *ErrLoop
+	if !errors.As(err, &loop) || d == nil {
+		t.Fatalf("cyclic target: delta %v, err %v, want the applied delta and ErrLoop", d, err)
+	}
+	k.Revert(d)
+
+	if !succsEqual(snapshotSuccs(k), before) {
+		t.Fatal("reverts did not restore the transitions")
+	}
+	for sw := 0; sw < topo.NumSwitches(); sw++ {
+		if !k.Table(sw).Equal(good.Table(sw)) {
+			t.Fatalf("reverts left a foreign table on sw%d", sw)
+		}
+	}
+	checkPredInvariant(t, k)
+}
+
 // TestAppendSwitches: the shared counterexample-switch extraction must
 // deduplicate switches in first-appearance order, honor entries already
 // present in dst, and reuse the caller's buffer without allocating when

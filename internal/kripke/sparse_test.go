@@ -105,9 +105,11 @@ type twin struct {
 	dense  *denseK
 }
 
+// twinDelta is one applied step: the dense structure takes a step of
+// several switches as one update per switch.
 type twinDelta struct {
 	sparse *Delta
-	dense  *denseDelta
+	dense  []*denseDelta
 }
 
 // sameLoop requires both errors to be nil or the same forwarding loop.
@@ -128,7 +130,7 @@ func (w *twin) sameLoop(op string, serr, derr error) bool {
 // isolated ones included — Row's contract, and the loop search in both
 // modes. Pred is compared as a multiset because removeOne's swap makes
 // its order a function of the order in which rows were edited, which
-// Reapply and Clone preserve but nothing reads.
+// nothing reads.
 func (w *twin) compare(op string, r *rand.Rand) {
 	w.t.Helper()
 	s, d := w.sparse, w.dense
@@ -185,11 +187,53 @@ func (w *twin) update(sw int, tbl network.Table) (twinDelta, bool) {
 	if !slices.Equal(sd.Changed(), dd.Changed()) {
 		w.t.Fatalf("%s update sw%d: changed %v, dense %v", w.name, sw, sd.Changed(), dd.Changed())
 	}
-	return twinDelta{sd, dd}, loop
+	return twinDelta{sd, []*denseDelta{dd}}, loop
 }
 
-func (w *twin) revert(d twinDelta)  { w.sparse.Revert(d.sparse); w.dense.Revert(d.dense) }
-func (w *twin) reapply(d twinDelta) { w.sparse.Reapply(d.sparse); w.dense.Reapply(d.dense) }
+// updateAll installs cfg's tables on the given switches as one step. The
+// dense structure has no such step: it takes the switches one at a time,
+// loops in between and all, and is searched for a loop once at the end,
+// from the states that changed.
+func (w *twin) updateAll(cfg *config.Config, switches []int) (twinDelta, bool) {
+	w.t.Helper()
+	sd, serr := w.sparse.UpdateSwitches(cfg, switches)
+	var dds []*denseDelta
+	var changed []int
+	for _, sw := range switches {
+		dd, derr := w.dense.UpdateSwitch(sw, cfg.Table(sw))
+		if _, loop := derr.(*ErrLoop); derr != nil && !loop {
+			w.t.Fatal(derr)
+		}
+		dds = append(dds, dd)
+		changed = append(changed, dd.Changed()...)
+	}
+	if !slices.Equal(sd.Changed(), changed) {
+		w.t.Fatalf("%s update %v: changed %v, dense %v", w.name, switches, sd.Changed(), changed)
+	}
+	var sl *ErrLoop
+	var cyc []int
+	if len(changed) > 0 {
+		cyc = w.dense.findCycle(changed)
+	}
+	if errors.As(serr, &sl) != (cyc != nil) || (sl != nil && !slices.Equal(sl.IDs, cyc)) {
+		w.t.Fatalf("%s update %v: sparse err %v, dense loop %v", w.name, switches, serr, cyc)
+	}
+	return twinDelta{sd, dds}, sl != nil
+}
+
+func (w *twin) revert(d twinDelta) {
+	w.sparse.Revert(d.sparse)
+	for i := len(d.dense) - 1; i >= 0; i-- {
+		w.dense.Revert(d.dense[i])
+	}
+}
+
+func (w *twin) reapply(d twinDelta) {
+	w.sparse.Reapply(d.sparse)
+	for _, dd := range d.dense {
+		w.dense.Reapply(dd)
+	}
+}
 
 // rebind runs Rebind (switches == nil) or RebindSwitches and reports
 // whether the target loops.
@@ -210,22 +254,17 @@ func (w *twin) rebind(cfg *config.Config, switches []int) bool {
 	return w.sameLoop("rebind", serr, derr)
 }
 
-func (w *twin) clone(name string) *twin {
-	return &twin{t: w.t, name: w.name + "/" + name, sparse: w.sparse.Clone(), dense: w.dense.Clone()}
-}
-
 // TestSparseStorageMatchesDense drives every class structure of random
 // shared-switch scenarios, in the sparse representation and in the dense
 // one it replaced, through random sequences of what the engine and the
-// session do — updates kept, reverted, reapplied and abandoned, updates
-// that close a loop, rebinds of some switches and of all of them to
-// configurations that may loop, clones that go their own way — and after
-// every operation requires the same answer from every read of the
+// session do — updates of one switch and of several as one step, kept,
+// reverted, reapplied and abandoned, updates that close a loop, rebinds of
+// some switches and of all of them to configurations that may loop — and
+// after every operation requires the same answer from every read of the
 // structure at every state of the arena, the same delta, the same error
-// and the same loop. A clone is compared against its dense twin again
-// after its original has moved on: it must not have followed.
+// and the same loop.
 func TestSparseStorageMatchesDense(t *testing.T) {
-	var updates, loops, reverts, reapplies, rebinds, cyclicTargets, clones, ruleless int
+	var updates, steps, loops, reverts, reapplies, rebinds, cyclicTargets, ruleless int
 	for seed := int64(1); seed <= 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		topo, base, classes := sharedScene(r, seed)
@@ -244,7 +283,6 @@ func TestSparseStorageMatchesDense(t *testing.T) {
 			}
 			good := base // the last loop-free configuration the twin was rebound to
 			var stack []twinDelta
-			var stale []*twin // clones left behind, with the state they were left in
 			for step := 0; step < 40; step++ {
 				switch op := r.Intn(12); {
 				case op < 5:
@@ -306,30 +344,35 @@ func TestSparseStorageMatchesDense(t *testing.T) {
 					good = cfg
 					w.compare("rebind", r)
 				default:
-					c := w.clone(fmt.Sprintf("clone@%d", step))
-					clones++
-					c.compare("clone", r)
-					stale = append(stale, c)
-					if r.Intn(2) == 0 {
-						// The search goes on in the clone; the original stays.
-						w, stale[len(stale)-1] = c, w
-						stack = stack[:0]
+					cfg := config.New()
+					var some []int
+					for _, sw := range r.Perm(topo.NumSwitches())[:2+r.Intn(3)] {
+						cfg.SetTable(sw, randomTable(r, topo, base, classes, sw))
+						some = append(some, sw)
 					}
+					d, loop := w.updateAll(cfg, some)
+					steps++
+					if loop {
+						w.compare("looping multi-switch step", r)
+						w.revert(d)
+						loops++
+						w.compare("revert of a looping multi-switch step", r)
+						continue
+					}
+					stack = append(stack, d)
+					w.compare("multi-switch step", r)
 				}
-			}
-			for _, c := range stale {
-				c.compare("left behind", r)
 			}
 		}
 	}
 	for name, n := range map[string]int{
-		"updates": updates, "looping updates": loops, "reverts": reverts, "reapplies": reapplies,
-		"rebinds": rebinds, "cyclic rebind targets": cyclicTargets, "clones": clones, "rule-less classes": ruleless,
+		"updates": updates, "multi-switch steps": steps, "looping updates": loops, "reverts": reverts, "reapplies": reapplies,
+		"rebinds": rebinds, "cyclic rebind targets": cyclicTargets, "rule-less classes": ruleless,
 	} {
 		if n < 20 {
 			t.Errorf("only %d %s exercised", n, name)
 		}
 	}
-	t.Logf("updates=%d loops=%d reverts=%d reapplies=%d rebinds=%d (cyclic %d) clones=%d ruleless=%d",
-		updates, loops, reverts, reapplies, rebinds, cyclicTargets, clones, ruleless)
+	t.Logf("updates=%d multi-switch=%d loops=%d reverts=%d reapplies=%d rebinds=%d (cyclic %d) ruleless=%d",
+		updates, steps, loops, reverts, reapplies, rebinds, cyclicTargets, ruleless)
 }

@@ -45,15 +45,6 @@ func (c *Batch) Revert(t Token) {}
 // Stats implements Checker.
 func (c *Batch) Stats() Stats { return c.stats }
 
-// CloneFor implements Checker. The batch checker relabels from scratch
-// on every call, so the clone only needs the shared closure and table.
-func (c *Batch) CloneFor(k2 *kripke.K) (Checker, error) {
-	return &Batch{labeler: c.labeler.cloneFor(k2)}, nil
-}
-
-// StatelessMC implements Stateless: every call relabels from scratch.
-func (c *Batch) StatelessMC() {}
-
 // Rebind implements Checker. The batch checker re-derives everything
 // on its next Check, so nothing needs refreshing; the interned labels and
 // the Extend memo it keeps remain valid (they depend only on the fixed

@@ -45,8 +45,9 @@ type Checker interface {
 	// Check performs a full check of the current structure.
 	Check() Verdict
 	// Update re-checks after the Kripke structure was updated with the
-	// given delta (see kripke.K.UpdateSwitch). The returned token undoes
-	// the checker's internal state when the update is reverted.
+	// given delta (see kripke.K.UpdateSwitch and UpdateSwitches). The
+	// returned token undoes the checker's internal state when the update
+	// is reverted.
 	Update(delta *kripke.Delta) (Verdict, Token)
 	// Revert undoes a previous Update's effect on internal state. Tokens
 	// must be reverted in LIFO order. The caller separately reverts the
@@ -58,17 +59,9 @@ type Checker interface {
 	// keeping structure-independent caches — interned labels,
 	// closure-extension memos, translated automata — warm. rewired names
 	// the states whose outgoing transitions the rebind changed (a superset
-	// is fine), so the refresh can be confined to what depends on them;
-	// an empty list means the caller cannot name them and everything is
-	// re-derived. Outstanding undo tokens and clones taken before a Rebind
-	// are invalidated.
+	// is fine), so the refresh is confined to what depends on them.
+	// Outstanding undo tokens are invalidated.
 	Rebind(rewired []int)
-	// CloneFor returns an independent checker over k2, which must be a
-	// clone of the structure this checker was built on, taken at the same
-	// table state (see kripke.K.Clone). The clone carries over whatever
-	// the checker has derived so far, shares only immutable data with the
-	// original, and may be used concurrently with it.
-	CloneFor(k2 *kripke.K) (Checker, error)
 	// Stats returns cumulative work counters for benchmark reporting.
 	Stats() Stats
 }
@@ -90,16 +83,6 @@ type Stats struct {
 // Factory constructs a checker for a structure/formula pair; the synthesis
 // engine uses one checker per traffic class.
 type Factory func(k *kripke.K, spec *ltl.Formula) (Checker, error)
-
-// Stateless marks checkers that keep no internal state across updates:
-// Update is equivalent to a fresh Check of the current structure and
-// Revert is a no-op. When a search worker replays a prefix whose verdict
-// is already known, it may update the Kripke structure and skip a
-// Stateless checker's re-check entirely.
-type Stateless interface {
-	// StatelessMC is a marker; implementations do nothing.
-	StatelessMC()
-}
 
 // Describe renders a counterexample trace for error messages.
 func Describe(k *kripke.K, cex []int) string {

@@ -2,8 +2,8 @@ package mc
 
 // The labeler and the incremental checker as they were before their
 // per-state arrays went (commit 4c8eb4a), kept verbatim — type and
-// constructor names changed, and the restore-only atoms image dropped —
-// as the oracle of TestSparseLabelingMatchesDense: atom valuations swept
+// constructor names changed, the restore-only atoms image and the clone
+// constructors dropped — as the oracle of TestSparseLabelingMatchesDense: atom valuations swept
 // over every state at construction, label, sink-label, Extend-memo and
 // violating-initial arrays as long as the arena, every state of the
 // arena a labeling root. It reads the structure through kripke.K's
@@ -113,26 +113,6 @@ func denseNewLabelerWarm(k *kripke.K, spec *ltl.Formula, w *Warmth) (*denseLabel
 		l.sinkLab[id] = noLabel
 	}
 	return l, nil
-}
-
-// cloneFor copies the labeler onto a clone of its structure. The closure,
-// the atom valuations, and the intern table are shared (the table is
-// concurrency-safe and label sets are structure-independent); the label
-// array is copied so the clone relabels independently. Clones exist to
-// search, which relabels, so a restored atoms image is materialized once
-// here and shared rather than expanded per clone. Scratch state — the
-// merge buffer, DFS frames, and the Extend memo — is private per checker
-// and starts fresh.
-func (l *denseLabeler) cloneFor(k2 *kripke.K) *denseLabeler {
-	return &denseLabeler{
-		k:       k2,
-		clo:     l.clo,
-		atoms:   l.atoms,
-		tab:     l.tab,
-		sinks:   l.sinks,
-		label:   append([]LabelID(nil), l.label...),
-		sinkLab: append([]LabelID(nil), l.sinkLab...),
-	}
 }
 
 // extend computes Extend(atoms[id], v) through the per-state memo. The
@@ -655,18 +635,3 @@ func (c *denseIncremental) Revert(t Token) {
 
 // Stats implements Checker.
 func (c *denseIncremental) Stats() Stats { return c.stats }
-
-// CloneFor implements Checker: the clone inherits the current labeling
-// (an outer slice of IDs over the shared intern table) and the
-// violating-initial bookkeeping, skipping the full relabel a fresh
-// NewIncremental would perform. The Extend memo and the token freelist
-// are per-checker and start fresh.
-func (c *denseIncremental) CloneFor(k2 *kripke.K) (Checker, error) {
-	return &denseIncremental{
-		denseLabeler: c.denseLabeler.cloneFor(k2),
-		isInit:       c.isInit, // never mutated after construction
-		badInit:      append([]bool(nil), c.badInit...),
-		badCount:     c.badCount,
-		minBad:       c.minBad,
-	}, nil
-}

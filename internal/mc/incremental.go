@@ -79,23 +79,13 @@ func (c *Incremental) rescanInit() {
 // stopping where a label comes out unchanged, and the violating-initial
 // set follows the initial states whose labels moved — the same region
 // walk as Update, so the cost is the ancestors of what the rebind moved
-// (Section 5.2), not the structure. With no states named the net change
-// is unknown and the whole structure is relabeled: the session's restore
-// after a cyclic target, where the structure was rebound forward and back
-// while this checker saw neither step. The warm state — the shared intern
+// (Section 5.2), not the structure. The warm state — the shared intern
 // table, the atom masks, the sink-label memo and the Extend memo —
 // depends only on the fixed state arena, not on the transition relation,
 // so it all survives; in steady state a rebind allocates only for
-// genuinely never-seen-before labels. Outstanding undo tokens and clones
-// are invalidated.
-func (c *Incremental) Rebind(rewired []int) {
-	if len(rewired) > 0 {
-		c.relabelRegion(rewired, nil)
-		return
-	}
-	c.relabelAll()
-	c.rescanInit()
-}
+// genuinely never-seen-before labels. Outstanding undo tokens are
+// invalidated.
+func (c *Incremental) Rebind(rewired []int) { c.relabelRegion(rewired, nil) }
 
 func (c *Incremental) initViolates(q0 int) bool {
 	for _, v := range c.tab.Label(c.labelOf(q0)) {
@@ -177,9 +167,9 @@ func (c *Incremental) getToken() *incrToken {
 // state is in a set while its stamp equals epoch, so a new walk
 // invalidates all three by advancing it. The arrays are as long as the
 // structure but a walk touches only its region, so they are lent per call
-// from regionPool rather than held by every checker — a session keeps
-// two checkers per class, a worker pool more, and nearly all of them are
-// idle at any moment — and checkers walked concurrently never share one.
+// from regionPool rather than held by every checker — nearly all of a
+// process's checkers are idle at any moment — and checkers walked
+// concurrently never share one.
 type regionScratch struct {
 	epoch   int32
 	member  []int32 // state is in the ancestor region
@@ -351,11 +341,3 @@ func (c *Incremental) Revert(t Token) {
 
 // Stats implements Checker.
 func (c *Incremental) Stats() Stats { return c.stats }
-
-// CloneFor implements Checker: the clone inherits the current labeling
-// (a slice of IDs over the shared intern table) and the violating-initial
-// set, skipping the full relabel a fresh NewIncremental would perform. The
-// Extend memo and the token freelist are per-checker and start fresh.
-func (c *Incremental) CloneFor(k2 *kripke.K) (Checker, error) {
-	return &Incremental{labeler: c.labeler.cloneFor(k2), bad: slices.Clone(c.bad)}, nil
-}

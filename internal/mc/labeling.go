@@ -10,9 +10,9 @@ import (
 // labeler holds the shared state-labeling machinery (Section 5.1): each
 // state is labeled with the set of valuations (maximally-consistent
 // subsets of ecl(phi)) witnessed by some trace from that state. Labels are
-// interned in a LabelTable shared with every clone, so the per-state label
-// is a dense LabelID and equality comparison — the incremental algorithm's
-// stopping condition — is an integer compare.
+// interned in a LabelTable shared by the checkers of one formula, so the
+// per-state label is a dense LabelID and equality comparison — the
+// incremental algorithm's stopping condition — is an integer compare.
 //
 // What a labeler holds is sized by the states the class's rules connect,
 // not by the arena. A state's atom valuation is computed from its switch
@@ -49,8 +49,7 @@ type labeler struct {
 	// labels a handful of valuations, while the incremental checker
 	// evaluates the same pairs thousands of times across the DFS; extLast
 	// fronts the outer map with the valuation asked about last. Created on
-	// first use and private to this checker (clones start empty — see
-	// DESIGN.md).
+	// first use and private to this checker.
 	ext     map[ltl.Valuation]map[ltl.Valuation]ltl.Valuation
 	extLast struct {
 		atoms ltl.Valuation
@@ -192,24 +191,6 @@ func (l *labeler) store(id int, lab LabelID) {
 		}
 	}
 	l.label[r] = lab
-}
-
-// cloneFor copies the labeler onto a clone of its structure. The closure,
-// the atom masks, and the intern table are shared (the table is
-// concurrency-safe and label sets are structure-independent); the label
-// array is copied so the clone relabels independently — the clone's rows
-// carry the original's numbers. Scratch state — the merge buffer, DFS
-// frames, and the Extend memo — is private per checker and starts fresh.
-func (l *labeler) cloneFor(k2 *kripke.K) *labeler {
-	return &labeler{
-		k:     k2,
-		clo:   l.clo,
-		where: l.where,
-		base:  l.base,
-		tab:   l.tab,
-		sinks: l.sinks,
-		label: slices.Clone(l.label),
-	}
 }
 
 // extend computes Extend(atoms, v) through the memo.

@@ -18,10 +18,10 @@ const noLabel LabelID = -1
 
 // LabelTable hash-conses sorted valuation sets. Every label a checker ever
 // computes is interned exactly once; per-state labels become []LabelID and
-// undo tokens shrink to (state, LabelID) pairs. A table is shared by a
-// checker and all of its clones (label sets are structure-independent:
-// they are sets of closure valuations), so per-worker clones carry only an
-// outer slice of IDs.
+// undo tokens shrink to (state, LabelID) pairs. A table is shared by
+// every checker of one formula (label sets are structure-independent:
+// they are sets of closure valuations, see Warmth), each of which carries
+// only a slice of IDs.
 //
 // Concurrency: Intern takes a read-lock on the hit path and the write lock
 // only when a genuinely new label appears; lookups by ID are wait-free via

@@ -461,10 +461,15 @@ func TestIncrementalRebindMatchesFresh(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if _, _, err := k.Rebind(cfg); err != nil {
+			changed, _, err := k.Rebind(cfg)
+			if err != nil {
 				t.Fatalf("iter %d step %d: rebind: %v", iter, step, err)
 			}
-			warm.Rebind(nil)
+			var rewired []int
+			for _, sw := range changed {
+				rewired = append(rewired, k.StatesOf(sw)...)
+			}
+			warm.Rebind(rewired)
 			k2, err := kripke.Build(topo, cfg, cl)
 			if err != nil {
 				t.Fatal(err)
@@ -608,18 +613,20 @@ func currentConfig(k *kripke.K) *config.Config {
 // differential test: one warm incremental checker is driven through random
 // sequences of everything the engine and the session do to it — updates
 // kept or reverted, updates that close a forwarding loop and are rolled
-// back before the checker sees them (a failed replay), undo stacks
-// abandoned at a rebind, rebinds that name the rewired states, and the
-// restore after a cyclic target (the structure rebound forward and back,
-// then refreshed with nothing named) — and after every operation its
-// per-state labels, verdict and counterexample must equal those of a
-// fresh incremental checker and of the batch checker, both built on a
-// fresh structure at the same tables.
+// back before the checker sees them (a failed replay), whole targets
+// applied as one multi-switch step and kept or reverted (the session's
+// final verification; a cyclic one is rolled back unseen), undo stacks
+// abandoned at a rebind, rebinds that name the rewired states, and a
+// rebind to a cyclic target pulled back without the checker hearing of
+// either move — and after every operation its per-state labels, verdict
+// and counterexample must equal those of a fresh incremental checker and
+// of the batch checker, both built on a fresh structure at the same
+// tables.
 func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 	r := rand.New(rand.NewSource(20150613))
-	var updates, loops, reverts, rebinds, noops, restores, failing int
+	var updates, loops, reverts, targets, rebinds, noops, restores, failing int
 	for iter := 0; iter < 60; iter++ {
-		topo, good, cl, k := randomScene(r)
+		topo, _, cl, k := randomScene(r)
 		spec := randomFormula(r, topo.NumSwitches())
 		warmC, err := NewIncremental(k, spec)
 		if err != nil {
@@ -702,9 +709,6 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 				reverts++
 				compare(step, "revert")
 			default:
-				// A rebind invalidates the outstanding undo tokens: the
-				// session drops them with the engine that held them.
-				stack = stack[:0]
 				cfg := config.New()
 				for sw := 0; sw < topo.NumSwitches(); sw++ {
 					if ports := topo.Ports(sw); r.Intn(4) > 0 {
@@ -715,19 +719,37 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 				for sw := range all {
 					all[sw] = sw
 				}
+				if r.Intn(2) == 0 {
+					// The whole target as one step, like any other update.
+					delta, err := k.UpdateSwitches(cfg, all)
+					if err != nil {
+						k.Revert(delta)
+						loops++
+						compare(step, "cyclic target as one step")
+						continue
+					}
+					_, tok := warm.Update(delta)
+					stack = append(stack, applied{delta, tok})
+					targets++
+					compare(step, "target as one step")
+					continue
+				}
+				// A rebind invalidates the outstanding undo tokens: the
+				// session drops them with the engine that held them.
+				stack = stack[:0]
+				before := currentConfig(k)
 				changed, _, err := k.RebindSwitches(cfg, all)
 				if err != nil {
-					// Cyclic target: pull the structure back to a loop-free
-					// configuration; the checker saw neither move.
-					if _, _, err := k.Rebind(good); err != nil {
+					// Cyclic target: pull the structure back to the loop-free
+					// configuration it left; the checker saw neither move,
+					// so its labels stand.
+					if _, _, err := k.Rebind(before); err != nil {
 						t.Fatal(err)
 					}
-					warm.Rebind(nil)
 					restores++
 					compare(step, "restore after cyclic target")
 					continue
 				}
-				good = cfg
 				if len(changed) == 0 {
 					noops++
 					compare(step, "rebind without change")
@@ -744,13 +766,13 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 		}
 	}
 	for name, n := range map[string]int{
-		"updates": updates, "looping updates": loops, "reverts": reverts,
+		"updates": updates, "looping updates": loops, "reverts": reverts, "one-step targets": targets,
 		"rebinds": rebinds, "cyclic-target restores": restores, "violating states": failing,
 	} {
 		if n < 20 {
 			t.Errorf("only %d %s exercised", n, name)
 		}
 	}
-	t.Logf("updates=%d loops=%d reverts=%d rebinds=%d (no-op %d) restores=%d violating=%d",
-		updates, loops, reverts, rebinds, noops, restores, failing)
+	t.Logf("updates=%d loops=%d reverts=%d targets=%d rebinds=%d (no-op %d) restores=%d violating=%d",
+		updates, loops, reverts, targets, rebinds, noops, restores, failing)
 }

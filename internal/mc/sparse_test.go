@@ -171,38 +171,21 @@ func (w *checkerTwin) update(d *kripke.Delta) (Token, Token) {
 	return st, dt
 }
 
-// clone copies the structure once and both checkers onto the copy.
-func (w *checkerTwin) clone(name string) *checkerTwin {
-	w.t.Helper()
-	k2 := w.k.Clone()
-	sc, err := w.sparse.CloneFor(k2)
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	dc, err := w.dense.CloneFor(k2)
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	return &checkerTwin{t: w.t, name: w.name + "/" + name, k: k2, sparse: sc.(*Incremental), dense: dc.(*denseIncremental)}
-}
-
 // TestSparseLabelingMatchesDense drives the incremental checker, and the
 // dense-array implementation it replaced, over every class structure of
 // random shared-switch scenarios under formulas whose atoms name
 // switches, ports and header fields, through random sequences of what the
 // engine and the session do: updates kept, reverted (the structure then
-// reapplied and the checker updated again, as a worker replaying a
-// prefix does), updates that close a loop and are rolled back unseen,
+// reapplied and the checker updated again), updates that close a loop
+// and are rolled back unseen, several switches updated as one step (the
+// session's final verification) and kept or reverted like any update,
 // undo stacks abandoned at a rebind, rebinds of a few switches naming the
-// rewired states, full rebinds forward to a cyclic target and back
-// answered with Rebind(nil), and clones of structure and checker that
-// carry the search on while the original is left behind. After every
-// operation every state of the arena — nearly all isolated in any one
-// class — must carry the same label in both, and Check must give the
-// same verdict and counterexample; a clone left behind must still do so
-// at the end.
+// rewired states, and rebinds to a cyclic target pulled back without the
+// checkers hearing of either move. After every operation every state of
+// the arena — nearly all isolated in any one class — must carry the same
+// label in both, and Check must give the same verdict and counterexample.
 func TestSparseLabelingMatchesDense(t *testing.T) {
-	var updates, loops, reverts, replays, rebinds, restores, clones, failing, ruleless int
+	var updates, loops, reverts, replays, rebinds, restores, steps, failing, ruleless int
 	for seed := int64(1); seed <= 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		topo, base, classes := sharedScene(r, seed)
@@ -231,8 +214,6 @@ func TestSparseLabelingMatchesDense(t *testing.T) {
 				st, dt Token
 			}
 			var stack []applied
-			var stale []*checkerTwin
-			good := base
 			for step := 0; step < 40; step++ {
 				switch op := r.Intn(12); {
 				case op < 5:
@@ -281,20 +262,18 @@ func TestSparseLabelingMatchesDense(t *testing.T) {
 						}
 						cfg.SetTable(sw, tbl)
 					}
+					before := currentConfig(w.k)
 					changed, _, err := w.k.RebindSwitches(cfg, some)
 					if err != nil {
 						// Cyclic target: pull the structure back; the
-						// checkers saw neither move.
-						if _, _, err := w.k.Rebind(good); err != nil {
+						// checkers saw neither move, so their labels stand.
+						if _, _, err := w.k.Rebind(before); err != nil {
 							t.Fatal(err)
 						}
-						w.sparse.Rebind(nil)
-						w.dense.Rebind(nil)
 						restores++
 						w.compare("restore after a cyclic target")
 						continue
 					}
-					good = cfg
 					var rewired []int
 					for _, sw := range changed {
 						rewired = append(rewired, w.k.StatesOf(sw)...)
@@ -306,31 +285,40 @@ func TestSparseLabelingMatchesDense(t *testing.T) {
 					rebinds++
 					w.compare("rebind")
 				default:
-					c := w.clone(fmt.Sprintf("clone@%d", step))
-					clones++
-					c.compare("clone")
-					stale = append(stale, c)
-					if r.Intn(2) == 0 {
-						w, stale[len(stale)-1] = c, w
-						stack = stack[:0]
+					// Several switches as one step, one loop check, one update.
+					cfg := config.New()
+					var some []int
+					for _, sw := range r.Perm(topo.NumSwitches())[:2+r.Intn(3)] {
+						cfg.SetTable(sw, sceneTable(r, topo, base, classes, sw))
+						some = append(some, sw)
+					}
+					delta, err := w.k.UpdateSwitches(cfg, some)
+					if err != nil {
+						w.k.Revert(delta)
+						loops++
+						w.compare("looping multi-switch step")
+						continue
+					}
+					st, dt := w.update(delta)
+					stack = append(stack, applied{delta, st, dt})
+					steps++
+					if w.compare("multi-switch step") {
+						failing++
 					}
 				}
-			}
-			for _, c := range stale {
-				c.compare("left behind")
 			}
 		}
 	}
 	for name, n := range map[string]int{
 		"updates": updates, "looping updates": loops, "reverts": reverts, "replays": replays, "rebinds": rebinds,
-		"cyclic-target restores": restores, "clones": clones, "violating states": failing, "rule-less classes": ruleless,
+		"cyclic-target restores": restores, "multi-switch steps": steps, "violating states": failing, "rule-less classes": ruleless,
 	} {
 		if n < 20 {
 			t.Errorf("only %d %s exercised", n, name)
 		}
 	}
-	t.Logf("updates=%d loops=%d reverts=%d replays=%d rebinds=%d restores=%d clones=%d violating=%d ruleless=%d",
-		updates, loops, reverts, replays, rebinds, restores, clones, failing, ruleless)
+	t.Logf("updates=%d loops=%d reverts=%d replays=%d rebinds=%d restores=%d multi-switch=%d violating=%d ruleless=%d",
+		updates, loops, reverts, replays, rebinds, restores, steps, failing, ruleless)
 }
 
 // TestSinkLabelFirstReadWhileLabeling: a state that never had an edge

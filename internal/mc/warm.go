@@ -19,8 +19,8 @@ import (
 //
 // Concurrency: the entry map is guarded by a mutex (construction-time
 // only); the cached closures are immutable and the label tables and sink
-// memos are internally synchronized, so checkers on parallel search
-// workers share them freely.
+// memos are internally synchronized, so the checkers of concurrently
+// searched components, and of sessions sharing a Warmth, use them freely.
 type Warmth struct {
 	mu      sync.Mutex
 	entries map[string]*warmEntry

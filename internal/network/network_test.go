@@ -101,6 +101,83 @@ func TestTableEqualCanonical(t *testing.T) {
 	}
 }
 
+// TestTableEqualMatchesCanonicalComparison: Equal answers from lengths and
+// stored order where it can, and must always answer what comparing the two
+// canonical forms rule by rule answers — on tables that are permutations
+// of each other, that repeat rules, that tie on priority, and that differ
+// in one rule, one action or one repetition.
+func TestTableEqualMatchesCanonicalComparison(t *testing.T) {
+	canonicalEqual := func(t, u Table) bool {
+		a, b := t.Canonical(), u.Canonical()
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if !equalRule(a[i], b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	r := rand.New(rand.NewSource(18))
+	randomRule := func() Rule {
+		rule := Rule{
+			Priority: r.Intn(3), // ties are the rule, not the exception
+			Match:    MatchFlow(r.Intn(3), r.Intn(3)),
+		}
+		for n := r.Intn(3); n > 0; n-- {
+			rule.Actions = append(rule.Actions, Forward(topology.Port(1+r.Intn(3))))
+		}
+		return rule
+	}
+	var equal, unequal, reordered int
+	for iter := 0; iter < 4000; iter++ {
+		a := make(Table, r.Intn(6))
+		for i := range a {
+			if i > 0 && r.Intn(4) == 0 {
+				a[i] = a[r.Intn(i)] // a repeated rule
+			} else {
+				a[i] = randomRule()
+			}
+		}
+		b := a.Clone()
+		switch r.Intn(5) {
+		case 0: // the same rules, in the same order
+		case 1:
+			r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		case 2:
+			if len(b) > 0 {
+				b[r.Intn(len(b))] = randomRule()
+			}
+		case 3:
+			if len(b) > 0 { // same length, one repetition more and one rule less
+				b[r.Intn(len(b))] = b[r.Intn(len(b))]
+			}
+		default:
+			b = append(b, randomRule())
+			r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		}
+		want := canonicalEqual(a, b)
+		if got := a.Equal(b); got != want {
+			t.Fatalf("Equal = %v, canonical comparison = %v:\n a %v\n b %v", got, want, a, b)
+		}
+		if got := b.Equal(a); got != want {
+			t.Fatalf("Equal is not symmetric on\n a %v\n b %v", a, b)
+		}
+		switch {
+		case !want:
+			unequal++
+		case equalInOrder(a, b):
+			equal++
+		default:
+			reordered++
+		}
+	}
+	if equal < 100 || unequal < 100 || reordered < 100 {
+		t.Fatalf("cases exercised: %d equal in order, %d equal reordered, %d unequal", equal, reordered, unequal)
+	}
+}
+
 // lineTopo builds h0 - sw0 - sw1 - sw2 - h1 with hosts 0 and 1.
 func lineTopo() (*topology.Topology, Table, Table, Table) {
 	topo := topology.New("line", 3)

@@ -308,12 +308,20 @@ func compareRules(a, b Rule) int {
 	return 0
 }
 
-// Equal reports whether two tables have identical canonical forms.
+// Equal reports whether two tables have identical canonical forms. A
+// configuration diff asks this of every switch of the network, and nearly
+// always of two tables that hold the same rules in the same order — or,
+// where the switch is being updated, a different number of them: both
+// are answered without sorting either table.
 func (t Table) Equal(u Table) bool {
-	a, b := t.Canonical(), u.Canonical()
-	if len(a) != len(b) {
+	if len(t) != len(u) {
 		return false
 	}
+	return equalInOrder(t, u) || equalInOrder(t.Canonical(), u.Canonical())
+}
+
+// equalInOrder compares two tables of one length rule by rule.
+func equalInOrder(a, b Table) bool {
 	for i := range a {
 		if !equalRule(a[i], b[i]) {
 			return false

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -163,7 +164,7 @@ func TestEveryOptionReachesTheSession(t *testing.T) {
 		case reflect.Bool:
 			v.SetBool(true)
 		default:
-			v.SetInt(3) // 3 workers, a sub-millisecond timeout
+			v.SetInt(3) // a sub-millisecond timeout
 		}
 	}
 	spec := testSpec("every-option")
@@ -199,13 +200,14 @@ func TestEveryOptionReachesTheSession(t *testing.T) {
 // (what netupdate -stream -connect used to send) and one that leaves it
 // out (what every HTTP client sends) are the same tenant; and the ids of
 // specs as JSON clients spell them are the ones computed at commit
-// 9bc8855 (every-option: at 5a6acb0, without the checker key that commit
-// still had), so registered tenants and -learn-file stores keep their
-// keys. The removed "checker" key is a 400 like any unknown key, even
-// spelling the old default.
+// 9bc8855 (every-option: at b2c7ecd, without the "parallel" and
+// "firstPlan" keys that commit still had), so registered tenants and
+// -learn-file stores keep their keys. The removed "checker", "parallel"
+// and "firstPlan" keys are a 400 like any unknown key, even spelling the
+// old default, and the error names the key.
 func TestFingerprintCanonicalAndGolden(t *testing.T) {
 	const header = `{"name":"line","topology":{"switches":4,"links":[[0,1],[1,3],[0,2],[2,3]],"hosts":[{"id":100,"switch":0},{"id":101,"switch":3}]},"classes":[{"name":"c","src":100,"dst":101,"path":[0,1,3],"spec":"sw=0 -> F sw=3"}]`
-	const everyOption = `,"options":{"rules":true,"twoSimple":true,"noWaitRemoval":true,"noDecompose":true,"parallel":3,"firstPlan":true,"noCexLearning":true,"noEarlyTermination":true,"noHeuristicOrder":true,"minCompletion":true,"noPlanCache":true,"trace":true,"timeoutNs":1500}}`
+	const everyOption = `,"options":{"rules":true,"twoSimple":true,"noWaitRemoval":true,"noDecompose":true,"noCexLearning":true,"noEarlyTermination":true,"noHeuristicOrder":true,"minCompletion":true,"noPlanCache":true,"trace":true,"timeoutNs":1500}}`
 	p := NewPool(PoolOptions{Workers: 1})
 	ts := httptest.NewServer(NewHandler(p))
 	defer ts.Close()
@@ -215,8 +217,8 @@ func TestFingerprintCanonicalAndGolden(t *testing.T) {
 	}{
 		{header + `}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", true},
 		{header + `,"options":{}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
-		{header + `,"options":{"parallel":0,"rules":false}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
-		{header + everyOption, "tcc1ae69ee893664e", "tdcbd5c684e36dd64", true},
+		{header + `,"options":{"twoSimple":false,"rules":false}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
+		{header + everyOption, "te26b5b81046c944e", "tca6a2933aae50cb0", true},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(c.spec))
 		if err != nil {
@@ -239,13 +241,17 @@ func TestFingerprintCanonicalAndGolden(t *testing.T) {
 			t.Errorf("%s:\nlearn fingerprint %s (%v), want %s", c.spec, learnID, err, c.learnID)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(header+`,"options":{"checker":"incremental"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf(`"options":{"checker":"incremental"}: status %d, want 400`, resp.StatusCode)
+	for key, value := range map[string]string{"checker": `"incremental"`, "parallel": "0", "firstPlan": "false"} {
+		options := `,"options":{"` + key + `":` + value + `}}`
+		resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(header+options))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `\"`+key+`\"`) {
+			t.Errorf("%s: status %d, body %s; want 400 and the key by name", options, resp.StatusCode, body)
+		}
 	}
 	if n := p.Metric("pool_tenants"); n != 2 {
 		t.Fatalf("%g tenants registered, want 2", n)
@@ -267,7 +273,7 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatalf("equal specs fingerprint differently: %s vs %s", a, b)
 	}
 	other := testSpec("fp")
-	other.Options.Parallelism = 2
+	other.Options.TwoSimple = true
 	c, err := other.Fingerprint()
 	if err != nil {
 		t.Fatal(err)

@@ -31,8 +31,8 @@ const (
 type PoolOptions struct {
 	// Workers is the global synthesis budget: at most this many
 	// syntheses run at once across all tenants. Zero means one per CPU.
-	// (Each synthesis may itself parallelize per the tenant's Parallel
-	// option; operators sizing a box should budget Workers x Parallel.)
+	// (A synthesis whose diff splits into independent components searches
+	// them concurrently, on up to GOMAXPROCS goroutines of its own.)
 	Workers int
 	// MaxSessions bounds the warm sessions held at once; the
 	// least-recently-used idle session beyond it is evicted and rebuilt

@@ -38,13 +38,13 @@ func specsHold(sc *config.Scenario, cfg *config.Config) bool {
 func TestFaultCrashThenRepairRecovers(t *testing.T) {
 	sc := config.Fig1RedBlueWaypoint()
 	stalls := 0
-	base, err := core.Synthesize(sc, core.Options{Parallelism: 1})
+	base, err := core.Synthesize(sc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ups := base.Updates()
 	for k := 1; k < len(ups); k++ {
-		sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, core.Options{Parallelism: 1})
+		sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

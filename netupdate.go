@@ -138,10 +138,9 @@ var ParseFaults = sim.ParseFaults
 
 // Synthesize runs the ORDERUPDATE algorithm on a scenario, returning an
 // executable update plan or an error (ErrNoOrdering when no correct
-// simple careful sequence exists). The search runs on a parallel worker
-// pool sized by Options.Parallelism (zero = one worker per CPU, one =
-// sequential) and is deterministic by default: it returns the same plan
-// at any worker count. See DESIGN.md "Parallel search architecture".
+// simple careful sequence exists). The search is the paper's sequential
+// DFS — one per independent component of the diff, run concurrently — and
+// is deterministic: it returns the same plan on any number of CPUs.
 func Synthesize(sc *Scenario, opts Options) (*Plan, error) {
 	return core.Synthesize(sc, opts)
 }
@@ -157,8 +156,7 @@ func Synthesize(sc *Scenario, opts Options) (*Plan, error) {
 // equivalent and is itself a thin wrapper over a single-use session.
 //
 // A Synthesizer is NOT goroutine-safe: it must not be used from more
-// than one goroutine at a time (each Synthesize call still parallelizes
-// internally per Options.Parallelism). The warm per-class structures are
+// than one goroutine at a time. The warm per-class structures are
 // mutated in place during a synthesis, so overlapping calls would corrupt
 // them; a cheap atomic guard detects overlapping calls and fails the
 // latecomer with ErrConcurrentUse instead. Callers that need concurrency
