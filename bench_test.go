@@ -147,8 +147,9 @@ func BenchmarkColdSynthesizeMulticlass(b *testing.B) {
 // heap in use after two collections, less what was in use before the
 // session existed (topology and scenario): /built after NewSession — the
 // private arena and one structure and checker per class — /served after
-// the first Synthesize, which adds the last plan, the rows and labels the
-// target's states gained and the engine's pooled scratch. A session's classes each connect a few dozen
+// the first Synthesize, which adds the last plan and the rows and labels
+// the target's states gained (engine scratch is borrowed from a
+// process-level pool for the run, not held). A session's classes each connect a few dozen
 // of the arena's thousands of states; an array per class as long as the
 // arena shows here as megabytes and nowhere in allocs/op, which is why CI
 // gates this reading (.github/alloc-budgets.txt).
@@ -706,17 +707,21 @@ func BenchmarkRepair(b *testing.B) {
 // binary snapshot — the pool's eviction-resume path. The session is
 // warmed (one synthesis with the plan cache attached) and snapshotted
 // outside the timer; one op restores it over the shared arena and
-// warmth, exactly as ensureWarm does after an eviction. Restore adopts
-// recorded transitions, labelings, and atom images instead of
-// recomputing them, so allocations stay proportional to the decoded
-// arrays alone; CI pins allocs/op (see .github/workflows/ci.yml).
+// warmth and with the context fingerprint computed beforehand, exactly as
+// ensureWarm does after an eviction. Restore adopts recorded transitions
+// and labelings instead of recomputing them, so allocations stay
+// proportional to the decoded lists plus an index word per arena state
+// per class; CI pins allocs/op and B/op (.github/alloc-budgets.txt).
 func BenchmarkSnapshotRestore(b *testing.B) {
 	sc, err := bench.MultiRegionWorkload(160, 4, 2, 0, config.Reachability, 160*13)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts := core.Options{Timeout: benchTimeout}
-	res := core.SessionResources{Arena: kripke.NewArena(sc.Topo), Warmth: mc.NewWarmth()}
+	res := core.SessionResources{
+		Arena: kripke.NewArena(sc.Topo), Warmth: mc.NewWarmth(),
+		ContextFP: core.ContextFingerprint(sc.Topo, sc.Specs, opts),
+	}
 	sess, err := core.NewSessionWith(sc.Topo, sc.Init, sc.Specs, opts, res)
 	if err != nil {
 		b.Fatal(err)

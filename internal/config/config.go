@@ -105,22 +105,16 @@ func (c *Config) Tables() map[int]network.Table { return c.tables }
 // Diff returns the switches whose tables differ between a and b,
 // ascending. These are exactly the switches an update must touch.
 func Diff(a, b *Config) []int {
-	seen := map[int]bool{}
 	var out []int
-	check := func(sw int) {
-		if seen[sw] {
-			return
-		}
-		seen[sw] = true
-		if !a.Table(sw).Equal(b.Table(sw)) {
+	for sw, tbl := range a.tables {
+		if !tbl.Equal(b.tables[sw]) {
 			out = append(out, sw)
 		}
 	}
-	for sw := range a.tables {
-		check(sw)
-	}
-	for sw := range b.tables {
-		check(sw)
+	for sw, tbl := range b.tables {
+		if _, ok := a.tables[sw]; !ok && len(tbl) > 0 {
+			out = append(out, sw)
+		}
 	}
 	sort.Ints(out)
 	return out
@@ -208,15 +202,24 @@ func PathOf(cfg *Config, topo *topology.Topology, cl Class) ([]int, error) {
 	pkt := cl.Packet()
 	sw, pt := src.Switch, src.Port
 	var path []int
-	seen := map[string]bool{}
+	// The hops taken so far, scanned for a repeat — paths are tens of hops —
+	// and one hop's outputs; both spill to the heap only past their buffers.
+	type hop struct {
+		sw int
+		pt topology.Port
+	}
+	var seenBuf [32]hop
+	var outBuf [2]network.PortPacket
+	seen := seenBuf[:0]
 	for {
-		key := fmt.Sprintf("%d/%d", sw, pt)
-		if seen[key] {
-			return nil, fmt.Errorf("config: forwarding loop for class %v at sw%d", cl, sw)
+		for _, h := range seen {
+			if h == (hop{sw, pt}) {
+				return nil, fmt.Errorf("config: forwarding loop for class %v at sw%d", cl, sw)
+			}
 		}
-		seen[key] = true
+		seen = append(seen, hop{sw, pt})
 		path = append(path, sw)
-		outs := cfg.Table(sw).Apply(pkt, pt)
+		outs := cfg.Table(sw).AppendApply(outBuf[:0], pkt, pt)
 		if len(outs) == 0 {
 			return nil, fmt.Errorf("config: class %v dropped at sw%d", cl, sw)
 		}

@@ -1,6 +1,9 @@
 package config
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"netupdate/internal/ltl"
@@ -290,4 +293,162 @@ func evalOnPath(f *ltl.Formula, path []int) bool {
 		})
 	}
 	return f.EvalTrace(trace)
+}
+
+// TestDiffMatchesSwitchSweep: Diff walks the tables the two configurations
+// hold, not the switches of the network; on random pairs — tables only one
+// side has, equal tables in another rule order, an empty table on one side
+// — it must list, ascending, exactly the switches a sweep over every
+// switch finds different.
+func TestDiffMatchesSwitchSweep(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	const switches = 24
+	table := func() network.Table {
+		var tbl network.Table
+		for n := r.Intn(4); n > 0; n-- {
+			tbl = append(tbl, fwdRule(1+r.Intn(3), network.MatchFlow(r.Intn(3), r.Intn(3)), topology.Port(1+r.Intn(3))))
+		}
+		return tbl
+	}
+	differing := 0
+	for iter := 0; iter < 200; iter++ {
+		a, b := New(), New()
+		for sw := 0; sw < switches; sw++ {
+			switch r.Intn(5) {
+			case 0: // neither
+			case 1:
+				a.SetTable(sw, table())
+			case 2:
+				b.SetTable(sw, table())
+			case 3: // the same rules, reversed
+				tbl := table()
+				a.SetTable(sw, tbl)
+				rev := tbl.Clone()
+				slices.Reverse(rev)
+				b.SetTable(sw, rev)
+			default:
+				a.SetTable(sw, table())
+				b.SetTable(sw, table())
+			}
+		}
+		b.tables[switches] = network.Table{} // present and empty: equal to absent
+		var want []int
+		for sw := 0; sw <= switches; sw++ {
+			if !a.Table(sw).Equal(b.Table(sw)) {
+				want = append(want, sw)
+			}
+		}
+		if got := Diff(a, b); !slices.Equal(got, want) {
+			t.Fatalf("iter %d: Diff = %v, a sweep finds %v", iter, got, want)
+		}
+		differing += len(want)
+	}
+	if differing == 0 {
+		t.Fatal("no pair differed")
+	}
+}
+
+// TestPathOfTable walks PathOf through a delivery, each way a trace can
+// end early, and forwarding loops — one that closes as soon as a switch
+// bounces the packet back, one longer than the hops PathOf remembers
+// without allocating — plus a delivery longer than that.
+func TestPathOfTable(t *testing.T) {
+	const n = 40 // past PathOf's 32-hop buffer
+	cl := Class{SrcHost: 10, DstHost: 11}
+	ring := func() *topology.Topology {
+		topo := topology.New("ring", n)
+		for sw := 0; sw < n; sw++ {
+			topo.AddLink(sw, (sw+1)%n)
+		}
+		topo.AddHost(10, 0)
+		topo.AddHost(11, n-1)
+		topo.AddHost(12, n-1)
+		return topo
+	}
+	// clockwise forwards the class from switch 0 up to (not including) stop.
+	clockwise := func(topo *topology.Topology, stop int) *Config {
+		cfg := New()
+		for sw := 0; sw < stop; sw++ {
+			pt, _ := topo.PortToward(sw, (sw+1)%n)
+			cfg.AddRule(sw, fwdRule(10, cl.Pattern(), pt))
+		}
+		return cfg
+	}
+	hostPort := func(topo *topology.Topology, id int) topology.Port {
+		h, _ := topo.HostByID(id)
+		return h.Port
+	}
+	for _, c := range []struct {
+		name    string
+		build   func(topo *topology.Topology) *Config
+		class   Class
+		hops    int    // of a delivery
+		wantErr string // a fragment of the error otherwise
+	}{
+		{name: "delivered past the buffer", hops: n, build: func(topo *topology.Topology) *Config {
+			cfg := clockwise(topo, n-1)
+			cfg.AddRule(n-1, fwdRule(10, cl.Pattern(), hostPort(topo, 11)))
+			return cfg
+		}},
+		{name: "no source host", class: Class{SrcHost: 99, DstHost: 11}, wantErr: "no host 99",
+			build: func(topo *topology.Topology) *Config { return New() }},
+		{name: "dropped", wantErr: "dropped at sw3",
+			build: func(topo *topology.Topology) *Config { return clockwise(topo, 3) }},
+		{name: "multicast", wantErr: "multicast at sw2", build: func(topo *topology.Topology) *Config {
+			cfg := clockwise(topo, 2)
+			a, _ := topo.PortToward(2, 3)
+			b, _ := topo.PortToward(2, 1)
+			cfg.AddRule(2, network.Rule{Priority: 10, Match: cl.Pattern(),
+				Actions: []network.Action{network.Forward(a), network.Forward(b)}})
+			return cfg
+		}},
+		{name: "modified", wantErr: "modified at sw1", build: func(topo *topology.Topology) *Config {
+			cfg := clockwise(topo, 1)
+			pt, _ := topo.PortToward(1, 2)
+			cfg.AddRule(1, network.Rule{Priority: 10, Match: cl.Pattern(),
+				Actions: []network.Action{network.SetField(network.FieldDst, 12), network.Forward(pt)}})
+			return cfg
+		}},
+		{name: "wrong host", wantErr: "wrong host 12", build: func(topo *topology.Topology) *Config {
+			cfg := clockwise(topo, n-1)
+			cfg.AddRule(n-1, fwdRule(10, cl.Pattern(), hostPort(topo, 12)))
+			return cfg
+		}},
+		{name: "dangling port", wantErr: "dangling port at sw1", build: func(topo *topology.Topology) *Config {
+			cfg := clockwise(topo, 1)
+			cfg.AddRule(1, fwdRule(10, cl.Pattern(), 77))
+			return cfg
+		}},
+		{name: "bounced straight back", wantErr: "forwarding loop", build: func(topo *topology.Topology) *Config {
+			cfg := clockwise(topo, 1)
+			back, _ := topo.PortToward(1, 0)
+			cfg.AddRule(1, fwdRule(10, cl.Pattern(), back))
+			return cfg
+		}},
+		{name: "loop past the buffer", wantErr: "forwarding loop",
+			build: func(topo *topology.Topology) *Config { return clockwise(topo, n) }},
+	} {
+		topo := ring()
+		class := c.class
+		if class == (Class{}) {
+			class = cl
+		}
+		path, err := PathOf(c.build(topo), topo, class)
+		switch {
+		case c.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		default:
+			want := make([]int, c.hops)
+			for i := range want {
+				want[i] = i
+			}
+			if !slices.Equal(path, want) {
+				t.Errorf("%s: path = %v", c.name, path)
+			}
+		}
+	}
 }

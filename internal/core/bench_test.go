@@ -32,11 +32,12 @@ func BenchmarkOrderingAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	scr := newSessionShell(sc.Topo, sc.Init, sc.Specs, opts, SessionResources{}).scratch
+	scr := scratchPool.Get().(*engineScratch)
+	defer scratchPool.Put(scr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := newEngineShellWith(sc, opts, units, &scr)
+		e := newEngineShellWith(sc, opts, units, scr)
 		steps := e.removeWaits(plan.Steps)
 		dag := e.buildDAG(steps)
 		if countWaits(steps) >= countWaits(plan.Steps) || dag.NumNodes() != len(units) {

@@ -274,10 +274,13 @@ func (w *hashWriter) writeString(s string) {
 	w.h.Write([]byte(s))
 }
 
-// contextFingerprint digests everything fixed for a session that shapes
+// ContextFingerprint digests everything fixed for a session that shapes
 // which plan the search returns: the topology, the per-class
-// specifications, and the options tagged plan-shaping in Options.
-func contextFingerprint(topo *topology.Topology, specs []config.ClassSpec, opts Options) []byte {
+// specifications, and the options tagged plan-shaping in Options. It
+// walks all three, so whoever builds many sessions over one context — a
+// pool restoring an evicted tenant on every request — computes it once
+// and hands it over in SessionResources.ContextFP.
+func ContextFingerprint(topo *topology.Topology, specs []config.ClassSpec, opts Options) []byte {
 	w := &hashWriter{h: sha256.New()}
 	w.writeInt(topo.NumSwitches())
 	for sw := 0; sw < topo.NumSwitches(); sw++ {
@@ -345,15 +348,12 @@ func hashConfig(cfg *config.Config) cfgHash {
 // contract, and on success the target pointer becomes the next base — so
 // steady-state streams hash one configuration per request, not two.
 func (s *Session) instanceKey(final *config.Config) string {
-	if s.ctxFP == nil {
-		s.ctxFP = contextFingerprint(s.topo, s.specs, s.opts)
-	}
 	if s.hashedCur != s.cur {
 		s.hashedCur, s.curHash = s.cur, hashConfig(s.cur)
 	}
 	tgtHash := hashConfig(final)
 	h := sha256.New()
-	h.Write(s.ctxFP)
+	h.Write(s.contextFP())
 	h.Write(s.curHash[:])
 	h.Write(tgtHash[:])
 	key := string(h.Sum(nil))
@@ -361,6 +361,15 @@ func (s *Session) instanceKey(final *config.Config) string {
 	// session advances to final and the next request reuses it.
 	s.pendingCfg, s.pendingHash = final, tgtHash
 	return key
+}
+
+// contextFP returns the session's context fingerprint, computing it on
+// first use when SessionResources supplied none.
+func (s *Session) contextFP() []byte {
+	if s.ctxFP == nil {
+		s.ctxFP = ContextFingerprint(s.topo, s.specs, s.opts)
+	}
+	return s.ctxFP
 }
 
 // noteAdvance moves the memoized base hash when the session's current

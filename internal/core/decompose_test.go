@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -370,6 +371,10 @@ func TestDecomposedFailureResync(t *testing.T) {
 		// Every warm structure must be back at the initial configuration,
 		// including the classes of the components that succeeded before
 		// the gadget component failed.
+		if len(s.LastStats().CommittedComponents) == 0 {
+			t.Fatalf("attempt %d: no component committed before the failure", attempt)
+		}
+		requireRebased(t, fmt.Sprintf("attempt %d", attempt), s)
 		for i, k := range s.ks {
 			for _, sw := range config.Diff(sc.Init, sc.Final) {
 				if !k.Table(sw).Equal(sc.Init.Table(sw)) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"netupdate/internal/config"
@@ -103,6 +104,17 @@ func restoreAndServe(t *testing.T, seed fuzzSeed, body []byte) {
 		}
 		return
 	}
+	// Whatever else the image says, the configuration the session is at is
+	// the one its configuration section spells: no table dropped or
+	// overwritten by a later one for the same switch.
+	if listed := configSwitches(body); !slices.Equal(listed, s.Current().Switches()) {
+		t.Fatalf("%s: image lists tables for switches %v, the restored session holds %v", seed.name, listed, s.Current().Switches())
+	}
+	if pristine && !seed.v1 {
+		if again, err := s.Snapshot(); err != nil || !bytes.Equal(again, seed.img) {
+			t.Fatalf("%s: the committed image restores to a session that writes another (err %v)", seed.name, err)
+		}
+	}
 	if pristine || s.RestoredCold() {
 		if pristine && len(config.Diff(s.Current(), seed.target)) != 0 {
 			t.Fatalf("%s: restored at another configuration than the image's", seed.name)
@@ -122,6 +134,20 @@ func restoreAndServe(t *testing.T, seed fuzzSeed, body []byte) {
 	if _, err := s.Snapshot(); err != nil {
 		t.Fatalf("restored session cannot snapshot: %v", err)
 	}
+}
+
+// configSwitches reads the switch ids of the non-empty tables in the
+// configuration section of an image body that restored.
+func configSwitches(body []byte) []int {
+	r := &snapReader{buf: body, off: len(snapMagic) + 4 + sha256.Size}
+	r.num() // runs
+	var out []int
+	for _, e := range decodeSwitches(r) {
+		if len(e.rules) > 0 {
+			out = append(out, e.sw)
+		}
+	}
+	return out
 }
 
 // TestRestoreSessionByteSweep rewrites every byte after the context
@@ -155,14 +181,21 @@ func TestRestoreSessionByteSweep(t *testing.T) {
 // the integrity check and reach the section decoders.
 //
 // The seeds are the committed images (fuzzSeedVersions) plus truncations
-// of them: unmutated, they must restore and serve as a cold session
-// would, which pins both NUSS formats.
+// of them — unmutated, they must restore and serve as a cold session
+// would, which pins both NUSS formats — and, of each current-format image,
+// the refused variants a byte mutation is unlikely to reach
+// (damagedImages).
 func FuzzRestoreSession(f *testing.F) {
 	seeds := loadFuzzSeeds(f)
 	for i, seed := range seeds {
 		f.Add(i, seed.img)
 		for _, cut := range []int{len(seed.img) / 4, len(seed.img) / 2, len(seed.img) - sha256.Size - 1} {
 			f.Add(i, seed.img[:cut])
+		}
+		if !seed.v1 {
+			for _, bad := range damagedImages(f, seed.img) {
+				f.Add(i, bad)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, which int, data []byte) {

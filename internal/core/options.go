@@ -26,7 +26,7 @@ import (
 //     default and leaving it out encode — and fingerprint — identically.
 //   - flag, help: the netupdate command-line flag, where one exists.
 //   - plan: "speed" when the option cannot change which plan the search
-//     returns, otherwise its bit number in contextFingerprint's flag
+//     returns, otherwise its bit number in ContextFingerprint's flag
 //     word. That digest is stored in NUSS images and keys learn files:
 //     never renumber a bit; a new plan-shaping option takes the next one
 //     never used (7). Bit 5 is retired: it was the first-plan-wins

@@ -37,7 +37,7 @@ var allOptionsSet = Options{
 	MinimizeCompletionTime: true, NoPlanCache: true, Trace: true, Timeout: 1500 * time.Nanosecond,
 }
 
-// TestContextFingerprintGolden pins contextFingerprint to the digests of
+// TestContextFingerprintGolden pins ContextFingerprint to the digests of
 // commit b2c7ecd, the last with the intra-component worker pool and its
 // two options (the default is unchanged since the hand-written version of
 // 9bc8855): the digest is embedded in NUSS images and keys -learn-file
@@ -62,14 +62,14 @@ func TestContextFingerprintGolden(t *testing.T) {
 		{"bit 6", Options{MinimizeCompletionTime: true}, "ae66f91aa939dd7b23b167d6a2b700c56baba5d983678d8236acbf8eb195a8e3"},
 		{"every option set", allOptionsSet, "eef98d0de1a372e53290394e80ab5799de14ddee3870bacd95dbc114a31a6355"},
 	} {
-		if got := hex.EncodeToString(contextFingerprint(base.Topo, base.Specs, c.opts)); got != c.want {
-			t.Errorf("%s: contextFingerprint = %s, want %s", c.name, got, c.want)
+		if got := hex.EncodeToString(ContextFingerprint(base.Topo, base.Specs, c.opts)); got != c.want {
+			t.Errorf("%s: ContextFingerprint = %s, want %s", c.name, got, c.want)
 		}
 	}
 }
 
 // TestOptionClassification: setting a plan-shaping option alone changes
-// contextFingerprint, setting a speed-only one alone does not — and every
+// ContextFingerprint, setting a speed-only one alone does not — and every
 // Options field is in the table, so a new option cannot go unclassified.
 func TestOptionClassification(t *testing.T) {
 	shapesPlan := map[string]bool{
@@ -79,7 +79,7 @@ func TestOptionClassification(t *testing.T) {
 		"NoPlanCache": false, "Trace": false, "Timeout": false,
 	}
 	base := goldenBase(t)
-	def := hex.EncodeToString(contextFingerprint(base.Topo, base.Specs, Options{}))
+	def := hex.EncodeToString(ContextFingerprint(base.Topo, base.Specs, Options{}))
 	seen := map[string]string{}
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -99,7 +99,7 @@ func TestOptionClassification(t *testing.T) {
 		default:
 			f.SetInt(1)
 		}
-		fp := hex.EncodeToString(contextFingerprint(base.Topo, base.Specs, opts))
+		fp := hex.EncodeToString(ContextFingerprint(base.Topo, base.Specs, opts))
 		if changed := fp != def; changed != shapes {
 			t.Errorf("Options.%s: fingerprint changed = %v, plan-shaping = %v", name, changed, shapes)
 		}

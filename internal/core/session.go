@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"netupdate/internal/config"
@@ -33,8 +34,9 @@ import (
 //     shares closures and label tables between all checkers of one
 //     formula;
 //   - engine scratch — the visited set, the current-table map, and the
-//     ordering-analysis marks and buffers — is pooled in the session and
-//     reset per run instead of reallocated.
+//     ordering-analysis marks and buffers — is borrowed from a
+//     process-level pool for the length of a run and reset instead of
+//     reallocated.
 //
 // There is one structure and one checker per class, and everything a
 // request does — verifying the target, replaying a cached plan, the
@@ -45,8 +47,9 @@ import (
 // configuration. A Session must not be used from more than one goroutine
 // at a time (a Synthesize runs on the caller's goroutine, and runs the
 // independent components of a diff concurrently, see decompose.go).
-// Configurations handed to the session are retained and must not be
-// mutated by the caller afterwards.
+// Configurations handed to the session are retained — the class
+// structures read their tables through the current one (kripke.K) — and
+// must not be mutated by the caller afterwards.
 type Session struct {
 	topo  *topology.Topology
 	specs []config.ClassSpec
@@ -70,8 +73,7 @@ type Session struct {
 	stateBuf []int
 	frameBuf []frame
 
-	scratch engineScratch
-	runs    int
+	runs int
 	// restoredCold marks a session RestoreSession built cold at the
 	// configuration of an image in an older format.
 	restoredCold bool
@@ -131,6 +133,20 @@ type engineScratch struct {
 	deps      *depScratch
 }
 
+// scratchPool lends an engineScratch to one synthesize call at a time, as
+// kripke's cyclePool lends the loop check's: a session restored to serve
+// one request allocates none and a warm one holds none while idle. The
+// ordering analysis' stamps only grow, so a scratch laid out for one
+// tenant's classes and switches serves the next tenant's
+// (depScratch.reset).
+var scratchPool = sync.Pool{New: func() any {
+	return &engineScratch{
+		visited:   newBitsetSet(),
+		curTables: map[int]network.Table{},
+		deps:      &depScratch{},
+	}
+}}
+
 // SessionResources are the read-only structures a session may share with
 // other sessions over the same topology instead of building privately:
 // the Kripke state arena and the formula-keyed warmth cache (closures and
@@ -138,15 +154,22 @@ type engineScratch struct {
 // pool deduplicates them across identically-shaped tenants. Nil fields
 // mean "build a private one".
 //
+// ContextFP, when set, is ContextFingerprint of the very topology, specs
+// and options the session is built or restored with, computed once by a
+// caller that keeps them fixed across many sessions: images carry it,
+// cache keys start with it, and a restore compares the image's with it.
+// Nil means "compute it when first needed".
+//
 // Factory, when set, builds the per-class checkers in place of the
 // incremental checker over Warmth. It is the seam the figure harness
 // (internal/bench) drives its comparison backends through; such a session
 // cannot be snapshotted, and RestoreSessionWith ignores the field (an
 // image holds the incremental checker's labeling).
 type SessionResources struct {
-	Arena   *kripke.Arena
-	Warmth  *mc.Warmth
-	Factory mc.Factory
+	Arena     *kripke.Arena
+	Warmth    *mc.Warmth
+	Factory   mc.Factory
+	ContextFP []byte
 }
 
 // NewSession builds the warm per-class structures over the initial
@@ -187,8 +210,8 @@ func NewSessionWith(topo *topology.Topology, init *config.Config, specs []config
 }
 
 // newSessionShell assembles the session fields common to cold
-// construction and snapshot restore: shared or private resources, fresh
-// engine scratch, no per-class structures yet.
+// construction and snapshot restore: shared or private resources, no
+// per-class structures yet.
 func newSessionShell(topo *topology.Topology, init *config.Config, specs []config.ClassSpec, opts Options, res SessionResources) *Session {
 	arena := res.Arena
 	if arena == nil {
@@ -205,11 +228,7 @@ func newSessionShell(topo *topology.Topology, init *config.Config, specs []confi
 		cur:   init,
 		arena: arena,
 		warm:  warm,
-		scratch: engineScratch{
-			visited:   newBitsetSet(),
-			curTables: map[int]network.Table{},
-			deps:      &depScratch{},
-		},
+		ctxFP: res.ContextFP,
 	}
 	if opts.Trace {
 		s.trace = obs.NewTrace(0)
@@ -359,7 +378,9 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	if err != nil {
 		return refuse(Stats{RequestID: reqID}, err)
 	}
-	e := newEngineShellWith(sc, s.opts, units, &s.scratch)
+	scr := scratchPool.Get().(*engineScratch)
+	defer scratchPool.Put(scr)
+	e := newEngineShellWith(sc, s.opts, units, scr)
 	e.bindContext(ctx)
 	e.stats.RequestID = reqID
 	e.ks, e.checkers = s.ks, s.checkers
@@ -597,15 +618,16 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	// Only the diff's switches can deviate from target: the search and
 	// the footprint pre-pass mutate nothing else, and target differs from
 	// the previous configuration exactly on the diff the units cover.
-	// Restricting the rebind to those switches — and, per class,
-	// adopting every switch whose rule changes cannot affect it — keeps
-	// resync cost proportional to the diff, not the network times the
-	// class count. The rule diffs span the two endpoints (s.cur vs final,
-	// not vs target): even when the run failed and target is s.cur, a
-	// decomposed run's *successful* components left their classes'
-	// structures at final tables, and a class the endpoint diff cannot
-	// affect may adopt either endpoint's table while every other class
-	// gets a real rebind against its actual structure state.
+	// Restricting the rebind to those switches — and, per class, to the
+	// ones whose rule changes can affect it — keeps resync cost
+	// proportional to the diff, not the network times the class count. The
+	// rule diffs span the two endpoints (s.cur vs final, not vs target):
+	// even when the run failed and target is s.cur, a decomposed run's
+	// *successful* components left their classes' structures at final
+	// tables, and a class the endpoint diff cannot affect is forwarded
+	// alike under either endpoint's table while every other class gets a
+	// real rebind against its actual structure state. Every structure ends
+	// rebased on target.
 	rbStart := time.Now()
 	rbSpan := tr.Begin("rebind", root)
 	for i := range s.ks {
@@ -649,11 +671,15 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 // standing verdict read. A target that forwards some class in a cycle is
 // the search's loop protocol: the structure is reverted and the checker
 // never sees it. Passing or not, every structure and label is back where
-// it was when verifyFinal returns.
+// it was when verifyFinal returns, the structures rebased on the current
+// configuration: a refused target reaches no resync.
 func (s *Session) verifyFinal(e *engine, final *config.Config) error {
 	frames := s.frameBuf[:0]
 	defer func() {
 		e.revert(frames)
+		for _, f := range frames {
+			s.ks[f.class].Rebase(s.cur)
+		}
 		clear(frames)
 		s.frameBuf = frames[:0]
 	}()
@@ -672,19 +698,16 @@ func (s *Session) verifyFinal(e *engine, final *config.Config) error {
 			verdict = s.checkers[i].Check()
 		} else {
 			delta, err := s.ks[i].UpdateSwitches(final, sws)
+			if delta != nil { // applied, even where it closed a loop
+				frames = append(frames, frame{class: i, delta: delta})
+			}
 			if err != nil {
-				if delta != nil { // a loop: applied, and reported alongside
-					s.ks[i].Revert(delta)
-				}
 				return fmt.Errorf("%w: %v", ErrFinalViolation, err)
 			}
 			if len(delta.Changed()) == 0 {
-				frames = append(frames, frame{class: i, delta: delta})
 				verdict = s.checkers[i].Check()
 			} else {
-				var tok mc.Token
-				verdict, tok = s.checkers[i].Update(delta)
-				frames = append(frames, frame{class: i, delta: delta, token: tok})
+				verdict, frames[len(frames)-1].token = s.checkers[i].Update(delta)
 			}
 		}
 		if !verdict.OK {
@@ -715,7 +738,7 @@ type swDiff struct {
 
 // affects reports whether any changed rule matches the class packet: if
 // none does, the class's forwarding at the switch is identical under both
-// tables and the structure may adopt the new table without recomputation.
+// tables and its structure has nothing to recompute.
 func (d *swDiff) affects(pkt network.Packet) bool {
 	return rulesAffect(d.removed, d.added, pkt)
 }
@@ -725,7 +748,7 @@ func (d *swDiff) affects(pkt network.Packet) bool {
 // under both tables — table application is priority-set semantics, so a
 // rule that cannot match contributes nothing and a pure reorder of
 // identical rules changes nothing either. This single predicate backs
-// both the footprint pre-filter and the resync adopt filter.
+// both the footprint pre-filter and the resync filter.
 func rulesAffect(removed, added []network.Rule, pkt network.Packet) bool {
 	for _, r := range removed {
 		if headerMatches(r.Match, pkt) {
@@ -756,20 +779,18 @@ func ruleDiffs(dst []swDiff, from, to *config.Config, cands []int) []swDiff {
 
 // rebindClass resyncs class i's structure (and its checker) to target,
 // which differs from what the structure holds on the switches of diffBuf
-// at most, skipping recomputation on every diff switch whose changed rules
-// cannot affect the class — the table is adopted, the checker's verdict
-// stays valid (it depends on the class structure alone, see mc.Checker) —
-// and paying a real rebind only on the rest; the checker then relabels
-// from the arrival states of the switches whose transitions moved.
+// at most. Only the diff switches whose changed rules can match the class
+// are rebound; the checker then relabels from the arrival states of the
+// switches whose transitions moved. A diff switch the class cannot see
+// needs nothing: the class is forwarded there alike under either table,
+// and the structure, rebased on target at the end (kripke.K.Rebase), reads
+// the new one from it.
 func (s *Session) rebindClass(i int, target *config.Config) error {
 	k, pkt := s.ks[i], s.specs[i].Class.Packet()
 	rebindList := s.swBuf[:0]
 	for di := range s.diffBuf {
-		d := &s.diffBuf[di]
-		if d.affects(pkt) {
+		if d := &s.diffBuf[di]; d.affects(pkt) {
 			rebindList = append(rebindList, d.sw)
-		} else {
-			k.AdoptTable(d.sw, target.Table(d.sw))
 		}
 	}
 	s.swBuf = rebindList
@@ -777,6 +798,7 @@ func (s *Session) rebindClass(i int, target *config.Config) error {
 	if err != nil {
 		return err
 	}
+	k.Rebase(target)
 	if len(changed) > 0 {
 		rewired := s.stateBuf[:0]
 		for _, sw := range changed {

@@ -456,11 +456,13 @@ func TestRefusedTargetLeavesNoTrace(t *testing.T) {
 			}
 		}
 		compareSessionLabels(t, name, seen, clean)
+		requireRebased(t, name+": after the refusal", seen)
 
 		got, err := seen.Synthesize(targets[1])
 		if err != nil {
 			t.Fatalf("%s: after the refusal: %v", name, err)
 		}
+		requireRebased(t, name+": after the plan that followed", seen)
 		want, err := clean.Synthesize(targets[1])
 		if err != nil {
 			t.Fatal(err)
@@ -470,6 +472,18 @@ func TestRefusedTargetLeavesNoTrace(t *testing.T) {
 		}
 		if g, w := countersOnly(got.Stats), countersOnly(want.Stats); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: work after the refusal diverged:\n got %+v\nwant %+v", name, g, w)
+		}
+	}
+}
+
+// requireRebased fails unless every class structure of s reads every table
+// from the session's current configuration: bound to it, holding no table
+// of its own over it — how every request, served or not, must leave them.
+func requireRebased(t *testing.T, what string, s *Session) {
+	t.Helper()
+	for i, k := range s.ks {
+		if base, moved := k.Base(); base != s.cur || moved != 0 {
+			t.Fatalf("%s: class %d's structure holds %d tables over %p; the session is at %p", what, i, moved, base, s.cur)
 		}
 	}
 }

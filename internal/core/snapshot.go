@@ -8,8 +8,10 @@ package core
 // binary image and rebuilds a session from it without table application
 // or labeling: the state arena is shared or rebuilt from the topology,
 // per-class transition relations are installed from the recorded
-// successor lists of the states the class connects (cycle-checked, which
-// costs what is listed), and the checkers adopt the recorded labels.
+// successor lists of the states the class connects (cycle-checked from
+// the listed states, which costs what is listed) and bound to the decoded
+// configuration, and the checkers adopt the recorded labels. Writing an
+// image walks each structure's entries, not the arena.
 //
 // The plan cache (with its learned wrong-pattern/SAT/dead-set stores) is
 // not session state: it belongs to whoever attached it — the pool shares
@@ -23,7 +25,7 @@ package core
 //
 //	"NUSS" | u32le version | 32-byte context fingerprint
 //	runs counter
-//	config:  #switches, then per switch (ascending): id, #rules, rules
+//	config:  #switches, then per switch (strictly ascending): id, #rules, rules
 //	warmth:  #formulas, then per formula (sorted key order): key,
 //	         #labels, per label #valuations + raw [2]uint64 words
 //	classes: #classes, then per class (spec order): formula key,
@@ -206,10 +208,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 	w := &snapWriter{buf: make([]byte, 0, 4096)}
 	w.raw([]byte(snapMagic))
 	w.u32(snapVersion)
-	if s.ctxFP == nil {
-		s.ctxFP = contextFingerprint(s.topo, s.specs, s.opts)
-	}
-	w.raw(s.ctxFP)
+	w.raw(s.contextFP())
 	w.count(s.runs)
 
 	// Configuration: ascending switches, rules in stored order (Clone
@@ -405,8 +404,12 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	if version != snapVersion && version != 1 {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshotVersion, version, snapVersion)
 	}
-	fp := contextFingerprint(topo, specs, opts)
-	if string(r.take(sha256.Size)) != string(fp) {
+	// Compared with the context's fingerprint, not recomputed, when the
+	// caller has it already.
+	if res.ContextFP == nil {
+		res.ContextFP = ContextFingerprint(topo, specs, opts)
+	}
+	if string(r.take(sha256.Size)) != string(res.ContextFP) {
 		return nil, ErrSnapshotMismatch
 	}
 	runs := r.num()
@@ -414,12 +417,16 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	// Configuration.
 	cur := config.New()
 	nSw := r.count()
-	for i := 0; i < nSw && r.err == nil; i++ {
+	for i, prev := 0, -1; i < nSw && r.err == nil; i++ {
 		sw := r.num()
 		nRules := r.count()
-		if r.err == nil && (sw < 0 || sw >= topo.NumSwitches()) {
-			r.fail("table for switch %d of %d", sw, topo.NumSwitches())
+		if r.err == nil && (sw <= prev || sw >= topo.NumSwitches()) {
+			// Ascending without repeats, as Snapshot writes them: SetTable
+			// would let a later table for the same switch win, and the
+			// session's next image would not be the bytes it was given.
+			r.fail("table for switch %d after switch %d, of %d switches", sw, prev, topo.NumSwitches())
 		}
+		prev = sw
 		if r.err != nil {
 			break
 		}
@@ -441,12 +448,11 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 		if err != nil {
 			return nil, fmt.Errorf("%w: version-1 image: %v", ErrBadSnapshot, err)
 		}
-		s.ctxFP, s.runs, s.restoredCold = fp, runs, true
+		s.runs, s.restoredCold = runs, true
 		return s, nil
 	}
 
 	s := newSessionShell(topo, cur, specs, opts, res)
-	s.ctxFP = fp
 	s.runs = runs
 
 	// Warmth: re-intern every recorded label into the (possibly shared)

@@ -15,6 +15,7 @@ import (
 	"netupdate/internal/kripke"
 	"netupdate/internal/ltl"
 	"netupdate/internal/mc"
+	"netupdate/internal/network"
 )
 
 // TestSnapshotRoundTripByteIdentity: snapshot a warm mid-stream session,
@@ -206,14 +207,7 @@ func TestSnapshotRejection(t *testing.T) {
 		},
 		"state-out-of-range":  func(c *imageClass) { c.ids[len(c.ids)-1] = sess.ks[last].NumStates() },
 		"states-out-of-order": func(c *imageClass) { c.ids[0], c.ids[1] = c.ids[1], c.ids[0] },
-		"cyclic-successors": func(c *imageClass) {
-			from := c.forwarding()
-			for j, id := range c.ids {
-				if id == c.succ[from][0] {
-					c.succ[j] = []int{c.ids[from]}
-				}
-			}
-		},
+		"self-loop":           func(c *imageClass) { c.succ[c.forwarding()] = []int{c.ids[c.forwarding()]} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			parsed := parseImage(t, img)
@@ -223,6 +217,31 @@ func TestSnapshotRejection(t *testing.T) {
 			}
 		})
 	}
+	for name, bad := range damagedImages(t, img) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := RestoreSession(stream.Topo(), stream.Specs(), opts, bad); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("err = %v, want ErrBadSnapshot", err)
+			}
+		})
+	}
+	// The fingerprint a caller computed once stands in for computing it:
+	// the right one restores — and is what the restored session writes —
+	// another context's is a mismatch whatever the topology, specs and
+	// options passed beside it.
+	t.Run("precomputed-fingerprint", func(t *testing.T) {
+		fp := ContextFingerprint(stream.Topo(), stream.Specs(), opts)
+		s, err := RestoreSessionWith(stream.Topo(), stream.Specs(), opts, img, SessionResources{ContextFP: fp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := s.Snapshot(); err != nil || !bytes.Equal(again, img) {
+			t.Fatalf("restored with its fingerprint handed over, the session writes another image (err %v)", err)
+		}
+		wrong := ContextFingerprint(stream.Topo(), stream.Specs(), Options{TwoSimple: true})
+		if _, err := RestoreSessionWith(stream.Topo(), stream.Specs(), opts, img, SessionResources{ContextFP: wrong}); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("wrong precomputed fingerprint: err = %v, want ErrSnapshotMismatch", err)
+		}
+	})
 	t.Run("foreign-checker", func(t *testing.T) {
 		foreign, err := NewSessionWith(stream.Topo(), stream.Init(), stream.Specs(), opts, SessionResources{Factory: mc.NewBatch})
 		if err != nil {
@@ -353,19 +372,14 @@ func (c *imageClass) forwarding() int {
 	panic("class section lists no state with a successor")
 }
 
-func parseImage(t *testing.T, img []byte) *parsedImage {
+func parseImage(t testing.TB, img []byte) *parsedImage {
 	t.Helper()
 	body := img[:len(img)-sha256.Size]
 	r := &snapReader{buf: body}
 	p := &parsedImage{head: r.take(len(snapMagic) + 4 + sha256.Size)}
 	p.runs = r.num()
 	at := r.off
-	for n := r.count(); n > 0; n-- {
-		r.num()
-		for rules := r.count(); rules > 0; rules-- {
-			decodeRule(r)
-		}
-	}
+	decodeSwitches(r)
 	p.config = body[at:r.off]
 	for n := r.count(); n > 0; n-- {
 		tab := imageTable{key: r.str()}
@@ -403,6 +417,71 @@ func parseImage(t *testing.T, img []byte) *parsedImage {
 		t.Fatal("the test's decoder and encoder do not reproduce the image")
 	}
 	return p
+}
+
+// imageSwitch is one table of an image's configuration section.
+type imageSwitch struct {
+	sw    int
+	rules []network.Rule
+}
+
+// decodeSwitches reads a configuration section as it is written, order
+// and repeats included.
+func decodeSwitches(r *snapReader) []imageSwitch {
+	var out []imageSwitch
+	for n := r.count(); n > 0; n-- {
+		e := imageSwitch{sw: r.num()}
+		for rules := r.count(); rules > 0; rules-- {
+			e.rules = append(e.rules, decodeRule(r))
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+func (p *parsedImage) switches() []imageSwitch { return decodeSwitches(&snapReader{buf: p.config}) }
+
+// setSwitches replaces the configuration section.
+func (p *parsedImage) setSwitches(sws []imageSwitch) {
+	w := &snapWriter{}
+	w.count(len(sws))
+	for _, e := range sws {
+		w.count(e.sw)
+		w.count(len(e.rules))
+		for _, rule := range e.rules {
+			encodeRule(w, rule)
+		}
+	}
+	p.config = w.buf
+}
+
+// damagedImages returns img, a version-2 image, damaged under a valid
+// checksum in the ways that take more than a byte: a class section whose
+// successor lists close a cycle through two listed states — found from the
+// listed states, where restore's search starts — and a configuration
+// section that lists a switch twice, the later table another one, or two
+// switches out of order, either of which would restore to a session whose
+// next image is not the bytes it was given.
+func damagedImages(t testing.TB, img []byte) map[string][]byte {
+	cyclic := parseImage(t, img)
+	c := &cyclic.classes[len(cyclic.classes)-1]
+	from := c.forwarding()
+	for j, id := range c.ids {
+		if id == c.succ[from][0] {
+			c.succ[j] = []int{c.ids[from]}
+		}
+	}
+	twice := parseImage(t, img)
+	sws := twice.switches()
+	sws = append(sws, imageSwitch{sw: sws[len(sws)-1].sw, rules: sws[0].rules})
+	twice.setSwitches(sws)
+	swapped := parseImage(t, img)
+	sws = swapped.switches()
+	sws[0], sws[1] = sws[1], sws[0]
+	swapped.setSwitches(sws)
+	return map[string][]byte{
+		"cyclic-successors": cyclic.encode(), "switch-listed-twice": twice.encode(), "switches-out-of-order": swapped.encode(),
+	}
 }
 
 func (p *parsedImage) encode() []byte {

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"netupdate/internal/config"
-	"netupdate/internal/network"
 	"netupdate/internal/topology"
 )
 
@@ -74,9 +73,10 @@ func (a *Arena) Topology() *topology.Topology { return a.topo }
 // NumStates returns the size of the shared state set.
 func (a *Arena) NumStates() int { return len(a.states) }
 
-// newK returns a class structure sharing the arena's immutable parts, at
-// the empty configuration: every state isolated, sharing entry 0.
-func (a *Arena) newK(cl config.Class) *K {
+// newK returns a class structure sharing the arena's immutable parts and
+// bound to cfg, every state still isolated, sharing entry 0. The index
+// word per arena state is all it allocates that is sized by the network.
+func (a *Arena) newK(cfg *config.Config, cl config.Class) *K {
 	return &K{
 		Class:    cl,
 		Topo:     a.topo,
@@ -88,13 +88,14 @@ func (a *Arena) newK(cl config.Class) *K {
 		row:      make([]int32, len(a.states)),
 		succ:     make([][]int, 1),
 		pred:     make([][]int, 1),
-		tables:   make([]network.Table, a.topo.NumSwitches()),
+		stateOf:  make([]int32, 1),
+		cfg:      cfg,
 	}
 }
 
 // Build constructs the Kripke structure of class cl under cfg over the
 // shared state space. It returns *ErrLoop if the configuration forwards
-// the class in a cycle.
+// the class in a cycle. The structure stays bound to cfg (see K).
 func (a *Arena) Build(cfg *config.Config, cl config.Class) (*K, error) {
 	return a.BuildOn(cfg, cfg.Switches(), cl)
 }
@@ -104,13 +105,12 @@ func (a *Arena) Build(cfg *config.Config, cl config.Class) (*K, error) {
 // them. Tables are applied on those switches only: a switch with an empty
 // table forwards nothing, so its arrival states stay isolated.
 func (a *Arena) BuildOn(cfg *config.Config, switches []int, cl config.Class) (*K, error) {
-	k := a.newK(cl)
+	k := a.newK(cfg, cl)
 	for _, sw := range switches {
-		if sw < 0 || sw >= len(k.tables) {
+		if sw < 0 || sw >= a.topo.NumSwitches() {
 			continue // a table for a switch the topology lacks forwards nothing
 		}
-		k.tables[sw] = cfg.Table(sw)
-		if err := k.recomputeSwitch(sw); err != nil {
+		if err := k.recomputeSwitch(sw, cfg.Table(sw)); err != nil {
 			return nil, err
 		}
 	}
@@ -124,20 +124,18 @@ func (a *Arena) BuildOn(cfg *config.Config, switches []int, cl config.Class) (*K
 // successor lists of its connected states, skipping table application:
 // ids names the states, ascending, and succ[i] lists the successors of
 // ids[i]; every state not named — and not named as a successor — is
-// isolated. The lists are adopted, not copied. They arrive from outside
-// the process under a checksum that shows they are intact, not that they
-// are right, so states out of range or out of order and successor lists
-// that close a cycle are refused; the cost is the states listed.
+// isolated. The lists are adopted, not copied, and the structure is bound
+// to cfg (see K). The lists arrive from outside the process under a
+// checksum that shows they are intact, not that they are right, so states
+// out of range or out of order and successor lists that close a cycle are
+// refused. Apart from the index word the cost is the states listed: the
+// cycle check starts from them, and every state with a successor is one.
 func (a *Arena) Restore(cfg *config.Config, cl config.Class, ids []int, succ [][]int) (*K, error) {
 	n := len(a.states)
-	k := a.newK(cl)
-	for sw, tbl := range cfg.Tables() {
-		if sw >= 0 && sw < len(k.tables) {
-			k.tables[sw] = tbl
-		}
-	}
+	k := a.newK(cfg, cl)
 	k.succ = slices.Grow(k.succ, len(ids))
 	k.pred = slices.Grow(k.pred, len(ids))
+	k.stateOf = slices.Grow(k.stateOf, len(ids))
 	for i, id := range ids {
 		if id < 0 || id >= n || (i > 0 && id <= ids[i-1]) {
 			return nil, fmt.Errorf("kripke: restore: state %d out of range or out of order", id)
@@ -149,8 +147,10 @@ func (a *Arena) Restore(cfg *config.Config, cl config.Class, ids []int, succ [][
 		}
 		k.setSucc(id, succ[i])
 	}
-	if cyc := k.findCycle(nil); cyc != nil {
-		return nil, fmt.Errorf("kripke: restore: successor lists cycle through %v", k.statesFor(cyc))
+	if len(ids) > 0 { // findCycle(nil) would sweep the arena
+		if cyc := k.findCycle(ids); cyc != nil {
+			return nil, fmt.Errorf("kripke: restore: successor lists cycle through %v", k.statesFor(cyc))
+		}
 	}
 	return k, nil
 }

@@ -66,6 +66,12 @@ func (e *ErrLoop) Error() string {
 // configuration. States never change; UpdateSwitch changes only the
 // outgoing transitions of the updated switch's arrival states.
 //
+// The structure keeps no table for a switch it has not moved: it reads
+// tables from the configuration it was built, restored, rebound or last
+// rebased at (cfg), under an overlay (moved) of the switches updates have
+// moved since. A bound configuration must not be mutated: the structure
+// would not notice, and a Rebind to it would compare tables with themselves.
+//
 // The state set is the whole arena, but a class's rules connect a few
 // dozen of its states: every other state is isolated — no successor, no
 // predecessor — and stores nothing. row maps a state to its entry in succ
@@ -89,9 +95,12 @@ type K struct {
 	// self-loop), matching the complete DAG-like structures of Section 5.
 	succ [][]int
 	pred [][]int
-	// tables holds the current forwarding table of each switch, indexed
-	// by the dense switch id.
-	tables []network.Table
+	// stateOf[r] is the state that owns entry r (entry 0 has no owner).
+	stateOf []int32
+	// cfg is the bound configuration and moved the tables installed over
+	// it since the last Rebase; see Table.
+	cfg   *config.Config
+	moved map[int]network.Table
 	// outBuf is recomputeSwitch's reusable table-application buffer;
 	// private per structure.
 	outBuf []network.PortPacket
@@ -105,18 +114,18 @@ type K struct {
 // Build constructs the Kripke structure of class cl under cfg over a
 // private arena. It returns *ErrLoop if the configuration forwards the
 // class in a cycle. Callers building many classes (or many tenants) over
-// one topology should build the Arena once and share it.
+// one topology should build the Arena once and share it. The structure
+// stays bound to cfg (see K).
 func Build(topo *topology.Topology, cfg *config.Config, cl config.Class) (*K, error) {
 	return NewArena(topo).Build(cfg, cl)
 }
 
 // recomputeSwitch rewires the outgoing transitions of sw's arrival states
-// from its current table, updating predecessor lists. It returns an error
-// if a rule would modify the class packet (packet modification is outside
-// the checked fragment, per Section 3.3).
-func (k *K) recomputeSwitch(sw int) error {
+// from tbl, updating predecessor lists. It returns an error if a rule
+// would modify the class packet (packet modification is outside the
+// checked fragment, per Section 3.3).
+func (k *K) recomputeSwitch(sw int, tbl network.Table) error {
 	pkt := k.Class.Packet()
-	tbl := k.tables[sw]
 	for _, id := range k.statesOf[sw] {
 		st := k.states[id]
 		var next []int
@@ -174,6 +183,7 @@ func (k *K) addRow(id int) int32 {
 	r := int32(len(k.succ))
 	k.succ = append(k.succ, nil)
 	k.pred = append(k.pred, nil)
+	k.stateOf = append(k.stateOf, int32(id))
 	k.row[id] = r
 	return r
 }
@@ -266,15 +276,14 @@ func (k *K) install(d *Delta, sw int, tbl network.Table) error {
 		old = append(old, k.Succ(id))
 	}
 	k.oldBuf = old
-	oldTable := k.tables[sw]
-	k.tables[sw] = tbl
-	if err := k.recomputeSwitch(sw); err != nil {
-		k.tables[sw] = oldTable
+	oldTable := k.Table(sw)
+	if err := k.recomputeSwitch(sw, tbl); err != nil {
 		for i, id := range ids {
 			k.setSucc(id, old[i])
 		}
 		return err
 	}
+	k.setTable(sw, tbl)
 	d.tables = append(d.tables, tableSwap{sw: sw, old: oldTable, new: tbl})
 	// Count first, so the delta's lists grow once by what they will hold
 	// (a one-switch delta allocates each exactly) instead of by doubling.
@@ -336,9 +345,9 @@ func intsEqual(a, b []int) bool {
 // mc.Checker); touched lists every switch whose table was replaced, a
 // superset. If cfg forwards the class in a
 // cycle, the structure has still been fully rebound to cfg (tables stay
-// consistent for a later Rebind) and *ErrLoop is returned. Outstanding
-// Deltas and undo tokens taken before a Rebind must not be replayed
-// afterwards.
+// consistent for a later Rebind) and *ErrLoop is returned. Either way the
+// structure ends bound to cfg (see K on mutating it). Outstanding Deltas
+// and undo tokens taken before a Rebind must not be replayed afterwards.
 func (k *K) Rebind(cfg *config.Config) (changed, touched []int, err error) {
 	return k.rebind(cfg, nil, true)
 }
@@ -346,11 +355,12 @@ func (k *K) Rebind(cfg *config.Config) (changed, touched []int, err error) {
 // RebindSwitches is Rebind restricted to the given candidate switches:
 // only their tables are compared and recomputed (an empty list — nil or
 // not — rebinds nothing). The caller must guarantee that every switch
-// outside the candidate list already has cfg's table installed in this
-// structure — sessions know exactly which switches a synthesis run (or a
-// target diff) could have touched, and skipping the full O(switches)
-// equality sweep per class is what keeps per-synthesis resync cost
-// proportional to the diff, not the network.
+// outside the candidate list already forwards the class in this structure
+// as cfg's table does — sessions know exactly which switches a synthesis
+// run (or a target diff) could have touched, and skipping the full
+// O(switches) equality sweep per class is what keeps per-synthesis resync
+// cost proportional to the diff, not the network. The structure stays
+// bound where it was; a caller done resyncing follows up with Rebase.
 func (k *K) RebindSwitches(cfg *config.Config, switches []int) (changed, touched []int, err error) {
 	return k.rebind(cfg, switches, false)
 }
@@ -362,7 +372,7 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 	roots := k.rootBuf[:0]
 	sweep := func(sw int) error {
 		tbl := cfg.Table(sw)
-		if k.tables[sw].Equal(tbl) {
+		if k.Table(sw).Equal(tbl) {
 			return nil
 		}
 		touched = append(touched, sw)
@@ -372,8 +382,8 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 			old = append(old, k.Succ(id))
 		}
 		k.oldBuf = old
-		k.tables[sw] = tbl
-		if rerr := k.recomputeSwitch(sw); rerr != nil {
+		k.setTable(sw, tbl)
+		if rerr := k.recomputeSwitch(sw, tbl); rerr != nil {
 			return rerr
 		}
 		for i, id := range ids {
@@ -401,6 +411,9 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 		}
 	}
 	k.rootBuf = roots[:0]
+	if sweepAll {
+		k.Rebase(cfg) // every switch was compared: the tables are cfg's
+	}
 	if len(roots) > 0 {
 		if cyc := k.findCycle(roots); cyc != nil {
 			return changed, touched, &ErrLoop{Class: k.Class, Cycle: k.statesFor(cyc), IDs: cyc}
@@ -409,22 +422,11 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 	return changed, touched, nil
 }
 
-// AdoptTable installs tbl as sw's table without recomputing transitions.
-// The caller must guarantee the class's forwarding behavior at sw is
-// identical under the old and the new table — e.g. no rule added or
-// removed by the change matches the class packet (table application is
-// priority-set semantics, so such a change cannot alter any output) —
-// which leaves the transition relation, and every checker labeling over
-// it, untouched and valid. Sessions use this to resync foreign switches
-// of a diff in O(1) per switch instead of paying a full recompute for
-// every class the change cannot affect.
-func (k *K) AdoptTable(sw int, tbl network.Table) { k.tables[sw] = tbl }
-
 // Revert undoes an update returned by UpdateSwitch or UpdateSwitches: the
 // saved tables and successor lists go back, nothing is recomputed.
 func (k *K) Revert(d *Delta) {
 	for _, t := range d.tables {
-		k.tables[t.sw] = t.old
+		k.setTable(t.sw, t.old)
 	}
 	for i, id := range d.ids {
 		k.setSucc(id, d.oldSucc[i])
@@ -439,7 +441,7 @@ func (k *K) Revert(d *Delta) {
 // cycles in isolation.
 func (k *K) Reapply(d *Delta) {
 	for _, t := range d.tables {
-		k.tables[t.sw] = t.new
+		k.setTable(t.sw, t.new)
 	}
 	for i, id := range d.ids {
 		k.setSucc(id, d.newSucc[i])
@@ -612,21 +614,56 @@ func (k *K) NumRows() int { return len(k.succ) }
 
 // AppendConnected appends to dst, in ascending order, the states that
 // currently have a successor or a predecessor. Every other state is
-// isolated: a sink that nothing reaches.
+// isolated: a sink that nothing reaches. Only states with an entry can be
+// connected, so the cost is the entries, not the arena.
 func (k *K) AppendConnected(dst []int) []int {
-	for id, r := range k.row {
+	from := len(dst)
+	for r := 1; r < len(k.succ); r++ {
 		if len(k.succ[r]) > 0 || len(k.pred[r]) > 0 {
-			dst = append(dst, id)
+			dst = append(dst, int(k.stateOf[r]))
 		}
 	}
+	slices.Sort(dst[from:])
 	return dst
 }
 
 // StatesOf returns the arrival-state ids of switch sw.
 func (k *K) StatesOf(sw int) []int { return k.statesOf[sw] }
 
-// Table returns the table currently installed on sw in this structure.
-func (k *K) Table(sw int) network.Table { return k.tables[sw] }
+// Table returns the table currently installed on sw in this structure:
+// the one an update moved it to, else the bound configuration's.
+func (k *K) Table(sw int) network.Table {
+	if tbl, ok := k.moved[sw]; ok {
+		return tbl
+	}
+	return k.cfg.Table(sw)
+}
+
+// Base returns the configuration the structure is bound to and the number
+// of switches whose tables it holds over it (none right after a Rebase).
+func (k *K) Base() (cfg *config.Config, moved int) { return k.cfg, len(k.moved) }
+
+// setTable records tbl as sw's table over the bound configuration.
+func (k *K) setTable(sw int, tbl network.Table) {
+	if k.moved == nil {
+		k.moved = map[int]network.Table{}
+	}
+	k.moved[sw] = tbl
+}
+
+// Rebase binds the structure to cfg and forgets the tables it has moved,
+// at the cost of the switches moved, not of the network. Invariant, the
+// caller's to guarantee: at every switch the class is forwarded under
+// cfg.Table(sw) exactly as under Table(sw) now — the tables are equal, or
+// differ only in rules that cannot match the class packet (priority-set
+// semantics: such a rule contributes no output) — so no transition and no
+// checker label changes. A session ends its resync this way, which is why
+// a diff switch the class cannot see costs the class nothing. cfg must
+// not be mutated afterwards (see K).
+func (k *K) Rebase(cfg *config.Config) {
+	k.cfg = cfg
+	clear(k.moved)
+}
 
 // HoldsAt evaluates an atomic proposition at state id: sw=n and pt=n test
 // the state's location; header-field propositions test the class packet.

@@ -706,7 +706,8 @@ func refFindCycle(k *K, from []int) []int {
 // filled the way Build fills one, without the final loop check.
 func randomForwarding(t *testing.T, topo *topology.Topology, cl config.Class, r *rand.Rand, loopy float64) *K {
 	t.Helper()
-	k := NewArena(topo).newK(cl)
+	cfg := config.New()
+	k := NewArena(topo).newK(cfg, cl)
 	dst, _ := topo.HostByID(cl.DstHost)
 	for sw := 0; sw < topo.NumSwitches(); sw++ {
 		var acts []network.Action
@@ -727,9 +728,9 @@ func randomForwarding(t *testing.T, topo *topology.Topology, cl config.Class, r 
 			}
 		}
 		if len(acts) > 0 {
-			k.tables[sw] = network.Table{{Priority: 10, Match: cl.Pattern(), Actions: acts}}
+			cfg.SetTable(sw, network.Table{{Priority: 10, Match: cl.Pattern(), Actions: acts}})
 		}
-		if err := k.recomputeSwitch(sw); err != nil {
+		if err := k.recomputeSwitch(sw, cfg.Table(sw)); err != nil {
 			t.Fatal(err)
 		}
 	}

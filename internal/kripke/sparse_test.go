@@ -127,8 +127,9 @@ func (w *twin) sameLoop(op string, serr, derr error) bool {
 
 // compare checks everything a reader of the structure can see: Succ in
 // order, Pred as a multiset and IsSink at every state of the arena —
-// isolated ones included — Row's contract, and the loop search in both
-// modes. Pred is compared as a multiset because removeOne's swap makes
+// isolated ones included — Row's contract, AppendConnected (which walks
+// the entries) against the sweep over every state, the table read at
+// every switch, and the loop search in both modes. Pred is compared as a multiset because removeOne's swap makes
 // its order a function of the order in which rows were edited, which
 // nothing reads.
 func (w *twin) compare(op string, r *rand.Rand) {
@@ -161,6 +162,9 @@ func (w *twin) compare(op string, r *rand.Rand) {
 		} else if listed {
 			ci++
 		}
+	}
+	if ci != len(connected) {
+		w.t.Fatalf("%s %s: AppendConnected = %v: not the connected states, ascending", w.name, op, connected)
 	}
 	for sw := 0; sw < s.Topo.NumSwitches(); sw++ {
 		if !s.Table(sw).Equal(d.tables[sw]) {
@@ -254,17 +258,97 @@ func (w *twin) rebind(cfg *config.Config, switches []int) bool {
 	return w.sameLoop("rebind", serr, derr)
 }
 
+// rebase moves the twin to a configuration that differs from its tables
+// only where the class cannot see it — here and there a rule of another
+// flow added, or those added earlier dropped — the sparse structure by
+// Rebase, the dense one table by table with the AdoptTable the sparse one
+// no longer has, and checks what Rebase promises: the structure reads
+// every table from cfg alone, and forwards the class at every switch and
+// port as it did before.
+func (w *twin) rebase(r *rand.Rand, classes []config.Class) *config.Config {
+	w.t.Helper()
+	s := w.sparse
+	pkt := s.Class.Packet()
+	var others []config.Class
+	for _, cl := range classes {
+		if cl.Packet() != pkt {
+			others = append(others, cl)
+		}
+	}
+	before := make([]network.Table, s.Topo.NumSwitches())
+	cfg := config.New()
+	for sw := range before {
+		tbl := s.Table(sw)
+		before[sw] = tbl
+		ports := s.Topo.Ports(sw)
+		switch r.Intn(4) {
+		case 0: // a rule of a flow nobody carries, or of another class
+			match := network.MatchFlow(9000+r.Intn(3), 9100)
+			if r.Intn(2) == 0 {
+				match = others[r.Intn(len(others))].Pattern()
+			}
+			tbl = append(tbl.Clone(), network.Rule{
+				Priority: 5 + r.Intn(20), Match: match,
+				Actions: []network.Action{network.Forward(ports[r.Intn(len(ports))])},
+			})
+		case 1: // every rule this class's packet cannot match goes
+			var kept network.Table
+			for _, rule := range tbl {
+				if rule.Match.Src < 0 || rule.Match.Src == pkt.Src && rule.Match.Dst == pkt.Dst {
+					kept = append(kept, rule)
+				}
+			}
+			tbl = kept
+		}
+		cfg.SetTable(sw, tbl)
+		w.dense.AdoptTable(sw, cfg.Table(sw))
+	}
+	s.Rebase(cfg)
+	if base, moved := s.Base(); base != cfg || moved != 0 {
+		w.t.Fatalf("%s: after Rebase the structure holds %d tables over %p, want none over %p", w.name, moved, base, cfg)
+	}
+	for sw, old := range before {
+		for _, pt := range s.Topo.Ports(sw) {
+			if got, want := s.Table(sw).Apply(pkt, pt), old.Apply(pkt, pt); !slices.Equal(got, want) {
+				w.t.Fatalf("%s: the rebase changed the class's forwarding at sw%d port %d: %v, was %v", w.name, sw, pt, got, want)
+			}
+		}
+	}
+	return cfg
+}
+
+// matchesFresh requires the structure to be the one a fresh Build makes at
+// the tables it reports, edge for edge.
+func (w *twin) matchesFresh(op string, arena *Arena) {
+	w.t.Helper()
+	cfg := config.New()
+	for sw := 0; sw < w.sparse.Topo.NumSwitches(); sw++ {
+		cfg.SetTable(sw, w.sparse.Table(sw))
+	}
+	fresh, err := arena.Build(cfg, w.sparse.Class)
+	if err != nil {
+		w.t.Fatalf("%s %s: no fresh build at the structure's tables: %v", w.name, op, err)
+	}
+	for id := 0; id < fresh.NumStates(); id++ {
+		if !slices.Equal(w.sparse.Succ(id), fresh.Succ(id)) {
+			w.t.Fatalf("%s %s: Succ(%d) = %v, a fresh build has %v", w.name, op, id, w.sparse.Succ(id), fresh.Succ(id))
+		}
+	}
+}
+
 // TestSparseStorageMatchesDense drives every class structure of random
 // shared-switch scenarios, in the sparse representation and in the dense
 // one it replaced, through random sequences of what the engine and the
 // session do — updates of one switch and of several as one step, kept,
 // reverted, reapplied and abandoned, updates that close a loop, rebinds of
-// some switches and of all of them to configurations that may loop — and
-// after every operation requires the same answer from every read of the
-// structure at every state of the arena, the same delta, the same error
-// and the same loop.
+// some switches and of all of them to configurations that may loop,
+// rebases with deltas outstanding — and after every operation requires
+// the same answer from every read of the structure at every state of the
+// arena and every switch, the same delta, the same error and the same
+// loop; wherever no loop stands, also the edges of a fresh Build at the
+// same tables.
 func TestSparseStorageMatchesDense(t *testing.T) {
-	var updates, steps, loops, reverts, reapplies, rebinds, cyclicTargets, ruleless int
+	var updates, steps, loops, reverts, reapplies, rebinds, rebases, cyclicTargets, ruleless int
 	for seed := int64(1); seed <= 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		topo, base, classes := sharedScene(r, seed)
@@ -284,7 +368,14 @@ func TestSparseStorageMatchesDense(t *testing.T) {
 			good := base // the last loop-free configuration the twin was rebound to
 			var stack []twinDelta
 			for step := 0; step < 40; step++ {
-				switch op := r.Intn(12); {
+				switch op := r.Intn(14); {
+				case op >= 12:
+					// A resync's end. Outstanding deltas stay good: they carry
+					// the tables they swap.
+					good = w.rebase(r, classes)
+					rebases++
+					w.compare("rebase", r)
+					w.matchesFresh("rebase", arena)
 				case op < 5:
 					sw := r.Intn(topo.NumSwitches())
 					d, loop := w.update(sw, randomTable(r, topo, base, classes, sw))
@@ -298,6 +389,7 @@ func TestSparseStorageMatchesDense(t *testing.T) {
 					}
 					stack = append(stack, d)
 					w.compare("update", r)
+					w.matchesFresh("update", arena)
 				case op < 7:
 					if len(stack) == 0 {
 						continue
@@ -306,6 +398,7 @@ func TestSparseStorageMatchesDense(t *testing.T) {
 					w.revert(d)
 					reverts++
 					w.compare("revert", r)
+					w.matchesFresh("revert", arena)
 					if r.Intn(2) == 0 {
 						w.reapply(d)
 						reapplies++
@@ -343,6 +436,7 @@ func TestSparseStorageMatchesDense(t *testing.T) {
 					}
 					good = cfg
 					w.compare("rebind", r)
+					w.matchesFresh("rebind", arena)
 				default:
 					cfg := config.New()
 					var some []int
@@ -361,18 +455,70 @@ func TestSparseStorageMatchesDense(t *testing.T) {
 					}
 					stack = append(stack, d)
 					w.compare("multi-switch step", r)
+					w.matchesFresh("multi-switch step", arena)
 				}
 			}
 		}
 	}
 	for name, n := range map[string]int{
 		"updates": updates, "multi-switch steps": steps, "looping updates": loops, "reverts": reverts, "reapplies": reapplies,
-		"rebinds": rebinds, "cyclic rebind targets": cyclicTargets, "rule-less classes": ruleless,
+		"rebinds": rebinds, "rebases": rebases, "cyclic rebind targets": cyclicTargets, "rule-less classes": ruleless,
 	} {
 		if n < 20 {
 			t.Errorf("only %d %s exercised", n, name)
 		}
 	}
-	t.Logf("updates=%d multi-switch=%d loops=%d reverts=%d reapplies=%d rebinds=%d (cyclic %d) ruleless=%d",
-		updates, steps, loops, reverts, reapplies, rebinds, cyclicTargets, ruleless)
+	t.Logf("updates=%d multi-switch=%d loops=%d reverts=%d reapplies=%d rebinds=%d (cyclic %d) rebases=%d ruleless=%d",
+		updates, steps, loops, reverts, reapplies, rebinds, cyclicTargets, rebases, ruleless)
+}
+
+// TestRestoreFromConnectedStates: what AppendConnected lists and Succ
+// returns for it is all Restore needs to make the structure again — every
+// edge, every table read through the configuration it is bound to — and
+// Restore's loop check, which starts from the listed states only, refuses
+// exactly the lists a sweep of the whole structure finds a cycle in.
+func TestRestoreFromConnectedStates(t *testing.T) {
+	restored, refused := 0, 0
+	for seed := int64(1); seed <= 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		topo := topology.SmallWorld(12+int(seed%5)*9, 4, 0.3, seed)
+		topo.AddHost(100, 0)
+		topo.AddHost(101, topo.NumSwitches()-1)
+		cl := config.Class{SrcHost: 100, DstHost: 101}
+		k := randomForwarding(t, topo, cl, r, []float64{0, 0.02, 0.1}[seed%3])
+		ids := k.AppendConnected(nil)
+		succ := make([][]int, len(ids))
+		for i, id := range ids {
+			succ[i] = slices.Clone(k.Succ(id))
+		}
+		cfg, _ := k.Base()
+		back, err := NewArena(topo).Restore(cfg, cl, ids, succ)
+		if cyc := k.findCycle(nil); (cyc != nil) != (err != nil) {
+			t.Fatalf("seed %d: a sweep finds the cycle %v, Restore says %v", seed, cyc, err)
+		}
+		if err != nil {
+			refused++
+			continue
+		}
+		restored++
+		for id := 0; id < k.NumStates(); id++ {
+			bp, kp := slices.Clone(back.Pred(id)), slices.Clone(k.Pred(id))
+			slices.Sort(bp)
+			slices.Sort(kp)
+			if !slices.Equal(back.Succ(id), k.Succ(id)) || !slices.Equal(bp, kp) {
+				t.Fatalf("seed %d state %d: restored Succ %v Pred %v, want %v %v", seed, id, back.Succ(id), bp, k.Succ(id), kp)
+			}
+		}
+		if !slices.Equal(back.AppendConnected(nil), ids) {
+			t.Fatalf("seed %d: the restored structure connects %v, the original %v", seed, back.AppendConnected(nil), ids)
+		}
+		for sw := 0; sw < topo.NumSwitches(); sw++ {
+			if !back.Table(sw).Equal(k.Table(sw)) {
+				t.Fatalf("seed %d: restored structure reads another table on sw%d", seed, sw)
+			}
+		}
+	}
+	if restored < 10 || refused < 10 {
+		t.Fatalf("%d lists restored, %d refused: want at least ten of each", restored, refused)
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Op identifies the operator at the root of a Formula node.
@@ -79,6 +80,11 @@ type Formula struct {
 	Op   Op
 	Prop Prop     // valid when Op == OpAtom
 	L, R *Formula // operands; unary operators use L only
+
+	// text memoizes String. A formula never changes, and its text is the key
+	// its closure, its label table, a session's context fingerprint and a
+	// snapshot's class sections go by, so it is printed once, not per use.
+	text atomic.Pointer[string]
 }
 
 var (
@@ -177,9 +183,14 @@ func Always(f *Formula) *Formula { return Release(falseFormula, f) }
 
 // String renders the formula in the concrete syntax accepted by Parse.
 func (f *Formula) String() string {
+	if s := f.text.Load(); s != nil {
+		return *s
+	}
 	var b strings.Builder
 	f.write(&b)
-	return b.String()
+	s := b.String()
+	f.text.Store(&s)
+	return s
 }
 
 func (f *Formula) write(b *strings.Builder) {

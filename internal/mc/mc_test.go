@@ -616,15 +616,17 @@ func currentConfig(k *kripke.K) *config.Config {
 // back before the checker sees them (a failed replay), whole targets
 // applied as one multi-switch step and kept or reverted (the session's
 // final verification; a cyclic one is rolled back unseen), undo stacks
-// abandoned at a rebind, rebinds that name the rewired states, and a
+// abandoned at a rebind, rebinds that name the rewired states, a
 // rebind to a cyclic target pulled back without the checker hearing of
-// either move — and after every operation its per-state labels, verdict
+// either move, and rebases on a configuration that differs from the
+// structure's tables by rules of other flows, of which the checker hears
+// nothing either — and after every operation its per-state labels, verdict
 // and counterexample must equal those of a fresh incremental checker and
 // of the batch checker, both built on a fresh structure at the same
 // tables.
 func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 	r := rand.New(rand.NewSource(20150613))
-	var updates, loops, reverts, targets, rebinds, noops, restores, failing int
+	var updates, loops, reverts, targets, rebinds, rebases, noops, restores, failing int
 	for iter := 0; iter < 60; iter++ {
 		topo, _, cl, k := randomScene(r)
 		spec := randomFormula(r, topo.NumSwitches())
@@ -679,7 +681,23 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 			validateCex(t, k2, spec, bv.Cex)
 		}
 		for step := 0; step < 30; step++ {
-			switch op := r.Intn(10); {
+			switch op := r.Intn(11); {
+			case op == 10:
+				// The end of a session's resync: the structure is bound to a
+				// configuration under which the class is forwarded as before;
+				// undo tokens stay good.
+				cfg := currentConfig(k)
+				for sw := 0; sw < topo.NumSwitches(); sw++ {
+					if ports := topo.Ports(sw); r.Intn(3) == 0 {
+						cfg.SetTable(sw, append(k.Table(sw).Clone(), network.Rule{
+							Priority: 5 + r.Intn(10), Match: network.MatchFlow(500, 501+r.Intn(2)),
+							Actions: []network.Action{network.Forward(ports[r.Intn(len(ports))])},
+						}))
+					}
+				}
+				k.Rebase(cfg)
+				rebases++
+				compare(step, "rebase")
 			case op < 5:
 				sw := r.Intn(topo.NumSwitches())
 				ports := topo.Ports(sw)
@@ -767,12 +785,12 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 	}
 	for name, n := range map[string]int{
 		"updates": updates, "looping updates": loops, "reverts": reverts, "one-step targets": targets,
-		"rebinds": rebinds, "cyclic-target restores": restores, "violating states": failing,
+		"rebinds": rebinds, "rebases": rebases, "cyclic-target restores": restores, "violating states": failing,
 	} {
 		if n < 20 {
 			t.Errorf("only %d %s exercised", n, name)
 		}
 	}
-	t.Logf("updates=%d loops=%d reverts=%d targets=%d rebinds=%d (no-op %d) restores=%d violating=%d",
-		updates, loops, reverts, targets, rebinds, noops, restores, failing)
+	t.Logf("updates=%d loops=%d reverts=%d targets=%d rebinds=%d (no-op %d) rebases=%d restores=%d violating=%d",
+		updates, loops, reverts, targets, rebinds, noops, rebases, restores, failing)
 }

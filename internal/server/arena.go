@@ -9,7 +9,6 @@ import (
 	"netupdate/internal/core"
 	"netupdate/internal/kripke"
 	"netupdate/internal/mc"
-	"netupdate/internal/topology"
 )
 
 // DefaultMaxArenaStores bounds the shared arena entries a pool holds.
@@ -17,17 +16,21 @@ import (
 // network shapes, not tenants.
 const DefaultMaxArenaStores = 256
 
-// sessionResources returns the session resources every tenant with this
-// topology fingerprint shares: one immutable kripke.Arena (state ids,
-// port/host maps, sinkhole states) and one mc.Warmth cache (LTL closures
-// and interned label tables). Both are copy-on-write from the session's
-// point of view — sessions layer their own mutable transition relations
-// and label arrays on top — so identically-shaped tenants deduplicate the
-// class-independent state space instead of rebuilding it per session.
-func (p *Pool) sessionResources(fp string, topo *topology.Topology) core.SessionResources {
-	return p.arenas.get(fp, func() core.SessionResources {
-		return core.SessionResources{Arena: kripke.NewArena(topo), Warmth: mc.NewWarmth()}
+// sessionResources returns what a session of tenant t is built or restored
+// over. Every tenant with t's topology fingerprint shares one immutable
+// kripke.Arena (state ids, port/host maps, sinkhole states) and one
+// mc.Warmth cache (LTL closures and interned label tables). Both are
+// copy-on-write from the session's point of view — sessions layer their
+// own mutable transition relations and label arrays on top — so
+// identically-shaped tenants deduplicate the class-independent state space
+// instead of rebuilding it per session. The context fingerprint is the
+// tenant's own.
+func (p *Pool) sessionResources(t *tenant) core.SessionResources {
+	res := p.arenas.get(t.arenaFP, func() core.SessionResources {
+		return core.SessionResources{Arena: kripke.NewArena(t.base.Topo), Warmth: mc.NewWarmth()}
 	})
+	res.ContextFP = t.ctxFP
+	return res
 }
 
 // TopologyFingerprint keys the pool's shared arena registry: the hash of

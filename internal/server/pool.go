@@ -91,6 +91,11 @@ type tenant struct {
 	// arenaFP keys the pool's shared arena registry: tenants with the
 	// same topology share one kripke.Arena and one warmth cache.
 	arenaFP string
+	// ctxFP is core.ContextFingerprint of base and opts, computed once at
+	// registration: every session of the tenant is handed it, so a restore
+	// compares the image's fingerprint with it instead of hashing the
+	// topology, the hosts and the formulas on every request.
+	ctxFP []byte
 
 	cur  *config.Config // current configuration; survives eviction
 	sess *core.Session  // nil when cold
@@ -192,19 +197,19 @@ func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess, err := core.NewSessionWith(base.Topo, base.Init, base.Specs, opts,
-		p.sessionResources(arenaFP, base.Topo))
-	if err != nil {
-		return nil, fmt.Errorf("server: tenant %s: %w", id, err)
-	}
 	t := &tenant{
 		id:      id,
 		spec:    spec,
 		base:    base,
 		opts:    opts,
 		arenaFP: arenaFP,
+		ctxFP:   core.ContextFingerprint(base.Topo, base.Specs, opts),
 		gate:    make(chan struct{}, 1),
 		cur:     base.Init,
+	}
+	sess, err := core.NewSessionWith(base.Topo, base.Init, base.Specs, opts, p.sessionResources(t))
+	if err != nil {
+		return nil, fmt.Errorf("server: tenant %s: %w", id, err)
 	}
 	t.requests = p.m.tenantRequests.With(id)
 	// Attach the shared plan cache: tenants whose specs differ only by
@@ -510,7 +515,7 @@ func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 	// Build outside the pool lock: construction rebuilds every per-class
 	// structure and may take longer than other tenants can wait. The gate
 	// keeps this single-flight per tenant (t.cur cannot move under us).
-	res := p.sessionResources(t.arenaFP, t.base.Topo)
+	res := p.sessionResources(t)
 	if len(snap) > 0 {
 		restoreStart := time.Now()
 		s2, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, snap, res)

@@ -68,8 +68,7 @@ func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error
 	}
 	t := a.t
 
-	sess, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, img,
-		p.sessionResources(t.arenaFP, t.base.Topo))
+	sess, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, img, p.sessionResources(t))
 	if err != nil {
 		t.rejectSnapshot("image refused, tenant left as it was", err)
 		return fmt.Errorf("server: tenant %s: install snapshot: %w", t.id, err)
