@@ -707,11 +707,13 @@ func BenchmarkRepair(b *testing.B) {
 // binary snapshot — the pool's eviction-resume path. The session is
 // warmed (one synthesis with the plan cache attached) and snapshotted
 // outside the timer; one op restores it over the shared arena and
-// warmth and with the context fingerprint computed beforehand, exactly as
-// ensureWarm does after an eviction. Restore adopts recorded transitions
-// and labelings instead of recomputing them, so allocations stay
-// proportional to the decoded lists plus an index word per arena state
-// per class; CI pins allocs/op and B/op (.github/alloc-budgets.txt).
+// warmth, with the context fingerprint computed beforehand and the
+// configuration the tenant is at handed over, exactly as ensureWarm does
+// after an eviction. Restore adopts recorded transitions and labelings
+// instead of recomputing them and the holder's configuration instead of
+// decoding a copy, so allocations stay proportional to the decoded lists
+// plus an index word per arena state per class; CI pins allocs/op and
+// B/op (.github/alloc-budgets.txt).
 func BenchmarkSnapshotRestore(b *testing.B) {
 	sc, err := bench.MultiRegionWorkload(160, 4, 2, 0, config.Reachability, 160*13)
 	if err != nil {
@@ -734,6 +736,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	res.Current = sess.Current()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -741,8 +744,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if restored.Runs() != sess.Runs() {
-			b.Fatalf("restored %d runs, want %d", restored.Runs(), sess.Runs())
+		if restored.Runs() != sess.Runs() || restored.Current() != res.Current {
+			b.Fatalf("restored %d runs (want %d) on a copy of the configuration: %v", restored.Runs(), sess.Runs(), restored.Current() != res.Current)
 		}
 	}
 }

@@ -6,8 +6,10 @@
 package config
 
 import (
+	"crypto/sha256"
 	"fmt"
-	"sort"
+	"sync"
+	"sync/atomic"
 
 	"netupdate/internal/network"
 	"netupdate/internal/topology"
@@ -16,107 +18,202 @@ import (
 // Config maps each switch to its forwarding table. A missing entry is the
 // empty (drop-everything) table. Config is a network configuration in the
 // paper's sense: a static network containing no packets.
+//
+// A Config is a persistent value: it holds one pointer per switch to an
+// installed table, an installed table is never written again, and Clone
+// copies the pointers, not the rules, so a target shares with the
+// configuration it was derived from every table its delta did not touch.
+// Every mutator replaces the switch's table; none writes where another
+// configuration can read. Two configurations that hold the same slice at a
+// switch therefore hold equal tables there (network.Table.Same), which is
+// what lets Diff and the digests skip what did not change.
+//
+// Mutating a Config is for whoever is still building it, on one
+// goroutine. Once handed out — to a session, to a structure bound to it,
+// to another goroutine — it is read-only, and any number of goroutines may
+// read it (TableDigest included) at once.
 type Config struct {
-	tables map[int]network.Table
+	slots []*installed // by switch; nil where the table is empty
+	// own[sw] is set while the backing array of slots[sw].tbl was allocated
+	// by this configuration's AddRule and no other configuration may append
+	// to it: only then does AddRule append in place — past the length every
+	// sharer holds — instead of copying. Clones start with none, and Table
+	// hands out capped slices.
+	own []bool
+}
+
+// installed is a table some configuration installed, shared by every
+// configuration cloned from it since, with the memo of its canonical
+// digest: computed once per installed table, whichever configuration is
+// asked first, under the mutex (sharers may ask at once).
+type installed struct {
+	tbl    network.Table
+	hashed atomic.Bool
+	mu     sync.Mutex
+	digest [sha256.Size]byte
 }
 
 // New returns an empty configuration.
-func New() *Config {
-	return &Config{tables: map[int]network.Table{}}
+func New() *Config { return &Config{} }
+
+// NewSized returns an empty configuration with room for the tables of
+// switches 0..switches-1, for builders that know the switch count.
+func NewSized(switches int) *Config {
+	return &Config{slots: make([]*installed, switches)}
 }
 
-// Table returns the table installed on sw (nil if none).
-func (c *Config) Table(sw int) network.Table { return c.tables[sw] }
+// Span returns one past the highest switch that may hold a table.
+func (c *Config) Span() int { return len(c.slots) }
 
-// SetTable replaces the table on sw.
-func (c *Config) SetTable(sw int, tbl network.Table) {
+// at returns what is installed on sw, nil for an empty table.
+func (c *Config) at(sw int) *installed {
+	if sw < 0 || sw >= len(c.slots) {
+		return nil
+	}
+	return c.slots[sw]
+}
+
+// Table returns the table installed on sw (nil if none). The caller must
+// not modify it.
+func (c *Config) Table(sw int) network.Table {
+	in := c.at(sw)
+	if in == nil {
+		return nil
+	}
+	return in.tbl[:len(in.tbl):len(in.tbl)]
+}
+
+// TableDigest returns the canonical digest (network.Table.Digest) of the
+// table on sw, computing it on the first request for this table from any
+// configuration that shares it.
+func (c *Config) TableDigest(sw int) [sha256.Size]byte {
+	in := c.at(sw)
+	if in == nil {
+		return network.Table(nil).Digest()
+	}
+	if !in.hashed.Load() {
+		in.mu.Lock()
+		if !in.hashed.Load() {
+			in.digest = in.tbl.Digest()
+			in.hashed.Store(true)
+		}
+		in.mu.Unlock()
+	}
+	return in.digest
+}
+
+// install replaces the table on sw; owned says whether tbl's backing array
+// is this configuration's to append to.
+func (c *Config) install(sw int, tbl network.Table, owned bool) {
+	if sw >= len(c.slots) {
+		if len(tbl) == 0 {
+			return
+		}
+		c.slots = append(c.slots, make([]*installed, sw+1-len(c.slots))...)
+	}
+	if owned && sw >= len(c.own) {
+		c.own = append(c.own, make([]bool, sw+1-len(c.own))...)
+	}
+	if sw < len(c.own) {
+		c.own[sw] = owned
+	}
 	if len(tbl) == 0 {
-		delete(c.tables, sw)
+		c.slots[sw] = nil
 		return
 	}
-	c.tables[sw] = tbl
+	c.slots[sw] = &installed{tbl: tbl}
 }
+
+// SetTable replaces the table on sw. The configuration keeps tbl, which
+// the caller must not modify afterwards.
+func (c *Config) SetTable(sw int, tbl network.Table) { c.install(sw, tbl, false) }
 
 // AddRule appends a rule to the table on sw.
 func (c *Config) AddRule(sw int, r network.Rule) {
-	c.tables[sw] = append(c.tables[sw], r)
+	var tbl network.Table
+	if in := c.at(sw); in != nil {
+		tbl = in.tbl // at its full capacity, unlike Table's
+	}
+	if sw >= len(c.own) || !c.own[sw] {
+		// Another configuration may hold this array: copy. Further rules
+		// grow the copy as append grows any slice.
+		tbl = append(make(network.Table, 0, len(tbl)+1), tbl...)
+	}
+	c.install(sw, append(tbl, r), true)
 }
 
 // RemoveRule removes the first rule on sw equal to r, reporting whether a
 // rule was removed.
 func (c *Config) RemoveRule(sw int, r network.Rule) bool {
-	tbl := c.tables[sw]
+	tbl := c.Table(sw)
 	for i := range tbl {
-		if ruleEqual(tbl[i], r) {
-			c.tables[sw] = append(tbl[:i:i], tbl[i+1:]...)
-			if len(c.tables[sw]) == 0 {
-				delete(c.tables, sw)
-			}
+		if tbl[i].Equal(r) {
+			c.install(sw, append(tbl[:i:i], tbl[i+1:]...), false)
 			return true
 		}
 	}
 	return false
 }
 
-func ruleEqual(a, b network.Rule) bool {
-	if a.Priority != b.Priority || a.Match != b.Match || len(a.Actions) != len(b.Actions) {
-		return false
-	}
-	for i := range a.Actions {
-		if a.Actions[i] != b.Actions[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Switches returns the switches with non-empty tables, ascending.
 func (c *Config) Switches() []int {
-	out := make([]int, 0, len(c.tables))
-	for sw := range c.tables {
-		out = append(out, sw)
+	n := 0
+	for _, in := range c.slots {
+		if in != nil {
+			n++
+		}
 	}
-	sort.Ints(out)
+	out := make([]int, 0, n)
+	for sw, in := range c.slots {
+		if in != nil {
+			out = append(out, sw)
+		}
+	}
 	return out
 }
 
 // NumRules returns the total number of rules across all switches.
 func (c *Config) NumRules() int {
 	n := 0
-	for _, t := range c.tables {
-		n += len(t)
+	for _, in := range c.slots {
+		if in != nil {
+			n += len(in.tbl)
+		}
 	}
 	return n
 }
 
-// Clone returns a deep copy.
+// Clone returns a configuration equal to c that shares c's tables: it
+// copies one pointer per switch and no rule. Mutating either afterwards
+// leaves the other as it was (see Config).
 func (c *Config) Clone() *Config {
-	d := New()
-	for sw, t := range c.tables {
-		d.tables[sw] = t.Clone()
-	}
-	return d
+	return &Config{slots: append([]*installed(nil), c.slots...)}
 }
 
-// Tables returns the underlying table map for constructing a runtime
-// network; the caller must not modify it.
-func (c *Config) Tables() map[int]network.Table { return c.tables }
+// Tables returns the tables by switch, in a fresh map, for constructing a
+// runtime network; the caller must not modify the tables.
+func (c *Config) Tables() map[int]network.Table {
+	out := map[int]network.Table{}
+	for sw := range c.slots {
+		if tbl := c.Table(sw); len(tbl) > 0 {
+			out[sw] = tbl
+		}
+	}
+	return out
+}
 
 // Diff returns the switches whose tables differ between a and b,
-// ascending. These are exactly the switches an update must touch.
+// ascending. These are exactly the switches an update must touch. A
+// switch where both hold the same installed table — every switch a delta
+// left alone, between a target and the configuration it was cloned from —
+// costs a pointer comparison.
 func Diff(a, b *Config) []int {
 	var out []int
-	for sw, tbl := range a.tables {
-		if !tbl.Equal(b.tables[sw]) {
+	for sw, n := 0, max(len(a.slots), len(b.slots)); sw < n; sw++ {
+		if a.at(sw) != b.at(sw) && !a.Table(sw).Equal(b.Table(sw)) {
 			out = append(out, sw)
 		}
 	}
-	for sw, tbl := range b.tables {
-		if _, ok := a.tables[sw]; !ok && len(tbl) > 0 {
-			out = append(out, sw)
-		}
-	}
-	sort.Ints(out)
 	return out
 }
 
@@ -201,7 +298,7 @@ func PathOf(cfg *Config, topo *topology.Topology, cl Class) ([]int, error) {
 	}
 	pkt := cl.Packet()
 	sw, pt := src.Switch, src.Port
-	var path []int
+	path := make([]int, 0, 16) // most paths fit: one allocation, not one per doubling
 	// The hops taken so far, scanned for a repeat — paths are tens of hops —
 	// and one hop's outputs; both spill to the heap only past their buffers.
 	type hop struct {

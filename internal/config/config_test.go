@@ -2,6 +2,7 @@ package config
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -295,11 +296,24 @@ func evalOnPath(f *ltl.Formula, path []int) bool {
 	return f.EvalTrace(trace)
 }
 
-// TestDiffMatchesSwitchSweep: Diff walks the tables the two configurations
-// hold, not the switches of the network; on random pairs — tables only one
-// side has, equal tables in another rule order, an empty table on one side
-// — it must list, ascending, exactly the switches a sweep over every
-// switch finds different.
+// sweepDiff is the oracle for Diff: every switch either side can hold a
+// table on, compared by Equal.
+func sweepDiff(a, b *Config) []int {
+	var out []int
+	for sw := 0; sw < max(a.Span(), b.Span()); sw++ {
+		if !a.Table(sw).Equal(b.Table(sw)) {
+			out = append(out, sw)
+		}
+	}
+	return out
+}
+
+// TestDiffMatchesSwitchSweep: Diff skips the switches where both sides
+// hold one slice and compares the rest; on random pairs — tables only one
+// side has, equal tables in another rule order, a table installed and
+// emptied again, one side reaching past the other's last switch — it must
+// list, ascending, exactly the switches a sweep over every switch finds
+// different.
 func TestDiffMatchesSwitchSweep(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	const switches = 24
@@ -314,7 +328,7 @@ func TestDiffMatchesSwitchSweep(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		a, b := New(), New()
 		for sw := 0; sw < switches; sw++ {
-			switch r.Intn(5) {
+			switch r.Intn(6) {
 			case 0: // neither
 			case 1:
 				a.SetTable(sw, table())
@@ -326,20 +340,30 @@ func TestDiffMatchesSwitchSweep(t *testing.T) {
 				rev := tbl.Clone()
 				slices.Reverse(rev)
 				b.SetTable(sw, rev)
+			case 4: // the same slice on both sides
+				tbl := table()
+				a.SetTable(sw, tbl)
+				b.SetTable(sw, tbl)
 			default:
 				a.SetTable(sw, table())
 				b.SetTable(sw, table())
 			}
 		}
-		b.tables[switches] = network.Table{} // present and empty: equal to absent
-		var want []int
-		for sw := 0; sw <= switches; sw++ {
-			if !a.Table(sw).Equal(b.Table(sw)) {
-				want = append(want, sw)
-			}
+		// Present and empty equals absent, whichever way it got empty, and b
+		// reaches past a's last switch.
+		rule := fwdRule(1, network.AnyPacket(), 1)
+		b.AddRule(switches+3, rule)
+		b.RemoveRule(switches+3, rule)
+		b.SetTable(switches+2, network.Table{})
+		if iter%2 == 0 {
+			b.AddRule(switches+1, rule)
 		}
+		want := sweepDiff(a, b)
 		if got := Diff(a, b); !slices.Equal(got, want) {
 			t.Fatalf("iter %d: Diff = %v, a sweep finds %v", iter, got, want)
+		}
+		if got := Diff(b, a); !slices.Equal(got, want) {
+			t.Fatalf("iter %d: Diff(b, a) = %v, a sweep finds %v", iter, got, want)
 		}
 		differing += len(want)
 	}
@@ -450,5 +474,122 @@ func TestPathOfTable(t *testing.T) {
 				t.Errorf("%s: path = %v", c.name, path)
 			}
 		}
+	}
+}
+
+// snapshotOf copies every rule of cfg, so a later comparison sees a write
+// into a shared table that a comparison of slices would not.
+func snapshotOf(cfg *Config) map[int]network.Table {
+	out := map[int]network.Table{}
+	for sw, tbl := range cfg.Tables() {
+		out[sw] = tbl.Clone()
+	}
+	return out
+}
+
+func holds(t *testing.T, what string, cfg *Config, want map[int]network.Table) {
+	t.Helper()
+	for sw := 0; sw < cfg.Span(); sw++ {
+		if !equalInOrder(cfg.Table(sw), want[sw]) {
+			t.Fatalf("%s: sw%d holds %v, want %v", what, sw, cfg.Table(sw), want[sw])
+		}
+		if cfg.TableDigest(sw) != cfg.Table(sw).Digest() {
+			t.Fatalf("%s: sw%d: memoized digest is not the table's", what, sw)
+		}
+	}
+	if len(want) != len(cfg.Switches()) {
+		t.Fatalf("%s: tables on %v, want %d of them", what, cfg.Switches(), len(want))
+	}
+}
+
+func equalInOrder(a, b network.Table) bool {
+	return slices.EqualFunc(a, b, network.Rule.Equal)
+}
+
+// TestMutatorsNeverWriteSharedTables: configurations share tables —
+// through Clone, and through SetTable of a table another one holds — and
+// every mutator must replace the switch's table rather than write where a
+// sharer reads. Two clones of one parent mutate the same switches; each
+// sees its own change only, the parent none, and Diff and the digests say
+// so. The parent is built by AddRule, so its arrays have spare capacity:
+// the case in which an append would land in memory a sharer's own append
+// also reaches.
+func TestMutatorsNeverWriteSharedTables(t *testing.T) {
+	ra, rb, rc := fwdRule(1, network.MatchFlow(1, 2), 1), fwdRule(2, network.MatchFlow(3, 4), 2), fwdRule(3, network.MatchFlow(5, 6), 3)
+	cl := Class{SrcHost: 1, DstHost: 2} // ra's flow
+	build := func() *Config {
+		p := New()
+		for sw := 0; sw < 4; sw++ {
+			p.AddRule(sw, ra)
+			p.AddRule(sw, rb)
+			p.AddRule(sw, rc) // three rules in a four-rule array
+		}
+		return p
+	}
+	mutations := []struct {
+		name string
+		x, y func(c *Config)
+		diff []int // between the two clones afterwards
+	}{
+		{"AddRule", func(c *Config) { c.AddRule(1, fwdRule(9, network.AnyPacket(), 1)) }, func(c *Config) { c.AddRule(1, fwdRule(8, network.AnyPacket(), 2)) }, []int{1}},
+		{"RemoveRule", func(c *Config) { c.RemoveRule(1, ra) }, func(c *Config) { c.RemoveRule(1, rc) }, []int{1}},
+		{"RemoveClassRules", func(c *Config) { RemoveClassRules(c, cl) }, func(c *Config) { c.AddRule(2, ra) }, []int{0, 1, 2, 3}},
+		{"SetTable(nil)", func(c *Config) { c.SetTable(1, nil) }, func(c *Config) { c.AddRule(1, ra) }, []int{1}},
+		{"SetTable of a sharer's table", func(c *Config) { c.SetTable(3, c.Table(1)); c.AddRule(3, ra) }, func(c *Config) { c.AddRule(1, rb) }, []int{1, 3}},
+	}
+	for _, m := range mutations {
+		p := build()
+		before := snapshotOf(p)
+		for sw := 0; sw < p.Span(); sw++ {
+			p.TableDigest(sw) // memoized before the clones are taken: they share the memos
+		}
+		x, y := p.Clone(), p.Clone()
+		m.x(x)
+		wantX := snapshotOf(x)
+		m.y(y)
+		wantY := snapshotOf(y)
+		p.AddRule(1, rb) // the parent still owns its arrays and appends in place
+		holds(t, m.name+": x after y and the parent moved", x, wantX)
+		holds(t, m.name+": y", y, wantY)
+		p.RemoveRule(1, rb) // removes the first: the original one
+		for sw := range before {
+			if !p.Table(sw).Equal(before[sw]) {
+				t.Fatalf("%s: parent's sw%d changed to %v", m.name, sw, p.Table(sw))
+			}
+		}
+		if got := Diff(x, y); !slices.Equal(got, m.diff) {
+			t.Fatalf("%s: Diff(x, y) = %v, want %v", m.name, got, m.diff)
+		}
+		for _, c := range []*Config{x, y} {
+			if got, want := Diff(p, c), sweepDiff(p, c); !slices.Equal(got, want) || len(got) == 0 {
+				t.Fatalf("%s: Diff(parent, clone) = %v, a sweep finds %v", m.name, got, want)
+			}
+		}
+	}
+}
+
+// TestAddRuleOnBusySwitchIsLinear: a builder adding rule after rule to one
+// switch appends to the array it allocated instead of copying the table
+// per rule — copy-on-write is for tables somebody else can reach, and a
+// clone is somebody else.
+func TestAddRuleOnBusySwitchIsLinear(t *testing.T) {
+	const rules = 4096
+	c := New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rules; i++ {
+		c.AddRule(0, network.Rule{Priority: i})
+	}
+	runtime.ReadMemStats(&after)
+	// A doubling array and a digest memo per install: a few hundred bytes
+	// per rule. A table copy per rule is rules/2 rules per rule.
+	if perRule := (after.TotalAlloc - before.TotalAlloc) / rules; len(c.Table(0)) != rules || perRule > 1024 {
+		t.Fatalf("%d rules, %d bytes allocated per AddRule", len(c.Table(0)), perRule)
+	}
+	d := c.Clone()
+	d.AddRule(0, network.Rule{Priority: -1})
+	c.AddRule(0, network.Rule{Priority: -2})
+	if &d.Table(0)[0] == &c.Table(0)[0] || d.Table(0)[rules].Priority != -1 || c.Table(0)[rules].Priority != -2 {
+		t.Fatal("a clone and its parent appended into one array")
 	}
 }

@@ -29,12 +29,13 @@ type Stream interface {
 }
 
 // RemoveClassRules deletes every rule matching exactly the class's flow
-// pattern from cfg, across all switches. Touched tables are rebuilt
-// rather than filtered in place, so configurations sharing table slices
-// with this one (clones are deep, but SetTable aliases) stay intact.
+// pattern from cfg, across all switches. A touched switch gets a new table
+// — the old one may be shared with other configurations (Config.Clone) —
+// and the scan over the others reads and writes nothing.
 func RemoveClassRules(cfg *Config, cl Class) {
 	pat := cl.Pattern()
-	for sw, tbl := range cfg.tables {
+	for sw := range cfg.slots {
+		tbl := cfg.Table(sw)
 		drop := 0
 		for _, r := range tbl {
 			if r.Match == pat {
@@ -44,17 +45,13 @@ func RemoveClassRules(cfg *Config, cl Class) {
 		if drop == 0 {
 			continue
 		}
-		if drop == len(tbl) {
-			delete(cfg.tables, sw)
-			continue
-		}
 		out := make(network.Table, 0, len(tbl)-drop)
 		for _, r := range tbl {
 			if r.Match != pat {
 				out = append(out, r)
 			}
 		}
-		cfg.tables[sw] = out
+		cfg.install(sw, out, false)
 	}
 }
 
@@ -221,7 +218,7 @@ func (h *StreamHeader) Build() (*StreamBase, error) {
 	b := &StreamBase{
 		Name:   h.Name,
 		Topo:   topo,
-		Init:   New(),
+		Init:   NewSized(topo.NumSwitches()),
 		byName: map[string]Class{},
 		prio:   10,
 	}
@@ -249,9 +246,11 @@ func (h *StreamHeader) Build() (*StreamBase, error) {
 	return b, nil
 }
 
-// Apply builds the target configuration one delta describes: cur cloned
-// with every rerouted class moved to its new path, each validated to
-// still deliver. Semantic failures are wrapped in ErrBadDelta and cur is
+// Apply builds the target configuration one delta describes: cur with
+// every rerouted class moved to its new path, each validated to still
+// deliver. The target shares with cur the table of every switch the delta
+// left alone (Config.Clone), so it costs the rerouted paths and one pointer
+// per switch. Semantic failures are wrapped in ErrBadDelta and cur is
 // unaffected, so the caller may report and continue.
 func (b *StreamBase) Apply(cur *Config, d *StreamDelta) (*Config, error) {
 	next := cur.Clone()

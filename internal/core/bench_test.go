@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"netupdate/internal/config"
@@ -44,5 +46,108 @@ func BenchmarkOrderingAnalysis(b *testing.B) {
 			b.Fatalf("%d of %d waits kept, %d DAG nodes for %d units",
 				countWaits(steps), countWaits(plan.Steps), dag.NumNodes(), len(units))
 		}
+	}
+}
+
+// mixedTenant builds the largest serve-large-mixed tenant shape — 8
+// regions x 2 diamonds, link classes and one infeasible gadget region on
+// an 800-switch degree-6 small-world graph — as a stream base, with the
+// delta that moves one diamond onto its other branch and the one that
+// moves it back.
+func mixedTenant(b *testing.B) (base *config.StreamBase, forth, back *config.StreamDelta) {
+	const n = 800
+	topo := topology.SmallWorld(n, 6, 0.3, n)
+	var sc *config.Scenario
+	for regions := 8; sc == nil; regions-- {
+		if regions == 0 {
+			b.Fatalf("cannot place any region on small-world-%d", n)
+		}
+		sc, _ = config.MultiRegion(topo, config.MultiRegionOptions{
+			Regions: regions, PairsPerRegion: 2, InfeasibleRegions: 1,
+			Property: config.Reachability, Seed: n,
+		})
+	}
+	h := config.StreamHeader{Name: "mixed-800", Topology: config.TopologyFile{Switches: n}}
+	for sw := 0; sw < n; sw++ {
+		for _, l := range topo.Neighbors(sw) {
+			if l.Peer > sw {
+				h.Topology.Links = append(h.Topology.Links, [2]int{sw, l.Peer})
+			}
+		}
+	}
+	for _, host := range topo.Hosts() {
+		h.Topology.Hosts = append(h.Topology.Hosts, config.HostFile{ID: host.ID, Switch: host.Switch})
+	}
+	for _, cs := range sc.Specs {
+		init, err := config.PathOf(sc.Init, topo, cs.Class)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Classes = append(h.Classes, config.StreamClass{Name: cs.Class.Name, Src: cs.Class.SrcHost, Dst: cs.Class.DstHost, Path: init, Spec: cs.Formula.String()})
+		final, err := config.PathOf(sc.Final, topo, cs.Class)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var reg, pair int
+		if k, _ := fmt.Sscanf(cs.Class.Name, "r%dp%d", &reg, &pair); k == 2 && forth == nil && !slices.Equal(init, final) {
+			forth = &config.StreamDelta{Reroute: []config.Reroute{{Class: cs.Class.Name, Path: final}}}
+			back = &config.StreamDelta{Reroute: []config.Reroute{{Class: cs.Class.Name, Path: init}}}
+		}
+	}
+	if forth == nil {
+		b.Fatal("no diamond class to move")
+	}
+	base, err := h.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return base, forth, back
+}
+
+// BenchmarkStreamApply is what a served request pays to name its target:
+// one diamond of the 800-switch mixed tenant moved onto its other branch.
+// The target shares with the current configuration every table the delta
+// left alone, so allocations follow the two paths' length — a table, its
+// digest memo and a rule per hop — and the bytes are those plus one table
+// header per switch; CI gates both (.github/alloc-budgets.txt). A deep
+// copy of the configuration is two allocations per rule of the network.
+func BenchmarkStreamApply(b *testing.B) {
+	base, forth, _ := mixedTenant(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := base.Apply(base.Init, forth); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInstanceKey is the plan-cache key of a warm session's next
+// request on the same tenant: the current configuration's hash is
+// memoized, and of the target — cloned from it by the request's delta —
+// only the tables the delta produced are canonicalized and hashed; the
+// digests of the others travel with the tables. CI gates allocs/op and
+// B/op: sorting or re-encoding every table of the network shows in both.
+func BenchmarkInstanceKey(b *testing.B) {
+	base, forth, back := mixedTenant(b)
+	s, err := NewSession(base.Topo, base.Init, base.Specs, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.EnableCache()
+	s.instanceKey(base.Init) // the first request's: every table hashed once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		target, err := base.Apply(s.cur, forth)
+		if err != nil {
+			b.Fatal(err)
+		}
+		forth, back = back, forth
+		b.StartTimer()
+		s.instanceKey(target)
+		s.noteAdvance(target)
+		s.cur = target
 	}
 }

@@ -15,9 +15,9 @@ package core
 //
 // An instance is keyed by a strong fingerprint of everything that
 // determines the search: the context (topology, per-class LTL
-// specifications, and the plan-shape options) and the full canonical
-// encodings of the base and target configurations (network.Table
-// Canonical order, switches ascending). Key equality therefore implies
+// specifications, and the plan-shape options) and the base and target
+// configurations (per switch, ascending, the digest of the table's
+// canonical form). Key equality therefore implies
 // the two runs see byte-identical unit lists — computeUnits is a
 // deterministic function of the (base, target) diff — which is also what
 // makes the second layer sound: the learned state of Section 4.2
@@ -310,35 +310,26 @@ func ContextFingerprint(topo *topology.Topology, specs []config.ClassSpec, opts 
 // cfgHash is a memoized configuration digest.
 type cfgHash [sha256.Size]byte
 
-// hashConfig digests a full configuration: switches ascending, tables in
-// network.Table.Canonical order, so configurations equal under table
-// equality hash identically regardless of rule insertion order.
+// hashConfig digests a full configuration: the (switch, table digest)
+// pairs of its non-empty tables, ascending. A table's digest is of its
+// canonical form (network.Table.Digest), so configurations equal under
+// table equality hash identically regardless of rule insertion order, and
+// it is memoized with the table (config.Config.TableDigest): hashing a
+// target canonicalizes the tables its delta produced and reads the rest.
 func hashConfig(cfg *config.Config) cfgHash {
-	w := &hashWriter{h: sha256.New()}
-	for _, sw := range cfg.Switches() {
-		tbl := cfg.Table(sw).Canonical()
-		if len(tbl) == 0 {
+	h := sha256.New()
+	var pair [8 + sha256.Size]byte
+	for sw := 0; sw < cfg.Span(); sw++ {
+		if len(cfg.Table(sw)) == 0 {
 			continue
 		}
-		w.writeInt(sw)
-		w.writeInt(len(tbl))
-		for _, r := range tbl {
-			w.writeInt(r.Priority)
-			w.writeInt(int(r.Match.InPort))
-			w.writeInt(r.Match.Src)
-			w.writeInt(r.Match.Dst)
-			w.writeInt(r.Match.Typ)
-			w.writeInt(len(r.Actions))
-			for _, a := range r.Actions {
-				w.writeInt(int(a.Kind))
-				w.writeInt(int(a.Port))
-				w.writeInt(int(a.Field))
-				w.writeInt(a.Value)
-			}
-		}
+		binary.LittleEndian.PutUint64(pair[:8], uint64(sw))
+		d := cfg.TableDigest(sw)
+		copy(pair[8:], d[:])
+		h.Write(pair[:])
 	}
 	var out cfgHash
-	w.h.Sum(out[:0])
+	h.Sum(out[:0])
 	return out
 }
 
@@ -346,7 +337,8 @@ func hashConfig(cfg *config.Config) cfgHash {
 // target configuration hashes. The base hash is memoized by pointer
 // identity — configurations handed to a session are immutable by
 // contract, and on success the target pointer becomes the next base — so
-// steady-state streams hash one configuration per request, not two.
+// a steady-state stream hashes one configuration per request, and of that
+// one only the tables the request's delta produced.
 func (s *Session) instanceKey(final *config.Config) string {
 	if s.hashedCur != s.cur {
 		s.hashedCur, s.curHash = s.cur, hashConfig(s.cur)

@@ -167,12 +167,6 @@ type affectedMemo struct {
 	row      []bool
 }
 
-// sameTable reports whether a and b are the same slice. Tables are never
-// edited in place, so identity implies equal contents.
-func sameTable(a, b network.Table) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
 // affected reports, per spec class, whether installing tbl on sw changes
 // the class's forwarding behavior at the current configuration. The
 // comparison is on the sets of forwarding outputs of matching rules; any
@@ -187,7 +181,7 @@ func sameTable(a, b network.Table) bool {
 func (d *depAnalysis) affected(sw int, tbl network.Table) []bool {
 	e, old := d.e, d.table(sw)
 	if d.step < len(e.affMemo) {
-		if m := &e.affMemo[d.step]; m.sw == sw && sameTable(m.old, old) && sameTable(m.new, tbl) {
+		if m := &e.affMemo[d.step]; m.sw == sw && m.old.Same(old) && m.new.Same(tbl) {
 			return m.row
 		}
 		e.affMemo = e.affMemo[:d.step]

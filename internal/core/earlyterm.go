@@ -1,6 +1,10 @@
 package core
 
-import "netupdate/internal/sat"
+import (
+	"slices"
+
+	"netupdate/internal/sat"
+)
 
 // earlyTerm implements the early-search-termination optimization of
 // Section 4.2.B: every counterexample constrains the order in which units
@@ -17,15 +21,37 @@ import "netupdate/internal/sat"
 // an acyclic model immediately, so the eager O(m^3) axiom instantiation
 // is avoided.
 type earlyTerm struct {
-	s         *sat.Solver
-	vars      map[[2]int]int // (i, j) with i < j -> solver variable
+	s    *sat.Solver
+	vars map[[2]int]int // (i, j) with i < j -> solver variable
+	// order lists the ordering variables as before created them: the loop
+	// check reads the model through it, so the cycle it finds — and the
+	// clause that forbids it — is a function of the constraints added, not
+	// of a map's iteration order.
+	order     []orderVar
 	mentioned []int
-	inSAT     map[int]bool
+	inSAT     []bool // by unit id
 	unsat     bool
+
+	// Loop-check and clause scratch, reused across the SAT calls of a run.
+	// The model's edges are chained per source unit: head[u] is the index
+	// in order of u's first out-edge (-1: none), next[e] the one after e,
+	// to[e] e's target; color and parent are by unit id.
+	head, next, to, parent []int32
+	color                  []uint8
+	cycle                  []int
+	lits                   []sat.Lit
 }
 
-func newEarlyTerm() *earlyTerm {
-	return &earlyTerm{s: sat.New(), vars: map[[2]int]int{}, inSAT: map[int]bool{}}
+// orderVar is one ordering variable: v true means unit i precedes unit j.
+type orderVar struct {
+	i, j int32
+	v    int
+}
+
+// newEarlyTerm returns the constraint store for a search over units
+// 0..units-1.
+func newEarlyTerm(units int) *earlyTerm {
+	return &earlyTerm{s: sat.New(), vars: map[[2]int]int{}, inSAT: make([]bool, units)}
 }
 
 // before returns the literal encoding "unit i is updated before unit j".
@@ -44,6 +70,7 @@ func (et *earlyTerm) before(i, j int) sat.Lit {
 	if !ok {
 		v = et.s.NewVar()
 		et.vars[[2]int{i, j}] = v
+		et.order = append(et.order, orderVar{i: int32(i), j: int32(j), v: v})
 	}
 	if neg {
 		return sat.Lit(-v)
@@ -80,12 +107,13 @@ func (et *earlyTerm) addCexConstraint(applied, unapplied []int) bool {
 	for _, u := range unapplied {
 		et.mention(u)
 	}
-	var lits []sat.Lit
+	lits := et.lits[:0]
 	for _, b := range unapplied {
 		for _, a := range applied {
 			lits = append(lits, et.before(b, a))
 		}
 	}
+	et.lits = lits
 	if !et.s.AddClause(lits...) {
 		et.unsat = true
 		return false
@@ -106,71 +134,93 @@ func (et *earlyTerm) solveAcyclic() bool {
 		if cycle == nil {
 			return true
 		}
-		var lits []sat.Lit
-		for i := range cycle {
-			j := (i + 1) % len(cycle)
-			lits = append(lits, et.before(cycle[i], cycle[j]).Neg())
-		}
-		if !et.s.AddClause(lits...) {
+		if !et.forbidCycle(cycle) {
 			et.unsat = true
 			return false
 		}
 	}
 }
 
+// forbidCycle adds the clause no model with the precedence cycle
+// satisfies, reporting whether the constraints can still hold.
+func (et *earlyTerm) forbidCycle(cycle []int) bool {
+	lits := et.lits[:0]
+	for i := range cycle {
+		j := (i + 1) % len(cycle)
+		lits = append(lits, et.before(cycle[i], cycle[j]).Neg())
+	}
+	et.lits = lits
+	return et.s.AddClause(lits...)
+}
+
 // modelCycle returns a precedence cycle in the current model over the
 // mentioned units, or nil if the model is a valid (acyclic) order. Only
 // edges whose variables exist (i.e. appear in some constraint) matter:
 // absent pairs are unconstrained and can always be ordered consistently
-// with a topological order of the constrained edges.
+// with a topological order of the constrained edges. The result is valid
+// until the next call.
 func (et *earlyTerm) modelCycle() []int {
-	succ := map[int][]int{}
-	for pair, v := range et.vars {
-		switch et.s.Value(v) {
-		case 1:
-			succ[pair[0]] = append(succ[pair[0]], pair[1])
+	if n := len(et.inSAT); len(et.head) == 0 {
+		et.head, et.parent, et.color = make([]int32, n), make([]int32, n), make([]uint8, n)
+	}
+	if m := len(et.order); cap(et.next) < m {
+		et.next, et.to = make([]int32, m, 2*m), make([]int32, m, 2*m)
+	} else {
+		et.next, et.to = et.next[:m], et.to[:m]
+	}
+	for _, u := range et.mentioned {
+		et.head[u], et.color[u] = -1, 0
+	}
+	// Chained back to front, so a unit's edges are followed in the order
+	// their variables were created.
+	for e := len(et.order) - 1; e >= 0; e-- {
+		ov := et.order[e]
+		src, dst := ov.i, ov.j
+		switch et.s.Value(ov.v) {
+		case 0:
+			continue
 		case -1:
-			succ[pair[1]] = append(succ[pair[1]], pair[0])
+			src, dst = dst, src
+		}
+		et.next[e], et.to[e] = et.head[src], dst
+		et.head[src] = int32(e)
+	}
+	for _, u := range et.mentioned {
+		if et.color[u] == 0 && et.cycleFrom(int32(u)) {
+			return et.cycle
 		}
 	}
+	return nil
+}
+
+// cycleFrom searches depth-first from v over the model's edges and, when
+// it meets a unit on its own path, leaves the cycle in et.cycle, in edge
+// order.
+func (et *earlyTerm) cycleFrom(v int32) bool {
 	const (
 		gray  = 1
 		black = 2
 	)
-	color := map[int]uint8{}
-	parent := map[int]int{}
-	var cycle []int
-	var dfs func(v int) bool
-	dfs = func(v int) bool {
-		color[v] = gray
-		for _, u := range succ[v] {
-			switch color[u] {
-			case 0:
-				parent[u] = v
-				if dfs(u) {
-					return true
-				}
-			case gray:
-				cycle = append(cycle, u)
-				for w := v; w != u; w = parent[w] {
-					cycle = append(cycle, w)
-				}
-				// Reverse into cycle order u -> ... -> v -> u.
-				for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-					cycle[i], cycle[j] = cycle[j], cycle[i]
-				}
+	et.color[v] = gray
+	for e := et.head[v]; e >= 0; e = et.next[e] {
+		u := et.to[e]
+		switch et.color[u] {
+		case 0:
+			et.parent[u] = v
+			if et.cycleFrom(u) {
 				return true
 			}
-		}
-		color[v] = black
-		return false
-	}
-	for _, u := range et.mentioned {
-		if color[u] == 0 {
-			if dfs(u) {
-				return cycle
+		case gray:
+			cycle := append(et.cycle[:0], int(u))
+			for w := v; w != u; w = et.parent[w] {
+				cycle = append(cycle, int(w))
 			}
+			// Reverse into cycle order u -> ... -> v -> u.
+			slices.Reverse(cycle)
+			et.cycle = cycle
+			return true
 		}
 	}
-	return nil
+	et.color[v] = black
+	return false
 }

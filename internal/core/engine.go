@@ -151,7 +151,7 @@ func newEngineShellWith(sc *config.Scenario, opts Options, units []unit, scr *en
 		sc:    sc,
 		opts:  opts,
 		units: units,
-		et:    newEarlyTerm(),
+		et:    newEarlyTerm(len(units)),
 	}
 	if scr != nil {
 		scr.visited.reset()
@@ -471,7 +471,7 @@ func (e *engine) unitTable(u unit) network.Table {
 	out := make(network.Table, 0, len(cur))
 	removed := false
 	for _, r := range cur {
-		if !removed && ruleEq(r, u.rule) {
+		if !removed && r.Equal(u.rule) {
 			removed = true
 			continue
 		}

@@ -160,6 +160,16 @@ var scratchPool = sync.Pool{New: func() any {
 // cache keys start with it, and a restore compares the image's with it.
 // Nil means "compute it when first needed".
 //
+// Current, when set, is the configuration the caller holds for the tenant
+// an image belongs to. RestoreSessionWith compares the image's
+// configuration section with it as it decodes, and where the two agree
+// rule for rule the restored session and its structures bind to this
+// object instead of a decoded copy — so the caller's "is the image where
+// the tenant is" check is a pointer comparison, and the request that
+// follows diffs and hashes against its own target by identity. Where they
+// differ the session is at the image's configuration, as without the
+// field. NewSessionWith ignores it.
+//
 // Factory, when set, builds the per-class checkers in place of the
 // incremental checker over Warmth. It is the seam the figure harness
 // (internal/bench) drives its comparison backends through; such a session
@@ -170,6 +180,7 @@ type SessionResources struct {
 	Warmth    *mc.Warmth
 	Factory   mc.Factory
 	ContextFP []byte
+	Current   *config.Config
 }
 
 // NewSession builds the warm per-class structures over the initial

@@ -357,12 +357,7 @@ func decodeRule(r *snapReader) network.Rule {
 	}
 	rule.Actions = make([]network.Action, nActs)
 	for i := range rule.Actions {
-		a := network.Action{
-			Kind:  network.ActionKind(r.varint()),
-			Port:  topology.Port(r.varint()),
-			Field: network.FieldID(r.varint()),
-			Value: int(r.varint()),
-		}
+		a := decodeAction(r)
 		if a.Kind == network.ActSetField && a.Field >= network.NumFields {
 			// Applying the table would panic on it.
 			r.fail("rule sets header field %d of %d", a.Field, network.NumFields)
@@ -370,6 +365,85 @@ func decodeRule(r *snapReader) network.Rule {
 		rule.Actions[i] = a
 	}
 	return rule
+}
+
+func decodeAction(r *snapReader) network.Action {
+	return network.Action{
+		Kind:  network.ActionKind(r.varint()),
+		Port:  topology.Port(r.varint()),
+		Field: network.FieldID(r.varint()),
+		Value: int(r.varint()),
+	}
+}
+
+// config decodes a configuration section into a new configuration over
+// the given number of switches.
+func (r *snapReader) config(switches int) *config.Config {
+	cur := config.NewSized(switches)
+	nSw := r.count()
+	for i, prev := 0, -1; i < nSw && r.err == nil; i++ {
+		sw := r.num()
+		nRules := r.count()
+		if r.err == nil && (sw <= prev || sw >= switches) {
+			// Ascending without repeats, as Snapshot writes them: SetTable
+			// would let a later table for the same switch win, and the
+			// session's next image would not be the bytes it was given.
+			r.fail("table for switch %d after switch %d, of %d switches", sw, prev, switches)
+		}
+		prev = sw
+		if r.err != nil {
+			break
+		}
+		tbl := make(network.Table, 0, nRules)
+		for j := 0; j < nRules && r.err == nil; j++ {
+			tbl = append(tbl, decodeRule(r))
+		}
+		cur.SetTable(sw, tbl)
+	}
+	return cur
+}
+
+// configIs reads a configuration section and reports whether it is want's:
+// the same switches, each holding the same rules in the same order — what
+// Snapshot wrote if the session was at want. Nothing is allocated, and the
+// reader stops at the first difference (the caller rewinds and decodes);
+// on true it stands past the section.
+func (r *snapReader) configIs(want *config.Config) bool {
+	listed, matched := r.count(), 0
+	for sw := 0; sw < want.Span(); sw++ {
+		tbl := want.Table(sw)
+		if len(tbl) == 0 {
+			continue
+		}
+		if matched == listed || r.num() != sw || r.count() != len(tbl) {
+			return false
+		}
+		matched++
+		for _, rule := range tbl {
+			if !r.ruleIs(rule) {
+				return false
+			}
+		}
+	}
+	return matched == listed && r.err == nil
+}
+
+// ruleIs reads one rule and reports whether it is want.
+func (r *snapReader) ruleIs(want network.Rule) bool {
+	if int(r.varint()) != want.Priority ||
+		topology.Port(r.varint()) != want.Match.InPort ||
+		int(r.varint()) != want.Match.Src ||
+		int(r.varint()) != want.Match.Dst ||
+		int(r.varint()) != want.Match.Typ ||
+		r.count() != len(want.Actions) {
+		return false
+	}
+	for _, a := range want.Actions {
+		if decodeAction(r) != a {
+			return false
+		}
+	}
+	return r.err == nil
 }
 
 // --- decode ---
@@ -414,27 +488,12 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	}
 	runs := r.num()
 
-	// Configuration.
-	cur := config.New()
-	nSw := r.count()
-	for i, prev := 0, -1; i < nSw && r.err == nil; i++ {
-		sw := r.num()
-		nRules := r.count()
-		if r.err == nil && (sw <= prev || sw >= topo.NumSwitches()) {
-			// Ascending without repeats, as Snapshot writes them: SetTable
-			// would let a later table for the same switch win, and the
-			// session's next image would not be the bytes it was given.
-			r.fail("table for switch %d after switch %d, of %d switches", sw, prev, topo.NumSwitches())
-		}
-		prev = sw
-		if r.err != nil {
-			break
-		}
-		tbl := make(network.Table, 0, nRules)
-		for j := 0; j < nRules && r.err == nil; j++ {
-			tbl = append(tbl, decodeRule(r))
-		}
-		cur.SetTable(sw, tbl)
+	// Configuration: the caller's object when the section says what it
+	// says, a decoded one otherwise.
+	cur, cfgStart := res.Current, r.off
+	if cur == nil || !r.configIs(cur) {
+		r.off, r.err = cfgStart, nil
+		cur = r.config(topo.NumSwitches())
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,49 +59,41 @@ const lateRank = 1_000_000
 // rule-granularity add-before-delete orders while keeping whole-table
 // commands.
 func computeUnits(sc *config.Scenario, diff []int, ruleGranularity, twoSimple bool) ([]unit, error) {
-	rank := destinationRank(sc)
-	unitRank := func(sw int) int {
-		if r, ok := rank[sw]; ok {
-			return r
-		}
-		// Not on any final path: this switch only loses state. Order
-		// these after everything else.
-		return lateRank
-	}
+	rank := destinationRank(sc, diff) // indexed like diff
 	var units []unit
 	if !ruleGranularity && twoSimple {
-		for _, sw := range diff {
+		for di, sw := range diff {
 			merged := mergeTables(sc.Init.Table(sw), sc.Final.Table(sw))
 			mergeID := len(units)
 			units = append(units, unit{
 				id: mergeID, sw: sw, newTable: merged,
-				requires: -1, rank: unitRank(sw),
+				requires: -1, rank: rank[di],
 			})
 			units = append(units, unit{
 				id: mergeID + 1, sw: sw, newTable: sc.Final.Table(sw).Clone(),
-				requires: mergeID, rank: lateRank + unitRank(sw),
+				requires: mergeID, rank: lateRank + rank[di],
 			})
 		}
 		return units, nil
 	}
 	if !ruleGranularity {
-		for _, sw := range diff {
+		for di, sw := range diff {
 			units = append(units, unit{
 				id:       len(units),
 				sw:       sw,
 				newTable: sc.Final.Table(sw).Clone(),
 				requires: -1,
-				rank:     unitRank(sw),
+				rank:     rank[di],
 			})
 		}
 		return units, nil
 	}
-	for _, sw := range diff {
+	for di, sw := range diff {
 		removed, added := diffTables(sc.Init.Table(sw), sc.Final.Table(sw))
 		for _, r := range added {
 			units = append(units, unit{
 				id: len(units), sw: sw, isRule: true, add: true, rule: r,
-				requires: -1, rank: unitRank(sw),
+				requires: -1, rank: rank[di],
 			})
 		}
 		for _, r := range removed {
@@ -120,7 +113,7 @@ func computeUnits(sc *config.Scenario, diff []int, ruleGranularity, twoSimple bo
 			}
 			units = append(units, unit{
 				id: len(units), sw: sw, isRule: true, add: false, rule: r,
-				requires: -1, rank: band + unitRank(sw),
+				requires: -1, rank: band + rank[di],
 			})
 		}
 	}
@@ -134,7 +127,7 @@ func mergeTables(a, b network.Table) network.Table {
 outer:
 	for _, rb := range b {
 		for _, ra := range a {
-			if ruleEq(ra, rb) {
+			if ra.Equal(rb) {
 				continue outer
 			}
 		}
@@ -150,7 +143,7 @@ func diffTables(a, b network.Table) (removed, added []network.Rule) {
 outer:
 	for _, ra := range a {
 		for i, rb := range b {
-			if !used[i] && ruleEq(ra, rb) {
+			if !used[i] && ra.Equal(rb) {
 				used[i] = true
 				continue outer
 			}
@@ -165,37 +158,50 @@ outer:
 	return
 }
 
-func ruleEq(a, b network.Rule) bool {
-	if a.Priority != b.Priority || a.Match != b.Match || len(a.Actions) != len(b.Actions) {
-		return false
+// destinationRank ranks the diff's switches (the result is indexed like
+// diff, which is ascending) by their distance from the end of the final
+// forwarding paths: switches nearer the destinations get smaller ranks,
+// encoding the classic enable-downstream-before-upstream order as a search
+// heuristic (completeness is preserved by backtracking). A switch on no
+// final path only loses state and ranks lateRank, after everything else.
+//
+// A class's final path can cross a switch only through a rule of the
+// switch's final table that matches the class, so only the classes some
+// such rule of a diff switch matches are traced: a request pays for the
+// paths its delta moved, not for every class of the tenant.
+func destinationRank(sc *config.Scenario, diff []int) []int {
+	rank := make([]int, len(diff))
+	for i := range rank {
+		rank[i] = lateRank
 	}
-	for i := range a.Actions {
-		if a.Actions[i] != b.Actions[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// destinationRank ranks every switch by its distance from the end of the
-// final forwarding paths: switches nearer the destinations get smaller
-// ranks, encoding the classic enable-downstream-before-upstream order as
-// a search heuristic (completeness is preserved by backtracking).
-func destinationRank(sc *config.Scenario) map[int]int {
-	rank := map[int]int{}
 	for _, cs := range sc.Specs {
+		if !crossesAny(sc.Final, diff, cs.Class.Packet()) {
+			continue
+		}
 		path, err := config.PathOf(sc.Final, sc.Topo, cs.Class)
 		if err != nil {
 			continue // validated earlier; be permissive here
 		}
 		for i, sw := range path {
-			r := len(path) - 1 - i
-			if old, ok := rank[sw]; !ok || r < old {
-				rank[sw] = r
+			if di, ok := slices.BinarySearch(diff, sw); ok {
+				rank[di] = min(rank[di], len(path)-1-i)
 			}
 		}
 	}
 	return rank
+}
+
+// crossesAny reports whether some rule cfg holds on one of the switches
+// matches pkt (on any in-port).
+func crossesAny(cfg *config.Config, switches []int, pkt network.Packet) bool {
+	for _, sw := range switches {
+		for _, r := range cfg.Table(sw) {
+			if headerMatches(r.Match, pkt) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // orderUnits returns unit indexes sorted by rank (stable on id).

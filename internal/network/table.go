@@ -7,7 +7,10 @@ package network
 
 import (
 	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -193,17 +196,9 @@ func (r Rule) String() string {
 	return fmt.Sprintf("[%d] %s -> %s", r.Priority, r.Match, strings.Join(acts, "; "))
 }
 
-// equalRule compares rules structurally.
-func equalRule(a, b Rule) bool {
-	if a.Priority != b.Priority || a.Match != b.Match || len(a.Actions) != len(b.Actions) {
-		return false
-	}
-	for i := range a.Actions {
-		if a.Actions[i] != b.Actions[i] {
-			return false
-		}
-	}
-	return true
+// Equal compares rules structurally.
+func (r Rule) Equal(q Rule) bool {
+	return r.Priority == q.Priority && r.Match == q.Match && slices.Equal(r.Actions, q.Actions)
 }
 
 // Table is a forwarding table: a set of prioritized rules.
@@ -260,7 +255,7 @@ func (t Table) AppendApply(dst []PortPacket, pkt Packet, pt topology.Port) []Por
 func (t Table) Canonical() Table {
 	c := make(Table, len(t))
 	copy(c, t)
-	sort.SliceStable(c, func(i, j int) bool { return compareRules(c[i], c[j]) < 0 })
+	slices.SortStableFunc(c, compareRules)
 	return c
 }
 
@@ -308,26 +303,81 @@ func compareRules(a, b Rule) int {
 	return 0
 }
 
-// Equal reports whether two tables have identical canonical forms. A
-// configuration diff asks this of every switch of the network, and nearly
-// always of two tables that hold the same rules in the same order — or,
-// where the switch is being updated, a different number of them: both
-// are answered without sorting either table.
+// Equal reports whether two tables have identical canonical forms, which
+// is whether they hold the same rules, each as often, in any order. A
+// configuration diff asks this of the switches a delta touched, and
+// nearly always of two tables that hold the same rules in the same order,
+// a different number of them, or a handful of which one was replaced: all
+// are answered without sorting or copying either table.
 func (t Table) Equal(u Table) bool {
 	if len(t) != len(u) {
 		return false
 	}
-	return equalInOrder(t, u) || equalInOrder(t.Canonical(), u.Canonical())
+	if equalInOrder(t, u) {
+		return true
+	}
+	if len(t) > 64 {
+		return equalInOrder(t.Canonical(), u.Canonical())
+	}
+	var used uint64 // rules of u already paired with one of t
+pairing:
+	for _, r := range t {
+		for j, q := range u {
+			if used&(1<<j) == 0 && r.Equal(q) {
+				used |= 1 << j
+				continue pairing
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // equalInOrder compares two tables of one length rule by rule.
 func equalInOrder(a, b Table) bool {
 	for i := range a {
-		if !equalRule(a[i], b[i]) {
+		if !a[i].Equal(b[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// Same reports whether t and u are the same slice. An installed table is
+// never edited in place (see config.Config), so the same slice means equal
+// contents: the ordering analysis' memo keys on it.
+func (t Table) Same(u Table) bool {
+	return len(t) == len(u) && (len(t) == 0 || &t[0] == &u[0])
+}
+
+// Digest returns the SHA-256 of the table's canonical form: tables that
+// are Equal have one digest, whatever order their rules were inserted in.
+func (t Table) Digest() [sha256.Size]byte {
+	c := t
+	for i := 1; i < len(t); i++ {
+		if compareRules(t[i-1], t[i]) > 0 {
+			c = t.Canonical()
+			break
+		}
+	}
+	var stack [1024]byte // a dozen rules; longer tables spill to the heap
+	buf := binary.LittleEndian.AppendUint64(stack[:0], uint64(len(c)))
+	put := func(v int) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	for _, r := range c {
+		put(r.Priority)
+		put(int(r.Match.InPort))
+		put(r.Match.Src)
+		put(r.Match.Dst)
+		put(r.Match.Typ)
+		put(len(r.Actions))
+		for _, a := range r.Actions {
+			put(int(a.Kind))
+			put(int(a.Port))
+			put(int(a.Field))
+			put(a.Value)
+		}
+	}
+	return sha256.Sum256(buf)
 }
 
 // Clone returns a deep copy of the table.

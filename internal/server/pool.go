@@ -518,8 +518,11 @@ func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 	res := p.sessionResources(t)
 	if len(snap) > 0 {
 		restoreStart := time.Now()
+		// The restore binds the session to t.cur itself when the image is
+		// at it, so whether it is is an identity test.
+		res.Current = t.cur
 		s2, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, snap, res)
-		if err == nil && len(config.Diff(s2.Current(), t.cur)) != 0 {
+		if err == nil && s2.Current() != t.cur {
 			err = errors.New("image is at another configuration than the tenant")
 		}
 		if err == nil {

@@ -559,3 +559,98 @@ func TestInstallSnapshotRejectsAreCounted(t *testing.T) {
 		}
 	}
 }
+
+// evictAlpha registers alpha — the diamond tenant plus a class the deltas
+// never move, on two switches of its own — on a pool with a budget of one
+// session, serves n deltas and registers a second tenant, which evicts
+// alpha and leaves its image behind.
+func evictAlpha(t *testing.T, n int) (*Pool, *tenant) {
+	t.Helper()
+	p := NewPool(PoolOptions{Workers: 1, MaxSessions: 1})
+	spec := testSpec("alpha")
+	spec.Topology.Switches = 6
+	spec.Topology.Links = append(spec.Topology.Links, [2]int{4, 5})
+	spec.Topology.Hosts = append(spec.Topology.Hosts, config.HostFile{ID: 102, Switch: 4}, config.HostFile{ID: 103, Switch: 5})
+	spec.Classes = append(spec.Classes, config.StreamClass{Name: "d", Src: 102, Dst: 103, Path: []int{4, 5}, Spec: "sw=4 -> F sw=5"})
+	alpha, err := p.Register(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diamondDeltas()[:n] {
+		if _, err := p.Synthesize(context.Background(), alpha.ID, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Register(testSpec("beta")); err != nil {
+		t.Fatal(err)
+	}
+	tn := p.tenants[alpha.ID]
+	if tn.sess != nil || len(tn.snap) == 0 {
+		t.Fatalf("alpha not evicted onto an image (warm %v, %d-byte image)", tn.sess != nil, len(tn.snap))
+	}
+	return p, tn
+}
+
+// TestRestoreAdoptsTenantConfiguration: the session a pool restores for an
+// evicted tenant is bound to the tenant's own configuration object, not to
+// a decoded copy of it — so the image-is-current check is an identity
+// test, and the request that follows diffs its target (cloned from that
+// object) against tables it shares, comparing no rule of an untouched
+// switch.
+func TestRestoreAdoptsTenantConfiguration(t *testing.T) {
+	p, tn := evictAlpha(t, 2)
+	sess, err := p.ensureWarm(tn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Current() != tn.cur {
+		t.Fatal("restored session is at a copy of the tenant's configuration")
+	}
+	if rest, cold := p.Metric("snapshot_restores_total"), p.Metric("cold_rebuilds_total"); rest != 1 || cold != 0 {
+		t.Fatalf("%g restores, %g cold rebuilds", rest, cold)
+	}
+	target, err := tn.base.Apply(tn.cur, reroute(0, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sw := range []int{4, 5} { // the class the delta leaves alone
+		if tbl := target.Table(sw); len(tbl) == 0 || !tbl.Same(sess.Current().Table(sw)) {
+			t.Fatalf("sw%d: the request's target and the restored session's configuration hold two copies of one table", sw)
+		}
+	}
+	if err := p.CheckAtRest(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleEvictionImageIsDropped: an eviction image at another
+// configuration than the tenant's — which no request path produces, and
+// which must still never be served from — is dropped, counted in
+// netupdate_snapshot_rejects_total, and the tenant rebuilt cold where it
+// stands.
+func TestStaleEvictionImageIsDropped(t *testing.T) {
+	p, tn := evictAlpha(t, 1) // the image is at [0 2 3]
+	p.mu.Lock()
+	tn.cur = tn.base.Init // the tenant at [0 1 3]
+	p.mu.Unlock()
+	plan, err := p.Synthesize(context.Background(), tn.id, reroute(0, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Stats.Units == 0 {
+		t.Fatal("served from the image's configuration: the request was a no-op there")
+	}
+	st, err := p.TenantStats(tn.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rej := p.Metric("snapshot_rejects_total"); rej != 1 || st.ColdRebuilds != 1 || st.SnapshotRestores != 0 {
+		t.Fatalf("%g rejects, stats %+v", rej, st)
+	}
+	if tn.sess == nil || tn.sess.Current() != tn.cur {
+		t.Fatal("tenant and its rebuilt session disagree on the configuration")
+	}
+	if err := p.CheckAtRest(); err != nil {
+		t.Fatal(err)
+	}
+}
