@@ -2,8 +2,8 @@ package netupdate
 
 // One benchmark per table/figure of the paper's evaluation (Section 6),
 // at sizes that finish in CI time, plus micro-benchmarks for the moving
-// parts. cmd/experiments regenerates the figures at configurable scale
-// and prints the full series.
+// parts. cmd/experiments regenerates the figures at the paper's sizes and
+// prints the full series.
 
 import (
 	"errors"
@@ -372,9 +372,9 @@ func BenchmarkRollingStream(b *testing.B) {
 // measured synthesis is a cache hit — replay-verification through the
 // warm checkers instead of a search — and must show strictly lower ns/op
 // and allocs/op than the nocache variant, which pays the full DFS on the
-// identical instances. CI gates the cached allocs/op (see
-// .github/workflows/ci.yml); BENCH_8.json archives the end-to-end
-// comparison.
+// identical instances. CI gates the cached allocs/op
+// (.github/alloc-budgets.txt); the benchmark spine reads the same pair end
+// to end as core.synthesize_hit_us against core.synthesize_miss_ms.
 func BenchmarkFlappingStream(b *testing.B) {
 	w, err := bench.BuildStreamWorkload(bench.FamilySmallWorld, 60, 2, config.Reachability, 60*11)
 	if err != nil {
@@ -430,7 +430,7 @@ func BenchmarkFlappingStream(b *testing.B) {
 // work per op; the decomposed variant must show lower ns/op — its
 // sub-searches iterate only each region's classes while the joint search
 // pays every class on every unit application — and CI pins its allocs/op
-// (see .github/workflows/ci.yml). BENCH_4.json archives the comparison.
+// (.github/alloc-budgets.txt).
 func BenchmarkDecomposedStream(b *testing.B) {
 	sc, err := bench.MultiRegionWorkload(320, 6, 2, 0, config.Reachability, 320*13)
 	if err != nil {

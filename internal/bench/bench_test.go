@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"netupdate/internal/server"
 )
 
 func TestTableFormat(t *testing.T) {
@@ -147,47 +145,5 @@ func TestAblation(t *testing.T) {
 	}
 	if len(tb.Rows) < 6 {
 		t.Fatalf("rows = %v", tb.Rows)
-	}
-}
-
-// TestServerCompareSmoke keeps the experiments table wired.
-func TestServerCompareSmoke(t *testing.T) {
-	tb, err := ServerCompare([]int{2}, 40, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 1 {
-		t.Fatalf("rows = %v", tb.Rows)
-	}
-}
-
-// BenchmarkServerThroughput measures the serving layer end to end: one op
-// registers a fleet of rolling-update tenants on a fresh pool and replays
-// their mixed traffic concurrently (see internal/bench/loadgen.go). The
-// warm variant serves everything from pooled sessions; cold is the
-// per-request baseline — identical traffic and concurrency budget, every
-// request a fresh one-shot synthesis. Reports syn/sec next to the usual
-// ns/op and allocs/op.
-func BenchmarkServerThroughput(b *testing.B) {
-	loads, err := MakeTenantLoads(6, 40, 12, server.OptionsSpec{}, 55)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		warm bool
-	}{{"warm", true}, {"cold", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			total := 0
-			for i := 0; i < b.N; i++ {
-				run, err := RunServerLoad(loads, mode.warm, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += run.Served
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "syn/sec")
-		})
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"netupdate/internal/buchi"
@@ -151,7 +152,7 @@ func Fig7Rule(f Family, sizes []int, timeout time.Duration) (*Table, []Synthesis
 
 func sweep(title string, f Family, sizes []int, checkers []Backend, prop config.Property, timeout time.Duration, ruleGranularity bool) (*Table, []SynthesisPoint, error) {
 	var points []SynthesisPoint
-	for _, n := range sizes {
+	for si, n := range sizes {
 		background := 0
 		if ruleGranularity {
 			background = n // realistic table sizes for the rule-count axis
@@ -166,7 +167,9 @@ func sweep(title string, f Family, sizes []int, checkers []Backend, prop config.
 			Updating: len(sc.UpdatingSwitches()),
 			Seconds:  map[string]float64{},
 		}
-		for _, ck := range checkers {
+		for i := range checkers {
+			// Rotated, so no column is always the first on a new topology.
+			ck := checkers[(si+i)%len(checkers)]
 			secs, err := timeSynthesis(ck, sc, core.Options{
 				Timeout: timeout, RuleGranularity: ruleGranularity,
 			})
@@ -198,12 +201,55 @@ func sweep(title string, f Family, sizes []int, checkers []Backend, prop config.
 }
 
 func timeSynthesis(b Backend, sc *config.Scenario, opts core.Options) (float64, error) {
-	start := time.Now()
-	_, err := b.Synthesize(sc, opts)
-	if err != nil && !errors.Is(err, core.ErrNoOrdering) {
-		return 0, err
+	return timed(nil, func() error {
+		_, err := b.Synthesize(sc, opts)
+		if errors.Is(err, core.ErrNoOrdering) {
+			return nil
+		}
+		return err
+	})
+}
+
+// timed reports what one call of run costs, in seconds. The first call
+// warms the process up (arena pages, interned labels, the engine's
+// scratch pool) and is discarded; the result is the median of at least
+// three further calls, and of more while they have taken under 200 ms
+// together. A first call that takes over a second is itself the sample:
+// the large Figure 8(h) cells cost seconds, and a cold start is noise
+// there. setup, if not nil, runs untimed before every call. An error
+// ends the sampling and is returned with the time its call took.
+func timed(setup, run func() error) (float64, error) {
+	var samples []float64
+	var total time.Duration
+	for first := true; first || len(samples) < 3 || total < 200*time.Millisecond; first = false {
+		if setup != nil {
+			if err := setup(); err != nil {
+				return 0, err
+			}
+		}
+		start := time.Now()
+		err := run()
+		el := time.Since(start)
+		if err != nil || (first && el > time.Second) {
+			return el.Seconds(), err
+		}
+		if !first {
+			samples = append(samples, el.Seconds())
+			total += el
+		}
 	}
-	return time.Since(start).Seconds(), nil
+	sort.Float64s(samples)
+	return samples[len(samples)/2], nil
+}
+
+// timePlan is timed for a synthesis whose plan the caller reads.
+func timePlan(synth func() (*core.Plan, error)) (float64, *core.Plan, error) {
+	var plan *core.Plan
+	secs, err := timed(nil, func() (err error) {
+		plan, err = synth()
+		return err
+	})
+	return secs, plan, err
 }
 
 // Fig8g reproduces Figure 8(g): scalability of the incremental backend on
@@ -230,13 +276,14 @@ func Fig8g(sizes []int, timeout time.Duration) (*Table, *Table, error) {
 			if prop == config.Reachability {
 				row[1] = len(sc.UpdatingSwitches())
 			}
-			start := time.Now()
-			plan, err := core.Synthesize(sc, core.Options{Timeout: timeout})
+			secs, plan, err := timePlan(func() (*core.Plan, error) {
+				return core.Synthesize(sc, core.Options{Timeout: timeout})
+			})
 			if err != nil {
 				row = append(row, "t/o")
 				continue
 			}
-			row = append(row, time.Since(start).Seconds())
+			row = append(row, secs)
 			w.Add(sc.Topo.NumSwitches(), prop.String(), plan.Stats.WaitsBefore,
 				plan.Stats.WaitsAfter, plan.Stats.WaitRemovalElapsed.Seconds())
 		}
@@ -260,20 +307,35 @@ func Fig8h(sizes []int, timeout time.Duration) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			start := time.Now()
-			_, serr := core.Synthesize(sc, core.Options{Timeout: timeout})
+			secs, serr := timeImpossible(sc, core.Options{Timeout: timeout})
 			switch {
-			case errors.Is(serr, core.ErrNoOrdering):
-				row = append(row, time.Since(start).Seconds())
-			case serr == nil:
-				return nil, fmt.Errorf("bench: infeasible workload was solved at switch granularity")
-			default:
+			case serr == errSolved:
+				return nil, serr
+			case serr != nil:
 				row = append(row, "t/o")
+			default:
+				row = append(row, secs)
 			}
 		}
 		t.Add(row...)
 	}
 	return t, nil
+}
+
+var errSolved = errors.New("bench: infeasible workload was solved at switch granularity")
+
+// timeImpossible times the proof that sc has no ordering under opts.
+func timeImpossible(sc *config.Scenario, opts core.Options) (float64, error) {
+	return timed(nil, func() error {
+		_, err := core.Synthesize(sc, opts)
+		switch {
+		case errors.Is(err, core.ErrNoOrdering):
+			return nil
+		case err == nil:
+			return errSolved
+		}
+		return err
+	})
 }
 
 // Fig8i reproduces Figure 8(i): solving the switch-impossible workloads
@@ -298,13 +360,14 @@ func Fig8i(sizes []int, timeout time.Duration) (*Table, *Table, error) {
 			if prop == config.Reachability {
 				row[1] = rules
 			}
-			start := time.Now()
-			plan, serr := core.Synthesize(sc, core.Options{RuleGranularity: true, Timeout: timeout})
+			secs, plan, serr := timePlan(func() (*core.Plan, error) {
+				return core.Synthesize(sc, core.Options{RuleGranularity: true, Timeout: timeout})
+			})
 			if serr != nil {
 				row = append(row, "t/o ("+serr.Error()+")")
 				continue
 			}
-			row = append(row, time.Since(start).Seconds())
+			row = append(row, secs)
 			w.Add(rules, prop.String(), plan.Stats.WaitsBefore, plan.Stats.WaitsAfter,
 				plan.Stats.WaitRemovalElapsed.Seconds())
 		}
@@ -347,35 +410,42 @@ func CheckerOnly(n int) (*Table, error) {
 func replayPlan(sc *config.Scenario, plan *core.Plan, factory mc.Factory) (float64, int, error) {
 	var ks []*kripke.K
 	var chks []mc.Checker
-	for _, cs := range sc.Specs {
-		k, err := kripke.Build(sc.Topo, sc.Init, cs.Class)
-		if err != nil {
-			return 0, 0, err
+	build := func() error {
+		ks, chks = ks[:0], chks[:0]
+		for _, cs := range sc.Specs {
+			k, err := kripke.Build(sc.Topo, sc.Init, cs.Class)
+			if err != nil {
+				return err
+			}
+			chk, err := factory(k, cs.Formula)
+			if err != nil {
+				return err
+			}
+			ks = append(ks, k)
+			chks = append(chks, chk)
 		}
-		chk, err := factory(k, cs.Formula)
-		if err != nil {
-			return 0, 0, err
-		}
-		ks = append(ks, k)
-		chks = append(chks, chk)
+		return nil
 	}
 	checks := 0
-	start := time.Now()
-	for _, chk := range chks {
-		chk.Check()
-		checks++
-	}
-	for _, st := range plan.Updates() {
-		for ci := range ks {
-			delta, err := ks[ci].UpdateSwitch(st.Switch, st.Table)
-			if err != nil {
-				return 0, 0, err
-			}
-			chks[ci].Update(delta)
+	secs, err := timed(build, func() error {
+		checks = 0
+		for _, chk := range chks {
+			chk.Check()
 			checks++
 		}
-	}
-	return time.Since(start).Seconds(), checks, nil
+		for _, st := range plan.Updates() {
+			for ci := range ks {
+				delta, err := ks[ci].UpdateSwitch(st.Switch, st.Table)
+				if err != nil {
+					return err
+				}
+				chks[ci].Update(delta)
+				checks++
+			}
+		}
+		return nil
+	})
+	return secs, checks, err
 }
 
 // Ablation measures the synthesis optimizations of Section 4.2 on one
@@ -402,9 +472,7 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 		{"batch-checker", core.Options{Timeout: timeout}, Batch},
 	}
 	for _, c := range cases {
-		start := time.Now()
-		plan, err := c.backend.Synthesize(sc, c.opts)
-		el := time.Since(start).Seconds()
+		el, plan, err := timePlan(func() (*core.Plan, error) { return c.backend.Synthesize(sc, c.opts) })
 		switch {
 		case err == nil:
 			t.Add(c.name, "ok", el, plan.Stats.Checks, plan.Stats.CexLearned,
@@ -427,28 +495,25 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 		{"infeasible/full", core.Options{Timeout: timeout}},
 		{"infeasible/no-early-termination", core.Options{NoEarlyTermination: true, Timeout: timeout}},
 	} {
-		start := time.Now()
-		_, err := core.Synthesize(scInf, c.opts)
-		el := time.Since(start).Seconds()
+		el, err := timeImpossible(scInf, c.opts)
 		switch {
-		case errors.Is(err, core.ErrNoOrdering):
+		case err == nil:
 			t.Add(c.name, "impossible", el, "-", "-", "-")
 		case errors.Is(err, core.ErrTimeout):
 			t.Add(c.name, "timeout", el, "-", "-", "-")
-		case err == nil:
-			return nil, fmt.Errorf("bench: infeasible instance solved")
 		default:
 			return nil, err
 		}
 	}
 	// The 2-simple extension solves the same instance at switch
 	// granularity.
-	start := time.Now()
-	plan, err := core.Synthesize(scInf, core.Options{TwoSimple: true, Timeout: timeout})
+	el, plan, err := timePlan(func() (*core.Plan, error) {
+		return core.Synthesize(scInf, core.Options{TwoSimple: true, Timeout: timeout})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: 2-simple failed on infeasible instance: %w", err)
 	}
-	t.Add("infeasible/2-simple", "ok", time.Since(start).Seconds(),
+	t.Add("infeasible/2-simple", "ok", el,
 		plan.Stats.Checks, plan.Stats.CexLearned,
 		plan.Stats.WrongPruned+plan.Stats.VisitedPruned)
 	return t, nil

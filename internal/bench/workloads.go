@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"netupdate/internal/config"
 	"netupdate/internal/topology"
@@ -95,4 +96,75 @@ func InfeasibleWorkload(n int, prop config.Property, gadgets int, seed int64) (*
 		}
 	}
 	return nil, fmt.Errorf("bench: cannot place any gadget on small-world-%d", n)
+}
+
+// StreamWorkload is a precomputed rolling-update walk: one topology, one
+// set of class specifications, and the sequence of target configurations,
+// so the warm (session) and cold (per-call) runners drive the identical
+// stream.
+type StreamWorkload struct {
+	Topo    *topology.Topology
+	Init    *config.Config
+	Specs   []config.ClassSpec
+	Targets []*config.Config
+}
+
+// BuildStreamWorkload carves the standard diamond workload into a
+// topology of roughly n switches and random-walks it for the given number
+// of steps (one diamond flipped per step). Sizing and the retry-smaller
+// placement loop are shared with DiamondWorkload (placePairs), so the
+// stream benchmark stays comparable to the synthesis benchmarks.
+func BuildStreamWorkload(f Family, n, steps int, prop config.Property, seed int64) (*StreamWorkload, error) {
+	topo, err := BuildTopology(f, n)
+	if err != nil {
+		return nil, err
+	}
+	var s *config.RollingStream
+	if err := placePairs(f, n, func(pairs int) error {
+		var perr error
+		s, perr = config.RollingUpdates(topo, config.RollingOptions{
+			Pairs: pairs, Property: prop, Seed: seed, Steps: steps, FlipsPerStep: 1,
+		})
+		return perr
+	}); err != nil {
+		return nil, err
+	}
+	w := &StreamWorkload{Topo: s.Topo(), Init: s.Init(), Specs: s.Specs()}
+	for {
+		tgt, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		w.Targets = append(w.Targets, tgt)
+	}
+	return w, nil
+}
+
+// MultiRegionWorkload builds the decomposition workload on a small-world
+// topology of n switches: regions independent diamond groups of
+// pairsPerRegion diamonds each, plus cross coupling classes. Placement
+// retries with fewer regions on cramped topologies, mirroring placePairs.
+func MultiRegionWorkload(n, regions, pairsPerRegion, cross int, prop config.Property, seed int64) (*config.Scenario, error) {
+	// Degree-6 small-world: the link classes that chain a region's pairs
+	// (and couple regions) pivot on free neighbors of already-claimed
+	// switches, which degree-4 graphs run out of; degree 6 places the
+	// full workload reliably from ~160 switches up.
+	topo := topology.SmallWorld(n, 6, 0.3, seed)
+	for r := regions; r >= 1; r-- {
+		c := cross
+		if r < 2 {
+			c = 0
+		}
+		sc, err := config.MultiRegion(topo, config.MultiRegionOptions{
+			Regions: r, PairsPerRegion: pairsPerRegion, CrossClasses: c,
+			Property: prop, Seed: seed,
+		})
+		if err == nil {
+			return sc, nil
+		}
+	}
+	return nil, fmt.Errorf("bench: cannot place any region on small-world-%d", n)
 }

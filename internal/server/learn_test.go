@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"netupdate/internal/bench"
 	"netupdate/internal/server"
 )
 
@@ -14,12 +13,12 @@ import (
 // SaveLearning on the warm pool, LoadLearning into a fresh one, and the
 // very first lap of the identical traffic is served from the fast path.
 func TestLearnFileRoundTrip(t *testing.T) {
-	loads, err := bench.MakeFlappingLoads(2, 40, 3, server.OptionsSpec{}, 707)
+	loads, err := makeFlappingLoads(2, 40, 3, server.OptionsSpec{}, 707)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p1 := server.NewPool(server.PoolOptions{Workers: 2})
-	if _, err := bench.RunLoad(context.Background(), p1, loads); err != nil {
+	if _, err := runLoad(context.Background(), p1, loads); err != nil {
 		t.Fatal(err)
 	}
 	warmEntries := p1.Metric("plan_cache_entries")
@@ -42,7 +41,7 @@ func TestLearnFileRoundTrip(t *testing.T) {
 	if got := p2.Metric("plan_cache_entries"); got != warmEntries {
 		t.Fatalf("restored %g entries, want %g", got, warmEntries)
 	}
-	if _, err := bench.RunLoad(context.Background(), p2, loads); err != nil {
+	if _, err := runLoad(context.Background(), p2, loads); err != nil {
 		t.Fatal(err)
 	}
 	if misses := p2.Metric("plan_cache_misses_total"); misses != 0 {
@@ -65,7 +64,7 @@ func TestLearnFileRoundTrip(t *testing.T) {
 // one learning store — the second tenant's first lap is served from the
 // plans the first tenant synthesized.
 func TestCrossTenantLearning(t *testing.T) {
-	loads, err := bench.MakeFlappingLoads(1, 40, 2, server.OptionsSpec{}, 808)
+	loads, err := makeFlappingLoads(1, 40, 2, server.OptionsSpec{}, 808)
 	if err != nil {
 		t.Fatal(err)
 	}

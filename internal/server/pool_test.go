@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"netupdate"
-	"netupdate/internal/bench"
 	"netupdate/internal/config"
 	"netupdate/internal/core"
 	"netupdate/internal/server"
@@ -19,7 +18,7 @@ import (
 // expectedPlans replays one tenant's delta sequence on a dedicated
 // netupdate.Synthesizer — the single-tenant baseline the pool must match
 // byte for byte.
-func expectedPlans(t *testing.T, tl *bench.TenantLoad) []string {
+func expectedPlans(t *testing.T, tl *tenantLoad) []string {
 	t.Helper()
 	base, err := tl.Spec.StreamHeader.Build()
 	if err != nil {
@@ -53,7 +52,7 @@ func expectedPlans(t *testing.T, tl *bench.TenantLoad) []string {
 // poolPlans replays every tenant's deltas through one shared pool, all
 // tenants concurrently (per-tenant order preserved), returning each
 // tenant's plan strings.
-func poolPlans(t *testing.T, p *server.Pool, loads []*bench.TenantLoad) [][]string {
+func poolPlans(t *testing.T, p *server.Pool, loads []*tenantLoad) [][]string {
 	t.Helper()
 	ids := make([]string, len(loads))
 	for i, tl := range loads {
@@ -94,7 +93,7 @@ func poolPlans(t *testing.T, p *server.Pool, loads []*bench.TenantLoad) [][]stri
 // Synthesizer. Run with -race in CI, this doubles as the cross-tenant
 // concurrency soundness check.
 func TestPoolMultiTenantConformance(t *testing.T) {
-	loads, err := bench.MakeTenantLoads(8, 40, 3, server.OptionsSpec{}, 7)
+	loads, err := makeTenantLoads(8, 40, 3, server.OptionsSpec{}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestPoolMultiTenantConformance(t *testing.T) {
 // plans byte-identical to dedicated baselines, because a rebuilt session
 // resumes from the tenant's stored current configuration.
 func TestPoolEvictionRebuild(t *testing.T) {
-	loads, err := bench.MakeTenantLoads(4, 40, 3, server.OptionsSpec{}, 99)
+	loads, err := makeTenantLoads(4, 40, 3, server.OptionsSpec{}, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestPoolEvictionRebuild(t *testing.T) {
 // mid-search reports core.ErrTimeout (retryable), leaves the tenant at
 // its previous configuration, and the next request succeeds.
 func TestPoolDeadlineExceeded(t *testing.T) {
-	loads, err := bench.MakeTenantLoads(1, 60, 2, server.OptionsSpec{}, 3)
+	loads, err := makeTenantLoads(1, 60, 2, server.OptionsSpec{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +213,7 @@ func TestPoolDeadlineExceeded(t *testing.T) {
 // TestPoolUnknownTenantAndBadDelta: typed errors for the two client
 // mistakes.
 func TestPoolUnknownTenantAndBadDelta(t *testing.T) {
-	loads, err := bench.MakeTenantLoads(1, 40, 1, server.OptionsSpec{}, 5)
+	loads, err := makeTenantLoads(1, 40, 1, server.OptionsSpec{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +242,7 @@ func TestPoolUnknownTenantAndBadDelta(t *testing.T) {
 // TestPoolRegisterIdempotent: the same spec fingerprints to the same
 // tenant; a different spec (other options) is a different tenant.
 func TestPoolRegisterIdempotent(t *testing.T) {
-	loads, err := bench.MakeTenantLoads(1, 40, 1, server.OptionsSpec{}, 11)
+	loads, err := makeTenantLoads(1, 40, 1, server.OptionsSpec{}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +272,7 @@ func TestPoolRegisterIdempotent(t *testing.T) {
 // TestPoolClose: a draining pool refuses new work but finishes what it
 // admitted.
 func TestPoolClose(t *testing.T) {
-	loads, err := bench.MakeTenantLoads(1, 40, 1, server.OptionsSpec{}, 13)
+	loads, err := makeTenantLoads(1, 40, 1, server.OptionsSpec{}, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +304,7 @@ func TestPoolSoak(t *testing.T) {
 	if testing.Short() {
 		rounds = 2
 	}
-	loads, err := bench.MakeTenantLoads(6, 40, rounds, server.OptionsSpec{}, 23)
+	loads, err := makeTenantLoads(6, 40, rounds, server.OptionsSpec{}, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +364,7 @@ func TestPoolSoak(t *testing.T) {
 // other. What a request costs here beyond the search is the pool's
 // whole-session work.
 func BenchmarkPoolEvictRestore(b *testing.B) {
-	loads, err := bench.MakeTenantLoads(1, 400, 0, server.OptionsSpec{}, 29)
+	loads, err := makeTenantLoads(1, 400, 0, server.OptionsSpec{}, 29)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"netupdate/internal/bench"
 	"netupdate/internal/core"
 	"netupdate/internal/server"
 )
@@ -19,7 +18,7 @@ import (
 // from the reported committed state and returns the repair plan; invalid
 // reports are rejected with the session intact.
 func TestPoolAckRepair(t *testing.T) {
-	loads, err := bench.MakeTenantLoads(1, 40, 2, server.OptionsSpec{}, 17)
+	loads, err := makeTenantLoads(1, 40, 2, server.OptionsSpec{}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestPoolAckRepair(t *testing.T) {
 // session cannot be repaired (the warm crash-tracking state is gone) and
 // says so with core.ErrNoPlan; the client falls back to a fresh delta.
 func TestPoolAckEvictedSession(t *testing.T) {
-	loads, err := bench.MakeTenantLoads(2, 40, 1, server.OptionsSpec{}, 29)
+	loads, err := makeTenantLoads(2, 40, 1, server.OptionsSpec{}, 29)
 	if err != nil {
 		t.Fatal(err)
 	}
