@@ -703,17 +703,15 @@ func BenchmarkRepair(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotRestore measures rebuilding a warm session from its
-// binary snapshot — the pool's eviction-resume path. The session is
-// warmed (one synthesis with the plan cache attached) and snapshotted
-// outside the timer; one op restores it over the shared arena and
-// warmth, with the context fingerprint computed beforehand and the
-// configuration the tenant is at handed over, exactly as ensureWarm does
-// after an eviction. Restore adopts recorded transitions and labelings
-// instead of recomputing them and the holder's configuration instead of
-// decoding a copy, so allocations stay proportional to the decoded lists
-// plus an index word per arena state per class; CI pins allocs/op and
-// B/op (.github/alloc-budgets.txt).
+// BenchmarkSnapshotRestore measures core.RestoreSessionWith on a warm
+// multi-region session's image, over the shared arena with the context
+// fingerprint handed over, both ways an image is restored. /held is the
+// pool's eviction-resume path: the holder's configuration is handed over,
+// the image is checked against it, and the session comes back with no
+// class built — a checksum and a comparison, nothing per class. /decoded
+// is an image that arrives as bytes (migration, restart): the
+// configuration is decoded and every class built and verified on it before
+// the session exists, which is a cold NewSessionWith plus the decode.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	sc, err := bench.MultiRegionWorkload(160, 4, 2, 0, config.Reachability, 160*13)
 	if err != nil {
@@ -736,17 +734,23 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res.Current = sess.Current()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		restored, err := core.RestoreSessionWith(sc.Topo, sc.Specs, opts, img, res)
-		if err != nil {
-			b.Fatal(err)
+	for _, held := range []bool{true, false} {
+		name, res := "decoded", res
+		if held {
+			name, res.Current = "held", sess.Current()
 		}
-		if restored.Runs() != sess.Runs() || restored.Current() != res.Current {
-			b.Fatalf("restored %d runs (want %d) on a copy of the configuration: %v", restored.Runs(), sess.Runs(), restored.Current() != res.Current)
-		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				restored, err := core.RestoreSessionWith(sc.Topo, sc.Specs, opts, img, res)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if restored.Runs() != sess.Runs() || held != (restored.Current() == res.Current) {
+					b.Fatalf("restored %d runs (want %d), on the holder's configuration: %v", restored.Runs(), sess.Runs(), restored.Current() == res.Current)
+				}
+			}
+		})
 	}
 }
 

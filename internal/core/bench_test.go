@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -150,4 +152,72 @@ func BenchmarkInstanceKey(b *testing.B) {
 		s.noteAdvance(target)
 		s.cur = target
 	}
+}
+
+// BenchmarkPlanCacheEntry reads what one cached plan holds, on the churn
+// reproducer's tenant (13 diamonds on a 400-switch small-world graph, as
+// BenchmarkPoolEvictRestore in internal/server): a session walks a
+// Gray-code sequence of single-diamond flips, which revisits no
+// configuration, so every request stores one plan of about a dozen steps.
+// B/entry is the heap in use with the cache attached less the heap once
+// it is dropped — so a table an entry shares with the session's
+// configuration costs the entry nothing, and one only the entry still
+// holds does — over the entries stored. A daemon's plan caches are most of
+// its live heap and re-marked by every collection; CI gates the reading
+// (.github/alloc-budgets.txt).
+func BenchmarkPlanCacheEntry(b *testing.B) {
+	const entries = 512
+	sc, err := config.Diamonds(topology.SmallWorld(400, 4, 0.3, 29), config.DiamondOptions{
+		Pairs: 13, Property: config.Reachability, Seed: 29,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var moving []config.Class
+	for _, cs := range sc.Specs {
+		if len(classesSeeing([]config.ClassSpec{cs}, sc.Init, sc.Final)) > 0 {
+			moving = append(moving, cs.Class)
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var total, steps float64
+	for i := 0; i < b.N; i++ {
+		s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cache := s.EnableCache()
+		onFinal := make([]bool, len(moving))
+		for n := 1; n <= entries; n++ {
+			pi := bits.TrailingZeros(uint(n)) % len(moving)
+			onFinal[pi] = !onFinal[pi]
+			to := sc.Init
+			if onFinal[pi] {
+				to = sc.Final
+			}
+			plan, err := s.Synthesize(moveClasses(s.Current(), to, moving[pi:pi+1]))
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps += float64(len(plan.Steps))
+		}
+		if cache.Len() != entries {
+			b.Fatalf("%d entries after %d distinct requests", cache.Len(), entries)
+		}
+		with := live()
+		s.SetCache(nil)
+		cache = nil
+		if without := live(); with > without {
+			total += float64(with - without)
+		}
+		runtime.KeepAlive(s)
+	}
+	b.ReportMetric(total/float64(b.N)/entries, "B/entry")
+	b.ReportMetric(steps/float64(b.N)/entries, "steps/entry")
 }

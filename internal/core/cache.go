@@ -34,19 +34,21 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"container/list"
 
 	"netupdate/internal/config"
+	"netupdate/internal/network"
 	"netupdate/internal/topology"
 )
 
 // DefaultPlanCacheEntries bounds a plan cache that was not given an
-// explicit capacity: entries hold cloned plans, so the bound keeps a
-// long-lived session's memory proportional to the working set of
-// distinct instances, not the stream length.
+// explicit capacity, which keeps a long-lived session's memory
+// proportional to the working set of distinct instances, not the stream
+// length.
 const DefaultPlanCacheEntries = 4096
 
 // Harvest caps: learned state beyond these bounds is dropped rather than
@@ -90,17 +92,155 @@ func NewPlanCache(max int) *PlanCache {
 
 // cacheEntry is one memoized instance: either a plan (steps + DAG) to
 // replay-verify, or an infeasibility memo, each with the learned state
-// harvested from the run that produced it.
+// harvested from the run that produced it. A cache holds thousands of
+// them for as long as the process lives, so an entry keeps what the plan
+// says in a few allocations and copies nothing that is immutable anyway:
+// a step is a switch and a table, the table shared with the target
+// configuration where it is the target's (a configuration's tables are
+// never written again, and a poisoned entry fails replay whatever it
+// shares); the rule a rule-granularity step adds or removes sits in a side
+// list; and the DAG's edge lists are one flat array. plan expands it.
 type cacheEntry struct {
 	key        string
 	infeasible bool
-	steps      []Step
-	dag        *PlanDAG
-	components int
-	learn      learnedState
+	components int32
+	// depth and width are the DAG's.
+	depth, width int32
+	steps        []cachedStep
+	// rules holds the rule-granularity detail of the steps that carry one,
+	// ascending by step.
+	rules []cachedRule
+	// dag lists, per update step in order: the number of its predecessors,
+	// the predecessors, the number of its drain edges, the drain edges.
+	dag []int32
+	// learn is the run's learned state; nil when it learned nothing, as a
+	// search that never backtracks does.
+	learn *learnedState
+}
+
+// cachedStep is a wait barrier, or the installation of table on sw.
+type cachedStep struct {
+	table network.Table
+	sw    int32
+	wait  bool
+}
+
+// cachedRule is Step's IsRule/RuleAdd/Rule for step number step.
+type cachedRule struct {
+	step int32
+	add  bool
+	rule network.Rule
 }
 
 func (e *cacheEntry) hasPlan() bool { return !e.infeasible }
+
+// newPlanEntry packs a plan. With final set, a step that installs final's
+// table on its switch, rule for rule, shares it and any other table is
+// copied, so the caller's plan stays mutable without poisoning the cache;
+// with final nil the steps' tables become the entry's own.
+func newPlanEntry(key string, steps []Step, dag *PlanDAG, final *config.Config, components int, ls learnedState) *cacheEntry {
+	ent := &cacheEntry{
+		key:        key,
+		components: int32(components),
+		steps:      make([]cachedStep, len(steps)),
+		learn:      ls.orNil(),
+	}
+	nRules := 0
+	for i := range steps {
+		if steps[i].IsRule {
+			nRules++
+		}
+	}
+	if nRules > 0 {
+		ent.rules = make([]cachedRule, 0, nRules)
+	}
+	for i := range steps {
+		st := &steps[i]
+		if st.Wait {
+			ent.steps[i].wait = true
+			continue
+		}
+		tbl := st.Table
+		if final != nil {
+			if target := final.Table(st.Switch); slices.EqualFunc(tbl, target, network.Rule.Equal) {
+				tbl = target
+			} else {
+				tbl = tbl.Clone()
+			}
+		}
+		ent.steps[i] = cachedStep{table: tbl, sw: int32(st.Switch)}
+		if st.IsRule {
+			ent.rules = append(ent.rules, cachedRule{step: int32(i), add: st.RuleAdd, rule: st.Rule})
+		}
+	}
+	if dag != nil {
+		ent.depth, ent.width = int32(dag.Depth), int32(dag.Width)
+		n := 2 * len(dag.Preds)
+		for j := range dag.Preds {
+			n += len(dag.Preds[j])
+			if j < len(dag.Drain) {
+				n += len(dag.Drain[j])
+			}
+		}
+		ent.dag = make([]int32, 0, n)
+		for j, preds := range dag.Preds {
+			var drain []int
+			if j < len(dag.Drain) {
+				drain = dag.Drain[j]
+			}
+			for _, list := range [2][]int{preds, drain} {
+				ent.dag = append(ent.dag, int32(len(list)))
+				for _, p := range list {
+					ent.dag = append(ent.dag, int32(p))
+				}
+			}
+		}
+	}
+	return ent
+}
+
+// plan expands the entry into a plan of the caller's own: no table or
+// edge list of it is the cache's.
+func (e *cacheEntry) plan() ([]Step, *PlanDAG) {
+	steps := make([]Step, len(e.steps))
+	ri := 0
+	for i, cs := range e.steps {
+		if cs.wait {
+			steps[i].Wait = true
+			continue
+		}
+		steps[i] = Step{Switch: int(cs.sw), Table: cs.table.Clone()}
+		if ri < len(e.rules) && int(e.rules[ri].step) == i {
+			steps[i].IsRule, steps[i].RuleAdd, steps[i].Rule = true, e.rules[ri].add, e.rules[ri].rule
+			ri++
+		}
+	}
+	nodes, edges := 0, 0
+	for at := 0; at < len(e.dag); at += 1 + int(e.dag[at]) {
+		nodes++
+		edges += int(e.dag[at])
+	}
+	nodes /= 2
+	dag := &PlanDAG{
+		Preds: make([][]int, nodes), Drain: make([][]int, nodes),
+		Depth: int(e.depth), Width: int(e.width),
+	}
+	flat, at := make([]int, 0, edges), 0
+	for j := 0; j < nodes; j++ {
+		for _, lists := range [2][][]int{dag.Preds, dag.Drain} {
+			n := int(e.dag[at])
+			if n > 0 {
+				from := len(flat)
+				for _, p := range e.dag[at+1 : at+1+n] {
+					flat = append(flat, int(p))
+				}
+				lists[j] = flat[from:len(flat):len(flat)]
+			}
+			at += 1 + n
+		}
+	}
+	return steps, dag
+}
 
 // learnedState is the persistent form of the Section 4.2 pruning
 // structures of one run (engine.wrong, cons and the dead configurations),
@@ -113,6 +253,14 @@ type learnedState struct {
 
 func (ls *learnedState) empty() bool {
 	return len(ls.patterns) == 0 && len(ls.cons) == 0 && len(ls.dead) == 0
+}
+
+// orNil returns the state for an entry to hold: nil when there is none.
+func (ls learnedState) orNil() *learnedState {
+	if ls.empty() {
+		return nil
+	}
+	return &ls
 }
 
 // cexCons is one recorded SAT early-termination constraint: the unit ids
@@ -201,59 +349,17 @@ func (c *PlanCache) store(ent *cacheEntry) {
 	}
 }
 
-// storePlan memoizes a successful run: the steps and DAG are cloned in,
-// so the caller's plan stays mutable without poisoning the cache.
-func (c *PlanCache) storePlan(key string, steps []Step, dag *PlanDAG, components int, ls learnedState) {
-	c.store(&cacheEntry{
-		key:        key,
-		steps:      cloneSteps(steps),
-		dag:        dag.clone(),
-		components: components,
-		learn:      ls,
-	})
+// storePlan memoizes a successful run to the target final (see
+// newPlanEntry for what the entry shares with it).
+func (c *PlanCache) storePlan(key string, steps []Step, dag *PlanDAG, final *config.Config, components int, ls learnedState) {
+	c.store(newPlanEntry(key, steps, dag, final, components, ls))
 }
 
 // storeInfeasible memoizes a proven ErrNoOrdering instance with the
 // learned state that proves it, so a repeat fails fast and a repair-mode
 // re-search (which must run the fallback ladder, not fail) starts primed.
 func (c *PlanCache) storeInfeasible(key string, ls learnedState) {
-	c.store(&cacheEntry{key: key, infeasible: true, learn: ls})
-}
-
-func cloneSteps(steps []Step) []Step {
-	if steps == nil {
-		return nil
-	}
-	out := make([]Step, len(steps))
-	for i, st := range steps {
-		out[i] = st
-		out[i].Table = st.Table.Clone()
-	}
-	return out
-}
-
-// clone deep-copies a DAG so cached and handed-out plans never alias.
-func (d *PlanDAG) clone() *PlanDAG {
-	if d == nil {
-		return nil
-	}
-	out := &PlanDAG{Depth: d.Depth, Width: d.Width}
-	out.Preds = cloneIntLists(d.Preds)
-	out.Drain = cloneIntLists(d.Drain)
-	return out
-}
-
-func cloneIntLists(in [][]int) [][]int {
-	if in == nil {
-		return nil
-	}
-	out := make([][]int, len(in))
-	for i, l := range in {
-		if l != nil {
-			out[i] = append([]int(nil), l...)
-		}
-	}
-	return out
+	c.store(&cacheEntry{key: key, infeasible: true, learn: ls.orNil()})
 }
 
 // --- instance fingerprinting ---
@@ -444,41 +550,43 @@ func unitIDsValid(ids []int, n int) bool {
 // --- replay-verify ---
 
 // replayCached re-verifies a cached plan against the attached warm
-// structures: a structural pass first confirms the steps actually
+// structures — those of the request's affected classes, the only ones a
+// step can move: a structural pass first confirms the steps actually
 // transform the current configuration into final (every switch of diff,
-// the request's config.Diff, covered; every touched switch ending at its
-// final table), then every update step is applied through applyAndCheck —
-// the same model-checked apply the search uses — so each intermediate
-// configuration is checked against every class specification. Any
-// failure reverts everything and reports false; the session falls back to
-// the ordinary search. On success the warm structures are left at the
-// final configuration (exactly like a search) and the frames that undo
-// the replay are returned.
+// the request's config.Diff, touched and ending at its final table, and no
+// other switch touched), then every update step is applied through
+// applyAndCheck — the same model-checked apply the search uses — so each
+// intermediate configuration is checked against every class specification.
+// Any failure reverts everything and reports false; the session falls back
+// to the ordinary search. On success the warm structures are left at the
+// final configuration (exactly like a search) and the frames that undo the
+// replay are returned.
 func (e *engine) replayCached(ent *cacheEntry, final *config.Config, diff []int) ([]frame, bool) {
-	lastTbl := map[int]int{} // switch -> index of its last update step
-	for i := range ent.steps {
-		if !ent.steps[i].Wait {
-			lastTbl[ent.steps[i].Switch] = i
-		}
-	}
 	for _, sw := range diff {
-		i, ok := lastTbl[sw]
-		if !ok || !ent.steps[i].Table.Equal(final.Table(sw)) {
+		last := -1 // the switch's last update step
+		for i := range ent.steps {
+			if st := &ent.steps[i]; !st.wait && int(st.sw) == sw {
+				last = i
+			}
+		}
+		if last < 0 || !ent.steps[last].table.Equal(final.Table(sw)) {
 			return nil, false
 		}
 	}
-	for sw, i := range lastTbl {
-		if !ent.steps[i].Table.Equal(final.Table(sw)) {
-			return nil, false
+	for i := range ent.steps {
+		if st := &ent.steps[i]; !st.wait {
+			if _, ok := slices.BinarySearch(diff, int(st.sw)); !ok {
+				return nil, false
+			}
 		}
 	}
 	var frames []frame
 	for i := range ent.steps {
 		st := &ent.steps[i]
-		if st.Wait {
+		if st.wait {
 			continue
 		}
-		fs, failed, _, err := e.applyAndCheck(st.Switch, st.Table)
+		fs, failed, _, err := e.applyAndCheck(int(st.sw), st.table)
 		frames = append(frames, fs...)
 		if err != nil || failed {
 			e.revert(frames)
@@ -533,20 +641,23 @@ func (c *PlanCache) Snapshot() *PlanCacheSnapshot {
 		es := PlanCacheEntrySnapshot{
 			Key:        hex.EncodeToString([]byte(ent.key)),
 			Infeasible: ent.infeasible,
-			Steps:      ent.steps,
-			DAG:        ent.dag,
-			Components: ent.components,
+			Components: int(ent.components),
 		}
-		for _, p := range ent.learn.patterns {
-			es.Patterns = append(es.Patterns, PatternSnapshot{
-				Relevant: p.relevant, Value: p.value,
-			})
+		if len(ent.steps) > 0 || ent.dag != nil {
+			es.Steps, es.DAG = ent.plan()
 		}
-		for _, cc := range ent.learn.cons {
-			es.Cons = append(es.Cons, ConsSnapshot{Applied: cc.applied, Unapplied: cc.unapplied})
-		}
-		for _, d := range ent.learn.dead {
-			es.Dead = append(es.Dead, d)
+		if ls := ent.learn; ls != nil {
+			for _, p := range ls.patterns {
+				es.Patterns = append(es.Patterns, PatternSnapshot{
+					Relevant: p.relevant, Value: p.value,
+				})
+			}
+			for _, cc := range ls.cons {
+				es.Cons = append(es.Cons, ConsSnapshot{Applied: cc.applied, Unapplied: cc.unapplied})
+			}
+			for _, d := range ls.dead {
+				es.Dead = append(es.Dead, d)
+			}
 		}
 		snap.Entries = append(snap.Entries, es)
 	}
@@ -573,29 +684,26 @@ func (c *PlanCache) Restore(snap *PlanCacheSnapshot) error {
 			len(es.Cons) == 0 && len(es.Dead) == 0 {
 			continue // nothing usable
 		}
-		ent := &cacheEntry{
-			key:        string(key),
-			infeasible: es.Infeasible,
-			steps:      es.Steps,
-			dag:        es.DAG,
-			components: es.Components,
-		}
-		if !ent.infeasible && ent.dag == nil {
+		dag := es.DAG
+		if !es.Infeasible && !dag.covers(es.Steps) {
 			// A snapshot missing its DAG still replays; executing the
 			// steps in sequence is always a valid (if conservative) order.
-			ent.dag = chainDAG(ent.steps)
+			dag = chainDAG(es.Steps)
 		}
+		var ls learnedState
 		for _, p := range es.Patterns {
-			ent.learn.patterns = append(ent.learn.patterns, pattern{
+			ls.patterns = append(ls.patterns, pattern{
 				relevant: p.Relevant, value: p.Value,
 			})
 		}
 		for _, cc := range es.Cons {
-			ent.learn.cons = append(ent.learn.cons, cexCons{applied: cc.Applied, unapplied: cc.Unapplied})
+			ls.cons = append(ls.cons, cexCons{applied: cc.Applied, unapplied: cc.Unapplied})
 		}
 		for _, d := range es.Dead {
-			ent.learn.dead = append(ent.learn.dead, d)
+			ls.dead = append(ls.dead, d)
 		}
+		ent := newPlanEntry(string(key), es.Steps, dag, nil, es.Components, ls)
+		ent.infeasible = es.Infeasible
 		c.mu.Lock()
 		if _, exists := c.entries[ent.key]; !exists {
 			c.entries[ent.key] = c.lru.PushFront(ent)

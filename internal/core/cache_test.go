@@ -131,7 +131,7 @@ func TestCachePoisonedReplayFallsBack(t *testing.T) {
 	n := corruptEntries(cache, func(ent *cacheEntry) {
 		var ups []int
 		for i := range ent.steps {
-			if !ent.steps[i].Wait {
+			if !ent.steps[i].wait {
 				ups = append(ups, i)
 			}
 		}

@@ -62,13 +62,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"netupdate/internal/config"
 	"netupdate/internal/kripke"
-	"netupdate/internal/mc"
-	"netupdate/internal/network"
 )
 
 // component is one independent subproblem of the interference partition.
@@ -79,19 +78,21 @@ type component struct {
 }
 
 // unitFootprints computes each unit's interference footprint: the sorted
-// spec indexes of the classes the unit can affect. Whole-table units
-// (switch granularity and 2-simple) are probed against the warm Kripke
-// structures — applied in id order so a finalize step lands on top of its
-// merge step, probed per class for delta emptiness, and reverted before
-// the next switch's units — which keeps every structure at the initial
-// configuration when the pre-pass returns. Rule units use the pattern
-// match over-approximation (see the file comment).
-func (e *engine) unitFootprints() ([][]int, error) {
+// spec indexes of the classes the unit can affect, out of the attached
+// ones — the request's affected classes aff, which is every class a
+// changed rule matches. Whole-table units (switch granularity and
+// 2-simple) are probed against the warm Kripke structures — applied in id
+// order so a finalize step lands on top of its merge step, probed per
+// class for delta emptiness, and reverted before the next switch's units —
+// which keeps every structure at the initial configuration when the
+// pre-pass returns. Rule units use the pattern match over-approximation
+// (see the file comment).
+func (e *engine) unitFootprints(aff *affectedClasses) ([][]int, error) {
 	fps := make([][]int, len(e.units))
 	if e.opts.RuleGranularity {
 		for _, u := range e.units {
-			for ci, cs := range e.sc.Specs {
-				if headerMatches(u.rule.Match, cs.Class.Packet()) {
+			for _, ci := range e.classes {
+				if headerMatches(u.rule.Match, e.sc.Specs[ci].Class.Packet()) {
 					fps[u.id] = append(fps[u.id], ci)
 				}
 			}
@@ -101,12 +102,12 @@ func (e *engine) unitFootprints() ([][]int, error) {
 	// Units of one switch are contiguous in id order (computeUnits emits
 	// them per diff switch), so a switch's chain is reverted as soon as
 	// the next switch begins and probes of different switches never see
-	// each other's updates. A rule-diff match pre-filter keeps the pass
-	// cheap: a class whose packet no added or removed rule matches cannot
-	// see its behavior change (table application is priority-set
-	// semantics, so a pure reorder of identical rules changes nothing
-	// either), and only the surviving (unit, class) pairs pay for an
-	// exact apply/revert probe.
+	// each other's updates. The affected-class list keeps the pass cheap: a
+	// class that cannot see the switch's change — no added or removed rule
+	// matches its packet — cannot see its behavior change (table
+	// application is priority-set semantics, so a pure reorder of identical
+	// rules changes nothing either), and only the surviving (unit, class)
+	// pairs pay for an exact apply/revert probe.
 	var pend []frame
 	flush := func() {
 		e.revert(pend)
@@ -118,26 +119,21 @@ func (e *engine) unitFootprints() ([][]int, error) {
 			flush()
 			curSw = u.sw
 		}
-		// Outside 2-simple mode a switch carries exactly one unit, so no
-		// class's structure has a partially applied table at u.sw and the
-		// rule diff is identical for every class: compute it once. With
-		// 2-simple, classes whose merge probe was skipped still hold the
-		// initial table while probed classes hold the merged one, so the
-		// diff is per class.
-		var remShared, addShared []network.Rule
-		shared := !e.opts.TwoSimple && len(e.ks) > 0
-		if shared {
-			remShared, addShared = diffTables(e.ks[0].Table(u.sw), u.newTable)
-		}
-		for ci := range e.ks {
-			removed, added := remShared, addShared
-			if !shared {
-				removed, added = diffTables(e.ks[ci].Table(u.sw), u.newTable)
-			}
-			if !rulesAffect(removed, added, e.sc.Specs[ci].Class.Packet()) {
+		for pos, ci := range e.classes {
+			if !slices.Contains(aff.switchesOf(pos), u.sw) {
 				continue
 			}
-			delta, err := e.ks[ci].UpdateSwitch(u.sw, u.newTable)
+			if e.opts.TwoSimple {
+				// A switch carries a merge and a finalize unit, each moving
+				// part of the switch's rule diff: what this one moves is
+				// read against the table the class's structure holds now
+				// (the merged one only where the merge was probed).
+				removed, added := diffTables(e.ks[pos].Table(u.sw), u.newTable)
+				if !rulesAffect(removed, added, e.sc.Specs[ci].Class.Packet()) {
+					continue
+				}
+			}
+			delta, err := e.ks[pos].UpdateSwitch(u.sw, u.newTable)
 			e.stats.FootprintProbes++
 			if err != nil {
 				if _, isLoop := err.(*kripke.ErrLoop); !isLoop {
@@ -148,7 +144,7 @@ func (e *engine) unitFootprints() ([][]int, error) {
 					return nil, err
 				}
 			}
-			pend = append(pend, frame{class: ci, delta: delta})
+			pend = append(pend, frame{class: pos, delta: delta})
 			if len(delta.Changed()) > 0 {
 				fps[u.id] = append(fps[u.id], ci)
 			}
@@ -162,8 +158,8 @@ func (e *engine) unitFootprints() ([][]int, error) {
 // interference graph, ordered by lowest unit id. It runs the footprint
 // pre-pass and so must be called with the engine's structures attached
 // and at the initial configuration; it leaves them there.
-func (e *engine) components() ([]component, error) {
-	fps, err := e.unitFootprints()
+func (e *engine) components(aff *affectedClasses) ([]component, error) {
+	fps, err := e.unitFootprints(aff)
 	if err != nil {
 		return nil, err
 	}
@@ -234,25 +230,14 @@ func (e *engine) components() ([]component, error) {
 // decompose partitions the diff into independent subproblems. Several
 // components run as separate sub-searches (runDecomposed); a single one
 // names the classes the diff can affect, and the joint engine runs over
-// those alone (classSubset). (nil, nil) selects the joint engine over
-// every class: decomposition is disabled or the diff is trivially small.
+// those alone (attach). (nil, nil) leaves the joint engine on the request's
+// affected classes: decomposition is disabled or the diff is trivially
+// small.
 func (s *Session) decompose(e *engine) ([]component, error) {
 	if s.opts.NoDecomposition || len(e.units) < 2 {
 		return nil, nil
 	}
-	return e.components()
-}
-
-// classSubset returns the session's warm structures for the given spec
-// indexes, in that order — the view an engine searches when the other
-// classes are outside its units' footprint.
-func (s *Session) classSubset(classes []int) ([]*kripke.K, []mc.Checker) {
-	ks := make([]*kripke.K, len(classes))
-	checkers := make([]mc.Checker, len(classes))
-	for i, ci := range classes {
-		ks[i], checkers[i] = s.ks[ci], s.checkers[ci]
-	}
-	return ks, checkers
+	return e.components(&s.aff)
 }
 
 // compResult is one component sub-search's outcome.
@@ -425,7 +410,7 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 	}
 	ec := newEngineShellWith(scC, s.opts, units, nil)
 	ec.bindContext(e.ctx)
-	ec.ks, ec.checkers = s.classSubset(c.classes)
+	s.attach(ec, c.classes)
 	ec.snapshotCheckerStats()
 	steps, err := ec.run()
 	ec.collectCheckerStats()

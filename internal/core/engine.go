@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"netupdate/internal/config"
@@ -75,6 +76,10 @@ type engine struct {
 	units []unit
 	order []int
 
+	// The attached class structures and checkers, and the spec index of
+	// each (ascending): the classes the run can affect, or a component's
+	// (Session.attach, solveComponent).
+	classes  []int
 	ks       []*kripke.K
 	checkers []mc.Checker
 	// statsBase snapshots each persistent checker's cumulative counters
@@ -227,6 +232,7 @@ func (e *engine) run() ([]Step, error) {
 		}
 		return nil, err
 	}
+	slices.Reverse(steps) // dfs appends on its way out
 	return steps, nil
 }
 
@@ -302,8 +308,10 @@ func (e *engine) stepsForPath(path []int) []Step {
 }
 
 // dfs explores update orders from the current configuration (encoded by
-// the applied bitmask). It returns the remaining steps on success,
-// errNotFound when the subtree is exhausted, or a terminal error.
+// the applied bitmask). It returns the remaining steps on success — last
+// first: the leaf allocates the plan once and every level appends its step
+// on the way out — errNotFound when the subtree is exhausted, or a
+// terminal error.
 func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 	if depth == len(e.units) {
 		if e.collecting {
@@ -316,7 +324,10 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 			}
 			return nil, errNotFound
 		}
-		return nil, nil
+		if depth == 0 {
+			return nil, nil // no unit: the empty plan
+		}
+		return make([]Step, 0, 2*depth-1), nil
 	}
 	if e.hasDeadline && time.Now().After(e.deadline) {
 		return nil, ErrTimeout
@@ -378,10 +389,10 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 				Switch: u.sw, Table: newTbl.Clone(),
 				IsRule: u.isRule, RuleAdd: u.add, Rule: u.rule,
 			}
-			if len(rest) == 0 {
-				return []Step{step}, nil
+			if len(rest) > 0 {
+				rest = append(rest, Step{Wait: true})
 			}
-			return append([]Step{step, {Wait: true}}, rest...), nil
+			return append(rest, step), nil
 		}
 		e.curTables[u.sw] = oldTbl
 		e.revert(frames)

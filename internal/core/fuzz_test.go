@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"netupdate/internal/config"
@@ -24,10 +26,11 @@ type fuzzContext struct {
 
 // Each context has one committed image per format version, taken after
 // the session served the reroute: "" is version 1, as commit 5a6acb0
-// wrote it (the last commit with four checker backends); "-v2" is this
-// format's, as the commit that introduced it wrote it. Version-1 images
-// restore to their configuration, built cold; they must keep doing so.
-var fuzzSeedVersions = []string{"", "-v2"}
+// wrote it (the last commit with four checker backends); "-v2" is version
+// 2's, as PR 17 wrote it, with its label tables and class sections; "-v3"
+// is this format's, as the commit that introduced it wrote it. Older
+// images restore to their configuration; they must keep doing so.
+var fuzzSeedVersions = []string{"", "-v2", "-v3"}
 
 var fuzzContexts = []fuzzContext{
 	{
@@ -45,17 +48,17 @@ var fuzzContexts = []fuzzContext{
 // fuzzSeed is a fuzzContext decoded: the base it restores into, the
 // reroute target, and the committed image.
 type fuzzSeed struct {
-	name   string
-	v1     bool // written in NUSS version 1
-	base   *config.StreamBase
-	target *config.Config
-	img    []byte
+	name    string
+	version int // the NUSS version the image is written in
+	base    *config.StreamBase
+	target  *config.Config
+	img     []byte
 }
 
 func loadFuzzSeeds(t testing.TB) []fuzzSeed {
 	t.Helper()
 	var seeds []fuzzSeed
-	for _, version := range fuzzSeedVersions {
+	for vi, version := range fuzzSeedVersions {
 		for _, c := range fuzzContexts {
 			var h config.StreamHeader
 			if err := json.Unmarshal([]byte(c.header), &h); err != nil {
@@ -78,7 +81,7 @@ func loadFuzzSeeds(t testing.TB) []fuzzSeed {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seeds = append(seeds, fuzzSeed{name, version == "", base, target, img})
+			seeds = append(seeds, fuzzSeed{name, vi + 1, base, target, img})
 		}
 	}
 	return seeds
@@ -87,12 +90,12 @@ func loadFuzzSeeds(t testing.TB) []fuzzSeed {
 // restoreAndServe is the property both the fuzzer and the byte sweep
 // check: body, resealed under a fresh checksum, either fails to restore
 // or yields a session that synthesizes and snapshots; any error is an
-// answer, a panic is not. Where the state the session should be in is
-// known, its next answer must be a cold session's at its configuration:
-// for the seed as committed, and for anything that restores from a
-// version-1 image, which is taken for its configuration alone. (Damage
-// to a version-2 class section that stays in range restores to a state
-// no configuration builds; the checksum is integrity, not authenticity.)
+// answer, a panic is not. Nothing but the configuration and the run
+// counter is taken from the bytes, so whatever restores has every class
+// built at the configuration the image spells, and its next answer is a
+// cold session's there — and so is the answer of a session restored from
+// the same bytes lazily, onto that configuration as its holder's. Every
+// built class stays based on the session's configuration throughout.
 func restoreAndServe(t *testing.T, seed fuzzSeed, body []byte) {
 	opts := Options{}
 	pristine := bytes.Equal(body, seed.img[:len(seed.img)-sha256.Size])
@@ -104,36 +107,82 @@ func restoreAndServe(t *testing.T, seed fuzzSeed, body []byte) {
 		}
 		return
 	}
-	// Whatever else the image says, the configuration the session is at is
-	// the one its configuration section spells: no table dropped or
-	// overwritten by a later one for the same switch.
+	// The configuration the session is at is the one the configuration
+	// section spells: no table dropped or overwritten by a later one for
+	// the same switch.
 	if listed := configSwitches(body); !slices.Equal(listed, s.Current().Switches()) {
 		t.Fatalf("%s: image lists tables for switches %v, the restored session holds %v", seed.name, listed, s.Current().Switches())
 	}
-	if pristine && !seed.v1 {
+	if n := slotsAtCurrent(t, seed.name, s); n != len(seed.base.Specs) {
+		t.Fatalf("%s: restored from bytes with %d of %d classes built", seed.name, n, len(seed.base.Specs))
+	}
+	if pristine && seed.version == snapVersion {
 		if again, err := s.Snapshot(); err != nil || !bytes.Equal(again, seed.img) {
 			t.Fatalf("%s: the committed image restores to a session that writes another (err %v)", seed.name, err)
 		}
 	}
-	if pristine || s.RestoredCold() {
-		if pristine && len(config.Diff(s.Current(), seed.target)) != 0 {
-			t.Fatalf("%s: restored at another configuration than the image's", seed.name)
+	if pristine && len(config.Diff(s.Current(), seed.target)) != 0 {
+		t.Fatalf("%s: restored at another configuration than the image's", seed.name)
+	}
+	served := []*Session{s}
+	if lazy, err := RestoreSessionWith(seed.base.Topo, seed.base.Specs, opts, img, SessionResources{Current: s.Current()}); err != nil {
+		t.Fatalf("%s: restores from bytes, not onto the configuration they spell: %v", seed.name, err)
+	} else {
+		served = append(served, lazy)
+	}
+	want := coldAnswer(t, seed, s.Current())
+	for _, s := range served {
+		plan, err := s.Synthesize(seed.base.Init)
+		if got := fmt.Sprint(plan, err); got != want {
+			t.Fatalf("%s: restored session answers\n%s, a cold one\n%s", seed.name, got, want)
 		}
-		cold, err := NewSession(seed.base.Topo, s.Current(), seed.base.Specs, opts)
-		if err != nil {
-			t.Fatalf("%s: restored at a configuration no session builds at: %v", seed.name, err)
-		}
-		want, werr := cold.Synthesize(seed.base.Init)
-		got, gerr := s.Synthesize(seed.base.Init)
-		if (werr == nil) != (gerr == nil) || (werr == nil && got.String() != want.String()) {
-			t.Fatalf("%s: restored session answers\n%v (%v), a cold one\n%v (%v)", seed.name, got, gerr, want, werr)
+		slotsAtCurrent(t, seed.name, s)
+		_, _ = s.Synthesize(seed.target)
+		_, _ = s.Synthesize(seed.base.Init)
+		slotsAtCurrent(t, seed.name, s)
+		if _, err := s.Snapshot(); err != nil {
+			t.Fatalf("restored session cannot snapshot: %v", err)
 		}
 	}
-	_, _ = s.Synthesize(seed.target)
-	_, _ = s.Synthesize(seed.base.Init)
-	if _, err := s.Snapshot(); err != nil {
-		t.Fatalf("restored session cannot snapshot: %v", err)
+}
+
+// coldAnswers memoizes coldAnswer by seed context and configuration: a
+// byte sweep restores to a handful of distinct configurations thousands of
+// times each.
+var coldAnswers sync.Map
+
+// coldAnswer is what a session built cold at cfg answers when asked for
+// the seed's initial configuration: the plan and the error, printed.
+func coldAnswer(t *testing.T, seed fuzzSeed, cfg *config.Config) string {
+	t.Helper()
+	key := fmt.Sprint(seed.base.Name, hashConfig(cfg))
+	if want, ok := coldAnswers.Load(key); ok {
+		return want.(string)
 	}
+	cold, err := NewSession(seed.base.Topo, cfg, seed.base.Specs, Options{})
+	if err != nil {
+		t.Fatalf("%s: restored at a configuration no session builds at: %v", seed.name, err)
+	}
+	plan, err := cold.Synthesize(seed.base.Init)
+	want := fmt.Sprint(plan, err)
+	coldAnswers.Store(key, want)
+	return want
+}
+
+// slotsAtCurrent checks the slot invariant of a session at rest
+// (Session.CheckAtRest) and returns the number of classes built.
+func slotsAtCurrent(t *testing.T, name string, s *Session) int {
+	t.Helper()
+	if err := s.CheckAtRest(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	built := 0
+	for _, k := range s.ks {
+		if k != nil {
+			built++
+		}
+	}
+	return built
 }
 
 // configSwitches reads the switch ids of the non-empty tables in the
@@ -155,8 +204,9 @@ func configSwitches(body []byte) []int {
 // the varint boundary values. Single-field damage under a valid checksum
 // is what this finds and 60 s of coverage-guided fuzzing did not: a table
 // for a switch the topology lacks (an index panic at the first rebind), a
-// label id or successor that is in range but wrong (a panic in
-// counterexample reconstruction).
+// rule that sets a header field past the last one. In an older image the
+// sweep also walks the sections no decoder reads any more: nothing
+// written there may change what restores.
 func TestRestoreSessionByteSweep(t *testing.T) {
 	for _, seed := range loadFuzzSeeds(t) {
 		body := bytes.Clone(seed.img[:len(seed.img)-sha256.Size])
@@ -182,8 +232,8 @@ func TestRestoreSessionByteSweep(t *testing.T) {
 //
 // The seeds are the committed images (fuzzSeedVersions) plus truncations
 // of them — unmutated, they must restore and serve as a cold session
-// would, which pins both NUSS formats — and, of each current-format image,
-// the refused variants a byte mutation is unlikely to reach
+// would, which pins all three NUSS formats — and, of each current-format
+// image, the refused variants a byte mutation is unlikely to reach
 // (damagedImages).
 func FuzzRestoreSession(f *testing.F) {
 	seeds := loadFuzzSeeds(f)
@@ -192,7 +242,7 @@ func FuzzRestoreSession(f *testing.F) {
 		for _, cut := range []int{len(seed.img) / 4, len(seed.img) / 2, len(seed.img) - sha256.Size - 1} {
 			f.Add(i, seed.img[:cut])
 		}
-		if !seed.v1 {
+		if seed.version == snapVersion {
 			for _, bad := range damagedImages(f, seed.img) {
 				f.Add(i, bad)
 			}
@@ -206,18 +256,21 @@ func FuzzRestoreSession(f *testing.F) {
 	})
 }
 
-// TestRestoreOlderImageKeepsItsConfiguration: a version-1 image is the
-// only record of where its tenant was, so restore takes that — the
-// configuration and the run counter — and builds the rest cold, saying so
-// (RestoredCold); an image in the current format restores warm. Either
-// way the session's next plan is a cold session's (restoreAndServe).
+// TestRestoreOlderImageKeepsItsConfiguration: an older image is the only
+// record of where its tenant was, so restore takes that — the
+// configuration and the run counter — builds every class on it, and says
+// so (RestoredCold); handing over the configuration it spells changes
+// nothing about that. An image in the current format restored from bytes
+// has every class built too; onto its holder's configuration, none.
+// Either way the session's next plan is a cold session's
+// (restoreAndServe).
 func TestRestoreOlderImageKeepsItsConfiguration(t *testing.T) {
 	for _, seed := range loadFuzzSeeds(t) {
 		s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, seed.img)
 		if err != nil {
 			t.Fatalf("%s: %v", seed.name, err)
 		}
-		if s.RestoredCold() != seed.v1 {
+		if older := seed.version < snapVersion; s.RestoredCold() != older {
 			t.Errorf("%s: RestoredCold() = %v", seed.name, s.RestoredCold())
 		}
 		if len(config.Diff(s.Current(), seed.target)) != 0 || len(config.Diff(s.Current(), seed.base.Init)) == 0 {
@@ -225,6 +278,18 @@ func TestRestoreOlderImageKeepsItsConfiguration(t *testing.T) {
 		}
 		if s.Runs() != 1 {
 			t.Errorf("%s: %d runs restored, the image was written after one", seed.name, s.Runs())
+		}
+		held, err := RestoreSessionWith(seed.base.Topo, seed.base.Specs, Options{}, seed.img, SessionResources{Current: s.Current()})
+		if err != nil {
+			t.Fatalf("%s: onto the configuration it spells: %v", seed.name, err)
+		}
+		want := len(seed.base.Specs)
+		if seed.version == snapVersion {
+			want = 0
+		}
+		if got := slotsAtCurrent(t, seed.name, held); got != want || held.RestoredCold() != s.RestoredCold() || held.Current() != s.Current() {
+			t.Errorf("%s: restored onto its holder's configuration: %d classes built, want %d (RestoredCold %v, adopted %v)",
+				seed.name, got, want, held.RestoredCold(), held.Current() == s.Current())
 		}
 		restoreAndServe(t, seed, seed.img[:len(seed.img)-sha256.Size])
 	}

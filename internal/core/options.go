@@ -163,6 +163,13 @@ var (
 	// ErrFinalViolation reports that the final configuration violates the
 	// specification, so no update sequence can be correct.
 	ErrFinalViolation = errors.New("core: final configuration violates the specification")
+	// ErrClassBuild reports that a class a request needed for the first
+	// time did not build, or did not hold, at the configuration the
+	// session stands at — one it verified itself or its holder vouched
+	// for (RestoreSessionWith), so the session is not in the state it
+	// claims. The tenant is fine: whoever holds the session drops it and
+	// builds another at the configuration it knows.
+	ErrClassBuild = errors.New("core: class failed to build at the session's configuration")
 	// ErrNoPlan reports that Session.Repair was called with no synthesized
 	// plan to repair (no prior successful Synthesize on this session).
 	ErrNoPlan = errors.New("core: no synthesized plan to repair")
@@ -176,7 +183,7 @@ var (
 type Stats struct {
 	Units          int  // update units (switches or rules)
 	Checks         int  // model-checker calls
-	ClassSkips     int  // checker calls skipped because the unit's delta was empty for the class (classes outside a connected diff's footprint are not visited, so not counted)
+	ClassSkips     int  // checker calls skipped because the unit's delta was empty for the class (only the classes a changed rule of the request matches — for a connected diff, its footprint — are visited, so no other is counted)
 	StatesLabeled  int  // checker work units
 	Relabels       int  // incremental label recomputations that changed a label
 	LabelsInterned int  // distinct label sets interned by the labeling checkers

@@ -126,15 +126,18 @@ func (s *Session) RepairContext(ctx context.Context, committed []int, newTarget 
 	return plan, err
 }
 
-// rebindTo rebinds every warm per-class structure (and checker) from the
-// session's current configuration to cfg and leaves the session there.
+// rebindTo moves the session from its current configuration to cfg: the
+// classes the move can affect are built where they were not yet, and
+// every built structure (and checker) is rebound.
 func (s *Session) rebindTo(cfg *config.Config) error {
 	cands := config.Diff(s.cur, cfg)
 	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, cfg, cands)
-	for i := range s.ks {
-		if err := s.rebindClass(i, cfg); err != nil {
-			return fmt.Errorf("core: repair rebind: %v", err)
-		}
+	s.aff.reset(s.specs, s.diffBuf)
+	if err := s.buildClasses(s.aff.classes); err != nil {
+		return err
+	}
+	if err := s.resync(cfg); err != nil {
+		return fmt.Errorf("core: repair rebind: %v", err)
 	}
 	s.cur = cfg
 	return nil

@@ -10,7 +10,6 @@ import (
 
 	"netupdate/internal/config"
 	"netupdate/internal/kripke"
-	"netupdate/internal/ltl"
 	"netupdate/internal/mc"
 	"netupdate/internal/network"
 	"netupdate/internal/obs"
@@ -38,9 +37,16 @@ import (
 //     process-level pool for the length of a run and reset instead of
 //     reallocated.
 //
-// There is one structure and one checker per class, and everything a
-// request does — verifying the target, replaying a cached plan, the
-// search, the resync — happens on them.
+// There is one slot per class, holding the class's structure and checker
+// or nothing, and everything a request does — verifying the target,
+// replaying a cached plan, the search, the resync — happens on the built
+// ones. NewSession builds and verifies every class. A session restored
+// onto a configuration its holder vouches for (RestoreSessionWith) starts
+// with every slot empty, and a request builds, at the current
+// configuration, the classes some changed rule of its diff matches: a
+// class still unbuilt is one no request since the restore could affect,
+// so its verdict at the current configuration is the one the holder
+// vouched for.
 //
 // Synthesize(final) produces the plan from the session's current
 // configuration to final and, on success, advances the current
@@ -59,22 +65,31 @@ type Session struct {
 	// arena is the class-independent Kripke state space every per-class
 	// structure is built over. It is immutable and may be shared with
 	// other sessions on the same topology (see SessionResources).
-	arena    *kripke.Arena
-	warm     *mc.Warmth
+	arena *kripke.Arena
+	warm  *mc.Warmth
+	// factory builds the checkers in place of the incremental checker over
+	// warm (SessionResources.Factory); nil otherwise.
+	factory mc.Factory
+	// ks[i] and checkers[i] are class i's slot: both set, or both nil until
+	// a request first needs the class (buildClasses). Every built structure
+	// is based on cur with nothing moved whenever no request is running.
 	ks       []*kripke.K
 	checkers []mc.Checker
+	// classBuilds counts the slots filled on first need.
+	classBuilds int
 
-	// Scratch shared by the final-verify and resync paths: the request's
-	// per-switch rule-diff list, the per-class lists of switches whose
-	// change the class can see and of states a rebind rewired, and the
+	// What a request computes once and every phase reads: its per-switch
+	// rule-diff list and the classes those rules can match (the only ones
+	// verification, replay, footprints, search and resync visit). stateBuf
+	// and frameBuf are the resync's rewired-state list and the
 	// verification's undo frames.
 	diffBuf  []swDiff
-	swBuf    []int
+	aff      affectedClasses
 	stateBuf []int
 	frameBuf []frame
 
 	runs int
-	// restoredCold marks a session RestoreSession built cold at the
+	// restoredCold marks a session RestoreSession built at the
 	// configuration of an image in an older format.
 	restoredCold bool
 	// ephemeral marks a single-use session (the one-shot Synthesize
@@ -195,34 +210,19 @@ func NewSession(topo *topology.Topology, init *config.Config, specs []config.Cla
 // and the checker constructor from res where provided.
 func NewSessionWith(topo *topology.Topology, init *config.Config, specs []config.ClassSpec, opts Options, res SessionResources) (*Session, error) {
 	s := newSessionShell(topo, init, specs, opts, res)
-	factory := res.Factory
-	if factory == nil {
-		factory = func(k *kripke.K, spec *ltl.Formula) (mc.Checker, error) {
-			return mc.NewIncrementalWarm(k, spec, s.warm)
-		}
-	}
+	s.factory = res.Factory
 	switches := init.Switches()
-	for _, cs := range specs {
-		k, err := s.arena.BuildOn(init, switches, cs.Class)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInitialViolation, err)
-		}
-		chk, err := factory(k, cs.Formula)
-		if err != nil {
+	for i := range specs {
+		if err := s.buildClass(i, switches); err != nil {
 			return nil, err
 		}
-		if !chk.Check().OK {
-			return nil, fmt.Errorf("%w: class %v", ErrInitialViolation, cs.Class)
-		}
-		s.ks = append(s.ks, k)
-		s.checkers = append(s.checkers, chk)
 	}
 	return s, nil
 }
 
 // newSessionShell assembles the session fields common to cold
-// construction and snapshot restore: shared or private resources, no
-// per-class structures yet.
+// construction and snapshot restore: shared or private resources, every
+// class slot empty.
 func newSessionShell(topo *topology.Topology, init *config.Config, specs []config.ClassSpec, opts Options, res SessionResources) *Session {
 	arena := res.Arena
 	if arena == nil {
@@ -233,19 +233,93 @@ func newSessionShell(topo *topology.Topology, init *config.Config, specs []confi
 		warm = mc.NewWarmth()
 	}
 	s := &Session{
-		topo:  topo,
-		specs: specs,
-		opts:  opts,
-		cur:   init,
-		arena: arena,
-		warm:  warm,
-		ctxFP: res.ContextFP,
+		topo:     topo,
+		specs:    specs,
+		opts:     opts,
+		cur:      init,
+		arena:    arena,
+		warm:     warm,
+		ks:       make([]*kripke.K, len(specs)),
+		checkers: make([]mc.Checker, len(specs)),
+		ctxFP:    res.ContextFP,
 	}
 	if opts.Trace {
 		s.trace = obs.NewTrace(0)
 	}
 	return s
 }
+
+// buildClass fills class i's slot at the current configuration, whose
+// switches with a table the caller lists (config.Config.Switches): the
+// structure, its checker with the initial labeling, and the verdict, which
+// must hold — ErrInitialViolation otherwise.
+func (s *Session) buildClass(i int, switches []int) error {
+	cs := s.specs[i]
+	k, err := s.arena.BuildOn(s.cur, switches, cs.Class)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrInitialViolation, err)
+	}
+	var chk mc.Checker
+	if s.factory != nil {
+		chk, err = s.factory(k, cs.Formula)
+	} else {
+		chk, err = mc.NewIncrementalWarm(k, cs.Formula, s.warm)
+	}
+	if err != nil {
+		return err
+	}
+	if !chk.Check().OK {
+		return fmt.Errorf("%w: class %v", ErrInitialViolation, cs.Class)
+	}
+	s.ks[i], s.checkers[i] = k, chk
+	return nil
+}
+
+// buildClasses fills the empty slots among the listed classes — a
+// request's affected classes — at the current configuration, before
+// anything of the request reads a structure. The configuration is one the
+// session verified or its holder vouched for, so a class that does not
+// build or does not hold there means the session's state is not what it
+// claims: ErrClassBuild, on which the holder drops the session.
+func (s *Session) buildClasses(classes []int) error {
+	var switches []int
+	for _, ci := range classes {
+		if s.ks[ci] != nil {
+			continue
+		}
+		if switches == nil {
+			switches = s.cur.Switches()
+		}
+		if err := s.buildClass(ci, switches); err != nil {
+			return fmt.Errorf("%w: %v", ErrClassBuild, err)
+		}
+		s.classBuilds++
+	}
+	return nil
+}
+
+// CheckAtRest reports a violation of what holds of the class slots
+// whenever no request is running: a class has a structure and a checker
+// or neither, and every built structure is based on the session's current
+// configuration with no table of its own over it.
+func (s *Session) CheckAtRest() error {
+	for i, k := range s.ks {
+		if (k == nil) != (s.checkers[i] == nil) {
+			return fmt.Errorf("core: class %d has a structure or a checker, not both", i)
+		}
+		if k == nil {
+			continue
+		}
+		if cfg, moved := k.Base(); cfg != s.cur || moved != 0 {
+			return fmt.Errorf("core: class %d is based on another configuration than the session's, or holds %d tables over it", i, moved)
+		}
+	}
+	return nil
+}
+
+// ClassBuilds returns the number of class slots the session has filled on
+// first need (zero for a session that was built whole).
+func (s *Session) ClassBuilds() int { return s.classBuilds }
 
 // SetTrace attaches (or, with nil, detaches) a span recorder for the
 // following runs. The pool uses it to trace exactly one request on a
@@ -318,10 +392,10 @@ func (s *Session) Current() *config.Config { return s.cur }
 // Runs returns the number of Synthesize calls served so far.
 func (s *Session) Runs() int { return s.runs }
 
-// RestoredCold reports whether RestoreSession took only the configuration
-// and run counter from its image — one in an older format, whose class
-// sections no decoder reads any more — and built the class structures
-// cold: the tenant is where the image says, at the price of a cold build.
+// RestoredCold reports whether RestoreSession made the session from an
+// image in an older format: the configuration and run counter are the
+// image's, every class was built at that configuration, and whatever else
+// the image held was not read.
 func (s *Session) RestoredCold() bool { return s.restoredCold }
 
 // LastStats returns the statistics of the most recent synthesis attempt,
@@ -364,11 +438,13 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		Specs: s.specs,
 	}
 	// The request's diff — the switches on which the target differs from
-	// the current configuration, and their rule changes — is computed once
-	// and serves the unit list, the cached plan's coverage check, the
-	// final verification and the post-run resync.
+	// the current configuration, their rule changes, and the classes those
+	// rules can match — is computed once and serves the unit list, the
+	// cached plan's coverage check and replay, the final verification, the
+	// footprints, the search and the post-run resync.
 	diff := config.Diff(s.cur, final)
 	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, final, diff)
+	s.aff.reset(s.specs, s.diffBuf)
 	reqID := obs.RequestIDFrom(ctx)
 	tr := s.trace
 	if tr != nil && !s.repairing {
@@ -389,12 +465,17 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	if err != nil {
 		return refuse(Stats{RequestID: reqID}, err)
 	}
+	if err := s.buildClasses(s.aff.classes); err != nil {
+		return refuse(Stats{RequestID: reqID}, err)
+	}
 	scr := scratchPool.Get().(*engineScratch)
 	defer scratchPool.Put(scr)
 	e := newEngineShellWith(sc, s.opts, units, scr)
 	e.bindContext(ctx)
 	e.stats.RequestID = reqID
-	e.ks, e.checkers = s.ks, s.checkers
+	// Every other class has an empty delta for every unit of the diff: the
+	// engine would skip it at every check.
+	s.attach(e, s.aff.classes)
 
 	// Verification-first fast path (cache.go): with a cache attached,
 	// fingerprint the instance and try a lookup. A cached plan is replayed
@@ -428,9 +509,9 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		tr.End(cvSpan)
 		e.stats.CacheVerifyElapsed = time.Since(cvStart)
 		if ok {
-			// The replay left every class structure at the target, checked
-			// after its last change: verifying the target is reading the
-			// verdicts, which also covers the classes no step touched.
+			// The replay left every affected class's structure at the
+			// target, checked after its last change: verifying the target
+			// is reading the verdicts.
 			vfStart := time.Now()
 			vfSpan := tr.Begin("final-verify", root)
 			if ok = s.targetHolds(e); !ok {
@@ -440,11 +521,10 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			e.stats.VerifyElapsed = time.Since(vfStart)
 		}
 		if ok {
-			steps = cloneSteps(ent.steps)
-			dag = ent.dag.clone()
+			steps, dag = ent.plan()
 			fromCache = true
 			e.stats.CacheHit = true
-			e.stats.Components = ent.components
+			e.stats.Components = int(ent.components)
 			s.cache.noteHit()
 		} else {
 			e.stats.CacheVerifyFailed = true
@@ -478,8 +558,8 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			s.cache.noteMiss()
 		}
 		preUnsat := false
-		if ent != nil && !ent.learn.empty() && !s.opts.MinimizeCompletionTime {
-			preUnsat = e.preloadLearning(&ent.learn)
+		if ent != nil && ent.learn != nil && !s.opts.MinimizeCompletionTime {
+			preUnsat = e.preloadLearning(ent.learn)
 		}
 		if preUnsat && !s.repairing {
 			// The replayed constraints already prove no ordering exists.
@@ -490,7 +570,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		// Partition the diff into independent subproblems where possible
 		// (see decompose.go); a connected diff runs the ordinary joint
 		// search over the classes its units can affect, an undecomposed one
-		// over every class.
+		// over the classes its changed rules can match.
 		dcSpan := tr.Begin("decompose", root)
 		comps, derr := s.decompose(e)
 		tr.End(dcSpan)
@@ -509,7 +589,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 				// Wait removal and the DAG build below read the scenario's
 				// specs, never the engine's structures, so the narrowed view
 				// can stay attached for the rest of the run.
-				e.ks, e.checkers = s.classSubset(comps[0].classes)
+				s.attach(e, comps[0].classes)
 			}
 			e.snapshotCheckerStats()
 			steps, runErr = e.run()
@@ -595,7 +675,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			if !decomposed {
 				ls = e.harvestLearning()
 			}
-			s.cache.storePlan(cacheKey, steps, dag, e.stats.Components, ls)
+			s.cache.storePlan(cacheKey, steps, dag, final, e.stats.Components, ls)
 		case errors.Is(runErr, ErrNoOrdering):
 			s.cache.storeInfeasible(cacheKey, e.harvestLearning())
 		}
@@ -637,17 +717,15 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	// *successful* components left their classes' structures at final
 	// tables, and a class the endpoint diff cannot affect is forwarded
 	// alike under either endpoint's table while every other class gets a
-	// real rebind against its actual structure state. Every structure ends
-	// rebased on target.
+	// real rebind against its actual structure state. Every built structure
+	// ends rebased on target.
 	rbStart := time.Now()
 	rbSpan := tr.Begin("rebind", root)
-	for i := range s.ks {
-		if rerr := s.rebindClass(i, target); rerr != nil {
-			// target was verified loop-free for every class (the initial
-			// configuration at session construction, every successful
-			// final here), so this indicates structure corruption.
-			return nil, fmt.Errorf("core: session resync: %v", rerr)
-		}
+	if rerr := s.resync(target); rerr != nil {
+		// target was verified loop-free for every class (the initial
+		// configuration at session construction, every successful
+		// final here), so this indicates structure corruption.
+		return nil, fmt.Errorf("core: session resync: %v", rerr)
 	}
 	tr.End(rbSpan)
 	// The resync runs after Elapsed and lastStats were stamped, so the
@@ -673,53 +751,51 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 
 // verifyFinal checks the target configuration against every class
 // specification on the search structures, which sit at the current
-// configuration: per class, the request's diff is applied as one step —
-// every switch whose change the class can see rewired, one loop check
-// over the result, the checker updated once over the states that moved —
-// the verdict read, and the step undone as a DFS backtrack undoes one:
-// the saved successor lists, tables and labels go back, nothing is
-// recomputed. A class no changed rule matches is left alone and its
-// standing verdict read. A target that forwards some class in a cycle is
-// the search's loop protocol: the structure is reverted and the checker
-// never sees it. Passing or not, every structure and label is back where
-// it was when verifyFinal returns, the structures rebased on the current
+// configuration: per affected class, the request's diff is applied as one
+// step — every switch whose change the class can see rewired, one loop
+// check over the result, the checker updated once over the states that
+// moved — the verdict read, and the step undone as a DFS backtrack undoes
+// one: the saved successor lists, tables and labels go back, nothing is
+// recomputed. A class no changed rule matches is left alone: its standing
+// verdict is read if it is built, and is the one its holder vouched for
+// if it is not. A target that forwards some class in a cycle is the
+// search's loop protocol: the structure is reverted and the checker never
+// sees it. Passing or not, every structure and label is back where it was
+// when verifyFinal returns, the structures rebased on the current
 // configuration: a refused target reaches no resync.
 func (s *Session) verifyFinal(e *engine, final *config.Config) error {
 	frames := s.frameBuf[:0]
 	defer func() {
 		e.revert(frames)
 		for _, f := range frames {
-			s.ks[f.class].Rebase(s.cur)
+			e.ks[f.class].Rebase(s.cur)
 		}
 		clear(frames)
 		s.frameBuf = frames[:0]
 	}()
-	for i, cs := range s.specs {
+	pos := 0
+	for ci, cs := range s.specs {
 		e.stats.Checks++
-		pkt := cs.Class.Packet()
-		sws := s.swBuf[:0]
-		for di := range s.diffBuf {
-			if d := &s.diffBuf[di]; d.affects(pkt) {
-				sws = append(sws, d.sw)
-			}
-		}
-		s.swBuf = sws
 		var verdict mc.Verdict
-		if len(sws) == 0 {
-			verdict = s.checkers[i].Check()
-		} else {
-			delta, err := s.ks[i].UpdateSwitches(final, sws)
+		switch {
+		case pos < len(s.aff.classes) && s.aff.classes[pos] == ci:
+			delta, err := e.ks[pos].UpdateSwitches(final, s.aff.switchesOf(pos))
 			if delta != nil { // applied, even where it closed a loop
-				frames = append(frames, frame{class: i, delta: delta})
+				frames = append(frames, frame{class: pos, delta: delta})
 			}
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrFinalViolation, err)
 			}
 			if len(delta.Changed()) == 0 {
-				verdict = s.checkers[i].Check()
+				verdict = e.checkers[pos].Check()
 			} else {
-				verdict, frames[len(frames)-1].token = s.checkers[i].Update(delta)
+				verdict, frames[len(frames)-1].token = e.checkers[pos].Update(delta)
 			}
+			pos++
+		case s.checkers[ci] != nil:
+			verdict = s.checkers[ci].Check()
+		default:
+			continue
 		}
 		if !verdict.OK {
 			return fmt.Errorf("%w: class %v", ErrFinalViolation, cs.Class)
@@ -728,10 +804,13 @@ func (s *Session) verifyFinal(e *engine, final *config.Config) error {
 	return nil
 }
 
-// targetHolds reads every class's verdict off structures that already
-// sit at the target (a replayed cached plan left them there).
+// targetHolds reads the verdicts of the affected classes off structures
+// that already sit at the target (a replayed cached plan left them
+// there); every other class stands where the current configuration left
+// it, and is counted as checked all the same.
 func (s *Session) targetHolds(e *engine) bool {
-	for _, chk := range s.checkers {
+	e.stats.Checks += len(s.specs) - len(e.checkers)
+	for _, chk := range e.checkers {
 		e.stats.Checks++
 		if !chk.Check().OK {
 			return false
@@ -759,7 +838,7 @@ func (d *swDiff) affects(pkt network.Packet) bool {
 // under both tables — table application is priority-set semantics, so a
 // rule that cannot match contributes nothing and a pure reorder of
 // identical rules changes nothing either. This single predicate backs
-// both the footprint pre-filter and the resync filter.
+// both the footprint pre-filter and the affected-class list.
 func rulesAffect(removed, added []network.Rule, pkt network.Packet) bool {
 	for _, r := range removed {
 		if headerMatches(r.Match, pkt) {
@@ -788,35 +867,82 @@ func ruleDiffs(dst []swDiff, from, to *config.Config, cands []int) []swDiff {
 	return dst
 }
 
-// rebindClass resyncs class i's structure (and its checker) to target,
-// which differs from what the structure holds on the switches of diffBuf
-// at most. Only the diff switches whose changed rules can match the class
-// are rebound; the checker then relabels from the arrival states of the
-// switches whose transitions moved. A diff switch the class cannot see
-// needs nothing: the class is forwarded there alike under either table,
-// and the structure, rebased on target at the end (kripke.K.Rebase), reads
-// the new one from it.
-func (s *Session) rebindClass(i int, target *config.Config) error {
-	k, pkt := s.ks[i], s.specs[i].Class.Packet()
-	rebindList := s.swBuf[:0]
-	for di := range s.diffBuf {
-		if d := &s.diffBuf[di]; d.affects(pkt) {
-			rebindList = append(rebindList, d.sw)
+// affectedClasses is a request's class list: the classes some changed
+// rule of its diff matches, as ascending spec indexes, each with the diff
+// switches (ascending) whose change it can see. Every other class is
+// forwarded alike at every switch under both endpoints and under every
+// table a plan installs in between, so no phase of the request visits it.
+type affectedClasses struct {
+	classes []int
+	// sws[ends[i-1]:ends[i]] are the switches of classes[i].
+	ends, sws []int
+}
+
+// reset computes the list for the rule diffs of one request.
+func (a *affectedClasses) reset(specs []config.ClassSpec, diffs []swDiff) {
+	a.classes, a.ends, a.sws = a.classes[:0], a.ends[:0], a.sws[:0]
+	for ci, cs := range specs {
+		pkt, n := cs.Class.Packet(), len(a.sws)
+		for di := range diffs {
+			if d := &diffs[di]; d.affects(pkt) {
+				a.sws = append(a.sws, d.sw)
+			}
+		}
+		if len(a.sws) > n {
+			a.classes = append(a.classes, ci)
+			a.ends = append(a.ends, len(a.sws))
 		}
 	}
-	s.swBuf = rebindList
-	changed, _, err := k.RebindSwitches(target, rebindList)
-	if err != nil {
-		return err
+}
+
+// switchesOf returns the diff switches classes[pos] can see.
+func (a *affectedClasses) switchesOf(pos int) []int {
+	from := 0
+	if pos > 0 {
+		from = a.ends[pos-1]
 	}
-	k.Rebase(target)
-	if len(changed) > 0 {
-		rewired := s.stateBuf[:0]
-		for _, sw := range changed {
-			rewired = append(rewired, k.StatesOf(sw)...)
+	return a.sws[from:a.ends[pos]]
+}
+
+// attach hands the engine the structures and checkers of the given
+// classes (ascending spec indexes, all built), in that order.
+func (s *Session) attach(e *engine, classes []int) {
+	e.classes = classes
+	e.ks = make([]*kripke.K, len(classes))
+	e.checkers = make([]mc.Checker, len(classes))
+	for i, ci := range classes {
+		e.ks[i], e.checkers[i] = s.ks[ci], s.checkers[ci]
+	}
+}
+
+// resync brings every built structure (and its checker) to target, which
+// differs from what the structures hold on the switches of diffBuf at
+// most. Per affected class, the diff switches it can see are rebound and
+// the checker relabels from the arrival states of the switches whose
+// transitions moved. A diff switch a class cannot see needs nothing: the
+// class is forwarded there alike under either table, and its structure,
+// rebased on target at the end (kripke.K.Rebase), reads the new one from
+// it.
+func (s *Session) resync(target *config.Config) error {
+	for pos, ci := range s.aff.classes {
+		k := s.ks[ci]
+		changed, _, err := k.RebindSwitches(target, s.aff.switchesOf(pos))
+		if err != nil {
+			return err
 		}
-		s.stateBuf = rewired
-		s.checkers[i].Rebind(rewired)
+		if len(changed) > 0 {
+			rewired := s.stateBuf[:0]
+			for _, sw := range changed {
+				rewired = append(rewired, k.StatesOf(sw)...)
+			}
+			s.stateBuf = rewired
+			s.checkers[ci].Rebind(rewired)
+		}
+	}
+	for _, k := range s.ks {
+		if k != nil {
+			k.Rebase(target)
+		}
 	}
 	return nil
 }

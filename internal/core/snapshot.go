@@ -1,66 +1,54 @@
 package core
 
-// Session snapshot/restore. A warm session is expensive to build —
-// per-class Kripke structures (table application plus a cycle check per
-// class), an initial labeling per checker, and the interned label tables
-// — and all of it was being thrown away on pool eviction and process
-// restart. This file serializes the warm state to a compact versioned
-// binary image and rebuilds a session from it without table application
-// or labeling: the state arena is shared or rebuilt from the topology,
-// per-class transition relations are installed from the recorded
-// successor lists of the states the class connects (cycle-checked from
-// the listed states, which costs what is listed) and bound to the decoded
-// configuration, and the checkers adopt the recorded labels. Writing an
-// image walks each structure's entries, not the arena.
+// Session images. An image is what a session's holder keeps when it lets
+// the session go — a pool evicting a tenant, a daemon shutting down, a
+// router moving a tenant to another replica — and what a session is made
+// from again: the configuration the tenant is at, the run counter, and
+// optionally the plan cache. It carries no class structure and no label:
+// those are functions of the configuration, rebuilt from it, and never
+// taken from bytes.
+//
+// The trust rule. RestoreSessionWith is handed, besides the image, the
+// configuration its caller holds for the tenant
+// (SessionResources.Current). Where the image's configuration section
+// spells exactly that object — the caller is the process whose live
+// session verified it and wrote the image — the session binds to the
+// object with every class slot empty, and a request builds the classes
+// its diff touches (Session.buildClasses). Where the configuration has to
+// be decoded — no Current, another configuration, an image in an older
+// format — it arrived as bytes, and every class is built and verified on
+// it before the session exists: a configuration that violates some class
+// is refused (ErrBadSnapshot) however valid its checksum.
 //
 // The plan cache (with its learned wrong-pattern/SAT/dead-set stores) is
 // not session state: it belongs to whoever attached it — the pool shares
 // one store between tenants and keeps it across evictions — so
 // Session.Snapshot leaves the cache section empty, and an image a pool
-// holds for an evicted tenant costs nothing that grows with the tenant's
-// history. An image that leaves the process (tenant migration, restart
-// persistence) gets the owner's cache embedded by EmbedCache.
+// holds for an evicted tenant costs what its configuration costs. An image
+// that leaves the process (tenant migration, restart persistence) gets
+// the owner's cache embedded by EmbedCache; every plan in it is verified
+// by replay before it is used (cache.go).
 //
-// Format, version 2 (all integers varint-encoded unless noted):
+// Format, version 3 (all integers varint-encoded unless noted):
 //
 //	"NUSS" | u32le version | 32-byte context fingerprint
 //	runs counter
 //	config:  #switches, then per switch (strictly ascending): id, #rules, rules
-//	warmth:  #formulas, then per formula (sorted key order): key,
-//	         #labels, per label #valuations + raw [2]uint64 words
-//	classes: #classes, then per class (spec order): formula key,
-//	         #connected states, #successors total, then per connected
-//	         state in ascending id: id (as the difference from the one
-//	         before), label id (an index into this formula's warmth
-//	         section), #successors, successor ids
 //	cache:   flag; when flagged (EmbedCache), the PlanCacheSnapshot JSON blob
 //	sha256 checksum of everything above (raw 32 bytes)
 //
-// A class section lists the states that have a successor or a predecessor
-// when the image is written and nothing else: an isolated state — nearly
-// every state of the arena, in any one class — has no transitions to
-// record, and its atom valuation and label are functions of its switch
-// and port. So an image is sized by what the classes' rules connect, two
-// sessions that reached one configuration by different routes write the
-// same class sections, and Snapshot -> Restore -> Snapshot is
-// byte-identical.
+// Every encoder is deterministic, so Snapshot -> Restore -> Snapshot is
+// byte-identical. The context fingerprint binds the image to the
+// topology, the class specifications, and the plan-shape options; restore
+// rejects any mismatch, any unknown version, and any checksum failure, and
+// callers fall back to a cold build.
 //
-// Label ids are private to the exporting table, so the decoder re-interns
-// every label into the (possibly shared, possibly pre-populated) target
-// table and remaps the per-state ids — restoring into a fresh table
-// reproduces the original ids exactly, and restoring into a shared one
-// lands on whatever ids the table already assigned, which is invisible to
-// synthesis (only label contents carry meaning). The context fingerprint
-// binds the image to the topology, the class specifications, and the
-// plan-shape options; restore rejects any mismatch, any unknown version,
-// and any checksum failure, and callers fall back to a cold build.
-//
-// Version 1 differed in the class sections only (dense per-state label,
-// sink-label and atom arrays). An image is the one carrier of a tenant's
-// current configuration across processes, so a version-1 image is not
-// refused: its checksum, fingerprint, run counter and configuration are
-// read as above, the class structures are built cold at that
-// configuration, and its class and cache sections are skipped unread
+// Versions 1 and 2 put label tables and per-class sections (and then the
+// cache section) between the configuration and the checksum. An image is
+// the one carrier of a tenant's current configuration across processes, so
+// an older image is not refused: its checksum, fingerprint, run counter
+// and configuration are read as above, every class is built and verified
+// at that configuration, and the rest of it is skipped unread
 // (Session.RestoredCold reports it).
 
 import (
@@ -71,22 +59,21 @@ import (
 	"fmt"
 
 	"netupdate/internal/config"
-	"netupdate/internal/ltl"
-	"netupdate/internal/mc"
 	"netupdate/internal/network"
 	"netupdate/internal/topology"
 )
 
 const (
 	snapMagic   = "NUSS"
-	snapVersion = 2
+	snapVersion = 3
 )
 
 // Snapshot decode failure modes. Callers distinguish them only to report;
 // every one of them means "cold-rebuild instead".
 var (
 	// ErrBadSnapshot reports a corrupted or truncated snapshot image
-	// (checksum or structural decode failure).
+	// (checksum or structural decode failure), or one whose configuration
+	// some class does not hold at.
 	ErrBadSnapshot = errors.New("core: corrupted session snapshot")
 	// ErrSnapshotVersion reports a version-skewed snapshot image.
 	ErrSnapshotVersion = errors.New("core: unsupported session snapshot version")
@@ -196,16 +183,18 @@ func (r *snapReader) str() string {
 
 // --- encode ---
 
-// Snapshot serializes the session's warm state — current configuration,
-// interned label tables, per-class transition relations and labelings —
-// into a self-validating binary image that RestoreSession rebuilds
-// byte-identically (same plans, same stats modulo timings). The attached
-// plan cache is not included (see EmbedCache). The session must be
-// quiescent (no Synthesize in flight). A session built over a
-// caller-supplied checker (SessionResources.Factory) has no labeling to
-// record and cannot be snapshotted.
+// Snapshot serializes what the session's holder needs to make the session
+// again — the current configuration and the run counter — into a
+// self-validating binary image for RestoreSession. The attached plan cache
+// is not included (see EmbedCache). The session must be quiescent (no
+// Synthesize in flight). A session built over a caller-supplied checker
+// (SessionResources.Factory) would restore as another kind of session and
+// cannot be snapshotted.
 func (s *Session) Snapshot() ([]byte, error) {
-	w := &snapWriter{buf: make([]byte, 0, 4096)}
+	if s.factory != nil {
+		return nil, errors.New("core: snapshot: the session's checkers are its caller's, not the incremental checker")
+	}
+	w := &snapWriter{buf: make([]byte, 0, 2048)}
 	w.raw([]byte(snapMagic))
 	w.u32(snapVersion)
 	w.raw(s.contextFP())
@@ -223,74 +212,6 @@ func (s *Session) Snapshot() ([]byte, error) {
 		for _, rule := range tbl {
 			encodeRule(w, rule)
 		}
-	}
-
-	// The connected states of every class and their labels, resolved
-	// before the tables are dumped: the label of a sink never read so far
-	// is interned by asking for it.
-	var conn []int
-	var labels []mc.LabelID
-	ends := make([]int, len(s.specs))
-	for i := range s.specs {
-		chk, ok := s.checkers[i].(*mc.Incremental)
-		if !ok {
-			return nil, fmt.Errorf("core: snapshot: class %d is checked by %s, not the incremental checker", i, s.checkers[i].Name())
-		}
-		conn = s.ks[i].AppendConnected(conn)
-		for _, id := range conn[len(labels):] {
-			labels = append(labels, chk.LabelOf(id))
-		}
-		ends[i] = len(conn)
-	}
-
-	// Warmth: every formula's label table, dumped in id order so the
-	// snapshot-local label index equals the exporting table's LabelID.
-	type tabDump struct {
-		key    string
-		labels [][]ltl.Valuation
-	}
-	var tabs []tabDump
-	s.warm.ForEach(func(key string, tab *mc.LabelTable) {
-		tabs = append(tabs, tabDump{key: key, labels: tab.Export()})
-	})
-	w.count(len(tabs))
-	for _, td := range tabs {
-		w.str(td.key)
-		w.count(len(td.labels))
-		for _, lab := range td.labels {
-			w.count(len(lab))
-			for _, v := range lab {
-				w.uvarint(v[0])
-				w.uvarint(v[1])
-			}
-		}
-	}
-
-	// Per-class structures, in spec order.
-	w.count(len(s.specs))
-	from := 0
-	for i, cs := range s.specs {
-		w.str(cs.Formula.String())
-		k := s.ks[i]
-		ids := conn[from:ends[i]]
-		w.count(len(ids))
-		total := 0
-		for _, id := range ids {
-			total += len(k.Succ(id))
-		}
-		w.count(total)
-		prev := 0
-		for j, id := range ids {
-			w.count(id - prev)
-			prev = id
-			w.count(int(labels[from+j]))
-			succ := k.Succ(id)
-			w.count(len(succ))
-			for _, t := range succ {
-				w.count(t)
-			}
-		}
-		from = ends[i]
 	}
 
 	w.buf = append(w.buf, 0) // empty cache section
@@ -457,10 +378,12 @@ func RestoreSession(topo *topology.Topology, specs []config.ClassSpec, opts Opti
 	return RestoreSessionWith(topo, specs, opts, data, SessionResources{})
 }
 
-// RestoreSessionWith is RestoreSession over shared resources: the state
-// arena is reused instead of rebuilt, and the restored labels are
-// re-interned into the shared warmth tables (id remap), so a restored
-// tenant lands deduplicated exactly like a cold-built one would.
+// RestoreSessionWith is RestoreSession over shared resources, and the one
+// place the trust rule (see the file comment) is applied: an image in the
+// current format whose configuration section is res.Current's yields a
+// session bound to that object with no class built yet; any other image
+// yields a session with every class built and verified at the decoded
+// configuration, or ErrBadSnapshot.
 func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts Options, data []byte, res SessionResources) (*Session, error) {
 	const headLen = len(snapMagic) + 4 + sha256.Size
 	if len(data) < headLen+sha256.Size {
@@ -475,7 +398,7 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	version := r.u32()
-	if version != snapVersion && version != 1 {
+	if version < 1 || version > snapVersion {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshotVersion, version, snapVersion)
 	}
 	// Compared with the context's fingerprint, not recomputed, when the
@@ -491,7 +414,8 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	// Configuration: the caller's object when the section says what it
 	// says, a decoded one otherwise.
 	cur, cfgStart := res.Current, r.off
-	if cur == nil || !r.configIs(cur) {
+	vouched := cur != nil && r.configIs(cur)
+	if !vouched {
 		r.off, r.err = cfgStart, nil
 		cur = r.config(topo.NumSwitches())
 	}
@@ -499,154 +423,43 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 		return nil, r.err
 	}
 
-	if version == 1 {
-		// The configuration is what only the image knows; everything after
-		// it in a version-1 image is rebuilt, not read.
-		res.Factory = nil
-		s, err := NewSessionWith(topo, cur, specs, opts, res)
-		if err != nil {
-			return nil, fmt.Errorf("%w: version-1 image: %v", ErrBadSnapshot, err)
-		}
-		s.runs, s.restoredCold = runs, true
-		return s, nil
-	}
-
-	s := newSessionShell(topo, cur, specs, opts, res)
-	s.runs = runs
-
-	// Warmth: re-intern every recorded label into the (possibly shared)
-	// target table for its formula, building the old-id -> new-id remap
-	// the per-class labels are rewritten through.
-	specOf := make(map[string]*ltl.Formula, len(specs))
-	for _, cs := range specs {
-		specOf[cs.Formula.String()] = cs.Formula
-	}
-	remaps := make(map[string][]mc.LabelID)
-	valBuf := make([]ltl.Valuation, 0, 64)
-	nFormulas := r.count()
-	for f := 0; f < nFormulas && r.err == nil; f++ {
-		key := r.str()
-		nLabels := r.count()
-		if r.err != nil {
-			break
-		}
-		spec, ok := specOf[key]
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown formula %q", ErrBadSnapshot, key)
-		}
-		tab, err := s.warm.Table(spec)
-		if err != nil {
-			return nil, err
-		}
-		remap := make([]mc.LabelID, nLabels)
-		for li := 0; li < nLabels && r.err == nil; li++ {
-			nVals := r.count()
-			valBuf = valBuf[:0]
-			for vi := 0; vi < nVals && r.err == nil; vi++ {
-				valBuf = append(valBuf, ltl.Valuation{r.uvarint(), r.uvarint()})
-			}
-			if r.err == nil {
-				remap[li], _ = tab.Intern(valBuf)
+	// Plan cache. An older image keeps its own behind sections no decoder
+	// reads any more: the configuration is what only the image knows.
+	var cacheBlob []byte
+	if version == snapVersion {
+		if flag := r.take(1); len(flag) == 1 && flag[0] == 1 {
+			// The JSON decode is deferred to the first cache access
+			// (Session.materializeCache), which is whoever merges the
+			// section into the store it attaches (the pool's InstallSnapshot)
+			// or Session.EnableCache; restore only copies the checksummed
+			// blob. Images a pool holds for its own evicted tenants have no
+			// section and never get here.
+			blob := r.take(r.count())
+			if !opts.NoPlanCache {
+				cacheBlob = append([]byte(nil), blob...)
 			}
 		}
-		remaps[key] = remap
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-
-	// Per-class structures.
-	nClasses := r.count()
-	if r.err == nil && nClasses != len(specs) {
-		return nil, fmt.Errorf("%w: %d classes, want %d", ErrBadSnapshot, nClasses, len(specs))
-	}
-	nStates := s.arena.NumStates()
-	for i := 0; i < nClasses && r.err == nil; i++ {
-		cs := specs[i]
-		key := r.str()
-		if r.err == nil && key != cs.Formula.String() {
-			return nil, fmt.Errorf("%w: class %d formula %q, want %q", ErrBadSnapshot, i, key, cs.Formula)
-		}
-		remap := remaps[key]
-		// The listed states' successor lists decode into one flat backing
-		// array (the total is recorded up front), capped subslices per
-		// state.
-		n, total := r.count(), r.count()
-		if r.err != nil {
-			break
-		}
-		ids := make([]int, n)
-		labels := make([]mc.LabelID, n)
-		succ := make([][]int, n)
-		flatSucc := make([]int, total)
-		id, fill := 0, 0
-		for j := 0; j < n && r.err == nil; j++ {
-			step, lab, nSucc := r.uvarint(), r.uvarint(), r.count()
-			switch {
-			case r.err != nil:
-			case step > uint64(nStates):
-				r.fail("class %d lists a state past %d of %d", i, id, nStates)
-			case lab >= uint64(len(remap)):
-				r.fail("class %d label id %d out of range [0,%d)", i, lab, len(remap))
-			case fill+nSucc > total:
-				r.fail("class %d successor total %d exceeded at state %d", i, total, id)
-			}
-			if r.err != nil {
-				break
-			}
-			id += int(step)
-			ids[j], labels[j] = id, remap[lab]
-			lst := flatSucc[fill : fill+nSucc : fill+nSucc]
-			for si := range lst {
-				lst[si] = r.num()
-			}
-			succ[j] = lst
-			fill += nSucc
-		}
-		if r.err == nil && fill != total {
-			r.fail("class %d successor total %d, decoded %d", i, total, fill)
-		}
-		if r.err != nil {
-			break
-		}
-		k, err := s.arena.Restore(cur, cs.Class, ids, succ)
-		if err != nil {
-			return nil, fmt.Errorf("%w: class %d: %v", ErrBadSnapshot, i, err)
-		}
-		chk, err := mc.NewIncrementalRestored(k, cs.Formula, s.warm, ids, labels)
-		if err != nil {
-			return nil, fmt.Errorf("%w: class %d checker: %v", ErrBadSnapshot, i, err)
-		}
-		s.ks = append(s.ks, k)
-		s.checkers = append(s.checkers, chk)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-
-	// Plan cache.
-	flag := r.take(1)
-	if len(flag) == 1 && flag[0] == 1 {
-		n := r.count()
-		blob := r.take(n)
 		if r.err != nil {
 			return nil, r.err
 		}
-		// The JSON decode is deferred to the first cache access
-		// (Session.materializeCache), which is whoever merges the section
-		// into the store it attaches (the pool's InstallSnapshot) or
-		// Session.EnableCache; restore's critical path only copies the
-		// checksummed blob. Images a pool holds for its own evicted tenants
-		// have no section and never get here.
-		if !opts.NoPlanCache {
-			s.cacheBlob = append([]byte(nil), blob...)
+		if r.off != len(body) {
+			return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(body)-r.off)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+
+	var s *Session
+	if vouched && version == snapVersion {
+		s = newSessionShell(topo, cur, specs, opts, res)
+	} else {
+		// The configuration came as bytes (or with bytes this decoder
+		// skips): nothing is served from it before every class holds on it.
+		res.Factory = nil
+		var err error
+		if s, err = NewSessionWith(topo, cur, specs, opts, res); err != nil {
+			return nil, fmt.Errorf("%w: version-%d image: %v", ErrBadSnapshot, version, err)
+		}
+		s.restoredCold = version != snapVersion
 	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(body)-r.off)
-	}
+	s.runs, s.cacheBlob = runs, cacheBlob
 	return s, nil
 }

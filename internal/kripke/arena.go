@@ -1,10 +1,10 @@
 package kripke
 
 import (
-	"fmt"
 	"slices"
 
 	"netupdate/internal/config"
+	"netupdate/internal/network"
 	"netupdate/internal/topology"
 )
 
@@ -74,8 +74,9 @@ func (a *Arena) Topology() *topology.Topology { return a.topo }
 func (a *Arena) NumStates() int { return len(a.states) }
 
 // newK returns a class structure sharing the arena's immutable parts and
-// bound to cfg, every state still isolated, sharing entry 0. The index
-// word per arena state is all it allocates that is sized by the network.
+// bound to cfg, every state still isolated, sharing entry 0, with room for
+// the few dozen entries a class's rules typically connect. The index word
+// per arena state is all it allocates that is sized by the network.
 func (a *Arena) newK(cfg *config.Config, cl config.Class) *K {
 	return &K{
 		Class:    cl,
@@ -86,9 +87,8 @@ func (a *Arena) newK(cfg *config.Config, cl config.Class) *K {
 		isInit:   a.isInit,
 		statesOf: a.statesOf,
 		row:      make([]int32, len(a.states)),
-		succ:     make([][]int, 1),
-		pred:     make([][]int, 1),
-		stateOf:  make([]int32, 1),
+		succ:     make([][]int, 1, 32),
+		pred:     make([][]int, 1, 32),
 		cfg:      cfg,
 	}
 }
@@ -102,55 +102,26 @@ func (a *Arena) Build(cfg *config.Config, cl config.Class) (*K, error) {
 
 // BuildOn is Build for a caller that builds many classes under one
 // configuration and takes cfg.Switches() — ascending — once for all of
-// them. Tables are applied on those switches only: a switch with an empty
-// table forwards nothing, so its arrival states stay isolated.
+// them. Tables are applied on those switches only, and of those only
+// where some rule matches the class packet: any other switch forwards
+// nothing of the class, so its arrival states stay isolated.
 func (a *Arena) BuildOn(cfg *config.Config, switches []int, cl config.Class) (*K, error) {
 	k := a.newK(cfg, cl)
+	pkt := cl.Packet()
 	for _, sw := range switches {
 		if sw < 0 || sw >= a.topo.NumSwitches() {
 			continue // a table for a switch the topology lacks forwards nothing
 		}
-		if err := k.recomputeSwitch(sw, cfg.Table(sw)); err != nil {
+		tbl := cfg.Table(sw)
+		if !slices.ContainsFunc(tbl, func(r network.Rule) bool { return r.Match.Matches(pkt, r.Match.InPort) }) {
+			continue
+		}
+		if err := k.recomputeSwitch(sw, tbl); err != nil {
 			return nil, err
 		}
 	}
 	if cyc := k.findCycle(nil); cyc != nil {
 		return nil, &ErrLoop{Class: cl, Cycle: k.statesFor(cyc), IDs: cyc}
-	}
-	return k, nil
-}
-
-// Restore constructs the class structure of cl under cfg from the recorded
-// successor lists of its connected states, skipping table application:
-// ids names the states, ascending, and succ[i] lists the successors of
-// ids[i]; every state not named — and not named as a successor — is
-// isolated. The lists are adopted, not copied, and the structure is bound
-// to cfg (see K). The lists arrive from outside the process under a
-// checksum that shows they are intact, not that they are right, so states
-// out of range or out of order and successor lists that close a cycle are
-// refused. Apart from the index word the cost is the states listed: the
-// cycle check starts from them, and every state with a successor is one.
-func (a *Arena) Restore(cfg *config.Config, cl config.Class, ids []int, succ [][]int) (*K, error) {
-	n := len(a.states)
-	k := a.newK(cfg, cl)
-	k.succ = slices.Grow(k.succ, len(ids))
-	k.pred = slices.Grow(k.pred, len(ids))
-	k.stateOf = slices.Grow(k.stateOf, len(ids))
-	for i, id := range ids {
-		if id < 0 || id >= n || (i > 0 && id <= ids[i-1]) {
-			return nil, fmt.Errorf("kripke: restore: state %d out of range or out of order", id)
-		}
-		for _, t := range succ[i] {
-			if t < 0 || t >= n {
-				return nil, fmt.Errorf("kripke: restore: successor %d of state %d out of range", t, id)
-			}
-		}
-		k.setSucc(id, succ[i])
-	}
-	if len(ids) > 0 { // findCycle(nil) would sweep the arena
-		if cyc := k.findCycle(ids); cyc != nil {
-			return nil, fmt.Errorf("kripke: restore: successor lists cycle through %v", k.statesFor(cyc))
-		}
 	}
 	return k, nil
 }

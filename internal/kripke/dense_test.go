@@ -46,7 +46,7 @@ type denseK struct {
 }
 
 // ensurePred materializes the predecessor lists from the successor lists
-// on first use. A restored structure (Arena.Restore) starts without them:
+// on first use. A structure made from recorded successor lists starts without them:
 // they are read only by the incremental checker's ancestor walk and by
 // setSucc's rewiring, so a session resumed just to serve cache hits (or
 // snapshotted again untouched) never pays for the derivation. Every pred

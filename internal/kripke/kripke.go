@@ -95,8 +95,6 @@ type K struct {
 	// self-loop), matching the complete DAG-like structures of Section 5.
 	succ [][]int
 	pred [][]int
-	// stateOf[r] is the state that owns entry r (entry 0 has no owner).
-	stateOf []int32
 	// cfg is the bound configuration and moved the tables installed over
 	// it since the last Rebase; see Table.
 	cfg   *config.Config
@@ -183,7 +181,6 @@ func (k *K) addRow(id int) int32 {
 	r := int32(len(k.succ))
 	k.succ = append(k.succ, nil)
 	k.pred = append(k.pred, nil)
-	k.stateOf = append(k.stateOf, int32(id))
 	k.row[id] = r
 	return r
 }
@@ -611,21 +608,6 @@ func (k *K) Row(id int) int { return int(k.row[id]) }
 
 // NumRows returns one more than the highest row number handed out.
 func (k *K) NumRows() int { return len(k.succ) }
-
-// AppendConnected appends to dst, in ascending order, the states that
-// currently have a successor or a predecessor. Every other state is
-// isolated: a sink that nothing reaches. Only states with an entry can be
-// connected, so the cost is the entries, not the arena.
-func (k *K) AppendConnected(dst []int) []int {
-	from := len(dst)
-	for r := 1; r < len(k.succ); r++ {
-		if len(k.succ[r]) > 0 || len(k.pred[r]) > 0 {
-			dst = append(dst, int(k.stateOf[r]))
-		}
-	}
-	slices.Sort(dst[from:])
-	return dst
-}
 
 // StatesOf returns the arrival-state ids of switch sw.
 func (k *K) StatesOf(sw int) []int { return k.statesOf[sw] }

@@ -82,8 +82,8 @@ type Formula struct {
 	L, R *Formula // operands; unary operators use L only
 
 	// text memoizes String. A formula never changes, and its text is the key
-	// its closure, its label table, a session's context fingerprint and a
-	// snapshot's class sections go by, so it is printed once, not per use.
+	// its closure, its label table and a session's context fingerprint go
+	// by, so it is printed once, not per use.
 	text atomic.Pointer[string]
 }
 

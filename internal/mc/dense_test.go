@@ -354,7 +354,7 @@ func denseNewIncrementalFrom(l *denseLabeler, k *kripke.K) *denseIncremental {
 	return denseNewIncrementalPrelabeled(l, k)
 }
 
-// newIncrementalPrelabeled builds the checker over a labeler whose label
+// denseNewIncrementalPrelabeled builds the checker over a labeler whose label
 // array is already correct for the structure (a fresh relabelAll, or a
 // validated snapshot restore), deriving only the violating-initial set.
 func denseNewIncrementalPrelabeled(l *denseLabeler, k *kripke.K) *denseIncremental {

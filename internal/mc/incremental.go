@@ -46,32 +46,19 @@ func NewIncremental(k *kripke.K, spec *ltl.Formula) (Checker, error) {
 }
 
 // newIncrementalFrom finishes construction over a prepared labeler: the
-// initial full labeling and the violating-initial bookkeeping.
+// initial full labeling, then the violating-initial set from the labels of
+// the initial states — one per host, most of them isolated in any one
+// class and judged from their atom valuation alone.
 func newIncrementalFrom(l *labeler) *Incremental {
 	l.relabelAll()
-	return newIncrementalPrelabeled(l)
-}
-
-// newIncrementalPrelabeled builds the checker over a labeler whose labels
-// are already correct for the structure (a fresh relabelAll, or a
-// validated snapshot restore), deriving only the violating-initial set.
-func newIncrementalPrelabeled(l *labeler) *Incremental {
 	c := &Incremental{labeler: l}
-	c.rescanInit()
-	return c
-}
-
-// rescanInit derives the violating-initial set from the labels of the
-// initial states — one per host, most of them isolated in any one class
-// and judged from their atom valuation alone.
-func (c *Incremental) rescanInit() {
-	c.bad = c.bad[:0]
 	for _, q0 := range c.k.Init() {
 		if c.initViolates(q0) {
 			c.bad = append(c.bad, q0)
 		}
 	}
 	slices.Sort(c.bad)
+	return c
 }
 
 // Rebind implements Checker: a rebind is an update without an undo. The

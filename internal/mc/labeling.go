@@ -370,11 +370,9 @@ func (l *labeler) verdict() Verdict {
 // extractCex reconstructs a violating trace witnessing valuation v at
 // state q0: repeatedly find a successor whose label contains a valuation
 // that extends to the current one (Section 5.2, "Counterexamples"). It
-// returns nil when no such trace exists, which labels computed here rule
-// out but a labeling adopted from a snapshot image does not: the image's
-// checksum shows it arrived intact, not that its labels and successor
-// lists agree. The verdict then carries no counterexample. (The walk
-// ends: no structure built or restored has a cycle.)
+// returns nil when no such trace exists, which labels computed from the
+// structure rule out; the verdict then carries no counterexample. (The
+// walk ends: no structure a checker is built over has a cycle.)
 func (l *labeler) extractCex(q0 int, v ltl.Valuation) []int {
 	trace := []int{q0}
 	q, cur := q0, v

@@ -9,8 +9,10 @@ func (p *Pool) Metric(name string) float64 { return p.m.reg.Value("netupdate_" +
 // CheckAtRest verifies what must hold whenever no request is in flight:
 // the warm-session budget, no admitted request left behind, the LRU list
 // holding exactly the warm tenants, no warm tenant still holding an
-// eviction image, and the pool-wide /metrics families agreeing with the
-// tenants' own stats — none negative, each the sum of its tenants' rows.
+// eviction image, every warm session at its tenant's configuration with
+// its class slots consistent (core.Session.CheckAtRest), and the pool-wide
+// /metrics families agreeing with the tenants' own stats — none negative,
+// each the sum of its tenants' rows.
 func (p *Pool) CheckAtRest() error {
 	p.mu.Lock()
 	ids := make([]string, 0, len(p.tenants))
@@ -68,6 +70,15 @@ func (p *Pool) CheckAtRest() error {
 	for _, t := range p.tenants {
 		if (t.sess != nil) != (t.elem != nil) {
 			return fmt.Errorf("tenant %s: session %v but on the LRU %v", t.id, t.sess != nil, t.elem != nil)
+		}
+		if t.sess == nil {
+			continue
+		}
+		if t.sess.Current() != t.cur {
+			return fmt.Errorf("tenant %s: its session is at another configuration", t.id)
+		}
+		if err := t.sess.CheckAtRest(); err != nil {
+			return fmt.Errorf("tenant %s: %w", t.id, err)
 		}
 	}
 	if p.lru.Len() != warm {

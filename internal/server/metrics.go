@@ -76,7 +76,10 @@ type tenantCounters struct {
 	// snapRejects counts the session images that did not become the
 	// tenant's warm state: refused outright, or in an older format and
 	// kept for their configuration only (which is also a cold rebuild).
-	snapRejects            atomic.Int64
+	snapRejects atomic.Int64
+	// classBuilds counts the classes requests built on first need: what a
+	// restored session's first requests pay that a warm one's do not.
+	classBuilds            atomic.Int64
 	cacheHits, cacheMisses atomic.Int64
 	// runs counts engine calls (syntheses and repairs), with the last and
 	// total engine time.
@@ -174,6 +177,8 @@ func (p *Pool) initMetrics() {
 		sum(func(t *tenant) int64 { return t.coldRebuilds.Load() }))
 	reg.FuncCounter("netupdate_snapshot_rejects_total", "Session images refused, or kept for their configuration only and rebuilt cold.",
 		sum(func(t *tenant) int64 { return t.snapRejects.Load() }))
+	reg.FuncCounter("netupdate_class_builds_total", "Classes a request built on first need, on a session restored with none.",
+		sum(func(t *tenant) int64 { return t.classBuilds.Load() }))
 	reg.Gauge("netupdate_snapshot_bytes", "Snapshot bytes held for evicted tenants.",
 		sum(func(t *tenant) int64 { return int64(len(t.snap)) }))
 	reg.Gauge("netupdate_shared_arenas", "Distinct topology shapes with a shared state arena.", func() float64 {

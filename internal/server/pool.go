@@ -312,9 +312,17 @@ func (p *Pool) Synthesize(ctx context.Context, id string, delta *config.StreamDe
 		return nil, fmt.Errorf("server: tenant %s: session rebuild: %w", t.id, err)
 	}
 
-	defer traceRequest(ctx, sess)()
 	start := time.Now()
-	plan, serr := sess.SynthesizeContext(ctx, target)
+	plan, serr := p.synthesizeOn(ctx, t, sess, target)
+	if errors.Is(serr, core.ErrClassBuild) {
+		// The session is not in the state it claims; the tenant is where
+		// it was. Serve the request on a session built from the spec.
+		if sess, err = p.rebuildCold(t, serr); err != nil {
+			t.count(outFailed)
+			return nil, fmt.Errorf("server: tenant %s: session rebuild: %w", t.id, err)
+		}
+		plan, serr = p.synthesizeOn(ctx, t, sess, target)
+	}
 	elapsed := time.Since(start)
 	lat := p.m.synthMiss
 	if sess.Cache() != nil && (serr == nil || errors.Is(serr, core.ErrNoOrdering)) {
@@ -334,6 +342,16 @@ func (p *Pool) Synthesize(ctx context.Context, id string, delta *config.StreamDe
 	}
 	t.cur = target
 	return plan, nil
+}
+
+// synthesizeOn runs one request on sess under the request's trace
+// settings, and counts the classes it had to build for it.
+func (p *Pool) synthesizeOn(ctx context.Context, t *tenant, sess *core.Session, target *config.Config) (*core.Plan, error) {
+	defer traceRequest(ctx, sess)()
+	built := sess.ClassBuilds()
+	plan, err := sess.SynthesizeContext(ctx, target)
+	t.classBuilds.Add(int64(sess.ClassBuilds() - built))
+	return plan, err
 }
 
 // Ack records one plan-step acknowledgement for a tenant. Commit acks
@@ -371,7 +389,9 @@ func (p *Pool) Ack(ctx context.Context, id string, ack *StepAck) (*core.Plan, er
 
 	defer traceRequest(ctx, sess)()
 	start := time.Now()
+	built := sess.ClassBuilds()
 	plan, rerr := sess.RepairContext(ctx, ack.Committed, nil)
+	t.classBuilds.Add(int64(sess.ClassBuilds() - built))
 	t.ran(p.m.synthRepair, time.Since(start))
 	if rerr != nil {
 		t.count(outRepairFailed)
@@ -495,57 +515,80 @@ func (a *admission) leave() {
 
 // ensureWarm returns the tenant's session, rebuilding it when cold, and
 // refreshes the tenant's LRU position. Must be called with the tenant
-// gate held. An evicted tenant is restored from the snapshot captured at
-// eviction — orders of magnitude cheaper than a cold build, since the
-// shared arena, recorded transition relations, and interned labels skip
-// state enumeration, table application, and relabeling — and falls back
-// to a cold build from the stored spec when the snapshot is missing,
-// rejected, or out of step with the tenant's configuration. Either way
-// the session is pointed back at the tenant's shared plan cache, which
-// stayed in p.learn while the session was gone: nothing is decoded or
-// merged here, so a restore costs the same however much the tenant has
-// learned. A build beyond the budget evicts the least-recently-used idle
-// session.
+// gate held. An evicted tenant is restored from the image captured at
+// eviction, onto the configuration the pool holds for it: the image is
+// compared with it, not decoded, and the session starts with no class
+// built — the request builds the classes its diff touches. A missing or
+// rejected image, or one out of step with the tenant's configuration,
+// falls back to a cold build from the stored spec. Either way the session
+// is pointed back at the tenant's shared plan cache, which stayed in
+// p.learn while the session was gone: nothing is decoded or merged here,
+// so a restore costs the same however much the tenant has learned. A build
+// beyond the budget evicts the least-recently-used idle session.
 func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 	sess, snap := p.warmSession(t)
 	if sess != nil {
 		return sess, nil
 	}
+	if len(snap) == 0 {
+		return p.buildCold(t)
+	}
 
-	// Build outside the pool lock: construction rebuilds every per-class
-	// structure and may take longer than other tenants can wait. The gate
-	// keeps this single-flight per tenant (t.cur cannot move under us).
+	// Outside the pool lock; the gate keeps this single-flight per tenant
+	// (t.cur cannot move under us).
+	restoreStart := time.Now()
+	// The restore binds the session to t.cur itself when the image is at
+	// it, so whether it is is an identity test.
 	res := p.sessionResources(t)
-	if len(snap) > 0 {
-		restoreStart := time.Now()
-		// The restore binds the session to t.cur itself when the image is
-		// at it, so whether it is is an identity test.
-		res.Current = t.cur
-		s2, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, snap, res)
-		if err == nil && s2.Current() != t.cur {
-			err = errors.New("image is at another configuration than the tenant")
-		}
-		if err == nil {
-			sess = s2
-			p.m.snapRestore.Observe(time.Since(restoreStart))
-			t.restores.Add(1)
-		} else {
-			t.rejectSnapshot("eviction image dropped, rebuilding cold", err)
-		}
+	res.Current = t.cur
+	sess, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, snap, res)
+	if err == nil && sess.Current() != t.cur {
+		err = errors.New("image is at another configuration than the tenant")
 	}
-	if sess == nil {
-		var err error
-		sess, err = core.NewSessionWith(t.base.Topo, t.cur, t.base.Specs, t.opts, res)
-		if err != nil {
-			return nil, err
-		}
-		t.coldRebuilds.Add(1)
+	if err != nil {
+		return p.rebuildCold(t, err)
 	}
+	p.m.snapRestore.Observe(time.Since(restoreStart))
+	t.restores.Add(1)
+	p.adopt(t, sess)
+	return sess, nil
+}
+
+// buildCold builds the tenant's session from its spec at its current
+// configuration — every class built and verified — and makes it the warm
+// one. Must be called with the tenant gate held; construction may take
+// longer than other tenants can wait, so it runs outside the pool lock.
+func (p *Pool) buildCold(t *tenant) (*core.Session, error) {
+	sess, err := core.NewSessionWith(t.base.Topo, t.cur, t.base.Specs, t.opts, p.sessionResources(t))
+	if err != nil {
+		return nil, err
+	}
+	t.coldRebuilds.Add(1)
+	p.adopt(t, sess)
+	return sess, nil
+}
+
+// rebuildCold is buildCold for a tenant whose image or session turned out
+// unusable, for the reason given: whatever it held is dropped first, so a
+// failed build leaves the tenant cold, not on a session it cannot trust.
+func (p *Pool) rebuildCold(t *tenant, why error) (*core.Session, error) {
+	t.rejectSnapshot("session state dropped, rebuilding cold", why)
+	p.mu.Lock()
+	if t.elem != nil {
+		p.lru.Remove(t.elem)
+	}
+	t.sess, t.elem, t.snap = nil, nil, nil
+	p.mu.Unlock()
+	return p.buildCold(t)
+}
+
+// adopt attaches the tenant's shared plan cache to sess and makes it the
+// tenant's warm session.
+func (p *Pool) adopt(t *tenant, sess *core.Session) {
 	p.attachLearning(t, sess)
 	p.mu.Lock()
 	p.warmLocked(t, sess)
 	p.mu.Unlock()
-	return sess, nil
 }
 
 // warmSession returns the tenant's session, refreshing its LRU position,

@@ -358,11 +358,12 @@ func TestPoolSoak(t *testing.T) {
 // BenchmarkPoolEvictRestore is the churn path's fast reproducer: two
 // tenants of one shape (so they share an arena and a plan cache) against
 // a budget of one session, visited alternately, so every request restores
-// one session from its eviction image, runs a search (each tenant walks
-// its own Gray-code sequence of diamond flips, which revisits no
-// configuration for 2^13 steps on this 13-diamond tenant), and evicts the
-// other. What a request costs here beyond the search is the pool's
-// whole-session work.
+// one session from its eviction image — onto the tenant's configuration,
+// with no class built — builds the one class its flip touches, runs a
+// search (each tenant walks its own Gray-code sequence of diamond flips,
+// which revisits no configuration for 2^13 steps on this 13-diamond
+// tenant), and evicts the other. What a request costs here beyond the
+// search is the pool's whole-session work and that one class.
 func BenchmarkPoolEvictRestore(b *testing.B) {
 	loads, err := makeTenantLoads(1, 400, 0, server.OptionsSpec{}, 29)
 	if err != nil {
@@ -414,4 +415,5 @@ func BenchmarkPoolEvictRestore(b *testing.B) {
 	// the tenant that is out.
 	b.ReportMetric(float64(verify.Nanoseconds())/float64(b.N), "verify-ns/op")
 	b.ReportMetric(p.Metric("snapshot_bytes"), "held-image-B")
+	b.ReportMetric(p.Metric("class_builds_total")/float64(b.N), "class-builds/op")
 }

@@ -10,15 +10,15 @@ import (
 	"netupdate/internal/core"
 )
 
-// SnapshotTenant serializes one tenant's warm state to the portable
-// session-snapshot format (see internal/core/snapshot.go): Kripke
-// transition relations, interned labels, the current configuration, and
-// the tenant's shared plan cache. The snapshot is taken under the
+// SnapshotTenant writes one tenant's portable session image (see
+// internal/core/snapshot.go): the current configuration, the run counter,
+// and the tenant's shared plan cache. The image is taken under the
 // tenant's gate, so it is a consistent point between syntheses; an
-// evicted tenant is warmed first (by restore when its eviction snapshot
-// is held, cold otherwise).
+// evicted tenant is warmed first (by restore when its eviction image is
+// held, cold otherwise).
 // This is the export half of tenant migration: the bytes returned here
-// restore byte-identically on any replica registered with the same spec.
+// restore on any replica registered with the same spec to a session that
+// answers as this one does.
 func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
 	a, err := p.admit(id)
 	if err != nil {
@@ -45,17 +45,20 @@ func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
 }
 
 // InstallSnapshot replaces a registered tenant's warm state with a
-// session restored from a portable snapshot — the import half of tenant
+// session restored from a portable image — the import half of tenant
 // migration, and the restart path behind the daemon's -snapshot-dir. The
-// snapshot must have been taken from a session with the same topology,
+// image must have been taken from a session with the same topology,
 // classes, and engine options (the embedded context fingerprint is
-// checked); the tenant's current configuration is realigned to the
-// snapshot's, and the plan cache the image carries is merged into the
-// tenant's shared store (existing entries win — they are at least as
-// fresh). Rejected images (core.ErrBadSnapshot and friends) leave the
-// tenant untouched. An image in an older format moves the tenant to the
-// image's configuration all the same — nothing else carries it between
-// processes — over a session built cold; both cases are counted in
+// checked). Its configuration arrives as bytes, so every class is built
+// and verified on it before the tenant moves there (an image whose
+// configuration violates a class is refused like a corrupted one); the
+// plan cache the image carries is merged into the tenant's shared store
+// (existing entries win — they are at least as fresh — and every plan is
+// verified by replay before it is served). Rejected images
+// (core.ErrBadSnapshot and friends) leave the tenant untouched. An image
+// in an older format moves the tenant to the image's configuration all
+// the same — nothing else carries it between processes — and is counted
+// as a cold rebuild; both cases are counted in
 // netupdate_snapshot_rejects_total and reported on standard error.
 func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error {
 	a, err := p.admit(id)

@@ -10,10 +10,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"netupdate/internal/config"
 	"netupdate/internal/core"
+	"netupdate/internal/ltl"
 )
 
 // reroute builds a one-class delta for the diamond testSpec.
@@ -652,5 +654,75 @@ func TestStaleEvictionImageIsDropped(t *testing.T) {
 	}
 	if err := p.CheckAtRest(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnbuildableClassDropsTheSessionNotTheTenant: a restored session
+// whose class does not hold where the tenant stands — here one restored
+// under the tenant's fingerprint with another formula for the class, which
+// stands in for corrupted session state — fails the first request that
+// touches the class with core.ErrClassBuild. The pool drops that session,
+// builds one from the tenant's spec at the tenant's configuration, serves
+// the request on it, and says so: one cold rebuild, one reject, one line
+// on standard error — and the tenant's later requests never notice.
+func TestUnbuildableClassDropsTheSessionNotTheTenant(t *testing.T) {
+	p, tn := evictAlpha(t, 1)
+	specs := slices.Clone(tn.base.Specs)
+	unreachable, err := ltl.Parse("sw=0 -> F sw=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs[0].Formula = unreachable
+	res := p.sessionResources(tn)
+	res.Current = tn.cur
+	bad, err := core.RestoreSessionWith(tn.base.Topo, specs, tn.opts, tn.snap, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.adopt(tn, bad)
+	ctx := context.Background()
+	plan, err := p.Synthesize(ctx, tn.id, reroute(0, 1, 3))
+	if err != nil || plan.Stats.Units == 0 {
+		t.Fatalf("the request the bad session could not serve: plan %v, err %v", plan, err)
+	}
+	st, err := p.TenantStats(tn.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rej := p.Metric("snapshot_rejects_total"); rej != 1 || st.ColdRebuilds != 1 || st.Plans != 2 || st.Failures != 0 {
+		t.Fatalf("%g rejects, stats %+v: want one reject, one cold rebuild and no failed request", rej, st)
+	}
+	if tn.sess == bad || tn.sess == nil || tn.sess.Current() != tn.cur {
+		t.Fatal("the tenant is not on a rebuilt session at its configuration")
+	}
+	if _, err := p.Synthesize(ctx, tn.id, reroute(0, 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Metric("cold_rebuilds_total"); got != 1 {
+		t.Fatalf("%g cold rebuilds after a second request", got)
+	}
+	if err := p.CheckAtRest(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClassBuildsAreCounted: a tenant restored from its eviction image
+// builds, on its next request, the one class of its two the request
+// touches, and /metrics says so — which is how "the first request after a
+// restore was slow" is read from outside. A tenant that was never evicted
+// builds nothing on demand.
+func TestClassBuildsAreCounted(t *testing.T) {
+	p, tn := evictAlpha(t, 1)
+	if got := p.Metric("class_builds_total"); got != 0 {
+		t.Fatalf("netupdate_class_builds_total = %g before any restore", got)
+	}
+	if _, err := p.Synthesize(context.Background(), tn.id, reroute(0, 1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if builds, restores := p.Metric("class_builds_total"), p.Metric("snapshot_restores_total"); builds != 1 || restores != 1 {
+		t.Fatalf("%g class builds over %g restores, want 1 and 1", builds, restores)
+	}
+	if tn.sess.ClassBuilds() != 1 || tn.classBuilds.Load() != 1 {
+		t.Fatalf("session built %d classes, tenant counted %d", tn.sess.ClassBuilds(), tn.classBuilds.Load())
 	}
 }

@@ -143,9 +143,15 @@ type ResultStep struct {
 
 // ResultStats is the per-synthesis work summary.
 type ResultStats struct {
-	Units      int     `json:"units"`
-	Components int     `json:"components"`
-	Checks     int     `json:"checks"`
+	Units      int `json:"units"`
+	Components int `json:"components"`
+	Checks     int `json:"checks"`
+	// ClassSkips counts the (step, class) probes that found the step
+	// invisible to the class. Only the classes some changed rule of the
+	// request matches are probed at all, so a cache hit, an undecomposed
+	// search and a one-unit diff report fewer than they did while every
+	// class was probed at every step — fewer by exactly the (step,
+	// unaffected class) pairs; Checks is unchanged.
 	ClassSkips int     `json:"classSkips"`
 	Waits      int     `json:"waits"`
 	DAGDepth   int     `json:"dagDepth,omitempty"`
