@@ -236,6 +236,36 @@ func BenchmarkFig8hInfeasible(b *testing.B) {
 	}
 }
 
+// BenchmarkEarlyTermInfeasible proves "impossible" on the Figure 8(h)
+// instances at 400 switches, where the search refutes every unit at the
+// root and each counterexample reaches the early-termination store. One op
+// is one search on a warm session, and nearly all of its allocations are
+// the store's clauses — transitivity, cycle and learnt. CI gates allocs/op
+// (.github/alloc-budgets.txt): a store that re-solves once per precedence
+// cycle allocates over twice as much on service chaining.
+func BenchmarkEarlyTermInfeasible(b *testing.B) {
+	for _, prop := range []config.Property{config.Waypointing, config.ServiceChaining} {
+		sc, err := bench.InfeasibleWorkload(400, prop, 400/30+1, 400*3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(prop.String()+"-400", func(b *testing.B) {
+			sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, core.Options{Timeout: benchTimeout})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, err := sess.Synthesize(sc.Final)
+				if !errors.Is(err, core.ErrNoOrdering) {
+					b.Fatalf("err = %v, want ErrNoOrdering", err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFig8iRuleGranularity regenerates Figure 8(i): solving the
 // switch-impossible workloads at rule granularity.
 func BenchmarkFig8iRuleGranularity(b *testing.B) {

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"netupdate/internal/config"
 	"netupdate/internal/sat"
+	"netupdate/internal/topology"
 )
 
 // mapEarlyTerm is the early-termination store as it was before its loop
@@ -152,21 +156,26 @@ func cexSequence(r *rand.Rand, n, length int) [][2][]int {
 
 // TestEarlyTermMatchesMapOracle: after every constraint of a random
 // sequence the array store and the map store agree on whether an order can
-// still exist — whichever cycles each happened to forbid on the way — and
-// once unsatisfiable both stay so.
+// still exist — whichever cycles each happened to forbid on the way, and
+// whether or not the array store solved at all — and once unsatisfiable
+// both stay so. A satisfiable answer comes with the witness order, which
+// satisfies every constraint so far.
 func TestEarlyTermMatchesMapOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(126))
 	unsatRuns := 0
 	for run := 0; run < 300; run++ {
 		n := 6 + r.Intn(10)
 		et, oracle := newEarlyTerm(n), newMapEarlyTerm()
-		for step, c := range cexSequence(r, n, 4+r.Intn(40)) {
+		seq := cexSequence(r, n, 4+r.Intn(40))
+		for step, c := range seq {
 			got, want := et.addCexConstraint(c[0], c[1]), oracle.addCexConstraint(c[0], c[1])
 			if got != want {
 				t.Fatalf("run %d, constraint %d (%v before %v): satisfiable %v, the map version says %v", run, step, c[1], c[0], got, want)
 			}
-			if got && et.modelCycle() != nil {
-				t.Fatalf("run %d, constraint %d: reported satisfiable on a cyclic model", run, step)
+			if got {
+				if k := violated(et.pos, seq[:step+1]); k >= 0 {
+					t.Fatalf("run %d, constraint %d: reported satisfiable, but the witness %v violates constraint %d", run, step, et.pos, k)
+				}
 			}
 		}
 		if et.unsat {
@@ -178,15 +187,155 @@ func TestEarlyTermMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestEarlyTermCycleClausesAreDeterministic: the loop check reads the
-// model in variable-creation order, so two stores fed one sequence forbid
-// the same cycles in the same order — the lazy-transitivity loop does the
-// same work on every run of a request. (The map version's cycles followed
-// the map's iteration order.) The loop is driven here as solveAcyclic
-// drives it, recording what it forbids.
+// violated returns the index of the first constraint the order pos (a
+// position per unit) does not satisfy — no unapplied unit placed before an
+// applied one — or -1.
+func violated(pos []int32, seq [][2][]int) int {
+outer:
+	for k, c := range seq {
+		for _, b := range c[1] {
+			for _, a := range c[0] {
+				if pos[b] < pos[a] {
+					continue outer
+				}
+			}
+		}
+		return k
+	}
+	return -1
+}
+
+// permutations returns every order of the units 0..n-1, each as a position
+// per unit.
+func permutations(n int) [][]int32 {
+	var out [][]int32
+	at := make([]int, 0, n) // at[p] is the unit at position p
+	used := make([]bool, n)
+	var place func()
+	place = func() {
+		if len(at) == n {
+			pos := make([]int32, n)
+			for p, u := range at {
+				pos[u] = int32(p)
+			}
+			out = append(out, pos)
+			return
+		}
+		for u := range used {
+			if !used[u] {
+				used[u] = true
+				at = append(at, u)
+				place()
+				at = at[:len(at)-1]
+				used[u] = false
+			}
+		}
+	}
+	place()
+	return out
+}
+
+// TestEarlyTermMatchesPermutationOracle: an oracle that shares no code with
+// the store or its solver. Over six or seven units it enumerates every
+// order and keeps those that satisfy each constraint so far; after every
+// constraint the store's verdict must be "some order survives", a
+// satisfiable verdict must come with a witness — distinct positions — that
+// satisfies every constraint so far, and an unsatisfiable one must stay.
+func TestEarlyTermMatchesPermutationOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(128))
+	all := map[int][][]int32{6: permutations(6), 7: permutations(7)}
+	unsatRuns, unsolved := 0, 0
+	for run := 0; run < 300; run++ {
+		n := 6 + r.Intn(2)
+		et, alive := newEarlyTerm(n), all[n]
+		seq := cexSequence(r, n, 4+r.Intn(30))
+		for step, c := range seq {
+			solves, wasUnsat := et.solves, et.unsat
+			got := et.addCexConstraint(c[0], c[1])
+			var kept [][]int32
+			for _, pos := range alive {
+				if violated(pos, seq[step:step+1]) < 0 {
+					kept = append(kept, pos)
+				}
+			}
+			alive = kept
+			if want := len(alive) > 0; got != want {
+				t.Fatalf("run %d, constraint %d (%v before %v): satisfiable %v, %d of %d orders survive", run, step, c[1], c[0], got, len(alive), len(all[n]))
+			}
+			if wasUnsat && got {
+				t.Fatalf("run %d, constraint %d: satisfiable again after unsatisfiable", run, step)
+			}
+			if !got {
+				continue
+			}
+			if et.solves == solves {
+				unsolved++
+			}
+			seen := make([]bool, n)
+			for _, p := range et.pos {
+				if p < 0 || int(p) >= n || seen[p] {
+					t.Fatalf("run %d, constraint %d: witness %v is not an order", run, step, et.pos)
+				}
+				seen[p] = true
+			}
+			if k := violated(et.pos, seq[:step+1]); k >= 0 {
+				t.Fatalf("run %d, constraint %d: witness %v violates constraint %d", run, step, et.pos, k)
+			}
+		}
+		if et.unsat {
+			unsatRuns++
+		}
+	}
+	t.Logf("%d of 300 runs unsatisfiable, %d verdicts from the witness alone", unsatRuns, unsolved)
+	if unsatRuns == 0 || unsatRuns == 300 || unsolved == 0 {
+		t.Fatalf("%d of 300 runs unsatisfiable, %d verdicts from the witness alone: the sequences test too little", unsatRuns, unsolved)
+	}
+}
+
+// TestEarlyTermWorkIsBounded: on the Figure 8(h) instances at 400 switches
+// — built as bench.InfeasibleWorkload(400, prop, 14, 1200) builds them,
+// searched jointly — the search refutes unit after unit at the root, and
+// every counterexample's constraint reaches the store until it proves no
+// order exists (~165 constraints). Closing triangles as their variables
+// appear and answering from the witness order keep the store under two
+// solver runs and two cycle clauses per constraint (27 and 18 for
+// waypointing, 81 and 72 for service chaining); forbidding one cycle per
+// re-solve took 932 and 767, and 7 886 and 7 722.
+func TestEarlyTermWorkIsBounded(t *testing.T) {
+	topo := topology.SmallWorld(400, 4, 0.3, 0xD00D+400)
+	for _, prop := range []config.Property{config.Waypointing, config.ServiceChaining} {
+		var sc *config.Scenario
+		for gadgets := 14; sc == nil; gadgets-- {
+			if gadgets == 0 {
+				t.Fatalf("%s: cannot place any gadget", prop)
+			}
+			sc, _ = config.Infeasible(topo, config.InfeasibleOptions{
+				Gadgets: gadgets, Property: prop, Seed: 1200, BackgroundFlows: 200,
+			})
+		}
+		_, e := engineFor(t, sc, Options{NoDecomposition: true})
+		if _, err := e.run(); !errors.Is(err, ErrNoOrdering) {
+			t.Fatalf("%s: err = %v, want ErrNoOrdering", prop, err)
+		}
+		cons := e.stats.SATCalls
+		t.Logf("%s: %d constraints, %d solver runs, %d cycle clauses", prop, cons, e.et.solves, e.et.cycleClauses)
+		if cons < 100 || e.et.solves > 2*cons || e.et.cycleClauses > 2*cons {
+			t.Fatalf("%s: %d solver runs and %d cycle clauses for %d constraints", prop, e.et.solves, e.et.cycleClauses, cons)
+		}
+	}
+}
+
+// TestEarlyTermCycleClausesAreDeterministic: variables are created, their
+// triangles closed and the model read in a fixed order, so two stores fed
+// one sequence add the same triangles and forbid the same cycles in the
+// same order — the store does the same work on every run of a request.
+// (The map version's cycles followed the map's iteration order.) Each
+// constraint is driven here as addCexConstraint and solveAcyclic drive it,
+// solving every time, and recording the triangles closed and the cycles
+// forbidden.
 func TestEarlyTermCycleClausesAreDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(127))
-	forbidden := 0
+	triangles, forbidden := 0, 0
 	for run := 0; run < 100; run++ {
 		n := 6 + r.Intn(10)
 		seq := cexSequence(r, n, 4+r.Intn(40))
@@ -207,6 +356,14 @@ func TestEarlyTermCycleClausesAreDeterministic(t *testing.T) {
 				if !et.s.AddClause(lits...) {
 					return append(log, "unsat")
 				}
+				for x := et.closed; x < len(et.order); x++ {
+					if ks := et.thirdsOf(x); len(ks) > 0 {
+						log = append(log, fmt.Sprint("triangles ", et.order[x].i, et.order[x].j, ks))
+					}
+				}
+				if !et.closeTriangles() {
+					return append(log, "unsat")
+				}
 				for {
 					if !et.s.Solve() {
 						return append(log, "unsat")
@@ -215,7 +372,7 @@ func TestEarlyTermCycleClausesAreDeterministic(t *testing.T) {
 					if cycle == nil {
 						break
 					}
-					log = append(log, fmt.Sprint(cycle))
+					log = append(log, fmt.Sprint("cycle ", cycle))
 					if !et.forbidCycle(cycle) {
 						return append(log, "unsat")
 					}
@@ -225,11 +382,18 @@ func TestEarlyTermCycleClausesAreDeterministic(t *testing.T) {
 		}
 		a, b := drive(), drive()
 		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("run %d: two runs of one sequence forbid\n%v\nand\n%v", run, a, b)
+			t.Fatalf("run %d: two runs of one sequence log\n%v\nand\n%v", run, a, b)
 		}
-		forbidden += len(a)
+		for _, entry := range a {
+			switch {
+			case strings.HasPrefix(entry, "triangles"):
+				triangles++
+			case strings.HasPrefix(entry, "cycle"):
+				forbidden++
+			}
+		}
 	}
-	if forbidden == 0 {
-		t.Fatal("no model was ever cyclic")
+	if triangles == 0 || forbidden == 0 {
+		t.Fatalf("%d variables closed triangles and %d models were cyclic: the sequences test too little", triangles, forbidden)
 	}
 }

@@ -123,8 +123,10 @@ type engine struct {
 	// cexBuf is the pooled counterexample-switch buffer handed out by
 	// applyAndCheck. Each failed check overwrites it, so callers must
 	// consume the returned slice (learn does, immediately) before the next
-	// check.
-	cexBuf []int
+	// check. cexMark, by switch, marks a counterexample's switches while
+	// learn reads them; all false between calls.
+	cexBuf  []int
+	cexMark []bool
 
 	// Ordering-analysis state (deps.go): the pooled scratch an analysis
 	// borrows (nil while one holds it, or before the first), and the
@@ -498,13 +500,18 @@ func (e *engine) learn(cexSwitches []int, cfg bitset) bool {
 	e.stats.CexLearned++
 	relevant := newBitset(len(e.units))
 	value := newBitset(len(e.units))
+	// The units are read in id order, so the constraint's slices — which
+	// e.cons keeps, and whose order fixes the order the solver's variables
+	// are created in — come out the same whatever the trace's order.
 	var appliedUnits, unappliedUnits []int
-	swSet := map[int]bool{}
+	if e.cexMark == nil {
+		e.cexMark = make([]bool, e.sc.Topo.NumSwitches())
+	}
 	for _, sw := range cexSwitches {
-		swSet[sw] = true
+		e.cexMark[sw] = true
 	}
 	for _, u := range e.units {
-		if !swSet[u.sw] {
+		if !e.cexMark[u.sw] {
 			continue
 		}
 		relevant = relevant.set(u.id)
@@ -514,6 +521,9 @@ func (e *engine) learn(cexSwitches []int, cfg bitset) bool {
 		} else {
 			unappliedUnits = append(unappliedUnits, u.id)
 		}
+	}
+	for _, sw := range cexSwitches {
+		e.cexMark[sw] = false
 	}
 	if relevant.count() == 0 {
 		return false // counterexample mentions no updating switch: ignore
