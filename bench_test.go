@@ -604,6 +604,58 @@ func BenchmarkIncrementalSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchStep measures what the search pays per candidate and
+// class: UpdateSwitch, the checker's Update and Check, and both Reverts,
+// on a passing single-switch update, the forwarding semantics recomputed
+// every time. The loop must report 0 allocs/op: the delta is a window of
+// the structure's undo log, the successor lists come from the ones the
+// last revert freed, and the token from the checker's freelist. One step
+// runs before the timer so the structure holds its log.
+func BenchmarkSearchStep(b *testing.B) {
+	sc, k, spec := benchScene(b, 200)
+	chk, err := mc.NewIncremental(k, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chk.Check()
+	sw := -1
+	for _, s := range sc.UpdatingSwitches() {
+		d, err := k.UpdateSwitch(s, sc.Final.Table(s))
+		if err != nil {
+			if d != nil {
+				k.Revert(d)
+			}
+			continue
+		}
+		moved := len(d.Changed()) > 0
+		v, tok := chk.Update(d)
+		chk.Revert(tok)
+		k.Revert(d)
+		if v.OK && moved {
+			sw = s
+			break
+		}
+	}
+	if sw < 0 {
+		b.Fatal("no passing single-switch update in the scenario")
+	}
+	tbl := sc.Final.Table(sw)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := k.UpdateSwitch(sw, tbl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, tok := chk.Update(d)
+		if !chk.Check().OK {
+			b.Fatal("the update stopped passing")
+		}
+		chk.Revert(tok)
+		k.Revert(d)
+	}
+}
+
 // BenchmarkBatchUpdate measures the full-relabel baseline on the same
 // operation.
 func BenchmarkBatchUpdate(b *testing.B) {

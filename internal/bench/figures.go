@@ -439,7 +439,9 @@ func replayPlan(sc *config.Scenario, plan *core.Plan, factory mc.Factory) (float
 				if err != nil {
 					return err
 				}
-				chks[ci].Update(delta)
+				_, tok := chks[ci].Update(delta)
+				chks[ci].Commit(tok)
+				ks[ci].Commit(delta)
 				checks++
 			}
 		}

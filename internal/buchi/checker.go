@@ -65,6 +65,9 @@ func (c *Checker) Update(delta *kripke.Delta) (mc.Verdict, mc.Token) {
 // Revert implements mc.Checker: nothing to undo.
 func (c *Checker) Revert(t mc.Token) {}
 
+// Commit implements mc.Checker: nothing to drop.
+func (c *Checker) Commit(t mc.Token) {}
+
 // Stats implements mc.Checker.
 func (c *Checker) Stats() mc.Stats { return c.stats }
 

@@ -559,8 +559,8 @@ func unitIDsValid(ids []int, n int) bool {
 // intermediate configuration is checked against every class specification.
 // Any failure reverts everything and reports false; the session falls back
 // to the ordinary search. On success the warm structures are left at the
-// final configuration (exactly like a search) and the frames that undo the
-// replay are returned.
+// final configuration (exactly like a search) and the replay's frames are
+// returned, for the caller to commit or revert.
 func (e *engine) replayCached(ent *cacheEntry, final *config.Config, diff []int) ([]frame, bool) {
 	for _, sw := range diff {
 		last := -1 // the switch's last update step
@@ -580,14 +580,16 @@ func (e *engine) replayCached(ent *cacheEntry, final *config.Config, diff []int)
 			}
 		}
 	}
-	var frames []frame
+	frames := e.frameBuf(0)
+	defer func() { e.scr.frames[0] = frames }()
 	for i := range ent.steps {
 		st := &ent.steps[i]
 		if st.wait {
 			continue
 		}
-		fs, failed, _, err := e.applyAndCheck(int(st.sw), st.table)
-		frames = append(frames, fs...)
+		var failed bool
+		var err error
+		frames, failed, _, err = e.applyAndCheck(frames, int(st.sw), st.table)
 		if err != nil || failed {
 			e.revert(frames)
 			return nil, false

@@ -108,7 +108,8 @@ func (e *engine) unitFootprints(aff *affectedClasses) ([][]int, error) {
 	// application is priority-set semantics, so a pure reorder of identical
 	// rules changes nothing either), and only the surviving (unit, class)
 	// pairs pay for an exact apply/revert probe.
-	var pend []frame
+	pend := e.frameBuf(0)
+	defer func() { e.scr.frames[0] = pend }()
 	flush := func() {
 		e.revert(pend)
 		pend = pend[:0]
@@ -303,7 +304,6 @@ func (s *Session) runDecomposed(e *engine, comps []component, final *config.Conf
 	}
 
 	e.stats.Components = len(comps)
-	var steps []Step
 	var runErr error
 	for i := range results {
 		r := &results[i]
@@ -332,21 +332,23 @@ func (s *Session) runDecomposed(e *engine, comps []component, final *config.Conf
 				}
 			}
 		}
-		if r.err != nil {
-			if runErr == nil {
-				runErr = r.err
-			}
-			continue
-		}
-		if runErr == nil {
-			if len(steps) > 0 {
-				steps = append(steps, Step{Wait: true})
-			}
-			steps = append(steps, r.steps...)
+		if r.err != nil && runErr == nil {
+			runErr = r.err
 		}
 	}
 	if runErr != nil {
 		return nil, runErr
+	}
+	n := max(len(results)-1, 0) // the waits between sub-plans
+	for i := range results {
+		n += len(results[i].steps)
+	}
+	steps := make([]Step, 0, n)
+	for i := range results {
+		if len(steps) > 0 {
+			steps = append(steps, Step{Wait: true})
+		}
+		steps = append(steps, results[i].steps...)
 	}
 	return steps, nil
 }
@@ -387,16 +389,12 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 		Final: final,
 		Specs: specs,
 	}
-	local := make(map[int]int, len(c.units))
-	for i, uid := range c.units {
-		local[uid] = i
-	}
 	units := make([]unit, len(c.units))
 	for i, uid := range c.units {
 		u := e.units[uid]
 		u.id = i
 		if u.requires >= 0 {
-			lr, ok := local[u.requires]
+			lr, ok := slices.BinarySearch(c.units, u.requires) // c.units is ascending
 			if !ok {
 				return compResult{
 					err: fmt.Errorf("core: component %d split a requires edge (unit %d needs %d)",
@@ -408,7 +406,9 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 		}
 		units[i] = u
 	}
-	ec := newEngineShellWith(scC, s.opts, units, nil)
+	scr := scratchPool.Get().(*engineScratch)
+	defer putScratch(scr)
+	ec := newEngineShellWith(scC, s.opts, units, scr)
 	ec.bindContext(e.ctx)
 	s.attach(ec, c.classes)
 	ec.snapshotCheckerStats()

@@ -89,6 +89,11 @@ type engine struct {
 
 	curTables map[int]network.Table
 
+	// scr is the scratch the engine runs on: the visited set, curTables,
+	// the ordering-analysis scratch and the undo frames of each search
+	// depth (frameBuf).
+	scr *engineScratch
+
 	// visited is the V of Figure 4. The other pruning structures of
 	// Section 4.2: wrong holds the wrong-configuration patterns learned
 	// from counterexamples (4.2.A), et the early-termination SAT solver
@@ -154,21 +159,21 @@ type engine struct {
 // component-locally) rather than re-deriving the diff and the destination
 // ranks per component.
 func newEngineShellWith(sc *config.Scenario, opts Options, units []unit, scr *engineScratch) *engine {
-	e := &engine{
-		sc:    sc,
-		opts:  opts,
-		units: units,
-		et:    newEarlyTerm(len(units)),
-	}
-	if scr != nil {
+	if scr == nil {
+		scr = newEngineScratch()
+	} else {
 		scr.visited.reset()
 		clear(scr.curTables)
-		e.visited = scr.visited
-		e.curTables = scr.curTables
-		e.deps = scr.deps
-	} else {
-		e.visited = newBitsetSet()
-		e.curTables = map[int]network.Table{}
+	}
+	e := &engine{
+		sc:        sc,
+		opts:      opts,
+		units:     units,
+		et:        newEarlyTerm(len(units)),
+		scr:       scr,
+		visited:   scr.visited,
+		curTables: scr.curTables,
+		deps:      scr.deps,
 	}
 	e.stats.Units = len(units)
 	if opts.NoHeuristicOrder {
@@ -362,7 +367,8 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 
 		newTbl := e.unitTable(u)
 		oldTbl := e.curTables[u.sw]
-		frames, failed, cexSwitches, err := e.applyAndCheck(u.sw, newTbl)
+		frames, failed, cexSwitches, err := e.applyAndCheck(e.frameBuf(depth), u.sw, newTbl)
+		e.scr.frames[depth] = frames
 		if err != nil {
 			e.revert(frames)
 			return nil, err
@@ -387,6 +393,9 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 			e.path = e.path[:len(e.path)-1]
 		}
 		if err == nil {
+			// The deeper levels committed theirs on the way out: the plan
+			// keeps this update too.
+			e.commit(frames)
 			step := Step{
 				Switch: u.sw, Table: newTbl.Clone(),
 				IsRule: u.isRule, RuleAdd: u.add, Rule: u.rule,
@@ -417,14 +426,15 @@ func (e *engine) markDead(b bitset) {
 }
 
 // applyAndCheck installs the new table for sw in every class structure
-// and re-checks each. On failure it reports the counterexample switches
-// (if any) and leaves reverting to the caller via the returned frames.
-// Classes the unit does not touch — the update yields an empty delta
-// because the switch change is invisible to the class's forwarding — skip
-// the checker round-trip entirely: the verdict depends only on the class
-// structure (the mc.Checker contract). Most units in multi-class scenarios
-// touch one class, so this is the common case.
-func (e *engine) applyAndCheck(sw int, tbl network.Table) (frames []frame, failed bool, cexSwitches []int, err error) {
+// and re-checks each, appending a frame per class to frames. On failure
+// it reports the counterexample switches (if any) and leaves reverting to
+// the caller via the returned frames. Classes the unit does not touch —
+// the update yields an empty delta because the switch change is invisible
+// to the class's forwarding — skip the checker round-trip entirely: the
+// verdict depends only on the class structure (the mc.Checker contract).
+// Most units in multi-class scenarios touch one class, so this is the
+// common case.
+func (e *engine) applyAndCheck(frames []frame, sw int, tbl network.Table) (_ []frame, failed bool, cexSwitches []int, err error) {
 	for ci := range e.ks {
 		delta, uerr := e.ks[ci].UpdateSwitch(sw, tbl)
 		if uerr != nil {
@@ -468,6 +478,29 @@ func (e *engine) revert(frames []frame) {
 		}
 		e.ks[f.class].Revert(f.delta)
 	}
+}
+
+// commit ends applied frames whose updates stay, newest first, as revert
+// ends those that go: the structures' undo logs and the checkers' tokens
+// are recycled for the next update.
+func (e *engine) commit(frames []frame) {
+	for i := len(frames) - 1; i >= 0; i-- {
+		f := frames[i]
+		if f.token != nil {
+			e.checkers[f.class].Commit(f.token)
+		}
+		e.ks[f.class].Commit(f.delta)
+	}
+}
+
+// frameBuf returns the empty undo-frame buffer of a search depth; the
+// caller stores what it appends back in scr.frames[depth], so the buffer
+// grows once per depth and not once per step.
+func (e *engine) frameBuf(depth int) []frame {
+	for len(e.scr.frames) <= depth {
+		e.scr.frames = append(e.scr.frames, nil)
+	}
+	return e.scr.frames[depth][:0]
 }
 
 // unitTable computes the table installed on u.sw when u is applied on top

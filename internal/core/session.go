@@ -32,10 +32,10 @@ import (
 //     translated automata survive; the mc.Warmth cache additionally
 //     shares closures and label tables between all checkers of one
 //     formula;
-//   - engine scratch — the visited set, the current-table map, and the
-//     ordering-analysis marks and buffers — is borrowed from a
-//     process-level pool for the length of a run and reset instead of
-//     reallocated.
+//   - engine scratch — the visited set, the current-table map, the
+//     ordering-analysis marks and buffers, and the undo frames — is
+//     borrowed from a process-level pool for the length of a run and reset
+//     instead of reallocated.
 //
 // There is one slot per class, holding the class's structure and checker
 // or nothing, and everything a request does — verifying the target,
@@ -81,12 +81,10 @@ type Session struct {
 	// What a request computes once and every phase reads: its per-switch
 	// rule-diff list and the classes those rules can match (the only ones
 	// verification, replay, footprints, search and resync visit). stateBuf
-	// and frameBuf are the resync's rewired-state list and the
-	// verification's undo frames.
+	// is the resync's rewired-state list.
 	diffBuf  []swDiff
 	aff      affectedClasses
 	stateBuf []int
-	frameBuf []frame
 
 	runs int
 	// restoredCold marks a session RestoreSession built at the
@@ -141,26 +139,41 @@ type Session struct {
 
 // engineScratch is the pooled per-run state handed to each engine: reset
 // is O(live entries), not O(capacity), and nothing is reallocated across
-// syntheses.
+// syntheses. frames[d] holds the undo frames of the update applied at
+// search depth d (a cache replay's, all of them, in frames[0]).
 type engineScratch struct {
 	visited   *bitsetSet
 	curTables map[int]network.Table
 	deps      *depScratch
+	frames    [][]frame
 }
 
-// scratchPool lends an engineScratch to one synthesize call at a time, as
-// kripke's cyclePool lends the loop check's: a session restored to serve
-// one request allocates none and a warm one holds none while idle. The
-// ordering analysis' stamps only grow, so a scratch laid out for one
-// tenant's classes and switches serves the next tenant's
-// (depScratch.reset).
-var scratchPool = sync.Pool{New: func() any {
+func newEngineScratch() *engineScratch {
 	return &engineScratch{
 		visited:   newBitsetSet(),
 		curTables: map[int]network.Table{},
 		deps:      &depScratch{},
 	}
-}}
+}
+
+// scratchPool lends an engineScratch to one engine at a time — a request's
+// or one of its component sub-searches' — as kripke's cyclePool lends the
+// loop check's: a session restored to serve one request allocates none and
+// a warm one holds none while idle. The ordering analysis' stamps only
+// grow, so a scratch laid out for one tenant's classes and switches serves
+// the next tenant's (depScratch.reset).
+var scratchPool = sync.Pool{New: func() any { return newEngineScratch() }}
+
+// putScratch returns scr to the pool without the deltas and tokens its
+// frames name: they belong to structures and checkers the pool must not
+// keep alive.
+func putScratch(scr *engineScratch) {
+	for i, fs := range scr.frames {
+		clear(fs)
+		scr.frames[i] = fs[:0]
+	}
+	scratchPool.Put(scr)
+}
 
 // SessionResources are the read-only structures a session may share with
 // other sessions over the same topology instead of building privately:
@@ -301,7 +314,8 @@ func (s *Session) buildClasses(classes []int) error {
 // CheckAtRest reports a violation of what holds of the class slots
 // whenever no request is running: a class has a structure and a checker
 // or neither, and every built structure is based on the session's current
-// configuration with no table of its own over it.
+// configuration with no table of its own over it, and holds no undo log
+// (every update the request made was reverted or committed).
 func (s *Session) CheckAtRest() error {
 	for i, k := range s.ks {
 		if (k == nil) != (s.checkers[i] == nil) {
@@ -312,6 +326,9 @@ func (s *Session) CheckAtRest() error {
 		}
 		if cfg, moved := k.Base(); cfg != s.cur || moved != 0 {
 			return fmt.Errorf("core: class %d is based on another configuration than the session's, or holds %d tables over it", i, moved)
+		}
+		if k.HoldsLog() {
+			return fmt.Errorf("core: class %d holds an undo log", i)
 		}
 	}
 	return nil
@@ -469,7 +486,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		return refuse(Stats{RequestID: reqID}, err)
 	}
 	scr := scratchPool.Get().(*engineScratch)
-	defer scratchPool.Put(scr)
+	defer putScratch(scr)
 	e := newEngineShellWith(sc, s.opts, units, scr)
 	e.bindContext(ctx)
 	e.stats.RequestID = reqID
@@ -511,10 +528,13 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		if ok {
 			// The replay left every affected class's structure at the
 			// target, checked after its last change: verifying the target
-			// is reading the verdicts.
+			// is reading the verdicts. A target that holds keeps the
+			// replayed updates.
 			vfStart := time.Now()
 			vfSpan := tr.Begin("final-verify", root)
-			if ok = s.targetHolds(e); !ok {
+			if ok = s.targetHolds(e); ok {
+				e.commit(frames)
+			} else {
 				e.revert(frames)
 			}
 			tr.End(vfSpan)
@@ -764,14 +784,13 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 // when verifyFinal returns, the structures rebased on the current
 // configuration: a refused target reaches no resync.
 func (s *Session) verifyFinal(e *engine, final *config.Config) error {
-	frames := s.frameBuf[:0]
+	frames := e.frameBuf(0)
 	defer func() {
 		e.revert(frames)
 		for _, f := range frames {
 			e.ks[f.class].Rebase(s.cur)
 		}
-		clear(frames)
-		s.frameBuf = frames[:0]
+		e.scr.frames[0] = frames
 	}()
 	pos := 0
 	for ci, cs := range s.specs {

@@ -57,11 +57,13 @@ const lateRank = 1_000_000
 // table), realizing the paper's "k-simple" generalization for k = 2: each
 // switch may be touched twice, which recovers the power of
 // rule-granularity add-before-delete orders while keeping whole-table
-// commands.
+// commands. A whole-table unit installs the target's own table: a
+// configuration's tables are immutable (config.Config), and nothing
+// writes to a unit's.
 func computeUnits(sc *config.Scenario, diff []int, ruleGranularity, twoSimple bool) ([]unit, error) {
 	rank := destinationRank(sc, diff) // indexed like diff
-	var units []unit
 	if !ruleGranularity && twoSimple {
+		units := make([]unit, 0, 2*len(diff))
 		for di, sw := range diff {
 			merged := mergeTables(sc.Init.Table(sw), sc.Final.Table(sw))
 			mergeID := len(units)
@@ -70,24 +72,26 @@ func computeUnits(sc *config.Scenario, diff []int, ruleGranularity, twoSimple bo
 				requires: -1, rank: rank[di],
 			})
 			units = append(units, unit{
-				id: mergeID + 1, sw: sw, newTable: sc.Final.Table(sw).Clone(),
+				id: mergeID + 1, sw: sw, newTable: sc.Final.Table(sw),
 				requires: mergeID, rank: lateRank + rank[di],
 			})
 		}
 		return units, nil
 	}
 	if !ruleGranularity {
+		units := make([]unit, 0, len(diff))
 		for di, sw := range diff {
 			units = append(units, unit{
 				id:       len(units),
 				sw:       sw,
-				newTable: sc.Final.Table(sw).Clone(),
+				newTable: sc.Final.Table(sw),
 				requires: -1,
 				rank:     rank[di],
 			})
 		}
 		return units, nil
 	}
+	var units []unit
 	for di, sw := range diff {
 		removed, added := diffTables(sc.Init.Table(sw), sc.Final.Table(sw))
 		for _, r := range added {

@@ -131,6 +131,9 @@ func (c *Checker) Revert(t mc.Token) {
 	}
 }
 
+// Commit implements mc.Checker: the rule operations stay applied.
+func (c *Checker) Commit(t mc.Token) {}
+
 // Stats implements mc.Checker.
 func (c *Checker) Stats() mc.Stats { return c.stats }
 

@@ -116,7 +116,7 @@ func (a *Arena) BuildOn(cfg *config.Config, switches []int, cl config.Class) (*K
 		if !slices.ContainsFunc(tbl, func(r network.Rule) bool { return r.Match.Matches(pkt, r.Match.InPort) }) {
 			continue
 		}
-		if err := k.recomputeSwitch(sw, tbl); err != nil {
+		if _, err := k.recomputeSwitch(sw, tbl); err != nil {
 			return nil, err
 		}
 	}

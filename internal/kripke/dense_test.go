@@ -5,8 +5,8 @@ package kripke
 // when K's did — as the oracle of TestSparseStorageMatchesDense: successor and predecessor lists
 // indexed by state id over the whole arena, predecessors derived lazily,
 // tables applied on every switch at build. It shares the state arena,
-// removeOne, intsEqual and the pooled cycle-search scratch with K, none
-// of which the sparse storage changed.
+// removeOne and the pooled cycle-search scratch with K, none of which the
+// sparse storage changed; intsEqual moved here when K stopped using it.
 
 import (
 	"fmt"
@@ -15,6 +15,18 @@ import (
 	"netupdate/internal/network"
 	"netupdate/internal/topology"
 )
+
+func intsEqual(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // K is the Kripke structure of one traffic class under a mutable
 // configuration. States never change; UpdateSwitch changes only the

@@ -99,12 +99,15 @@ type K struct {
 	// it since the last Rebase; see Table.
 	cfg   *config.Config
 	moved map[int]network.Table
-	// outBuf is recomputeSwitch's reusable table-application buffer;
-	// private per structure.
-	outBuf []network.PortPacket
-	// oldBuf is UpdateSwitch's reusable pre-update successor snapshot;
-	// only genuinely changed entries graduate into the returned Delta.
-	oldBuf [][]int
+	// log records the outstanding updates; nil while the structure holds
+	// none (see undoLog).
+	log *undoLog
+	// outBuf, nextBuf and nextEnd are successors' reusable buffers: the
+	// table-application output, and the successor lists of one switch's
+	// arrival states laid end to end.
+	outBuf  []network.PortPacket
+	nextBuf []int
+	nextEnd []int
 	// rootBuf is Rebind's reusable cycle-check root buffer.
 	rootBuf []int
 }
@@ -118,26 +121,25 @@ func Build(topo *topology.Topology, cfg *config.Config, cl config.Class) (*K, er
 	return NewArena(topo).Build(cfg, cl)
 }
 
-// recomputeSwitch rewires the outgoing transitions of sw's arrival states
-// from tbl, updating predecessor lists. It returns an error if a rule
-// would modify the class packet (packet modification is outside the
-// checked fragment, per Section 3.3).
-func (k *K) recomputeSwitch(sw int, tbl network.Table) error {
+// successors computes the successor lists tbl gives sw's arrival states
+// into nextBuf, the i-th state's ending at nextEnd[i], and changes
+// nothing else. It returns an error if a rule would modify the class
+// packet (packet modification is outside the checked fragment, per
+// Section 3.3).
+func (k *K) successors(sw int, tbl network.Table) error {
 	pkt := k.Class.Packet()
+	next, ends := k.nextBuf[:0], k.nextEnd[:0]
 	for _, id := range k.statesOf[sw] {
-		st := k.states[id]
-		var next []int
-		outs := tbl.AppendApply(k.outBuf[:0], pkt, st.Pt)
+		outs := tbl.AppendApply(k.outBuf[:0], pkt, k.states[id].Pt)
 		k.outBuf = outs[:0]
 		for _, o := range outs {
 			if o.Pkt != pkt {
 				return fmt.Errorf("kripke: class %v: rule on sw%d modifies packet headers", k.Class, sw)
 			}
-			if h, ok := k.Topo.HostAtPort(sw, o.Port); ok {
+			if _, ok := k.Topo.HostAtPort(sw, o.Port); ok {
 				// Egress: any host-facing output port delivers; only the
 				// class destination is "correct", but the structure must
 				// reflect actual behavior either way.
-				_ = h
 				next = append(next, k.index[State{Kind: Egress, Sw: sw, Pt: o.Port}])
 				continue
 			}
@@ -147,9 +149,72 @@ func (k *K) recomputeSwitch(sw int, tbl network.Table) error {
 			}
 			// Dangling port: the packet is lost; treat as drop (no edge).
 		}
-		k.setSucc(id, next)
+		ends = append(ends, len(next))
 	}
+	k.nextBuf, k.nextEnd = next, ends
 	return nil
+}
+
+// nextOf returns the i-th list the last successors call computed.
+func (k *K) nextOf(i int) []int {
+	from := 0
+	if i > 0 {
+		from = k.nextEnd[i-1]
+	}
+	return k.nextBuf[from:k.nextEnd[i]]
+}
+
+// recomputeSwitch rewires the outgoing transitions of sw's arrival states
+// from tbl, updating predecessor lists, records nothing, and reports
+// whether any state's successors changed; on error (see successors) it
+// changes nothing.
+func (k *K) recomputeSwitch(sw int, tbl network.Table) (changed bool, err error) {
+	if err := k.successors(sw, tbl); err != nil {
+		return false, err
+	}
+	return k.rewire(sw, false), nil
+}
+
+// rewire gives each of sw's arrival states the list the last successors
+// call computed for it, where that differs from the one it holds, and
+// reports whether any did. With record set the structure holds a log,
+// whose newest delta takes each change in; otherwise a replaced list is
+// given up — to the log's free lists if the structure holds one. A new
+// list comes from the free lists of a log the structure holds, and
+// without one is carved from one array per switch.
+func (k *K) rewire(sw int, record bool) (changed bool) {
+	l := k.log
+	var flat []int
+	for i, id := range k.statesOf[sw] {
+		next, old := k.nextOf(i), k.Succ(id)
+		if slices.Equal(old, next) {
+			continue
+		}
+		changed = true
+		var list []int
+		switch {
+		case len(next) == 0:
+		case l != nil:
+			list = l.take(next)
+		default:
+			if flat == nil {
+				flat = make([]int, 0, len(k.nextBuf))
+			}
+			n := len(flat)
+			flat = append(flat, next...)
+			list = flat[n:len(flat):len(flat)]
+		}
+		k.setSucc(id, list)
+		switch {
+		case record:
+			l.ids = append(l.ids, id)
+			l.oldSucc = append(l.oldSucc, old)
+			l.newSucc = append(l.newSucc, list)
+		case l != nil:
+			l.release(old)
+		}
+	}
+	return changed
 }
 
 // setSucc replaces the successor list of state id, maintaining pred.
@@ -195,21 +260,95 @@ func removeOne(xs []int, v int) []int {
 	return xs
 }
 
-// Delta describes an applied update: the switches whose tables it
-// replaced and the states whose outgoing transitions changed, with enough
-// information to revert and to re-apply. The state ids and the old/new
-// successor lists are parallel slices, so consumers iterate the changed
-// region without allocating and in a deterministic order (per switch, the
-// switch's arrival-state order). Only states whose successor list
-// genuinely changed are recorded: a table replacement that leaves the
-// class's forwarding intact yields an empty delta, which checkers and the
+// undoLog records a structure's outstanding updates, oldest first: the
+// tables each replaced, and the states whose successor lists changed with
+// their lists before and after, as parallel slices. A Delta is a window
+// of it. A structure borrows a log from logPool on its first update and
+// returns it at the first Rebase that finds no delta outstanding, so an
+// idle structure holds none.
+//
+// Every successor list is held by exactly one state, or by none. free
+// holds lists no state holds — the new lists of a reverted update, the
+// old lists of a committed one, the lists a rebind replaced — and the
+// next update fills them instead of allocating. They travel with the log,
+// so a list one structure gave up serves whichever borrows the log next.
+type undoLog struct {
+	tables           []tableSwap
+	ids              []int
+	oldSucc, newSucc [][]int
+	// deltas[:open] are the outstanding deltas, oldest first; the records
+	// past open serve later updates.
+	deltas []*Delta
+	open   int
+	// reverted is the delta the last Revert ended while nothing has
+	// happened since: the one Reapply accepts.
+	reverted *Delta
+	free     [][]int
+}
+
+// maxFree caps the lists a log keeps for reuse: enough for any update's
+// changed states, and a bound on what a pooled log holds.
+const maxFree = 1024
+
+var logPool = sync.Pool{New: func() any { return new(undoLog) }}
+
+// take returns a list holding next, filled from a free list when there is
+// one; next must not be empty.
+func (l *undoLog) take(next []int) []int {
+	n := len(l.free)
+	if n == 0 {
+		return slices.Clone(next)
+	}
+	s := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return append(s[:0], next...)
+}
+
+// release takes back a list no state holds any more.
+func (l *undoLog) release(s []int) {
+	if cap(s) > 0 && len(l.free) < maxFree {
+		l.free = append(l.free, s)
+	}
+}
+
+// truncate drops the entries from the given table and state positions on.
+func (l *undoLog) truncate(tables, ids int) {
+	l.tables, l.ids = l.tables[:tables], l.ids[:ids]
+	l.oldSucc, l.newSucc = l.oldSucc[:ids], l.newSucc[:ids]
+}
+
+// reset empties the log for the pool: it must not keep the tables and
+// lists of the structure that returns it alive.
+func (l *undoLog) reset() {
+	l.truncate(0, 0)
+	clear(l.tables[:cap(l.tables)])
+	clear(l.oldSucc[:cap(l.oldSucc)])
+	clear(l.newSucc[:cap(l.newSucc)])
+	l.open, l.reverted = 0, nil
+}
+
+// Delta is an applied update: a window of its structure's undo log
+// holding the switches whose tables the update replaced and the states
+// whose outgoing transitions changed, with enough to revert it. The state
+// ids come in a deterministic order (per switch, the switch's
+// arrival-state order). Only states whose successor list genuinely
+// changed are recorded: a table replacement that leaves the class's
+// forwarding intact yields an empty delta, which checkers and the
 // synthesis engine use as a skip-this-class fast path.
+//
+// A delta is outstanding from the update that returns it until Revert or
+// Commit ends it, and deltas end newest first. Once one is committed,
+// every delta older than it can only be committed too: what a revert
+// would put back no longer describes the structure. The record is the
+// log's, and a later update reuses it.
 type Delta struct {
-	tables  []tableSwap
-	one     [1]tableSwap // backs tables for a one-switch update
-	ids     []int        // ids of states whose successors changed
-	oldSucc [][]int      // successor lists before the update
-	newSucc [][]int      // successor lists after the update
+	log *undoLog
+	// The window: log.tables[t0:t1], and log.ids, oldSucc and
+	// newSucc[c0:c1].
+	t0, t1, c0, c1 int
+	// sealed marks a delta a newer one was committed on.
+	sealed bool
 }
 
 // tableSwap is one switch's table before and after an update.
@@ -220,22 +359,22 @@ type tableSwap struct {
 
 // Changed returns the ids of states whose transition function changed.
 // The slice is shared and must not be mutated.
-func (d *Delta) Changed() []int { return d.ids }
+func (d *Delta) Changed() []int { return d.log.ids[d.c0:d.c1:d.c1] }
 
 // NumSwitches returns the number of switches whose tables the update
 // replaced, and SwitchAt the i-th of them, in the order they were given.
-func (d *Delta) NumSwitches() int   { return len(d.tables) }
-func (d *Delta) SwitchAt(i int) int { return d.tables[i].sw }
+func (d *Delta) NumSwitches() int   { return d.t1 - d.t0 }
+func (d *Delta) SwitchAt(i int) int { return d.log.tables[d.t0+i].sw }
 
 // UpdateSwitch installs tbl on sw, rewiring transitions. It returns the
-// delta for incremental re-checking and reverting. If the new structure
-// contains a cycle (forwarding loop), the update is applied and an
-// *ErrLoop is returned alongside the delta: callers treat the
+// delta for incremental re-checking and for ending the update. If the new
+// structure contains a cycle (forwarding loop), the update is applied and
+// an *ErrLoop is returned alongside the delta: callers treat the
 // configuration as wrong, learn from the cycle, and revert.
 func (k *K) UpdateSwitch(sw int, tbl network.Table) (*Delta, error) {
-	d := &Delta{}
-	d.tables = d.one[:0]
+	d := k.begin()
 	if err := k.install(d, sw, tbl); err != nil {
+		k.undo(d)
 		return nil, err
 	}
 	return d, k.loopThrough(d)
@@ -248,61 +387,46 @@ func (k *K) UpdateSwitch(sw int, tbl network.Table) (*Delta, error) {
 // loop that only the configurations in between have. Like UpdateSwitch it
 // returns the applied delta alongside an *ErrLoop.
 func (k *K) UpdateSwitches(cfg *config.Config, switches []int) (*Delta, error) {
-	d := &Delta{tables: make([]tableSwap, 0, len(switches))}
+	d := k.begin()
 	for _, sw := range switches {
 		if err := k.install(d, sw, cfg.Table(sw)); err != nil {
-			k.Revert(d)
+			k.undo(d)
 			return nil, err
 		}
 	}
 	return d, k.loopThrough(d)
 }
 
-// install replaces sw's table by tbl, rewires its arrival states and
-// appends the replacement and the states that changed to d. A rule that
-// modifies the class packet (a programming error, see recomputeSwitch)
-// leaves the switch as it was and d without it.
-func (k *K) install(d *Delta, sw int, tbl network.Table) error {
-	ids := k.statesOf[sw]
-	// Snapshot the pre-update successor lists into reusable scratch.
-	// Successor slices are replaced wholesale and never mutated in place,
-	// so holding the old headers is safe; only the headers of genuinely
-	// changed states graduate into the delta below.
-	old := k.oldBuf[:0]
-	for _, id := range ids {
-		old = append(old, k.Succ(id))
+// begin opens an empty delta at the end of the log, borrowing a log first
+// if the structure holds none.
+func (k *K) begin() *Delta {
+	if k.log == nil {
+		k.log = logPool.Get().(*undoLog)
 	}
-	k.oldBuf = old
-	oldTable := k.Table(sw)
-	if err := k.recomputeSwitch(sw, tbl); err != nil {
-		for i, id := range ids {
-			k.setSucc(id, old[i])
-		}
+	l := k.log
+	l.reverted = nil
+	if l.open == len(l.deltas) {
+		l.deltas = append(l.deltas, &Delta{log: l})
+	}
+	d := l.deltas[l.open]
+	l.open++
+	d.t0, d.t1, d.c0, d.c1, d.sealed = len(l.tables), len(l.tables), len(l.ids), len(l.ids), false
+	return d
+}
+
+// install replaces sw's table by tbl, rewires its arrival states and
+// records the replacement and the states that changed in d, the newest
+// delta. A rule that modifies the class packet (a programming error, see
+// successors) leaves the switch as it was and d without it.
+func (k *K) install(d *Delta, sw int, tbl network.Table) error {
+	if err := k.successors(sw, tbl); err != nil {
 		return err
 	}
+	l := d.log
+	l.tables = append(l.tables, tableSwap{sw: sw, old: k.Table(sw), new: tbl})
 	k.setTable(sw, tbl)
-	d.tables = append(d.tables, tableSwap{sw: sw, old: oldTable, new: tbl})
-	// Count first, so the delta's lists grow once by what they will hold
-	// (a one-switch delta allocates each exactly) instead of by doubling.
-	changed := 0
-	for i, id := range ids {
-		if !intsEqual(old[i], k.Succ(id)) {
-			changed++
-		}
-	}
-	if changed == 0 {
-		return nil
-	}
-	d.ids = slices.Grow(d.ids, changed)
-	d.oldSucc = slices.Grow(d.oldSucc, changed)
-	d.newSucc = slices.Grow(d.newSucc, changed)
-	for i, id := range ids {
-		if next := k.Succ(id); !intsEqual(old[i], next) {
-			d.ids = append(d.ids, id)
-			d.oldSucc = append(d.oldSucc, old[i])
-			d.newSucc = append(d.newSucc, next)
-		}
-	}
+	k.rewire(sw, true)
+	d.t1, d.c1 = len(l.tables), len(l.ids)
 	return nil
 }
 
@@ -310,25 +434,14 @@ func (k *K) install(d *Delta, sw int, tbl network.Table) error {
 // new cycle must pass through a rewired state; an empty delta cannot have
 // introduced one.
 func (k *K) loopThrough(d *Delta) error {
-	if len(d.ids) == 0 {
+	changed := d.Changed()
+	if len(changed) == 0 {
 		return nil
 	}
-	if cyc := k.findCycle(d.ids); cyc != nil {
+	if cyc := k.findCycle(changed); cyc != nil {
 		return &ErrLoop{Class: k.Class, Cycle: k.statesFor(cyc), IDs: cyc}
 	}
 	return nil
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Rebind rewires the structure in place so it reflects cfg, recomputing
@@ -343,8 +456,9 @@ func intsEqual(a, b []int) bool {
 // superset. If cfg forwards the class in a
 // cycle, the structure has still been fully rebound to cfg (tables stay
 // consistent for a later Rebind) and *ErrLoop is returned. Either way the
-// structure ends bound to cfg (see K on mutating it). Outstanding Deltas
-// and undo tokens taken before a Rebind must not be replayed afterwards.
+// structure ends bound to cfg (see K on mutating it). A rebind abandons
+// the outstanding deltas: neither they nor the checker tokens taken with
+// them may be ended afterwards.
 func (k *K) Rebind(cfg *config.Config) (changed, touched []int, err error) {
 	return k.rebind(cfg, nil, true)
 }
@@ -357,7 +471,8 @@ func (k *K) Rebind(cfg *config.Config) (changed, touched []int, err error) {
 // run (or a target diff) could have touched, and skipping the full
 // O(switches) equality sweep per class is what keeps per-synthesis resync
 // cost proportional to the diff, not the network. The structure stays
-// bound where it was; a caller done resyncing follows up with Rebase.
+// bound where it was; a caller done resyncing follows up with Rebase. It
+// abandons the outstanding deltas as Rebind does.
 func (k *K) RebindSwitches(cfg *config.Config, switches []int) (changed, touched []int, err error) {
 	return k.rebind(cfg, switches, false)
 }
@@ -366,6 +481,15 @@ func (k *K) RebindSwitches(cfg *config.Config, switches []int) (changed, touched
 // listed candidates; the explicit flag keeps a nil candidate slice from
 // silently meaning "sweep everything".
 func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed, touched []int, err error) {
+	if l := k.log; l != nil {
+		// The outstanding deltas are abandoned: no state holds the lists
+		// they replaced.
+		for j := range l.ids {
+			l.release(l.oldSucc[j])
+		}
+		l.truncate(0, 0)
+		l.open, l.reverted = 0, nil
+	}
 	roots := k.rootBuf[:0]
 	sweep := func(sw int) error {
 		tbl := cfg.Table(sw)
@@ -373,22 +497,14 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 			return nil
 		}
 		touched = append(touched, sw)
-		ids := k.statesOf[sw]
-		old := k.oldBuf[:0]
-		for _, id := range ids {
-			old = append(old, k.Succ(id))
-		}
-		k.oldBuf = old
-		k.setTable(sw, tbl)
-		if rerr := k.recomputeSwitch(sw, tbl); rerr != nil {
+		moved, rerr := k.recomputeSwitch(sw, tbl)
+		if rerr != nil {
 			return rerr
 		}
-		for i, id := range ids {
-			if !intsEqual(old[i], k.Succ(id)) {
-				changed = append(changed, sw)
-				roots = append(roots, ids...)
-				break
-			}
+		k.setTable(sw, tbl)
+		if moved {
+			changed = append(changed, sw)
+			roots = append(roots, k.statesOf[sw]...)
 		}
 		return nil
 	}
@@ -419,29 +535,84 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 	return changed, touched, nil
 }
 
-// Revert undoes an update returned by UpdateSwitch or UpdateSwitches: the
-// saved tables and successor lists go back, nothing is recomputed.
+// Revert undoes the newest outstanding delta, returned by UpdateSwitch or
+// UpdateSwitches: the saved tables and successor lists go back, nothing
+// is recomputed, the log forgets the delta, and the lists the update
+// installed are free for the next one.
 func (k *K) Revert(d *Delta) {
-	for _, t := range d.tables {
-		k.setTable(t.sw, t.old)
-	}
-	for i, id := range d.ids {
-		k.setSucc(id, d.oldSucc[i])
-	}
+	k.undo(d)
+	k.log.reverted = d
 }
 
-// Reapply re-installs a previously applied-and-reverted delta without
-// recomputing the forwarding semantics or allocating: the recorded
-// successor lists are swapped back in wholesale. The delta must have been
-// produced by this structure, which must currently be at the delta's
-// pre-update state. Benchmarks use it to measure steady-state checker
-// cycles in isolation.
-func (k *K) Reapply(d *Delta) {
-	for _, t := range d.tables {
-		k.setTable(t.sw, t.new)
+// undo is Revert without the note Reapply reads.
+func (k *K) undo(d *Delta) {
+	if d.sealed {
+		panic("kripke: Revert of a delta a newer committed delta depends on")
 	}
-	for i, id := range d.ids {
-		k.setSucc(id, d.newSucc[i])
+	l := k.end(d)
+	for j := d.c1 - 1; j >= d.c0; j-- {
+		id, cur := l.ids[j], k.Succ(l.ids[j])
+		k.setSucc(id, l.oldSucc[j])
+		l.release(cur)
+	}
+	for j := d.t1 - 1; j >= d.t0; j-- {
+		k.setTable(l.tables[j].sw, l.tables[j].old)
+	}
+	l.truncate(d.t0, d.c0)
+}
+
+// Commit ends the newest outstanding delta, whose update stays applied:
+// the log forgets it, and the lists the update replaced are free for the
+// next one. Every delta older than it can then only be committed.
+func (k *K) Commit(d *Delta) {
+	l := k.end(d)
+	l.reverted = nil
+	for j := d.c0; j < d.c1; j++ {
+		l.release(l.oldSucc[j])
+	}
+	if l.open > 0 {
+		l.deltas[l.open-1].sealed = true
+	}
+	l.truncate(d.t0, d.c0)
+}
+
+// end removes d, which must be the newest outstanding delta, from the
+// deltas outstanding.
+func (k *K) end(d *Delta) *undoLog {
+	l := k.log
+	if l == nil || l.open == 0 || l.deltas[l.open-1] != d {
+		panic("kripke: a delta ended out of order, twice, or after a rebind")
+	}
+	l.open--
+	return l
+}
+
+// Reapply re-installs the delta the last Revert ended, with nothing
+// applied, committed, rebound or rebased since, without recomputing the
+// forwarding semantics or allocating: the log still holds the delta's
+// entries, and the lists the revert freed are taken back. The delta is
+// outstanding again. Tests and benchmarks use it to measure
+// steady-state checker cycles in isolation.
+func (k *K) Reapply(d *Delta) {
+	l := k.log
+	if l == nil || l.reverted != d {
+		panic("kripke: Reapply of a delta other than the one just reverted")
+	}
+	l.reverted = nil
+	l.open++
+	l.tables, l.ids = l.tables[:d.t1], l.ids[:d.c1]
+	l.oldSucc, l.newSucc = l.oldSucc[:d.c1], l.newSucc[:d.c1]
+	for j := d.t0; j < d.t1; j++ {
+		k.setTable(l.tables[j].sw, l.tables[j].new)
+	}
+	// The revert freed the lists last first, so the first is on top.
+	for j := d.c0; j < d.c1; j++ {
+		list := l.newSucc[j]
+		if n := len(l.free); n > 0 && cap(list) > 0 && &l.free[n-1][:1][0] == &list[:1][0] {
+			l.free[n-1] = nil
+			l.free = l.free[:n-1]
+		}
+		k.setSucc(l.ids[j], list)
 	}
 }
 
@@ -625,6 +796,10 @@ func (k *K) Table(sw int) network.Table {
 // of switches whose tables it holds over it (none right after a Rebase).
 func (k *K) Base() (cfg *config.Config, moved int) { return k.cfg, len(k.moved) }
 
+// HoldsLog reports whether the structure holds an undo log, which it
+// does from its first update until a Rebase finds no delta outstanding.
+func (k *K) HoldsLog() bool { return k.log != nil }
+
 // setTable records tbl as sw's table over the bound configuration.
 func (k *K) setTable(sw int, tbl network.Table) {
 	if k.moved == nil {
@@ -641,10 +816,16 @@ func (k *K) setTable(sw int, tbl network.Table) {
 // semantics: such a rule contributes no output) — so no transition and no
 // checker label changes. A session ends its resync this way, which is why
 // a diff switch the class cannot see costs the class nothing. cfg must
-// not be mutated afterwards (see K).
+// not be mutated afterwards (see K). A structure with no delta
+// outstanding returns its undo log to the pool here.
 func (k *K) Rebase(cfg *config.Config) {
 	k.cfg = cfg
 	clear(k.moved)
+	if l := k.log; l != nil && l.open == 0 {
+		k.log = nil
+		l.reset()
+		logPool.Put(l)
+	}
 }
 
 // HoldsAt evaluates an atomic proposition at state id: sw=n and pt=n test

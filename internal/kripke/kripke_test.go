@@ -730,7 +730,7 @@ func randomForwarding(t *testing.T, topo *topology.Topology, cl config.Class, r 
 		if len(acts) > 0 {
 			cfg.SetTable(sw, network.Table{{Priority: 10, Match: cl.Pattern(), Actions: acts}})
 		}
-		if err := k.recomputeSwitch(sw, cfg.Table(sw)); err != nil {
+		if _, err := k.recomputeSwitch(sw, cfg.Table(sw)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,6 +42,9 @@ func (c *Batch) Update(delta *kripke.Delta) (Verdict, Token) {
 // state: the next call relabels everything anyway.
 func (c *Batch) Revert(t Token) {}
 
+// Commit implements Checker: there is nothing to keep or to drop.
+func (c *Batch) Commit(t Token) {}
+
 // Stats implements Checker.
 func (c *Batch) Stats() Stats { return c.stats }
 

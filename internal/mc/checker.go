@@ -20,7 +20,8 @@ type Verdict struct {
 	Cex []int
 }
 
-// Token is an opaque undo token returned by Update and consumed by Revert.
+// Token is an opaque undo token returned by Update and consumed by Revert
+// or Commit.
 type Token interface{}
 
 // Checker verifies one traffic class's Kripke structure against one LTL
@@ -36,6 +37,12 @@ type Token interface{}
 // structure did change. An implementation that tracks tables must
 // resynchronise from the structure when it is next called.
 //
+// Every token ends in exactly one Revert or Commit, newest first, as the
+// structure's deltas do (kripke.Delta): the search reverts what it
+// backtracks over and commits, newest first, the updates of the plan it
+// keeps. Once a token is committed, every older one can only be
+// committed too.
+//
 // Incremental is the implementation every session uses; Batch is the
 // test oracle. The Figure 7 comparison backends live with the figure
 // harness (internal/bench).
@@ -49,10 +56,13 @@ type Checker interface {
 	// returned token undoes the checker's internal state when the update
 	// is reverted.
 	Update(delta *kripke.Delta) (Verdict, Token)
-	// Revert undoes a previous Update's effect on internal state. Tokens
-	// must be reverted in LIFO order. The caller separately reverts the
-	// Kripke structure itself.
+	// Revert undoes a previous Update's effect on internal state. The
+	// caller separately reverts the Kripke structure itself.
 	Revert(t Token)
+	// Commit ends a previous Update whose update stays applied: the token
+	// will never be reverted. The caller separately commits the Kripke
+	// structure's delta.
+	Commit(t Token)
 	// Rebind refreshes the checker after its structure was rebound in
 	// place to a different configuration (see kripke.K.Rebind),
 	// re-deriving whatever depends on the transition relation while

@@ -633,5 +633,8 @@ func (c *denseIncremental) Revert(t Token) {
 	c.freeToks = append(c.freeToks, tok)
 }
 
+// Commit implements Checker.
+func (c *denseIncremental) Commit(t Token) { c.freeToks = append(c.freeToks, t.(*incrToken)) }
+
 // Stats implements Checker.
 func (c *denseIncremental) Stats() Stats { return c.stats }

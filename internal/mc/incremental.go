@@ -22,9 +22,10 @@ import (
 // The per-update scratch state (region membership, DFS visited marks,
 // dirty flags) lives in epoch-stamped int32 arrays sized to NumStates()
 // and lent per call (regionScratch): bumping the epoch invalidates all
-// three sets in O(1), and undo tokens come from a per-checker freelist,
-// so steady-state Update/Revert cycles perform zero heap allocations (see
-// BenchmarkIncrementalSteadyState).
+// three sets in O(1), and undo tokens come from a process-wide pool that
+// Revert and Commit refill, so a steady-state Update allocates nothing
+// whichever way it ends (see BenchmarkIncrementalSteadyState and
+// BenchmarkSearchStep) and an idle checker holds no token.
 type Incremental struct {
 	*labeler
 	// bad lists the initial states whose label refutes the spec,
@@ -35,8 +36,6 @@ type Incremental struct {
 
 	members []int
 	stack   []int
-
-	freeToks []*incrToken
 }
 
 // NewIncremental builds the incremental checker and performs the initial
@@ -132,22 +131,22 @@ type badUndo struct {
 }
 
 // incrToken records the labels and violation flags overwritten by one
-// Update. Tokens are pooled on the checker's freelist: Revert returns
-// them, so steady-state backtracking allocates nothing.
+// Update. Tokens are pooled: Revert and Commit return them, so a
+// steady-state search allocates none. The pool is the process's, not the
+// checker's — a freelist per checker would keep a search's deepest stack
+// of tokens in every idle checker.
 type incrToken struct {
 	old     []labelUndo
 	badPrev []badUndo
 }
 
-func (c *Incremental) getToken() *incrToken {
-	if n := len(c.freeToks); n > 0 {
-		t := c.freeToks[n-1]
-		c.freeToks = c.freeToks[:n-1]
-		t.old = t.old[:0]
-		t.badPrev = t.badPrev[:0]
-		return t
-	}
-	return &incrToken{}
+var tokenPool = sync.Pool{New: func() any { return new(incrToken) }}
+
+func getToken() *incrToken {
+	t := tokenPool.Get().(*incrToken)
+	t.old = t.old[:0]
+	t.badPrev = t.badPrev[:0]
+	return t
 }
 
 // regionScratch is relabelRegion's three per-state sets, as stamps: a
@@ -187,7 +186,7 @@ func (r *regionScratch) begin(n int) {
 
 // Update implements Checker: relabel the ancestors of the changed states.
 func (c *Incremental) Update(delta *kripke.Delta) (Verdict, Token) {
-	tok := c.getToken()
+	tok := getToken()
 	c.relabelRegion(delta.Changed(), tok)
 	return c.Check(), tok
 }
@@ -311,8 +310,8 @@ func (c *Incremental) relabelRegion(changed []int, tok *incrToken) {
 	}
 }
 
-// Revert implements Checker. The token is returned to the checker's
-// freelist and must not be reused by the caller.
+// Revert implements Checker. The token returns to the pool and must not
+// be reused by the caller.
 func (c *Incremental) Revert(t Token) {
 	tok := t.(*incrToken)
 	for i := len(tok.old) - 1; i >= 0; i-- {
@@ -323,8 +322,12 @@ func (c *Incremental) Revert(t Token) {
 		u := tok.badPrev[i]
 		c.setBad(u.state, u.wasBad)
 	}
-	c.freeToks = append(c.freeToks, tok)
+	tokenPool.Put(tok)
 }
+
+// Commit implements Checker: the labels stay, so the token's records are
+// dropped and it returns to the pool.
+func (c *Incremental) Commit(t Token) { tokenPool.Put(t.(*incrToken)) }
 
 // Stats implements Checker.
 func (c *Incremental) Stats() Stats { return c.stats }

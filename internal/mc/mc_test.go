@@ -612,7 +612,9 @@ func currentConfig(k *kripke.K) *config.Config {
 // TestIncrementalMatchesFreshAndBatchOnRandomSequences is the checker's
 // differential test: one warm incremental checker is driven through random
 // sequences of everything the engine and the session do to it — updates
-// kept or reverted, updates that close a forwarding loop and are rolled
+// kept, reverted or committed (newest first, as the search's success
+// unwind and a cache replay commit theirs; a delta under a committed one
+// is then committed too), updates that close a forwarding loop and are rolled
 // back before the checker sees them (a failed replay), whole targets
 // applied as one multi-switch step and kept or reverted (the session's
 // final verification; a cyclic one is rolled back unseen), undo stacks
@@ -626,7 +628,7 @@ func currentConfig(k *kripke.K) *config.Config {
 // tables.
 func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 	r := rand.New(rand.NewSource(20150613))
-	var updates, loops, reverts, targets, rebinds, rebases, noops, restores, failing int
+	var updates, loops, reverts, commits, targets, rebinds, rebases, noops, restores, failing int
 	for iter := 0; iter < 60; iter++ {
 		topo, _, cl, k := randomScene(r)
 		spec := randomFormula(r, topo.NumSwitches())
@@ -638,6 +640,9 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 		type applied struct {
 			delta *kripke.Delta
 			tok   Token
+			// sealed marks an update a newer committed one sits on: it can
+			// only be committed.
+			sealed bool
 		}
 		var stack []applied
 		compare := func(step int, op string) {
@@ -681,8 +686,8 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 			validateCex(t, k2, spec, bv.Cex)
 		}
 		for step := 0; step < 30; step++ {
-			switch op := r.Intn(11); {
-			case op == 10:
+			switch op := r.Intn(12); {
+			case op == 11:
 				// The end of a session's resync: the structure is bound to a
 				// configuration under which the class is forwarded as before;
 				// undo tokens stay good.
@@ -713,11 +718,11 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 					continue
 				}
 				_, tok := warm.Update(delta)
-				stack = append(stack, applied{delta, tok})
+				stack = append(stack, applied{delta: delta, tok: tok})
 				updates++
 				compare(step, "update")
 			case op < 7:
-				if len(stack) == 0 {
+				if len(stack) == 0 || stack[len(stack)-1].sealed {
 					continue
 				}
 				top := stack[len(stack)-1]
@@ -726,6 +731,19 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 				k.Revert(top.delta)
 				reverts++
 				compare(step, "revert")
+			case op == 7:
+				// Some of the newest updates stay.
+				for n := 1 + r.Intn(len(stack)+1); n > 0 && len(stack) > 0; n-- {
+					top := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					warm.Commit(top.tok)
+					k.Commit(top.delta)
+					commits++
+					if len(stack) > 0 {
+						stack[len(stack)-1].sealed = true
+					}
+					compare(step, "commit")
+				}
 			default:
 				cfg := config.New()
 				for sw := 0; sw < topo.NumSwitches(); sw++ {
@@ -747,7 +765,7 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 						continue
 					}
 					_, tok := warm.Update(delta)
-					stack = append(stack, applied{delta, tok})
+					stack = append(stack, applied{delta: delta, tok: tok})
 					targets++
 					compare(step, "target as one step")
 					continue
@@ -784,13 +802,13 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 		}
 	}
 	for name, n := range map[string]int{
-		"updates": updates, "looping updates": loops, "reverts": reverts, "one-step targets": targets,
+		"updates": updates, "looping updates": loops, "reverts": reverts, "commits": commits, "one-step targets": targets,
 		"rebinds": rebinds, "rebases": rebases, "cyclic-target restores": restores, "violating states": failing,
 	} {
 		if n < 20 {
 			t.Errorf("only %d %s exercised", n, name)
 		}
 	}
-	t.Logf("updates=%d loops=%d reverts=%d targets=%d rebinds=%d (no-op %d) rebases=%d restores=%d violating=%d",
-		updates, loops, reverts, targets, rebinds, noops, rebases, restores, failing)
+	t.Logf("updates=%d loops=%d reverts=%d commits=%d targets=%d rebinds=%d (no-op %d) rebases=%d restores=%d violating=%d",
+		updates, loops, reverts, commits, targets, rebinds, noops, rebases, restores, failing)
 }
