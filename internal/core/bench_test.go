@@ -51,6 +51,52 @@ func BenchmarkOrderingAnalysis(b *testing.B) {
 	}
 }
 
+// BenchmarkOrderingAnalysisMixed is the same pair of passes on what a
+// serve-large-mixed request hands them: the careful plans that move one
+// diamond of the 800-switch mixed tenant onto its other branch and back,
+// a few steps each under 26 classes. Most classes never reach a step's
+// switch, so what this measures is how little of the tenant a step's
+// liveness question visits. CI gates allocs/op
+// (.github/alloc-budgets.txt).
+func BenchmarkOrderingAnalysisMixed(b *testing.B) {
+	base, forth, _ := mixedTenant(b)
+	target, err := base.Apply(base.Init, forth)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{NoWaitRemoval: true}
+	type plan struct {
+		sc    *config.Scenario
+		units []unit
+		steps []Step
+	}
+	var plans []plan
+	for _, ends := range [][2]*config.Config{{base.Init, target}, {target, base.Init}} {
+		sc := &config.Scenario{Name: base.Name, Topo: base.Topo, Init: ends[0], Final: ends[1], Specs: base.Specs}
+		p, err := Synthesize(sc, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		units, err := computeUnits(sc, config.Diff(sc.Init, sc.Final), false, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans = append(plans, plan{sc, units, p.Steps})
+	}
+	scr := scratchPool.Get().(*engineScratch)
+	defer scratchPool.Put(scr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range plans {
+			e := newEngineShellWith(p.sc, opts, p.units, scr)
+			if dag := e.buildDAG(e.removeWaits(p.steps)); dag.NumNodes() != len(p.units) {
+				b.Fatalf("%d DAG nodes for %d units", dag.NumNodes(), len(p.units))
+			}
+		}
+	}
+}
+
 // mixedTenant builds the largest serve-large-mixed tenant shape — 8
 // regions x 2 diamonds, link classes and one infeasible gadget region on
 // an 800-switch degree-6 small-world graph — as a stream base, with the

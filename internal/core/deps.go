@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"netupdate/internal/network"
+	"netupdate/internal/topology"
 )
 
 // depAnalysis is the reusable ordering-analysis core shared by the
@@ -77,11 +78,14 @@ type depScratch struct {
 	head  []int32
 	headE []int32
 
-	// Per class: the ingress switch (-1: unknown source host) and the
-	// stamp of the class's live set, 0 while it is not computed. mark is
-	// classes x switches: mark[c*n+sw] == liveE[c] puts sw in c's set.
+	// Per class: the ingress switch (-1: unknown source host), the stamp
+	// of the class's live set, 0 while it is not computed, and the stamp
+	// of the last live query that found the class a candidate (see live).
+	// mark is classes x switches: mark[c*n+sw] == liveE[c] puts sw in c's
+	// set.
 	ingress []int32
 	liveE   []int32
+	cand    []int32
 	mark    []int32
 }
 
@@ -99,6 +103,7 @@ func (s *depScratch) reset(n, nc int) {
 		clear(s.seen)
 		clear(s.tblE)
 		clear(s.headE)
+		clear(s.cand)
 		clear(s.mark)
 		s.tick = 0
 	}
@@ -112,6 +117,7 @@ func (s *depScratch) reset(n, nc int) {
 	if len(s.ingress) < nc {
 		s.ingress = make([]int32, nc)
 		s.liveE = make([]int32, nc)
+		s.cand = make([]int32, nc)
 	}
 	if len(s.mark) < n*nc {
 		s.mark = make([]int32, n*nc)
@@ -298,13 +304,26 @@ func (d *depAnalysis) reaches(pkt network.Packet, starts []int, target int) bool
 
 // barrier resets the pending window: a retained wait guarantees every
 // in-flight packet has drained, so earlier old rules need no further
-// fencing — and no longer widen any class's live set.
+// fencing — and no longer widen any class's live set. A set that contains
+// no window entry's switch never followed a window edge, which leave only
+// from those switches, so it already is the current configuration's set
+// and is kept; any other is dropped.
 func (d *depAnalysis) barrier() {
-	d.pending = d.pending[:0]
-	d.win = d.s.next()
+	s := d.s
 	for ci := range d.e.sc.Specs {
-		d.s.liveE[ci] = 0
+		if s.liveE[ci] == 0 {
+			continue
+		}
+		mark := s.mark[ci*d.n : (ci+1)*d.n]
+		for pi := range d.pending {
+			if mark[d.pending[pi].sw] == s.liveE[ci] {
+				s.liveE[ci] = 0
+				break
+			}
+		}
 	}
+	d.pending = d.pending[:0]
+	d.win = s.next()
 }
 
 // advance records the step in the pending window — when it affects some
@@ -338,25 +357,81 @@ func (d *depAnalysis) advance(sw int, tbl network.Table, affected []bool) int {
 // over the window's union graph — the current configuration's edges for
 // the class plus the pre-update edges of every entry in the window, a
 // superset of every configuration the window contained. The set is
-// computed by one search when first asked for and then kept across steps:
+// computed by one search when first needed and then kept across steps:
 // followStep grows it when a step adds edges inside it, drops it when a
-// step removes some, and barrier drops every set with the window. A step
-// whose switch lies outside the set cannot change it — no path from the
-// ingress uses that switch's edges — so the set always equals what a
-// fresh search over the window would find, at the cost of a mark read per
-// class for the classes the step does not touch.
+// step removes some, and barrier drops it when the window's edges
+// reached it. A step whose switch lies outside the set cannot change it —
+// no path from the ingress uses that switch's edges — so the set always
+// equals what a fresh search over the window would find.
+//
+// The sets already computed are read first, and the ingress switches.
+// Only then is a set searched, and only for a class with an edge into sw
+// in the union graph: no other class's set can hold a switch that is not
+// its ingress. The answer costs a mark read per class, a scan of the
+// neighbours' tables for rules toward sw, and a search per candidate
+// class whose set is not computed.
 func (d *depAnalysis) live(sw int) bool {
 	s := d.s
 	for ci := range d.e.sc.Specs {
-		if s.ingress[ci] < 0 {
+		if int(s.ingress[ci]) == sw || s.liveE[ci] != 0 && s.mark[ci*d.n+sw] == s.liveE[ci] {
+			return true
+		}
+	}
+	stamp := d.candidates(sw)
+	for ci := range d.e.sc.Specs {
+		if s.cand[ci] != stamp {
 			continue
 		}
-		if s.liveE[ci] == 0 {
-			s.liveE[ci] = s.next()
-			s.starts = append(s.starts[:0], int(s.ingress[ci]))
-			d.growLive(ci, s.starts)
-		}
+		s.liveE[ci] = s.next()
+		s.starts = append(s.starts[:0], int(s.ingress[ci]))
+		d.growLive(ci, s.starts)
 		if s.mark[ci*d.n+sw] == s.liveE[ci] {
+			return true
+		}
+	}
+	return false
+}
+
+// candidates stamps, in cand, every class with a known ingress and no
+// computed live set that has an edge into sw in the window's union graph:
+// a rule matching the class packet that forwards out of a port leading to
+// sw, in a neighbour's current table or in one of its window-entry
+// tables. It returns the stamp.
+func (d *depAnalysis) candidates(sw int) int32 {
+	s := d.s
+	stamp := s.next()
+	for _, l := range d.e.sc.Topo.Neighbors(sw) {
+		u := l.Peer
+		d.markSenders(stamp, d.table(u), l.PeerPort)
+		if s.headE[u] == d.win {
+			for pi := s.head[u]; pi >= 0; pi = d.pending[pi].prev {
+				d.markSenders(stamp, d.pending[pi].tbl, l.PeerPort)
+			}
+		}
+	}
+	return stamp
+}
+
+// markSenders stamps the classes whose packets a rule of tbl forwards out
+// of port pt; see candidates.
+func (d *depAnalysis) markSenders(stamp int32, tbl network.Table, pt topology.Port) {
+	s := d.s
+	for _, r := range tbl {
+		if !forwardsOut(r, pt) {
+			continue
+		}
+		for ci, cs := range d.e.sc.Specs {
+			if s.cand[ci] != stamp && s.liveE[ci] == 0 && s.ingress[ci] >= 0 && headerMatches(r.Match, cs.Class.Packet()) {
+				s.cand[ci] = stamp
+			}
+		}
+	}
+}
+
+// forwardsOut reports whether r forwards out of port pt.
+func forwardsOut(r network.Rule, pt topology.Port) bool {
+	for _, a := range r.Actions {
+		if a.Kind == network.ActForward && a.Port == pt {
 			return true
 		}
 	}

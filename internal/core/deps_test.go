@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -372,9 +373,14 @@ func refBuildDAG(e *engine, steps []Step) *PlanDAG {
 // alters no class's behavior but does alter the successor
 // over-approximation the live sets follow — and one gains an
 // in-port-constrained rule, which the behavior comparison must treat as
-// a change. One class
-// names a source host the topology lacks. The endpoints need not satisfy
-// any specification: the ordering analysis takes any step sequence.
+// a change. Two switches of the first class's path are joined a second
+// time, and a rule of one class at one endpoint and of another at the
+// other forwards over the new link, so a switch is reached through two
+// ports of one neighbour, each table having one of them. A rule of some
+// class is added at the last class's ingress switch, a step there that
+// changes behavior. One class names a source host the topology lacks. The
+// endpoints need not satisfy any specification: the ordering analysis
+// takes any step sequence.
 func sharedSwitchScenario(t *testing.T, seed int64, classes int) *config.Scenario {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -385,6 +391,7 @@ func sharedSwitchScenario(t *testing.T, seed int64, classes int) *config.Scenari
 		hosts = append(hosts, topo.AddHost(1000+i, r.Intn(n)))
 	}
 	sc := &config.Scenario{Name: fmt.Sprintf("shared-%d", seed), Topo: topo, Init: config.New(), Final: config.New()}
+	var firstPath []int
 	used := map[[2]int]bool{}
 	for len(sc.Specs) < classes {
 		a, b := hosts[r.Intn(len(hosts))], hosts[r.Intn(len(hosts))]
@@ -401,6 +408,9 @@ func sharedSwitchScenario(t *testing.T, seed int64, classes int) *config.Scenari
 			finalPath = initPath
 		}
 		used[[2]int{a.ID, b.ID}] = true
+		if firstPath == nil {
+			firstPath = initPath
+		}
 		cl := config.Class{Name: fmt.Sprintf("c%d", len(sc.Specs)), SrcHost: a.ID, DstHost: b.ID}
 		if err := config.InstallPath(sc.Init, topo, cl, initPath, 10); err != nil {
 			t.Fatal(err)
@@ -424,6 +434,22 @@ func sharedSwitchScenario(t *testing.T, seed int64, classes int) *config.Scenari
 			sc.Final.AddRule(b.Switch, shadow)
 		}
 	}
+	hop := r.Intn(len(firstPath) - 1)
+	u, v := firstPath[hop], firstPath[hop+1]
+	parallel, _ := topo.AddLink(u, v)
+	for k, cfg := range []*config.Config{sc.Init, sc.Final} {
+		cfg.AddRule(u, network.Rule{
+			Priority: 15, Match: sc.Specs[k].Class.Pattern(),
+			Actions: []network.Action{network.Forward(parallel)},
+		})
+	}
+	last := sc.Specs[len(sc.Specs)-1].Class
+	src, _ := topo.HostByID(last.SrcHost)
+	ports := topo.Ports(src.Switch)
+	sc.Final.AddRule(src.Switch, network.Rule{
+		Priority: 15, Match: sc.Specs[r.Intn(len(sc.Specs))].Class.Pattern(),
+		Actions: []network.Action{network.Forward(ports[r.Intn(len(ports))])},
+	})
 	for i := 0; i < 12; i++ {
 		sw := r.Intn(n)
 		ports := topo.Ports(sw)
@@ -492,6 +518,14 @@ func TestOrderingAnalysisMatchesPerStepSearch(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				name := fmt.Sprintf("seed%d/%s/order%d", seed, g.name, round)
 				steps := e.stepsForPath(randomUnitOrder(e, r))
+				if round == 1 {
+					// The first analysis of this round starts just below the
+					// stamp rewind and runs across it; the next one rewinds.
+					if e.deps == nil {
+						e.deps = &depScratch{}
+					}
+					e.deps.tick = math.MaxInt32/2 - 4
+				}
 				sharing := 0
 				for _, schedule := range []string{"none", "needed", "random"} {
 					d, ref := e.newDepAnalysis(), newRefAnalysis(e)
@@ -529,6 +563,9 @@ func TestOrderingAnalysisMatchesPerStepSearch(t *testing.T) {
 				}
 				if sharing < 2 && g.name == "switch" {
 					t.Fatalf("%s: no step affects two classes; the scenario does not share switches", name)
+				}
+				if round == 1 && e.deps.tick > math.MaxInt32/2 {
+					t.Fatalf("%s: the analyses did not cross the stamp rewind (tick %d)", name, e.deps.tick)
 				}
 				out, refOut := e.removeWaits(steps), refRemoveWaits(e, steps)
 				if !reflect.DeepEqual(out, refOut) {

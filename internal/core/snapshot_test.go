@@ -568,7 +568,8 @@ func (p *parsedImage) setSwitches(sws []imageSwitch) {
 // configuration section that lists a switch twice, the later table another
 // one, or two switches out of order, either of which would restore to a
 // session whose next image is not the bytes it was given; a byte after the
-// cache section; and a cache section that claims more bytes than follow.
+// cache section; a cache section that claims more bytes than follow; and
+// rules that forward out of port 1<<31, which every class build looks up.
 func damagedImages(t testing.TB, img []byte) map[string][]byte {
 	twice := parseImage(t, img)
 	sws := twice.switches()
@@ -582,9 +583,24 @@ func damagedImages(t testing.TB, img []byte) map[string][]byte {
 	trailing.tail = append(bytes.Clone(trailing.tail), 0)
 	overlong := parseImage(t, img)
 	overlong.tail = []byte{1, 9, '{', '}'}
+	farPort := parseImage(t, img)
+	sws = farPort.switches()
+	for _, e := range sws {
+		for _, rule := range e.rules {
+			for i := range rule.Actions {
+				if rule.Actions[i].Kind == network.ActForward {
+					rule.Actions[i].Port = 1 << 31
+				}
+			}
+		}
+	}
+	farPort.setSwitches(sws)
 	return map[string][]byte{
 		"switch-listed-twice": twice.encode(), "switches-out-of-order": swapped.encode(),
 		"trailing-byte": trailing.encode(), "cache-section-overlong": overlong.encode(),
+		// A port no switch has, past 32 bits: every class is dropped at
+		// its ingress, so the configuration violates its specification.
+		"forwards-out-of-port-2^31": farPort.encode(),
 	}
 }
 

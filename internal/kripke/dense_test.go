@@ -4,9 +4,13 @@ package kripke
 // 4c8eb4a), kept verbatim — only the type names changed, and Clone went
 // when K's did — as the oracle of TestSparseStorageMatchesDense: successor and predecessor lists
 // indexed by state id over the whole arena, predecessors derived lazily,
-// tables applied on every switch at build. It shares the state arena,
-// removeOne and the pooled cycle-search scratch with K, none of which the
-// sparse storage changed; intsEqual moved here when K stopped using it.
+// tables applied on every switch at build. It shares the arena's state
+// list, removeOne and the pooled cycle-search scratch with K, none of which
+// the sparse storage changed; intsEqual moved here when K stopped using it.
+// The state index and the per-switch arrival lists the arena no longer
+// keeps are built here, from the state list, and successors are found the
+// way they were then: through the topology's port lookups and the index,
+// not the arena's port table.
 
 import (
 	"fmt"
@@ -420,13 +424,21 @@ func (k *denseK) IsSink(id int) bool { return len(k.succ[id]) == 0 }
 // The transition arrays are left nil: Build sizes empty ones to fill by
 // table application, Restore adopts decoded ones wholesale.
 func (a *Arena) newDenseK(cl config.Class) *denseK {
+	index := make(map[State]int, len(a.states))
+	statesOf := make(map[int][]int, a.topo.NumSwitches())
+	for id, s := range a.states {
+		index[s] = id
+		if s.Kind == Arrival {
+			statesOf[s.Sw] = append(statesOf[s.Sw], id)
+		}
+	}
 	return &denseK{
 		Class:    cl,
 		Topo:     a.topo,
 		states:   a.states,
-		index:    a.index,
+		index:    index,
 		init:     a.init,
-		statesOf: a.statesOf,
+		statesOf: statesOf,
 		tables:   make([]network.Table, a.topo.NumSwitches()),
 	}
 }

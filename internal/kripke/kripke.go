@@ -83,12 +83,8 @@ type K struct {
 	Class config.Class
 	Topo  *topology.Topology
 
-	states []State
-	index  map[State]int
-	init   []int
-	isInit []bool
-	// statesOf[sw] lists the arrival-state ids of switch sw.
-	statesOf map[int][]int
+	// a is the state space, shared with every structure over the topology.
+	a *Arena
 
 	row []int32
 	// succ[row[i]] lists successors of state i. Empty means sink (implicit
@@ -127,27 +123,23 @@ func Build(topo *topology.Topology, cfg *config.Config, cl config.Class) (*K, er
 // packet (packet modification is outside the checked fragment, per
 // Section 3.3).
 func (k *K) successors(sw int, tbl network.Table) error {
-	pkt := k.Class.Packet()
+	a, pkt := k.a, k.Class.Packet()
 	next, ends := k.nextBuf[:0], k.nextEnd[:0]
-	for _, id := range k.statesOf[sw] {
-		outs := tbl.AppendApply(k.outBuf[:0], pkt, k.states[id].Pt)
+	for _, id := range a.statesOf(sw) {
+		outs := tbl.AppendApply(k.outBuf[:0], pkt, a.states[id].Pt)
 		k.outBuf = outs[:0]
 		for _, o := range outs {
 			if o.Pkt != pkt {
 				return fmt.Errorf("kripke: class %v: rule on sw%d modifies packet headers", k.Class, sw)
 			}
-			if _, ok := k.Topo.HostAtPort(sw, o.Port); ok {
-				// Egress: any host-facing output port delivers; only the
-				// class destination is "correct", but the structure must
-				// reflect actual behavior either way.
-				next = append(next, k.index[State{Kind: Egress, Sw: sw, Pt: o.Port}])
-				continue
+			// A host-facing port leads to its egress state — any host
+			// delivers; only the class destination is "correct", but the
+			// structure must reflect actual behavior either way — and a
+			// link port to the peer's arrival state. On a port the switch
+			// does not have the packet is lost: a drop, no edge.
+			if to, ok := a.successor(sw, o.Port); ok {
+				next = append(next, to)
 			}
-			if l, ok := k.Topo.LinkAt(sw, o.Port); ok {
-				next = append(next, k.index[State{Kind: Arrival, Sw: l.Peer, Pt: l.PeerPort}])
-				continue
-			}
-			// Dangling port: the packet is lost; treat as drop (no edge).
 		}
 		ends = append(ends, len(next))
 	}
@@ -185,7 +177,7 @@ func (k *K) recomputeSwitch(sw int, tbl network.Table) (changed bool, err error)
 func (k *K) rewire(sw int, record bool) (changed bool) {
 	l := k.log
 	var flat []int
-	for i, id := range k.statesOf[sw] {
+	for i, id := range k.a.statesOf(sw) {
 		next, old := k.nextOf(i), k.Succ(id)
 		if slices.Equal(old, next) {
 			continue
@@ -446,7 +438,7 @@ func (k *K) loopThrough(d *Delta) error {
 
 // Rebind rewires the structure in place so it reflects cfg, recomputing
 // only the switches whose installed tables differ — the state space,
-// index, and initial states are fixed by the topology and survive
+// its layout, and initial states are fixed by the topology and survive
 // untouched, which is what lets a long-lived session reuse one arena
 // across a whole stream of syntheses. changed lists the switches whose
 // transition function for this class actually changed, so the session
@@ -504,7 +496,7 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 		k.setTable(sw, tbl)
 		if moved {
 			changed = append(changed, sw)
-			roots = append(roots, k.statesOf[sw]...)
+			roots = append(roots, k.a.statesOf(sw)...)
 		}
 		return nil
 	}
@@ -663,7 +655,7 @@ func (c *cycleScratch) begin(n int) {
 func (k *K) findCycle(from []int) []int {
 	c := cyclePool.Get().(*cycleScratch)
 	defer cyclePool.Put(c)
-	c.begin(len(k.states))
+	c.begin(len(k.row))
 	if from != nil {
 		for _, v := range from {
 			if cyc := k.cycleFrom(c, v); cyc != nil {
@@ -729,7 +721,7 @@ func (k *K) cycleFrom(c *cycleScratch, root int) []int {
 func (k *K) AppendSwitches(dst []int, ids []int) []int {
 outer:
 	for _, id := range ids {
-		sw := k.states[id].Sw
+		sw := k.a.states[id].Sw
 		for _, seen := range dst {
 			if seen == sw {
 				continue outer
@@ -743,22 +735,22 @@ outer:
 func (k *K) statesFor(ids []int) []State {
 	out := make([]State, len(ids))
 	for i, id := range ids {
-		out[i] = k.states[id]
+		out[i] = k.a.states[id]
 	}
 	return out
 }
 
 // NumStates returns the number of states.
-func (k *K) NumStates() int { return len(k.states) }
+func (k *K) NumStates() int { return len(k.a.states) }
 
 // StateAt returns the state with the given id.
-func (k *K) StateAt(id int) State { return k.states[id] }
+func (k *K) StateAt(id int) State { return k.a.states[id] }
 
 // Init returns the initial state ids.
-func (k *K) Init() []int { return k.init }
+func (k *K) Init() []int { return k.a.init }
 
 // IsInit reports whether state id is an initial state.
-func (k *K) IsInit(id int) bool { return k.isInit[id] }
+func (k *K) IsInit(id int) bool { return k.a.isInit[id] }
 
 // Succ returns the successors of state id; empty means sink (implicit
 // self-loop).
@@ -781,7 +773,7 @@ func (k *K) Row(id int) int { return int(k.row[id]) }
 func (k *K) NumRows() int { return len(k.succ) }
 
 // StatesOf returns the arrival-state ids of switch sw.
-func (k *K) StatesOf(sw int) []int { return k.statesOf[sw] }
+func (k *K) StatesOf(sw int) []int { return k.a.statesOf(sw) }
 
 // Table returns the table currently installed on sw in this structure:
 // the one an update moved it to, else the bound configuration's.
@@ -831,7 +823,7 @@ func (k *K) Rebase(cfg *config.Config) {
 // HoldsAt evaluates an atomic proposition at state id: sw=n and pt=n test
 // the state's location; header-field propositions test the class packet.
 func (k *K) HoldsAt(id int, p ltl.Prop) bool {
-	st := k.states[id]
+	st := k.a.states[id]
 	switch p.Field {
 	case ltl.FieldSwitch:
 		return st.Sw == p.Value

@@ -27,6 +27,15 @@ func lineScene() (*topology.Topology, *config.Config, config.Class) {
 	return topo, cfg, cl
 }
 
+// stateIndex maps every state of k's arena to its id.
+func stateIndex(k *K) map[State]int {
+	index := make(map[State]int, k.NumStates())
+	for id := 0; id < k.NumStates(); id++ {
+		index[k.StateAt(id)] = id
+	}
+	return index
+}
+
 func TestBuildStructure(t *testing.T) {
 	topo, cfg, cl := lineScene()
 	k, err := Build(topo, cfg, cl)
@@ -43,7 +52,7 @@ func TestBuildStructure(t *testing.T) {
 	}
 	// Walk the forwarding chain from the source ingress state.
 	src, _ := topo.HostByID(100)
-	q := k.index[State{Kind: Arrival, Sw: src.Switch, Pt: src.Port}]
+	q := stateIndex(k)[State{Kind: Arrival, Sw: src.Switch, Pt: src.Port}]
 	var seq []State
 	for !k.IsSink(q) {
 		if n := len(k.Succ(q)); n != 1 {
@@ -69,7 +78,7 @@ func TestDropStateIsSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := topo.HostByID(100)
-	q := k.index[State{Kind: Arrival, Sw: src.Switch, Pt: src.Port}]
+	q := stateIndex(k)[State{Kind: Arrival, Sw: src.Switch, Pt: src.Port}]
 	q = k.Succ(q)[0] // sw1 arrival
 	if !k.IsSink(q) || k.StateAt(q).Sw != 1 {
 		t.Fatalf("drop state should be a sink at sw1, got %v", k.StateAt(q))
@@ -127,7 +136,7 @@ func TestUpdateSwitchAndRevert(t *testing.T) {
 		t.Fatalf("changed = %v", delta.Changed())
 	}
 	src, _ := topo.HostByID(100)
-	q := k.index[State{Kind: Arrival, Sw: src.Switch, Pt: src.Port}]
+	q := stateIndex(k)[State{Kind: Arrival, Sw: src.Switch, Pt: src.Port}]
 	q = k.Succ(q)[0]
 	if !k.IsSink(q) {
 		t.Fatal("sw1 should drop after update")
@@ -214,7 +223,7 @@ func TestHoldsAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := topo.HostByID(100)
-	q := k.index[State{Kind: Arrival, Sw: src.Switch, Pt: src.Port}]
+	q := stateIndex(k)[State{Kind: Arrival, Sw: src.Switch, Pt: src.Port}]
 	if !k.HoldsAt(q, ltl.Prop{Field: ltl.FieldSwitch, Value: 0}) {
 		t.Error("sw=0 should hold at ingress")
 	}
@@ -242,7 +251,7 @@ func TestTracesEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := topo.HostByID(100)
-	q := k.index[State{Kind: Arrival, Sw: src.Switch, Pt: src.Port}]
+	q := stateIndex(k)[State{Kind: Arrival, Sw: src.Switch, Pt: src.Port}]
 	traces := k.Traces(q, 10)
 	if len(traces) != 1 {
 		t.Fatalf("traces = %d, want 1 (deterministic line)", len(traces))
@@ -682,7 +691,7 @@ func refFindCycle(k *K, from []int) []int {
 	}
 	roots := from
 	if roots == nil {
-		roots = make([]int, len(k.states))
+		roots = make([]int, k.NumStates())
 		for i := range roots {
 			roots[i] = i
 		}

@@ -5,13 +5,11 @@
 // generator (stand-in for the real Topology Zoo dataset; see DESIGN.md).
 package topology
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Port identifies a port on a switch. Ports are numbered from 1 within
-// each switch; 0 is never a valid port.
+// Port identifies a port on a switch. Ports are numbered densely from 1
+// within each switch, in the order AddLink and AddHost allocate them; 0 is
+// never a valid port.
 type Port int
 
 // Link is one endpoint's view of a switch-to-switch link.
@@ -36,38 +34,56 @@ type Host struct {
 type Topology struct {
 	Name string
 
-	n        int
-	adj      [][]Link
-	hosts    []Host
-	nextPort []Port
-	// hostAt[sw] lists indexes into hosts for the hosts on sw.
-	hostAt map[int][]int
+	n     int
+	adj   [][]Link
+	hosts []Host
+	// ends[sw][p-1] is what port p of sw leads to, and hostsOn[sw] lists
+	// sw's hosts in the order they were added; both grow by append in
+	// AddLink and AddHost. portSeq is 1, 2, ... up to the most ports any
+	// switch has: a switch's ports are a prefix of it.
+	ends    [][]portEnd
+	hostsOn [][]Host
+	portSeq []Port
 	// hostIdx maps a host id to its index in hosts; on a duplicate id the
 	// first host added keeps the entry.
 	hostIdx map[int]int
+}
 
-	// Ports and HostsOn are on the Kripke-construction hot path (once per
-	// switch per traffic class); the derived slices are memoized here and
-	// invalidated by AddLink/AddHost. Guarded by cacheMu.
-	cacheMu    sync.Mutex
-	portsCache [][]Port
-	hostsCache [][]Host
+// portEnd is what a port leads to: port far of switch peer, or, when peer
+// is -1, the host hosts[far].
+type portEnd struct {
+	peer, far int32
 }
 
 // New creates a topology with n switches and no links.
 func New(name string, n int) *Topology {
-	t := &Topology{
-		Name:     name,
-		n:        n,
-		adj:      make([][]Link, n),
-		nextPort: make([]Port, n),
-		hostAt:   map[int][]int{},
-		hostIdx:  map[int]int{},
+	return &Topology{
+		Name:    name,
+		n:       n,
+		adj:     make([][]Link, n),
+		ends:    make([][]portEnd, n),
+		hostsOn: make([][]Host, n),
+		hostIdx: map[int]int{},
 	}
-	for i := range t.nextPort {
-		t.nextPort[i] = 1
+}
+
+// addPort allocates the next port of sw, leading to e.
+func (t *Topology) addPort(sw int, e portEnd) Port {
+	t.ends[sw] = append(t.ends[sw], e)
+	p := Port(len(t.ends[sw]))
+	if len(t.portSeq) < int(p) {
+		t.portSeq = append(t.portSeq, p)
 	}
-	return t
+	return p
+}
+
+// end returns what port p of switch sw leads to; ok is false when sw or p
+// is out of range.
+func (t *Topology) end(sw int, p Port) (e portEnd, ok bool) {
+	if sw < 0 || sw >= t.n || p < 1 || int(p) > len(t.ends[sw]) {
+		return portEnd{}, false
+	}
+	return t.ends[sw][p-1], true
 }
 
 // NumSwitches returns the number of switches.
@@ -95,21 +111,12 @@ func (t *Topology) AddLink(a, b int) (pa, pb Port) {
 	if a == b {
 		panic(fmt.Sprintf("topology: self-link on switch %d", a))
 	}
-	pa, pb = t.nextPort[a], t.nextPort[b]
-	t.nextPort[a]++
-	t.nextPort[b]++
+	pa, pb = Port(len(t.ends[a])+1), Port(len(t.ends[b])+1)
+	t.addPort(a, portEnd{peer: int32(b), far: int32(pb)})
+	t.addPort(b, portEnd{peer: int32(a), far: int32(pa)})
 	t.adj[a] = append(t.adj[a], Link{LocalPort: pa, Peer: b, PeerPort: pb})
 	t.adj[b] = append(t.adj[b], Link{LocalPort: pb, Peer: a, PeerPort: pa})
-	t.invalidateCaches()
 	return pa, pb
-}
-
-// invalidateCaches drops the memoized per-switch views after a mutation.
-func (t *Topology) invalidateCaches() {
-	t.cacheMu.Lock()
-	t.portsCache = nil
-	t.hostsCache = nil
-	t.cacheMu.Unlock()
 }
 
 // HasLink reports whether a direct link between a and b exists.
@@ -128,15 +135,12 @@ func (t *Topology) AddHost(id, sw int) Host {
 	if sw < 0 || sw >= t.n {
 		panic(fmt.Sprintf("topology: AddHost on switch %d out of range", sw))
 	}
-	p := t.nextPort[sw]
-	t.nextPort[sw]++
-	h := Host{ID: id, Switch: sw, Port: p}
-	t.hostAt[sw] = append(t.hostAt[sw], len(t.hosts))
+	h := Host{ID: id, Switch: sw, Port: t.addPort(sw, portEnd{peer: -1, far: int32(len(t.hosts))})}
+	t.hostsOn[sw] = append(t.hostsOn[sw], h)
 	if _, dup := t.hostIdx[id]; !dup {
 		t.hostIdx[id] = len(t.hosts)
 	}
 	t.hosts = append(t.hosts, h)
-	t.invalidateCaches()
 	return h
 }
 
@@ -150,24 +154,9 @@ func (t *Topology) HostByID(id int) (Host, bool) {
 	return t.hosts[i], true
 }
 
-// HostsOn returns the hosts attached to switch sw. The returned slice is
-// memoized and must not be modified.
-func (t *Topology) HostsOn(sw int) []Host {
-	t.cacheMu.Lock()
-	defer t.cacheMu.Unlock()
-	if t.hostsCache == nil {
-		t.hostsCache = make([][]Host, t.n)
-		for s := 0; s < t.n; s++ {
-			idx := t.hostAt[s]
-			out := make([]Host, len(idx))
-			for i, j := range idx {
-				out[i] = t.hosts[j]
-			}
-			t.hostsCache[s] = out
-		}
-	}
-	return t.hostsCache[sw]
-}
+// HostsOn returns the hosts attached to switch sw, in the order they were
+// added. The returned slice must not be modified.
+func (t *Topology) HostsOn(sw int) []Host { return t.hostsOn[sw] }
 
 // Neighbors returns the links incident to sw. The returned slice must not
 // be modified.
@@ -189,49 +178,26 @@ func (t *Topology) PortToward(a, b int) (Port, bool) {
 // LinkAt returns the link leaving switch sw via the given local port; ok is
 // false if the port leads to a host or does not exist.
 func (t *Topology) LinkAt(sw int, p Port) (Link, bool) {
-	for _, l := range t.adj[sw] {
-		if l.LocalPort == p {
-			return l, true
-		}
+	if e, ok := t.end(sw, p); ok && e.peer >= 0 {
+		return Link{LocalPort: p, Peer: int(e.peer), PeerPort: Port(e.far)}, true
 	}
 	return Link{}, false
 }
 
 // HostAtPort returns the host reached via port p of switch sw, if any.
 func (t *Topology) HostAtPort(sw int, p Port) (Host, bool) {
-	for _, i := range t.hostAt[sw] {
-		if t.hosts[i].Port == p {
-			return t.hosts[i], true
-		}
+	if e, ok := t.end(sw, p); ok && e.peer < 0 {
+		return t.hosts[e.far], true
 	}
 	return Host{}, false
 }
 
 // Ports returns every allocated port on switch sw (link ports and host
-// ports), ascending. The returned slice is memoized and must not be
-// modified.
+// ports), ascending: 1 to the number of ports. The returned slice must not
+// be modified.
 func (t *Topology) Ports(sw int) []Port {
-	t.cacheMu.Lock()
-	defer t.cacheMu.Unlock()
-	if t.portsCache == nil {
-		t.portsCache = make([][]Port, t.n)
-		for s := 0; s < t.n; s++ {
-			var out []Port
-			for _, l := range t.adj[s] {
-				out = append(out, l.LocalPort)
-			}
-			for _, i := range t.hostAt[s] {
-				out = append(out, t.hosts[i].Port)
-			}
-			for i := 1; i < len(out); i++ {
-				for j := i; j > 0 && out[j] < out[j-1]; j-- {
-					out[j], out[j-1] = out[j-1], out[j]
-				}
-			}
-			t.portsCache[s] = out
-		}
-	}
-	return t.portsCache[sw]
+	n := len(t.ends[sw])
+	return t.portSeq[:n:n]
 }
 
 // Connected reports whether the switch graph is connected (ignoring

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +55,76 @@ func TestHosts(t *testing.T) {
 	}
 	if hs := topo.HostsOn(1); len(hs) != 0 {
 		t.Fatalf("HostsOn(1) = %v, want empty", hs)
+	}
+}
+
+// TestPortTableMatchesScan: over random interleavings of AddLink and
+// AddHost — parallel links included — LinkAt and HostAtPort answer what a
+// scan of the switch's links and hosts finds, for every port, for port 0
+// and the ports past the last, and for switches out of range; Ports lists
+// 1 to the number of ports, and HostsOn the switch's hosts in the order
+// they were added.
+func TestPortTableMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(8)
+		topo := New("random", n)
+		var hosts []Host
+		for i := 0; i < 4*n; i++ {
+			a, b := r.Intn(n), r.Intn(n)
+			switch {
+			case r.Intn(3) == 0:
+				hosts = append(hosts, topo.AddHost(500+i, a))
+			case a != b:
+				topo.AddLink(a, b)
+			}
+		}
+		for sw := -2; sw < n+2; sw++ {
+			var links []Link
+			var on []Host
+			if sw >= 0 && sw < n {
+				links = topo.Neighbors(sw)
+				for _, h := range hosts {
+					if h.Switch == sw {
+						on = append(on, h)
+					}
+				}
+				ports := topo.Ports(sw)
+				if len(ports) != len(links)+len(on) {
+					t.Fatalf("seed %d: sw%d has %d ports for %d links and %d hosts", seed, sw, len(ports), len(links), len(on))
+				}
+				for i, p := range ports {
+					if p != Port(i+1) {
+						t.Fatalf("seed %d: Ports(%d) = %v, want 1..%d", seed, sw, ports, len(ports))
+					}
+				}
+				if got := topo.HostsOn(sw); len(got) != len(on) || len(on) > 0 && !reflect.DeepEqual(got, on) {
+					t.Fatalf("seed %d: HostsOn(%d) = %v, want %v", seed, sw, got, on)
+				}
+			}
+			for p := Port(-1); p <= Port(len(links)+len(on)+2); p++ {
+				var wantL Link
+				var okL bool
+				for _, l := range links {
+					if l.LocalPort == p {
+						wantL, okL = l, true
+					}
+				}
+				var wantH Host
+				var okH bool
+				for _, h := range on {
+					if h.Port == p {
+						wantH, okH = h, true
+					}
+				}
+				if l, ok := topo.LinkAt(sw, p); ok != okL || l != wantL {
+					t.Fatalf("seed %d: LinkAt(%d, %d) = %+v, %v; the scan finds %+v, %v", seed, sw, p, l, ok, wantL, okL)
+				}
+				if h, ok := topo.HostAtPort(sw, p); ok != okH || h != wantH {
+					t.Fatalf("seed %d: HostAtPort(%d, %d) = %+v, %v; the scan finds %+v, %v", seed, sw, p, h, ok, wantH, okH)
+				}
+			}
+		}
 	}
 }
 
