@@ -105,7 +105,7 @@ func main() {
 	flag.BoolVar(&f.verify, "verify", false, "only verify the endpoint configurations")
 	flag.StringVar(&f.faults, "faults", "", "execute the plan under injected faults, e.g. crash=3@1,ackloss=0.2,seed=42")
 	flag.BoolVar(&f.repair, "repair", false, "after a stalled -faults execution, resynthesize from the partially-committed state and finish the update")
-	flag.StringVar(&f.learnFile, "learn-file", "", "with -stream: load the plan cache and learned state from this JSON file at startup and save it back on exit")
+	flag.StringVar(&f.learnFile, "learn-file", "", "with -stream: load the plan cache from this JSON file at startup and save it back on exit")
 	flag.StringVar(&f.connect, "connect", "", "with -stream: serve via remote netupdated replica(s), comma-separated base URLs; several shard client-side by tenant fingerprint")
 	flag.StringVar(&f.traceOut, "trace-out", "", "record a synthesis trace and write it to this file: Chrome trace-event JSON (load via chrome://tracing), or span JSONL when the path ends in .jsonl")
 	flag.BoolVar(&f.quiet, "q", false, "suppress statistics")
@@ -129,7 +129,7 @@ func main() {
 	case f.stream && f.traceOut != "":
 		usage("-trace-out records one-shot syntheses; in -stream mode request traces ride on the result lines (daemon ?trace=1)")
 	case f.stream && f.connect != "" && f.learnFile != "":
-		usage("with -connect the replica owns the learned state; -learn-file cannot be combined with it")
+		usage("with -connect the replica owns the plan cache; -learn-file cannot be combined with it")
 	case f.stream && f.connect != "":
 		serve = runStreamRemote
 	case f.stream:

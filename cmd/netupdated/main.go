@@ -79,7 +79,7 @@ func main() {
 	flag.IntVar(&f.pool.QueueDepth, "queue", server.DefaultQueueDepth, "per-tenant outstanding-request bound (queue-full load shedding beyond)")
 	flag.DurationVar(&f.pool.DefaultTimeout, "timeout", 30*time.Second, "default per-request deadline when the client sets none (0 = none)")
 	flag.DurationVar(&f.drain, "drain", time.Minute, "shutdown grace for in-flight syntheses")
-	flag.StringVar(&f.learnFile, "learn-file", "", "load the shared plan caches and learned state from this JSON snapshot at startup and save them back after draining")
+	flag.StringVar(&f.learnFile, "learn-file", "", "load the shared plan caches from this JSON snapshot at startup and save them back after draining")
 	flag.StringVar(&f.snapshotDir, "snapshot-dir", "", "persist per-tenant session snapshots here on drain and restore them when tenants re-register")
 	flag.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); empty disables profiling")
 	flag.Parse()

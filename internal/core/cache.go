@@ -1,6 +1,6 @@
 package core
 
-// Verification-first plan cache (ROADMAP item 4). Production controller
+// Verification-first plan cache. Production controller
 // streams are highly repetitive — rolling updates revisit the same config
 // diffs, failures flap A→B→A — yet the search pays a full DFS even when a
 // byte-identical instance was solved moments ago. The paper's own
@@ -19,15 +19,14 @@ package core
 // configurations (per switch, ascending, the digest of the table's
 // canonical form). Key equality therefore implies
 // the two runs see byte-identical unit lists — computeUnits is a
-// deterministic function of the (base, target) diff — which is also what
-// makes the second layer sound: the learned state of Section 4.2
-// (wrong-configuration patterns, SAT early-termination constraints, the
-// dead-configuration set) is unit-indexed, so it is persisted per
-// instance and preloaded into a repeat search when no plan is available,
-// and an instance once proven infeasible (ErrNoOrdering) is memoized and
-// fails fast. Entries are LRU-evicted at a fixed bound; Snapshot/Restore
-// serialize the whole cache to JSON for the -learn-file flag and the
-// pool's cross-tenant persistence.
+// deterministic function of the (base, target) diff — so an instance once
+// proven infeasible (ErrNoOrdering) is memoized and fails fast. The
+// Section 4.2 pruning state (wrong-configuration patterns, SAT
+// early-termination constraints, the visited set) lives and dies with one
+// search; the cache holds plans and verdicts, nothing else. Entries are
+// LRU-evicted at a fixed bound; Snapshot/Restore serialize the whole cache
+// to JSON for the -learn-file flag and the pool's cross-tenant
+// persistence.
 import (
 	"crypto/sha256"
 	"encoding/binary"
@@ -50,15 +49,6 @@ import (
 // proportional to the working set of distinct instances, not the stream
 // length.
 const DefaultPlanCacheEntries = 4096
-
-// Harvest caps: learned state beyond these bounds is dropped rather than
-// cached, keeping entry size bounded by the useful prefix (patterns and
-// constraints are most valuable early in a repeat search).
-const (
-	maxPatternHarvest = 1024
-	maxConsHarvest    = 1024
-	maxDeadHarvest    = 2048
-)
 
 // PlanCache is a bounded, LRU-evicted store of synthesis results keyed by
 // instance fingerprint. It is safe for concurrent use, so one cache can
@@ -91,8 +81,7 @@ func NewPlanCache(max int) *PlanCache {
 }
 
 // cacheEntry is one memoized instance: either a plan (steps + DAG) to
-// replay-verify, or an infeasibility memo, each with the learned state
-// harvested from the run that produced it. A cache holds thousands of
+// replay-verify, or an infeasibility memo. A cache holds thousands of
 // them for as long as the process lives, so an entry keeps what the plan
 // says in a few allocations and copies nothing that is immutable anyway:
 // a step is a switch and a table, the table shared with the target
@@ -113,9 +102,6 @@ type cacheEntry struct {
 	// dag lists, per update step in order: the number of its predecessors,
 	// the predecessors, the number of its drain edges, the drain edges.
 	dag []int32
-	// learn is the run's learned state; nil when it learned nothing, as a
-	// search that never backtracks does.
-	learn *learnedState
 }
 
 // cachedStep is a wait barrier, or the installation of table on sw.
@@ -138,12 +124,11 @@ func (e *cacheEntry) hasPlan() bool { return !e.infeasible }
 // table on its switch, rule for rule, shares it and any other table is
 // copied, so the caller's plan stays mutable without poisoning the cache;
 // with final nil the steps' tables become the entry's own.
-func newPlanEntry(key string, steps []Step, dag *PlanDAG, final *config.Config, components int, ls learnedState) *cacheEntry {
+func newPlanEntry(key string, steps []Step, dag *PlanDAG, final *config.Config, components int) *cacheEntry {
 	ent := &cacheEntry{
 		key:        key,
 		components: int32(components),
 		steps:      make([]cachedStep, len(steps)),
-		learn:      ls.orNil(),
 	}
 	nRules := 0
 	for i := range steps {
@@ -242,35 +227,6 @@ func (e *cacheEntry) plan() ([]Step, *PlanDAG) {
 	return steps, dag
 }
 
-// learnedState is the persistent form of the Section 4.2 pruning
-// structures of one run (engine.wrong, cons and the dead configurations),
-// unit-indexed and therefore only meaningful for the identical instance.
-type learnedState struct {
-	patterns []pattern
-	cons     []cexCons
-	dead     []bitset
-}
-
-func (ls *learnedState) empty() bool {
-	return len(ls.patterns) == 0 && len(ls.cons) == 0 && len(ls.dead) == 0
-}
-
-// orNil returns the state for an entry to hold: nil when there is none.
-func (ls learnedState) orNil() *learnedState {
-	if ls.empty() {
-		return nil
-	}
-	return &ls
-}
-
-// cexCons is one recorded SAT early-termination constraint: the unit ids
-// applied and unapplied in the counterexample configuration (the inputs
-// of earlyTerm.addCexConstraint).
-type cexCons struct {
-	applied   []int
-	unapplied []int
-}
-
 // PlanCacheStats is a point-in-time snapshot of the cache counters.
 type PlanCacheStats struct {
 	Hits           int64
@@ -351,15 +307,14 @@ func (c *PlanCache) store(ent *cacheEntry) {
 
 // storePlan memoizes a successful run to the target final (see
 // newPlanEntry for what the entry shares with it).
-func (c *PlanCache) storePlan(key string, steps []Step, dag *PlanDAG, final *config.Config, components int, ls learnedState) {
-	c.store(newPlanEntry(key, steps, dag, final, components, ls))
+func (c *PlanCache) storePlan(key string, steps []Step, dag *PlanDAG, final *config.Config, components int) {
+	c.store(newPlanEntry(key, steps, dag, final, components))
 }
 
-// storeInfeasible memoizes a proven ErrNoOrdering instance with the
-// learned state that proves it, so a repeat fails fast and a repair-mode
-// re-search (which must run the fallback ladder, not fail) starts primed.
-func (c *PlanCache) storeInfeasible(key string, ls learnedState) {
-	c.store(&cacheEntry{key: key, infeasible: true, learn: ls.orNil()})
+// storeInfeasible memoizes a proven ErrNoOrdering instance, so a repeat
+// fails fast.
+func (c *PlanCache) storeInfeasible(key string) {
+	c.store(&cacheEntry{key: key, infeasible: true})
 }
 
 // --- instance fingerprinting ---
@@ -478,75 +433,6 @@ func (s *Session) noteAdvance(final *config.Config) {
 	}
 }
 
-// --- engine harvest & preload ---
-
-// armLearnRecording arms the engine's dead-configuration sink so the
-// search records what markDead proves, in DFS order. Collect mode is the
-// exception: its leaves report "not found" to keep the enumeration going,
-// so what it marks dead is not a proof.
-func (e *engine) armLearnRecording() {
-	if !e.opts.MinimizeCompletionTime {
-		e.recordDeadCap = maxDeadHarvest
-	}
-}
-
-// harvestLearning snapshots the run's learned state in persistable form.
-func (e *engine) harvestLearning() learnedState {
-	return learnedState{
-		patterns: append([]pattern(nil), e.wrong[:min(len(e.wrong), maxPatternHarvest)]...),
-		cons:     append([]cexCons(nil), e.cons[:min(len(e.cons), maxConsHarvest)]...),
-		dead:     append([]bitset(nil), e.recordDead...),
-	}
-}
-
-// preloadLearning seeds a fresh engine with an identical instance's
-// persisted learned state: patterns and dead configurations prune
-// subtrees the prior run proved fruitless, and the recorded constraints
-// replay through the SAT solver — if they are jointly unsatisfiable the
-// search is over before it starts. Entries whose bitset width or unit
-// ids do not match the engine's unit list (a corrupted snapshot) are
-// skipped: pruning from mismatched state would be unsound.
-func (e *engine) preloadLearning(ls *learnedState) (unsat bool) {
-	words := len(newBitset(len(e.units)))
-	for _, p := range ls.patterns {
-		if len(p.relevant) != words || len(p.value) != words {
-			continue
-		}
-		e.wrong = append(e.wrong, p)
-	}
-	for _, c := range ls.cons {
-		if !unitIDsValid(c.applied, len(e.units)) || !unitIDsValid(c.unapplied, len(e.units)) {
-			continue
-		}
-		e.cons = append(e.cons, c)
-		if !e.opts.NoEarlyTermination && !unsat {
-			e.stats.SATCalls++
-			if !e.et.addCexConstraint(c.applied, c.unapplied) {
-				unsat = true
-			}
-		}
-	}
-	for _, d := range ls.dead {
-		if len(d) != words {
-			continue
-		}
-		e.visited.add(d)
-	}
-	if unsat {
-		e.stats.EarlyTerminate = true
-	}
-	return unsat
-}
-
-func unitIDsValid(ids []int, n int) bool {
-	for _, id := range ids {
-		if id < 0 || id >= n {
-			return false
-		}
-	}
-	return true
-}
-
 // --- replay-verify ---
 
 // replayCached re-verifies a cached plan against the attached warm
@@ -609,27 +495,11 @@ type PlanCacheSnapshot struct {
 
 // PlanCacheEntrySnapshot is one persisted instance.
 type PlanCacheEntrySnapshot struct {
-	Key        string            `json:"key"` // hex sha256 instance fingerprint
-	Infeasible bool              `json:"infeasible,omitempty"`
-	Steps      []Step            `json:"steps,omitempty"`
-	DAG        *PlanDAG          `json:"dag,omitempty"`
-	Components int               `json:"components,omitempty"`
-	Patterns   []PatternSnapshot `json:"patterns,omitempty"`
-	Cons       []ConsSnapshot    `json:"cons,omitempty"`
-	Dead       [][]uint64        `json:"dead,omitempty"`
-}
-
-// PatternSnapshot is a persisted wrong-configuration pattern (bitset
-// words, little-endian unit order).
-type PatternSnapshot struct {
-	Relevant []uint64 `json:"relevant"`
-	Value    []uint64 `json:"value"`
-}
-
-// ConsSnapshot is a persisted SAT early-termination constraint.
-type ConsSnapshot struct {
-	Applied   []int `json:"applied,omitempty"`
-	Unapplied []int `json:"unapplied,omitempty"`
+	Key        string   `json:"key"` // hex sha256 instance fingerprint
+	Infeasible bool     `json:"infeasible,omitempty"`
+	Steps      []Step   `json:"steps,omitempty"`
+	DAG        *PlanDAG `json:"dag,omitempty"`
+	Components int      `json:"components,omitempty"`
 }
 
 // Snapshot captures the cache contents for persistence. Counters are not
@@ -647,19 +517,6 @@ func (c *PlanCache) Snapshot() *PlanCacheSnapshot {
 		}
 		if len(ent.steps) > 0 || ent.dag != nil {
 			es.Steps, es.DAG = ent.plan()
-		}
-		if ls := ent.learn; ls != nil {
-			for _, p := range ls.patterns {
-				es.Patterns = append(es.Patterns, PatternSnapshot{
-					Relevant: p.relevant, Value: p.value,
-				})
-			}
-			for _, cc := range ls.cons {
-				es.Cons = append(es.Cons, ConsSnapshot{Applied: cc.applied, Unapplied: cc.unapplied})
-			}
-			for _, d := range ls.dead {
-				es.Dead = append(es.Dead, d)
-			}
 		}
 		snap.Entries = append(snap.Entries, es)
 	}
@@ -682,8 +539,7 @@ func (c *PlanCache) Restore(snap *PlanCacheSnapshot) error {
 		if len(key) != sha256.Size {
 			return fmt.Errorf("core: plan cache snapshot entry %d: key is %d bytes, want %d", i, len(key), sha256.Size)
 		}
-		if !es.Infeasible && len(es.Steps) == 0 && len(es.Patterns) == 0 &&
-			len(es.Cons) == 0 && len(es.Dead) == 0 {
+		if !es.Infeasible && len(es.Steps) == 0 {
 			continue // nothing usable
 		}
 		dag := es.DAG
@@ -692,19 +548,7 @@ func (c *PlanCache) Restore(snap *PlanCacheSnapshot) error {
 			// steps in sequence is always a valid (if conservative) order.
 			dag = chainDAG(es.Steps)
 		}
-		var ls learnedState
-		for _, p := range es.Patterns {
-			ls.patterns = append(ls.patterns, pattern{
-				relevant: p.Relevant, value: p.Value,
-			})
-		}
-		for _, cc := range es.Cons {
-			ls.cons = append(ls.cons, cexCons{applied: cc.Applied, unapplied: cc.Unapplied})
-		}
-		for _, d := range es.Dead {
-			ls.dead = append(ls.dead, d)
-		}
-		ent := newPlanEntry(string(key), es.Steps, dag, nil, es.Components, ls)
+		ent := newPlanEntry(string(key), es.Steps, dag, nil, es.Components)
 		ent.infeasible = es.Infeasible
 		c.mu.Lock()
 		if _, exists := c.entries[ent.key]; !exists {

@@ -371,7 +371,7 @@ func TestCacheEvictionBound(t *testing.T) {
 		return string(k)
 	}
 	for b := byte(0); b < 5; b++ {
-		c.storeInfeasible(key(b), learnedState{})
+		c.storeInfeasible(key(b))
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
@@ -385,55 +385,6 @@ func TestCacheEvictionBound(t *testing.T) {
 	}
 	if c.lookup(key(0)) != nil {
 		t.Fatal("oldest entry survived")
-	}
-}
-
-// TestPreloadLearningValidation: preloading learned state from an
-// identical instance primes the fresh engine's pruning structures, while
-// state whose shape does not match the unit list (a corrupted snapshot)
-// is skipped — pruning from mismatched state would be unsound.
-func TestPreloadLearningValidation(t *testing.T) {
-	stream, targets := rollingTargets(t, 23, 2, 2, 1)
-	sc := &config.Scenario{
-		Name: "preload", Topo: stream.Topo(), Init: stream.Init(),
-		Final: targets[0], Specs: stream.Specs(),
-	}
-	e, err := newEngineShell(sc, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nu := len(e.units)
-	if nu == 0 {
-		t.Fatal("no units")
-	}
-	words := len(newBitset(nu))
-	good := newBitset(nu)
-	good.set(0)
-	ls := learnedState{
-		patterns: []pattern{
-			{relevant: good, value: good},
-			{relevant: make(bitset, words+1), value: make(bitset, words+1)}, // wrong width
-		},
-		cons: []cexCons{
-			{applied: []int{0}, unapplied: []int{nu - 1}},
-			{applied: []int{nu + 7}, unapplied: nil}, // out of range
-		},
-		dead: []bitset{good, make(bitset, words+2)},
-	}
-	if unsat := e.preloadLearning(&ls); unsat {
-		t.Fatal("single constraint cannot be unsat")
-	}
-	if got := len(e.wrong); got != 1 {
-		t.Fatalf("patterns loaded = %d, want 1 (corrupt one skipped)", got)
-	}
-	if got := len(e.cons); got != 1 {
-		t.Fatalf("cons recorded = %d, want 1 (out-of-range one skipped)", got)
-	}
-	if !e.visited.has(good) {
-		t.Fatal("valid dead configuration not seeded")
-	}
-	if e.visited.has(make(bitset, words+2)) {
-		t.Fatal("mis-sized dead configuration seeded")
 	}
 }
 

@@ -52,9 +52,8 @@ package core
 // affects, the endpoint verification) established — a checker's verdict
 // is a function of its class structure alone (the mc.Checker contract).
 //
-// A single-component diff runs the joint engine — joint unit numbering, so
-// the learned state it harvests stays valid for the plan cache — over the
-// component's classes only: every other class has an empty delta for every
+// A single-component diff runs the joint engine over the component's
+// classes only: every other class has an empty delta for every
 // unit, so the joint search over all classes would skip it at every check
 // anyway. Plans are byte-identical to the all-class joint search.
 

@@ -396,8 +396,7 @@ func TestDecomposedFailureResync(t *testing.T) {
 // superset of the footprint. The plan must equal the one it finds; a
 // mid-plan crash must repair to the plan a cold synthesis from the crash
 // state finds; and an intent with no ordering must be proved by search
-// once and answered by the memo — which needs the harvested joint unit
-// numbering — after.
+// once and answered by the memo after.
 func TestSingleComponentFootprintSearch(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 2, 0, 11)
 	target, comp := singleComponentTarget(t, sc, 0)

@@ -96,15 +96,11 @@ type engine struct {
 
 	// visited is the V of Figure 4. The other pruning structures of
 	// Section 4.2: wrong holds the wrong-configuration patterns learned
-	// from counterexamples (4.2.A), et the early-termination SAT solver
-	// they feed (4.2.B), and cons every ordering constraint fed to (or
-	// replayed into) the solver, in persistable form — the plan cache
-	// harvests it so a repeat of the identical instance can replay the
-	// constraints instead of rediscovering them (cache.go).
+	// from counterexamples (4.2.A), and et the early-termination SAT solver
+	// they feed (4.2.B). All three live for one search.
 	visited *bitsetSet
 	wrong   []pattern
 	et      *earlyTerm
-	cons    []cexCons
 
 	// Collect mode (Options.MinimizeCompletionTime, see runCollect): the
 	// DFS records every complete unit order it reaches — up to
@@ -139,13 +135,6 @@ type engine struct {
 	deps    *depScratch
 	affMemo []affectedMemo
 	affRows []bool
-
-	// Plan-cache dead-configuration sink (cache.go): a search with a cache
-	// attached records what markDead proves here, in DFS order and up to
-	// recordDeadCap, so the learned dead set can persist per instance.
-	// Zero cap disables recording (the default).
-	recordDead    []bitset
-	recordDeadCap int
 
 	stats Stats
 }
@@ -361,7 +350,6 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 		}
 		if e.matchesWrong(next) {
 			e.stats.WrongPruned++
-			e.markDead(next)
 			continue
 		}
 
@@ -375,7 +363,6 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 		}
 		if failed {
 			e.revert(frames)
-			e.markDead(next)
 			if len(cexSwitches) > 0 && !e.opts.NoCexLearning {
 				if terminate := e.learn(cexSwitches, next); terminate {
 					e.stats.EarlyTerminate = true
@@ -411,18 +398,8 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 		if !errors.Is(err, errNotFound) {
 			return nil, err
 		}
-		e.markDead(next)
 	}
 	return nil, errNotFound
-}
-
-// markDead records a configuration proven wrong or exhausted for the plan
-// cache (the visited set already keeps the search itself out of it).
-func (e *engine) markDead(b bitset) {
-	if e.recordDeadCap > 0 && len(e.recordDead) < e.recordDeadCap {
-		// Bitsets are copy-on-set, so retaining b is safe.
-		e.recordDead = append(e.recordDead, b)
-	}
 }
 
 // applyAndCheck installs the new table for sw in every class structure
@@ -533,9 +510,9 @@ func (e *engine) learn(cexSwitches []int, cfg bitset) bool {
 	e.stats.CexLearned++
 	relevant := newBitset(len(e.units))
 	value := newBitset(len(e.units))
-	// The units are read in id order, so the constraint's slices — which
-	// e.cons keeps, and whose order fixes the order the solver's variables
-	// are created in — come out the same whatever the trace's order.
+	// The units are read in id order, so the constraint's slices — whose
+	// order fixes the order the solver's variables are created in — come
+	// out the same whatever the trace's order.
 	var appliedUnits, unappliedUnits []int
 	if e.cexMark == nil {
 		e.cexMark = make([]bool, e.sc.Topo.NumSwitches())
@@ -562,7 +539,6 @@ func (e *engine) learn(cexSwitches []int, cfg bitset) bool {
 		return false // counterexample mentions no updating switch: ignore
 	}
 	e.wrong = append(e.wrong, pattern{relevant: relevant, value: value})
-	e.cons = append(e.cons, cexCons{applied: appliedUnits, unapplied: unappliedUnits})
 	if e.opts.NoEarlyTermination {
 		return false
 	}

@@ -307,6 +307,59 @@ func TestFaultRepairLadderTwoPhase(t *testing.T) {
 	}
 }
 
+// TestRepairOverInfeasibleMemo: the plan cache memoizes (crash
+// configuration, target) as infeasible after a plain synthesis fails, and
+// a repair to that target must still search and run the fallback ladder —
+// the memo answers plain synthesis only — returning what a session with no
+// cache returns, on both rungs of the ladder.
+func TestRepairOverInfeasibleMemo(t *testing.T) {
+	scInf, err := config.Infeasible(topology.SmallWorld(40, 4, 0.3, 21), config.InfeasibleOptions{Gadgets: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []*config.Scenario{scInf, swapScenario(t)} {
+		repair := func(cache *PlanCache) *Plan {
+			t.Helper()
+			s := repairSession(t, sc, Options{})
+			if cache != nil {
+				s.SetCache(cache)
+			}
+			if _, err := s.Synthesize(sc.Init); err != nil {
+				t.Fatalf("%s: no-op synthesis: %v", sc.Name, err)
+			}
+			if cache != nil {
+				for n := 0; n < 2; n++ {
+					if _, err := s.Synthesize(sc.Final); !errors.Is(err, ErrNoOrdering) {
+						t.Fatalf("%s: plain synthesis %d: err = %v, want ErrNoOrdering", sc.Name, n, err)
+					}
+				}
+				if !s.LastStats().CacheHit {
+					t.Fatalf("%s: the repeat was not answered by the infeasibility memo", sc.Name)
+				}
+			}
+			rep, err := s.Repair(nil, sc.Final)
+			if err != nil {
+				t.Fatalf("%s: repair: %v", sc.Name, err)
+			}
+			if rep.Stats.CacheHit {
+				t.Fatalf("%s: repair answered from the cache", sc.Name)
+			}
+			return rep
+		}
+		want, got := repair(nil), repair(NewPlanCache(0))
+		if planDigest(got) != planDigest(want) ||
+			got.Stats.EscalatedComponents != want.Stats.EscalatedComponents ||
+			got.Stats.TwoPhaseComponents != want.Stats.TwoPhaseComponents {
+			t.Fatalf("%s: repair over the memo = %s (escalated %d, two-phase %d), without a cache %s (%d, %d)",
+				sc.Name, planDigest(got), got.Stats.EscalatedComponents, got.Stats.TwoPhaseComponents,
+				planDigest(want), want.Stats.EscalatedComponents, want.Stats.TwoPhaseComponents)
+		}
+		if want.Stats.EscalatedComponents+want.Stats.TwoPhaseComponents == 0 {
+			t.Fatalf("%s: the repair never reached the fallback ladder", sc.Name)
+		}
+	}
+}
+
 // TestFaultStatsCommittedComponents: a decomposed run canceled after its
 // first component must report exactly that component as committed via
 // Session.LastStats, and a completed run reports all of them.

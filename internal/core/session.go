@@ -501,9 +501,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	// as a fresh search, while a stale or corrupted entry fails replay, is
 	// evicted, and the run falls through to the ordinary search. A
 	// memoized infeasibility fails fast, except in repair mode, which must
-	// run the fallback ladder and instead preloads the entry's persisted
-	// learned state (wrong patterns, SAT constraints, dead set) into the
-	// fresh search.
+	// run the fallback ladder and so searches afresh.
 	var cacheKey string
 	var ent *cacheEntry
 	s.materializeCache()
@@ -512,7 +510,6 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		cacheKey = s.instanceKey(final)
 		ent = s.cache.lookup(cacheKey)
 		tr.End(clSpan)
-		e.armLearnRecording()
 	}
 	var steps []Step
 	var runErr error
@@ -549,7 +546,6 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		} else {
 			e.stats.CacheVerifyFailed = true
 			s.cache.evictPoisoned(cacheKey)
-			ent = nil
 		}
 	}
 	if !fromCache {
@@ -576,15 +572,6 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	default:
 		if s.cache != nil {
 			s.cache.noteMiss()
-		}
-		preUnsat := false
-		if ent != nil && ent.learn != nil && !s.opts.MinimizeCompletionTime {
-			preUnsat = e.preloadLearning(ent.learn)
-		}
-		if preUnsat && !s.repairing {
-			// The replayed constraints already prove no ordering exists.
-			runErr = ErrNoOrdering
-			break
 		}
 		searched = true
 		// Partition the diff into independent subproblems where possible
@@ -680,24 +667,17 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		plan = &Plan{Steps: steps, Stats: e.stats, DAG: dag}
 	}
 	// Memoize the outcome (cache.go): a fresh successful search stores its
-	// plan and DAG together with the learned state harvested from the
-	// shared search structures (joint runs only — component sub-searches
-	// renumber units locally, so their learned state does not transfer),
-	// and a proven infeasibility stores the memo with the state that
-	// proves it. Repair-mode runs never store: their ladder products
-	// (escalated granularity, version-tagged segments) are not ordinary
-	// careful plans for this instance key.
-	if s.cache != nil && !fromCache && searched && !s.repairing {
+	// plan and DAG, and a proven infeasibility stores the memo. Repair-mode
+	// runs never store: their ladder products (escalated granularity,
+	// version-tagged segments) are not ordinary careful plans for this
+	// instance key.
+	if s.cache != nil && searched && !s.repairing {
 		csSpan := tr.Begin("cache-store", root)
 		switch {
 		case runErr == nil:
-			var ls learnedState
-			if !decomposed {
-				ls = e.harvestLearning()
-			}
-			s.cache.storePlan(cacheKey, steps, dag, final, e.stats.Components, ls)
+			s.cache.storePlan(cacheKey, steps, dag, final, e.stats.Components)
 		case errors.Is(runErr, ErrNoOrdering):
-			s.cache.storeInfeasible(cacheKey, e.harvestLearning())
+			s.cache.storeInfeasible(cacheKey)
 		}
 		tr.End(csSpan)
 	}

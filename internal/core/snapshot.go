@@ -20,8 +20,7 @@ package core
 // it before the session exists: a configuration that violates some class
 // is refused (ErrBadSnapshot) however valid its checksum.
 //
-// The plan cache (with its learned wrong-pattern/SAT/dead-set stores) is
-// not session state: it belongs to whoever attached it — the pool shares
+// The plan cache is not session state: it belongs to whoever attached it — the pool shares
 // one store between tenants and keeps it across evictions — so
 // Session.Snapshot leaves the cache section empty, and an image a pool
 // holds for an evicted tenant costs what its configuration costs. An image
@@ -227,8 +226,8 @@ func (w *snapWriter) seal() []byte {
 
 // EmbedCache returns a copy of img — an image from Session.Snapshot —
 // whose cache section carries c's entries, for images that must bring
-// their learned state along because they leave the process that holds the
-// cache. RestoreSession hands the section to the restored session
+// their plans and memos along because they leave the process that holds
+// the cache. RestoreSession hands the section to the restored session
 // undecoded (Session.Cache decodes it on first access).
 func EmbedCache(img []byte, c *PlanCache) ([]byte, error) {
 	n := len(img) - sha256.Size

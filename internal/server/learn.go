@@ -20,8 +20,8 @@ const DefaultMaxLearnStores = 256
 
 // planCache returns the shared plan cache for a learning fingerprint:
 // every tenant whose spec hashes to it is attached to the same
-// core.PlanCache, so one tenant's synthesized plans and learned state
-// serve every tenant running the identical scenario shape. A session
+// core.PlanCache, so one tenant's synthesized plans and infeasibility
+// memos serve every tenant running the identical scenario shape. A session
 // holding a store the registry has since evicted keeps a working private
 // cache until it is rebuilt.
 func (p *Pool) planCache(fp string) *core.PlanCache {

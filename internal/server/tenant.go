@@ -62,8 +62,7 @@ func (s *TenantSpec) Fingerprint() (string, error) {
 // LearnFingerprint is the cross-tenant learning key: the fingerprint of
 // the spec with its display name cleared, so tenants that differ only in
 // name — the common shape of fleet rollouts, where every region registers
-// the same scenario under its own label — share one plan cache and one
-// body of learned state.
+// the same scenario under its own label — share one plan cache.
 func (s *TenantSpec) LearnFingerprint() (string, error) {
 	clone := *s
 	clone.Name = ""
