@@ -3,7 +3,7 @@
 //
 //	netupdate -f scenario.json
 //	netupdate -f scenario.json -rules -timeout 30s
-//	netupdate -f scenario.json -dag -min-completion
+//	netupdate -f scenario.json -dag
 //	netupdate -f scenario.json -verify
 //	netupdate -f scenario.json -faults crash=3@1
 //	netupdate -f scenario.json -faults crash=3@1 -repair
@@ -13,9 +13,7 @@
 // only checks the initial and final configurations against the
 // specifications. -dag additionally prints the plan's dependency DAG
 // (which updates must commit before which, waits as drain-marked edges)
-// for decentralized execution, and -min-completion makes estimated
-// completion time under the DAG latency model a tie-breaker among valid
-// plans.
+// for decentralized execution.
 //
 // -faults executes the synthesized plan on the decentralized simulator
 // under seeded fault injection (see internal/sim.ParseFaults:
@@ -36,10 +34,11 @@
 //	netupdate -stream < stream.jsonl
 //	netupdate -stream -learn-file learned.json < stream.jsonl
 //
-// -learn-file persists the stream session's plan cache and learned
-// search state (see internal/core.PlanCache) as a JSON snapshot: loaded
-// before serving, saved atomically on exit, so repeat instances across
-// restarts are served by replay-verification instead of a fresh search.
+// -learn-file persists the stream session's plan cache (plans and
+// infeasibility verdicts, see internal/core.PlanCache) as a JSON
+// snapshot: loaded before serving, saved atomically on exit, so repeat
+// instances across restarts are served by replay-verification instead of
+// a fresh search.
 // -no-plan-cache disables the cache entirely.
 //
 // Stream mode is a thin stdin/stdout client of the internal/server pool

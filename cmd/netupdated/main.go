@@ -20,8 +20,7 @@
 // (per-step predecessor indexes, drain-marked edges, depth/width) — so
 // clients can execute the update decentralized: any commit order that
 // respects the edges (waiting out drain edges) is trace-equivalent to the
-// sequential step list. Tenants registering with options.minCompletion
-// get plans tie-broken by estimated DAG completion time.
+// sequential step list.
 //
 // Executing clients can post plan-step acknowledgements into the same
 // synthesize stream: {"ack":{"step":N}} records that DAG node N

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -138,12 +139,33 @@ func TestCheckerOnly(t *testing.T) {
 	}
 }
 
+// TestAblation gates the README scorecard's ablation row. It pins every
+// cell of the table but the times: results and the checks,
+// counterexamples and pruned configurations, which are functions of the
+// input. A switch that stops reaching the search — no-heuristic-order
+// reading full's checks — fails here.
 func TestAblation(t *testing.T) {
 	tb, err := Ablation(40, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) < 6 {
-		t.Fatalf("rows = %v", tb.Rows)
+	want := [][]string{
+		{"full", "ok", "9", "0", "0"},
+		{"no-cex-learning", "ok", "9", "0", "0"},
+		{"no-early-termination", "ok", "9", "0", "0"},
+		{"no-heuristic-order", "ok", "13", "4", "8"},
+		{"batch-checker", "ok", "9", "0", "0"},
+		{"infeasible/full", "impossible", "-", "-", "-"},
+		{"infeasible/no-early-termination", "impossible", "-", "-", "-"},
+		{"infeasible/2-simple", "ok", "12", "0", "0"},
+	}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d: %v", len(tb.Rows), len(want), tb.Rows)
+	}
+	for i, row := range tb.Rows {
+		got := append(row[:2:2], row[3:]...) // all but time(s)
+		if !slices.Equal(got, want[i]) {
+			t.Errorf("row %d = %v, want %v", i, got, want[i])
+		}
 	}
 }

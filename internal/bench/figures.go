@@ -307,7 +307,7 @@ func Fig8h(sizes []int, timeout time.Duration) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			secs, serr := timeImpossible(sc, core.Options{Timeout: timeout})
+			secs, serr := timeImpossible(sc, core.Options{Timeout: timeout}, core.Ablation{})
 			switch {
 			case serr == errSolved:
 				return nil, serr
@@ -324,10 +324,11 @@ func Fig8h(sizes []int, timeout time.Duration) (*Table, error) {
 
 var errSolved = errors.New("bench: infeasible workload was solved at switch granularity")
 
-// timeImpossible times the proof that sc has no ordering under opts.
-func timeImpossible(sc *config.Scenario, opts core.Options) (float64, error) {
+// timeImpossible times the proof that sc has no ordering under opts and
+// abl.
+func timeImpossible(sc *config.Scenario, opts core.Options, abl core.Ablation) (float64, error) {
 	return timed(nil, func() error {
-		_, err := core.Synthesize(sc, opts)
+		_, err := core.SynthesizeWith(sc, opts, core.SessionResources{Ablation: abl})
 		switch {
 		case errors.Is(err, core.ErrNoOrdering):
 			return nil
@@ -462,19 +463,21 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 		Title:  "Ablation: Section 4.2 optimizations (diamond workload)",
 		Header: []string{"configuration", "result", "time(s)", "checks", "cex", "pruned"},
 	}
+	opts := core.Options{Timeout: timeout}
 	cases := []struct {
 		name    string
-		opts    core.Options
+		abl     core.Ablation
 		backend Backend
 	}{
-		{"full", core.Options{Timeout: timeout}, Incremental},
-		{"no-cex-learning", core.Options{NoCexLearning: true, Timeout: timeout}, Incremental},
-		{"no-early-termination", core.Options{NoEarlyTermination: true, Timeout: timeout}, Incremental},
-		{"no-heuristic-order", core.Options{NoHeuristicOrder: true, Timeout: timeout}, Incremental},
-		{"batch-checker", core.Options{Timeout: timeout}, Batch},
+		{"full", core.Ablation{}, Incremental},
+		{"no-cex-learning", core.Ablation{NoCexLearning: true}, Incremental},
+		{"no-early-termination", core.Ablation{NoEarlyTermination: true}, Incremental},
+		{"no-heuristic-order", core.Ablation{NoHeuristicOrder: true}, Incremental},
+		{"batch-checker", core.Ablation{}, Batch},
 	}
 	for _, c := range cases {
-		el, plan, err := timePlan(func() (*core.Plan, error) { return c.backend.Synthesize(sc, c.opts) })
+		res := core.SessionResources{Factory: c.backend.New, Ablation: c.abl}
+		el, plan, err := timePlan(func() (*core.Plan, error) { return core.SynthesizeWith(sc, opts, res) })
 		switch {
 		case err == nil:
 			t.Add(c.name, "ok", el, plan.Stats.Checks, plan.Stats.CexLearned,
@@ -492,12 +495,12 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 	}
 	for _, c := range []struct {
 		name string
-		opts core.Options
+		abl  core.Ablation
 	}{
-		{"infeasible/full", core.Options{Timeout: timeout}},
-		{"infeasible/no-early-termination", core.Options{NoEarlyTermination: true, Timeout: timeout}},
+		{"infeasible/full", core.Ablation{}},
+		{"infeasible/no-early-termination", core.Ablation{NoEarlyTermination: true}},
 	} {
-		el, err := timeImpossible(scInf, c.opts)
+		el, err := timeImpossible(scInf, opts, c.abl)
 		switch {
 		case err == nil:
 			t.Add(c.name, "impossible", el, "-", "-", "-")

@@ -41,7 +41,7 @@ func BenchmarkOrderingAnalysis(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := newEngineShellWith(sc, opts, units, scr)
+		e := newEngineShellWith(sc, opts, Ablation{}, units, scr)
 		steps := e.removeWaits(plan.Steps)
 		dag := e.buildDAG(steps)
 		if countWaits(steps) >= countWaits(plan.Steps) || dag.NumNodes() != len(units) {
@@ -89,7 +89,7 @@ func BenchmarkOrderingAnalysisMixed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range plans {
-			e := newEngineShellWith(p.sc, opts, p.units, scr)
+			e := newEngineShellWith(p.sc, opts, Ablation{}, p.units, scr)
 			if dag := e.buildDAG(e.removeWaits(p.steps)); dag.NumNodes() != len(p.units) {
 				b.Fatalf("%d DAG nodes for %d units", dag.NumNodes(), len(p.units))
 			}

@@ -156,20 +156,40 @@ func TestDiamondScenarios(t *testing.T) {
 	}
 }
 
+// TestInfeasibleSwitchGranularity: the double-diamond gadget has no
+// switch-granularity ordering, and the proof stands with each Section 4.2
+// switch of Ablation off — which reaches the joint search (one gadget)
+// and every component's (two gadgets, two components) through
+// SessionResources: counterexample learning and early termination leave
+// their counters at zero when switched off. (The heuristic order does
+// not matter on these instances; internal/bench.TestAblation pins it.)
 func TestInfeasibleSwitchGranularity(t *testing.T) {
-	topo := topology.SmallWorld(40, 4, 0.3, 21)
-	sc, err := config.Infeasible(topo, config.InfeasibleOptions{Gadgets: 1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Synthesize(sc, Options{})
-	if !errors.Is(err, ErrNoOrdering) {
-		t.Fatalf("err = %v, want ErrNoOrdering", err)
-	}
-	// Without early termination the exhaustive search must agree.
-	_, err = Synthesize(sc, Options{NoEarlyTermination: true})
-	if !errors.Is(err, ErrNoOrdering) {
-		t.Fatalf("exhaustive: err = %v, want ErrNoOrdering", err)
+	for gadgets := 1; gadgets <= 2; gadgets++ {
+		topo := topology.SmallWorld(40, 4, 0.3, 21)
+		sc, err := config.Infeasible(topo, config.InfeasibleOptions{Gadgets: gadgets, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(abl Ablation) Stats {
+			t.Helper()
+			s, err := NewSessionWith(sc.Topo, sc.Init, sc.Specs, Options{}, SessionResources{Ablation: abl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Synthesize(sc.Final); !errors.Is(err, ErrNoOrdering) {
+				t.Fatalf("%d gadgets, %+v: err = %v, want ErrNoOrdering", gadgets, abl, err)
+			}
+			return s.LastStats()
+		}
+		if st := run(Ablation{}); st.Components != gadgets || st.CexLearned == 0 || st.SATCalls == 0 || !st.EarlyTerminate {
+			t.Fatalf("%d gadgets, full: %+v, want one component per gadget, learning and early termination at work", gadgets, st)
+		}
+		if st := run(Ablation{NoCexLearning: true}); st.CexLearned != 0 || st.WrongPruned != 0 || st.SATCalls != 0 {
+			t.Errorf("%d gadgets, NoCexLearning: %d learned, %d pruned, %d SAT calls; want none", gadgets, st.CexLearned, st.WrongPruned, st.SATCalls)
+		}
+		if st := run(Ablation{NoEarlyTermination: true}); st.SATCalls != 0 || st.EarlyTerminate || st.CexLearned == 0 {
+			t.Errorf("%d gadgets, NoEarlyTermination: %d SAT calls, terminated %v, %d learned; want learning only", gadgets, st.SATCalls, st.EarlyTerminate, st.CexLearned)
+		}
 	}
 }
 
@@ -425,11 +445,8 @@ func TestTimeout(t *testing.T) {
 	}
 	// Disable all pruning so the search would take a long time, then give
 	// it a tiny budget.
-	_, err = Synthesize(sc, Options{
-		NoCexLearning:      true,
-		NoEarlyTermination: true,
-		Timeout:            time.Millisecond,
-	})
+	_, err = SynthesizeWith(sc, Options{Timeout: time.Millisecond},
+		SessionResources{Ablation: Ablation{NoCexLearning: true, NoEarlyTermination: true}})
 	if !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrNoOrdering) {
 		t.Fatalf("err = %v, want timeout (or fast exhaustion)", err)
 	}

@@ -117,45 +117,6 @@ func (d *PlanDAG) Levels() [][]int {
 	return out
 }
 
-// The unitless latency model of the completion-time tie-breaker
-// (Options.MinimizeCompletionTime): committing an update costs
-// dagInstallCost, observing a predecessor's ack dagAckCost, and a drain
-// edge additionally waits dagDrainCost for the predecessor's old traffic
-// to leave the network. The ratios mirror the simulator's defaults (10ms
-// installs, sub-ms acks, multi-hop drains); only the relative order of
-// candidate plans matters, not the absolute numbers.
-const (
-	dagInstallCost = 10
-	dagAckCost     = 1
-	dagDrainCost   = 50
-)
-
-// completionEstimate is the critical-path completion time of the DAG
-// under the unitless latency model: the earliest time a decentralized
-// executor could have every update committed.
-func (d *PlanDAG) completionEstimate() int64 {
-	finish := make([]int64, len(d.Preds))
-	var worst int64
-	for j := range d.Preds {
-		var start int64
-		for _, i := range d.Preds[j] {
-			if f := finish[i] + dagAckCost; f > start {
-				start = f
-			}
-		}
-		for _, i := range d.Drain[j] {
-			if f := finish[i] + dagDrainCost; f > start {
-				start = f
-			}
-		}
-		finish[j] = start + dagInstallCost
-		if finish[j] > worst {
-			worst = finish[j]
-		}
-	}
-	return worst
-}
-
 // buildDAG derives the dependency DAG for a (possibly composed) step
 // sequence. Wait steps are skipped — their ordering content is already
 // carried by the class/switch chains, and their drain content by the

@@ -318,37 +318,3 @@ func TestDAGDecompositionDisjointUnion(t *testing.T) {
 		ref = plan
 	}
 }
-
-// TestMinimizeCompletionTime: the tie-breaker returns a valid plan with
-// completion estimate no worse than the default plan's, deterministically,
-// on every feasible conformance scenario; infeasible scenarios still
-// report ErrNoOrdering.
-func TestMinimizeCompletionTime(t *testing.T) {
-	for _, c := range conformanceCases(t) {
-		defFeasible, defPlan := synthesizeOutcome(t, c.name+"/default", c.sc, c.opts)
-
-		opts := c.opts
-		opts.MinimizeCompletionTime = true
-		feasible, plan := synthesizeOutcome(t, c.name+"/min", c.sc, opts)
-		if feasible != defFeasible {
-			t.Fatalf("%s: MinimizeCompletionTime feasible=%v, default=%v", c.name, feasible, defFeasible)
-		}
-		if !feasible {
-			continue
-		}
-		verifyPlan(t, c.sc, plan)
-		checkDAGShape(t, c.name, plan)
-		if got, def := plan.DAG.completionEstimate(), defPlan.DAG.completionEstimate(); got > def {
-			t.Fatalf("%s: minimized completion estimate %d > default %d", c.name, got, def)
-		}
-
-		again, err := Synthesize(c.sc, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if again.String() != plan.String() {
-			t.Fatalf("%s: MinimizeCompletionTime not deterministic:\n got %s\nthen %s",
-				c.name, plan.String(), again.String())
-		}
-	}
-}

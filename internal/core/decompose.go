@@ -407,7 +407,7 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 	}
 	scr := scratchPool.Get().(*engineScratch)
 	defer putScratch(scr)
-	ec := newEngineShellWith(scC, s.opts, units, scr)
+	ec := newEngineShellWith(scC, s.opts, s.abl, units, scr)
 	ec.bindContext(e.ctx)
 	s.attach(ec, c.classes)
 	ec.snapshotCheckerStats()

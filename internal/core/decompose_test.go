@@ -32,7 +32,7 @@ func newEngineShell(sc *config.Scenario, opts Options, scr *engineScratch) (*eng
 	if err != nil {
 		return nil, err
 	}
-	return newEngineShellWith(sc, opts, units, scr), nil
+	return newEngineShellWith(sc, opts, Ablation{}, units, scr), nil
 }
 
 // engineFor builds a session-attached engine shell for white-box

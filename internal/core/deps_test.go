@@ -473,9 +473,11 @@ func sharedSwitchScenario(t *testing.T, seed int64, classes int) *config.Scenari
 	return sc
 }
 
-// randomUnitOrder is a random permutation of the engine's units in which
-// every finalize step follows its merge step.
-func randomUnitOrder(e *engine, r *rand.Rand) []int {
+// randomSteps is the careful step sequence — a wait between every pair of
+// updates, cumulative tables at rule granularity — of a random
+// permutation of the engine's units in which every finalize step follows
+// its merge step. It leaves e.curTables at the initial tables.
+func randomSteps(e *engine, r *rand.Rand) []Step {
 	path := r.Perm(len(e.units))
 	pos := make([]int, len(path))
 	for i, ui := range path {
@@ -488,7 +490,20 @@ func randomUnitOrder(e *engine, r *rand.Rand) []int {
 			pos[u.requires], pos[u.id] = j, i
 		}
 	}
-	return path
+	var steps []Step
+	for n, ui := range path {
+		u := e.units[ui]
+		tbl := e.unitTable(u)
+		e.curTables[u.sw] = tbl
+		if n > 0 {
+			steps = append(steps, Step{Wait: true})
+		}
+		steps = append(steps, Step{Switch: u.sw, Table: tbl.Clone(), IsRule: u.isRule, RuleAdd: u.add, Rule: u.rule})
+	}
+	for _, u := range e.units {
+		e.curTables[u.sw] = e.sc.Init.Table(u.sw)
+	}
+	return steps
 }
 
 // TestOrderingAnalysisMatchesPerStepSearch: on random multi-class step
@@ -517,7 +532,7 @@ func TestOrderingAnalysisMatchesPerStepSearch(t *testing.T) {
 			r := rand.New(rand.NewSource(seed * 977))
 			for round := 0; round < 3; round++ {
 				name := fmt.Sprintf("seed%d/%s/order%d", seed, g.name, round)
-				steps := e.stepsForPath(randomUnitOrder(e, r))
+				steps := randomSteps(e, r)
 				if round == 1 {
 					// The first analysis of this round starts just below the
 					// stamp rewind and runs across it; the next one rewinds.

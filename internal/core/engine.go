@@ -51,14 +51,9 @@ func SynthesizeWith(sc *config.Scenario, opts Options, res SessionResources) (*P
 	return plan, err
 }
 
-// Search-control sentinels (not terminal failures):
-var (
-	// errNotFound signals exhaustion of a subtree.
-	errNotFound = errors.New("core: subtree exhausted")
-	// errEnoughPlans aborts the collect-mode DFS (MinimizeCompletionTime)
-	// once the candidate cap is reached.
-	errEnoughPlans = errors.New("core: enough plan candidates")
-)
+// errNotFound signals exhaustion of a subtree (a search-control
+// sentinel, not a terminal failure).
+var errNotFound = errors.New("core: subtree exhausted")
 
 type frame struct {
 	class int
@@ -73,6 +68,7 @@ type pattern struct {
 type engine struct {
 	sc    *config.Scenario
 	opts  Options
+	abl   Ablation
 	units []unit
 	order []int
 
@@ -101,15 +97,6 @@ type engine struct {
 	visited *bitsetSet
 	wrong   []pattern
 	et      *earlyTerm
-
-	// Collect mode (Options.MinimizeCompletionTime, see runCollect): the
-	// DFS records every complete unit order it reaches — up to
-	// maxPlanCandidates — instead of returning the first, and the run
-	// picks the candidate whose DAG minimizes estimated completion time.
-	// path is the unit order applied so far, kept in this mode only.
-	collecting bool
-	collected  [][]int
-	path       []int
 
 	deadline    time.Time
 	hasDeadline bool
@@ -147,7 +134,7 @@ type engine struct {
 // once; component sub-searches reuse the joint shell's units (renumbered
 // component-locally) rather than re-deriving the diff and the destination
 // ranks per component.
-func newEngineShellWith(sc *config.Scenario, opts Options, units []unit, scr *engineScratch) *engine {
+func newEngineShellWith(sc *config.Scenario, opts Options, abl Ablation, units []unit, scr *engineScratch) *engine {
 	if scr == nil {
 		scr = newEngineScratch()
 	} else {
@@ -157,6 +144,7 @@ func newEngineShellWith(sc *config.Scenario, opts Options, units []unit, scr *en
 	e := &engine{
 		sc:        sc,
 		opts:      opts,
+		abl:       abl,
 		units:     units,
 		et:        newEarlyTerm(len(units)),
 		scr:       scr,
@@ -165,7 +153,7 @@ func newEngineShellWith(sc *config.Scenario, opts Options, units []unit, scr *en
 		deps:      scr.deps,
 	}
 	e.stats.Units = len(units)
-	if opts.NoHeuristicOrder {
+	if abl.NoHeuristicOrder {
 		e.order = make([]int, len(units))
 		for i := range e.order {
 			e.order[i] = i
@@ -218,9 +206,6 @@ func (e *engine) snapshotCheckerStats() {
 func (e *engine) run() ([]Step, error) {
 	empty := newBitset(len(e.units))
 	e.visited.add(empty)
-	if e.opts.MinimizeCompletionTime {
-		return e.runCollect(empty)
-	}
 	steps, err := e.dfs(empty, 0)
 	if err != nil {
 		if errors.Is(err, errNotFound) {
@@ -232,77 +217,6 @@ func (e *engine) run() ([]Step, error) {
 	return steps, nil
 }
 
-// maxPlanCandidates caps the completion-time tie-breaker's enumeration:
-// the collect-mode DFS stops after this many complete orderings. Small on
-// purpose — the first candidates diverge earliest in the heuristic order
-// and so differ most, and each candidate costs a full search descent.
-const maxPlanCandidates = 4
-
-// runCollect is the MinimizeCompletionTime search: a DFS that records up
-// to maxPlanCandidates complete unit orders (every one fully verified by
-// applyAndCheck on the way down), scores each candidate's dependency DAG
-// by estimated completion time, and returns the minimum.
-// Candidate 0 is the plan the default search would have returned, and
-// ties resolve to the earliest candidate, so an indifferent latency model
-// reproduces the default plan byte-for-byte. The DFS leaves the warm
-// structures back at the initial configuration (every candidate descent
-// is fully reverted); the session resync handles that like any failed
-// run's state.
-func (e *engine) runCollect(empty bitset) ([]Step, error) {
-	e.collecting = true
-	_, err := e.dfs(empty, 0)
-	e.collecting = false
-	switch {
-	case err == nil:
-		return nil, nil // zero units: the empty plan
-	case errors.Is(err, errNotFound), errors.Is(err, errEnoughPlans):
-		// Exhausted or capped; candidates (if any) are in e.collected.
-	case errors.Is(err, ErrNoOrdering) && len(e.collected) > 0:
-		// Early termination fired after candidates were found; the
-		// candidates are verified plans, so the "no ordering" proof is
-		// moot (and indicates only that the solver's constraint set
-		// over-tightened after the fact).
-	default:
-		return nil, err
-	}
-	if len(e.collected) == 0 {
-		return nil, ErrNoOrdering
-	}
-	best, bestScore := 0, int64(-1)
-	for i, path := range e.collected {
-		score := e.buildDAG(e.stepsForPath(path)).completionEstimate()
-		if bestScore < 0 || score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return e.stepsForPath(e.collected[best]), nil
-}
-
-// stepsForPath materializes the careful step sequence for a recorded unit
-// order, mirroring the success unwind of the default DFS (cumulative
-// tables at rule granularity, a wait between every pair of updates). It
-// uses and then restores e.curTables, which collect-mode exhaustion left
-// at the initial tables.
-func (e *engine) stepsForPath(path []int) []Step {
-	steps := make([]Step, 0, 2*len(path))
-	for n, ui := range path {
-		u := e.units[ui]
-		tbl := e.unitTable(u)
-		e.curTables[u.sw] = tbl
-		if n > 0 {
-			steps = append(steps, Step{Wait: true})
-		}
-		steps = append(steps, Step{
-			Switch: u.sw, Table: tbl.Clone(),
-			IsRule: u.isRule, RuleAdd: u.add, Rule: u.rule,
-		})
-	}
-	for _, u := range e.units {
-		e.curTables[u.sw] = e.sc.Init.Table(u.sw)
-	}
-	return steps
-}
-
 // dfs explores update orders from the current configuration (encoded by
 // the applied bitmask). It returns the remaining steps on success — last
 // first: the leaf allocates the plan once and every level appends its step
@@ -310,16 +224,6 @@ func (e *engine) stepsForPath(path []int) []Step {
 // terminal error.
 func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 	if depth == len(e.units) {
-		if e.collecting {
-			// Record the complete order and keep searching: the collect
-			// run behaves like a failure here so the DFS backtracks into
-			// the remaining candidates.
-			e.collected = append(e.collected, append([]int(nil), e.path...))
-			if len(e.collected) >= maxPlanCandidates {
-				return nil, errEnoughPlans
-			}
-			return nil, errNotFound
-		}
 		if depth == 0 {
 			return nil, nil // no unit: the empty plan
 		}
@@ -340,11 +244,7 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 			continue // finalize steps wait for their merge step
 		}
 		next := applied.set(ui)
-		if e.collecting && depth+1 == len(e.units) {
-			// Collect mode: the unique all-units configuration is reached
-			// once per distinct order; gating it through the visited set
-			// would cap the enumeration at one candidate.
-		} else if !e.visited.add(next) {
+		if !e.visited.add(next) {
 			e.stats.VisitedPruned++
 			continue
 		}
@@ -363,7 +263,7 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 		}
 		if failed {
 			e.revert(frames)
-			if len(cexSwitches) > 0 && !e.opts.NoCexLearning {
+			if len(cexSwitches) > 0 && !e.abl.NoCexLearning {
 				if terminate := e.learn(cexSwitches, next); terminate {
 					e.stats.EarlyTerminate = true
 					return nil, ErrNoOrdering
@@ -372,13 +272,7 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 			continue
 		}
 		e.curTables[u.sw] = newTbl
-		if e.collecting {
-			e.path = append(e.path, ui) // read by the collect leaves
-		}
 		rest, err := e.dfs(next, depth+1)
-		if e.collecting {
-			e.path = e.path[:len(e.path)-1]
-		}
 		if err == nil {
 			// The deeper levels committed theirs on the way out: the plan
 			// keeps this update too.
@@ -539,7 +433,7 @@ func (e *engine) learn(cexSwitches []int, cfg bitset) bool {
 		return false // counterexample mentions no updating switch: ignore
 	}
 	e.wrong = append(e.wrong, pattern{relevant: relevant, value: value})
-	if e.opts.NoEarlyTermination {
+	if e.abl.NoEarlyTermination {
 		return false
 	}
 	e.stats.SATCalls++

@@ -14,9 +14,11 @@ import (
 	"time"
 )
 
-// Options configures synthesis. The zero value is the paper's default
-// configuration — switch granularity, with counterexample learning, early
-// termination, and wait removal all enabled.
+// Options configures synthesis: it is the option set a tenant may choose.
+// The zero value is the paper's default configuration — switch
+// granularity, with counterexample learning, early termination, and wait
+// removal all enabled. The switches that turn the Section 4.2
+// optimizations off are not options; see Ablation.
 //
 // This struct is the one description of the option set; its tags say
 // what each consumer needs to know:
@@ -29,8 +31,10 @@ import (
 //     returns, otherwise its bit number in ContextFingerprint's flag
 //     word. That digest is stored in NUSS images and keys learn files:
 //     never renumber a bit; a new plan-shaping option takes the next one
-//     never used (7). Bit 5 is retired: it was the first-plan-wins
-//     tie-break of the intra-component worker pool, deleted with it.
+//     never used (7). Bits 4 to 6 are retired and never reused: bit 4
+//     was the heuristic-order ablation switch, now Ablation's; bit 5 the
+//     first-plan-wins tie-break of the deleted intra-component worker
+//     pool; bit 6 the deleted completion-time tie-break.
 type Options struct {
 	// RuleGranularity updates individual rules instead of whole switch
 	// tables (Section 3.1, Figure 8i).
@@ -52,30 +56,9 @@ type Options struct {
 	// unit-interference graph, where two units interfere when they touch
 	// the same switch or affect a common traffic class — solves each with
 	// its own sub-search, and composes the sub-plans in deterministic
-	// order. Used by the ablation benchmarks and as the joint baseline of
-	// the decomposition comparison.
+	// order. Used as the joint baseline of the decomposition comparison
+	// and by the repair ladder.
 	NoDecomposition bool `json:"noDecompose,omitempty" flag:"no-decompose" help:"always run one joint search instead of partitioning independent update regions" plan:"3"`
-	// NoCexLearning disables wrong-configuration pruning (4.2.A); used by
-	// the ablation benchmarks. (Speed-only, like NoEarlyTermination:
-	// learning prunes only provably wrong configurations.)
-	NoCexLearning bool `json:"noCexLearning,omitempty" plan:"speed"`
-	// NoEarlyTermination disables SAT-based early termination (4.2.B).
-	NoEarlyTermination bool `json:"noEarlyTermination,omitempty" plan:"speed"`
-	// NoHeuristicOrder disables destination-first candidate ordering and
-	// explores units in index order; used by the ablation benchmarks.
-	NoHeuristicOrder bool `json:"noHeuristicOrder,omitempty" plan:"4"`
-	// MinimizeCompletionTime makes completion time under the dependency-
-	// DAG latency model (see dag.go) a tie-breaker among valid plans: the
-	// search collects up to a handful of candidate orderings instead of
-	// stopping at the first, scores each candidate's DAG by critical-path
-	// completion time (installs, acks, and drain edges), and returns the
-	// minimum — preferring shallower, wider DAGs with fewer drain edges.
-	// Ties resolve to the plan the default search would have found, so
-	// when every candidate scores equally the output is byte-identical to
-	// the default. Expect up to a few times the search cost. Decomposed
-	// runs optimize each component independently, which composes to the
-	// global optimum (component DAGs are disjoint).
-	MinimizeCompletionTime bool `json:"minCompletion,omitempty" flag:"min-completion" help:"tie-break among valid plans by completion time under the dependency-DAG latency model" plan:"6"`
 	// NoPlanCache disables the verification-first plan cache (cache.go):
 	// the session never attaches a cache, so every synthesis pays the full
 	// search even on a byte-identical repeat instance. Used as the
@@ -93,6 +76,24 @@ type Options struct {
 	// nanoseconds, a time.Duration verbatim; requests may tighten it
 	// further per call via their deadline.
 	Timeout time.Duration `json:"timeoutNs,omitempty" flag:"timeout" help:"search timeout (per synthesis in -stream mode)" plan:"speed"`
+}
+
+// Ablation switches off the Section 4.2 optimizations one at a time, to
+// regenerate the paper's ablation (internal/bench.Ablation). It is not an
+// option a tenant may choose: it has no wire key, no flag and no
+// fingerprint bit, and reaches a session only through
+// SessionResources.Ablation; every engine the session builds reads it.
+// NoHeuristicOrder can change which plan the search returns, yet the
+// fingerprint need not cover it: its only users, the figure harness and
+// the core tests, attach no plan cache and take no snapshot.
+type Ablation struct {
+	// NoCexLearning disables wrong-configuration pruning (4.2.A).
+	NoCexLearning bool
+	// NoEarlyTermination disables SAT-based early termination (4.2.B).
+	NoEarlyTermination bool
+	// NoHeuristicOrder disables destination-first candidate ordering and
+	// explores units in index order.
+	NoHeuristicOrder bool
 }
 
 // RegisterFlags declares on fs the command-line flag of every option that

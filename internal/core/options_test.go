@@ -33,8 +33,7 @@ func goldenBase(t *testing.T) *config.StreamBase {
 // allOptionsSet is an Options with every field away from its default.
 var allOptionsSet = Options{
 	RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
-	NoCexLearning: true, NoEarlyTermination: true, NoHeuristicOrder: true,
-	MinimizeCompletionTime: true, NoPlanCache: true, Trace: true, Timeout: 1500 * time.Nanosecond,
+	NoPlanCache: true, Trace: true, Timeout: 1500 * time.Nanosecond,
 }
 
 // TestContextFingerprintGolden pins ContextFingerprint to the digests of
@@ -44,8 +43,10 @@ var allOptionsSet = Options{
 // stores, so everything written before the worker count (speed-only,
 // never in the digest) and the first-plan-wins tie-break (plan bit 5,
 // which no stored digest of a default tenant had set) were deleted must
-// still load. One row per plan
-// bit still in use, so a renumbered or reused bit fails by name.
+// still load. One row per plan bit still in use, so a renumbered or
+// reused bit fails by name. "every option set" is the digest of bits 0-3
+// alone: the heuristic-order switch (bit 4) and the completion-time
+// tie-break (bit 6) have left Options since.
 func TestContextFingerprintGolden(t *testing.T) {
 	base := goldenBase(t)
 	for _, c := range []struct {
@@ -58,9 +59,7 @@ func TestContextFingerprintGolden(t *testing.T) {
 		{"bit 1", Options{TwoSimple: true}, "0a0bc668078bc20dd5ac89ced214de15ff643c931a0e48ad24a59ee2183a59d9"},
 		{"bit 2", Options{NoWaitRemoval: true}, "c6f399fb99727dff3f774713683ce976b767af65957be97bdf2ddb684269dfc0"},
 		{"bit 3", Options{NoDecomposition: true}, "7fd61c55e7eff402142f8722c66279658c9ccc565c6c04b41bf5aa87cdfb6c60"},
-		{"bit 4", Options{NoHeuristicOrder: true}, "6220a610d99cd148d4545558e8c77fb5ec312a5d00167ff67aa6afee7d1cf4a2"},
-		{"bit 6", Options{MinimizeCompletionTime: true}, "ae66f91aa939dd7b23b167d6a2b700c56baba5d983678d8236acbf8eb195a8e3"},
-		{"every option set", allOptionsSet, "eef98d0de1a372e53290394e80ab5799de14ddee3870bacd95dbc114a31a6355"},
+		{"every option set", allOptionsSet, "88bcfc051eb95b02d4324670a16ff6649e751ec6424c8b5a7cd25c623c29af99"},
 	} {
 		if got := hex.EncodeToString(ContextFingerprint(base.Topo, base.Specs, c.opts)); got != c.want {
 			t.Errorf("%s: ContextFingerprint = %s, want %s", c.name, got, c.want)
@@ -73,9 +72,7 @@ func TestContextFingerprintGolden(t *testing.T) {
 // Options field is in the table, so a new option cannot go unclassified.
 func TestOptionClassification(t *testing.T) {
 	shapesPlan := map[string]bool{
-		"RuleGranularity": true, "TwoSimple": true, "NoWaitRemoval": true,
-		"NoDecomposition": true, "NoHeuristicOrder": true, "MinimizeCompletionTime": true,
-		"NoCexLearning": false, "NoEarlyTermination": false,
+		"RuleGranularity": true, "TwoSimple": true, "NoWaitRemoval": true, "NoDecomposition": true,
 		"NoPlanCache": false, "Trace": false, "Timeout": false,
 	}
 	base := goldenBase(t)
@@ -89,8 +86,8 @@ func TestOptionClassification(t *testing.T) {
 			t.Errorf("Options.%s: not in the plan-shaping/speed-only table", name)
 			continue
 		}
-		if typ.Field(i).Tag.Get("plan") == "5" {
-			t.Errorf("Options.%s takes plan bit 5, which was the first-plan-wins tie-break and is retired", name)
+		if plan := typ.Field(i).Tag.Get("plan"); plan == "4" || plan == "5" || plan == "6" {
+			t.Errorf("Options.%s takes plan bit %s, which is retired (options.go)", name, plan)
 		}
 		var opts Options
 		switch f := reflect.ValueOf(&opts).Elem().Field(i); f.Kind() {
@@ -119,18 +116,18 @@ func TestOptionsFlagsAndText(t *testing.T) {
 	fs := flag.NewFlagSet("netupdate", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	opts.RegisterFlags(fs)
-	args := strings.Fields("-rules -2simple -no-wait-removal -no-decompose -min-completion -no-plan-cache")
+	args := strings.Fields("-rules -2simple -no-wait-removal -no-decompose -no-plan-cache")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	want := Options{
 		RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
-		MinimizeCompletionTime: true, NoPlanCache: true, Timeout: 10 * time.Minute,
+		NoPlanCache: true, Timeout: 10 * time.Minute,
 	}
 	if opts != want {
 		t.Fatalf("parsed %+v, want %+v", opts, want)
 	}
-	for _, removed := range [][]string{{"-checker", "incremental"}, {"-parallel", "4"}, {"-first-plan"}} {
+	for _, removed := range [][]string{{"-checker", "incremental"}, {"-parallel", "4"}, {"-first-plan"}, {"-min-completion"}} {
 		if err := fs.Parse(removed); err == nil || !strings.Contains(err.Error(), removed[0]) {
 			t.Fatalf("%v: err = %v, want a usage error naming the flag", removed, err)
 		}

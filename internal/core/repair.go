@@ -160,11 +160,10 @@ func (s *Session) repairFallback(ctx context.Context, name string, specs []confi
 		opts := s.opts
 		opts.TwoSimple = true
 		opts.NoDecomposition = true
-		opts.MinimizeCompletionTime = false
 		opts.Trace = false // the rung's ephemeral session records nothing of its own
 		sc := &config.Scenario{Name: name, Topo: s.topo, Init: s.cur, Final: overlay, Specs: specs}
 		rung := s.trace.Begin("fallback-2simple", s.traceSearch)
-		plan, err := synthesizeScoped(ctx, sc, opts)
+		plan, err := synthesizeScoped(ctx, sc, opts, s.abl)
 		s.trace.End(rung)
 		if err == nil {
 			return plan.Steps, false, nil
@@ -183,9 +182,9 @@ func (s *Session) repairFallback(ctx context.Context, name string, specs []confi
 
 // synthesizeScoped is the context-aware one-shot synthesis the fallback
 // ladder uses for an escalated component sub-search.
-func synthesizeScoped(ctx context.Context, sc *config.Scenario, opts Options) (*Plan, error) {
+func synthesizeScoped(ctx context.Context, sc *config.Scenario, opts Options, abl Ablation) (*Plan, error) {
 	start := time.Now()
-	es, err := NewSession(sc.Topo, sc.Init, sc.Specs, opts)
+	es, err := NewSessionWith(sc.Topo, sc.Init, sc.Specs, opts, SessionResources{Ablation: abl})
 	if err != nil {
 		return nil, err
 	}

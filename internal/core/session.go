@@ -60,6 +60,7 @@ type Session struct {
 	topo  *topology.Topology
 	specs []config.ClassSpec
 	opts  Options
+	abl   Ablation
 	cur   *config.Config
 
 	// arena is the class-independent Kripke state space every per-class
@@ -202,11 +203,14 @@ func putScratch(scr *engineScratch) {
 // incremental checker over Warmth. It is the seam the figure harness
 // (internal/bench) drives its comparison backends through; such a session
 // cannot be snapshotted, and RestoreSessionWith ignores the field (an
-// image holds the incremental checker's labeling).
+// image holds the incremental checker's labeling). Ablation is the
+// harness's other seam: the Section 4.2 optimizations the session's
+// searches leave out.
 type SessionResources struct {
 	Arena     *kripke.Arena
 	Warmth    *mc.Warmth
 	Factory   mc.Factory
+	Ablation  Ablation
 	ContextFP []byte
 	Current   *config.Config
 }
@@ -249,6 +253,7 @@ func newSessionShell(topo *topology.Topology, init *config.Config, specs []confi
 		topo:     topo,
 		specs:    specs,
 		opts:     opts,
+		abl:      res.Ablation,
 		cur:      init,
 		arena:    arena,
 		warm:     warm,
@@ -487,7 +492,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	}
 	scr := scratchPool.Get().(*engineScratch)
 	defer putScratch(scr)
-	e := newEngineShellWith(sc, s.opts, units, scr)
+	e := newEngineShellWith(sc, s.opts, s.abl, units, scr)
 	e.bindContext(ctx)
 	e.stats.RequestID = reqID
 	// Every other class has an empty delta for every unit of the diff: the

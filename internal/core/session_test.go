@@ -584,10 +584,8 @@ func TestSynthesizeContextDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{
-		NoCexLearning:      true,
-		NoEarlyTermination: true,
-	})
+	sess, err := NewSessionWith(sc.Topo, sc.Init, sc.Specs, Options{},
+		SessionResources{Ablation: Ablation{NoCexLearning: true, NoEarlyTermination: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,15 +199,18 @@ func TestEveryOptionReachesTheSession(t *testing.T) {
 // TestFingerprintCanonicalAndGolden: a spec that spells a default option
 // (what netupdate -stream -connect used to send) and one that leaves it
 // out (what every HTTP client sends) are the same tenant; and the ids of
-// specs as JSON clients spell them are the ones computed at commit
-// 9bc8855 (every-option: at b2c7ecd, without the "parallel" and
-// "firstPlan" keys that commit still had), so registered tenants and
-// -learn-file stores keep their keys. The removed "checker", "parallel"
-// and "firstPlan" keys are a 400 like any unknown key, even spelling the
-// old default, and the error names the key.
+// the default specs as JSON clients spell them are the ones computed at
+// commit 9bc8855, so registered tenants and -learn-file stores keep their
+// keys. The every-option row sets all seven keys; its ids are the ones
+// that spec had while the option set still held the ablation switches
+// and the completion-time tie-break.
+// Every removed key — "checker", "parallel", "firstPlan", and
+// "minCompletion" with the three ablation switches — is a 400 like any
+// unknown key, even spelling the old default, and the error names the
+// key.
 func TestFingerprintCanonicalAndGolden(t *testing.T) {
 	const header = `{"name":"line","topology":{"switches":4,"links":[[0,1],[1,3],[0,2],[2,3]],"hosts":[{"id":100,"switch":0},{"id":101,"switch":3}]},"classes":[{"name":"c","src":100,"dst":101,"path":[0,1,3],"spec":"sw=0 -> F sw=3"}]`
-	const everyOption = `,"options":{"rules":true,"twoSimple":true,"noWaitRemoval":true,"noDecompose":true,"noCexLearning":true,"noEarlyTermination":true,"noHeuristicOrder":true,"minCompletion":true,"noPlanCache":true,"trace":true,"timeoutNs":1500}}`
+	const everyOption = `,"options":{"rules":true,"twoSimple":true,"noWaitRemoval":true,"noDecompose":true,"noPlanCache":true,"trace":true,"timeoutNs":1500}}`
 	p := NewPool(PoolOptions{Workers: 1})
 	ts := httptest.NewServer(NewHandler(p))
 	defer ts.Close()
@@ -218,7 +221,7 @@ func TestFingerprintCanonicalAndGolden(t *testing.T) {
 		{header + `}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", true},
 		{header + `,"options":{}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
 		{header + `,"options":{"twoSimple":false,"rules":false}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
-		{header + everyOption, "te26b5b81046c944e", "tca6a2933aae50cb0", true},
+		{header + everyOption, "t391d5448b2a0c960", "t1f01912990683ed1", true},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(c.spec))
 		if err != nil {
@@ -241,7 +244,10 @@ func TestFingerprintCanonicalAndGolden(t *testing.T) {
 			t.Errorf("%s:\nlearn fingerprint %s (%v), want %s", c.spec, learnID, err, c.learnID)
 		}
 	}
-	for key, value := range map[string]string{"checker": `"incremental"`, "parallel": "0", "firstPlan": "false"} {
+	for key, value := range map[string]string{
+		"checker": `"incremental"`, "parallel": "0", "firstPlan": "false",
+		"minCompletion": "true", "noCexLearning": "true", "noEarlyTermination": "true", "noHeuristicOrder": "true",
+	} {
 		options := `,"options":{"` + key + `":` + value + `}}`
 		resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(header+options))
 		if err != nil {

@@ -127,6 +127,25 @@ func TestServeStdioGracefulCancel(t *testing.T) {
 	pw.Close()
 }
 
+// TestServeStdioHeaderRefusesRetiredKeys: a -stream header that spells a
+// key of a removed option is refused before any tenant registers, and the
+// error names the key — as the HTTP registration refuses it.
+func TestServeStdioHeaderRefusesRetiredKeys(t *testing.T) {
+	const classes = `"spec":"sw=0 -> F sw=3"}]`
+	for _, key := range []string{"minCompletion", "noCexLearning", "noEarlyTermination", "noHeuristicOrder"} {
+		in := strings.Replace(stdioStream, classes, classes+`,"`+key+`":true`, 1)
+		p := server.NewPool(server.PoolOptions{Workers: 1})
+		var out, errw lockedBuffer
+		err := server.ServeStdio(context.Background(), strings.NewReader(in), &out, &errw, p, core.Options{}, true)
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("%s: err = %v, want a header error naming the key", key, err)
+		}
+		if n := p.Metric("pool_tenants"); n != 0 || len(out.lines()) != 0 {
+			t.Errorf("%s: %g tenants registered, %d lines out; want none", key, n, len(out.lines()))
+		}
+	}
+}
+
 // TestServeStdioDecodeErrorTerminal: a syntax error mid-stream emits a
 // positioned error line and then fails the stream.
 func TestServeStdioDecodeErrorTerminal(t *testing.T) {
