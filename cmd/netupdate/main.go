@@ -440,7 +440,7 @@ func runStreamRemote(f *flags) error {
 	if err != nil {
 		return err
 	}
-	ring := server.NewRing(0)
+	ring := server.NewRing()
 	for _, r := range replicas {
 		ring.Add(r)
 	}

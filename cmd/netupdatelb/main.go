@@ -35,17 +35,16 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":9090", "listen address")
 		replicas = flag.String("replicas", "", "comma-separated netupdated base URLs forming the initial ring")
-		vnodes   = flag.Int("vnodes", server.DefaultVirtualNodes, "virtual nodes per replica on the hash ring")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6061); empty disables profiling")
 	)
 	flag.Parse()
-	if err := run(*addr, *replicas, *vnodes, *pprof); err != nil {
+	if err := run(*addr, *replicas, *pprof); err != nil {
 		fmt.Fprintf(os.Stderr, "netupdatelb: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, replicas string, vnodes int, pprofAddr string) error {
+func run(addr, replicas, pprofAddr string) error {
 	var urls []string
 	for _, u := range strings.Split(replicas, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -55,7 +54,7 @@ func run(addr, replicas string, vnodes int, pprofAddr string) error {
 	if len(urls) == 0 {
 		return fmt.Errorf("no replicas: pass -replicas http://host:port[,...]")
 	}
-	lb, err := server.NewLB(urls, vnodes)
+	lb, err := server.NewLB(urls)
 	if err != nil {
 		return err
 	}
@@ -67,6 +66,6 @@ func run(addr, replicas string, vnodes int, pprofAddr string) error {
 			}
 		}()
 	}
-	fmt.Fprintf(os.Stderr, "netupdatelb: routing %d replicas on %s (vnodes=%d)\n", len(urls), addr, vnodes)
+	fmt.Fprintf(os.Stderr, "netupdatelb: routing %d replicas on %s\n", len(urls), addr)
 	return http.ListenAndServe(addr, lb.Handler())
 }

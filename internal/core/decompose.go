@@ -7,7 +7,8 @@ package core
 // that affect disjoint traffic classes can never invalidate each other's
 // checks, so a joint search over n1+n2 units wastes exponential work that
 // two searches of n1 and n2 units avoid. This file turns the synthesizer
-// from one big search into a scheduler of small ones:
+// from one big search into a scheduler of small ones, and every search
+// runs through it — a joint search is a one-component run:
 //
 //  1. Footprint pre-pass: each unit's *interference footprint* is the set
 //     of traffic classes whose Kripke delta is non-empty for that unit —
@@ -52,10 +53,11 @@ package core
 // affects, the endpoint verification) established — a checker's verdict
 // is a function of its class structure alone (the mc.Checker contract).
 //
-// A single-component diff runs the joint engine over the component's
-// classes only: every other class has an empty delta for every
-// unit, so the joint search over all classes would skip it at every check
-// anyway. Plans are byte-identical to the all-class joint search.
+// A connected diff is one component over its footprint classes: every
+// other class has an empty delta for every unit, so a search over all
+// classes would skip it at every check anyway. With decomposition off, or
+// fewer than two units, the pre-pass is skipped and the one component is
+// every unit over the request's affected classes.
 
 import (
 	"errors"
@@ -63,6 +65,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netupdate/internal/config"
@@ -71,7 +74,7 @@ import (
 
 // component is one independent subproblem of the interference partition.
 type component struct {
-	units    []int // joint-engine unit ids, ascending
+	units    []int // request-engine unit ids, ascending
 	classes  []int // spec indexes the subproblem must check, ascending
 	switches []int // switches the units touch, ascending
 }
@@ -227,15 +230,16 @@ func (e *engine) components(aff *affectedClasses) ([]component, error) {
 	return comps, nil
 }
 
-// decompose partitions the diff into independent subproblems. Several
-// components run as separate sub-searches (runDecomposed); a single one
-// names the classes the diff can affect, and the joint engine runs over
-// those alone (attach). (nil, nil) leaves the joint engine on the request's
-// affected classes: decomposition is disabled or the diff is trivially
-// small.
+// decompose partitions the diff into independent subproblems, at least
+// one. With decomposition disabled, or a diff of fewer than two units,
+// the one component is the whole diff over the request's affected classes.
 func (s *Session) decompose(e *engine) ([]component, error) {
 	if s.opts.NoDecomposition || len(e.units) < 2 {
-		return nil, nil
+		units := make([]int, len(e.units))
+		for i := range units {
+			units[i] = i
+		}
+		return []component{{units: units, classes: s.aff.classes, switches: e.unitSwitches()}}, nil
 	}
 	return e.components(&s.aff)
 }
@@ -254,19 +258,21 @@ type compResult struct {
 var testSolveOrder func(n int) []int
 
 // testAfterComponent, when non-nil, runs after each component sub-search
-// returns (serial scheduling only) — the seam the CommittedComponents
-// test uses to cancel a run between components. Test-only.
+// returns, on the goroutine that ran it — the seam the CommittedComponents
+// test uses to cancel a run between components searched one at a time.
+// Test-only.
 var testAfterComponent func(i int)
 
-// runDecomposed runs the component sub-searches, up to GOMAXPROCS of them
-// at once, and composes the careful sub-plans in component order.
-// Components partition the per-class structures, so the concurrent
-// engines share the session's warm state without cloning. Failures are
-// reported deterministically: the lowest-indexed failing component wins,
-// no matter which goroutine finished first.
-func (s *Session) runDecomposed(e *engine, comps []component, final *config.Config) ([]Step, error) {
-	slots := min(len(comps), runtime.GOMAXPROCS(0))
-
+// runComponents runs the component sub-searches, up to GOMAXPROCS of them
+// at once, and composes the careful sub-plans in component order. The
+// calling goroutine is the first worker, so a one-component run takes no
+// goroutine. Components partition the per-class structures, so the
+// concurrent engines share the session's warm state without cloning. In
+// repair mode a stuck component runs the fallback ladder (repair.go) over
+// its own classes and switches. Failures are reported deterministically:
+// the lowest-indexed failing component wins, no matter which goroutine
+// finished first.
+func (s *Session) runComponents(e *engine, comps []component, final *config.Config) ([]Step, error) {
 	order := make([]int, len(comps))
 	for i := range order {
 		order[i] = i
@@ -276,31 +282,30 @@ func (s *Session) runDecomposed(e *engine, comps []component, final *config.Conf
 	}
 
 	results := make([]compResult, len(comps))
-	if slots == 1 {
-		for _, i := range order {
+	var next atomic.Int32
+	work := func() {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(order) {
+				return
+			}
+			i := order[k]
 			results[i] = s.solveComponent(e, &comps[i], i, final)
 			if testAfterComponent != nil {
 				testAfterComponent(i)
 			}
 		}
-	} else {
-		idx := make(chan int, len(comps))
-		for _, i := range order {
-			idx <- i
-		}
-		close(idx)
-		var wg sync.WaitGroup
-		for w := 0; w < slots; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i] = s.solveComponent(e, &comps[i], i, final)
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(len(comps), runtime.GOMAXPROCS(0)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 
 	e.stats.Components = len(comps)
 	var runErr error
@@ -313,16 +318,10 @@ func (s *Session) runDecomposed(e *engine, comps []component, final *config.Conf
 			// the target tables whatever the other components did.
 			e.stats.CommittedComponents = append(e.stats.CommittedComponents, i)
 		} else if s.repairing && errors.Is(r.err, ErrNoOrdering) {
-			// Repair mode: a stuck component runs the fallback ladder
-			// (repair.go) instead of failing the whole run.
 			c := &comps[i]
-			specs := make([]config.ClassSpec, 0, len(c.classes))
-			for _, ci := range c.classes {
-				specs = append(specs, s.specs[ci])
-			}
 			var twoPhase bool
 			r.steps, twoPhase, r.err = s.repairFallback(
-				e.ctx, fmt.Sprintf("%s#c%d-fallback", e.sc.Name, i), specs, c.switches, final)
+				e.ctx, fmt.Sprintf("%s#c%d-fallback", e.sc.Name, i), s.specsOf(c.classes), c.switches, final)
 			if r.err == nil {
 				if twoPhase {
 					e.stats.TwoPhaseComponents++
@@ -338,7 +337,7 @@ func (s *Session) runDecomposed(e *engine, comps []component, final *config.Conf
 	if runErr != nil {
 		return nil, runErr
 	}
-	n := max(len(results)-1, 0) // the waits between sub-plans
+	n := len(results) - 1 // the waits between sub-plans
 	for i := range results {
 		n += len(results[i].steps)
 	}
@@ -352,10 +351,19 @@ func (s *Session) runDecomposed(e *engine, comps []component, final *config.Conf
 	return steps, nil
 }
 
+// specsOf returns the specifications of the given classes (spec indexes).
+func (s *Session) specsOf(classes []int) []config.ClassSpec {
+	specs := make([]config.ClassSpec, 0, len(classes))
+	for _, ci := range classes {
+		specs = append(specs, s.specs[ci])
+	}
+	return specs
+}
+
 // solveComponent runs one full ORDERUPDATE search over a component: the
 // session configuration with only the component's switches moved to their
 // final tables, checked against only the component's classes. The
-// sub-engine inherits the joint shell's units for the component —
+// sub-engine inherits the request engine's units for the component —
 // renumbered to a component-local 0..n-1 range, which also renumbers the
 // SAT early-termination variables, wrong patterns, and dead-set bitmasks
 // — and reuses the session's warm structures for its classes directly
@@ -373,20 +381,16 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 			s.trace.EndDetail(span, fmt.Sprintf("units=%d classes=%d", len(c.units), len(c.classes)))
 		}()
 	}
-	specs := make([]config.ClassSpec, 0, len(c.classes))
-	for _, ci := range c.classes {
-		specs = append(specs, s.specs[ci])
-	}
 	// The sub-engine inherits its units below and never derives anything
-	// from Final (computeUnits and wait removal run only on the joint
-	// shell), so the full target is recorded as-is instead of building a
+	// from Final (computeUnits and wait removal run only on the request
+	// engine), so the full target is recorded as-is instead of building a
 	// per-component overlay configuration nothing would read.
 	scC := &config.Scenario{
 		Name:  fmt.Sprintf("%s#c%d", e.sc.Name, idx),
 		Topo:  s.topo,
 		Init:  s.cur,
 		Final: final,
-		Specs: specs,
+		Specs: s.specsOf(c.classes),
 	}
 	units := make([]unit, len(c.units))
 	for i, uid := range c.units {

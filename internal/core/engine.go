@@ -35,13 +35,19 @@ func Synthesize(sc *config.Scenario, opts Options) (*Plan, error) {
 // SynthesizeWith is Synthesize over the given session resources (see
 // NewSessionWith).
 func SynthesizeWith(sc *config.Scenario, opts Options, res SessionResources) (*Plan, error) {
+	return synthesizeOnce(context.Background(), sc, opts, res)
+}
+
+// synthesizeOnce serves one target from a single-use session, the search
+// bounded by ctx; the repair ladder's 2-simple rung runs through it too.
+func synthesizeOnce(ctx context.Context, sc *config.Scenario, opts Options, res SessionResources) (*Plan, error) {
 	start := time.Now()
 	s, err := NewSessionWith(sc.Topo, sc.Init, sc.Specs, opts, res)
 	if err != nil {
 		return nil, err
 	}
 	s.ephemeral = true
-	plan, err := s.synthesize(context.Background(), sc.Name, sc.Final)
+	plan, err := s.synthesize(ctx, sc.Name, sc.Final)
 	if plan != nil {
 		// One-shot semantics: Elapsed covers structure construction too,
 		// as it did before the session refactor. (Session callers get
@@ -127,13 +133,14 @@ type engine struct {
 }
 
 // newEngineShellWith builds an engine minus its per-class structures
-// around the given unit list: search order, deadline, and per-run scratch.
-// The session attaches its warm Kripke structures and checkers afterwards;
-// scr (when non-nil) supplies pooled scratch reset in place instead of
-// reallocated. The session derives the units from the request's diff
-// once; component sub-searches reuse the joint shell's units (renumbered
+// around the given unit list: deadline and per-run scratch. The session
+// attaches its warm Kripke structures and checkers afterwards; scr (when
+// non-nil) supplies pooled scratch reset in place instead of reallocated.
+// The session derives the units from the request's diff once; component
+// sub-searches reuse the request engine's units (renumbered
 // component-locally) rather than re-deriving the diff and the destination
-// ranks per component.
+// ranks per component. What only a search reads — the unit order, the
+// early-termination store, the tables the DFS stands at — run builds.
 func newEngineShellWith(sc *config.Scenario, opts Options, abl Ablation, units []unit, scr *engineScratch) *engine {
 	if scr == nil {
 		scr = newEngineScratch()
@@ -146,27 +153,15 @@ func newEngineShellWith(sc *config.Scenario, opts Options, abl Ablation, units [
 		opts:      opts,
 		abl:       abl,
 		units:     units,
-		et:        newEarlyTerm(len(units)),
 		scr:       scr,
 		visited:   scr.visited,
 		curTables: scr.curTables,
 		deps:      scr.deps,
 	}
 	e.stats.Units = len(units)
-	if abl.NoHeuristicOrder {
-		e.order = make([]int, len(units))
-		for i := range e.order {
-			e.order[i] = i
-		}
-	} else {
-		e.order = orderUnits(units)
-	}
 	if opts.Timeout > 0 {
 		e.deadline = time.Now().Add(opts.Timeout)
 		e.hasDeadline = true
-	}
-	for _, u := range units {
-		e.curTables[u.sw] = sc.Init.Table(u.sw)
 	}
 	return e
 }
@@ -203,7 +198,21 @@ func (e *engine) snapshotCheckerStats() {
 	}
 }
 
+// run searches the attached classes for a careful order of the units:
+// ORDERUPDATE's DFS from the empty configuration.
 func (e *engine) run() ([]Step, error) {
+	e.et = newEarlyTerm(len(e.units))
+	if e.abl.NoHeuristicOrder {
+		e.order = make([]int, len(e.units))
+		for i := range e.order {
+			e.order[i] = i
+		}
+	} else {
+		e.order = orderUnits(e.units)
+	}
+	for _, u := range e.units {
+		e.curTables[u.sw] = e.sc.Init.Table(u.sw)
+	}
 	empty := newBitset(len(e.units))
 	e.visited.add(empty)
 	steps, err := e.dfs(empty, 0)

@@ -206,8 +206,8 @@ type Stats struct {
 	// trace spans use and populated on every run — traced or not — so
 	// JSONL consumers get a phase breakdown without enabling traces.
 	// VerifyElapsed is the up-front final-configuration verification;
-	// SearchElapsed covers the search proper (joint or decomposed,
-	// including any repair-ladder fallback); CacheVerifyElapsed is the
+	// SearchElapsed covers the search proper (every component, including
+	// any repair-ladder fallback); CacheVerifyElapsed is the
 	// replay of a cached plan through the warm checkers; RebindElapsed is
 	// the post-run resync of the warm per-class structures. They do not
 	// sum to Elapsed: scenario setup, DAG build, and cache bookkeeping
@@ -228,17 +228,18 @@ type Stats struct {
 	// diff). FootprintProbes counts the apply/revert
 	// probes of the footprint pre-pass. ComponentElapsed records each
 	// sub-search's wall time in composition order (components sorted by
-	// lowest unit index); empty for joint runs.
+	// lowest unit index), one entry for a joint run; empty when no search
+	// ran.
 	Components       int
 	FootprintProbes  int
 	ComponentElapsed []time.Duration
 
-	// CommittedComponents lists, for decomposed runs, the components
-	// (composition-order indexes) whose sub-searches completed and left
-	// their classes' warm structures at the target tables. On a failed or
-	// context-canceled run — readable via Session.LastStats — it tells
-	// callers exactly which parts of the diff were already solved when
-	// the run aborted. Nil for joint runs.
+	// CommittedComponents lists the components (composition-order
+	// indexes) whose sub-searches completed and left their classes' warm
+	// structures at the target tables — [0] for a joint run that finished.
+	// On a failed or context-canceled run — readable via
+	// Session.LastStats — it tells callers exactly which parts of the diff
+	// were already solved when the run aborted. Nil when none was.
 	CommittedComponents []int
 
 	// Repair counters (repair.go). RepairCommitted is the number of

@@ -38,7 +38,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"netupdate/internal/config"
 	"netupdate/internal/network"
@@ -163,7 +162,7 @@ func (s *Session) repairFallback(ctx context.Context, name string, specs []confi
 		opts.Trace = false // the rung's ephemeral session records nothing of its own
 		sc := &config.Scenario{Name: name, Topo: s.topo, Init: s.cur, Final: overlay, Specs: specs}
 		rung := s.trace.Begin("fallback-2simple", s.traceSearch)
-		plan, err := synthesizeScoped(ctx, sc, opts, s.abl)
+		plan, err := synthesizeOnce(ctx, sc, opts, SessionResources{Ablation: s.abl})
 		s.trace.End(rung)
 		if err == nil {
 			return plan.Steps, false, nil
@@ -178,22 +177,6 @@ func (s *Session) repairFallback(ctx context.Context, name string, specs []confi
 	tp := twophase.BuildScoped(s.topo, s.cur, overlay, specs)
 	s.trace.End(rung)
 	return commandSteps(tp.Commands), true, nil
-}
-
-// synthesizeScoped is the context-aware one-shot synthesis the fallback
-// ladder uses for an escalated component sub-search.
-func synthesizeScoped(ctx context.Context, sc *config.Scenario, opts Options, abl Ablation) (*Plan, error) {
-	start := time.Now()
-	es, err := NewSessionWith(sc.Topo, sc.Init, sc.Specs, opts, SessionResources{Ablation: abl})
-	if err != nil {
-		return nil, err
-	}
-	es.ephemeral = true
-	plan, err := es.synthesize(ctx, sc.Name, sc.Final)
-	if plan != nil {
-		plan.Stats.Elapsed = time.Since(start)
-	}
-	return plan, err
 }
 
 // commandSteps lowers a command schedule (two-phase output) to plan

@@ -192,14 +192,19 @@ func TestFaultRepairLadderEscalates(t *testing.T) {
 // keep visiting both A and B while its path flips from I-A-B-E to
 // I-B-A-E. Updating I first skips A, A first skips B, B first forwards
 // in a loop — and with a single class, rule granularity and 2-simple
-// collapse to the same three cases. Only version-tagging can do it.
-func swapScenario(t *testing.T) *config.Scenario {
+// collapse to the same three cases. Only version-tagging can do it. With
+// bystander, a switch X hangs off E, and a second class X -> h2 that the
+// flip's rules do not match enters there.
+func swapScenario(t *testing.T, bystander bool) *config.Scenario {
 	t.Helper()
 	const (
-		swI, swA, swB, swE = 0, 1, 2, 3
-		h1, h2             = 100, 101
+		swI, swA, swB, swE, swX = 0, 1, 2, 3, 4
+		h1, h2, h3              = 100, 101, 102
 	)
 	topo := topology.New("swap", 4)
+	if bystander {
+		topo = topology.New("swap", 5)
+	}
 	topo.AddLink(swI, swA)
 	topo.AddLink(swI, swB)
 	topo.AddLink(swA, swB)
@@ -212,6 +217,19 @@ func swapScenario(t *testing.T) *config.Scenario {
 	if err := config.InstallPath(init, topo, cl, []int{swI, swA, swB, swE}, 10); err != nil {
 		t.Fatal(err)
 	}
+	specs := []config.ClassSpec{{Class: cl, Formula: ltl.And(
+		ltl.Reachability(swI, swE),
+		ltl.And(ltl.Waypoint(swI, swA, swE), ltl.Waypoint(swI, swB, swE)),
+	)}}
+	if bystander {
+		topo.AddLink(swX, swE)
+		topo.AddHost(h3, swX)
+		by := config.Class{Name: "h3->h2", SrcHost: h3, DstHost: h2}
+		if err := config.InstallPath(init, topo, by, []int{swX, swE}, 10); err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, config.ClassSpec{Class: by, Formula: ltl.Reachability(swX, swE)})
+	}
 	tmp := config.New()
 	if err := config.InstallPath(tmp, topo, cl, []int{swI, swB, swA, swE}, 20); err != nil {
 		t.Fatal(err)
@@ -220,26 +238,22 @@ func swapScenario(t *testing.T) *config.Scenario {
 	for _, sw := range []int{swI, swA, swB} {
 		final.SetTable(sw, tmp.Table(sw).Clone())
 	}
-	spec := ltl.And(
-		ltl.Reachability(swI, swE),
-		ltl.And(ltl.Waypoint(swI, swA, swE), ltl.Waypoint(swI, swB, swE)),
-	)
 	return &config.Scenario{
 		Name:  "swap",
 		Topo:  topo,
 		Init:  init,
 		Final: final,
-		Specs: []config.ClassSpec{{Class: cl, Formula: spec}},
+		Specs: specs,
 	}
 }
 
 // TestFaultRepairLadderTwoPhase: when even the escalated careful search
 // is impossible, the ladder's last rung version-tags the stuck component.
 // The resulting plan is consistent by construction — verified here on the
-// operational model under random interleavings — and lands exactly on the
-// target tables.
+// operational model under random interleavings — lands exactly on the
+// target tables, and tags only the classes the stuck search checked.
 func TestFaultRepairLadderTwoPhase(t *testing.T) {
-	sc := swapScenario(t)
+	sc := swapScenario(t, false)
 	// Control: careful search is impossible at every granularity.
 	for _, opts := range []Options{
 		{},
@@ -305,6 +319,30 @@ func TestFaultRepairLadderTwoPhase(t *testing.T) {
 			}
 		}
 	}
+
+	// The ladder gets the classes the stuck search checked, also when the
+	// search ran joint: the bystander class no changed rule matches is not
+	// tagged, so its ingress switch stays out of the plan.
+	sc = swapScenario(t, true)
+	s = repairSession(t, sc, Options{NoDecomposition: true})
+	if _, err := s.Synthesize(sc.Init); err != nil {
+		t.Fatalf("no-op synthesis: %v", err)
+	}
+	if rep, err = s.Repair(nil, sc.Final); err != nil {
+		t.Fatalf("joint repair must fall back to two-phase, got: %v", err)
+	}
+	if rep.Stats.TwoPhaseComponents != 1 {
+		t.Fatalf("joint repair: TwoPhaseComponents = %d, want 1", rep.Stats.TwoPhaseComponents)
+	}
+	scope := map[int]bool{0: true} // the ingress switch of h1->h2, the one class the flip affects
+	for _, sw := range config.Diff(sc.Init, sc.Final) {
+		scope[sw] = true
+	}
+	for _, st := range rep.Updates() {
+		if !scope[st.Switch] {
+			t.Fatalf("joint repair updates sw%d, outside the diff and the affected classes' ingress switches", st.Switch)
+		}
+	}
 }
 
 // TestRepairOverInfeasibleMemo: the plan cache memoizes (crash
@@ -317,7 +355,7 @@ func TestRepairOverInfeasibleMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range []*config.Scenario{scInf, swapScenario(t)} {
+	for _, sc := range []*config.Scenario{scInf, swapScenario(t, false)} {
 		repair := func(cache *PlanCache) *Plan {
 			t.Helper()
 			s := repairSession(t, sc, Options{})
@@ -362,7 +400,8 @@ func TestRepairOverInfeasibleMemo(t *testing.T) {
 
 // TestFaultStatsCommittedComponents: a decomposed run canceled after its
 // first component must report exactly that component as committed via
-// Session.LastStats, and a completed run reports all of them.
+// Session.LastStats, a completed run reports all of them, and a joint run
+// reports its one component.
 func TestFaultStatsCommittedComponents(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
 	s := repairSession(t, sc, Options{})
@@ -397,5 +436,17 @@ func TestFaultStatsCommittedComponents(t *testing.T) {
 		if gotAll[i] != want[i] {
 			t.Fatalf("CommittedComponents after success = %v, want %v", gotAll, want)
 		}
+	}
+
+	// A joint search is a one-component run, and reports as one.
+	s = repairSession(t, sc, Options{NoDecomposition: true})
+	if plan, err = s.Synthesize(sc.Final); err != nil {
+		t.Fatal(err)
+	}
+	st := plan.Stats
+	if st.Components != 1 || len(st.ComponentElapsed) != 1 ||
+		len(st.CommittedComponents) != 1 || st.CommittedComponents[0] != 0 {
+		t.Fatalf("joint run: Components %d, ComponentElapsed %v, CommittedComponents %v; want 1, one entry, [0]",
+			st.Components, st.ComponentElapsed, st.CommittedComponents)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -105,10 +104,9 @@ type Session struct {
 	lastInit  *config.Config
 	lastFinal *config.Config
 	lastStats Stats
-	// repairing arms the graceful-degradation ladder: a component (or the
-	// joint search) that reports ErrNoOrdering is retried at 2-simple
-	// granularity and then falls back to scoped two-phase instead of
-	// failing the run.
+	// repairing arms the graceful-degradation ladder: a component that
+	// reports ErrNoOrdering is retried at 2-simple granularity and then
+	// falls back to scoped two-phase instead of failing the run.
 	repairing bool
 
 	// Verification-first plan cache (cache.go), attached via EnableCache
@@ -119,7 +117,6 @@ type Session struct {
 	// identity so a steady-state stream hashes one configuration per
 	// request.
 	cache       *PlanCache
-	cacheBlob   []byte
 	ctxFP       []byte
 	hashedCur   *config.Config
 	curHash     cfgHash
@@ -352,30 +349,6 @@ func (s *Session) SetTrace(t *obs.Trace) { s.trace = t }
 // Trace returns the attached span recorder, or nil.
 func (s *Session) Trace() *obs.Trace { return s.trace }
 
-// materializeCache decodes a restored snapshot's plan-cache blob into a
-// live cache on first access, keeping the JSON decode — the single
-// largest remaining chunk of restore time — off the restore critical
-// path. The blob rode in under the snapshot's sha256 checksum, so a
-// decode failure here means an encoder bug, not corruption; the cache is
-// then simply dropped (a cold cache is always sound — every hit is
-// re-verified by replay anyway).
-func (s *Session) materializeCache() {
-	if s.cacheBlob == nil {
-		return
-	}
-	blob := s.cacheBlob
-	s.cacheBlob = nil
-	var cs PlanCacheSnapshot
-	if err := json.Unmarshal(blob, &cs); err != nil {
-		return
-	}
-	cache := NewPlanCache(0)
-	if err := cache.Restore(&cs); err != nil {
-		return
-	}
-	s.cache = cache
-}
-
 // EnableCache attaches a private verification-first plan cache (cache.go)
 // with the default capacity and returns it, creating one if the session
 // has none. It is a no-op returning nil when Options.NoPlanCache is set.
@@ -383,7 +356,6 @@ func (s *Session) EnableCache() *PlanCache {
 	if s.opts.NoPlanCache {
 		return nil
 	}
-	s.materializeCache()
 	if s.cache == nil {
 		s.cache = NewPlanCache(0)
 	}
@@ -391,21 +363,16 @@ func (s *Session) EnableCache() *PlanCache {
 }
 
 // SetCache attaches an existing (possibly shared) plan cache; nil
-// detaches. Ignored when Options.NoPlanCache is set. Any pending
-// restored-snapshot cache state is superseded and discarded.
+// detaches. Ignored when Options.NoPlanCache is set.
 func (s *Session) SetCache(c *PlanCache) {
 	if s.opts.NoPlanCache {
 		return
 	}
-	s.cacheBlob = nil
 	s.cache = c
 }
 
 // Cache returns the attached plan cache, or nil.
-func (s *Session) Cache() *PlanCache {
-	s.materializeCache()
-	return s.cache
-}
+func (s *Session) Cache() *PlanCache { return s.cache }
 
 // Current returns the configuration the session is at: the initial one,
 // or the target of the last successful Synthesize.
@@ -421,7 +388,7 @@ func (s *Session) Runs() int { return s.runs }
 func (s *Session) RestoredCold() bool { return s.restoredCold }
 
 // LastStats returns the statistics of the most recent synthesis attempt,
-// successful or not. After a failed or aborted decomposed run,
+// successful or not. After a failed or aborted run,
 // Stats.CommittedComponents names the components whose sub-searches
 // finished and left their classes' structures at the target tables.
 func (s *Session) LastStats() Stats { return s.lastStats }
@@ -509,7 +476,6 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	// run the fallback ladder and so searches afresh.
 	var cacheKey string
 	var ent *cacheEntry
-	s.materializeCache()
 	if s.cache != nil {
 		clSpan := tr.Begin("cache-lookup", root)
 		cacheKey = s.instanceKey(final)
@@ -519,7 +485,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	var steps []Step
 	var runErr error
 	var dag *PlanDAG
-	fromCache, decomposed, searched := false, false, false
+	fromCache, searched := false, false
 	if ent != nil && ent.hasPlan() {
 		e.snapshotCheckerStats()
 		cvStart := time.Now()
@@ -579,47 +545,17 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			s.cache.noteMiss()
 		}
 		searched = true
-		// Partition the diff into independent subproblems where possible
-		// (see decompose.go); a connected diff runs the ordinary joint
-		// search over the classes its units can affect, an undecomposed one
-		// over the classes its changed rules can match.
+		// Partition the diff into independent subproblems (decompose.go)
+		// and run one search per subproblem.
 		dcSpan := tr.Begin("decompose", root)
 		comps, derr := s.decompose(e)
 		tr.End(dcSpan)
-		decomposed = derr == nil && len(comps) > 1
 		searchStart := time.Now()
 		searchSpan := tr.Begin("search", root)
 		s.traceSearch = searchSpan
-		switch {
-		case derr != nil:
-			runErr = derr
-		case decomposed:
-			steps, runErr = s.runDecomposed(e, comps, final)
-		default:
-			e.stats.Components = 1
-			if len(comps) == 1 {
-				// Wait removal and the DAG build below read the scenario's
-				// specs, never the engine's structures, so the narrowed view
-				// can stay attached for the rest of the run.
-				s.attach(e, comps[0].classes)
-			}
-			e.snapshotCheckerStats()
-			steps, runErr = e.run()
-			if s.repairing && runErr != nil && errors.Is(runErr, ErrNoOrdering) {
-				// The whole diff is one stuck component: run the repair
-				// fallback ladder over it (repair.go).
-				var twoPhase bool
-				var fsteps []Step
-				fsteps, twoPhase, runErr = s.repairFallback(e.ctx, sc.Name+"#fallback", s.specs, e.unitSwitches(), final)
-				if runErr == nil {
-					steps = fsteps
-					if twoPhase {
-						e.stats.TwoPhaseComponents++
-					} else {
-						e.stats.EscalatedComponents++
-					}
-				}
-			}
+		runErr = derr
+		if derr == nil {
+			steps, runErr = s.runComponents(e, comps, final)
 		}
 		s.traceSearch = 0
 		tr.End(searchSpan)
@@ -629,9 +565,12 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	if runErr == nil {
 		if fromCache {
 			// Cached plans were wait-removed when first synthesized and
-			// carry their DAG; only the counters need refreshing.
+			// carry their DAG; only the counters need refreshing. The
+			// replay's checker work is read against the snapshot taken
+			// before it (a search's arrives per component, addSearch).
 			e.stats.WaitsBefore = countWaits(steps)
 			e.stats.WaitsAfter = e.stats.WaitsBefore
+			e.collectCheckerStats()
 		} else {
 			e.stats.WaitsBefore = countWaits(steps)
 			// Two-phase fallback segments (repair ladder) are version-tagged,
@@ -661,13 +600,6 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			tr.End(dbSpan)
 		}
 		e.stats.DAGDepth, e.stats.DAGWidth = dag.Depth, dag.Width
-		if !decomposed {
-			// Decomposed runs already collected per-component checker
-			// deltas; collecting again here would double-count. (A replay
-			// hit snapshots before applying, so the deltas here are the
-			// replay's own checker work.)
-			e.collectCheckerStats()
-		}
 		e.stats.Elapsed = time.Since(start)
 		plan = &Plan{Steps: steps, Stats: e.stats, DAG: dag}
 	}

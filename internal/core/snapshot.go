@@ -227,8 +227,8 @@ func (w *snapWriter) seal() []byte {
 // EmbedCache returns a copy of img — an image from Session.Snapshot —
 // whose cache section carries c's entries, for images that must bring
 // their plans and memos along because they leave the process that holds
-// the cache. RestoreSession hands the section to the restored session
-// undecoded (Session.Cache decodes it on first access).
+// the cache. RestoreSession decodes the section into the restored
+// session's cache.
 func EmbedCache(img []byte, c *PlanCache) ([]byte, error) {
 	n := len(img) - sha256.Size
 	if n < 1 || img[n-1] != 0 {
@@ -424,19 +424,15 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 
 	// Plan cache. An older image keeps its own behind sections no decoder
 	// reads any more: the configuration is what only the image knows.
-	var cacheBlob []byte
+	var cacheSection []byte
 	if version == snapVersion {
 		if flag := r.take(1); len(flag) == 1 && flag[0] == 1 {
-			// The JSON decode is deferred to the first cache access
-			// (Session.materializeCache), which is whoever merges the
-			// section into the store it attaches (the pool's InstallSnapshot)
-			// or Session.EnableCache; restore only copies the checksummed
-			// blob. Images a pool holds for its own evicted tenants have no
-			// section and never get here.
-			blob := r.take(r.count())
-			if !opts.NoPlanCache {
-				cacheBlob = append([]byte(nil), blob...)
-			}
+			// Only an image that left its process carries a section
+			// (EmbedCache), and whoever installs it reads the cache at once
+			// (the pool's InstallSnapshot merges it into the store it
+			// attaches). Images a pool holds for its own evicted tenants
+			// have no section and never get here.
+			cacheSection = r.take(r.count())
 		}
 		if r.err != nil {
 			return nil, r.err
@@ -459,6 +455,26 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 		}
 		s.restoredCold = version != snapVersion
 	}
-	s.runs, s.cacheBlob = runs, cacheBlob
+	s.runs = runs
+	if cacheSection != nil && !opts.NoPlanCache {
+		s.cache = decodeCache(cacheSection)
+	}
 	return s, nil
+}
+
+// decodeCache returns the plan cache an image's section carries, or nil
+// when the section does not decode. The section rode in under the image's
+// checksum, so a failure means an encoder bug, not corruption; the cache
+// is then dropped (a cold cache is always sound: every hit is verified by
+// replay).
+func decodeCache(blob []byte) *PlanCache {
+	var cs PlanCacheSnapshot
+	if err := json.Unmarshal(blob, &cs); err != nil {
+		return nil
+	}
+	cache := NewPlanCache(0)
+	if err := cache.Restore(&cs); err != nil {
+		return nil
+	}
+	return cache
 }

@@ -38,13 +38,11 @@ type LB struct {
 	proxied, migrations, migrationFailures *obs.Counter
 }
 
-// NewLB builds a router over an initial replica list. vnodes is the
-// per-replica virtual-node count (0 means DefaultVirtualNodes) and must
-// match the value stream clients shard with.
-func NewLB(replicas []string, vnodes int) (*LB, error) {
+// NewLB builds a router over an initial replica list.
+func NewLB(replicas []string) (*LB, error) {
 	lb := &LB{
 		client:  http.DefaultClient,
-		ring:    NewRing(vnodes),
+		ring:    NewRing(),
 		specs:   map[string][]byte{},
 		owners:  map[string]string{},
 		proxies: map[string]*httputil.ReverseProxy{},

@@ -18,11 +18,11 @@ import (
 // remaps only the keys it owned.
 func TestRingDeterministicAndStable(t *testing.T) {
 	replicas := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r1 := NewRing(0)
+	r1 := NewRing()
 	for _, rep := range replicas {
 		r1.Add(rep)
 	}
-	r2 := NewRing(0)
+	r2 := NewRing()
 	for i := len(replicas) - 1; i >= 0; i-- {
 		r2.Add(replicas[i])
 	}
@@ -99,7 +99,7 @@ func synthLine(t *testing.T, base, id, delta string) Result {
 func TestLBShardsAndMigrates(t *testing.T) {
 	tsA, poolA := startReplica(t)
 	tsB, poolB := startReplica(t)
-	lb, err := NewLB([]string{tsA.URL, tsB.URL}, 0)
+	lb, err := NewLB([]string{tsA.URL, tsB.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestLBShardsAndMigrates(t *testing.T) {
 func TestLBAddReplicaRebalances(t *testing.T) {
 	tsA, poolA := startReplica(t)
 	tsB, poolB := startReplica(t)
-	lb, err := NewLB([]string{tsA.URL}, 0)
+	lb, err := NewLB([]string{tsA.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestLBProxyFullDuplex(t *testing.T) {
 		_, _ = io.Copy(io.Discard, body) // like the daemon, read on for the next delta until EOF
 	}))
 	defer backend.Close()
-	lb, err := NewLB([]string{backend.URL}, 0)
+	lb, err := NewLB([]string{backend.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 // type and the echoed request id — to the client unaltered.
 func TestLBPreservesResponseHeaders(t *testing.T) {
 	tsA, _ := startReplica(t)
-	lb, err := NewLB([]string{tsA.URL}, 0)
+	lb, err := NewLB([]string{tsA.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestLBPreservesResponseHeaders(t *testing.T) {
 // header), and the same id lands in the result's stats.
 func TestTraceThroughLB(t *testing.T) {
 	tsA, _ := startReplica(t)
-	lb, err := NewLB([]string{tsA.URL}, 0)
+	lb, err := NewLB([]string{tsA.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,11 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-replica point count on the hash ring
-// when RingOptions leave it zero. More points smooth the key
-// distribution; the cost is O(replicas x vnodes) memory and a marginally
-// larger sort.
+// DefaultVirtualNodes is the per-replica point count on the hash ring,
+// the same for every ring so that the router and the stream clients place
+// a tenant alike. More points smooth the key distribution; the cost is
+// memory proportional to replicas times points and a marginally larger
+// sort.
 const DefaultVirtualNodes = 64
 
 // Ring is a consistent-hash ring over replica addresses: tenant ids map
@@ -22,7 +23,6 @@ const DefaultVirtualNodes = 64
 // sharding agree on placement without coordination. Ring is not
 // concurrency-safe; callers hold their own lock.
 type Ring struct {
-	vnodes   int
 	replicas map[string]bool
 	points   []ringPoint // sorted by hash, ascending
 }
@@ -32,13 +32,9 @@ type ringPoint struct {
 	replica string
 }
 
-// NewRing builds an empty ring with the given points per replica (0
-// means DefaultVirtualNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	return &Ring{vnodes: vnodes, replicas: map[string]bool{}}
+// NewRing builds an empty ring.
+func NewRing() *Ring {
+	return &Ring{replicas: map[string]bool{}}
 }
 
 // ringHash is the ring's stable hash: the first 8 bytes of SHA-256, so
@@ -55,7 +51,7 @@ func (r *Ring) Add(replica string) {
 		return
 	}
 	r.replicas[replica] = true
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < DefaultVirtualNodes; i++ {
 		r.points = append(r.points, ringPoint{
 			hash:    ringHash(fmt.Sprintf("%s#%d", replica, i)),
 			replica: replica,
