@@ -376,7 +376,8 @@ func printDAG(plan *core.Plan) {
 // internal/server pool: the stream header registers the tenant, every
 // delta is synthesized through the pool's warm session, and one JSON
 // result line (the daemon's wire format, internal/server.Result) is
-// emitted per delta. Bad deltas do not kill the stream: semantically
+// written and flushed per delta, so an interactive client can ack a plan
+// before it closes stdin. Bad deltas do not kill the stream: semantically
 // invalid ones (config.ErrBadDelta) and infeasible or violating targets
 // are reported — with their input line — and skipped. Only JSON decode
 // errors, after which the stream position is unreliable, are terminal.
@@ -395,6 +396,8 @@ func runStream(f *flags) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	// ServeStdio flushes out after every line it answers; this Flush is
+	// for a terminal decode-error line, which ends the stream.
 	out := bufio.NewWriter(os.Stdout)
 	err := server.ServeStdio(ctx, os.Stdin, out, os.Stderr, pool, f.opts, f.quiet)
 	if ferr := out.Flush(); err == nil {

@@ -75,6 +75,7 @@ type LineCountingReader struct {
 	nl   []int64 // offsets of '\n' served and not yet pruned
 	base int     // newlines pruned away (all below every retained offset)
 	n    int64   // total bytes served
+	eof  bool    // r has reported io.EOF
 }
 
 // NewLineCountingReader wraps r.
@@ -91,7 +92,34 @@ func (t *LineCountingReader) Read(p []byte) (int, error) {
 		}
 	}
 	t.n += int64(n)
+	if err == io.EOF {
+		t.eof = true
+	}
 	return n, err
+}
+
+// UsedUp reports whether dec, decoding from t, is known to hold no
+// further value: the source has reported io.EOF and dec buffers nothing
+// but JSON whitespace, so dec's next Decode returns io.EOF at once. A
+// reader that reports io.EOF only on the read after its last
+// byte (a pipe, a terminal) is not known to be used up until that read.
+func (t *LineCountingReader) UsedUp(dec *json.Decoder) bool {
+	if !t.eof {
+		return false
+	}
+	var buf [64]byte
+	rest := dec.Buffered()
+	for {
+		n, err := rest.Read(buf[:])
+		for _, c := range buf[:n] {
+			if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+				return false
+			}
+		}
+		if err != nil {
+			return true
+		}
+	}
 }
 
 // LineAt returns the 1-based line number containing byte offset off.

@@ -862,7 +862,7 @@ func (s *Session) attach(e *engine, classes []int) {
 func (s *Session) resync(target *config.Config) error {
 	for pos, ci := range s.aff.classes {
 		k := s.ks[ci]
-		changed, _, err := k.RebindSwitches(target, s.aff.switchesOf(pos))
+		changed, err := k.RebindSwitches(target, s.aff.switchesOf(pos))
 		if err != nil {
 			return err
 		}

@@ -236,8 +236,9 @@ func (k *denseK) Rebind(cfg *config.Config) (changed, touched []int, err error) 
 // target diff) could have touched, and skipping the full O(switches)
 // equality sweep per class is what keeps per-synthesis resync cost
 // proportional to the diff, not the network.
-func (k *denseK) RebindSwitches(cfg *config.Config, switches []int) (changed, touched []int, err error) {
-	return k.rebind(cfg, switches, false)
+func (k *denseK) RebindSwitches(cfg *config.Config, switches []int) (changed []int, err error) {
+	changed, _, err = k.rebind(cfg, switches, false)
+	return changed, err
 }
 
 // rebind implements Rebind over either every switch (sweepAll) or the

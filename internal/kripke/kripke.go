@@ -8,6 +8,7 @@
 package kripke
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -452,7 +453,17 @@ func (k *K) loopThrough(d *Delta) error {
 // the outstanding deltas: neither they nor the checker tokens taken with
 // them may be ended afterwards.
 func (k *K) Rebind(cfg *config.Config) (changed, touched []int, err error) {
-	return k.rebind(cfg, nil, true)
+	for sw := 0; sw < k.Topo.NumSwitches(); sw++ {
+		if !k.Table(sw).Equal(cfg.Table(sw)) {
+			touched = append(touched, sw)
+		}
+	}
+	changed, err = k.RebindSwitches(cfg, touched)
+	var loop *ErrLoop
+	if err == nil || errors.As(err, &loop) {
+		k.Rebase(cfg) // every switch was compared: the tables are cfg's
+	}
+	return changed, touched, err
 }
 
 // RebindSwitches is Rebind restricted to the given candidate switches:
@@ -465,14 +476,7 @@ func (k *K) Rebind(cfg *config.Config) (changed, touched []int, err error) {
 // cost proportional to the diff, not the network. The structure stays
 // bound where it was; a caller done resyncing follows up with Rebase. It
 // abandons the outstanding deltas as Rebind does.
-func (k *K) RebindSwitches(cfg *config.Config, switches []int) (changed, touched []int, err error) {
-	return k.rebind(cfg, switches, false)
-}
-
-// rebind implements Rebind over either every switch (sweepAll) or the
-// listed candidates; the explicit flag keeps a nil candidate slice from
-// silently meaning "sweep everything".
-func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed, touched []int, err error) {
+func (k *K) RebindSwitches(cfg *config.Config, switches []int) (changed []int, err error) {
 	if l := k.log; l != nil {
 		// The outstanding deltas are abandoned: no state holds the lists
 		// they replaced.
@@ -483,48 +487,29 @@ func (k *K) rebind(cfg *config.Config, candidates []int, sweepAll bool) (changed
 		l.open, l.reverted = 0, nil
 	}
 	roots := k.rootBuf[:0]
-	sweep := func(sw int) error {
+	for _, sw := range switches {
 		tbl := cfg.Table(sw)
 		if k.Table(sw).Equal(tbl) {
-			return nil
+			continue
 		}
-		touched = append(touched, sw)
-		moved, rerr := k.recomputeSwitch(sw, tbl)
-		if rerr != nil {
-			return rerr
+		moved, err := k.recomputeSwitch(sw, tbl)
+		if err != nil {
+			k.rootBuf = roots[:0]
+			return changed, err
 		}
 		k.setTable(sw, tbl)
 		if moved {
 			changed = append(changed, sw)
 			roots = append(roots, k.a.statesOf(sw)...)
 		}
-		return nil
-	}
-	if sweepAll {
-		for sw := 0; sw < k.Topo.NumSwitches(); sw++ {
-			if rerr := sweep(sw); rerr != nil {
-				k.rootBuf = roots[:0]
-				return changed, touched, rerr
-			}
-		}
-	} else {
-		for _, sw := range candidates {
-			if rerr := sweep(sw); rerr != nil {
-				k.rootBuf = roots[:0]
-				return changed, touched, rerr
-			}
-		}
 	}
 	k.rootBuf = roots[:0]
-	if sweepAll {
-		k.Rebase(cfg) // every switch was compared: the tables are cfg's
-	}
 	if len(roots) > 0 {
 		if cyc := k.findCycle(roots); cyc != nil {
-			return changed, touched, &ErrLoop{Class: k.Class, Cycle: k.statesFor(cyc), IDs: cyc}
+			return changed, &ErrLoop{Class: k.Class, Cycle: k.statesFor(cyc), IDs: cyc}
 		}
 	}
-	return changed, touched, nil
+	return changed, nil
 }
 
 // Revert undoes the newest outstanding delta, returned by UpdateSwitch or

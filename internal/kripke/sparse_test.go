@@ -238,8 +238,8 @@ func (w *twin) rebind(cfg *config.Config, switches []int) bool {
 		sc, st, serr = w.sparse.Rebind(cfg)
 		dc, dt, derr = w.dense.Rebind(cfg)
 	} else {
-		sc, st, serr = w.sparse.RebindSwitches(cfg, switches)
-		dc, dt, derr = w.dense.RebindSwitches(cfg, switches)
+		sc, serr = w.sparse.RebindSwitches(cfg, switches)
+		dc, derr = w.dense.RebindSwitches(cfg, switches)
 	}
 	if !slices.Equal(sc, dc) || !slices.Equal(st, dt) {
 		w.t.Fatalf("%s rebind: changed %v touched %v, dense %v %v", w.name, sc, st, dc, dt)

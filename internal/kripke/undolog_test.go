@@ -248,7 +248,7 @@ func TestUndoLogMatchesFreshBuild(t *testing.T) {
 					if r.Intn(2) == 0 {
 						_, _, err = k.Rebind(cfg)
 					} else {
-						_, _, err = k.RebindSwitches(cfg, some)
+						_, err = k.RebindSwitches(cfg, some)
 						if err == nil {
 							k.Rebase(cfg)
 						}

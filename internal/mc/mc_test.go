@@ -774,7 +774,7 @@ func TestIncrementalMatchesFreshAndBatchOnRandomSequences(t *testing.T) {
 				// session drops them with the engine that held them.
 				stack = stack[:0]
 				before := currentConfig(k)
-				changed, _, err := k.RebindSwitches(cfg, all)
+				changed, err := k.RebindSwitches(cfg, all)
 				if err != nil {
 					// Cyclic target: pull the structure back to the loop-free
 					// configuration it left; the checker saw neither move,

@@ -263,7 +263,7 @@ func TestSparseLabelingMatchesDense(t *testing.T) {
 						cfg.SetTable(sw, tbl)
 					}
 					before := currentConfig(w.k)
-					changed, _, err := w.k.RebindSwitches(cfg, some)
+					changed, err := w.k.RebindSwitches(cfg, some)
 					if err != nil {
 						// Cyclic target: pull the structure back; the
 						// checkers saw neither move, so their labels stand.

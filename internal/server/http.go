@@ -164,17 +164,23 @@ func (p *Pool) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	_, _ = serveLines(r.Context(), ctx, perDelta, p, id, lines, dec, flushWriter{w, rc})
 }
 
-// flushWriter flushes after every write, so each Result line — one write
-// of the encoder — reaches the client as it is produced.
+// flushWriter is the response as serveLines sees it: a writer with a
+// Flush, which serveLines calls after each Result line a client could be
+// waiting for. The last line of a body read to its end is left in the
+// response buffer, so net/http ends the response with it — framed by
+// Content-Length when the whole answer fits its 2 KB pre-chunking buffer.
 type flushWriter struct {
-	w  io.Writer
+	io.Writer
 	rc *http.ResponseController
 }
 
-func (f flushWriter) Write(b []byte) (int, error) {
-	n, err := f.w.Write(b)
-	_ = f.rc.Flush() // unsupported by the connection: lines arrive when the response ends
-	return n, err
+// Flush sends what the response holds. A connection that cannot flush
+// delivers the lines when the response ends.
+func (f flushWriter) Flush() error {
+	if err := f.rc.Flush(); !errors.Is(err, http.ErrNotSupported) {
+		return err
+	}
+	return nil
 }
 
 // handleSnapshotGet exports a tenant's warm state as a portable binary

@@ -170,10 +170,7 @@ func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts, err := spec.Options.Build()
-	if err != nil {
-		return nil, err
-	}
+	opts := core.Options(spec.Options)
 	base, err := spec.StreamHeader.Build()
 	if err != nil {
 		return nil, err

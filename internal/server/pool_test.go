@@ -24,11 +24,7 @@ func expectedPlans(t *testing.T, tl *tenantLoad) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := tl.Spec.Options.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sy, err := netupdate.NewSynthesizer(base.Topo, base.Init, base.Specs, opts)
+	sy, err := netupdate.NewSynthesizer(base.Topo, base.Init, base.Specs, core.Options(tl.Spec.Options))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,12 @@ import (
 // per line), registers the header as a tenant of the pool, serves every
 // delta through Pool.Synthesize, and emits one Result line per delta on
 // out. It is what `netupdate -stream` runs — the same pool, admission
-// control, and wire format as the daemon, minus HTTP.
+// control, and wire format as the daemon, minus HTTP. If out has a
+// Flush() error method (a bufio.Writer), every result line is flushed as
+// it is produced: the input is read through a pipe, which reports its end
+// only on the read after its last line, so it is never known to be used
+// up while a line is pending (see serveLines). A client that answers a
+// plan with ack lines therefore sees the plan before it sends them.
 //
 // Shutdown is graceful: when ctx is canceled (the CLI wires SIGINT and
 // SIGTERM to it), ServeStdio stops accepting input, lets the in-flight

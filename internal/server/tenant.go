@@ -38,9 +38,11 @@ type TenantSpec struct {
 // per-tenant.
 type OptionsSpec core.Options
 
-// Build returns the engine options. Every decodable spec is valid, so the
-// error is always nil; the result stays because benchmark/ calls Build
-// with two results and is not edited by engine changes.
+// Build returns the engine options, which are the spec itself: every
+// decodable spec is valid, so the error is always nil. The serving code
+// converts with core.Options(o); Build and its error stay only because
+// benchmark/ calls it with two results and is not edited by engine
+// changes.
 func (o OptionsSpec) Build() (core.Options, error) {
 	return core.Options(o), nil
 }

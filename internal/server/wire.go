@@ -49,9 +49,19 @@ type streamRequest struct {
 // is terminal: reported as a positioned Result line, and returned. End of
 // input, or intake being done once the request in hand is answered, ends
 // the loop with a nil error. The count is of requests answered.
+//
+// If out has a Flush method, each Result line is flushed as it is
+// produced, unless the input is known to be used up
+// (config.LineCountingReader.UsedUp): then no client can be waiting for
+// the line before it sends more, and the caller's end of the output
+// carries it. Over HTTP that end is the end of the response, so the
+// answer to a request body read to its declared length leaves in one
+// write, framed by Content-Length. A line after which the decoder could
+// still block on its input is always flushed first.
 func serveLines(intake, reqCtx context.Context, perLine time.Duration, p *Pool, id string,
 	lines *config.LineCountingReader, dec *json.Decoder, out io.Writer) (int, error) {
 	enc := json.NewEncoder(out)
+	flusher, _ := out.(interface{ Flush() error })
 	seq := 0
 	for intake.Err() == nil {
 		var req streamRequest
@@ -89,6 +99,11 @@ func serveLines(intake, reqCtx context.Context, perLine time.Duration, p *Pool, 
 		cancel()
 		if err := enc.Encode(res); err != nil {
 			return seq, err
+		}
+		if flusher != nil && !lines.UsedUp(dec) {
+			if err := flusher.Flush(); err != nil {
+				return seq, err
+			}
 		}
 	}
 	return seq, nil
