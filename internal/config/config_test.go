@@ -593,3 +593,50 @@ func TestAddRuleOnBusySwitchIsLinear(t *testing.T) {
 		t.Fatal("a clone and its parent appended into one array")
 	}
 }
+
+// generatedScenarios returns one scenario of every generator and property
+// family: the specifications the benchmark, the figures and the examples
+// write out as text.
+func generatedScenarios(t *testing.T) []*Scenario {
+	t.Helper()
+	scs := []*Scenario{Fig1RedGreen(), Fig1RedBlue(), Fig1RedBlueWaypoint()}
+	topo := topology.SmallWorld(400, 4, 0.3, 400)
+	for _, prop := range []Property{Reachability, Waypointing, ServiceChaining} {
+		d, err := Diamonds(topo, DiamondOptions{Pairs: 3, Property: prop, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inf, err := Infeasible(topo, InfeasibleOptions{Gadgets: 2, Property: prop, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr, err := MultiRegion(topology.SmallWorld(400, 6, 0.3, 400), MultiRegionOptions{
+			Regions: 3, PairsPerRegion: 2, CrossClasses: 1, InfeasibleRegions: 1, Property: prop, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs = append(scs, d, inf, mr)
+	}
+	return scs
+}
+
+// TestGeneratedSpecsParse: every specification a generator builds prints
+// as text that parses — within ltl.MaxNesting — back to the same text.
+func TestGeneratedSpecsParse(t *testing.T) {
+	n := 0
+	for _, sc := range generatedScenarios(t) {
+		for _, cs := range sc.Specs {
+			text := cs.Formula.String()
+			f, err := ltl.Parse(text)
+			if err != nil {
+				t.Fatalf("%s, class %s: %q: %v", sc.Name, cs.Class.Name, text, err)
+			}
+			if got := f.String(); got != text {
+				t.Fatalf("%s, class %s: %q parses back as %q", sc.Name, cs.Class.Name, text, got)
+			}
+			n++
+		}
+	}
+	t.Logf("%d specifications", n)
+}

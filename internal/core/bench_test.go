@@ -32,7 +32,7 @@ func BenchmarkOrderingAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	units, err := computeUnits(sc, config.Diff(sc.Init, sc.Final), false, false)
+	units, err := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), false, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func BenchmarkOrderingAnalysisMixed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		units, err := computeUnits(sc, config.Diff(sc.Init, sc.Final), false, false)
+		units, err := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), false, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -266,4 +266,45 @@ func BenchmarkPlanCacheEntry(b *testing.B) {
 	}
 	b.ReportMetric(total/float64(b.N)/entries, "B/entry")
 	b.ReportMetric(steps/float64(b.N)/entries, "steps/entry")
+}
+
+// BenchmarkSessionMissMixed is the search path of a served
+// serve-large-mixed request: one op moves one diamond of the 800-switch
+// mixed tenant onto its other branch and back, on a warm session with no
+// plan cache, so both syntheses are misses — verification, footprints,
+// search, composition, wait removal, DAG build and resync. Both targets are
+// named and the session primed before the timer starts, after a
+// collection: the heap then has room for the op, and no collection empties
+// the engine scratch pool between the priming round and the timed one — a
+// single op, as CI runs it, would otherwise read the scratch's first fill
+// (~275 KB) instead of the miss. CI gates allocs/op and B/op
+// (.github/alloc-budgets.txt): what a miss allocates beyond its answer — a
+// working copy of the steps or the units per request — shows in B/op.
+func BenchmarkSessionMissMixed(b *testing.B) {
+	base, forth, _ := mixedTenant(b)
+	there, err := base.Apply(base.Init, forth)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewSession(base.Topo, base.Init, base.Specs, Options{NoPlanCache: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	round := func() {
+		for _, to := range []*config.Config{there, base.Init} {
+			if _, err := s.Synthesize(to); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ { // the structures' undo logs and free lists reach their size
+		round()
+	}
+	runtime.GC()
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Dependency-DAG plans. A synthesized plan is a totally ordered careful
 // sequence, but most of that order is incidental: the ordering analysis
 // of deps.go proves which updates genuinely depend on which. This file
@@ -123,69 +125,83 @@ func (d *PlanDAG) Levels() [][]int {
 // drain marks. For decomposed plans the construction yields the disjoint
 // union of the component sub-DAGs automatically: components partition
 // both the affected classes and the touched switches, so no chain can
-// cross a component boundary.
+// cross a component boundary. Its working state is the analysis scratch's;
+// the DAG's edge lists share one array, the only one it allocates besides
+// the two lists of lists. Depth and Width are computed as the nodes are
+// (Levels is the reference).
 func (e *engine) buildDAG(steps []Step) *PlanDAG {
 	d := e.newDepAnalysis()
 	defer d.release()
-	lastClass := make([]int, len(e.sc.Specs))
-	for i := range lastClass {
-		lastClass[i] = -1
+	s := d.s
+	lastClass := s.lastClass[:0]
+	for range e.sc.Specs {
+		lastClass = append(lastClass, -1)
 	}
+	swStamp := s.next() // lastSw[sw] is a node of this DAG while lastSwE[sw] == swStamp
 	n := len(steps) - countWaits(steps)
-	lastSwitch := make(map[int]int, n)
-	dag := &PlanDAG{Preds: make([][]int, 0, n), Drain: make([][]int, 0, n)}
-	entries := make([]int, 0, n) // advance() window index per node, -1 when unrecorded
+	entries, level, size := slices.Grow(s.entries[:0], n), slices.Grow(s.level[:0], n), s.levelSize[:0]
+	edges, ends := s.edges[:0], s.ends[:0]
 	j := 0
 	for _, st := range steps {
 		if st.Wait {
 			continue
 		}
 		affected := d.affected(st.Switch, st.Table)
-		var preds []int
-		addPred := func(i int) {
-			for _, p := range preds {
-				if p == i {
-					return
-				}
-			}
-			preds = append(preds, i)
-		}
-		if li, ok := lastSwitch[st.Switch]; ok {
-			addPred(li)
+		from := len(edges)
+		if s.lastSwE[st.Switch] == swStamp {
+			edges = append(edges, int(s.lastSw[st.Switch]))
 		}
 		for ci, a := range affected {
-			if a && lastClass[ci] >= 0 {
-				addPred(lastClass[ci])
+			if a && lastClass[ci] >= 0 && !slices.Contains(edges[from:], lastClass[ci]) {
+				edges = append(edges, lastClass[ci])
 			}
 		}
+		preds := edges[from:]
 		sortInts(preds)
-		var drain []int
+		ends = append(ends, len(edges))
+		l := 0
 		for _, i := range preds {
+			l = max(l, level[i]+1)
 			if entries[i] < 0 {
 				continue // predecessor needed no fencing (dead or class-empty)
 			}
 			if d.drainNeeded(&d.pending[entries[i]], st.Switch, affected) {
-				drain = append(drain, i)
+				edges = append(edges, i)
 			}
 		}
+		ends = append(ends, len(edges))
 		entries = append(entries, d.advance(st.Switch, st.Table, affected))
-		lastSwitch[st.Switch] = j
+		s.lastSw[st.Switch], s.lastSwE[st.Switch] = int32(j), swStamp
 		for ci, a := range affected {
 			if a {
 				lastClass[ci] = j
 			}
 		}
-		dag.Preds = append(dag.Preds, preds)
-		dag.Drain = append(dag.Drain, drain)
+		level = append(level, l)
+		if l == len(size) {
+			size = append(size, 0)
+		}
+		size[l]++
 		j++
 	}
-	levels := dag.Levels()
-	dag.Depth = len(levels)
-	for _, l := range levels {
-		if len(l) > dag.Width {
-			dag.Width = len(l)
-		}
+	dag := &PlanDAG{Preds: make([][]int, j), Drain: make([][]int, j), Depth: len(size)}
+	for _, n := range size {
+		dag.Width = max(dag.Width, n)
 	}
+	flat := make([]int, len(edges))
+	copy(flat, edges)
+	from := 0
+	for k, to := range ends {
+		if to > from { // an empty list stays nil
+			if k%2 == 0 {
+				dag.Preds[k/2] = flat[from:to:to]
+			} else {
+				dag.Drain[k/2] = flat[from:to:to]
+			}
+		}
+		from = to
+	}
+	s.lastClass, s.entries, s.level, s.levelSize, s.edges, s.ends = lastClass, entries, level, size, edges, ends
 	return dag
 }
 

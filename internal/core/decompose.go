@@ -88,18 +88,21 @@ type component struct {
 // class for delta emptiness, and reverted before the next switch's units —
 // which keeps every structure at the initial configuration when the
 // pre-pass returns. Rule units use the pattern match over-approximation
-// (see the file comment).
-func (e *engine) unitFootprints(aff *affectedClasses) ([][]int, error) {
-	fps := make([][]int, len(e.units))
+// (see the file comment). The footprints are returned back to back, in the
+// request scratch: unit i's are fps[ends[i-1]:ends[i]].
+func (e *engine) unitFootprints(aff *affectedClasses) (fps, ends []int, _ error) {
+	fps, ends = e.scr.fps[:0], e.scr.ints.take(len(e.units))
+	defer func() { e.scr.fps = fps }()
 	if e.opts.RuleGranularity {
 		for _, u := range e.units {
 			for _, ci := range e.classes {
 				if headerMatches(u.rule.Match, e.sc.Specs[ci].Class.Packet()) {
-					fps[u.id] = append(fps[u.id], ci)
+					fps = append(fps, ci)
 				}
 			}
+			ends[u.id] = len(fps)
 		}
-		return fps, nil
+		return fps, ends, nil
 	}
 	// Units of one switch are contiguous in id order (computeUnits emits
 	// them per diff switch), so a switch's chain is reverted as soon as
@@ -144,29 +147,32 @@ func (e *engine) unitFootprints(aff *affectedClasses) ([][]int, error) {
 					// expected mid-probe (an upstream switch applied alone
 					// can loop) and leave the update applied + revertible.
 					flush()
-					return nil, err
+					return nil, nil, err
 				}
 			}
 			pend = append(pend, frame{class: pos, delta: delta})
 			if len(delta.Changed()) > 0 {
-				fps[u.id] = append(fps[u.id], ci)
+				fps = append(fps, ci)
 			}
 		}
+		ends[u.id] = len(fps)
 	}
 	flush()
-	return fps, nil
+	return fps, ends, nil
 }
 
 // components partitions the units into connected components of the
 // interference graph, ordered by lowest unit id. It runs the footprint
 // pre-pass and so must be called with the engine's structures attached
-// and at the initial configuration; it leaves them there.
+// and at the initial configuration; it leaves them there. The components
+// and their lists are the request scratch's.
 func (e *engine) components(aff *affectedClasses) ([]component, error) {
-	fps, err := e.unitFootprints(aff)
+	fps, ends, err := e.unitFootprints(aff)
 	if err != nil {
 		return nil, err
 	}
-	parent := make([]int, len(e.units))
+	scr := e.scr
+	parent := scr.ints.take(len(e.units))
 	for i := range parent {
 		parent[i] = i
 	}
@@ -182,51 +188,72 @@ func (e *engine) components(aff *affectedClasses) ([]component, error) {
 			parent[rb] = ra
 		}
 	}
-	lastOnSwitch := map[int]int{}
-	for _, u := range e.units {
-		if prev, ok := lastOnSwitch[u.sw]; ok {
-			union(prev, u.id)
+	for i, u := range e.units {
+		// A switch's units are contiguous in id order (computeUnits emits
+		// them per diff switch), so chaining each to the one before it
+		// joins them all.
+		if i > 0 && e.units[i-1].sw == u.sw {
+			union(i-1, u.id)
 		}
-		lastOnSwitch[u.sw] = u.id
 		if u.requires >= 0 {
 			union(u.requires, u.id) // same switch today; kept explicit
 		}
 	}
-	classUnit := make([]int, len(e.sc.Specs))
+	classUnit := scr.ints.take(len(e.sc.Specs))
 	for i := range classUnit {
 		classUnit[i] = -1
 	}
-	for id, fp := range fps {
-		for _, ci := range fp {
+	from := 0
+	for id, to := range ends {
+		for _, ci := range fps[from:to] {
 			if classUnit[ci] < 0 {
 				classUnit[ci] = id
 			} else {
 				union(classUnit[ci], id)
 			}
 		}
+		from = to
 	}
-	index := map[int]int{} // union root -> comps index
-	var comps []component
-	for _, u := range e.units { // id order: components sorted by lowest unit id
+	// Number the components by lowest unit id and count their units and
+	// classes, then carve their lists (a component's switches are at most
+	// its units) and fill them in id order.
+	n := len(e.units)
+	rootComp, nUnits, nClasses := scr.ints.take(n), scr.ints.take(n), scr.ints.take(n)
+	for i := 0; i < n; i++ {
+		rootComp[i], nUnits[i], nClasses[i] = -1, 0, 0
+	}
+	comps := scr.comps[:0]
+	for _, u := range e.units {
 		r := find(u.id)
-		ci, ok := index[r]
-		if !ok {
-			ci = len(comps)
-			index[r] = ci
+		if rootComp[r] < 0 {
+			rootComp[r] = len(comps)
 			comps = append(comps, component{})
 		}
+		nUnits[rootComp[r]]++
+	}
+	for _, uid := range classUnit {
+		if uid >= 0 {
+			nClasses[rootComp[find(uid)]]++
+		}
+	}
+	for ci := range comps {
 		c := &comps[ci]
+		c.units, c.switches, c.classes = scr.ints.take(nUnits[ci])[:0], scr.ints.take(nUnits[ci])[:0], scr.ints.take(nClasses[ci])[:0]
+	}
+	for _, u := range e.units {
+		c := &comps[rootComp[find(u.id)]]
 		c.units = append(c.units, u.id)
-		if n := len(c.switches); n == 0 || c.switches[n-1] != u.sw {
+		if k := len(c.switches); k == 0 || c.switches[k-1] != u.sw {
 			c.switches = append(c.switches, u.sw)
 		}
 	}
 	for ci, uid := range classUnit {
 		if uid >= 0 {
-			c := &comps[index[find(uid)]]
+			c := &comps[rootComp[find(uid)]]
 			c.classes = append(c.classes, ci)
 		}
 	}
+	scr.comps = comps
 	return comps, nil
 }
 
@@ -235,7 +262,7 @@ func (e *engine) components(aff *affectedClasses) ([]component, error) {
 // the one component is the whole diff over the request's affected classes.
 func (s *Session) decompose(e *engine) ([]component, error) {
 	if s.opts.NoDecomposition || len(e.units) < 2 {
-		units := make([]int, len(e.units))
+		units := e.scr.ints.take(len(e.units))
 		for i := range units {
 			units[i] = i
 		}
@@ -244,12 +271,17 @@ func (s *Session) decompose(e *engine) ([]component, error) {
 	return e.components(&s.aff)
 }
 
-// compResult is one component sub-search's outcome.
+// compResult is one component sub-search's outcome. path is the
+// component's region of the request's composition buffer, where a search
+// that succeeds leaves its order; a component the repair ladder solved
+// instead carries the ladder's steps in fallback.
 type compResult struct {
-	steps   []Step
-	stats   Stats
-	err     error
-	elapsed time.Duration
+	path     []Step
+	fallback []Step
+	fellBack bool
+	stats    Stats
+	err      error
+	elapsed  time.Duration
 }
 
 // testSolveOrder, when non-nil, permutes the order components are handed
@@ -272,6 +304,13 @@ var testAfterComponent func(i int)
 // its own classes and switches. Failures are reported deterministically:
 // the lowest-indexed failing component wins, no matter which goroutine
 // finished first.
+//
+// Every unit is applied exactly once, so component i's order fills the
+// units of the components before it onward in the request scratch's
+// composition buffer: the regions are disjoint and the workers write them
+// without a lock. The careful sequence — a wait between every two updates
+// — is composed from them in the request scratch, and is valid until the
+// scratch is reset.
 func (s *Session) runComponents(e *engine, comps []component, final *config.Config) ([]Step, error) {
 	order := make([]int, len(comps))
 	for i := range order {
@@ -281,7 +320,17 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 		order = testSolveOrder(len(comps))
 	}
 
-	results := make([]compResult, len(comps))
+	results := slices.Grow(e.scr.results[:0], len(comps))[:len(comps)]
+	clear(results)
+	e.scr.results = results
+	upd := slices.Grow(e.scr.upd[:0], len(e.units))[:len(e.units)]
+	e.scr.upd = upd
+	at := 0
+	for i := range comps {
+		n := len(comps[i].units)
+		results[i].path = upd[at : at+n : at+n]
+		at += n
+	}
 	var next atomic.Int32
 	work := func() {
 		for {
@@ -290,7 +339,7 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 				return
 			}
 			i := order[k]
-			results[i] = s.solveComponent(e, &comps[i], i, final)
+			s.solveComponent(e, &comps[i], i, final, &results[i])
 			if testAfterComponent != nil {
 				testAfterComponent(i)
 			}
@@ -320,9 +369,10 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 		} else if s.repairing && errors.Is(r.err, ErrNoOrdering) {
 			c := &comps[i]
 			var twoPhase bool
-			r.steps, twoPhase, r.err = s.repairFallback(
-				e.ctx, fmt.Sprintf("%s#c%d-fallback", e.sc.Name, i), s.specsOf(c.classes), c.switches, final)
+			r.fallback, twoPhase, r.err = s.repairFallback(
+				e.ctx, fmt.Sprintf("%s#c%d-fallback", e.sc.Name, i), s.specsOf(nil, c.classes), c.switches, final)
 			if r.err == nil {
+				r.fellBack = true
 				if twoPhase {
 					e.stats.TwoPhaseComponents++
 				} else {
@@ -339,37 +389,53 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 	}
 	n := len(results) - 1 // the waits between sub-plans
 	for i := range results {
-		n += len(results[i].steps)
-	}
-	steps := make([]Step, 0, n)
-	for i := range results {
-		if len(steps) > 0 {
-			steps = append(steps, Step{Wait: true})
+		if r := &results[i]; r.fellBack {
+			n += len(r.fallback)
+		} else {
+			n += max(2*len(r.path)-1, 0)
 		}
-		steps = append(steps, results[i].steps...)
 	}
+	steps := slices.Grow(e.scr.steps[:0], n)
+	for i := range results {
+		r := &results[i]
+		if r.fellBack {
+			if len(steps) > 0 {
+				steps = append(steps, Step{Wait: true})
+			}
+			steps = append(steps, r.fallback...)
+			continue
+		}
+		for _, st := range r.path {
+			if len(steps) > 0 {
+				steps = append(steps, Step{Wait: true})
+			}
+			steps = append(steps, st)
+		}
+	}
+	e.scr.steps = steps
 	return steps, nil
 }
 
-// specsOf returns the specifications of the given classes (spec indexes).
-func (s *Session) specsOf(classes []int) []config.ClassSpec {
-	specs := make([]config.ClassSpec, 0, len(classes))
+// specsOf appends to dst the specifications of the given classes (spec
+// indexes).
+func (s *Session) specsOf(dst []config.ClassSpec, classes []int) []config.ClassSpec {
 	for _, ci := range classes {
-		specs = append(specs, s.specs[ci])
+		dst = append(dst, s.specs[ci])
 	}
-	return specs
+	return dst
 }
 
 // solveComponent runs one full ORDERUPDATE search over a component: the
 // session configuration with only the component's switches moved to their
 // final tables, checked against only the component's classes. The
 // sub-engine inherits the request engine's units for the component —
-// renumbered to a component-local 0..n-1 range, which also renumbers the
-// SAT early-termination variables, wrong patterns, and dead-set bitmasks
-// — and reuses the session's warm structures for its classes directly
-// (no other component touches them). Options.Timeout bounds each
-// component separately.
-func (s *Session) solveComponent(e *engine, c *component, idx int, final *config.Config) compResult {
+// renumbered to a component-local 0..n-1 range in its own scratch, which
+// also renumbers the SAT early-termination variables, wrong patterns, and
+// dead-set bitmasks — and reuses the session's warm structures for its
+// classes directly (no other component touches them). It copies the order
+// it finds into r.path and hands its scratch back as soon as the search
+// ends. Options.Timeout bounds each component separately.
+func (s *Session) solveComponent(e *engine, c *component, idx int, final *config.Config, r *compResult) {
 	start := time.Now()
 	// Each component gets its own trace lane so concurrent sub-searches
 	// render as parallel rows; Begin reserves ring slots atomically, so
@@ -381,41 +447,37 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 			s.trace.EndDetail(span, fmt.Sprintf("units=%d classes=%d", len(c.units), len(c.classes)))
 		}()
 	}
-	// The sub-engine inherits its units below and never derives anything
-	// from Final (computeUnits and wait removal run only on the request
-	// engine), so the full target is recorded as-is instead of building a
-	// per-component overlay configuration nothing would read.
-	scC := &config.Scenario{
-		Name:  fmt.Sprintf("%s#c%d", e.sc.Name, idx),
-		Topo:  s.topo,
-		Init:  s.cur,
-		Final: final,
-		Specs: s.specsOf(c.classes),
-	}
-	units := make([]unit, len(c.units))
+	scr := scratchPool.Get().(*engineScratch)
+	defer putScratch(scr)
+	units := scr.units[:0]
 	for i, uid := range c.units {
 		u := e.units[uid]
 		u.id = i
 		if u.requires >= 0 {
 			lr, ok := slices.BinarySearch(c.units, u.requires) // c.units is ascending
 			if !ok {
-				return compResult{
-					err: fmt.Errorf("core: component %d split a requires edge (unit %d needs %d)",
-						idx, uid, u.requires),
-					elapsed: time.Since(start),
-				}
+				r.err = fmt.Errorf("core: component %d split a requires edge (unit %d needs %d)",
+					idx, uid, u.requires)
+				r.elapsed = time.Since(start)
+				return
 			}
 			u.requires = lr
 		}
-		units[i] = u
+		units = append(units, u)
 	}
-	scr := scratchPool.Get().(*engineScratch)
-	defer putScratch(scr)
-	ec := newEngineShellWith(scC, s.opts, s.abl, units, scr)
+	scr.units = units
+	// The sub-engine inherits its units and never derives anything from
+	// Final (computeUnits and wait removal run only on the request engine),
+	// so the full target is recorded as-is instead of building a
+	// per-component overlay configuration nothing would read.
+	scr.specs = s.specsOf(scr.specs[:0], c.classes)
+	scr.sc = config.Scenario{Name: e.sc.Name, Topo: s.topo, Init: s.cur, Final: final, Specs: scr.specs}
+	ec := newEngineShellWith(&scr.sc, s.opts, s.abl, units, scr)
 	ec.bindContext(e.ctx)
 	s.attach(ec, c.classes)
 	ec.snapshotCheckerStats()
-	steps, err := ec.run()
+	path, err := ec.run()
+	copy(r.path, path)
 	ec.collectCheckerStats()
-	return compResult{steps: steps, stats: ec.stats, err: err, elapsed: time.Since(start)}
+	r.stats, r.err, r.elapsed = ec.stats, err, time.Since(start)
 }

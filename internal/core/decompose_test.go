@@ -28,7 +28,7 @@ func multiRegionScenario(t testing.TB, regions, pairs, cross int, seed int64) *c
 // newEngineShell builds an engine shell for sc's own diff, as
 // Session.synthesize does for a request's.
 func newEngineShell(sc *config.Scenario, opts Options, scr *engineScratch) (*engine, error) {
-	units, err := computeUnits(sc, config.Diff(sc.Init, sc.Final), opts.RuleGranularity, opts.TwoSimple)
+	units, err := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), opts.RuleGranularity, opts.TwoSimple)
 	if err != nil {
 		return nil, err
 	}

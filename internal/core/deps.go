@@ -87,6 +87,21 @@ type depScratch struct {
 	liveE   []int32
 	cand    []int32
 	mark    []int32
+
+	// an is the analysis itself, its pending window kept across analyses.
+	an depAnalysis
+
+	// The DAG builder's (buildDAG): per switch, the node of the switch's
+	// last step (valid while lastSwE is the build's stamp); per class, the
+	// node of the class's last affecting step; per node, the window entry
+	// advance recorded and the dependency level; per level, its node count;
+	// and the edge lists of the nodes so far, ends[2j] and ends[2j+1]
+	// closing node j's predecessors and its drain edges.
+	lastSw, lastSwE  []int32
+	lastClass        []int
+	entries, level   []int
+	levelSize, edges []int
+	ends             []int
 }
 
 func (s *depScratch) next() int32 {
@@ -105,6 +120,7 @@ func (s *depScratch) reset(n, nc int) {
 		clear(s.headE)
 		clear(s.cand)
 		clear(s.mark)
+		clear(s.lastSwE)
 		s.tick = 0
 	}
 	if len(s.seen) < n {
@@ -113,6 +129,8 @@ func (s *depScratch) reset(n, nc int) {
 		s.tblE = make([]int32, n)
 		s.head = make([]int32, n)
 		s.headE = make([]int32, n)
+		s.lastSw = make([]int32, n)
+		s.lastSwE = make([]int32, n)
 	}
 	if len(s.ingress) < nc {
 		s.ingress = make([]int32, nc)
@@ -136,7 +154,8 @@ func (e *engine) newDepAnalysis() *depAnalysis {
 	}
 	n, nc := e.sc.Topo.NumSwitches(), len(e.sc.Specs)
 	s.reset(n, nc)
-	d := &depAnalysis{e: e, s: s, n: n, gen: s.next(), win: s.next()}
+	d := &s.an
+	*d = depAnalysis{e: e, s: s, n: n, gen: s.next(), win: s.next(), pending: d.pending[:0]}
 	for ci, cs := range e.sc.Specs {
 		s.liveE[ci] = 0
 		s.ingress[ci] = -1
@@ -152,6 +171,7 @@ func (e *engine) newDepAnalysis() *depAnalysis {
 // tables alive; the analysis must not be used afterwards.
 func (d *depAnalysis) release() {
 	clear(d.s.tbl)
+	d.pending = emptied(d.pending)
 	d.e.deps = d.s
 }
 
@@ -183,26 +203,22 @@ type affectedMemo struct {
 // and then the DAG build walk the same updates from the same initial
 // configuration — so the engine remembers the vectors by position and a
 // later analysis reuses them when switch and both tables are identical.
-// The vectors are immutable once returned.
+// The memo and its rows are the request scratch's, reset per request; the
+// vectors are immutable until then.
 func (d *depAnalysis) affected(sw int, tbl network.Table) []bool {
-	e, old := d.e, d.table(sw)
-	if d.step < len(e.affMemo) {
-		if m := &e.affMemo[d.step]; m.sw == sw && m.old.Same(old) && m.new.Same(tbl) {
+	e, scr, old := d.e, d.e.scr, d.table(sw)
+	if d.step < len(scr.affMemo) {
+		if m := &scr.affMemo[d.step]; m.sw == sw && m.old.Same(old) && m.new.Same(tbl) {
 			return m.row
 		}
-		e.affMemo = e.affMemo[:d.step]
+		scr.affMemo = scr.affMemo[:d.step]
 	}
-	nc := len(e.sc.Specs)
-	if len(e.affRows) < nc {
-		e.affRows = make([]bool, 64*nc) // rows are carved in blocks, not allocated per step
-	}
-	row := e.affRows[:nc:nc]
-	e.affRows = e.affRows[nc:]
+	row := scr.affRows.take(len(e.sc.Specs))
 	for ci, cs := range e.sc.Specs {
 		row[ci] = !d.sameClassBehavior(old, tbl, cs.Class.Packet())
 	}
-	if d.step == len(e.affMemo) {
-		e.affMemo = append(e.affMemo, affectedMemo{sw: sw, old: old, new: tbl, row: row})
+	if d.step == len(scr.affMemo) {
+		scr.affMemo = append(scr.affMemo, affectedMemo{sw: sw, old: old, new: tbl, row: row})
 	}
 	return row
 }

@@ -91,15 +91,17 @@ type engine struct {
 
 	curTables map[int]network.Table
 
-	// scr is the scratch the engine runs on: the visited set, curTables,
-	// the ordering-analysis scratch and the undo frames of each search
-	// depth (frameBuf).
+	// scr is the scratch the engine runs on — the visited set, curTables,
+	// the ordering-analysis scratch, the undo frames of each search depth
+	// (frameBuf), the search path and the composition buffers — and holds
+	// the engine itself.
 	scr *engineScratch
 
 	// visited is the V of Figure 4. The other pruning structures of
 	// Section 4.2: wrong holds the wrong-configuration patterns learned
 	// from counterexamples (4.2.A), and et the early-termination SAT solver
-	// they feed (4.2.B). All three live for one search.
+	// they feed (4.2.B), built at the first one. All three live for one
+	// search.
 	visited *bitsetSet
 	wrong   []pattern
 	et      *earlyTerm
@@ -122,12 +124,9 @@ type engine struct {
 	cexBuf  []int
 	cexMark []bool
 
-	// Ordering-analysis state (deps.go): the pooled scratch an analysis
-	// borrows (nil while one holds it, or before the first), and the
-	// affected vectors remembered by step position, carved from affRows.
-	deps    *depScratch
-	affMemo []affectedMemo
-	affRows []bool
+	// deps is the pooled scratch an ordering analysis borrows (deps.go): nil
+	// while one holds it.
+	deps *depScratch
 
 	stats Stats
 }
@@ -135,12 +134,13 @@ type engine struct {
 // newEngineShellWith builds an engine minus its per-class structures
 // around the given unit list: deadline and per-run scratch. The session
 // attaches its warm Kripke structures and checkers afterwards; scr (when
-// non-nil) supplies pooled scratch reset in place instead of reallocated.
-// The session derives the units from the request's diff once; component
-// sub-searches reuse the request engine's units (renumbered
-// component-locally) rather than re-deriving the diff and the destination
-// ranks per component. What only a search reads — the unit order, the
-// early-termination store, the tables the DFS stands at — run builds.
+// non-nil) supplies pooled scratch reset in place instead of reallocated,
+// and the engine is scr's own, reset by value. The session derives the
+// units from the request's diff once; component sub-searches reuse the
+// request engine's units (renumbered component-locally) rather than
+// re-deriving the diff and the destination ranks per component. What only
+// a search reads — the unit order, the early-termination store, the tables
+// the DFS stands at — run builds.
 func newEngineShellWith(sc *config.Scenario, opts Options, abl Ablation, units []unit, scr *engineScratch) *engine {
 	if scr == nil {
 		scr = newEngineScratch()
@@ -148,22 +148,30 @@ func newEngineShellWith(sc *config.Scenario, opts Options, abl Ablation, units [
 		scr.visited.reset()
 		clear(scr.curTables)
 	}
-	e := &engine{
-		sc:        sc,
-		opts:      opts,
-		abl:       abl,
-		units:     units,
-		scr:       scr,
-		visited:   scr.visited,
-		curTables: scr.curTables,
-		deps:      scr.deps,
-	}
+	scr.affMemo, scr.affRows.used, scr.ints.used = emptied(scr.affMemo), 0, 0
+	e := &scr.e
+	*e = e.buffers()
+	e.sc, e.opts, e.abl, e.units = sc, opts, abl, units
+	e.scr, e.visited, e.curTables, e.deps = scr, scr.visited, scr.curTables, scr.deps
 	e.stats.Units = len(units)
 	if opts.Timeout > 0 {
 		e.deadline = time.Now().Add(opts.Timeout)
 		e.hasDeadline = true
 	}
 	return e
+}
+
+// buffers returns the zero engine holding e's reusable buffers, emptied:
+// what a pooled engine keeps from one run to the next.
+func (e *engine) buffers() engine {
+	return engine{
+		order:     e.order[:0],
+		ks:        emptied(e.ks),
+		checkers:  emptied(e.checkers),
+		statsBase: e.statsBase[:0],
+		cexBuf:    e.cexBuf[:0],
+		cexMark:   e.cexMark,
+	}
 }
 
 // bindContext attaches a request context to the engine: the DFS polls it
@@ -199,50 +207,48 @@ func (e *engine) snapshotCheckerStats() {
 }
 
 // run searches the attached classes for a careful order of the units:
-// ORDERUPDATE's DFS from the empty configuration.
+// ORDERUPDATE's DFS from the empty configuration. It returns the order as
+// the search path, one update per unit: the scratch's, valid until the
+// scratch is reset.
 func (e *engine) run() ([]Step, error) {
-	e.et = newEarlyTerm(len(e.units))
 	if e.abl.NoHeuristicOrder {
-		e.order = make([]int, len(e.units))
-		for i := range e.order {
-			e.order[i] = i
+		e.order = e.order[:0]
+		for i := range e.units {
+			e.order = append(e.order, i)
 		}
 	} else {
-		e.order = orderUnits(e.units)
+		e.order = orderUnits(e.order[:0], e.units)
 	}
 	for _, u := range e.units {
 		e.curTables[u.sw] = e.sc.Init.Table(u.sw)
 	}
 	empty := newBitset(len(e.units))
 	e.visited.add(empty)
-	steps, err := e.dfs(empty, 0)
-	if err != nil {
+	e.scr.path = slices.Grow(emptied(e.scr.path), len(e.units))
+	if err := e.dfs(empty, 0); err != nil {
 		if errors.Is(err, errNotFound) {
 			return nil, ErrNoOrdering
 		}
 		return nil, err
 	}
-	slices.Reverse(steps) // dfs appends on its way out
-	return steps, nil
+	return e.scr.path, nil
 }
 
 // dfs explores update orders from the current configuration (encoded by
-// the applied bitmask). It returns the remaining steps on success — last
-// first: the leaf allocates the plan once and every level appends its step
-// on the way out — errNotFound when the subtree is exhausted, or a
-// terminal error.
-func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
+// the applied bitmask). The updates that lead to it are the search path
+// (scr.path): dfs pushes one when it descends and pops it when it
+// backtracks, so on success the path is the whole order and nothing was
+// allocated for it. It returns nil on success, errNotFound when the subtree
+// is exhausted, or a terminal error.
+func (e *engine) dfs(applied bitset, depth int) error {
 	if depth == len(e.units) {
-		if depth == 0 {
-			return nil, nil // no unit: the empty plan
-		}
-		return make([]Step, 0, 2*depth-1), nil
+		return nil
 	}
 	if e.hasDeadline && time.Now().After(e.deadline) {
-		return nil, ErrTimeout
+		return ErrTimeout
 	}
 	if e.ctx != nil && e.ctx.Err() != nil {
-		return nil, ctxErr(e.ctx)
+		return ctxErr(e.ctx)
 	}
 	for _, ui := range e.order {
 		if applied.get(ui) {
@@ -268,41 +274,43 @@ func (e *engine) dfs(applied bitset, depth int) ([]Step, error) {
 		e.scr.frames[depth] = frames
 		if err != nil {
 			e.revert(frames)
-			return nil, err
+			return err
 		}
 		if failed {
 			e.revert(frames)
 			if len(cexSwitches) > 0 && !e.abl.NoCexLearning {
 				if terminate := e.learn(cexSwitches, next); terminate {
 					e.stats.EarlyTerminate = true
-					return nil, ErrNoOrdering
+					return ErrNoOrdering
 				}
 			}
 			continue
 		}
 		e.curTables[u.sw] = newTbl
-		rest, err := e.dfs(next, depth+1)
+		// The step installs the unit's table itself: tables are never
+		// written once built (Step.Table).
+		e.scr.path = append(e.scr.path, Step{
+			Switch: u.sw, Table: newTbl,
+			IsRule: u.isRule, RuleAdd: u.add, Rule: u.rule,
+		})
+		err = e.dfs(next, depth+1)
 		if err == nil {
 			// The deeper levels committed theirs on the way out: the plan
 			// keeps this update too.
 			e.commit(frames)
-			step := Step{
-				Switch: u.sw, Table: newTbl.Clone(),
-				IsRule: u.isRule, RuleAdd: u.add, Rule: u.rule,
-			}
-			if len(rest) > 0 {
-				rest = append(rest, Step{Wait: true})
-			}
-			return append(rest, step), nil
+			return nil
 		}
 		e.curTables[u.sw] = oldTbl
 		e.revert(frames)
+		path := e.scr.path
+		path[len(path)-1] = Step{}
+		e.scr.path = path[:len(path)-1]
 		e.stats.Backtracks++
 		if !errors.Is(err, errNotFound) {
-			return nil, err
+			return err
 		}
 	}
-	return nil, errNotFound
+	return errNotFound
 }
 
 // applyAndCheck installs the new table for sw in every class structure
@@ -417,8 +425,8 @@ func (e *engine) learn(cexSwitches []int, cfg bitset) bool {
 	// order fixes the order the solver's variables are created in — come
 	// out the same whatever the trace's order.
 	var appliedUnits, unappliedUnits []int
-	if e.cexMark == nil {
-		e.cexMark = make([]bool, e.sc.Topo.NumSwitches())
+	if n := e.sc.Topo.NumSwitches(); len(e.cexMark) < n {
+		e.cexMark = make([]bool, n)
 	}
 	for _, sw := range cexSwitches {
 		e.cexMark[sw] = true
@@ -444,6 +452,9 @@ func (e *engine) learn(cexSwitches []int, cfg bitset) bool {
 	e.wrong = append(e.wrong, pattern{relevant: relevant, value: value})
 	if e.abl.NoEarlyTermination {
 		return false
+	}
+	if e.et == nil {
+		e.et = newEarlyTerm(len(e.units))
 	}
 	e.stats.SATCalls++
 	return !e.et.addCexConstraint(appliedUnits, unappliedUnits)

@@ -216,7 +216,7 @@ func TestDestinationRankTracesOnlyMovedClasses(t *testing.T) {
 			}
 		}
 		for _, g := range []struct{ rules, twoSimple bool }{{false, false}, {true, false}, {false, true}} {
-			units, err := computeUnits(sc, diff, g.rules, g.twoSimple)
+			units, err := computeUnits(nil, sc, diff, g.rules, g.twoSimple)
 			if err != nil {
 				t.Fatal(err)
 			}

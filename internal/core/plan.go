@@ -16,7 +16,10 @@ type Step struct {
 	// For update steps:
 	Switch int
 	// Table is the full table installed on Switch by this step (for rule
-	// granularity this is the cumulative table after the rule change).
+	// granularity this is the cumulative table after the rule change). It
+	// is shared with the configuration it came from — the target's own
+	// table for a whole-table step — and with the plan cache, and is
+	// read-only: copy it before changing it.
 	Table network.Table
 	// Rule-granularity detail: the rule added or removed, if any.
 	IsRule  bool

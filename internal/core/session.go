@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -137,13 +138,64 @@ type Session struct {
 
 // engineScratch is the pooled per-run state handed to each engine: reset
 // is O(live entries), not O(capacity), and nothing is reallocated across
-// syntheses. frames[d] holds the undo frames of the update applied at
-// search depth d (a cache replay's, all of them, in frames[0]).
+// syntheses. Every working buffer of a synthesis is here, so what a miss
+// allocates is its answer — the plan's steps and DAG — and little else.
+// frames[d] holds the undo frames of the update applied at search depth d
+// (a cache replay's, all of them, in frames[0]).
 type engineScratch struct {
+	// e is the engine itself and sc the scenario it runs on: a request's,
+	// or one component sub-search's, whose class specifications are specs.
+	e         engine
+	sc        config.Scenario
+	specs     []config.ClassSpec
 	visited   *bitsetSet
 	curTables map[int]network.Table
 	deps      *depScratch
 	frames    [][]frame
+
+	// units are the engine's units: a request's computeUnits output, or a
+	// component's renumbered copy of its share of them. path is the
+	// search's: the updates from the root to the node the DFS stands at.
+	units []unit
+	path  []Step
+	// A request's composition: upd holds each component's path at the
+	// component's offset (the sum of the earlier components' unit counts),
+	// steps the careful sequence composed from them, and waits the wait
+	// removal's output before its copy into the plan.
+	upd, steps, waits []Step
+
+	// A request's decomposition: the units' footprints back to back, the
+	// components and their results, and the arena the components' lists and
+	// the partition's working arrays are carved from.
+	fps     []int
+	comps   []component
+	results []compResult
+	ints    arena[int]
+
+	// The affected vectors of the request's ordering analyses, remembered by
+	// step position, and the arena their rows are carved from. A row is
+	// indexed by one tenant's class list, so both are reset per request
+	// (newEngineShellWith).
+	affMemo []affectedMemo
+	affRows arena[bool]
+}
+
+// arena hands out slices of one block instead of one allocation each. A
+// reset (used = 0) hands the block out again; where it is short, a larger
+// one replaces it, and what was handed out keeps the old.
+type arena[T any] struct {
+	block []T
+	used  int
+}
+
+// take returns n elements of the block, not zeroed.
+func (a *arena[T]) take(n int) []T {
+	if len(a.block)-a.used < n {
+		a.block, a.used = make([]T, max(2*len(a.block), 4*n, 256)), 0
+	}
+	out := a.block[a.used : a.used+n : a.used+n]
+	a.used += n
+	return out
 }
 
 func newEngineScratch() *engineScratch {
@@ -162,15 +214,32 @@ func newEngineScratch() *engineScratch {
 // the next tenant's (depScratch.reset).
 var scratchPool = sync.Pool{New: func() any { return newEngineScratch() }}
 
-// putScratch returns scr to the pool without the deltas and tokens its
-// frames name: they belong to structures and checkers the pool must not
-// keep alive.
+// putScratch returns scr to the pool without the structures, checkers,
+// tables, deltas and tokens its engine, units, steps and frames name: they
+// belong to a session and a request the pool must not keep alive.
 func putScratch(scr *engineScratch) {
 	for i, fs := range scr.frames {
-		clear(fs)
-		scr.frames[i] = fs[:0]
+		scr.frames[i] = emptied(fs)
 	}
+	scr.e = scr.e.buffers()
+	scr.sc = config.Scenario{}
+	scr.specs = emptied(scr.specs)
+	scr.units = emptied(scr.units)
+	scr.path = emptied(scr.path)
+	scr.upd = emptied(scr.upd)
+	scr.steps = emptied(scr.steps)
+	scr.waits = emptied(scr.waits)
+	scr.affMemo = emptied(scr.affMemo)
+	scr.comps = emptied(scr.comps)
+	scr.results = emptied(scr.results)
 	scratchPool.Put(scr)
+}
+
+// emptied zeroes a buffer's elements and returns it empty, its capacity
+// kept.
+func emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 // SessionResources are the read-only structures a session may share with
@@ -419,13 +488,10 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		return nil, ctxErr(ctx)
 	}
 	s.runs++
-	sc := &config.Scenario{
-		Name:  name,
-		Topo:  s.topo,
-		Init:  s.cur,
-		Final: final,
-		Specs: s.specs,
-	}
+	scr := scratchPool.Get().(*engineScratch)
+	defer putScratch(scr)
+	scr.sc = config.Scenario{Name: name, Topo: s.topo, Init: s.cur, Final: final, Specs: s.specs}
+	sc := &scr.sc
 	// The request's diff — the switches on which the target differs from
 	// the current configuration, their rule changes, and the classes those
 	// rules can match — is computed once and serves the unit list, the
@@ -450,15 +516,14 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		tr.End(root)
 		return nil, err
 	}
-	units, err := computeUnits(sc, diff, s.opts.RuleGranularity, s.opts.TwoSimple)
+	units, err := computeUnits(scr.units[:0], sc, diff, s.opts.RuleGranularity, s.opts.TwoSimple)
+	scr.units = units
 	if err != nil {
 		return refuse(Stats{RequestID: reqID}, err)
 	}
 	if err := s.buildClasses(s.aff.classes); err != nil {
 		return refuse(Stats{RequestID: reqID}, err)
 	}
-	scr := scratchPool.Get().(*engineScratch)
-	defer putScratch(scr)
 	e := newEngineShellWith(sc, s.opts, s.abl, units, scr)
 	e.bindContext(ctx)
 	e.stats.RequestID = reqID
@@ -573,10 +638,13 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			e.collectCheckerStats()
 		} else {
 			e.stats.WaitsBefore = countWaits(steps)
-			// Two-phase fallback segments (repair ladder) are version-tagged,
-			// not careful: the class-trace argument behind wait removal and
-			// the dependency analysis does not cover them, so such plans keep
-			// every wait and carry a sequential chain DAG instead.
+			// The careful sequence is the request scratch's; the plan gets
+			// its own copy, made once: wait removal's output, or the careful
+			// sequence itself. Two-phase fallback segments (repair ladder) are
+			// version-tagged, not careful: the class-trace argument behind
+			// wait removal and the dependency analysis does not cover them, so
+			// such plans keep every wait and carry a sequential chain DAG
+			// instead.
 			tagged := e.stats.TwoPhaseComponents > 0
 			if !s.opts.NoWaitRemoval && !tagged {
 				wrStart := time.Now()
@@ -584,6 +652,8 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 				steps = e.removeWaits(steps)
 				tr.End(wrSpan)
 				e.stats.WaitRemovalElapsed = time.Since(wrStart)
+			} else {
+				steps = ownSteps(steps)
 			}
 			e.stats.WaitsAfter = countWaits(steps)
 			// Lift the ordering facts into the dependency DAG (dag.go). Built
@@ -791,13 +861,17 @@ func rulesAffect(removed, added []network.Rule, pkt network.Packet) bool {
 
 // ruleDiffs collects the per-switch rule changes between from and to over
 // the candidate switches, once — the diff is class-independent, so every
-// class's rebind shares it.
+// class's rebind shares it. An entry of dst keeps its rule lists' memory
+// for the next request.
 func ruleDiffs(dst []swDiff, from, to *config.Config, cands []int) []swDiff {
 	dst = dst[:0]
 	for _, sw := range cands {
-		removed, added := diffTables(from.Table(sw), to.Table(sw))
-		if len(removed) > 0 || len(added) > 0 {
-			dst = append(dst, swDiff{sw: sw, removed: removed, added: added})
+		dst = slices.Grow(dst, 1)[:len(dst)+1] // an entry left by the last request keeps its lists
+		d := &dst[len(dst)-1]
+		d.sw = sw
+		d.removed, d.added = appendDiff(emptied(d.removed), emptied(d.added), from.Table(sw), to.Table(sw))
+		if len(d.removed) == 0 && len(d.added) == 0 {
+			dst = dst[:len(dst)-1]
 		}
 	}
 	return dst
@@ -843,11 +917,10 @@ func (a *affectedClasses) switchesOf(pos int) []int {
 // attach hands the engine the structures and checkers of the given
 // classes (ascending spec indexes, all built), in that order.
 func (s *Session) attach(e *engine, classes []int) {
-	e.classes = classes
-	e.ks = make([]*kripke.K, len(classes))
-	e.checkers = make([]mc.Checker, len(classes))
-	for i, ci := range classes {
-		e.ks[i], e.checkers[i] = s.ks[ci], s.checkers[ci]
+	e.classes, e.ks, e.checkers = classes, e.ks[:0], e.checkers[:0]
+	for _, ci := range classes {
+		e.ks = append(e.ks, s.ks[ci])
+		e.checkers = append(e.checkers, s.checkers[ci])
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"netupdate/internal/config"
@@ -59,11 +59,13 @@ const lateRank = 1_000_000
 // rule-granularity add-before-delete orders while keeping whole-table
 // commands. A whole-table unit installs the target's own table: a
 // configuration's tables are immutable (config.Config), and nothing
-// writes to a unit's.
-func computeUnits(sc *config.Scenario, diff []int, ruleGranularity, twoSimple bool) ([]unit, error) {
+// writes to a unit's. The units are appended to dst, which the session
+// hands over from its pooled scratch.
+func computeUnits(dst []unit, sc *config.Scenario, diff []int, ruleGranularity, twoSimple bool) ([]unit, error) {
 	rank := destinationRank(sc, diff) // indexed like diff
+	units := slices.Grow(dst[:0], len(diff))
 	if !ruleGranularity && twoSimple {
-		units := make([]unit, 0, 2*len(diff))
+		units = slices.Grow(units, 2*len(diff))
 		for di, sw := range diff {
 			merged := mergeTables(sc.Init.Table(sw), sc.Final.Table(sw))
 			mergeID := len(units)
@@ -79,7 +81,6 @@ func computeUnits(sc *config.Scenario, diff []int, ruleGranularity, twoSimple bo
 		return units, nil
 	}
 	if !ruleGranularity {
-		units := make([]unit, 0, len(diff))
 		for di, sw := range diff {
 			units = append(units, unit{
 				id:       len(units),
@@ -91,7 +92,6 @@ func computeUnits(sc *config.Scenario, diff []int, ruleGranularity, twoSimple bo
 		}
 		return units, nil
 	}
-	var units []unit
 	for di, sw := range diff {
 		removed, added := diffTables(sc.Init.Table(sw), sc.Final.Table(sw))
 		for _, r := range added {
@@ -143,7 +143,16 @@ outer:
 // diffTables returns rules only in a (removed) and only in b (added),
 // multiset semantics.
 func diffTables(a, b network.Table) (removed, added []network.Rule) {
-	used := make([]bool, len(b))
+	return appendDiff(nil, nil, a, b)
+}
+
+// appendDiff is diffTables appending to the given lists.
+func appendDiff(removed, added []network.Rule, a, b network.Table) ([]network.Rule, []network.Rule) {
+	var small [32]bool
+	used := small[:]
+	if len(b) > len(small) {
+		used = make([]bool, len(b))
+	}
 outer:
 	for _, ra := range a {
 		for i, rb := range b {
@@ -159,7 +168,7 @@ outer:
 			added = append(added, rb)
 		}
 	}
-	return
+	return removed, added
 }
 
 // destinationRank ranks the diff's switches (the result is indexed like
@@ -208,19 +217,14 @@ func crossesAny(cfg *config.Config, switches []int, pkt network.Packet) bool {
 	return false
 }
 
-// orderUnits returns unit indexes sorted by rank (stable on id).
-func orderUnits(units []unit) []int {
-	idx := make([]int, len(units))
-	for i := range idx {
-		idx[i] = i
+// orderUnits appends to dst the unit indexes sorted by rank, stable on
+// id (a unit's id is its index).
+func orderUnits(dst []int, units []unit) []int {
+	for i := range units {
+		dst = append(dst, i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if units[idx[a]].rank != units[idx[b]].rank {
-			return units[idx[a]].rank < units[idx[b]].rank
-		}
-		return units[idx[a]].id < units[idx[b]].id
-	})
-	return idx
+	slices.SortStableFunc(dst, func(a, b int) int { return cmp.Compare(units[a].rank, units[b].rank) })
+	return dst
 }
 
 // bitset is a fixed-capacity bitmask over unit ids.

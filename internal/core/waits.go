@@ -1,6 +1,10 @@
 package core
 
-import "netupdate/internal/network"
+import (
+	"slices"
+
+	"netupdate/internal/network"
+)
 
 // removeWaits implements the reachability-based wait-removal heuristic of
 // Section 4.2.C. The synthesized sequence is careful (a wait between
@@ -20,10 +24,12 @@ import "netupdate/internal/network"
 // The ordering analysis itself — affected classes, window tracking, and
 // the reachability hazard tests — lives in deps.go (depAnalysis), shared
 // with the plan-DAG builder; this pass is the wait-elision loop over it.
+// It writes into the engine's pooled buffer and returns one exact-size
+// copy, the caller's own.
 func (e *engine) removeWaits(steps []Step) []Step {
 	d := e.newDepAnalysis()
 	defer d.release()
-	out := make([]Step, 0, len(steps))
+	out := slices.Grow(e.scr.waits[:0], len(steps))
 	for _, st := range steps {
 		if st.Wait {
 			continue // re-derived below
@@ -36,6 +42,15 @@ func (e *engine) removeWaits(steps []Step) []Step {
 		d.advance(st.Switch, st.Table, affected)
 		out = append(out, st)
 	}
+	e.scr.waits = out
+	return ownSteps(out)
+}
+
+// ownSteps returns an exact-size copy of steps: a plan's own, where steps
+// is a pooled buffer. The tables stay shared (Step.Table).
+func ownSteps(steps []Step) []Step {
+	out := make([]Step, len(steps))
+	copy(out, steps)
 	return out
 }
 

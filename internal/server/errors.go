@@ -25,6 +25,13 @@ var (
 	ErrPoolClosed = errors.New("server: pool is shut down")
 )
 
+// badSpecError is a registration the client must fix: its header does
+// not build (a malformed topology, path or specification). It reads as
+// its cause.
+type badSpecError struct{ error }
+
+func (e badSpecError) Unwrap() error { return e.error }
+
 // Retryable reports whether a Pool.Synthesize failure is transient
 // load-shedding: the request was rejected without side effects and a
 // retry (against this or another replica) may succeed. Engine verdicts

@@ -87,7 +87,7 @@ func statusOf(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, core.ErrTimeout), errors.Is(err, core.ErrCanceled):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, config.ErrBadDelta):
+	case errors.Is(err, config.ErrBadDelta), errors.As(err, new(badSpecError)):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

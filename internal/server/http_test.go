@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"netupdate/internal/ltl"
 	"netupdate/internal/server"
 )
 
@@ -122,6 +123,40 @@ func TestHTTPSynthesizeStreams(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// TestHTTPRegisterRejectsDeepSpec: a registration whose class
+// specification nests one level deeper than the parser takes is a 400
+// naming the offset — it once recursed once per level, and a deep enough
+// spec overflowed the daemon's stack — and the pool registers and serves
+// the next tenant.
+func TestHTTPRegisterRejectsDeepSpec(t *testing.T) {
+	ts, _ := startDaemon(t, server.PoolOptions{})
+	deep := strings.Replace(lineSpec, `"sw=0 -> F sw=3"`, `"`+strings.Repeat("X ", ltl.MaxNesting+1)+`sw=3"`, 1)
+	resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(deep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "nested deeper than") ||
+		!strings.Contains(string(body), "offset") {
+		t.Fatalf("register: %s: %s, want 400 and the nesting error", resp.Status, body)
+	}
+	info := register(t, ts, lineSpec)
+	resp, err = http.Post(ts.URL+"/v1/tenants/"+info.ID+"/synthesize", "application/x-ndjson",
+		strings.NewReader(`{"reroute":[{"class":"c","path":[0,2,3]}]}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var r server.Result
+	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Result != "plan" {
+		t.Fatalf("next request: %+v", r)
 	}
 }
 

@@ -173,7 +173,7 @@ func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
 	opts := core.Options(spec.Options)
 	base, err := spec.StreamHeader.Build()
 	if err != nil {
-		return nil, err
+		return nil, badSpecError{err}
 	}
 
 	p.mu.Lock()

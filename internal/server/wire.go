@@ -193,8 +193,14 @@ func NewResult(seq int, tenantID string, plan *core.Plan, err error) Result {
 	switch {
 	case err == nil:
 		res.Result = "plan"
-		for _, st := range plan.Steps {
-			res.Steps = append(res.Steps, stepOf(st))
+		if n := len(plan.Steps); n > 0 {
+			// One slice of the plan's length, and the switch numbers the
+			// steps point at from one block.
+			res.Steps = make([]ResultStep, n)
+			sws := make([]int, n)
+			for i, st := range plan.Steps {
+				res.Steps[i] = stepOf(st, &sws[i])
+			}
 		}
 		res.Stats = &ResultStats{
 			Units:         plan.Stats.Units,
@@ -261,17 +267,19 @@ func edgeLists(in [][]int) [][]int {
 	return out
 }
 
-func stepOf(s core.Step) ResultStep {
+// stepOf converts one plan step, storing an update's switch number in
+// *sw for the wire step to point at.
+func stepOf(s core.Step, sw *int) ResultStep {
 	if s.Wait {
 		return ResultStep{Op: "wait"}
 	}
-	sw := s.Switch
+	*sw = s.Switch
 	switch {
 	case s.IsRule && s.RuleAdd:
-		return ResultStep{Op: "add", Switch: &sw, Rule: s.Rule.String()}
+		return ResultStep{Op: "add", Switch: sw, Rule: s.Rule.String()}
 	case s.IsRule:
-		return ResultStep{Op: "del", Switch: &sw, Rule: s.Rule.String()}
+		return ResultStep{Op: "del", Switch: sw, Rule: s.Rule.String()}
 	default:
-		return ResultStep{Op: "update", Switch: &sw}
+		return ResultStep{Op: "update", Switch: sw}
 	}
 }
