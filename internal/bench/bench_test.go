@@ -150,14 +150,14 @@ func TestAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := [][]string{
-		{"full", "ok", "9", "0", "0"},
-		{"no-cex-learning", "ok", "9", "0", "0"},
-		{"no-early-termination", "ok", "9", "0", "0"},
+		{"full", "ok", "8", "0", "0"},
+		{"no-cex-learning", "ok", "8", "0", "0"},
+		{"no-early-termination", "ok", "8", "0", "0"},
 		{"no-heuristic-order", "ok", "13", "4", "8"},
-		{"batch-checker", "ok", "9", "0", "0"},
+		{"batch-checker", "ok", "8", "0", "0"},
 		{"infeasible/full", "impossible", "-", "-", "-"},
 		{"infeasible/no-early-termination", "impossible", "-", "-", "-"},
-		{"infeasible/2-simple", "ok", "12", "0", "0"},
+		{"infeasible/2-simple", "ok", "10", "0", "0"},
 	}
 	if len(tb.Rows) != len(want) {
 		t.Fatalf("%d rows, want %d: %v", len(tb.Rows), len(want), tb.Rows)

@@ -271,15 +271,18 @@ func BenchmarkPlanCacheEntry(b *testing.B) {
 // BenchmarkSessionMissMixed is the search path of a served
 // serve-large-mixed request: one op moves one diamond of the 800-switch
 // mixed tenant onto its other branch and back, on a warm session with no
-// plan cache, so both syntheses are misses — verification, footprints,
-// search, composition, wait removal, DAG build and resync. Both targets are
+// plan cache, so both syntheses are misses — footprints, search,
+// composition, wait removal, DAG build and resync. Both targets are
 // named and the session primed before the timer starts, after a
 // collection: the heap then has room for the op, and no collection empties
 // the engine scratch pool between the priming round and the timed one — a
 // single op, as CI runs it, would otherwise read the scratch's first fill
 // (~275 KB) instead of the miss. CI gates allocs/op and B/op
 // (.github/alloc-budgets.txt): what a miss allocates beyond its answer — a
-// working copy of the steps or the units per request — shows in B/op.
+// working copy of the steps or the units per request — shows in B/op. It
+// gates checks/op too, the checker verdicts the op computes (Stats.Checks,
+// a function of the input): a target check before every search shows
+// there.
 func BenchmarkSessionMissMixed(b *testing.B) {
 	base, forth, _ := mixedTenant(b)
 	there, err := base.Apply(base.Init, forth)
@@ -290,11 +293,14 @@ func BenchmarkSessionMissMixed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	checks := 0
 	round := func() {
 		for _, to := range []*config.Config{there, base.Init} {
-			if _, err := s.Synthesize(to); err != nil {
+			plan, err := s.Synthesize(to)
+			if err != nil {
 				b.Fatal(err)
 			}
+			checks += plan.Stats.Checks
 		}
 	}
 	for i := 0; i < 4; i++ { // the structures' undo logs and free lists reach their size
@@ -304,7 +310,9 @@ func BenchmarkSessionMissMixed(b *testing.B) {
 	round()
 	b.ReportAllocs()
 	b.ResetTimer()
+	checks = 0
 	for i := 0; i < b.N; i++ {
 		round()
 	}
+	b.ReportMetric(float64(checks)/float64(b.N), "checks/op")
 }

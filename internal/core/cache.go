@@ -312,7 +312,8 @@ func (c *PlanCache) storePlan(key string, steps []Step, dag *PlanDAG, final *con
 }
 
 // storeInfeasible memoizes a proven ErrNoOrdering instance, so a repeat
-// fails fast.
+// fails fast. A search proves infeasibility only by failing checks, the
+// first of which checked the target, so a hit needs no target check.
 func (c *PlanCache) storeInfeasible(key string) {
 	c.store(&cacheEntry{key: key, infeasible: true})
 }

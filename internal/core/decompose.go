@@ -13,15 +13,16 @@ package core
 //  1. Footprint pre-pass: each unit's *interference footprint* is the set
 //     of traffic classes whose Kripke delta is non-empty for that unit —
 //     the same per-class emptiness the engine's ClassSkips fast path
-//     tests, hoisted into a pre-pass that applies and reverts each unit
-//     once against the warm structures. Per-class successor lists of a
-//     switch's arrival states are a function of that switch's table
-//     alone, so delta emptiness between two tables is context-free and
-//     one probe per (unit, class) is exact for whole-table units. Rule
-//     units are the exception — whether an add/delete changes class
-//     behavior depends on the rest of the table (priority shadowing), so
-//     their footprint is the sound, context-free over-approximation
-//     "classes whose packet the rule's pattern matches" instead.
+//     tests, hoisted into a pre-pass that reads, for each unit and class,
+//     the successor lists the unit's table would give without installing
+//     it. Per-class successor lists of a switch's arrival states are a
+//     function of that switch's table alone, so delta emptiness between
+//     two tables is context-free and one probe per (unit, class) is exact
+//     for whole-table units. Rule units are the exception — whether an
+//     add/delete changes class behavior depends on the rest of the table
+//     (priority shadowing), so their footprint is the sound, context-free
+//     over-approximation "classes whose packet the rule's pattern
+//     matches" instead.
 //
 //  2. Interference graph: units are vertices; two units interfere when
 //     they touch the same switch (their Step.Table snapshots and merge/
@@ -49,9 +50,10 @@ package core
 // Soundness of composition: while component A's sub-plan executes, the
 // structure of every class outside A is bit-for-bit unchanged (A's units
 // have empty deltas for it — that is what the partition means), so a class
-// keeps the verdict its own component's search (or, for classes no unit
-// affects, the endpoint verification) established — a checker's verdict
-// is a function of its class structure alone (the mc.Checker contract).
+// keeps the verdict its own component's search established (a class no
+// unit affects, the one it holds at the current configuration) — a
+// checker's verdict is a function of its class structure alone (the
+// mc.Checker contract).
 //
 // A connected diff is one component over its footprint classes: every
 // other class has an empty delta for every unit, so a search over all
@@ -69,7 +71,7 @@ import (
 	"time"
 
 	"netupdate/internal/config"
-	"netupdate/internal/kripke"
+	"netupdate/internal/network"
 )
 
 // component is one independent subproblem of the interference partition.
@@ -83,13 +85,14 @@ type component struct {
 // spec indexes of the classes the unit can affect, out of the attached
 // ones — the request's affected classes aff, which is every class a
 // changed rule matches. Whole-table units (switch granularity and
-// 2-simple) are probed against the warm Kripke structures — applied in id
-// order so a finalize step lands on top of its merge step, probed per
-// class for delta emptiness, and reverted before the next switch's units —
-// which keeps every structure at the initial configuration when the
-// pre-pass returns. Rule units use the pattern match over-approximation
-// (see the file comment). The footprints are returned back to back, in the
-// request scratch: unit i's are fps[ends[i-1]:ends[i]].
+// 2-simple) are probed against the warm Kripke structures without
+// installing anything: per class, the successor lists the unit's table
+// gives the switch's arrival states are compared with the ones its
+// structure holds (kripke.K.Moves), or, for a 2-simple finalize unit whose
+// merge unit was probed, with the ones the merged table gives. Rule units
+// use the pattern match over-approximation (see the file comment). The
+// footprints are returned back to back, in the request scratch: unit i's
+// are fps[ends[i-1]:ends[i]].
 func (e *engine) unitFootprints(aff *affectedClasses) (fps, ends []int, _ error) {
 	fps, ends = e.scr.fps[:0], e.scr.ints.take(len(e.units))
 	defer func() { e.scr.fps = fps }()
@@ -104,73 +107,73 @@ func (e *engine) unitFootprints(aff *affectedClasses) (fps, ends []int, _ error)
 		}
 		return fps, ends, nil
 	}
-	// Units of one switch are contiguous in id order (computeUnits emits
-	// them per diff switch), so a switch's chain is reverted as soon as
-	// the next switch begins and probes of different switches never see
-	// each other's updates. The affected-class list keeps the pass cheap: a
-	// class that cannot see the switch's change — no added or removed rule
-	// matches its packet — cannot see its behavior change (table
-	// application is priority-set semantics, so a pure reorder of identical
-	// rules changes nothing either), and only the surviving (unit, class)
-	// pairs pay for an exact apply/revert probe.
-	pend := e.frameBuf(0)
-	defer func() { e.scr.frames[0] = pend }()
-	flush := func() {
-		e.revert(pend)
-		pend = pend[:0]
-	}
-	curSw := -1
-	for _, u := range e.units {
-		if u.sw != curSw {
-			flush()
-			curSw = u.sw
+	// The affected-class list keeps the pass cheap: a class that cannot see
+	// the switch's change — no added or removed rule matches its packet —
+	// cannot see its behavior change (table application is priority-set
+	// semantics, so a pure reorder of identical rules changes nothing
+	// either), and only the surviving (unit, class) pairs pay for a probe.
+	// merged[pos], in 2-simple mode, is the last merge unit probed on class
+	// pos: its finalize unit moves the class from the merged table.
+	var merged []int
+	if e.opts.TwoSimple {
+		merged = e.scr.ints.take(len(e.classes))
+		for i := range merged {
+			merged[i] = -1
 		}
+	}
+	for _, u := range e.units {
 		for pos, ci := range e.classes {
 			if !slices.Contains(aff.switchesOf(pos), u.sw) {
 				continue
 			}
+			var from network.Table // nil: the table the structure holds
 			if e.opts.TwoSimple {
 				// A switch carries a merge and a finalize unit, each moving
 				// part of the switch's rule diff: what this one moves is
-				// read against the table the class's structure holds now
-				// (the merged one only where the merge was probed).
-				removed, added := diffTables(e.ks[pos].Table(u.sw), u.newTable)
+				// read against the table the class stands at before it (the
+				// merged one only where the merge was probed).
+				base := e.ks[pos].Table(u.sw)
+				if u.requires >= 0 && merged[pos] == u.requires {
+					from = e.units[u.requires].newTable
+					base = from
+				}
+				removed, added := diffTables(base, u.newTable)
 				if !rulesAffect(removed, added, e.sc.Specs[ci].Class.Packet()) {
 					continue
 				}
-			}
-			delta, err := e.ks[pos].UpdateSwitch(u.sw, u.newTable)
-			e.stats.FootprintProbes++
-			if err != nil {
-				if _, isLoop := err.(*kripke.ErrLoop); !isLoop {
-					// Packet-modification errors are terminal; loops are
-					// expected mid-probe (an upstream switch applied alone
-					// can loop) and leave the update applied + revertible.
-					flush()
-					return nil, nil, err
+				if u.requires < 0 {
+					merged[pos] = u.id
 				}
 			}
-			pend = append(pend, frame{class: pos, delta: delta})
-			if len(delta.Changed()) > 0 {
+			moves, err := e.ks[pos].Moves(u.sw, from, u.newTable)
+			e.stats.FootprintProbes++
+			if err != nil {
+				return nil, nil, err
+			}
+			if moves {
 				fps = append(fps, ci)
 			}
 		}
 		ends[u.id] = len(fps)
 	}
-	flush()
 	return fps, ends, nil
 }
 
 // components partitions the units into connected components of the
 // interference graph, ordered by lowest unit id. It runs the footprint
 // pre-pass and so must be called with the engine's structures attached
-// and at the initial configuration; it leaves them there. The components
-// and their lists are the request scratch's.
+// and at the initial configuration. The components and their lists are
+// the request scratch's.
 func (e *engine) components(aff *affectedClasses) ([]component, error) {
 	fps, ends, err := e.unitFootprints(aff)
 	if err != nil {
 		return nil, err
 	}
+	return e.partition(fps, ends), nil
+}
+
+// partition is components over the footprints unitFootprints returned.
+func (e *engine) partition(fps, ends []int) []component {
 	scr := e.scr
 	parent := scr.ints.take(len(e.units))
 	for i := range parent {
@@ -254,7 +257,7 @@ func (e *engine) components(aff *affectedClasses) ([]component, error) {
 		}
 	}
 	scr.comps = comps
-	return comps, nil
+	return comps
 }
 
 // decompose partitions the diff into independent subproblems, at least
@@ -268,7 +271,16 @@ func (s *Session) decompose(e *engine) ([]component, error) {
 		}
 		return []component{{units: units, classes: s.aff.classes, switches: e.unitSwitches()}}, nil
 	}
-	return e.components(&s.aff)
+	comps, err := e.components(&s.aff)
+	if err != nil {
+		// A target table the pass cannot read (a rule that rewrites the
+		// class packet) fails the target check, which names the violation
+		// as it names any other.
+		if verr := e.verifyTarget(); verr != nil {
+			return nil, verr
+		}
+	}
+	return comps, err
 }
 
 // compResult is one component sub-search's outcome. path is the
@@ -357,7 +369,16 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 	wg.Wait()
 
 	e.stats.Components = len(comps)
+	// A target that fails its check is the answer whatever else the
+	// components met, and no fallback ladder may route around it.
 	var runErr error
+	for i := range results {
+		if errors.Is(results[i].err, ErrFinalViolation) {
+			runErr = results[i].err
+			break
+		}
+	}
+	refused := runErr != nil
 	for i := range results {
 		r := &results[i]
 		e.stats.addSearch(r.stats)
@@ -366,7 +387,7 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 			// The sub-search finished: its classes' warm structures sit at
 			// the target tables whatever the other components did.
 			e.stats.CommittedComponents = append(e.stats.CommittedComponents, i)
-		} else if s.repairing && errors.Is(r.err, ErrNoOrdering) {
+		} else if s.repairing && !refused && errors.Is(r.err, ErrNoOrdering) {
 			c := &comps[i]
 			var twoPhase bool
 			r.fallback, twoPhase, r.err = s.repairFallback(
@@ -474,6 +495,7 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 	scr.sc = config.Scenario{Name: e.sc.Name, Topo: s.topo, Init: s.cur, Final: final, Specs: scr.specs}
 	ec := newEngineShellWith(&scr.sc, s.opts, s.abl, units, scr)
 	ec.bindContext(e.ctx)
+	ec.trace, ec.traceParent, ec.traceLane = s.trace, span, idx+1
 	s.attach(ec, c.classes)
 	ec.snapshotCheckerStats()
 	path, err := ec.run()

@@ -3,10 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"netupdate/internal/config"
+	"netupdate/internal/kripke"
+	"netupdate/internal/network"
 	"netupdate/internal/topology"
 )
 
@@ -498,5 +503,148 @@ func TestSingleComponentFootprintSearch(t *testing.T) {
 	// The session still serves: a feasible region right after.
 	if _, err := sess.Synthesize(feasible); err != nil {
 		t.Fatalf("feasible region after rejected intent: %v", err)
+	}
+}
+
+// installFootprints is the footprint pass as it was before it read tables
+// instead of installing them: each (unit, class) probe applies the unit's
+// table to the class's structure, reads the delta, and the switch's chain
+// is reverted when the next switch begins. TestFootprintsWithoutInstall
+// holds the read-only pass to it.
+func installFootprints(e *engine, aff *affectedClasses) (fps, ends []int, _ error) {
+	ends = make([]int, len(e.units))
+	var pend []frame
+	flush := func() {
+		e.revert(pend)
+		pend = pend[:0]
+	}
+	curSw := -1
+	for _, u := range e.units {
+		if u.sw != curSw {
+			flush()
+			curSw = u.sw
+		}
+		for pos, ci := range e.classes {
+			if !slices.Contains(aff.switchesOf(pos), u.sw) {
+				continue
+			}
+			if e.opts.TwoSimple {
+				removed, added := diffTables(e.ks[pos].Table(u.sw), u.newTable)
+				if !rulesAffect(removed, added, e.sc.Specs[ci].Class.Packet()) {
+					continue
+				}
+			}
+			delta, err := e.ks[pos].UpdateSwitch(u.sw, u.newTable)
+			e.stats.FootprintProbes++
+			if err != nil {
+				if _, isLoop := err.(*kripke.ErrLoop); !isLoop {
+					flush()
+					return nil, nil, err
+				}
+			}
+			pend = append(pend, frame{class: pos, delta: delta})
+			if len(delta.Changed()) > 0 {
+				fps = append(fps, ci)
+			}
+		}
+		ends[u.id] = len(fps)
+	}
+	flush()
+	return fps, ends, nil
+}
+
+// TestFootprintsWithoutInstall: the read-only footprint pass gives the
+// footprints, the components and the probe count the install-and-revert
+// pass gave, and the same error on a target table it cannot read, at
+// switch and 2-simple granularity: on every scenario of this file, and on
+// random multi-region diffs. It leaves every structure as it found it,
+// holding no table over its configuration and no undo log.
+func TestFootprintsWithoutInstall(t *testing.T) {
+	cases := map[string]*config.Scenario{
+		"fig1-red-green": config.Fig1RedGreen(),
+		"fig1-red-blue":  config.Fig1RedBlue(),
+		"fig1-waypoint":  config.Fig1RedBlueWaypoint(),
+		"regions":        multiRegionScenario(t, 3, 1, 0, 11),
+		"regions-cross":  multiRegionScenario(t, 3, 1, 1, 11),
+		"regions-pairs":  multiRegionScenario(t, 3, 2, 0, 11),
+	}
+	diamond, err := config.Diamonds(topology.SmallWorld(60, 4, 0.3, 60), config.DiamondOptions{
+		Pairs: 1, Property: config.Reachability, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["diamond-single"] = diamond
+	gadget, err := config.Infeasible(topology.SmallWorld(40, 4, 0.3, 21), config.InfeasibleOptions{Gadgets: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["infeasible"] = gadget
+	stuck, err := config.MultiRegion(topology.SmallWorld(160, 6, 0.3, 7), config.MultiRegionOptions{
+		Regions: 2, InfeasibleRegions: 1, Property: config.Reachability, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["infeasible-region"] = stuck
+	rewriting := *cases["regions"]
+	rewriting.Final = refusedTargets(t, rewriting.Topo, rewriting.Final, rewriting.Specs[1].Class)["rewriting"]
+	cases["rewriting"] = &rewriting
+	// The target's rules outrank the current ones, so a 2-simple merge
+	// forwards as the target does and its finalize unit moves nothing.
+	raised := *cases["regions-cross"]
+	raised.Final = raised.Init.Clone()
+	for _, sw := range config.Diff(raised.Init, cases["regions-cross"].Final) {
+		var tbl network.Table
+		for _, r := range cases["regions-cross"].Final.Table(sw) {
+			r.Priority++
+			tbl = append(tbl, r)
+		}
+		raised.Final.SetTable(sw, tbl)
+	}
+	cases["raised"] = &raised
+	for seed := int64(1); seed <= 8; seed++ {
+		sc := multiRegionScenario(t, 3, 2, int(seed%2), seed)
+		r := rand.New(rand.NewSource(seed))
+		target := sc.Init.Clone()
+		for _, sw := range config.Diff(sc.Init, sc.Final) {
+			if r.Intn(2) == 0 {
+				target.SetTable(sw, sc.Final.Table(sw))
+			}
+		}
+		part := *sc
+		part.Final = target
+		cases[fmt.Sprintf("random-%d", seed)] = &part
+	}
+
+	for name, sc := range cases {
+		for _, opts := range []Options{{}, {TwoSimple: true}} {
+			what := fmt.Sprintf("%s/2simple=%v", name, opts.TwoSimple)
+			sRead, eRead := engineFor(t, sc, opts)
+			sInst, eInst := engineFor(t, sc, opts)
+			fps, ends, err := eRead.unitFootprints(&sRead.aff)
+			wantFps, wantEnds, wantErr := installFootprints(eInst, &sInst.aff)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: err %v, the install-and-revert pass %v", what, err, wantErr)
+			}
+			if got, want := eRead.stats.FootprintProbes, eInst.stats.FootprintProbes; got != want {
+				t.Fatalf("%s: %d probes, the install-and-revert pass %d", what, got, want)
+			}
+			if err != nil {
+				continue
+			}
+			if !slices.Equal(fps, wantFps) || !slices.Equal(ends, wantEnds) {
+				t.Fatalf("%s: footprints %v %v, the install-and-revert pass %v %v", what, fps, ends, wantFps, wantEnds)
+			}
+			got, want := eRead.partition(fps, ends), eInst.partition(wantFps, wantEnds)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: components %v, the install-and-revert pass %v", what, got, want)
+			}
+			for ci, k := range sRead.ks {
+				if _, moved := k.Base(); moved != 0 || k.HoldsLog() {
+					t.Fatalf("%s: class %d holds %d tables or an undo log after the pass", what, ci, moved)
+				}
+			}
+		}
 	}
 }

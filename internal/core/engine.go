@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"netupdate/internal/kripke"
 	"netupdate/internal/mc"
 	"netupdate/internal/network"
+	"netupdate/internal/obs"
 )
 
 // Synthesize runs ORDERUPDATE (Figure 4): it searches for a sequence of
@@ -128,8 +130,31 @@ type engine struct {
 	// while one holds it.
 	deps *depScratch
 
+	// The target check (checkTarget): aff lists the diff switches each
+	// attached class can see (the request's affected classes), target
+	// records whether the search has run the check, and the check's span
+	// goes under traceParent on traceLane, opened at vfStart as vfSpan.
+	aff         *affectedClasses
+	target      targetState
+	trace       *obs.Trace
+	traceParent int
+	traceLane   int
+	vfStart     time.Time
+	vfSpan      int
+
 	stats Stats
 }
+
+// targetState is where a search stands with its target check.
+type targetState uint8
+
+const (
+	targetUnchecked targetState = iota
+	targetHolds
+	// targetFails: the check failed mid-search. Its span stays open until
+	// run names the violation from the root.
+	targetFails
+)
 
 // newEngineShellWith builds an engine minus its per-class structures
 // around the given unit list: deadline and per-run scratch. The session
@@ -225,13 +250,31 @@ func (e *engine) run() ([]Step, error) {
 	empty := newBitset(len(e.units))
 	e.visited.add(empty)
 	e.scr.path = slices.Grow(emptied(e.scr.path), len(e.units))
-	if err := e.dfs(empty, 0); err != nil {
-		if errors.Is(err, errNotFound) {
-			return nil, ErrNoOrdering
-		}
-		return nil, err
+	err := e.dfs(empty, 0)
+	if err == nil {
+		return e.scr.path, nil
 	}
-	return e.scr.path, nil
+	// The search ended without a plan, and the DFS unwound to the root.
+	// Without a check having run — a timeout, a cancellation, a terminal
+	// error — the target may be what failed: it is checked now. A check
+	// that failed mid-search is run again from here, where a check before
+	// any search would have run, so the violation it names (the cycle of a
+	// loop, first of all) does not depend on where the search stood.
+	switch e.target {
+	case targetUnchecked:
+		if verr := e.verifyTarget(); verr != nil {
+			return nil, verr
+		}
+	case targetFails:
+		if verr := e.checkTarget(); verr != nil {
+			err = verr
+		}
+		e.endTargetCheck()
+	}
+	if errors.Is(err, errNotFound) {
+		return nil, ErrNoOrdering
+	}
+	return nil, err
 }
 
 // dfs explores update orders from the current configuration (encoded by
@@ -278,6 +321,18 @@ func (e *engine) dfs(applied bitset, depth int) error {
 		}
 		if failed {
 			e.revert(frames)
+			// The first failed check is where the target comes into doubt:
+			// no careful order exists if the target itself fails, and that
+			// is the answer, not a counterexample to learn from.
+			if e.target == targetUnchecked {
+				e.beginTargetCheck()
+				if err := e.checkTarget(); err != nil {
+					e.target = targetFails
+					return err
+				}
+				e.target = targetHolds
+				e.endTargetCheck()
+			}
 			if len(cexSwitches) > 0 && !e.abl.NoCexLearning {
 				if terminate := e.learn(cexSwitches, next); terminate {
 					e.stats.EarlyTerminate = true
@@ -353,6 +408,71 @@ func (e *engine) applyAndCheck(frames []frame, sw int, tbl network.Table) (_ []f
 		}
 	}
 	return frames, false, nil, nil
+}
+
+// checkTarget checks the target configuration on the attached classes,
+// on top of wherever the search stands: per class, the target's tables go
+// onto the diff switches the class can see as one step
+// (kripke.K.UpdateSwitches) — every one rewired, then one loop check over
+// the result, where switch-by-switch updates would trip over loops that
+// only the configurations in between have — the checker is updated once
+// over the states that moved, the verdict is read, and the step is undone
+// as a backtrack undoes one. A class forwarded in a cycle is the search's
+// loop protocol: the structure is reverted and the checker never sees it.
+// The first class that fails is an ErrFinalViolation; passing or not,
+// every structure and label is back where it was when checkTarget
+// returns.
+//
+// A search that never fails a check needs none of this: its leaf checked
+// every class after that class's last change, on the way to the target.
+func (e *engine) checkTarget() error {
+	depth := len(e.units) // a depth no search level uses
+	frames := e.frameBuf(depth)
+	defer func() {
+		e.revert(frames)
+		e.scr.frames[depth] = frames
+	}()
+	for pos, ci := range e.classes {
+		e.stats.Checks++
+		i, _ := slices.BinarySearch(e.aff.classes, ci)
+		delta, err := e.ks[pos].UpdateSwitches(e.sc.Final, e.aff.switchesOf(i))
+		if delta != nil { // applied, even where it closed a loop
+			frames = append(frames, frame{class: pos, delta: delta})
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrFinalViolation, err)
+		}
+		var verdict mc.Verdict
+		if len(delta.Changed()) == 0 {
+			verdict = e.checkers[pos].Check()
+		} else {
+			verdict, frames[len(frames)-1].token = e.checkers[pos].Update(delta)
+		}
+		if !verdict.OK {
+			return fmt.Errorf("%w: class %v", ErrFinalViolation, e.ks[pos].Class)
+		}
+	}
+	return nil
+}
+
+// verifyTarget is checkTarget timed into Stats.VerifyElapsed under a
+// final-verify span; beginTargetCheck and endTargetCheck are its halves,
+// which a check failing mid-search holds apart until run names the
+// violation.
+func (e *engine) verifyTarget() error {
+	e.beginTargetCheck()
+	err := e.checkTarget()
+	e.endTargetCheck()
+	return err
+}
+
+func (e *engine) beginTargetCheck() {
+	e.vfStart, e.vfSpan = time.Now(), e.trace.BeginLane("final-verify", e.traceParent, e.traceLane)
+}
+
+func (e *engine) endTargetCheck() {
+	e.trace.End(e.vfSpan)
+	e.stats.VerifyElapsed += time.Since(e.vfStart)
 }
 
 // revert undoes applied frames in reverse order. A nil token marks a

@@ -183,7 +183,7 @@ var (
 // Stats reports the work performed by one synthesis run.
 type Stats struct {
 	Units          int  // update units (switches or rules)
-	Checks         int  // model-checker calls
+	Checks         int  // model-checker calls of the search and the target check
 	ClassSkips     int  // checker calls skipped because the unit's delta was empty for the class (only the classes a changed rule of the request matches — for a connected diff, its footprint — are visited, so no other is counted)
 	StatesLabeled  int  // checker work units
 	Relabels       int  // incremental label recomputations that changed a label
@@ -205,9 +205,13 @@ type Stats struct {
 	// Per-phase durations, measured with the same monotonic clock the
 	// trace spans use and populated on every run — traced or not — so
 	// JSONL consumers get a phase breakdown without enabling traces.
-	// VerifyElapsed is the up-front final-configuration verification;
-	// SearchElapsed covers the search proper (every component, including
-	// any repair-ladder fallback); CacheVerifyElapsed is the
+	// VerifyElapsed is the target check's, where one ran: a search that
+	// failed a check, or ended without a plan, checked the target (summed
+	// over components), and a cache hit reads the replayed verdicts — a
+	// search that failed no check has none. SearchElapsed covers the
+	// search proper (every component, including any repair-ladder
+	// fallback); on a refused target it is folded into VerifyElapsed, the
+	// search having run to refuse it. CacheVerifyElapsed is the
 	// replay of a cached plan through the warm checkers; RebindElapsed is
 	// the post-run resync of the warm per-class structures. They do not
 	// sum to Elapsed: scenario setup, DAG build, and cache bookkeeping
@@ -225,8 +229,8 @@ type Stats struct {
 	// Decomposition counters (see decompose.go). Components is the number
 	// of independent subproblems the interference partition produced (1
 	// when the search ran joint — disabled, or a genuinely connected
-	// diff). FootprintProbes counts the apply/revert
-	// probes of the footprint pre-pass. ComponentElapsed records each
+	// diff). FootprintProbes counts the (unit, class) probes of the
+	// footprint pre-pass. ComponentElapsed records each
 	// sub-search's wall time in composition order (components sorted by
 	// lowest unit index), one entry for a joint run; empty when no search
 	// ran.
@@ -261,10 +265,12 @@ type Stats struct {
 	CacheVerifyFailed bool
 }
 
-// addSearch folds the counters of one component sub-search into st. The
-// work counters are additive across subproblems; labeling counters arrive
-// already collected against the sub-engine's checker snapshots.
+// addSearch folds the counters of one component sub-search into st, and
+// the time of its target check. The work counters are additive across
+// subproblems; labeling counters arrive already collected against the
+// sub-engine's checker snapshots.
 func (st *Stats) addSearch(o Stats) {
+	st.VerifyElapsed += o.VerifyElapsed
 	st.Checks += o.Checks
 	st.ClassSkips += o.ClassSkips
 	st.StatesLabeled += o.StatesLabeled

@@ -81,8 +81,8 @@ type Session struct {
 
 	// What a request computes once and every phase reads: its per-switch
 	// rule-diff list and the classes those rules can match (the only ones
-	// verification, replay, footprints, search and resync visit). stateBuf
-	// is the resync's rewired-state list.
+	// the target check, replay, footprints, search and resync visit).
+	// stateBuf is the resync's rewired-state list.
 	diffBuf  []swDiff
 	aff      affectedClasses
 	stateBuf []int
@@ -495,8 +495,8 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	// The request's diff — the switches on which the target differs from
 	// the current configuration, their rule changes, and the classes those
 	// rules can match — is computed once and serves the unit list, the
-	// cached plan's coverage check and replay, the final verification, the
-	// footprints, the search and the post-run resync.
+	// cached plan's coverage check and replay, the footprints, the search
+	// and its target check, and the post-run resync.
 	diff := config.Diff(s.cur, final)
 	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, final, diff)
 	s.aff.reset(s.specs, s.diffBuf)
@@ -527,6 +527,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	e := newEngineShellWith(sc, s.opts, s.abl, units, scr)
 	e.bindContext(ctx)
 	e.stats.RequestID = reqID
+	e.trace, e.traceParent = tr, root
 	// Every other class has an empty delta for every unit of the diff: the
 	// engine would skip it at every check.
 	s.attach(e, s.aff.classes)
@@ -585,17 +586,21 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		}
 	}
 	if !fromCache {
-		// Verify the target before searching: if it violates the spec, no
-		// sequence can be correct (Figure 4, line 2). The initial endpoint
-		// was verified when the session was opened, so a scenario whose
-		// endpoints are both bad reports ErrInitialViolation (from
+		// The target must hold for every class, or no sequence can be
+		// correct (Figure 4, line 2). A class the diff cannot affect holds
+		// there as it does now, which is a constant-time read of its
+		// standing verdict. The affected classes are checked on demand by
+		// the search that visits them (engine.checkTarget): when a check
+		// first fails, or when the search ends without a plan and without
+		// a check. An infeasibility memo was stored only after such a
+		// check passed, under a key covering the target. The initial
+		// endpoint was verified when the session was opened, so a scenario
+		// whose endpoints are both bad reports ErrInitialViolation (from
 		// NewSession) rather than ErrFinalViolation.
 		vfStart := time.Now()
-		vfSpan := tr.Begin("final-verify", root)
-		err := s.verifyFinal(e, final)
-		tr.End(vfSpan)
-		e.stats.VerifyElapsed = time.Since(vfStart)
-		if err != nil {
+		if err := s.unaffectedHold(); err != nil {
+			tr.End(tr.Begin("final-verify", root))
+			e.stats.VerifyElapsed = time.Since(vfStart)
 			return refuse(e.stats, err)
 		}
 	}
@@ -615,6 +620,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		dcSpan := tr.Begin("decompose", root)
 		comps, derr := s.decompose(e)
 		tr.End(dcSpan)
+		preVerify := e.stats.VerifyElapsed
 		searchStart := time.Now()
 		searchSpan := tr.Begin("search", root)
 		s.traceSearch = searchSpan
@@ -625,6 +631,11 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		s.traceSearch = 0
 		tr.End(searchSpan)
 		e.stats.SearchElapsed = time.Since(searchStart)
+		if errors.Is(runErr, ErrFinalViolation) {
+			// A refused target's search ran to refuse it: the phase counts
+			// as its verification.
+			e.stats.VerifyElapsed, e.stats.SearchElapsed = preVerify+e.stats.SearchElapsed, 0
+		}
 	}
 	var plan *Plan
 	if runErr == nil {
@@ -713,9 +724,10 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	if runErr == nil {
 		target = final
 	}
-	// Only the diff's switches can deviate from target: the search and
-	// the footprint pre-pass mutate nothing else, and target differs from
-	// the previous configuration exactly on the diff the units cover.
+	// Only the diff's switches can deviate from target: the search and its
+	// target check mutate nothing else, the footprint pre-pass nothing at
+	// all, and target differs from the previous configuration exactly on
+	// the diff the units cover.
 	// Restricting the rebind to those switches — and, per class, to the
 	// ones whose rule changes can affect it — keeps resync cost
 	// proportional to the diff, not the network times the class count. The
@@ -756,55 +768,21 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	return plan, nil
 }
 
-// verifyFinal checks the target configuration against every class
-// specification on the search structures, which sit at the current
-// configuration: per affected class, the request's diff is applied as one
-// step — every switch whose change the class can see rewired, one loop
-// check over the result, the checker updated once over the states that
-// moved — the verdict read, and the step undone as a DFS backtrack undoes
-// one: the saved successor lists, tables and labels go back, nothing is
-// recomputed. A class no changed rule matches is left alone: its standing
-// verdict is read if it is built, and is the one its holder vouched for
-// if it is not. A target that forwards some class in a cycle is the
-// search's loop protocol: the structure is reverted and the checker never
-// sees it. Passing or not, every structure and label is back where it was
-// when verifyFinal returns, the structures rebased on the current
-// configuration: a refused target reaches no resync.
-func (s *Session) verifyFinal(e *engine, final *config.Config) error {
-	frames := e.frameBuf(0)
-	defer func() {
-		e.revert(frames)
-		for _, f := range frames {
-			e.ks[f.class].Rebase(s.cur)
-		}
-		e.scr.frames[0] = frames
-	}()
+// unaffectedHold reads the standing verdict of every built class the
+// request's diff cannot affect: it is forwarded under the target as under
+// the current configuration, where it holds — except after a repair's
+// crash rebind, which moves the session to a configuration no check has
+// seen. An unbuilt class is one no request since a restore could affect;
+// its verdict is the one the session's holder vouched for.
+func (s *Session) unaffectedHold() error {
 	pos := 0
-	for ci, cs := range s.specs {
-		e.stats.Checks++
-		var verdict mc.Verdict
-		switch {
-		case pos < len(s.aff.classes) && s.aff.classes[pos] == ci:
-			delta, err := e.ks[pos].UpdateSwitches(final, s.aff.switchesOf(pos))
-			if delta != nil { // applied, even where it closed a loop
-				frames = append(frames, frame{class: pos, delta: delta})
-			}
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrFinalViolation, err)
-			}
-			if len(delta.Changed()) == 0 {
-				verdict = e.checkers[pos].Check()
-			} else {
-				verdict, frames[len(frames)-1].token = e.checkers[pos].Update(delta)
-			}
+	for ci, chk := range s.checkers {
+		if pos < len(s.aff.classes) && s.aff.classes[pos] == ci {
 			pos++
-		case s.checkers[ci] != nil:
-			verdict = s.checkers[ci].Check()
-		default:
 			continue
 		}
-		if !verdict.OK {
-			return fmt.Errorf("%w: class %v", ErrFinalViolation, cs.Class)
+		if chk != nil && !chk.Check().OK {
+			return fmt.Errorf("%w: class %v", ErrFinalViolation, s.specs[ci].Class)
 		}
 	}
 	return nil
@@ -915,9 +893,10 @@ func (a *affectedClasses) switchesOf(pos int) []int {
 }
 
 // attach hands the engine the structures and checkers of the given
-// classes (ascending spec indexes, all built), in that order.
+// classes (ascending spec indexes, all built), in that order, and the
+// request's affected-class list its target check reads.
 func (s *Session) attach(e *engine, classes []int) {
-	e.classes, e.ks, e.checkers = classes, e.ks[:0], e.checkers[:0]
+	e.aff, e.classes, e.ks, e.checkers = &s.aff, classes, e.ks[:0], e.checkers[:0]
 	for _, ci := range classes {
 		e.ks = append(e.ks, s.ks[ci])
 		e.checkers = append(e.checkers, s.checkers[ci])

@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 
 	"netupdate/internal/config"
 	"netupdate/internal/obs"
+	"netupdate/internal/topology"
 )
 
 // spanNames collects the set of span names in a trace export.
@@ -33,9 +36,19 @@ func TestTraceDisabledRecordsNothing(t *testing.T) {
 	if s.Trace() != nil {
 		t.Fatal("untraced session holds a recorder")
 	}
-	// Phase durations are populated even without tracing.
-	if plan.Stats.VerifyElapsed <= 0 || plan.Stats.SearchElapsed <= 0 {
-		t.Fatalf("phase durations missing without trace: %+v", plan.Stats)
+	// Phase durations are populated even without tracing. A search that
+	// failed no check ran no target check — its leaf proved the target —
+	// so a clean miss carries no verification time; a refused target does.
+	if plan.Stats.SearchElapsed <= 0 || plan.Stats.VerifyElapsed != 0 {
+		t.Fatalf("phase durations of a clean miss without trace: %+v", plan.Stats)
+	}
+	bad := sc.Init.Clone()
+	config.RemoveClassRules(bad, sc.Specs[0].Class)
+	if _, err := s.Synthesize(bad); !errors.Is(err, ErrFinalViolation) {
+		t.Fatalf("err = %v, want ErrFinalViolation", err)
+	}
+	if st := s.LastStats(); st.VerifyElapsed <= 0 {
+		t.Fatalf("refused target carries no verification time without trace: %+v", st)
 	}
 }
 
@@ -70,13 +83,17 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 	}
 	names := spanNames(plan.Trace)
 	for _, want := range []string{
-		"synthesize", "final-verify", "decompose", "search",
+		"synthesize", "decompose", "search",
 		"component-0", "component-1", "component-2",
 		"wait-removal", "dag-build", "rebind",
 	} {
 		if names[want] == 0 {
 			t.Fatalf("trace missing %q span; got %v", want, names)
 		}
+	}
+	// No component search failed a check, so none ran the target check.
+	if names["final-verify"] != 0 {
+		t.Fatalf("a clean miss recorded a target check: %v", names)
 	}
 	// Every span is parented inside the tree.
 	ids := map[int]bool{0: true}
@@ -91,7 +108,7 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 	// The phase durations come from the same clock: search must dominate
 	// its component spans and every recorded phase is non-negative.
 	st := plan.Stats
-	if st.VerifyElapsed <= 0 || st.SearchElapsed <= 0 || st.RebindElapsed < 0 || st.WaitRemovalElapsed < 0 {
+	if st.VerifyElapsed != 0 || st.SearchElapsed <= 0 || st.RebindElapsed < 0 || st.WaitRemovalElapsed < 0 {
 		t.Fatalf("phase durations: %+v", st)
 	}
 
@@ -105,6 +122,54 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 	}
 	if len(evs) != len(plan.Trace.Spans) {
 		t.Fatalf("chrome export has %d events for %d spans", len(evs), len(plan.Trace.Spans))
+	}
+
+	// A target one region's class cannot reach refuses in that region's
+	// component: its search fails a check, the target check runs under the
+	// component's span, and the request carries its time.
+	bad := sc.Final.Clone()
+	config.RemoveClassRules(bad, sc.Specs[0].Class)
+	if _, err := s.Synthesize(bad); !errors.Is(err, ErrFinalViolation) {
+		t.Fatalf("err = %v, want ErrFinalViolation", err)
+	}
+	if st := s.LastStats(); st.VerifyElapsed <= 0 || st.SearchElapsed != 0 {
+		t.Fatalf("phase durations of a refused target: %+v", st)
+	}
+	refused := s.Trace().Snapshot()
+	parents := map[int]string{}
+	for _, sp := range refused.Spans {
+		parents[sp.ID] = sp.Name
+	}
+	checks := 0
+	for _, sp := range refused.Spans {
+		if sp.Name == "final-verify" {
+			checks++
+			if !strings.HasPrefix(parents[sp.Parent], "component-") {
+				t.Fatalf("final-verify span under %q, want a component's span", parents[sp.Parent])
+			}
+		}
+	}
+	if checks == 0 {
+		t.Fatalf("refused target's trace has no final-verify span: %v", spanNames(refused))
+	}
+
+	// So does an infeasible one: its search fails checks, and the first
+	// brings the target check.
+	stuck, err := config.MultiRegion(topology.SmallWorld(160, 6, 0.3, 7), config.MultiRegionOptions{
+		Regions: 2, InfeasibleRegions: 1, Property: config.Reachability, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = NewSession(stuck.Topo, stuck.Init, stuck.Specs, Options{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Synthesize(stuck.Final); !errors.Is(err, ErrNoOrdering) {
+		t.Fatalf("err = %v, want ErrNoOrdering", err)
+	}
+	if st := s.LastStats(); st.VerifyElapsed <= 0 || spanNames(s.Trace().Snapshot())["final-verify"] == 0 {
+		t.Fatalf("infeasible target: VerifyElapsed %v, spans %v", st.VerifyElapsed, spanNames(s.Trace().Snapshot()))
 	}
 }
 

@@ -157,6 +157,39 @@ func (k *K) nextOf(i int) []int {
 	return k.nextBuf[from:k.nextEnd[i]]
 }
 
+// Moves reports whether tbl forwards the class at sw otherwise than from
+// does — from nil meaning the table the structure holds — by the
+// successor lists each gives sw's arrival states, computed as an update
+// computes them (successors). It installs nothing: no table, no successor
+// list, no loop check, no undo record. Its error is the one an update
+// installing the table would return.
+func (k *K) Moves(sw int, from, tbl network.Table) (bool, error) {
+	var was, wasEnd []int
+	if from != nil {
+		if err := k.successors(sw, from); err != nil {
+			return false, err
+		}
+		was, wasEnd = slices.Clone(k.nextBuf), slices.Clone(k.nextEnd)
+	}
+	if err := k.successors(sw, tbl); err != nil {
+		return false, err
+	}
+	for i, id := range k.a.statesOf(sw) {
+		old := k.Succ(id)
+		if from != nil {
+			lo := 0
+			if i > 0 {
+				lo = wasEnd[i-1]
+			}
+			old = was[lo:wasEnd[i]]
+		}
+		if !slices.Equal(old, k.nextOf(i)) {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
 // recomputeSwitch rewires the outgoing transitions of sw's arrival states
 // from tbl, updating predecessor lists, records nothing, and reports
 // whether any state's successors changed; on error (see successors) it

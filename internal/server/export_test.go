@@ -1,10 +1,26 @@
 package server
 
-import "fmt"
+import (
+	"fmt"
+
+	"netupdate/internal/core"
+)
 
 // Metric reads one /metrics family by its name less the netupdate_ prefix
 // — the single reader the tests share with the scrape endpoint.
 func (p *Pool) Metric(name string) float64 { return p.m.reg.Value("netupdate_" + name) }
+
+// LastStats returns the statistics of the last request a warm tenant's
+// session served, successful or not; an error line carries none.
+func (p *Pool) LastStats(id string) (core.Stats, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t := p.tenants[id]
+	if t == nil || t.sess == nil {
+		return core.Stats{}, false
+	}
+	return t.sess.LastStats(), true
+}
 
 // CheckAtRest verifies what must hold whenever no request is in flight:
 // the warm-session budget, no admitted request left behind, the LRU list

@@ -94,11 +94,15 @@ func statusOf(err error) int {
 }
 
 func (p *Pool) handleRegister(w http.ResponseWriter, r *http.Request) {
-	lines := config.NewLineCountingReader(r.Body)
+	lines := config.NewLineCountingReader(http.MaxBytesReader(w, r.Body, maxRegisterBytes))
 	dec := json.NewDecoder(lines)
 	dec.DisallowUnknownFields()
 	var spec TenantSpec
 	if err := dec.Decode(&spec); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("server: tenant spec: %w", err), 0)
+			return
+		}
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("server: tenant spec: %w", err), lines.DecodeErrorLine(err, dec))
 		return
@@ -222,6 +226,10 @@ func (p *Pool) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 // maxSnapshotBytes bounds an uploaded snapshot body (1 GiB — far above
 // any real session, but finite).
 const maxSnapshotBytes = 1 << 30
+
+// maxRegisterBytes bounds a registration body (16 MiB — far above any
+// real tenant header, but finite).
+const maxRegisterBytes = 16 << 20
 
 func (p *Pool) handleStats(w http.ResponseWriter, r *http.Request) {
 	st, err := p.TenantStats(r.PathValue("id"))

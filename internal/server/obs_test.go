@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"netupdate/internal/config"
+	"netupdate/internal/core"
 	"netupdate/internal/obs"
 )
 
@@ -257,9 +258,11 @@ func TestLBPreservesResponseHeaders(t *testing.T) {
 // TestTraceThroughLB is the end-to-end request-id acceptance check: a
 // ?trace=1 synthesize through the router returns a span tree whose root
 // carries exactly the request id the LB minted (echoed on the response
-// header), and the same id lands in the result's stats.
+// header), and the same id lands in the result's stats. A clean miss
+// carries no target check's time or span; a refused target's request
+// does.
 func TestTraceThroughLB(t *testing.T) {
-	tsA, _ := startReplica(t)
+	tsA, pool := startReplica(t)
 	lb, err := NewLB([]string{tsA.URL})
 	if err != nil {
 		t.Fatal(err)
@@ -309,8 +312,15 @@ func TestTraceThroughLB(t *testing.T) {
 	if res.Stats == nil || res.Stats.RequestID != reqID {
 		t.Fatalf("stats request id = %+v", res.Stats)
 	}
-	if res.Stats.VerifyMS <= 0 || res.Stats.SearchMS <= 0 {
-		t.Fatalf("phase durations missing on the wire: %+v", res.Stats)
+	// The search failed no check, so its leaf proved the target: the line
+	// carries no verification time and the trace no final-verify span.
+	if res.Stats.VerifyMS != 0 || res.Stats.SearchMS <= 0 {
+		t.Fatalf("phase durations of a clean miss on the wire: %+v", res.Stats)
+	}
+	for _, sp := range res.Trace.Spans {
+		if sp.Name == "final-verify" {
+			t.Fatalf("a clean miss recorded a target check: %+v", sp)
+		}
 	}
 
 	// An untraced request on the same tenant carries no trace.
@@ -330,5 +340,27 @@ func TestTraceThroughLB(t *testing.T) {
 	}
 	if res2.Trace != nil {
 		t.Fatalf("untraced request carried %d spans", len(res2.Trace.Spans))
+	}
+
+	// A target the tenant's specification refuses — the class must cross
+	// switch 1 — fails a check of the search, which then checks the
+	// target: the error line carries no stats, the replica's session does.
+	wp := testSpec("waypointed")
+	wp.Classes[0].Spec = "sw=0 -> F sw=1"
+	resp, err = http.Post(front.URL+"/v1/tenants", "application/json", bytes.NewReader(specJSON(t, wp)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wpInfo TenantInfo
+	if err := json.NewDecoder(resp.Body).Decode(&wpInfo); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if res := synthLine(t, front.URL, wpInfo.ID, `{"reroute":[{"class":"c","path":[0,2,3]}]}`); res.Result != "error" ||
+		!strings.Contains(res.Error, core.ErrFinalViolation.Error()) {
+		t.Fatalf("refused target's line = %+v", res)
+	}
+	if st, ok := pool.LastStats(wpInfo.ID); !ok || st.VerifyElapsed <= 0 || st.SearchElapsed != 0 {
+		t.Fatalf("refused target's stats: %+v (warm %v)", st, ok)
 	}
 }

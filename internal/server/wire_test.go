@@ -22,9 +22,9 @@ func TestResultBytesPinned(t *testing.T) {
 		want string
 	}{
 		{"switch", config.Fig1RedBlueWaypoint(), core.Options{NoWaitRemoval: true},
-			`{"seq":1,"tenant":"t1","result":"plan","steps":[{"op":"update","switch":7},{"op":"wait"},{"op":"update","switch":8},{"op":"wait"},{"op":"update","switch":5},{"op":"wait"},{"op":"update","switch":0}],"stats":{"units":4,"components":1,"checks":5,"classSkips":0,"waits":3,"dagDepth":4,"dagWidth":1,"elapsedMs":0},"dag":{"preds":[[],[0],[1],[2]],"drain":[[],[],[],[]],"depth":4,"width":1}}`},
+			`{"seq":1,"tenant":"t1","result":"plan","steps":[{"op":"update","switch":7},{"op":"wait"},{"op":"update","switch":8},{"op":"wait"},{"op":"update","switch":5},{"op":"wait"},{"op":"update","switch":0}],"stats":{"units":4,"components":1,"checks":4,"classSkips":0,"waits":3,"dagDepth":4,"dagWidth":1,"elapsedMs":0},"dag":{"preds":[[],[0],[1],[2]],"drain":[[],[],[],[]],"depth":4,"width":1}}`},
 		{"rules", config.Fig1RedBlue(), core.Options{RuleGranularity: true},
-			`{"seq":1,"tenant":"t1","result":"plan","steps":[{"op":"add","switch":7,"rule":"[10] dst=103,src=101 -\u003e fwd 1"},{"op":"add","switch":8,"rule":"[10] dst=103,src=101 -\u003e fwd 4"},{"op":"add","switch":5,"rule":"[10] dst=103,src=101 -\u003e fwd 3"},{"op":"add","switch":0,"rule":"[10] dst=103,src=101 -\u003e fwd 2"},{"op":"del","switch":8,"rule":"[10] dst=103,src=101 -\u003e fwd 3"},{"op":"del","switch":0,"rule":"[10] dst=103,src=101 -\u003e fwd 1"}],"stats":{"units":6,"components":1,"checks":5,"classSkips":2,"waits":0,"dagDepth":4,"dagWidth":3,"elapsedMs":0},"dag":{"preds":[[],[],[0],[],[1,2],[3,4]],"drain":[[],[],[],[],[],[]],"depth":4,"width":3}}`},
+			`{"seq":1,"tenant":"t1","result":"plan","steps":[{"op":"add","switch":7,"rule":"[10] dst=103,src=101 -\u003e fwd 1"},{"op":"add","switch":8,"rule":"[10] dst=103,src=101 -\u003e fwd 4"},{"op":"add","switch":5,"rule":"[10] dst=103,src=101 -\u003e fwd 3"},{"op":"add","switch":0,"rule":"[10] dst=103,src=101 -\u003e fwd 2"},{"op":"del","switch":8,"rule":"[10] dst=103,src=101 -\u003e fwd 3"},{"op":"del","switch":0,"rule":"[10] dst=103,src=101 -\u003e fwd 1"}],"stats":{"units":6,"components":1,"checks":4,"classSkips":2,"waits":0,"dagDepth":4,"dagWidth":3,"elapsedMs":0},"dag":{"preds":[[],[],[0],[],[1,2],[3,4]],"drain":[[],[],[],[],[],[]],"depth":4,"width":3}}`},
 	} {
 		plan, err := core.Synthesize(c.sc, c.opts)
 		if err != nil {
