@@ -77,6 +77,13 @@ func (c *Checker) Stats() mc.Stats { return c.stats }
 // here.
 func (c *Checker) Rebind(rewired []int) {}
 
+// MemoMark implements mc.Checker: the checker memoizes nothing across
+// calls.
+func (c *Checker) MemoMark() int { return 0 }
+
+// ForgetMemo implements mc.Checker: nothing to forget.
+func (c *Checker) ForgetMemo(mark int) {}
+
 // pstate is a product state (Kripke state, automaton state).
 type pstate struct {
 	q int // Kripke state

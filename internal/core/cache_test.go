@@ -232,7 +232,7 @@ func TestCacheInfeasibleMemo(t *testing.T) {
 	if !repeat.CacheHit {
 		t.Fatal("repeat infeasibility missed the memo")
 	}
-	// Target verification always runs (verifyFinal); the search must not.
+	// A memo hit runs no search, and so no target check either.
 	if repeat.Backtracks != 0 || repeat.CexLearned != 0 || repeat.SATCalls != 0 {
 		t.Fatalf("memoized failure still searched: %+v", repeat)
 	}

@@ -131,30 +131,21 @@ type engine struct {
 	deps *depScratch
 
 	// The target check (checkTarget): aff lists the diff switches each
-	// attached class can see (the request's affected classes), target
-	// records whether the search has run the check, and the check's span
-	// goes under traceParent on traceLane, opened at vfStart as vfSpan.
-	aff         *affectedClasses
-	target      targetState
-	trace       *obs.Trace
-	traceParent int
-	traceLane   int
-	vfStart     time.Time
-	vfSpan      int
+	// attached class can see (the request's affected classes),
+	// targetChecked records whether the search has run the check, and the
+	// check's span goes under traceParent on traceLane.
+	aff           *affectedClasses
+	targetChecked bool
+	trace         *obs.Trace
+	traceParent   int
+	traceLane     int
 
 	stats Stats
 }
 
-// targetState is where a search stands with its target check.
-type targetState uint8
-
-const (
-	targetUnchecked targetState = iota
-	targetHolds
-	// targetFails: the check failed mid-search. Its span stays open until
-	// run names the violation from the root.
-	targetFails
-)
+// errTargetFails unwinds a search whose target check failed mid-search:
+// run names the violation from the root.
+var errTargetFails = errors.New("core: the target fails its check")
 
 // newEngineShellWith builds an engine minus its per-class structures
 // around the given unit list: deadline and per-run scratch. The session
@@ -260,16 +251,17 @@ func (e *engine) run() ([]Step, error) {
 	// that failed mid-search is run again from here, where a check before
 	// any search would have run, so the violation it names (the cycle of a
 	// loop, first of all) does not depend on where the search stood.
-	switch e.target {
-	case targetUnchecked:
-		if verr := e.verifyTarget(); verr != nil {
-			return nil, verr
-		}
-	case targetFails:
+	switch {
+	case errors.Is(err, errTargetFails):
+		start := time.Now()
 		if verr := e.checkTarget(); verr != nil {
 			err = verr
 		}
-		e.endTargetCheck()
+		e.stats.VerifyElapsed += time.Since(start)
+	case !e.targetChecked:
+		if verr := e.verifyTarget(); verr != nil {
+			return nil, verr
+		}
 	}
 	if errors.Is(err, errNotFound) {
 		return nil, ErrNoOrdering
@@ -324,14 +316,11 @@ func (e *engine) dfs(applied bitset, depth int) error {
 			// The first failed check is where the target comes into doubt:
 			// no careful order exists if the target itself fails, and that
 			// is the answer, not a counterexample to learn from.
-			if e.target == targetUnchecked {
-				e.beginTargetCheck()
-				if err := e.checkTarget(); err != nil {
-					e.target = targetFails
-					return err
+			if !e.targetChecked {
+				e.targetChecked = true
+				if e.verifyTarget() != nil {
+					return errTargetFails
 				}
-				e.target = targetHolds
-				e.endTargetCheck()
 			}
 			if len(cexSwitches) > 0 && !e.abl.NoCexLearning {
 				if terminate := e.learn(cexSwitches, next); terminate {
@@ -456,23 +445,14 @@ func (e *engine) checkTarget() error {
 }
 
 // verifyTarget is checkTarget timed into Stats.VerifyElapsed under a
-// final-verify span; beginTargetCheck and endTargetCheck are its halves,
-// which a check failing mid-search holds apart until run names the
-// violation.
+// final-verify span.
 func (e *engine) verifyTarget() error {
-	e.beginTargetCheck()
+	start := time.Now()
+	span := e.trace.BeginLane("final-verify", e.traceParent, e.traceLane)
 	err := e.checkTarget()
-	e.endTargetCheck()
+	e.trace.End(span)
+	e.stats.VerifyElapsed += time.Since(start)
 	return err
-}
-
-func (e *engine) beginTargetCheck() {
-	e.vfStart, e.vfSpan = time.Now(), e.trace.BeginLane("final-verify", e.traceParent, e.traceLane)
-}
-
-func (e *engine) endTargetCheck() {
-	e.trace.End(e.vfSpan)
-	e.stats.VerifyElapsed += time.Since(e.vfStart)
 }
 
 // revert undoes applied frames in reverse order. A nil token marks a

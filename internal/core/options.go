@@ -183,7 +183,7 @@ var (
 // Stats reports the work performed by one synthesis run.
 type Stats struct {
 	Units          int  // update units (switches or rules)
-	Checks         int  // model-checker calls of the search and the target check
+	Checks         int  // model-checker calls: on a miss the search's and its target check's; on a cache hit the replay's, plus one per class of the session for reading the target's verdicts
 	ClassSkips     int  // checker calls skipped because the unit's delta was empty for the class (only the classes a changed rule of the request matches — for a connected diff, its footprint — are visited, so no other is counted)
 	StatesLabeled  int  // checker work units
 	Relabels       int  // incremental label recomputations that changed a label
@@ -210,8 +210,8 @@ type Stats struct {
 	// over components), and a cache hit reads the replayed verdicts — a
 	// search that failed no check has none. SearchElapsed covers the
 	// search proper (every component, including any repair-ladder
-	// fallback); on a refused target it is folded into VerifyElapsed, the
-	// search having run to refuse it. CacheVerifyElapsed is the
+	// fallback); a refused target reports none, its answer being the
+	// target check's. CacheVerifyElapsed is the
 	// replay of a cached plan through the warm checkers; RebindElapsed is
 	// the post-run resync of the warm per-class structures. They do not
 	// sum to Elapsed: scenario setup, DAG build, and cache bookkeeping

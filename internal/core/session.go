@@ -82,10 +82,14 @@ type Session struct {
 	// What a request computes once and every phase reads: its per-switch
 	// rule-diff list and the classes those rules can match (the only ones
 	// the target check, replay, footprints, search and resync visit).
-	// stateBuf is the resync's rewired-state list.
-	diffBuf  []swDiff
-	aff      affectedClasses
-	stateBuf []int
+	// stateBuf is the resync's rewired-state list. memoMarks holds the
+	// affected classes' checker memo marks (mc.Checker.MemoMark) from
+	// before the request's search: a refused target forgets what its
+	// search and its resync memoized.
+	diffBuf   []swDiff
+	aff       affectedClasses
+	stateBuf  []int
+	memoMarks []int
 
 	runs int
 	// restoredCold marks a session RestoreSession built at the
@@ -531,6 +535,10 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	// Every other class has an empty delta for every unit of the diff: the
 	// engine would skip it at every check.
 	s.attach(e, s.aff.classes)
+	s.memoMarks = s.memoMarks[:0]
+	for _, chk := range e.checkers {
+		s.memoMarks = append(s.memoMarks, chk.MemoMark())
+	}
 
 	// Verification-first fast path (cache.go): with a cache attached,
 	// fingerprint the instance and try a lookup. A cached plan is replayed
@@ -620,7 +628,6 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		dcSpan := tr.Begin("decompose", root)
 		comps, derr := s.decompose(e)
 		tr.End(dcSpan)
-		preVerify := e.stats.VerifyElapsed
 		searchStart := time.Now()
 		searchSpan := tr.Begin("search", root)
 		s.traceSearch = searchSpan
@@ -630,11 +637,10 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		}
 		s.traceSearch = 0
 		tr.End(searchSpan)
-		e.stats.SearchElapsed = time.Since(searchStart)
-		if errors.Is(runErr, ErrFinalViolation) {
-			// A refused target's search ran to refuse it: the phase counts
-			// as its verification.
-			e.stats.VerifyElapsed, e.stats.SearchElapsed = preVerify+e.stats.SearchElapsed, 0
+		if !errors.Is(runErr, ErrFinalViolation) {
+			// A refused target's answer is its target check
+			// (VerifyElapsed), not a search phase.
+			e.stats.SearchElapsed = time.Since(searchStart)
 		}
 	}
 	var plan *Plan
@@ -755,6 +761,15 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		plan.Stats.RebindElapsed = reb
 	}
 	if runErr != nil {
+		if errors.Is(runErr, ErrFinalViolation) {
+			// The search ran only to find the target failing: as when the
+			// target was checked before any search, the refusal leaves the
+			// checkers' memos, and so the work of the requests after it,
+			// as they were.
+			for i, ci := range s.aff.classes {
+				s.checkers[ci].ForgetMemo(s.memoMarks[i])
+			}
+		}
 		tr.End(root)
 		return nil, runErr
 	}

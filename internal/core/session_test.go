@@ -380,14 +380,11 @@ func TestSessionSurvivesLoopingTarget(t *testing.T) {
 
 // TestRefusedTargetLeavesNoTrace: a target that fails verification — a
 // later class violating its specification, or forwarded in a cycle, when
-// an earlier class's step is already applied and checked — is undone:
-// every class structure and every label of the session that saw it equals
-// those of a twin that never did, at every state of the arena, and both
-// serve the same next target with the same plan and the same work. (The
-// refused request searched up to the check that refused it, so its
-// checkers' extension memos may answer some of the next plan's lookups:
-// the lookups are the same, hits and misses are counted together.) The
-// refusal is the session's most recent attempt: LastStats shows
+// an earlier class's step is already applied and checked — is undone, not
+// resynced: every class structure and every label of the session that saw
+// it equals those of a twin that never did, at every state of the arena,
+// and both serve the same next target with the same plan and the same
+// work. The refusal is the session's most recent attempt: LastStats shows
 // it (units, checks, verification time, request id), and its trace is
 // complete — the root span is closed, not left for a snapshot to close.
 func TestRefusedTargetLeavesNoTrace(t *testing.T) {
@@ -473,12 +470,7 @@ func TestRefusedTargetLeavesNoTrace(t *testing.T) {
 		if got.String() != want.String() {
 			t.Fatalf("%s: plan after the refusal diverged:\n got %s\nwant %s", name, got, want)
 		}
-		lookups := func(st Stats) Stats {
-			st = countersOnly(st)
-			st.ExtendHits, st.ExtendMisses = st.ExtendHits+st.ExtendMisses, 0
-			return st
-		}
-		if g, w := lookups(got.Stats), lookups(want.Stats); !reflect.DeepEqual(g, w) {
+		if g, w := countersOnly(got.Stats), countersOnly(want.Stats); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: work after the refusal diverged:\n got %+v\nwant %+v", name, g, w)
 		}
 	}

@@ -132,7 +132,7 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 	if _, err := s.Synthesize(bad); !errors.Is(err, ErrFinalViolation) {
 		t.Fatalf("err = %v, want ErrFinalViolation", err)
 	}
-	if st := s.LastStats(); st.VerifyElapsed <= 0 || st.SearchElapsed != 0 {
+	if st := s.LastStats(); st.VerifyElapsed <= 0 {
 		t.Fatalf("phase durations of a refused target: %+v", st)
 	}
 	refused := s.Trace().Snapshot()

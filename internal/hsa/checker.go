@@ -42,6 +42,13 @@ func plumberFor(k *kripke.K) *Plumber {
 // arbitrary in-place rebind any cheaper than a rebuild.
 func (c *Checker) Rebind(rewired []int) { c.p = plumberFor(c.k) }
 
+// MemoMark implements mc.Checker: the plumbing graph is state, not a
+// memo, so there is nothing to mark.
+func (c *Checker) MemoMark() int { return 0 }
+
+// ForgetMemo implements mc.Checker: nothing to forget.
+func (c *Checker) ForgetMemo(mark int) {}
+
 // Name implements mc.Checker.
 func (c *Checker) Name() string { return "netplumber-like" }
 

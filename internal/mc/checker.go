@@ -72,6 +72,13 @@ type Checker interface {
 	// is fine), so the refresh is confined to what depends on them.
 	// Outstanding undo tokens are invalidated.
 	Rebind(rewired []int)
+	// MemoMark and ForgetMemo bound what the checker memoizes across
+	// calls: ForgetMemo(m), for m an earlier MemoMark, drops every memo
+	// entry added since, so work whose outcome is thrown away leaves the
+	// memo — and the hits and misses of the calls after it — as it was.
+	// A checker without such a memo returns 0 and forgets nothing.
+	MemoMark() int
+	ForgetMemo(mark int)
 	// Stats returns cumulative work counters for benchmark reporting.
 	Stats() Stats
 }

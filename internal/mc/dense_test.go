@@ -374,6 +374,12 @@ func denseNewIncrementalPrelabeled(l *denseLabeler, k *kripke.K) *denseIncrement
 	return c
 }
 
+// MemoMark and ForgetMemo complete the Checker interface, which gained
+// them after this copy was taken; the oracle never forgets.
+func (c *denseIncremental) MemoMark() int { return 0 }
+
+func (c *denseIncremental) ForgetMemo(mark int) {}
+
 // Rebind implements Checker: a rebind is an update without an undo. The
 // labels of the rewired states' ancestors are recomputed children-first,
 // stopping where a label comes out unchanged, and the violating-initial

@@ -50,11 +50,14 @@ type labeler struct {
 	// evaluates the same pairs thousands of times across the DFS; extLast
 	// fronts the outer map with the valuation asked about last. Created on
 	// first use and private to this checker.
+	// extLog lists its entries in the order they were added, which is
+	// what MemoMark and ForgetMemo count and undo.
 	ext     map[ltl.Valuation]map[ltl.Valuation]ltl.Valuation
 	extLast struct {
 		atoms ltl.Valuation
 		memo  map[ltl.Valuation]ltl.Valuation
 	}
+	extLog []extKey
 
 	// scratch is the reusable buffer computeLabel merges successor labels
 	// into before interning; it makes the steady-state hot path
@@ -212,8 +215,25 @@ func (l *labeler) extend(atoms, v ltl.Valuation) ltl.Valuation {
 	}
 	w := l.clo.Extend(atoms, v)
 	m[v] = w
+	l.extLog = append(l.extLog, extKey{atoms, v})
 	l.stats.ExtendMisses++
 	return w
+}
+
+// extKey names one entry of the Extend memo.
+type extKey struct{ atoms, v ltl.Valuation }
+
+// MemoMark implements Checker: the number of Extend memo entries.
+func (l *labeler) MemoMark() int { return len(l.extLog) }
+
+// ForgetMemo implements Checker: the Extend memo entries added since mark
+// are deleted, newest first.
+func (l *labeler) ForgetMemo(mark int) {
+	for i := len(l.extLog) - 1; i >= mark; i-- {
+		key := l.extLog[i]
+		delete(l.ext[key.atoms], key.v)
+	}
+	l.extLog = l.extLog[:mark]
 }
 
 // computeLabel computes the interned label of state id from its

@@ -422,6 +422,66 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestForgetMemo: ForgetMemo with a MemoMark taken before a run of
+// updates puts the checker's memo back as it was, so the same run again
+// misses the memo exactly as often as it did the first time.
+func TestForgetMemo(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	type step struct {
+		sw  int
+		tbl network.Table
+	}
+	missed := 0
+	for iter := 0; iter < 40; iter++ {
+		topo, _, cl, k := randomScene(r)
+		f := randomFormula(r, topo.NumSwitches())
+		var seq []step
+		for i := 0; i < 8; i++ {
+			sw := r.Intn(topo.NumSwitches())
+			ports := topo.Ports(sw)
+			seq = append(seq, step{sw, network.Table{fwdRule(cl, ports[r.Intn(len(ports))])}})
+		}
+		for _, factory := range []Factory{NewIncremental, NewBatch} {
+			chk, err := factory(k, f)
+			if err != nil {
+				continue
+			}
+			run := func() int {
+				before := chk.Stats().ExtendMisses
+				var deltas []*kripke.Delta
+				var toks []Token
+				for _, st := range seq {
+					delta, err := k.UpdateSwitch(st.sw, st.tbl)
+					if err != nil {
+						k.Revert(delta)
+						continue
+					}
+					_, tok := chk.Update(delta)
+					deltas, toks = append(deltas, delta), append(toks, tok)
+				}
+				for i := len(deltas) - 1; i >= 0; i-- {
+					chk.Revert(toks[i])
+					k.Revert(deltas[i])
+				}
+				return chk.Stats().ExtendMisses - before
+			}
+			mark := chk.MemoMark()
+			first := run()
+			chk.ForgetMemo(mark)
+			if got := chk.MemoMark(); got != mark {
+				t.Fatalf("iter %d %s: MemoMark %d after ForgetMemo(%d)", iter, chk.Name(), got, mark)
+			}
+			if again := run(); again != first {
+				t.Fatalf("iter %d %s: %d misses after forgetting, %d the first time", iter, chk.Name(), again, first)
+			}
+			missed += first
+		}
+	}
+	if missed == 0 {
+		t.Fatal("no run missed the memo: nothing was forgotten")
+	}
+}
+
 // randomConfigFor draws a random loop-free configuration for an existing
 // scene (same topology and class), for exercising Rebind.
 func randomConfigFor(r *rand.Rand, topo *topology.Topology, cl config.Class) (*config.Config, bool) {
