@@ -81,9 +81,11 @@ import (
 	"netupdate/internal/atomicio"
 	"netupdate/internal/config"
 	"netupdate/internal/core"
+	"netupdate/internal/lb"
 	"netupdate/internal/obs"
 	"netupdate/internal/server"
 	"netupdate/internal/sim"
+	"netupdate/internal/tenantspec"
 )
 
 // flags is the parsed command line: the engine options (declared by
@@ -130,7 +132,7 @@ func main() {
 	case f.stream && f.connect != "" && f.learnFile != "":
 		usage("with -connect the replica owns the plan cache; -learn-file cannot be combined with it")
 	case f.stream && f.connect != "":
-		serve = runStreamRemote
+		serve = func(f *flags) error { return runStreamRemote(f, os.Stdin, os.Stdout) }
 	case f.stream:
 		serve = runStream
 	case f.connect != "":
@@ -416,38 +418,30 @@ func runStream(f *flags) error {
 	return err
 }
 
-// runStreamRemote serves the stdin stream through remote netupdated
-// replicas: the header registers the tenant on the replica the shared
-// consistent-hash ring assigns it (identical placement to what a
+// runStreamRemote serves the stream read from in through remote
+// netupdated replicas: the header — decoded as strictly as local -stream
+// and the daemon decode it — registers the tenant on the replica the
+// shared consistent-hash ring assigns it (identical placement to what a
 // netupdatelb router over the same replica list would compute), and the
-// remaining stdin lines are streamed as one duplex synthesize exchange,
-// result lines copied to stdout as they arrive.
-func runStreamRemote(f *flags) error {
-	var replicas []string
-	for _, u := range strings.Split(f.connect, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			replicas = append(replicas, strings.TrimRight(u, "/"))
-		}
-	}
+// remaining lines are streamed as one duplex synthesize exchange, result
+// lines copied to out as they arrive.
+func runStreamRemote(f *flags, in io.Reader, out io.Writer) error {
+	replicas := lb.ParseReplicas(f.connect)
 	if len(replicas) == 0 {
 		return fmt.Errorf("-connect: no replica URLs")
 	}
 
-	dec := json.NewDecoder(os.Stdin)
 	var hdr config.StreamHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return fmt.Errorf("stream header: %w", err)
+	dec, line, err := tenantspec.Decode(in, &hdr)
+	if err != nil {
+		return fmt.Errorf("stream header (line %d): %w", line, err)
 	}
-	spec := &server.TenantSpec{StreamHeader: hdr, Options: server.OptionsSpec(f.opts)}
+	spec := &tenantspec.TenantSpec{StreamHeader: hdr, Options: tenantspec.OptionsSpec(f.opts)}
 	id, err := spec.Fingerprint()
 	if err != nil {
 		return err
 	}
-	ring := server.NewRing()
-	for _, r := range replicas {
-		ring.Add(r)
-	}
-	owner, _ := ring.Owner(id)
+	owner, _ := lb.NewRing(replicas...).Owner(id)
 
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -467,8 +461,8 @@ func runStreamRemote(f *flags) error {
 	}
 
 	// The decoder may have buffered bytes past the header; replay them
-	// ahead of the rest of stdin as the synthesize request body.
-	rest := io.MultiReader(dec.Buffered(), os.Stdin)
+	// ahead of the rest of the input as the synthesize request body.
+	rest := io.MultiReader(dec.Buffered(), in)
 	req, err := http.NewRequest(http.MethodPost, owner+"/v1/tenants/"+id+"/synthesize", rest)
 	if err != nil {
 		return err
@@ -483,6 +477,6 @@ func runStreamRemote(f *flags) error {
 		msg, _ := io.ReadAll(sresp.Body)
 		return fmt.Errorf("streaming to %s: status %d: %s", owner, sresp.StatusCode, msg)
 	}
-	_, err = io.Copy(os.Stdout, sresp.Body)
+	_, err = io.Copy(out, sresp.Body)
 	return err
 }

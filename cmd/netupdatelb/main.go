@@ -25,10 +25,9 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 
+	"netupdate/internal/lb"
 	"netupdate/internal/obs"
-	"netupdate/internal/server"
 )
 
 func main() {
@@ -45,16 +44,11 @@ func main() {
 }
 
 func run(addr, replicas, pprofAddr string) error {
-	var urls []string
-	for _, u := range strings.Split(replicas, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
-		}
-	}
+	urls := lb.ParseReplicas(replicas)
 	if len(urls) == 0 {
 		return fmt.Errorf("no replicas: pass -replicas http://host:port[,...]")
 	}
-	lb, err := server.NewLB(urls)
+	router, err := lb.New(urls)
 	if err != nil {
 		return err
 	}
@@ -67,5 +61,5 @@ func run(addr, replicas, pprofAddr string) error {
 		}()
 	}
 	fmt.Fprintf(os.Stderr, "netupdatelb: routing %d replicas on %s\n", len(urls), addr)
-	return http.ListenAndServe(addr, lb.Handler())
+	return http.ListenAndServe(addr, router.Handler())
 }

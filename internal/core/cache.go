@@ -365,7 +365,7 @@ func ContextFingerprint(topo *topology.Topology, specs []config.ClassSpec, opts 
 		w.writeInt(cs.Class.DstHost)
 		w.writeString(cs.Formula.String())
 	}
-	opts.writeFingerprint(w)
+	writeFingerprint(w, opts)
 	return w.h.Sum(nil)
 }
 

@@ -7,76 +7,17 @@ package core
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"reflect"
 	"strconv"
 	"time"
+
+	"netupdate/internal/tenantspec"
 )
 
-// Options configures synthesis: it is the option set a tenant may choose.
-// The zero value is the paper's default configuration — switch
-// granularity, with counterexample learning, early termination, and wait
-// removal all enabled. The switches that turn the Section 4.2
-// optimizations off are not options; see Ablation.
-//
-// This struct is the one description of the option set; its tags say
-// what each consumer needs to know:
-//
-//   - json: the wire name in a tenant spec (server.TenantSpec), in field
-//     order. A zero value is the default and is omitted, so spelling a
-//     default and leaving it out encode — and fingerprint — identically.
-//   - flag, help: the netupdate command-line flag, where one exists.
-//   - plan: "speed" when the option cannot change which plan the search
-//     returns, otherwise its bit number in ContextFingerprint's flag
-//     word. That digest is stored in NUSS images and keys learn files:
-//     never renumber a bit; a new plan-shaping option takes the next one
-//     never used (7). Bits 4 to 6 are retired and never reused: bit 4
-//     was the heuristic-order ablation switch, now Ablation's; bit 5 the
-//     first-plan-wins tie-break of the deleted intra-component worker
-//     pool; bit 6 the deleted completion-time tie-break.
-type Options struct {
-	// RuleGranularity updates individual rules instead of whole switch
-	// tables (Section 3.1, Figure 8i).
-	RuleGranularity bool `json:"rules,omitempty" flag:"rules" help:"use rule granularity" plan:"0"`
-	// TwoSimple searches 2-simple sequences (the paper's k-simple
-	// generalization, Section 4.1, for k = 2): each switch may be updated
-	// twice — first to the merged union of both rule generations, then to
-	// the final table. This solves many scenarios that are impossible for
-	// plain (1-simple) switch-granularity orderings, at the cost of
-	// transient table growth on the merged switches. Ignored when
-	// RuleGranularity is set.
-	TwoSimple bool `json:"twoSimple,omitempty" flag:"2simple" help:"allow two updates per switch (merge then finalize)" plan:"1"`
-	// NoWaitRemoval disables the wait-removal post-pass (Section 4.2.C).
-	NoWaitRemoval bool `json:"noWaitRemoval,omitempty" flag:"no-wait-removal" help:"keep all waits" plan:"2"`
-	// NoDecomposition disables interference-partitioned search (see
-	// decompose.go): the diff is always solved as one joint ORDERUPDATE
-	// search, as in the paper. By default the engine splits the update
-	// units into independent subproblems — connected components of the
-	// unit-interference graph, where two units interfere when they touch
-	// the same switch or affect a common traffic class — solves each with
-	// its own sub-search, and composes the sub-plans in deterministic
-	// order. Used as the joint baseline of the decomposition comparison
-	// and by the repair ladder.
-	NoDecomposition bool `json:"noDecompose,omitempty" flag:"no-decompose" help:"always run one joint search instead of partitioning independent update regions" plan:"3"`
-	// NoPlanCache disables the verification-first plan cache (cache.go):
-	// the session never attaches a cache, so every synthesis pays the full
-	// search even on a byte-identical repeat instance. Used as the
-	// ablation baseline of the cache comparison.
-	NoPlanCache bool `json:"noPlanCache,omitempty" flag:"no-plan-cache" help:"disable the verification-first plan cache (every request pays the full search)" plan:"speed"`
-	// Trace attaches a span recorder (internal/obs) to the session: every
-	// synthesis records its pipeline phases — rebind, final verify, cache
-	// lookup/verify, decomposition, per-component search, wait removal,
-	// DAG build, the repair ladder rungs — and exports them on Plan.Trace.
-	// Off (the default) costs nothing: the recorder is nil and every
-	// instrumentation point is a nil-check. Per-request tracing on a warm
-	// session (the daemon's trace=1) goes through Session.SetTrace instead.
-	Trace bool `json:"trace,omitempty" plan:"speed"`
-	// Timeout bounds the search; zero means no limit. On the wire it is
-	// nanoseconds, a time.Duration verbatim; requests may tighten it
-	// further per call via their deadline.
-	Timeout time.Duration `json:"timeoutNs,omitempty" flag:"timeout" help:"search timeout (per synthesis in -stream mode)" plan:"speed"`
-}
+// Options configures synthesis: the option set a tenant may choose,
+// defined with the tenant spec that carries it.
+type Options = tenantspec.Options
 
 // Ablation switches off the Section 4.2 optimizations one at a time, to
 // regenerate the paper's ablation (internal/bench.Ablation). It is not an
@@ -96,27 +37,6 @@ type Ablation struct {
 	NoHeuristicOrder bool
 }
 
-// RegisterFlags declares on fs the command-line flag of every option that
-// has one, bound to o's fields; o's values at the call are the defaults.
-func (o *Options) RegisterFlags(fs *flag.FlagSet) {
-	v := reflect.ValueOf(o).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		tag := v.Type().Field(i).Tag
-		name, help := tag.Get("flag"), tag.Get("help")
-		if name == "" {
-			continue
-		}
-		switch p := v.Field(i).Addr().Interface().(type) {
-		case *bool:
-			fs.BoolVar(p, name, *p, help)
-		case *int:
-			fs.IntVar(p, name, *p, help)
-		case *time.Duration:
-			fs.DurationVar(p, name, *p, help)
-		}
-	}
-}
-
 // writeFingerprint digests the plan-shaping options as one word of flag
 // bits, after a constant 0: persisted fingerprints carried a
 // checker-backend kind there, and 0 was the incremental checker, the only
@@ -126,7 +46,7 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 // under one setting is valid under another. A plan tag that does not
 // parse is a programming error: guessing would silently change a
 // persisted fingerprint.
-func (o Options) writeFingerprint(w *hashWriter) {
+func writeFingerprint(w *hashWriter, o Options) {
 	w.writeInt(0)
 	v, flags := reflect.ValueOf(o), 0
 	for i := 0; i < v.NumField(); i++ {

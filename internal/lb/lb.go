@@ -1,4 +1,7 @@
-package server
+// Package lb is the sharding router in front of netupdated replicas and
+// the hash ring it places tenants on, which netupdate -connect shares. It
+// moves registrations and snapshot bytes and imports no engine package.
+package lb
 
 import (
 	"bytes"
@@ -11,6 +14,7 @@ import (
 	"sync"
 
 	"netupdate/internal/obs"
+	"netupdate/internal/tenantspec"
 )
 
 // LB is the sharding router (cmd/netupdatelb): it spreads tenants across
@@ -26,8 +30,6 @@ import (
 // the LB's back, are still routable (ownership falls back to the ring)
 // but cannot be migrated.
 type LB struct {
-	client *http.Client
-
 	mu      sync.Mutex
 	ring    *Ring
 	specs   map[string][]byte // tenant id -> raw registration document
@@ -38,10 +40,9 @@ type LB struct {
 	proxied, migrations, migrationFailures *obs.Counter
 }
 
-// NewLB builds a router over an initial replica list.
-func NewLB(replicas []string) (*LB, error) {
+// New builds a router over an initial replica list.
+func New(replicas []string) (*LB, error) {
 	lb := &LB{
-		client:  http.DefaultClient,
 		ring:    NewRing(),
 		specs:   map[string][]byte{},
 		owners:  map[string]string{},
@@ -72,7 +73,7 @@ func NewLB(replicas []string) (*LB, error) {
 func (lb *LB) addReplicaLocked(replica string) error {
 	target, err := url.Parse(replica)
 	if err != nil || target.Scheme == "" || target.Host == "" {
-		return fmt.Errorf("server: lb: bad replica url %q", replica)
+		return fmt.Errorf("lb: bad replica url %q", replica)
 	}
 	lb.ring.Add(replica)
 	if _, ok := lb.proxies[replica]; !ok {
@@ -113,28 +114,29 @@ func (lb *LB) Handler() http.Handler {
 	mux.HandleFunc("GET /lb/replicas", lb.handleReplicasGet)
 	mux.HandleFunc("POST /lb/replicas", lb.handleReplicaAdd)
 	mux.HandleFunc("DELETE /lb/replicas", lb.handleReplicaRemove)
-	mux.HandleFunc("GET /metrics", metricsHandler(lb.reg))
-	mux.HandleFunc("GET /healthz", handleHealthz)
+	mux.Handle("GET /metrics", lb.reg)
+	mux.HandleFunc("GET /healthz", obs.Healthz)
 	return mux
 }
 
-// handleRegister routes a registration: the tenant id is the spec
-// fingerprint, computed here exactly as the replica computes it, so the
-// LB knows the owner before forwarding.
+// handleRegister routes a registration: it bounds and decodes the body
+// and fingerprints the spec exactly as the replica does, so it refuses
+// what the replica would and knows the owner before forwarding the raw
+// body (which migration replays).
 func (lb *LB) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, tenantspec.MaxBytes))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("server: lb: register body: %w", err), 0)
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("lb: register body: %w", err))
 		return
 	}
-	var spec TenantSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: lb: tenant spec: %w", err), 0)
+	var spec tenantspec.TenantSpec
+	if _, _, err := tenantspec.Decode(bytes.NewReader(body), &spec); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("lb: tenant spec: %w", err))
 		return
 	}
 	id, err := spec.Fingerprint()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -145,13 +147,13 @@ func (lb *LB) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	lb.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server: lb: no replicas"), 0)
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("lb: no replicas"))
 		return
 	}
 
-	resp, err := lb.client.Post(owner+"/v1/tenants", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(owner+"/v1/tenants", "application/json", bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("server: lb: replica %s: %w", owner, err), 0)
+		writeError(w, http.StatusBadGateway, fmt.Errorf("lb: replica %s: %w", owner, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -176,7 +178,7 @@ func (lb *LB) handleProxy(w http.ResponseWriter, r *http.Request) {
 	proxy := lb.proxies[owner]
 	lb.mu.Unlock()
 	if !ok || proxy == nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server: lb: no replica owns tenant %s", id), 0)
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("lb: no replica owns tenant %s", id))
 		return
 	}
 	lb.proxied.Inc()
@@ -190,14 +192,12 @@ func (lb *LB) handleProxy(w http.ResponseWriter, r *http.Request) {
 	proxy.ServeHTTP(w, r)
 }
 
-type lbReplicasView struct {
-	Replicas []string          `json:"replicas"`
-	Tenants  map[string]string `json:"tenants"` // id -> owner
-}
-
 func (lb *LB) handleReplicasGet(w http.ResponseWriter, _ *http.Request) {
 	lb.mu.Lock()
-	view := lbReplicasView{Replicas: lb.ring.Replicas(), Tenants: map[string]string{}}
+	view := struct {
+		Replicas []string          `json:"replicas"`
+		Tenants  map[string]string `json:"tenants"` // id -> owner
+	}{lb.ring.Replicas(), map[string]string{}}
 	for id, owner := range lb.owners {
 		view.Tenants[id] = owner
 	}
@@ -210,14 +210,14 @@ func (lb *LB) handleReplicaAdd(w http.ResponseWriter, r *http.Request) {
 		URL string `json:"url"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: lb: want {\"url\": ...}"), 0)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("lb: want {\"url\": ...}"))
 		return
 	}
 	lb.mu.Lock()
 	err := lb.addReplicaLocked(req.URL)
 	lb.mu.Unlock()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err, 0)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"migrated": lb.rebalance()})
@@ -229,18 +229,18 @@ func (lb *LB) handleReplicaAdd(w http.ResponseWriter, r *http.Request) {
 func (lb *LB) handleReplicaRemove(w http.ResponseWriter, r *http.Request) {
 	replica := r.URL.Query().Get("url")
 	if replica == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: lb: want ?url=replica"), 0)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("lb: want ?url=replica"))
 		return
 	}
 	lb.mu.Lock()
 	if !lb.ring.replicas[replica] {
 		lb.mu.Unlock()
-		writeError(w, http.StatusNotFound, fmt.Errorf("server: lb: unknown replica %s", replica), 0)
+		writeError(w, http.StatusNotFound, fmt.Errorf("lb: unknown replica %s", replica))
 		return
 	}
 	if lb.ring.Size() == 1 && len(lb.owners) > 0 {
 		lb.mu.Unlock()
-		writeError(w, http.StatusConflict, fmt.Errorf("server: lb: cannot drain the last replica with tenants placed"), 0)
+		writeError(w, http.StatusConflict, fmt.Errorf("lb: cannot drain the last replica with tenants placed"))
 		return
 	}
 	lb.ring.Remove(replica)
@@ -286,10 +286,10 @@ func (lb *LB) rebalance() int {
 // re-registration — correct, just slower for the first requests.
 func (lb *LB) migrate(id, src, dst string, spec []byte) error {
 	if spec == nil {
-		return fmt.Errorf("server: lb: tenant %s has no recorded spec", id)
+		return fmt.Errorf("lb: tenant %s has no recorded spec", id)
 	}
 	var img []byte
-	if resp, err := lb.client.Get(src + "/v1/tenants/" + id + "/snapshot"); err == nil {
+	if resp, err := http.Get(src + "/v1/tenants/" + id + "/snapshot"); err == nil {
 		if resp.StatusCode == http.StatusOK {
 			img, _ = io.ReadAll(resp.Body)
 		}
@@ -303,14 +303,14 @@ func (lb *LB) migrate(id, src, dst string, spec []byte) error {
 			return err
 		}
 		req.Header.Set("Content-Type", contentType)
-		resp, err := lb.client.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			return fmt.Errorf("server: lb: migrate %s: %s on %s: %w", id, step, dst, err)
+			return fmt.Errorf("lb: migrate %s: %s on %s: %w", id, step, dst, err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode >= 300 {
-			return fmt.Errorf("server: lb: migrate %s: %s on %s: status %d", id, step, dst, resp.StatusCode)
+			return fmt.Errorf("lb: migrate %s: %s on %s: status %d", id, step, dst, resp.StatusCode)
 		}
 		return nil
 	}
@@ -318,6 +318,21 @@ func (lb *LB) migrate(id, src, dst string, spec []byte) error {
 		return err // without an image the migration is cold: spec only
 	}
 	return send("install", http.MethodPut, "/v1/tenants/"+id+"/snapshot", "application/octet-stream", img)
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeError answers with the daemon's {"error": ...} envelope; no router
+// error is retryable.
+func writeError(w http.ResponseWriter, status int, err error) {
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // relay copies a proxied response verbatim.

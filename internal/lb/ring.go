@@ -1,17 +1,16 @@
-package server
+package lb
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 )
 
-// DefaultVirtualNodes is the per-replica point count on the hash ring,
-// the same for every ring so that the router and the stream clients place
-// a tenant alike. More points smooth the key distribution; the cost is
-// memory proportional to replicas times points and a marginally larger
-// sort.
+// DefaultVirtualNodes is the per-replica point count of every ring. More
+// points smooth the key distribution at the cost of memory proportional
+// to replicas times points.
 const DefaultVirtualNodes = 64
 
 // Ring is a consistent-hash ring over replica addresses: tenant ids map
@@ -32,9 +31,26 @@ type ringPoint struct {
 	replica string
 }
 
-// NewRing builds an empty ring.
-func NewRing() *Ring {
-	return &Ring{replicas: map[string]bool{}}
+// NewRing builds the ring over replicas, as ParseReplicas read them.
+func NewRing(replicas ...string) *Ring {
+	r := &Ring{replicas: map[string]bool{}}
+	for _, rep := range replicas {
+		r.Add(rep)
+	}
+	return r
+}
+
+// ParseReplicas reads the comma-separated replica base URLs of
+// netupdatelb -replicas and netupdate -connect, trimming spaces and
+// trailing slashes and dropping empty entries.
+func ParseReplicas(list string) []string {
+	var urls []string
+	for _, u := range strings.Split(list, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, strings.TrimRight(u, "/"))
+		}
+	}
+	return urls
 }
 
 // ringHash is the ring's stable hash: the first 8 bytes of SHA-256, so

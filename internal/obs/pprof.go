@@ -1,9 +1,16 @@
 package obs
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 )
+
+// Healthz is the serving binaries' /healthz liveness endpoint.
+func Healthz(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
+}
 
 // PprofHandler returns the standard net/http/pprof surface mounted on a
 // fresh mux. The daemons expose it on an opt-in diagnostics listener

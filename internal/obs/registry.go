@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,6 +73,13 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	v := &CounterVec{label: label, vals: map[string]*Counter{}}
 	r.add(&family{name: name, help: help, typ: "counter", vec: v})
 	return v
+}
+
+// ServeHTTP is the /metrics endpoint: every registered family in the
+// Prometheus text exposition format.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	r.WritePrometheus(w)
 }
 
 // WritePrometheus renders every registered family in registration order.

@@ -1,11 +1,6 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-
 	"netupdate/internal/core"
 	"netupdate/internal/kripke"
 	"netupdate/internal/mc"
@@ -31,17 +26,4 @@ func (p *Pool) sessionResources(t *tenant) core.SessionResources {
 	})
 	res.ContextFP = t.ctxFP
 	return res
-}
-
-// TopologyFingerprint keys the pool's shared arena registry: the hash of
-// the canonical JSON encoding of the topology alone, so tenants whose
-// specs differ in classes, options, or name — but describe the same
-// network — share one state arena and one label-table cache.
-func (s *TenantSpec) TopologyFingerprint() (string, error) {
-	b, err := json.Marshal(&s.Topology)
-	if err != nil {
-		return "", fmt.Errorf("server: fingerprinting topology: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return "a" + hex.EncodeToString(sum[:8]), nil
 }

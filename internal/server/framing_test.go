@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"netupdate/internal/core"
+	"netupdate/internal/lb"
 	"netupdate/internal/server"
 )
 
@@ -201,7 +202,7 @@ func TestHTTPStreamedBodyFlushesEachLine(t *testing.T) {
 // still being sent before the client sends its next line.
 func TestLBKeepsTheFraming(t *testing.T) {
 	backend, _ := startDaemon(t, server.PoolOptions{})
-	lb, err := server.NewLB([]string{backend.URL})
+	lb, err := lb.New([]string{backend.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

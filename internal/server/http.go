@@ -11,6 +11,7 @@ import (
 	"netupdate/internal/config"
 	"netupdate/internal/core"
 	"netupdate/internal/obs"
+	"netupdate/internal/tenantspec"
 )
 
 // NewHandler builds the daemon's HTTP surface over a pool:
@@ -33,25 +34,9 @@ func NewHandler(p *Pool) http.Handler {
 	mux.HandleFunc("GET /v1/tenants/{id}/stats", p.handleStats)
 	mux.HandleFunc("GET /v1/tenants/{id}/snapshot", p.handleSnapshotGet)
 	mux.HandleFunc("PUT /v1/tenants/{id}/snapshot", p.handleSnapshotPut)
-	mux.HandleFunc("GET /metrics", metricsHandler(p.Metrics()))
-	mux.HandleFunc("GET /healthz", handleHealthz)
+	mux.Handle("GET /metrics", p.Metrics())
+	mux.HandleFunc("GET /healthz", obs.Healthz)
 	return mux
-}
-
-func handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// metricsHandler renders a metric registry in the Prometheus text
-// exposition format (hand-rolled: the repo takes no dependencies). Every
-// family is registered at construction, so the endpoint is a straight
-// render.
-func metricsHandler(reg *obs.Registry) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -94,17 +79,13 @@ func statusOf(err error) int {
 }
 
 func (p *Pool) handleRegister(w http.ResponseWriter, r *http.Request) {
-	lines := config.NewLineCountingReader(http.MaxBytesReader(w, r.Body, maxRegisterBytes))
-	dec := json.NewDecoder(lines)
-	dec.DisallowUnknownFields()
 	var spec TenantSpec
-	if err := dec.Decode(&spec); err != nil {
+	if _, line, err := tenantspec.Decode(http.MaxBytesReader(w, r.Body, tenantspec.MaxBytes), &spec); err != nil {
+		status := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("server: tenant spec: %w", err), 0)
-			return
+			status, line = http.StatusRequestEntityTooLarge, 0
 		}
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("server: tenant spec: %w", err), lines.DecodeErrorLine(err, dec))
+		writeError(w, status, fmt.Errorf("server: tenant spec: %w", err), line)
 		return
 	}
 	info, err := p.Register(&spec)
@@ -121,7 +102,7 @@ func (p *Pool) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (p *Pool) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, err := p.TenantSpecOf(id); err != nil {
+	if _, err := p.ConfigOf(id); err != nil {
 		writeError(w, statusOf(err), err, 0)
 		return
 	}
@@ -226,10 +207,6 @@ func (p *Pool) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 // maxSnapshotBytes bounds an uploaded snapshot body (1 GiB — far above
 // any real session, but finite).
 const maxSnapshotBytes = 1 << 30
-
-// maxRegisterBytes bounds a registration body (16 MiB — far above any
-// real tenant header, but finite).
-const maxRegisterBytes = 16 << 20
 
 func (p *Pool) handleStats(w http.ResponseWriter, r *http.Request) {
 	st, err := p.TenantStats(r.PathValue("id"))

@@ -11,56 +11,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"netupdate/internal/lb"
 )
-
-// TestRingDeterministicAndStable: independently built rings agree on
-// placement regardless of insertion order, and removing one replica
-// remaps only the keys it owned.
-func TestRingDeterministicAndStable(t *testing.T) {
-	replicas := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r1 := NewRing()
-	for _, rep := range replicas {
-		r1.Add(rep)
-	}
-	r2 := NewRing()
-	for i := len(replicas) - 1; i >= 0; i-- {
-		r2.Add(replicas[i])
-	}
-	keys := make([]string, 200)
-	owned := map[string]int{}
-	for i := range keys {
-		keys[i] = fmt.Sprintf("t%04x", i)
-		o1, ok1 := r1.Owner(keys[i])
-		o2, ok2 := r2.Owner(keys[i])
-		if !ok1 || !ok2 || o1 != o2 {
-			t.Fatalf("key %s: rings disagree (%q vs %q)", keys[i], o1, o2)
-		}
-		owned[o1]++
-	}
-	for _, rep := range replicas {
-		if owned[rep] == 0 {
-			t.Fatalf("replica %s owns nothing across 200 keys: %v", rep, owned)
-		}
-	}
-
-	before := map[string]string{}
-	for _, k := range keys {
-		before[k], _ = r1.Owner(k)
-	}
-	r1.Remove(replicas[1])
-	for _, k := range keys {
-		after, ok := r1.Owner(k)
-		if !ok {
-			t.Fatal("ring emptied unexpectedly")
-		}
-		if before[k] != replicas[1] && after != before[k] {
-			t.Fatalf("key %s moved from surviving replica %s to %s", k, before[k], after)
-		}
-		if after == replicas[1] {
-			t.Fatalf("key %s still owned by removed replica", k)
-		}
-	}
-}
 
 // startReplica spins up one in-process netupdated replica.
 func startReplica(t *testing.T) (*httptest.Server, *Pool) {
@@ -99,7 +52,7 @@ func synthLine(t *testing.T, base, id, delta string) Result {
 func TestLBShardsAndMigrates(t *testing.T) {
 	tsA, poolA := startReplica(t)
 	tsB, poolB := startReplica(t)
-	lb, err := NewLB([]string{tsA.URL, tsB.URL})
+	lb, err := lb.New([]string{tsA.URL, tsB.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +163,7 @@ func TestLBShardsAndMigrates(t *testing.T) {
 func TestLBAddReplicaRebalances(t *testing.T) {
 	tsA, poolA := startReplica(t)
 	tsB, poolB := startReplica(t)
-	lb, err := NewLB([]string{tsA.URL})
+	lb, err := lb.New([]string{tsA.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +229,7 @@ func TestLBProxyFullDuplex(t *testing.T) {
 		_, _ = io.Copy(io.Discard, body) // like the daemon, read on for the next delta until EOF
 	}))
 	defer backend.Close()
-	lb, err := NewLB([]string{backend.URL})
+	lb, err := lb.New([]string{backend.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

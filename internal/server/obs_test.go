@@ -14,6 +14,7 @@ import (
 
 	"netupdate/internal/config"
 	"netupdate/internal/core"
+	"netupdate/internal/lb"
 	"netupdate/internal/obs"
 )
 
@@ -212,7 +213,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 // type and the echoed request id — to the client unaltered.
 func TestLBPreservesResponseHeaders(t *testing.T) {
 	tsA, _ := startReplica(t)
-	lb, err := NewLB([]string{tsA.URL})
+	lb, err := lb.New([]string{tsA.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestLBPreservesResponseHeaders(t *testing.T) {
 // does.
 func TestTraceThroughLB(t *testing.T) {
 	tsA, pool := startReplica(t)
-	lb, err := NewLB([]string{tsA.URL})
+	lb, err := lb.New([]string{tsA.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

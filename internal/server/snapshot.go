@@ -95,19 +95,6 @@ func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error
 	return nil
 }
 
-// TenantSpecOf returns the registration document a tenant was created
-// from; migration re-registers it on the receiving replica before
-// installing the snapshot.
-func (p *Pool) TenantSpecOf(id string) (*TenantSpec, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t, err := p.tenantLocked(id)
-	if err != nil {
-		return nil, err
-	}
-	return t.spec, nil
-}
-
 // SnapshotAll captures a portable snapshot per tenant, best effort: warm
 // idle tenants are serialized live, evicted tenants contribute their
 // stored eviction snapshot, and tenants busy mid-synthesis (or failing to
@@ -145,9 +132,9 @@ func (p *Pool) SnapshotAll() map[string][]byte {
 	return out
 }
 
-// ConfigOf returns a tenant's current configuration (for tests and
-// debugging endpoints; the pool mutex snapshot is consistent because cur
-// only advances under the tenant gate).
+// ConfigOf returns a tenant's current configuration, or ErrUnknownTenant
+// (the pool mutex snapshot is consistent because cur only advances under
+// the tenant gate).
 func (p *Pool) ConfigOf(id string) (*config.Config, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"netupdate/internal/config"
 	"netupdate/internal/core"
 	"netupdate/internal/network"
+	"netupdate/internal/tenantspec"
 )
 
 // TestRefusedTargetStatus: a target the engine refuses — its class
@@ -61,14 +62,14 @@ func TestRefusedTargetStatus(t *testing.T) {
 	}
 }
 
-// TestRegisterBodyLimit: a registration body past maxRegisterBytes is cut
+// TestRegisterBodyLimit: a registration body past tenantspec.MaxBytes is cut
 // off there and answered 413, and the pool registers the next tenant.
 func TestRegisterBodyLimit(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1})
 	t.Cleanup(func() { _ = p.Close(context.Background()) })
 	h := NewHandler(p)
 	body := io.MultiReader(strings.NewReader(`{"name":"`),
-		io.LimitReader(repeatByte('a'), maxRegisterBytes), strings.NewReader(`"}`))
+		io.LimitReader(repeatByte('a'), tenantspec.MaxBytes), strings.NewReader(`"}`))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants", body))
 	if rec.Code != http.StatusRequestEntityTooLarge {

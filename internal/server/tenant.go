@@ -8,68 +8,12 @@
 // "Service layer".
 package server
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
+import "netupdate/internal/tenantspec"
 
-	"netupdate/internal/config"
-	"netupdate/internal/core"
-)
-
-// TenantSpec is the registration document for one tenant: a scenario
-// stream header (topology, traffic classes with initial routes and LTL
-// specifications — exactly the first line of a netupdate -stream input)
-// plus the engine options the tenant's session is built with. The spec is
-// retained by the pool: it is the durable form a tenant's session is
-// rebuilt from after cold eviction.
-type TenantSpec struct {
-	config.StreamHeader
-	Options OptionsSpec `json:"options,omitempty"`
-}
-
-// OptionsSpec is a tenant's engine options on the wire: core.Options
-// itself, encoded by its own json tags, so the JSON form, the netupdate
-// flags, and the engine cannot drift apart. Defaults are never spelled
-// (core.Options' zero values are omitted), which keeps Fingerprint
-// canonical: {"options":{}} and {"options":{"rules":false}} are one
-// tenant. The worker budget and queue bounds are pool-level policy, not
-// per-tenant.
-type OptionsSpec core.Options
-
-// Build returns the engine options, which are the spec itself: every
-// decodable spec is valid, so the error is always nil. The serving code
-// converts with core.Options(o); Build and its error stay only because
-// benchmark/ calls it with two results and is not edited by engine
-// changes.
-func (o OptionsSpec) Build() (core.Options, error) {
-	return core.Options(o), nil
-}
-
-// Fingerprint derives the tenant id from the canonical JSON encoding of
-// the spec: two registrations of the same topology, classes, and engine
-// options land on the same warm session, which is what makes the pool a
-// cache rather than a leak. Struct field order makes the encoding
-// canonical without explicit sorting.
-func (s *TenantSpec) Fingerprint() (string, error) {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return "", fmt.Errorf("server: fingerprinting tenant spec: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return "t" + hex.EncodeToString(sum[:8]), nil
-}
-
-// LearnFingerprint is the cross-tenant learning key: the fingerprint of
-// the spec with its display name cleared, so tenants that differ only in
-// name — the common shape of fleet rollouts, where every region registers
-// the same scenario under its own label — share one plan cache.
-func (s *TenantSpec) LearnFingerprint() (string, error) {
-	clone := *s
-	clone.Name = ""
-	return clone.Fingerprint()
-}
+// TenantSpec is the registration document for one tenant and OptionsSpec
+// its engine options on the wire, defined where the router shares them.
+type TenantSpec = tenantspec.TenantSpec
+type OptionsSpec = tenantspec.OptionsSpec
 
 // TenantInfo is Register's answer.
 type TenantInfo struct {
