@@ -787,13 +787,10 @@ func BenchmarkRepair(b *testing.B) {
 
 // BenchmarkSnapshotRestore measures core.RestoreSessionWith on a warm
 // multi-region session's image, over the shared arena with the context
-// fingerprint handed over, both ways an image is restored. /held is the
-// pool's eviction-resume path: the holder's configuration is handed over,
-// the image is checked against it, and the session comes back with no
-// class built — a checksum and a comparison, nothing per class. /decoded
-// is an image that arrives as bytes (migration, restart): the
-// configuration is decoded and every class built and verified on it before
-// the session exists, which is a cold NewSessionWith plus the decode.
+// fingerprint handed over. /decoded is an image that arrives as bytes
+// (migration, restart): the configuration is decoded and every class
+// built and verified on it before the session exists, which is a cold
+// NewSessionWith plus the decode.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	sc, err := bench.MultiRegionWorkload(160, 4, 2, 0, config.Reachability, 160*13)
 	if err != nil {
@@ -816,24 +813,18 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, held := range []bool{true, false} {
-		name, res := "decoded", res
-		if held {
-			name, res.Current = "held", sess.Current()
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				restored, err := core.RestoreSessionWith(sc.Topo, sc.Specs, opts, img, res)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if restored.Runs() != sess.Runs() || held != (restored.Current() == res.Current) {
-					b.Fatalf("restored %d runs (want %d), on the holder's configuration: %v", restored.Runs(), sess.Runs(), restored.Current() == res.Current)
-				}
+	b.Run("decoded", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			restored, err := core.RestoreSessionWith(sc.Topo, sc.Specs, opts, img, res)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if restored.Runs() != sess.Runs() || restored.Current() == sess.Current() {
+				b.Fatalf("restored %d runs (want %d), on the writer's configuration object: %v", restored.Runs(), sess.Runs(), restored.Current() == sess.Current())
+			}
+		}
+	})
 }
 
 // BenchmarkSimulatorFig1 measures the discrete-event simulator on the

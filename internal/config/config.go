@@ -246,10 +246,16 @@ func (cl Class) String() string {
 // InstallPath adds forwarding rules to cfg routing class cl along the
 // switch path (inclusive of both endpoints). The class's source host must
 // be attached to path[0] and destination host to path[len-1]; consecutive
-// path switches must be adjacent in topo.
+// path switches must be adjacent in topo. A path longer than the switch
+// count visits some switch twice, which gives the class two rules there
+// and never delivers: it is refused before any rule is installed, so what
+// a path costs is bounded by the topology, not by the path's length.
 func InstallPath(cfg *Config, topo *topology.Topology, cl Class, path []int, priority int) error {
 	if len(path) == 0 {
 		return fmt.Errorf("config: empty path for class %v", cl)
+	}
+	if len(path) > topo.NumSwitches() {
+		return fmt.Errorf("config: class %v: a %d-switch path over %d switches visits one twice", cl, len(path), topo.NumSwitches())
 	}
 	dst, ok := topo.HostByID(cl.DstHost)
 	if !ok {

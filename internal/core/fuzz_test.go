@@ -124,12 +124,7 @@ func restoreAndServe(t *testing.T, seed fuzzSeed, body []byte) {
 	if pristine && len(config.Diff(s.Current(), seed.target)) != 0 {
 		t.Fatalf("%s: restored at another configuration than the image's", seed.name)
 	}
-	served := []*Session{s}
-	if lazy, err := RestoreSessionWith(seed.base.Topo, seed.base.Specs, opts, img, SessionResources{Current: s.Current()}); err != nil {
-		t.Fatalf("%s: restores from bytes, not onto the configuration they spell: %v", seed.name, err)
-	} else {
-		served = append(served, lazy)
-	}
+	served := []*Session{s, Resume(seed.base.Topo, seed.base.Specs, opts, s.Park(), SessionResources{})}
 	want := coldAnswer(t, seed, s.Current())
 	for _, s := range served {
 		plan, err := s.Synthesize(seed.base.Init)
@@ -259,11 +254,10 @@ func FuzzRestoreSession(f *testing.F) {
 // TestRestoreOlderImageKeepsItsConfiguration: an older image is the only
 // record of where its tenant was, so restore takes that — the
 // configuration and the run counter — builds every class on it, and says
-// so (RestoredCold); handing over the configuration it spells changes
-// nothing about that. An image in the current format restored from bytes
-// has every class built too; onto its holder's configuration, none.
-// Either way the session's next plan is a cold session's
-// (restoreAndServe).
+// so (RestoredCold). An image in the current format restored from bytes
+// has every class built too; the session resumed from the restored one's
+// parked handle, none. Either way the session's next plan is a cold
+// session's (restoreAndServe).
 func TestRestoreOlderImageKeepsItsConfiguration(t *testing.T) {
 	for _, seed := range loadFuzzSeeds(t) {
 		s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, seed.img)
@@ -279,17 +273,10 @@ func TestRestoreOlderImageKeepsItsConfiguration(t *testing.T) {
 		if s.Runs() != 1 {
 			t.Errorf("%s: %d runs restored, the image was written after one", seed.name, s.Runs())
 		}
-		held, err := RestoreSessionWith(seed.base.Topo, seed.base.Specs, Options{}, seed.img, SessionResources{Current: s.Current()})
-		if err != nil {
-			t.Fatalf("%s: onto the configuration it spells: %v", seed.name, err)
-		}
-		want := len(seed.base.Specs)
-		if seed.version == snapVersion {
-			want = 0
-		}
-		if got := slotsAtCurrent(t, seed.name, held); got != want || held.RestoredCold() != s.RestoredCold() || held.Current() != s.Current() {
-			t.Errorf("%s: restored onto its holder's configuration: %d classes built, want %d (RestoredCold %v, adopted %v)",
-				seed.name, got, want, held.RestoredCold(), held.Current() == s.Current())
+		held := Resume(seed.base.Topo, seed.base.Specs, Options{}, s.Park(), SessionResources{})
+		if got := slotsAtCurrent(t, seed.name, held); got != 0 || held.Runs() != s.Runs() || held.Current() != s.Current() {
+			t.Errorf("%s: resumed from its handle: %d classes built, want 0 (runs %d of %d, adopted %v)",
+				seed.name, got, held.Runs(), s.Runs(), held.Current() == s.Current())
 		}
 		restoreAndServe(t, seed, seed.img[:len(seed.img)-sha256.Size])
 	}

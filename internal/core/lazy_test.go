@@ -142,16 +142,10 @@ func TestLazyRestoreMatchesWarm(t *testing.T) {
 			warm, _, _ := side()
 			lazy, res, cache := side()
 			evict := func() {
-				img, err := lazy.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				res.Current = lazy.Current()
-				if lazy, err = RestoreSessionWith(sc.Topo, sc.Specs, g.opts, img, res); err != nil {
-					t.Fatal(err)
-				}
-				if lazy.Current() != res.Current || slotsAtCurrent(t, g.name, lazy) != 0 {
-					t.Fatal("restored onto its holder's configuration, the session is elsewhere or has classes built")
+				held := lazy.Current()
+				lazy = Resume(sc.Topo, sc.Specs, g.opts, lazy.Park(), res)
+				if lazy.Current() != held || slotsAtCurrent(t, g.name, lazy) != 0 {
+					t.Fatal("resumed from its handle, the session is elsewhere or has classes built")
 				}
 				lazy.SetCache(cache)
 			}

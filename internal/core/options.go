@@ -86,8 +86,8 @@ var (
 	ErrFinalViolation = errors.New("core: final configuration violates the specification")
 	// ErrClassBuild reports that a class a request needed for the first
 	// time did not build, or did not hold, at the configuration the
-	// session stands at — one it verified itself or its holder vouched
-	// for (RestoreSessionWith), so the session is not in the state it
+	// session stands at — one it, or the session it was parked from
+	// (Resume), verified — so the session is not in the state it
 	// claims. The tenant is fine: whoever holds the session drops it and
 	// builds another at the configuration it knows.
 	ErrClassBuild = errors.New("core: class failed to build at the session's configuration")

@@ -238,40 +238,38 @@ func TestDestinationRankTracesOnlyMovedClasses(t *testing.T) {
 	}
 }
 
-// TestRestoreAdoptsTheCallersConfiguration: handed the configuration the
-// image is at (SessionResources.Current), a restore binds the session —
-// and every class structure it builds, then or later — to that object, so
-// the holder's check is a pointer comparison and the next request diffs
-// against tables it shares, and writes the image it was given; handed any
-// other configuration it is where the image says, on a decoded copy, as
-// without a hint. The committed images of all three versions.
+// TestRestoreAdoptsTheCallersConfiguration: a session resumed from a
+// parked handle is bound — and every class structure it builds, then or
+// later — to the configuration object the parked session held, so the
+// holder's check is a pointer comparison and the next request diffs
+// against tables it shares, and writes the image the parked session would
+// have; restored from bytes, a session is where the image says, on a
+// decoded copy. The committed images of all three versions.
 func TestRestoreAdoptsTheCallersConfiguration(t *testing.T) {
 	for _, seed := range loadFuzzSeeds(t) {
-		restore := func(hint *config.Config) *Session {
-			s, err := RestoreSessionWith(seed.base.Topo, seed.base.Specs, Options{}, seed.img, SessionResources{Current: hint})
+		restore := func() *Session {
+			s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, seed.img)
 			if err != nil {
 				t.Fatalf("%s: %v", seed.name, err)
 			}
 			slotsAtCurrent(t, seed.name, s)
+			if s.Current() == seed.target || len(config.Diff(s.Current(), seed.target)) != 0 {
+				t.Fatalf("%s: restored from bytes, the session is not on a copy of the image's configuration", seed.name)
+			}
 			return s
 		}
-		at := restore(seed.target)
-		if at.Current() != seed.target {
-			t.Fatalf("%s: the image is at the hint, the session on a copy", seed.name)
+		decoded := restore()
+		at := Resume(seed.base.Topo, seed.base.Specs, Options{}, decoded.Park(), SessionResources{})
+		if at.Current() != decoded.Current() || slotsAtCurrent(t, seed.name, at) != 0 {
+			t.Fatalf("%s: resumed on a copy of the handle's configuration, or with classes built", seed.name)
 		}
 		if seed.version == snapVersion {
 			if again, err := at.Snapshot(); err != nil || !bytes.Equal(again, seed.img) {
-				t.Fatalf("%s: a session restored onto its holder's configuration writes another image (err %v)", seed.name, err)
-			}
-		}
-		for name, hint := range map[string]*config.Config{"the initial configuration": seed.base.Init, "an empty one": config.New(), "none": nil} {
-			s := restore(hint)
-			if s.Current() == hint || len(config.Diff(s.Current(), seed.target)) != 0 {
-				t.Fatalf("%s: hinted %s, the session is not at the image's configuration", seed.name, name)
+				t.Fatalf("%s: a resumed session writes another image (err %v)", seed.name, err)
 			}
 		}
 		// The adopted session serves what one on a decoded copy serves.
-		want, werr := restore(nil).Synthesize(seed.base.Init)
+		want, werr := restore().Synthesize(seed.base.Init)
 		got, gerr := at.Synthesize(seed.base.Init)
 		if fmt.Sprint(werr) != fmt.Sprint(gerr) || (werr == nil && got.String() != want.String()) {
 			t.Fatalf("%s: adopted session answers\n%v (%v), a decoded one\n%v (%v)", seed.name, got, gerr, want, werr)

@@ -40,13 +40,12 @@ import (
 // There is one slot per class, holding the class's structure and checker
 // or nothing, and everything a request does — verifying the target,
 // replaying a cached plan, the search, the resync — happens on the built
-// ones. NewSession builds and verifies every class. A session restored
-// onto a configuration its holder vouches for (RestoreSessionWith) starts
-// with every slot empty, and a request builds, at the current
-// configuration, the classes some changed rule of its diff matches: a
-// class still unbuilt is one no request since the restore could affect,
-// so its verdict at the current configuration is the one the holder
-// vouched for.
+// ones. NewSession builds and verifies every class. A session made again
+// from a parked handle (Resume) starts with every slot empty, and a
+// request builds, at the current configuration, the classes some changed
+// rule of its diff matches: a class still unbuilt is one no request since
+// the resume could affect, so its verdict at the current configuration is
+// the one the parked session verified.
 //
 // Synthesize(final) produces the plan from the session's current
 // configuration to final and, on success, advances the current
@@ -259,16 +258,6 @@ func emptied[T any](s []T) []T {
 // cache keys start with it, and a restore compares the image's with it.
 // Nil means "compute it when first needed".
 //
-// Current, when set, is the configuration the caller holds for the tenant
-// an image belongs to. RestoreSessionWith compares the image's
-// configuration section with it as it decodes, and where the two agree
-// rule for rule the restored session and its structures bind to this
-// object instead of a decoded copy — so the caller's "is the image where
-// the tenant is" check is a pointer comparison, and the request that
-// follows diffs and hashes against its own target by identity. Where they
-// differ the session is at the image's configuration, as without the
-// field. NewSessionWith ignores it.
-//
 // Factory, when set, builds the per-class checkers in place of the
 // incremental checker over Warmth. It is the seam the figure harness
 // (internal/bench) drives its comparison backends through; such a session
@@ -282,7 +271,6 @@ type SessionResources struct {
 	Factory   mc.Factory
 	Ablation  Ablation
 	ContextFP []byte
-	Current   *config.Config
 }
 
 // NewSession builds the warm per-class structures over the initial
@@ -297,7 +285,6 @@ func NewSession(topo *topology.Topology, init *config.Config, specs []config.Cla
 // and the checker constructor from res where provided.
 func NewSessionWith(topo *topology.Topology, init *config.Config, specs []config.ClassSpec, opts Options, res SessionResources) (*Session, error) {
 	s := newSessionShell(topo, init, specs, opts, res)
-	s.factory = res.Factory
 	switches := init.Switches()
 	for i := range specs {
 		if err := s.buildClass(i, switches); err != nil {
@@ -308,8 +295,8 @@ func NewSessionWith(topo *topology.Topology, init *config.Config, specs []config
 }
 
 // newSessionShell assembles the session fields common to cold
-// construction and snapshot restore: shared or private resources, every
-// class slot empty.
+// construction and Resume: shared or private resources, every class slot
+// empty.
 func newSessionShell(topo *topology.Topology, init *config.Config, specs []config.ClassSpec, opts Options, res SessionResources) *Session {
 	arena := res.Arena
 	if arena == nil {
@@ -327,6 +314,7 @@ func newSessionShell(topo *topology.Topology, init *config.Config, specs []confi
 		cur:      init,
 		arena:    arena,
 		warm:     warm,
+		factory:  res.Factory,
 		ks:       make([]*kripke.K, len(specs)),
 		checkers: make([]mc.Checker, len(specs)),
 		ctxFP:    res.ContextFP,
@@ -366,9 +354,9 @@ func (s *Session) buildClass(i int, switches []int) error {
 // buildClasses fills the empty slots among the listed classes — a
 // request's affected classes — at the current configuration, before
 // anything of the request reads a structure. The configuration is one the
-// session verified or its holder vouched for, so a class that does not
-// build or does not hold there means the session's state is not what it
-// claims: ErrClassBuild, on which the holder drops the session.
+// session — or the session it was parked from — verified, so a class that
+// does not build or does not hold there means the session's state is not
+// what it claims: ErrClassBuild, on which the holder drops the session.
 func (s *Session) buildClasses(classes []int) error {
 	var switches []int
 	for _, ci := range classes {
@@ -787,8 +775,8 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 // request's diff cannot affect: it is forwarded under the target as under
 // the current configuration, where it holds — except after a repair's
 // crash rebind, which moves the session to a configuration no check has
-// seen. An unbuilt class is one no request since a restore could affect;
-// its verdict is the one the session's holder vouched for.
+// seen. An unbuilt class is one no request since a resume could affect;
+// its verdict is the one the parked session verified.
 func (s *Session) unaffectedHold() error {
 	pos := 0
 	for ci, chk := range s.checkers {

@@ -1,32 +1,28 @@
 package core
 
-// Session images. An image is what a session's holder keeps when it lets
-// the session go — a pool evicting a tenant, a daemon shutting down, a
-// router moving a tenant to another replica — and what a session is made
-// from again: the configuration the tenant is at, the run counter, and
+// Session images. An image is what a session's holder writes when the
+// session's state leaves the process — a daemon shutting down, a router
+// moving a tenant to another replica — and what a session is made from
+// again: the configuration the tenant is at, the run counter, and
 // optionally the plan cache. It carries no class structure and no label:
 // those are functions of the configuration, rebuilt from it, and never
-// taken from bytes.
+// taken from bytes. A holder that lets a session go but keeps its tenant
+// in the process parks it instead (park.go) and writes no image.
 //
-// The trust rule. RestoreSessionWith is handed, besides the image, the
-// configuration its caller holds for the tenant
-// (SessionResources.Current). Where the image's configuration section
-// spells exactly that object — the caller is the process whose live
-// session verified it and wrote the image — the session binds to the
-// object with every class slot empty, and a request builds the classes
-// its diff touches (Session.buildClasses). Where the configuration has to
-// be decoded — no Current, another configuration, an image in an older
-// format — it arrived as bytes, and every class is built and verified on
-// it before the session exists: a configuration that violates some class
-// is refused (ErrBadSnapshot) however valid its checksum.
+// The trust rule has two cases. A parked handle is trusted by identity:
+// its configuration is the very object the session verified, so Resume
+// binds to it with every class slot empty, and a request builds the
+// classes its diff touches (Session.buildClasses). An image is bytes: its
+// configuration is decoded, and every class is built and verified on it
+// before the session exists — a configuration that violates some class is
+// refused (ErrBadSnapshot) however valid its checksum.
 //
-// The plan cache is not session state: it belongs to whoever attached it — the pool shares
-// one store between tenants and keeps it across evictions — so
-// Session.Snapshot leaves the cache section empty, and an image a pool
-// holds for an evicted tenant costs what its configuration costs. An image
-// that leaves the process (tenant migration, restart persistence) gets
-// the owner's cache embedded by EmbedCache; every plan in it is verified
-// by replay before it is used (cache.go).
+// The plan cache is not session state: it belongs to whoever attached it
+// — the pool shares one store between tenants and keeps it across
+// evictions — so Session.Snapshot leaves the cache section empty. An image
+// that leaves the process (tenant migration, restart persistence) gets the
+// owner's cache embedded by EmbedCache; every plan in it is verified by
+// replay before it is used (cache.go).
 //
 // Format, version 3 (all integers varint-encoded unless noted):
 //
@@ -323,49 +319,6 @@ func (r *snapReader) config(switches int) *config.Config {
 	return cur
 }
 
-// configIs reads a configuration section and reports whether it is want's:
-// the same switches, each holding the same rules in the same order — what
-// Snapshot wrote if the session was at want. Nothing is allocated, and the
-// reader stops at the first difference (the caller rewinds and decodes);
-// on true it stands past the section.
-func (r *snapReader) configIs(want *config.Config) bool {
-	listed, matched := r.count(), 0
-	for sw := 0; sw < want.Span(); sw++ {
-		tbl := want.Table(sw)
-		if len(tbl) == 0 {
-			continue
-		}
-		if matched == listed || r.num() != sw || r.count() != len(tbl) {
-			return false
-		}
-		matched++
-		for _, rule := range tbl {
-			if !r.ruleIs(rule) {
-				return false
-			}
-		}
-	}
-	return matched == listed && r.err == nil
-}
-
-// ruleIs reads one rule and reports whether it is want.
-func (r *snapReader) ruleIs(want network.Rule) bool {
-	if int(r.varint()) != want.Priority ||
-		topology.Port(r.varint()) != want.Match.InPort ||
-		int(r.varint()) != want.Match.Src ||
-		int(r.varint()) != want.Match.Dst ||
-		int(r.varint()) != want.Match.Typ ||
-		r.count() != len(want.Actions) {
-		return false
-	}
-	for _, a := range want.Actions {
-		if decodeAction(r) != a {
-			return false
-		}
-	}
-	return r.err == nil
-}
-
 // --- decode ---
 
 // RestoreSession rebuilds a session from a Snapshot image over private
@@ -377,12 +330,9 @@ func RestoreSession(topo *topology.Topology, specs []config.ClassSpec, opts Opti
 	return RestoreSessionWith(topo, specs, opts, data, SessionResources{})
 }
 
-// RestoreSessionWith is RestoreSession over shared resources, and the one
-// place the trust rule (see the file comment) is applied: an image in the
-// current format whose configuration section is res.Current's yields a
-// session bound to that object with no class built yet; any other image
-// yields a session with every class built and verified at the decoded
-// configuration, or ErrBadSnapshot.
+// RestoreSessionWith is RestoreSession over shared resources. The image's
+// configuration arrives as bytes, so every class is built and verified at
+// it before the session exists, or the image is refused (ErrBadSnapshot).
 func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts Options, data []byte, res SessionResources) (*Session, error) {
 	const headLen = len(snapMagic) + 4 + sha256.Size
 	if len(data) < headLen+sha256.Size {
@@ -410,14 +360,7 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	}
 	runs := r.num()
 
-	// Configuration: the caller's object when the section says what it
-	// says, a decoded one otherwise.
-	cur, cfgStart := res.Current, r.off
-	vouched := cur != nil && r.configIs(cur)
-	if !vouched {
-		r.off, r.err = cfgStart, nil
-		cur = r.config(topo.NumSwitches())
-	}
+	cur := r.config(topo.NumSwitches())
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -430,8 +373,7 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 			// Only an image that left its process carries a section
 			// (EmbedCache), and whoever installs it reads the cache at once
 			// (the pool's InstallSnapshot merges it into the store it
-			// attaches). Images a pool holds for its own evicted tenants
-			// have no section and never get here.
+			// attaches).
 			cacheSection = r.take(r.count())
 		}
 		if r.err != nil {
@@ -442,19 +384,14 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 		}
 	}
 
-	var s *Session
-	if vouched && version == snapVersion {
-		s = newSessionShell(topo, cur, specs, opts, res)
-	} else {
-		// The configuration came as bytes (or with bytes this decoder
-		// skips): nothing is served from it before every class holds on it.
-		res.Factory = nil
-		var err error
-		if s, err = NewSessionWith(topo, cur, specs, opts, res); err != nil {
-			return nil, fmt.Errorf("%w: version-%d image: %v", ErrBadSnapshot, version, err)
-		}
-		s.restoredCold = version != snapVersion
+	// Nothing is served from the configuration before every class holds on
+	// it.
+	res.Factory = nil
+	s, err := NewSessionWith(topo, cur, specs, opts, res)
+	if err != nil {
+		return nil, fmt.Errorf("%w: version-%d image: %v", ErrBadSnapshot, version, err)
 	}
+	s.restoredCold = version != snapVersion
 	s.runs = runs
 	if cacheSection != nil && !opts.NoPlanCache {
 		s.cache = decodeCache(cacheSection)

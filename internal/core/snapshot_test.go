@@ -199,14 +199,11 @@ func TestSnapshotRejection(t *testing.T) {
 		}
 	})
 	// Damage that survives the checksum (a resealed image, as PUT
-	// .../snapshot may receive), refused whether the configuration is
-	// decoded or compared with the holder's.
+	// .../snapshot may receive), refused.
 	for name, bad := range damagedImages(t, img) {
 		t.Run(name, func(t *testing.T) {
-			for _, res := range []SessionResources{{}, {Current: sess.Current()}} {
-				if _, err := RestoreSessionWith(stream.Topo(), stream.Specs(), opts, bad, res); !errors.Is(err, ErrBadSnapshot) {
-					t.Fatalf("err = %v, want ErrBadSnapshot", err)
-				}
+			if _, err := RestoreSession(stream.Topo(), stream.Specs(), opts, bad); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("err = %v, want ErrBadSnapshot", err)
 			}
 		})
 	}
@@ -280,10 +277,10 @@ func TestSnapshotRejection(t *testing.T) {
 // configuration sends a class the next request does not touch into a
 // black hole. Decoded from bytes it is refused: every class is built and
 // verified on a configuration that arrives as bytes, before a session
-// exists. Restored onto the very configuration object its holder hands
-// over it is accepted with no class built — the holder vouches for what
-// it holds — serves the request that does not touch the class, and
-// answers ErrClassBuild, not a plan, to the first one that does.
+// exists. Resumed from a handle at that configuration object — a handle
+// is trusted by identity — it is accepted with no class built, serves the
+// request that does not touch the class, and answers ErrClassBuild, not a
+// plan, to the first one that does.
 func TestUnverifiedConfigurationIsNeverServed(t *testing.T) {
 	stream, targets := rollingTargets(t, 59, 2, 3, 1)
 	opts := Options{}
@@ -327,9 +324,9 @@ func TestUnverifiedConfigurationIsNeverServed(t *testing.T) {
 	if _, err := RestoreSession(stream.Topo(), stream.Specs(), opts, bad); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("decoded from bytes: err = %v, want ErrBadSnapshot", err)
 	}
-	lazy, err := RestoreSessionWith(stream.Topo(), stream.Specs(), opts, bad, SessionResources{Current: broken})
-	if err != nil || lazy.Current() != broken || slotsAtCurrent(t, "lazy", lazy) != 0 {
-		t.Fatalf("onto the holder's configuration: err = %v: want the session on that object with no class built", err)
+	lazy := Resume(stream.Topo(), stream.Specs(), opts, &Parked{cur: broken}, SessionResources{})
+	if lazy.Current() != broken || slotsAtCurrent(t, "lazy", lazy) != 0 {
+		t.Fatal("resumed: want the session on the handle's object with no class built")
 	}
 	// The request that leaves the class alone: the same reroutes, on top of
 	// the broken configuration.
@@ -675,11 +672,11 @@ func TestSnapshotImageIsCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, res := range []SessionResources{{}, {Current: sess.Current()}} {
-			restored, err := RestoreSessionWith(stream.Topo(), stream.Specs(), opts, img, res)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+		decoded, err := RestoreSession(stream.Topo(), stream.Specs(), opts, img)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, restored := range []*Session{decoded, Resume(stream.Topo(), stream.Specs(), opts, sess.Park(), SessionResources{})} {
 			again, err := restored.Snapshot()
 			if err != nil {
 				t.Fatal(err)

@@ -24,8 +24,8 @@ func (p *Pool) LastStats(id string) (core.Stats, bool) {
 
 // CheckAtRest verifies what must hold whenever no request is in flight:
 // the warm-session budget, no admitted request left behind, the LRU list
-// holding exactly the warm tenants, no warm tenant still holding an
-// eviction image, every warm session at its tenant's configuration with
+// holding exactly the warm tenants, no warm tenant still holding a parked
+// handle, every warm session at its tenant's configuration with
 // its class slots consistent (core.Session.CheckAtRest), and the pool-wide
 // /metrics families agreeing with the tenants' own stats — none negative,
 // each the sum of its tenants' rows.
@@ -50,9 +50,6 @@ func (p *Pool) CheckAtRest() error {
 		}
 		if st.Warm {
 			warm++
-			if st.SnapshotBytes != 0 {
-				return fmt.Errorf("tenant %s: warm, yet still holds a %d-byte eviction image", id, st.SnapshotBytes)
-			}
 		}
 		sum.Plans += st.Plans
 		sum.Acks += st.Acks
@@ -60,7 +57,6 @@ func (p *Pool) CheckAtRest() error {
 		sum.Rebuilds += st.Rebuilds
 		sum.SnapshotRestores += st.SnapshotRestores
 		sum.ColdRebuilds += st.ColdRebuilds
-		sum.SnapshotBytes += st.SnapshotBytes
 	}
 	for _, c := range []struct {
 		family string
@@ -74,7 +70,6 @@ func (p *Pool) CheckAtRest() error {
 		{"snapshot_restores_total", sum.SnapshotRestores},
 		{"cold_rebuilds_total", sum.ColdRebuilds},
 		{"snapshot_rejects_total", rejects},
-		{"snapshot_bytes", int64(sum.SnapshotBytes)},
 	} {
 		if got := p.Metric(c.family); got < 0 || got != float64(c.want) {
 			return fmt.Errorf("netupdate_%s = %g, the tenants' stats sum to %d", c.family, got, c.want)
@@ -89,6 +84,9 @@ func (p *Pool) CheckAtRest() error {
 		}
 		if t.sess == nil {
 			continue
+		}
+		if t.parked != nil {
+			return fmt.Errorf("tenant %s: warm, yet still holds a parked handle", t.id)
 		}
 		if t.sess.Current() != t.cur {
 			return fmt.Errorf("tenant %s: its session is at another configuration", t.id)

@@ -171,7 +171,7 @@ func (p *Pool) initMetrics() {
 	m.evictions = reg.Counter("netupdate_evictions_total", "Warm sessions evicted under the LRU budget.")
 	reg.FuncCounter("netupdate_session_rebuilds_total", "Sessions rebuilt after eviction.",
 		sum(func(t *tenant) int64 { return t.rebuilds() }))
-	reg.FuncCounter("netupdate_snapshot_restores_total", "Rebuilds served by restoring an eviction snapshot.",
+	reg.FuncCounter("netupdate_snapshot_restores_total", "Rebuilds served by resuming a parked session or installing an image.",
 		sum(func(t *tenant) int64 { return t.restores.Load() }))
 	reg.FuncCounter("netupdate_cold_rebuilds_total", "Rebuilds that paid the full cold construction.",
 		sum(func(t *tenant) int64 { return t.coldRebuilds.Load() }))
@@ -179,8 +179,6 @@ func (p *Pool) initMetrics() {
 		sum(func(t *tenant) int64 { return t.snapRejects.Load() }))
 	reg.FuncCounter("netupdate_class_builds_total", "Classes a request built on first need, on a session restored with none.",
 		sum(func(t *tenant) int64 { return t.classBuilds.Load() }))
-	reg.Gauge("netupdate_snapshot_bytes", "Snapshot bytes held for evicted tenants.",
-		sum(func(t *tenant) int64 { return int64(len(t.snap)) }))
 	reg.Gauge("netupdate_shared_arenas", "Distinct topology shapes with a shared state arena.", func() float64 {
 		return float64(p.arenas.len())
 	})
@@ -211,8 +209,8 @@ func (p *Pool) initMetrics() {
 	m.synthHit = reg.Histogram("netupdate_synthesis_hit_seconds", "Synthesis latency of plan-cache hits.")
 	m.synthMiss = reg.Histogram("netupdate_synthesis_miss_seconds", "Synthesis latency of full-search runs (including failures).")
 	m.synthRepair = reg.Histogram("netupdate_synthesis_repair_seconds", "Synthesis latency of repair runs.")
-	m.snapRestore = reg.Histogram("netupdate_snapshot_restore_seconds", "Time to restore an evicted session from its snapshot.")
-	m.sessionEvict = reg.Histogram("netupdate_session_evict_seconds", "Time to capture an evicted session's snapshot.")
+	m.snapRestore = reg.Histogram("netupdate_snapshot_restore_seconds", "Time to resume an evicted session.")
+	m.sessionEvict = reg.Histogram("netupdate_session_evict_seconds", "Time to park an evicted session.")
 	m.tenantRequests = reg.CounterVec("netupdate_tenant_requests_total", "Requests received per tenant.", "tenant")
 }
 

@@ -123,7 +123,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"netupdate_repair_failures_total", "netupdate_evictions_total",
 		"netupdate_session_rebuilds_total", "netupdate_snapshot_restores_total",
 		"netupdate_cold_rebuilds_total", "netupdate_snapshot_rejects_total",
-		"netupdate_snapshot_bytes", "netupdate_shared_arenas",
+		"netupdate_shared_arenas",
 		"netupdate_queue_wait_seconds_total", "netupdate_synthesis_seconds_total",
 		"netupdate_synthesis_seconds_max", "netupdate_plan_cache_hits_total",
 		"netupdate_plan_cache_misses_total", "netupdate_plan_cache_verify_failures_total",

@@ -100,14 +100,14 @@ type tenant struct {
 	cur  *config.Config // current configuration; survives eviction
 	sess *core.Session  // nil when cold
 	elem *list.Element  // position in the pool LRU; nil when cold
-	// snap is the session snapshot captured at eviction (nil when the
-	// capture failed or after a restore consumed it); guarded by the pool
-	// mutex like sess. It makes eviction cheap to undo: the next request
-	// restores the warm state instead of rebuilding and re-warming it. It
-	// holds the session's own state only — the plan cache stays in p.learn,
-	// which outlives the session — so it is embedded (portable) before it
-	// leaves the process.
-	snap []byte
+	// parked is the handle the evicted session left (core.Session.Park;
+	// nil while warm, and after a cold rebuild); guarded by the pool mutex
+	// like sess. It makes eviction cheap to undo: the next request resumes
+	// the session at cur instead of rebuilding and re-warming it. It holds
+	// the session's own state only — the plan cache stays in p.learn, which
+	// outlives the session — and never leaves the process: an export
+	// encodes it (SnapshotAll, SnapshotTenant).
+	parked *core.Parked
 
 	tenantCounters
 }
@@ -259,10 +259,10 @@ func (p *Pool) tenantLocked(id string) (*tenant, error) {
 }
 
 // warmLocked makes sess the tenant's warm session — at the hot end of the
-// LRU, with no eviction image left to go stale beside it — and evicts
+// LRU, with no parked handle left to go stale beside it — and evicts
 // whatever that pushes over the budget.
 func (p *Pool) warmLocked(t *tenant, sess *core.Session) {
-	t.sess, t.snap = sess, nil
+	t.sess, t.parked = sess, nil
 	if t.elem != nil {
 		p.lru.MoveToFront(t.elem)
 	} else {
@@ -512,43 +512,39 @@ func (a *admission) leave() {
 
 // ensureWarm returns the tenant's session, rebuilding it when cold, and
 // refreshes the tenant's LRU position. Must be called with the tenant
-// gate held. An evicted tenant is restored from the image captured at
-// eviction, onto the configuration the pool holds for it: the image is
-// compared with it, not decoded, and the session starts with no class
-// built — the request builds the classes its diff touches. A missing or
-// rejected image, or one out of step with the tenant's configuration,
-// falls back to a cold build from the stored spec. Either way the session
-// is pointed back at the tenant's shared plan cache, which stayed in
-// p.learn while the session was gone: nothing is decoded or merged here,
-// so a restore costs the same however much the tenant has learned. A build
-// beyond the budget evicts the least-recently-used idle session.
+// gate held. An evicted tenant resumes the session it parked when the
+// handle is at the configuration the pool holds for the tenant — an
+// identity test — with no class built: the request builds the classes its
+// diff touches. A tenant with no handle, or one at another configuration,
+// is built cold from the stored spec. Either way the session is pointed
+// back at the tenant's shared plan cache, which stayed in p.learn while
+// the session was gone, so a resume costs the same however much the
+// tenant has learned. A build beyond the budget evicts the
+// least-recently-used idle session.
 func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
-	sess, snap := p.warmSession(t)
+	sess, parked := p.warmSession(t)
 	if sess != nil {
 		return sess, nil
 	}
-	if len(snap) == 0 {
+	if parked == nil {
 		return p.buildCold(t)
 	}
-
-	// Outside the pool lock; the gate keeps this single-flight per tenant
-	// (t.cur cannot move under us).
-	restoreStart := time.Now()
-	// The restore binds the session to t.cur itself when the image is at
-	// it, so whether it is is an identity test.
-	res := p.sessionResources(t)
-	res.Current = t.cur
-	sess, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, snap, res)
-	if err == nil && sess.Current() != t.cur {
-		err = errors.New("image is at another configuration than the tenant")
+	// The gate keeps t.cur where it is.
+	if parked.Cur() != t.cur {
+		return p.rebuildCold(t, errors.New("parked at another configuration than the tenant"))
 	}
-	if err != nil {
-		return p.rebuildCold(t, err)
-	}
-	p.m.snapRestore.Observe(time.Since(restoreStart))
+	start := time.Now()
+	sess = p.resume(t, parked)
+	p.m.snapRestore.Observe(time.Since(start))
 	t.restores.Add(1)
 	p.adopt(t, sess)
 	return sess, nil
+}
+
+// resume makes a tenant's parked session again over the pool's shared
+// resources.
+func (p *Pool) resume(t *tenant, parked *core.Parked) *core.Session {
+	return core.Resume(t.base.Topo, t.base.Specs, t.opts, parked, p.sessionResources(t))
 }
 
 // buildCold builds the tenant's session from its spec at its current
@@ -565,16 +561,17 @@ func (p *Pool) buildCold(t *tenant) (*core.Session, error) {
 	return sess, nil
 }
 
-// rebuildCold is buildCold for a tenant whose image or session turned out
-// unusable, for the reason given: whatever it held is dropped first, so a
-// failed build leaves the tenant cold, not on a session it cannot trust.
+// rebuildCold is buildCold for a tenant whose parked handle or session
+// turned out unusable, for the reason given: whatever it held is dropped
+// first, so a failed build leaves the tenant cold, not on a session it
+// cannot trust.
 func (p *Pool) rebuildCold(t *tenant, why error) (*core.Session, error) {
 	t.rejectSnapshot("session state dropped, rebuilding cold", why)
 	p.mu.Lock()
 	if t.elem != nil {
 		p.lru.Remove(t.elem)
 	}
-	t.sess, t.elem, t.snap = nil, nil, nil
+	t.sess, t.elem, t.parked = nil, nil, nil
 	p.mu.Unlock()
 	return p.buildCold(t)
 }
@@ -589,14 +586,14 @@ func (p *Pool) adopt(t *tenant, sess *core.Session) {
 }
 
 // warmSession returns the tenant's session, refreshing its LRU position,
-// or — the tenant being cold — nil and the eviction image it left behind.
-func (p *Pool) warmSession(t *tenant) (*core.Session, []byte) {
+// or — the tenant being cold — nil and the handle it parked.
+func (p *Pool) warmSession(t *tenant) (*core.Session, *core.Parked) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if t.sess != nil {
 		p.lru.MoveToFront(t.elem)
 	}
-	return t.sess, t.snap
+	return t.sess, t.parked
 }
 
 // attachLearning points a session at the tenant's shared plan cache.
@@ -606,12 +603,14 @@ func (p *Pool) attachLearning(t *tenant, sess *core.Session) {
 	}
 }
 
-// portable turns a pool-held session image into one that can leave the
-// process by embedding the tenant's shared plan cache, so the receiving
-// pool (InstallSnapshot) learns what this one knew.
-func (p *Pool) portable(t *tenant, img []byte) ([]byte, error) {
-	if t.learnID == "" {
-		return img, nil
+// portable writes the image of a tenant's session that can leave the
+// process: the session's own state with the tenant's shared plan cache
+// embedded, so the receiving pool (InstallSnapshot) learns what this one
+// knew.
+func (p *Pool) portable(t *tenant, sess *core.Session) ([]byte, error) {
+	img, err := sess.Snapshot()
+	if err != nil || t.learnID == "" {
+		return img, err
 	}
 	return core.EmbedCache(img, p.planCache(t.learnID))
 }
@@ -631,10 +630,8 @@ func (p *Pool) release(t *tenant) {
 // cold end, dropping sessions whose tenants are idle (their gate can be
 // taken without blocking) until the budget holds. Busy tenants are
 // skipped — a session is never torn down mid-synthesis — and caught up
-// with when their gate is released (release). Each evicted session leaves
-// a compact snapshot behind so the next request restores warm state
-// instead of paying a cold rebuild; a failed capture leaves no snapshot
-// and the tenant rebuilds cold.
+// with when their gate is released (release). Each evicted session is
+// parked, so the next request resumes it instead of paying a cold rebuild.
 func (p *Pool) evictLocked() {
 	budget := p.opts.MaxSessions
 	for e := p.lru.Back(); e != nil && p.lru.Len() > budget; {
@@ -643,7 +640,7 @@ func (p *Pool) evictLocked() {
 		select {
 		case t.gate <- struct{}{}:
 			start := time.Now()
-			t.snap, _ = t.sess.Snapshot()
+			t.parked = t.sess.Park()
 			t.sess = nil
 			t.elem = nil
 			p.lru.Remove(e)
@@ -680,7 +677,6 @@ func (p *Pool) TenantStats(id string) (*TenantStats, error) {
 		Rebuilds:         t.rebuilds(),
 		SnapshotRestores: t.restores.Load(),
 		ColdRebuilds:     t.coldRebuilds.Load(),
-		SnapshotBytes:    len(t.snap),
 		LastSynthMS:      float64(t.lastNS.Load()) / 1e6,
 		CacheHits:        t.cacheHits.Load(),
 		CacheMisses:      t.cacheMisses.Load(),

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -353,8 +354,8 @@ func TestPoolSoak(t *testing.T) {
 
 // BenchmarkPoolEvictRestore is the churn path's fast reproducer: two
 // tenants of one shape (so they share an arena and a plan cache) against
-// a budget of one session, visited alternately, so every request restores
-// one session from its eviction image — onto the tenant's configuration,
+// a budget of one session, visited alternately, so every request resumes
+// one session from its parked handle — at the tenant's configuration,
 // with no class built — builds the one class its flip touches, runs a
 // search (each tenant walks its own Gray-code sequence of diamond flips,
 // which revisits no configuration for 2^13 steps on this 13-diamond
@@ -380,9 +381,7 @@ func BenchmarkPoolEvictRestore(b *testing.B) {
 	}
 	onB := [2][]bool{make([]bool, len(pairs)), make([]bool, len(pairs))}
 	var verify time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
+	serve := func(n int) {
 		ti, step := n%2, n/2+1
 		// Reflected Gray code: step k flips the pair at k's lowest set bit;
 		// the second tenant counts pairs from the other end.
@@ -402,14 +401,29 @@ func BenchmarkPoolEvictRestore(b *testing.B) {
 		}
 		verify += plan.Stats.VerifyElapsed
 	}
-	b.StopTimer()
-	if cold, rest := p.Metric("cold_rebuilds_total"), p.Metric("snapshot_restores_total"); cold != 0 || rest < float64(b.N)-1 {
-		b.Fatalf("churn not served by restore: %g cold rebuilds, %g restores", cold, rest)
+	// A few requests first, so the timed ones — even the one op of
+	// -benchtime=1x — find the engine scratch pool filled, as a serving
+	// daemon's do.
+	const primed = 6
+	for n := 0; n < primed; n++ {
+		if n == primed-2 {
+			runtime.GC()
+		}
+		serve(n)
 	}
-	// The two whole-session costs a restored session can hide: target
-	// verification on its first run, and the size of the image held for
-	// the tenant that is out.
+	verify = 0
+	rest0, builds0 := p.Metric("snapshot_restores_total"), p.Metric("class_builds_total")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		serve(primed + n)
+	}
+	b.StopTimer()
+	if cold, rest := p.Metric("cold_rebuilds_total"), p.Metric("snapshot_restores_total")-rest0; cold != 0 || rest != float64(b.N) {
+		b.Fatalf("churn not served by resume: %g cold rebuilds, %g resumes over %d requests", cold, rest, b.N)
+	}
+	// The whole-session cost a resumed session can hide: target
+	// verification on its first run.
 	b.ReportMetric(float64(verify.Nanoseconds())/float64(b.N), "verify-ns/op")
-	b.ReportMetric(p.Metric("snapshot_bytes"), "held-image-B")
-	b.ReportMetric(p.Metric("class_builds_total")/float64(b.N), "class-builds/op")
+	b.ReportMetric((p.Metric("class_builds_total")-builds0)/float64(b.N), "class-builds/op")
 }

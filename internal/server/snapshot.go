@@ -14,8 +14,8 @@ import (
 // internal/core/snapshot.go): the current configuration, the run counter,
 // and the tenant's shared plan cache. The image is taken under the
 // tenant's gate, so it is a consistent point between syntheses; an
-// evicted tenant is warmed first (by restore when its eviction image is
-// held, cold otherwise).
+// evicted tenant is warmed first (resumed when it parked its session,
+// cold otherwise).
 // This is the export half of tenant migration: the bytes returned here
 // restore on any replica registered with the same spec to a session that
 // answers as this one does.
@@ -34,10 +34,7 @@ func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %s: session rebuild: %w", t.id, err)
 	}
-	img, err := sess.Snapshot()
-	if err == nil {
-		img, err = p.portable(t, img)
-	}
+	img, err := p.portable(t, sess)
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %s: snapshot: %w", t.id, err)
 	}
@@ -96,10 +93,10 @@ func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error
 }
 
 // SnapshotAll captures a portable snapshot per tenant, best effort: warm
-// idle tenants are serialized live, evicted tenants contribute their
-// stored eviction snapshot, and tenants busy mid-synthesis (or failing to
-// serialize) are skipped. The daemon uses this on drain to persist warm
-// state under -snapshot-dir.
+// idle tenants are serialized live, evicted tenants from the session they
+// parked (resumed for the encoding, not made warm), and tenants busy
+// mid-synthesis, cold ones, or ones failing to serialize are skipped. The
+// daemon uses this on drain to persist warm state under -snapshot-dir.
 func (p *Pool) SnapshotAll() map[string][]byte {
 	p.mu.Lock()
 	tenants := make([]*tenant, 0, len(p.tenants))
@@ -116,14 +113,13 @@ func (p *Pool) SnapshotAll() map[string][]byte {
 			continue
 		}
 		p.mu.Lock()
-		sess, img := t.sess, t.snap
+		sess, parked := t.sess, t.parked
 		p.mu.Unlock()
-		var err error
-		if sess != nil {
-			img, err = sess.Snapshot()
+		if sess == nil && parked != nil && parked.Cur() == t.cur {
+			sess = p.resume(t, parked)
 		}
-		if err == nil && img != nil {
-			if img, err = p.portable(t, img); err == nil {
+		if sess != nil {
+			if img, err := p.portable(t, sess); err == nil {
 				out[t.id] = img
 			}
 		}

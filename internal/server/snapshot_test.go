@@ -31,9 +31,11 @@ func diamondDeltas() []*config.StreamDelta {
 }
 
 // TestEvictionSnapshotRestoreByteIdentity: a tenant evicted under the
-// LRU budget and then resumed must produce exactly the plans a
-// never-evicted control produces, and the resume must be served by
-// snapshot restore, not a cold rebuild.
+// LRU budget parks its session, and the image exported for the parked
+// tenant is the one its warm session wrote just before, byte for byte.
+// Resumed, it must produce exactly the plans a never-evicted control
+// produces, and the resume must be counted as a snapshot restore, not a
+// cold rebuild.
 func TestEvictionSnapshotRestoreByteIdentity(t *testing.T) {
 	evicting := NewPool(PoolOptions{Workers: 1, MaxSessions: 1})
 	control := NewPool(PoolOptions{Workers: 1, MaxSessions: -1})
@@ -69,8 +71,12 @@ func TestEvictionSnapshotRestoreByteIdentity(t *testing.T) {
 		}
 	}
 
+	warmImg, err := evicting.SnapshotTenant(ctx, alpha.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A second tenant blows the 1-session budget: alpha is evicted and
-	// must leave a snapshot behind.
+	// must park its session.
 	if _, err := evicting.Register(testSpec("beta")); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +87,14 @@ func TestEvictionSnapshotRestoreByteIdentity(t *testing.T) {
 	if st.Warm {
 		t.Fatal("alpha still warm after budget eviction")
 	}
-	if st.SnapshotBytes == 0 {
-		t.Fatal("eviction left no snapshot")
+	evicting.mu.Lock()
+	parked := evicting.tenants[alpha.ID].parked
+	evicting.mu.Unlock()
+	if parked == nil {
+		t.Fatal("eviction parked no session")
+	}
+	if img := evicting.SnapshotAll()[alpha.ID]; !bytes.Equal(img, warmImg) {
+		t.Fatalf("the parked tenant exports %d bytes, its warm session wrote %d others", len(img), len(warmImg))
 	}
 
 	for n := 2; n < len(deltas); n++ {
@@ -268,11 +280,11 @@ func TestSnapshotAllAndInstall(t *testing.T) {
 	}
 }
 
-// TestSnapshotAllEvictedCarriesCache: the image the pool holds for an
-// evicted tenant is the session's own state and nothing else — the plan
-// cache stays in the pool's store — yet the image SnapshotAll exports for
-// that tenant embeds the cache, so a fresh pool it is installed into
-// serves the tenant's first repeated delta as a plan-cache hit.
+// TestSnapshotAllEvictedCarriesCache: an evicted tenant holds a parked
+// handle and no bytes — the plan cache stays in the pool's store — yet the
+// image SnapshotAll exports for that tenant embeds the cache, without
+// warming the tenant, so a fresh pool it is installed into serves the
+// tenant's first repeated delta as a plan-cache hit.
 func TestSnapshotAllEvictedCarriesCache(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, MaxSessions: 1})
 	ctx := context.Background()
@@ -289,24 +301,20 @@ func TestSnapshotAllEvictedCarriesCache(t *testing.T) {
 	if _, err := p.Register(testSpec("beta")); err != nil { // evicts alpha
 		t.Fatal(err)
 	}
+	img := p.SnapshotAll()[a.ID]
 	p.mu.Lock()
 	ta := p.tenants[a.ID]
-	held := ta.snap
+	warm, parked := ta.sess != nil, ta.parked != nil
 	p.mu.Unlock()
-	if held == nil {
-		t.Fatal("eviction left no image")
+	if warm || !parked {
+		t.Fatalf("after the export alpha is warm %v, parked %v: want parked only", warm, parked)
 	}
-	sess, err := core.RestoreSession(ta.base.Topo, ta.base.Specs, ta.opts, held)
+	sess, err := core.RestoreSession(ta.base.Topo, ta.base.Specs, ta.opts, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Cache() != nil {
-		t.Fatal("the pool-held eviction image carries a plan cache")
-	}
-
-	img := p.SnapshotAll()[a.ID]
-	if len(img) <= len(held) {
-		t.Fatalf("exported image is %d bytes, held image %d: no cache embedded", len(img), len(held))
+	if sess.Cache() == nil || sess.Cache().Stats().Entries == 0 {
+		t.Fatal("the image exported for the parked tenant embeds no plan cache")
 	}
 	fresh := NewPool(PoolOptions{Workers: 1})
 	if _, err := fresh.Register(testSpec("alpha")); err != nil {
@@ -369,7 +377,6 @@ func TestSnapshotMetricsExposed(t *testing.T) {
 	body := metricsBody(t, ts.URL)
 	for _, want := range []string{
 		"netupdate_snapshot_restores_total",
-		"netupdate_snapshot_bytes",
 		"netupdate_shared_arenas",
 		"netupdate_cold_rebuilds_total",
 	} {
@@ -532,8 +539,9 @@ func TestInstallSnapshotRejectsAreCounted(t *testing.T) {
 		t.Error("a refused image moved the tenant")
 	}
 
-	// The same for an eviction image that goes bad while the pool holds
-	// it: the next request rebuilds cold, as before, and says so.
+	// The same for the image exported for an evicted tenant, damaged on
+	// its way back: refused and counted as a reject only, the tenant still
+	// parked, so its next request resumes.
 	small := NewPool(PoolOptions{Workers: 1, MaxSessions: 1})
 	a, err := small.Register(testSpec("alpha"))
 	if err != nil {
@@ -542,18 +550,19 @@ func TestInstallSnapshotRejectsAreCounted(t *testing.T) {
 	if _, err := small.Register(testSpec("beta")); err != nil { // evicts alpha
 		t.Fatal(err)
 	}
-	small.mu.Lock()
-	held := small.tenants[a.ID].snap
-	small.mu.Unlock()
-	if held == nil {
-		t.Fatal("eviction left no image")
+	exported := small.SnapshotAll()[a.ID]
+	if exported == nil {
+		t.Fatal("no image exported for the evicted tenant")
 	}
-	held[len(held)/2] ^= 0x40
+	exported[len(exported)/2] ^= 0x40
+	if err := small.InstallSnapshot(ctx, a.ID, exported); !errors.Is(err, core.ErrBadSnapshot) {
+		t.Fatalf("damaged export: err = %v, want ErrBadSnapshot", err)
+	}
 	if _, err := small.Synthesize(ctx, a.ID, flipDelta()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := [3]float64{small.Metric("snapshot_restores_total"), small.Metric("cold_rebuilds_total"), small.Metric("snapshot_rejects_total")}, [3]float64{0, 1, 1}; got != want {
-		t.Errorf("after a damaged eviction image: restores, cold rebuilds, rejects = %v, want %v", got, want)
+	if got, want := [3]float64{small.Metric("snapshot_restores_total"), small.Metric("cold_rebuilds_total"), small.Metric("snapshot_rejects_total")}, [3]float64{1, 0, 1}; got != want {
+		t.Errorf("after a damaged export: restores, cold rebuilds, rejects = %v, want %v", got, want)
 	}
 	for _, pool := range []*Pool{p, small} {
 		if err := pool.CheckAtRest(); err != nil {
@@ -565,7 +574,7 @@ func TestInstallSnapshotRejectsAreCounted(t *testing.T) {
 // evictAlpha registers alpha — the diamond tenant plus a class the deltas
 // never move, on two switches of its own — on a pool with a budget of one
 // session, serves n deltas and registers a second tenant, which evicts
-// alpha and leaves its image behind.
+// alpha and leaves its session parked.
 func evictAlpha(t *testing.T, n int) (*Pool, *tenant) {
 	t.Helper()
 	p := NewPool(PoolOptions{Workers: 1, MaxSessions: 1})
@@ -587,18 +596,17 @@ func evictAlpha(t *testing.T, n int) (*Pool, *tenant) {
 		t.Fatal(err)
 	}
 	tn := p.tenants[alpha.ID]
-	if tn.sess != nil || len(tn.snap) == 0 {
-		t.Fatalf("alpha not evicted onto an image (warm %v, %d-byte image)", tn.sess != nil, len(tn.snap))
+	if tn.sess != nil || tn.parked == nil {
+		t.Fatalf("alpha not evicted onto a parked handle (warm %v, parked %v)", tn.sess != nil, tn.parked != nil)
 	}
 	return p, tn
 }
 
-// TestRestoreAdoptsTenantConfiguration: the session a pool restores for an
+// TestRestoreAdoptsTenantConfiguration: the session a pool resumes for an
 // evicted tenant is bound to the tenant's own configuration object, not to
-// a decoded copy of it — so the image-is-current check is an identity
-// test, and the request that follows diffs its target (cloned from that
-// object) against tables it shares, comparing no rule of an untouched
-// switch.
+// a copy of it — so the handle-is-current check is an identity test, and
+// the request that follows diffs its target (cloned from that object)
+// against tables it shares, comparing no rule of an untouched switch.
 func TestRestoreAdoptsTenantConfiguration(t *testing.T) {
 	p, tn := evictAlpha(t, 2)
 	sess, err := p.ensureWarm(tn)
@@ -625,13 +633,13 @@ func TestRestoreAdoptsTenantConfiguration(t *testing.T) {
 	}
 }
 
-// TestStaleEvictionImageIsDropped: an eviction image at another
+// TestStaleEvictionImageIsDropped: a parked handle at another
 // configuration than the tenant's — which no request path produces, and
 // which must still never be served from — is dropped, counted in
 // netupdate_snapshot_rejects_total, and the tenant rebuilt cold where it
 // stands.
 func TestStaleEvictionImageIsDropped(t *testing.T) {
-	p, tn := evictAlpha(t, 1) // the image is at [0 2 3]
+	p, tn := evictAlpha(t, 1) // the handle is at [0 2 3]
 	p.mu.Lock()
 	tn.cur = tn.base.Init // the tenant at [0 1 3]
 	p.mu.Unlock()
@@ -640,7 +648,7 @@ func TestStaleEvictionImageIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plan.Stats.Units == 0 {
-		t.Fatal("served from the image's configuration: the request was a no-op there")
+		t.Fatal("served from the handle's configuration: the request was a no-op there")
 	}
 	st, err := p.TenantStats(tn.id)
 	if err != nil {
@@ -657,9 +665,9 @@ func TestStaleEvictionImageIsDropped(t *testing.T) {
 	}
 }
 
-// TestUnbuildableClassDropsTheSessionNotTheTenant: a restored session
-// whose class does not hold where the tenant stands — here one restored
-// under the tenant's fingerprint with another formula for the class, which
+// TestUnbuildableClassDropsTheSessionNotTheTenant: a resumed session
+// whose class does not hold where the tenant stands — here one resumed
+// from the tenant's handle with another formula for the class, which
 // stands in for corrupted session state — fails the first request that
 // touches the class with core.ErrClassBuild. The pool drops that session,
 // builds one from the tenant's spec at the tenant's configuration, serves
@@ -673,12 +681,7 @@ func TestUnbuildableClassDropsTheSessionNotTheTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs[0].Formula = unreachable
-	res := p.sessionResources(tn)
-	res.Current = tn.cur
-	bad, err := core.RestoreSessionWith(tn.base.Topo, specs, tn.opts, tn.snap, res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bad := core.Resume(tn.base.Topo, specs, tn.opts, tn.parked, p.sessionResources(tn))
 	p.adopt(tn, bad)
 	ctx := context.Background()
 	plan, err := p.Synthesize(ctx, tn.id, reroute(0, 1, 3))
@@ -706,7 +709,7 @@ func TestUnbuildableClassDropsTheSessionNotTheTenant(t *testing.T) {
 	}
 }
 
-// TestClassBuildsAreCounted: a tenant restored from its eviction image
+// TestClassBuildsAreCounted: a tenant resumed from its parked handle
 // builds, on its next request, the one class of its two the request
 // touches, and /metrics says so — which is how "the first request after a
 // restore was slow" is read from outside. A tenant that was never evicted

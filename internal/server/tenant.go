@@ -45,14 +45,11 @@ type TenantStats struct {
 	Acks    int64 `json:"acks"`
 	Repairs int64 `json:"repairs"`
 	// Rebuilds counts session constructions beyond the first (evict →
-	// rebuild round trips); SnapshotRestores are those served by restoring
-	// the eviction-time snapshot, ColdRebuilds the rest. SnapshotBytes is
-	// the size of the snapshot currently held for this tenant (zero while
-	// warm).
+	// rebuild round trips); SnapshotRestores are those served by resuming
+	// a parked session or installing an image, ColdRebuilds the rest.
 	Rebuilds         int64 `json:"rebuilds"`
 	SnapshotRestores int64 `json:"snapshotRestores"`
 	ColdRebuilds     int64 `json:"coldRebuilds"`
-	SnapshotBytes    int   `json:"snapshotBytes"`
 
 	LastSynthMS float64 `json:"lastSynthMs"`
 	MeanSynthMS float64 `json:"meanSynthMs"`
