@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 
 	"netupdate/internal/ltl"
@@ -29,29 +30,46 @@ type Stream interface {
 }
 
 // RemoveClassRules deletes every rule matching exactly the class's flow
-// pattern from cfg, across all switches. A touched switch gets a new table
-// — the old one may be shared with other configurations (Config.Clone) —
-// and the scan over the others reads and writes nothing.
+// pattern from cfg, across all switches. It visits only the switches whose
+// tables hold the pattern, which each chunk indexes, and a touched switch
+// gets a new table — the old one may be shared with other configurations
+// (Config.Clone) — with room for one more rule, which AddRule appends in
+// place: rerouting the class costs one table per switch.
 func RemoveClassRules(cfg *Config, cl Class) {
 	pat := cl.Pattern()
-	for sw := range cfg.slots {
-		tbl := cfg.Table(sw)
-		drop := 0
-		for _, r := range tbl {
-			if r.Match == pat {
-				drop++
-			}
-		}
-		if drop == 0 {
+	w := work.Load()
+	for ci, ch := range cfg.chunks {
+		if ch == nil {
 			continue
 		}
-		out := make(network.Table, 0, len(tbl)-drop)
-		for _, r := range tbl {
-			if r.Match != pat {
-				out = append(out, r)
+		// A write below may replace the chunk with a copy; the slots not
+		// yet written are the same in both.
+		for slots := ch.flowSlots(cl.SrcHost, cl.DstHost); slots != 0; slots &= slots - 1 {
+			i := bits.TrailingZeros64(slots)
+			tbl := ch.slots[i].table()
+			if w != nil {
+				w.Slots++
 			}
+			drop := 0
+			for j := range tbl {
+				if tbl[j].Match == pat {
+					drop++
+				}
+			}
+			if drop == 0 {
+				continue // a superset's: another flow with a wide host id
+			}
+			out := make(network.Table, 0, len(tbl)-drop+1)
+			for _, r := range tbl {
+				if r.Match != pat {
+					out = append(out, r)
+				}
+			}
+			cfg.install(ci<<chunkBits+i, out, true)
 		}
-		cfg.install(sw, out, false)
+	}
+	if w != nil {
+		w.Chunks += int64(len(cfg.chunks))
 	}
 }
 
@@ -199,7 +217,7 @@ type StreamClass struct {
 }
 
 // StreamDelta is one subsequent JSON value of a scenario stream: the
-// classes to reroute relative to the previous target.
+// classes to reroute relative to the previous target, each at most once.
 //
 //	{"reroute":[{"class":"c","path":[0,2,3]}]}
 type StreamDelta struct {
@@ -212,11 +230,12 @@ type Reroute struct {
 	Path  []int  `json:"path"`
 }
 
-// ErrBadDelta marks a semantically invalid stream delta (unknown class,
-// uninstallable or non-delivering path). The delta decoded cleanly, so
-// the stream is still in sync: callers may report the bad delta and keep
-// consuming. Raw decode errors are not wrapped — after a syntax error the
-// stream position is unreliable and the stream must be abandoned.
+// ErrBadDelta marks a semantically invalid stream delta (unknown class, a
+// class named twice, uninstallable or non-delivering path). The delta
+// decoded cleanly, so the stream is still in sync: callers may report the
+// bad delta and keep consuming. Raw decode errors are not wrapped — after
+// a syntax error the stream position is unreliable and the stream must be
+// abandoned.
 var ErrBadDelta = errors.New("config: invalid stream delta")
 
 // StreamBase is a validated stream header: the fixed topology, the
@@ -232,7 +251,7 @@ type StreamBase struct {
 	Init  *Config
 	Specs []ClassSpec
 
-	byName map[string]Class
+	byName map[string]int // index into Specs
 	prio   int
 }
 
@@ -247,7 +266,7 @@ func (h *StreamHeader) Build() (*StreamBase, error) {
 		Name:   h.Name,
 		Topo:   topo,
 		Init:   NewSized(topo.NumSwitches()),
-		byName: map[string]Class{},
+		byName: map[string]int{},
 		prio:   10,
 	}
 	for i, cf := range h.Classes {
@@ -258,7 +277,7 @@ func (h *StreamHeader) Build() (*StreamBase, error) {
 		if _, dup := b.byName[cl.Name]; dup {
 			return nil, fmt.Errorf("config: duplicate class %q", cl.Name)
 		}
-		b.byName[cl.Name] = cl
+		b.byName[cl.Name] = len(b.Specs)
 		if err := InstallPath(b.Init, topo, cl, cf.Path, b.prio); err != nil {
 			return nil, fmt.Errorf("config: class %s: %w", cl.Name, err)
 		}
@@ -276,21 +295,34 @@ func (h *StreamHeader) Build() (*StreamBase, error) {
 
 // Apply builds the target configuration one delta describes: cur with
 // every rerouted class moved to its new path, each validated to still
-// deliver. The target shares with cur the table of every switch the delta
-// left alone (Config.Clone), so it costs the rerouted paths and one pointer
-// per switch. Semantic failures are wrapped in ErrBadDelta and cur is
-// unaffected, so the caller may report and continue.
+// deliver. The target shares with cur every chunk of switches the delta
+// left alone (Config.Clone), so it costs the rerouted paths, the chunks
+// they touch and the chunk table. A delta names each class at most once:
+// one that names a class twice is refused, so a delta costs the classes it
+// names, once each. Semantic failures are wrapped in ErrBadDelta and cur
+// is unaffected, so the caller may report and continue.
 func (b *StreamBase) Apply(cur *Config, d *StreamDelta) (*Config, error) {
+	var small [4]uint64
+	named := small[:]
+	if words := (len(b.Specs) + 63) / 64; words > len(small) {
+		named = make([]uint64, words)
+	}
+	var path [32]int
 	next := cur.Clone()
 	for _, rr := range d.Reroute {
-		cl, ok := b.byName[rr.Class]
+		ci, ok := b.byName[rr.Class]
 		if !ok {
 			return nil, fmt.Errorf("%w: unknown class %q", ErrBadDelta, rr.Class)
 		}
+		if named[ci/64]&(1<<(ci%64)) != 0 {
+			return nil, fmt.Errorf("%w: class %q rerouted twice", ErrBadDelta, rr.Class)
+		}
+		named[ci/64] |= 1 << (ci % 64)
+		cl := b.Specs[ci].Class
 		if err := RerouteClass(next, b.Topo, cl, rr.Path, b.prio); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
 		}
-		if _, err := PathOf(next, b.Topo, cl); err != nil {
+		if _, err := tracePath(path[:0], next, b.Topo, cl); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
 		}
 	}

@@ -81,6 +81,30 @@ func TestScenarioStreamRejectsBadDelta(t *testing.T) {
 	}
 }
 
+// TestDeltaNamesEachClassOnce: a delta that reroutes one class twice is
+// refused as a bad delta naming the class — so a delta costs the classes
+// it names, once each — and a stream skips it: the previous target stands,
+// and the next delta applies to it.
+func TestDeltaNamesEachClassOnce(t *testing.T) {
+	twice := lineStream[:strings.Index(lineStream, "{\"reroute\"")] +
+		`{"reroute":[{"class":"c","path":[0,2,3]},{"class":"c","path":[0,1,3]}]}` + "\n" +
+		`{"reroute":[{"class":"c","path":[0,1,3]}]}` + "\n"
+	s, err := OpenStream(strings.NewReader(twice))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Next(); !errors.Is(err, ErrBadDelta) || !strings.Contains(err.Error(), `class "c" rerouted twice`) {
+		t.Fatalf("err = %v, want ErrBadDelta naming class c", err)
+	}
+	tgt, err := s.Next()
+	if err != nil {
+		t.Fatalf("the delta after the refused one: %v", err)
+	}
+	if got, err := PathOf(tgt, s.Topo(), s.Specs()[0].Class); err != nil || len(got) != 3 || got[1] != 1 {
+		t.Fatalf("path %v (%v), want [0 1 3]", got, err)
+	}
+}
+
 func TestRemoveClassRules(t *testing.T) {
 	topo := topology.New("t", 3)
 	topo.AddLink(0, 1)

@@ -32,7 +32,7 @@ func BenchmarkOrderingAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	units, err := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), false, false)
+	units, err := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), nil, false, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func BenchmarkOrderingAnalysisMixed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		units, err := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), false, false)
+		units, err := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), nil, false, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,21 +102,30 @@ func BenchmarkOrderingAnalysisMixed(b *testing.B) {
 // an 800-switch degree-6 small-world graph — as a stream base, with the
 // delta that moves one diamond onto its other branch and the one that
 // moves it back.
-func mixedTenant(b *testing.B) (base *config.StreamBase, forth, back *config.StreamDelta) {
-	const n = 800
-	topo := topology.SmallWorld(n, 6, 0.3, n)
+func mixedTenant(tb testing.TB) (base *config.StreamBase, forth, back *config.StreamDelta) {
+	return mixedTenantSized(tb, 800)
+}
+
+// mixedTenantSized is mixedTenant on n switches, n 800 or more: switches
+// 800 and up form a line of four-switch segments, each carrying one
+// background class end to end. The tenant, and the deltas, are
+// mixedTenant's on the first 800; the background is state no delta names,
+// so what a request costs must not grow with it.
+func mixedTenantSized(tb testing.TB, n int) (base *config.StreamBase, forth, back *config.StreamDelta) {
+	const core = 800
+	topo := topology.SmallWorld(core, 6, 0.3, core)
 	var sc *config.Scenario
 	for regions := 8; sc == nil; regions-- {
 		if regions == 0 {
-			b.Fatalf("cannot place any region on small-world-%d", n)
+			tb.Fatalf("cannot place any region on small-world-%d", core)
 		}
 		sc, _ = config.MultiRegion(topo, config.MultiRegionOptions{
 			Regions: regions, PairsPerRegion: 2, InfeasibleRegions: 1,
-			Property: config.Reachability, Seed: n,
+			Property: config.Reachability, Seed: core,
 		})
 	}
-	h := config.StreamHeader{Name: "mixed-800", Topology: config.TopologyFile{Switches: n}}
-	for sw := 0; sw < n; sw++ {
+	h := config.StreamHeader{Name: fmt.Sprintf("mixed-%d", n), Topology: config.TopologyFile{Switches: n}}
+	for sw := 0; sw < core; sw++ {
 		for _, l := range topo.Neighbors(sw) {
 			if l.Peer > sw {
 				h.Topology.Links = append(h.Topology.Links, [2]int{sw, l.Peer})
@@ -129,12 +138,12 @@ func mixedTenant(b *testing.B) (base *config.StreamBase, forth, back *config.Str
 	for _, cs := range sc.Specs {
 		init, err := config.PathOf(sc.Init, topo, cs.Class)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		h.Classes = append(h.Classes, config.StreamClass{Name: cs.Class.Name, Src: cs.Class.SrcHost, Dst: cs.Class.DstHost, Path: init, Spec: cs.Formula.String()})
 		final, err := config.PathOf(sc.Final, topo, cs.Class)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		var reg, pair int
 		if k, _ := fmt.Sscanf(cs.Class.Name, "r%dp%d", &reg, &pair); k == 2 && forth == nil && !slices.Equal(init, final) {
@@ -143,60 +152,97 @@ func mixedTenant(b *testing.B) (base *config.StreamBase, forth, back *config.Str
 		}
 	}
 	if forth == nil {
-		b.Fatal("no diamond class to move")
+		tb.Fatal("no diamond class to move")
+	}
+	for sw := core; sw+3 < n; sw += 4 {
+		path := []int{sw, sw + 1, sw + 2, sw + 3}
+		h.Topology.Links = append(h.Topology.Links, [2]int{sw, sw + 1}, [2]int{sw + 1, sw + 2}, [2]int{sw + 2, sw + 3})
+		if sw > core {
+			h.Topology.Links = append(h.Topology.Links, [2]int{sw - 1, sw})
+		}
+		src, dst := 1_000_000+sw, 1_000_000+sw+3
+		h.Topology.Hosts = append(h.Topology.Hosts, config.HostFile{ID: src, Switch: sw}, config.HostFile{ID: dst, Switch: sw + 3})
+		h.Classes = append(h.Classes, config.StreamClass{
+			Name: fmt.Sprintf("bg%d", sw), Src: src, Dst: dst, Path: path,
+			Spec: fmt.Sprintf("sw=%d -> F sw=%d", sw, sw+3),
+		})
 	}
 	base, err := h.Build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return base, forth, back
 }
 
+// preambleSizes are the tenant sizes the preamble benchmarks run at: the
+// spine's largest tenant, and it with as many switches again of
+// background classes.
+var preambleSizes = []int{800, 1600}
+
 // BenchmarkStreamApply is what a served request pays to name its target:
-// one diamond of the 800-switch mixed tenant moved onto its other branch.
-// The target shares with the current configuration every table the delta
-// left alone, so allocations follow the two paths' length — a table, its
-// digest memo and a rule per hop — and the bytes are those plus one table
-// header per switch; CI gates both (.github/alloc-budgets.txt). A deep
-// copy of the configuration is two allocations per rule of the network.
+// one diamond of the mixed tenant moved onto its other branch. The target
+// shares with the current configuration every chunk the delta left alone,
+// so allocations follow the two paths' length — a table, its digest memo
+// and a rule per hop — and the bytes are those, the chunks the paths
+// touch, and the chunk table; CI gates both (.github/alloc-budgets.txt),
+// at both sizes with one ceiling. A copy of a pointer per switch is 6.4 KB
+// at 800 switches and twice that at 1600; a deep copy of the
+// configuration is two allocations per rule of the network.
 func BenchmarkStreamApply(b *testing.B) {
-	base, forth, _ := mixedTenant(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := base.Apply(base.Init, forth); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range preambleSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			base, forth, _ := mixedTenantSized(b, n)
+			// A tenant's first request fills the memos of the chunks it
+			// reads (the patterns each holds); every later one reads them.
+			if _, err := base.Apply(base.Init, forth); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := base.Apply(base.Init, forth); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkInstanceKey is the plan-cache key of a warm session's next
-// request on the same tenant: the current configuration's hash is
-// memoized, and of the target — cloned from it by the request's delta —
-// only the tables the delta produced are canonicalized and hashed; the
-// digests of the others travel with the tables. CI gates allocs/op and
-// B/op: sorting or re-encoding every table of the network shows in both.
+// request on the same tenant: the current configuration's digest is
+// memoized on it, and the target — cloned from it by the request's delta —
+// rehashes only the chunks the delta wrote, canonicalizing only the tables
+// it produced, and then the chunk table's (index, digest) pairs, the one
+// term that grows with the network. The targets are built a batch at a
+// time with the timer stopped, so the reading is the key, not the
+// stopping. CI gates allocs/op and B/op: sorting or re-encoding every
+// table of the network shows in both.
 func BenchmarkInstanceKey(b *testing.B) {
-	base, forth, back := mixedTenant(b)
-	s, err := NewSession(base.Topo, base.Init, base.Specs, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.EnableCache()
-	s.instanceKey(base.Init) // the first request's: every table hashed once
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		target, err := base.Apply(s.cur, forth)
-		if err != nil {
-			b.Fatal(err)
-		}
-		forth, back = back, forth
-		b.StartTimer()
-		s.instanceKey(target)
-		s.noteAdvance(target)
-		s.cur = target
+	const batch = 256
+	for _, n := range preambleSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			base, forth, _ := mixedTenantSized(b, n)
+			s := newSessionShell(base.Topo, base.Init, base.Specs, Options{}, SessionResources{})
+			s.EnableCache()
+			s.instanceKey(base.Init) // the first request's: every table hashed once
+			targets := make([]*config.Config, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%batch == 0 {
+					b.StopTimer()
+					for j := range targets {
+						t, err := base.Apply(s.cur, forth)
+						if err != nil {
+							b.Fatal(err)
+						}
+						targets[j] = t
+					}
+					b.StartTimer()
+				}
+				s.instanceKey(targets[i%batch])
+			}
+		})
 	}
 }
 

@@ -369,52 +369,17 @@ func ContextFingerprint(topo *topology.Topology, specs []config.ClassSpec, opts 
 	return w.h.Sum(nil)
 }
 
-// cfgHash is a memoized configuration digest.
-type cfgHash [sha256.Size]byte
-
-// hashConfig digests a full configuration: the (switch, table digest)
-// pairs of its non-empty tables, ascending. A table's digest is of its
-// canonical form (network.Table.Digest), so configurations equal under
-// table equality hash identically regardless of rule insertion order, and
-// it is memoized with the table (config.Config.TableDigest): hashing a
-// target canonicalizes the tables its delta produced and reads the rest.
-func hashConfig(cfg *config.Config) cfgHash {
-	h := sha256.New()
-	var pair [8 + sha256.Size]byte
-	for sw := 0; sw < cfg.Span(); sw++ {
-		if len(cfg.Table(sw)) == 0 {
-			continue
-		}
-		binary.LittleEndian.PutUint64(pair[:8], uint64(sw))
-		d := cfg.TableDigest(sw)
-		copy(pair[8:], d[:])
-		h.Write(pair[:])
-	}
-	var out cfgHash
-	h.Sum(out[:0])
-	return out
-}
-
 // instanceKey combines the session context fingerprint with the base and
-// target configuration hashes. The base hash is memoized by pointer
-// identity — configurations handed to a session are immutable by
-// contract, and on success the target pointer becomes the next base — so
-// a steady-state stream hashes one configuration per request, and of that
-// one only the tables the request's delta produced.
+// target configuration digests. Each is memoized on its configuration
+// (config.Config.Digest), and a target carries the digest of the
+// configuration it was cloned from, so a steady-state stream rehashes per
+// request only the chunks and tables its delta wrote.
 func (s *Session) instanceKey(final *config.Config) string {
-	if s.hashedCur != s.cur {
-		s.hashedCur, s.curHash = s.cur, hashConfig(s.cur)
-	}
-	tgtHash := hashConfig(final)
-	h := sha256.New()
-	h.Write(s.contextFP())
-	h.Write(s.curHash[:])
-	h.Write(tgtHash[:])
-	key := string(h.Sum(nil))
-	// Pre-memoize the target hash under its pointer: on success the
-	// session advances to final and the next request reuses it.
-	s.pendingCfg, s.pendingHash = final, tgtHash
-	return key
+	cur, tgt := s.cur.Digest(), final.Digest()
+	var stack [128]byte
+	buf := append(append(append(stack[:0], s.contextFP()...), cur[:]...), tgt[:]...)
+	key := sha256.Sum256(buf)
+	return string(key[:])
 }
 
 // contextFP returns the session's context fingerprint, computing it on
@@ -424,14 +389,6 @@ func (s *Session) contextFP() []byte {
 		s.ctxFP = ContextFingerprint(s.topo, s.specs, s.opts)
 	}
 	return s.ctxFP
-}
-
-// noteAdvance moves the memoized base hash when the session's current
-// configuration advances to the target of a successful synthesis.
-func (s *Session) noteAdvance(final *config.Config) {
-	if s.pendingCfg == final {
-		s.hashedCur, s.curHash = final, s.pendingHash
-	}
 }
 
 // --- replay-verify ---

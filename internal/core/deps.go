@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"netupdate/internal/network"
 	"netupdate/internal/topology"
@@ -70,11 +71,15 @@ type depScratch struct {
 	starts []int
 	actsA  []network.Action
 	actsB  []network.Action
+	// The classes a step's two tables have a rule for (affected).
+	ruled []int
 
 	// Per switch: the table the analysed steps installed (valid while
-	// tblE == gen) and the newest window entry (valid while headE == win).
+	// tblE == gen) and the newest window entry (valid while headE == win);
+	// set lists the switches whose tbl entry the analysis wrote.
 	tbl   []network.Table
 	tblE  []int32
+	set   []int
 	head  []int32
 	headE []int32
 
@@ -170,7 +175,10 @@ func (e *engine) newDepAnalysis() *depAnalysis {
 // references so a session's scratch does not keep a finished request's
 // tables alive; the analysis must not be used afterwards.
 func (d *depAnalysis) release() {
-	clear(d.s.tbl)
+	for _, sw := range d.s.set {
+		d.s.tbl[sw] = nil
+	}
+	d.s.set = d.s.set[:0]
 	d.pending = emptied(d.pending)
 	d.e.deps = d.s
 }
@@ -213,10 +221,25 @@ func (d *depAnalysis) affected(sw int, tbl network.Table) []bool {
 		}
 		scr.affMemo = scr.affMemo[:d.step]
 	}
+	// A class no rule of either table matches is dropped by both: only
+	// the classes the rules name are compared (flowIndex).
 	row := scr.affRows.take(len(e.sc.Specs))
-	for ci, cs := range e.sc.Specs {
-		row[ci] = !d.sameClassBehavior(old, tbl, cs.Class.Packet())
+	clear(row)
+	if e.flows == nil {
+		e.flows = newFlowIndex(e.sc.Specs)
 	}
+	ruled := d.s.ruled[:0]
+	for _, r := range old {
+		ruled = e.flows.appendMatching(ruled, r.Match)
+	}
+	for _, r := range tbl {
+		ruled = e.flows.appendMatching(ruled, r.Match)
+	}
+	slices.Sort(ruled)
+	for _, ci := range slices.Compact(ruled) {
+		row[ci] = !d.sameClassBehavior(old, tbl, e.sc.Specs[ci].Class.Packet())
+	}
+	d.s.ruled = ruled[:0]
 	if d.step == len(scr.affMemo) {
 		scr.affMemo = append(scr.affMemo, affectedMemo{sw: sw, old: old, new: tbl, row: row})
 	}
@@ -359,6 +382,9 @@ func (d *depAnalysis) advance(sw int, tbl network.Table, affected []bool) int {
 		d.pending = append(d.pending, oldEntry{sw: sw, tbl: old, affected: affected, prev: prev})
 		s.head[sw], s.headE[sw] = int32(idx), d.win
 	}
+	if s.tblE[sw] != d.gen {
+		s.set = append(s.set, sw)
+	}
 	s.tbl[sw], s.tblE[sw] = tbl, d.gen
 	d.step++
 	d.followStep(sw, old, tbl, idx >= 0)
@@ -487,11 +513,11 @@ func (d *depAnalysis) growLive(ci int, from []int) {
 // set is dropped, to be searched again when next read.
 func (d *depAnalysis) followStep(sw int, old, tbl network.Table, recorded bool) {
 	e, s := d.e, d.s
-	for ci, cs := range e.sc.Specs {
+	for ci := range e.sc.Specs {
 		if s.liveE[ci] == 0 || s.mark[ci*d.n+sw] != s.liveE[ci] {
 			continue
 		}
-		pkt := cs.Class.Packet()
+		pkt := e.sc.Specs[ci].Class.Packet()
 		added := e.appendClassSuccessors(s.starts[:0], tbl, sw, pkt)
 		s.starts = added[:0]
 		if !recorded {

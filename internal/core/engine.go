@@ -92,6 +92,9 @@ type engine struct {
 	statsBase []mc.Stats
 
 	curTables map[int]network.Table
+	// flows indexes sc.Specs by flow: the request engine's is its
+	// session's, another engine builds its own on first use.
+	flows flowIndex
 
 	// scr is the scratch the engine runs on — the visited set, curTables,
 	// the ordering-analysis scratch, the undo frames of each search depth

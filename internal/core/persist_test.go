@@ -198,7 +198,7 @@ func TestDestinationRankTracesOnlyMovedClasses(t *testing.T) {
 			t.Fatalf("scenario %d: empty diff", si)
 		}
 		want := everyClassRank(sc)
-		got := destinationRank(sc, diff)
+		got := destinationRank(sc, diff, nil)
 		for i, sw := range diff {
 			w, ok := want[sw]
 			if !ok {
@@ -216,7 +216,7 @@ func TestDestinationRankTracesOnlyMovedClasses(t *testing.T) {
 			}
 		}
 		for _, g := range []struct{ rules, twoSimple bool }{{false, false}, {true, false}, {false, true}} {
-			units, err := computeUnits(nil, sc, diff, g.rules, g.twoSimple)
+			units, err := computeUnits(nil, sc, diff, nil, g.rules, g.twoSimple)
 			if err != nil {
 				t.Fatal(err)
 			}

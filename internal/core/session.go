@@ -116,16 +116,9 @@ type Session struct {
 	// Verification-first plan cache (cache.go), attached via EnableCache
 	// or SetCache (the pool shares one cache across tenants with the same
 	// learning fingerprint). Nil means every synthesis runs the full
-	// search. ctxFP memoizes the session's context fingerprint; the
-	// hashedCur/pending pairs memoize configuration hashes by pointer
-	// identity so a steady-state stream hashes one configuration per
-	// request.
-	cache       *PlanCache
-	ctxFP       []byte
-	hashedCur   *config.Config
-	curHash     cfgHash
-	pendingCfg  *config.Config
-	pendingHash cfgHash
+	// search. ctxFP memoizes the session's context fingerprint.
+	cache *PlanCache
+	ctxFP []byte
 
 	// Span recorder (internal/obs), nil unless Options.Trace was set or a
 	// per-request recorder was attached via SetTrace. Every recording call
@@ -508,7 +501,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		tr.End(root)
 		return nil, err
 	}
-	units, err := computeUnits(scr.units[:0], sc, diff, s.opts.RuleGranularity, s.opts.TwoSimple)
+	units, err := computeUnits(scr.units[:0], sc, diff, s.aff.flows, s.opts.RuleGranularity, s.opts.TwoSimple)
 	scr.units = units
 	if err != nil {
 		return refuse(Stats{RequestID: reqID}, err)
@@ -517,6 +510,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		return refuse(Stats{RequestID: reqID}, err)
 	}
 	e := newEngineShellWith(sc, s.opts, s.abl, units, scr)
+	e.flows = s.aff.flows
 	e.bindContext(ctx)
 	e.stats.RequestID = reqID
 	e.trace, e.traceParent = tr, root
@@ -706,7 +700,6 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			tr.End(root)
 			return nil, runErr
 		}
-		s.noteAdvance(final)
 		s.cur = final
 		if tr != nil {
 			tr.End(root)
@@ -762,7 +755,6 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		return nil, runErr
 	}
 	s.lastPlan, s.lastInit, s.lastFinal = plan, s.cur, final
-	s.noteAdvance(final)
 	s.cur = final
 	if tr != nil {
 		tr.End(root)
@@ -867,22 +859,37 @@ type affectedClasses struct {
 	classes []int
 	// sws[ends[i-1]:ends[i]] are the switches of classes[i].
 	ends, sws []int
+	// flows indexes the session's classes by flow, built on the first
+	// reset; destinationRank reads it too.
+	flows flowIndex
 }
 
-// reset computes the list for the rule diffs of one request.
+// reset computes the list for the rule diffs of one request. The classes
+// a changed rule matches are looked up by its pattern (flows), so a request
+// pays for its changed rules, not for every class of the session.
 func (a *affectedClasses) reset(specs []config.ClassSpec, diffs []swDiff) {
+	if a.flows == nil {
+		a.flows = newFlowIndex(specs)
+	}
 	a.classes, a.ends, a.sws = a.classes[:0], a.ends[:0], a.sws[:0]
-	for ci, cs := range specs {
-		pkt, n := cs.Class.Packet(), len(a.sws)
+	for di := range diffs {
+		for _, r := range diffs[di].removed {
+			a.classes = a.flows.appendMatching(a.classes, r.Match)
+		}
+		for _, r := range diffs[di].added {
+			a.classes = a.flows.appendMatching(a.classes, r.Match)
+		}
+	}
+	slices.Sort(a.classes)
+	a.classes = slices.Compact(a.classes)
+	for _, ci := range a.classes {
+		pkt := specs[ci].Class.Packet()
 		for di := range diffs {
 			if d := &diffs[di]; d.affects(pkt) {
 				a.sws = append(a.sws, d.sw)
 			}
 		}
-		if len(a.sws) > n {
-			a.classes = append(a.classes, ci)
-			a.ends = append(a.ends, len(a.sws))
-		}
+		a.ends = append(a.ends, len(a.sws))
 	}
 }
 

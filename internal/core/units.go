@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 
 	"netupdate/internal/config"
@@ -60,9 +61,10 @@ const lateRank = 1_000_000
 // commands. A whole-table unit installs the target's own table: a
 // configuration's tables are immutable (config.Config), and nothing
 // writes to a unit's. The units are appended to dst, which the session
-// hands over from its pooled scratch.
-func computeUnits(dst []unit, sc *config.Scenario, diff []int, ruleGranularity, twoSimple bool) ([]unit, error) {
-	rank := destinationRank(sc, diff) // indexed like diff
+// hands over from its pooled scratch. flows indexes sc.Specs (nil builds
+// the index).
+func computeUnits(dst []unit, sc *config.Scenario, diff []int, flows flowIndex, ruleGranularity, twoSimple bool) ([]unit, error) {
+	rank := destinationRank(sc, diff, flows) // indexed like diff
 	units := slices.Grow(dst[:0], len(diff))
 	if !ruleGranularity && twoSimple {
 		units = slices.Grow(units, 2*len(diff))
@@ -179,19 +181,28 @@ outer:
 // final path only loses state and ranks lateRank, after everything else.
 //
 // A class's final path can cross a switch only through a rule of the
-// switch's final table that matches the class, so only the classes some
-// such rule of a diff switch matches are traced: a request pays for the
-// paths its delta moved, not for every class of the tenant.
-func destinationRank(sc *config.Scenario, diff []int) []int {
+// switch's final table that matches the class, so only the classes such
+// rules of the diff switches match are traced, found through flows (nil
+// builds it): a request pays for the rules on the switches its delta
+// touched, not for every class of the tenant.
+func destinationRank(sc *config.Scenario, diff []int, flows flowIndex) []int {
 	rank := make([]int, len(diff))
 	for i := range rank {
 		rank[i] = lateRank
 	}
-	for _, cs := range sc.Specs {
-		if !crossesAny(sc.Final, diff, cs.Class.Packet()) {
-			continue
+	if flows == nil {
+		flows = newFlowIndex(sc.Specs)
+	}
+	var buf [64]int
+	classes := buf[:0]
+	for _, sw := range diff {
+		for _, r := range sc.Final.Table(sw) {
+			classes = flows.appendMatching(classes, r.Match)
 		}
-		path, err := config.PathOf(sc.Final, sc.Topo, cs.Class)
+	}
+	slices.Sort(classes)
+	for _, ci := range slices.Compact(classes) {
+		path, err := config.PathOf(sc.Final, sc.Topo, sc.Specs[ci].Class)
 		if err != nil {
 			continue // validated earlier; be permissive here
 		}
@@ -204,17 +215,45 @@ func destinationRank(sc *config.Scenario, diff []int) []int {
 	return rank
 }
 
-// crossesAny reports whether some rule cfg holds on one of the switches
-// matches pkt (on any in-port).
-func crossesAny(cfg *config.Config, switches []int, pkt network.Packet) bool {
-	for _, sw := range switches {
-		for _, r := range cfg.Table(sw) {
-			if headerMatches(r.Match, pkt) {
-				return true
-			}
+// flowIndex is a session's classes sorted by flow (source, then
+// destination host, then spec index), so the classes a rule matches are
+// found without a pass over every class: the affected classes of a
+// request's changed rules, and the classes destinationRank traces.
+type flowIndex []flowClass
+
+type flowClass struct{ src, dst, ci int }
+
+func newFlowIndex(specs []config.ClassSpec) flowIndex {
+	ix := make(flowIndex, len(specs))
+	for ci, cs := range specs {
+		ix[ci] = flowClass{cs.Class.SrcHost, cs.Class.DstHost, ci}
+	}
+	slices.SortFunc(ix, func(a, b flowClass) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst), cmp.Compare(a.ci, b.ci))
+	})
+	return ix
+}
+
+// appendMatching appends the spec indexes of the classes whose packet pat
+// matches on some in-port (headerMatches). A pattern that fixes both hosts
+// is looked up; one that leaves either open is tried on every class.
+func (ix flowIndex) appendMatching(dst []int, pat network.Pattern) []int {
+	from, to := 0, len(ix)
+	if pat.Src != network.Wildcard && pat.Dst != network.Wildcard {
+		from = sort.Search(len(ix), func(i int) bool {
+			return ix[i].src > pat.Src || ix[i].src == pat.Src && ix[i].dst >= pat.Dst
+		})
+		to = from
+		for to < len(ix) && ix[to].src == pat.Src && ix[to].dst == pat.Dst {
+			to++
 		}
 	}
-	return false
+	for _, f := range ix[from:to] {
+		if headerMatches(pat, network.Packet{Src: f.src, Dst: f.dst}) {
+			dst = append(dst, f.ci)
+		}
+	}
+	return dst
 }
 
 // orderUnits appends to dst the unit indexes sorted by rank, stable on

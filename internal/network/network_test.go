@@ -1,6 +1,7 @@
 package network
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -383,5 +384,45 @@ func TestLocString(t *testing.T) {
 	}
 	if SwLoc(1, 3).String() != "(sw1,pt3)" {
 		t.Fatal("switch loc")
+	}
+}
+
+// TestCanonicalFormIsCanonical: a table's canonical form is its Canonical
+// copy's, whatever order the rules are in — on both sides of the 16 rules
+// it orders on the stack — and two tables encode, and digest, alike
+// exactly when they are Equal.
+func TestCanonicalFormIsCanonical(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	rule := func() Rule {
+		return Rule{Priority: r.Intn(3), Match: MatchFlow(r.Intn(4)-1, r.Intn(3)),
+			Actions: []Action{Forward(topology.Port(1 + r.Intn(3)))}}
+	}
+	for iter := 0; iter < 3000; iter++ {
+		a := make(Table, r.Intn(22))
+		for i := range a {
+			a[i] = rule()
+		}
+		b := a.Clone()
+		r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		if iter%2 == 1 && len(b) > 0 {
+			b[r.Intn(len(b))] = rule()
+		}
+		form := string(a.AppendCanonical(nil))
+		if form != string(a.Canonical().AppendCanonical(nil)) {
+			t.Fatalf("%v: the form differs from its Canonical copy's", a)
+		}
+		if same := form == string(b.AppendCanonical(nil)); same != a.Equal(b) || (a.Digest() == b.Digest()) != same {
+			t.Fatalf("%v and %v: forms alike %v, Equal %v", a, b, same, a.Equal(b))
+		}
+	}
+}
+
+// TestAppendVarintIsTheLibrarys: the canonical form's varints are
+// encoding/binary's, one-byte fast path included.
+func TestAppendVarintIsTheLibrarys(t *testing.T) {
+	for _, v := range []int{0, 1, -1, 63, -64, 64, -65, 127, 1 << 40, -1 << 62, 1<<63 - 1, -1 << 63} {
+		if got, want := appendVarint(nil, v), binary.AppendVarint(nil, int64(v)); string(got) != string(want) {
+			t.Fatalf("%d: %x, want %x", v, got, want)
+		}
 	}
 }

@@ -350,34 +350,75 @@ func (t Table) Same(u Table) bool {
 	return len(t) == len(u) && (len(t) == 0 || &t[0] == &u[0])
 }
 
-// Digest returns the SHA-256 of the table's canonical form: tables that
-// are Equal have one digest, whatever order their rules were inserted in.
+// Digest returns the SHA-256 of the table's canonical form
+// (AppendCanonical): tables that are Equal have one digest, whatever order
+// their rules were inserted in.
 func (t Table) Digest() [sha256.Size]byte {
-	c := t
-	for i := 1; i < len(t); i++ {
-		if compareRules(t[i-1], t[i]) > 0 {
-			c = t.Canonical()
-			break
+	var stack [512]byte // dozens of rules; longer tables spill to the heap
+	return sha256.Sum256(t.AppendCanonical(stack[:0]))
+}
+
+// AppendCanonical appends the table's canonical form to dst: the rule
+// count, then every field of every rule in Canonical order, each as a
+// varint. It is a prefix code — no table's form is a prefix of another's
+// — so tables that are not Equal encode distinctly, alone or in sequence,
+// and a rule of small numbers takes about a dozen bytes. A table of up to
+// 16 rules out of order is ordered through indexes on the stack, without
+// a sorted copy.
+func (t Table) AppendCanonical(dst []byte) []byte {
+	sorted := true
+	for i := 1; i < len(t) && sorted; i++ {
+		sorted = compareRules(t[i-1], t[i]) <= 0
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(t)))
+	switch {
+	case sorted:
+		for i := range t {
+			dst = appendRule(dst, &t[i])
+		}
+	case len(t) <= 16:
+		var idx [16]uint8
+		for i := range t { // insertion sort: stable, as Canonical is
+			j := i
+			for ; j > 0 && compareRules(t[idx[j-1]], t[i]) > 0; j-- {
+				idx[j] = idx[j-1]
+			}
+			idx[j] = uint8(i)
+		}
+		for _, i := range idx[:len(t)] {
+			dst = appendRule(dst, &t[i])
+		}
+	default:
+		c := t.Canonical()
+		for i := range c {
+			dst = appendRule(dst, &c[i])
 		}
 	}
-	var stack [1024]byte // a dozen rules; longer tables spill to the heap
-	buf := binary.LittleEndian.AppendUint64(stack[:0], uint64(len(c)))
-	put := func(v int) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
-	for _, r := range c {
-		put(r.Priority)
-		put(int(r.Match.InPort))
-		put(r.Match.Src)
-		put(r.Match.Dst)
-		put(r.Match.Typ)
-		put(len(r.Actions))
-		for _, a := range r.Actions {
-			put(int(a.Kind))
-			put(int(a.Port))
-			put(int(a.Field))
-			put(a.Value)
-		}
+	return dst
+}
+
+func appendRule(dst []byte, r *Rule) []byte {
+	dst = appendVarint(dst, r.Priority)
+	dst = appendVarint(dst, int(r.Match.InPort))
+	dst = appendVarint(dst, r.Match.Src)
+	dst = appendVarint(dst, r.Match.Dst)
+	dst = appendVarint(dst, r.Match.Typ)
+	dst = appendVarint(dst, len(r.Actions))
+	for _, a := range r.Actions {
+		dst = appendVarint(dst, int(a.Kind))
+		dst = appendVarint(dst, int(a.Port))
+		dst = appendVarint(dst, int(a.Field))
+		dst = appendVarint(dst, a.Value)
 	}
-	return sha256.Sum256(buf)
+	return dst
+}
+
+// appendVarint is binary.AppendVarint with the one-byte case inline.
+func appendVarint(dst []byte, v int) []byte {
+	if u := uint64(v)<<1 ^ uint64(v>>63); u < 0x80 {
+		return append(dst, byte(u))
+	}
+	return binary.AppendVarint(dst, int64(v))
 }
 
 // Clone returns a deep copy of the table.
