@@ -32,13 +32,15 @@
 // delta on stdout, keeping the synthesis session warm between targets:
 //
 //	netupdate -stream < stream.jsonl
-//	netupdate -stream -learn-file learned.json < stream.jsonl
+//	netupdate -stream -snapshot-dir state < stream.jsonl
 //
-// -learn-file persists the stream session's plan cache (plans and
-// infeasibility verdicts, see internal/core.PlanCache) as a JSON
-// snapshot: loaded before serving, saved atomically on exit, so repeat
-// instances across restarts are served by replay-verification instead of
-// a fresh search.
+// -snapshot-dir carries the stream's tenant across runs as the daemon's
+// -snapshot-dir does: on exit the tenant's image (its configuration and
+// its plan cache of plans and infeasibility verdicts, see
+// internal/core.PlanCache) is written there atomically, and a later run
+// whose header registers the same tenant resumes from it — at the
+// configuration the last run left, with repeat instances served by
+// replay-verification instead of a fresh search.
 // -no-plan-cache disables the cache entirely.
 //
 // Stream mode is a thin stdin/stdout client of the internal/server pool
@@ -56,8 +58,8 @@
 // Given several URLs the client shards itself: it places its tenant on
 // the same consistent-hash ring the netupdatelb router uses (so routed
 // and direct clients agree on placement) and streams straight to the
-// owner replica, skipping the proxy hop. Learning then lives server-side;
-// -learn-file cannot be combined with -connect.
+// owner replica, skipping the proxy hop. Warm state then lives
+// server-side; -snapshot-dir cannot be combined with -connect.
 package main
 
 import (
@@ -91,10 +93,10 @@ import (
 // flags is the parsed command line: the engine options (declared by
 // core.Options itself) plus what this command does with the plan.
 type flags struct {
-	opts                                       core.Options
-	file, faults, learnFile, connect, traceOut string
-	cpuProfile, memProfile                     string
-	stream, showDAG, verify, repair, quiet     bool
+	opts                                         core.Options
+	file, faults, snapshotDir, connect, traceOut string
+	cpuProfile, memProfile                       string
+	stream, showDAG, verify, repair, quiet       bool
 }
 
 func main() {
@@ -106,7 +108,7 @@ func main() {
 	flag.BoolVar(&f.verify, "verify", false, "only verify the endpoint configurations")
 	flag.StringVar(&f.faults, "faults", "", "execute the plan under injected faults, e.g. crash=3@1,ackloss=0.2,seed=42")
 	flag.BoolVar(&f.repair, "repair", false, "after a stalled -faults execution, resynthesize from the partially-committed state and finish the update")
-	flag.StringVar(&f.learnFile, "learn-file", "", "with -stream: load the plan cache from this JSON file at startup and save it back on exit")
+	flag.StringVar(&f.snapshotDir, "snapshot-dir", "", "with -stream: write the tenant's image here on exit and resume from it when the same header registers again")
 	flag.StringVar(&f.connect, "connect", "", "with -stream: serve via remote netupdated replica(s), comma-separated base URLs; several shard client-side by tenant fingerprint")
 	flag.StringVar(&f.traceOut, "trace-out", "", "record a synthesis trace and write it to this file: Chrome trace-event JSON (load via chrome://tracing), or span JSONL when the path ends in .jsonl")
 	flag.BoolVar(&f.quiet, "q", false, "suppress statistics")
@@ -129,16 +131,16 @@ func main() {
 		usage("-stream reads from stdin and synthesizes every delta; it cannot be combined with -f, -verify, or -faults")
 	case f.stream && f.traceOut != "":
 		usage("-trace-out records one-shot syntheses; in -stream mode request traces ride on the result lines (daemon ?trace=1)")
-	case f.stream && f.connect != "" && f.learnFile != "":
-		usage("with -connect the replica owns the plan cache; -learn-file cannot be combined with it")
+	case f.stream && f.connect != "" && f.snapshotDir != "":
+		usage("with -connect the replica owns the warm state; -snapshot-dir cannot be combined with it")
 	case f.stream && f.connect != "":
 		serve = func(f *flags) error { return runStreamRemote(f, os.Stdin, os.Stdout) }
 	case f.stream:
 		serve = runStream
 	case f.connect != "":
 		usage("-connect streams to a remote replica; it requires -stream")
-	case f.learnFile != "":
-		usage("-learn-file persists the stream session's plan cache; it requires -stream")
+	case f.snapshotDir != "":
+		usage("-snapshot-dir persists the stream's tenant; it requires -stream")
 	case f.file == "":
 		fmt.Fprintln(os.Stderr, "netupdate: -f scenario.json is required")
 		flag.Usage()
@@ -390,12 +392,8 @@ func runStream(f *flags) error {
 		Workers:     1, // one tenant, single-flight: more would idle
 		MaxSessions: 1,
 		QueueDepth:  1,
+		SnapshotDir: f.snapshotDir,
 	})
-	if f.learnFile != "" {
-		if err := pool.LoadLearningFile(f.learnFile); err != nil {
-			return err
-		}
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	// ServeStdio flushes out after every line it answers; this Flush is
@@ -409,11 +407,6 @@ func runStream(f *flags) error {
 	defer cancel()
 	if cerr := pool.Close(closeCtx); err == nil {
 		err = cerr
-	}
-	if f.learnFile != "" {
-		if serr := pool.SaveLearningFile(f.learnFile); err == nil {
-			err = serr
-		}
 	}
 	return err
 }

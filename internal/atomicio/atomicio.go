@@ -1,7 +1,7 @@
-// Package atomicio provides the tmp+rename atomic file write the CLIs
-// use for learning snapshots and the pool uses for session snapshots: an
-// interrupted save never truncates or corrupts the previous state,
-// because the destination is only ever replaced by a fully-written file.
+// Package atomicio provides the tmp+rename atomic file write the pool uses
+// for session images and the CLI for trace files: an interrupted save
+// never truncates or corrupts the previous state, because the destination
+// is only ever replaced by a fully-written file.
 package atomicio
 
 import (

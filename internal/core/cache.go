@@ -25,8 +25,7 @@ package core
 // early-termination constraints, the visited set) lives and dies with one
 // search; the cache holds plans and verdicts, nothing else. Entries are
 // LRU-evicted at a fixed bound; Snapshot/Restore serialize the whole cache
-// to JSON for the -learn-file flag and the pool's cross-tenant
-// persistence.
+// to the JSON a session image's cache section carries (EmbedCache).
 import (
 	"crypto/sha256"
 	"encoding/binary"
@@ -445,8 +444,8 @@ func (e *engine) replayCached(ent *cacheEntry, final *config.Config, diff []int)
 // --- snapshot (persistence) ---
 
 // PlanCacheSnapshot is the JSON-serializable image of a plan cache, in
-// LRU order (most recent first). It backs the -learn-file flag and the
-// pool's SaveLearning/LoadLearning.
+// LRU order (most recent first): the cache section of a session image
+// (EmbedCache, decodeCache).
 type PlanCacheSnapshot struct {
 	Entries []PlanCacheEntrySnapshot `json:"entries"`
 }

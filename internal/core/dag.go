@@ -61,7 +61,8 @@ func (d *PlanDAG) NumNodes() int { return len(d.Preds) }
 
 // covers reports whether d is a dependency DAG over the update steps of
 // steps: one node per step, every edge from a lower-numbered node. A DAG
-// that arrived in a learn file is asked before anything indexes by it.
+// that arrived in an image's cache section is asked before anything
+// indexes by it.
 func (d *PlanDAG) covers(steps []Step) bool {
 	if d == nil || len(d.Preds) != len(steps)-countWaits(steps) || len(d.Drain) > len(d.Preds) {
 		return false

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"netupdate/internal/config"
+	"netupdate/internal/topology"
 )
 
 // fuzzContext is one fixed (topology, classes) pair the snapshot fuzzer
@@ -280,4 +282,118 @@ func TestRestoreOlderImageKeepsItsConfiguration(t *testing.T) {
 		}
 		restoreAndServe(t, seed, seed.img[:len(seed.img)-sha256.Size])
 	}
+}
+
+// FuzzImageCacheSection: an image's cache section is the one persisted
+// form of plan-cache state — EmbedCache writes it when a tenant's image
+// leaves its process, decodeCache and PlanCache.Restore read it back — so
+// for any blob in the section of a current-format image, resealed under a
+// valid checksum, restore must return an error or a session that answers
+// the seed's flap-back and its reroute with a plan or ErrNoOrdering (a
+// cache holds no other verdict), at rest, and never panic. The seeds,
+// generated here, are the JSON of a warm cache holding the plans of both
+// requests and an infeasibility memo, and the same JSON with the
+// wrong-configuration patterns, SAT constraints and dead configurations
+// older writers added to every entry; unmutated, each answers both
+// requests from the cache.
+func FuzzImageCacheSection(f *testing.F) {
+	seeds := loadFuzzSeeds(f)
+	seed := seeds[len(seeds)-1]
+	if seed.version != snapVersion || seed.name != "three-class-v3.nuss" {
+		f.Fatalf("last committed image is %s, version %d", seed.name, seed.version)
+	}
+	blob := warmCacheJSON(f, seed)
+	if !bytes.Contains(blob, []byte(`"steps"`)) || !bytes.Contains(blob, []byte(`"infeasible":true`)) {
+		f.Fatalf("seed cache lacks a plan entry or a memo: %s", blob)
+	}
+	blobs := [][]byte{blob, withLegacyFields(f, blob)}
+	for _, b := range blobs {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		img, err := embedCacheBlob(seed.img, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, img)
+		if err != nil {
+			return
+		}
+		// The image was written at the reroute's target: back, then out.
+		hits := 0
+		for _, to := range []*config.Config{seed.base.Init, seed.target} {
+			plan, err := s.Synthesize(to)
+			if (err != nil || plan == nil) && !errors.Is(err, ErrNoOrdering) {
+				t.Fatalf("plan %v, err %v", plan != nil, err)
+			}
+			if s.LastStats().CacheHit {
+				hits++
+			}
+			if err := s.CheckAtRest(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if hits != 2 && slices.ContainsFunc(blobs, func(b []byte) bool { return bytes.Equal(b, blob) }) {
+			t.Fatalf("a seed cache answered %d of 2 requests", hits)
+		}
+	})
+}
+
+// warmCacheJSON is the section EmbedCache writes for a cache that served
+// the seed's reroute and its flap-back, and memoized an unorderable
+// instance of another scenario.
+func warmCacheJSON(tb testing.TB, seed fuzzSeed) []byte {
+	tb.Helper()
+	s, err := NewSession(seed.base.Topo, seed.base.Init, seed.base.Specs, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cache := s.EnableCache()
+	for _, to := range []*config.Config{seed.target, seed.base.Init} {
+		if _, err := s.Synthesize(to); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	sc, err := config.Infeasible(topology.SmallWorld(30, 4, 0.3, 7), config.InfeasibleOptions{Gadgets: 1, Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	is, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	is.SetCache(cache)
+	if _, err := is.Synthesize(sc.Final); !errors.Is(err, ErrNoOrdering) {
+		tb.Fatalf("err = %v, want ErrNoOrdering", err)
+	}
+	blob, err := json.Marshal(cache.Snapshot())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// withLegacyFields adds to every entry of a cache section the
+// wrong-configuration patterns, SAT constraints and dead configurations
+// that writers before the plan cache dropped its learned state carried.
+// Decoders ignore them.
+func withLegacyFields(tb testing.TB, blob []byte) []byte {
+	tb.Helper()
+	var snap map[string]any
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.UseNumber() // rule fields round-trip exactly
+	if err := dec.Decode(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	for _, ent := range snap["entries"].([]any) {
+		e := ent.(map[string]any)
+		e["patterns"] = []any{map[string]any{"relevant": []any{3}, "value": []any{1}}}
+		e["cons"] = []any{map[string]any{"applied": []any{0}, "unapplied": []any{1}}}
+		e["dead"] = []any{[]any{1}, []any{3}}
+	}
+	out, err := json.Marshal(snap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }

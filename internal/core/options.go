@@ -40,12 +40,12 @@ type Ablation struct {
 // writeFingerprint digests the plan-shaping options as one word of flag
 // bits, after a constant 0: persisted fingerprints carried a
 // checker-backend kind there, and 0 was the incremental checker, the only
-// one sessions now build — so every image and learn file written under it
-// keeps its key. Speed-only options are left out on purpose: they cannot
-// change which plan the search returns, so state learned or snapshotted
-// under one setting is valid under another. A plan tag that does not
-// parse is a programming error: guessing would silently change a
-// persisted fingerprint.
+// one sessions now build — so every image written under it keeps its
+// key. Speed-only options are left out on purpose: they cannot change
+// which plan the search returns, so state learned or snapshotted under one
+// setting is valid under another. A plan tag that does not parse is a
+// programming error: guessing would silently change a persisted
+// fingerprint.
 func writeFingerprint(w *hashWriter, o Options) {
 	w.writeInt(0)
 	v, flags := reflect.ValueOf(o), 0

@@ -39,11 +39,10 @@ var allOptionsSet = Options{
 // TestContextFingerprintGolden pins ContextFingerprint to the digests of
 // commit b2c7ecd, the last with the intra-component worker pool and its
 // two options (the default is unchanged since the hand-written version of
-// 9bc8855): the digest is embedded in NUSS images and keys -learn-file
-// stores, so everything written before the worker count (speed-only,
-// never in the digest) and the first-plan-wins tie-break (plan bit 5,
-// which no stored digest of a default tenant had set) were deleted must
-// still load. One row per plan bit still in use, so a renumbered or
+// 9bc8855): the digest is embedded in NUSS images, so everything written
+// before the worker count (speed-only, never in the digest) and the
+// first-plan-wins tie-break (plan bit 5, which no stored digest of a
+// default tenant had set) were deleted must still load. One row per plan bit still in use, so a renumbered or
 // reused bit fails by name. "every option set" is the digest of bits 0-3
 // alone: the heuristic-order switch (bit 4) and the completion-time
 // tie-break (bit 6) have left Options since.

@@ -226,13 +226,19 @@ func (w *snapWriter) seal() []byte {
 // the cache. RestoreSession decodes the section into the restored
 // session's cache.
 func EmbedCache(img []byte, c *PlanCache) ([]byte, error) {
-	n := len(img) - sha256.Size
-	if n < 1 || img[n-1] != 0 {
-		return nil, fmt.Errorf("%w: no empty cache section to fill", ErrBadSnapshot)
-	}
 	blob, err := json.Marshal(c.Snapshot())
 	if err != nil {
 		return nil, err
+	}
+	return embedCacheBlob(img, blob)
+}
+
+// embedCacheBlob returns a copy of img whose empty cache section holds
+// blob, resealed.
+func embedCacheBlob(img, blob []byte) ([]byte, error) {
+	n := len(img) - sha256.Size
+	if n < 1 || img[n-1] != 0 {
+		return nil, fmt.Errorf("%w: no empty cache section to fill", ErrBadSnapshot)
 	}
 	w := &snapWriter{buf: make([]byte, 0, len(img)+len(blob)+binary.MaxVarintLen64)}
 	w.raw(img[:n-1])

@@ -200,8 +200,8 @@ func TestEveryOptionReachesTheSession(t *testing.T) {
 // (what netupdate -stream -connect used to send) and one that leaves it
 // out (what every HTTP client sends) are the same tenant; and the ids of
 // the default specs as JSON clients spell them are the ones computed at
-// commit 9bc8855, so registered tenants and -learn-file stores keep their
-// keys. The every-option row sets all seven keys; its ids are the ones
+// commit 9bc8855, so registered tenants and the images saved under their
+// ids keep their keys. The every-option row sets all seven keys; its ids are the ones
 // that spec had while the option set still held the ablation switches
 // and the completion-time tie-break.
 // Every removed key — "checker", "parallel", "firstPlan", and

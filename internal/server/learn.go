@@ -1,15 +1,6 @@
 package server
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"os"
-
-	"netupdate/internal/atomicio"
-	"netupdate/internal/core"
-)
+import "netupdate/internal/core"
 
 // DefaultMaxLearnStores bounds the shared learning stores a pool holds.
 // Stores are keyed by learning fingerprint (topology + classes + engine
@@ -39,81 +30,4 @@ func (p *Pool) learnTotals() (sum core.PlanCacheStats) {
 		sum.Entries += st.Entries
 	})
 	return sum
-}
-
-// LearnSnapshot is the JSON image of a pool's shared learning state (the
-// -learn-file format): every store's plan cache, keyed by learning
-// fingerprint, so a restarted process resumes with the full fast path of
-// its predecessor.
-type LearnSnapshot struct {
-	Version int                  `json:"version"`
-	Stores  []LearnStoreSnapshot `json:"stores"`
-}
-
-// LearnStoreSnapshot is one persisted shared store.
-type LearnStoreSnapshot struct {
-	Fingerprint string                  `json:"fingerprint"`
-	Cache       *core.PlanCacheSnapshot `json:"cache"`
-}
-
-// learnSnapshotVersion is the current LearnSnapshot format version.
-const learnSnapshotVersion = 1
-
-// SaveLearning writes the pool's shared learning state as JSON (most
-// recently used store first). Counters are not persisted; a restored pool
-// starts cold on stats but warm on plans.
-func (p *Pool) SaveLearning(w io.Writer) error {
-	snap := LearnSnapshot{Version: learnSnapshotVersion}
-	p.learn.each(func(fp string, c *core.PlanCache) {
-		snap.Stores = append(snap.Stores, LearnStoreSnapshot{Fingerprint: fp, Cache: c.Snapshot()})
-	})
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(&snap); err != nil {
-		return fmt.Errorf("server: saving learning state: %w", err)
-	}
-	return nil
-}
-
-// LoadLearning merges a saved learning snapshot into the pool's shared
-// stores. Entries already present win (they are fresher); stores are
-// created as needed, so loading may run before or after tenants register
-// — a tenant attaching later shares the restored cache by fingerprint.
-func (p *Pool) LoadLearning(r io.Reader) error {
-	var snap LearnSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("server: loading learning state: %w", err)
-	}
-	if snap.Version != learnSnapshotVersion {
-		return fmt.Errorf("server: learning snapshot version %d, want %d", snap.Version, learnSnapshotVersion)
-	}
-	for i := range snap.Stores {
-		st := &snap.Stores[i]
-		if st.Fingerprint == "" || st.Cache == nil {
-			continue
-		}
-		if err := p.planCache(st.Fingerprint).Restore(st.Cache); err != nil {
-			return fmt.Errorf("server: store %s: %w", st.Fingerprint, err)
-		}
-	}
-	return nil
-}
-
-// LoadLearningFile is LoadLearning from a -learn-file path; a missing
-// file is a cold start, not an error.
-func (p *Pool) LoadLearningFile(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return p.LoadLearning(f)
-}
-
-// SaveLearningFile is SaveLearning to a -learn-file path, written
-// atomically so an interrupted save never truncates the previous state.
-func (p *Pool) SaveLearningFile(path string) error {
-	return atomicio.WriteFile(path, p.SaveLearning)
 }

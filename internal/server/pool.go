@@ -46,6 +46,11 @@ type PoolOptions struct {
 	// DefaultTimeout is applied as the request deadline when the caller's
 	// context has none. Zero means no default.
 	DefaultTimeout time.Duration
+	// SnapshotDir, when set, carries the tenants' warm state across a
+	// restart: Close writes every tenant's image there as <id>.nuss, and
+	// registering a new tenant installs its image if the directory holds
+	// one (see restoreSaved).
+	SnapshotDir string
 }
 
 // resolved replaces the zero and negative values with what they stand for.
@@ -128,8 +133,8 @@ type Pool struct {
 
 	// learn holds the shared verification-first plan caches, keyed by
 	// learning fingerprint (see learn.go); tenants with the same scenario
-	// shape share one cache across the pool and across restarts
-	// (SaveLearning/LoadLearning).
+	// shape share one cache across the pool, and across restarts through
+	// the images under PoolOptions.SnapshotDir.
 	learn *lruMap[*core.PlanCache]
 
 	// arenas holds the shared immutable state arenas and label-table
@@ -219,12 +224,14 @@ func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
 	p.attachLearning(t, sess)
 
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if info, err := p.registeredLocked(id); info != nil || err != nil {
+		p.mu.Unlock()
 		return info, err // lost the race; drop our duplicate session
 	}
 	p.tenants[id] = t
 	p.warmLocked(t, sess)
+	p.mu.Unlock()
+	p.restoreSaved(t)
 	return t.info(true), nil
 }
 
@@ -689,9 +696,10 @@ func (p *Pool) TenantStats(id string) (*TenantStats, error) {
 
 // Close drains the pool: new requests (and registrations) are refused
 // with ErrPoolClosed immediately, in-flight syntheses run to completion,
-// and Close returns once they have — or when ctx expires, in which case
+// and the drain ends once they have — or when ctx expires, in which case
 // the stragglers keep their worker slots but the pool accepts nothing
-// new. Close is idempotent.
+// new. With PoolOptions.SnapshotDir set, Close then writes every tenant's
+// image there (saveAll). Close is idempotent.
 func (p *Pool) Close(ctx context.Context) error {
 	p.mu.Lock()
 	p.closed = true
@@ -701,10 +709,11 @@ func (p *Pool) Close(ctx context.Context) error {
 		p.inflight.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		return nil
 	case <-ctx.Done():
-		return fmt.Errorf("server: drain interrupted: %w", ctx.Err())
+		err = fmt.Errorf("server: drain interrupted: %w", ctx.Err())
 	}
+	return errors.Join(err, p.saveAll())
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 
+	"netupdate/internal/atomicio"
 	"netupdate/internal/config"
 	"netupdate/internal/core"
 )
@@ -43,7 +45,7 @@ func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
 
 // InstallSnapshot replaces a registered tenant's warm state with a
 // session restored from a portable image — the import half of tenant
-// migration, and the restart path behind the daemon's -snapshot-dir. The
+// migration, and the restart path behind PoolOptions.SnapshotDir. The
 // image must have been taken from a session with the same topology,
 // classes, and engine options (the embedded context fingerprint is
 // checked). Its configuration arrives as bytes, so every class is built
@@ -95,8 +97,8 @@ func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error
 // SnapshotAll captures a portable snapshot per tenant, best effort: warm
 // idle tenants are serialized live, evicted tenants from the session they
 // parked (resumed for the encoding, not made warm), and tenants busy
-// mid-synthesis, cold ones, or ones failing to serialize are skipped. The
-// daemon uses this on drain to persist warm state under -snapshot-dir.
+// mid-synthesis, cold ones, or ones failing to serialize are skipped.
+// Close writes these images under PoolOptions.SnapshotDir.
 func (p *Pool) SnapshotAll() map[string][]byte {
 	p.mu.Lock()
 	tenants := make([]*tenant, 0, len(p.tenants))
@@ -126,6 +128,45 @@ func (p *Pool) SnapshotAll() map[string][]byte {
 		p.release(t)
 	}
 	return out
+}
+
+// restoreSaved installs the image PoolOptions.SnapshotDir holds for a
+// newly registered tenant, if there is one, and removes the file whether
+// or not the image was accepted, so no later registration brings back an
+// outdated position. An image that is not installed leaves the tenant at
+// its registered configuration, which is what registering it means.
+func (p *Pool) restoreSaved(t *tenant) {
+	if p.opts.SnapshotDir == "" {
+		return
+	}
+	path := p.snapshotPath(t.id)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		return // no image for this tenant
+	}
+	// A refusal is counted and reported by InstallSnapshot itself.
+	_ = p.InstallSnapshot(context.TODO(), t.id, img) // Register takes no context
+	os.Remove(path)
+}
+
+// saveAll writes SnapshotAll under PoolOptions.SnapshotDir, one <id>.nuss
+// per tenant, each atomically, and returns the joined write errors.
+func (p *Pool) saveAll() error {
+	if p.opts.SnapshotDir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(p.opts.SnapshotDir, 0o755); err != nil {
+		return err
+	}
+	var errs []error
+	for id, img := range p.SnapshotAll() {
+		errs = append(errs, atomicio.WriteFileBytes(p.snapshotPath(id), img))
+	}
+	return errors.Join(errs...)
+}
+
+func (p *Pool) snapshotPath(id string) string {
+	return filepath.Join(p.opts.SnapshotDir, filepath.Base(id)+".nuss")
 }
 
 // ConfigOf returns a tenant's current configuration, or ErrUnknownTenant

@@ -571,6 +571,73 @@ func TestInstallSnapshotRejectsAreCounted(t *testing.T) {
 	}
 }
 
+// TestSnapshotDirRefusedImage: an image under PoolOptions.SnapshotDir
+// that does not restore — a plan-cache JSON file of the kind that once
+// carried warm state beside the images, or a truncated image — leaves the
+// registration served at the header's configuration, is counted as a
+// reject, and is removed, so the next process that registers the tenant
+// finds nothing there.
+func TestSnapshotDirRefusedImage(t *testing.T) {
+	ctx := context.Background()
+	src := NewPool(PoolOptions{Workers: 1})
+	info, err := src.Register(testSpec("line"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Synthesize(ctx, info.ID, flipDelta()); err != nil {
+		t.Fatal(err)
+	}
+	img, err := src.SnapshotTenant(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	learnFile := `{"version":1,"stores":[{"fingerprint":"` + info.ID + `","cache":{"entries":[]}}]}`
+	for _, bad := range []struct {
+		name string
+		img  []byte
+	}{{"learn file", []byte(learnFile)}, {"truncated image", img[:len(img)/2]}} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, info.ID+".nuss")
+		if err := os.WriteFile(path, bad.img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// registered registers the tenant on a fresh pool over dir, checks
+		// that it is at its header's configuration, and returns the pool
+		// and the number of images it refused.
+		registered := func() (*Pool, float64) {
+			p := NewPool(PoolOptions{Workers: 1, SnapshotDir: dir})
+			got, err := p.Register(testSpec("line"))
+			if err != nil || !got.Created {
+				t.Fatalf("%s: register: %+v, %v", bad.name, got, err)
+			}
+			cur, err := p.ConfigOf(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(config.Diff(cur, p.tenants[info.ID].base.Init)) != 0 {
+				t.Fatalf("%s: the tenant left its header's configuration", bad.name)
+			}
+			return p, p.Metric("snapshot_rejects_total")
+		}
+		p, rejects := registered()
+		if rejects != 1 {
+			t.Errorf("%s: %g rejects, want 1", bad.name, rejects)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: the refused image is still on disk (stat: %v)", bad.name, err)
+		}
+		again, rejects := registered()
+		if rejects != 0 {
+			t.Errorf("%s: the next registration refused %g images: the first came back", bad.name, rejects)
+		}
+		for _, pool := range []*Pool{p, again} {
+			if err := pool.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // evictAlpha registers alpha — the diamond tenant plus a class the deltas
 // never move, on two switches of its own — on a pool with a budget of one
 // session, serves n deltas and registers a second tenant, which evicts

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -82,6 +84,65 @@ func TestServeStdioEndToEnd(t *testing.T) {
 	}
 	if elog := strings.Join(errw.lines(), "\n"); !strings.Contains(elog, "3 syntheses served") {
 		t.Fatalf("summary missing: %q", elog)
+	}
+}
+
+// TestServeStdioResumesFromSnapshotDir: two -stream runs over one
+// snapshot directory. The second run's tenant resumes from the image the
+// first one left — at its configuration, with its plan cache — so every
+// line it answers is a cache hit. A stream whose header differs (here by
+// name only, so the first image would restore onto it) is another tenant:
+// it starts cold at its header and leaves its own image beside the first.
+func TestServeStdioResumesFromSnapshotDir(t *testing.T) {
+	const flap = lineSpec + `
+{"reroute":[{"class":"c","path":[0,2,3]}]}
+{"reroute":[{"class":"c","path":[0,1,3]}]}
+{"reroute":[{"class":"c","path":[0,2,3]}]}
+{"reroute":[{"class":"c","path":[0,1,3]}]}
+`
+	dir := t.TempDir()
+	serve := func(stream string) []server.Result {
+		t.Helper()
+		p := server.NewPool(server.PoolOptions{Workers: 1, MaxSessions: 1, QueueDepth: 1, SnapshotDir: dir})
+		var out, errw lockedBuffer
+		if err := server.ServeStdio(context.Background(), strings.NewReader(stream), &out, &errw, p, core.Options{}, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var results []server.Result
+		for _, l := range out.lines() {
+			var r server.Result
+			if err := json.Unmarshal([]byte(l), &r); err != nil || r.Result != "plan" {
+				t.Fatalf("%q: %v", l, err)
+			}
+			results = append(results, r)
+		}
+		if len(results) != 4 {
+			t.Fatalf("%d result lines, want 4", len(results))
+		}
+		return results
+	}
+	hit := func(r server.Result) bool { return r.Stats != nil && r.Stats.CacheHit }
+
+	first := serve(flap)
+	if hit(first[0]) {
+		t.Fatal("the first run's first delta hit a cache nothing had filled")
+	}
+	for _, r := range serve(flap) {
+		if !hit(r) {
+			t.Errorf("second run, seq %d: not a cache hit", r.Seq)
+		}
+	}
+	other := serve(strings.Replace(flap, `"name":"line"`, `"name":"other-line"`, 1))
+	if other[0].Tenant == first[0].Tenant || hit(other[0]) {
+		t.Fatalf("the renamed stream was resumed from the first one's image: %+v", other[0])
+	}
+	for _, id := range []string{first[0].Tenant, other[0].Tenant} {
+		if _, err := os.Stat(filepath.Join(dir, id+".nuss")); err != nil {
+			t.Errorf("no image for tenant %s: %v", id, err)
+		}
 	}
 }
 

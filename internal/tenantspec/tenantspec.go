@@ -33,7 +33,7 @@ import (
 //   - flag, help: the netupdate command-line flag, where one exists.
 //   - plan: "speed" when the option cannot change which plan the search
 //     returns, otherwise its bit number in core.ContextFingerprint's flag
-//     word. That digest is stored in NUSS images and keys learn files:
+//     word. That digest is stored in NUSS images and keys plan-cache entries:
 //     never renumber a bit; a new plan-shaping option takes the next one
 //     never used (7). Bits 4 to 6 are retired and never reused: bit 4
 //     was the heuristic-order ablation switch, now core.Ablation's; bit 5 the
