@@ -124,31 +124,12 @@ func mixedTenantSized(tb testing.TB, n int) (base *config.StreamBase, forth, bac
 			Property: config.Reachability, Seed: core,
 		})
 	}
-	h := config.StreamHeader{Name: fmt.Sprintf("mixed-%d", n), Topology: config.TopologyFile{Switches: n}}
-	for sw := 0; sw < core; sw++ {
-		for _, l := range topo.Neighbors(sw) {
-			if l.Peer > sw {
-				h.Topology.Links = append(h.Topology.Links, [2]int{sw, l.Peer})
-			}
-		}
-	}
-	for _, host := range topo.Hosts() {
-		h.Topology.Hosts = append(h.Topology.Hosts, config.HostFile{ID: host.ID, Switch: host.Switch})
-	}
-	for _, cs := range sc.Specs {
-		init, err := config.PathOf(sc.Init, topo, cs.Class)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		h.Classes = append(h.Classes, config.StreamClass{Name: cs.Class.Name, Src: cs.Class.SrcHost, Dst: cs.Class.DstHost, Path: init, Spec: cs.Formula.String()})
-		final, err := config.PathOf(sc.Final, topo, cs.Class)
-		if err != nil {
-			tb.Fatal(err)
-		}
+	h, moves := streamHeaderOf(tb, fmt.Sprintf("mixed-%d", n), n, sc)
+	for _, m := range moves {
 		var reg, pair int
-		if k, _ := fmt.Sscanf(cs.Class.Name, "r%dp%d", &reg, &pair); k == 2 && forth == nil && !slices.Equal(init, final) {
-			forth = &config.StreamDelta{Reroute: []config.Reroute{{Class: cs.Class.Name, Path: final}}}
-			back = &config.StreamDelta{Reroute: []config.Reroute{{Class: cs.Class.Name, Path: init}}}
+		if k, _ := fmt.Sscanf(m.forth.Reroute[0].Class, "r%dp%d", &reg, &pair); k == 2 {
+			forth, back = m.forth, m.back
+			break
 		}
 	}
 	if forth == nil {
@@ -172,6 +153,47 @@ func mixedTenantSized(tb testing.TB, n int) (base *config.StreamBase, forth, bac
 		tb.Fatal(err)
 	}
 	return base, forth, back
+}
+
+// classMove is the pair of deltas that moves one class of a scenario from
+// its initial path to its final one and back.
+type classMove struct{ forth, back *config.StreamDelta }
+
+// streamHeaderOf spells sc as a stream header on n switches (n at least
+// sc's): its links, its hosts, and every class on its initial path. The
+// moves are those of the classes whose final path differs, in class order.
+func streamHeaderOf(tb testing.TB, name string, n int, sc *config.Scenario) (config.StreamHeader, []classMove) {
+	tb.Helper()
+	h := config.StreamHeader{Name: name, Topology: config.TopologyFile{Switches: n}}
+	for sw := 0; sw < sc.Topo.NumSwitches(); sw++ {
+		for _, l := range sc.Topo.Neighbors(sw) {
+			if l.Peer > sw {
+				h.Topology.Links = append(h.Topology.Links, [2]int{sw, l.Peer})
+			}
+		}
+	}
+	for _, host := range sc.Topo.Hosts() {
+		h.Topology.Hosts = append(h.Topology.Hosts, config.HostFile{ID: host.ID, Switch: host.Switch})
+	}
+	var moves []classMove
+	for _, cs := range sc.Specs {
+		init, err := config.PathOf(sc.Init, sc.Topo, cs.Class)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		h.Classes = append(h.Classes, config.StreamClass{Name: cs.Class.Name, Src: cs.Class.SrcHost, Dst: cs.Class.DstHost, Path: init, Spec: cs.Formula.String()})
+		final, err := config.PathOf(sc.Final, sc.Topo, cs.Class)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !slices.Equal(init, final) {
+			moves = append(moves, classMove{
+				forth: &config.StreamDelta{Reroute: []config.Reroute{{Class: cs.Class.Name, Path: final}}},
+				back:  &config.StreamDelta{Reroute: []config.Reroute{{Class: cs.Class.Name, Path: init}}},
+			})
+		}
+	}
+	return h, moves
 }
 
 // preambleSizes are the tenant sizes the preamble benchmarks run at: the
@@ -251,11 +273,13 @@ func BenchmarkInstanceKey(b *testing.B) {
 // BenchmarkPoolEvictRestore in internal/server): a session walks a
 // Gray-code sequence of single-diamond flips, which revisits no
 // configuration, so every request stores one plan of about a dozen steps.
-// B/entry is the heap in use with the cache attached less the heap once
-// it is dropped — so a table an entry shares with the session's
-// configuration costs the entry nothing, and one only the entry still
-// holds does — over the entries stored. A daemon's plan caches are most of
-// its live heap and re-marked by every collection; CI gates the reading
+// Each target is built as the daemon builds it, by StreamBase.Apply of the
+// flip's delta to the current configuration, so its rerouted switches get
+// tables no other configuration holds; once the session has moved on, an
+// entry that keeps one of them is all that keeps it alive. B/entry is the
+// heap in use with the cache attached less the heap once it is dropped,
+// over the entries stored. A daemon's plan caches are most of its live
+// heap and re-marked by every collection; CI gates the reading
 // (.github/alloc-budgets.txt).
 func BenchmarkPlanCacheEntry(b *testing.B) {
 	const entries = 512
@@ -265,11 +289,10 @@ func BenchmarkPlanCacheEntry(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var moving []config.Class
-	for _, cs := range sc.Specs {
-		if len(classesSeeing([]config.ClassSpec{cs}, sc.Init, sc.Final)) > 0 {
-			moving = append(moving, cs.Class)
-		}
+	h, moves := streamHeaderOf(b, "churn", sc.Topo.NumSwitches(), sc)
+	base, err := h.Build()
+	if err != nil {
+		b.Fatal(err)
 	}
 	live := func() uint64 {
 		runtime.GC()
@@ -280,20 +303,24 @@ func BenchmarkPlanCacheEntry(b *testing.B) {
 	}
 	var total, steps float64
 	for i := 0; i < b.N; i++ {
-		s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
+		s, err := NewSession(base.Topo, base.Init, base.Specs, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		cache := s.EnableCache()
-		onFinal := make([]bool, len(moving))
+		onFinal := make([]bool, len(moves))
 		for n := 1; n <= entries; n++ {
-			pi := bits.TrailingZeros(uint(n)) % len(moving)
+			pi := bits.TrailingZeros(uint(n)) % len(moves)
 			onFinal[pi] = !onFinal[pi]
-			to := sc.Init
+			d := moves[pi].back
 			if onFinal[pi] {
-				to = sc.Final
+				d = moves[pi].forth
 			}
-			plan, err := s.Synthesize(moveClasses(s.Current(), to, moving[pi:pi+1]))
+			to, err := base.Apply(s.Current(), d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := s.Synthesize(to)
 			if err != nil {
 				b.Fatal(err)
 			}

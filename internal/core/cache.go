@@ -23,9 +23,13 @@ package core
 // proven infeasible (ErrNoOrdering) is memoized and fails fast. The
 // Section 4.2 pruning state (wrong-configuration patterns, SAT
 // early-termination constraints, the visited set) lives and dies with one
-// search; the cache holds plans and verdicts, nothing else. Entries are
-// LRU-evicted at a fixed bound; Snapshot/Restore serialize the whole cache
-// to the JSON a session image's cache section carries (EmbedCache).
+// search; the cache holds plans and verdicts, nothing else. A cached plan
+// is an order, not a copy of the network: a hit is asked for by the
+// request's own target, whose digest is in the key, so a step that
+// installs the target's table keeps a mark and takes the table from the
+// request (cacheEntry). Entries are LRU-evicted at a fixed bound;
+// Snapshot/Restore serialize the whole cache to the JSON a session image's
+// cache section carries (EmbedCache).
 import (
 	"crypto/sha256"
 	"encoding/binary"
@@ -60,6 +64,11 @@ type PlanCache struct {
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used; values are *cacheEntry
 
+	// stored counts the entries inserted so far, restored ones included;
+	// each entry keeps its ordinal (cacheEntry.seq), so a hit knows how
+	// many entries were stored after its own (PlanCache.noteHit).
+	stored atomic.Int64
+
 	hits           atomic.Int64
 	misses         atomic.Int64
 	verifyFailures atomic.Int64
@@ -81,20 +90,26 @@ func NewPlanCache(max int) *PlanCache {
 
 // cacheEntry is one memoized instance: either a plan (steps + DAG) to
 // replay-verify, or an infeasibility memo. A cache holds thousands of
-// them for as long as the process lives, so an entry keeps what the plan
-// says in a few allocations and copies nothing that is immutable anyway:
-// a step is a switch and a table, the table shared with the target
-// configuration where it is the target's (a configuration's tables are
-// never written again, and a poisoned entry fails replay whatever it
-// shares); the rule a rule-granularity step adds or removes sits in a side
-// list; and the DAG's edge lists are one flat array. plan expands it.
+// them for as long as the process lives, so an entry keeps the order the
+// plan gives and none of the network it orders: a step is a switch, a
+// wait bit and a target mark. A hit is asked for by the request whose
+// target's digest is in the key, so a marked step installs that request's
+// own table (final.Table(sw)) and the entry pins no configuration's
+// tables. Only a step whose table the target does not hold — a 2-simple
+// intermediate, a rule-granularity step's partial table — keeps one,
+// shared with the plan it came from (Step.Table is read-only). An entry
+// that does not fit the request that looks it up fails replay whatever it
+// holds. The rule a rule-granularity step adds or removes sits in a side
+// list, and the DAG's edge lists are one flat array; plan expands it.
 type cacheEntry struct {
 	key        string
 	infeasible bool
 	components int32
 	// depth and width are the DAG's.
 	depth, width int32
-	steps        []cachedStep
+	// seq is the entry's ordinal among the cache's stores (PlanCache.stored).
+	seq   int64
+	steps []cachedStep
 	// rules holds the rule-granularity detail of the steps that carry one,
 	// ascending by step.
 	rules []cachedRule
@@ -103,11 +118,21 @@ type cacheEntry struct {
 	dag []int32
 }
 
-// cachedStep is a wait barrier, or the installation of table on sw.
+// cachedStep is a wait barrier, or the installation of a table on sw: the
+// request target's own where target is set, table otherwise.
 type cachedStep struct {
-	table network.Table
-	sw    int32
-	wait  bool
+	table  network.Table
+	sw     int32
+	wait   bool
+	target bool
+}
+
+// tableFor is the table the step installs on a request to final.
+func (st *cachedStep) tableFor(final *config.Config) network.Table {
+	if st.target {
+		return final.Table(int(st.sw))
+	}
+	return st.table
 }
 
 // cachedRule is Step's IsRule/RuleAdd/Rule for step number step.
@@ -120,9 +145,9 @@ type cachedRule struct {
 func (e *cacheEntry) hasPlan() bool { return !e.infeasible }
 
 // newPlanEntry packs a plan. With final set, a step that installs final's
-// table on its switch, rule for rule, shares it and any other table is
-// copied, so the caller's plan stays mutable without poisoning the cache;
-// with final nil the steps' tables become the entry's own.
+// table on its switch, rule for rule, is marked and keeps no table, and
+// any other step shares its table with the plan; with final nil every
+// step's table becomes the entry's own.
 func newPlanEntry(key string, steps []Step, dag *PlanDAG, final *config.Config, components int) *cacheEntry {
 	ent := &cacheEntry{
 		key:        key,
@@ -144,15 +169,11 @@ func newPlanEntry(key string, steps []Step, dag *PlanDAG, final *config.Config, 
 			ent.steps[i].wait = true
 			continue
 		}
-		tbl := st.Table
-		if final != nil {
-			if target := final.Table(st.Switch); slices.EqualFunc(tbl, target, network.Rule.Equal) {
-				tbl = target
-			} else {
-				tbl = tbl.Clone()
-			}
+		if final != nil && slices.EqualFunc(st.Table, final.Table(st.Switch), network.Rule.Equal) {
+			ent.steps[i] = cachedStep{sw: int32(st.Switch), target: true}
+		} else {
+			ent.steps[i] = cachedStep{table: st.Table, sw: int32(st.Switch)}
 		}
-		ent.steps[i] = cachedStep{table: tbl, sw: int32(st.Switch)}
 		if st.IsRule {
 			ent.rules = append(ent.rules, cachedRule{step: int32(i), add: st.RuleAdd, rule: st.Rule})
 		}
@@ -183,17 +204,24 @@ func newPlanEntry(key string, steps []Step, dag *PlanDAG, final *config.Config, 
 	return ent
 }
 
-// plan expands the entry into a plan of the caller's own: no table or
-// edge list of it is the cache's.
-func (e *cacheEntry) plan() ([]Step, *PlanDAG) {
+// plan expands the entry into the plan it answers a request to final
+// with: a marked step installs final's table, and any other the entry's,
+// both read-only (Step.Table); the steps and the DAG's edge lists are the
+// caller's own. With final nil a marked step's table is left nil, as the
+// persisted form writes it.
+func (e *cacheEntry) plan(final *config.Config) ([]Step, *PlanDAG) {
 	steps := make([]Step, len(e.steps))
 	ri := 0
-	for i, cs := range e.steps {
+	for i := range e.steps {
+		cs := &e.steps[i]
 		if cs.wait {
 			steps[i].Wait = true
 			continue
 		}
-		steps[i] = Step{Switch: int(cs.sw), Table: cs.table.Clone()}
+		steps[i] = Step{Switch: int(cs.sw), Table: cs.table}
+		if final != nil {
+			steps[i].Table = cs.tableFor(final)
+		}
 		if ri < len(e.rules) && int(e.rules[ri].step) == i {
 			steps[i].IsRule, steps[i].RuleAdd, steps[i].Rule = true, e.rules[ri].add, e.rules[ri].rule
 			ri++
@@ -268,7 +296,13 @@ func (c *PlanCache) lookup(key string) *cacheEntry {
 	return el.Value.(*cacheEntry)
 }
 
-func (c *PlanCache) noteHit()  { c.hits.Add(1) }
+// noteHit counts a hit on ent and returns its distance: the entries
+// stored after ent and before the hit.
+func (c *PlanCache) noteHit(ent *cacheEntry) int {
+	c.hits.Add(1)
+	return int(c.stored.Load() - ent.seq)
+}
+
 func (c *PlanCache) noteMiss() { c.misses.Add(1) }
 
 // evictPoisoned drops an entry whose replay-verification failed. The
@@ -290,6 +324,7 @@ func (c *PlanCache) evictPoisoned(key string) {
 func (c *PlanCache) store(ent *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ent.seq = c.stored.Add(1)
 	if el, ok := c.entries[ent.key]; ok {
 		el.Value = ent
 		c.lru.MoveToFront(el)
@@ -397,7 +432,8 @@ func (s *Session) contextFP() []byte {
 // step can move: a structural pass first confirms the steps actually
 // transform the current configuration into final (every switch of diff,
 // the request's config.Diff, touched and ending at its final table, and no
-// other switch touched), then every update step is applied through
+// other switch touched; a marked step installs final's table, and so ends
+// there by construction), then every update step is applied through
 // applyAndCheck — the same model-checked apply the search uses — so each
 // intermediate configuration is checked against every class specification.
 // Any failure reverts everything and reports false; the session falls back
@@ -412,7 +448,10 @@ func (e *engine) replayCached(ent *cacheEntry, final *config.Config, diff []int)
 				last = i
 			}
 		}
-		if last < 0 || !ent.steps[last].table.Equal(final.Table(sw)) {
+		if last < 0 {
+			return nil, false
+		}
+		if st := &ent.steps[last]; !st.target && !st.table.Equal(final.Table(sw)) {
 			return nil, false
 		}
 	}
@@ -432,7 +471,7 @@ func (e *engine) replayCached(ent *cacheEntry, final *config.Config, diff []int)
 		}
 		var failed bool
 		var err error
-		frames, failed, _, err = e.applyAndCheck(frames, int(st.sw), st.table)
+		frames, failed, _, err = e.applyAndCheck(frames, int(st.sw), st.tableFor(final))
 		if err != nil || failed {
 			e.revert(frames)
 			return nil, false
@@ -452,11 +491,26 @@ type PlanCacheSnapshot struct {
 
 // PlanCacheEntrySnapshot is one persisted instance.
 type PlanCacheEntrySnapshot struct {
-	Key        string   `json:"key"` // hex sha256 instance fingerprint
-	Infeasible bool     `json:"infeasible,omitempty"`
-	Steps      []Step   `json:"steps,omitempty"`
-	DAG        *PlanDAG `json:"dag,omitempty"`
-	Components int      `json:"components,omitempty"`
+	Key        string                  `json:"key"` // hex sha256 instance fingerprint
+	Infeasible bool                    `json:"infeasible,omitempty"`
+	Steps      []PlanCacheStepSnapshot `json:"steps,omitempty"`
+	DAG        *PlanDAG                `json:"dag,omitempty"`
+	Components int                     `json:"components,omitempty"`
+}
+
+// PlanCacheStepSnapshot is one persisted plan step: Step's fields, with
+// Target set in place of the table of a step that installs the request
+// target's own (cacheEntry). Its names match Step's case-insensitively, so
+// a section written before steps were marked — Step's JSON, every table in
+// full — decodes into it, and its entries keep their tables.
+type PlanCacheStepSnapshot struct {
+	Wait    bool          `json:"wait,omitempty"`
+	Switch  int           `json:"switch,omitempty"`
+	Target  bool          `json:"target,omitempty"`
+	Table   network.Table `json:"table,omitempty"`
+	IsRule  bool          `json:"isRule,omitempty"`
+	RuleAdd bool          `json:"ruleAdd,omitempty"`
+	Rule    *network.Rule `json:"rule,omitempty"`
 }
 
 // Snapshot captures the cache contents for persistence. Counters are not
@@ -473,7 +527,18 @@ func (c *PlanCache) Snapshot() *PlanCacheSnapshot {
 			Components: int(ent.components),
 		}
 		if len(ent.steps) > 0 || ent.dag != nil {
-			es.Steps, es.DAG = ent.plan()
+			var steps []Step
+			steps, es.DAG = ent.plan(nil)
+			es.Steps = make([]PlanCacheStepSnapshot, len(steps))
+			for i, st := range steps {
+				es.Steps[i] = PlanCacheStepSnapshot{
+					Wait: st.Wait, Switch: st.Switch, Target: ent.steps[i].target, Table: st.Table,
+					IsRule: st.IsRule, RuleAdd: st.RuleAdd,
+				}
+				if st.IsRule {
+					es.Steps[i].Rule = &st.Rule
+				}
+			}
 		}
 		snap.Entries = append(snap.Entries, es)
 	}
@@ -499,16 +564,29 @@ func (c *PlanCache) Restore(snap *PlanCacheSnapshot) error {
 		if !es.Infeasible && len(es.Steps) == 0 {
 			continue // nothing usable
 		}
+		steps := make([]Step, len(es.Steps))
+		for j, ss := range es.Steps {
+			steps[j] = Step{Wait: ss.Wait, Switch: ss.Switch, Table: ss.Table, IsRule: ss.IsRule, RuleAdd: ss.RuleAdd}
+			if ss.Rule != nil {
+				steps[j].Rule = *ss.Rule
+			}
+		}
 		dag := es.DAG
-		if !es.Infeasible && !dag.covers(es.Steps) {
+		if !es.Infeasible && !dag.covers(steps) {
 			// A snapshot missing its DAG still replays; executing the
 			// steps in sequence is always a valid (if conservative) order.
-			dag = chainDAG(es.Steps)
+			dag = chainDAG(steps)
 		}
-		ent := newPlanEntry(string(key), es.Steps, dag, nil, es.Components)
+		ent := newPlanEntry(string(key), steps, dag, nil, es.Components)
 		ent.infeasible = es.Infeasible
+		for j, ss := range es.Steps {
+			if ss.Target && !ss.Wait {
+				ent.steps[j] = cachedStep{sw: ent.steps[j].sw, target: true}
+			}
+		}
 		c.mu.Lock()
 		if _, exists := c.entries[ent.key]; !exists {
+			ent.seq = c.stored.Add(1)
 			c.entries[ent.key] = c.lru.PushFront(ent)
 			for c.lru.Len() > c.max {
 				tail := c.lru.Back()

@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 
 	"netupdate/internal/config"
+	"netupdate/internal/network"
 	"netupdate/internal/topology"
 )
 
@@ -199,6 +201,150 @@ func TestCacheTruncatedEntryFallsBack(t *testing.T) {
 	}
 	if cache.Stats().VerifyFailures != 1 {
 		t.Fatalf("verify failures = %d, want 1", cache.Stats().VerifyFailures)
+	}
+}
+
+// hexStream is the three-class fuzz context as a stream base, with its
+// reroute of class a and a second reroute of it that touches fewer
+// switches.
+func hexStream(t *testing.T) (base *config.StreamBase, forth, other *config.StreamDelta) {
+	t.Helper()
+	ctx := fuzzContexts[1]
+	var h config.StreamHeader
+	forth, other = &config.StreamDelta{}, &config.StreamDelta{}
+	for _, v := range []struct {
+		doc string
+		to  any
+	}{{ctx.header, &h}, {ctx.reroute, forth}, {`{"reroute":[{"class":"a","path":[0,1,4,5]}]}`, other}} {
+		if err := json.Unmarshal([]byte(v.doc), v.to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, err := h.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base, forth, other
+}
+
+// TestCacheEntryHoldsTheOrder: an entry keeps the order a plan gives, not
+// the network it orders. A whole-table step is a target mark with no
+// table, and a hit installs the table of the request's own target — each
+// target is built by StreamBase.Apply, as the daemon builds them, so two
+// equal targets hold different slices. An entry stored under the key of
+// a request it does not fit fails replay and is searched afresh; and the
+// tables a target does not hold (2-simple merges, rule-granularity
+// partial tables) stay in the entry, shared with the plan, and still hit.
+func TestCacheEntryHoldsTheOrder(t *testing.T) {
+	base, forth, other := hexStream(t)
+	apply := func(d *config.StreamDelta) *config.Config {
+		t.Helper()
+		cfg, err := base.Apply(base.Init, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	synth := func(s *Session, to *config.Config) *Plan {
+		t.Helper()
+		plan, err := s.Synthesize(to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	s, err := NewSession(base.Topo, base.Init, base.Specs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := s.EnableCache()
+	there := apply(forth)
+	key := s.instanceKey(there)
+	first := synth(s, there)
+	for i, st := range cache.lookup(key).steps {
+		if !st.wait && (!st.target || st.table != nil) {
+			t.Fatalf("step %d of a whole-table plan: target %v, %d rules held", i, st.target, len(st.table))
+		}
+	}
+	synth(s, base.Init)
+
+	again := apply(forth)
+	hit := synth(s, again)
+	if !hit.Stats.CacheHit || hit.String() != first.String() {
+		t.Fatalf("repeat: hit %v, plan %s, want %s", hit.Stats.CacheHit, hit, first)
+	}
+	fresh := 0
+	for i, st := range hit.Steps {
+		if st.Wait {
+			continue
+		}
+		if !st.Table.Same(again.Table(st.Switch)) {
+			t.Fatalf("step %d: the hit's table on sw%d is not the request target's", i, st.Switch)
+		}
+		if len(st.Table) > 0 && !st.Table.Same(there.Table(st.Switch)) {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("the two targets share every table: the identity check shows nothing")
+	}
+	synth(s, base.Init)
+
+	// A collision: the entry of another request, stored under this key.
+	elsewhere := apply(other)
+	otherKey := s.instanceKey(elsewhere)
+	synth(s, elsewhere)
+	synth(s, base.Init)
+	wrong := *cache.lookup(otherKey)
+	wrong.key = key
+	cache.store(&wrong)
+	got := synth(s, apply(forth))
+	if !got.Stats.CacheVerifyFailed || got.Stats.CacheHit || cache.Stats().VerifyFailures != 1 {
+		t.Fatalf("collision: verify failed %v, hit %v, %d verify failures",
+			got.Stats.CacheVerifyFailed, got.Stats.CacheHit, cache.Stats().VerifyFailures)
+	}
+	plain, err := NewSession(base.Topo, base.Init, base.Specs, Options{NoPlanCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := synth(plain, apply(forth)); got.String() != want.String() {
+		t.Fatalf("collision fallback:\ngot  %s\nwant %s", got, want)
+	}
+
+	for _, opts := range []Options{{TwoSimple: true}, {RuleGranularity: true}} {
+		s, err := NewSession(base.Topo, base.Init, base.Specs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := s.EnableCache()
+		there := apply(forth)
+		key := s.instanceKey(there)
+		first := synth(s, there)
+		held, marked := 0, 0
+		for i, st := range cache.lookup(key).steps {
+			switch {
+			case st.wait:
+			case st.target:
+				marked++
+			case !st.table.Same(first.Steps[i].Table):
+				t.Fatalf("%+v: step %d holds a copy of the plan's table", opts, i)
+			default:
+				held++
+			}
+		}
+		if held == 0 || marked == 0 {
+			t.Fatalf("%+v: %d steps hold a table, %d are marked", opts, held, marked)
+		}
+		synth(s, base.Init)
+		hit := synth(s, apply(forth))
+		if !hit.Stats.CacheHit || hit.String() != first.String() {
+			t.Fatalf("%+v: repeat: hit %v, plan %s, want %s", opts, hit.Stats.CacheHit, hit, first)
+		}
+		for i, st := range hit.Steps {
+			if !slices.EqualFunc(st.Table, first.Steps[i].Table, network.Rule.Equal) {
+				t.Fatalf("%+v: step %d: the hit installs another table", opts, i)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -292,21 +293,26 @@ func TestRestoreOlderImageKeepsItsConfiguration(t *testing.T) {
 // the seed's flap-back and its reroute with a plan or ErrNoOrdering (a
 // cache holds no other verdict), at rest, and never panic. The seeds,
 // generated here, are the JSON of a warm cache holding the plans of both
-// requests and an infeasibility memo, and the same JSON with the
+// requests and an infeasibility memo as writers before steps were marked
+// wrote it, every step's table in full; the same JSON with the
 // wrong-configuration patterns, SAT constraints and dead configurations
-// older writers added to every entry; unmutated, each answers both
-// requests from the cache.
+// older writers added to every entry; and the same cache as Snapshot
+// writes it, each step marked as the target's and without a table.
+// Unmutated, each answers both requests from the cache.
 func FuzzImageCacheSection(f *testing.F) {
 	seeds := loadFuzzSeeds(f)
 	seed := seeds[len(seeds)-1]
 	if seed.version != snapVersion || seed.name != "three-class-v3.nuss" {
 		f.Fatalf("last committed image is %s, version %d", seed.name, seed.version)
 	}
-	blob := warmCacheJSON(f, seed)
+	marked, blob := warmCacheJSON(f, seed)
 	if !bytes.Contains(blob, []byte(`"steps"`)) || !bytes.Contains(blob, []byte(`"infeasible":true`)) {
 		f.Fatalf("seed cache lacks a plan entry or a memo: %s", blob)
 	}
-	blobs := [][]byte{blob, withLegacyFields(f, blob)}
+	if !bytes.Contains(marked, []byte(`"target":true`)) || bytes.Contains(marked, []byte(`"table"`)) {
+		f.Fatalf("a whole-table step is written with its table: %s", marked)
+	}
+	blobs := [][]byte{blob, withLegacyFields(f, blob), marked}
 	for _, b := range blobs {
 		f.Add(b)
 	}
@@ -341,18 +347,24 @@ func FuzzImageCacheSection(f *testing.F) {
 
 // warmCacheJSON is the section EmbedCache writes for a cache that served
 // the seed's reroute and its flap-back, and memoized an unorderable
-// instance of another scenario.
-func warmCacheJSON(tb testing.TB, seed fuzzSeed) []byte {
+// instance of another scenario (marked), and the same section as writers
+// before steps were marked wrote it: each plan step Step's JSON, its table
+// in full (wholeTables).
+func warmCacheJSON(tb testing.TB, seed fuzzSeed) (marked, wholeTables []byte) {
 	tb.Helper()
 	s, err := NewSession(seed.base.Topo, seed.base.Init, seed.base.Specs, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	cache := s.EnableCache()
+	plans := map[string][]Step{}
 	for _, to := range []*config.Config{seed.target, seed.base.Init} {
-		if _, err := s.Synthesize(to); err != nil {
+		key := hex.EncodeToString([]byte(s.instanceKey(to)))
+		plan, err := s.Synthesize(to)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		plans[key] = plan.Steps
 	}
 	sc, err := config.Infeasible(topology.SmallWorld(30, 4, 0.3, 7), config.InfeasibleOptions{Gadgets: 1, Seed: 3})
 	if err != nil {
@@ -366,11 +378,27 @@ func warmCacheJSON(tb testing.TB, seed fuzzSeed) []byte {
 	if _, err := is.Synthesize(sc.Final); !errors.Is(err, ErrNoOrdering) {
 		tb.Fatalf("err = %v, want ErrNoOrdering", err)
 	}
-	blob, err := json.Marshal(cache.Snapshot())
-	if err != nil {
+	snap := cache.Snapshot()
+	if marked, err = json.Marshal(snap); err != nil {
 		tb.Fatal(err)
 	}
-	return blob
+	type wholeTableEntry struct {
+		Key        string   `json:"key"`
+		Infeasible bool     `json:"infeasible,omitempty"`
+		Steps      []Step   `json:"steps,omitempty"`
+		DAG        *PlanDAG `json:"dag,omitempty"`
+		Components int      `json:"components,omitempty"`
+	}
+	var old struct {
+		Entries []wholeTableEntry `json:"entries"`
+	}
+	for _, es := range snap.Entries {
+		old.Entries = append(old.Entries, wholeTableEntry{es.Key, es.Infeasible, plans[es.Key], es.DAG, es.Components})
+	}
+	if wholeTables, err = json.Marshal(old); err != nil {
+		tb.Fatal(err)
+	}
+	return marked, wholeTables
 }
 
 // withLegacyFields adds to every entry of a cache section the

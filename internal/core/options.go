@@ -181,8 +181,11 @@ type Stats struct {
 	// model-checker calls, and no search ran) or a memoized infeasibility
 	// that failed fast. A run that found a stale or corrupted entry sets
 	// CacheVerifyFailed, evicts it, and falls back to the full search.
+	// CacheHitDistance is a hit's distance: the entries the cache stored
+	// after the one that answered, before this run.
 	CacheHit          bool
 	CacheVerifyFailed bool
+	CacheHitDistance  int
 }
 
 // addSearch folds the counters of one component sub-search into st, and

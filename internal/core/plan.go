@@ -17,9 +17,10 @@ type Step struct {
 	Switch int
 	// Table is the full table installed on Switch by this step (for rule
 	// granularity this is the cumulative table after the rule change). It
-	// is shared with the configuration it came from — the target's own
-	// table for a whole-table step — and with the plan cache, and is
-	// read-only: copy it before changing it.
+	// is shared: a step that installs the target's table holds the
+	// request target's own, on a plan-cache hit too (the cache keeps a
+	// mark, not the table), and any other step's table is shared with the
+	// plan cache's entry. It is read-only: copy it before changing it.
 	Table network.Table
 	// Rule-granularity detail: the rule added or removed, if any.
 	IsRule  bool

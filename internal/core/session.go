@@ -565,11 +565,11 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			e.stats.VerifyElapsed = time.Since(vfStart)
 		}
 		if ok {
-			steps, dag = ent.plan()
+			steps, dag = ent.plan(final)
 			fromCache = true
 			e.stats.CacheHit = true
 			e.stats.Components = int(ent.components)
-			s.cache.noteHit()
+			e.stats.CacheHitDistance = s.cache.noteHit(ent)
 		} else {
 			e.stats.CacheVerifyFailed = true
 			s.cache.evictPoisoned(cacheKey)
@@ -598,7 +598,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	case fromCache:
 	case ent != nil && ent.infeasible && !s.repairing:
 		e.stats.CacheHit = true
-		s.cache.noteHit()
+		e.stats.CacheHitDistance = s.cache.noteHit(ent)
 		runErr = ErrNoOrdering
 	default:
 		if s.cache != nil {

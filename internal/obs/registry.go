@@ -62,7 +62,17 @@ func (r *Registry) FuncCounter(name, help string, fn func() float64) {
 // Histogram registers and returns a latency histogram over the default
 // log-spaced buckets (100µs … 10s, 1–2.5–5 per decade).
 func (r *Registry) Histogram(name, help string) *Histogram {
-	h := newHistogram(defaultLatencyBuckets)
+	return r.histogram(name, help, defaultLatencyBuckets, 1e9)
+}
+
+// CountHistogram registers and returns a histogram of whole counts
+// (ObserveCount) over the given ascending upper bounds.
+func (r *Registry) CountHistogram(name, help string, bounds []float64) *Histogram {
+	return r.histogram(name, help, bounds, 1)
+}
+
+func (r *Registry) histogram(name, help string, bounds []float64, div float64) *Histogram {
+	h := &Histogram{bounds: bounds, div: div, counts: make([]atomic.Int64, len(bounds))}
 	r.add(&family{name: name, help: help, typ: "histogram", hist: h})
 	return h
 }
@@ -179,27 +189,31 @@ var defaultLatencyBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
-// Histogram is a fixed-bucket latency histogram with atomic counters;
-// Observe is lock-free and allocation-free.
+// Histogram is a fixed-bucket histogram with atomic counters; Observe
+// and ObserveCount are lock-free and allocation-free. A latency histogram
+// (Registry.Histogram) sums nanoseconds and renders seconds; a count
+// histogram (Registry.CountHistogram) sums and renders counts.
 type Histogram struct {
-	bounds []float64 // upper bounds, seconds, ascending
+	bounds []float64 // upper bounds in rendered units, ascending
+	div    float64   // summed units per rendered unit
 	counts []atomic.Int64
 	inf    atomic.Int64
-	sumNS  atomic.Int64
+	sum    atomic.Int64
 	n      atomic.Int64
-	maxNS  atomic.Int64
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds))}
+	max    atomic.Int64
 }
 
 // Observe records one latency sample.
-func (h *Histogram) Observe(d time.Duration) {
-	s := d.Seconds()
+func (h *Histogram) Observe(d time.Duration) { h.record(d.Seconds(), d.Nanoseconds()) }
+
+// ObserveCount records one count sample.
+func (h *Histogram) ObserveCount(n int64) { h.record(float64(n), n) }
+
+// record counts a sample that renders as x and sums as v.
+func (h *Histogram) record(x float64, v int64) {
 	placed := false
 	for i, b := range h.bounds {
-		if s <= b {
+		if x <= b {
 			h.counts[i].Add(1)
 			placed = true
 			break
@@ -208,12 +222,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	if !placed {
 		h.inf.Add(1)
 	}
-	ns := d.Nanoseconds()
-	h.sumNS.Add(ns)
+	h.sum.Add(v)
 	h.n.Add(1)
 	for {
-		cur := h.maxNS.Load()
-		if ns <= cur || h.maxNS.CompareAndSwap(cur, ns) {
+		cur := h.max.Load()
+		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			break
 		}
 	}
@@ -222,14 +235,14 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of samples observed.
 func (h *Histogram) Count() int64 { return h.n.Load() }
 
-// SumSeconds returns the sum of all observed samples in seconds.
-func (h *Histogram) SumSeconds() float64 { return float64(h.sumNS.Load()) / 1e9 }
+// SumSeconds returns the sum of all observed latency samples in seconds.
+func (h *Histogram) SumSeconds() float64 { return float64(h.sum.Load()) / 1e9 }
 
-// SumNanos returns the sum of all observed samples in nanoseconds.
-func (h *Histogram) SumNanos() int64 { return h.sumNS.Load() }
+// SumNanos returns the sum of all observed latency samples in nanoseconds.
+func (h *Histogram) SumNanos() int64 { return h.sum.Load() }
 
-// MaxNanos returns the largest observed sample in nanoseconds.
-func (h *Histogram) MaxNanos() int64 { return h.maxNS.Load() }
+// MaxNanos returns the largest observed latency sample in nanoseconds.
+func (h *Histogram) MaxNanos() int64 { return h.max.Load() }
 
 func (h *Histogram) write(w io.Writer, name string) {
 	cum := int64(0)
@@ -239,7 +252,7 @@ func (h *Histogram) write(w io.Writer, name string) {
 	}
 	cum += h.inf.Load()
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.SumSeconds())
+	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sum.Load())/h.div)
 	fmt.Fprintf(w, "%s_count %d\n", name, h.n.Load())
 }
 

@@ -43,6 +43,30 @@ func TestRegistryRendersCountersAndGauges(t *testing.T) {
 	}
 }
 
+func TestCountHistogram(t *testing.T) {
+	r := NewRegistry()
+	h := r.CountHistogram("d_entries", "Distance.", []float64{0, 1, 4})
+	for _, n := range []int64{0, 1, 3, 4, 9} {
+		h.ObserveCount(n)
+	}
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	out := buf.String()
+	for _, want := range []string{
+		"# TYPE d_entries histogram\n",
+		"d_entries_bucket{le=\"0\"} 1\n",
+		"d_entries_bucket{le=\"1\"} 2\n",
+		"d_entries_bucket{le=\"4\"} 4\n",
+		"d_entries_bucket{le=\"+Inf\"} 5\n",
+		"d_entries_sum 17\n",
+		"d_entries_count 5\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "Latency.")

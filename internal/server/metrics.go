@@ -127,6 +127,10 @@ type poolMetrics struct {
 	// sessionEvict times what an eviction costs the request that triggered
 	// it: capturing the snapshot, under the pool mutex.
 	sessionEvict *obs.Histogram
+	// hitDistance is each plan-cache hit's distance
+	// (core.Stats.CacheHitDistance): how far back in its store's
+	// insertions the answer sat, which is what a store's bound must reach.
+	hitDistance *obs.Histogram
 
 	tenantRequests *obs.CounterVec
 }
@@ -211,8 +215,13 @@ func (p *Pool) initMetrics() {
 	m.synthRepair = reg.Histogram("netupdate_synthesis_repair_seconds", "Synthesis latency of repair runs.")
 	m.snapRestore = reg.Histogram("netupdate_snapshot_restore_seconds", "Time to resume an evicted session.")
 	m.sessionEvict = reg.Histogram("netupdate_session_evict_seconds", "Time to park an evicted session.")
+	m.hitDistance = reg.CountHistogram("netupdate_plan_cache_hit_distance",
+		"Entries a plan cache stored between the store of the entry a hit used and the hit.", hitDistanceBuckets)
 	m.tenantRequests = reg.CounterVec("netupdate_tenant_requests_total", "Requests received per tenant.", "tenant")
 }
+
+// hitDistanceBuckets are powers of two up to core.DefaultPlanCacheEntries.
+var hitDistanceBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 // Metrics exposes the pool's metric registry: GET /metrics renders it, and
 // Registry.Value reads one family by name.

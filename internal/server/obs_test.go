@@ -132,7 +132,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"netupdate_queue_wait_seconds", "netupdate_synthesis_hit_seconds",
 		"netupdate_synthesis_miss_seconds", "netupdate_synthesis_repair_seconds",
 		"netupdate_snapshot_restore_seconds", "netupdate_session_evict_seconds",
-		"netupdate_tenant_requests_total",
+		"netupdate_plan_cache_hit_distance", "netupdate_tenant_requests_total",
 	} {
 		if first.typ[fam] == "" {
 			t.Errorf("family %s not exposed", fam)
@@ -205,6 +205,41 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	if second.samples["netupdate_step_acks_total"] != 1 {
 		t.Fatalf("step_acks_total = %g", second.samples["netupdate_step_acks_total"])
+	}
+}
+
+// TestPlanCacheHitDistance: a tenant that flips a class and back twice
+// misses twice and then hits the flip, stored one entry before the
+// flip-back, and the flip-back, stored last: the histogram on /metrics
+// reads one hit at distance 0 and one at distance 1.
+func TestPlanCacheHitDistance(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 1})
+	ts := httptest.NewServer(NewHandler(p))
+	defer ts.Close()
+	defer p.Close(context.Background())
+	info, err := p.Register(testSpec("distance"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := &config.StreamDelta{Reroute: []config.Reroute{{Class: "c", Path: []int{0, 1, 3}}}}
+	for _, d := range []*config.StreamDelta{flipDelta(), back, flipDelta(), back} {
+		if _, err := p.Synthesize(context.Background(), info.ID, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := scrapeMetrics(t, ts.URL).samples
+	for series, want := range map[string]float64{
+		`netupdate_plan_cache_hit_distance_bucket{le="0"}`:    1,
+		`netupdate_plan_cache_hit_distance_bucket{le="1"}`:    2,
+		`netupdate_plan_cache_hit_distance_bucket{le="4096"}`: 2,
+		`netupdate_plan_cache_hit_distance_bucket{le="+Inf"}`: 2,
+		"netupdate_plan_cache_hit_distance_sum":               1,
+		"netupdate_plan_cache_hit_distance_count":             2,
+		"netupdate_plan_cache_hits_total":                     2,
+	} {
+		if got[series] != want {
+			t.Errorf("%s = %g, want %g", series, got[series], want)
+		}
 	}
 }
 

@@ -332,9 +332,10 @@ func (p *Pool) Synthesize(ctx context.Context, id string, delta *config.StreamDe
 	if sess.Cache() != nil && (serr == nil || errors.Is(serr, core.ErrNoOrdering)) {
 		// Only completed runs vote: an expired request's LastStats may
 		// belong to an earlier run.
-		if sess.LastStats().CacheHit {
+		if st := sess.LastStats(); st.CacheHit {
 			t.cacheHits.Add(1)
 			lat = p.m.synthHit
+			p.m.hitDistance.ObserveCount(int64(st.CacheHitDistance))
 		} else {
 			t.cacheMisses.Add(1)
 		}
