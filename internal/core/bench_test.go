@@ -326,8 +326,8 @@ func BenchmarkPlanCacheEntry(b *testing.B) {
 			}
 			steps += float64(len(plan.Steps))
 		}
-		if cache.Len() != entries {
-			b.Fatalf("%d entries after %d distinct requests", cache.Len(), entries)
+		if cache.Stats().Entries != entries {
+			b.Fatalf("%d entries after %d distinct requests", cache.Stats().Entries, entries)
 		}
 		with := live()
 		s.SetCache(nil)

@@ -27,14 +27,12 @@ package core
 // is an order, not a copy of the network: a hit is asked for by the
 // request's own target, whose digest is in the key, so a step that
 // installs the target's table keeps a mark and takes the table from the
-// request (cacheEntry). Entries are LRU-evicted at a fixed bound;
-// Snapshot/Restore serialize the whole cache to the JSON a session image's
-// cache section carries (EmbedCache).
+// request (cacheEntry). Entries are LRU-evicted at a fixed bound; a
+// session image's cache section carries the whole cache (EmbedCache,
+// decodeCache).
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"fmt"
 	"hash"
 	"slices"
 	"sync"
@@ -142,12 +140,9 @@ type cachedRule struct {
 	rule network.Rule
 }
 
-func (e *cacheEntry) hasPlan() bool { return !e.infeasible }
-
-// newPlanEntry packs a plan. With final set, a step that installs final's
-// table on its switch, rule for rule, is marked and keeps no table, and
-// any other step shares its table with the plan; with final nil every
-// step's table becomes the entry's own.
+// newPlanEntry packs a plan to the target final. A step that installs
+// final's table on its switch, rule for rule, is marked and keeps no
+// table; any other step shares its table with the plan.
 func newPlanEntry(key string, steps []Step, dag *PlanDAG, final *config.Config, components int) *cacheEntry {
 	ent := &cacheEntry{
 		key:        key,
@@ -169,7 +164,7 @@ func newPlanEntry(key string, steps []Step, dag *PlanDAG, final *config.Config, 
 			ent.steps[i].wait = true
 			continue
 		}
-		if final != nil && slices.EqualFunc(st.Table, final.Table(st.Switch), network.Rule.Equal) {
+		if slices.EqualFunc(st.Table, final.Table(st.Switch), network.Rule.Equal) {
 			ent.steps[i] = cachedStep{sw: int32(st.Switch), target: true}
 		} else {
 			ent.steps[i] = cachedStep{table: st.Table, sw: int32(st.Switch)}
@@ -207,8 +202,7 @@ func newPlanEntry(key string, steps []Step, dag *PlanDAG, final *config.Config, 
 // plan expands the entry into the plan it answers a request to final
 // with: a marked step installs final's table, and any other the entry's,
 // both read-only (Step.Table); the steps and the DAG's edge lists are the
-// caller's own. With final nil a marked step's table is left nil, as the
-// persisted form writes it.
+// caller's own.
 func (e *cacheEntry) plan(final *config.Config) ([]Step, *PlanDAG) {
 	steps := make([]Step, len(e.steps))
 	ri := 0
@@ -218,10 +212,7 @@ func (e *cacheEntry) plan(final *config.Config) ([]Step, *PlanDAG) {
 			steps[i].Wait = true
 			continue
 		}
-		steps[i] = Step{Switch: int(cs.sw), Table: cs.table}
-		if final != nil {
-			steps[i].Table = cs.tableFor(final)
-		}
+		steps[i] = Step{Switch: int(cs.sw), Table: cs.tableFor(final)}
 		if ri < len(e.rules) && int(e.rules[ri].step) == i {
 			steps[i].IsRule, steps[i].RuleAdd, steps[i].Rule = true, e.rules[ri].add, e.rules[ri].rule
 			ri++
@@ -277,13 +268,6 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	}
 }
 
-// Len returns the number of cached instances.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
 // lookup returns the entry for key (refreshing its LRU position) or nil.
 func (c *PlanCache) lookup(key string) *cacheEntry {
 	c.mu.Lock()
@@ -319,17 +303,47 @@ func (c *PlanCache) evictPoisoned(key string) {
 	}
 }
 
-// store inserts (or replaces) the entry for key and evicts from the LRU
-// tail past the capacity bound.
+// store inserts (or replaces) the entry for key.
 func (c *PlanCache) store(ent *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent.seq = c.stored.Add(1)
 	if el, ok := c.entries[ent.key]; ok {
+		ent.seq = c.stored.Add(1)
 		el.Value = ent
 		c.lru.MoveToFront(el)
 		return
 	}
+	c.insertLocked(ent)
+}
+
+// Merge inserts the entries of other that c lacks, least recently used
+// first, so they keep other's order ahead of c's own; an entry c holds
+// already wins (it is at least as fresh). Every plan is verified by replay
+// before it is served, whichever cache it came from.
+func (c *PlanCache) Merge(other *PlanCache) {
+	if other == nil || other == c {
+		return
+	}
+	other.mu.Lock()
+	ents := make([]*cacheEntry, 0, other.lru.Len())
+	for el := other.lru.Back(); el != nil; el = el.Prev() {
+		ents = append(ents, el.Value.(*cacheEntry))
+	}
+	other.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ent := range ents {
+		if _, ok := c.entries[ent.key]; !ok {
+			own := *ent // seq is the holding cache's
+			c.insertLocked(&own)
+		}
+	}
+}
+
+// insertLocked puts ent, whose key c does not hold, at the front and evicts
+// from the LRU tail past the capacity bound, counting each eviction.
+func (c *PlanCache) insertLocked(ent *cacheEntry) {
+	ent.seq = c.stored.Add(1)
 	c.entries[ent.key] = c.lru.PushFront(ent)
 	for c.lru.Len() > c.max {
 		tail := c.lru.Back()
@@ -337,12 +351,6 @@ func (c *PlanCache) store(ent *cacheEntry) {
 		delete(c.entries, tail.Value.(*cacheEntry).key)
 		c.evictions.Add(1)
 	}
-}
-
-// storePlan memoizes a successful run to the target final (see
-// newPlanEntry for what the entry shares with it).
-func (c *PlanCache) storePlan(key string, steps []Step, dag *PlanDAG, final *config.Config, components int) {
-	c.store(newPlanEntry(key, steps, dag, final, components))
 }
 
 // storeInfeasible memoizes a proven ErrNoOrdering instance, so a repeat
@@ -478,123 +486,4 @@ func (e *engine) replayCached(ent *cacheEntry, final *config.Config, diff []int)
 		}
 	}
 	return frames, true
-}
-
-// --- snapshot (persistence) ---
-
-// PlanCacheSnapshot is the JSON-serializable image of a plan cache, in
-// LRU order (most recent first): the cache section of a session image
-// (EmbedCache, decodeCache).
-type PlanCacheSnapshot struct {
-	Entries []PlanCacheEntrySnapshot `json:"entries"`
-}
-
-// PlanCacheEntrySnapshot is one persisted instance.
-type PlanCacheEntrySnapshot struct {
-	Key        string                  `json:"key"` // hex sha256 instance fingerprint
-	Infeasible bool                    `json:"infeasible,omitempty"`
-	Steps      []PlanCacheStepSnapshot `json:"steps,omitempty"`
-	DAG        *PlanDAG                `json:"dag,omitempty"`
-	Components int                     `json:"components,omitempty"`
-}
-
-// PlanCacheStepSnapshot is one persisted plan step: Step's fields, with
-// Target set in place of the table of a step that installs the request
-// target's own (cacheEntry). Its names match Step's case-insensitively, so
-// a section written before steps were marked — Step's JSON, every table in
-// full — decodes into it, and its entries keep their tables.
-type PlanCacheStepSnapshot struct {
-	Wait    bool          `json:"wait,omitempty"`
-	Switch  int           `json:"switch,omitempty"`
-	Target  bool          `json:"target,omitempty"`
-	Table   network.Table `json:"table,omitempty"`
-	IsRule  bool          `json:"isRule,omitempty"`
-	RuleAdd bool          `json:"ruleAdd,omitempty"`
-	Rule    *network.Rule `json:"rule,omitempty"`
-}
-
-// Snapshot captures the cache contents for persistence. Counters are not
-// part of the snapshot: a restored cache starts cold on stats.
-func (c *PlanCache) Snapshot() *PlanCacheSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	snap := &PlanCacheSnapshot{}
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*cacheEntry)
-		es := PlanCacheEntrySnapshot{
-			Key:        hex.EncodeToString([]byte(ent.key)),
-			Infeasible: ent.infeasible,
-			Components: int(ent.components),
-		}
-		if len(ent.steps) > 0 || ent.dag != nil {
-			var steps []Step
-			steps, es.DAG = ent.plan(nil)
-			es.Steps = make([]PlanCacheStepSnapshot, len(steps))
-			for i, st := range steps {
-				es.Steps[i] = PlanCacheStepSnapshot{
-					Wait: st.Wait, Switch: st.Switch, Target: ent.steps[i].target, Table: st.Table,
-					IsRule: st.IsRule, RuleAdd: st.RuleAdd,
-				}
-				if st.IsRule {
-					es.Steps[i].Rule = &st.Rule
-				}
-			}
-		}
-		snap.Entries = append(snap.Entries, es)
-	}
-	return snap
-}
-
-// Restore loads a snapshot into the cache, replacing nothing that is
-// already present (existing entries win — they are fresher). Entries are
-// inserted oldest-first so the snapshot's LRU order is preserved.
-func (c *PlanCache) Restore(snap *PlanCacheSnapshot) error {
-	if snap == nil {
-		return nil
-	}
-	for i := len(snap.Entries) - 1; i >= 0; i-- {
-		es := &snap.Entries[i]
-		key, err := hex.DecodeString(es.Key)
-		if err != nil {
-			return fmt.Errorf("core: plan cache snapshot entry %d: bad key: %v", i, err)
-		}
-		if len(key) != sha256.Size {
-			return fmt.Errorf("core: plan cache snapshot entry %d: key is %d bytes, want %d", i, len(key), sha256.Size)
-		}
-		if !es.Infeasible && len(es.Steps) == 0 {
-			continue // nothing usable
-		}
-		steps := make([]Step, len(es.Steps))
-		for j, ss := range es.Steps {
-			steps[j] = Step{Wait: ss.Wait, Switch: ss.Switch, Table: ss.Table, IsRule: ss.IsRule, RuleAdd: ss.RuleAdd}
-			if ss.Rule != nil {
-				steps[j].Rule = *ss.Rule
-			}
-		}
-		dag := es.DAG
-		if !es.Infeasible && !dag.covers(steps) {
-			// A snapshot missing its DAG still replays; executing the
-			// steps in sequence is always a valid (if conservative) order.
-			dag = chainDAG(steps)
-		}
-		ent := newPlanEntry(string(key), steps, dag, nil, es.Components)
-		ent.infeasible = es.Infeasible
-		for j, ss := range es.Steps {
-			if ss.Target && !ss.Wait {
-				ent.steps[j] = cachedStep{sw: ent.steps[j].sw, target: true}
-			}
-		}
-		c.mu.Lock()
-		if _, exists := c.entries[ent.key]; !exists {
-			ent.seq = c.stored.Add(1)
-			c.entries[ent.key] = c.lru.PushFront(ent)
-			for c.lru.Len() > c.max {
-				tail := c.lru.Back()
-				c.lru.Remove(tail)
-				delete(c.entries, tail.Value.(*cacheEntry).key)
-			}
-		}
-		c.mu.Unlock()
-	}
-	return nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -94,7 +96,7 @@ func corruptEntries(c *PlanCache, fn func(*cacheEntry)) int {
 	n := 0
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		ent := el.Value.(*cacheEntry)
-		if ent.hasPlan() {
+		if !ent.infeasible {
 			fn(ent)
 			n++
 		}
@@ -416,94 +418,215 @@ func TestCacheInfeasibleMemo(t *testing.T) {
 	}
 }
 
-// TestCacheSnapshotRoundTrip: Snapshot → JSON → Restore must hand a cold
-// process the warm process's fast path — the very first request against
-// the restored cache is a verified hit with a byte-identical plan, and a
-// persisted infeasibility memo still fails fast.
+// TestCacheSnapshotRoundTrip: a cache embedded in an image (EmbedCache)
+// and restored with it hands a cold process the warm process's fast path.
+// The section decodes to the entries it was written from: written again it
+// is the same bytes, and each entry's DAG has the depth and width it had.
+// The first request of each granularity against the restored cache is a
+// verified hit with the plan a search gives, tables, rule details and DAG
+// included, and the infeasibility memo still fails fast.
 func TestCacheSnapshotRoundTrip(t *testing.T) {
-	stream, walk := flapWalk(t, 29, 1)
-	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), Options{})
+	seeds := loadFuzzSeeds(t)
+	seed := seeds[len(seeds)-1]
+	cache := warmCache(t, seed)
+	addOwnTables(t, seed, cache)
+	img, err := EmbedCache(seed.img, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := sess.EnableCache()
-	var plans []*Plan
-	for _, tgt := range walk {
-		p, err := sess.Synthesize(tgt)
+	s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := s.Cache()
+	if restored == nil || restored.Stats().Entries != cache.Stats().Entries {
+		t.Fatalf("restored %v, want %d entries", restored, cache.Stats().Entries)
+	}
+	if !bytes.Equal(restored.encode(), cache.encode()) {
+		t.Fatal("the restored cache writes another section")
+	}
+	for a, b := cache.lru.Front(), restored.lru.Front(); a != nil; a, b = a.Next(), b.Next() {
+		x, y := a.Value.(*cacheEntry), b.Value.(*cacheEntry)
+		if x.key != y.key || x.depth != y.depth || x.width != y.width {
+			t.Fatalf("entry %x restored as %x, depth %d width %d, want depth %d width %d", x.key, y.key, y.depth, y.width, x.depth, x.width)
+		}
+	}
+
+	for _, opts := range []Options{{}, {TwoSimple: true}, {RuleGranularity: true}} {
+		plain := opts
+		plain.NoPlanCache = true
+		fresh, err := NewSession(seed.base.Topo, seed.base.Init, seed.base.Specs, plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans = append(plans, p)
-	}
-	// Add an infeasibility memo to the mix.
-	itopo := topology.SmallWorld(30, 4, 0.3, 7)
-	isc, err := config.Infeasible(itopo, config.InfeasibleOptions{Gadgets: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	isess, err := NewSession(isc.Topo, isc.Init, isc.Specs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	isess.SetCache(cache)
-	if _, err := isess.Synthesize(isc.Final); !errors.Is(err, ErrNoOrdering) {
-		t.Fatalf("err = %v, want ErrNoOrdering", err)
-	}
-
-	raw, err := json.Marshal(cache.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap PlanCacheSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewPlanCache(0)
-	if err := restored.Restore(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != cache.Len() {
-		t.Fatalf("restored %d entries, want %d", restored.Len(), cache.Len())
-	}
-
-	cold, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold.SetCache(restored)
-	for n, tgt := range walk {
-		p, err := cold.Synthesize(tgt)
+		want, err := fresh.Synthesize(seed.target)
 		if err != nil {
-			t.Fatalf("step %d: %v", n, err)
+			t.Fatal(err)
 		}
-		if !p.Stats.CacheHit {
-			t.Fatalf("step %d: restored cache missed", n)
+		cold, err := NewSession(seed.base.Topo, seed.base.Init, seed.base.Specs, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.String() != plans[n].String() {
-			t.Fatalf("step %d: restored plan diverged:\ngot  %s\nwant %s",
-				n, p.String(), plans[n].String())
+		cold.SetCache(restored)
+		got, err := cold.Synthesize(seed.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Stats.CacheHit || got.String() != want.String() || !reflect.DeepEqual(got.DAG, want.DAG) {
+			t.Fatalf("%+v: hit %v, plan\n%s\nwant\n%s", opts, got.Stats.CacheHit, got, want)
+		}
+		for i, st := range got.Steps {
+			w := want.Steps[i]
+			if !slices.EqualFunc(st.Table, w.Table, network.Rule.Equal) || st.IsRule != w.IsRule || st.RuleAdd != w.RuleAdd || !st.Rule.Equal(w.Rule) {
+				t.Fatalf("%+v: step %d restored as %+v, want %+v", opts, i, st, w)
+			}
 		}
 	}
-	icold, err := NewSession(isc.Topo, isc.Init, isc.Specs, Options{})
+
+	sc, err := config.Infeasible(topology.SmallWorld(30, 4, 0.3, 7), config.InfeasibleOptions{Gadgets: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	icold, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	icold.SetCache(restored)
-	if _, err := icold.Synthesize(isc.Final); !errors.Is(err, ErrNoOrdering) {
-		t.Fatalf("restored memo: err = %v, want ErrNoOrdering", err)
+	if _, err := icold.Synthesize(sc.Final); !errors.Is(err, ErrNoOrdering) || !icold.LastStats().CacheHit {
+		t.Fatalf("restored memo: err = %v, hit %v; want ErrNoOrdering from the cache", err, icold.LastStats().CacheHit)
 	}
-	if !icold.LastStats().CacheHit {
-		t.Fatal("restored infeasibility memo missed")
-	}
+}
 
-	// Corrupted snapshots are rejected, not half-loaded.
-	bad := PlanCacheSnapshot{Entries: []PlanCacheEntrySnapshot{{Key: "zz"}}}
-	if err := NewPlanCache(0).Restore(&bad); err == nil {
-		t.Fatal("bad key accepted")
+// TestCacheSectionRefusesAnUnappliableRule: a cache section whose plan for
+// the flap-back first installs, on a switch of the request's diff, a table
+// whose rules set header field 9 — a field no packet has, whose replay
+// would panic — is dropped whole, as the configuration's decoder refuses
+// such a rule: the session restores with no cache and both requests are
+// searched. The same section setting field 0 is kept, so the field is
+// what is refused.
+func TestCacheSectionRefusesAnUnappliableRule(t *testing.T) {
+	seeds := loadFuzzSeeds(t)
+	seed := seeds[len(seeds)-1]
+	for _, field := range []network.FieldID{9, 0} {
+		img, err := embedCacheSection(seed.img, poisonedSection(t, seed, field))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept := s.Cache() != nil; kept != (field < network.NumFields) {
+			t.Fatalf("field %d: section kept %v", field, kept)
+		}
+		for _, to := range []*config.Config{seed.base.Init, seed.target} {
+			if _, err := s.Synthesize(to); err != nil {
+				t.Fatalf("field %d: %v", field, err)
+			}
+			if s.LastStats().CacheHit {
+				t.Fatalf("field %d: answered from the cache", field)
+			}
+		}
 	}
-	short := PlanCacheSnapshot{Entries: []PlanCacheEntrySnapshot{{Key: "abcd", Infeasible: true}}}
-	if err := NewPlanCache(0).Restore(&short); err == nil {
-		t.Fatal("short key accepted")
+}
+
+// TestCacheSectionIsTakenWhole: a cache section that fails any check of
+// the decoder is dropped whole and the image restores with no cache; the
+// section it was damaged from restores every entry. The damage is done to
+// a copy of one entry, a rule-granularity plan, with the cache's other
+// entries beside it, or to the section's bytes.
+func TestCacheSectionIsTakenWhole(t *testing.T) {
+	seeds := loadFuzzSeeds(t)
+	seed := seeds[len(seeds)-1]
+	cache := warmCache(t, seed)
+	addOwnTables(t, seed, cache)
+	var ruled *cacheEntry
+	for el := cache.lru.Front(); el != nil; el = el.Next() {
+		if ent := el.Value.(*cacheEntry); len(ent.rules) > 1 {
+			ruled = ent
+		}
+	}
+	if ruled == nil {
+		t.Fatal("no rule-granularity entry")
+	}
+	damaged := func(damage func(*cacheEntry)) []byte {
+		c := NewPlanCache(0)
+		for el := cache.lru.Back(); el != nil; el = el.Prev() {
+			ent := *el.Value.(*cacheEntry)
+			if el.Value == ruled {
+				ent.steps, ent.rules, ent.dag = slices.Clone(ent.steps), slices.Clone(ent.rules), slices.Clone(ent.dag)
+				damage(&ent)
+			}
+			c.store(&ent)
+		}
+		return c.encode()
+	}
+	memo := NewPlanCache(0)
+	memo.storeInfeasible(ruled.key)
+	one := memo.encode()[1:]
+	intact := damaged(func(*cacheEntry) {})
+	for name, sec := range map[string][]byte{
+		"switch-out-of-range": damaged(func(e *cacheEntry) { e.steps[0].sw = int32(seed.base.Topo.NumSwitches()) }),
+		"edge-to-itself":      damaged(func(e *cacheEntry) { e.dag = append([]int32{1, 0}, e.dag[1:]...) }),
+		"edge-forward":        damaged(func(e *cacheEntry) { e.dag = append([]int32{1, 1}, e.dag[1:]...) }),
+		"rule-detail-on-a-wait": damaged(func(e *cacheEntry) {
+			e.steps = append(e.steps, cachedStep{wait: true})
+			e.rules = append(e.rules, cachedRule{step: int32(len(e.steps) - 1), rule: e.rules[0].rule})
+		}),
+		"rule-details-out-of-order": damaged(func(e *cacheEntry) { e.rules[0], e.rules[1] = e.rules[1], e.rules[0] }),
+		"rule-detail-twice":         damaged(func(e *cacheEntry) { e.rules[1].step = e.rules[0].step }),
+		"trailing-byte":             append(slices.Clone(intact), 0),
+		"truncated":                 intact[:len(intact)-1],
+		"entry-twice":               append(append([]byte{2}, one...), one...),
+		"unknown-kind":              append(append([]byte{1}, one[:len(one)-1]...), 2),
+	} {
+		for _, sec := range [][]byte{sec, intact} {
+			img, err := embedCacheSection(seed.img, sec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, img)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := s.Cache(); (got != nil) != bytes.Equal(sec, intact) || (got != nil && got.Stats().Entries != cache.Stats().Entries) {
+				t.Fatalf("%s: restored cache %v", name, got)
+			}
+		}
+	}
+}
+
+// TestPlanCacheMerge: a cache merged into a full one goes through the
+// same insertion as a store. An entry both hold keeps the receiver's, the
+// merged ones enter ahead of the receiver's in their own LRU order, and
+// every entry pushed out past the bound is counted in Stats().Evictions.
+func TestPlanCacheMerge(t *testing.T) {
+	key := func(b byte) string {
+		k := make([]byte, 32)
+		k[0] = b
+		return string(k)
+	}
+	store, other := NewPlanCache(4), NewPlanCache(0)
+	for b := byte(0); b < 4; b++ {
+		store.storeInfeasible(key(b))
+	}
+	for b := byte(2); b < 6; b++ {
+		other.storeInfeasible(key(b))
+	}
+	held := store.entries[key(2)].Value
+	store.Merge(other)
+	if st := store.Stats(); st.Entries != 4 || st.Evictions != 2 {
+		t.Fatalf("after the merge: %+v, want 4 entries and 2 evictions", st)
+	}
+	var order []byte
+	for el := store.lru.Front(); el != nil; el = el.Next() {
+		order = append(order, el.Value.(*cacheEntry).key[0])
+	}
+	if !slices.Equal(order, []byte{5, 4, 3, 2}) {
+		t.Fatalf("LRU order %v, want [5 4 3 2]", order)
+	}
+	if store.entries[key(2)].Value != held {
+		t.Fatal("the merged cache's entry replaced the receiver's")
 	}
 }
 
@@ -519,8 +642,8 @@ func TestCacheEvictionBound(t *testing.T) {
 	for b := byte(0); b < 5; b++ {
 		c.storeInfeasible(key(b))
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if c.Stats().Entries != 2 {
+		t.Fatalf("len = %d, want 2", c.Stats().Entries)
 	}
 	if ev := c.Stats().Evictions; ev != 3 {
 		t.Fatalf("evictions = %d, want 3", ev)

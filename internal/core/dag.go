@@ -59,26 +59,6 @@ type PlanDAG struct {
 // NumNodes returns the number of update steps the DAG covers.
 func (d *PlanDAG) NumNodes() int { return len(d.Preds) }
 
-// covers reports whether d is a dependency DAG over the update steps of
-// steps: one node per step, every edge from a lower-numbered node. A DAG
-// that arrived in an image's cache section is asked before anything
-// indexes by it.
-func (d *PlanDAG) covers(steps []Step) bool {
-	if d == nil || len(d.Preds) != len(steps)-countWaits(steps) || len(d.Drain) > len(d.Preds) {
-		return false
-	}
-	for _, lists := range [2][][]int{d.Preds, d.Drain} {
-		for j, list := range lists {
-			for _, p := range list {
-				if p < 0 || p >= j {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // DrainEdges returns the total number of drain-marked edges.
 func (d *PlanDAG) DrainEdges() int {
 	n := 0

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +13,7 @@ import (
 	"testing"
 
 	"netupdate/internal/config"
+	"netupdate/internal/network"
 	"netupdate/internal/topology"
 )
 
@@ -31,9 +31,10 @@ type fuzzContext struct {
 // the session served the reroute: "" is version 1, as commit 5a6acb0
 // wrote it (the last commit with four checker backends); "-v2" is version
 // 2's, as PR 17 wrote it, with its label tables and class sections; "-v3"
-// is this format's, as the commit that introduced it wrote it. Older
+// is version 3's, as the commit that introduced it wrote it; "-v4" is
+// this format's, the "-v3" image restored and written again. Older
 // images restore to their configuration; they must keep doing so.
-var fuzzSeedVersions = []string{"", "-v2", "-v3"}
+var fuzzSeedVersions = []string{"", "-v2", "-v3", "-v4"}
 
 var fuzzContexts = []fuzzContext{
 	{
@@ -260,15 +261,32 @@ func FuzzRestoreSession(f *testing.F) {
 // so (RestoredCold). An image in the current format restored from bytes
 // has every class built too; the session resumed from the restored one's
 // parked handle, none. Either way the session's next plan is a cold
-// session's (restoreAndServe).
+// session's (restoreAndServe). A version-3 image's cache section is JSON,
+// which nothing reads any more: three-class-v3-cache.nuss, the committed
+// three-class-v3.nuss with the section a version-3 writer embedded for a
+// cache that served the reroute and the flap-back, restores the same way
+// with no cache.
 func TestRestoreOlderImageKeepsItsConfiguration(t *testing.T) {
-	for _, seed := range loadFuzzSeeds(t) {
+	seeds := loadFuzzSeeds(t)
+	withJSON := seeds[slices.IndexFunc(seeds, func(s fuzzSeed) bool { return s.name == "three-class-v3.nuss" })]
+	img, err := os.ReadFile(filepath.Join("testdata", "fuzz-seeds", "three-class-v3-cache.nuss"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(img, withJSON.img[:len(withJSON.img)-sha256.Size-1]) || !bytes.Contains(img, []byte(`"entries":[{"key":"`)) {
+		t.Fatalf("three-class-v3-cache.nuss is not %s with a JSON cache section", withJSON.name)
+	}
+	withJSON.name, withJSON.img = "three-class-v3-cache.nuss", img
+	for _, seed := range append(seeds, withJSON) {
 		s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, seed.img)
 		if err != nil {
 			t.Fatalf("%s: %v", seed.name, err)
 		}
 		if older := seed.version < snapVersion; s.RestoredCold() != older {
 			t.Errorf("%s: RestoredCold() = %v", seed.name, s.RestoredCold())
+		}
+		if c := s.Cache(); c != nil && c.Stats().Entries > 0 {
+			t.Errorf("%s: restored with %d cache entries", seed.name, c.Stats().Entries)
 		}
 		if len(config.Diff(s.Current(), seed.target)) != 0 || len(config.Diff(s.Current(), seed.base.Init)) == 0 {
 			t.Errorf("%s: restored session is not at the image's configuration", seed.name)
@@ -287,43 +305,37 @@ func TestRestoreOlderImageKeepsItsConfiguration(t *testing.T) {
 
 // FuzzImageCacheSection: an image's cache section is the one persisted
 // form of plan-cache state — EmbedCache writes it when a tenant's image
-// leaves its process, decodeCache and PlanCache.Restore read it back — so
-// for any blob in the section of a current-format image, resealed under a
-// valid checksum, restore must return an error or a session that answers
-// the seed's flap-back and its reroute with a plan or ErrNoOrdering (a
-// cache holds no other verdict), at rest, and never panic. The seeds,
-// generated here, are the JSON of a warm cache holding the plans of both
-// requests and an infeasibility memo as writers before steps were marked
-// wrote it, every step's table in full; the same JSON with the
-// wrong-configuration patterns, SAT constraints and dead configurations
-// older writers added to every entry; and the same cache as Snapshot
-// writes it, each step marked as the target's and without a table.
-// Unmutated, each answers both requests from the cache.
+// leaves its process, decodeCache reads it back — so for any section in a
+// current-format image, resealed under a valid checksum, restore must
+// return an error or a session that answers the seed's flap-back and its
+// reroute with a plan or ErrNoOrdering (a cache holds no other verdict),
+// at rest, and never panic. The seeds are generated here (cacheSections):
+// a warm cache's section and the same cache with 2-simple and
+// rule-granularity plans added, each of which answers both requests from
+// the cache unmutated, and a section whose plan installs a rule that sets
+// header field 9, which must be dropped whole.
 func FuzzImageCacheSection(f *testing.F) {
 	seeds := loadFuzzSeeds(f)
 	seed := seeds[len(seeds)-1]
-	if seed.version != snapVersion || seed.name != "three-class-v3.nuss" {
+	if seed.version != snapVersion || seed.name != "three-class-v4.nuss" {
 		f.Fatalf("last committed image is %s, version %d", seed.name, seed.version)
 	}
-	marked, blob := warmCacheJSON(f, seed)
-	if !bytes.Contains(blob, []byte(`"steps"`)) || !bytes.Contains(blob, []byte(`"infeasible":true`)) {
-		f.Fatalf("seed cache lacks a plan entry or a memo: %s", blob)
+	warm, own := cacheSections(f, seed)
+	poisoned := poisonedSection(f, seed, 9)
+	for _, sec := range [][]byte{warm, own, poisoned} {
+		f.Add(sec)
 	}
-	if !bytes.Contains(marked, []byte(`"target":true`)) || bytes.Contains(marked, []byte(`"table"`)) {
-		f.Fatalf("a whole-table step is written with its table: %s", marked)
-	}
-	blobs := [][]byte{blob, withLegacyFields(f, blob), marked}
-	for _, b := range blobs {
-		f.Add(b)
-	}
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		img, err := embedCacheBlob(seed.img, blob)
+	f.Fuzz(func(t *testing.T, sec []byte) {
+		img, err := embedCacheSection(seed.img, sec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, img)
 		if err != nil {
 			return
+		}
+		if bytes.Equal(sec, poisoned) && s.Cache() != nil {
+			t.Fatal("a section whose rule sets header field 9 was restored")
 		}
 		// The image was written at the reroute's target: back, then out.
 		hits := 0
@@ -339,32 +351,25 @@ func FuzzImageCacheSection(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		if hits != 2 && slices.ContainsFunc(blobs, func(b []byte) bool { return bytes.Equal(b, blob) }) {
+		if hits != 2 && (bytes.Equal(sec, warm) || bytes.Equal(sec, own)) {
 			t.Fatalf("a seed cache answered %d of 2 requests", hits)
 		}
 	})
 }
 
-// warmCacheJSON is the section EmbedCache writes for a cache that served
-// the seed's reroute and its flap-back, and memoized an unorderable
-// instance of another scenario (marked), and the same section as writers
-// before steps were marked wrote it: each plan step Step's JSON, its table
-// in full (wholeTables).
-func warmCacheJSON(tb testing.TB, seed fuzzSeed) (marked, wholeTables []byte) {
+// warmCache returns a cache that served the seed's reroute and its
+// flap-back and memoized an unorderable instance of another scenario.
+func warmCache(tb testing.TB, seed fuzzSeed) *PlanCache {
 	tb.Helper()
 	s, err := NewSession(seed.base.Topo, seed.base.Init, seed.base.Specs, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	cache := s.EnableCache()
-	plans := map[string][]Step{}
 	for _, to := range []*config.Config{seed.target, seed.base.Init} {
-		key := hex.EncodeToString([]byte(s.instanceKey(to)))
-		plan, err := s.Synthesize(to)
-		if err != nil {
+		if _, err := s.Synthesize(to); err != nil {
 			tb.Fatal(err)
 		}
-		plans[key] = plan.Steps
 	}
 	sc, err := config.Infeasible(topology.SmallWorld(30, 4, 0.3, 7), config.InfeasibleOptions{Gadgets: 1, Seed: 3})
 	if err != nil {
@@ -378,50 +383,78 @@ func warmCacheJSON(tb testing.TB, seed fuzzSeed) (marked, wholeTables []byte) {
 	if _, err := is.Synthesize(sc.Final); !errors.Is(err, ErrNoOrdering) {
 		tb.Fatalf("err = %v, want ErrNoOrdering", err)
 	}
-	snap := cache.Snapshot()
-	if marked, err = json.Marshal(snap); err != nil {
-		tb.Fatal(err)
-	}
-	type wholeTableEntry struct {
-		Key        string   `json:"key"`
-		Infeasible bool     `json:"infeasible,omitempty"`
-		Steps      []Step   `json:"steps,omitempty"`
-		DAG        *PlanDAG `json:"dag,omitempty"`
-		Components int      `json:"components,omitempty"`
-	}
-	var old struct {
-		Entries []wholeTableEntry `json:"entries"`
-	}
-	for _, es := range snap.Entries {
-		old.Entries = append(old.Entries, wholeTableEntry{es.Key, es.Infeasible, plans[es.Key], es.DAG, es.Components})
-	}
-	if wholeTables, err = json.Marshal(old); err != nil {
-		tb.Fatal(err)
-	}
-	return marked, wholeTables
+	return cache
 }
 
-// withLegacyFields adds to every entry of a cache section the
-// wrong-configuration patterns, SAT constraints and dead configurations
-// that writers before the plan cache dropped its learned state carried.
-// Decoders ignore them.
-func withLegacyFields(tb testing.TB, blob []byte) []byte {
+// addOwnTables stores in cache the 2-simple and rule-granularity plans of
+// the seed's reroute, whose steps keep tables and rule details of their
+// own.
+func addOwnTables(tb testing.TB, seed fuzzSeed, cache *PlanCache) {
 	tb.Helper()
-	var snap map[string]any
-	dec := json.NewDecoder(bytes.NewReader(blob))
-	dec.UseNumber() // rule fields round-trip exactly
-	if err := dec.Decode(&snap); err != nil {
-		tb.Fatal(err)
+	for _, opts := range []Options{{TwoSimple: true}, {RuleGranularity: true}} {
+		s, err := NewSession(seed.base.Topo, seed.base.Init, seed.base.Specs, opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		s.SetCache(cache)
+		if _, err := s.Synthesize(seed.target); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	for _, ent := range snap["entries"].([]any) {
-		e := ent.(map[string]any)
-		e["patterns"] = []any{map[string]any{"relevant": []any{3}, "value": []any{1}}}
-		e["cons"] = []any{map[string]any{"applied": []any{0}, "unapplied": []any{1}}}
-		e["dead"] = []any{[]any{1}, []any{3}}
+	tables, rules := 0, 0
+	for el := cache.lru.Front(); el != nil; el = el.Next() {
+		ent := el.Value.(*cacheEntry)
+		rules += len(ent.rules)
+		for _, st := range ent.steps {
+			if !st.wait && !st.target {
+				tables++
+			}
+		}
 	}
-	out, err := json.Marshal(snap)
+	if tables == 0 || rules == 0 {
+		tb.Fatalf("the cache holds %d tables and %d rule details of its own", tables, rules)
+	}
+}
+
+// cacheSections returns the section EmbedCache writes for warmCache
+// (warm), and for the same cache after addOwnTables (own).
+func cacheSections(tb testing.TB, seed fuzzSeed) (warm, own []byte) {
+	tb.Helper()
+	cache := warmCache(tb, seed)
+	warm = cache.encode()
+	addOwnTables(tb, seed, cache)
+	return warm, cache.encode()
+}
+
+// poisonedSection is the section of a cache holding one plan, for the
+// seed's flap-back: the plan the warm session gave, after a first step
+// that installs on one of its switches the flap-back's table with every
+// rule setting the given header field to 1 before it acts. Replaying a
+// field past the last would panic (network.Packet.WithField).
+func poisonedSection(tb testing.TB, seed fuzzSeed, field network.FieldID) []byte {
+	tb.Helper()
+	s, err := NewSession(seed.base.Topo, seed.target, seed.base.Specs, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return out
+	key := s.instanceKey(seed.base.Init)
+	back, err := s.Synthesize(seed.base.Init)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, st := range back.Steps {
+		if st.Wait || len(st.Table) == 0 {
+			continue
+		}
+		bad := slices.Clone(st.Table)
+		for i := range bad {
+			bad[i].Actions = append([]network.Action{network.SetField(field, 1)}, bad[i].Actions...)
+		}
+		steps := append([]Step{{Switch: st.Switch, Table: bad}}, back.Steps...)
+		c := NewPlanCache(0)
+		c.store(newPlanEntry(key, steps, chainDAG(steps), seed.base.Init, back.Stats.Components))
+		return c.encode()
+	}
+	tb.Fatal("the flap-back installs no rule")
+	return nil
 }

@@ -542,7 +542,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	var runErr error
 	var dag *PlanDAG
 	fromCache, searched := false, false
-	if ent != nil && ent.hasPlan() {
+	if ent != nil && !ent.infeasible {
 		e.snapshotCheckerStats()
 		cvStart := time.Now()
 		cvSpan := tr.Begin("cache-verify", root)
@@ -681,7 +681,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		csSpan := tr.Begin("cache-store", root)
 		switch {
 		case runErr == nil:
-			s.cache.storePlan(cacheKey, steps, dag, final, e.stats.Components)
+			s.cache.store(newPlanEntry(cacheKey, steps, dag, final, e.stats.Components))
 		case errors.Is(runErr, ErrNoOrdering):
 			s.cache.storeInfeasible(cacheKey)
 		}

@@ -24,12 +24,13 @@ package core
 // owner's cache embedded by EmbedCache; every plan in it is verified by
 // replay before it is used (cache.go).
 //
-// Format, version 3 (all integers varint-encoded unless noted):
+// Format, version 4 (all integers varint-encoded unless noted):
 //
 //	"NUSS" | u32le version | 32-byte context fingerprint
 //	runs counter
 //	config:  #switches, then per switch (strictly ascending): id, #rules, rules
-//	cache:   flag; when flagged (EmbedCache), the PlanCacheSnapshot JSON blob
+//	cache:   flag; when flagged (EmbedCache), the section's length and the
+//	         plan cache's entries in the same primitives (PlanCache.encode)
 //	sha256 checksum of everything above (raw 32 bytes)
 //
 // Every encoder is deterministic, so Snapshot -> Restore -> Snapshot is
@@ -39,19 +40,20 @@ package core
 // callers fall back to a cold build.
 //
 // Versions 1 and 2 put label tables and per-class sections (and then the
-// cache section) between the configuration and the checksum. An image is
-// the one carrier of a tenant's current configuration across processes, so
-// an older image is not refused: its checksum, fingerprint, run counter
-// and configuration are read as above, every class is built and verified
-// at that configuration, and the rest of it is skipped unread
+// cache section) between the configuration and the checksum; version 3
+// carried the cache section as JSON. An image is the one carrier of a
+// tenant's current configuration across processes, so an older image is
+// not refused: its checksum, fingerprint, run counter and configuration
+// are read as above, every class is built and verified at that
+// configuration, and the rest of it is skipped unread
 // (Session.RestoredCold reports it).
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"netupdate/internal/config"
 	"netupdate/internal/network"
@@ -60,7 +62,7 @@ import (
 
 const (
 	snapMagic   = "NUSS"
-	snapVersion = 3
+	snapVersion = 4
 )
 
 // Snapshot decode failure modes. Callers distinguish them only to report;
@@ -88,10 +90,6 @@ func (w *snapWriter) u32(v uint32)     { w.buf = binary.LittleEndian.AppendUint3
 func (w *snapWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *snapWriter) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
 func (w *snapWriter) count(n int)      { w.uvarint(uint64(n)) }
-func (w *snapWriter) str(s string) {
-	w.count(len(s))
-	w.buf = append(w.buf, s...)
-}
 
 type snapReader struct {
 	buf []byte
@@ -167,15 +165,6 @@ func (r *snapReader) num() int {
 	return int(r.uvarint())
 }
 
-func (r *snapReader) str() string {
-	n := r.count()
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
 // --- encode ---
 
 // Snapshot serializes what the session's holder needs to make the session
@@ -226,26 +215,83 @@ func (w *snapWriter) seal() []byte {
 // the cache. RestoreSession decodes the section into the restored
 // session's cache.
 func EmbedCache(img []byte, c *PlanCache) ([]byte, error) {
-	blob, err := json.Marshal(c.Snapshot())
-	if err != nil {
-		return nil, err
-	}
-	return embedCacheBlob(img, blob)
+	return embedCacheSection(img, c.encode())
 }
 
-// embedCacheBlob returns a copy of img whose empty cache section holds
-// blob, resealed.
-func embedCacheBlob(img, blob []byte) ([]byte, error) {
+// embedCacheSection returns a copy of img whose empty cache section holds
+// sec, resealed.
+func embedCacheSection(img, sec []byte) ([]byte, error) {
 	n := len(img) - sha256.Size
 	if n < 1 || img[n-1] != 0 {
 		return nil, fmt.Errorf("%w: no empty cache section to fill", ErrBadSnapshot)
 	}
-	w := &snapWriter{buf: make([]byte, 0, len(img)+len(blob)+binary.MaxVarintLen64)}
+	w := &snapWriter{buf: make([]byte, 0, len(img)+len(sec)+binary.MaxVarintLen64)}
 	w.raw(img[:n-1])
 	w.buf = append(w.buf, 1)
-	w.count(len(blob))
-	w.raw(blob)
+	w.count(len(sec))
+	w.raw(sec)
 	return w.seal(), nil
+}
+
+// encode returns the cache's section: the number of entries, then the
+// entries, least recently used first, each as
+//
+//	32-byte key | 1 for an infeasibility memo, or 0 and the plan:
+//	components | #steps, steps | #details, per detail: 2·step+add, rule |
+//	per update step: #preds, preds, #drain, drain
+//
+// where a step is 0 for a wait, 1+2·sw for one that installs the request
+// target's table on sw (cacheEntry), and 2+2·sw, #rules, rules for one
+// that installs a table of its own, and a detail is a rule-granularity
+// step's rule (cachedRule). The counters are not written: a restored
+// cache starts cold on stats.
+func (c *PlanCache) encode() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := &snapWriter{}
+	w.count(c.lru.Len())
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		ent := el.Value.(*cacheEntry)
+		w.raw([]byte(ent.key))
+		if ent.infeasible {
+			w.count(1)
+			continue
+		}
+		w.count(0)
+		w.count(int(ent.components))
+		w.count(len(ent.steps))
+		for i := range ent.steps {
+			switch st := &ent.steps[i]; {
+			case st.wait:
+				w.count(0)
+			case st.target:
+				w.count(1 + 2*int(st.sw))
+			default:
+				w.count(2 + 2*int(st.sw))
+				encodeTable(w, st.table)
+			}
+		}
+		w.count(len(ent.rules))
+		for _, cr := range ent.rules {
+			add := 0
+			if cr.add {
+				add = 1
+			}
+			w.count(2*int(cr.step) + add)
+			encodeRule(w, cr.rule)
+		}
+		for _, v := range ent.dag {
+			w.count(int(v))
+		}
+	}
+	return w.buf
+}
+
+func encodeTable(w *snapWriter, tbl network.Table) {
+	w.count(len(tbl))
+	for _, rule := range tbl {
+		encodeRule(w, rule)
+	}
 }
 
 func encodeRule(w *snapWriter, r network.Rule) {
@@ -298,6 +344,16 @@ func decodeAction(r *snapReader) network.Action {
 	}
 }
 
+// table decodes a rule table.
+func (r *snapReader) table() network.Table {
+	n := r.count()
+	tbl := make(network.Table, 0, n)
+	for j := 0; j < n && r.err == nil; j++ {
+		tbl = append(tbl, decodeRule(r))
+	}
+	return tbl
+}
+
 // config decodes a configuration section into a new configuration over
 // the given number of switches.
 func (r *snapReader) config(switches int) *config.Config {
@@ -305,7 +361,7 @@ func (r *snapReader) config(switches int) *config.Config {
 	nSw := r.count()
 	for i, prev := 0, -1; i < nSw && r.err == nil; i++ {
 		sw := r.num()
-		nRules := r.count()
+		tbl := r.table()
 		if r.err == nil && (sw <= prev || sw >= switches) {
 			// Ascending without repeats, as Snapshot writes them: SetTable
 			// would let a later table for the same switch win, and the
@@ -315,10 +371,6 @@ func (r *snapReader) config(switches int) *config.Config {
 		prev = sw
 		if r.err != nil {
 			break
-		}
-		tbl := make(network.Table, 0, nRules)
-		for j := 0; j < nRules && r.err == nil; j++ {
-			tbl = append(tbl, decodeRule(r))
 		}
 		cur.SetTable(sw, tbl)
 	}
@@ -400,24 +452,100 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	s.restoredCold = version != snapVersion
 	s.runs = runs
 	if cacheSection != nil && !opts.NoPlanCache {
-		s.cache = decodeCache(cacheSection)
+		s.cache = decodeCache(cacheSection, topo.NumSwitches())
 	}
 	return s, nil
 }
 
-// decodeCache returns the plan cache an image's section carries, or nil
-// when the section does not decode. The section rode in under the image's
-// checksum, so a failure means an encoder bug, not corruption; the cache
-// is then dropped (a cold cache is always sound: every hit is verified by
-// replay).
-func decodeCache(blob []byte) *PlanCache {
-	var cs PlanCacheSnapshot
-	if err := json.Unmarshal(blob, &cs); err != nil {
-		return nil
-	}
+// decodeCache returns the plan cache an image's cache section carries
+// (PlanCache.encode), or nil when the section fails any check: a cold
+// cache is always sound (every hit is verified by replay), so a section is
+// taken whole or not at all. Tables are decoded as the configuration's
+// are, a step must name a switch of the topology, a rule-granularity
+// detail an update step, and a DAG edge an earlier update step; the DAG's
+// depth and width are computed from its edges, not read.
+func decodeCache(section []byte, switches int) *PlanCache {
+	r := &snapReader{buf: section}
 	cache := NewPlanCache(0)
-	if err := cache.Restore(&cs); err != nil {
+	for n := r.count(); n > 0 && r.err == nil; n-- {
+		ent := &cacheEntry{key: string(r.take(sha256.Size))}
+		if _, dup := cache.entries[ent.key]; dup {
+			r.fail("entry %x twice", ent.key)
+		}
+		switch kind := r.uvarint(); kind {
+		case 0:
+			r.planEntry(ent, uint64(switches))
+		case 1:
+			ent.infeasible = true
+		default:
+			r.fail("entry kind %d", kind)
+		}
+		if r.err == nil {
+			cache.store(ent)
+		}
+	}
+	if r.err != nil || r.off != len(section) {
 		return nil
 	}
 	return cache
+}
+
+// planEntry decodes the plan of a cache entry into ent.
+func (r *snapReader) planEntry(ent *cacheEntry, switches uint64) {
+	if comps := r.uvarint(); comps > math.MaxInt32 {
+		r.fail("%d components", comps)
+	} else {
+		ent.components = int32(comps)
+	}
+	ent.steps = make([]cachedStep, r.count())
+	nodes := 0
+	for i := 0; i < len(ent.steps) && r.err == nil; i++ {
+		st := &ent.steps[i]
+		code := r.uvarint()
+		if code == 0 {
+			st.wait = true
+			continue
+		}
+		if sw := (code - 1) / 2; sw < switches {
+			st.sw, st.target = int32(sw), code%2 == 1
+		} else {
+			r.fail("step %d on switch %d of %d", i, sw, switches)
+		}
+		if !st.target {
+			st.table = r.table()
+		}
+		nodes++
+	}
+	nRules := r.count()
+	for j, prev := 0, -1; j < nRules && r.err == nil; j++ {
+		code := r.uvarint()
+		if step := code / 2; step >= uint64(len(ent.steps)) || int(step) <= prev || ent.steps[step].wait {
+			r.fail("rule detail %d for step %d after step %d", j, step, prev)
+			return
+		}
+		prev = int(code / 2)
+		ent.rules = append(ent.rules, cachedRule{step: int32(prev), add: code%2 == 1, rule: decodeRule(r)})
+	}
+	// Node j's level is the longest chain of predecessors below it; the
+	// depth is the number of levels and the width the largest level.
+	level, size := make([]int32, nodes), make([]int32, nodes)
+	for j := 0; j < nodes && r.err == nil; j++ {
+		for list := 0; list < 2; list++ {
+			n := r.count()
+			ent.dag = append(ent.dag, int32(n))
+			for ; n > 0 && r.err == nil; n-- {
+				p := r.uvarint()
+				if p >= uint64(j) {
+					r.fail("edge from node %d to node %d", p, j)
+					return
+				}
+				ent.dag = append(ent.dag, int32(p))
+				if list == 0 {
+					level[j] = max(level[j], level[p]+1)
+				}
+			}
+		}
+		size[level[j]]++
+		ent.depth, ent.width = max(ent.depth, level[j]+1), max(ent.width, size[level[j]])
+	}
 }

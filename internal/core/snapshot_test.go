@@ -524,6 +524,14 @@ func parseAnyImage(t testing.TB, img []byte, older bool) *parsedImage {
 	return p
 }
 
+// str reads a length-prefixed string of an older image's sections.
+func (r *snapReader) str() string { return string(r.take(r.count())) }
+
+func (w *snapWriter) str(s string) {
+	w.count(len(s))
+	w.raw([]byte(s))
+}
+
 // imageSwitch is one table of an image's configuration section.
 type imageSwitch struct {
 	sw    int

@@ -215,13 +215,14 @@ func (p *Pool) initMetrics() {
 	m.synthRepair = reg.Histogram("netupdate_synthesis_repair_seconds", "Synthesis latency of repair runs.")
 	m.snapRestore = reg.Histogram("netupdate_snapshot_restore_seconds", "Time to resume an evicted session.")
 	m.sessionEvict = reg.Histogram("netupdate_session_evict_seconds", "Time to park an evicted session.")
+	distance := []float64{0} // powers of two up to the plan cache's bound, which ends them
+	for n := 1; n < core.DefaultPlanCacheEntries; n *= 2 {
+		distance = append(distance, float64(n))
+	}
 	m.hitDistance = reg.CountHistogram("netupdate_plan_cache_hit_distance",
-		"Entries a plan cache stored between the store of the entry a hit used and the hit.", hitDistanceBuckets)
+		"Entries a plan cache stored between the store of the entry a hit used and the hit.", append(distance, core.DefaultPlanCacheEntries))
 	m.tenantRequests = reg.CounterVec("netupdate_tenant_requests_total", "Requests received per tenant.", "tenant")
 }
-
-// hitDistanceBuckets are powers of two up to core.DefaultPlanCacheEntries.
-var hitDistanceBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 // Metrics exposes the pool's metric registry: GET /metrics renders it, and
 // Registry.Value reads one family by name.

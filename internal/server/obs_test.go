@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -211,7 +212,8 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 // TestPlanCacheHitDistance: a tenant that flips a class and back twice
 // misses twice and then hits the flip, stored one entry before the
 // flip-back, and the flip-back, stored last: the histogram on /metrics
-// reads one hit at distance 0 and one at distance 1.
+// reads one hit at distance 0 and one at distance 1. Its top finite
+// bucket is the plan cache's bound.
 func TestPlanCacheHitDistance(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1})
 	ts := httptest.NewServer(NewHandler(p))
@@ -231,7 +233,6 @@ func TestPlanCacheHitDistance(t *testing.T) {
 	for series, want := range map[string]float64{
 		`netupdate_plan_cache_hit_distance_bucket{le="0"}`:    1,
 		`netupdate_plan_cache_hit_distance_bucket{le="1"}`:    2,
-		`netupdate_plan_cache_hit_distance_bucket{le="4096"}`: 2,
 		`netupdate_plan_cache_hit_distance_bucket{le="+Inf"}`: 2,
 		"netupdate_plan_cache_hit_distance_sum":               1,
 		"netupdate_plan_cache_hit_distance_count":             2,
@@ -240,6 +241,19 @@ func TestPlanCacheHitDistance(t *testing.T) {
 		if got[series] != want {
 			t.Errorf("%s = %g, want %g", series, got[series], want)
 		}
+	}
+	top := 0.0
+	for series := range got {
+		if le, ok := strings.CutPrefix(series, `netupdate_plan_cache_hit_distance_bucket{le="`); ok && le != `+Inf"}` {
+			bound, err := strconv.ParseFloat(strings.TrimSuffix(le, `"}`), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			top = max(top, bound)
+		}
+	}
+	if top != core.DefaultPlanCacheEntries || got[fmt.Sprintf(`netupdate_plan_cache_hit_distance_bucket{le="%d"}`, core.DefaultPlanCacheEntries)] != 2 {
+		t.Errorf("top finite bucket %g, want the plan cache's bound %d holding both hits", top, core.DefaultPlanCacheEntries)
 	}
 }
 

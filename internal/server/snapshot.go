@@ -76,7 +76,7 @@ func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error
 		return fmt.Errorf("server: tenant %s: install snapshot: %w", t.id, err)
 	}
 	if c := sess.Cache(); c != nil && t.learnID != "" {
-		_ = p.planCache(t.learnID).Restore(c.Snapshot()) // c's entries were validated when it was decoded
+		p.planCache(t.learnID).Merge(c)
 	}
 	p.attachLearning(t, sess)
 	if sess.RestoredCold() {

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -464,9 +466,10 @@ func TestMigrationInstallKeepsCountersConsistent(t *testing.T) {
 // 5a6acb0 wrote for this very tenant shape, one reroute in) still moves
 // the tenant to the image's configuration — nothing else carries it
 // across processes — over a session built cold: the install succeeds, no
-// restore is counted, a cold rebuild and a reject are. A corrupt image is
-// refused as before, leaves the tenant where it was, and is counted as a
-// reject only.
+// restore is counted, a cold rebuild and a reject are. So does a
+// version-3 image whose cache section is JSON, and its cache is not read.
+// A corrupt image is refused as before, leaves the tenant where it was,
+// and is counted as a reject only.
 func TestInstallSnapshotRejectsAreCounted(t *testing.T) {
 	v1, err := os.ReadFile(filepath.Join("..", "core", "testdata", "fuzz-seeds", "one-class.nuss"))
 	if err != nil {
@@ -522,6 +525,36 @@ func TestInstallSnapshotRejectsAreCounted(t *testing.T) {
 		t.Errorf("plan back from the image's configuration:\n%s\nwant\n%s", got, want)
 	}
 
+	v3, err := os.ReadFile(filepath.Join("..", "core", "testdata", "fuzz-seeds", "three-class-v3-cache.nuss"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hex TenantSpec
+	if err := json.Unmarshal([]byte(hexHeader), &hex); err != nil {
+		t.Fatal(err)
+	}
+	h, err := p.Register(&hex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered, err = p.ConfigOf(h.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, entries := families(), p.Metric("plan_cache_entries")
+	if err := p.InstallSnapshot(ctx, h.ID, v3); err != nil {
+		t.Fatalf("version-3 image with a JSON cache section: %v", err)
+	}
+	if got, want := families(), [3]float64{before[0], before[1] + 1, before[2] + 1}; got != want {
+		t.Errorf("after a version-3 image: restores, cold rebuilds, rejects = %v, want %v", got, want)
+	}
+	if got := p.Metric("plan_cache_entries"); got != entries {
+		t.Errorf("the version-3 image's cache section was read: %g entries, want %g", got, entries)
+	}
+	if moved, _ := p.ConfigOf(h.ID); len(config.Diff(moved, registered)) == 0 {
+		t.Error("the tenant is still at its registered configuration, not the version-3 image's")
+	}
+
 	at, err := p.ConfigOf(info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -569,6 +602,67 @@ func TestInstallSnapshotRejectsAreCounted(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// hexHeader is the three-class tenant the committed three-class images of
+// internal/core/testdata/fuzz-seeds belong to.
+const hexHeader = `{"name":"hex","topology":{"switches":6,"links":[[0,1],[1,2],[2,5],[0,3],[3,4],[4,5],[1,4]],"hosts":[{"id":100,"switch":0},{"id":101,"switch":5},{"id":102,"switch":3},{"id":103,"switch":2}]},"classes":[{"name":"a","src":100,"dst":101,"path":[0,1,2,5],"spec":"sw=0 -> F sw=5"},{"name":"b","src":102,"dst":103,"path":[3,4,1,2],"spec":"sw=3 -> F sw=2"},{"name":"c","src":101,"dst":100,"path":[5,4,3,0],"spec":"sw=5 -> ((sw!=0) U ((sw=4) & F sw=0))"}]}`
+
+// TestInstallSnapshotMergeCountsEvictions: the cache an image carries is
+// merged into the tenant's store through the store's own insertion, so an
+// install into a full store counts every entry it pushes out in
+// netupdate_plan_cache_evictions_total, and the entries the store holds
+// already stay and are not counted.
+func TestInstallSnapshotMergeCountsEvictions(t *testing.T) {
+	ctx := context.Background()
+	p := NewPool(PoolOptions{Workers: 1})
+	info, err := p.Register(testSpec("line"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := testSpec("line").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSession(base.Topo, base.Init, base.Specs, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const full, overlap, more = core.DefaultPlanCacheEntries, 10, 30
+	for _, install := range []struct{ first, n, evicted int }{{0, full, 0}, {full - overlap, more, more - overlap}} {
+		before := p.Metric("plan_cache_evictions_total")
+		if err := p.InstallSnapshot(ctx, info.ID, withMemos(img, install.first, install.n)); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Metric("plan_cache_evictions_total") - before; got != float64(install.evicted) {
+			t.Errorf("installing memos %d to %d: %g evictions, want %d", install.first, install.first+install.n-1, got, install.evicted)
+		}
+		if got := p.Metric("plan_cache_entries"); got != full {
+			t.Errorf("installing memos %d to %d: %g entries, want %d", install.first, install.first+install.n-1, got, full)
+		}
+	}
+}
+
+// withMemos returns img, an image with an empty cache section, with a
+// section of n infeasibility memos under the keys first, first+1, …
+// instead, resealed: the count of entries, then per entry its 32-byte key
+// and the memo's kind, 1 (core.EmbedCache writes the same layout).
+func withMemos(img []byte, first, n int) []byte {
+	var sec []byte
+	sec = binary.AppendUvarint(sec, uint64(n))
+	for k := first; k < first+n; k++ {
+		var key [sha256.Size]byte
+		binary.BigEndian.PutUint64(key[:], uint64(k))
+		sec = append(append(sec, key[:]...), 1)
+	}
+	out := append(slices.Clone(img[:len(img)-sha256.Size-1]), 1)
+	out = append(binary.AppendUvarint(out, uint64(len(sec))), sec...)
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
 }
 
 // TestSnapshotDirRefusedImage: an image under PoolOptions.SnapshotDir
