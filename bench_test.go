@@ -20,11 +20,10 @@ import (
 	"netupdate/internal/kripke"
 	"netupdate/internal/ltl"
 	"netupdate/internal/mc"
+	"netupdate/internal/obs"
 	"netupdate/internal/sat"
 	"netupdate/internal/topology"
 )
-
-const benchTimeout = 5 * time.Minute
 
 // BenchmarkFig2aProbeLoss regenerates Figure 2(a): probe delivery during
 // naive, ordering, and two-phase updates of the Figure 1 example.
@@ -63,7 +62,7 @@ func BenchmarkFig7(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := ck.Synthesize(sc, core.Options{Timeout: benchTimeout}); err != nil {
+					if _, err := ck.Synthesize(sc, core.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -84,9 +83,7 @@ func BenchmarkFig7RuleGranularity(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, err = ck.Synthesize(sc, core.Options{
-					RuleGranularity: true, Timeout: benchTimeout,
-				})
+				_, err = ck.Synthesize(sc, core.Options{RuleGranularity: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -107,7 +104,7 @@ func BenchmarkFig8gScalability(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := core.Synthesize(sc, core.Options{Timeout: benchTimeout}); err != nil {
+				if _, err := core.Synthesize(sc, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -134,7 +131,7 @@ func BenchmarkColdSynthesizeMulticlass(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Synthesize(sc, core.Options{Timeout: benchTimeout}); err != nil {
+		if _, err := core.Synthesize(sc, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,7 +197,7 @@ func BenchmarkSessionFootprint(b *testing.B) {
 				var total uint64
 				for i := 0; i < b.N; i++ {
 					before := live()
-					sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, core.Options{Timeout: benchTimeout})
+					sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, core.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -229,7 +226,7 @@ func BenchmarkFig8hInfeasible(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, err = core.Synthesize(sc, core.Options{Timeout: benchTimeout})
+		_, err = core.Synthesize(sc, core.Options{})
 		if !errors.Is(err, core.ErrNoOrdering) {
 			b.Fatalf("err = %v, want ErrNoOrdering", err)
 		}
@@ -250,7 +247,7 @@ func BenchmarkEarlyTermInfeasible(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(prop.String()+"-400", func(b *testing.B) {
-			sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, core.Options{Timeout: benchTimeout})
+			sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -275,7 +272,7 @@ func BenchmarkFig8iRuleGranularity(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, err = core.Synthesize(sc, core.Options{RuleGranularity: true, Timeout: benchTimeout})
+		_, err = core.Synthesize(sc, core.Options{RuleGranularity: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -292,7 +289,7 @@ func BenchmarkWaitRemoval(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := core.Synthesize(sc, core.Options{Timeout: benchTimeout})
+		plan, err := core.Synthesize(sc, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,7 +315,7 @@ func BenchmarkCheckerOnlyComparison(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Ablation(60, benchTimeout); err != nil {
+		if _, err := bench.Ablation(60, 5*time.Minute); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,7 +334,7 @@ func BenchmarkRollingStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{Timeout: benchTimeout}
+	opts := core.Options{}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		cur := w.Init
@@ -366,19 +363,18 @@ func BenchmarkRollingStream(b *testing.B) {
 			}
 		}
 	})
-	// The traced variant is the warm stream with the session's span ring
-	// enabled (internal/obs): every synthesis records its phase spans and
-	// exports a snapshot on the plan. CI gates its allocs/op too — the
-	// span ring must stay a constant handful of allocations, not scale
-	// with the work.
+	// The traced variant is the warm stream with a span ring attached
+	// (Session.SetTrace, internal/obs): every synthesis records its phase
+	// spans and exports a snapshot on the plan. CI gates its allocs/op too
+	// — the span ring must stay a constant handful of allocations, not
+	// scale with the work.
 	b.Run("traced", func(b *testing.B) {
 		b.ReportAllocs()
-		topts := opts
-		topts.Trace = true
-		sess, err := core.NewSession(w.Topo, w.Init, w.Specs, topts)
+		sess, err := core.NewSession(w.Topo, w.Init, w.Specs, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
+		sess.SetTrace(obs.NewTrace(0))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, tgt := range w.Targets {
@@ -419,13 +415,12 @@ func BenchmarkFlappingStream(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			opts := core.Options{Timeout: benchTimeout, NoPlanCache: !v.cached}
-			sess, err := core.NewSession(w.Topo, w.Init, w.Specs, opts)
+			sess, err := core.NewSession(w.Topo, w.Init, w.Specs, core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if v.cached && sess.EnableCache() == nil {
-				b.Fatal("cache not enabled")
+			if v.cached {
+				sess.EnableCache()
 			}
 			// Prime one flap round trip so the cached variant measures
 			// pure hits and both variants measure settled sessions.
@@ -475,7 +470,7 @@ func BenchmarkDecomposedStream(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			opts := core.Options{Timeout: benchTimeout, NoDecomposition: v.joint}
+			opts := core.Options{NoDecomposition: v.joint}
 			sess, err := core.NewSession(sc.Topo, sc.Init, sc.Specs, opts)
 			if err != nil {
 				b.Fatal(err)
@@ -723,7 +718,7 @@ func BenchmarkDAGExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := core.Synthesize(sc, core.Options{Timeout: benchTimeout})
+	plan, err := core.Synthesize(sc, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -757,7 +752,7 @@ func BenchmarkRepair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{Timeout: benchTimeout}
+	opts := core.Options{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -796,7 +791,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{Timeout: benchTimeout}
+	opts := core.Options{}
 	res := core.SessionResources{
 		Arena: kripke.NewArena(sc.Topo), Warmth: mc.NewWarmth(),
 		ContextFP: core.ContextFingerprint(sc.Topo, sc.Specs, opts),

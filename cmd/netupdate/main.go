@@ -41,7 +41,6 @@
 // whose header registers the same tenant resumes from it — at the
 // configuration the last run left, with repeat instances served by
 // replay-verification instead of a fresh search.
-// -no-plan-cache disables the cache entirely.
 //
 // Stream mode is a thin stdin/stdout client of the internal/server pool
 // — the same serving layer, wire format, and admission control as the
@@ -91,17 +90,20 @@ import (
 )
 
 // flags is the parsed command line: the engine options (declared by
-// core.Options itself) plus what this command does with the plan.
+// core.Options itself) plus how long the searches may take and what this
+// command does with the plan.
 type flags struct {
 	opts                                         core.Options
+	timeout                                      time.Duration
 	file, faults, snapshotDir, connect, traceOut string
 	cpuProfile, memProfile                       string
 	stream, showDAG, verify, repair, quiet       bool
 }
 
 func main() {
-	f := flags{opts: core.Options{Timeout: 10 * time.Minute}}
+	var f flags
 	f.opts.RegisterFlags(flag.CommandLine)
+	flag.DurationVar(&f.timeout, "timeout", 10*time.Minute, "search timeout, zero for none (per synthesis in -stream mode)")
 	flag.StringVar(&f.file, "f", "", "scenario JSON file (required unless -stream)")
 	flag.BoolVar(&f.stream, "stream", false, "serve a JSONL scenario stream from stdin, emitting JSON plan lines")
 	flag.BoolVar(&f.showDAG, "dag", false, "print the plan's dependency DAG (per-step predecessors, drain edges)")
@@ -115,7 +117,6 @@ func main() {
 	flag.StringVar(&f.cpuProfile, "cpuprofile", "", "diagnostic: write a CPU profile of the whole run to this file (go tool pprof)")
 	flag.StringVar(&f.memProfile, "memprofile", "", "diagnostic: write a heap profile, taken when the run ends, to this file")
 	flag.Parse()
-	f.opts.Trace = f.traceOut != ""
 
 	usage := func(msg string) {
 		fmt.Fprintln(os.Stderr, "netupdate: "+msg)
@@ -207,17 +208,27 @@ func run(f *flags) error {
 		fmt.Println("endpoint configurations verified (paths are loop-free and delivered)")
 		return nil
 	}
-	// -repair replans from mid-execution state, which needs the session
-	// form of the engine; a plain synthesis produces the identical plan.
+	ctx := context.Background()
+	if f.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, f.timeout)
+		defer cancel()
+	}
+	// -repair replans from mid-execution state and -trace-out records
+	// through a recorder the session holds: both need the session form of
+	// the engine; a plain synthesis produces the identical plan.
 	var sess *core.Session
 	var plan *core.Plan
-	if f.repair {
+	if f.repair || f.traceOut != "" {
 		sess, err = core.NewSession(sc.Topo, sc.Init, sc.Specs, f.opts)
 		if err == nil {
-			plan, err = sess.Synthesize(sc.Final)
+			if f.traceOut != "" {
+				sess.SetTrace(obs.NewTrace(0))
+			}
+			plan, err = sess.SynthesizeContext(ctx, sc.Final)
 		}
 	} else {
-		plan, err = core.Synthesize(sc, f.opts)
+		plan, err = core.SynthesizeWith(ctx, sc, f.opts, core.SessionResources{})
 	}
 	if errors.Is(err, core.ErrNoOrdering) {
 		fmt.Println("result: IMPOSSIBLE — no correct update ordering exists at this granularity")
@@ -247,7 +258,7 @@ func run(f *flags) error {
 		traces = append(traces, plan.Trace)
 	}
 	if f.faults != "" {
-		if err := executeFaults(f, sc, plan, sess, &traces); err != nil {
+		if err := executeFaults(ctx, f, sc, plan, sess, &traces); err != nil {
 			return err
 		}
 	}
@@ -289,12 +300,12 @@ func writeTraceFile(path string, traces []*obs.TraceData) error {
 
 // executeFaults runs the synthesized plan on the decentralized DAG
 // executor under the parsed fault injection and reports the outcome.
-// When the execution stalls and a session was opened (-repair), it
+// When the execution stalls and -repair asks for it, it
 // resynthesizes from the partially-committed state via the repair
 // ladder and executes the repair plan from there — fault-free, the
 // transient-failure recovery story (a permanently dead switch would
 // instead get a superseding target via Repair's newTarget).
-func executeFaults(f *flags, sc *config.Scenario, plan *core.Plan, sess *core.Session, traces *[]*obs.TraceData) error {
+func executeFaults(ctx context.Context, f *flags, sc *config.Scenario, plan *core.Plan, sess *core.Session, traces *[]*obs.TraceData) error {
 	faults, err := sim.ParseFaults(f.faults)
 	if err != nil {
 		return err
@@ -322,12 +333,12 @@ func executeFaults(f *flags, sc *config.Scenario, plan *core.Plan, sess *core.Se
 		return nil
 	}
 	fmt.Printf("execution STALLED: committed nodes %v\n", res.Committed)
-	if sess == nil {
+	if !f.repair {
 		fmt.Println("hint: rerun with -repair to resynthesize from the partially-committed state")
 		return nil
 	}
 
-	rep, err := sess.Repair(res.Committed, nil)
+	rep, err := sess.RepairContext(ctx, res.Committed, nil)
 	if err != nil {
 		return fmt.Errorf("repair: %w", err)
 	}
@@ -393,6 +404,9 @@ func runStream(f *flags) error {
 		MaxSessions: 1,
 		QueueDepth:  1,
 		SnapshotDir: f.snapshotDir,
+		// The in-flight synthesis outlives a signal (ServeStdio), so this
+		// is the one bound on each delta's search.
+		DefaultTimeout: f.timeout,
 	})
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -454,9 +468,14 @@ func runStreamRemote(f *flags, in io.Reader, out io.Writer) error {
 	}
 
 	// The decoder may have buffered bytes past the header; replay them
-	// ahead of the rest of the input as the synthesize request body.
+	// ahead of the rest of the input as the synthesize request body, each
+	// delta's search bounded by -timeout.
 	rest := io.MultiReader(dec.Buffered(), in)
-	req, err := http.NewRequest(http.MethodPost, owner+"/v1/tenants/"+id+"/synthesize", rest)
+	url := owner + "/v1/tenants/" + id + "/synthesize"
+	if f.timeout > 0 {
+		url += "?timeout=" + f.timeout.String()
+	}
+	req, err := http.NewRequest(http.MethodPost, url, rest)
 	if err != nil {
 		return err
 	}

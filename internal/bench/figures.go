@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -122,7 +123,14 @@ var (
 
 // Synthesize runs the one-shot synthesis with b's checkers.
 func (b Backend) Synthesize(sc *config.Scenario, opts core.Options) (*core.Plan, error) {
-	return core.SynthesizeWith(sc, opts, core.SessionResources{Factory: b.New})
+	return core.SynthesizeWith(context.Background(), sc, opts, core.SessionResources{Factory: b.New})
+}
+
+// synthesize is one synthesis of a figure, its search bounded by timeout.
+func synthesize(sc *config.Scenario, opts core.Options, res core.SessionResources, timeout time.Duration) (*core.Plan, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return core.SynthesizeWith(ctx, sc, opts, res)
 }
 
 // SynthesisPoint is one measurement of a synthesis sweep.
@@ -170,9 +178,7 @@ func sweep(title string, f Family, sizes []int, checkers []Backend, prop config.
 		for i := range checkers {
 			// Rotated, so no column is always the first on a new topology.
 			ck := checkers[(si+i)%len(checkers)]
-			secs, err := timeSynthesis(ck, sc, core.Options{
-				Timeout: timeout, RuleGranularity: ruleGranularity,
-			})
+			secs, err := timeSynthesis(ck, sc, core.Options{RuleGranularity: ruleGranularity}, timeout)
 			if err != nil {
 				pt.Seconds[ck.Name] = -1
 				continue
@@ -200,9 +206,9 @@ func sweep(title string, f Family, sizes []int, checkers []Backend, prop config.
 	return t, points, nil
 }
 
-func timeSynthesis(b Backend, sc *config.Scenario, opts core.Options) (float64, error) {
+func timeSynthesis(b Backend, sc *config.Scenario, opts core.Options, timeout time.Duration) (float64, error) {
 	return timed(nil, func() error {
-		_, err := b.Synthesize(sc, opts)
+		_, err := synthesize(sc, opts, core.SessionResources{Factory: b.New}, timeout)
 		if errors.Is(err, core.ErrNoOrdering) {
 			return nil
 		}
@@ -277,7 +283,7 @@ func Fig8g(sizes []int, timeout time.Duration) (*Table, *Table, error) {
 				row[1] = len(sc.UpdatingSwitches())
 			}
 			secs, plan, err := timePlan(func() (*core.Plan, error) {
-				return core.Synthesize(sc, core.Options{Timeout: timeout})
+				return synthesize(sc, core.Options{}, core.SessionResources{}, timeout)
 			})
 			if err != nil {
 				row = append(row, "t/o")
@@ -307,7 +313,7 @@ func Fig8h(sizes []int, timeout time.Duration) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			secs, serr := timeImpossible(sc, core.Options{Timeout: timeout}, core.Ablation{})
+			secs, serr := timeImpossible(sc, core.Ablation{}, timeout)
 			switch {
 			case serr == errSolved:
 				return nil, serr
@@ -324,11 +330,10 @@ func Fig8h(sizes []int, timeout time.Duration) (*Table, error) {
 
 var errSolved = errors.New("bench: infeasible workload was solved at switch granularity")
 
-// timeImpossible times the proof that sc has no ordering under opts and
-// abl.
-func timeImpossible(sc *config.Scenario, opts core.Options, abl core.Ablation) (float64, error) {
+// timeImpossible times the proof that sc has no ordering under abl.
+func timeImpossible(sc *config.Scenario, abl core.Ablation, timeout time.Duration) (float64, error) {
 	return timed(nil, func() error {
-		_, err := core.SynthesizeWith(sc, opts, core.SessionResources{Ablation: abl})
+		_, err := synthesize(sc, core.Options{}, core.SessionResources{Ablation: abl}, timeout)
 		switch {
 		case errors.Is(err, core.ErrNoOrdering):
 			return nil
@@ -362,7 +367,7 @@ func Fig8i(sizes []int, timeout time.Duration) (*Table, *Table, error) {
 				row[1] = rules
 			}
 			secs, plan, serr := timePlan(func() (*core.Plan, error) {
-				return core.Synthesize(sc, core.Options{RuleGranularity: true, Timeout: timeout})
+				return synthesize(sc, core.Options{RuleGranularity: true}, core.SessionResources{}, timeout)
 			})
 			if serr != nil {
 				row = append(row, "t/o ("+serr.Error()+")")
@@ -463,7 +468,6 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 		Title:  "Ablation: Section 4.2 optimizations (diamond workload)",
 		Header: []string{"configuration", "result", "time(s)", "checks", "cex", "pruned"},
 	}
-	opts := core.Options{Timeout: timeout}
 	cases := []struct {
 		name    string
 		abl     core.Ablation
@@ -477,7 +481,7 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 	}
 	for _, c := range cases {
 		res := core.SessionResources{Factory: c.backend.New, Ablation: c.abl}
-		el, plan, err := timePlan(func() (*core.Plan, error) { return core.SynthesizeWith(sc, opts, res) })
+		el, plan, err := timePlan(func() (*core.Plan, error) { return synthesize(sc, core.Options{}, res, timeout) })
 		switch {
 		case err == nil:
 			t.Add(c.name, "ok", el, plan.Stats.Checks, plan.Stats.CexLearned,
@@ -500,7 +504,7 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 		{"infeasible/full", core.Ablation{}},
 		{"infeasible/no-early-termination", core.Ablation{NoEarlyTermination: true}},
 	} {
-		el, err := timeImpossible(scInf, opts, c.abl)
+		el, err := timeImpossible(scInf, c.abl, timeout)
 		switch {
 		case err == nil:
 			t.Add(c.name, "impossible", el, "-", "-", "-")
@@ -513,7 +517,7 @@ func Ablation(n int, timeout time.Duration) (*Table, error) {
 	// The 2-simple extension solves the same instance at switch
 	// granularity.
 	el, plan, err := timePlan(func() (*core.Plan, error) {
-		return core.Synthesize(scInf, core.Options{TwoSimple: true, Timeout: timeout})
+		return synthesize(scInf, core.Options{TwoSimple: true}, core.SessionResources{}, timeout)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: 2-simple failed on infeasible instance: %w", err)

@@ -2,7 +2,6 @@ package config
 
 import (
 	"netupdate/internal/ltl"
-	"netupdate/internal/network"
 	"netupdate/internal/topology"
 )
 
@@ -142,15 +141,4 @@ func Fig1RedBlueWaypoint() *Scenario {
 		),
 	}}
 	return s
-}
-
-// Fig1NaiveBadOrder returns the red-to-green update in the broken order
-// from the Overview (A1 before C2), used by the Figure 2 experiments.
-func Fig1NaiveBadOrder() []network.Command {
-	s := Fig1RedGreen()
-	_, n := Fig1Topology()
-	return []network.Command{
-		network.Update(n.A1, s.Final.Table(n.A1)),
-		network.Update(n.C2, s.Final.Table(n.C2)),
-	}
 }

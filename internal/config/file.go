@@ -66,12 +66,20 @@ func LoadScenario(r io.Reader) (*Scenario, error) {
 	return sf.Build()
 }
 
+// MaxSwitches bounds the switch count a topology description declares.
+// A network holds memory for every declared switch, named by a link or
+// not, so the count is the one number whose cost the description's length
+// does not bound: a serving tenant keeps some 80 bytes per switch. The cap
+// is ten times the largest network the paper evaluates (1 500 switches,
+// Figure 8(g)).
+const MaxSwitches = 1 << 14
+
 // Build validates the topology description and constructs the switch
 // graph with its hosts. It is shared by the scenario-file and
 // scenario-stream loaders.
 func (tf *TopologyFile) Build(name string) (*topology.Topology, error) {
-	if tf.Switches <= 0 {
-		return nil, fmt.Errorf("config: scenario needs at least one switch")
+	if tf.Switches <= 0 || tf.Switches > MaxSwitches {
+		return nil, fmt.Errorf("config: %d switches, want 1 to %d", tf.Switches, MaxSwitches)
 	}
 	topo := topology.New(name, tf.Switches)
 	for _, l := range tf.Links {

@@ -378,9 +378,8 @@ func (s *ScenarioStream) Init() *Config { return s.base.Init }
 func (s *ScenarioStream) Specs() []ClassSpec { return s.base.Specs }
 
 // Line returns the input line of the last delta Next decoded (0 before
-// the first call). Errors from Next already embed it; callers relaying
-// results elsewhere (the stream CLI, the daemon) use it to position
-// their own reports.
+// the first call). Errors from Next already embed it; a caller reporting
+// on a target uses it to position its own report.
 func (s *ScenarioStream) Line() int { return s.line }
 
 // Next implements Stream: decode the next delta, apply it to the previous

@@ -362,7 +362,7 @@ func BenchmarkSessionMissMixed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := NewSession(base.Topo, base.Init, base.Specs, Options{NoPlanCache: true})
+	s, err := NewSession(base.Topo, base.Init, base.Specs, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

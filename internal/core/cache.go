@@ -380,7 +380,7 @@ func (w *hashWriter) writeString(s string) {
 
 // ContextFingerprint digests everything fixed for a session that shapes
 // which plan the search returns: the topology, the per-class
-// specifications, and the options tagged plan-shaping in Options. It
+// specifications, and the options (each a bit, writeFingerprint). It
 // walks all three, so whoever builds many sessions over one context — a
 // pool restoring an evicted tenant on every request — computes it once
 // and hands it over in SessionResources.ContextFP.

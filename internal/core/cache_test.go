@@ -39,7 +39,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 	cache := cached.EnableCache()
 	if cache == nil {
-		t.Fatal("EnableCache returned nil without NoPlanCache")
+		t.Fatal("EnableCache returned nil")
 	}
 	plain, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(), opts)
 	if err != nil {
@@ -305,7 +305,7 @@ func TestCacheEntryHoldsTheOrder(t *testing.T) {
 		t.Fatalf("collision: verify failed %v, hit %v, %d verify failures",
 			got.Stats.CacheVerifyFailed, got.Stats.CacheHit, cache.Stats().VerifyFailures)
 	}
-	plain, err := NewSession(base.Topo, base.Init, base.Specs, Options{NoPlanCache: true})
+	plain, err := NewSession(base.Topo, base.Init, base.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,9 +453,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	}
 
 	for _, opts := range []Options{{}, {TwoSimple: true}, {RuleGranularity: true}} {
-		plain := opts
-		plain.NoPlanCache = true
-		fresh, err := NewSession(seed.base.Topo, seed.base.Init, seed.base.Specs, plain)
+		fresh, err := NewSession(seed.base.Topo, seed.base.Init, seed.base.Specs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -654,32 +652,5 @@ func TestCacheEvictionBound(t *testing.T) {
 	}
 	if c.lookup(key(0)) != nil {
 		t.Fatal("oldest entry survived")
-	}
-}
-
-// TestNoPlanCacheOption: Options.NoPlanCache makes cache attachment a
-// no-op, so every request pays the full search.
-func TestNoPlanCacheOption(t *testing.T) {
-	stream, walk := flapWalk(t, 23, 2)
-	sess, err := NewSession(stream.Topo(), stream.Init(), stream.Specs(),
-		Options{NoPlanCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := sess.EnableCache(); c != nil {
-		t.Fatal("EnableCache must refuse under NoPlanCache")
-	}
-	sess.SetCache(NewPlanCache(0))
-	if sess.Cache() != nil {
-		t.Fatal("SetCache must refuse under NoPlanCache")
-	}
-	for n, tgt := range walk {
-		p, err := sess.Synthesize(tgt)
-		if err != nil {
-			t.Fatalf("step %d: %v", n, err)
-		}
-		if p.Stats.CacheHit {
-			t.Fatalf("step %d: hit with the cache disabled", n)
-		}
 	}
 }

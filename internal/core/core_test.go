@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -445,7 +446,9 @@ func TestTimeout(t *testing.T) {
 	}
 	// Disable all pruning so the search would take a long time, then give
 	// it a tiny budget.
-	_, err = SynthesizeWith(sc, Options{Timeout: time.Millisecond},
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	_, err = SynthesizeWith(ctx, sc, Options{},
 		SessionResources{Ablation: Ablation{NoCexLearning: true, NoEarlyTermination: true}})
 	if !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrNoOrdering) {
 		t.Fatalf("err = %v, want timeout (or fast exhaustion)", err)

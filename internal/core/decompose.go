@@ -455,7 +455,7 @@ func (s *Session) specsOf(dst []config.ClassSpec, classes []int) []config.ClassS
 // dead-set bitmasks — and reuses the session's warm structures for its
 // classes directly (no other component touches them). It copies the order
 // it finds into r.path and hands its scratch back as soon as the search
-// ends. Options.Timeout bounds each component separately.
+// ends. The request's context bounds every component.
 func (s *Session) solveComponent(e *engine, c *component, idx int, final *config.Config, r *compResult) {
 	start := time.Now()
 	// Each component gets its own trace lane so concurrent sub-searches

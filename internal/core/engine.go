@@ -31,18 +31,13 @@ import (
 // let the per-class structures, label tables, and engine scratch stay
 // warm between syntheses.
 func Synthesize(sc *config.Scenario, opts Options) (*Plan, error) {
-	return SynthesizeWith(sc, opts, SessionResources{})
+	return SynthesizeWith(context.Background(), sc, opts, SessionResources{})
 }
 
 // SynthesizeWith is Synthesize over the given session resources (see
-// NewSessionWith).
-func SynthesizeWith(sc *config.Scenario, opts Options, res SessionResources) (*Plan, error) {
-	return synthesizeOnce(context.Background(), sc, opts, res)
-}
-
-// synthesizeOnce serves one target from a single-use session, the search
-// bounded by ctx; the repair ladder's 2-simple rung runs through it too.
-func synthesizeOnce(ctx context.Context, sc *config.Scenario, opts Options, res SessionResources) (*Plan, error) {
+// NewSessionWith), the search bounded by ctx (ErrTimeout, ErrCanceled);
+// the repair ladder's 2-simple rung runs through it too.
+func SynthesizeWith(ctx context.Context, sc *config.Scenario, opts Options, res SessionResources) (*Plan, error) {
 	start := time.Now()
 	s, err := NewSessionWith(sc.Topo, sc.Init, sc.Specs, opts, res)
 	if err != nil {
@@ -111,14 +106,10 @@ type engine struct {
 	wrong   []pattern
 	et      *earlyTerm
 
-	deadline    time.Time
-	hasDeadline bool
-
-	// ctx is the caller's request context (see Session.SynthesizeContext):
-	// the DFS polls it next to the deadline check, so an expired or
-	// canceled request stops the search promptly instead of running to the
-	// engine's own timeout. Nil when the caller did not supply a context
-	// that can end.
+	// ctx is the caller's request context (see Session.SynthesizeContext),
+	// the one bound on the search: the DFS polls it, so an expired or
+	// canceled request stops the search promptly. Nil when the caller did
+	// not supply a context that can end.
 	ctx context.Context
 
 	// cexBuf is the pooled counterexample-switch buffer handed out by
@@ -151,7 +142,7 @@ type engine struct {
 var errTargetFails = errors.New("core: the target fails its check")
 
 // newEngineShellWith builds an engine minus its per-class structures
-// around the given unit list: deadline and per-run scratch. The session
+// around the given unit list: its per-run scratch. The session
 // attaches its warm Kripke structures and checkers afterwards; scr (when
 // non-nil) supplies pooled scratch reset in place instead of reallocated,
 // and the engine is scr's own, reset by value. The session derives the
@@ -173,10 +164,6 @@ func newEngineShellWith(sc *config.Scenario, opts Options, abl Ablation, units [
 	e.sc, e.opts, e.abl, e.units = sc, opts, abl, units
 	e.scr, e.visited, e.curTables, e.deps = scr, scr.visited, scr.curTables, scr.deps
 	e.stats.Units = len(units)
-	if opts.Timeout > 0 {
-		e.deadline = time.Now().Add(opts.Timeout)
-		e.hasDeadline = true
-	}
 	return e
 }
 
@@ -194,16 +181,10 @@ func (e *engine) buffers() engine {
 }
 
 // bindContext attaches a request context to the engine: the DFS polls it
-// for cancellation, and a context deadline earlier than the one derived
-// from Options.Timeout tightens the engine deadline.
+// for its deadline and cancellation.
 func (e *engine) bindContext(ctx context.Context) {
-	if ctx == nil || ctx.Done() == nil {
-		return
-	}
-	e.ctx = ctx
-	if d, ok := ctx.Deadline(); ok && (!e.hasDeadline || d.Before(e.deadline)) {
-		e.deadline = d
-		e.hasDeadline = true
+	if ctx != nil && ctx.Done() != nil {
+		e.ctx = ctx
 	}
 }
 
@@ -281,9 +262,6 @@ func (e *engine) run() ([]Step, error) {
 func (e *engine) dfs(applied bitset, depth int) error {
 	if depth == len(e.units) {
 		return nil
-	}
-	if e.hasDeadline && time.Now().After(e.deadline) {
-		return ErrTimeout
 	}
 	if e.ctx != nil && e.ctx.Err() != nil {
 		return ctxErr(e.ctx)

@@ -37,29 +37,23 @@ type Ablation struct {
 	NoHeuristicOrder bool
 }
 
-// writeFingerprint digests the plan-shaping options as one word of flag
-// bits, after a constant 0: persisted fingerprints carried a
-// checker-backend kind there, and 0 was the incremental checker, the only
-// one sessions now build — so every image written under it keeps its
-// key. Speed-only options are left out on purpose: they cannot change
-// which plan the search returns, so state learned or snapshotted under one
-// setting is valid under another. A plan tag that does not parse is a
-// programming error: guessing would silently change a persisted
-// fingerprint.
+// writeFingerprint digests the options as one word of flag bits, after
+// a constant 0: persisted fingerprints carried a checker-backend kind
+// there, and 0 was the incremental checker, the only one sessions now
+// build — so every image written under it keeps its key. A field whose
+// plan tag is not a bit number is a programming error: guessing would
+// silently change a persisted fingerprint.
 func writeFingerprint(w *hashWriter, o Options) {
 	w.writeInt(0)
 	v, flags := reflect.ValueOf(o), 0
 	for i := 0; i < v.NumField(); i++ {
-		switch plan := v.Type().Field(i).Tag.Get("plan"); plan {
-		case "speed":
-		default:
-			bit, err := strconv.Atoi(plan)
-			if err != nil || bit < 0 {
-				panic(fmt.Sprintf("core: Options.%s: bad plan tag %q", v.Type().Field(i).Name, plan))
-			}
-			if v.Field(i).Bool() {
-				flags |= 1 << bit
-			}
+		plan := v.Type().Field(i).Tag.Get("plan")
+		bit, err := strconv.Atoi(plan)
+		if err != nil || bit < 0 {
+			panic(fmt.Sprintf("core: Options.%s: bad plan tag %q", v.Type().Field(i).Name, plan))
+		}
+		if v.Field(i).Bool() {
+			flags |= 1 << bit
 		}
 	}
 	w.writeInt(flags)
@@ -71,12 +65,11 @@ var (
 	// at the requested granularity (the algorithm's "impossible" answer,
 	// Figure 8h).
 	ErrNoOrdering = errors.New("core: no correct update ordering exists")
-	// ErrTimeout reports that the search exceeded Options.Timeout (or the
-	// deadline of the context passed to Session.SynthesizeContext,
-	// whichever is earlier).
+	// ErrTimeout reports that the deadline of the search's context
+	// expired before it finished.
 	ErrTimeout = errors.New("core: synthesis timed out")
-	// ErrCanceled reports that the context passed to
-	// Session.SynthesizeContext was canceled before the search finished.
+	// ErrCanceled reports that the search's context was canceled before
+	// it finished.
 	ErrCanceled = errors.New("core: synthesis canceled")
 	// ErrInitialViolation reports that the initial configuration already
 	// violates the specification.

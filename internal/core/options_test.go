@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"netupdate/internal/config"
 )
@@ -33,7 +32,6 @@ func goldenBase(t *testing.T) *config.StreamBase {
 // allOptionsSet is an Options with every field away from its default.
 var allOptionsSet = Options{
 	RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
-	NoPlanCache: true, Trace: true, Timeout: 1500 * time.Nanosecond,
 }
 
 // TestContextFingerprintGolden pins ContextFingerprint to the digests of
@@ -66,40 +64,25 @@ func TestContextFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestOptionClassification: setting a plan-shaping option alone changes
-// ContextFingerprint, setting a speed-only one alone does not — and every
-// Options field is in the table, so a new option cannot go unclassified.
+// TestOptionClassification: every option shapes the plan, so setting any
+// one alone changes ContextFingerprint, and no two alike.
 func TestOptionClassification(t *testing.T) {
-	shapesPlan := map[string]bool{
-		"RuleGranularity": true, "TwoSimple": true, "NoWaitRemoval": true, "NoDecomposition": true,
-		"NoPlanCache": false, "Trace": false, "Timeout": false,
-	}
 	base := goldenBase(t)
 	def := hex.EncodeToString(ContextFingerprint(base.Topo, base.Specs, Options{}))
 	seen := map[string]string{}
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		shapes, ok := shapesPlan[name]
-		if !ok {
-			t.Errorf("Options.%s: not in the plan-shaping/speed-only table", name)
-			continue
-		}
 		if plan := typ.Field(i).Tag.Get("plan"); plan == "4" || plan == "5" || plan == "6" {
 			t.Errorf("Options.%s takes plan bit %s, which is retired (options.go)", name, plan)
 		}
 		var opts Options
-		switch f := reflect.ValueOf(&opts).Elem().Field(i); f.Kind() {
-		case reflect.Bool:
-			f.SetBool(true)
-		default:
-			f.SetInt(1)
-		}
+		reflect.ValueOf(&opts).Elem().Field(i).SetBool(true)
 		fp := hex.EncodeToString(ContextFingerprint(base.Topo, base.Specs, opts))
-		if changed := fp != def; changed != shapes {
-			t.Errorf("Options.%s: fingerprint changed = %v, plan-shaping = %v", name, changed, shapes)
+		if fp == def {
+			t.Errorf("Options.%s: setting it leaves the fingerprint at the default's", name)
 		}
-		if other, dup := seen[fp]; dup && shapes {
+		if other, dup := seen[fp]; dup {
 			t.Errorf("Options.%s and Options.%s fingerprint identically", name, other)
 		}
 		seen[fp] = name
@@ -108,25 +91,24 @@ func TestOptionClassification(t *testing.T) {
 
 // TestOptionsFlagsAndText: the flag set derived from the tags parses into
 // the options and keeps the caller's defaults; the removed -checker,
-// -parallel and -first-plan flags are usage errors like any unknown flag,
-// and the error names the flag.
+// -parallel, -first-plan, -min-completion and -no-plan-cache flags are
+// usage errors like any unknown flag, and the error names the flag.
 func TestOptionsFlagsAndText(t *testing.T) {
-	opts := Options{Timeout: 10 * time.Minute}
+	opts := Options{TwoSimple: true}
 	fs := flag.NewFlagSet("netupdate", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	opts.RegisterFlags(fs)
-	args := strings.Fields("-rules -2simple -no-wait-removal -no-decompose -no-plan-cache")
+	args := strings.Fields("-rules -no-wait-removal -no-decompose")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	want := Options{
 		RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
-		NoPlanCache: true, Timeout: 10 * time.Minute,
 	}
 	if opts != want {
 		t.Fatalf("parsed %+v, want %+v", opts, want)
 	}
-	for _, removed := range [][]string{{"-checker", "incremental"}, {"-parallel", "4"}, {"-first-plan"}, {"-min-completion"}} {
+	for _, removed := range [][]string{{"-checker", "incremental"}, {"-parallel", "4"}, {"-first-plan"}, {"-min-completion"}, {"-no-plan-cache"}} {
 		if err := fs.Parse(removed); err == nil || !strings.Contains(err.Error(), removed[0]) {
 			t.Fatalf("%v: err = %v, want a usage error naming the flag", removed, err)
 		}

@@ -53,7 +53,7 @@ type Plan struct {
 	// trace-equivalent to the sequential Steps.
 	DAG *PlanDAG
 	// Trace is the span tree recorded for this run when the session has a
-	// trace recorder attached (Options.Trace or Session.SetTrace); nil
+	// trace recorder attached (Session.SetTrace); nil
 	// otherwise.
 	Trace *obs.TraceData
 }

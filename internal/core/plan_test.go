@@ -50,12 +50,18 @@ func TestPlanOwnsItsMemory(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, opts := range []Options{{}, {NoDecomposition: true}, {NoPlanCache: true}, {RuleGranularity: true}} {
+		for _, v := range []struct {
+			opts   Options
+			cached bool
+		}{{Options{}, true}, {Options{NoDecomposition: true}, true}, {Options{}, false}, {Options{RuleGranularity: true}, true}} {
+			opts := v.opts
 			s, err := NewSession(other.Topo, other.Init, other.Specs, opts)
 			if err != nil {
 				return err
 			}
-			s.EnableCache()
+			if v.cached {
+				s.EnableCache()
+			}
 			for round := 0; round < 3; round++ {
 				for _, to := range []*config.Config{other.Final, other.Init} {
 					if _, err := s.Synthesize(to); err != nil {

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"netupdate/internal/config"
 	"netupdate/internal/network"
@@ -141,7 +142,7 @@ func TestRefusalParity(t *testing.T) {
 			return err
 		})
 		refuse("timeout", kind, func() error {
-			_, err := session(sc.Init, Options{Timeout: time.Nanosecond}).Synthesize(bad)
+			_, err := session(sc.Init, Options{}).SynthesizeContext(expiresOnArrival(), bad)
 			return err
 		})
 	}
@@ -202,4 +203,26 @@ func TestRefusalParity(t *testing.T) {
 			t.Errorf("two components refusing at %s procs:\n got %q\nwant %q", procs, got, want)
 		}
 	}
+}
+
+// expiresOnArrival returns a context that is live when a request arrives
+// and past its deadline at every later poll: the search is cut short
+// before its first check.
+func expiresOnArrival() context.Context {
+	return &lateContext{Context: context.Background(), done: make(chan struct{})}
+}
+
+type lateContext struct {
+	context.Context
+	done  chan struct{}
+	polls atomic.Int32
+}
+
+func (c *lateContext) Done() <-chan struct{} { return c.done }
+
+func (c *lateContext) Err() error {
+	if c.polls.Add(1) == 1 {
+		return nil
+	}
+	return context.DeadlineExceeded
 }

@@ -159,10 +159,9 @@ func (s *Session) repairFallback(ctx context.Context, name string, specs []confi
 		opts := s.opts
 		opts.TwoSimple = true
 		opts.NoDecomposition = true
-		opts.Trace = false // the rung's ephemeral session records nothing of its own
 		sc := &config.Scenario{Name: name, Topo: s.topo, Init: s.cur, Final: overlay, Specs: specs}
 		rung := s.trace.Begin("fallback-2simple", s.traceSearch)
-		plan, err := synthesizeOnce(ctx, sc, opts, SessionResources{Ablation: s.abl})
+		plan, err := SynthesizeWith(ctx, sc, opts, SessionResources{Ablation: s.abl})
 		s.trace.End(rung)
 		if err == nil {
 			return plan.Steps, false, nil

@@ -120,9 +120,9 @@ type Session struct {
 	cache *PlanCache
 	ctxFP []byte
 
-	// Span recorder (internal/obs), nil unless Options.Trace was set or a
-	// per-request recorder was attached via SetTrace. Every recording call
-	// is nil-safe, so the disabled path costs one pointer compare.
+	// Span recorder (internal/obs), nil unless the holder attached one
+	// with SetTrace. Every recording call is nil-safe, so the disabled
+	// path costs one pointer compare.
 	// traceOuter parents the next synthesize root (Repair sets it to its
 	// own root span so the inner synthesis nests under the repair);
 	// traceSearch parents per-component and fallback-ladder spans while a
@@ -312,9 +312,6 @@ func newSessionShell(topo *topology.Topology, init *config.Config, specs []confi
 		checkers: make([]mc.Checker, len(specs)),
 		ctxFP:    res.ContextFP,
 	}
-	if opts.Trace {
-		s.trace = obs.NewTrace(0)
-	}
 	return s
 }
 
@@ -405,11 +402,8 @@ func (s *Session) Trace() *obs.Trace { return s.trace }
 
 // EnableCache attaches a private verification-first plan cache (cache.go)
 // with the default capacity and returns it, creating one if the session
-// has none. It is a no-op returning nil when Options.NoPlanCache is set.
+// has none.
 func (s *Session) EnableCache() *PlanCache {
-	if s.opts.NoPlanCache {
-		return nil
-	}
 	if s.cache == nil {
 		s.cache = NewPlanCache(0)
 	}
@@ -417,13 +411,8 @@ func (s *Session) EnableCache() *PlanCache {
 }
 
 // SetCache attaches an existing (possibly shared) plan cache; nil
-// detaches. Ignored when Options.NoPlanCache is set.
-func (s *Session) SetCache(c *PlanCache) {
-	if s.opts.NoPlanCache {
-		return
-	}
-	s.cache = c
-}
+// detaches.
+func (s *Session) SetCache(c *PlanCache) { s.cache = c }
 
 // Cache returns the attached plan cache, or nil.
 func (s *Session) Cache() *PlanCache { return s.cache }
@@ -456,12 +445,11 @@ func (s *Session) Synthesize(final *config.Config) (*Plan, error) {
 	return s.synthesize(context.Background(), "", final)
 }
 
-// SynthesizeContext is Synthesize with a request context: the search
-// polls ctx and aborts with ErrTimeout when its deadline expires before
-// Options.Timeout (the earlier of the two bounds the search) or
-// ErrCanceled when it is canceled outright. An aborted synthesis behaves
-// like any failed one — the session resyncs to its previous configuration
-// and serves the next target normally.
+// SynthesizeContext is Synthesize with a request context, the one bound
+// on the search: it polls ctx and aborts with ErrTimeout when its
+// deadline expires or ErrCanceled when it is canceled outright. An
+// aborted synthesis behaves like any failed one — the session resyncs to
+// its previous configuration and serves the next target normally.
 func (s *Session) SynthesizeContext(ctx context.Context, final *config.Config) (*Plan, error) {
 	return s.synthesize(ctx, "", final)
 }

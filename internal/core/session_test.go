@@ -407,10 +407,11 @@ func TestRefusedTargetLeavesNoTrace(t *testing.T) {
 	for name, bad := range map[string]*config.Config{"violating": violating, "cyclic": cyclic} {
 		var seen, clean *Session
 		for _, sp := range []**Session{&seen, &clean} {
-			sess, err := NewSession(stream.Topo(), stream.Init(), specs, Options{Trace: true})
+			sess, err := NewSession(stream.Topo(), stream.Init(), specs, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			sess.SetTrace(obs.NewTrace(0))
 			if _, err := sess.Synthesize(targets[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -575,8 +576,8 @@ func TestSynthesizeContextCanceled(t *testing.T) {
 	}
 }
 
-// TestSynthesizeContextDeadline: a context deadline bounds the search
-// like Options.Timeout does, reporting ErrTimeout — and a search aborted
+// TestSynthesizeContextDeadline: a context deadline bounds the search,
+// reporting ErrTimeout — and a search aborted
 // mid-flight leaves the session consistent for the next target.
 func TestSynthesizeContextDeadline(t *testing.T) {
 	topo := topology.SmallWorld(60, 4, 0.3, 31)

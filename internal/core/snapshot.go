@@ -451,7 +451,7 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 	}
 	s.restoredCold = version != snapVersion
 	s.runs = runs
-	if cacheSection != nil && !opts.NoPlanCache {
+	if cacheSection != nil {
 		s.cache = decodeCache(cacheSection, topo.NumSwitches())
 	}
 	return s, nil

@@ -21,7 +21,7 @@ func spanNames(d *obs.TraceData) map[string]int {
 	return names
 }
 
-// TestTraceDisabledRecordsNothing: without Options.Trace the plan carries
+// TestTraceDisabledRecordsNothing: without SetTrace the plan carries
 // no trace and the session holds no recorder.
 func TestTraceDisabledRecordsNothing(t *testing.T) {
 	sc := config.Fig1RedBlue()
@@ -59,10 +59,11 @@ func TestTraceDisabledRecordsNothing(t *testing.T) {
 // loadable event array containing them.
 func TestTraceDecomposedMultiRegion(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{Trace: true})
+	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetTrace(obs.NewTrace(0))
 	ctx := obs.WithRequestID(t.Context(), "req-trace-test")
 	plan, err := s.SynthesizeContext(ctx, sc.Final)
 	if err != nil {
@@ -161,10 +162,11 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err = NewSession(stuck.Topo, stuck.Init, stuck.Specs, Options{Trace: true})
+	s, err = NewSession(stuck.Topo, stuck.Init, stuck.Specs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetTrace(obs.NewTrace(0))
 	if _, err := s.Synthesize(stuck.Final); !errors.Is(err, ErrNoOrdering) {
 		t.Fatalf("err = %v, want ErrNoOrdering", err)
 	}
@@ -177,7 +179,8 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 // cache-verify spans instead of a search, and stamps CacheVerifyElapsed.
 func TestTraceCacheHitSpans(t *testing.T) {
 	sc := config.Fig1RedBlue()
-	s := repairSession(t, sc, Options{Trace: true})
+	s := repairSession(t, sc, Options{})
+	s.SetTrace(obs.NewTrace(0))
 	s.EnableCache()
 	if _, err := s.Synthesize(sc.Final); err != nil {
 		t.Fatal(err)
@@ -208,7 +211,8 @@ func TestTraceCacheHitSpans(t *testing.T) {
 // span with the crash rebind and the nested synthesis under it.
 func TestTraceRepairTree(t *testing.T) {
 	sc := config.Fig1RedBlue()
-	s := repairSession(t, sc, Options{Trace: true})
+	s := repairSession(t, sc, Options{})
+	s.SetTrace(obs.NewTrace(0))
 	plan, err := s.Synthesize(sc.Final)
 	if err != nil {
 		t.Fatal(err)

@@ -214,11 +214,6 @@ func (s Space) SubtractSpace(t Space) Space {
 	return out
 }
 
-// Covers reports whether s matches every header that vector w matches.
-func (s Space) Covers(w Vec) bool {
-	return Space{w}.SubtractSpace(s).IsEmpty()
-}
-
 func (s Space) String() string {
 	if len(s) == 0 {
 		return "<empty>"

@@ -238,9 +238,6 @@ func (h *Histogram) Count() int64 { return h.n.Load() }
 // SumSeconds returns the sum of all observed latency samples in seconds.
 func (h *Histogram) SumSeconds() float64 { return float64(h.sum.Load()) / 1e9 }
 
-// SumNanos returns the sum of all observed latency samples in nanoseconds.
-func (h *Histogram) SumNanos() int64 { return h.sum.Load() }
-
 // MaxNanos returns the largest observed latency sample in nanoseconds.
 func (h *Histogram) MaxNanos() int64 { return h.max.Load() }
 

@@ -48,13 +48,6 @@ func (i ilit) sign() int8 {
 	return -1
 }
 
-func (i ilit) lit() Lit {
-	if i&1 == 0 {
-		return Lit(i.vid() + 1)
-	}
-	return Lit(-(i.vid() + 1))
-}
-
 type clause struct {
 	lits   []ilit
 	learnt bool

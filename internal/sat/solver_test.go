@@ -243,9 +243,6 @@ func TestLitHelpers(t *testing.T) {
 	if toILit(Lit(1)) != 0 || toILit(Lit(-1)) != 1 {
 		t.Fatal("ilit encoding")
 	}
-	if ilit(0).lit() != Lit(1) || ilit(1).lit() != Lit(-1) {
-		t.Fatal("ilit decoding")
-	}
 }
 
 // scanPickBranch is pickBranch as it was before the branching heap: a

@@ -15,6 +15,7 @@ import (
 
 	"netupdate/internal/config"
 	"netupdate/internal/core"
+	"netupdate/internal/lb"
 )
 
 // testSpec is a minimal diamond tenant: one class with two internally
@@ -146,7 +147,7 @@ func TestQueueWaitHonorsDeadline(t *testing.T) {
 
 // TestEveryOptionReachesTheSession is "adding an option is one edit": by
 // reflection, every core.Options field — whatever fields there are — must
-// carry a wire name and a plan-shaping/speed-only classification, appear
+// carry a wire name, a fingerprint bit (plan tag) and a flag, appear
 // in the spec's JSON when set, and survive JSON -> Register into the
 // options the tenant's session is built with.
 func TestEveryOptionReachesTheSession(t *testing.T) {
@@ -157,15 +158,10 @@ func TestEveryOptionReachesTheSession(t *testing.T) {
 		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == "" || name == "-" {
 			t.Errorf("core.Options.%s has no wire name (json tag)", f.Name)
 		}
-		if f.Tag.Get("plan") == "" {
-			t.Errorf("core.Options.%s is not classified plan-shaping or speed-only (plan tag)", f.Name)
+		if f.Tag.Get("plan") == "" || f.Tag.Get("flag") == "" {
+			t.Errorf("core.Options.%s lacks a fingerprint bit (plan tag) or a flag", f.Name)
 		}
-		switch v := val.Field(i); v.Kind() {
-		case reflect.Bool:
-			v.SetBool(true)
-		default:
-			v.SetInt(3) // a sub-millisecond timeout
-		}
+		val.Field(i).SetBool(true)
 	}
 	spec := testSpec("every-option")
 	spec.Options = OptionsSpec(want)
@@ -201,16 +197,15 @@ func TestEveryOptionReachesTheSession(t *testing.T) {
 // out (what every HTTP client sends) are the same tenant; and the ids of
 // the default specs as JSON clients spell them are the ones computed at
 // commit 9bc8855, so registered tenants and the images saved under their
-// ids keep their keys. The every-option row sets all seven keys; its ids are the ones
-// that spec had while the option set still held the ablation switches
-// and the completion-time tie-break.
-// Every removed key — "checker", "parallel", "firstPlan", and
-// "minCompletion" with the three ablation switches — is a 400 like any
-// unknown key, even spelling the old default, and the error names the
-// key.
+// ids keep their keys. The every-option row sets all four keys.
+// Every removed key — "checker", "parallel", "firstPlan",
+// "minCompletion", the three ablation switches, and "noPlanCache",
+// "trace" and "timeoutNs" — is a 400 like any unknown key, even spelling
+// the old default, at the daemon and through the router, and the error
+// names the key.
 func TestFingerprintCanonicalAndGolden(t *testing.T) {
 	const header = `{"name":"line","topology":{"switches":4,"links":[[0,1],[1,3],[0,2],[2,3]],"hosts":[{"id":100,"switch":0},{"id":101,"switch":3}]},"classes":[{"name":"c","src":100,"dst":101,"path":[0,1,3],"spec":"sw=0 -> F sw=3"}]`
-	const everyOption = `,"options":{"rules":true,"twoSimple":true,"noWaitRemoval":true,"noDecompose":true,"noPlanCache":true,"trace":true,"timeoutNs":1500}}`
+	const everyOption = `,"options":{"rules":true,"twoSimple":true,"noWaitRemoval":true,"noDecompose":true}}`
 	p := NewPool(PoolOptions{Workers: 1})
 	ts := httptest.NewServer(NewHandler(p))
 	defer ts.Close()
@@ -221,7 +216,7 @@ func TestFingerprintCanonicalAndGolden(t *testing.T) {
 		{header + `}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", true},
 		{header + `,"options":{}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
 		{header + `,"options":{"twoSimple":false,"rules":false}}`, "tdcca0df5fef64525", "tfabcc6aa29dfd747", false},
-		{header + everyOption, "t391d5448b2a0c960", "t1f01912990683ed1", true},
+		{header + everyOption, "tb831d7de10403acf", "ta7c00962be646fca", true},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(c.spec))
 		if err != nil {
@@ -244,19 +239,28 @@ func TestFingerprintCanonicalAndGolden(t *testing.T) {
 			t.Errorf("%s:\nlearn fingerprint %s (%v), want %s", c.spec, learnID, err, c.learnID)
 		}
 	}
+	router, err := lb.New([]string{ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(router.Handler())
+	defer front.Close()
 	for key, value := range map[string]string{
 		"checker": `"incremental"`, "parallel": "0", "firstPlan": "false",
 		"minCompletion": "true", "noCexLearning": "true", "noEarlyTermination": "true", "noHeuristicOrder": "true",
+		"noPlanCache": "true", "trace": "true", "timeoutNs": "1500",
 	} {
 		options := `,"options":{"` + key + `":` + value + `}}`
-		resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(header+options))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `\"`+key+`\"`) {
-			t.Errorf("%s: status %d, body %s; want 400 and the key by name", options, resp.StatusCode, body)
+		for _, url := range []string{ts.URL, front.URL} {
+			resp, err := http.Post(url+"/v1/tenants", "application/json", strings.NewReader(header+options))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `\"`+key+`\"`) {
+				t.Errorf("%s via %s: status %d, body %s; want 400 and the key by name", options, url, resp.StatusCode, body)
+			}
 		}
 	}
 	if n := p.Metric("pool_tenants"); n != 2 {

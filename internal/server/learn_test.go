@@ -135,24 +135,4 @@ func TestCrossTenantLearning(t *testing.T) {
 		t.Fatalf("learn stores = %g, want 1 (shared)", n)
 	}
 
-	// An opted-out tenant never touches the shared store.
-	spec := *tl.Spec
-	spec.Name = "region-c"
-	spec.Options.NoPlanCache = true
-	info, err := p.Register(&spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for di := range tl.Deltas {
-		if _, err := p.Synthesize(context.Background(), info.ID, &tl.Deltas[di]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := p.TenantStats(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CacheHits != 0 || st.CacheMisses != 0 {
-		t.Fatalf("noPlanCache tenant touched the cache: %+v", st)
-	}
 }

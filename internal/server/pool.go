@@ -89,9 +89,8 @@ type tenant struct {
 	gate    chan struct{} // cap 1: the single-flight session lock
 	pending atomic.Int32  // admitted requests (running + queued)
 
-	// learnID keys the pool's shared plan cache this tenant attaches to
-	// (empty when the tenant opted out via noPlanCache); survives
-	// eviction so rebuilds re-attach the same store.
+	// learnID keys the pool's shared plan cache this tenant attaches to;
+	// survives eviction so rebuilds re-attach the same store.
 	learnID string
 	// arenaFP keys the pool's shared arena registry: tenants with the
 	// same topology share one kripke.Arena and one warmth cache.
@@ -199,11 +198,16 @@ func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	learnID, err := spec.LearnFingerprint()
+	if err != nil {
+		return nil, err
+	}
 	t := &tenant{
 		id:      id,
 		spec:    spec,
 		base:    base,
 		opts:    opts,
+		learnID: learnID,
 		arenaFP: arenaFP,
 		ctxFP:   core.ContextFingerprint(base.Topo, base.Specs, opts),
 		gate:    make(chan struct{}, 1),
@@ -216,12 +220,7 @@ func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
 	t.requests = p.m.tenantRequests.With(id)
 	// Attach the shared plan cache: tenants whose specs differ only by
 	// name learn from — and replay-verify against — each other's runs.
-	if !opts.NoPlanCache {
-		if t.learnID, err = spec.LearnFingerprint(); err != nil {
-			return nil, err
-		}
-	}
-	p.attachLearning(t, sess)
+	sess.SetCache(p.planCache(t.learnID))
 
 	p.mu.Lock()
 	if info, err := p.registeredLocked(id); info != nil || err != nil {
@@ -410,12 +409,11 @@ func (p *Pool) Ack(ctx context.Context, id string, ack *StepAck) (*core.Plan, er
 }
 
 // traceRequest attaches a span recorder to sess for exactly one run when
-// the request asked for one (?trace=1) and the tenant's options do not
-// already hold a persistent one, and returns the call that detaches it.
-// The caller holds the tenant's gate, so no other request races the
-// session.
+// the request asked for one (?trace=1), and returns the call that
+// detaches it. The caller holds the tenant's gate, so no other request
+// races the session.
 func traceRequest(ctx context.Context, sess *core.Session) (detach func()) {
-	if !obs.TracingFrom(ctx) || sess.Trace() != nil {
+	if !obs.TracingFrom(ctx) {
 		return func() {}
 	}
 	sess.SetTrace(obs.NewTrace(0))
@@ -587,7 +585,7 @@ func (p *Pool) rebuildCold(t *tenant, why error) (*core.Session, error) {
 // adopt attaches the tenant's shared plan cache to sess and makes it the
 // tenant's warm session.
 func (p *Pool) adopt(t *tenant, sess *core.Session) {
-	p.attachLearning(t, sess)
+	sess.SetCache(p.planCache(t.learnID))
 	p.mu.Lock()
 	p.warmLocked(t, sess)
 	p.mu.Unlock()
@@ -604,21 +602,14 @@ func (p *Pool) warmSession(t *tenant) (*core.Session, *core.Parked) {
 	return t.sess, t.parked
 }
 
-// attachLearning points a session at the tenant's shared plan cache.
-func (p *Pool) attachLearning(t *tenant, sess *core.Session) {
-	if t.learnID != "" {
-		sess.SetCache(p.planCache(t.learnID))
-	}
-}
-
 // portable writes the image of a tenant's session that can leave the
 // process: the session's own state with the tenant's shared plan cache
 // embedded, so the receiving pool (InstallSnapshot) learns what this one
 // knew.
 func (p *Pool) portable(t *tenant, sess *core.Session) ([]byte, error) {
 	img, err := sess.Snapshot()
-	if err != nil || t.learnID == "" {
-		return img, err
+	if err != nil {
+		return nil, err
 	}
 	return core.EmbedCache(img, p.planCache(t.learnID))
 }

@@ -75,10 +75,10 @@ func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error
 		t.rejectSnapshot("image refused, tenant left as it was", err)
 		return fmt.Errorf("server: tenant %s: install snapshot: %w", t.id, err)
 	}
-	if c := sess.Cache(); c != nil && t.learnID != "" {
+	if c := sess.Cache(); c != nil {
 		p.planCache(t.learnID).Merge(c)
 	}
-	p.attachLearning(t, sess)
+	sess.SetCache(p.planCache(t.learnID))
 	if sess.RestoredCold() {
 		t.rejectSnapshot("tenant moved to the image's configuration, session rebuilt cold",
 			errors.New("image in an older format"))

@@ -59,7 +59,7 @@ func ServeStdio(ctx context.Context, in io.Reader, out io.Writer, errw io.Writer
 	}
 	// The in-flight synthesis deliberately ignores ctx: a signal stops
 	// intake, the current request finishes and its plan line is flushed
-	// (the engine's own Options.Timeout still bounds it).
+	// (the pool's PoolOptions.DefaultTimeout still bounds it).
 	served, err := serveLines(ctx, context.Background(), 0, p, info.ID, lines, dec, out)
 	if !quiet {
 		if ctx.Err() != nil {

@@ -55,8 +55,7 @@ type TenantStats struct {
 	MeanSynthMS float64 `json:"meanSynthMs"`
 	// CacheHits counts syntheses served from the verification-first plan
 	// cache (replayed plan or memoized infeasibility); CacheMisses counts
-	// those that ran the full search with the cache attached. Both stay
-	// zero for tenants registered with noPlanCache.
+	// those that ran the full search with the cache attached.
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"time"
 
 	"netupdate/internal/config"
 )
@@ -30,13 +29,15 @@ import (
 //   - json: the wire name in a tenant spec (TenantSpec), in field
 //     order. A zero value is the default and is omitted, so spelling a
 //     default and leaving it out encode — and fingerprint — identically.
-//   - flag, help: the netupdate command-line flag, where one exists.
-//   - plan: "speed" when the option cannot change which plan the search
-//     returns, otherwise its bit number in core.ContextFingerprint's flag
-//     word. That digest is stored in NUSS images and keys plan-cache entries:
-//     never renumber a bit; a new plan-shaping option takes the next one
-//     never used (7). Bits 4 to 6 are retired and never reused: bit 4
-//     was the heuristic-order ablation switch, now core.Ablation's; bit 5 the
+//   - flag, help: the netupdate command-line flag.
+//   - plan: its bit number in core.ContextFingerprint's flag word, for
+//     every option can change which plan the search returns. How a
+//     request runs — its deadline, its trace, the plan cache — is not an
+//     option: the request's context and the session's holder decide it.
+//     The digest is stored in NUSS images and keys plan-cache entries:
+//     never renumber a bit; a new option takes the next one never used
+//     (7). Bits 4 to 6 are retired and never reused: bit 4 was the
+//     heuristic-order ablation switch, now core.Ablation's; bit 5 the
 //     first-plan-wins tie-break of the deleted intra-component worker
 //     pool; bit 6 the deleted completion-time tie-break.
 type Options struct {
@@ -63,43 +64,16 @@ type Options struct {
 	// order. Used as the joint baseline of the decomposition comparison
 	// and by the repair ladder.
 	NoDecomposition bool `json:"noDecompose,omitempty" flag:"no-decompose" help:"always run one joint search instead of partitioning independent update regions" plan:"3"`
-	// NoPlanCache disables the verification-first plan cache (core.PlanCache):
-	// the session never attaches a cache, so every synthesis pays the full
-	// search even on a byte-identical repeat instance. Used as the
-	// ablation baseline of the cache comparison.
-	NoPlanCache bool `json:"noPlanCache,omitempty" flag:"no-plan-cache" help:"disable the verification-first plan cache (every request pays the full search)" plan:"speed"`
-	// Trace attaches a span recorder (internal/obs) to the session: every
-	// synthesis records its pipeline phases — rebind, final verify, cache
-	// lookup/verify, decomposition, per-component search, wait removal,
-	// DAG build, the repair ladder rungs — and exports them on Plan.Trace.
-	// Off (the default) costs nothing: the recorder is nil and every
-	// instrumentation point is a nil-check. Per-request tracing on a warm
-	// session (the daemon's trace=1) goes through core.Session.SetTrace instead.
-	Trace bool `json:"trace,omitempty" plan:"speed"`
-	// Timeout bounds the search; zero means no limit. On the wire it is
-	// nanoseconds, a time.Duration verbatim; requests may tighten it
-	// further per call via their deadline.
-	Timeout time.Duration `json:"timeoutNs,omitempty" flag:"timeout" help:"search timeout (per synthesis in -stream mode)" plan:"speed"`
 }
 
-// RegisterFlags declares on fs the command-line flag of every option that
-// has one, bound to o's fields; o's values at the call are the defaults.
+// RegisterFlags declares on fs the command-line flag of every option,
+// bound to o's fields; o's values at the call are the defaults.
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	v := reflect.ValueOf(o).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		tag := v.Type().Field(i).Tag
-		name, help := tag.Get("flag"), tag.Get("help")
-		if name == "" {
-			continue
-		}
-		switch p := v.Field(i).Addr().Interface().(type) {
-		case *bool:
-			fs.BoolVar(p, name, *p, help)
-		case *int:
-			fs.IntVar(p, name, *p, help)
-		case *time.Duration:
-			fs.DurationVar(p, name, *p, help)
-		}
+		p := v.Field(i).Addr().Interface().(*bool)
+		fs.BoolVar(p, tag.Get("flag"), *p, tag.Get("help"))
 	}
 }
 

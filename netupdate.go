@@ -195,9 +195,9 @@ func (sy *Synthesizer) Synthesize(final *Config) (*Plan, error) {
 }
 
 // SynthesizeContext is Synthesize bounded by a request context: the
-// search aborts with core.ErrTimeout when the context deadline expires
-// (the earlier of it and Options.Timeout applies) or ErrCanceled when the
-// context is canceled, leaving the session at its previous configuration.
+// search aborts with core.ErrTimeout when the context deadline expires or
+// ErrCanceled when the context is canceled, leaving the session at its
+// previous configuration.
 func (sy *Synthesizer) SynthesizeContext(ctx context.Context, final *Config) (*Plan, error) {
 	if !sy.inFlight.CompareAndSwap(false, true) {
 		return nil, ErrConcurrentUse
@@ -329,7 +329,8 @@ var (
 // Stream constructors (see DESIGN.md "Session architecture").
 var (
 	// OpenStream decodes a JSONL scenario stream (header + reroute
-	// deltas) for cmd/netupdate -stream and library use.
+	// deltas) for library use; netupdate -stream and the daemon read the
+	// same format through the serving pool (internal/server).
 	OpenStream = config.OpenStream
 	// RollingUpdates random-walks diamond targets over one topology, the
 	// generated steady-state workload for long-lived sessions.
