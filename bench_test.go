@@ -6,6 +6,7 @@ package netupdate
 // prints the full series.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -62,7 +63,7 @@ func BenchmarkFig7(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := ck.Synthesize(sc, core.Options{}); err != nil {
+					if _, err := core.SynthesizeWith(context.Background(), sc, core.Options{}, core.SessionResources{Factory: ck.New}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -83,7 +84,7 @@ func BenchmarkFig7RuleGranularity(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, err = ck.Synthesize(sc, core.Options{RuleGranularity: true})
+				_, err = core.SynthesizeWith(context.Background(), sc, core.Options{RuleGranularity: true}, core.SessionResources{Factory: ck.New})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -103,7 +103,7 @@ type flags struct {
 func main() {
 	var f flags
 	f.opts.RegisterFlags(flag.CommandLine)
-	flag.DurationVar(&f.timeout, "timeout", 10*time.Minute, "search timeout, zero for none (per synthesis in -stream mode)")
+	flag.DurationVar(&f.timeout, "timeout", 10*time.Minute, "time limit of each search (the synthesis, the repair, each -stream delta), zero for none")
 	flag.StringVar(&f.file, "f", "", "scenario JSON file (required unless -stream)")
 	flag.BoolVar(&f.stream, "stream", false, "serve a JSONL scenario stream from stdin, emitting JSON plan lines")
 	flag.BoolVar(&f.showDAG, "dag", false, "print the plan's dependency DAG (per-step predecessors, drain edges)")
@@ -208,24 +208,26 @@ func run(f *flags) error {
 		fmt.Println("endpoint configurations verified (paths are loop-free and delivered)")
 		return nil
 	}
-	ctx := context.Background()
-	if f.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.timeout)
-		defer cancel()
-	}
+	ctx, cancel := f.searchContext()
+	defer cancel()
 	// -repair replans from mid-execution state and -trace-out records
 	// through a recorder the session holds: both need the session form of
 	// the engine; a plain synthesis produces the identical plan.
 	var sess *core.Session
 	var plan *core.Plan
 	if f.repair || f.traceOut != "" {
+		start := time.Now()
 		sess, err = core.NewSession(sc.Topo, sc.Init, sc.Specs, f.opts)
 		if err == nil {
 			if f.traceOut != "" {
 				sess.SetTrace(obs.NewTrace(0))
 			}
 			plan, err = sess.SynthesizeContext(ctx, sc.Final)
+		}
+		if err == nil {
+			// As a one-shot synthesis reports it: structure construction
+			// counts, so the stats line does not depend on the path.
+			plan.Stats.Elapsed = time.Since(start)
 		}
 	} else {
 		plan, err = core.SynthesizeWith(ctx, sc, f.opts, core.SessionResources{})
@@ -258,7 +260,7 @@ func run(f *flags) error {
 		traces = append(traces, plan.Trace)
 	}
 	if f.faults != "" {
-		if err := executeFaults(ctx, f, sc, plan, sess, &traces); err != nil {
+		if err := executeFaults(f, sc, plan, sess, &traces); err != nil {
 			return err
 		}
 	}
@@ -269,6 +271,15 @@ func run(f *flags) error {
 		fmt.Printf("trace: %d span(s) in %d track(s) written to %s\n", traceSpanCount(traces), len(traces), f.traceOut)
 	}
 	return nil
+}
+
+// searchContext bounds one search, the synthesis or the repair, by
+// -timeout; each gets the whole budget.
+func (f *flags) searchContext() (context.Context, context.CancelFunc) {
+	if f.timeout <= 0 {
+		return context.Background(), func() {}
+	}
+	return context.WithTimeout(context.Background(), f.timeout)
 }
 
 // traceSpanCount totals the spans across the recorded tracks.
@@ -305,7 +316,7 @@ func writeTraceFile(path string, traces []*obs.TraceData) error {
 // ladder and executes the repair plan from there — fault-free, the
 // transient-failure recovery story (a permanently dead switch would
 // instead get a superseding target via Repair's newTarget).
-func executeFaults(ctx context.Context, f *flags, sc *config.Scenario, plan *core.Plan, sess *core.Session, traces *[]*obs.TraceData) error {
+func executeFaults(f *flags, sc *config.Scenario, plan *core.Plan, sess *core.Session, traces *[]*obs.TraceData) error {
 	faults, err := sim.ParseFaults(f.faults)
 	if err != nil {
 		return err
@@ -338,6 +349,8 @@ func executeFaults(ctx context.Context, f *flags, sc *config.Scenario, plan *cor
 		return nil
 	}
 
+	ctx, cancel := f.searchContext()
+	defer cancel()
 	rep, err := sess.RepairContext(ctx, res.Committed, nil)
 	if err != nil {
 		return fmt.Errorf("repair: %w", err)

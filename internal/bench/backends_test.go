@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -70,7 +71,7 @@ func TestBackendsParallelConformance(t *testing.T) {
 			var feasible [2]bool
 			for i, workers := range []int{1, 4} {
 				prev := runtime.GOMAXPROCS(workers)
-				plan, err := b.Synthesize(c.sc, c.opts)
+				plan, err := core.SynthesizeWith(context.Background(), c.sc, c.opts, core.SessionResources{Factory: b.New})
 				runtime.GOMAXPROCS(prev)
 				if err != nil && !errors.Is(err, core.ErrNoOrdering) {
 					t.Fatalf("%s/%d workers: %v", name, workers, err)

@@ -121,11 +121,6 @@ var (
 	Backends = []Backend{Incremental, Batch, NuSMVLike, NetPlumberLike}
 )
 
-// Synthesize runs the one-shot synthesis with b's checkers.
-func (b Backend) Synthesize(sc *config.Scenario, opts core.Options) (*core.Plan, error) {
-	return core.SynthesizeWith(context.Background(), sc, opts, core.SessionResources{Factory: b.New})
-}
-
 // synthesize is one synthesis of a figure, its search bounded by timeout.
 func synthesize(sc *config.Scenario, opts core.Options, res core.SessionResources, timeout time.Duration) (*core.Plan, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)

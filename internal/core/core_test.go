@@ -1,11 +1,10 @@
 package core
 
 import (
-	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"netupdate/internal/config"
 	"netupdate/internal/kripke"
@@ -438,20 +437,30 @@ func TestFinalViolationDetected(t *testing.T) {
 	}
 }
 
+// TestTimeout: the request's context is the search's one clock. A
+// deadline that passes halfway through a decomposed search — after the
+// request arrived, inside the components' DFS — stops it with ErrTimeout;
+// no component starts a clock of its own.
 func TestTimeout(t *testing.T) {
-	topo := topology.SmallWorld(60, 4, 0.3, 31)
-	sc, err := config.Infeasible(topo, config.InfeasibleOptions{Gadgets: 2, Seed: 3})
+	sc, err := config.MultiRegion(topology.SmallWorld(160, 6, 0.3, 7), config.MultiRegionOptions{
+		Regions: 3, PairsPerRegion: 1, Property: config.Reachability, Seed: 11,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Disable all pruning so the search would take a long time, then give
-	// it a tiny budget.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	_, err = SynthesizeWith(ctx, sc, Options{},
-		SessionResources{Ablation: Ablation{NoCexLearning: true, NoEarlyTermination: true}})
-	if !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrNoOrdering) {
-		t.Fatalf("err = %v, want timeout (or fast exhaustion)", err)
+	res := SessionResources{Ablation: Ablation{NoCexLearning: true, NoEarlyTermination: true}}
+	// A context that never expires counts the polls of the whole search.
+	full := expiresAfter(math.MaxInt32)
+	plan, err := SynthesizeWith(full, sc, Options{}, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := full.polls.Load()
+	if c := plan.Stats.Components; c < 2 || polls <= int32(c) {
+		t.Fatalf("%d component(s) polled the deadline %d time(s): want several components, each polling as it searches", c, polls)
+	}
+	if _, err := SynthesizeWith(expiresAfter(polls/2), sc, Options{}, res); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("deadline at poll %d of %d: err = %v, want ErrTimeout", polls/2, polls, err)
 	}
 }
 

@@ -89,24 +89,32 @@ func TestOptionClassification(t *testing.T) {
 	}
 }
 
-// TestOptionsFlagsAndText: the flag set derived from the tags parses into
-// the options and keeps the caller's defaults; the removed -checker,
-// -parallel, -first-plan, -min-completion and -no-plan-cache flags are
-// usage errors like any unknown flag, and the error names the flag.
+// TestOptionsFlagsAndText: the flag set derived from the tags parses every
+// option's flag into the options and keeps the caller's defaults for the
+// flags not given; the removed -checker, -parallel, -first-plan,
+// -min-completion and -no-plan-cache flags are usage errors like any
+// unknown flag, and the error names the flag.
 func TestOptionsFlagsAndText(t *testing.T) {
-	opts := Options{TwoSimple: true}
+	opts := Options{}
 	fs := flag.NewFlagSet("netupdate", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	opts.RegisterFlags(fs)
-	args := strings.Fields("-rules -no-wait-removal -no-decompose")
+	args := strings.Fields("-rules -2simple -no-wait-removal -no-decompose")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	want := Options{
-		RuleGranularity: true, TwoSimple: true, NoWaitRemoval: true, NoDecomposition: true,
-	}
-	if opts != want {
+	if want := allOptionsSet; opts != want {
 		t.Fatalf("parsed %+v, want %+v", opts, want)
+	}
+	kept := Options{TwoSimple: true}
+	fs = flag.NewFlagSet("netupdate", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	kept.RegisterFlags(fs)
+	if err := fs.Parse([]string{"-rules"}); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Options{RuleGranularity: true, TwoSimple: true}); kept != want {
+		t.Fatalf("defaults not kept: parsed %+v, want %+v", kept, want)
 	}
 	for _, removed := range [][]string{{"-checker", "incremental"}, {"-parallel", "4"}, {"-first-plan"}, {"-min-completion"}, {"-no-plan-cache"}} {
 		if err := fs.Parse(removed); err == nil || !strings.Contains(err.Error(), removed[0]) {

@@ -208,20 +208,25 @@ func TestRefusalParity(t *testing.T) {
 // expiresOnArrival returns a context that is live when a request arrives
 // and past its deadline at every later poll: the search is cut short
 // before its first check.
-func expiresOnArrival() context.Context {
-	return &lateContext{Context: context.Background(), done: make(chan struct{})}
+func expiresOnArrival() context.Context { return expiresAfter(1) }
+
+// expiresAfter returns a context that is live for its first n polls of
+// Err and past its deadline at every later one; its polls count them.
+func expiresAfter(n int32) *lateContext {
+	return &lateContext{Context: context.Background(), done: make(chan struct{}), live: n}
 }
 
 type lateContext struct {
 	context.Context
 	done  chan struct{}
+	live  int32
 	polls atomic.Int32
 }
 
 func (c *lateContext) Done() <-chan struct{} { return c.done }
 
 func (c *lateContext) Err() error {
-	if c.polls.Add(1) == 1 {
+	if c.polls.Add(1) <= c.live {
 		return nil
 	}
 	return context.DeadlineExceeded

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -185,6 +186,36 @@ func TestFaultRepairLadderEscalates(t *testing.T) {
 	verifyPlan(t, scInf, rep)
 	if d := config.Diff(s.Current(), scInf.Final); len(d) != 0 {
 		t.Fatalf("session not at final after escalated repair: %v", d)
+	}
+}
+
+// TestFaultRepairRungDeadline: the ladder's 2-simple rung searches under
+// the repair's own context, so a deadline that passes halfway through the
+// rung's search — after the rung's sub-synthesis arrived — stops it with
+// ErrTimeout instead of the rung finishing on a clock of its own.
+func TestFaultRepairRungDeadline(t *testing.T) {
+	scInf, err := config.Infeasible(topology.SmallWorld(40, 4, 0.3, 21), config.InfeasibleOptions{Gadgets: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := repairSession(t, scInf, Options{})
+	rung := func(ctx context.Context) error {
+		_, twoPhase, err := s.repairFallback(ctx, "rung", scInf.Specs, scInf.UpdatingSwitches(), scInf.Final)
+		if err == nil && twoPhase {
+			t.Fatal("the 2-simple rung found no ordering; the ladder fell through to two-phase")
+		}
+		return err
+	}
+	full := expiresAfter(math.MaxInt32)
+	if err := rung(full); err != nil {
+		t.Fatal(err)
+	}
+	polls := full.polls.Load()
+	if polls < 2 {
+		t.Fatalf("the rung polled its deadline %d time(s): on arrival only, never as it searched", polls)
+	}
+	if err := rung(expiresAfter(polls / 2)); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("deadline at poll %d of %d: err = %v, want ErrTimeout", polls/2, polls, err)
 	}
 }
 

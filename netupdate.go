@@ -145,6 +145,13 @@ func Synthesize(sc *Scenario, opts Options) (*Plan, error) {
 	return core.Synthesize(sc, opts)
 }
 
+// SynthesizeContext is Synthesize bounded by a context: the search aborts
+// with ErrTimeout when its deadline expires, ErrCanceled when it is
+// canceled.
+func SynthesizeContext(ctx context.Context, sc *Scenario, opts Options) (*Plan, error) {
+	return core.SynthesizeWith(ctx, sc, opts, core.SessionResources{})
+}
+
 // Synthesizer is the long-lived, stream-oriented entry point: bound to
 // one topology and one set of class specifications, it serves a sequence
 // of target configurations — the steady-state shape of a production

@@ -1,6 +1,7 @@
 package netupdate
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -138,6 +139,25 @@ func TestPublicErrors(t *testing.T) {
 	_, err = Synthesize(sc, Options{})
 	if !errors.Is(err, ErrNoOrdering) {
 		t.Fatalf("err = %v, want ErrNoOrdering", err)
+	}
+}
+
+// TestPublicSynthesizeContext: the one-shot answers as Synthesize does
+// under a live context and with ErrCanceled under a canceled one.
+func TestPublicSynthesizeContext(t *testing.T) {
+	sc := Fig1RedGreen()
+	want, err := Synthesize(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SynthesizeContext(context.Background(), sc, Options{})
+	if err != nil || got.String() != want.String() {
+		t.Fatalf("live context: plan %v, err %v; want %v", got, err, want)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SynthesizeContext(ctx, sc, Options{}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled context: err = %v, want ErrCanceled", err)
 	}
 }
 
