@@ -255,9 +255,22 @@ type StreamBase struct {
 	prio   int
 }
 
+// MaxClassPorts bounds a stream header's class count times its port
+// count (two per link, one per host). A serving session keeps, per class,
+// a word for each port of the network (kripke.Arena), so that product is
+// what a registration costs, and the header's length does not bound it:
+// a 222 KB header of 1 000 one-hop classes over 10 000 links took 104 MB.
+// The cap is 28 times the benchmark's largest tenant (26 classes over
+// 5 650 ports), and a tenant at the cap keeps about 17 MB of those words.
+const MaxClassPorts = 1 << 22
+
 // Build validates the header and constructs the base: the topology, every
-// class's initial route, and its parsed LTL specification.
+// class's initial route, and its parsed LTL specification. A header past
+// MaxClassPorts is refused before anything is built.
 func (h *StreamHeader) Build() (*StreamBase, error) {
+	if ports := 2*len(h.Topology.Links) + len(h.Topology.Hosts); len(h.Classes)*ports > MaxClassPorts {
+		return nil, fmt.Errorf("config: %d classes over %d ports, want a product of at most %d", len(h.Classes), ports, MaxClassPorts)
+	}
 	topo, err := h.Topology.Build(h.Name)
 	if err != nil {
 		return nil, err

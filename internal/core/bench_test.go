@@ -278,9 +278,10 @@ func BenchmarkInstanceKey(b *testing.B) {
 // tables no other configuration holds; once the session has moved on, an
 // entry that keeps one of them is all that keeps it alive. B/entry is the
 // heap in use with the cache attached less the heap once it is dropped,
-// over the entries stored. A daemon's plan caches are most of its live
-// heap and re-marked by every collection; CI gates the reading
-// (.github/alloc-budgets.txt).
+// over the entries stored, in a cache sized to hold them all whatever
+// DefaultPlanCacheEntries is. A full store is the bound times this
+// reading, and every collection re-marks it, so a daemon's worst case is
+// its stores times that; CI gates the reading (.github/alloc-budgets.txt).
 func BenchmarkPlanCacheEntry(b *testing.B) {
 	const entries = 512
 	sc, err := config.Diamonds(topology.SmallWorld(400, 4, 0.3, 29), config.DiamondOptions{
@@ -307,7 +308,8 @@ func BenchmarkPlanCacheEntry(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cache := s.EnableCache()
+		cache := NewPlanCache(entries)
+		s.SetCache(cache)
 		onFinal := make([]bool, len(moves))
 		for n := 1; n <= entries; n++ {
 			pi := bits.TrailingZeros(uint(n)) % len(moves)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -652,5 +654,182 @@ func TestCacheEvictionBound(t *testing.T) {
 	}
 	if c.lookup(key(0)) != nil {
 		t.Fatal("oldest entry survived")
+	}
+}
+
+// memoKey is a 32-byte cache key no instance digest spells.
+func memoKey(i int) string {
+	k := make([]byte, 32)
+	k[0] = 0xff
+	binary.BigEndian.PutUint64(k[24:], uint64(i))
+	return string(k)
+}
+
+// TestPlanCacheBoundUnderFlaps: a store fed more distinct instances than
+// its default bound, with a flap back and forth every fourth step, holds
+// exactly the bound; every flap's repeat is a hit at distance 1, and
+// every entry pushed out is counted. The walk flips the diamonds in
+// Gray-code order, so it revisits no configuration and each step and
+// each flap-back is an instance of its own.
+func TestPlanCacheBoundUnderFlaps(t *testing.T) {
+	sc, err := config.Diamonds(topology.SmallWorld(200, 4, 0.3, 11), config.DiamondOptions{
+		Pairs: 10, Property: config.Reachability, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, moves := streamHeaderOf(t, "bound", sc.Topo.NumSwitches(), sc)
+	const steps = 480
+	if 1<<len(moves) <= steps {
+		t.Fatalf("%d moves cannot spell %d distinct configurations", len(moves), steps)
+	}
+	base, err := h.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(base.Topo, base.Init, base.Specs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := s.EnableCache()
+	onFinal := make([]bool, len(moves))
+	hits := 0
+	for n := 1; n <= steps; n++ {
+		pi := bits.TrailingZeros(uint(n)) % len(moves)
+		onFinal[pi] = !onFinal[pi]
+		d := moves[pi].back
+		if onFinal[pi] {
+			d = moves[pi].forth
+		}
+		from := s.Current()
+		to, err := base.Apply(from, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk := []*config.Config{to}
+		if n%4 == 0 {
+			walk = append(walk, from, to)
+		}
+		for i, tgt := range walk {
+			plan, err := s.Synthesize(tgt)
+			if err != nil {
+				t.Fatalf("step %d.%d: %v", n, i, err)
+			}
+			if want := i == 2; plan.Stats.CacheHit != want || (want && plan.Stats.CacheHitDistance != 1) {
+				t.Fatalf("step %d.%d: hit %v at distance %d, want hit %v at 1", n, i, plan.Stats.CacheHit, plan.Stats.CacheHitDistance, want)
+			}
+			if plan.Stats.CacheHit {
+				hits++
+			}
+		}
+	}
+	stored := steps + steps/4
+	want := PlanCacheStats{Hits: int64(hits), Misses: int64(stored), Evictions: int64(stored - DefaultPlanCacheEntries), Entries: DefaultPlanCacheEntries}
+	if got := cache.Stats(); hits != steps/4 || got != want {
+		t.Fatalf("after %d steps and %d flaps: %+v (%d hits seen), want %+v", steps, steps/4, got, hits, want)
+	}
+}
+
+// TestPlanCacheHitAtTheBound: a plan with as many entries stored after it
+// as the bound leaves room for is a hit, at distance bound − 1; one more
+// store pushes it out, and the same request is searched afresh.
+func TestPlanCacheHitAtTheBound(t *testing.T) {
+	base, forth, _ := hexStream(t)
+	to, err := base.Apply(base.Init, forth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fill := range []int{DefaultPlanCacheEntries - 2, DefaultPlanCacheEntries - 1} {
+		s, err := NewSession(base.Topo, base.Init, base.Specs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := s.EnableCache()
+		// The plan to the target, then the flap back: two entries.
+		for _, tgt := range []*config.Config{to, base.Init} {
+			if _, err := s.Synthesize(tgt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < fill; i++ {
+			cache.storeInfeasible(memoKey(i))
+		}
+		evicted := cache.Stats().Evictions
+		plan, err := s.Synthesize(to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fill+2 == DefaultPlanCacheEntries; plan.Stats.CacheHit != want || evicted != int64(fill+2-DefaultPlanCacheEntries) {
+			t.Fatalf("%d entries stored after the plan: %d evictions, then hit %v; want %d, then hit %v",
+				fill+1, evicted, plan.Stats.CacheHit, fill+2-DefaultPlanCacheEntries, want)
+		}
+		if plan.Stats.CacheHit && plan.Stats.CacheHitDistance != DefaultPlanCacheEntries-1 {
+			t.Fatalf("hit at distance %d, want %d", plan.Stats.CacheHitDistance, DefaultPlanCacheEntries-1)
+		}
+	}
+}
+
+// TestCacheSectionFromALargerStore: an image whose section a larger store
+// wrote restores the section's newest DefaultPlanCacheEntries entries in
+// the writer's LRU order (decodeCache stores oldest first, insertLocked
+// evicts from the tail), and counts the rest as evicted.
+func TestCacheSectionFromALargerStore(t *testing.T) {
+	const written = 600
+	big := NewPlanCache(1024)
+	for i := 0; i < written; i++ {
+		big.storeInfeasible(memoKey(i))
+	}
+	// Uses reorder the writer's list: its oldest entry and one from the
+	// middle become its newest.
+	for _, i := range []int{0, 300} {
+		if big.lookup(memoKey(i)) == nil {
+			t.Fatalf("entry %d missing", i)
+		}
+	}
+	order := func(c *PlanCache) []string {
+		var keys []string
+		for el := c.lru.Front(); el != nil; el = el.Next() {
+			keys = append(keys, el.Value.(*cacheEntry).key)
+		}
+		return keys
+	}
+	var seed fuzzSeed
+	for _, sd := range loadFuzzSeeds(t) {
+		if sd.version == snapVersion {
+			seed = sd
+		}
+	}
+	img, err := embedCacheSection(seed.img, big.encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := s.Cache()
+	if got == nil {
+		t.Fatal("the section was dropped")
+	}
+	if want := order(big)[:DefaultPlanCacheEntries]; !slices.Equal(order(got), want) {
+		t.Fatal("the restored cache is not the writer's newest entries in its order")
+	}
+	if st := got.Stats(); st.Entries != DefaultPlanCacheEntries || st.Evictions != written-DefaultPlanCacheEntries {
+		t.Fatalf("restored %+v, want %d entries and %d evictions", st, DefaultPlanCacheEntries, written-DefaultPlanCacheEntries)
+	}
+	// The writer's oldest key once more at the end: its first copy was
+	// evicted on the way, and the section is still refused as repeating it.
+	sec := big.encode()
+	n, w := binary.Uvarint(sec)
+	again := append(binary.AppendUvarint(nil, n+1), sec[w:]...)
+	again = append(append(again, order(big)[written-1]...), 1)
+	if img, err = embedCacheSection(seed.img, again); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = RestoreSession(seed.base.Topo, seed.base.Specs, Options{}, img); err != nil {
+		t.Fatal(err)
+	}
+	if s.Cache() != nil {
+		t.Fatal("a section repeating an evicted key was taken")
 	}
 }

@@ -463,15 +463,20 @@ func RestoreSessionWith(topo *topology.Topology, specs []config.ClassSpec, opts 
 // taken whole or not at all. Tables are decoded as the configuration's
 // are, a step must name a switch of the topology, a rule-granularity
 // detail an update step, and a DAG edge an earlier update step; the DAG's
-// depth and width are computed from its edges, not read.
+// depth and width are computed from its edges, not read. Entries are
+// stored oldest first, so a section written by a larger store leaves its
+// newest DefaultPlanCacheEntries in their order; a key is refused twice
+// even when its first copy was evicted on the way.
 func decodeCache(section []byte, switches int) *PlanCache {
 	r := &snapReader{buf: section}
 	cache := NewPlanCache(0)
+	seen := map[string]bool{}
 	for n := r.count(); n > 0 && r.err == nil; n-- {
 		ent := &cacheEntry{key: string(r.take(sha256.Size))}
-		if _, dup := cache.entries[ent.key]; dup {
+		if seen[ent.key] {
 			r.fail("entry %x twice", ent.key)
 		}
+		seen[ent.key] = true
 		switch kind := r.uvarint(); kind {
 		case 0:
 			r.planEntry(ent, uint64(switches))

@@ -170,15 +170,17 @@ func NewPool(opts PoolOptions) *Pool {
 // fingerprint is idempotent: the existing tenant is returned with
 // Created=false and its warm state untouched.
 func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
+	// Built first: the header refuses an oversized registration
+	// (config.MaxClassPorts) before the spec is encoded to fingerprint it.
+	base, err := spec.StreamHeader.Build()
+	if err != nil {
+		return nil, badSpecError{err}
+	}
 	id, err := spec.Fingerprint()
 	if err != nil {
 		return nil, err
 	}
 	opts := core.Options(spec.Options)
-	base, err := spec.StreamHeader.Build()
-	if err != nil {
-		return nil, badSpecError{err}
-	}
 
 	p.mu.Lock()
 	info, err := p.registeredLocked(id)
