@@ -10,6 +10,10 @@
 // intermediate configuration satisfies the property — or reports that no
 // such ordering exists.
 //
+// A library caller cannot trace a synthesis: the span recorder is
+// attached only by the serving stack, so traces come from
+// `netupdate -trace-out` and the daemon's `?trace=1`.
+//
 // The package is a façade over the internal engine:
 //
 //   - internal/ltl      — LTL formulas, closure, property library
