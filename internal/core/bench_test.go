@@ -11,92 +11,6 @@ import (
 	"netupdate/internal/topology"
 )
 
-// BenchmarkOrderingAnalysis measures the passes that run after the search
-// on a plan with the served traffic's shape — many classes over a few
-// hundred switches (14 diamonds on a 400-switch small-world graph), not
-// Figure 8(g)'s single diamond: one op is removeWaits plus buildDAG over
-// the careful plan, on an engine with session-pooled scratch, as every
-// request after a session's first runs them. CI gates allocs/op
-// (.github/alloc-budgets.txt): what remains is per plan — the output
-// steps, the DAG's predecessor lists, blocks of affected vectors — so
-// search buffers, maps or vectors allocated per step again multiply it.
-func BenchmarkOrderingAnalysis(b *testing.B) {
-	sc, err := config.Diamonds(topology.SmallWorld(400, 4, 0.3, 400), config.DiamondOptions{
-		Pairs: 14, Property: config.Reachability, Seed: 400 * 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := Options{NoWaitRemoval: true}
-	plan, err := Synthesize(sc, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	units, err := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), nil, false, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scr := scratchPool.Get().(*engineScratch)
-	defer scratchPool.Put(scr)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := newEngineShellWith(sc, opts, Ablation{}, units, scr)
-		steps := e.removeWaits(plan.Steps)
-		dag := e.buildDAG(steps)
-		if countWaits(steps) >= countWaits(plan.Steps) || dag.NumNodes() != len(units) {
-			b.Fatalf("%d of %d waits kept, %d DAG nodes for %d units",
-				countWaits(steps), countWaits(plan.Steps), dag.NumNodes(), len(units))
-		}
-	}
-}
-
-// BenchmarkOrderingAnalysisMixed is the same pair of passes on what a
-// serve-large-mixed request hands them: the careful plans that move one
-// diamond of the 800-switch mixed tenant onto its other branch and back,
-// a few steps each under 26 classes. Most classes never reach a step's
-// switch, so what this measures is how little of the tenant a step's
-// liveness question visits. CI gates allocs/op
-// (.github/alloc-budgets.txt).
-func BenchmarkOrderingAnalysisMixed(b *testing.B) {
-	base, forth, _ := mixedTenant(b)
-	target, err := base.Apply(base.Init, forth)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := Options{NoWaitRemoval: true}
-	type plan struct {
-		sc    *config.Scenario
-		units []unit
-		steps []Step
-	}
-	var plans []plan
-	for _, ends := range [][2]*config.Config{{base.Init, target}, {target, base.Init}} {
-		sc := &config.Scenario{Name: base.Name, Topo: base.Topo, Init: ends[0], Final: ends[1], Specs: base.Specs}
-		p, err := Synthesize(sc, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		units, err := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), nil, false, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plans = append(plans, plan{sc, units, p.Steps})
-	}
-	scr := scratchPool.Get().(*engineScratch)
-	defer scratchPool.Put(scr)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range plans {
-			e := newEngineShellWith(p.sc, opts, Ablation{}, p.units, scr)
-			if dag := e.buildDAG(e.removeWaits(p.steps)); dag.NumNodes() != len(p.units) {
-				b.Fatalf("%d DAG nodes for %d units", dag.NumNodes(), len(p.units))
-			}
-		}
-	}
-}
-
 // mixedTenant builds the largest serve-large-mixed tenant shape — 8
 // regions x 2 diamonds, link classes and one infeasible gadget region on
 // an 800-switch degree-6 small-world graph — as a stream base, with the

@@ -18,8 +18,8 @@ package core
 // specifications, and the plan-shape options) and the base and target
 // configurations (per switch, ascending, the digest of the table's
 // canonical form). Key equality therefore implies
-// the two runs see byte-identical unit lists — computeUnits is a
-// deterministic function of the (base, target) diff — so an instance once
+// the two runs see byte-identical unit lists — the engine derives them
+// deterministically from the (base, target) diff — so an instance once
 // proven infeasible (ErrNoOrdering) is memoized and fails fast. The
 // Section 4.2 pruning state (wrong-configuration patterns, SAT
 // early-termination constraints, the visited set) lives and dies with one
@@ -439,55 +439,35 @@ func (s *Session) contextFP() []byte {
 
 // --- replay-verify ---
 
-// replayCached re-verifies a cached plan against the attached warm
-// structures — those of the request's affected classes, the only ones a
-// step can move: a structural pass first confirms the steps actually
-// transform the current configuration into final (every switch of diff,
-// the request's config.Diff, touched and ending at its final table, and no
-// other switch touched; a marked step installs final's table, and so ends
-// there by construction), then every update step is applied through
-// applyAndCheck — the same model-checked apply the search uses — so each
-// intermediate configuration is checked against every class specification.
-// Any failure reverts everything and reports false; the session falls back
-// to the ordinary search. On success the warm structures are left at the
-// final configuration (exactly like a search) and the replay's frames are
-// returned, for the caller to commit or revert.
-func (e *engine) replayCached(ent *cacheEntry, final *config.Config, diff []int) ([]frame, bool) {
+// fits reports whether the entry's steps transform the request's current
+// configuration into final: every switch of diff, the request's
+// config.Diff, touched and ending at its final table, and no other switch
+// touched (a marked step installs final's table, and so ends there by
+// construction). A plan that fits is then replayed through the warm
+// checkers (engine.Replay) — the model-checked apply the search uses — so
+// each intermediate configuration is checked against every class
+// specification before the plan is served.
+func (e *cacheEntry) fits(final *config.Config, diff []int) bool {
 	for _, sw := range diff {
 		last := -1 // the switch's last update step
-		for i := range ent.steps {
-			if st := &ent.steps[i]; !st.wait && int(st.sw) == sw {
+		for i := range e.steps {
+			if st := &e.steps[i]; !st.wait && int(st.sw) == sw {
 				last = i
 			}
 		}
 		if last < 0 {
-			return nil, false
+			return false
 		}
-		if st := &ent.steps[last]; !st.target && !st.table.Equal(final.Table(sw)) {
-			return nil, false
+		if st := &e.steps[last]; !st.target && !st.table.Equal(final.Table(sw)) {
+			return false
 		}
 	}
-	for i := range ent.steps {
-		if st := &ent.steps[i]; !st.wait {
+	for i := range e.steps {
+		if st := &e.steps[i]; !st.wait {
 			if _, ok := slices.BinarySearch(diff, int(st.sw)); !ok {
-				return nil, false
+				return false
 			}
 		}
 	}
-	frames := e.frameBuf(0)
-	defer func() { e.scr.frames[0] = frames }()
-	for i := range ent.steps {
-		st := &ent.steps[i]
-		if st.wait {
-			continue
-		}
-		var failed bool
-		var err error
-		frames, failed, _, err = e.applyAndCheck(frames, int(st.sw), st.tableFor(final))
-		if err != nil || failed {
-			e.revert(frames)
-			return nil, false
-		}
-	}
-	return frames, true
+	return true
 }

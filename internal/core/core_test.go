@@ -99,37 +99,6 @@ func TestFig1RedBlueWaypointSynthesis(t *testing.T) {
 	}
 }
 
-// TestWaitRemovalKeepsPaperBarrier replays the paper's own sequence for
-// the red-to-blue waypoint scenario (A2, A4, T1, C1) through the
-// wait-removal heuristic: the barrier between T1 and C1 must survive —
-// packets forwarded by the old T1 can reach C1, so updating C1 without a
-// flush would let them skip both scrubbing waypoints.
-func TestWaitRemovalKeepsPaperBarrier(t *testing.T) {
-	sc := config.Fig1RedBlueWaypoint()
-	_, n := config.Fig1Topology()
-	e, err := newEngineShell(sc, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var steps []Step
-	for i, sw := range []int{n.A2, n.A4, n.T1, n.C1} {
-		if i > 0 {
-			steps = append(steps, Step{Wait: true})
-		}
-		steps = append(steps, Step{Switch: sw, Table: sc.Final.Table(sw)})
-	}
-	out := e.removeWaits(steps)
-	var kept []int // index of the update that follows each kept wait
-	for i, s := range out {
-		if s.Wait {
-			kept = append(kept, out[i+1].Switch)
-		}
-	}
-	if len(kept) != 1 || kept[0] != n.C1 {
-		t.Fatalf("kept waits before %v, want exactly one before C1 (sw%d); plan %v", kept, n.C1, out)
-	}
-}
-
 func TestFig1PlansVerify(t *testing.T) {
 	for _, mk := range []func() *config.Scenario{config.Fig1RedGreen, config.Fig1RedBlue, config.Fig1RedBlueWaypoint} {
 		sc := mk()
@@ -473,32 +442,6 @@ func TestStatsPopulated(t *testing.T) {
 	st := plan.Stats
 	if st.Units != 2 || st.Checks == 0 || st.Elapsed <= 0 {
 		t.Fatalf("stats look wrong: %+v", st)
-	}
-}
-
-func TestBitset(t *testing.T) {
-	b := newBitset(130)
-	if b.get(129) {
-		t.Fatal("fresh bitset must be empty")
-	}
-	c := b.set(129).set(0)
-	if !c.get(129) || !c.get(0) || b.get(0) {
-		t.Fatal("set must be persistent")
-	}
-	if c.count() != 2 {
-		t.Fatalf("count = %d", c.count())
-	}
-	if b.key() == c.key() {
-		t.Fatal("keys must differ")
-	}
-	rel := newBitset(130).set(0).set(5)
-	val := newBitset(130).set(0)
-	if !c.matchesPattern(rel, val) {
-		t.Fatal("c has 0 set and 5 unset; should match pattern")
-	}
-	d := c.set(5)
-	if d.matchesPattern(rel, val) {
-		t.Fatal("d has 5 set; should not match")
 	}
 }
 

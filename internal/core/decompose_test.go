@@ -3,15 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"netupdate/internal/config"
-	"netupdate/internal/kripke"
-	"netupdate/internal/network"
+	"netupdate/internal/engine"
 	"netupdate/internal/topology"
 )
 
@@ -30,112 +26,67 @@ func multiRegionScenario(t testing.TB, regions, pairs, cross int, seed int64) *c
 	return sc
 }
 
-// newEngineShell builds an engine shell for sc's own diff, as
-// Session.synthesize does for a request's.
-func newEngineShell(sc *config.Scenario, opts Options, scr *engineScratch) (*engine, error) {
-	units, err := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), nil, opts.RuleGranularity, opts.TwoSimple)
-	if err != nil {
-		return nil, err
+// regions partitions sc's diff as the interference partition would if
+// every class a switch's rule changes can match interfered there: the
+// classes of engine.Affected, each joining the diff switches it can see.
+// Those are the only classes a unit can move, so each region is one or
+// more whole interference components; on the multi-region workloads,
+// whose regions share no switch and no class, exactly one. It returns
+// each region's switches and classes (ascending), ordered by lowest
+// switch, as the partition orders components by lowest unit.
+func regions(sc *config.Scenario) (switches, classes [][]int) {
+	var aff engine.Affected
+	aff.Reset(sc.Specs, sc.Init, sc.Final)
+	parent := map[int]int{}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
 	}
-	return newEngineShellWith(sc, opts, Ablation{}, units, scr), nil
-}
-
-// engineFor builds a session-attached engine shell for white-box
-// partition tests.
-func engineFor(t *testing.T, sc *config.Scenario, opts Options) (*Session, *engine) {
-	t.Helper()
-	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, sw := range aff.Switches {
+		parent[sw] = sw
 	}
-	e, err := newEngineShell(sc, opts, nil)
-	if err != nil {
-		t.Fatal(err)
+	for pos := range aff.Classes {
+		sws := aff.SwitchesOf(pos)
+		for _, sw := range sws[1:] {
+			parent[find(sw)] = find(sws[0])
+		}
 	}
-	s.diffBuf = ruleDiffs(s.diffBuf, sc.Init, sc.Final, config.Diff(sc.Init, sc.Final))
-	s.aff.reset(s.specs, s.diffBuf)
-	s.attach(e, s.aff.classes)
-	return s, e
+	region := map[int]int{}
+	for _, sw := range aff.Switches { // ascending
+		r, ok := region[find(sw)]
+		if !ok {
+			r = len(switches)
+			region[find(sw)] = r
+			switches, classes = append(switches, nil), append(classes, nil)
+		}
+		switches[r] = append(switches[r], sw)
+	}
+	for pos, ci := range aff.Classes {
+		if sws := aff.SwitchesOf(pos); len(sws) > 0 {
+			r := region[find(sws[0])]
+			classes[r] = append(classes[r], ci)
+		}
+	}
+	return switches, classes
 }
 
 // singleComponentTarget returns the target that moves only the idx-th
-// interference component of sc's diff to its final tables — a diff the
-// partition cannot split, whose footprint leaves every other component's
-// classes out — together with that component.
-func singleComponentTarget(t *testing.T, sc *config.Scenario, idx int) (*config.Config, component) {
+// region of sc's diff to its final tables (regions) — a diff the
+// partition cannot split on the multi-region workloads, whose footprint
+// leaves every other region's classes out — and the region's classes.
+func singleComponentTarget(t *testing.T, sc *config.Scenario, idx int) (*config.Config, []int) {
 	t.Helper()
-	s, e := engineFor(t, sc, Options{})
-	comps, err := e.components(&s.aff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx >= len(comps) {
-		t.Fatalf("scenario has %d components, want more than %d", len(comps), idx)
+	switches, classes := regions(sc)
+	if idx >= len(switches) {
+		t.Fatalf("scenario has %d regions, want more than %d", len(switches), idx)
 	}
 	target := sc.Init.Clone()
-	for _, sw := range comps[idx].switches {
+	for _, sw := range switches[idx] {
 		target.SetTable(sw, sc.Final.Table(sw).Clone())
 	}
-	return target, comps[idx]
-}
-
-// TestComponentsPartition: on a 3-region workload with no cross traffic
-// the interference graph must fall apart into exactly 3 components that
-// partition the units, switches, and classes; one cross class must merge
-// two of them.
-func TestComponentsPartition(t *testing.T) {
-	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	s, e := engineFor(t, sc, Options{})
-	comps, err := e.components(&s.aff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 3 {
-		t.Fatalf("components = %d, want 3", len(comps))
-	}
-	unitSeen := make([]bool, len(e.units))
-	classSeen := make([]bool, len(sc.Specs))
-	for _, c := range comps {
-		if len(c.units) == 0 || len(c.classes) == 0 || len(c.switches) == 0 {
-			t.Fatalf("degenerate component %+v", c)
-		}
-		for _, id := range c.units {
-			if unitSeen[id] {
-				t.Fatalf("unit %d in two components", id)
-			}
-			unitSeen[id] = true
-		}
-		for _, ci := range c.classes {
-			if classSeen[ci] {
-				t.Fatalf("class %d in two components", ci)
-			}
-			classSeen[ci] = true
-		}
-	}
-	for id, seen := range unitSeen {
-		if !seen {
-			t.Fatalf("unit %d in no component", id)
-		}
-	}
-	// Components are ordered by lowest unit id.
-	for i := 1; i < len(comps); i++ {
-		if comps[i-1].units[0] >= comps[i].units[0] {
-			t.Fatalf("components out of order: %v then %v", comps[i-1].units, comps[i].units)
-		}
-	}
-
-	scX := multiRegionScenario(t, 3, 1, 1, 11)
-	sX, eX := engineFor(t, scX, Options{})
-	compsX, err := eX.components(&sX.aff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(compsX) != 2 {
-		t.Fatalf("components with one cross class = %d, want 2", len(compsX))
-	}
-	if eX.stats.FootprintProbes == 0 {
-		t.Fatal("footprint pre-pass ran no probes")
-	}
+	return target, classes[idx]
 }
 
 // atProcs runs f with GOMAXPROCS — which sizes the component scheduler —
@@ -235,52 +186,6 @@ func TestDecomposedConformanceSingleComponent(t *testing.T) {
 			if got, want := plan.String(), jointPlan.String(); got != want {
 				t.Fatalf("%s: single-component plan diverged:\n got %s\nwant %s", c.name, got, want)
 			}
-		}
-	}
-}
-
-// TestDecomposedSolveOrderMetamorphic: the order in which components are
-// solved — whichever goroutine picks them up, whatever permutation the
-// queue feeds — must never change the composed plan.
-func TestDecomposedSolveOrderMetamorphic(t *testing.T) {
-	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	base, err := Synthesize(sc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Stats.Components != 3 {
-		t.Fatalf("Components = %d, want 3", base.Stats.Components)
-	}
-	defer func() { testSolveOrder = nil }()
-	for _, perm := range [][]int{{2, 1, 0}, {1, 2, 0}, {2, 0, 1}, {0, 2, 1}} {
-		perm := perm
-		testSolveOrder = func(n int) []int {
-			if n != len(perm) {
-				t.Fatalf("solve order hook saw %d components, want %d", n, len(perm))
-			}
-			return perm
-		}
-		var plan *Plan
-		atProcs(1, func() { plan, err = Synthesize(sc, Options{}) })
-		if err != nil {
-			t.Fatalf("perm %v: %v", perm, err)
-		}
-		if plan.String() != base.String() {
-			t.Fatalf("solve order %v changed the composed plan:\n got %s\nwant %s",
-				perm, plan, base)
-		}
-	}
-	testSolveOrder = nil
-	// Concurrent component scheduling (more CPUs than components: one
-	// goroutine each) must agree too; run a few times to shake schedules.
-	for i := 0; i < 3; i++ {
-		var plan *Plan
-		atProcs(8, func() { plan, err = Synthesize(sc, Options{}) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan.String() != base.String() {
-			t.Fatalf("concurrent solve changed the composed plan:\n got %s\nwant %s", plan, base)
 		}
 	}
 }
@@ -404,9 +309,9 @@ func TestDecomposedFailureResync(t *testing.T) {
 // once and answered by the memo after.
 func TestSingleComponentFootprintSearch(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 2, 0, 11)
-	target, comp := singleComponentTarget(t, sc, 0)
-	if len(comp.classes) < 2 || len(comp.classes) == len(sc.Specs) {
-		t.Fatalf("component has %d of %d classes, want a multi-class search that leaves classes out", len(comp.classes), len(sc.Specs))
+	target, classes := singleComponentTarget(t, sc, 0)
+	if len(classes) < 2 || len(classes) == len(sc.Specs) {
+		t.Fatalf("component has %d of %d classes, want a multi-class search that leaves classes out", len(classes), len(sc.Specs))
 	}
 	one := &config.Scenario{Name: "one-region", Topo: sc.Topo, Init: sc.Init, Final: target, Specs: sc.Specs}
 	want, err := Synthesize(one, Options{NoDecomposition: true})
@@ -460,14 +365,10 @@ func TestSingleComponentFootprintSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, e := engineFor(t, inf, Options{})
-	comps, err := e.components(&s.aff)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Find the gadget's component with the all-class joint search.
 	var gadget, feasible *config.Config
-	for i := range comps {
+	regionSwitches, _ := regions(inf)
+	for i := range regionSwitches {
 		tgt, _ := singleComponentTarget(t, inf, i)
 		_, err := Synthesize(&config.Scenario{Name: "probe", Topo: inf.Topo, Init: inf.Init, Final: tgt, Specs: inf.Specs},
 			Options{NoDecomposition: true})
@@ -503,148 +404,5 @@ func TestSingleComponentFootprintSearch(t *testing.T) {
 	// The session still serves: a feasible region right after.
 	if _, err := sess.Synthesize(feasible); err != nil {
 		t.Fatalf("feasible region after rejected intent: %v", err)
-	}
-}
-
-// installFootprints is the footprint pass as it was before it read tables
-// instead of installing them: each (unit, class) probe applies the unit's
-// table to the class's structure, reads the delta, and the switch's chain
-// is reverted when the next switch begins. TestFootprintsWithoutInstall
-// holds the read-only pass to it.
-func installFootprints(e *engine, aff *affectedClasses) (fps, ends []int, _ error) {
-	ends = make([]int, len(e.units))
-	var pend []frame
-	flush := func() {
-		e.revert(pend)
-		pend = pend[:0]
-	}
-	curSw := -1
-	for _, u := range e.units {
-		if u.sw != curSw {
-			flush()
-			curSw = u.sw
-		}
-		for pos, ci := range e.classes {
-			if !slices.Contains(aff.switchesOf(pos), u.sw) {
-				continue
-			}
-			if e.opts.TwoSimple {
-				removed, added := diffTables(e.ks[pos].Table(u.sw), u.newTable)
-				if !rulesAffect(removed, added, e.sc.Specs[ci].Class.Packet()) {
-					continue
-				}
-			}
-			delta, err := e.ks[pos].UpdateSwitch(u.sw, u.newTable)
-			e.stats.FootprintProbes++
-			if err != nil {
-				if _, isLoop := err.(*kripke.ErrLoop); !isLoop {
-					flush()
-					return nil, nil, err
-				}
-			}
-			pend = append(pend, frame{class: pos, delta: delta})
-			if len(delta.Changed()) > 0 {
-				fps = append(fps, ci)
-			}
-		}
-		ends[u.id] = len(fps)
-	}
-	flush()
-	return fps, ends, nil
-}
-
-// TestFootprintsWithoutInstall: the read-only footprint pass gives the
-// footprints, the components and the probe count the install-and-revert
-// pass gave, and the same error on a target table it cannot read, at
-// switch and 2-simple granularity: on every scenario of this file, and on
-// random multi-region diffs. It leaves every structure as it found it,
-// holding no table over its configuration and no undo log.
-func TestFootprintsWithoutInstall(t *testing.T) {
-	cases := map[string]*config.Scenario{
-		"fig1-red-green": config.Fig1RedGreen(),
-		"fig1-red-blue":  config.Fig1RedBlue(),
-		"fig1-waypoint":  config.Fig1RedBlueWaypoint(),
-		"regions":        multiRegionScenario(t, 3, 1, 0, 11),
-		"regions-cross":  multiRegionScenario(t, 3, 1, 1, 11),
-		"regions-pairs":  multiRegionScenario(t, 3, 2, 0, 11),
-	}
-	diamond, err := config.Diamonds(topology.SmallWorld(60, 4, 0.3, 60), config.DiamondOptions{
-		Pairs: 1, Property: config.Reachability, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases["diamond-single"] = diamond
-	gadget, err := config.Infeasible(topology.SmallWorld(40, 4, 0.3, 21), config.InfeasibleOptions{Gadgets: 1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases["infeasible"] = gadget
-	stuck, err := config.MultiRegion(topology.SmallWorld(160, 6, 0.3, 7), config.MultiRegionOptions{
-		Regions: 2, InfeasibleRegions: 1, Property: config.Reachability, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases["infeasible-region"] = stuck
-	rewriting := *cases["regions"]
-	rewriting.Final = refusedTargets(t, rewriting.Topo, rewriting.Final, rewriting.Specs[1].Class)["rewriting"]
-	cases["rewriting"] = &rewriting
-	// The target's rules outrank the current ones, so a 2-simple merge
-	// forwards as the target does and its finalize unit moves nothing.
-	raised := *cases["regions-cross"]
-	raised.Final = raised.Init.Clone()
-	for _, sw := range config.Diff(raised.Init, cases["regions-cross"].Final) {
-		var tbl network.Table
-		for _, r := range cases["regions-cross"].Final.Table(sw) {
-			r.Priority++
-			tbl = append(tbl, r)
-		}
-		raised.Final.SetTable(sw, tbl)
-	}
-	cases["raised"] = &raised
-	for seed := int64(1); seed <= 8; seed++ {
-		sc := multiRegionScenario(t, 3, 2, int(seed%2), seed)
-		r := rand.New(rand.NewSource(seed))
-		target := sc.Init.Clone()
-		for _, sw := range config.Diff(sc.Init, sc.Final) {
-			if r.Intn(2) == 0 {
-				target.SetTable(sw, sc.Final.Table(sw))
-			}
-		}
-		part := *sc
-		part.Final = target
-		cases[fmt.Sprintf("random-%d", seed)] = &part
-	}
-
-	for name, sc := range cases {
-		for _, opts := range []Options{{}, {TwoSimple: true}} {
-			what := fmt.Sprintf("%s/2simple=%v", name, opts.TwoSimple)
-			sRead, eRead := engineFor(t, sc, opts)
-			sInst, eInst := engineFor(t, sc, opts)
-			fps, ends, err := eRead.unitFootprints(&sRead.aff)
-			wantFps, wantEnds, wantErr := installFootprints(eInst, &sInst.aff)
-			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-				t.Fatalf("%s: err %v, the install-and-revert pass %v", what, err, wantErr)
-			}
-			if got, want := eRead.stats.FootprintProbes, eInst.stats.FootprintProbes; got != want {
-				t.Fatalf("%s: %d probes, the install-and-revert pass %d", what, got, want)
-			}
-			if err != nil {
-				continue
-			}
-			if !slices.Equal(fps, wantFps) || !slices.Equal(ends, wantEnds) {
-				t.Fatalf("%s: footprints %v %v, the install-and-revert pass %v %v", what, fps, ends, wantFps, wantEnds)
-			}
-			got, want := eRead.partition(fps, ends), eInst.partition(wantFps, wantEnds)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: components %v, the install-and-revert pass %v", what, got, want)
-			}
-			for ci, k := range sRead.ks {
-				if _, moved := k.Base(); moved != 0 || k.HoldsLog() {
-					t.Fatalf("%s: class %d holds %d tables or an undo log after the pass", what, ci, moved)
-				}
-			}
-		}
 	}
 }

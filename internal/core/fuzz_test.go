@@ -452,9 +452,35 @@ func poisonedSection(tb testing.TB, seed fuzzSeed, field network.FieldID) []byte
 		}
 		steps := append([]Step{{Switch: st.Switch, Table: bad}}, back.Steps...)
 		c := NewPlanCache(0)
-		c.store(newPlanEntry(key, steps, chainDAG(steps), seed.base.Init, back.Stats.Components))
+		c.store(newPlanEntry(key, steps, chain(steps), seed.base.Init, back.Stats.Components))
 		return c.encode()
 	}
 	tb.Fatal("the flap-back installs no rule")
 	return nil
+}
+
+// chain is the DAG of a plan whose updates run one after the other, each
+// edge drain-marked where a wait separates its two steps.
+func chain(steps []Step) *PlanDAG {
+	dag := &PlanDAG{}
+	wait := false
+	for _, st := range steps {
+		if st.Wait {
+			wait = true
+			continue
+		}
+		var preds, drain []int
+		if j := len(dag.Preds); j > 0 {
+			preds = []int{j - 1}
+			if wait {
+				drain = preds
+			}
+		}
+		dag.Preds, dag.Drain = append(dag.Preds, preds), append(dag.Drain, drain)
+		wait = false
+	}
+	if dag.Depth = len(dag.Preds); dag.Depth > 0 {
+		dag.Width = 1
+	}
+	return dag
 }

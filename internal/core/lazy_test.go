@@ -42,7 +42,7 @@ func classesSeeing(specs []config.ClassSpec, a, b *config.Config) []int {
 		pkt := cs.Class.Packet()
 		mine := func(tbl network.Table) (m []string) {
 			for _, r := range tbl {
-				if headerMatches(r.Match, pkt) {
+				if matchesHeader(r.Match, pkt) {
 					m = append(m, fmt.Sprint(r))
 				}
 			}
@@ -257,4 +257,11 @@ func TestLazyRestoreMatchesWarm(t *testing.T) {
 			}
 		})
 	}
+}
+
+// matchesHeader tests a pattern against a packet whatever port it arrives
+// on.
+func matchesHeader(pat network.Pattern, pkt network.Packet) bool {
+	pat.InPort = 0
+	return pat.Matches(pkt, 0)
 }

@@ -1,8 +1,8 @@
-// Package core implements the update-synthesis algorithm of Section 4:
-// ORDERUPDATE, a depth-first search over sequences of switch- or rule-
-// granularity updates, driven by the incremental model checker, with
-// counterexample learning (wrong-configuration pruning), SAT-based early
-// search termination, and the reachability-based wait-removal heuristic.
+// Package core serves the update-synthesis algorithm of Section 4
+// (internal/engine) to a stream of requests: warm sessions that keep every
+// class's Kripke structure and checker between syntheses, the
+// verification-first plan cache, parked sessions and session images, and
+// the repair ladder for a plan that stopped halfway.
 package core
 
 import (
@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"time"
 
+	"netupdate/internal/engine"
 	"netupdate/internal/tenantspec"
 )
 
@@ -19,23 +20,10 @@ import (
 // defined with the tenant spec that carries it.
 type Options = tenantspec.Options
 
-// Ablation switches off the Section 4.2 optimizations one at a time, to
-// regenerate the paper's ablation (internal/bench.Ablation). It is not an
-// option a tenant may choose: it has no wire key, no flag and no
-// fingerprint bit, and reaches a session only through
-// SessionResources.Ablation; every engine the session builds reads it.
-// NoHeuristicOrder can change which plan the search returns, yet the
-// fingerprint need not cover it: its only users, the figure harness and
-// the core tests, attach no plan cache and take no snapshot.
-type Ablation struct {
-	// NoCexLearning disables wrong-configuration pruning (4.2.A).
-	NoCexLearning bool
-	// NoEarlyTermination disables SAT-based early termination (4.2.B).
-	NoEarlyTermination bool
-	// NoHeuristicOrder disables destination-first candidate ordering and
-	// explores units in index order.
-	NoHeuristicOrder bool
-}
+// Ablation switches off the Section 4.2 optimizations one at a time
+// (engine.Ablation). It reaches a session only through
+// SessionResources.Ablation; every engine the session runs reads it.
+type Ablation = engine.Ablation
 
 // writeFingerprint digests the options as one word of flag bits, after
 // a constant 0: persisted fingerprints carried a checker-backend kind
@@ -64,19 +52,19 @@ var (
 	// ErrNoOrdering reports that no simple careful update sequence exists
 	// at the requested granularity (the algorithm's "impossible" answer,
 	// Figure 8h).
-	ErrNoOrdering = errors.New("core: no correct update ordering exists")
+	ErrNoOrdering = engine.ErrNoOrdering
 	// ErrTimeout reports that the deadline of the search's context
 	// expired before it finished.
-	ErrTimeout = errors.New("core: synthesis timed out")
+	ErrTimeout = engine.ErrTimeout
 	// ErrCanceled reports that the search's context was canceled before
 	// it finished.
-	ErrCanceled = errors.New("core: synthesis canceled")
+	ErrCanceled = engine.ErrCanceled
 	// ErrInitialViolation reports that the initial configuration already
 	// violates the specification.
 	ErrInitialViolation = errors.New("core: initial configuration violates the specification")
 	// ErrFinalViolation reports that the final configuration violates the
 	// specification, so no update sequence can be correct.
-	ErrFinalViolation = errors.New("core: final configuration violates the specification")
+	ErrFinalViolation = engine.ErrFinalViolation
 	// ErrClassBuild reports that a class a request needed for the first
 	// time did not build, or did not hold, at the configuration the
 	// session stands at — one it, or the session it was parked from
@@ -93,80 +81,34 @@ var (
 	ErrBadCommit = errors.New("core: committed set is not a dependency-closed subset of the last plan")
 )
 
-// Stats reports the work performed by one synthesis run.
+// Stats reports the work performed by one synthesis run: the engine's
+// counters and timings (engine.Stats, whose fields it promotes) and what
+// the session adds around the search.
 type Stats struct {
-	Units          int  // update units (switches or rules)
-	Checks         int  // model-checker calls: on a miss the search's and its target check's; on a cache hit the replay's, plus one per class of the session for reading the target's verdicts
-	ClassSkips     int  // checker calls skipped because the unit's delta was empty for the class (only the classes a changed rule of the request matches — for a connected diff, its footprint — are visited, so no other is counted)
-	StatesLabeled  int  // checker work units
-	Relabels       int  // incremental label recomputations that changed a label
-	LabelsInterned int  // distinct label sets interned by the labeling checkers
-	ExtendHits     int  // closure-extension memo hits
-	ExtendMisses   int  // closure-extension memo misses
-	CexLearned     int  // counterexamples learned
-	WrongPruned    int  // candidate configs pruned by W
-	VisitedPruned  int  // candidate configs pruned by V
-	Backtracks     int  // DFS backtracks
-	SATCalls       int  // early-termination solver calls
-	EarlyTerminate bool // search cut off by the SAT solver
-	WaitsBefore    int  // waits before removal (always units-1)
-	WaitsAfter     int  // waits remaining after removal
-	DAGDepth       int  // longest dependency chain of the plan DAG (nodes)
-	DAGWidth       int  // largest antichain level of the plan DAG
-	Elapsed        time.Duration
+	engine.Stats
 
-	// Per-phase durations, measured with the same monotonic clock the
-	// trace spans use and populated on every run — traced or not — so
-	// JSONL consumers get a phase breakdown without enabling traces.
-	// VerifyElapsed is the target check's, where one ran: a search that
-	// failed a check, or ended without a plan, checked the target (summed
-	// over components), and a cache hit reads the replayed verdicts — a
-	// search that failed no check has none. SearchElapsed covers the
-	// search proper (every component, including any repair-ladder
-	// fallback); a refused target reports none, its answer being the
-	// target check's. CacheVerifyElapsed is the
-	// replay of a cached plan through the warm checkers; RebindElapsed is
-	// the post-run resync of the warm per-class structures. They do not
-	// sum to Elapsed: scenario setup, DAG build, and cache bookkeeping
-	// fall between them.
+	// Elapsed is the run's wall time. RebindElapsed is the post-run resync
+	// of the warm per-class structures, CacheVerifyElapsed the replay of a
+	// cached plan through the warm checkers (engine.Engine.Replay, whose
+	// reading of the target's verdicts is also VerifyElapsed). With the
+	// engine's phases they do not sum to Elapsed: scenario setup, DAG
+	// build, and cache bookkeeping fall between them.
+	Elapsed            time.Duration
 	RebindElapsed      time.Duration
-	SearchElapsed      time.Duration
-	WaitRemovalElapsed time.Duration
-	VerifyElapsed      time.Duration
 	CacheVerifyElapsed time.Duration
 
 	// RequestID is the serving-stack request id (obs.RequestIDFrom) the
 	// run was performed under; empty for direct library use.
 	RequestID string
 
-	// Decomposition counters (see decompose.go). Components is the number
-	// of independent subproblems the interference partition produced (1
-	// when the search ran joint — disabled, or a genuinely connected
-	// diff). FootprintProbes counts the (unit, class) probes of the
-	// footprint pre-pass. ComponentElapsed records each
-	// sub-search's wall time in composition order (components sorted by
-	// lowest unit index), one entry for a joint run; empty when no search
-	// ran.
-	Components       int
-	FootprintProbes  int
-	ComponentElapsed []time.Duration
-
-	// CommittedComponents lists the components (composition-order
-	// indexes) whose sub-searches completed and left their classes' warm
-	// structures at the target tables — [0] for a joint run that finished.
-	// On a failed or context-canceled run — readable via
-	// Session.LastStats — it tells callers exactly which parts of the diff
-	// were already solved when the run aborted. Nil when none was.
+	// CommittedComponents lists the components (composition order) whose
+	// searches finished and left their classes' structures at the target —
+	// [0] for a finished joint run. After a failed or canceled run
+	// (Session.LastStats) it names the parts of the diff already solved.
 	CommittedComponents []int
 
-	// Repair counters (repair.go). RepairCommitted is the number of
-	// already-committed plan steps a Repair call resumed from.
-	// EscalatedComponents counts stuck components the fallback ladder
-	// solved by escalating to 2-simple granularity; TwoPhaseComponents
-	// counts those that fell back to scoped version-tagging.
-	RepairCommitted     int
-	EscalatedComponents int
-	TwoPhaseComponents  int
+	// RepairCommitted is the number of committed steps Repair resumed from.
+	RepairCommitted int
 
 	// Plan-cache counters (cache.go). CacheHit marks a run served from the
 	// verification-first fast path: either a cached plan that replayed
@@ -179,27 +121,4 @@ type Stats struct {
 	CacheHit          bool
 	CacheVerifyFailed bool
 	CacheHitDistance  int
-}
-
-// addSearch folds the counters of one component sub-search into st, and
-// the time of its target check. The work counters are additive across
-// subproblems; labeling counters arrive already collected against the
-// sub-engine's checker snapshots.
-func (st *Stats) addSearch(o Stats) {
-	st.VerifyElapsed += o.VerifyElapsed
-	st.Checks += o.Checks
-	st.ClassSkips += o.ClassSkips
-	st.StatesLabeled += o.StatesLabeled
-	st.Relabels += o.Relabels
-	st.LabelsInterned += o.LabelsInterned
-	st.ExtendHits += o.ExtendHits
-	st.ExtendMisses += o.ExtendMisses
-	st.CexLearned += o.CexLearned
-	st.WrongPruned += o.WrongPruned
-	st.VisitedPruned += o.VisitedPruned
-	st.Backtracks += o.Backtracks
-	st.SATCalls += o.SATCalls
-	if o.EarlyTerminate {
-		st.EarlyTerminate = true
-	}
 }

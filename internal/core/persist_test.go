@@ -132,112 +132,6 @@ func TestSharedConfigurationHashedConcurrently(t *testing.T) {
 	}
 }
 
-// everyClassRank is destinationRank as it was before it learned which
-// classes a diff can forward: every class traced, every switch of every
-// path ranked.
-func everyClassRank(sc *config.Scenario) map[int]int {
-	rank := map[int]int{}
-	for _, cs := range sc.Specs {
-		path, err := config.PathOf(sc.Final, sc.Topo, cs.Class)
-		if err != nil {
-			continue
-		}
-		for i, sw := range path {
-			r := len(path) - 1 - i
-			if old, ok := rank[sw]; !ok || r < old {
-				rank[sw] = r
-			}
-		}
-	}
-	return rank
-}
-
-// TestDestinationRankTracesOnlyMovedClasses: the ranks of the diff's
-// switches — the only ones ever looked up — are those the every-class
-// version assigns, on the golden shapes, on partial diffs of a rolling
-// stream (most classes stay put and must not be traced, yet a switch they
-// share with a moved class keeps the smaller rank), and with a wildcard
-// rule on a diff switch, which every class matches. The unit lists built
-// from them agree at switch, rule and 2-simple granularity.
-func TestDestinationRankTracesOnlyMovedClasses(t *testing.T) {
-	var scenarios []*config.Scenario
-	for _, build := range []func() (*config.Scenario, error){
-		func() (*config.Scenario, error) {
-			return config.Diamonds(topology.SmallWorld(60, 4, 0.3, 60), config.DiamondOptions{Pairs: 2, Property: config.Reachability, Seed: 60 * 7})
-		},
-		func() (*config.Scenario, error) {
-			return config.MultiRegion(topology.SmallWorld(120, 6, 0.3, 120), config.MultiRegionOptions{Regions: 3, PairsPerRegion: 2, Property: config.Reachability, Seed: 120})
-		},
-		func() (*config.Scenario, error) {
-			return config.Diamonds(topology.SmallWorld(150, 4, 0.3, 9), config.DiamondOptions{Pairs: 2, Property: config.Waypointing, Seed: 9, BackgroundFlows: 6})
-		},
-	} {
-		sc, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scenarios = append(scenarios, sc)
-	}
-	stream, targets := rollingTargets(t, 61, 3, 6, 1)
-	prev := stream.Init()
-	for _, tgt := range targets {
-		scenarios = append(scenarios, &config.Scenario{Topo: stream.Topo(), Init: prev, Final: tgt, Specs: stream.Specs()})
-		prev = tgt
-	}
-	// A wildcard rule below the class rules on a switch of the last diff:
-	// every class matches it there, none is forwarded by it.
-	last := scenarios[len(scenarios)-1]
-	wild := last.Final.Clone()
-	wild.AddRule(config.Diff(last.Init, last.Final)[0], network.Rule{Priority: 1, Match: network.AnyPacket(), Actions: []network.Action{network.Forward(1)}})
-	scenarios = append(scenarios, &config.Scenario{Topo: last.Topo, Init: last.Init, Final: wild, Specs: last.Specs})
-
-	traced, skipped := 0, 0
-	for si, sc := range scenarios {
-		diff := config.Diff(sc.Init, sc.Final)
-		if len(diff) == 0 {
-			t.Fatalf("scenario %d: empty diff", si)
-		}
-		want := everyClassRank(sc)
-		got := destinationRank(sc, diff, nil)
-		for i, sw := range diff {
-			w, ok := want[sw]
-			if !ok {
-				w = lateRank
-			}
-			if got[i] != w {
-				t.Fatalf("scenario %d: sw%d ranks %d, every-class rank %d", si, sw, got[i], w)
-			}
-		}
-		for _, cs := range sc.Specs {
-			if crossesAny(sc.Final, diff, cs.Class.Packet()) {
-				traced++
-			} else {
-				skipped++
-			}
-		}
-		for _, g := range []struct{ rules, twoSimple bool }{{false, false}, {true, false}, {false, true}} {
-			units, err := computeUnits(nil, sc, diff, nil, g.rules, g.twoSimple)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, u := range units {
-				w, ok := want[u.sw]
-				if !ok {
-					w = lateRank
-				}
-				// The rank is the switch's, plus whole bands of lateRank for
-				// finalize steps and rule removals.
-				if u.rank%lateRank != w%lateRank || (!u.isRule && u.requires < 0 && u.rank != w) {
-					t.Fatalf("scenario %d, %+v: %v ranks %d, its switch %d", si, g, u, u.rank, w)
-				}
-			}
-		}
-	}
-	if traced == 0 || skipped == 0 {
-		t.Fatalf("%d classes traced, %d skipped: the scenarios exercise one side only", traced, skipped)
-	}
-}
-
 // TestRestoreAdoptsTheCallersConfiguration: a session resumed from a
 // parked handle is bound — and every class structure it builds, then or
 // later — to the configuration object the parked session held, so the

@@ -1,53 +1,27 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"netupdate/internal/config"
+	"netupdate/internal/engine"
 	"netupdate/internal/network"
 	"netupdate/internal/obs"
 )
 
 // Step is one element of a synthesized update plan: either a wait barrier
-// or the application of one update unit.
-type Step struct {
-	Wait bool
-	// For update steps:
-	Switch int
-	// Table is the full table installed on Switch by this step (for rule
-	// granularity this is the cumulative table after the rule change). It
-	// is shared: a step that installs the target's table holds the
-	// request target's own, on a plan-cache hit too (the cache keeps a
-	// mark, not the table), and any other step's table is shared with the
-	// plan cache's entry. It is read-only: copy it before changing it.
-	Table network.Table
-	// Rule-granularity detail: the rule added or removed, if any.
-	IsRule  bool
-	RuleAdd bool
-	Rule    network.Rule
-}
+// or the application of one update unit (engine.Step).
+type Step = engine.Step
 
-func (s Step) String() string {
-	if s.Wait {
-		return "wait"
-	}
-	if s.IsRule {
-		op := "del"
-		if s.RuleAdd {
-			op = "add"
-		}
-		return fmt.Sprintf("%s(sw%d, %v)", op, s.Switch, s.Rule)
-	}
-	return fmt.Sprintf("update(sw%d)", s.Switch)
-}
+// PlanDAG is the dependency-DAG form of a plan (engine.PlanDAG).
+type PlanDAG = engine.PlanDAG
 
 // Plan is a synthesized update sequence together with run statistics.
 type Plan struct {
 	Steps []Step
 	Stats Stats
 	// DAG is the dependency-DAG form of the plan (one node per update
-	// step of Updates(), see dag.go): any linearization — or any
+	// step of Updates(), see engine.PlanDAG): any linearization — or any
 	// decentralized execution that commits each step once its
 	// predecessors have committed, waiting out drain edges — is
 	// trace-equivalent to the sequential Steps.

@@ -28,8 +28,8 @@ package core
 //	         switches plus its classes' ingress switches.
 //
 // Plans containing a two-phase segment are not careful sequences, so
-// they skip wait removal and carry a sequential chain DAG (chainDAG)
-// rather than the dependency DAG — correctness over completion time for
+// they skip wait removal and carry a sequential chain DAG rather than
+// the dependency DAG (engine.Search) — correctness over completion time for
 // the rare hard case. The ladder means a feasible repair never surfaces
 // a bare ErrNoOrdering: only timeouts, cancellation, and genuine
 // endpoint violations remain terminal.
@@ -107,11 +107,9 @@ func (s *Session) RepairContext(ctx context.Context, committed []int, newTarget 
 	}
 	tr.End(crSpan)
 	s.cur = crash
-	s.repairing = true
 	s.traceOuter = root
-	plan, err := s.synthesize(ctx, "repair", target)
+	plan, err := s.synthesize(ctx, "repair", target, s.repairFallback)
 	s.traceOuter = 0
-	s.repairing = false
 	tr.End(root)
 	if plan != nil {
 		plan.Stats.RepairCommitted = len(committed)
@@ -129,10 +127,8 @@ func (s *Session) RepairContext(ctx context.Context, committed []int, newTarget 
 // classes the move can affect are built where they were not yet, and
 // every built structure (and checker) is rebound.
 func (s *Session) rebindTo(cfg *config.Config) error {
-	cands := config.Diff(s.cur, cfg)
-	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, cfg, cands)
-	s.aff.reset(s.specs, s.diffBuf)
-	if err := s.buildClasses(s.aff.classes); err != nil {
+	s.aff.Reset(s.specs, s.cur, cfg)
+	if err := s.buildClasses(s.aff.Classes); err != nil {
 		return err
 	}
 	if err := s.resync(cfg); err != nil {
@@ -142,16 +138,13 @@ func (s *Session) rebindTo(cfg *config.Config) error {
 	return nil
 }
 
-// repairFallback runs the graceful-degradation ladder for one stuck
-// component: the session's current configuration moved to the target
-// tables on the component's switches, checked against the component's
-// classes. It returns the replacement steps and whether they are a
-// two-phase (version-tagged, non-careful) segment.
-func (s *Session) repairFallback(ctx context.Context, name string, specs []config.ClassSpec, switches []int, final *config.Config) ([]Step, bool, error) {
-	overlay := s.cur.Clone()
-	for _, sw := range switches {
-		overlay.SetTable(sw, final.Table(sw).Clone())
-	}
+// repairFallback is the graceful-degradation ladder for one stuck
+// component (an engine.Fallback): sc is the component's problem — the
+// session's current configuration with the component's switches moved to
+// the target tables, checked against the component's classes — and the
+// rungs' spans go under span. It returns the replacement steps and whether
+// they are a two-phase (version-tagged, non-careful) segment.
+func (s *Session) repairFallback(ctx context.Context, sc *config.Scenario, span int) ([]Step, bool, error) {
 	// Rung 1: escalate to 2-simple granularity (skipped when the session
 	// already searches an escalated granularity). The sub-search gets its
 	// own ephemeral structures; the session's warm state is untouched.
@@ -159,8 +152,7 @@ func (s *Session) repairFallback(ctx context.Context, name string, specs []confi
 		opts := s.opts
 		opts.TwoSimple = true
 		opts.NoDecomposition = true
-		sc := &config.Scenario{Name: name, Topo: s.topo, Init: s.cur, Final: overlay, Specs: specs}
-		rung := s.trace.Begin("fallback-2simple", s.traceSearch)
+		rung := s.trace.Begin("fallback-2simple", span)
 		plan, err := SynthesizeWith(ctx, sc, opts, SessionResources{Ablation: s.abl})
 		s.trace.End(rung)
 		if err == nil {
@@ -172,8 +164,8 @@ func (s *Session) repairFallback(ctx context.Context, name string, specs []confi
 	}
 	// Rung 2: scoped two-phase version-tagging — consistent by
 	// construction and always constructible.
-	rung := s.trace.Begin("fallback-twophase", s.traceSearch)
-	tp := twophase.BuildScoped(s.topo, s.cur, overlay, specs)
+	rung := s.trace.Begin("fallback-twophase", span)
+	tp := twophase.BuildScoped(sc.Topo, sc.Init, sc.Final, sc.Specs)
 	s.trace.End(rung)
 	return commandSteps(tp.Commands), true, nil
 }
@@ -192,36 +184,4 @@ func commandSteps(cmds []network.Command) []Step {
 		}
 	}
 	return out
-}
-
-// chainDAG is the degenerate dependency DAG of a plan that must execute
-// sequentially (a plan containing two-phase segments): each update
-// depends on the previous one, with the edge drain-marked when a wait
-// barrier separates them.
-func chainDAG(steps []Step) *PlanDAG {
-	dag := &PlanDAG{}
-	j := 0
-	waitSince := false
-	for _, st := range steps {
-		if st.Wait {
-			waitSince = true
-			continue
-		}
-		var preds, drain []int
-		if j > 0 {
-			preds = []int{j - 1}
-			if waitSince {
-				drain = []int{j - 1}
-			}
-		}
-		dag.Preds = append(dag.Preds, preds)
-		dag.Drain = append(dag.Drain, drain)
-		waitSince = false
-		j++
-	}
-	dag.Depth = j
-	if j > 0 {
-		dag.Width = 1
-	}
-	return dag
 }

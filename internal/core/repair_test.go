@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netupdate/internal/config"
@@ -199,8 +200,9 @@ func TestFaultRepairRungDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := repairSession(t, scInf, Options{})
+	stuck := &config.Scenario{Name: "rung", Topo: scInf.Topo, Init: s.Current(), Final: scInf.Final, Specs: scInf.Specs}
 	rung := func(ctx context.Context) error {
-		_, twoPhase, err := s.repairFallback(ctx, "rung", scInf.Specs, scInf.UpdatingSwitches(), scInf.Final)
+		_, twoPhase, err := s.repairFallback(ctx, stuck, 0)
 		if err == nil && twoPhase {
 			t.Fatal("the 2-simple rung found no ordering; the ladder fell through to two-phase")
 		}
@@ -429,31 +431,31 @@ func TestRepairOverInfeasibleMemo(t *testing.T) {
 	}
 }
 
-// TestFaultStatsCommittedComponents: a decomposed run canceled after its
-// first component must report exactly that component as committed via
-// Session.LastStats, a completed run reports all of them, and a joint run
-// reports its one component.
+// TestFaultStatsCommittedComponents: a decomposed run that times out
+// halfway through its components reports, via Session.LastStats, the
+// components that finished before it stopped (the runner's own tests in
+// internal/engine pin which); a completed run reports all of them, and a
+// joint run its one component.
 func TestFaultStatsCommittedComponents(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
 	s := repairSession(t, sc, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	testAfterComponent = func(i int) {
-		if i == 0 {
-			cancel()
-		}
-	}
-	defer func() { testAfterComponent = nil }()
+	// A context that never expires counts the polls of the whole search;
+	// the components are searched one at a time, in order.
+	full := expiresAfter(math.MaxInt32)
 	var err error
-	atProcs(1, func() { _, err = s.SynthesizeContext(ctx, sc.Final) }) // the hook runs between components searched one at a time
-	if err == nil {
-		t.Fatal("canceled decomposed run reported success")
+	atProcs(1, func() { _, err = SynthesizeWith(full, sc, Options{}, SessionResources{}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := full.polls.Load()
+	atProcs(1, func() { _, err = s.SynthesizeContext(expiresAfter(polls/2), sc.Final) })
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("deadline at poll %d of %d: err = %v, want ErrTimeout", polls/2, polls, err)
 	}
 	got := s.LastStats().CommittedComponents
-	if len(got) != 1 || got[0] != 0 {
-		t.Fatalf("CommittedComponents after cancel = %v, want [0]", got)
+	if len(got) == 0 || len(got) >= 3 || !slices.Equal(got, []int{0, 1}[:len(got)]) {
+		t.Fatalf("CommittedComponents after a timeout at poll %d of %d = %v, want the components before the one it stopped", polls/2, polls, got)
 	}
-	testAfterComponent = nil
 	plan, err := s.Synthesize(sc.Final)
 	if err != nil {
 		t.Fatal(err)

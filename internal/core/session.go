@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 	"time"
 
 	"netupdate/internal/config"
+	"netupdate/internal/engine"
 	"netupdate/internal/kripke"
 	"netupdate/internal/mc"
-	"netupdate/internal/network"
 	"netupdate/internal/obs"
 	"netupdate/internal/topology"
 )
@@ -51,7 +49,7 @@ import (
 // configuration to final and, on success, advances the current
 // configuration. A Session must not be used from more than one goroutine
 // at a time (a Synthesize runs on the caller's goroutine, and runs the
-// independent components of a diff concurrently, see decompose.go).
+// independent components of a diff concurrently, see internal/engine).
 // Configurations handed to the session are retained — the class
 // structures read their tables through the current one (kripke.K) — and
 // must not be mutated by the caller afterwards.
@@ -78,15 +76,14 @@ type Session struct {
 	// classBuilds counts the slots filled on first need.
 	classBuilds int
 
-	// What a request computes once and every phase reads: its per-switch
-	// rule-diff list and the classes those rules can match (the only ones
-	// the target check, replay, footprints, search and resync visit).
-	// stateBuf is the resync's rewired-state list. memoMarks holds the
-	// affected classes' checker memo marks (mc.Checker.MemoMark) from
-	// before the request's search: a refused target forgets what its
-	// search and its resync memoized.
-	diffBuf   []swDiff
-	aff       affectedClasses
+	// What a request computes once and every phase reads: its diff and the
+	// classes the diff's rules can match (the only ones the target check,
+	// replay, footprints, search and resync visit). stateBuf is the
+	// resync's rewired-state list. memoMarks holds the affected classes'
+	// checker memo marks (mc.Checker.MemoMark) from before the request's
+	// search: a refused target forgets what its search and its resync
+	// memoized.
+	aff       engine.Affected
 	stateBuf  []int
 	memoMarks []int
 
@@ -108,10 +105,6 @@ type Session struct {
 	lastInit  *config.Config
 	lastFinal *config.Config
 	lastStats Stats
-	// repairing arms the graceful-degradation ladder: a component that
-	// reports ErrNoOrdering is retried at 2-simple granularity and then
-	// falls back to scoped two-phase instead of failing the run.
-	repairing bool
 
 	// Verification-first plan cache (cache.go), attached via EnableCache
 	// or SetCache (the pool shares one cache across tenants with the same
@@ -122,120 +115,11 @@ type Session struct {
 
 	// Span recorder (internal/obs), nil unless the holder attached one
 	// with SetTrace. Every recording call is nil-safe, so the disabled
-	// path costs one pointer compare.
-	// traceOuter parents the next synthesize root (Repair sets it to its
-	// own root span so the inner synthesis nests under the repair);
-	// traceSearch parents per-component and fallback-ladder spans while a
-	// search is running. Both use the recorder's 0 = "no parent" sentinel.
-	trace       *obs.Trace
-	traceOuter  int
-	traceSearch int
-}
-
-// engineScratch is the pooled per-run state handed to each engine: reset
-// is O(live entries), not O(capacity), and nothing is reallocated across
-// syntheses. Every working buffer of a synthesis is here, so what a miss
-// allocates is its answer — the plan's steps and DAG — and little else.
-// frames[d] holds the undo frames of the update applied at search depth d
-// (a cache replay's, all of them, in frames[0]).
-type engineScratch struct {
-	// e is the engine itself and sc the scenario it runs on: a request's,
-	// or one component sub-search's, whose class specifications are specs.
-	e         engine
-	sc        config.Scenario
-	specs     []config.ClassSpec
-	visited   *bitsetSet
-	curTables map[int]network.Table
-	deps      *depScratch
-	frames    [][]frame
-
-	// units are the engine's units: a request's computeUnits output, or a
-	// component's renumbered copy of its share of them. path is the
-	// search's: the updates from the root to the node the DFS stands at.
-	units []unit
-	path  []Step
-	// A request's composition: upd holds each component's path at the
-	// component's offset (the sum of the earlier components' unit counts),
-	// steps the careful sequence composed from them, and waits the wait
-	// removal's output before its copy into the plan.
-	upd, steps, waits []Step
-
-	// A request's decomposition: the units' footprints back to back, the
-	// components and their results, and the arena the components' lists and
-	// the partition's working arrays are carved from.
-	fps     []int
-	comps   []component
-	results []compResult
-	ints    arena[int]
-
-	// The affected vectors of the request's ordering analyses, remembered by
-	// step position, and the arena their rows are carved from. A row is
-	// indexed by one tenant's class list, so both are reset per request
-	// (newEngineShellWith).
-	affMemo []affectedMemo
-	affRows arena[bool]
-}
-
-// arena hands out slices of one block instead of one allocation each. A
-// reset (used = 0) hands the block out again; where it is short, a larger
-// one replaces it, and what was handed out keeps the old.
-type arena[T any] struct {
-	block []T
-	used  int
-}
-
-// take returns n elements of the block, not zeroed.
-func (a *arena[T]) take(n int) []T {
-	if len(a.block)-a.used < n {
-		a.block, a.used = make([]T, max(2*len(a.block), 4*n, 256)), 0
-	}
-	out := a.block[a.used : a.used+n : a.used+n]
-	a.used += n
-	return out
-}
-
-func newEngineScratch() *engineScratch {
-	return &engineScratch{
-		visited:   newBitsetSet(),
-		curTables: map[int]network.Table{},
-		deps:      &depScratch{},
-	}
-}
-
-// scratchPool lends an engineScratch to one engine at a time — a request's
-// or one of its component sub-searches' — as kripke's cyclePool lends the
-// loop check's: a session restored to serve one request allocates none and
-// a warm one holds none while idle. The ordering analysis' stamps only
-// grow, so a scratch laid out for one tenant's classes and switches serves
-// the next tenant's (depScratch.reset).
-var scratchPool = sync.Pool{New: func() any { return newEngineScratch() }}
-
-// putScratch returns scr to the pool without the structures, checkers,
-// tables, deltas and tokens its engine, units, steps and frames name: they
-// belong to a session and a request the pool must not keep alive.
-func putScratch(scr *engineScratch) {
-	for i, fs := range scr.frames {
-		scr.frames[i] = emptied(fs)
-	}
-	scr.e = scr.e.buffers()
-	scr.sc = config.Scenario{}
-	scr.specs = emptied(scr.specs)
-	scr.units = emptied(scr.units)
-	scr.path = emptied(scr.path)
-	scr.upd = emptied(scr.upd)
-	scr.steps = emptied(scr.steps)
-	scr.waits = emptied(scr.waits)
-	scr.affMemo = emptied(scr.affMemo)
-	scr.comps = emptied(scr.comps)
-	scr.results = emptied(scr.results)
-	scratchPool.Put(scr)
-}
-
-// emptied zeroes a buffer's elements and returns it empty, its capacity
-// kept.
-func emptied[T any](s []T) []T {
-	clear(s)
-	return s[:0]
+	// path costs one pointer compare. traceOuter parents the next
+	// synthesize root (Repair sets it to its own root span so the inner
+	// synthesis nests under the repair); 0 is the recorder's "no parent".
+	trace      *obs.Trace
+	traceOuter int
 }
 
 // SessionResources are the read-only structures a session may share with
@@ -397,9 +281,6 @@ func (s *Session) ClassBuilds() int { return s.classBuilds }
 // rest of the stream.
 func (s *Session) SetTrace(t *obs.Trace) { s.trace = t }
 
-// Trace returns the attached span recorder, or nil.
-func (s *Session) Trace() *obs.Trace { return s.trace }
-
 // EnableCache attaches a private verification-first plan cache (cache.go)
 // with the default capacity and returns it, creating one if the session
 // has none.
@@ -442,7 +323,7 @@ func (s *Session) LastStats() Stats { return s.lastStats }
 // ErrNoOrdering) leave the session at its previous configuration, ready
 // for the next target.
 func (s *Session) Synthesize(final *config.Config) (*Plan, error) {
-	return s.synthesize(context.Background(), "", final)
+	return s.synthesize(context.Background(), "", final, nil)
 }
 
 // SynthesizeContext is Synthesize with a request context, the one bound
@@ -451,63 +332,96 @@ func (s *Session) Synthesize(final *config.Config) (*Plan, error) {
 // aborted synthesis behaves like any failed one — the session resyncs to
 // its previous configuration and serves the next target normally.
 func (s *Session) SynthesizeContext(ctx context.Context, final *config.Config) (*Plan, error) {
-	return s.synthesize(ctx, "", final)
+	return s.synthesize(ctx, "", final, nil)
 }
 
-func (s *Session) synthesize(ctx context.Context, name string, final *config.Config) (*Plan, error) {
+// Synthesize runs ORDERUPDATE (Figure 4): it searches for a sequence of
+// updates transforming the scenario's initial configuration into its
+// final configuration such that every intermediate configuration
+// satisfies every class specification, inserting waits between updates
+// (careful sequences, Definition 5) and then removing unnecessary waits.
+// The search is the paper's sequential DFS on the calling goroutine; a
+// diff that splits into independent components runs one such search per
+// component, concurrently (internal/engine). It returns ErrNoOrdering if
+// no simple careful sequence exists at the requested granularity.
+//
+// Synthesize is the one-shot entry point: it is a thin wrapper that opens
+// a Session for the scenario's endpoints and serves a single target.
+// Callers facing a stream of configuration changes over one topology
+// should hold a Session (or the netupdate.Synthesizer façade) instead and
+// let the per-class structures, label tables, and engine scratch stay
+// warm between syntheses.
+func Synthesize(sc *config.Scenario, opts Options) (*Plan, error) {
+	return SynthesizeWith(context.Background(), sc, opts, SessionResources{})
+}
+
+// SynthesizeWith is Synthesize over the given session resources (see
+// NewSessionWith), the search bounded by ctx (ErrTimeout, ErrCanceled);
+// the repair ladder's 2-simple rung runs through it too.
+func SynthesizeWith(ctx context.Context, sc *config.Scenario, opts Options, res SessionResources) (*Plan, error) {
+	start := time.Now()
+	s, err := NewSessionWith(sc.Topo, sc.Init, sc.Specs, opts, res)
+	if err != nil {
+		return nil, err
+	}
+	s.ephemeral = true
+	plan, err := s.synthesize(ctx, sc.Name, sc.Final, nil)
+	if plan != nil {
+		// One-shot semantics: Elapsed covers structure construction too,
+		// as it did before the session refactor. (Session callers get
+		// per-run time — construction amortizes across their stream.)
+		plan.Stats.Elapsed = time.Since(start)
+	}
+	return plan, err
+}
+
+// synthesize serves one request. fallback, non-nil only while the session
+// repairs, is the repair ladder a stuck component walks (repairFallback).
+func (s *Session) synthesize(ctx context.Context, name string, final *config.Config, fallback engine.Fallback) (*Plan, error) {
 	start := time.Now()
 	if ctx != nil && ctx.Err() != nil {
 		// Dead on arrival: do not touch the warm structures at all.
-		return nil, ctxErr(ctx)
+		return nil, engine.ContextErr(ctx)
 	}
 	s.runs++
-	scr := scratchPool.Get().(*engineScratch)
-	defer putScratch(scr)
-	scr.sc = config.Scenario{Name: name, Topo: s.topo, Init: s.cur, Final: final, Specs: s.specs}
-	sc := &scr.sc
 	// The request's diff — the switches on which the target differs from
 	// the current configuration, their rule changes, and the classes those
 	// rules can match — is computed once and serves the unit list, the
 	// cached plan's coverage check and replay, the footprints, the search
 	// and its target check, and the post-run resync.
-	diff := config.Diff(s.cur, final)
-	s.diffBuf = ruleDiffs(s.diffBuf, s.cur, final, diff)
-	s.aff.reset(s.specs, s.diffBuf)
-	reqID := obs.RequestIDFrom(ctx)
+	s.aff.Reset(s.specs, s.cur, final)
+	st := Stats{RequestID: obs.RequestIDFrom(ctx)}
 	tr := s.trace
-	if tr != nil && !s.repairing {
+	if tr != nil && fallback == nil {
 		// A repair run nests under RepairContext's root; an ordinary run
 		// starts a fresh trace.
 		tr.Reset()
-		tr.SetRequestID(reqID)
+		tr.SetRequestID(st.RequestID)
 	}
 	root := tr.Begin("synthesize", s.traceOuter)
 	// refuse ends a request the session will not search: the attempt is
 	// still the most recent one, and its trace is complete.
-	refuse := func(st Stats, err error) (*Plan, error) {
+	refuse := func(err error) (*Plan, error) {
 		s.lastStats = st
 		tr.End(root)
 		return nil, err
 	}
-	units, err := computeUnits(scr.units[:0], sc, diff, s.aff.flows, s.opts.RuleGranularity, s.opts.TwoSimple)
-	scr.units = units
-	if err != nil {
-		return refuse(Stats{RequestID: reqID}, err)
+	if err := s.buildClasses(s.aff.Classes); err != nil {
+		return refuse(err)
 	}
-	if err := s.buildClasses(s.aff.classes); err != nil {
-		return refuse(Stats{RequestID: reqID}, err)
-	}
-	e := newEngineShellWith(sc, s.opts, s.abl, units, scr)
-	e.flows = s.aff.flows
-	e.bindContext(ctx)
-	e.stats.RequestID = reqID
-	e.trace, e.traceParent = tr, root
-	// Every other class has an empty delta for every unit of the diff: the
-	// engine would skip it at every check.
-	s.attach(e, s.aff.classes)
+	e := engine.Begin(ctx, engine.Request{
+		Scenario: config.Scenario{Name: name, Topo: s.topo, Init: s.cur, Final: final, Specs: s.specs},
+		// Every class but the affected ones has an empty delta for every
+		// unit of the diff: the engine would skip it at every check.
+		Affected: &s.aff, KS: s.ks, Checkers: s.checkers,
+		Rules: s.opts.RuleGranularity, TwoSimple: s.opts.TwoSimple,
+		Ablation: s.abl,
+		Trace:    tr, Span: root,
+	})
+	defer e.Release()
 	s.memoMarks = s.memoMarks[:0]
-	for _, chk := range e.checkers {
-		s.memoMarks = append(s.memoMarks, chk.MemoMark())
+	for _, ci := range s.aff.Classes {
+		s.memoMarks = append(s.memoMarks, s.checkers[ci].MemoMark())
 	}
 
 	// Verification-first fast path (cache.go): with a cache attached,
@@ -531,35 +445,17 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	var dag *PlanDAG
 	fromCache, searched := false, false
 	if ent != nil && !ent.infeasible {
-		e.snapshotCheckerStats()
+		steps, dag = ent.plan(final)
 		cvStart := time.Now()
 		cvSpan := tr.Begin("cache-verify", root)
-		frames, ok := e.replayCached(ent, final, diff)
+		fromCache = ent.fits(final, s.aff.Switches) && e.Replay(steps)
 		tr.End(cvSpan)
-		e.stats.CacheVerifyElapsed = time.Since(cvStart)
-		if ok {
-			// The replay left every affected class's structure at the
-			// target, checked after its last change: verifying the target
-			// is reading the verdicts. A target that holds keeps the
-			// replayed updates.
-			vfStart := time.Now()
-			vfSpan := tr.Begin("final-verify", root)
-			if ok = s.targetHolds(e); ok {
-				e.commit(frames)
-			} else {
-				e.revert(frames)
-			}
-			tr.End(vfSpan)
-			e.stats.VerifyElapsed = time.Since(vfStart)
-		}
-		if ok {
-			steps, dag = ent.plan(final)
-			fromCache = true
-			e.stats.CacheHit = true
-			e.stats.Components = int(ent.components)
-			e.stats.CacheHitDistance = s.cache.noteHit(ent)
+		st.CacheVerifyElapsed = time.Since(cvStart)
+		if fromCache {
+			st.CacheHit = true
+			st.CacheHitDistance = s.cache.noteHit(ent)
 		} else {
-			e.stats.CacheVerifyFailed = true
+			st.CacheVerifyFailed = true
 			s.cache.evictPoisoned(cacheKey)
 		}
 	}
@@ -568,114 +464,64 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		// correct (Figure 4, line 2). A class the diff cannot affect holds
 		// there as it does now, which is a constant-time read of its
 		// standing verdict. The affected classes are checked on demand by
-		// the search that visits them (engine.checkTarget): when a check
-		// first fails, or when the search ends without a plan and without
-		// a check. An infeasibility memo was stored only after such a
-		// check passed, under a key covering the target. The initial
-		// endpoint was verified when the session was opened, so a scenario
-		// whose endpoints are both bad reports ErrInitialViolation (from
-		// NewSession) rather than ErrFinalViolation.
+		// the search that visits them: when a check first fails, or when the
+		// search ends without a plan and without a check. An infeasibility
+		// memo was stored only after such a check passed, under a key
+		// covering the target. The initial endpoint was verified when the
+		// session was opened, so a scenario whose endpoints are both bad
+		// reports ErrInitialViolation (from NewSession) rather than
+		// ErrFinalViolation.
 		vfStart := time.Now()
 		if err := s.unaffectedHold(); err != nil {
 			tr.End(tr.Begin("final-verify", root))
-			e.stats.VerifyElapsed = time.Since(vfStart)
-			return refuse(e.stats, err)
+			st.Stats = e.Stats()
+			st.VerifyElapsed = time.Since(vfStart)
+			return refuse(err)
 		}
 	}
 	switch {
 	case fromCache:
-	case ent != nil && ent.infeasible && !s.repairing:
-		e.stats.CacheHit = true
-		e.stats.CacheHitDistance = s.cache.noteHit(ent)
+	case ent != nil && ent.infeasible && fallback == nil:
+		st.CacheHit = true
+		st.CacheHitDistance = s.cache.noteHit(ent)
 		runErr = ErrNoOrdering
 	default:
 		if s.cache != nil {
 			s.cache.noteMiss()
 		}
 		searched = true
-		// Partition the diff into independent subproblems (decompose.go)
-		// and run one search per subproblem.
-		dcSpan := tr.Begin("decompose", root)
-		comps, derr := s.decompose(e)
-		tr.End(dcSpan)
-		searchStart := time.Now()
-		searchSpan := tr.Begin("search", root)
-		s.traceSearch = searchSpan
-		runErr = derr
-		if derr == nil {
-			steps, runErr = s.runComponents(e, comps, final)
-		}
-		s.traceSearch = 0
-		tr.End(searchSpan)
-		if !errors.Is(runErr, ErrFinalViolation) {
-			// A refused target's answer is its target check
-			// (VerifyElapsed), not a search phase.
-			e.stats.SearchElapsed = time.Since(searchStart)
-		}
+		steps, dag, st.CommittedComponents, runErr = e.Search(!s.opts.NoDecomposition, !s.opts.NoWaitRemoval, fallback)
 	}
+	st.Stats = e.Stats()
 	var plan *Plan
 	if runErr == nil {
 		if fromCache {
-			// Cached plans were wait-removed when first synthesized and
-			// carry their DAG; only the counters need refreshing. The
-			// replay's checker work is read against the snapshot taken
-			// before it (a search's arrives per component, addSearch).
-			e.stats.WaitsBefore = countWaits(steps)
-			e.stats.WaitsAfter = e.stats.WaitsBefore
-			e.collectCheckerStats()
-		} else {
-			e.stats.WaitsBefore = countWaits(steps)
-			// The careful sequence is the request scratch's; the plan gets
-			// its own copy, made once: wait removal's output, or the careful
-			// sequence itself. Two-phase fallback segments (repair ladder) are
-			// version-tagged, not careful: the class-trace argument behind
-			// wait removal and the dependency analysis does not cover them, so
-			// such plans keep every wait and carry a sequential chain DAG
-			// instead.
-			tagged := e.stats.TwoPhaseComponents > 0
-			if !s.opts.NoWaitRemoval && !tagged {
-				wrStart := time.Now()
-				wrSpan := tr.Begin("wait-removal", root)
-				steps = e.removeWaits(steps)
-				tr.End(wrSpan)
-				e.stats.WaitRemovalElapsed = time.Since(wrStart)
-			} else {
-				steps = ownSteps(steps)
-			}
-			e.stats.WaitsAfter = countWaits(steps)
-			// Lift the ordering facts into the dependency DAG (dag.go). Built
-			// over the final — possibly composed — step sequence, which for
-			// decomposed runs yields the disjoint union of the component
-			// sub-DAGs (components share no class and no switch, so no chain
-			// crosses a component boundary).
-			dbSpan := tr.Begin("dag-build", root)
-			if tagged {
-				dag = chainDAG(steps)
-			} else {
-				dag = e.buildDAG(steps)
-			}
-			tr.End(dbSpan)
+			// Cached plans were wait-removed when first synthesized and carry
+			// their DAG; only the counters need refreshing.
+			st.Components = int(ent.components)
+			st.WaitsBefore = (&Plan{Steps: steps}).Waits()
+			st.WaitsAfter = st.WaitsBefore
+			st.DAGDepth, st.DAGWidth = dag.Depth, dag.Width
 		}
-		e.stats.DAGDepth, e.stats.DAGWidth = dag.Depth, dag.Width
-		e.stats.Elapsed = time.Since(start)
-		plan = &Plan{Steps: steps, Stats: e.stats, DAG: dag}
+		st.Elapsed = time.Since(start)
+		plan = &Plan{Steps: steps, Stats: st, DAG: dag}
 	}
 	// Memoize the outcome (cache.go): a fresh successful search stores its
 	// plan and DAG, and a proven infeasibility stores the memo. Repair-mode
 	// runs never store: their ladder products (escalated granularity,
 	// version-tagged segments) are not ordinary careful plans for this
 	// instance key.
-	if s.cache != nil && searched && !s.repairing {
+	if s.cache != nil && searched && fallback == nil {
 		csSpan := tr.Begin("cache-store", root)
 		switch {
 		case runErr == nil:
-			s.cache.store(newPlanEntry(cacheKey, steps, dag, final, e.stats.Components))
+			s.cache.store(newPlanEntry(cacheKey, steps, dag, final, st.Components))
 		case errors.Is(runErr, ErrNoOrdering):
 			s.cache.storeInfeasible(cacheKey)
 		}
 		tr.End(csSpan)
 	}
-	s.lastStats = e.stats
+	s.lastStats = st
 
 	// Resync the warm structures to a known configuration: the new
 	// current one on success, the previous one otherwise. The rebind is
@@ -683,51 +529,40 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	// is a table-equality sweep and the checkers are not touched at all. A
 	// single-use session skips this — its structures are discarded with
 	// the session.
-	if s.ephemeral {
-		if runErr != nil {
-			tr.End(root)
-			return nil, runErr
-		}
-		s.cur = final
-		if tr != nil {
-			tr.End(root)
-			plan.Trace = tr.Snapshot()
-		}
-		return plan, nil
-	}
-	target := s.cur
-	if runErr == nil {
-		target = final
-	}
+	//
 	// Only the diff's switches can deviate from target: the search and its
 	// target check mutate nothing else, the footprint pre-pass nothing at
 	// all, and target differs from the previous configuration exactly on
-	// the diff the units cover.
-	// Restricting the rebind to those switches — and, per class, to the
-	// ones whose rule changes can affect it — keeps resync cost
-	// proportional to the diff, not the network times the class count. The
-	// rule diffs span the two endpoints (s.cur vs final, not vs target):
-	// even when the run failed and target is s.cur, a decomposed run's
-	// *successful* components left their classes' structures at final
-	// tables, and a class the endpoint diff cannot affect is forwarded
-	// alike under either endpoint's table while every other class gets a
-	// real rebind against its actual structure state. Every built structure
-	// ends rebased on target.
-	rbStart := time.Now()
-	rbSpan := tr.Begin("rebind", root)
-	if rerr := s.resync(target); rerr != nil {
-		// target was verified loop-free for every class (the initial
-		// configuration at session construction, every successful
-		// final here), so this indicates structure corruption.
-		return nil, fmt.Errorf("core: session resync: %v", rerr)
-	}
-	tr.End(rbSpan)
-	// The resync runs after Elapsed and lastStats were stamped, so the
-	// rebind duration is patched into both (and into the plan's copy).
-	reb := time.Since(rbStart)
-	s.lastStats.RebindElapsed = reb
-	if plan != nil {
-		plan.Stats.RebindElapsed = reb
+	// the diff the units cover. Restricting the rebind to those switches —
+	// and, per class, to the ones whose rule changes can affect it — keeps
+	// resync cost proportional to the diff, not the network times the class
+	// count. The rule diffs span the two endpoints (s.cur vs final, not vs
+	// target): even when the run failed and target is s.cur, a decomposed
+	// run's *successful* components left their classes' structures at final
+	// tables, and a class the endpoint diff cannot affect is forwarded alike
+	// under either endpoint's table while every other class gets a real
+	// rebind against its actual structure state. Every built structure ends
+	// rebased on target.
+	if !s.ephemeral {
+		target := s.cur
+		if runErr == nil {
+			target = final
+		}
+		rbStart := time.Now()
+		rbSpan := tr.Begin("rebind", root)
+		if rerr := s.resync(target); rerr != nil {
+			// target was verified loop-free for every class (the initial
+			// configuration at session construction, every successful
+			// final here), so this indicates structure corruption.
+			return nil, fmt.Errorf("core: session resync: %v", rerr)
+		}
+		tr.End(rbSpan)
+		// The resync runs after Elapsed and lastStats were stamped, so the
+		// rebind duration is patched into both (and into the plan's copy).
+		s.lastStats.RebindElapsed = time.Since(rbStart)
+		if plan != nil {
+			plan.Stats.RebindElapsed = s.lastStats.RebindElapsed
+		}
 	}
 	if runErr != nil {
 		if errors.Is(runErr, ErrFinalViolation) {
@@ -735,7 +570,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 			// target was checked before any search, the refusal leaves the
 			// checkers' memos, and so the work of the requests after it,
 			// as they were.
-			for i, ci := range s.aff.classes {
+			for i, ci := range s.aff.Classes {
 				s.checkers[ci].ForgetMemo(s.memoMarks[i])
 			}
 		}
@@ -760,7 +595,7 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 func (s *Session) unaffectedHold() error {
 	pos := 0
 	for ci, chk := range s.checkers {
-		if pos < len(s.aff.classes) && s.aff.classes[pos] == ci {
+		if pos < len(s.aff.Classes) && s.aff.Classes[pos] == ci {
 			pos++
 			continue
 		}
@@ -771,138 +606,8 @@ func (s *Session) unaffectedHold() error {
 	return nil
 }
 
-// targetHolds reads the verdicts of the affected classes off structures
-// that already sit at the target (a replayed cached plan left them
-// there); every other class stands where the current configuration left
-// it, and is counted as checked all the same.
-func (s *Session) targetHolds(e *engine) bool {
-	e.stats.Checks += len(s.specs) - len(e.checkers)
-	for _, chk := range e.checkers {
-		e.stats.Checks++
-		if !chk.Check().OK {
-			return false
-		}
-	}
-	return true
-}
-
-// swDiff records the rules that change on one switch between the
-// configuration a structure is bound to and the rebind target.
-type swDiff struct {
-	sw             int
-	removed, added []network.Rule
-}
-
-// affects reports whether any changed rule matches the class packet: if
-// none does, the class's forwarding at the switch is identical under both
-// tables and its structure has nothing to recompute.
-func (d *swDiff) affects(pkt network.Packet) bool {
-	return rulesAffect(d.removed, d.added, pkt)
-}
-
-// rulesAffect reports whether any of the changed rules matches the class
-// packet. A class no changed rule matches keeps identical forwarding
-// under both tables — table application is priority-set semantics, so a
-// rule that cannot match contributes nothing and a pure reorder of
-// identical rules changes nothing either. This single predicate backs
-// both the footprint pre-filter and the affected-class list.
-func rulesAffect(removed, added []network.Rule, pkt network.Packet) bool {
-	for _, r := range removed {
-		if headerMatches(r.Match, pkt) {
-			return true
-		}
-	}
-	for _, r := range added {
-		if headerMatches(r.Match, pkt) {
-			return true
-		}
-	}
-	return false
-}
-
-// ruleDiffs collects the per-switch rule changes between from and to over
-// the candidate switches, once — the diff is class-independent, so every
-// class's rebind shares it. An entry of dst keeps its rule lists' memory
-// for the next request.
-func ruleDiffs(dst []swDiff, from, to *config.Config, cands []int) []swDiff {
-	dst = dst[:0]
-	for _, sw := range cands {
-		dst = slices.Grow(dst, 1)[:len(dst)+1] // an entry left by the last request keeps its lists
-		d := &dst[len(dst)-1]
-		d.sw = sw
-		d.removed, d.added = appendDiff(emptied(d.removed), emptied(d.added), from.Table(sw), to.Table(sw))
-		if len(d.removed) == 0 && len(d.added) == 0 {
-			dst = dst[:len(dst)-1]
-		}
-	}
-	return dst
-}
-
-// affectedClasses is a request's class list: the classes some changed
-// rule of its diff matches, as ascending spec indexes, each with the diff
-// switches (ascending) whose change it can see. Every other class is
-// forwarded alike at every switch under both endpoints and under every
-// table a plan installs in between, so no phase of the request visits it.
-type affectedClasses struct {
-	classes []int
-	// sws[ends[i-1]:ends[i]] are the switches of classes[i].
-	ends, sws []int
-	// flows indexes the session's classes by flow, built on the first
-	// reset; destinationRank reads it too.
-	flows flowIndex
-}
-
-// reset computes the list for the rule diffs of one request. The classes
-// a changed rule matches are looked up by its pattern (flows), so a request
-// pays for its changed rules, not for every class of the session.
-func (a *affectedClasses) reset(specs []config.ClassSpec, diffs []swDiff) {
-	if a.flows == nil {
-		a.flows = newFlowIndex(specs)
-	}
-	a.classes, a.ends, a.sws = a.classes[:0], a.ends[:0], a.sws[:0]
-	for di := range diffs {
-		for _, r := range diffs[di].removed {
-			a.classes = a.flows.appendMatching(a.classes, r.Match)
-		}
-		for _, r := range diffs[di].added {
-			a.classes = a.flows.appendMatching(a.classes, r.Match)
-		}
-	}
-	slices.Sort(a.classes)
-	a.classes = slices.Compact(a.classes)
-	for _, ci := range a.classes {
-		pkt := specs[ci].Class.Packet()
-		for di := range diffs {
-			if d := &diffs[di]; d.affects(pkt) {
-				a.sws = append(a.sws, d.sw)
-			}
-		}
-		a.ends = append(a.ends, len(a.sws))
-	}
-}
-
-// switchesOf returns the diff switches classes[pos] can see.
-func (a *affectedClasses) switchesOf(pos int) []int {
-	from := 0
-	if pos > 0 {
-		from = a.ends[pos-1]
-	}
-	return a.sws[from:a.ends[pos]]
-}
-
-// attach hands the engine the structures and checkers of the given
-// classes (ascending spec indexes, all built), in that order, and the
-// request's affected-class list its target check reads.
-func (s *Session) attach(e *engine, classes []int) {
-	e.aff, e.classes, e.ks, e.checkers = &s.aff, classes, e.ks[:0], e.checkers[:0]
-	for _, ci := range classes {
-		e.ks = append(e.ks, s.ks[ci])
-		e.checkers = append(e.checkers, s.checkers[ci])
-	}
-}
-
 // resync brings every built structure (and its checker) to target, which
-// differs from what the structures hold on the switches of diffBuf at
+// differs from what the structures hold on the request's diff switches at
 // most. Per affected class, the diff switches it can see are rebound and
 // the checker relabels from the arrival states of the switches whose
 // transitions moved. A diff switch a class cannot see needs nothing: the
@@ -910,9 +615,9 @@ func (s *Session) attach(e *engine, classes []int) {
 // rebased on target at the end (kripke.K.Rebase), reads the new one from
 // it.
 func (s *Session) resync(target *config.Config) error {
-	for pos, ci := range s.aff.classes {
+	for pos, ci := range s.aff.Classes {
 		k := s.ks[ci]
-		changed, err := k.RebindSwitches(target, s.aff.switchesOf(pos))
+		changed, err := k.RebindSwitches(target, s.aff.SwitchesOf(pos))
 		if err != nil {
 			return err
 		}

@@ -194,13 +194,13 @@ func TestSessionInitialViolation(t *testing.T) {
 // standing verdict, and nothing else may touch it.
 func TestSessionClassSkips(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 2, 0, 11)
-	target, comp := singleComponentTarget(t, sc, 0)
-	if len(comp.classes) < 2 || len(comp.classes) == len(sc.Specs) {
-		t.Fatalf("want a multi-class footprint with bystanders, got %d of %d classes", len(comp.classes), len(sc.Specs))
+	target, classes := singleComponentTarget(t, sc, 0)
+	if len(classes) < 2 || len(classes) == len(sc.Specs) {
+		t.Fatalf("want a multi-class footprint with bystanders, got %d of %d classes", len(classes), len(sc.Specs))
 	}
 	var footprint []config.ClassSpec
 	inside := map[int]bool{}
-	for _, ci := range comp.classes {
+	for _, ci := range classes {
 		footprint = append(footprint, sc.Specs[ci])
 		inside[ci] = true
 	}
@@ -391,8 +391,8 @@ func TestRefusedTargetLeavesNoTrace(t *testing.T) {
 	stream, targets := rollingTargets(t, 67, 2, 3, 2)
 	specs := stream.Specs()
 	moves := func(from, to *config.Config, cl config.Class) bool {
-		for _, sw := range config.Diff(from, to) {
-			if removed, added := diffTables(from.Table(sw), to.Table(sw)); rulesAffect(removed, added, cl.Packet()) {
+		for _, ci := range classesSeeing(specs, from, to) {
+			if specs[ci].Class == cl {
 				return true
 			}
 		}
@@ -429,9 +429,9 @@ func TestRefusedTargetLeavesNoTrace(t *testing.T) {
 		if st.WaitsBefore != 0 || st.DAGDepth != 0 || st.SearchElapsed != 0 {
 			t.Fatalf("%s: LastStats still shows the previous request: %+v", name, st)
 		}
-		first := seen.Trace().Snapshot()
+		first := seen.trace.Snapshot()
 		time.Sleep(2 * time.Millisecond) // an open span's export grows with the clock
-		second := seen.Trace().Snapshot()
+		second := seen.trace.Snapshot()
 		ri := first.Root()
 		if ri < 0 || first.Spans[ri].Name != "synthesize" || first.RequestID != "req-refused" {
 			t.Fatalf("%s: refused request's trace: %+v", name, first)

@@ -294,15 +294,15 @@ func TestUnverifiedConfigurationIsNeverServed(t *testing.T) {
 	}
 	// The first target moves some classes; break one it leaves alone by
 	// dropping its rule at its ingress switch.
-	sess.aff.reset(sess.specs, ruleDiffs(nil, stream.Init(), targets[0], config.Diff(stream.Init(), targets[0])))
+	sess.aff.Reset(sess.specs, stream.Init(), targets[0])
 	victim := -1
 	for ci := range sess.specs {
-		if !slices.Contains(sess.aff.classes, ci) {
+		if !slices.Contains(sess.aff.Classes, ci) {
 			victim = ci
 		}
 	}
-	if victim < 0 || len(sess.aff.classes) == 0 {
-		t.Fatalf("the first target moves %d of %d classes: want some and not all", len(sess.aff.classes), len(sess.specs))
+	if victim < 0 || len(sess.aff.Classes) == 0 {
+		t.Fatalf("the first target moves %d of %d classes: want some and not all", len(sess.aff.Classes), len(sess.specs))
 	}
 	cl := sess.specs[victim].Class
 	src, _ := stream.Topo().HostByID(cl.SrcHost)
@@ -337,8 +337,8 @@ func TestUnverifiedConfigurationIsNeverServed(t *testing.T) {
 	if _, err := lazy.Synthesize(target); err != nil {
 		t.Fatalf("a request that does not touch the class: %v", err)
 	}
-	if lazy.ks[victim] != nil || slotsAtCurrent(t, "lazy", lazy) != len(sess.aff.classes) {
-		t.Fatalf("built %d classes, the request's diff touches %d (victim built: %v)", lazy.ClassBuilds(), len(sess.aff.classes), lazy.ks[victim] != nil)
+	if lazy.ks[victim] != nil || slotsAtCurrent(t, "lazy", lazy) != len(sess.aff.Classes) {
+		t.Fatalf("built %d classes, the request's diff touches %d (victim built: %v)", lazy.ClassBuilds(), len(sess.aff.Classes), lazy.ks[victim] != nil)
 	}
 	// Restoring the class's rule is a request that touches it: the class is
 	// built where the session stands, and does not hold there.

@@ -33,7 +33,7 @@ func TestTraceDisabledRecordsNothing(t *testing.T) {
 	if plan.Trace != nil {
 		t.Fatalf("untraced plan carries %d spans", len(plan.Trace.Spans))
 	}
-	if s.Trace() != nil {
+	if s.trace != nil {
 		t.Fatal("untraced session holds a recorder")
 	}
 	// Phase durations are populated even without tracing. A search that
@@ -136,7 +136,7 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 	if st := s.LastStats(); st.VerifyElapsed <= 0 {
 		t.Fatalf("phase durations of a refused target: %+v", st)
 	}
-	refused := s.Trace().Snapshot()
+	refused := s.trace.Snapshot()
 	parents := map[int]string{}
 	for _, sp := range refused.Spans {
 		parents[sp.ID] = sp.Name
@@ -170,8 +170,8 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 	if _, err := s.Synthesize(stuck.Final); !errors.Is(err, ErrNoOrdering) {
 		t.Fatalf("err = %v, want ErrNoOrdering", err)
 	}
-	if st := s.LastStats(); st.VerifyElapsed <= 0 || spanNames(s.Trace().Snapshot())["final-verify"] == 0 {
-		t.Fatalf("infeasible target: VerifyElapsed %v, spans %v", st.VerifyElapsed, spanNames(s.Trace().Snapshot()))
+	if st := s.LastStats(); st.VerifyElapsed <= 0 || spanNames(s.trace.Snapshot())["final-verify"] == 0 {
+		t.Fatalf("infeasible target: VerifyElapsed %v, spans %v", st.VerifyElapsed, spanNames(s.trace.Snapshot()))
 	}
 }
 

@@ -1,4 +1,4 @@
-package core
+package engine
 
 import "slices"
 
@@ -110,7 +110,7 @@ func (d *PlanDAG) Levels() [][]int {
 // the DAG's edge lists share one array, the only one it allocates besides
 // the two lists of lists. Depth and Width are computed as the nodes are
 // (Levels is the reference).
-func (e *engine) buildDAG(steps []Step) *PlanDAG {
+func (e *Engine) buildDAG(steps []Step) *PlanDAG {
 	d := e.newDepAnalysis()
 	defer d.release()
 	s := d.s
@@ -183,6 +183,34 @@ func (e *engine) buildDAG(steps []Step) *PlanDAG {
 		from = to
 	}
 	s.lastClass, s.entries, s.level, s.levelSize, s.edges, s.ends = lastClass, entries, level, size, edges, ends
+	return dag
+}
+
+// chainDAG is the degenerate dependency DAG of a plan that must execute
+// sequentially (a plan containing two-phase segments): each update
+// depends on the previous one, with the edge drain-marked when a wait
+// barrier separates them.
+func chainDAG(steps []Step) *PlanDAG {
+	dag := &PlanDAG{}
+	wait := false
+	for _, st := range steps {
+		if st.Wait {
+			wait = true
+			continue
+		}
+		var preds, drain []int
+		if j := len(dag.Preds); j > 0 {
+			preds = []int{j - 1}
+			if wait {
+				drain = preds
+			}
+		}
+		dag.Preds, dag.Drain = append(dag.Preds, preds), append(dag.Drain, drain)
+		wait = false
+	}
+	if dag.Depth = len(dag.Preds); dag.Depth > 0 {
+		dag.Width = 1
+	}
 	return dag
 }
 

@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"math/rand"
@@ -16,7 +16,7 @@ import (
 // edges pointing lower-to-higher (acyclic by construction), drain lists
 // that are subsets of the predecessor lists, and Depth/Width consistent
 // with Levels() and mirrored into Stats.
-func checkDAGShape(t *testing.T, name string, plan *Plan) {
+func checkDAGShape(t *testing.T, name string, plan *plan) {
 	t.Helper()
 	d := plan.DAG
 	if d == nil {
@@ -136,8 +136,7 @@ func labelsEqual(a, b [][]ltl.Valuation) bool {
 // well-formed DAG, on every conformance scenario.
 func TestDAGShapeConformance(t *testing.T) {
 	for _, c := range conformanceCases(t) {
-		opts := c.opts
-		feasible, plan := synthesizeOutcome(t, c.name, c.sc, opts)
+		feasible, plan := synthesizeOutcome(t, c.name, c.sc, c.g)
 		if !feasible {
 			continue
 		}
@@ -159,8 +158,7 @@ func TestDAGAckScheduleTraceEquivalence(t *testing.T) {
 	const schedules = 100
 	warmth := mc.NewWarmth()
 	for _, c := range conformanceCases(t) {
-		opts := c.opts
-		feasible, plan := synthesizeOutcome(t, c.name, c.sc, opts)
+		feasible, plan := synthesizeOutcome(t, c.name, c.sc, c.g)
 		if !feasible {
 			continue
 		}
@@ -291,11 +289,11 @@ func weakComponents(d *PlanDAG) int {
 // whether the components are searched one at a time or concurrently.
 func TestDAGDecompositionDisjointUnion(t *testing.T) {
 	sc := multiRegionScenario(t, 3, 1, 0, 11)
-	var ref *Plan
+	var ref *plan
 	for _, workers := range []int{1, 4} {
-		var plan *Plan
+		var plan *plan
 		var err error
-		atProcs(workers, func() { plan, err = Synthesize(sc, Options{}) })
+		atProcs(workers, func() { plan, err = synthesize(t, sc, grain{}) })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

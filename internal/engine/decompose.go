@@ -1,4 +1,4 @@
-package core
+package engine
 
 // Interference-partitioned search. ORDERUPDATE is factorial in the number
 // of update units, and the paper's V/W/SAT optimizations only prune — they
@@ -30,14 +30,14 @@ package core
 //     their footprints share a class. Connected components (union-find)
 //     are the independent subproblems.
 //
-//  3. Sub-searches: each component becomes its own scenario — the session
+//  3. Sub-searches: each component becomes its own scenario — the current
 //     configuration with only the component's switches moved to their
 //     final tables, and only the component's class specifications — and
 //     runs a full ORDERUPDATE search of its own. Unit numbering, and with
 //     it the SAT early-termination instance, the wrong-pattern store, and
 //     the dead set, are component-local. Components partition the
-//     per-class structures, so concurrent sub-searches share the
-//     session's warm structures without cloning or locking. This is the
+//     per-class structures, so concurrent sub-searches share the caller's
+//     warm structures without cloning or locking. This is the
 //     only concurrency inside a synthesis.
 //
 //  4. Composition: the careful sub-plans are concatenated in component
@@ -62,6 +62,7 @@ package core
 // every unit over the request's affected classes.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -93,10 +94,10 @@ type component struct {
 // use the pattern match over-approximation (see the file comment). The
 // footprints are returned back to back, in the request scratch: unit i's
 // are fps[ends[i-1]:ends[i]].
-func (e *engine) unitFootprints(aff *affectedClasses) (fps, ends []int, _ error) {
+func (e *Engine) unitFootprints(aff *Affected) (fps, ends []int, _ error) {
 	fps, ends = e.scr.fps[:0], e.scr.ints.take(len(e.units))
 	defer func() { e.scr.fps = fps }()
-	if e.opts.RuleGranularity {
+	if e.rules {
 		for _, u := range e.units {
 			for _, ci := range e.classes {
 				if headerMatches(u.rule.Match, e.sc.Specs[ci].Class.Packet()) {
@@ -115,7 +116,7 @@ func (e *engine) unitFootprints(aff *affectedClasses) (fps, ends []int, _ error)
 	// merged[pos], in 2-simple mode, is the last merge unit probed on class
 	// pos: its finalize unit moves the class from the merged table.
 	var merged []int
-	if e.opts.TwoSimple {
+	if e.twoSimple {
 		merged = e.scr.ints.take(len(e.classes))
 		for i := range merged {
 			merged[i] = -1
@@ -123,11 +124,11 @@ func (e *engine) unitFootprints(aff *affectedClasses) (fps, ends []int, _ error)
 	}
 	for _, u := range e.units {
 		for pos, ci := range e.classes {
-			if !slices.Contains(aff.switchesOf(pos), u.sw) {
+			if !slices.Contains(aff.SwitchesOf(pos), u.sw) {
 				continue
 			}
 			var from network.Table // nil: the table the structure holds
-			if e.opts.TwoSimple {
+			if e.twoSimple {
 				// A switch carries a merge and a finalize unit, each moving
 				// part of the switch's rule diff: what this one moves is
 				// read against the table the class stands at before it (the
@@ -164,7 +165,7 @@ func (e *engine) unitFootprints(aff *affectedClasses) (fps, ends []int, _ error)
 // pre-pass and so must be called with the engine's structures attached
 // and at the initial configuration. The components and their lists are
 // the request scratch's.
-func (e *engine) components(aff *affectedClasses) ([]component, error) {
+func (e *Engine) components(aff *Affected) ([]component, error) {
 	fps, ends, err := e.unitFootprints(aff)
 	if err != nil {
 		return nil, err
@@ -173,7 +174,7 @@ func (e *engine) components(aff *affectedClasses) ([]component, error) {
 }
 
 // partition is components over the footprints unitFootprints returned.
-func (e *engine) partition(fps, ends []int) []component {
+func (e *Engine) partition(fps, ends []int) []component {
 	scr := e.scr
 	parent := scr.ints.take(len(e.units))
 	for i := range parent {
@@ -260,18 +261,85 @@ func (e *engine) partition(fps, ends []int) []component {
 	return comps
 }
 
+// Fallback solves a component with no careful order (ErrNoOrdering) some
+// other way — the repair ladder — as sc: the current configuration with the
+// component's switches at their targets, over its classes; its spans go
+// under span. It reports whether the steps are a two-phase segment.
+type Fallback func(ctx context.Context, sc *config.Scenario, span int) ([]Step, bool, error)
+
+// Search searches the attached classes for a plan to the request's target:
+// one search per independent component of the diff (one component unless
+// decompose is set), the careful sub-plans composed, the waits removed
+// where removeWaits asks (Section 4.2.C) and the dependency DAG built. A
+// plan holding a two-phase segment keeps every wait and carries a chain
+// DAG: neither argument covers a segment that is not careful. A stuck
+// component goes to fallback, when it is non-nil, unless some component's
+// target failed its check. The steps and DAG are the caller's own. Search
+// also returns the components (in composition order) whose searches
+// finished, failed or not: their classes' structures stand at the target,
+// the other attached ones anywhere between the endpoints.
+func (e *Engine) Search(decompose, removeWaits bool, fallback Fallback) ([]Step, *PlanDAG, []int, error) {
+	tr, root := e.trace, e.traceParent
+	dcSpan := tr.Begin("decompose", root)
+	comps, err := e.decompose(decompose)
+	tr.End(dcSpan)
+	start := time.Now()
+	span := tr.Begin("search", root)
+	var steps []Step
+	var committed []int
+	if err == nil {
+		steps, committed, err = e.runComponents(comps, span, fallback)
+	}
+	tr.End(span)
+	if !errors.Is(err, ErrFinalViolation) {
+		// A refused target's answer is its target check (VerifyElapsed), not
+		// a search phase.
+		e.stats.SearchElapsed = time.Since(start)
+	}
+	if err != nil {
+		return nil, nil, committed, err
+	}
+	e.stats.WaitsBefore = countWaits(steps)
+	tagged := e.stats.TwoPhaseComponents > 0
+	if removeWaits && !tagged {
+		start := time.Now()
+		span := tr.Begin("wait-removal", root)
+		steps = e.removeWaits(steps)
+		tr.End(span)
+		e.stats.WaitRemovalElapsed = time.Since(start)
+	} else {
+		steps = ownSteps(steps)
+	}
+	e.stats.WaitsAfter = countWaits(steps)
+	// The DAG is built over the final — possibly composed — step sequence,
+	// which for decomposed runs yields the disjoint union of the component
+	// sub-DAGs (components share no class and no switch, so no chain crosses
+	// a component boundary).
+	span = tr.Begin("dag-build", root)
+	var dag *PlanDAG
+	if tagged {
+		dag = chainDAG(steps)
+	} else {
+		dag = e.buildDAG(steps)
+	}
+	tr.End(span)
+	e.stats.DAGDepth, e.stats.DAGWidth = dag.Depth, dag.Width
+	return steps, dag, committed, nil
+}
+
 // decompose partitions the diff into independent subproblems, at least
-// one. With decomposition disabled, or a diff of fewer than two units,
-// the one component is the whole diff over the request's affected classes.
-func (s *Session) decompose(e *engine) ([]component, error) {
-	if s.opts.NoDecomposition || len(e.units) < 2 {
+// one. Undecomposed, or for a diff of fewer than two units, the one
+// component is the whole diff over the request's affected classes.
+func (e *Engine) decompose(decompose bool) ([]component, error) {
+	if !decompose || len(e.units) < 2 {
 		units := e.scr.ints.take(len(e.units))
 		for i := range units {
 			units[i] = i
 		}
-		return []component{{units: units, classes: s.aff.classes, switches: e.unitSwitches()}}, nil
+		// Every diff switch carries a unit: its table changed by some rule.
+		return []component{{units: units, classes: e.aff.Classes, switches: e.aff.Switches}}, nil
 	}
-	comps, err := e.components(&s.aff)
+	comps, err := e.components(e.aff)
 	if err != nil {
 		// A target table the pass cannot read (a rule that rewrites the
 		// class packet) fails the target check, which names the violation
@@ -311,11 +379,12 @@ var testAfterComponent func(i int)
 // at once, and composes the careful sub-plans in component order. The
 // calling goroutine is the first worker, so a one-component run takes no
 // goroutine. Components partition the per-class structures, so the
-// concurrent engines share the session's warm state without cloning. In
-// repair mode a stuck component runs the fallback ladder (repair.go) over
-// its own classes and switches. Failures are reported deterministically:
-// the lowest-indexed failing component wins, no matter which goroutine
-// finished first.
+// concurrent engines share the attached structures without cloning. A
+// stuck component goes to fallback, when there is one, with its own
+// classes and switches; the spans of both nest under span. Failures are
+// reported deterministically: the lowest-indexed failing component wins,
+// no matter which goroutine finished first. The components whose searches
+// finished are returned, in a list of their own.
 //
 // Every unit is applied exactly once, so component i's order fills the
 // units of the components before it onward in the request scratch's
@@ -323,7 +392,7 @@ var testAfterComponent func(i int)
 // without a lock. The careful sequence — a wait between every two updates
 // — is composed from them in the request scratch, and is valid until the
 // scratch is reset.
-func (s *Session) runComponents(e *engine, comps []component, final *config.Config) ([]Step, error) {
+func (e *Engine) runComponents(comps []component, span int, fallback Fallback) ([]Step, []int, error) {
 	order := make([]int, len(comps))
 	for i := range order {
 		order[i] = i
@@ -351,7 +420,7 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 				return
 			}
 			i := order[k]
-			s.solveComponent(e, &comps[i], i, final, &results[i])
+			e.solveComponent(&comps[i], i, span, &results[i])
 			if testAfterComponent != nil {
 				testAfterComponent(i)
 			}
@@ -379,6 +448,7 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 		}
 	}
 	refused := runErr != nil
+	var committed []int
 	for i := range results {
 		r := &results[i]
 		e.stats.addSearch(r.stats)
@@ -386,12 +456,18 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 		if r.err == nil {
 			// The sub-search finished: its classes' warm structures sit at
 			// the target tables whatever the other components did.
-			e.stats.CommittedComponents = append(e.stats.CommittedComponents, i)
-		} else if s.repairing && !refused && errors.Is(r.err, ErrNoOrdering) {
+			committed = append(committed, i)
+		} else if fallback != nil && !refused && errors.Is(r.err, ErrNoOrdering) {
 			c := &comps[i]
+			final := e.sc.Init.Clone()
+			for _, sw := range c.switches {
+				final.SetTable(sw, e.sc.Final.Table(sw).Clone())
+			}
 			var twoPhase bool
-			r.fallback, twoPhase, r.err = s.repairFallback(
-				e.ctx, fmt.Sprintf("%s#c%d-fallback", e.sc.Name, i), s.specsOf(nil, c.classes), c.switches, final)
+			r.fallback, twoPhase, r.err = fallback(e.ctx, &config.Scenario{
+				Name: fmt.Sprintf("%s#c%d-fallback", e.sc.Name, i),
+				Topo: e.sc.Topo, Init: e.sc.Init, Final: final, Specs: e.specsOf(nil, c.classes),
+			}, span)
 			if r.err == nil {
 				r.fellBack = true
 				if twoPhase {
@@ -406,7 +482,7 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 		}
 	}
 	if runErr != nil {
-		return nil, runErr
+		return nil, committed, runErr
 	}
 	n := len(results) - 1 // the waits between sub-plans
 	for i := range results {
@@ -434,38 +510,38 @@ func (s *Session) runComponents(e *engine, comps []component, final *config.Conf
 		}
 	}
 	e.scr.steps = steps
-	return steps, nil
+	return steps, committed, nil
 }
 
 // specsOf appends to dst the specifications of the given classes (spec
 // indexes).
-func (s *Session) specsOf(dst []config.ClassSpec, classes []int) []config.ClassSpec {
+func (e *Engine) specsOf(dst []config.ClassSpec, classes []int) []config.ClassSpec {
 	for _, ci := range classes {
-		dst = append(dst, s.specs[ci])
+		dst = append(dst, e.sc.Specs[ci])
 	}
 	return dst
 }
 
 // solveComponent runs one full ORDERUPDATE search over a component: the
-// session configuration with only the component's switches moved to their
+// current configuration with only the component's switches moved to their
 // final tables, checked against only the component's classes. The
 // sub-engine inherits the request engine's units for the component —
 // renumbered to a component-local 0..n-1 range in its own scratch, which
 // also renumbers the SAT early-termination variables, wrong patterns, and
-// dead-set bitmasks — and reuses the session's warm structures for its
-// classes directly (no other component touches them). It copies the order
-// it finds into r.path and hands its scratch back as soon as the search
-// ends. The request's context bounds every component.
-func (s *Session) solveComponent(e *engine, c *component, idx int, final *config.Config, r *compResult) {
+// dead-set bitmasks — and picks its classes' structures and checkers out
+// of the request engine's attached ones (no other component touches them).
+// It copies the order it finds into r.path and hands its scratch back as
+// soon as the search ends. The request's context bounds every component.
+func (e *Engine) solveComponent(c *component, idx, parent int, r *compResult) {
 	start := time.Now()
 	// Each component gets its own trace lane so concurrent sub-searches
 	// render as parallel rows; Begin reserves ring slots atomically, so
 	// recording from the solver goroutines is safe.
 	span := 0
-	if s.trace != nil {
-		span = s.trace.BeginLane(fmt.Sprintf("component-%d", idx), s.traceSearch, idx+1)
+	if e.trace != nil {
+		span = e.trace.BeginLane(fmt.Sprintf("component-%d", idx), parent, idx+1)
 		defer func() {
-			s.trace.EndDetail(span, fmt.Sprintf("units=%d classes=%d", len(c.units), len(c.classes)))
+			e.trace.EndDetail(span, fmt.Sprintf("units=%d classes=%d", len(c.units), len(c.classes)))
 		}()
 	}
 	scr := scratchPool.Get().(*engineScratch)
@@ -477,7 +553,7 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 		if u.requires >= 0 {
 			lr, ok := slices.BinarySearch(c.units, u.requires) // c.units is ascending
 			if !ok {
-				r.err = fmt.Errorf("core: component %d split a requires edge (unit %d needs %d)",
+				r.err = fmt.Errorf("engine: component %d split a requires edge (unit %d needs %d)",
 					idx, uid, u.requires)
 				r.elapsed = time.Since(start)
 				return
@@ -491,12 +567,17 @@ func (s *Session) solveComponent(e *engine, c *component, idx int, final *config
 	// Final (computeUnits and wait removal run only on the request engine),
 	// so the full target is recorded as-is instead of building a
 	// per-component overlay configuration nothing would read.
-	scr.specs = s.specsOf(scr.specs[:0], c.classes)
-	scr.sc = config.Scenario{Name: e.sc.Name, Topo: s.topo, Init: s.cur, Final: final, Specs: scr.specs}
-	ec := newEngineShellWith(&scr.sc, s.opts, s.abl, units, scr)
-	ec.bindContext(e.ctx)
-	ec.trace, ec.traceParent, ec.traceLane = s.trace, span, idx+1
-	s.attach(ec, c.classes)
+	scr.specs = e.specsOf(scr.specs[:0], c.classes)
+	scr.sc = config.Scenario{Name: e.sc.Name, Topo: e.sc.Topo, Init: e.sc.Init, Final: e.sc.Final, Specs: scr.specs}
+	ec := newEngineShellWith(&scr.sc, e.abl, units, scr)
+	ec.ctx, ec.aff = e.ctx, e.aff
+	ec.trace, ec.traceParent, ec.traceLane = e.trace, span, idx+1
+	ec.classes = c.classes
+	for _, ci := range c.classes {
+		pos, _ := slices.BinarySearch(e.classes, ci) // both ascending
+		ec.ks = append(ec.ks, e.ks[pos])
+		ec.checkers = append(ec.checkers, e.checkers[pos])
+	}
 	ec.snapshotCheckerStats()
 	path, err := ec.run()
 	copy(r.path, path)

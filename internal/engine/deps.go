@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"math"
@@ -41,7 +41,7 @@ type oldEntry struct {
 }
 
 type depAnalysis struct {
-	e *engine
+	e *Engine
 	s *depScratch
 	n int // switches
 	// gen stamps the overlay tables of this analysis, win the per-switch
@@ -151,7 +151,7 @@ func (s *depScratch) reset(n, nc int) {
 // configuration. It takes the engine's pooled scratch for its lifetime
 // (release hands it back), so a second analysis opened meanwhile gets a
 // private one rather than the first one's marks.
-func (e *engine) newDepAnalysis() *depAnalysis {
+func (e *Engine) newDepAnalysis() *depAnalysis {
 	s := e.deps
 	e.deps = nil
 	if s == nil {

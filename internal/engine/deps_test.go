@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"fmt"
@@ -21,12 +21,11 @@ import (
 // barrier is needed before an update iff the plan has a wait there.
 func TestDepAnalysisReproducesWaitDecisions(t *testing.T) {
 	for _, c := range conformanceCases(t) {
-		opts := c.opts
-		feasible, plan := synthesizeOutcome(t, c.name, c.sc, opts)
+		feasible, plan := synthesizeOutcome(t, c.name, c.sc, c.g)
 		if !feasible {
 			continue
 		}
-		_, e := engineFor(t, c.sc, opts)
+		e := engineFor(t, c.sc, c.g)
 		d := e.newDepAnalysis()
 		if diff := config.Diff(d.config(), c.sc.Init); len(diff) != 0 {
 			t.Fatalf("%s: analysis does not start at Init; differs on %v", c.name, diff)
@@ -67,11 +66,11 @@ func TestDepAnalysisReproducesWaitDecisions(t *testing.T) {
 // and drain marks imply their barrier-level counterpart.
 func TestDepAnalysisWindowBasics(t *testing.T) {
 	sc := config.Fig1RedGreen()
-	plan, err := Synthesize(sc, Options{})
+	plan, err := synthesize(t, sc, grain{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, e := engineFor(t, sc, Options{})
+	e := engineFor(t, sc, grain{})
 	d := e.newDepAnalysis()
 	ups := plan.Updates()
 	for i, st := range ups {
@@ -132,7 +131,7 @@ type refEntry struct {
 }
 
 type refAnalysis struct {
-	e       *engine
+	e       *Engine
 	cur     *config.Config
 	pending []refEntry
 
@@ -141,7 +140,7 @@ type refAnalysis struct {
 	bfsQueue []int
 }
 
-func newRefAnalysis(e *engine) *refAnalysis {
+func newRefAnalysis(e *Engine) *refAnalysis {
 	return &refAnalysis{e: e, cur: e.sc.Init.Clone()}
 }
 
@@ -292,7 +291,7 @@ func (r *refAnalysis) reaches(pkt network.Packet, starts []int, target int) bool
 	return found
 }
 
-func refRemoveWaits(e *engine, steps []Step) []Step {
+func refRemoveWaits(e *Engine, steps []Step) []Step {
 	d := newRefAnalysis(e)
 	out := make([]Step, 0, len(steps))
 	for _, st := range steps {
@@ -310,7 +309,7 @@ func refRemoveWaits(e *engine, steps []Step) []Step {
 	return out
 }
 
-func refBuildDAG(e *engine, steps []Step) *PlanDAG {
+func refBuildDAG(e *Engine, steps []Step) *PlanDAG {
 	d := newRefAnalysis(e)
 	lastClass := make([]int, len(e.sc.Specs))
 	for i := range lastClass {
@@ -477,7 +476,7 @@ func sharedSwitchScenario(t *testing.T, seed int64, classes int) *config.Scenari
 // updates, cumulative tables at rule granularity — of a random
 // permutation of the engine's units in which every finalize step follows
 // its merge step. It leaves e.curTables at the initial tables.
-func randomSteps(e *engine, r *rand.Rand) []Step {
+func randomSteps(e *Engine, r *rand.Rand) []Step {
 	path := r.Perm(len(e.units))
 	pos := make([]int, len(path))
 	for i, ui := range path {
@@ -516,19 +515,16 @@ func randomSteps(e *engine, r *rand.Rand) []Step {
 func TestOrderingAnalysisMatchesPerStepSearch(t *testing.T) {
 	grans := []struct {
 		name string
-		opts Options
+		g    grain
 	}{
-		{"switch", Options{}},
-		{"rules", Options{RuleGranularity: true}},
-		{"2simple", Options{TwoSimple: true}},
+		{"switch", grain{}},
+		{"rules", grain{rules: true}},
+		{"2simple", grain{twoSimple: true}},
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		sc := sharedSwitchScenario(t, seed, 8+int(seed)%4)
 		for _, g := range grans {
-			e, err := newEngineShell(sc, g.opts, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := newEngineShell(sc, g.g)
 			r := rand.New(rand.NewSource(seed * 977))
 			for round := 0; round < 3; round++ {
 				name := fmt.Sprintf("seed%d/%s/order%d", seed, g.name, round)

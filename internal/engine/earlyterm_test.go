@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"errors"
@@ -313,7 +313,7 @@ func TestEarlyTermWorkIsBounded(t *testing.T) {
 				Gadgets: gadgets, Property: prop, Seed: 1200, BackgroundFlows: 200,
 			})
 		}
-		_, e := engineFor(t, sc, Options{NoDecomposition: true})
+		e := engineFor(t, sc, grain{joint: true})
 		if _, err := e.run(); !errors.Is(err, ErrNoOrdering) {
 			t.Fatalf("%s: err = %v, want ErrNoOrdering", prop, err)
 		}

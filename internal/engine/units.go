@@ -1,11 +1,10 @@
-package core
+package engine
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"netupdate/internal/config"
 	"netupdate/internal/network"
@@ -43,6 +42,39 @@ func (u unit) String() string {
 	return fmt.Sprintf("u%d:%s(sw%d)", u.id, op, u.sw)
 }
 
+// Step is one element of a synthesized update plan: either a wait barrier
+// or the application of one update unit.
+type Step struct {
+	Wait bool
+	// For update steps:
+	Switch int
+	// Table is the full table installed on Switch by this step (for rule
+	// granularity this is the cumulative table after the rule change). It
+	// is shared: a step that installs the target's table holds the
+	// request target's own, on a plan-cache hit too (the cache keeps a
+	// mark, not the table), and any other step's table is shared with the
+	// plan cache's entry. It is read-only: copy it before changing it.
+	Table network.Table
+	// Rule-granularity detail: the rule added or removed, if any.
+	IsRule  bool
+	RuleAdd bool
+	Rule    network.Rule
+}
+
+func (s Step) String() string {
+	if s.Wait {
+		return "wait"
+	}
+	if s.IsRule {
+		op := "del"
+		if s.RuleAdd {
+			op = "add"
+		}
+		return fmt.Sprintf("%s(sw%d, %v)", op, s.Switch, s.Rule)
+	}
+	return fmt.Sprintf("update(sw%d)", s.Switch)
+}
+
 // lateRank offsets units that should be tried after every final-path
 // switch: switches/rules present only in the initial configuration (their
 // update removes forwarding state, which is safe only once upstream has
@@ -52,7 +84,7 @@ const lateRank = 1_000_000
 // computeUnits derives the update units from the configuration diff —
 // diff lists the switches whose tables differ between the scenario's
 // endpoints, ascending (config.Diff) — and assigns the destination-first
-// search ranks (see engine.go). With twoSimple set (Options.TwoSimple),
+// search ranks (see engine.go). With twoSimple set (Request.TwoSimple),
 // every switch-granularity update is split into a merge step (install the
 // union of both generations) and a finalize step (install the final
 // table), realizing the paper's "k-simple" generalization for k = 2: each
@@ -60,10 +92,9 @@ const lateRank = 1_000_000
 // rule-granularity add-before-delete orders while keeping whole-table
 // commands. A whole-table unit installs the target's own table: a
 // configuration's tables are immutable (config.Config), and nothing
-// writes to a unit's. The units are appended to dst, which the session
-// hands over from its pooled scratch. flows indexes sc.Specs (nil builds
-// the index).
-func computeUnits(dst []unit, sc *config.Scenario, diff []int, flows flowIndex, ruleGranularity, twoSimple bool) ([]unit, error) {
+// writes to a unit's. The units are appended to dst, the request's pooled
+// buffer. flows indexes sc.Specs (nil builds the index).
+func computeUnits(dst []unit, sc *config.Scenario, diff []int, flows flowIndex, ruleGranularity, twoSimple bool) []unit {
 	rank := destinationRank(sc, diff, flows) // indexed like diff
 	units := slices.Grow(dst[:0], len(diff))
 	if !ruleGranularity && twoSimple {
@@ -80,7 +111,7 @@ func computeUnits(dst []unit, sc *config.Scenario, diff []int, flows flowIndex, 
 				requires: mergeID, rank: lateRank + rank[di],
 			})
 		}
-		return units, nil
+		return units
 	}
 	if !ruleGranularity {
 		for di, sw := range diff {
@@ -92,7 +123,7 @@ func computeUnits(dst []unit, sc *config.Scenario, diff []int, flows flowIndex, 
 				rank:     rank[di],
 			})
 		}
-		return units, nil
+		return units
 	}
 	for di, sw := range diff {
 		removed, added := diffTables(sc.Init.Table(sw), sc.Final.Table(sw))
@@ -123,7 +154,7 @@ func computeUnits(dst []unit, sc *config.Scenario, diff []int, flows flowIndex, 
 			})
 		}
 	}
-	return units, nil
+	return units
 }
 
 // mergeTables unions two rule generations, keeping one copy of rules
@@ -215,7 +246,7 @@ func destinationRank(sc *config.Scenario, diff []int, flows flowIndex) []int {
 	return rank
 }
 
-// flowIndex is a session's classes sorted by flow (source, then
+// flowIndex is a request's classes sorted by flow (source, then
 // destination host, then spec index), so the classes a rule matches are
 // found without a pass over every class: the affected classes of a
 // request's changed rules, and the classes destinationRank traces.
@@ -280,21 +311,6 @@ func (b bitset) set(i int) bitset {
 
 func (b bitset) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// key renders the bitmask as a comparable string in one allocation (the
-// Builder hands its buffer to the string without a second copy). The hot
-// paths use hash/equal (see visited.go) and never call this; it remains
-// for debugging and tests.
-func (b bitset) key() string {
-	var sb strings.Builder
-	sb.Grow(8 * len(b))
-	for _, w := range b {
-		for j := 0; j < 8; j++ {
-			sb.WriteByte(byte(w >> (8 * uint(j))))
-		}
-	}
-	return sb.String()
-}
-
 func (b bitset) count() int {
 	n := 0
 	for _, w := range b {
@@ -315,4 +331,111 @@ func (b bitset) matchesPattern(relevant, value bitset) bool {
 		}
 	}
 	return true
+}
+
+// Affected is a request's diff and the classes it can affect: the switches
+// whose tables differ between its endpoints, their rule changes, and the
+// classes some changed rule matches, each with the diff switches whose
+// change it can see. Every other class is forwarded alike under every
+// table a plan installs, so no phase of the request visits it. A caller
+// resets one per request, so its lists keep their memory.
+type Affected struct {
+	// Switches is the diff (config.Diff), ascending.
+	Switches []int
+	// Classes are the affected classes, ascending.
+	Classes []int
+
+	// rules are the diff switches' rule changes, one entry per switch whose
+	// rules change (a table that only reorders them has none).
+	rules []swDiff
+	// sws[ends[i-1]:ends[i]] are the switches of Classes[i].
+	ends, sws []int
+	// flows indexes the classes by flow, built on the first reset;
+	// destinationRank and the ordering analysis read it too.
+	flows flowIndex
+}
+
+// Reset computes the diff between two configurations for specs, the same
+// every call. The classes a changed rule matches are looked up by its
+// pattern (flows): a request pays for its changed rules, not every class.
+func (a *Affected) Reset(specs []config.ClassSpec, from, to *config.Config) {
+	if a.flows == nil {
+		a.flows = newFlowIndex(specs)
+	}
+	a.Switches = config.Diff(from, to)
+	a.rules = ruleDiffs(a.rules, from, to, a.Switches)
+	a.Classes, a.ends, a.sws = a.Classes[:0], a.ends[:0], a.sws[:0]
+	for di := range a.rules {
+		for _, r := range a.rules[di].removed {
+			a.Classes = a.flows.appendMatching(a.Classes, r.Match)
+		}
+		for _, r := range a.rules[di].added {
+			a.Classes = a.flows.appendMatching(a.Classes, r.Match)
+		}
+	}
+	slices.Sort(a.Classes)
+	a.Classes = slices.Compact(a.Classes)
+	for _, ci := range a.Classes {
+		pkt := specs[ci].Class.Packet()
+		for di := range a.rules {
+			if d := &a.rules[di]; rulesAffect(d.removed, d.added, pkt) {
+				a.sws = append(a.sws, d.sw)
+			}
+		}
+		a.ends = append(a.ends, len(a.sws))
+	}
+}
+
+// SwitchesOf returns the diff switches Classes[pos] can see.
+func (a *Affected) SwitchesOf(pos int) []int {
+	from := 0
+	if pos > 0 {
+		from = a.ends[pos-1]
+	}
+	return a.sws[from:a.ends[pos]]
+}
+
+// swDiff records the rules that change on one switch between a request's
+// endpoints.
+type swDiff struct {
+	sw             int
+	removed, added []network.Rule
+}
+
+// rulesAffect reports whether any of the changed rules matches the class
+// packet. A class no changed rule matches keeps identical forwarding
+// under both tables — table application is priority-set semantics, so a
+// rule that cannot match contributes nothing and a pure reorder of
+// identical rules changes nothing either. This single predicate backs
+// both the footprint pre-filter and the affected-class list.
+func rulesAffect(removed, added []network.Rule, pkt network.Packet) bool {
+	for _, r := range removed {
+		if headerMatches(r.Match, pkt) {
+			return true
+		}
+	}
+	for _, r := range added {
+		if headerMatches(r.Match, pkt) {
+			return true
+		}
+	}
+	return false
+}
+
+// ruleDiffs collects the per-switch rule changes between from and to over
+// the candidate switches, once — the diff is class-independent, so every
+// class shares it. An entry of dst keeps its rule lists' memory for the
+// next request.
+func ruleDiffs(dst []swDiff, from, to *config.Config, cands []int) []swDiff {
+	dst = dst[:0]
+	for _, sw := range cands {
+		dst = slices.Grow(dst, 1)[:len(dst)+1] // an entry left by the last request keeps its lists
+		d := &dst[len(dst)-1]
+		d.sw = sw
+		d.removed, d.added = appendDiff(emptied(d.removed), emptied(d.added), from.Table(sw), to.Table(sw))
+		if len(d.removed) == 0 && len(d.added) == 0 {
+			dst = dst[:len(dst)-1]
+		}
+	}
+	return dst
 }

@@ -1,6 +1,9 @@
-package core
+package engine
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestBitsetMultiWord exercises set/get/key/matchesPattern across the
 // word boundary of a 3-word bitset.
@@ -114,4 +117,63 @@ func TestBitsetSet(t *testing.T) {
 	if s.has(base) {
 		t.Fatal("empty mask never inserted")
 	}
+}
+
+func TestBitset(t *testing.T) {
+	b := newBitset(130)
+	if b.get(129) {
+		t.Fatal("fresh bitset must be empty")
+	}
+	c := b.set(129).set(0)
+	if !c.get(129) || !c.get(0) || b.get(0) {
+		t.Fatal("set must be persistent")
+	}
+	if c.count() != 2 {
+		t.Fatalf("count = %d", c.count())
+	}
+	if b.key() == c.key() {
+		t.Fatal("keys must differ")
+	}
+	rel := newBitset(130).set(0).set(5)
+	val := newBitset(130).set(0)
+	if !c.matchesPattern(rel, val) {
+		t.Fatal("c has 0 set and 5 unset; should match pattern")
+	}
+	d := c.set(5)
+	if d.matchesPattern(rel, val) {
+		t.Fatal("d has 5 set; should not match")
+	}
+}
+
+// The bitmask and set helpers only the tests read: the search's paths use
+// hash and equal (visited.go).
+
+// key renders the bitmask as a comparable string.
+func (b bitset) key() string {
+	var sb strings.Builder
+	sb.Grow(8 * len(b))
+	for _, w := range b {
+		for j := 0; j < 8; j++ {
+			sb.WriteByte(byte(w >> (8 * uint(j))))
+		}
+	}
+	return sb.String()
+}
+
+// has reports membership.
+func (s *bitsetSet) has(b bitset) bool {
+	for _, e := range s.m[b.hash()] {
+		if e.equal(b) {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *bitsetSet) len() int {
+	n := 0
+	for _, bucket := range s.m {
+		n += len(bucket)
+	}
+	return n
 }

@@ -1,4 +1,4 @@
-package core
+package engine
 
 // The visited set V of Figure 4 used to be a map[string]bool keyed by a
 // stringified bitmask, which cost two allocations per DFS node (the byte
@@ -46,16 +46,6 @@ func newBitsetSet() *bitsetSet { return &bitsetSet{m: map[uint64][]bitset{}} }
 // nothing to reuse across session runs.
 func (s *bitsetSet) reset() { clear(s.m) }
 
-// has reports membership.
-func (s *bitsetSet) has(b bitset) bool {
-	for _, e := range s.m[b.hash()] {
-		if e.equal(b) {
-			return true
-		}
-	}
-	return false
-}
-
 // add inserts b, reporting whether it was newly added.
 func (s *bitsetSet) add(b bitset) bool {
 	h := b.hash()
@@ -66,12 +56,4 @@ func (s *bitsetSet) add(b bitset) bool {
 	}
 	s.m[h] = append(s.m[h], b)
 	return true
-}
-
-func (s *bitsetSet) len() int {
-	n := 0
-	for _, bucket := range s.m {
-		n += len(bucket)
-	}
-	return n
 }

@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"slices"
@@ -26,7 +26,7 @@ import (
 // with the plan-DAG builder; this pass is the wait-elision loop over it.
 // It writes into the engine's pooled buffer and returns one exact-size
 // copy, the caller's own.
-func (e *engine) removeWaits(steps []Step) []Step {
+func (e *Engine) removeWaits(steps []Step) []Step {
 	d := e.newDepAnalysis()
 	defer d.release()
 	out := slices.Grow(e.scr.waits[:0], len(steps))
@@ -112,7 +112,7 @@ func anyTrue(bs []bool) bool {
 // be forwarded to by the given table on switch sw (in-port constraints
 // are ignored, which only keeps more waits — a safe direction), appending
 // them to dst.
-func (e *engine) appendClassSuccessors(dst []int, tbl network.Table, sw int, pkt network.Packet) []int {
+func (e *Engine) appendClassSuccessors(dst []int, tbl network.Table, sw int, pkt network.Packet) []int {
 	for _, r := range tbl {
 		if !headerMatches(r.Match, pkt) {
 			continue

@@ -55,7 +55,7 @@ type Options struct {
 	// NoWaitRemoval disables the wait-removal post-pass (Section 4.2.C).
 	NoWaitRemoval bool `json:"noWaitRemoval,omitempty" flag:"no-wait-removal" help:"keep all waits" plan:"2"`
 	// NoDecomposition disables interference-partitioned search (see
-	// internal/core/decompose.go): the diff is always solved as one joint ORDERUPDATE
+	// internal/engine/decompose.go): the diff is always solved as one joint ORDERUPDATE
 	// search, as in the paper. By default the engine splits the update
 	// units into independent subproblems — connected components of the
 	// unit-interference graph, where two units interfere when they touch

@@ -28,7 +28,8 @@
 //   - internal/hsa      — header-space checker (NetPlumber stand-in),
 //     likewise
 //   - internal/sat      — CDCL solver for early search termination
-//   - internal/core     — the ORDERUPDATE synthesis engine (Section 4)
+//   - internal/engine   — the ORDERUPDATE synthesis engine (Section 4)
+//   - internal/core     — warm sessions, plan cache and repair around it
 //   - internal/twophase — two-phase and naive update baselines
 //   - internal/sim      — discrete-event simulator for the Figure 2 experiments
 package netupdate
