@@ -13,22 +13,6 @@ import (
 	"netupdate/internal/topology"
 )
 
-// Stream is a sequence of target configurations over one fixed topology
-// and one fixed set of class specifications — the steady-state workload a
-// long-lived synthesis session serves. Next returns the next target (the
-// caller synthesizes the plan from wherever it currently is) and io.EOF
-// when the stream is exhausted.
-type Stream interface {
-	// Topo returns the fixed topology every target routes over.
-	Topo() *topology.Topology
-	// Init returns the configuration the stream starts from.
-	Init() *Config
-	// Specs returns the per-class specifications, fixed for the stream.
-	Specs() []ClassSpec
-	// Next returns the next target configuration, or io.EOF.
-	Next() (*Config, error)
-}
-
 // RemoveClassRules deletes every rule matching exactly the class's flow
 // pattern from cfg, across all switches. It visits only the switches whose
 // tables hold the pattern, which each chunk indexes, and a touched switch
@@ -342,85 +326,6 @@ func (b *StreamBase) Apply(cur *Config, d *StreamDelta) (*Config, error) {
 	return next, nil
 }
 
-// ScenarioStream decodes a JSONL synthesis stream: a StreamHeader
-// followed by any number of StreamDelta values (one JSON value per line
-// by convention; any whitespace separation decodes). Each delta is
-// applied on top of the previous target, so targets accumulate: a class
-// not rerouted by a delta keeps its current path. Decode and validation
-// errors are positioned: they carry the delta's ordinal and the input
-// line it sits on (see LineCountingReader).
-type ScenarioStream struct {
-	base    *StreamBase
-	cur     *Config // last target handed out
-	dec     *json.Decoder
-	lines   *LineCountingReader
-	line    int // input line of the last decoded delta
-	emitted int
-}
-
-// OpenStream reads and validates the stream header, returning a stream
-// whose Next decodes and applies one delta per call. Unknown JSON fields
-// are rejected (like the scenario-file loader), so a misspelled delta key
-// fails loudly instead of silently producing a no-op target.
-func OpenStream(r io.Reader) (*ScenarioStream, error) {
-	lines := NewLineCountingReader(r)
-	dec := json.NewDecoder(lines)
-	dec.DisallowUnknownFields()
-	var h StreamHeader
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("config: stream header (line %d): %w",
-			lines.DecodeErrorLine(err, dec), err)
-	}
-	base, err := h.Build()
-	if err != nil {
-		return nil, err
-	}
-	return &ScenarioStream{base: base, cur: base.Init, dec: dec, lines: lines}, nil
-}
-
-// Name returns the stream's name from the header.
-func (s *ScenarioStream) Name() string { return s.base.Name }
-
-// Topo implements Stream.
-func (s *ScenarioStream) Topo() *topology.Topology { return s.base.Topo }
-
-// Init implements Stream.
-func (s *ScenarioStream) Init() *Config { return s.base.Init }
-
-// Specs implements Stream.
-func (s *ScenarioStream) Specs() []ClassSpec { return s.base.Specs }
-
-// Line returns the input line of the last delta Next decoded (0 before
-// the first call). Errors from Next already embed it; a caller reporting
-// on a target uses it to position its own report.
-func (s *ScenarioStream) Line() int { return s.line }
-
-// Next implements Stream: decode the next delta, apply it to the previous
-// target, and validate that every rerouted class still delivers. A
-// semantically invalid delta is reported wrapped in ErrBadDelta and
-// skipped — the previous target stands and Next may be called again; only
-// decode errors (after which the stream position is unreliable) are
-// terminal. Both kinds carry the offending input line.
-func (s *ScenarioStream) Next() (*Config, error) {
-	var d StreamDelta
-	if err := s.dec.Decode(&d); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("config: stream delta %d (line %d): %w",
-			s.emitted+1, s.lines.DecodeErrorLine(err, s.dec), err)
-	}
-	s.emitted++
-	s.line = s.lines.LineAt(s.dec.InputOffset() - 1)
-	s.lines.Prune(s.dec.InputOffset())
-	next, err := s.base.Apply(s.cur, &d)
-	if err != nil {
-		return nil, fmt.Errorf("%w (delta %d, line %d)", err, s.emitted, s.line)
-	}
-	s.cur = next
-	return next, nil
-}
-
 // RollingOptions parameterizes the rolling-update workload generator.
 type RollingOptions struct {
 	Pairs    int      // diamonds carved into the topology
@@ -517,17 +422,17 @@ func isDiamondClass(cl Class) bool {
 	return len(cl.Name) >= 4 && cl.Name[:4] == "pair"
 }
 
-// Topo implements Stream.
+// Topo returns the fixed topology every target routes over.
 func (s *RollingStream) Topo() *topology.Topology { return s.topo }
 
-// Init implements Stream.
+// Init returns the configuration the stream starts from.
 func (s *RollingStream) Init() *Config { return s.init }
 
-// Specs implements Stream.
+// Specs returns the per-class specifications, fixed for the stream.
 func (s *RollingStream) Specs() []ClassSpec { return s.specs }
 
-// Next implements Stream: flip FlipsPerStep distinct random diamonds onto
-// their other branch.
+// Next returns the next target, or io.EOF once Steps were handed out:
+// flip FlipsPerStep distinct random diamonds onto their other branch.
 func (s *RollingStream) Next() (*Config, error) {
 	if s.left == 0 {
 		return nil, io.EOF
@@ -553,8 +458,3 @@ func (s *RollingStream) Next() (*Config, error) {
 	s.cur = next
 	return next, nil
 }
-
-var (
-	_ Stream = (*ScenarioStream)(nil)
-	_ Stream = (*RollingStream)(nil)
-)

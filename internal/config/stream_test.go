@@ -1,8 +1,10 @@
 package config
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,92 +19,38 @@ const lineStream = `
 {"reroute":[{"class":"c","path":[0,1,3]}]}
 `
 
-func TestScenarioStreamDecode(t *testing.T) {
-	s, err := OpenStream(strings.NewReader(lineStream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "line" {
-		t.Fatalf("name = %q", s.Name())
-	}
-	if len(s.Specs()) != 1 {
-		t.Fatalf("specs = %d, want 1", len(s.Specs()))
-	}
-	cl := s.Specs()[0].Class
-	p0, err := PathOf(s.Init(), s.Topo(), cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(p0), 4; got != want {
-		t.Fatalf("init path %v, want length %d", p0, want)
-	}
-	wantPaths := [][]int{{0, 2, 3}, {0, 1, 3}}
-	for i, want := range wantPaths {
-		tgt, err := s.Next()
-		if err != nil {
-			t.Fatalf("delta %d: %v", i, err)
-		}
-		got, err := PathOf(tgt, s.Topo(), cl)
-		if err != nil {
-			t.Fatalf("delta %d: %v", i, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("delta %d: path %v, want %v", i, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("delta %d: path %v, want %v", i, got, want)
-			}
-		}
-	}
-	if _, err := s.Next(); err != io.EOF {
-		t.Fatalf("err = %v, want io.EOF", err)
-	}
-}
-
-func TestScenarioStreamRejectsBadDelta(t *testing.T) {
-	bad := `
-{"name":"line","topology":{"switches":3,"links":[[0,1],[1,2]],
- "hosts":[{"id":100,"switch":0},{"id":101,"switch":2}]},
- "classes":[{"name":"c","src":100,"dst":101,"path":[0,1,2],"spec":"true"}]}
-{"reroute":[{"class":"nope","path":[0,1,2]}]}
-`
-	s, err := OpenStream(strings.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Next(); !errors.Is(err, ErrBadDelta) {
-		t.Fatalf("err = %v, want ErrBadDelta", err)
-	}
-	// A bad delta is recoverable: the previous target stands and the
-	// stream keeps decoding (here: straight to EOF).
-	if _, err := s.Next(); err != io.EOF {
-		t.Fatalf("err = %v, want io.EOF after skipped delta", err)
-	}
-}
-
 // TestDeltaNamesEachClassOnce: a delta that reroutes one class twice is
 // refused as a bad delta naming the class — so a delta costs the classes
-// it names, once each — and a stream skips it: the previous target stands,
-// and the next delta applies to it.
+// it names, once each — and leaves the target it was applied to for the
+// next delta.
 func TestDeltaNamesEachClassOnce(t *testing.T) {
-	twice := lineStream[:strings.Index(lineStream, "{\"reroute\"")] +
-		`{"reroute":[{"class":"c","path":[0,2,3]},{"class":"c","path":[0,1,3]}]}` + "\n" +
-		`{"reroute":[{"class":"c","path":[0,1,3]}]}` + "\n"
-	s, err := OpenStream(strings.NewReader(twice))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Next(); !errors.Is(err, ErrBadDelta) || !strings.Contains(err.Error(), `class "c" rerouted twice`) {
+	b := lineBase(t)
+	twice := &StreamDelta{Reroute: []Reroute{{Class: "c", Path: []int{0, 2, 3}}, {Class: "c", Path: []int{0, 1, 3}}}}
+	if _, err := b.Apply(b.Init, twice); !errors.Is(err, ErrBadDelta) || !strings.Contains(err.Error(), `class "c" rerouted twice`) {
 		t.Fatalf("err = %v, want ErrBadDelta naming class c", err)
 	}
-	tgt, err := s.Next()
+	tgt, err := b.Apply(b.Init, &StreamDelta{Reroute: []Reroute{{Class: "c", Path: []int{0, 1, 3}}}})
 	if err != nil {
 		t.Fatalf("the delta after the refused one: %v", err)
 	}
-	if got, err := PathOf(tgt, s.Topo(), s.Specs()[0].Class); err != nil || len(got) != 3 || got[1] != 1 {
+	if got, err := PathOf(tgt, b.Topo, b.Specs[0].Class); err != nil || !slices.Equal(got, []int{0, 1, 3}) {
 		t.Fatalf("path %v (%v), want [0 1 3]", got, err)
 	}
+}
+
+// lineBase is the stream base of lineStream's header: one class on a
+// four-switch line with two chords.
+func lineBase(t *testing.T) *StreamBase {
+	t.Helper()
+	var h StreamHeader
+	if err := json.NewDecoder(strings.NewReader(lineStream)).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	b, err := h.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestRemoveClassRules(t *testing.T) {
@@ -202,63 +150,6 @@ func TestRollingUpdatesStepsAreFeasibleScenarios(t *testing.T) {
 	}
 }
 
-// TestScenarioStreamRejectsUnknownFields: a misspelled delta key must
-// fail loudly, not silently decode into a no-op target.
-func TestScenarioStreamRejectsUnknownFields(t *testing.T) {
-	bad := `
-{"name":"line","topology":{"switches":3,"links":[[0,1],[1,2]],
- "hosts":[{"id":100,"switch":0},{"id":101,"switch":2}]},
- "classes":[{"name":"c","src":100,"dst":101,"path":[0,1,2],"spec":"true"}]}
-{"rerouted":[{"class":"c","path":[0,1,2]}]}
-`
-	s, err := OpenStream(strings.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Next(); err == nil {
-		t.Fatal("misspelled delta key must be rejected")
-	}
-}
-
-// TestScenarioStreamErrorsCarryLineNumbers: both semantic (ErrBadDelta)
-// and syntax decode errors must name the offending JSONL input line.
-func TestScenarioStreamErrorsCarryLineNumbers(t *testing.T) {
-	// Header spans lines 2-4; the first (good) delta is line 5, the bad
-	// delta is line 6, and line 7 holds garbage for the syntax-error case.
-	in := `
-{"name":"line","topology":{"switches":4,"links":[[0,1],[1,2],[2,3],[0,2]],
- "hosts":[{"id":100,"switch":0},{"id":101,"switch":3}]},
- "classes":[{"name":"c","src":100,"dst":101,"path":[0,1,2,3],"spec":"sw=0 -> F sw=3"}]}
-{"reroute":[{"class":"c","path":[0,2,3]}]}
-{"reroute":[{"class":"nope","path":[0,1,2,3]}]}
-{"reroute":
-`
-	s, err := OpenStream(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Line(); got != 5 {
-		t.Fatalf("good delta line = %d, want 5", got)
-	}
-	_, err = s.Next()
-	if !errors.Is(err, ErrBadDelta) {
-		t.Fatalf("err = %v, want ErrBadDelta", err)
-	}
-	if !strings.Contains(err.Error(), "line 6") {
-		t.Fatalf("bad-delta error lacks line number: %v", err)
-	}
-	_, err = s.Next()
-	if err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("truncated delta must be a decode error, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "line 7") && !strings.Contains(err.Error(), "line 8") {
-		t.Fatalf("decode error lacks line number: %v", err)
-	}
-}
-
 // TestLineCountingReader: offsets map to 1-based lines.
 func TestLineCountingReader(t *testing.T) {
 	r := NewLineCountingReader(strings.NewReader("ab\ncd\nef"))
@@ -294,7 +185,8 @@ func TestLineCountingReader(t *testing.T) {
 }
 
 // TestStreamBaseApply: the shared delta applicator leaves the input
-// configuration untouched and validates reroutes.
+// configuration untouched, validates reroutes, and applies each delta on
+// top of the target before it.
 func TestStreamBaseApply(t *testing.T) {
 	h := StreamHeader{
 		Name: "b",
@@ -323,5 +215,17 @@ func TestStreamBaseApply(t *testing.T) {
 	}
 	if _, err := b.Apply(b.Init, &StreamDelta{Reroute: []Reroute{{Class: "x", Path: []int{0}}}}); !errors.Is(err, ErrBadDelta) {
 		t.Fatalf("unknown class: err = %v, want ErrBadDelta", err)
+	}
+	// Targets accumulate: a delta applies on top of the target before it.
+	line := lineBase(t)
+	cl = line.Specs[0].Class
+	cur := line.Init
+	for i, want := range [][]int{{0, 2, 3}, {0, 1, 3}} {
+		if cur, err = line.Apply(cur, &StreamDelta{Reroute: []Reroute{{Class: "c", Path: want}}}); err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		if got, err := PathOf(cur, line.Topo, cl); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("delta %d: path %v (%v), want %v", i, got, err, want)
+		}
 	}
 }

@@ -102,10 +102,6 @@ type (
 	// generator (independent update regions plus coupling cross traffic),
 	// the natural workload for the decomposition layer.
 	MultiRegionOptions = config.MultiRegionOptions
-	// Stream is a sequence of target configurations over one topology.
-	Stream = config.Stream
-	// ScenarioStream decodes a JSONL stream of configuration deltas.
-	ScenarioStream = config.ScenarioStream
 	// RollingStream is the generated rolling-update workload.
 	RollingStream = config.RollingStream
 	// RollingOptions parameterizes the rolling-update generator.
@@ -340,10 +336,6 @@ var (
 
 // Stream constructors (see DESIGN.md "Session architecture").
 var (
-	// OpenStream decodes a JSONL scenario stream (header + reroute
-	// deltas) for library use; netupdate -stream and the daemon read the
-	// same format through the serving pool (internal/server).
-	OpenStream = config.OpenStream
 	// RollingUpdates random-walks diamond targets over one topology, the
 	// generated steady-state workload for long-lived sessions.
 	RollingUpdates = config.RollingUpdates
