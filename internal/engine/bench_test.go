@@ -29,13 +29,15 @@ func BenchmarkOrderingAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	units := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), nil, false, false)
+	shell := newEngineShell(sc, grain{})
+	units, aff := shell.units, shell.aff
 	scr := scratchPool.Get().(*engineScratch)
 	defer scratchPool.Put(scr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := newEngineShellWith(sc, Ablation{}, units, scr)
+		e.aff = aff
 		steps := e.removeWaits(plan.Steps)
 		dag := e.buildDAG(steps)
 		if countWaits(steps) >= countWaits(plan.Steps) || dag.NumNodes() != len(units) {
@@ -60,6 +62,7 @@ func BenchmarkOrderingAnalysisMixed(b *testing.B) {
 	}
 	type plan struct {
 		sc    *config.Scenario
+		aff   *Affected
 		units []unit
 		steps []Step
 	}
@@ -70,8 +73,8 @@ func BenchmarkOrderingAnalysisMixed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		units := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), nil, false, false)
-		plans = append(plans, plan{sc, units, p.Steps})
+		shell := newEngineShell(sc, grain{})
+		plans = append(plans, plan{sc, shell.aff, shell.units, p.Steps})
 	}
 	scr := scratchPool.Get().(*engineScratch)
 	defer scratchPool.Put(scr)
@@ -80,6 +83,7 @@ func BenchmarkOrderingAnalysisMixed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, p := range plans {
 			e := newEngineShellWith(p.sc, Ablation{}, p.units, scr)
+			e.aff = p.aff
 			if dag := e.buildDAG(e.removeWaits(p.steps)); dag.NumNodes() != len(p.units) {
 				b.Fatalf("%d DAG nodes for %d units", dag.NumNodes(), len(p.units))
 			}

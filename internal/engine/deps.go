@@ -225,15 +225,12 @@ func (d *depAnalysis) affected(sw int, tbl network.Table) []bool {
 	// the classes the rules name are compared (flowIndex).
 	row := scr.affRows.take(len(e.sc.Specs))
 	clear(row)
-	if e.flows == nil {
-		e.flows = newFlowIndex(e.sc.Specs)
-	}
 	ruled := d.s.ruled[:0]
 	for _, r := range old {
-		ruled = e.flows.appendMatching(ruled, r.Match)
+		ruled = e.aff.flows.appendMatching(ruled, r.Match)
 	}
 	for _, r := range tbl {
-		ruled = e.flows.appendMatching(ruled, r.Match)
+		ruled = e.aff.flows.appendMatching(ruled, r.Match)
 	}
 	slices.Sort(ruled)
 	for _, ci := range slices.Compact(ruled) {

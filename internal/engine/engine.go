@@ -153,7 +153,7 @@ func Begin(ctx context.Context, r Request) *Engine {
 	scr.units = computeUnits(scr.units[:0], &scr.sc, aff.Switches, aff.flows, r.Rules, r.TwoSimple)
 	e := newEngineShellWith(&scr.sc, r.Ablation, scr.units, scr)
 	e.rules, e.twoSimple = r.Rules, r.TwoSimple
-	e.aff, e.flows, e.classes = aff, aff.flows, aff.Classes
+	e.aff, e.classes = aff, aff.Classes
 	if ctx != nil && ctx.Done() != nil {
 		e.ctx = ctx
 	}
@@ -316,9 +316,6 @@ type Engine struct {
 	statsBase []mc.Stats
 
 	curTables map[int]network.Table
-	// flows indexes sc.Specs by flow: the request engine's is Affected's,
-	// another engine builds its own on first use.
-	flows flowIndex
 
 	// scr is the scratch the engine runs on — the visited set, curTables,
 	// the ordering-analysis scratch, the undo frames of each search depth

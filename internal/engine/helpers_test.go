@@ -93,9 +93,10 @@ func begin(tb testing.TB, ctx context.Context, sc *config.Scenario, g grain, abl
 // diff, as Begin does for a request's: what the ordering analysis, which
 // reads tables only, runs on.
 func newEngineShell(sc *config.Scenario, g grain) *Engine {
-	units := computeUnits(nil, sc, config.Diff(sc.Init, sc.Final), nil, g.rules, g.twoSimple)
-	e := newEngineShellWith(sc, Ablation{}, units, nil)
-	e.rules, e.twoSimple = g.rules, g.twoSimple
+	aff := &Affected{}
+	aff.Reset(sc.Specs, sc.Init, sc.Final)
+	e := newEngineShellWith(sc, Ablation{}, computeUnits(nil, sc, aff.Switches, aff.flows, g.rules, g.twoSimple), nil)
+	e.rules, e.twoSimple, e.aff = g.rules, g.twoSimple, aff
 	return e
 }
 

@@ -100,7 +100,7 @@ func TestDestinationRankTracesOnlyMovedClasses(t *testing.T) {
 			t.Fatalf("scenario %d: empty diff", si)
 		}
 		want := everyClassRank(sc)
-		got := destinationRank(sc, diff, nil)
+		got := destinationRank(sc, diff, newFlowIndex(sc.Specs))
 		for i, sw := range diff {
 			w, ok := want[sw]
 			if !ok {
@@ -118,7 +118,7 @@ func TestDestinationRankTracesOnlyMovedClasses(t *testing.T) {
 			}
 		}
 		for _, g := range []struct{ rules, twoSimple bool }{{false, false}, {true, false}, {false, true}} {
-			units := computeUnits(nil, sc, diff, nil, g.rules, g.twoSimple)
+			units := computeUnits(nil, sc, diff, newFlowIndex(sc.Specs), g.rules, g.twoSimple)
 			for _, u := range units {
 				w, ok := want[u.sw]
 				if !ok {

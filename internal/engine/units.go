@@ -93,7 +93,7 @@ const lateRank = 1_000_000
 // commands. A whole-table unit installs the target's own table: a
 // configuration's tables are immutable (config.Config), and nothing
 // writes to a unit's. The units are appended to dst, the request's pooled
-// buffer. flows indexes sc.Specs (nil builds the index).
+// buffer. flows indexes sc.Specs.
 func computeUnits(dst []unit, sc *config.Scenario, diff []int, flows flowIndex, ruleGranularity, twoSimple bool) []unit {
 	rank := destinationRank(sc, diff, flows) // indexed like diff
 	units := slices.Grow(dst[:0], len(diff))
@@ -213,16 +213,13 @@ outer:
 //
 // A class's final path can cross a switch only through a rule of the
 // switch's final table that matches the class, so only the classes such
-// rules of the diff switches match are traced, found through flows (nil
-// builds it): a request pays for the rules on the switches its delta
-// touched, not for every class of the tenant.
+// rules of the diff switches match are traced, found through flows: a
+// request pays for the rules on the switches its delta touched, not for
+// every class of the tenant.
 func destinationRank(sc *config.Scenario, diff []int, flows flowIndex) []int {
 	rank := make([]int, len(diff))
 	for i := range rank {
 		rank[i] = lateRank
-	}
-	if flows == nil {
-		flows = newFlowIndex(sc.Specs)
 	}
 	var buf [64]int
 	classes := buf[:0]
