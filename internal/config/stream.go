@@ -67,17 +67,12 @@ func RerouteClass(cfg *Config, topo *topology.Topology, cl Class, path []int, pr
 // LineCountingReader wraps a stream reader and records where each line
 // starts, so decoders that report byte offsets (encoding/json) can be
 // translated to the 1-based line numbers humans grep for in a JSONL
-// stream. It is what lets stream and request decode errors name the
-// offending line instead of a bare byte offset. Long-lived consumers
-// (the stream CLI, a held-open daemon connection) call Prune after each
-// decoded value so the newline index stays bounded by the decoder's
-// unread window instead of growing with the whole stream.
+// stream. It is what lets a decode error in a stream header or a
+// registration name the offending line instead of a bare byte offset.
 type LineCountingReader struct {
-	r    io.Reader
-	nl   []int64 // offsets of '\n' served and not yet pruned
-	base int     // newlines pruned away (all below every retained offset)
-	n    int64   // total bytes served
-	eof  bool    // r has reported io.EOF
+	r  io.Reader
+	nl []int64 // offsets of the '\n' bytes served
+	n  int64   // total bytes served
 }
 
 // NewLineCountingReader wraps r.
@@ -94,39 +89,12 @@ func (t *LineCountingReader) Read(p []byte) (int, error) {
 		}
 	}
 	t.n += int64(n)
-	if err == io.EOF {
-		t.eof = true
-	}
 	return n, err
-}
-
-// UsedUp reports whether dec, decoding from t, is known to hold no
-// further value: the source has reported io.EOF and dec buffers nothing
-// but JSON whitespace, so dec's next Decode returns io.EOF at once. A
-// reader that reports io.EOF only on the read after its last
-// byte (a pipe, a terminal) is not known to be used up until that read.
-func (t *LineCountingReader) UsedUp(dec *json.Decoder) bool {
-	if !t.eof {
-		return false
-	}
-	var buf [64]byte
-	rest := dec.Buffered()
-	for {
-		n, err := rest.Read(buf[:])
-		for _, c := range buf[:n] {
-			if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
-				return false
-			}
-		}
-		if err != nil {
-			return true
-		}
-	}
 }
 
 // LineAt returns the 1-based line number containing byte offset off.
 // Offsets at or past the bytes served so far land on the last known
-// line; offsets already pruned land on the first retained line.
+// line.
 func (t *LineCountingReader) LineAt(off int64) int {
 	lo, hi := 0, len(t.nl)
 	for lo < hi {
@@ -137,29 +105,17 @@ func (t *LineCountingReader) LineAt(off int64) int {
 			hi = mid
 		}
 	}
-	return t.base + lo + 1
+	return lo + 1
 }
 
-// Prune forgets newline offsets below off, keeping the line index
-// bounded for endless streams. Callers prune up to the decoder's
-// position after handling each value: every offset a later decode error
-// can report is at or past it.
-func (t *LineCountingReader) Prune(off int64) {
-	i := 0
-	for i < len(t.nl) && t.nl[i] < off {
-		i++
-	}
-	if i > 0 {
-		t.base += i
-		t.nl = append(t.nl[:0], t.nl[i:]...)
-	}
-}
-
-// DecodeErrorLine maps a json decode error (or, failing that, the
-// decoder's current input offset) to the line it occurred on. Syntax and
-// type errors carry their own stream offset; other errors — including
-// io.ErrUnexpectedEOF and DisallowUnknownFields rejections — are
-// attributed to the decoder's position after the failed read.
+// DecodeErrorLine maps the error of a decoder's first Decode (or, failing
+// that, the decoder's current input offset) to the line it occurred on.
+// Syntax errors carry a stream offset, and type errors an offset from the
+// start of the value being decoded, which is the stream's start only for
+// the first value — the stream header and a registration, the values
+// this serves. Other errors — including io.ErrUnexpectedEOF and
+// DisallowUnknownFields rejections — are attributed to the decoder's
+// position after the failed read.
 func (t *LineCountingReader) DecodeErrorLine(err error, dec *json.Decoder) int {
 	var syn *json.SyntaxError
 	if errors.As(err, &syn) {

@@ -167,21 +167,6 @@ func TestLineCountingReader(t *testing.T) {
 			t.Fatalf("LineAt(%d) = %d, want %d", tc.off, got, tc.want)
 		}
 	}
-	// Pruning forgets early offsets but preserves line numbering for
-	// everything at or past the prune point.
-	r.Prune(3)
-	for _, tc := range []struct {
-		off  int64
-		want int
-	}{{3, 2}, {5, 2}, {6, 3}, {100, 3}} {
-		if got := r.LineAt(tc.off); got != tc.want {
-			t.Fatalf("after Prune(3): LineAt(%d) = %d, want %d", tc.off, got, tc.want)
-		}
-	}
-	r.Prune(100)
-	if got := r.LineAt(100); got != 3 {
-		t.Fatalf("after Prune(100): LineAt(100) = %d, want 3", got)
-	}
 }
 
 // TestStreamBaseApply: the shared delta applicator leaves the input

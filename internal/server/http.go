@@ -106,8 +106,9 @@ func (p *Pool) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), err, 0)
 		return
 	}
+	query := r.URL.Query()
 	var perDelta time.Duration
-	if q := r.URL.Query().Get("timeout"); q != "" {
+	if q := query.Get("timeout"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil || d <= 0 {
 			writeError(w, http.StatusBadRequest,
@@ -133,20 +134,17 @@ func (p *Pool) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	// ignored, like the handler-doesn't-support case).
 	rc := http.NewResponseController(w)
 	_ = rc.EnableFullDuplex()
-	lines := config.NewLineCountingReader(r.Body)
-	dec := json.NewDecoder(lines)
-	dec.DisallowUnknownFields()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	ctx := obs.WithRequestID(r.Context(), reqID)
 	// ?trace=1 attaches a per-request span recorder to each synthesis in
 	// the stream; the exported span tree rides back on the Result line.
-	if r.URL.Query().Get("trace") == "1" {
+	if query.Get("trace") == "1" {
 		ctx = obs.WithTracing(ctx)
 	}
 	// A terminal decode error has been reported in band, and a failed write
 	// means the client went away: either way the connection stays usable
 	// and the results already emitted stand.
-	_, _ = serveLines(r.Context(), ctx, perDelta, p, id, lines, dec, flushWriter{w, rc})
+	_, _ = serveLines(r.Context(), ctx, perDelta, p, id, r.Body, 1, flushWriter{w, rc})
 }
 
 // flushWriter is the response as serveLines sees it: a writer with a

@@ -160,29 +160,40 @@ func TestHTTPRegisterRejectsDeepSpec(t *testing.T) {
 	}
 }
 
-// TestHTTPDecodeErrorsArePositioned: a syntactically broken request body
-// yields an in-band error line naming the tenant and the body line.
+// TestHTTPDecodeErrorsArePositioned: a broken request body yields an
+// in-band error line naming the tenant and the body line the fault sits
+// on: a syntax error, and a path element of the wrong type in the third
+// and in the fifth line, after lines that were served.
 func TestHTTPDecodeErrorsArePositioned(t *testing.T) {
 	ts, _ := startDaemon(t, server.PoolOptions{})
 	info := register(t, ts, lineSpec)
-	body := `{"reroute":[{"class":"c","path":[0,2,3]}]}` + "\n" + `{"reroute": garbage` + "\n"
-	resp, err := http.Post(ts.URL+"/v1/tenants/"+info.ID+"/synthesize",
-		"application/x-ndjson", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
-	if len(lines) != 2 {
-		t.Fatalf("lines = %q", raw)
-	}
-	var last server.Result
-	if err := json.Unmarshal(lines[1], &last); err != nil {
-		t.Fatal(err)
-	}
-	if last.Result != "error" || last.Line != 2 || !strings.Contains(last.Error, info.ID) {
-		t.Fatalf("decode error must carry tenant id and line 2: %+v", last)
+	badPath := `{"reroute":[{"class":"c","path":["x"]}]}`
+	for _, c := range []struct {
+		lines []string
+		want  int
+	}{
+		{[]string{flipDelta, `{"reroute": garbage`}, 2},
+		{[]string{flipDelta, backDelta, badPath}, 3},
+		{[]string{flipDelta, backDelta, flipDelta, backDelta, badPath}, 5},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/tenants/"+info.ID+"/synthesize",
+			"application/x-ndjson", strings.NewReader(strings.Join(c.lines, "\n")+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+		if len(lines) != len(c.lines) {
+			t.Fatalf("lines = %q", raw)
+		}
+		var last server.Result
+		if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+			t.Fatal(err)
+		}
+		if last.Result != "error" || last.Line != c.want || !strings.Contains(last.Error, info.ID) {
+			t.Fatalf("decode error must carry tenant id and line %d: %+v", c.want, last)
+		}
 	}
 }
 

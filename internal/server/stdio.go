@@ -60,7 +60,10 @@ func ServeStdio(ctx context.Context, in io.Reader, out io.Writer, errw io.Writer
 	// The in-flight synthesis deliberately ignores ctx: a signal stops
 	// intake, the current request finishes and its plan line is flushed
 	// (the pool's PoolOptions.DefaultTimeout still bounds it).
-	served, err := serveLines(ctx, context.Background(), 0, p, info.ID, lines, dec, out)
+	// The header's decoder may have read past the header: the request
+	// loop reads what it holds, then the rest of the pipe.
+	served, err := serveLines(ctx, context.Background(), 0, p, info.ID,
+		io.MultiReader(dec.Buffered(), pr), lines.LineAt(dec.InputOffset()), out)
 	if !quiet {
 		if ctx.Err() != nil {
 			fmt.Fprintln(errw, "signal: stopped accepting input, draining")

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -41,46 +40,48 @@ type streamRequest struct {
 }
 
 // serveLines is the request loop of both serving surfaces: one
-// streamRequest per input value of dec (which reads through lines), served
-// through the pool under reqCtx — narrowed to perLine when positive — and
-// answered with one Result line on out, numbered from one. Semantically
-// invalid deltas (config.ErrBadDelta) are reported with their input line
-// and skipped. A decode error leaves the stream position unreliable, so it
-// is terminal: reported as a positioned Result line, and returned. End of
-// input, or intake being done once the request in hand is answered, ends
-// the loop with a nil error. The count is of requests answered.
+// streamRequest per input value read from src, whose first byte is on
+// line firstLine, served through the pool under reqCtx — narrowed to
+// perLine when positive — and answered with one Result line on out,
+// numbered from one. Requests are decoded by lineStream.next and answers
+// encoded by appendResult, each into a buffer pooled across streams.
+// Semantically invalid deltas (config.ErrBadDelta) are reported with
+// their input line and skipped. A decode error leaves the stream position
+// unreliable, so it is terminal: reported as a positioned Result line,
+// and returned. End of input, or intake being done once the request in
+// hand is answered, ends the loop with a nil error. The count is of
+// requests answered.
 //
 // If out has a Flush method, each Result line is flushed as it is
-// produced, unless the input is known to be used up
-// (config.LineCountingReader.UsedUp): then no client can be waiting for
-// the line before it sends more, and the caller's end of the output
-// carries it. Over HTTP that end is the end of the response, so the
-// answer to a request body read to its declared length leaves in one
-// write, framed by Content-Length. A line after which the decoder could
-// still block on its input is always flushed first.
+// produced, unless the input is known to be used up (lineStream.usedUp):
+// then no client can be waiting for the line before it sends more, and
+// the caller's end of the output carries it. Over HTTP that end is the
+// end of the response, so the answer to a request body read to its
+// declared length leaves in one write, framed by Content-Length. A line
+// after which the decoder could still block on its input is always
+// flushed first.
 func serveLines(intake, reqCtx context.Context, perLine time.Duration, p *Pool, id string,
-	lines *config.LineCountingReader, dec *json.Decoder, out io.Writer) (int, error) {
-	enc := json.NewEncoder(out)
+	src io.Reader, firstLine int, out io.Writer) (int, error) {
+	in := openStream(src, firstLine)
+	defer in.close()
 	flusher, _ := out.(interface{ Flush() error })
 	seq := 0
 	for intake.Err() == nil {
 		var req streamRequest
-		if err := dec.Decode(&req); err != nil {
+		line, err := in.next(&req)
+		if err != nil {
 			if err == io.EOF || intake.Err() != nil {
 				return seq, nil
 			}
 			seq++
-			line := lines.DecodeErrorLine(err, dec)
 			res := Result{Seq: seq, Tenant: id, Result: "error", Line: line,
 				Error: fmt.Sprintf("tenant %s: stream: %v", id, err)}
-			if encErr := enc.Encode(res); encErr != nil {
+			if encErr := in.writeResult(out, &res); encErr != nil {
 				return seq, encErr
 			}
 			return seq, fmt.Errorf("server: tenant %s: stream delta %d (line %d): %w", id, seq, line, err)
 		}
 		seq++
-		line := lines.LineAt(dec.InputOffset() - 1)
-		lines.Prune(dec.InputOffset())
 		ctx, cancel := reqCtx, context.CancelFunc(func() {})
 		if perLine > 0 {
 			ctx, cancel = context.WithTimeout(reqCtx, perLine)
@@ -97,10 +98,10 @@ func serveLines(intake, reqCtx context.Context, perLine time.Duration, p *Pool, 
 			}
 		}
 		cancel()
-		if err := enc.Encode(res); err != nil {
+		if err := in.writeResult(out, &res); err != nil {
 			return seq, err
 		}
-		if flusher != nil && !lines.UsedUp(dec) {
+		if flusher != nil && !in.usedUp() {
 			if err := flusher.Flush(); err != nil {
 				return seq, err
 			}

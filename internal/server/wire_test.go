@@ -12,8 +12,9 @@ import (
 // (waits kept, so the line has wait steps and switch 0) and of a
 // rule-granularity plan is byte for byte what the encoder wrote when
 // NewResult still grew its step list one append at a time and allocated
-// each switch number on its own. The durations are zeroed: they are the
-// only fields a run does not fix.
+// each switch number on its own, from json.Marshal and from the serving
+// loop's appendResult alike. The durations are zeroed: they are the only
+// fields a run does not fix.
 func TestResultBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -32,20 +33,27 @@ func TestResultBytesPinned(t *testing.T) {
 		}
 		st := &plan.Stats
 		st.Elapsed, st.RebindElapsed, st.SearchElapsed, st.WaitRemovalElapsed, st.VerifyElapsed, st.CacheVerifyElapsed = 0, 0, 0, 0, 0, 0
-		line, err := json.Marshal(NewResult(1, "t1", plan, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(line) != c.want {
-			t.Errorf("%s:\n got %s\nwant %s", c.name, line, c.want)
-		}
+		checkResultBytes(t, c.name, NewResult(1, "t1", plan, nil), c.want)
 	}
 	// An empty plan still omits its steps.
-	line, err := json.Marshal(NewResult(1, "t1", &core.Plan{}, nil))
+	checkResultBytes(t, "empty plan", NewResult(1, "t1", &core.Plan{}, nil),
+		`{"seq":1,"tenant":"t1","result":"plan","stats":{"units":0,"components":0,"checks":0,"classSkips":0,"waits":0,"elapsedMs":0}}`)
+}
+
+// checkResultBytes requires both encoders to write res as want.
+func checkResultBytes(t *testing.T, name string, res Result, want string) {
+	t.Helper()
+	line, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"seq":1,"tenant":"t1","result":"plan","stats":{"units":0,"components":0,"checks":0,"classSkips":0,"waits":0,"elapsedMs":0}}`; string(line) != want {
-		t.Errorf("empty plan:\n got %s\nwant %s", line, want)
+	if string(line) != want {
+		t.Errorf("%s, json.Marshal:\n got %s\nwant %s", name, line, want)
+	}
+	if line, err = appendResult(nil, &res); err != nil {
+		t.Fatal(err)
+	}
+	if string(line) != want {
+		t.Errorf("%s, appendResult:\n got %s\nwant %s", name, line, want)
 	}
 }

@@ -199,11 +199,38 @@ func TestFaultSpecParsing(t *testing.T) {
 	if f, err = ParseFaults("crash=7"); err != nil || f.Crash.Switch != 7 || f.Crash.AtCommit != 0 {
 		t.Fatalf("crash=7 parsed to %+v, %v", f, err)
 	}
-	for _, bad := range []string{"crash=x", "ackloss=1.5", "ackloss=-1", "boom=1", "seed=abc", "nonsense"} {
+	for _, bad := range []string{"crash=x", "ackloss=1.5", "ackloss=-1", "ackloss=NaN", "installloss=nan", "boom=1", "seed=abc", "nonsense"} {
 		if _, err := ParseFaults(bad); err == nil {
 			t.Fatalf("ParseFaults(%q) accepted garbage", bad)
 		}
 	}
+}
+
+// FuzzParseFaults: a -faults specification is an error or an injector
+// whose probabilities are all in [0,1) and whose crash, if any, comes at
+// a commit index of 0 or more; never a panic. The seeds are the grammar's
+// every key and the NaN probabilities it once accepted.
+func FuzzParseFaults(f *testing.F) {
+	for _, seed := range []string{
+		"crash=3@1,ackloss=0.2,ackdup=0.05,installloss=0.1,seed=42",
+		"crash=7", " , ackdup=0.999 ,", "ackloss=NaN", "installloss=nan", "ackdup=-0", "crash=1@-1", "ackloss=1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fs, err := ParseFaults(spec)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{fs.AckLoss, fs.AckDup, fs.InstallLoss} {
+			if !(p >= 0 && p < 1) {
+				t.Fatalf("%q: probability %v outside [0,1)", spec, p)
+			}
+		}
+		if fs.Crash != nil && fs.Crash.AtCommit < 0 {
+			t.Fatalf("%q: crash at commit %d", spec, fs.Crash.AtCommit)
+		}
+	})
 }
 
 // TestMinInflightSentTracking is the unit test for the drain-watermark

@@ -45,7 +45,7 @@ func ParseFaults(spec string) (*Faults, error) {
 			f.Crash = c
 		case "ackloss", "ackdup", "installloss":
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p >= 1 {
+			if err != nil || !(p >= 0 && p < 1) { // NaN is in no range
 				return nil, fmt.Errorf("faults: %s must be a probability in [0,1), got %q", key, val)
 			}
 			switch key {
