@@ -181,23 +181,6 @@ func appendEdges(b []byte, lists [][]int) []byte {
 // shortest representation, in exponent form only below 1e-6 or from
 // 1e21 on, with the exponent unpadded.
 func appendFloat(b []byte, f float64) []byte {
-	// A duration as wireMS writes it, in milliseconds to the microsecond,
-	// is the float nearest some n/1000, and under 1e12 no other decimal of
-	// as few digits is nearer it than half a thousandth: its shortest form
-	// is n/1000 itself, which needs no float formatting.
-	if n := math.Round(f * 1000); f > 0 && f < 1e12 && n/1000 == f {
-		ms := int64(n)
-		b = strconv.AppendInt(b, ms/1000, 10)
-		if us := ms % 1000; us != 0 {
-			digits := [...]byte{'.', byte('0' + us/100), byte('0' + us/10%10), byte('0' + us%10)}
-			k := len(digits)
-			for digits[k-1] == '0' {
-				k--
-			}
-			b = append(b, digits[:k]...)
-		}
-		return b
-	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -301,13 +301,27 @@ func (c countingConn) Write(b []byte) (int, error) {
 // plan-cache hit — what a serve-small request of the serving benchmark is.
 // writes/op counts the server's Write calls on the connection: one, when the
 // answer leaves with the end of the response.
+//
+// A request draws its buffers from sync.Pools (the engine's scratch, the
+// wire's buffers), and a pool keeps an object per P that no other P can
+// take: on two Ps a one-iteration run whose request lands on the other P
+// than the priming's read 18 KB instead of 7.4 KB about one time in five.
+// So this op runs on one P, where it reads what a warm daemon's requests
+// allocate, and BenchmarkHTTPSynthesizeColdPools reads what a request
+// allocates when it finds its pools empty.
 func BenchmarkHTTPSynthesize(b *testing.B) {
-	// A request draws its buffers from sync.Pools (the engine's scratch,
-	// the wire's buffers), and a pool keeps an object per P that no other P
-	// can take: on two Ps a one-iteration run whose request lands on the
-	// other P than the priming's read 18 KB instead of 7.4 KB about one time
-	// in five. On one P it reads what a warm daemon's requests allocate.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchHTTPSynthesize(b, false)
+}
+
+// BenchmarkHTTPSynthesizeColdPools is BenchmarkHTTPSynthesize with every
+// sync.Pool emptied before each op (two collections, the timer stopped):
+// the cost of a request served on a P whose pools are cold.
+func BenchmarkHTTPSynthesizeColdPools(b *testing.B) {
+	benchHTTPSynthesize(b, true)
+}
+
+func benchHTTPSynthesize(b *testing.B, emptyPools bool) {
 	p := server.NewPool(server.PoolOptions{})
 	defer p.Close(context.Background())
 	var spec server.TenantSpec
@@ -360,6 +374,12 @@ func BenchmarkHTTPSynthesize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if emptyPools {
+			b.StopTimer()
+			runtime.GC()
+			runtime.GC()
+			b.StartTimer()
+		}
 		post(reqs[i%2])
 	}
 	b.StopTimer()
