@@ -1,7 +1,6 @@
 package config
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -62,75 +61,6 @@ func RemoveClassRules(cfg *Config, cl Class) {
 func RerouteClass(cfg *Config, topo *topology.Topology, cl Class, path []int, priority int) error {
 	RemoveClassRules(cfg, cl)
 	return InstallPath(cfg, topo, cl, path, priority)
-}
-
-// LineCountingReader wraps a stream reader and records where each line
-// starts, so decoders that report byte offsets (encoding/json) can be
-// translated to the 1-based line numbers humans grep for in a JSONL
-// stream. It is what lets a decode error in a stream header or a
-// registration name the offending line instead of a bare byte offset.
-type LineCountingReader struct {
-	r  io.Reader
-	nl []int64 // offsets of the '\n' bytes served
-	n  int64   // total bytes served
-}
-
-// NewLineCountingReader wraps r.
-func NewLineCountingReader(r io.Reader) *LineCountingReader {
-	return &LineCountingReader{r: r}
-}
-
-// Read implements io.Reader.
-func (t *LineCountingReader) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	for i := 0; i < n; i++ {
-		if p[i] == '\n' {
-			t.nl = append(t.nl, t.n+int64(i))
-		}
-	}
-	t.n += int64(n)
-	return n, err
-}
-
-// LineAt returns the 1-based line number containing byte offset off.
-// Offsets at or past the bytes served so far land on the last known
-// line.
-func (t *LineCountingReader) LineAt(off int64) int {
-	lo, hi := 0, len(t.nl)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.nl[mid] < off {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
-}
-
-// DecodeErrorLine maps the error of a decoder's first Decode (or, failing
-// that, the decoder's current input offset) to the line it occurred on.
-// Syntax errors carry a stream offset, and type errors an offset from the
-// start of the value being decoded, which is the stream's start only for
-// the first value — the stream header and a registration, the values
-// this serves. Other errors — including io.ErrUnexpectedEOF and
-// DisallowUnknownFields rejections — are attributed to the decoder's
-// position after the failed read.
-func (t *LineCountingReader) DecodeErrorLine(err error, dec *json.Decoder) int {
-	var syn *json.SyntaxError
-	if errors.As(err, &syn) {
-		return t.LineAt(syn.Offset)
-	}
-	var typ *json.UnmarshalTypeError
-	if errors.As(err, &typ) {
-		return t.LineAt(typ.Offset)
-	}
-	if errors.Is(err, io.ErrUnexpectedEOF) {
-		// The decoder position does not advance past a value it could not
-		// finish scanning; the truncation itself is at the end of input.
-		return t.LineAt(t.n)
-	}
-	return t.LineAt(dec.InputOffset())
 }
 
 // StreamHeader is the first JSON value of a scenario stream: the fixed

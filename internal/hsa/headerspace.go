@@ -161,17 +161,6 @@ func (v Vec) String() string {
 // Space is a union of ternary vectors (a header space).
 type Space []Vec
 
-// SpaceFrom builds a space from vectors, dropping empties.
-func SpaceFrom(vs ...Vec) Space {
-	var out Space
-	for _, v := range vs {
-		if !v.IsEmpty() {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // IsEmpty reports whether the space matches no header.
 func (s Space) IsEmpty() bool {
 	for _, v := range s {
@@ -198,18 +187,6 @@ func (s Space) Subtract(w Vec) Space {
 	var out Space
 	for _, v := range s {
 		out = append(out, v.Subtract(w)...)
-	}
-	return out
-}
-
-// SubtractSpace returns s minus every vector of t.
-func (s Space) SubtractSpace(t Space) Space {
-	out := s
-	for _, w := range t {
-		out = out.Subtract(w)
-		if out.IsEmpty() {
-			return nil
-		}
 	}
 	return out
 }

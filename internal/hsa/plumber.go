@@ -40,9 +40,6 @@ type ruleNode struct {
 	seq    int
 }
 
-// termKind classifies terminal header-space portions at a flow.
-type termKind uint8
-
 // flow is one arrival of a header-space vector at a switch: hs arrived at
 // (sw, inPort) having traversed the parent chain.
 type flow struct {

@@ -6,6 +6,7 @@ package lb
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -205,11 +206,19 @@ func (lb *LB) handleReplicasGet(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
+// maxReplicaBytes bounds a POST /lb/replicas body, {"url":...}: far above
+// any replica URL, but finite.
+const maxReplicaBytes = 4 << 10
+
 func (lb *LB) handleReplicaAdd(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		URL string `json:"url"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBytes)).Decode(&req); err != nil || req.URL == "" {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("lb: replica body: %w", err))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("lb: want {\"url\": ...}"))
 		return
 	}

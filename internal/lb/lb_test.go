@@ -97,3 +97,34 @@ func TestRegistrationParity(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicaAddBodyIsBounded: POST /lb/replicas reads a bounded body, so
+// an oversized {"url":...} is refused without being buffered whole and
+// leaves the ring as it was.
+func TestReplicaAddBodyIsBounded(t *testing.T) {
+	var forwarded atomic.Int64
+	behind := httptest.NewServer(replicaHandler(t, &forwarded))
+	t.Cleanup(behind.Close)
+	router, err := lb.New([]string{behind.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := router.Handler()
+	body := `{"url":"http://` + strings.Repeat("a", 1<<20) + `"}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/lb/replicas", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized replica body: status %d %s, want %d", rec.Code, rec.Body, http.StatusRequestEntityTooLarge)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/lb/replicas", nil))
+	var view struct {
+		Replicas []string `json:"replicas"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Replicas) != 1 || view.Replicas[0] != behind.URL {
+		t.Fatalf("ring after the refused add = %v, want [%s]", view.Replicas, behind.URL)
+	}
+}

@@ -3,7 +3,6 @@ package ltl
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // MaxClosure is the maximum number of distinct subformulas supported by a
@@ -228,8 +227,7 @@ func (c *Closure) Sink(atoms Valuation) Valuation {
 // Follows reports whether valuation m2 may directly succeed m1, i.e. the
 // temporal obligations recorded in m1 are consistent with m2 (the follows
 // relation lifted to valuations). Extend(atoms(m1), m2) == m1 implies
-// Follows(m1, m2); this standalone check is used by tests and by
-// counterexample reconstruction.
+// Follows(m1, m2); tests hold Extend to this standalone check.
 func (c *Closure) Follows(m1, m2 Valuation) bool {
 	for i, op := range c.ops {
 		switch op {
@@ -254,14 +252,3 @@ func (c *Closure) Follows(m1, m2 Valuation) bool {
 
 // Holds reports whether the root formula is true in valuation v.
 func (c *Closure) Holds(v Valuation) bool { return v.Get(c.root) }
-
-// FormatValuation renders the true subformulas of v, for debugging.
-func (c *Closure) FormatValuation(v Valuation) string {
-	var parts []string
-	for i, f := range c.subs {
-		if v.Get(i) {
-			parts = append(parts, f.String())
-		}
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
-}

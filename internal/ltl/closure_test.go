@@ -192,12 +192,4 @@ func TestPropertyConstructors(t *testing.T) {
 	if we.EvalTrace([]Env{at(1), at(5), at(3)}) {
 		t.Error("either-waypoint should fail when no waypoint hit")
 	}
-
-	av := Avoid(1, 9)
-	if !av.EvalTrace([]Env{at(1), at(2)}) {
-		t.Error("avoid should hold when bad not visited")
-	}
-	if av.EvalTrace([]Env{at(1), at(9), at(3)}) {
-		t.Error("avoid should fail when bad visited")
-	}
 }

@@ -8,7 +8,6 @@ package ltl
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -103,9 +102,6 @@ func Atom(field string, value int) *Formula {
 	return &Formula{Op: OpAtom, Prop: Prop{Field: field, Value: value}}
 }
 
-// AtomP returns the atomic proposition p.
-func AtomP(p Prop) *Formula { return &Formula{Op: OpAtom, Prop: p} }
-
 // Not returns the negation of f, simplifying double negation and constants.
 func Not(f *Formula) *Formula {
 	switch f.Op {
@@ -143,24 +139,6 @@ func Or(l, r *Formula) *Formula {
 		return l
 	}
 	return &Formula{Op: OpOr, L: l, R: r}
-}
-
-// AndN folds a conjunction over fs; AndN() is true.
-func AndN(fs ...*Formula) *Formula {
-	acc := trueFormula
-	for _, f := range fs {
-		acc = And(acc, f)
-	}
-	return acc
-}
-
-// OrN folds a disjunction over fs; OrN() is false.
-func OrN(fs ...*Formula) *Formula {
-	acc := falseFormula
-	for _, f := range fs {
-		acc = Or(acc, f)
-	}
-	return acc
 }
 
 // Next returns X f.
@@ -309,36 +287,6 @@ func IsNNF(f *Formula) bool {
 	default:
 		return IsNNF(f.L) && IsNNF(f.R)
 	}
-}
-
-// Props returns the distinct atomic propositions occurring in f, sorted by
-// field name then value.
-func (f *Formula) Props() []Prop {
-	seen := map[Prop]bool{}
-	var walk func(g *Formula)
-	walk = func(g *Formula) {
-		if g == nil {
-			return
-		}
-		if g.Op == OpAtom {
-			seen[g.Prop] = true
-			return
-		}
-		walk(g.L)
-		walk(g.R)
-	}
-	walk(f)
-	out := make([]Prop, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Field != out[j].Field {
-			return out[i].Field < out[j].Field
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
 }
 
 // EvalTrace evaluates f over a finite trace of states (each an Env),

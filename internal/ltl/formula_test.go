@@ -166,20 +166,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestPropsSortedAndDistinct(t *testing.T) {
-	f := AndN(At(3), At(1), At(3), Atom("dst", 2), Atom(FieldPort, 9))
-	got := f.Props()
-	want := []Prop{{"dst", 2}, {FieldPort, 9}, {FieldSwitch, 1}, {FieldSwitch, 3}}
-	if len(got) != len(want) {
-		t.Fatalf("Props() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Props()[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestEvalTraceBasics(t *testing.T) {
 	at := func(sw int) Env {
 		return EnvFunc(func(p Prop) bool { return p.Field == FieldSwitch && p.Value == sw })

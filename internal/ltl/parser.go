@@ -3,7 +3,6 @@ package ltl
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode"
 )
 
@@ -45,15 +44,6 @@ func Parse(input string) (*Formula, error) {
 // MaxNesting is the deepest formula Parse accepts (see Parse). The
 // specifications the generators and examples write nest a few levels.
 const MaxNesting = 1000
-
-// MustParse is Parse but panics on error; for statically known formulas.
-func MustParse(input string) *Formula {
-	f, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
 
 type tokKind uint8
 
@@ -422,14 +412,4 @@ func (p *parser) parsePrimary() (node, error) {
 		return a, nil
 	}
 	return node{}, fmt.Errorf("ltl: unexpected %q at offset %d", p.tok.text, p.tok.pos)
-}
-
-// FormatList renders a list of formulas one per line (for CLI output).
-func FormatList(fs []*Formula) string {
-	var b strings.Builder
-	for _, f := range fs {
-		b.WriteString(f.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -67,10 +67,3 @@ func WaypointEither(src int, waypoints []int, dst int) *Formula {
 	return Implies(At(src),
 		Until(Not(At(dst)), And(alt, Eventually(At(dst)))))
 }
-
-// Avoid asserts that traffic from src never visits node bad:
-//
-//	(sw=src) -> G (sw!=bad)
-func Avoid(src, bad int) *Formula {
-	return Implies(At(src), Always(Not(At(bad))))
-}

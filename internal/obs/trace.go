@@ -175,14 +175,6 @@ func (t *Trace) EndDetail(id int, detail string) {
 	sp.detail = detail
 }
 
-// SetDetail annotates an open or closed span.
-func (t *Trace) SetDetail(id int, detail string) {
-	if t == nil || id <= 0 {
-		return
-	}
-	t.slot(int64(id - 1)).detail = detail
-}
-
 // RecordAt records a complete span with explicit start/end offsets from
 // the trace origin instead of wall-clock reads. The simulator uses it to
 // emit install/commit/retry events on the simulated clock, which is

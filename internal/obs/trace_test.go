@@ -24,7 +24,6 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	}
 	tr.End(id)
 	tr.EndDetail(id, "d")
-	tr.SetDetail(id, "d")
 	if tr.RecordAt("b", 0, 0, 0, time.Millisecond, "") != 0 {
 		t.Fatal("nil RecordAt != 0")
 	}

@@ -86,9 +86,6 @@ type Solver struct {
 // New returns an empty solver.
 func New() *Solver { return &Solver{varInc: 1} }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return s.nVars }
-
 // NewVar allocates a fresh variable and returns it (1-based).
 func (s *Solver) NewVar() int {
 	s.nVars++

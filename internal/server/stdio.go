@@ -2,12 +2,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"netupdate/internal/config"
 	"netupdate/internal/core"
+	"netupdate/internal/tenantspec"
 )
 
 // ServeStdio is the stdin/stdout serving surface: it reads a JSONL
@@ -42,12 +42,10 @@ func ServeStdio(ctx context.Context, in io.Reader, out io.Writer, errw io.Writer
 		pw.CloseWithError(err)
 	}()
 	defer context.AfterFunc(ctx, func() { pw.Close() })()
-	lines := config.NewLineCountingReader(pr)
-	dec := json.NewDecoder(lines)
-	dec.DisallowUnknownFields()
 	var h config.StreamHeader
-	if err := dec.Decode(&h); err != nil {
-		return fmt.Errorf("server: stream header (line %d): %w", lines.DecodeErrorLine(err, dec), err)
+	dec, line, err := tenantspec.Decode(pr, &h)
+	if err != nil {
+		return fmt.Errorf("server: stream header (line %d): %w", line, err)
 	}
 	info, err := p.Register(&TenantSpec{StreamHeader: h, Options: OptionsSpec(opts)})
 	if err != nil {
@@ -63,7 +61,7 @@ func ServeStdio(ctx context.Context, in io.Reader, out io.Writer, errw io.Writer
 	// The header's decoder may have read past the header: the request
 	// loop reads what it holds, then the rest of the pipe.
 	served, err := serveLines(ctx, context.Background(), 0, p, info.ID,
-		io.MultiReader(dec.Buffered(), pr), lines.LineAt(dec.InputOffset()), out)
+		io.MultiReader(dec.Buffered(), pr), line, out)
 	if !quiet {
 		if ctx.Err() != nil {
 			fmt.Fprintln(errw, "signal: stopped accepting input, draining")

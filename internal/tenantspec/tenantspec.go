@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -146,13 +147,78 @@ const MaxBytes = 16 << 20
 // Decode reads a registration — a TenantSpec, or a stream's first line —
 // from r into v as every surface reads it: an unknown key is refused by
 // name, and only the first JSON value is read (dec.Buffered holds what
-// follows). A failed decode reports the input line it stopped on.
+// follows). line is the input line the decode stopped on: the one its
+// error names, or, on success, the one dec.Buffered starts on.
 func Decode(r io.Reader, v any) (dec *json.Decoder, line int, err error) {
-	lines := config.NewLineCountingReader(r)
+	lines := &lineCountingReader{r: r}
 	dec = json.NewDecoder(lines)
 	dec.DisallowUnknownFields()
 	if err = dec.Decode(v); err != nil {
-		line = lines.DecodeErrorLine(err, dec)
+		return dec, lines.decodeErrorLine(err, dec), err
 	}
-	return dec, line, err
+	return dec, lines.lineAt(dec.InputOffset()), nil
+}
+
+// lineCountingReader wraps a stream reader and records where each line
+// starts, so decoders that report byte offsets (encoding/json) can be
+// translated to the 1-based line numbers humans grep for in a JSONL
+// stream. It is what lets a decode error in a stream header or a
+// registration name the offending line instead of a bare byte offset.
+type lineCountingReader struct {
+	r  io.Reader
+	nl []int64 // offsets of the '\n' bytes served
+	n  int64   // total bytes served
+}
+
+// Read implements io.Reader.
+func (t *lineCountingReader) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	for i := 0; i < n; i++ {
+		if p[i] == '\n' {
+			t.nl = append(t.nl, t.n+int64(i))
+		}
+	}
+	t.n += int64(n)
+	return n, err
+}
+
+// lineAt returns the 1-based line number containing byte offset off.
+// Offsets at or past the bytes served so far land on the last known
+// line.
+func (t *lineCountingReader) lineAt(off int64) int {
+	lo, hi := 0, len(t.nl)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if t.nl[mid] < off {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo + 1
+}
+
+// decodeErrorLine maps the error of a decoder's first Decode (or, failing
+// that, the decoder's current input offset) to the line it occurred on.
+// Syntax errors carry a stream offset, and type errors an offset from the
+// start of the value being decoded, which is the stream's start only for
+// the first value — the stream header and a registration, the values
+// this serves. Other errors — including io.ErrUnexpectedEOF and
+// DisallowUnknownFields rejections — are attributed to the decoder's
+// position after the failed read.
+func (t *lineCountingReader) decodeErrorLine(err error, dec *json.Decoder) int {
+	var syn *json.SyntaxError
+	if errors.As(err, &syn) {
+		return t.lineAt(syn.Offset)
+	}
+	var typ *json.UnmarshalTypeError
+	if errors.As(err, &typ) {
+		return t.lineAt(typ.Offset)
+	}
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		// The decoder position does not advance past a value it could not
+		// finish scanning; the truncation itself is at the end of input.
+		return t.lineAt(t.n)
+	}
+	return t.lineAt(dec.InputOffset())
 }

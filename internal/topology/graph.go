@@ -162,9 +162,6 @@ func (t *Topology) HostsOn(sw int) []Host { return t.hostsOn[sw] }
 // be modified.
 func (t *Topology) Neighbors(sw int) []Link { return t.adj[sw] }
 
-// Degree returns the number of switch-to-switch links at sw.
-func (t *Topology) Degree(sw int) int { return len(t.adj[sw]) }
-
 // PortToward returns the local port on switch a of some link to switch b.
 func (t *Topology) PortToward(a, b int) (Port, bool) {
 	for _, l := range t.adj[a] {

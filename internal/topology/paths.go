@@ -92,141 +92,3 @@ func appendPath(dst []int, prev []int, a, b int) []int {
 	}
 	return dst
 }
-
-// DisjointPaths returns two internally node-disjoint paths from a to b
-// (sharing only the endpoints), or ok=false if no such pair exists. It
-// runs two rounds of augmenting-path search on the node-split flow network
-// (each interior switch has capacity one), so it finds a disjoint pair
-// whenever one exists (Menger's theorem).
-func (t *Topology) DisjointPaths(a, b int) (p1, p2 []int, ok bool) {
-	if a == b {
-		return nil, nil, false
-	}
-	// Node-split graph: node v becomes v_in (2v) and v_out (2v+1) joined by
-	// an internal arc of capacity 1 (infinite for the endpoints). Each
-	// undirected link {u,v} becomes arcs u_out->v_in and v_out->u_in.
-	type arc struct {
-		to, rev int // rev indexes the reverse arc in arcs[to]
-		cap     int
-	}
-	nn := 2 * t.n
-	arcs := make([][]arc, nn)
-	addArc := func(u, v, c int) {
-		arcs[u] = append(arcs[u], arc{to: v, rev: len(arcs[v]), cap: c})
-		arcs[v] = append(arcs[v], arc{to: u, rev: len(arcs[u]) - 1, cap: 0})
-	}
-	in := func(v int) int { return 2 * v }
-	out := func(v int) int { return 2*v + 1 }
-	for v := 0; v < t.n; v++ {
-		c := 1
-		if v == a || v == b {
-			c = 2
-		}
-		addArc(in(v), out(v), c)
-	}
-	for v := 0; v < t.n; v++ {
-		for _, l := range t.adj[v] {
-			addArc(out(v), in(l.Peer), 1)
-		}
-	}
-	src, dst := out(a), in(b)
-	augment := func() bool {
-		prevNode := make([]int, nn)
-		prevArc := make([]int, nn)
-		for i := range prevNode {
-			prevNode[i] = -1
-		}
-		prevNode[src] = src
-		queue := []int{src}
-		for len(queue) > 0 && prevNode[dst] == -1 {
-			u := queue[0]
-			queue = queue[1:]
-			for i, e := range arcs[u] {
-				if e.cap > 0 && prevNode[e.to] == -1 {
-					prevNode[e.to] = u
-					prevArc[e.to] = i
-					queue = append(queue, e.to)
-				}
-			}
-		}
-		if prevNode[dst] == -1 {
-			return false
-		}
-		for v := dst; v != src; v = prevNode[v] {
-			u := prevNode[v]
-			e := &arcs[u][prevArc[v]]
-			e.cap--
-			arcs[e.to][e.rev].cap++
-		}
-		return true
-	}
-	if !augment() || !augment() {
-		return nil, nil, false
-	}
-	// Decode the two unit flows: follow saturated arcs from a.
-	used := make(map[[2]int]bool) // consumed flow arcs (u_out -> v_in)
-	walk := func() []int {
-		path := []int{a}
-		v := a
-		for v != b {
-			found := false
-			for _, e := range arcs[out(v)] {
-				// A forward arc out(v)->in(u) carried flow iff its capacity
-				// dropped to zero (forward arcs start at cap 1). Skip the
-				// residual of the internal arc in(v)->out(v), which also
-				// lives here and points back at in(v).
-				if e.to%2 == 0 && e.to/2 != v && e.cap == 0 && !used[[2]int{out(v), e.to}] {
-					u := e.to / 2
-					used[[2]int{out(v), e.to}] = true
-					path = append(path, u)
-					v = u
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil
-			}
-		}
-		return path
-	}
-	p1 = walk()
-	p2 = walk()
-	if p1 == nil || p2 == nil {
-		return nil, nil, false
-	}
-	return p1, p2, true
-}
-
-// Diameter returns the switch-graph diameter (longest shortest path), or
-// -1 if the graph is disconnected.
-func (t *Topology) Diameter() int {
-	diam := 0
-	dist := make([]int, t.n)
-	for s := 0; s < t.n; s++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue := []int{s}
-		seen := 1
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, l := range t.adj[v] {
-				if dist[l.Peer] == -1 {
-					dist[l.Peer] = dist[v] + 1
-					if dist[l.Peer] > diam {
-						diam = dist[l.Peer]
-					}
-					seen++
-					queue = append(queue, l.Peer)
-				}
-			}
-		}
-		if seen != t.n {
-			return -1
-		}
-	}
-	return diam
-}

@@ -103,23 +103,3 @@ func WAN(name string, n int, seed int64) *Topology {
 	}
 	return t
 }
-
-// Abilene returns the real Abilene research network (Internet2), an
-// 11-node topology from the Topology Zoo, as a concrete real-world sample.
-func Abilene() *Topology {
-	// Nodes: 0 Seattle, 1 Sunnyvale, 2 Los Angeles, 3 Denver, 4 Kansas City,
-	// 5 Houston, 6 Atlanta, 7 Indianapolis, 8 Chicago, 9 Washington DC,
-	// 10 New York.
-	t := New("abilene", 11)
-	links := [][2]int{
-		{0, 1}, {0, 3}, {1, 2}, {1, 3}, {2, 5}, {3, 4}, {4, 5}, {4, 7},
-		{5, 6}, {6, 7}, {6, 9}, {7, 8}, {8, 10}, {9, 10},
-	}
-	for _, l := range links {
-		t.AddLink(l[0], l[1])
-	}
-	for v := 0; v < 11; v++ {
-		t.AddHost(v, v)
-	}
-	return t
-}

@@ -15,13 +15,11 @@ import (
 	"netupdate/internal/topology"
 )
 
-// Version tags carried in the packet Typ field. The initial configuration
-// forwards untagged traffic; the two-phase update installs VersionNew
-// rules alongside, then flips ingress switches to tag traffic.
-const (
-	VersionOld = 0
-	VersionNew = 2
-)
+// VersionNew is the version tag carried in the packet Typ field. The
+// initial configuration forwards untagged (Typ 0) traffic; the two-phase
+// update installs VersionNew rules alongside, then flips ingress switches
+// to tag traffic.
+const VersionNew = 2
 
 // tagPriorityBoost lifts tagged rules above the untagged generation.
 const tagPriorityBoost = 100

@@ -87,8 +87,6 @@ type (
 	SimParams = sim.Params
 	// SimResult is a probe-delivery time series.
 	SimResult = sim.Result
-	// SimDAGNode is one node of the simulator's decentralized executor.
-	SimDAGNode = sim.DAGNode
 	// SimFaults configures seeded fault injection for the decentralized
 	// executor (switch crash, ack loss/duplication, install loss).
 	SimFaults = sim.Faults
@@ -112,12 +110,9 @@ type (
 	Fig1Nodes = config.Fig1Nodes
 )
 
-// Specification families for the workload generators.
-const (
-	PropReachability    = config.Reachability
-	PropWaypointing     = config.Waypointing
-	PropServiceChaining = config.ServiceChaining
-)
+// PropReachability selects the reachability family for the workload
+// generators.
+const PropReachability = config.Reachability
 
 // Synthesis failure modes (see internal/core).
 var (
@@ -132,10 +127,6 @@ var (
 	// dependency-closed subset of the last plan's DAG.
 	ErrBadCommit = core.ErrBadCommit
 )
-
-// ParseFaults parses the -faults CLI specification (see
-// internal/sim.ParseFaults), e.g. "crash=3@1,ackloss=0.2,seed=42".
-var ParseFaults = sim.ParseFaults
 
 // Synthesize runs the ORDERUPDATE algorithm on a scenario, returning an
 // executable update plan or an error (ErrNoOrdering when no correct
@@ -294,32 +285,17 @@ func Verify(topo *Topology, cfg *Config, specs []ClassSpec) (ok bool, cex *Count
 //	sw=1 -> ((sw!=5) U ((sw=3) & F sw=5))
 func ParseFormula(s string) (*Formula, error) { return ltl.Parse(s) }
 
-// Property constructors from the paper's evaluation (Section 6).
+// Property and topology constructors.
 var (
-	// Reachability: (sw=src) -> F (sw=dst).
+	// Reachability is the paper's reachability property (Section 6):
+	// (sw=src) -> F (sw=dst).
 	Reachability = ltl.Reachability
-	// Waypoint: traffic must traverse w before reaching dst.
-	Waypoint = ltl.Waypoint
-	// ServiceChain: traffic must traverse the waypoints in order.
-	ServiceChain = ltl.ServiceChain
-	// WaypointEither: traffic must traverse at least one of the waypoints.
-	WaypointEither = ltl.WaypointEither
-	// Avoid: traffic must never visit the given node.
-	Avoid = ltl.Avoid
-)
-
-// Topology constructors.
-var (
 	// NewTopology creates an empty topology with n switches.
 	NewTopology = topology.New
 	// FatTree builds the k-ary fat-tree datacenter topology.
 	FatTree = topology.FatTree
 	// SmallWorld builds a Watts-Strogatz small-world graph.
 	SmallWorld = topology.SmallWorld
-	// WAN builds a Topology-Zoo-like wide-area graph.
-	WAN = topology.WAN
-	// Abilene is the real 11-node Internet2 backbone.
-	Abilene = topology.Abilene
 )
 
 // Configuration helpers.
@@ -330,21 +306,14 @@ var (
 	InstallPath = config.InstallPath
 	// PathOf traces a class's forwarding path through a configuration.
 	PathOf = config.PathOf
-	// Diff lists the switches whose tables differ.
-	Diff = config.Diff
-)
-
-// Stream constructors (see DESIGN.md "Session architecture").
-var (
-	// RollingUpdates random-walks diamond targets over one topology, the
-	// generated steady-state workload for long-lived sessions.
-	RollingUpdates = config.RollingUpdates
-	// RerouteClass replaces one class's forwarding state with a new path.
-	RerouteClass = config.RerouteClass
 )
 
 // Scenario generators from the paper's evaluation.
 var (
+	// RollingUpdates random-walks diamond targets over one topology, the
+	// generated steady-state workload for long-lived sessions (see
+	// DESIGN.md "Session architecture").
+	RollingUpdates = config.RollingUpdates
 	// Diamonds builds the diamond-update workload of Section 6.
 	Diamonds = config.Diamonds
 	// Infeasible builds the switch-granularity-impossible workload of
@@ -354,13 +323,12 @@ var (
 	// cross-traffic classes that couple them; see DESIGN.md
 	// "Decomposition layer".
 	MultiRegion = config.MultiRegion
-	// Fig1RedGreen, Fig1RedBlue, Fig1RedBlueWaypoint are the Overview
-	// scenarios on the Figure 1 datacenter; Fig1Topology builds the bare
-	// topology with its named nodes.
-	Fig1RedGreen        = config.Fig1RedGreen
-	Fig1RedBlue         = config.Fig1RedBlue
-	Fig1RedBlueWaypoint = config.Fig1RedBlueWaypoint
-	Fig1Topology        = config.Fig1Topology
+	// Fig1RedGreen and Fig1RedBlue are Overview scenarios on the Figure 1
+	// datacenter; Fig1Topology builds the bare topology with its named
+	// nodes.
+	Fig1RedGreen = config.Fig1RedGreen
+	Fig1RedBlue  = config.Fig1RedBlue
+	Fig1Topology = config.Fig1Topology
 )
 
 // TwoPhasePlan builds the two-phase (consistent) update baseline for a
