@@ -364,22 +364,22 @@ func BenchmarkRollingStream(b *testing.B) {
 			}
 		}
 	})
-	// The traced variant is the warm stream with a span ring attached
-	// (Session.SetTrace, internal/obs): every synthesis records its phase
-	// spans and exports a snapshot on the plan. CI gates its allocs/op too
-	// — the span ring must stay a constant handful of allocations, not
-	// scale with the work.
+	// The traced variant is the warm stream with every synthesis run under
+	// a context that asks for a trace (obs.WithTracing): each records its
+	// phase spans into a trace of its own and exports a snapshot on the
+	// plan. CI gates its allocs/op too — a trace must stay a constant
+	// handful of allocations, not scale with the work.
 	b.Run("traced", func(b *testing.B) {
 		b.ReportAllocs()
 		sess, err := core.NewSession(w.Topo, w.Init, w.Specs, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sess.SetTrace(obs.NewTrace(0))
+		ctx := obs.WithTracing(context.Background())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, tgt := range w.Targets {
-				plan, err := sess.Synthesize(tgt)
+				plan, err := sess.SynthesizeContext(ctx, tgt)
 				if err != nil {
 					b.Fatal(err)
 				}

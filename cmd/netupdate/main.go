@@ -210,18 +210,16 @@ func run(f *flags) error {
 	}
 	ctx, cancel := f.searchContext()
 	defer cancel()
-	// -repair replans from mid-execution state and -trace-out records
-	// through a recorder the session holds: both need the session form of
-	// the engine; a plain synthesis produces the identical plan.
+	// -repair replans from mid-execution state and -trace-out records a
+	// session's run (a one-shot synthesis records no trace): both need the
+	// session form of the engine; a plain synthesis produces the identical
+	// plan.
 	var sess *core.Session
 	var plan *core.Plan
 	if f.repair || f.traceOut != "" {
 		start := time.Now()
 		sess, err = core.NewSession(sc.Topo, sc.Init, sc.Specs, f.opts)
 		if err == nil {
-			if f.traceOut != "" {
-				sess.SetTrace(obs.NewTrace(0))
-			}
 			plan, err = sess.SynthesizeContext(ctx, sc.Final)
 		}
 		if err == nil {
@@ -274,12 +272,17 @@ func run(f *flags) error {
 }
 
 // searchContext bounds one search, the synthesis or the repair, by
-// -timeout; each gets the whole budget.
+// -timeout; each gets the whole budget. Under -trace-out it asks for the
+// search's trace.
 func (f *flags) searchContext() (context.Context, context.CancelFunc) {
-	if f.timeout <= 0 {
-		return context.Background(), func() {}
+	ctx := context.Background()
+	if f.traceOut != "" {
+		ctx = obs.WithTracing(ctx)
 	}
-	return context.WithTimeout(context.Background(), f.timeout)
+	if f.timeout <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, f.timeout)
 }
 
 // traceSpanCount totals the spans across the recorded tracks.
@@ -330,8 +333,11 @@ func executeFaults(f *flags, sc *config.Scenario, plan *core.Plan, sess *core.Se
 	execute := func(track string, from *config.Config, plan *core.Plan, p sim.Params) *sim.Result {
 		if f.traceOut != "" {
 			p.Trace = obs.NewTrace(0)
-			p.Trace.SetRequestID(track)
-			defer func() { *traces = append(*traces, p.Trace.Snapshot()) }()
+			defer func() {
+				d := p.Trace.Snapshot()
+				d.RequestID = track
+				*traces = append(*traces, d)
+			}()
 		}
 		return sim.RunPlanDAG(sc.Topo, from, plan, classes, p)
 	}

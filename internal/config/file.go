@@ -86,6 +86,9 @@ func (tf *TopologyFile) Build(name string) (*topology.Topology, error) {
 		if l[0] < 0 || l[0] >= tf.Switches || l[1] < 0 || l[1] >= tf.Switches {
 			return nil, fmt.Errorf("config: link %v out of range", l)
 		}
+		if l[0] == l[1] {
+			return nil, fmt.Errorf("config: link %v joins a switch to itself", l)
+		}
 		topo.AddLink(l[0], l[1])
 	}
 	seen := map[int]bool{}

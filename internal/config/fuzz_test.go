@@ -105,8 +105,10 @@ func decodeDelta(data []byte) (*StreamDelta, error) {
 // one cost the file's length does not bound. The seeds are a valid
 // two-corridor file, one at MaxSwitches and one past it, and one of each
 // refusal: a hop between switches that are not adjacent, a final path
-// that ends at the wrong host, an unknown key, a bad specification and a
-// file with no classes.
+// that ends at the wrong host, an unknown key, a bad specification, a
+// file with no classes, and an empty link, which decodes as a self-link
+// (the input this fuzzer found when Build let one reach
+// topology.AddLink, which panics on it).
 func FuzzLoadScenario(f *testing.F) {
 	const corridor = `{"name":"two-corridor","topology":{"switches":8,
  "links":[[0,1],[1,2],[2,3],[3,7],[0,4],[4,5],[5,6],[6,7]],
@@ -122,6 +124,7 @@ func FuzzLoadScenario(f *testing.F) {
 		strings.Replace(corridor, `"spec"`, `"specs"`, 1),
 		strings.Replace(corridor, `sw=0 -> F sw=7`, `sw=0 -> F (`, 1),
 		`{"name":"empty","topology":{"switches":2,"links":[[0,1]]},"classes":[]}`,
+		`{"topologY":{"switChes":1,"links":[[]]}}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -87,12 +87,14 @@ var (
 type Stats struct {
 	engine.Stats
 
-	// Elapsed is the run's wall time. RebindElapsed is the post-run resync
-	// of the warm per-class structures, CacheVerifyElapsed the replay of a
-	// cached plan through the warm checkers (engine.Engine.Replay, whose
-	// reading of the target's verdicts is also VerifyElapsed). With the
-	// engine's phases they do not sum to Elapsed: scenario setup, DAG
-	// build, and cache bookkeeping fall between them.
+	// Elapsed is the run's wall time, the synthesize span's duration
+	// (SynthesizeWith's also covers building the session). RebindElapsed is
+	// the rebind span, the post-run resync of the warm per-class
+	// structures, and CacheVerifyElapsed the cache-verify span, the replay
+	// of a cached plan through the warm checkers (engine.Engine.Replay,
+	// whose reading of the target's verdicts is also VerifyElapsed). Every
+	// phase, the engine's included, falls inside Elapsed; they do not sum
+	// to it: the diff, the DAG build and cache bookkeeping fall between.
 	Elapsed            time.Duration
 	RebindElapsed      time.Duration
 	CacheVerifyElapsed time.Duration

@@ -26,9 +26,8 @@ type Plan struct {
 	// predecessors have committed, waiting out drain edges — is
 	// trace-equivalent to the sequential Steps.
 	DAG *PlanDAG
-	// Trace is the span tree recorded for this run when the session has a
-	// trace recorder attached (Session.SetTrace); nil
-	// otherwise.
+	// Trace is the span tree recorded for this run when its context asked
+	// for one (obs.WithTracing); nil otherwise.
 	Trace *obs.TraceData
 }
 

@@ -1,16 +1,16 @@
 package core
 
-// Failure-during-update repair (ROADMAP item 5a). A plan executing in
-// the network can stop halfway — a switch dies, installs time out, or a
-// superseding target arrives — leaving the network at an intermediate
-// configuration the session can reconstruct exactly: the pre-plan
-// configuration advanced by the committed steps. Repair resynthesizes
-// from that configuration instead of aborting the session. Because every
-// dependency-closed committed set is trace-equivalent to a prefix of the
-// sequential plan (the plan-DAG guarantee, dag.go), the crash-state
-// configuration is loop-free and spec-satisfying for every class, so it
-// is a valid synthesis start point; the warm per-class structures are
-// rebound to it diff-proportionally and the ordinary (decomposed,
+// Failure-during-update repair. A plan executing in the network can stop
+// halfway — a switch dies, installs time out, or a superseding target
+// arrives — leaving the network at an intermediate configuration the
+// session can reconstruct exactly: the pre-plan configuration advanced by
+// the committed steps. Repair resynthesizes from that configuration
+// instead of aborting the session. Because every dependency-closed
+// committed set is trace-equivalent to a prefix of the sequential plan
+// (the plan-DAG guarantee, dag.go), the crash-state configuration is
+// loop-free and spec-satisfying for every class, so it is a valid
+// synthesis start point; the warm per-class structures are rebound to it
+// diff-proportionally and the ordinary (decomposed,
 // interference-partitioned) search runs from there.
 //
 // Graceful degradation. A crash state can be genuinely harder than the
@@ -62,7 +62,9 @@ func (s *Session) Repair(committed []int, newTarget *config.Config) (*Plan, erro
 	return s.RepairContext(context.Background(), committed, newTarget)
 }
 
-// RepairContext is Repair with a request context bounding the search.
+// RepairContext is Repair with a request context bounding the search. A
+// context that asks for a trace (obs.WithTracing) gets one on the plan,
+// rooted at a repair span.
 func (s *Session) RepairContext(ctx context.Context, committed []int, newTarget *config.Config) (*Plan, error) {
 	if s.lastPlan == nil {
 		return nil, ErrNoPlan
@@ -89,11 +91,8 @@ func (s *Session) RepairContext(ctx context.Context, committed []int, newTarget 
 	if newTarget != nil {
 		target = newTarget
 	}
-	tr := s.trace
-	if tr != nil {
-		tr.Reset()
-		tr.SetRequestID(obs.RequestIDFrom(ctx))
-	}
+	tr := obs.TraceFrom(ctx)
+	s.trace = tr
 	root := tr.Begin("repair", 0)
 	// Move the session to the crash state: rebind every warm structure
 	// (diff-proportionally — only switches that differ between the current
@@ -107,9 +106,7 @@ func (s *Session) RepairContext(ctx context.Context, committed []int, newTarget 
 	}
 	tr.End(crSpan)
 	s.cur = crash
-	s.traceOuter = root
-	plan, err := s.synthesize(ctx, "repair", target, s.repairFallback)
-	s.traceOuter = 0
+	plan, err := s.synthesize(ctx, "repair", target, s.repairFallback, root)
 	tr.End(root)
 	if plan != nil {
 		plan.Stats.RepairCommitted = len(committed)

@@ -113,13 +113,11 @@ type Session struct {
 	cache *PlanCache
 	ctxFP []byte
 
-	// Span recorder (internal/obs), nil unless the holder attached one
-	// with SetTrace. Every recording call is nil-safe, so the disabled
-	// path costs one pointer compare. traceOuter parents the next
-	// synthesize root (Repair sets it to its own root span so the inner
-	// synthesis nests under the repair); 0 is the recorder's "no parent".
-	trace      *obs.Trace
-	traceOuter int
+	// The span recorder of the most recent run (internal/obs): the one
+	// its context asked for (obs.TraceFrom), nil when it asked for none.
+	// Every recording call is nil-safe, so an untraced run pays a pointer
+	// compare per span. A successful run exports it on its plan.
+	trace *obs.Trace
 }
 
 // SessionResources are the read-only structures a session may share with
@@ -275,12 +273,6 @@ func (s *Session) CheckAtRest() error {
 // first need (zero for a session that was built whole).
 func (s *Session) ClassBuilds() int { return s.classBuilds }
 
-// SetTrace attaches (or, with nil, detaches) a span recorder for the
-// following runs. The pool uses it to trace exactly one request on a
-// warm session (the daemon's trace=1) without paying for tracing on the
-// rest of the stream.
-func (s *Session) SetTrace(t *obs.Trace) { s.trace = t }
-
 // EnableCache attaches a private verification-first plan cache (cache.go)
 // with the default capacity and returns it, creating one if the session
 // has none.
@@ -323,16 +315,18 @@ func (s *Session) LastStats() Stats { return s.lastStats }
 // ErrNoOrdering) leave the session at its previous configuration, ready
 // for the next target.
 func (s *Session) Synthesize(final *config.Config) (*Plan, error) {
-	return s.synthesize(context.Background(), "", final, nil)
+	return s.SynthesizeContext(context.Background(), final)
 }
 
 // SynthesizeContext is Synthesize with a request context, the one bound
 // on the search: it polls ctx and aborts with ErrTimeout when its
 // deadline expires or ErrCanceled when it is canceled outright. An
 // aborted synthesis behaves like any failed one — the session resyncs to
-// its previous configuration and serves the next target normally.
+// its previous configuration and serves the next target normally. A
+// context that asks for a trace (obs.WithTracing) gets one on the plan.
 func (s *Session) SynthesizeContext(ctx context.Context, final *config.Config) (*Plan, error) {
-	return s.synthesize(ctx, "", final, nil)
+	s.trace = obs.TraceFrom(ctx)
+	return s.synthesize(ctx, "", final, nil, 0)
 }
 
 // Synthesize runs ORDERUPDATE (Figure 4): it searches for a sequence of
@@ -357,7 +351,9 @@ func Synthesize(sc *config.Scenario, opts Options) (*Plan, error) {
 
 // SynthesizeWith is Synthesize over the given session resources (see
 // NewSessionWith), the search bounded by ctx (ErrTimeout, ErrCanceled);
-// the repair ladder's 2-simple rung runs through it too.
+// the repair ladder's 2-simple rung runs through it too. It records no
+// trace: its Elapsed, which covers the session's construction too, is no
+// span's.
 func SynthesizeWith(ctx context.Context, sc *config.Scenario, opts Options, res SessionResources) (*Plan, error) {
 	start := time.Now()
 	s, err := NewSessionWith(sc.Topo, sc.Init, sc.Specs, opts, res)
@@ -365,7 +361,7 @@ func SynthesizeWith(ctx context.Context, sc *config.Scenario, opts Options, res 
 		return nil, err
 	}
 	s.ephemeral = true
-	plan, err := s.synthesize(ctx, sc.Name, sc.Final, nil)
+	plan, err := s.synthesize(ctx, sc.Name, sc.Final, nil, 0)
 	if plan != nil {
 		// One-shot semantics: Elapsed covers structure construction too,
 		// as it did before the session refactor. (Session callers get
@@ -375,14 +371,19 @@ func SynthesizeWith(ctx context.Context, sc *config.Scenario, opts Options, res 
 	return plan, err
 }
 
-// synthesize serves one request. fallback, non-nil only while the session
-// repairs, is the repair ladder a stuck component walks (repairFallback).
-func (s *Session) synthesize(ctx context.Context, name string, final *config.Config, fallback engine.Fallback) (*Plan, error) {
-	start := time.Now()
+// synthesize serves one request, recording into s.trace under outer (0
+// for a root). fallback, non-nil only while the session repairs, is the
+// repair ladder a stuck component walks (repairFallback).
+func (s *Session) synthesize(ctx context.Context, name string, final *config.Config, fallback engine.Fallback, outer int) (*Plan, error) {
 	if ctx != nil && ctx.Err() != nil {
 		// Dead on arrival: do not touch the warm structures at all.
 		return nil, engine.ContextErr(ctx)
 	}
+	tr := s.trace
+	// The run's phase: Elapsed is its duration, and every other phase
+	// falls inside it.
+	run := tr.Start("synthesize", outer, 0)
+	root := run.Span()
 	s.runs++
 	// The request's diff — the switches on which the target differs from
 	// the current configuration, their rule changes, and the classes those
@@ -391,23 +392,15 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	// and its target check, and the post-run resync.
 	s.aff.Reset(s.specs, s.cur, final)
 	st := Stats{RequestID: obs.RequestIDFrom(ctx)}
-	tr := s.trace
-	if tr != nil && fallback == nil {
-		// A repair run nests under RepairContext's root; an ordinary run
-		// starts a fresh trace.
-		tr.Reset()
-		tr.SetRequestID(st.RequestID)
-	}
-	root := tr.Begin("synthesize", s.traceOuter)
-	// refuse ends a request the session will not search: the attempt is
-	// still the most recent one, and its trace is complete.
-	refuse := func(err error) (*Plan, error) {
+	// fail ends a run that returns no plan: the attempt is still the most
+	// recent one, and its trace is complete.
+	fail := func(err error) (*Plan, error) {
+		st.Elapsed = run.End()
 		s.lastStats = st
-		tr.End(root)
 		return nil, err
 	}
 	if err := s.buildClasses(s.aff.Classes); err != nil {
-		return refuse(err)
+		return fail(err)
 	}
 	e := engine.Begin(ctx, engine.Request{
 		Scenario: config.Scenario{Name: name, Topo: s.topo, Init: s.cur, Final: final, Specs: s.specs},
@@ -446,11 +439,9 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 	fromCache, searched := false, false
 	if ent != nil && !ent.infeasible {
 		steps, dag = ent.plan(final)
-		cvStart := time.Now()
-		cvSpan := tr.Begin("cache-verify", root)
+		cv := tr.Start("cache-verify", root, 0)
 		fromCache = ent.fits(final, s.aff.Switches) && e.Replay(steps)
-		tr.End(cvSpan)
-		st.CacheVerifyElapsed = time.Since(cvStart)
+		st.CacheVerifyElapsed = cv.End()
 		if fromCache {
 			st.CacheHit = true
 			st.CacheHitDistance = s.cache.noteHit(ent)
@@ -471,12 +462,16 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		// session was opened, so a scenario whose endpoints are both bad
 		// reports ErrInitialViolation (from NewSession) rather than
 		// ErrFinalViolation.
-		vfStart := time.Now()
-		if err := s.unaffectedHold(); err != nil {
-			tr.End(tr.Begin("final-verify", root))
+		//
+		// Only a repair's crash rebind can leave an unaffected class
+		// violated, and a clean run records no target check, so the
+		// refusal's check is the one run again as a final-verify phase.
+		if s.unaffectedHold() != nil {
+			vf := tr.Start("final-verify", root, 0)
+			err := s.unaffectedHold()
 			st.Stats = e.Stats()
-			st.VerifyElapsed = time.Since(vfStart)
-			return refuse(err)
+			st.VerifyElapsed = vf.End()
+			return fail(err)
 		}
 	}
 	switch {
@@ -493,18 +488,13 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		steps, dag, st.CommittedComponents, runErr = e.Search(!s.opts.NoDecomposition, !s.opts.NoWaitRemoval, fallback)
 	}
 	st.Stats = e.Stats()
-	var plan *Plan
-	if runErr == nil {
-		if fromCache {
-			// Cached plans were wait-removed when first synthesized and carry
-			// their DAG; only the counters need refreshing.
-			st.Components = int(ent.components)
-			st.WaitsBefore = (&Plan{Steps: steps}).Waits()
-			st.WaitsAfter = st.WaitsBefore
-			st.DAGDepth, st.DAGWidth = dag.Depth, dag.Width
-		}
-		st.Elapsed = time.Since(start)
-		plan = &Plan{Steps: steps, Stats: st, DAG: dag}
+	if runErr == nil && fromCache {
+		// Cached plans were wait-removed when first synthesized and carry
+		// their DAG; only the counters need refreshing.
+		st.Components = int(ent.components)
+		st.WaitsBefore = (&Plan{Steps: steps}).Waits()
+		st.WaitsAfter = st.WaitsBefore
+		st.DAGDepth, st.DAGWidth = dag.Depth, dag.Width
 	}
 	// Memoize the outcome (cache.go): a fresh successful search stores its
 	// plan and DAG, and a proven infeasibility stores the memo. Repair-mode
@@ -521,7 +511,6 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		}
 		tr.End(csSpan)
 	}
-	s.lastStats = st
 
 	// Resync the warm structures to a known configuration: the new
 	// current one on success, the previous one otherwise. The rebind is
@@ -548,20 +537,14 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 		if runErr == nil {
 			target = final
 		}
-		rbStart := time.Now()
-		rbSpan := tr.Begin("rebind", root)
-		if rerr := s.resync(target); rerr != nil {
+		rb := tr.Start("rebind", root, 0)
+		rerr := s.resync(target)
+		st.RebindElapsed = rb.End()
+		if rerr != nil {
 			// target was verified loop-free for every class (the initial
 			// configuration at session construction, every successful
 			// final here), so this indicates structure corruption.
-			return nil, fmt.Errorf("core: session resync: %v", rerr)
-		}
-		tr.End(rbSpan)
-		// The resync runs after Elapsed and lastStats were stamped, so the
-		// rebind duration is patched into both (and into the plan's copy).
-		s.lastStats.RebindElapsed = time.Since(rbStart)
-		if plan != nil {
-			plan.Stats.RebindElapsed = s.lastStats.RebindElapsed
+			return fail(fmt.Errorf("core: session resync: %v", rerr))
 		}
 	}
 	if runErr != nil {
@@ -574,15 +557,13 @@ func (s *Session) synthesize(ctx context.Context, name string, final *config.Con
 				s.checkers[ci].ForgetMemo(s.memoMarks[i])
 			}
 		}
-		tr.End(root)
-		return nil, runErr
+		return fail(runErr)
 	}
+	st.Elapsed = run.End()
+	s.lastStats = st
+	plan := &Plan{Steps: steps, Stats: st, DAG: dag, Trace: tr.Snapshot()}
 	s.lastPlan, s.lastInit, s.lastFinal = plan, s.cur, final
 	s.cur = final
-	if tr != nil {
-		tr.End(root)
-		plan.Trace = tr.Snapshot()
-	}
 	return plan, nil
 }
 

@@ -411,13 +411,12 @@ func TestRefusedTargetLeavesNoTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess.SetTrace(obs.NewTrace(0))
 			if _, err := sess.Synthesize(targets[0]); err != nil {
 				t.Fatal(err)
 			}
 			*sp = sess
 		}
-		ctx := obs.WithRequestID(context.Background(), "req-refused")
+		ctx := obs.WithTracing(obs.WithRequestID(context.Background(), "req-refused"))
 		if _, err := seen.SynthesizeContext(ctx, bad); !errors.Is(err, ErrFinalViolation) {
 			t.Fatalf("%s: err = %v, want ErrFinalViolation", name, err)
 		}

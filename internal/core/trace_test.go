@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"netupdate/internal/config"
 	"netupdate/internal/obs"
@@ -21,8 +24,8 @@ func spanNames(d *obs.TraceData) map[string]int {
 	return names
 }
 
-// TestTraceDisabledRecordsNothing: without SetTrace the plan carries
-// no trace and the session holds no recorder.
+// TestTraceDisabledRecordsNothing: when the context asks for no trace
+// the plan carries none and the session holds no recorder.
 func TestTraceDisabledRecordsNothing(t *testing.T) {
 	sc := config.Fig1RedBlue()
 	s := repairSession(t, sc, Options{})
@@ -63,8 +66,7 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetTrace(obs.NewTrace(0))
-	ctx := obs.WithRequestID(t.Context(), "req-trace-test")
+	ctx := obs.WithTracing(obs.WithRequestID(t.Context(), "req-trace-test"))
 	plan, err := s.SynthesizeContext(ctx, sc.Final)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +132,7 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 	// component's span, and the request carries its time.
 	bad := sc.Final.Clone()
 	config.RemoveClassRules(bad, sc.Specs[0].Class)
-	if _, err := s.Synthesize(bad); !errors.Is(err, ErrFinalViolation) {
+	if _, err := s.SynthesizeContext(ctx, bad); !errors.Is(err, ErrFinalViolation) {
 		t.Fatalf("err = %v, want ErrFinalViolation", err)
 	}
 	if st := s.LastStats(); st.VerifyElapsed <= 0 {
@@ -166,8 +168,7 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetTrace(obs.NewTrace(0))
-	if _, err := s.Synthesize(stuck.Final); !errors.Is(err, ErrNoOrdering) {
+	if _, err := s.SynthesizeContext(obs.WithTracing(t.Context()), stuck.Final); !errors.Is(err, ErrNoOrdering) {
 		t.Fatalf("err = %v, want ErrNoOrdering", err)
 	}
 	if st := s.LastStats(); st.VerifyElapsed <= 0 || spanNames(s.trace.Snapshot())["final-verify"] == 0 {
@@ -180,15 +181,15 @@ func TestTraceDecomposedMultiRegion(t *testing.T) {
 func TestTraceCacheHitSpans(t *testing.T) {
 	sc := config.Fig1RedBlue()
 	s := repairSession(t, sc, Options{})
-	s.SetTrace(obs.NewTrace(0))
+	ctx := obs.WithTracing(t.Context())
 	s.EnableCache()
-	if _, err := s.Synthesize(sc.Final); err != nil {
+	if _, err := s.SynthesizeContext(ctx, sc.Final); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Synthesize(sc.Init); err != nil {
+	if _, err := s.SynthesizeContext(ctx, sc.Init); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.Synthesize(sc.Final)
+	plan, err := s.SynthesizeContext(ctx, sc.Final)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +213,8 @@ func TestTraceCacheHitSpans(t *testing.T) {
 func TestTraceRepairTree(t *testing.T) {
 	sc := config.Fig1RedBlue()
 	s := repairSession(t, sc, Options{})
-	s.SetTrace(obs.NewTrace(0))
-	plan, err := s.Synthesize(sc.Final)
+	ctx := obs.WithTracing(t.Context())
+	plan, err := s.SynthesizeContext(ctx, sc.Final)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestTraceRepairTree(t *testing.T) {
 			break
 		}
 	}
-	rep, err := s.Repair(committed, nil)
+	rep, err := s.RepairContext(ctx, committed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,5 +246,115 @@ func TestTraceRepairTree(t *testing.T) {
 		if sp.Name == "synthesize" && sp.Parent != root {
 			t.Fatalf("synthesize span parent = %d, want repair root %d", sp.Parent, root)
 		}
+	}
+}
+
+// spanDur is a span's duration to the nanosecond.
+func spanDur(sp obs.SpanData) time.Duration {
+	return time.Duration(math.Round(sp.DurUS * 1e3))
+}
+
+// spanNamed returns the one span of the given name.
+func spanNamed(t *testing.T, d *obs.TraceData, name string) obs.SpanData {
+	t.Helper()
+	var out []obs.SpanData
+	for _, sp := range d.Spans {
+		if sp.Name == name {
+			out = append(out, sp)
+		}
+	}
+	if len(out) != 1 {
+		t.Fatalf("%d %q spans, want 1: %v", len(out), name, spanNames(d))
+	}
+	return out[0]
+}
+
+// TestStatsAreSpanDurations: a run's phase durations and its spans are
+// read off one clock, so each duration equals its span's to the
+// nanosecond, and every phase falls inside the synthesize span.
+func TestStatsAreSpanDurations(t *testing.T) {
+	sc := multiRegionScenario(t, 3, 1, 0, 11)
+	s, err := NewSession(sc.Topo, sc.Init, sc.Specs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := obs.WithTracing(t.Context())
+	plan, err := s.SynthesizeContext(ctx, sc.Final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, d := plan.Stats, plan.Trace
+	if st.Components != 3 || len(st.ComponentElapsed) != 3 {
+		t.Fatalf("components %d, elapsed %v", st.Components, st.ComponentElapsed)
+	}
+	root := spanNamed(t, d, "synthesize")
+	for _, c := range []struct {
+		span string
+		stat time.Duration
+	}{
+		{"synthesize", st.Elapsed},
+		{"search", st.SearchElapsed},
+		{"wait-removal", st.WaitRemovalElapsed},
+		{"rebind", st.RebindElapsed},
+		{"component-0", st.ComponentElapsed[0]},
+		{"component-1", st.ComponentElapsed[1]},
+		{"component-2", st.ComponentElapsed[2]},
+	} {
+		sp := spanNamed(t, d, c.span)
+		if got := spanDur(sp); got != c.stat || c.stat <= 0 {
+			t.Errorf("%s span %v, stat %v", c.span, got, c.stat)
+		}
+		if sp.StartUS < root.StartUS || sp.StartUS+sp.DurUS > root.StartUS+root.DurUS {
+			t.Errorf("%s span [%v, +%v] is not inside the run's [%v, +%v]",
+				c.span, sp.StartUS, sp.DurUS, root.StartUS, root.DurUS)
+		}
+	}
+
+	// A refused target: VerifyElapsed is its one final-verify span, which
+	// runs inside the component whose search failed a check; the check
+	// run again from the root is the component's, not a second span.
+	bad := sc.Final.Clone()
+	config.RemoveClassRules(bad, sc.Specs[0].Class)
+	if _, err := s.SynthesizeContext(ctx, bad); !errors.Is(err, ErrFinalViolation) {
+		t.Fatalf("err = %v, want ErrFinalViolation", err)
+	}
+	st, d = s.LastStats(), s.trace.Snapshot()
+	vf := spanNamed(t, d, "final-verify")
+	if got := spanDur(vf); got != st.VerifyElapsed || got <= 0 {
+		t.Fatalf("final-verify span %v, VerifyElapsed %v", got, st.VerifyElapsed)
+	}
+	comp := d.Spans[vf.Parent-1]
+	if !strings.HasPrefix(comp.Name, "component-") {
+		t.Fatalf("final-verify under %q", comp.Name)
+	}
+	var ci int
+	if _, err := fmt.Sscanf(comp.Name, "component-%d", &ci); err != nil || spanDur(comp) != st.ComponentElapsed[ci] {
+		t.Fatalf("%s span %v, ComponentElapsed %v", comp.Name, spanDur(comp), st.ComponentElapsed)
+	}
+	if got := spanDur(spanNamed(t, d, "synthesize")); got != st.Elapsed {
+		t.Fatalf("refused run: synthesize span %v, Elapsed %v", got, st.Elapsed)
+	}
+
+	// A cache hit: CacheVerifyElapsed is the cache-verify span.
+	fig := config.Fig1RedBlue()
+	s = repairSession(t, fig, Options{})
+	s.EnableCache()
+	for _, tgt := range []*config.Config{fig.Final, fig.Init} {
+		if _, err := s.Synthesize(tgt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err = s.SynthesizeContext(ctx, fig.Final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Stats.CacheHit {
+		t.Fatal("the flap did not hit the plan cache")
+	}
+	if got := spanDur(spanNamed(t, plan.Trace, "cache-verify")); got != plan.Stats.CacheVerifyElapsed {
+		t.Fatalf("cache-verify span %v, CacheVerifyElapsed %v", got, plan.Stats.CacheVerifyElapsed)
+	}
+	if got := spanDur(spanNamed(t, plan.Trace, "final-verify")); got != plan.Stats.VerifyElapsed {
+		t.Fatalf("final-verify span %v, VerifyElapsed %v", got, plan.Stats.VerifyElapsed)
 	}
 }

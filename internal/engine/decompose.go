@@ -283,18 +283,16 @@ func (e *Engine) Search(decompose, removeWaits bool, fallback Fallback) ([]Step,
 	dcSpan := tr.Begin("decompose", root)
 	comps, err := e.decompose(decompose)
 	tr.End(dcSpan)
-	start := time.Now()
-	span := tr.Begin("search", root)
+	search := tr.Start("search", root, 0)
 	var steps []Step
 	var committed []int
 	if err == nil {
-		steps, committed, err = e.runComponents(comps, span, fallback)
+		steps, committed, err = e.runComponents(comps, search.Span(), fallback)
 	}
-	tr.End(span)
-	if !errors.Is(err, ErrFinalViolation) {
+	if d := search.End(); !errors.Is(err, ErrFinalViolation) {
 		// A refused target's answer is its target check (VerifyElapsed), not
 		// a search phase.
-		e.stats.SearchElapsed = time.Since(start)
+		e.stats.SearchElapsed = d
 	}
 	if err != nil {
 		return nil, nil, committed, err
@@ -302,11 +300,9 @@ func (e *Engine) Search(decompose, removeWaits bool, fallback Fallback) ([]Step,
 	e.stats.WaitsBefore = countWaits(steps)
 	tagged := e.stats.TwoPhaseComponents > 0
 	if removeWaits && !tagged {
-		start := time.Now()
-		span := tr.Begin("wait-removal", root)
+		ph := tr.Start("wait-removal", root, 0)
 		steps = e.removeWaits(steps)
-		tr.End(span)
-		e.stats.WaitRemovalElapsed = time.Since(start)
+		e.stats.WaitRemovalElapsed = ph.End()
 	} else {
 		steps = ownSteps(steps)
 	}
@@ -315,7 +311,7 @@ func (e *Engine) Search(decompose, removeWaits bool, fallback Fallback) ([]Step,
 	// which for decomposed runs yields the disjoint union of the component
 	// sub-DAGs (components share no class and no switch, so no chain crosses
 	// a component boundary).
-	span = tr.Begin("dag-build", root)
+	span := tr.Begin("dag-build", root)
 	var dag *PlanDAG
 	if tagged {
 		dag = chainDAG(steps)
@@ -533,17 +529,21 @@ func (e *Engine) specsOf(dst []config.ClassSpec, classes []int) []config.ClassSp
 // It copies the order it finds into r.path and hands its scratch back as
 // soon as the search ends. The request's context bounds every component.
 func (e *Engine) solveComponent(c *component, idx, parent int, r *compResult) {
-	start := time.Now()
 	// Each component gets its own trace lane so concurrent sub-searches
-	// render as parallel rows; Begin reserves ring slots atomically, so
-	// recording from the solver goroutines is safe.
-	span := 0
+	// render as parallel rows; the trace is safe to record into from the
+	// solver goroutines. Names and details are formatted only when traced.
+	name := ""
 	if e.trace != nil {
-		span = e.trace.BeginLane(fmt.Sprintf("component-%d", idx), parent, idx+1)
-		defer func() {
-			e.trace.EndDetail(span, fmt.Sprintf("units=%d classes=%d", len(c.units), len(c.classes)))
-		}()
+		name = fmt.Sprintf("component-%d", idx)
 	}
+	ph := e.trace.Start(name, parent, idx+1)
+	defer func() {
+		detail := ""
+		if e.trace != nil {
+			detail = fmt.Sprintf("units=%d classes=%d", len(c.units), len(c.classes))
+		}
+		r.elapsed = ph.EndDetail(detail)
+	}()
 	scr := scratchPool.Get().(*engineScratch)
 	defer putScratch(scr)
 	units := scr.units[:0]
@@ -555,7 +555,6 @@ func (e *Engine) solveComponent(c *component, idx, parent int, r *compResult) {
 			if !ok {
 				r.err = fmt.Errorf("engine: component %d split a requires edge (unit %d needs %d)",
 					idx, uid, u.requires)
-				r.elapsed = time.Since(start)
 				return
 			}
 			u.requires = lr
@@ -571,7 +570,7 @@ func (e *Engine) solveComponent(c *component, idx, parent int, r *compResult) {
 	scr.sc = config.Scenario{Name: e.sc.Name, Topo: e.sc.Topo, Init: e.sc.Init, Final: e.sc.Final, Specs: scr.specs}
 	ec := newEngineShellWith(&scr.sc, e.abl, units, scr)
 	ec.ctx, ec.aff = e.ctx, e.aff
-	ec.trace, ec.traceParent, ec.traceLane = e.trace, span, idx+1
+	ec.trace, ec.traceParent, ec.traceLane = e.trace, ph.Span(), idx+1
 	ec.classes = c.classes
 	for _, ci := range c.classes {
 		pos, _ := slices.BinarySearch(e.classes, ci) // both ascending
@@ -582,5 +581,5 @@ func (e *Engine) solveComponent(c *component, idx, parent int, r *compResult) {
 	path, err := ec.run()
 	copy(r.path, path)
 	ec.collectCheckerStats()
-	r.stats, r.err, r.elapsed = ec.stats, err, time.Since(start)
+	r.stats, r.err = ec.stats, err
 }

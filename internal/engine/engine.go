@@ -90,13 +90,14 @@ type Stats struct {
 	EscalatedComponents int
 	TwoPhaseComponents  int
 
-	// Per-phase durations, on the clock the trace spans use, populated
-	// traced or not. VerifyElapsed is the target check's where one ran: a
-	// search that failed a check or ended without a plan (summed over
-	// components), or a replay's reading of the verdicts. SearchElapsed
-	// covers every component's search and fallback; a refused target
-	// reports none, its answer being the target check's. ComponentElapsed
-	// is each sub-search's, in composition order.
+	// Per-phase durations, populated traced or not: each is the duration
+	// of its phase's span (obs.Phase), one interval on one clock.
+	// VerifyElapsed sums the final-verify spans: a search's target check,
+	// where one ran because a check failed or the search ended without a
+	// plan, or a replay's reading of the verdicts. SearchElapsed is the
+	// search span, every component's search and fallback; a refused
+	// target reports none, its answer being the target check's.
+	// ComponentElapsed is each component-i span, in composition order.
 	SearchElapsed      time.Duration
 	WaitRemovalElapsed time.Duration
 	VerifyElapsed      time.Duration
@@ -451,11 +452,9 @@ func (e *Engine) run() ([]Step, error) {
 	// loop, first of all) does not depend on where the search stood.
 	switch {
 	case errors.Is(err, errTargetFails):
-		start := time.Now()
 		if verr := e.checkTarget(); verr != nil {
 			err = verr
 		}
-		e.stats.VerifyElapsed += time.Since(start)
 	case !e.targetChecked:
 		if verr := e.verifyTarget(); verr != nil {
 			return nil, verr
@@ -639,14 +638,12 @@ func (e *Engine) checkTarget() error {
 	return nil
 }
 
-// verifyTarget is checkTarget timed into Stats.VerifyElapsed under a
-// final-verify span.
+// verifyTarget is checkTarget as a final-verify phase, whose duration
+// Stats.VerifyElapsed sums.
 func (e *Engine) verifyTarget() error {
-	start := time.Now()
-	span := e.trace.BeginLane("final-verify", e.traceParent, e.traceLane)
+	ph := e.trace.Start("final-verify", e.traceParent, e.traceLane)
 	err := e.checkTarget()
-	e.trace.End(span)
-	e.stats.VerifyElapsed += time.Since(start)
+	e.stats.VerifyElapsed += ph.End()
 	return err
 }
 
@@ -670,12 +667,8 @@ func (e *Engine) Replay(steps []Step) bool {
 			return false
 		}
 	}
-	start := time.Now()
-	span := e.trace.Begin("final-verify", e.traceParent)
-	defer func() {
-		e.trace.End(span)
-		e.stats.VerifyElapsed = time.Since(start)
-	}()
+	ph := e.trace.Start("final-verify", e.traceParent, 0)
+	defer func() { e.stats.VerifyElapsed = ph.End() }()
 	e.stats.Checks += len(e.sc.Specs) - len(e.checkers)
 	for _, chk := range e.checkers {
 		e.stats.Checks++

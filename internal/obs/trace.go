@@ -3,9 +3,11 @@
 // metrics registry (Registry) rendering the Prometheus text exposition
 // format, and request-id propagation helpers shared by the serving
 // stack. Everything here is hand-rolled over the standard library — the
-// repo takes no dependencies — and everything is nil-safe: a nil *Trace
-// turns every recording call into an immediate return, so instrumented
-// code paths pay no time.Now call and no allocation when tracing is off.
+// repo takes no dependencies — and everything is nil-safe: on a nil
+// *Trace every recording call returns at once. Begin and End then read
+// no clock and allocate nothing; Start and Phase.End read the clock and
+// return the phase's duration, which is how a run's statistics time
+// their phases: a statistic and its span are one interval.
 package obs
 
 import (
@@ -15,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -25,33 +28,24 @@ import (
 // (TraceData.Dropped), never grown past the bound.
 const DefaultTraceSpans = 8192
 
-// traceChunkSpans is the ring's allocation unit. Storage is a fixed
-// table of lazily CAS-installed chunks rather than one flat slice, so a
-// long-lived session trace that records a dozen spans per run keeps one
-// ~12KB chunk live instead of the full capacity — preallocating the
-// whole ring measurably costs the traced path in GC pressure, which is
-// exactly what this layer must not do.
-const traceChunkSpans = 256
+// traceFirstSpans is the span store's first allocation: a request's
+// tree is about a dozen spans, plus one per component.
+const traceFirstSpans = 16
 
-// Trace records one request's span tree into a preallocated ring.
+// Trace records one run's span tree.
 //
-// Concurrency: Begin reserves a slot with an atomic counter, so spans
-// may be opened from concurrent goroutines (the decomposed search fans
-// component sub-searches out over worker goroutines); each reserved slot
-// is written only by the goroutine that reserved it after its chunk is
-// CAS-installed, and Snapshot must only be called after those goroutines
-// have been joined — which is how every producer uses it: the session
-// snapshots after its run (and its WaitGroup) completes.
+// Concurrency: every recording call takes the trace's lock, so spans may
+// be opened and closed from concurrent goroutines (the decomposed search
+// runs component sub-searches on worker goroutines).
 type Trace struct {
 	start     time.Time
 	requestID string
-	n         atomic.Int64 // spans begun, including dropped
-	capacity  int          // chunks × traceChunkSpans
-	chunks    []atomic.Pointer[traceChunk]
-}
+	capacity  int
 
-// traceChunk is one allocation unit of the span ring.
-type traceChunk [traceChunkSpans]span
+	mu      sync.Mutex
+	spans   []span
+	dropped int
+}
 
 // span is one recorded interval. Times are nanosecond offsets from the
 // trace start; dur < 0 marks a still-open span (Snapshot closes it at
@@ -66,69 +60,33 @@ type span struct {
 }
 
 // NewTrace builds a trace with the given span capacity (0 means
-// DefaultTraceSpans) whose clock starts now. Chunks are allocated as
-// spans are recorded, so the constructed trace costs a few words until
-// it is used.
+// DefaultTraceSpans) whose clock starts now.
 func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceSpans
 	}
-	n := (capacity + traceChunkSpans - 1) / traceChunkSpans
 	return &Trace{
 		start:    time.Now(),
 		capacity: capacity,
-		chunks:   make([]atomic.Pointer[traceChunk], n),
+		spans:    make([]span, 0, min(capacity, traceFirstSpans)),
 	}
 }
 
-// slot returns the span cell for a reserved index, installing its chunk
-// on first touch. Losing a concurrent install race just adopts the
-// winner's chunk.
-func (t *Trace) slot(idx int64) *span {
-	c := &t.chunks[idx/traceChunkSpans]
-	ch := c.Load()
-	if ch == nil {
-		fresh := new(traceChunk)
-		if !c.CompareAndSwap(nil, fresh) {
-			ch = c.Load()
-		} else {
-			ch = fresh
-		}
+// record appends a span and returns its 1-based id, or 0 once the trace
+// is full (the drop is counted).
+func (t *Trace) record(sp span) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.spans) >= t.capacity {
+		t.dropped++
+		return 0
 	}
-	return &ch[idx%traceChunkSpans]
-}
-
-// Reset discards every recorded span and restarts the clock; the ring is
-// reused, so a per-session trace serves a stream of runs without
-// reallocating. No-op on nil.
-func (t *Trace) Reset() {
-	if t == nil {
-		return
-	}
-	t.n.Store(0)
-	t.start = time.Now()
-	t.requestID = ""
-}
-
-// SetRequestID stamps the trace with the request id its root span
-// belongs to (see RequestIDHeader propagation in internal/server).
-func (t *Trace) SetRequestID(id string) {
-	if t == nil {
-		return
-	}
-	t.requestID = id
-}
-
-// RequestID returns the stamped request id ("" when none or nil).
-func (t *Trace) RequestID() string {
-	if t == nil {
-		return ""
-	}
-	return t.requestID
+	t.spans = append(t.spans, sp)
+	return len(t.spans)
 }
 
 // Begin opens a span under parent (a previous Begin result; 0 for a
-// root) and returns its 1-based id. On a nil trace — or once the ring is
+// root) and returns its 1-based id. On a nil trace — or once the trace is
 // full — it returns 0, which every other method accepts as a no-op
 // target, so callers never branch on enablement.
 func (t *Trace) Begin(name string, parent int) int {
@@ -142,18 +100,8 @@ func (t *Trace) BeginLane(name string, parent, lane int) int {
 	if t == nil {
 		return 0
 	}
-	idx := t.n.Add(1) - 1
-	if idx >= int64(t.capacity) {
-		return 0 // full: count the drop, record nothing
-	}
-	*t.slot(idx) = span{
-		name:   name,
-		parent: int32(parent),
-		lane:   int32(lane),
-		start:  int64(time.Since(t.start)),
-		dur:    -1,
-	}
-	return int(idx) + 1
+	return t.record(span{name: name, parent: int32(parent), lane: int32(lane),
+		start: int64(time.Since(t.start)), dur: -1})
 }
 
 // End closes span id at now. Accepts 0 (from a disabled or full Begin).
@@ -161,18 +109,51 @@ func (t *Trace) End(id int) {
 	if t == nil || id <= 0 {
 		return
 	}
-	sp := t.slot(int64(id - 1))
-	sp.dur = int64(time.Since(t.start)) - sp.start
+	now := int64(time.Since(t.start))
+	t.mu.Lock()
+	sp := &t.spans[id-1]
+	sp.dur = now - sp.start
+	t.mu.Unlock()
 }
 
-// EndDetail is End plus a free-form detail annotation.
-func (t *Trace) EndDetail(id int, detail string) {
-	if t == nil || id <= 0 {
-		return
+// Phase is one timed phase of a run, begun by Trace.Start. Its duration
+// is measured traced or not, and a traced phase is also a span covering
+// exactly that interval.
+type Phase struct {
+	t     *Trace
+	id    int
+	start time.Time
+}
+
+// Start begins a phase named name under parent on lane (0 for the main
+// lane): it reads the clock and, on a non-nil trace, opens a span there.
+func (t *Trace) Start(name string, parent, lane int) Phase {
+	p := Phase{t: t, start: time.Now()}
+	if t != nil {
+		p.id = t.record(span{name: name, parent: int32(parent), lane: int32(lane),
+			start: int64(p.start.Sub(t.start)), dur: -1})
 	}
-	sp := t.slot(int64(id - 1))
-	sp.dur = int64(time.Since(t.start)) - sp.start
-	sp.detail = detail
+	return p
+}
+
+// Span returns the phase's span id, the parent of the spans begun inside
+// it (0 when untraced or the trace is full).
+func (p Phase) Span() int { return p.id }
+
+// End ends the phase and returns its duration: the clock is read again,
+// and the span, if any, is closed with that duration.
+func (p Phase) End() time.Duration { return p.EndDetail("") }
+
+// EndDetail is End plus a free-form detail annotation on the span.
+func (p Phase) EndDetail(detail string) time.Duration {
+	d := time.Since(p.start)
+	if p.id > 0 {
+		p.t.mu.Lock()
+		sp := &p.t.spans[p.id-1]
+		sp.dur, sp.detail = int64(d), detail
+		p.t.mu.Unlock()
+	}
+	return d
 }
 
 // RecordAt records a complete span with explicit start/end offsets from
@@ -183,51 +164,26 @@ func (t *Trace) RecordAt(name string, parent, lane int, start, end time.Duration
 	if t == nil {
 		return 0
 	}
-	idx := t.n.Add(1) - 1
-	if idx >= int64(t.capacity) {
-		return 0
-	}
-	*t.slot(idx) = span{
-		name:   name,
-		detail: detail,
-		parent: int32(parent),
-		lane:   int32(lane),
-		start:  int64(start),
-		dur:    int64(end - start),
-	}
-	return int(idx) + 1
-}
-
-// Len reports the number of spans recorded (capped at capacity).
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	n := int(t.n.Load())
-	if n > t.capacity {
-		n = t.capacity
-	}
-	return n
+	return t.record(span{name: name, detail: detail, parent: int32(parent), lane: int32(lane),
+		start: int64(start), dur: int64(end - start)})
 }
 
 // Snapshot exports the recorded spans. Open spans are closed at snapshot
-// time, so a mid-flight export (the repair path snapshots before its
-// outer span ends) still renders.
+// time, so a mid-flight export still renders.
 func (t *Trace) Snapshot() *TraceData {
 	if t == nil {
 		return nil
 	}
 	now := int64(time.Since(t.start))
-	n := t.Len()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	d := &TraceData{
 		RequestID: t.requestID,
-		Spans:     make([]SpanData, n),
+		Dropped:   t.dropped,
+		Spans:     make([]SpanData, len(t.spans)),
 	}
-	if total := int(t.n.Load()); total > n {
-		d.Dropped = total - n
-	}
-	for i := 0; i < n; i++ {
-		sp := t.slot(int64(i))
+	for i := range t.spans {
+		sp := &t.spans[i]
 		dur := sp.dur
 		if dur < 0 {
 			dur = now - sp.start
@@ -373,18 +329,24 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// WithTracing marks the context as requesting a per-request trace
-// (the daemon's ?trace=1); the pool attaches a trace ring to the
-// tenant's session for exactly that request.
+// WithTracing marks the context as requesting a per-request trace (the
+// daemon's ?trace=1, netupdate -trace-out): a session run under it
+// records one (TraceFrom).
 func WithTracing(ctx context.Context) context.Context {
 	return context.WithValue(ctx, ctxTracing, true)
 }
 
-// TracingFrom reports whether the context requests a trace.
-func TracingFrom(ctx context.Context) bool {
+// TraceFrom returns a new trace for a run under ctx, stamped with the
+// context's request id, when the context asks for one (WithTracing), and
+// nil otherwise.
+func TraceFrom(ctx context.Context) *Trace {
 	if ctx == nil {
-		return false
+		return nil
 	}
-	on, _ := ctx.Value(ctxTracing).(bool)
-	return on
+	if on, _ := ctx.Value(ctxTracing).(bool); !on {
+		return nil
+	}
+	t := NewTrace(0)
+	t.requestID = RequestIDFrom(ctx)
+	return t
 }

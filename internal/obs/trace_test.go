@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -13,22 +14,20 @@ import (
 
 func TestNilTraceIsNoOp(t *testing.T) {
 	var tr *Trace
-	tr.Reset()
-	tr.SetRequestID("x")
-	if got := tr.RequestID(); got != "" {
-		t.Fatalf("nil RequestID = %q", got)
-	}
 	id := tr.Begin("a", 0)
 	if id != 0 {
 		t.Fatalf("nil Begin = %d, want 0", id)
 	}
 	tr.End(id)
-	tr.EndDetail(id, "d")
+	ph := tr.Start("p", 0, 0)
+	if ph.Span() != 0 {
+		t.Fatalf("nil Start opened span %d", ph.Span())
+	}
+	if d := ph.EndDetail("d"); d < 0 {
+		t.Fatalf("untraced phase took %v", d)
+	}
 	if tr.RecordAt("b", 0, 0, 0, time.Millisecond, "") != 0 {
 		t.Fatal("nil RecordAt != 0")
-	}
-	if tr.Len() != 0 {
-		t.Fatal("nil Len != 0")
 	}
 	if tr.Snapshot() != nil {
 		t.Fatal("nil Snapshot != nil")
@@ -36,12 +35,11 @@ func TestNilTraceIsNoOp(t *testing.T) {
 }
 
 func TestSpanNesting(t *testing.T) {
-	tr := NewTrace(16)
-	tr.SetRequestID("rid-1")
-	root := tr.Begin("synthesize", 0)
-	child := tr.Begin("search", root)
+	tr := TraceFrom(WithTracing(WithRequestID(context.Background(), "rid-1")))
+	root := tr.Start("synthesize", 0, 0)
+	child := tr.Begin("search", root.Span())
 	tr.End(child)
-	tr.EndDetail(root, "steps=3")
+	root.EndDetail("steps=3")
 	d := tr.Snapshot()
 	if d.RequestID != "rid-1" {
 		t.Fatalf("RequestID = %q", d.RequestID)
@@ -91,12 +89,52 @@ func TestRingOverflowCountsDrops(t *testing.T) {
 	if len(d.Spans) != 2 || d.Dropped != 1 {
 		t.Fatalf("spans=%d dropped=%d", len(d.Spans), d.Dropped)
 	}
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("Reset did not clear")
+	// A phase over a full trace is still timed.
+	ph := tr.Start("late", a, 0)
+	if ph.Span() != 0 || ph.End() < 0 {
+		t.Fatalf("phase over a full trace: span %d", ph.Span())
 	}
-	if tr.Begin("again", 0) == 0 {
-		t.Fatal("Begin after Reset dropped")
+	if d := tr.Snapshot(); len(d.Spans) != 2 || d.Dropped != 2 {
+		t.Fatalf("spans=%d dropped=%d", len(d.Spans), d.Dropped)
+	}
+}
+
+// TestPhaseIsItsSpan: a phase's duration is its span's, to the
+// nanosecond, from goroutines recording concurrently too.
+func TestPhaseIsItsSpan(t *testing.T) {
+	tr := NewTrace(0)
+	root := tr.Start("root", 0, 0)
+	durs := make([][]time.Duration, 4)
+	ids := make([][]int, 4)
+	var wg sync.WaitGroup
+	for g := range durs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				ph := tr.Start("w", root.Span(), g+1)
+				ids[g] = append(ids[g], ph.Span())
+				durs[g] = append(durs[g], ph.End())
+			}
+		}()
+	}
+	wg.Wait()
+	total := root.End()
+	d := tr.Snapshot()
+	ns := func(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }
+	if got := ns(d.Spans[0].DurUS); got != total {
+		t.Fatalf("root span %v, phase %v", got, total)
+	}
+	for g := range durs {
+		for i, id := range ids[g] {
+			sp := d.Spans[id-1]
+			if sp.Lane != g+1 || sp.Parent != root.Span() {
+				t.Fatalf("span %+v", sp)
+			}
+			if got := ns(sp.DurUS); got != durs[g][i] {
+				t.Fatalf("span %d: %v, phase %v", id, got, durs[g][i])
+			}
+		}
 	}
 }
 
@@ -137,10 +175,9 @@ func TestRecordAtUsesExplicitClock(t *testing.T) {
 }
 
 func TestWriteChrome(t *testing.T) {
-	tr := NewTrace(8)
-	tr.SetRequestID("rid-9")
+	tr := TraceFrom(WithTracing(WithRequestID(context.Background(), "rid-9")))
 	root := tr.Begin("synthesize", 0)
-	tr.EndDetail(tr.Begin("search", root), "units=4")
+	tr.Start("search", root, 0).EndDetail("units=4")
 	tr.End(root)
 	sim := NewTrace(8)
 	sim.RecordAt("install", 0, 1, 0, time.Millisecond, "sw=0")
@@ -206,10 +243,14 @@ func TestRequestIDContext(t *testing.T) {
 	if RequestIDFrom(context.Background()) != "" {
 		t.Fatal("empty ctx has request id")
 	}
-	if TracingFrom(ctx) {
+	if TraceFrom(ctx) != nil {
 		t.Fatal("tracing set unexpectedly")
 	}
-	if !TracingFrom(WithTracing(ctx)) {
+	tr := TraceFrom(WithTracing(ctx))
+	if tr == nil {
 		t.Fatal("WithTracing not visible")
+	}
+	if tr.Snapshot().RequestID != id {
+		t.Fatal("the trace is not stamped with the request id")
 	}
 }

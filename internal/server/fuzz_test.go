@@ -83,8 +83,9 @@ func TestRegistrationClassPortsAreBounded(t *testing.T) {
 // the bound of any body long enough to reach the cap (some 55 KB at the
 // least). The committed seeds (testdata/fuzz/FuzzRegistration) are a
 // valid registration with every option set, hugeSwitches,
-// many-class-ports, and one registration per removed option key:
-// noPlanCache, trace and timeoutNs.
+// many-class-ports, one registration per removed option key
+// (noPlanCache, trace and timeoutNs), and self-link, whose links include
+// [1,1].
 func FuzzRegistration(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := NewPool(PoolOptions{Workers: 1})

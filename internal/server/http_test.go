@@ -160,6 +160,32 @@ func TestHTTPRegisterRejectsDeepSpec(t *testing.T) {
 	}
 }
 
+// TestHTTPRegisterRejectsSelfLink: a registration whose links include a
+// self-link is a 400 naming the link, and the daemon serves on (the
+// topology refused such a link by panicking mid-request).
+func TestHTTPRegisterRejectsSelfLink(t *testing.T) {
+	ts, _ := startDaemon(t, server.PoolOptions{})
+	bad := strings.Replace(lineSpec, `[[0,1],`, `[[0,1],[1,1],`, 1)
+	resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "link [1 1] joins a switch to itself") {
+		t.Fatalf("register: %s: %s, want 400 naming the self-link", resp.Status, body)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the refusal: %s", resp.Status)
+	}
+	register(t, ts, lineSpec)
+}
+
 // TestHTTPDecodeErrorsArePositioned: a broken request body yields an
 // in-band error line naming the tenant and the body line the fault sits
 // on: a syntax error, and a path element of the wrong type in the third

@@ -350,10 +350,9 @@ func (p *Pool) Synthesize(ctx context.Context, id string, delta *config.StreamDe
 	return plan, nil
 }
 
-// synthesizeOn runs one request on sess under the request's trace
-// settings, and counts the classes it had to build for it.
+// synthesizeOn runs one request on sess, traced when its context asks
+// (?trace=1), and counts the classes it had to build for it.
 func (p *Pool) synthesizeOn(ctx context.Context, t *tenant, sess *core.Session, target *config.Config) (*core.Plan, error) {
-	defer traceRequest(ctx, sess)()
 	built := sess.ClassBuilds()
 	plan, err := sess.SynthesizeContext(ctx, target)
 	t.classBuilds.Add(int64(sess.ClassBuilds() - built))
@@ -393,7 +392,6 @@ func (p *Pool) Ack(ctx context.Context, id string, ack *StepAck) (*core.Plan, er
 		return nil, fmt.Errorf("server: tenant %s: session evicted, cannot repair: %w", t.id, core.ErrNoPlan)
 	}
 
-	defer traceRequest(ctx, sess)()
 	start := time.Now()
 	built := sess.ClassBuilds()
 	plan, rerr := sess.RepairContext(ctx, ack.Committed, nil)
@@ -408,18 +406,6 @@ func (p *Pool) Ack(ctx context.Context, id string, ack *StepAck) (*core.Plan, er
 	t.cur = sess.Current()
 	t.count(outRepaired)
 	return plan, nil
-}
-
-// traceRequest attaches a span recorder to sess for exactly one run when
-// the request asked for one (?trace=1), and returns the call that
-// detaches it. The caller holds the tenant's gate, so no other request
-// races the session.
-func traceRequest(ctx context.Context, sess *core.Session) (detach func()) {
-	if !obs.TracingFrom(ctx) {
-		return func() {}
-	}
-	sess.SetTrace(obs.NewTrace(0))
-	return func() { sess.SetTrace(nil) }
 }
 
 // admission is one request's hold on its tenant, the only way into and out

@@ -173,7 +173,7 @@ type ResultStats struct {
 	DAGDepth   int     `json:"dagDepth,omitempty"`
 	DAGWidth   int     `json:"dagWidth,omitempty"`
 	ElapsedMS  float64 `json:"elapsedMs"`
-	// Per-phase engine durations (subsets of ElapsedMS, not a partition):
+	// Per-phase durations (each inside ElapsedMS, not a partition of it):
 	// rebind of warm structures, component search, wait removal, final
 	// verification, and cache replay verification.
 	RebindMS      float64 `json:"rebindMs,omitempty"`
